@@ -70,12 +70,16 @@ replica-matrix:
 	dune exec bin/ltree_cli.exe -- crash-matrix --replica --ops 200
 
 # Tiny replication run wired into `make ci`: a noisy catch-up with
-# failover plus a small but complete replica-level matrix.
+# failover plus two small but complete replica-level matrices — one
+# rotating every 8 ops, one with 64 shipper pumps between rotations so
+# the journal cursor resumes many times within one generation.
 replicate-smoke:
 	dune exec bin/ltree_cli.exe -- replicate --ops 60 --nodes 60 \
 	  --noise-every 5 --failover > /dev/null
 	dune exec bin/ltree_cli.exe -- crash-matrix --replica --ops 24 \
 	  --nodes 40 --group-commit 2 --checkpoint-every 8
+	dune exec bin/ltree_cli.exe -- crash-matrix --replica --ops 96 \
+	  --nodes 40 --group-commit 4 --checkpoint-every 64
 
 # Observability smoke: replay a workload with tracing on, export the
 # trace as JSONL and verify every line parses and the span tree covers

@@ -113,6 +113,7 @@ type t = {
   mutable pending_count : int;
   mutable last_seq : int;  (* last sequence number assigned *)
   epoch : int;
+  mutable generation : int;  (* journal rewrites by [checkpoint] *)
 }
 
 let journal_path t = Filename.concat t.dir "journal"
@@ -124,6 +125,7 @@ let ldoc t = t.ldoc
 let last_seq t = t.last_seq
 let pending t = t.pending_count
 let epoch t = t.epoch
+let generation t = t.generation
 
 (* {1 Record framing}
 
@@ -147,6 +149,8 @@ type scan = {
   scan_fault : fault option;  (* why the scan stopped, if it did *)
   dropped : int;  (* line-shaped chunks after the fault *)
   valid_bytes : int;  (* prefix length holding header + valid records *)
+  next_seq : int;  (* seq the next record must carry; 0 = any *)
+  scanned_bytes : int;  (* file bytes read past the scan's start *)
 }
 
 (* Parse ["E <crc> <seq> <payload>"].  Any deviation is a typed fault;
@@ -174,65 +178,79 @@ let parse_record ~expected_seq line =
 (* Count how many line-shaped chunks follow offset [from] — the size of
    the tail a fault condemns. *)
 let count_tail_lines data from =
-  let n = ref 0 in
-  String.iteri (fun i c -> if i >= from && Char.equal c '\n' then incr n) data;
   let len = String.length data in
+  let n = ref 0 in
+  for i = from to len - 1 do
+    if Char.equal data.[i] '\n' then incr n
+  done;
   if len > from && not (Char.equal data.[len - 1] '\n') then incr n;
   !n
 
-let scan_journal io ~dir =
+let header_len = String.length wal_magic + 1
+
+(* The one record loop: parse from byte [start], where the next record
+   must carry [expected] (0 = any), up to the end or the first fault. *)
+let scan_records data ~start ~expected ~read_from =
+  let len = String.length data in
+  let records = ref [] in
+  let fault = ref None in
+  let pos = ref start in
+  let expected = ref expected in
+  while Option.is_none !fault && !pos < len do
+    match String.index_from_opt data !pos '\n' with
+    | None ->
+      (* The file ends mid-line: the record was torn by the crash. *)
+      fault := Some (Torn_record { seq = max 1 !expected })
+    | Some nl -> (
+      let line = String.sub data !pos (nl - !pos) in
+      match parse_record ~expected_seq:!expected line with
+      | Ok (seq, entry) ->
+        records := (seq, entry) :: !records;
+        expected := seq + 1;
+        pos := nl + 1
+      | Error f -> fault := Some f)
+  done;
+  { records = List.rev !records;
+    scan_fault = !fault;
+    dropped = count_tail_lines data !pos;
+    valid_bytes = !pos;
+    next_seq = !expected;
+    scanned_bytes = len - read_from }
+
+let scan_journal ?from io ~dir =
   let path = Filename.concat dir "journal" in
+  let header_fault fault ~dropped ~scanned_bytes =
+    { records = []; scan_fault = Some fault; dropped; valid_bytes = 0;
+      next_seq = 0; scanned_bytes }
+  in
   match io.Fault.read_file path with
-  | None ->
-    { records = []; scan_fault = Some (Missing_file path); dropped = 0;
-      valid_bytes = 0 }
-  | Some data ->
+  | None -> header_fault (Missing_file path) ~dropped:0 ~scanned_bytes:0
+  | Some data -> (
     let len = String.length data in
-    let header_len = String.length wal_magic + 1 in
-    if len = 0 then
-      (* A crash while writing the very first header byte (e.g. a torn
-         write that tore at offset 0 during [initialize]) leaves the
-         file present but empty.  That is not a condemned tail — there
-         are no records to condemn — so it gets its own typed fault and
-         a zero drop count: recovery re-homes the header and proceeds
-         from the snapshot alone. *)
-      { records = []; scan_fault = Some (Empty_journal path); dropped = 0;
-        valid_bytes = 0 }
-    else if
-      len < header_len
-      || not (String.equal (String.sub data 0 (header_len - 1)) wal_magic)
-      || not (Char.equal data.[header_len - 1] '\n')
-    then
-      { records = [];
-        scan_fault = Some (Bad_header { file = path; detail = "bad magic" });
-        dropped = count_tail_lines data 0;
-        valid_bytes = 0 }
-    else begin
-      let records = ref [] in
-      let fault = ref None in
-      let pos = ref header_len in
-      let valid = ref header_len in
-      let expected = ref 0 in
-      while Option.is_none !fault && !pos < len do
-        match String.index_from_opt data !pos '\n' with
-        | None ->
-          (* The file ends mid-line: the record was torn by the crash. *)
-          fault := Some (Torn_record { seq = max 1 !expected })
-        | Some nl -> (
-          let line = String.sub data !pos (nl - !pos) in
-          match parse_record ~expected_seq:!expected line with
-          | Ok (seq, entry) ->
-            records := (seq, entry) :: !records;
-            expected := seq + 1;
-            pos := nl + 1;
-            valid := !pos
-          | Error f -> fault := Some f)
-      done;
-      { records = List.rev !records;
-        scan_fault = !fault;
-        dropped = count_tail_lines data !valid;
-        valid_bytes = !valid }
-    end
+    match from with
+    | Some (offset, expected) when offset >= header_len && offset <= len ->
+      (* Resuming: the prefix up to [offset] was verified by the scan
+         that produced the cursor, and a journal only grows by appends
+         between rotations. *)
+      scan_records data ~start:offset ~expected ~read_from:offset
+    | Some _ | None ->
+      if len = 0 then
+        (* A crash while writing the very first header byte (e.g. a torn
+           write that tore at offset 0 during [initialize]) leaves the
+           file present but empty.  That is not a condemned tail — there
+           are no records to condemn — so it gets its own typed fault and
+           a zero drop count: recovery re-homes the header and proceeds
+           from the snapshot alone. *)
+        header_fault (Empty_journal path) ~dropped:0 ~scanned_bytes:0
+      else if
+        len < header_len
+        || not (String.equal (String.sub data 0 (header_len - 1)) wal_magic)
+        || not (Char.equal data.[header_len - 1] '\n')
+      then
+        header_fault
+          (Bad_header { file = path; detail = "bad magic" })
+          ~dropped:(count_tail_lines data 0) ~scanned_bytes:len
+      else scan_records data ~start:header_len ~expected:0 ~read_from:0)
 
 (* {1 Snapshot files} *)
 
@@ -378,6 +396,9 @@ let checkpoint t =
         t.io.Fault.rename_file ~src:(snapshot_path t)
           ~dst:(snapshot_prev_path t);
       t.io.Fault.rename_file ~src:tmp ~dst:(snapshot_path t);
+      (* Bumped before the rewrite, so even a crashed one invalidates
+         byte offsets taken in the old journal. *)
+      t.generation <- t.generation + 1;
       t.io.Fault.write_file (journal_path t) (wal_magic ^ "\n");
       t.io.Fault.fsync (journal_path t))
 
@@ -386,7 +407,7 @@ let initialize ~io ?(group_commit = 1) ~dir ldoc =
     invalid_arg "Durable_doc.initialize: group_commit must be >= 1";
   let t =
     { io; dir; ldoc; group_commit; pending = Buffer.create 256;
-      pending_count = 0; last_seq = 0; epoch = 0 }
+      pending_count = 0; last_seq = 0; epoch = 0; generation = 0 }
   in
   checkpoint t;
   t
@@ -463,7 +484,8 @@ let recover_raw ~io ~group_commit ~dir () =
      | Current -> ());
     let t =
       { io; dir; ldoc; group_commit; pending = Buffer.create 256;
-        pending_count = 0; last_seq = !applied_to; epoch = old_epoch + 1 }
+        pending_count = 0; last_seq = !applied_to; epoch = old_epoch + 1;
+        generation = 0 }
     in
     Ok
       ( { source; base_seq; epoch = t.epoch; entries_skipped = !skipped;

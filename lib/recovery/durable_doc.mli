@@ -118,6 +118,12 @@ val pending : t -> int
     the value derived caches compare against to detect restarts. *)
 val epoch : t -> int
 
+(** [generation t] counts the journal rewrites {!checkpoint} has made
+    through [t] — the only place a live store rewrites its journal.
+    Between two rewrites the journal only grows by appends, so a byte
+    offset into it stays valid while [generation t] is unchanged. *)
+val generation : t -> int
+
 (** {1 Operations}
 
     Each applies to the in-memory document first, then journals.  The
@@ -146,11 +152,25 @@ type scan = {
   scan_fault : fault option;  (** why scanning stopped, if it did *)
   dropped : int;  (** line-shaped chunks after the fault *)
   valid_bytes : int;  (** length of the trustworthy file prefix *)
+  next_seq : int;
+      (** the sequence number the record after the valid prefix must
+          carry ([0] while no record has fixed it) *)
+  scanned_bytes : int;  (** file bytes read past the scan's start *)
 }
 
-(** [scan_journal io ~dir] parses and verifies the journal without
-    touching any document — the invariant checks build on this. *)
-val scan_journal : Fault.io -> dir:string -> scan
+(** [scan_journal ?from io ~dir] parses and verifies the journal without
+    touching any document — the invariant checks build on this.
+
+    [from = (offset, expected_seq)] resumes an earlier scan of the same
+    journal: [offset] is that scan's [valid_bytes] and [expected_seq]
+    its [next_seq].  Only the bytes past [offset] are parsed, with every
+    CRC, sequence and parse check, and the result is the suffix of what
+    a full scan would return (same [scan_fault], [dropped],
+    [valid_bytes], [next_seq]).  The caller must know the journal was
+    not rewritten since (see {!generation}); an [offset] inside the
+    header or past the end of the file restarts the scan from the
+    header. *)
+val scan_journal : ?from:int * int -> Fault.io -> dir:string -> scan
 
 (** [newest_valid_snapshot io ~dir] is the snapshot {!recover} would
     start from: [Ok (source, ldoc, base_seq, epoch, faults)] where

@@ -47,7 +47,12 @@ type stats = {
   acks_seen : int;
   hellos_seen : int;
   bad_frames : int;
+  scanned_bytes : int;
 }
+
+(* Where the last journal scan stopped: resumable while the store's
+   journal generation is unchanged. *)
+type cursor = { generation : int; offset : int; next_seq : int }
 
 type t = {
   io : Fault.io;
@@ -69,6 +74,7 @@ type t = {
   mutable failed : error option;
   mutable acked_progress : int;
   mutable force_handshake : bool;
+  mutable cursor : cursor option;
   mutable frames_sent : int;
   mutable retries : int;
   mutable backoff_ticks : int;
@@ -77,6 +83,7 @@ type t = {
   mutable acks_seen : int;
   mutable hellos_seen : int;
   mutable bad_frames : int;
+  mutable scanned_bytes : int;
 }
 
 let ship_latency_hist () =
@@ -134,6 +141,7 @@ let create ~io ~dir ~store ~down ~up ?(config = default_config) () =
       failed = None;
       acked_progress = 0;
       force_handshake = false;
+      cursor = None;
       frames_sent = 0;
       retries = 0;
       backoff_ticks = 0;
@@ -142,6 +150,7 @@ let create ~io ~dir ~store ~down ~up ?(config = default_config) () =
       acks_seen = 0;
       hellos_seen = 0;
       bad_frames = 0;
+      scanned_bytes = 0;
     }
   in
   (* Anchor the chain at the store's current snapshot so the very first
@@ -167,6 +176,7 @@ let stats t =
     acks_seen = t.acks_seen;
     hellos_seen = t.hellos_seen;
     bad_frames = t.bad_frames;
+    scanned_bytes = t.scanned_bytes;
   }
 
 let reset t =
@@ -175,9 +185,24 @@ let reset t =
   t.snap_inflight <- None
 
 (* Fold newly appended journal records into retention + chain.  Scanning
-   is read-only, so this adds no write points to the primary. *)
+   is read-only, so this adds no write points to the primary.  The scan
+   resumes at the cursor while the journal generation holds; after a
+   rotation, or with no cursor yet, it starts over from the header and
+   the records at or below [chain_top] it meets again are skipped. *)
 let ingest t =
-  let scan = Durable_doc.scan_journal t.io ~dir:t.dir in
+  let generation = Durable_doc.generation t.store in
+  let from =
+    match t.cursor with
+    | Some c when c.generation = generation -> Some (c.offset, c.next_seq)
+    | Some _ | None -> None
+  in
+  let scan = Durable_doc.scan_journal ?from t.io ~dir:t.dir in
+  t.scanned_bytes <- t.scanned_bytes + scan.Durable_doc.scanned_bytes;
+  t.cursor <-
+    Some
+      { generation;
+        offset = scan.Durable_doc.valid_bytes;
+        next_seq = scan.Durable_doc.next_seq };
   List.iter
     (fun (seq, entry) ->
       if seq > t.chain_top then

@@ -4,7 +4,11 @@
 
     The shipper is read-only on the journal (it folds newly appended
     records into an in-memory retention map and prefix-CRC chain on
-    every pump); the only time it writes through the primary store is a
+    every pump).  It tails from a byte cursor: each pump parses only the
+    bytes appended since the last one, and rescans from the header only
+    when {!Ltree_recovery.Durable_doc.generation} says a checkpoint
+    rewrote the journal, or the file is shorter than the cursor.  The
+    only time it writes through the primary store is a
     snapshot catch-up, which may force a checkpoint so the shipped file
     covers everything the replica is missing.  Acks are cumulative; a
     replica hello overrides them (the replica may legitimately regress
@@ -73,6 +77,9 @@ type stats = {
   acks_seen : int;
   hellos_seen : int;
   bad_frames : int;  (** undecodable or wrong-direction frames on [up] *)
+  scanned_bytes : int;
+      (** journal bytes read by ingest scans: about the bytes appended,
+          plus one header per rotation *)
 }
 
 val stats : t -> stats

@@ -229,6 +229,19 @@ let empty_journal_recovers_clean () =
      Alcotest.(check bool) "journal clean after re-homing" true
        (Option.is_none scan.Durable_doc.scan_fault))
 
+(* Flip one payload bit of journal line [line] (line 0 is the header). *)
+let flip_payload_bit ~line s =
+  String.concat "\n"
+    (List.mapi
+       (fun j l ->
+         if j <> line then l
+         else
+           let b = Bytes.of_string l in
+           let i = Bytes.length b - 2 in
+           Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
+           Bytes.to_string b)
+       (String.split_on_char '\n' s))
+
 let bitflip_detected () =
   let sim = Fault.create_sim () in
   let io = Fault.sim_io sim in
@@ -239,16 +252,7 @@ let bitflip_detected () =
   Durable_doc.sync t;
   (* Flip one content bit inside the third record's payload: the CRC
      must catch it and condemn the tail. *)
-  Fault.corrupt_file sim ~path:"store/journal" ~f:(fun s ->
-      let lines = String.split_on_char '\n' s in
-      let target = List.nth lines 3 in
-      let b = Bytes.of_string target in
-      let i = Bytes.length b - 2 in
-      Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 1));
-      String.concat "\n"
-        (List.mapi
-           (fun j l -> if j = 3 then Bytes.to_string b else l)
-           lines));
+  Fault.corrupt_file sim ~path:"store/journal" ~f:(flip_payload_bit ~line:3);
   let rsim = Fault.create_sim ~files:(Fault.dump sim) () in
   match Durable_doc.recover ~io:(Fault.sim_io rsim) ~dir:"store" () with
   | Error _ -> Alcotest.fail "store must recover"
@@ -262,6 +266,90 @@ let bitflip_detected () =
          report.Durable_doc.faults);
     Alcotest.(check int) "condemned tail counted" 3
       report.Durable_doc.entries_dropped
+
+(* A scan resumed at any record boundary of the valid prefix must be the
+   suffix of the full scan, whatever the tail holds: the resumed scan
+   runs the same record loop, with every check, from the cursor. *)
+let resumed_scan_is_suffix () =
+  let build damage =
+    let sim = Fault.create_sim () in
+    let t = Durable_doc.initialize ~io:(Fault.sim_io sim) ~dir:"store"
+        (make_ldoc ()) in
+    List.iter (Durable_doc.apply t) (script_against (make_ldoc ()) 8);
+    Durable_doc.sync t;
+    Fault.corrupt_file sim ~path:"store/journal" ~f:damage;
+    Fault.sim_io sim
+  in
+  let tails =
+    [ ("clean", Fun.id);
+      ("torn", fun s -> String.sub s 0 (String.length s - 5));
+      ("flipped", flip_payload_bit ~line:6) ]
+  in
+  let seqs scan = List.map fst scan.Durable_doc.records in
+  let lines scan =
+    List.map (fun (_, e) -> Journal.entry_to_line e) scan.Durable_doc.records
+  in
+  List.iter
+    (fun (name, damage) ->
+      let io = build damage in
+      let data = Option.get (io.Fault.read_file "store/journal") in
+      let full = Durable_doc.scan_journal io ~dir:"store" in
+      Alcotest.(check bool) (name ^ ": damage stops the full scan")
+        (not (String.equal name "clean"))
+        (Option.is_some full.Durable_doc.scan_fault);
+      Alcotest.(check int) (name ^ ": full scan reads the file")
+        (String.length data) full.Durable_doc.scanned_bytes;
+      (* Boundaries: the end of the header, then the end of each valid
+         record, each with the sequence number the next must carry. *)
+      let boundaries = ref [] in
+      let pos = ref 0 in
+      let k = ref 0 in
+      while !pos < full.Durable_doc.valid_bytes do
+        let nl = String.index_from data !pos '\n' in
+        let expected =
+          if !k = 0 then 0 else fst (List.nth full.Durable_doc.records (!k - 1)) + 1
+        in
+        boundaries := (!k, nl + 1, expected) :: !boundaries;
+        pos := nl + 1;
+        incr k
+      done;
+      Alcotest.(check int) (name ^ ": one boundary per record plus header")
+        (List.length full.Durable_doc.records + 1)
+        (List.length !boundaries);
+      List.iter
+        (fun (k, offset, expected) ->
+          let what = Printf.sprintf "%s @ record %d" name k in
+          let resumed =
+            Durable_doc.scan_journal ~from:(offset, expected) io ~dir:"store"
+          in
+          let suffix l = List.filteri (fun i _ -> i >= k) l in
+          Alcotest.(check (list int)) (what ^ ": seqs") (suffix (seqs full))
+            (seqs resumed);
+          Alcotest.(check (list string)) (what ^ ": entries")
+            (suffix (lines full)) (lines resumed);
+          Alcotest.(check bool) (what ^ ": same fault") true
+            (full.Durable_doc.scan_fault = resumed.Durable_doc.scan_fault);
+          Alcotest.(check int) (what ^ ": dropped") full.Durable_doc.dropped
+            resumed.Durable_doc.dropped;
+          Alcotest.(check int) (what ^ ": valid bytes")
+            full.Durable_doc.valid_bytes resumed.Durable_doc.valid_bytes;
+          Alcotest.(check int) (what ^ ": next seq") full.Durable_doc.next_seq
+            resumed.Durable_doc.next_seq;
+          Alcotest.(check int) (what ^ ": reads only past the cursor")
+            (String.length data - offset) resumed.Durable_doc.scanned_bytes)
+        !boundaries;
+      (* A cursor the file no longer reaches, or one inside the header,
+         restarts from the header. *)
+      List.iter
+        (fun offset ->
+          let restarted =
+            Durable_doc.scan_journal ~from:(offset, 99) io ~dir:"store"
+          in
+          Alcotest.(check (list int))
+            (Printf.sprintf "%s: cursor %d restarts" name offset)
+            (seqs full) (seqs restarted))
+        [ String.length data + 1; 3 ])
+    tails
 
 let replay_error_typed () =
   let ldoc = make_ldoc () in
@@ -426,6 +514,8 @@ let suite =
       case "empty journal recovers to the snapshot" `Quick
         empty_journal_recovers_clean;
       case "bit flip caught by record checksum" `Quick bitflip_detected;
+      case "resumed scan is a suffix of the full scan" `Quick
+        resumed_scan_is_suffix;
       case "unresolvable anchor is typed" `Quick replay_error_typed;
       case "quick crash matrix" `Quick quick_crash_matrix;
       case "fuzz: journal codec (300 mutations)" `Quick fuzz_journal_codec;

@@ -463,6 +463,216 @@ let matrix_cell_names () =
       ("store:P12/torn", false);
       ("P12/torn", false) ]
 
+(* {1 Tailing the journal from a cursor} *)
+
+(* The shipper resumes each scan where the last one stopped, so over a
+   long run it reads each appended byte about once (plus one header per
+   rotation) — not the whole journal on every pump. *)
+let ingest_scans_linear () =
+  let pio = Fault.sim_io (Fault.create_sim ()) in
+  let appended = ref 0 in
+  let primary_io =
+    { pio with
+      Fault.append_file =
+        (fun path data ->
+          appended := !appended + String.length data;
+          pio.Fault.append_file path data) }
+  in
+  let config = { Session.default_config with checkpoint_every = 512 } in
+  let session =
+    Session.create ~config ~primary_io ~primary_dir:"p"
+      ~replica_io:(Fault.sim_io (Fault.create_sim ())) ~replica_dir:"r"
+      (make_ldoc ())
+  in
+  let ops, _ = script 2000 in
+  List.iter (Session.apply session) ops;
+  Alcotest.(check bool) "quiesced" true (Session.quiesce session);
+  let scanned = (Shipper.stats (Session.shipper session)).Shipper.scanned_bytes in
+  Alcotest.(check bool) "journal written" true (!appended > 0);
+  if scanned > 2 * !appended then
+    Alcotest.failf "scanned %d bytes for %d appended" scanned !appended
+
+(* The test plays the replica: it decodes every frame the shipper sends
+   and checks it against values recomputed from the script alone. *)
+type tail_oracle = {
+  entries : Journal.entry array;  (* entry [k - 1] carries seq [k] *)
+  asm : Frame.Assembler.asm;
+  mutable anchor_base : int;
+  mutable anchor_chain : int;
+  mutable applied : int option;
+  mutable data_frames : int;
+  mutable handshakes : int;
+  mutable snapshots : int;
+}
+
+let expected_chain o seq =
+  if seq < o.anchor_base then
+    Alcotest.failf "chain at %d requested below its anchor %d" seq
+      o.anchor_base;
+  let c = ref o.anchor_chain in
+  for s = o.anchor_base + 1 to seq do
+    c :=
+      Chain.extend ~prev:!c ~seq:s
+        ~payload:(Journal.entry_to_line o.entries.(s - 1))
+  done;
+  !c
+
+let oracle_receive o ~down ~up ~now =
+  List.iter
+    (fun line ->
+      match Frame.decode line with
+      | Error e -> Alcotest.failf "bad frame on an ideal channel: %a" Frame.pp_error e
+      | Ok (Frame.Data { seq; payload; _ }) ->
+        Alcotest.(check string)
+          (Printf.sprintf "data frame %d" seq)
+          (Journal.entry_to_line o.entries.(seq - 1))
+          payload;
+        o.data_frames <- o.data_frames + 1;
+        if o.applied = Some (seq - 1) then o.applied <- Some seq
+      | Ok (Frame.Handshake { seq; chain; _ }) ->
+        Alcotest.(check int)
+          (Printf.sprintf "handshake chain at %d" seq)
+          (expected_chain o seq) chain;
+        o.handshakes <- o.handshakes + 1
+      | Ok (Frame.Snapshot { base_seq; chain; data; _ }) ->
+        (* Either a re-anchor at this snapshot's bytes, or the chain
+           carried on unbroken from the current anchor. *)
+        if chain = Chain.anchor data then begin
+          o.anchor_base <- base_seq;
+          o.anchor_chain <- chain
+        end
+        else
+          Alcotest.(check int)
+            (Printf.sprintf "snapshot chain at %d" base_seq)
+            (expected_chain o base_seq) chain;
+        o.snapshots <- o.snapshots + 1;
+        o.applied <-
+          Some
+            (match o.applied with
+             | Some a when a > base_seq -> a
+             | Some _ | None -> base_seq)
+      | Ok (Frame.Ack _ | Frame.Hello _) ->
+        Alcotest.fail "replica-bound frame sent upstream")
+    (Frame.Assembler.feed o.asm (Channel.drain down ~now));
+  match o.applied with
+  | Some seq -> Channel.send up ~now (Frame.encode (Frame.Ack { epoch = 0; seq }))
+  | None -> ()
+
+(* A primary store with [first] script entries behind it.  [recovered]
+   rebuilds it from a crash image taken between a checkpoint's snapshot
+   rename and its journal truncation: the journal still holds records
+   1..[first], all at or below the snapshot's base. *)
+let tail_primary ~recovered ~group_commit entries first =
+  let sim = Fault.create_sim () in
+  let io = Fault.sim_io sim in
+  let store = Durable_doc.initialize ~io ~group_commit ~dir:"p" (make_ldoc ()) in
+  for k = 1 to first do
+    Durable_doc.apply store entries.(k - 1)
+  done;
+  Durable_doc.sync store;
+  if not recovered then (io, store)
+  else begin
+    let journal = Option.get (io.Fault.read_file "p/journal") in
+    Durable_doc.checkpoint store;
+    let image =
+      List.map
+        (fun (path, data) ->
+          (path, if String.equal path "p/journal" then journal else data))
+        (Fault.dump sim)
+    in
+    let io = Fault.sim_io (Fault.create_sim ~files:image ()) in
+    match Durable_doc.recover ~io ~group_commit ~dir:"p" () with
+    | Error _ -> Alcotest.fail "crash image must recover"
+    | Ok (report, store) ->
+      Alcotest.(check int) "journal records skipped, not replayed" first
+        report.Durable_doc.entries_skipped;
+      (io, store)
+  end
+
+let tail_schedule ~recovered seed =
+  let prng = Ltree_workload.Prng.create seed in
+  let rand n = Ltree_workload.Prng.int prng n in
+  let n = 120 in
+  let ops, _ = script n in
+  let entries = Array.of_list ops in
+  let first = if recovered then 10 + rand 20 else 0 in
+  let io, store =
+    tail_primary ~recovered ~group_commit:(1 + rand 4) entries first
+  in
+  let down = Channel.create () and up = Channel.create () in
+  let shipper = Shipper.create ~io ~dir:"p" ~store ~down ~up () in
+  let o =
+    { entries;
+      asm = Frame.Assembler.create ();
+      anchor_base = Durable_doc.last_seq store;
+      anchor_chain = Chain.anchor (Option.get (io.Fault.read_file "p/snapshot"));
+      applied = None;
+      data_frames = 0;
+      handshakes = 0;
+      snapshots = 0 }
+  in
+  let now = ref 0 in
+  let pump () =
+    incr now;
+    Shipper.pump shipper ~now:!now;
+    oracle_receive o ~down ~up ~now:!now
+  in
+  let next = ref (first + 1) in
+  let append k =
+    for _ = 1 to k do
+      if !next <= n then begin
+        Durable_doc.apply store entries.(!next - 1);
+        incr next
+      end
+    done
+  in
+  (* Checkpoints follow the session's rule (sync, pump, rotate) so no
+     record is truncated unseen; the double rotation and the replica's
+     re-bootstrap (hello -1, answered by a forced checkpoint) move the
+     generation without a pump in between. *)
+  let rotate () =
+    Durable_doc.sync store;
+    pump ();
+    Durable_doc.checkpoint store
+  in
+  while !next <= n do
+    match rand 10 with
+    | 0 -> rotate ()
+    | 1 -> rotate (); Durable_doc.checkpoint store
+    | 2 ->
+      o.applied <- None;
+      Channel.send up ~now:!now (Frame.encode (Frame.Hello { epoch = 0; seq = -1 }))
+    | 3 -> Durable_doc.sync store
+    | 4 -> append (8 + rand 24) (* outgrow the old generation's cursor *)
+    | 5 | 6 -> pump ()
+    | _ -> append 1; if rand 2 = 0 then pump ()
+  done;
+  Durable_doc.sync store;
+  let pumps = ref 0 in
+  while o.applied <> Some n && !pumps < 64 do
+    pump ();
+    incr pumps
+  done;
+  Alcotest.(check (option int))
+    (Printf.sprintf "seed %d caught up" seed)
+    (Some n) o.applied;
+  o
+
+let cursor_matches_recomputation () =
+  let data = ref 0 and handshakes = ref 0 and snapshots = ref 0 in
+  List.iter
+    (fun recovered ->
+      for seed = 1 to 12 do
+        let o = tail_schedule ~recovered seed in
+        data := !data + o.data_frames;
+        handshakes := !handshakes + o.handshakes;
+        snapshots := !snapshots + o.snapshots
+      done)
+    [ false; true ];
+  Alcotest.(check bool) "data frames checked" true (!data > 1000);
+  Alcotest.(check bool) "handshakes checked" true (!handshakes > 50);
+  Alcotest.(check bool) "re-bootstraps exercised" true (!snapshots > 24)
+
 (* {1 Causal tracing} *)
 
 (* Satellite: the trace id must round-trip through Frame under every
@@ -645,6 +855,10 @@ let suite =
       case "replica reattaches after crash" `Quick replica_reattach_after_crash;
       case "matrix cell names round-trip" `Quick matrix_cell_names;
       case "replica matrix smoke" `Quick matrix_smoke;
+      case "ingest scans each appended byte about once" `Quick
+        ingest_scans_linear;
+      case "tailed frames match recomputed values" `Quick
+        cursor_matches_recomputation;
       case "trace id survives channel damage" `Quick
         trace_id_survives_channel_damage;
       case "wrong trace id rejected" `Quick wrong_trace_id_rejected;

@@ -11,7 +11,8 @@
 type t
 
 (** [create ?capacity counters] makes a pool holding up to [capacity]
-    pages (default 64). *)
+    pages (default 64, at most 2{^24}, or [Invalid_argument]).  Residency
+    slots are allocated as pages arrive, not up front. *)
 val create : ?capacity:int -> Ltree_metrics.Counters.t -> t
 
 val counters : t -> Ltree_metrics.Counters.t
@@ -23,9 +24,15 @@ val counters : t -> Ltree_metrics.Counters.t
     [page_write].
 
     Residency is tracked in dense per-table page maps (untagged-int
-    columns), so a touch costs two array loads and a store — no hashing
-    and no allocation, which keeps the row fetches of the R9-audited
-    query emit path on the zero-alloc spine. *)
+    columns), so a hit costs two array loads and a store — no hashing,
+    no allocation and no LRU bookkeeping, which keeps the row fetches of
+    the R9-audited query emit path on the zero-alloc spine.
+
+    Eviction is exact LRU: the victim is always the resident page with
+    the oldest last touch.  It is found through a min-heap of resident
+    pages whose keys are refreshed lazily, only when a stale entry
+    reaches the top, so a miss costs O(log capacity) amortized and the
+    hit path is left untouched. *)
 val touch : ?write:bool -> t -> table:int -> page:int -> unit
 
 (** [touch_read t ~table ~page] is [touch ~write:false], shaped for the
@@ -53,3 +60,7 @@ val fresh_table_id : t -> int
 
 (** Number of resident pages. *)
 val resident : t -> int
+
+(** Residency slots currently allocated.  It grows by doubling with the
+    number of resident pages, not with [capacity]. *)
+val slot_capacity : t -> int

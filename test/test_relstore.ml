@@ -465,12 +465,150 @@ let flush_after_evict () =
   Alcotest.(check int) "write count unchanged" 2
     (Counters.page_writes counters)
 
+(* {1 Differential test against the scan-based LRU}
+
+   The reference model is the pager's original eviction policy over a
+   hash table: residency maps [(table, page)] to the page's last-use
+   clock, and a miss at capacity scans every resident page for the
+   smallest clock.  The real pager finds the same
+   victim through its lazily re-keyed heap, so both must agree on every
+   counter after every step. *)
+
+module Scan_pager = struct
+  type t = {
+    capacity : int;
+    clocks : (int * int, int) Hashtbl.t;
+    dirty : (int * int, unit) Hashtbl.t;
+    mutable clock : int;
+    mutable reads : int;
+    mutable writes : int;
+  }
+
+  let create capacity =
+    { capacity; clocks = Hashtbl.create 64; dirty = Hashtbl.create 64;
+      clock = 0; reads = 0; writes = 0 }
+
+  let write_back m key =
+    if Hashtbl.mem m.dirty key then begin
+      Hashtbl.remove m.dirty key;
+      m.writes <- m.writes + 1
+    end
+
+  let evict_oldest m =
+    let victim =
+      Hashtbl.fold
+        (fun key c best ->
+          match best with
+          | Some (_, bc) when bc <= c -> best
+          | _ -> Some (key, c))
+        m.clocks None
+    in
+    match victim with
+    | None -> ()
+    | Some (key, _) ->
+      write_back m key;
+      Hashtbl.remove m.clocks key
+
+  let touch m ~write ~table ~page =
+    m.clock <- m.clock + 1;
+    let key = (table, page) in
+    if not (Hashtbl.mem m.clocks key) then begin
+      m.reads <- m.reads + 1;
+      if Hashtbl.length m.clocks >= m.capacity then evict_oldest m
+    end;
+    Hashtbl.replace m.clocks key m.clock;
+    if write then Hashtbl.replace m.dirty key ()
+
+  let flush_dirty m =
+    let keys = Hashtbl.fold (fun k () acc -> k :: acc) m.dirty [] in
+    List.iter (write_back m) keys;
+    List.length keys
+
+  let flush m =
+    ignore (flush_dirty m);
+    Hashtbl.reset m.clocks
+end
+
+(* One random schedule: 1–3 tables, a capacity in 1–40, cubically
+   skewed page choices over a page range a few times the capacity, and a
+   mix of read touches, write touches, [flush_dirty] and [flush]. *)
+let pager_matches_scan_model ~seed ~capacity ~steps =
+  let st = Random.State.make [| seed |] in
+  let counters = Counters.create () in
+  let pager = Pager.create ~capacity counters in
+  let model = Scan_pager.create capacity in
+  let tables =
+    Array.init (1 + Random.State.int st 3) (fun _ -> Pager.fresh_table_id pager)
+  in
+  let pages =
+    Array.map (fun _ -> 1 + Random.State.int st ((3 * capacity) + 8)) tables
+  in
+  let ok = ref true in
+  for _ = 1 to steps do
+    let r = Random.State.int st 100 in
+    if r < 2 then begin
+      let n = Pager.flush_dirty pager in
+      if n <> Scan_pager.flush_dirty model then ok := false
+    end
+    else if r < 3 then begin
+      Pager.flush pager;
+      Scan_pager.flush model
+    end
+    else begin
+      let i = Random.State.int st (Array.length tables) in
+      let u = Random.State.float st 1.0 in
+      let page = int_of_float (u *. u *. u *. float_of_int pages.(i)) in
+      let write = r >= 75 in
+      let table = tables.(i) in
+      (match r mod 3 with
+       | 0 when not write -> Pager.touch_read pager ~table ~page
+       | _ -> Pager.touch ~write pager ~table ~page);
+      Scan_pager.touch model ~write ~table ~page
+    end;
+    if
+      Counters.page_reads counters <> model.reads
+      || Counters.page_writes counters <> model.writes
+      || Pager.resident pager <> Hashtbl.length model.clocks
+      || Pager.dirty pager <> Hashtbl.length model.dirty
+      || Pager.dirty pager > Pager.resident pager
+    then ok := false
+  done;
+  !ok
+
+let pager_differential =
+  QCheck.Test.make ~count:400
+    ~name:"pager eviction matches the scan-based LRU model"
+    QCheck.(make Gen.(pair (int_bound 1_000_000)
+                        (oneof [ return 1; int_range 1 40 ])))
+    (fun (seed, capacity) ->
+      pager_matches_scan_model ~seed ~capacity ~steps:3_000)
+
+(* Residency slots follow the resident pages, not the configured pool
+   size: a huge pool holding a few pages stays small. *)
+let pager_slots_lazy () =
+  let pager = Pager.create ~capacity:65_536 (Counters.create ()) in
+  Alcotest.(check bool) "no slots preallocated" true
+    (Pager.slot_capacity pager <= 64);
+  let t = Pager.fresh_table_id pager in
+  for p = 0 to 99 do
+    Pager.touch_read pager ~table:t ~page:p
+  done;
+  Alcotest.(check int) "resident" 100 (Pager.resident pager);
+  Alcotest.(check bool) "slots track residency" true
+    (Pager.slot_capacity pager >= 100 && Pager.slot_capacity pager <= 256);
+  Alcotest.check_raises "capacity above 2^24 rejected"
+    (Invalid_argument "Pager.create: capacity must be in [1, 2^24]")
+    (fun () -> ignore (Pager.create ~capacity:((1 lsl 24) + 1)
+                         (Counters.create ())))
+
 let suite =
   ( "relstore",
     [ case "pager LRU accounting" `Quick pager_counts;
       case "pager write-back accounting" `Quick pager_write_back;
       case "flush after evict writes each page once" `Quick
         flush_after_evict;
+      case "pager slots allocated lazily" `Quick pager_slots_lazy;
+      QCheck_alcotest.to_alcotest pager_differential;
       case "heap table paging" `Quick table_paging;
       case "rel_table set" `Quick table_set;
       case "descendant plans agree" `Quick plans_agree;

@@ -116,7 +116,8 @@ ci:
 	$(MAKE) bench-parallel-smoke && \
 	$(MAKE) bench-shard-smoke && \
 	$(MAKE) replicate-smoke && \
-	dune exec bench/exp_query.exe -- --n 2000 --queries 100 --json BENCH_query.json
+	dune exec bench/exp_query.exe -- --n 2000 --queries 100 \
+	  --json _build/BENCH_query.smoke.json
 
 bench:
 	dune exec bench/main.exe

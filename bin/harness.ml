@@ -131,7 +131,6 @@ let register_invariants t =
       Ltree.check (Labeled_doc.tree t.ldoc));
   Invariant.register reg ~name:"xpath.parity" ~depth:Invariant.Deep
     (fun () ->
-      Ltree_xpath.Label_eval.refresh t.engine;
       List.iter
         (fun q ->
           let path = Ltree_xpath.Xpath_parser.parse q in

@@ -423,14 +423,12 @@ let shell_cmd =
                      let sub = Parser.parse_fragment xml in
                      Labeled_doc.insert_subtree ldoc ~parent:target
                        ~index:(Dom.child_count target) sub;
-                     Ltree_xpath.Label_eval.refresh engine;
                      print_endline "inserted"))
             | "delete" -> (
                 match first_match rest with
                 | None -> ()
                 | Some target ->
                   Labeled_doc.delete_subtree ldoc target;
-                  Ltree_xpath.Label_eval.refresh engine;
                   print_endline "deleted")
             | "stats" ->
               let tree = Labeled_doc.tree ldoc in

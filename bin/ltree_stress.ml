@@ -103,7 +103,6 @@ let soak ~ops ~seed =
     if Ltree.labels mt <> Virtual_ltree.labels vt then
       failwith "materialized/virtual divergence";
     Labeled_doc.check ldoc;
-    Ltree_xpath.Label_eval.refresh engine;
     List.iter
       (fun q ->
         let path = Ltree_xpath.Xpath_parser.parse q in

@@ -66,6 +66,7 @@ let create ?(params = Params.fig2) ?(counters = Counters.create ()) () =
     next_leaf_id = 0 }
 
 let leaf_id w = w.id
+let last_leaf_id t = t.next_leaf_id
 let on_relabel t f = t.relabel_hook <- Some f
 let version t = t.version
 

@@ -107,6 +107,13 @@ val label : t -> leaf -> int
     different trees may collide; qualify with the tree if you mix them. *)
 val leaf_id : leaf -> int
 
+(** [last_leaf_id t] is the id of the most recently allocated leaf (0 for
+    none yet).  Ids are allocated in increasing order and never reused,
+    so the leaves created after a moment [c = last_leaf_id t] are exactly
+    those with id in [(c, last_leaf_id t]]; [compact] reuses leaf objects
+    and allocates none. *)
+val last_leaf_id : t -> int
+
 (** [on_relabel t f] registers [f] to run whenever a leaf's number
     changes (initial numbering at [bulk_load]/[of_labels] excluded).
     Storage layers use this to know which persisted labels went stale.

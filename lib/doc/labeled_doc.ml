@@ -24,7 +24,9 @@ type t = {
   node_of_leaf : (int, int) Hashtbl.t; (* Ltree leaf id -> Dom id *)
   dirty : (int, unit) Hashtbl.t;
       (* Dom ids whose externally stored labels went stale (relabeled,
-         created or deleted) since the last [drain_dirty] *)
+         created or deleted) since the last [drain_dirty]; only filled
+         once a store has bound to the document ([track_dirty]) *)
+  mutable tracking : bool;
 }
 
 type label = { start_pos : int; end_pos : int; level : int }
@@ -36,19 +38,16 @@ let root_exn (doc : Dom.document) =
 
 (* Attach leaves to the nodes of [sub], reading them in tag-list order
    from [leaves] starting at [!i]; register the reverse leaf -> node
-   mapping and mark the fresh nodes dirty for storage sync. *)
-let assign_leaves ?reverse ?dirty table leaves i ~base_level sub =
+   mapping and, once a store tracks the document, mark the fresh nodes
+   dirty for storage sync. *)
+let assign_leaves t leaves i ~base_level sub =
   let bind node e =
-    Hashtbl.replace table (Dom.id node) e;
-    (match reverse with
-     | Some rev ->
-       Hashtbl.replace rev (Ltree.leaf_id e.start_leaf) (Dom.id node);
-       if e.end_leaf != e.start_leaf then
-         Hashtbl.replace rev (Ltree.leaf_id e.end_leaf) (Dom.id node)
-     | None -> ());
-    match dirty with
-    | Some d -> Hashtbl.replace d (Dom.id node) ()
-    | None -> ()
+    let id = Dom.id node in
+    Hashtbl.replace t.table id e;
+    Hashtbl.replace t.node_of_leaf (Ltree.leaf_id e.start_leaf) id;
+    if e.end_leaf != e.start_leaf then
+      Hashtbl.replace t.node_of_leaf (Ltree.leaf_id e.end_leaf) id;
+    if t.tracking then Hashtbl.replace t.dirty id ()
   in
   let rec go node level =
     match Dom.kind node with
@@ -70,15 +69,17 @@ let assign_leaves ?reverse ?dirty table leaves i ~base_level sub =
    stale. *)
 let install_hook t =
   Ltree.on_relabel t.tree (fun leaf ->
-      match Hashtbl.find_opt t.node_of_leaf (Ltree.leaf_id leaf) with
-      | Some dom_id -> Hashtbl.replace t.dirty dom_id ()
-      | None -> ())
+      if t.tracking then
+        match Hashtbl.find_opt t.node_of_leaf (Ltree.leaf_id leaf) with
+        | Some dom_id -> Hashtbl.replace t.dirty dom_id ()
+        | None -> ())
 
 let make_t doc tree =
   { doc; tree;
     table = Hashtbl.create 64;
     node_of_leaf = Hashtbl.create 128;
-    dirty = Hashtbl.create 16 }
+    dirty = Hashtbl.create 16;
+    tracking = false }
 
 let of_document ?(params = Params.fig2) ?counters doc =
   Span.with_ ~name:"doc.of_document" (fun () ->
@@ -87,11 +88,8 @@ let of_document ?(params = Params.fig2) ?counters doc =
       let tree, leaves = Ltree.bulk_load ~params ?counters count in
       let t = make_t doc tree in
       let i = ref 0 in
-      assign_leaves ~reverse:t.node_of_leaf t.table leaves i ~base_level:0
-        root;
+      assign_leaves t leaves i ~base_level:0 root;
       assert (!i = count);
-      (* Bulk loading is initial state, not staleness. *)
-      Hashtbl.reset t.dirty;
       install_hook t;
       t)
 
@@ -118,9 +116,8 @@ let restore_raw ?counters ~params ~height ~labels ~deleted doc =
          (Array.length live) expected);
   let t = make_t doc tree in
   let i = ref 0 in
-  assign_leaves ~reverse:t.node_of_leaf t.table live i ~base_level:0 root;
+  assign_leaves t live i ~base_level:0 root;
   assert (!i = expected);
-  Hashtbl.reset t.dirty;
   install_hook t;
   t
 
@@ -139,6 +136,30 @@ let entry t n =
   | None -> raise Not_found
 
 let mem t n = Hashtbl.mem t.table (Dom.id n)
+
+type slot = entry
+
+let slot = entry
+let slot_node (s : slot) = s.node
+let slot_start t (s : slot) = Ltree.label t.tree s.start_leaf
+let slot_end t (s : slot) = Ltree.label t.tree s.end_leaf
+let slot_level (s : slot) = s.level
+let slot_live (s : slot) = not (Ltree.is_deleted s.start_leaf)
+let labeled_cursor t = Ltree.last_leaf_id t.tree
+
+(* Leaf ids grow monotonically per tree, so the slots created after
+   [cursor] are the start leaves with a larger id.  Deleted nodes have
+   left [node_of_leaf]; end-tag leaves map to a node whose start leaf
+   differs, so each fresh node is seen once. *)
+let iter_labeled_since t cursor f =
+  for id = cursor + 1 to Ltree.last_leaf_id t.tree do
+    match Hashtbl.find_opt t.node_of_leaf id with
+    | None -> ()
+    | Some dom_id -> (
+        match Hashtbl.find_opt t.table dom_id with
+        | Some e when Ltree.leaf_id e.start_leaf = id && slot_live e -> f e
+        | Some _ | None -> ())
+  done
 
 let label t n =
   let e = entry t n in
@@ -175,8 +196,7 @@ let insert_subtree t ~parent ~index sub =
       let fresh = Ltree.insert_batch_after t.tree anchor k in
       Dom.insert_child parent ~index sub;
       let i = ref 0 in
-      assign_leaves ~reverse:t.node_of_leaf ~dirty:t.dirty t.table fresh i
-        ~base_level:(pe.level + 1) sub;
+      assign_leaves t fresh i ~base_level:(pe.level + 1) sub;
       assert (!i = k))
 
 let insert_subtree_before t ~anchor sub =
@@ -207,7 +227,7 @@ let delete_subtree t n =
             Hashtbl.remove t.table (Dom.id x);
             Hashtbl.remove t.node_of_leaf (Ltree.leaf_id e.start_leaf);
             Hashtbl.remove t.node_of_leaf (Ltree.leaf_id e.end_leaf);
-            Hashtbl.replace t.dirty (Dom.id x) ()
+            if t.tracking then Hashtbl.replace t.dirty (Dom.id x) ()
           | None -> ());
       Dom.remove n)
 
@@ -221,6 +241,10 @@ let move_subtree t ~node ~parent ~index =
   insert_subtree t ~parent ~index node
 
 let compact t = Ltree.compact t.tree
+
+let track_dirty t =
+  Hashtbl.reset t.dirty;
+  t.tracking <- true
 
 let drain_dirty t =
   let out =

@@ -56,6 +56,44 @@ val label : t -> Dom.node -> label
 
 val mem : t -> Dom.node -> bool
 
+(** {1 Slots}
+
+    A slot is a labeled node's own record: its begin/end leaves and its
+    level.  Reading a slot's label, level or liveness is a few field
+    loads, with no table lookup — the query layer keeps vectors of
+    slots and reads fresh labels through them. *)
+
+type slot
+
+(** [slot t n] is [n]'s current slot.  Raises [Not_found] for nodes
+    outside the document. *)
+val slot : t -> Dom.node -> slot
+
+val slot_node : slot -> Dom.node
+
+(** [slot_start t s] / [slot_end t s]: the slot's current begin/end
+    labels (equal for non-elements). *)
+val slot_start : t -> slot -> int
+
+val slot_end : t -> slot -> int
+val slot_level : slot -> int
+
+(** [slot_live s] is false once the slot's node was deleted, or moved
+    (a move tombstones the old slot and labels a fresh one).  A dead
+    slot never comes back to life. *)
+val slot_live : slot -> bool
+
+(** [labeled_cursor t] marks the current moment for
+    {!iter_labeled_since}: the last L-Tree leaf id allocated
+    ({!Ltree.last_leaf_id}).  Relabels and [compact] do not move it. *)
+val labeled_cursor : t -> int
+
+(** [iter_labeled_since t cursor f] calls [f] once on every live slot
+    labeled after [cursor] was taken — the nodes inserted (or moved)
+    since then and still in the document — in no particular order.
+    Costs one table probe per leaf allocated since [cursor]. *)
+val iter_labeled_since : t -> int -> (slot -> unit) -> unit
+
 (** {1 The §1 query predicates} *)
 
 (** [is_ancestor t ~anc ~desc]: interval containment
@@ -101,10 +139,17 @@ val compact : t -> unit
     changed — via the L-Tree's relabel hook — so a store can refresh only
     those rows. *)
 
+(** [track_dirty t] starts (or restarts) tracking with an empty set: a
+    store calls it when it binds to the document, holding every label as
+    of now.  Until the first call nothing is tracked, so documents no
+    store reads (replicas, session primaries) keep no dirty set. *)
+val track_dirty : t -> unit
+
 (** [drain_dirty t] returns the nodes whose persisted labels became stale
-    since the last drain (relabeled, newly inserted, or deleted —
-    deleted ones carry [None]), and clears the set.  Draining is
-    destructive: a document feeds exactly one synchronized store. *)
+    since the last drain or {!track_dirty} (relabeled, newly inserted,
+    or deleted — deleted ones carry [None]), and clears the set.
+    Draining is destructive: a document feeds exactly one synchronized
+    store. *)
 val drain_dirty : t -> (int * Dom.node option) list
 
 (** [node_by_id t id] finds a labeled node by its {!Dom.id}. *)

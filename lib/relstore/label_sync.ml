@@ -133,9 +133,9 @@ let resync_raw old ldoc =
   let store = old.store in
   store.label_epoch <- store.label_epoch + 1;
   Label_index.invalidate_all store.label_index;
-  (* Recovery replays populate the document's dirty set; this handle
-     rewrites every row from scratch, so start from a clean slate. *)
-  ignore (Labeled_doc.drain_dirty ldoc);
+  (* This handle rewrites every row from scratch: track the recovered
+     document's changes from a clean slate. *)
+  Labeled_doc.track_dirty ldoc;
   let updated = ref 0 and inserted = ref 0 and tombstoned = ref 0 in
   (* Live rows, addressable by their durable start label. *)
   let by_start = Hashtbl.create 256 in

@@ -71,6 +71,7 @@ let shred_edge pager ?(rows_per_page = 32) (doc : Dom.document) =
   { edge_table; edge_by_tag; edge_by_parent }
 
 let shred_label pager ?(rows_per_page = 32) ldoc =
+  Labeled_doc.track_dirty ldoc;
   let label_table = Rel_table.create pager ~name:"label" ~rows_per_page in
   let label_by_tag = Hashtbl.create 64 in
   let label_by_node = Hashtbl.create 256 in

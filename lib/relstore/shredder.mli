@@ -61,6 +61,8 @@ val shred_edge :
   Pager.t -> ?rows_per_page:int -> Dom.document -> edge_store
 
 (** [shred_label pager ?rows_per_page ldoc] builds the label relation from
-    a labeled document. *)
+    a labeled document and starts the document's dirty tracking
+    ({!Ltree_doc.Labeled_doc.track_dirty}), so a {!Label_sync} over the
+    result sees every later change. *)
 val shred_label :
   Pager.t -> ?rows_per_page:int -> Ltree_doc.Labeled_doc.t -> label_store

@@ -12,94 +12,25 @@ let max : int -> int -> int = Stdlib.max
 
 type item = { node : Dom.node; start_pos : int; end_pos : int; level : int }
 
-type t = {
-  ldoc : Labeled_doc.t;
-  mutable by_name : (string, Dom.node list) Hashtbl.t;
-  mutable elements : Dom.node list; (* reverse document order at build *)
-  mutable texts : Dom.node list;
-  cache : (string, item array) Hashtbl.t;
-      (* per-test sorted item arrays, valid while [cache_version] matches
-         the document's mutation stamp *)
-  mutable cache_version : int;
+(* The slots of one node test, in document order.  L-Tree relabels
+   preserve order, so a vector stays sorted through any number of them:
+   only inserts and deletes change it, and [refresh] merges those in.
+   [items] snapshots the slots' labels for the evaluator's joins; it is
+   rebuilt (without a sort) when the document version moved. *)
+type vector = {
+  test : Ast.test;
+  mutable slots : Labeled_doc.slot array; (* [0, len) live, sorted *)
+  mutable len : int;
+  mutable items : item array;
+  mutable items_version : int;
 }
 
-let build_index t =
-  let by_name = Hashtbl.create 64 in
-  let elements = ref [] and texts = ref [] in
-  (match (Labeled_doc.document t.ldoc).root with
-   | None -> ()
-   | Some root ->
-     Dom.iter_preorder root (fun n ->
-         match Dom.kind n with
-         | Dom.Element name ->
-           elements := n :: !elements;
-           Hashtbl.replace by_name name
-             (n :: Option.value ~default:[] (Hashtbl.find_opt by_name name))
-         | Dom.Text _ -> texts := n :: !texts
-         | Dom.Comment _ | Dom.Pi _ -> ()));
-  t.by_name <- by_name;
-  t.elements <- !elements;
-  t.texts <- !texts;
-  Hashtbl.reset t.cache;
-  t.cache_version <- Labeled_doc.version t.ldoc
-
-let create ldoc =
-  let t =
-    { ldoc; by_name = Hashtbl.create 1; elements = []; texts = [];
-      cache = Hashtbl.create 16; cache_version = -1 }
-  in
-  build_index t;
-  t
-
-let refresh = build_index
-
-let item_of t node =
-  if Labeled_doc.mem t.ldoc node then begin
-    let l = Labeled_doc.label t.ldoc node in
-    Some
-      { node;
-        start_pos = l.Labeled_doc.start_pos;
-        end_pos = l.Labeled_doc.end_pos;
-        level = l.Labeled_doc.level }
-  end
-  else None
-
-(* The sorted candidate arrays are memoized per node test, stamped with
-   {!Labeled_doc.version}: any label mutation bumps the stamp and the
-   whole generation of arrays lapses at once, so queries between updates
-   sort each tag at most once instead of on every step. *)
-let cache_key (test : Ast.test) =
-  match test with
-  | Ast.Name n -> "n:" ^ n
-  | Ast.Wildcard -> "*"
-  | Ast.Text_node -> "#text"
-
-let nodes_of_test t (test : Ast.test) =
-  match test with
-  | Ast.Name n -> Option.value ~default:[] (Hashtbl.find_opt t.by_name n)
-  | Ast.Wildcard -> t.elements
-  | Ast.Text_node -> t.texts
-
-(* Fresh labels for the test's nodes, deleted nodes dropped, sorted by
-   start label (document order) — as an array, cached per version. *)
-let sorted_items t (test : Ast.test) =
-  let v = Labeled_doc.version t.ldoc in
-  if t.cache_version <> v then begin
-    Hashtbl.reset t.cache;
-    t.cache_version <- v
-  end;
-  let key = cache_key test in
-  match Hashtbl.find_opt t.cache key with
-  | Some arr -> arr
-  | None ->
-    let arr =
-      Array.of_list (List.filter_map (item_of t) (nodes_of_test t test))
-    in
-    Array.sort (fun a b -> Int.compare a.start_pos b.start_pos) arr;
-    Hashtbl.replace t.cache key arr;
-    arr
-
-let candidates t test = Array.to_list (sorted_items t test)
+type t = {
+  ldoc : Labeled_doc.t;
+  vectors : (string, vector) Hashtbl.t; (* keyed by [test_key] *)
+  mutable version : int; (* document version the vectors are current at *)
+  mutable cursor : int; (* {!Labeled_doc.labeled_cursor} at that version *)
+}
 
 let matches_test (test : Ast.test) node =
   match (test, Dom.kind node) with
@@ -107,6 +38,128 @@ let matches_test (test : Ast.test) node =
   | Ast.Wildcard, Dom.Element _ -> true
   | Ast.Text_node, Dom.Text _ -> true
   | (Ast.Name _ | Ast.Wildcard | Ast.Text_node), _ -> false
+
+let start_of t s = Labeled_doc.slot_start t.ldoc s
+
+let item_of_slot t s =
+  { node = Labeled_doc.slot_node s;
+    start_pos = start_of t s;
+    end_pos = Labeled_doc.slot_end t.ldoc s;
+    level = Labeled_doc.slot_level s }
+
+let item_of t node =
+  match Labeled_doc.slot t.ldoc node with
+  | s -> Some (item_of_slot t s)
+  | exception Not_found -> None
+
+let create ldoc =
+  { ldoc; vectors = Hashtbl.create 16;
+    version = Labeled_doc.version ldoc;
+    cursor = Labeled_doc.labeled_cursor ldoc }
+
+(* Bring [vec] up to date in place: drop its dead slots, then merge in
+   the matching ones of [fresh] (sorted by descending start label) from
+   the back.  Live labels are distinct and every relabel kept their
+   order, so one merge pass restores document order. *)
+let merge_into t vec fresh =
+  let a = vec.slots in
+  let live = ref 0 in
+  for r = 0 to vec.len - 1 do
+    let s = a.(r) in
+    if Labeled_doc.slot_live s then begin
+      a.(!live) <- s;
+      incr live
+    end
+  done;
+  let mine =
+    List.filter (fun s -> matches_test vec.test (Labeled_doc.slot_node s)) fresh
+  in
+  let n = !live + List.length mine in
+  let a =
+    match mine with
+    | s :: _ when n > Array.length a ->
+      let b = Array.make (max n (2 * Array.length a)) s in
+      Array.blit a 0 b 0 !live;
+      b
+    | _ -> a
+  in
+  let i = ref (!live - 1) and w = ref (n - 1) in
+  List.iter
+    (fun f ->
+      let fs = start_of t f in
+      while !i >= 0 && start_of t a.(!i) > fs do
+        a.(!w) <- a.(!i);
+        decr i;
+        decr w
+      done;
+      a.(!w) <- f;
+      decr w)
+    mine;
+  (* Overwrite the cells past [n] so dead slots (and the subtrees they
+     hold) can be collected. *)
+  if n = 0 then vec.slots <- [||]
+  else begin
+    if n < vec.len then Array.fill a n (vec.len - n) a.(0);
+    vec.slots <- a
+  end;
+  vec.len <- n
+
+let refresh t =
+  let v = Labeled_doc.version t.ldoc in
+  if v <> t.version then begin
+    let fresh = ref [] in
+    Labeled_doc.iter_labeled_since t.ldoc t.cursor (fun s ->
+        fresh := s :: !fresh);
+    let fresh =
+      List.sort (fun a b -> Int.compare (start_of t b) (start_of t a)) !fresh
+    in
+    Hashtbl.iter (fun _ vec -> merge_into t vec fresh) t.vectors;
+    t.version <- v;
+    t.cursor <- Labeled_doc.labeled_cursor t.ldoc
+  end
+
+(* First use of a test: one preorder walk (preorder is document order).
+   Only called right after [refresh], so the vector starts current. *)
+let build t (test : Ast.test) =
+  let acc = ref [] in
+  (match (Labeled_doc.document t.ldoc).root with
+   | None -> ()
+   | Some root ->
+     Dom.iter_preorder root (fun n ->
+         if matches_test test n then acc := Labeled_doc.slot t.ldoc n :: !acc));
+  let slots = Array.of_list (List.rev !acc) in
+  { test; slots; len = Array.length slots; items = [||]; items_version = -1 }
+
+(* ["*"] and ["text()"] are not XML names, so no element name collides
+   with them. *)
+let test_key (test : Ast.test) =
+  match test with
+  | Ast.Name n -> n
+  | Ast.Wildcard -> "*"
+  | Ast.Text_node -> "text()"
+
+let vector t (test : Ast.test) =
+  refresh t;
+  let key = test_key test in
+  match Hashtbl.find_opt t.vectors key with
+  | Some vec -> vec
+  | None ->
+    let vec = build t test in
+    Hashtbl.replace t.vectors key vec;
+    vec
+
+(* The test's live nodes with their current labels, in document order:
+   read straight off the vector, no table lookup and no sort, once per
+   document version. *)
+let sorted_items t (test : Ast.test) =
+  let vec = vector t test in
+  if vec.items_version <> t.version then begin
+    vec.items <- Array.init vec.len (fun i -> item_of_slot t vec.slots.(i));
+    vec.items_version <- t.version
+  end;
+  vec.items
+
+let candidates t test = Array.to_list (sorted_items t test)
 
 (* First position in [arr] with [start_pos > key] (binary search). *)
 let upper_bound (arr : item array) key =
@@ -121,14 +174,13 @@ let upper_bound (arr : item array) key =
    both inputs sorted by start label, int-index cursors, the open
    ancestors kept on a growable int-array stack (interval end + input
    position), and a binary-search leap of the descendant cursor whenever
-   the stack runs empty.  Emits (ancestor, descendant) pairs; descendants
-   arrive in document order, so each ancestor's group is ordered too.
-   XML intervals either nest or are disjoint, so every stacked ancestor
-   containing the start also contains the whole interval. *)
-let structural_join ancs (d : item array) =
-  let a = Array.of_list ancs in
+   the stack runs empty.  [visit stack_pos sp d] sees each descendant
+   [d] that has an open ancestor, in document order, with the open
+   ancestors' positions in [a] at [stack_pos.(0 .. sp-1)], outermost
+   first.  XML intervals either nest or are disjoint, so every stacked
+   ancestor containing the start contains the whole interval. *)
+let stack_join (a : item array) (d : item array) visit =
   let alen = Array.length a and dlen = Array.length d in
-  let pairs = ref [] in
   let stack_end = ref (Array.make 16 0) in
   let stack_pos = ref (Array.make 16 0) in
   let sp = ref 0 in
@@ -161,18 +213,36 @@ let structural_join ancs (d : item array) =
     done;
     pop_closed ds;
     if !sp > 0 then begin
-      let de = d.(!di).end_pos in
-      for s = 0 to !sp - 1 do
-        if de < !stack_end.(s) then
-          pairs := (a.(!stack_pos.(s)), d.(!di)) :: !pairs
-      done;
+      visit !stack_pos !sp d.(!di);
       incr di
     end
     else if !ai >= alen then finished := true
     else di := max (!di + 1) (upper_bound d a.(!ai).start_pos)
-  done;
+  done
+
+(* Every (ancestor, descendant) pair; each ancestor's group arrives in
+   document order. *)
+let structural_join ancs d =
+  let a = Array.of_list ancs in
+  let pairs = ref [] in
+  stack_join a d (fun stack_pos sp dn ->
+      for s = 0 to sp - 1 do
+        pairs := (a.(stack_pos.(s)), dn) :: !pairs
+      done);
   List.rev !pairs
 
+(* Semi-join for a step without predicates: each matching candidate
+   once, already in document order, with no pairs to group or dedup.  A
+   descendant matches when any context is open.  A child matches when
+   its parent is a context, and then the parent is the innermost open
+   context: the test is the stack top's level. *)
+let semi_join ~child ancs d =
+  let a = Array.of_list ancs in
+  let out = ref [] in
+  stack_join a d (fun stack_pos sp dn ->
+      if (not child) || a.(stack_pos.(sp - 1)).level = dn.level - 1 then
+        out := dn :: !out);
+  List.rev !out
 
 (* Per-context candidate selection for the non-join axes.  Order-based
    axes (following/preceding and the sibling axes) read only label
@@ -291,34 +361,38 @@ and apply_preds t preds group =
       List.filteri (fun i it -> eval_pred t ~pos:(i + 1) ~size it pred) items)
     group preds
 
-(* One location step: structural joins for the child/descendant axes,
-   per-context label filters for the rest; predicates apply per context
-   group; results dedup to document order. *)
+(* One location step: structural joins for the child/descendant axes
+   (a semi-join without predicates; per-context pair groups with them,
+   since positional predicates count within each context), per-context
+   label filters for the rest; results dedup to document order. *)
 and eval_step t (step : Ast.step) contexts =
   match step.axis with
-  | Ast.Child | Ast.Descendant ->
+  | Ast.Child | Ast.Descendant -> (
+    let child = match step.axis with Ast.Child -> true | _ -> false in
     let cands = sorted_items t step.test in
-    let pairs = structural_join contexts cands in
-    let pairs =
-      match step.axis with
-      | Ast.Descendant -> pairs
-      | _ -> List.filter (fun (a, d) -> d.level = a.level + 1) pairs
-    in
-    let groups : (int, item list) Hashtbl.t = Hashtbl.create 16 in
-    let anchor_order = ref [] in
-    List.iter
-      (fun (a, d) ->
-        let key = Dom.id a.node in
-        (match Hashtbl.find_opt groups key with
-         | None ->
-           anchor_order := key :: !anchor_order;
-           Hashtbl.replace groups key [ d ]
-         | Some ds -> Hashtbl.replace groups key (d :: ds)))
-      pairs;
-    dedup_sorted
-      (List.rev_map
-         (fun key -> apply_preds t step.preds (List.rev (Hashtbl.find groups key)))
-         !anchor_order)
+    match step.preds with
+    | [] -> semi_join ~child contexts cands
+    | preds ->
+      let pairs = structural_join contexts cands in
+      let pairs =
+        if child then List.filter (fun (a, d) -> d.level = a.level + 1) pairs
+        else pairs
+      in
+      let groups : (int, item list) Hashtbl.t = Hashtbl.create 16 in
+      let anchor_order = ref [] in
+      List.iter
+        (fun (a, d) ->
+          let key = Dom.id a.node in
+          (match Hashtbl.find_opt groups key with
+           | None ->
+             anchor_order := key :: !anchor_order;
+             Hashtbl.replace groups key [ d ]
+           | Some ds -> Hashtbl.replace groups key (d :: ds)))
+        pairs;
+      dedup_sorted
+        (List.rev_map
+           (fun key -> apply_preds t preds (List.rev (Hashtbl.find groups key)))
+           !anchor_order))
   | Ast.Self | Ast.Parent | Ast.Ancestor | Ast.Ancestor_or_self
   | Ast.Following | Ast.Preceding | Ast.Following_sibling
   | Ast.Preceding_sibling ->
@@ -337,6 +411,7 @@ and eval_step t (step : Ast.step) contexts =
          contexts)
 
 let eval t (path : Ast.t) =
+  refresh t;
   match (Labeled_doc.document t.ldoc).root with
   | None -> []
   | Some root -> (

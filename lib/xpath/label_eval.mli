@@ -6,21 +6,41 @@
     containment ([start_a < start_d && end_d < end_a], §1), parent/child
     adds a level equality.  The join is the classic stack-based merge over
     inputs sorted by start label, O(|contexts| + |candidates| + |output|).
+    A child or descendant step without predicates is a {e semi-join}: it
+    emits each candidate with an open context once, already in document
+    order (for the child axis, when the innermost open context is one
+    level up, i.e. is the parent).  Steps with predicates keep
+    per-context groups, because positional predicates count within each
+    context.
 
-    Results are identical to {!Dom_eval} (property-tested) but need no
-    subtree traversal, which is what makes labels worth maintaining under
-    updates. *)
+    The tag index is one vector of {!Ltree_doc.Labeled_doc.slot}s per
+    node test, in document order, built on first use by one document
+    walk.  L-Tree relabels preserve order, so a vector stays sorted
+    through them: only inserts and deletes change it, and {!refresh}
+    merges those in.
+
+    Results are identical to {!Dom_eval} (property-tested, also under
+    random edit schedules) but need no subtree traversal, which is what
+    makes labels worth maintaining under updates. *)
 
 open Ltree_xml
 
 type t
 
-(** [create ldoc] builds the tag index over the labeled document. *)
+(** [create ldoc] makes an evaluator over the labeled document.  Tag
+    vectors are built lazily, on the first query that needs them. *)
 val create : Ltree_doc.Labeled_doc.t -> t
 
-(** [refresh t] rebuilds the tag index; call it after structural updates
-    (label changes alone do not require it — labels are read fresh at
-    query time). *)
+(** [refresh t] brings the tag vectors up to date with the document.
+    When nothing changed ({!Ltree_doc.Labeled_doc.version} unmoved) it
+    is one int compare.  Otherwise it costs one table probe per L-Tree
+    leaf allocated since the last call
+    ({!Ltree_doc.Labeled_doc.iter_labeled_since}), a sort of the [s]
+    slots still live among them, and one pass over each existing vector
+    to drop its deleted slots and merge the fresh ones in place:
+    O(leaves + s log s + the vectors' lengths), independent of the
+    number of relabels.  Calling it is optional: {!eval} refreshes
+    first. *)
 val refresh : t -> unit
 
 (** [eval t path] returns matching nodes in document order, without

@@ -185,6 +185,64 @@ let move_subtree () =
        false
      with Invalid_argument _ -> true)
 
+(* The labeled-since cursor yields exactly the nodes inserted after it
+   was taken and still in the document: relabels and compaction add
+   nothing, a moved node shows up once, an inserted-then-deleted node
+   not at all. *)
+let labeled_since_cursor () =
+  let doc = Parser.parse_string "<a><b/><c>x</c></a>" in
+  let ldoc = Labeled_doc.of_document doc in
+  let root = Option.get doc.root in
+  let b = List.nth (Dom.children root) 0 in
+  let since c =
+    let acc = ref [] in
+    Labeled_doc.iter_labeled_since ldoc c (fun s ->
+        Alcotest.(check bool) "yielded slots are live" true
+          (Labeled_doc.slot_live s);
+        acc := Dom.id (Labeled_doc.slot_node s) :: !acc);
+    List.sort compare !acc
+  in
+  let ids nodes = List.sort compare (List.map Dom.id nodes) in
+  let c0 = Labeled_doc.labeled_cursor ldoc in
+  Alcotest.(check (list int)) "nothing since now" [] (since c0);
+  Alcotest.(check (list int)) "cursor 0 yields every node"
+    (ids (Dom.descendants root)) (since 0);
+  let d = Parser.parse_fragment "<d><e/>t</d>" in
+  Labeled_doc.insert_subtree ldoc ~parent:root ~index:1 d;
+  Alcotest.(check (list int)) "exactly the inserted subtree"
+    (ids (Dom.descendants d)) (since c0);
+  (* Many inserts before [b] relabel it and its neighbours; only the new
+     nodes appear. *)
+  let c1 = Labeled_doc.labeled_cursor ldoc in
+  let fresh =
+    List.init 40 (fun _ ->
+        let n = Parser.parse_fragment "<f/>" in
+        Labeled_doc.insert_subtree_before ldoc ~anchor:b n;
+        n)
+  in
+  Alcotest.(check (list int)) "relabeled nodes do not appear" (ids fresh)
+    (since c1);
+  let c2 = Labeled_doc.labeled_cursor ldoc in
+  List.iter (Labeled_doc.delete_subtree ldoc) fresh;
+  Labeled_doc.compact ldoc;
+  Alcotest.(check int) "delete and compact allocate no leaf" c2
+    (Labeled_doc.labeled_cursor ldoc);
+  Alcotest.(check (list int)) "nothing after delete + compact" [] (since c2);
+  let old_slot = Labeled_doc.slot ldoc d in
+  Labeled_doc.move_subtree ldoc ~node:d ~parent:b ~index:0;
+  Alcotest.(check bool) "moved node's old slot is dead" false
+    (Labeled_doc.slot_live old_slot);
+  Alcotest.(check (list int)) "a moved subtree appears once"
+    (ids (Dom.descendants d)) (since c2);
+  let c3 = Labeled_doc.labeled_cursor ldoc in
+  let g = Parser.parse_fragment "<g/>" and h = Parser.parse_fragment "<h/>" in
+  Labeled_doc.insert_subtree ldoc ~parent:root ~index:0 g;
+  Labeled_doc.insert_subtree ldoc ~parent:root ~index:0 h;
+  Labeled_doc.delete_subtree ldoc g;
+  Alcotest.(check (list int)) "inserted then deleted is absent" [ Dom.id h ]
+    (since c3);
+  Labeled_doc.check ldoc
+
 let labeled_events_view () =
   let doc = Parser.parse_string "<a><b>t</b></a>" in
   let ldoc = Labeled_doc.of_document doc in
@@ -201,5 +259,6 @@ let suite =
       case "insert positions" `Quick insert_positions;
       case "delete subtree + compact" `Quick delete_subtree;
       case "move subtree" `Quick move_subtree;
+      case "labeled-since cursor" `Quick labeled_since_cursor;
       case "labeled events view" `Quick labeled_events_view;
       QCheck_alcotest.to_alcotest random_edits_prop ] )

@@ -221,6 +221,89 @@ let engines_agree_prop =
       done;
       !ok)
 
+(* One long-lived engine over random insert/delete/move/compact
+   schedules: after every batch both engines must agree on random paths
+   and the labeled document must pass its own check.  Half the schedules
+   call [refresh] after each edit, half leave it to [eval].  Paths run
+   before the first edit too, so vectors exist to be kept current. *)
+let engines_agree_under_edits_prop =
+  QCheck.Test.make ~count:60 ~name:"dom and label engines agree under edits"
+    QCheck.(make Gen.(triple (int_bound 100_000) (int_range 30 200) bool))
+    (fun (seed, size, explicit_refresh) ->
+      let prng = Prng.create (seed + 11) in
+      let profile = Xml_gen.default_profile ~target_nodes:size () in
+      let doc = Xml_gen.generate ~seed profile in
+      let ldoc = Labeled_doc.of_document doc in
+      let engine = Label_eval.create ldoc in
+      let tags = Array.append [| "site" |] profile.Xml_gen.tags in
+      let root = Option.get doc.root in
+      let tag () = tags.(Prng.int prng (Array.length tags)) in
+      let fragment () =
+        let a = tag () and b = tag () in
+        Parser.parse_fragment
+          (Printf.sprintf "<%s>w<%s/><%s>v</%s></%s>" a b a a a)
+      in
+      let edit () =
+        let elements = List.filter Dom.is_element (Dom.descendants root) in
+        let pick () =
+          List.nth elements (Prng.int prng (List.length elements))
+        in
+        match Prng.int prng 8 with
+        | 0 | 1 ->
+          let n = pick () in
+          if n != root then Labeled_doc.delete_subtree ldoc n
+        | 2 ->
+          let node = pick () and parent = pick () in
+          let rec inside p =
+            p == node
+            || match Dom.parent p with None -> false | Some q -> inside q
+          in
+          if node != root && not (inside parent) then begin
+            let slots =
+              Dom.child_count parent
+              - match Dom.parent node with
+                | Some p when p == parent -> 1
+                | Some _ | None -> 0
+            in
+            Labeled_doc.move_subtree ldoc ~node ~parent
+              ~index:(Prng.int prng (slots + 1))
+          end
+        | 3 -> Labeled_doc.compact ldoc
+        | _ ->
+          let parent = pick () in
+          Labeled_doc.insert_subtree ldoc ~parent
+            ~index:(Prng.int prng (Dom.child_count parent + 1))
+            (fragment ())
+      in
+      let ok = ref true in
+      let agree () =
+        for _ = 1 to 8 do
+          match
+            try Some (Xpath_parser.parse (random_path prng tags))
+            with Xpath_parser.Error _ -> None
+          with
+          | None -> ()
+          | Some path ->
+            let a = List.map Dom.id (Dom_eval.eval doc path) in
+            let b = List.map Dom.id (Label_eval.eval engine path) in
+            if a <> b then begin
+              Printf.printf "after edits, path %s diverged: dom=%d label=%d\n"
+                (Ast.to_string path) (List.length a) (List.length b);
+              ok := false
+            end
+        done
+      in
+      agree ();
+      for _ = 1 to 8 do
+        for _ = 1 to 1 + Prng.int prng 4 do
+          edit ();
+          if explicit_refresh then Label_eval.refresh engine
+        done;
+        agree ();
+        Labeled_doc.check ldoc
+      done;
+      !ok)
+
 let leading_step_corners () =
   let doc = Parser.parse_string doc_src in
   let ldoc = Labeled_doc.of_document doc in
@@ -274,4 +357,5 @@ let suite =
       case "all axes: engines agree on known answers" `Quick axes_known;
       case "leading-step corners" `Quick leading_step_corners;
       case "engines agree after updates" `Quick engines_agree_after_updates;
-      QCheck_alcotest.to_alcotest engines_agree_prop ] )
+      QCheck_alcotest.to_alcotest engines_agree_prop;
+      QCheck_alcotest.to_alcotest engines_agree_under_edits_prop ] )

@@ -170,32 +170,63 @@ let rec gather (mark : buf) words wi base (out : buf) w_out =
     gather mark words (wi + 1) base out w_out
   end
 
-(* Sift [v] down from hole [i] of the max-heap [buf.(0 .. n - 1)]. *)
-let rec sift (buf : buf) n i v =
-  let l = (2 * i) + 1 in
-  if l >= n then A.unsafe_set buf i v
-  else begin
-    let r = l + 1 in
-    let c =
-      if r < n && A.unsafe_get buf r > A.unsafe_get buf l then r else l
-    in
-    let cv = A.unsafe_get buf c in
-    if cv > v then begin
-      A.unsafe_set buf i cv;
-      sift buf n c v
-    end
-    else A.unsafe_set buf i v
+(* Sparse values: an LSD radix sort on the unsigned offsets [v - min],
+   8 bits a pass, stable, so [ceil (bits (max - min) / 8)] passes sort
+   any int range.  [mark] holds the 256 bucket cursors at
+   [0, radix_off) and the ping-pong copy of the values at
+   [radix_off, radix_off + n). *)
+
+let radix_bits = 8
+let radix_mask = 255
+let radix_off = 256
+
+let rec count_digits (src : buf) soff n i base shift (cnt : buf) =
+  if i < n then begin
+    let d = ((A.unsafe_get src (soff + i) - base) lsr shift) land radix_mask in
+    A.unsafe_set cnt d (A.unsafe_get cnt d + 1);
+    count_digits src soff n (i + 1) base shift cnt
   end
 
-let heapsort (buf : buf) n =
-  for i = (n / 2) - 1 downto 0 do
-    sift buf n i (A.unsafe_get buf i)
-  done;
-  for k = n - 1 downto 1 do
-    let v = A.unsafe_get buf k in
-    A.unsafe_set buf k (A.unsafe_get buf 0);
-    sift buf k 0 v
-  done
+(* Bucket counts -> exclusive start positions. *)
+let rec prefix_sums (cnt : buf) d acc =
+  if d <= radix_mask then begin
+    let c = A.unsafe_get cnt d in
+    A.unsafe_set cnt d acc;
+    prefix_sums cnt (d + 1) (acc + c)
+  end
+
+let rec place (src : buf) soff n i base shift (cnt : buf) (dst : buf) doff =
+  if i < n then begin
+    let v = A.unsafe_get src (soff + i) in
+    let d = ((v - base) lsr shift) land radix_mask in
+    let p = A.unsafe_get cnt d in
+    A.unsafe_set cnt d (p + 1);
+    A.unsafe_set dst (doff + p) v;
+    place src soff n (i + 1) base shift cnt dst doff
+  end
+
+let radix_pass (src : buf) soff (dst : buf) doff (cnt : buf) n base shift =
+  zero_words cnt 0 (radix_mask + 1);
+  count_digits src soff n 0 base shift cnt;
+  prefix_sums cnt 0 0;
+  place src soff n 0 base shift cnt dst doff
+
+(* One pass per digit of [span] still set at [shift], alternating
+   between [buf] and [mark]'s copy; true when the sorted values ended
+   in [mark]. *)
+let rec radix_passes (buf : buf) (mark : buf) n base span shift in_mark =
+  if shift >= Sys.int_size || span lsr shift = 0 then in_mark
+  else begin
+    if in_mark then radix_pass mark radix_off buf 0 mark n base shift
+    else radix_pass buf 0 mark radix_off mark n base shift;
+    radix_passes buf mark n base span (shift + radix_bits) (not in_mark)
+  end
+
+let rec copy_from (src : buf) soff (dst : buf) n i =
+  if i < n then begin
+    A.unsafe_set dst i (A.unsafe_get src (soff + i));
+    copy_from src soff dst n (i + 1)
+  end
 
 let rec dedup_from (buf : buf) n r w last =
   if r >= n then w
@@ -215,7 +246,7 @@ let[@ltree.hot] sort_dedup t ~mark =
     let mn = col_min t.buf n 1 first in
     let mx = col_max t.buf n 1 first in
     let range = mx - mn + 1 in
-    if range <= (8 * n) + 256 then begin
+    if range > 0 && range <= (8 * n) + 256 then begin
       (* Dense: scatter into the reused bitset, collect back sorted and
          deduplicated in one sweep.  O(n + range / 32). *)
       let words = (range + 31) lsr 5 in
@@ -225,7 +256,11 @@ let[@ltree.hot] sort_dedup t ~mark =
       t.len <- gather mark.buf words 0 mn t.buf 0
     end
     else begin
-      heapsort t.buf n;
+      (* Sparse (or a span past [max_int]): radix sort, then one dedup
+         pass.  O(n * passes + 256 * passes). *)
+      (reserve mark (radix_off + n) [@ltree.cold]);
+      if radix_passes t.buf mark.buf n mn (mx - mn) 0 false then
+        copy_from mark.buf radix_off t.buf n 0;
       t.len <- dedup_from t.buf n 1 1 (A.unsafe_get t.buf 0)
     end
   end

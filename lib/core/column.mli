@@ -84,8 +84,10 @@ val upper_bound_sub : Ltree_metrics.Counters.t -> t -> hi:int -> int -> int
     place, allocation-free (the zero-alloc tail of the hot query path).
     When the value range is dense relative to the element count the
     values are scattered through [mark] — a reused bitset column, grown
-    as needed — and collected back in order; otherwise an in-place
-    heapsort plus one dedup pass.  [mark]'s contents are scratch. *)
+    as needed — and collected back in order; otherwise a stable LSD
+    radix sort, 8 bits of [max - min] a pass, through [mark] (grown to
+    [length t + 256]), plus one dedup pass.  Linear in [length t] for a
+    fixed value span either way.  [mark]'s contents are scratch. *)
 val sort_dedup : t -> mark:t -> unit
 
 (** [sort3 counters s e r n] co-sorts the first [n] triples of three

@@ -75,26 +75,78 @@ let note ?counters comparisons =
   | None -> ());
   Ltree_obs.Histogram.observe_int join_comparisons comparisons
 
+(* {1 Serial kernels}
+
+   The join bodies every plan runs.  Each scans positions [lo, hi) of
+   its output-driving slice and hands every matched Dom id to [emit],
+   in that slice's order.  The chunked plans run them once per chunk;
+   [descendants_batch] and the per-shard tasks of
+   [Ltree_shard.Sharded_doc] run them over a whole slice. *)
+
+(* Positions [lo, hi) of a slice as a join input: the slice's own
+   entry when the range is whole, else a zero-copy view. *)
+let range_entry (s : Read_snapshot.slice) lo hi =
+  if lo = 0 && hi = s.s_len then Read_snapshot.entry_of_slice s
+  else sub_entry s lo hi
+
+let descendants_range counters ~(anc : Read_snapshot.slice)
+    ~(desc : Read_snapshot.slice) ~lo ~hi ~emit =
+  let last = ref (-1) in
+  Query.array_join counters
+    (Read_snapshot.entry_of_slice anc)
+    (range_entry desc lo hi)
+    ~emit:(fun _ dpos ->
+      if dpos <> !last then begin
+        last := dpos;
+        emit (Column.get desc.s_ids (lo + dpos))
+      end)
+
+let children_range counters ~(parent : Read_snapshot.slice)
+    ~(child : Read_snapshot.slice) ~lo ~hi ~emit =
+  Query.array_join counters
+    (Read_snapshot.entry_of_slice parent)
+    (range_entry child lo hi)
+    ~emit:(fun apos dpos ->
+      if
+        Column.get child.s_levels (lo + dpos)
+        = Column.get parent.s_levels apos + 1
+      then emit (Column.get child.s_ids (lo + dpos)))
+
+(* Index nested loop over ancestors [lo, hi): probe the descendant
+   slice once per ancestor.  XML intervals nest, so start containment
+   implies full containment. *)
+let inl_range counters ~(anc : Read_snapshot.slice)
+    ~(desc : Read_snapshot.slice) ~lo ~hi ~emit =
+  let d = Read_snapshot.entry_of_slice desc in
+  for apos = lo to hi - 1 do
+    let aend = Column.get anc.s_ends apos in
+    let i = ref (Label_index.upper_bound counters d (Column.get anc.s_starts apos)) in
+    let scanning = ref true in
+    while !scanning && !i < desc.s_len do
+      Counters.add_comparison counters 1;
+      if Column.get desc.s_starts !i < aend then begin
+        emit (Column.get desc.s_ids !i);
+        incr i
+      end
+      else scanning := false
+    done
+  done
+
 let descendants ?counters pool snap ~anc ~desc =
   Read_snapshot.ensure_fresh snap;
   Span.with_ ~name:"par_query.descendants"
     ~attrs:[ ("anc", anc); ("desc", desc) ] (fun () ->
-      let a = Read_snapshot.entry_of_slice (Read_snapshot.slice snap anc) in
+      let a = Read_snapshot.slice snap anc in
       let d = Read_snapshot.slice snap desc in
-      if d.s_len = 0 || a.Label_index.len = 0 then []
+      if d.s_len = 0 || a.s_len = 0 then []
       else begin
         let chunk = chunk_for pool d.s_len in
         let buffers = Array.make ((d.s_len + chunk - 1) / chunk) [] in
         let comparisons =
           chunked pool d.s_len ~chunk (fun ci lo hi local ->
               let out = ref [] in
-              let last = ref (-1) in
-              Query.array_join local a (sub_entry d lo hi)
-                ~emit:(fun _ dpos ->
-                  if dpos <> !last then begin
-                    last := dpos;
-                    out := Column.get d.s_ids (lo + dpos) :: !out
-                  end);
+              descendants_range local ~anc:a ~desc:d ~lo ~hi ~emit:(fun id ->
+                  out := id :: !out);
               buffers.(ci) <- !out)
         in
         note ?counters comparisons;
@@ -106,7 +158,6 @@ let children ?counters pool snap ~parent ~child =
   Span.with_ ~name:"par_query.children"
     ~attrs:[ ("parent", parent); ("child", child) ] (fun () ->
       let pa = Read_snapshot.slice snap parent in
-      let a = Read_snapshot.entry_of_slice pa in
       let d = Read_snapshot.slice snap child in
       if d.s_len = 0 || pa.s_len = 0 then []
       else begin
@@ -115,12 +166,8 @@ let children ?counters pool snap ~parent ~child =
         let comparisons =
           chunked pool d.s_len ~chunk (fun ci lo hi local ->
               let out = ref [] in
-              Query.array_join local a (sub_entry d lo hi)
-                ~emit:(fun apos dpos ->
-                  if
-                    Column.get d.s_levels (lo + dpos)
-                    = Column.get pa.s_levels apos + 1
-                  then out := Column.get d.s_ids (lo + dpos) :: !out);
+              children_range local ~parent:pa ~child:d ~lo ~hi ~emit:(fun id ->
+                  out := id :: !out);
               buffers.(ci) <- !out)
         in
         note ?counters comparisons;
@@ -132,29 +179,16 @@ let descendants_inl ?counters pool snap ~anc ~desc =
   Span.with_ ~name:"par_query.descendants_inl"
     ~attrs:[ ("anc", anc); ("desc", desc) ] (fun () ->
       let a = Read_snapshot.slice snap anc in
-      let d = Read_snapshot.entry_of_slice (Read_snapshot.slice snap desc) in
-      let dids = (Read_snapshot.slice snap desc).s_ids in
-      if a.s_len = 0 || d.Label_index.len = 0 then []
+      let d = Read_snapshot.slice snap desc in
+      if a.s_len = 0 || d.s_len = 0 then []
       else begin
         let chunk = chunk_for pool a.s_len in
         let buffers = Array.make ((a.s_len + chunk - 1) / chunk) [] in
         let comparisons =
           chunked pool a.s_len ~chunk (fun ci lo hi local ->
               let out = ref [] in
-              for apos = lo to hi - 1 do
-                let astart = Column.get a.s_starts apos
-                and aend = Column.get a.s_ends apos in
-                let i = ref (Label_index.upper_bound local d astart) in
-                let scanning = ref true in
-                while !scanning && !i < d.Label_index.len do
-                  Counters.add_comparison local 1;
-                  if Column.get d.Label_index.starts !i < aend then begin
-                    out := Column.get dids !i :: !out;
-                    incr i
-                  end
-                  else scanning := false
-                done
-              done;
+              inl_range local ~anc:a ~desc:d ~lo ~hi ~emit:(fun id ->
+                  out := id :: !out);
               buffers.(ci) <- !out)
         in
         note ?counters comparisons;
@@ -248,17 +282,10 @@ let descendants_batch ?counters pool snap queries =
         Pool.map ~chunk:1 pool
           (fun (i, (anc, desc)) ->
             let local = Counters.create () in
-            let a = Read_snapshot.entry_of_slice (Read_snapshot.slice snap anc) in
             let d = Read_snapshot.slice snap desc in
             let out = ref [] in
-            let last = ref (-1) in
-            Query.array_join local a
-              (Read_snapshot.entry_of_slice d)
-              ~emit:(fun _ dpos ->
-                if dpos <> !last then begin
-                  last := dpos;
-                  out := Column.get d.s_ids dpos :: !out
-                end);
+            descendants_range local ~anc:(Read_snapshot.slice snap anc) ~desc:d
+              ~lo:0 ~hi:d.s_len ~emit:(fun id -> out := id :: !out);
             comps.(i) <- Counters.comparisons local;
             List.sort_uniq Int.compare !out)
           (Array.mapi (fun i q -> (i, q)) queries)

@@ -43,3 +43,37 @@ val path :
 val descendants_batch :
   ?counters:Ltree_metrics.Counters.t ->
   Pool.t -> Read_snapshot.t -> (string * string) array -> int list array
+
+(** {1 Serial kernels}
+
+    The join bodies every plan above runs.  Each scans positions
+    [lo, hi) of its output-driving slice — the descendant (child)
+    slice, or the ancestor slice for {!inl_range} — charges comparisons
+    to [counters], and passes every matched Dom id ([s_ids] value) to
+    [emit], in that slice's order: adjacent duplicates collapsed for
+    {!descendants_range}, unsorted and possibly repeated for the
+    others.  The chunked plans run them per chunk; the per-shard tasks
+    of [Ltree_shard.Sharded_doc] run them over a whole slice. *)
+
+val descendants_range :
+  Ltree_metrics.Counters.t ->
+  anc:Read_snapshot.slice -> desc:Read_snapshot.slice ->
+  lo:int -> hi:int -> emit:(int -> unit) -> unit
+
+(** Level-filtered join: children of [parent] among [child]'s rows. *)
+val children_range :
+  Ltree_metrics.Counters.t ->
+  parent:Read_snapshot.slice -> child:Read_snapshot.slice ->
+  lo:int -> hi:int -> emit:(int -> unit) -> unit
+
+(** Index nested loop: one descendant-slice probe per ancestor row in
+    [lo, hi). *)
+val inl_range :
+  Ltree_metrics.Counters.t ->
+  anc:Read_snapshot.slice -> desc:Read_snapshot.slice ->
+  lo:int -> hi:int -> emit:(int -> unit) -> unit
+
+(** [note ?counters n] records [n] comparisons for one query: into
+    [counters] when given and into the [query_join_comparisons]
+    histogram. *)
+val note : ?counters:Ltree_metrics.Counters.t -> int -> unit

@@ -2,6 +2,7 @@
 let ( = ) : int -> int -> bool = Stdlib.( = )
 let ( <> ) : int -> int -> bool = Stdlib.( <> )
 let ( < ) : int -> int -> bool = Stdlib.( < )
+let ( <= ) : int -> int -> bool = Stdlib.( <= )
 let max : int -> int -> int = Stdlib.max
 
 let _ = ( < )
@@ -13,8 +14,9 @@ module Rel_table = Ltree_relstore.Rel_table
 module Shredder = Ltree_relstore.Shredder
 
 (* A frozen structure-of-arrays view of the label store: per tag, the
-   sorted (start, end) interval columns plus the Dom id and tree level
-   of every row, all copied out of the live index at freeze time.
+   sorted (start, end) interval columns plus the Dom id (or its
+   translation through the snapshot's id map) and tree level of every
+   row, all copied out of the live index at freeze time.
    Workers share the snapshot read-only; nothing here aliases a mutable
    structure, so no query ever touches the pager, the row tables or the
    repairable index columns. *)
@@ -28,10 +30,43 @@ type slice = {
   s_stamp : int;
 }
 
+(* A translation of the store's Dom ids into another id space (a
+   shard's local ids into router ids), memoized per label-table row:
+   [m_local.(rid)] is the Dom id row [rid] was resolved from and
+   [m_mapped.(rid)] its translation, [-1] where the row was never seen.
+   A row keeps its Dom id for its whole life except across a
+   {!Ltree_relstore.Label_sync.resync}, which rebinds rows to recovered
+   nodes — hence the local-id check before trusting a cached
+   translation. *)
+type id_map = {
+  resolve : int -> int;
+  m_local : Column.t;
+  m_mapped : Column.t;
+}
+
+let id_map resolve =
+  { resolve;
+    m_local = Column.create ~capacity:256 ();
+    m_mapped = Column.create ~capacity:256 () }
+
+let translate m rid lid =
+  while Column.length m.m_local <= rid do
+    Column.push m.m_local (-1);
+    Column.push m.m_mapped (-1)
+  done;
+  if Column.get m.m_local rid = lid then Column.get m.m_mapped rid
+  else begin
+    let mapped = m.resolve lid in
+    Column.set m.m_local rid lid;
+    Column.set m.m_mapped rid mapped;
+    mapped
+  end
+
 type source = {
   src_pager : Ltree_relstore.Pager.t;
   src_store : Shredder.label_store;
   src_doc : Ltree_doc.Labeled_doc.t;
+  src_ids : id_map option;
 }
 
 type t = {
@@ -73,7 +108,7 @@ let empty_slice =
    stamp matches the entry's (the entry was not rebuilt or repaired in
    between), the old slice record is reused as-is — a refresh after a
    localized batch of updates re-copies only the touched tags. *)
-let freeze_tag ?prev pager store tag =
+let freeze_tag ?prev ?ids pager store tag =
   let e = Query.tag_entry pager store tag in
   let n = e.Label_index.len in
   if n = 0 then empty_slice
@@ -90,25 +125,26 @@ let freeze_tag ?prev pager store tag =
     match reusable with
     | Some s -> s
     | None ->
-      let ids = Column.create ~capacity:n ()
+      let out_ids = Column.create ~capacity:n ()
       and levels = Column.create ~capacity:n () in
       for i = 0 to n - 1 do
-        let row =
-          Rel_table.get store.Shredder.label_table
-            (Column.get_checked e.Label_index.rids i)
-        in
-        Column.push ids row.Shredder.l_id;
+        let rid = Column.get_checked e.Label_index.rids i in
+        let row = Rel_table.get store.Shredder.label_table rid in
+        Column.push out_ids
+          (match ids with
+           | None -> row.Shredder.l_id
+           | Some m -> translate m rid row.Shredder.l_id);
         Column.push levels row.Shredder.l_level
       done;
       { s_starts = Column.copy_sub e.Label_index.starts 0 n;
         s_ends = Column.copy_sub e.Label_index.ends 0 n;
-        s_ids = ids;
+        s_ids = out_ids;
         s_levels = levels;
         s_len = n;
         s_stamp = e.Label_index.stamp }
   end
 
-let of_store ?prev pager store doc =
+let of_store ?prev ?ids pager store doc =
   let tag_list =
     List.sort_uniq String.compare
       (Hashtbl.fold
@@ -117,7 +153,8 @@ let of_store ?prev pager store doc =
   in
   let slices = Hashtbl.create (max 16 (List.length tag_list)) in
   List.iter
-    (fun tag -> Hashtbl.replace slices tag (freeze_tag ?prev pager store tag))
+    (fun tag ->
+      Hashtbl.replace slices tag (freeze_tag ?prev ?ids pager store tag))
     tag_list;
   (* Stamp after freezing: [tag_entry] may repair the index (bumping
      nothing — repairs consume, not produce, change notes), so the
@@ -125,7 +162,8 @@ let of_store ?prev pager store doc =
   { slices;
     snap_version = Ltree_doc.Labeled_doc.version doc;
     snap_generation = Label_index.generation store.Shredder.label_index;
-    src = { src_pager = pager; src_store = store; src_doc = doc } }
+    src =
+      { src_pager = pager; src_store = store; src_doc = doc; src_ids = ids } }
 
 let version t = t.snap_version
 let generation t = t.snap_generation
@@ -180,4 +218,6 @@ let[@ltree.hot] ensure_fresh t =
 
 let refresh t =
   if is_fresh t then t
-  else of_store ~prev:t t.src.src_pager t.src.src_store t.src.src_doc
+  else
+    of_store ~prev:t ?ids:t.src.src_ids t.src.src_pager t.src.src_store
+      t.src.src_doc

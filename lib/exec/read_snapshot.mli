@@ -7,6 +7,10 @@
     Worker domains share it read-only — parallel query plans never
     touch the pager, the row tables, or the live index.
 
+    A snapshot frozen with an {!id_map} stores translated ids instead
+    of the store's own Dom ids: a shard's snapshot holds router ids, so
+    plans over it answer in router ids with no per-result lookup.
+
     Freshness contract: a snapshot is stamped with the labeled
     document's version ({!Ltree_doc.Labeled_doc.version}, i.e. the
     L-Tree mutation stamp) and the index generation at freeze time.
@@ -25,7 +29,8 @@ type t
 type slice = {
   s_starts : Ltree_core.Column.t;
   s_ends : Ltree_core.Column.t;
-  s_ids : Ltree_core.Column.t;  (** Dom node ids *)
+  s_ids : Ltree_core.Column.t;
+      (** Dom node ids, translated through the {!id_map} if any *)
   s_levels : Ltree_core.Column.t;  (** tree depth, root = 0 *)
   s_len : int;
   s_stamp : int;
@@ -48,14 +53,29 @@ exception Stale of staleness
 (** Render a {!staleness} the way the old string payload read. *)
 val staleness_to_string : staleness -> string
 
-(** [of_store ?prev pager store doc] freezes every tag currently in the
-    store.  With [?prev], slices of tags whose index entry is unchanged
-    since [prev]'s freeze (same maintenance stamp) are reused
-    physically instead of re-copied.  Must be called from one domain
-    with no concurrent writers (it may repair the live index on the
-    way). *)
+(** A translation of the store's Dom ids into another id space, cached
+    per label-table row.  Each cached entry keeps the Dom id it was
+    resolved from: a re-freeze costs one column read per row, and a row
+    whose Dom id changed since (a {!Ltree_relstore.Label_sync.resync}
+    rebinds rows to recovered nodes) is resolved again.  Mutated only
+    by freezes, so confine it to the freezing domain. *)
+type id_map
+
+(** [id_map resolve] is an empty cache over [resolve], which maps a
+    store Dom id to its translation (and may raise for ids it does not
+    know — only live rows are ever resolved). *)
+val id_map : (int -> int) -> id_map
+
+(** [of_store ?prev ?ids pager store doc] freezes every tag currently
+    in the store, translating row ids through [ids] when given.  With
+    [?prev] (frozen from the same store with the same [ids]), slices of
+    tags whose index entry is unchanged since [prev]'s freeze (same
+    maintenance stamp) are reused physically instead of re-copied.
+    Must be called from one domain with no concurrent writers (it may
+    repair the live index on the way). *)
 val of_store :
   ?prev:t ->
+  ?ids:id_map ->
   Ltree_relstore.Pager.t ->
   Ltree_relstore.Shredder.label_store ->
   Ltree_doc.Labeled_doc.t ->
@@ -75,8 +95,8 @@ val tags : t -> string list
 val slice : t -> string -> slice
 
 (** An entry view of a slice for {!Ltree_relstore.Query.array_join}.
-    The entry's [rids] field carries {e Dom ids}; treat it as
-    immutable. *)
+    The entry's [rids] field carries the slice's [s_ids], not row ids;
+    treat it as immutable. *)
 val entry_of_slice : slice -> Ltree_relstore.Label_index.entry
 
 val is_fresh : t -> bool
@@ -89,5 +109,6 @@ val is_fresh : t -> bool
 val ensure_fresh : t -> unit
 
 (** [refresh t] is [t] if still fresh, else a new snapshot of the same
-    source store (reusing unchanged tags' slices). *)
+    source store through the same {!id_map} (reusing unchanged tags'
+    slices). *)
 val refresh : t -> t

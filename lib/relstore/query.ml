@@ -313,6 +313,21 @@ let label_descendants_hot pager (store : label_store) ~anc ~desc =
    pipelined form used between the steps of a path.  Adjacent-duplicate
    emissions collapse, and the output inherits ascending start order
    from the descendant cursor, so no re-sort is ever needed. *)
+let join_into counters (a : Label_index.entry) (d : Label_index.entry)
+    (out : Label_index.entry) =
+  Column.clear out.starts;
+  Column.clear out.ends;
+  Column.clear out.rids;
+  let last = ref (-1) in
+  array_join counters a d ~emit:(fun _ dpos ->
+      if dpos <> !last then begin
+        last := dpos;
+        Column.push out.starts (Column.get d.starts dpos);
+        Column.push out.ends (Column.get d.ends dpos);
+        Column.push out.rids (Column.get d.rids dpos)
+      end);
+  out.len <- Column.length out.starts
+
 let join_to_entry counters (a : Label_index.entry) (d : Label_index.entry) =
   let cap = max 16 d.len in
   let out =
@@ -322,15 +337,7 @@ let join_to_entry counters (a : Label_index.entry) (d : Label_index.entry) =
       len = 0;
       stamp = 0 }
   in
-  let last = ref (-1) in
-  array_join counters a d ~emit:(fun _ dpos ->
-      if dpos <> !last then begin
-        last := dpos;
-        Column.push out.Label_index.starts (Column.get d.starts dpos);
-        Column.push out.Label_index.ends (Column.get d.ends dpos);
-        Column.push out.Label_index.rids (Column.get d.rids dpos)
-      end);
-  out.Label_index.len <- Column.length out.Label_index.starts;
+  join_into counters a d out;
   out
 
 (* Map an entry's rows to sorted Dom ids, fetching each row once (the

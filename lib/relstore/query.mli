@@ -96,3 +96,14 @@ val array_join :
   Label_index.entry ->
   emit:(int -> int -> unit) ->
   unit
+
+(** [join_into counters a d out] overwrites [out] with the rows of [d]
+    contained in some row of [a], in [d]'s order ([rids] copied through
+    unchanged) — one location step of a path, written into a reusable
+    entry.  [out] must not alias [a] or [d]. *)
+val join_into :
+  Ltree_metrics.Counters.t ->
+  Label_index.entry ->
+  Label_index.entry ->
+  Label_index.entry ->
+  unit

@@ -5,6 +5,7 @@ module Column = Ltree_core.Column
 module Pager = Ltree_relstore.Pager
 module Shredder = Ltree_relstore.Shredder
 module Query = Ltree_relstore.Query
+module Label_index = Ltree_relstore.Label_index
 module Label_sync = Ltree_relstore.Label_sync
 module Counters = Ltree_metrics.Counters
 module Fault = Ltree_recovery.Fault
@@ -25,10 +26,7 @@ let ( < ) : int -> int -> bool = Stdlib.( < )
 let ( > ) : int -> int -> bool = Stdlib.( > )
 let ( <= ) : int -> int -> bool = Stdlib.( <= )
 let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let min : int -> int -> int = Stdlib.min
 let max : int -> int -> int = Stdlib.max
-
-let _ = min
 
 (* A document split into K subtree shards along its L-Tree label
    intervals.
@@ -62,6 +60,24 @@ let _ = min
    root, the root tag as an ancestor) evaluate per shard without any
    cross-shard label coordination. *)
 
+(* Reused per-shard query buffers: [b_out] collects a plan's router
+   ids, unsorted, and [b_steps] are the two entries a path plan
+   alternates between. *)
+type buffers = {
+  b_out : Column.t;
+  b_steps : Label_index.entry array;
+}
+
+let make_buffers () =
+  let entry () =
+    { Label_index.starts = Column.create ();
+      ends = Column.create ();
+      rids = Column.create ();
+      len = 0;
+      stamp = -1 }
+  in
+  { b_out = Column.create (); b_steps = [| entry (); entry () |] }
+
 type shard = {
   sid : int;  (* stable shard id: names the store dir's sim, metrics *)
   sim : Fault.sim;
@@ -73,6 +89,11 @@ type shard = {
   mutable snap : Read_snapshot.t option;  (* frozen lazily per query *)
   g_of_l : (int, int) Hashtbl.t;  (* local Dom id -> router Dom id *)
   l_of_g : (int, int) Hashtbl.t;  (* router Dom id -> local Dom id *)
+  ids : Read_snapshot.id_map;
+      (* [g_of_l] cached by label-table row: snapshots freeze router ids *)
+  mutable bufs : buffers array;
+      (* slot [i] is written only by the task answering query [i] of a
+         batch; single plans use slot 0 *)
   commit_hist : Histogram.t;  (* shard_commit_seconds{shard=<sid>} *)
   query_hist : Histogram.t;  (* shard_query_seconds{shard=<sid>} *)
   pending_hist : Histogram.t;  (* shard_journal_pending{shard=<sid>} *)
@@ -85,6 +106,8 @@ type t = {
   r_store : Shredder.label_store;
   r_sync : Label_sync.t;
   mutable r_snap : Read_snapshot.t option;
+  merge_out : Column.t;  (* the caller's union of the tasks' columns *)
+  merge_mark : Column.t;  (* [Column.sort_dedup] scratch for [merge_out] *)
   mutable shards : shard array;
   mutable cuts : int array;
       (* length [nshards + 1]: shard [p] owns the router root's
@@ -122,7 +145,8 @@ let shard_histograms sid =
       ~help:"wall time of one journaled operation on the owning shard"
       ~labels ~bounds:seconds_bounds (),
     Registry.histogram ~name:"shard_query_seconds"
-      ~help:"wall time of one shard-local query plan" ~labels
+      ~help:"wall time of one shard-local join task (snapshot refresh \
+             excluded)" ~labels
       ~bounds:seconds_bounds (),
     Registry.histogram ~name:"shard_journal_pending"
       ~help:"group-commit records buffered (not yet durable) after an op"
@@ -175,6 +199,22 @@ let sub_range l lo hi =
 
 (* {1 Shard construction} *)
 
+(* A shard over a durable store: its own rel-store, label sync, empty
+   identity maps and reused query buffers. *)
+let wire_shard ~sid ~sim ~io durable =
+  let ldoc = Durable_doc.ldoc durable in
+  let pager = Pager.create (Counters.create ()) in
+  let store = Shredder.shred_label pager ldoc in
+  let sync = Label_sync.create pager store ldoc in
+  let g_of_l = Hashtbl.create 256 in
+  let commit_hist, query_hist, pending_hist = shard_histograms sid in
+  { sid; sim; io; durable; pager; store; sync; snap = None;
+    g_of_l;
+    l_of_g = Hashtbl.create 256;
+    ids = Read_snapshot.id_map (Hashtbl.find g_of_l);
+    bufs = [| make_buffers () |];
+    commit_hist; query_hist; pending_hist }
+
 let make_shard ?params ~group_commit ~sim ~groot gsubs sid =
   let sroot = Dom.element ~attrs:(Dom.attrs groot) (Dom.name groot) in
   let clones = List.map clone_node gsubs in
@@ -182,16 +222,7 @@ let make_shard ?params ~group_commit ~sim ~groot gsubs sid =
   let ldoc = Labeled_doc.of_document ?params (Dom.document sroot) in
   let io = Fault.sim_io sim in
   let durable = Durable_doc.initialize ~io ~group_commit ~dir:shard_dir ldoc in
-  let pager = Pager.create (Counters.create ()) in
-  let store = Shredder.shred_label pager ldoc in
-  let sync = Label_sync.create pager store ldoc in
-  let commit_hist, query_hist, pending_hist = shard_histograms sid in
-  let sh =
-    { sid; sim; io; durable; pager; store; sync; snap = None;
-      g_of_l = Hashtbl.create 256;
-      l_of_g = Hashtbl.create 256;
-      commit_hist; query_hist; pending_hist }
-  in
+  let sh = wire_shard ~sid ~sim ~io durable in
   link_pair sh groot sroot;
   List.iter2 (fun g l -> link_subtree sh g l) gsubs clones;
   sh
@@ -224,6 +255,8 @@ let create ?params ?(group_commit = 4)
   let r_sync = Label_sync.create r_pager r_store router in
   let t =
     { group_commit; router; r_pager; r_store; r_sync; r_snap = None;
+      merge_out = Column.create ();
+      merge_mark = Column.create ();
       shards; cuts;
       top_owner = Hashtbl.create 64;
       layout_gen = 0;
@@ -323,44 +356,146 @@ let routed ?within t =
     else []
   end
 
-(* {1 Snapshots} *)
+(* {1 Snapshots}
 
-let shard_snapshot sh =
-  ignore (Label_sync.flush sh.sync : Label_sync.stats);
-  let fresh =
-    match sh.snap with
-    | Some s when Read_snapshot.is_fresh s -> s
-    | Some s -> Read_snapshot.refresh s
-    | None ->
-      Read_snapshot.of_store sh.pager sh.store (Durable_doc.ldoc sh.durable)
+   A snapshot whose stamps still match needs no flush: every edit that
+   dirties a row moves the document version, so a fresh snapshot means
+   an empty dirty set.  Otherwise flush, then refresh (reusing the
+   untouched tags' slices) or freeze for the first time. *)
+
+let up_to_date sync snap ~freeze =
+  match snap with
+  | Some s when Read_snapshot.is_fresh s -> s
+  | Some s ->
+    ignore (Label_sync.flush sync : Label_sync.stats);
+    Read_snapshot.refresh s
+  | None ->
+    ignore (Label_sync.flush sync : Label_sync.stats);
+    freeze ()
+
+let frozen sh =
+  let s =
+    up_to_date sh.sync sh.snap ~freeze:(fun () ->
+        Read_snapshot.of_store ~ids:sh.ids sh.pager sh.store
+          (Durable_doc.ldoc sh.durable))
   in
-  sh.snap <- Some fresh;
-  fresh
+  sh.snap <- Some s;
+  s
+
+let shard_snapshot t p = frozen t.shards.(p)
 
 let router_snapshot t =
-  ignore (Label_sync.flush t.r_sync : Label_sync.stats);
-  let fresh =
-    match t.r_snap with
-    | Some s when Read_snapshot.is_fresh s -> s
-    | Some s -> Read_snapshot.refresh s
-    | None -> Read_snapshot.of_store t.r_pager t.r_store t.router
+  let s =
+    up_to_date t.r_sync t.r_snap ~freeze:(fun () ->
+        Read_snapshot.of_store t.r_pager t.r_store t.router)
   in
-  t.r_snap <- Some fresh;
-  fresh
+  t.r_snap <- Some s;
+  s
 
 (* {1 Query plans}
 
-   Every sharded plan is the union of the per-shard plan over the
-   routed shards, with local ids translated back to router ids and the
-   union re-sorted — results are byte-identical to the same plan over
-   the router's own (unsharded) store.  The union is exact because
-   cuts fall on top-level subtree boundaries: every containment pair
-   is intra-shard, and pairs through the global root are covered by
-   each shard's stand-in root.  Only the shard roots map to one shared
-   router node (the root), and [sort_uniq] collapses those. *)
+   Every sharded plan is the union of the same plan run serially over
+   each routed shard's frozen snapshot — results are byte-identical to
+   the plan over the router's own (unsharded) store.  The union is
+   exact because cuts fall on top-level subtree boundaries: every
+   containment pair is intra-shard, and pairs through the global root
+   are covered by each shard's stand-in root.  Shard snapshots already
+   hold router ids, so no result is translated; only the shard roots
+   map to one shared router node (the root), and the caller's single
+   sort-and-deduplicate collapses those. *)
 
-let to_router sh ids =
-  List.map (fun lid -> Hashtbl.find sh.g_of_l lid) ids
+type plan =
+  | Descendants of string * string
+  | Children of string * string
+  | Descendants_inl of string * string
+  | Path of string list
+
+(* One task: a shard's frozen snapshot, the buffers it writes and the
+   plan it runs.  Tasks reach their buffers only through this record,
+   so concurrent tasks never share a mutable structure. *)
+type task = {
+  k_shard : shard;
+  k_snap : Read_snapshot.t;
+  k_buf : buffers;
+  k_plan : plan;
+}
+
+type outcome = { o_comparisons : int; o_seconds : float }
+
+(* One join per location step, alternating between the two step
+   entries so a step never overwrites its own input. *)
+let path_into counters snap buf tags out =
+  let rec fold acc i = function
+    | [] -> acc
+    | tag :: rest ->
+      let dst = buf.b_steps.(i land 1) in
+      Query.join_into counters acc
+        (Read_snapshot.entry_of_slice (Read_snapshot.slice snap tag))
+        dst;
+      fold dst (i + 1) rest
+  in
+  match tags with
+  | [] -> ()
+  | first :: rest ->
+    let final =
+      fold (Read_snapshot.entry_of_slice (Read_snapshot.slice snap first)) 0
+        rest
+    in
+    for i = 0 to final.Label_index.len - 1 do
+      Column.push out (Column.get final.Label_index.rids i)
+    done
+
+(* The body every pool task runs: the serial plan over one frozen
+   snapshot, its router ids pushed unsorted into the task's column.
+   Comparisons and wall time go back in the outcome; the caller records
+   them after the barrier. *)
+let run_task k =
+  let t0 = Unix.gettimeofday () in
+  let counters = Counters.create () in
+  let out = k.k_buf.b_out in
+  let slice = Read_snapshot.slice k.k_snap in
+  let emit = Column.push out in
+  Column.clear out;
+  (match k.k_plan with
+   | Descendants (anc, desc) ->
+     let desc = slice desc in
+     Par_query.descendants_range counters ~anc:(slice anc) ~desc ~lo:0
+       ~hi:desc.Read_snapshot.s_len ~emit
+   | Children (parent, child) ->
+     let child = slice child in
+     Par_query.children_range counters ~parent:(slice parent) ~child ~lo:0
+       ~hi:child.Read_snapshot.s_len ~emit
+   | Descendants_inl (anc, desc) ->
+     let anc = slice anc in
+     Par_query.inl_range counters ~anc ~desc:(slice desc) ~lo:0
+       ~hi:anc.Read_snapshot.s_len ~emit
+   | Path tags -> path_into counters k.k_snap k.k_buf tags out);
+  { o_comparisons = Counters.comparisons counters;
+    o_seconds = Unix.gettimeofday () -. t0 }
+
+(* Run the tasks and record each one's wall time on its shard's
+   histogram; the caller totals comparisons per query. *)
+let fan_out pool tasks =
+  let outcomes = Pool.map ~chunk:1 pool run_task tasks in
+  Array.iteri
+    (fun i o -> Histogram.observe tasks.(i).k_shard.query_hist o.o_seconds)
+    outcomes;
+  outcomes
+
+(* One query's answer: the tasks' columns appended into the caller's
+   [merge_out], sorted and deduplicated once in place (which also
+   collapses the cloned shard roots), then listed. *)
+let merge t bufs =
+  let out = t.merge_out in
+  Column.clear out;
+  Array.iter
+    (fun b ->
+      for i = 0 to Column.length b.b_out - 1 do
+        Column.push out (Column.get b.b_out i)
+      done)
+    bufs;
+  Column.sort_dedup out ~mark:t.merge_mark;
+  Column.to_list out
 
 let filter_within t ~lo ~hi ids =
   List.filter
@@ -372,89 +507,85 @@ let filter_within t ~lo ~hi ids =
         lo <= l.Labeled_doc.start_pos && l.Labeled_doc.start_pos <= hi)
     ids
 
-let finish ?within t ids =
-  let ids = List.sort_uniq Int.compare ids in
+let restrict ?within t ids =
   match within with
   | None -> ids
   | Some (lo, hi) -> filter_within t ~lo ~hi ids
 
-let timed_shard sh f =
-  let t0 = Unix.gettimeofday () in
-  let out = f () in
-  Histogram.observe sh.query_hist (Unix.gettimeofday () -. t0);
-  out
+(* Shard [sh]'s first [n] buffer slots, grown on demand and reused
+   across queries. *)
+let buffers sh n =
+  let have = Array.length sh.bufs in
+  if have < n then
+    sh.bufs <-
+      Array.append sh.bufs (Array.init (n - have) (fun _ -> make_buffers ()));
+  sh.bufs
 
-let fan_out ?within t plan =
-  let locals =
-    List.concat_map
-      (fun p ->
-        let sh = t.shards.(p) in
-        timed_shard sh (fun () -> to_router sh (plan (shard_snapshot sh))))
-      (routed ?within t)
+let run_plan ?counters ?within t pool plan =
+  let tasks =
+    Array.of_list
+      (List.map
+         (fun p ->
+           let sh = t.shards.(p) in
+           { k_shard = sh; k_snap = frozen sh; k_buf = (buffers sh 1).(0);
+             k_plan = plan })
+         (routed ?within t))
   in
-  finish ?within t locals
+  let outcomes = fan_out pool tasks in
+  Par_query.note ?counters
+    (Array.fold_left (fun n o -> n + o.o_comparisons) 0 outcomes);
+  restrict ?within t (merge t (Array.map (fun k -> k.k_buf) tasks))
 
 let descendants ?counters ?within t pool ~anc ~desc =
-  fan_out ?within t (fun snap ->
-      Par_query.descendants ?counters pool snap ~anc ~desc)
+  run_plan ?counters ?within t pool (Descendants (anc, desc))
 
 let children ?counters ?within t pool ~parent ~child =
-  fan_out ?within t (fun snap ->
-      Par_query.children ?counters pool snap ~parent ~child)
+  run_plan ?counters ?within t pool (Children (parent, child))
 
 let descendants_inl ?counters ?within t pool ~anc ~desc =
-  fan_out ?within t (fun snap ->
-      Par_query.descendants_inl ?counters pool snap ~anc ~desc)
+  run_plan ?counters ?within t pool (Descendants_inl (anc, desc))
 
 let path ?counters ?within t pool tags =
-  fan_out ?within t (fun snap -> Par_query.path ?counters pool snap tags)
+  run_plan ?counters ?within t pool (Path tags)
 
 (* The batch plan fans {e shard x query} tasks across the pool in one
    [Pool.map], so a hot query no longer serializes on one shard's
-   index: each task serially joins one query over one frozen shard
-   snapshot (the {!Par_query.descendants_batch} shape), and tasks on
-   different shards touch disjoint snapshots.  Local->router id
-   translation happens after the barrier, on the calling domain — the
-   identity maps are plain hash tables and never cross domains. *)
+   index.  Several tasks share a shard here, so query [i]'s task
+   writes the shard's buffer slot [i]; task [si * nq + qi] answers
+   query [qi] on routed shard [si]. *)
 let descendants_batch ?within t pool queries =
-  let ps = Array.of_list (routed ?within t) in
-  let snaps = Array.map (fun p -> shard_snapshot t.shards.(p)) ps in
-  let nq = Array.length queries in
+  let snaps =
+    Array.of_list
+      (List.map
+         (fun p ->
+           let sh = t.shards.(p) in
+           (sh, frozen sh))
+         (routed ?within t))
+  in
   let tasks =
-    Array.init
-      (Array.length ps * nq)
-      (fun i -> (i / nq, i mod nq))
+    Array.concat
+      (Array.to_list
+         (Array.map
+            (fun (sh, snap) ->
+              let bufs = buffers sh (Array.length queries) in
+              Array.mapi
+                (fun i (anc, desc) ->
+                  { k_shard = sh; k_snap = snap; k_buf = bufs.(i);
+                    k_plan = Descendants (anc, desc) })
+                queries)
+            snaps))
   in
-  let locals =
-    Pool.map ~chunk:1 pool
-      (fun (si, qi) ->
-        let snap = snaps.(si) in
-        let anc, desc = queries.(qi) in
-        let local = Counters.create () in
-        let a =
-          Read_snapshot.entry_of_slice (Read_snapshot.slice snap anc)
-        in
-        let d = Read_snapshot.slice snap desc in
-        let out = ref [] in
-        let last = ref (-1) in
-        Query.array_join local a
-          (Read_snapshot.entry_of_slice d)
-          ~emit:(fun _ dpos ->
-            if dpos <> !last then begin
-              last := dpos;
-              out := Column.get d.Read_snapshot.s_ids dpos :: !out
-            end);
-        List.sort_uniq Int.compare !out)
-      tasks
-  in
+  let outcomes = fan_out pool tasks in
+  let nq = Array.length queries in
+  let ns = Array.length snaps in
   Array.init nq (fun qi ->
-      let ids = ref [] in
-      Array.iteri
-        (fun ti (si, q) ->
-          if q = qi then
-            ids := to_router t.shards.(ps.(si)) locals.(ti) @ !ids)
-        tasks;
-      finish ?within t !ids)
+      let comparisons = ref 0 in
+      for si = 0 to ns - 1 do
+        comparisons := !comparisons + outcomes.((si * nq) + qi).o_comparisons
+      done;
+      Par_query.note !comparisons;
+      restrict ?within t
+        (merge t (Array.init ns (fun si -> tasks.((si * nq) + qi).k_buf))))
 
 (* {1 Unsharded reference plans}
 
@@ -463,25 +594,25 @@ let descendants_batch ?within t pool queries =
    compare against. *)
 
 let unsharded_descendants ?counters ?within t pool ~anc ~desc =
-  finish ?within t
+  restrict ?within t
     (Par_query.descendants ?counters pool (router_snapshot t) ~anc ~desc)
 
 let unsharded_children ?counters ?within t pool ~parent ~child =
-  finish ?within t
+  restrict ?within t
     (Par_query.children ?counters pool (router_snapshot t) ~parent ~child)
 
 let unsharded_descendants_inl ?counters ?within t pool ~anc ~desc =
-  finish ?within t
+  restrict ?within t
     (Par_query.descendants_inl ?counters pool (router_snapshot t) ~anc ~desc)
 
 let unsharded_path ?counters ?within t pool tags =
-  finish ?within t (Par_query.path ?counters pool (router_snapshot t) tags)
+  restrict ?within t (Par_query.path ?counters pool (router_snapshot t) tags)
 
 let unsharded_descendants_batch ?within t pool queries =
   let rs =
     Par_query.descendants_batch pool (router_snapshot t) queries
   in
-  Array.map (fun ids -> finish ?within t ids) rs
+  Array.map (fun ids -> restrict ?within t ids) rs
 
 (* {1 Writes}
 
@@ -707,16 +838,10 @@ let split ?(on_phase = fun (_ : string) -> ()) t p =
   Durable_doc.checkpoint sh.durable;
   Durable_doc.checkpoint ndurable;
   (* Wire the trimmed replica up as a full shard. *)
-  let npager = Pager.create (Counters.create ()) in
-  let nstore = Shredder.shred_label npager new_ldoc in
-  let nsync = Label_sync.create npager nstore new_ldoc in
-  let sid = Array.length t.shards + t.rebalances in
-  let commit_hist, query_hist, pending_hist = shard_histograms sid in
   let nsh =
-    { sid; sim = nsim; io = Fault.sim_io nsim; durable = ndurable;
-      pager = npager; store = nstore; sync = nsync; snap = None;
-      g_of_l = Hashtbl.create 256; l_of_g = Hashtbl.create 256;
-      commit_hist; query_hist; pending_hist }
+    wire_shard
+      ~sid:(Array.length t.shards + t.rebalances)
+      ~sim:nsim ~io:(Fault.sim_io nsim) ndurable
   in
   link_pair nsh groot (root_of new_ldoc);
   let gmoved =

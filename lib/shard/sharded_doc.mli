@@ -59,6 +59,11 @@ val shard_sim : t -> int -> Ltree_recovery.Fault.sim
 val shard_durable : t -> int -> Ltree_recovery.Durable_doc.t
 val shard_ldoc : t -> int -> Ltree_doc.Labeled_doc.t
 
+(** [shard_snapshot t p] is shard [p]'s read snapshot, flushed and
+    refreshed first if stale.  Its [s_ids] are {e router} Dom ids and
+    its levels are router levels; its label columns are shard-local. *)
+val shard_snapshot : t -> int -> Ltree_exec.Read_snapshot.t
+
 (** [owner_of_anchor t anchor] is the shard position the node at router
     label [anchor] lives in; [None] for unused labels and for the root
     (which is cloned into every shard). *)
@@ -97,10 +102,14 @@ val checkpoint : t -> unit
 
 (** {1 Query plans}
 
-    Sharded plans fan over the routed shards' frozen per-shard
-    snapshots and return sorted router Dom ids; [?within] filters
-    results to a router-label window (applied identically to the
-    unsharded reference plans, so the two stay byte-identical). *)
+    Every sharded plan runs as one [Pool.map] with one task per routed
+    shard: the task joins serially over that shard's frozen snapshot,
+    which already holds router Dom ids, and pushes them unsorted into
+    the shard's reused result column.  The caller appends the columns
+    into one, sorts and deduplicates it once, and lists it — one sorted
+    list of router ids.  [?within]
+    filters results to a router-label window (applied identically to
+    the unsharded reference plans, so the two stay byte-identical). *)
 
 val descendants :
   ?counters:Ltree_metrics.Counters.t ->
@@ -125,16 +134,19 @@ val path :
 (** [descendants_batch t pool queries] fans {e shard x query} tasks
     across the pool in one [Pool.map] — tasks on different shards join
     over disjoint frozen snapshots, so a hot tag no longer serializes
-    on one shared index.  Per-query sorted router ids, index-aligned
-    with [queries]. *)
+    on one shared index.  Query [i]'s task writes its shard's buffer
+    slot [i], kept for later batches.  Per-query sorted router ids,
+    index-aligned with [queries]; each query's comparisons are recorded
+    once, summed over its shards. *)
 val descendants_batch :
   ?within:int * int ->
   t -> Ltree_exec.Pool.t -> (string * string) array -> int list array
 
 (** {1 Unsharded reference plans}
 
-    The same plans over the router's own single store — the baseline
-    sharded plans must match byte-for-byte. *)
+    The same plans over the router's own single store, run by the
+    chunked {!Ltree_exec.Par_query} plans — an independent baseline
+    the sharded plans must match byte-for-byte. *)
 
 val unsharded_descendants :
   ?counters:Ltree_metrics.Counters.t ->

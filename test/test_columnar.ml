@@ -82,8 +82,10 @@ let roundtrip () =
   Alcotest.(check (list int)) "empty" [] (Column.to_list e)
 
 (* sort_dedup against [List.sort_uniq], over both the dense regime
-   (bitset scatter/gather) and the sparse one (heapsort + dedup),
-   reusing one mark column throughout to exercise its growth/reuse. *)
+   (bitset scatter/gather) and the sparse one (radix sort + dedup),
+   reusing one mark column throughout to exercise its growth/reuse.
+   The sparse trials include negative values and spans wider than
+   [max_int], where the radix digits are read as unsigned. *)
 let sort_dedup_matches_reference () =
   let prng = Prng.create 0xc01 in
   let mark = Column.create ~capacity:1 () in
@@ -96,11 +98,28 @@ let sort_dedup_matches_reference () =
       (List.sort_uniq compare (Array.to_list vals))
       (Column.to_list c)
   in
+  let wide ~n =
+    let pick () =
+      match Prng.int prng 4 with
+      | 0 -> min_int + Prng.int prng 3
+      | 1 -> max_int - Prng.int prng 3
+      | 2 -> - Prng.int prng 1_000_000_000
+      | _ -> Prng.int prng 1_000_000_000
+    in
+    let vals = Array.init n (fun _ -> pick ()) in
+    let c = Column.of_array vals in
+    Column.sort_dedup c ~mark;
+    Alcotest.(check (list int))
+      (Printf.sprintf "n=%d wide" n)
+      (List.sort_uniq compare (Array.to_list vals))
+      (Column.to_list c)
+  in
   List.iter
     (fun n ->
       trial ~n ~spread:1;        (* dense: bitset path *)
-      trial ~n ~spread:1_000_003 (* sparse: heapsort path *))
-    [ 0; 1; 2; 7; 64; 500 ]
+      trial ~n ~spread:1_000_003; (* sparse: radix path *)
+      wide ~n)
+    [ 0; 1; 2; 7; 64; 500; 3000 ]
 
 (* sort3 against a reference sort of the zipped triples.  Keys are
    distinct (as label starts are — the documented precondition). *)

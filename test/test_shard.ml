@@ -13,6 +13,13 @@ module Pool = Ltree_exec.Pool
 module Fault = Ltree_recovery.Fault
 module Sharded_doc = Ltree_shard.Sharded_doc
 module Shard_matrix = Ltree_shard.Shard_matrix
+module Read_snapshot = Ltree_exec.Read_snapshot
+module Column = Ltree_core.Column
+module Counters = Ltree_metrics.Counters
+module Pager = Ltree_relstore.Pager
+module Shredder = Ltree_relstore.Shredder
+module Label_sync = Ltree_relstore.Label_sync
+module Prng = Ltree_workload.Prng
 
 let case = Alcotest.test_case
 
@@ -186,6 +193,208 @@ let k3_agreement_after_writes () =
             sd pool))
     [ 1; 2; 4 ]
 
+(* Query windows over the router's label range, as the harness picks
+   them: the whole document, then its lower and upper halves (each
+   straddling whichever shard boundary falls inside). *)
+let windows sd =
+  match List.map snd (Labeled_doc.labeled_events (Sharded_doc.router sd)) with
+  | [] -> [ None ]
+  | labels ->
+    let lo = List.hd labels
+    and hi = List.nth labels (List.length labels - 1)
+    and mid = List.nth labels (List.length labels / 2) in
+    [ None; Some (lo, mid); Some (mid + 1, hi) ]
+
+let check_matrix what sd =
+  List.iter
+    (fun size ->
+      Pool.with_pool ~size (fun pool ->
+          List.iter
+            (fun within ->
+              check_all_plans_agree ?within
+                (Printf.sprintf "%s pool=%d %s" what size
+                   (match within with
+                    | None -> "whole"
+                    | Some (lo, hi) -> Printf.sprintf "[%d,%d]" lo hi))
+                sd pool)
+            (windows sd)))
+    [ 1; 2 ]
+
+(* A seeded edit stream in router anchors: inserts under random
+   elements, deletes of random non-root nodes, text rewrites. *)
+let random_edit rng sd =
+  let r = Sharded_doc.router sd in
+  let root = root_of r in
+  let nodes = Array.of_list (Dom.descendants root) in
+  let anchor n = (Labeled_doc.label r n).Labeled_doc.start_pos in
+  let elements =
+    Array.of_list
+      (root :: List.filter Dom.is_element (Array.to_list nodes))
+  in
+  let texts =
+    Array.of_list
+      (List.filter (fun n -> not (Dom.is_element n)) (Array.to_list nodes))
+  in
+  let insert () =
+    let parent = Prng.pick rng elements in
+    Journal.Insert
+      { anchor = anchor parent;
+        index = Prng.int rng (List.length (Dom.children parent) + 1);
+        xml = "<item><name>n</name>i</item>" }
+  in
+  match Prng.int rng 3 with
+  | 0 -> insert ()
+  | 1 when Array.length nodes > 24 ->
+    Journal.Delete { anchor = anchor (Prng.pick rng nodes) }
+  | 2 when Array.length texts > 0 ->
+    Journal.Set_text
+      { anchor = anchor (Prng.pick rng texts);
+        text = Printf.sprintf "s%d" (Prng.int rng 1000) }
+  | _ -> insert ()
+
+(* K in {1, 2, 4} x pool in {1, 2} x {whole, lower, upper} windows, all
+   five plans, before and after a seeded write burst and a split. *)
+let plans_agree_matrix () =
+  List.iter
+    (fun k ->
+      let sd = Sharded_doc.create ~shards:k (wide_doc ~subtrees:12 (20 + k)) in
+      let rng = Prng.create (30 + k) in
+      check_matrix (Printf.sprintf "K=%d fresh" k) sd;
+      for _ = 1 to 30 do
+        Sharded_doc.apply sd (random_edit rng sd)
+      done;
+      check_matrix (Printf.sprintf "K=%d after writes" k) sd;
+      Sharded_doc.split sd 0;
+      check_matrix (Printf.sprintf "K=%d after split" k) sd)
+    [ 1; 2; 4 ]
+
+(* {1 Router-id snapshots} *)
+
+(* Every row of every shard snapshot slice must name a live router node
+   carrying the slice's tag, at the row's level: shard snapshots freeze
+   router ids, not shard-local ones. *)
+let check_router_rows what sd =
+  let r = Sharded_doc.router sd in
+  for p = 0 to Sharded_doc.nshards sd - 1 do
+    let snap = Sharded_doc.shard_snapshot sd p in
+    List.iter
+      (fun tag ->
+        let s = Read_snapshot.slice snap tag in
+        for i = 0 to s.Read_snapshot.s_len - 1 do
+          let id = Column.get_checked s.Read_snapshot.s_ids i in
+          let level = Column.get_checked s.Read_snapshot.s_levels i in
+          match Labeled_doc.node_by_id r id with
+          | None ->
+            Alcotest.failf "%s: shard %d, %s row %d: id %d names no live \
+                            router node" what p tag i id
+          | Some n ->
+            if
+              Shredder.tag_of n <> Some tag
+              || (Labeled_doc.label r n).Labeled_doc.level <> level
+            then
+              Alcotest.failf
+                "%s: shard %d, %s row %d: router node %d has another tag \
+                 or level" what p tag i id
+        done)
+      (Read_snapshot.tags snap)
+  done
+
+let snapshots_hold_router_ids () =
+  let sd = Sharded_doc.create ~shards:4 (wide_doc ~subtrees:16 40) in
+  let rng = Prng.create 41 in
+  check_router_rows "fresh" sd;
+  for step = 1 to 60 do
+    Sharded_doc.apply sd (random_edit rng sd);
+    check_router_rows (Printf.sprintf "step %d" step) sd
+  done;
+  (* Tombstone every row of a top-level subtree, then re-insert its
+     tags into the same shard: the dead rows stay in the table, the new
+     nodes get rows of their own. *)
+  let r = Sharded_doc.router sd in
+  let first = List.hd (Dom.children (root_of r)) in
+  let root_anchor = (Labeled_doc.label r (root_of r)).Labeled_doc.start_pos in
+  let again = Ltree_xml.Serializer.node_to_string first in
+  Sharded_doc.apply sd
+    (Journal.Delete { anchor = (Labeled_doc.label r first).Labeled_doc.start_pos });
+  check_router_rows "after tombstoning a subtree" sd;
+  Sharded_doc.apply sd
+    (Journal.Insert { anchor = root_anchor; index = 0; xml = again });
+  check_router_rows "after re-inserting its tags" sd;
+  Sharded_doc.split sd 0;
+  check_router_rows "after split" sd;
+  for step = 1 to 20 do
+    Sharded_doc.apply sd (random_edit rng sd);
+    check_router_rows (Printf.sprintf "post-split step %d" step) sd
+  done;
+  (* The cache must not trust a row whose Dom id changed: a resync
+     after recovery keeps every row id but rebinds it to a new node. *)
+  let offset = 1 lsl 40 in
+  let doc = wide_doc 42 in
+  let ldoc = Labeled_doc.of_document doc in
+  let pager = Pager.create (Counters.create ()) in
+  let store = Shredder.shred_label pager ldoc in
+  let sync = Label_sync.create pager store ldoc in
+  let ids = Read_snapshot.id_map (fun lid -> lid + offset) in
+  let check_rebound what ldoc snap =
+    List.iter
+      (fun tag ->
+        let s = Read_snapshot.slice snap tag in
+        for i = 0 to s.Read_snapshot.s_len - 1 do
+          let id = Column.get_checked s.Read_snapshot.s_ids i - offset in
+          match Labeled_doc.node_by_id ldoc id with
+          | Some n when Shredder.tag_of n = Some tag -> ()
+          | Some _ | None ->
+            Alcotest.failf "%s: %s row %d maps to no live node" what tag i
+        done)
+      (Read_snapshot.tags snap)
+  in
+  check_rebound "before resync" ldoc (Read_snapshot.of_store ~ids pager store ldoc);
+  let recovered = Ltree_doc.Snapshot.load (Ltree_doc.Snapshot.save ldoc) in
+  let _sync, _ = Label_sync.resync sync recovered in
+  check_rebound "after resync" recovered
+    (Read_snapshot.of_store ~ids pager store recovered)
+
+(* {1 Allocation} *)
+
+(* Words a [Gc.minor_words] reading itself allocates (its boxed
+   float), measured back to back, as in bench/exp_query.ml. *)
+let minor_calibration () =
+  let best = ref infinity in
+  for _ = 1 to 8 do
+    let a = Gc.minor_words () in
+    let b = Gc.minor_words () in
+    best := Float.min !best (b -. a)
+  done;
+  !best
+
+(* Per routed shard: the task record and outcome, the kernel's emit
+   closures, the join's scratch stack, two slice entry views and the
+   pool's result slot — about 140 words measured; a fall-back to per-chunk lists or per-result
+   translation would add 3 or more words per result on top. *)
+let per_shard_words = 192
+
+(* A warm sharded [descendants] allocates the result list (3 words per
+   id) plus a small constant per routed shard — no per-chunk lists, no
+   per-result translation. *)
+let descendants_allocation_bound () =
+  let sd = Sharded_doc.create ~shards:4 (wide_doc ~subtrees:256 50) in
+  Pool.with_pool ~size:1 (fun pool ->
+      let run () = Sharded_doc.descendants sd pool ~anc:"site" ~desc:"name" in
+      ignore (run () : int list);
+      let calib = minor_calibration () in
+      let w0 = Gc.minor_words () in
+      let ids = run () in
+      let w1 = Gc.minor_words () in
+      let words = w1 -. w0 -. calib in
+      let results = List.length ids in
+      let bound = float_of_int ((3 * results) + (per_shard_words * 4)) in
+      Alcotest.(check bool)
+        (Printf.sprintf "enough results to tell (%d)" results)
+        true (results >= 500);
+      if Float.compare words bound > 0 then
+        Alcotest.failf "sharded descendants allocated %.0f minor words for \
+                        %d results (bound %.0f)" words results bound)
+
 (* {1 Write routing} *)
 
 let writes_route_to_owner () =
@@ -358,6 +567,12 @@ let suite =
       case "K=1 plans byte-identical to unsharded" `Quick k1_byte_identical;
       case "K=3 plans agree after a write workload" `Quick
         k3_agreement_after_writes;
+      case "plans agree across K, pool size, window and split" `Quick
+        plans_agree_matrix;
+      case "shard snapshots hold live router ids" `Quick
+        snapshots_hold_router_ids;
+      case "warm sharded descendants stays within its allocation bound"
+        `Quick descendants_allocation_bound;
       case "writes route to the owning shard only" `Quick
         writes_route_to_owner;
       case "an emptied shard is skipped by routing" `Quick

@@ -60,7 +60,7 @@ shard-matrix:
 
 shard-matrix-quick:
 	dune exec bin/ltree_cli.exe -- shard-matrix --ops 40 --nodes 60 \
-	  --shards 3 --checkpoint-every 12
+	  --shards 3 --checkpoint-every 12 --domains 2
 
 # The replica-level matrix: kill the primary mid-commit, the replica
 # mid-apply, or sever the channel mid-record, in every damage mode;

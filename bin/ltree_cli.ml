@@ -650,34 +650,116 @@ let check_cmd =
     Term.(const run $ file_opt $ f_arg $ s_arg $ ops_arg $ seed_arg
           $ inject_arg $ storm_arg $ dump_arg $ bundle_arg $ domains_arg)
 
+(* The front end the crash matrices share.  [run_matrix] parses
+   --only (and --inject-cell-failure) with the instance's [parse],
+   prints decile progress, turns the engine's Invalid_argument (a
+   config count below 1, an --only naming no cell) into a usage error,
+   prints the instance's [report], and when a cell failed lists it with
+   a command that reruns just that cell, calls [on_failure] and exits
+   1. *)
+
+module Matrix = Ltree_recovery.Matrix
+
+let matrix_config_args (c : Matrix.config) =
+  Printf.sprintf "--ops %d --seed %d --nodes %d --group-commit %d \
+                  --checkpoint-every %d"
+    c.Matrix.ops c.Matrix.seed c.Matrix.doc_nodes c.Matrix.group_commit
+    c.Matrix.checkpoint_every
+
+let run_matrix ~parse ~example ~name ~rerun ?only ?inject
+    ?(on_failure = ignore) ~report run =
+  let cell flag =
+    Option.map (fun s ->
+        match parse s with
+        | Some c -> c
+        | None ->
+          Printf.eprintf "cannot parse %s %S (expected e.g. %s)\n" flag s
+            example;
+          exit 2)
+  in
+  let only = cell "--only" only in
+  let inject = cell "--inject-cell-failure" inject in
+  let last = ref 0 in
+  let progress ~done_cells ~total =
+    let decile = done_cells * 10 / total in
+    if decile > !last then begin
+      last := decile;
+      Printf.printf "  ...%d%% (%d/%d cells)\n%!" (decile * 10) done_cells
+        total
+    end
+  in
+  let summary =
+    try run ~only ~inject ~progress
+    with Invalid_argument msg ->
+      Printf.eprintf "%s\n" msg;
+      exit 2
+  in
+  let sweep = report summary in
+  if not (Matrix.ok sweep) then begin
+    List.iter
+      (fun c ->
+        match c.Matrix.failures with
+        | [] -> ()
+        | failures ->
+          let cell = name c.Matrix.id in
+          Printf.printf "  cell %s:\n" cell;
+          List.iter (fun f -> Printf.printf "    %s\n" f) failures;
+          Printf.printf "    rerun: ltree %s\n" (rerun cell))
+      sweep.Matrix.cells;
+    on_failure sweep;
+    exit 1
+  end
+
+(* Options every crash matrix takes, defaulting to [d]. *)
+let matrix_args (d : Matrix.config) =
+  let ops =
+    Arg.(value & opt int d.Matrix.ops & info [ "ops" ] ~docv:"OPS"
+           ~doc:"Length of the seeded operation script.")
+  in
+  let seed =
+    Arg.(value & opt int d.Matrix.seed & info [ "seed" ] ~docv:"SEED"
+           ~doc:"Seed for the script and every injection choice.")
+  in
+  let nodes =
+    Arg.(value & opt int d.Matrix.doc_nodes & info [ "nodes" ] ~docv:"N"
+           ~doc:"Target size of the base document.")
+  in
+  let group_commit =
+    Arg.(value & opt int d.Matrix.group_commit
+         & info [ "group-commit" ] ~docv:"G"
+             ~doc:"Journal records batched per fsync, per store.")
+  in
+  let checkpoint_every =
+    Arg.(value & opt int d.Matrix.checkpoint_every
+         & info [ "checkpoint-every" ] ~docv:"K"
+             ~doc:"Operations between snapshot rotations.")
+  in
+  Term.(
+    const (fun seed ops doc_nodes group_commit checkpoint_every ->
+        { Matrix.seed; ops; doc_nodes; group_commit; checkpoint_every })
+    $ seed $ ops $ nodes $ group_commit $ checkpoint_every)
+
+let print_matrix_header what (c : Matrix.config) domains =
+  Printf.printf
+    "%s %d ops, doc ~%d nodes, group commit %d, checkpoint every %d, seed \
+     %d, %d domain(s)\n%!"
+    what c.Matrix.ops c.Matrix.doc_nodes c.Matrix.group_commit
+    c.Matrix.checkpoint_every c.Matrix.seed (max 1 domains)
+
+let print_matrix_verdict what (sweep : (_, _) Matrix.sweep) =
+  if Matrix.ok sweep then
+    Printf.printf "%s clean: all %d cells verified\n" what
+      (List.length sweep.Matrix.cells)
+  else
+    Printf.printf "FAIL: %d cells failed verification\n"
+      sweep.Matrix.failed_cells
+
 (* crash-matrix *)
 
 let crash_matrix_cmd =
   let module M = Ltree_recovery.Crash_matrix in
+  let module R = Ltree_replication.Repl_matrix in
   let module F = Ltree_recovery.Fault in
-  let ops_arg =
-    Arg.(value & opt int M.default_config.M.ops & info [ "ops" ]
-           ~docv:"OPS" ~doc:"Length of the seeded operation script.")
-  in
-  let seed_arg =
-    Arg.(value & opt int M.default_config.M.seed & info [ "seed" ]
-           ~docv:"SEED"
-           ~doc:"Seed for the script and every injection choice.")
-  in
-  let nodes_arg =
-    Arg.(value & opt int M.default_config.M.doc_nodes & info [ "nodes" ]
-           ~docv:"N" ~doc:"Target size of the base document.")
-  in
-  let group_arg =
-    Arg.(value & opt int M.default_config.M.group_commit
-         & info [ "group-commit" ] ~docv:"G"
-             ~doc:"Journal records batched per fsync.")
-  in
-  let ckpt_arg =
-    Arg.(value & opt int M.default_config.M.checkpoint_every
-         & info [ "checkpoint-every" ] ~docv:"K"
-             ~doc:"Operations between snapshot rotations.")
-  in
   let only_arg =
     Arg.(value & opt (some string) None & info [ "only" ] ~docv:"CELL"
            ~doc:"Rerun a single cell named as in the failure output \
@@ -707,9 +789,8 @@ let crash_matrix_cmd =
                  cell and run parameters, so $(b,ltree bundle --replay) \
                  can re-run exactly that cell.  Requires $(b,--replica).")
   in
-  let run ops seed nodes group_commit checkpoint_every only replica
-      inject_cell bundle domains =
-    if (Option.is_some inject_cell || Option.is_some bundle) && not replica
+  let run config only replica inject bundle domains =
+    if (Option.is_some inject || Option.is_some bundle) && not replica
     then begin
       Printf.eprintf
         "--inject-cell-failure and --bundle apply to the replica matrix: \
@@ -717,159 +798,87 @@ let crash_matrix_cmd =
       exit 2
     end;
     with_domains domains @@ fun pool ->
-    let last = ref 0 in
-    let progress ~done_cells ~total =
-      let decile = done_cells * 10 / total in
-      if decile > !last then begin
-        last := decile;
-        Printf.printf "  ...%d%% (%d/%d cells)\n%!" (decile * 10) done_cells
-          total
-      end
-    in
     if replica then begin
-      let module R = Ltree_replication.Repl_matrix in
-      let only =
-        match only with
-        | None -> None
-        | Some s -> (
-          match R.parse_cell s with
-          | Some cell -> Some cell
-          | None ->
-            Printf.eprintf
-              "cannot parse --only %S (expected e.g. primary:P12/torn, \
-               replica:P5/clean or channel:C9/flip)\n"
-              s;
-            exit 2)
+      let write_bundle path (sweep : (R.id, R.outcome) Matrix.sweep) =
+        let cell, failure =
+          match
+            List.find_opt
+              (fun c -> match c.Matrix.failures with [] -> false | _ -> true)
+              sweep.Matrix.cells
+          with
+          | Some c ->
+            (R.cell_name c.Matrix.id, String.concat "; " c.Matrix.failures)
+          | None -> ("?", "sweep incomplete")
+        in
+        let data =
+          Ltree_obs.Recorder.dump ~reason:"repl-matrix-cell"
+            ~attrs:
+              [ ("cell", cell); ("failure", failure);
+                ("seed", string_of_int config.Matrix.seed);
+                ("ops", string_of_int config.Matrix.ops);
+                ("nodes", string_of_int config.Matrix.doc_nodes);
+                ("group_commit", string_of_int config.Matrix.group_commit);
+                ("checkpoint_every",
+                 string_of_int config.Matrix.checkpoint_every) ]
+            ()
+        in
+        write_out (Some path) data;
+        match Ltree_obs.Recorder.validate data with
+        | Ok n ->
+          Printf.printf "flight bundle (%d lines, cell %s) written to %s\n" n
+            cell path
+        | Error e -> Printf.eprintf "flight bundle failed validation: %s\n" e
       in
-      let inject =
-        match inject_cell with
-        | None -> None
-        | Some s -> (
-          match R.parse_cell s with
-          | Some cell -> Some cell
-          | None ->
-            Printf.eprintf
-              "cannot parse --inject-cell-failure %S (expected e.g. \
-               primary:P12/torn)\n"
-              s;
-            exit 2)
-      in
-      let config =
-        { R.seed; ops; doc_nodes = nodes; group_commit; checkpoint_every }
-      in
-      Printf.printf
-        "replica crash matrix: %d ops, doc ~%d nodes, group commit %d, \
-         checkpoint every %d, seed %d, %d domain(s)\n%!"
-        ops nodes group_commit checkpoint_every seed (max 1 domains);
-      let s = R.run ?pool ?only ?inject ~progress config in
-      Printf.printf "%s\n" (R.describe s);
-      if not (R.ok s) then begin
-        List.iter
-          (fun c ->
-            match c.R.failures with
-            | [] -> ()
-            | failures ->
-              Printf.printf "  cell %s:\n" (R.cell_name c);
-              List.iter (fun f -> Printf.printf "    %s\n" f) failures;
-              Printf.printf "    rerun: ltree crash-matrix --replica \
-                             --only %s --ops %d --seed %d\n"
-                (R.cell_name c) ops seed)
-          s.R.cells;
-        (match bundle with
-         | None -> ()
-         | Some path ->
-           let failing =
-             List.find_opt
-               (fun c -> match c.R.failures with [] -> false | _ -> true)
-               s.R.cells
-           in
-           let cell_name, failure =
-             match failing with
-             | Some c -> (R.cell_name c, String.concat "; " c.R.failures)
-             | None -> ("?", "sweep incomplete")
-           in
-           let data =
-             Ltree_obs.Recorder.dump ~reason:"repl-matrix-cell"
-               ~attrs:
-                 [ ("cell", cell_name); ("failure", failure);
-                   ("seed", string_of_int seed);
-                   ("ops", string_of_int ops);
-                   ("nodes", string_of_int nodes);
-                   ("group_commit", string_of_int group_commit);
-                   ("checkpoint_every", string_of_int checkpoint_every) ]
-               ()
-           in
-           write_out (Some path) data;
-           (match Ltree_obs.Recorder.validate data with
-            | Ok n ->
-              Printf.printf
-                "flight bundle (%d lines, cell %s) written to %s\n" n
-                cell_name path
-            | Error e ->
-              Printf.eprintf "flight bundle failed validation: %s\n" e));
-        exit 1
-      end
+      run_matrix ~parse:R.parse_cell
+        ~example:"primary:P12/torn, replica:P5/clean or channel:C9/flip"
+        ~name:R.cell_name
+        ~rerun:(fun cell ->
+          Printf.sprintf "crash-matrix --replica --only %s %s" cell
+            (matrix_config_args config))
+        ?only ?inject
+        ?on_failure:(Option.map write_bundle bundle)
+        ~report:(fun s ->
+          Printf.printf "%s\n" (R.describe s);
+          s.R.sweep)
+        (fun ~only ~inject ~progress ->
+          print_matrix_header "replica crash matrix:" config domains;
+          R.run ?pool ?only ?inject ~progress config)
     end
     else begin
-      let only =
-        match only with
-        | None -> None
-        | Some s -> (
-          match M.parse_cell s with
-          | Some cell -> Some cell
-          | None ->
-            Printf.eprintf
-              "cannot parse --only %S (expected e.g. P37/torn)\n" s;
-            exit 2)
-      in
-      let config =
-        { M.seed; ops; doc_nodes = nodes; group_commit; checkpoint_every }
-      in
-      Printf.printf
-        "crash matrix: %d ops, doc ~%d nodes, group commit %d, checkpoint \
-         every %d, seed %d, %d domain(s)\n%!"
-        ops nodes group_commit checkpoint_every seed (max 1 domains);
-      let s = M.run ?pool ?only ~progress config in
-      Printf.printf
-        "swept %d write points x %d modes = %d cells (%d init-phase \
-         points)\n"
-        s.M.total_points
-        (List.length F.all_modes)
-        (List.length s.M.cells) s.M.init_points;
-      let recovered, unrecoverable =
-        List.partition
-          (fun c -> match c.M.outcome with
-             | M.Recovered _ -> true
-             | M.Unrecoverable _ -> false)
-          s.M.cells
-      in
-      Printf.printf "recovered: %d cells; pre-first-checkpoint losses: %d\n"
-        (List.length recovered)
-        (List.length unrecoverable);
-      Printf.printf "damage detected during recovery:\n";
-      List.iter
-        (fun (kind, n) -> Printf.printf "  %-20s %d\n" kind n)
-        s.M.fault_counts;
-      if s.M.failed_cells = 0 then
-        Printf.printf "crash matrix clean: all %d cells verified\n"
-          (List.length s.M.cells)
-      else begin
-        Printf.printf "FAIL: %d cells failed verification\n"
-          s.M.failed_cells;
-        List.iter
-          (fun c ->
-            match c.M.failures with
-            | [] -> ()
-            | failures ->
-              Printf.printf "  cell %s:\n" (M.cell_name c);
-              List.iter (fun f -> Printf.printf "    %s\n" f) failures;
-              Printf.printf
-                "    rerun: ltree crash-matrix --only %s --ops %d --seed \
-                 %d\n"
-                (M.cell_name c) ops seed)
-          s.M.cells;
-        exit 1
-      end
+      run_matrix ~parse:M.parse_cell ~example:"P37/torn" ~name:M.cell_name
+        ~rerun:(fun cell ->
+          Printf.sprintf "crash-matrix --only %s %s" cell
+            (matrix_config_args config))
+        ?only
+        ~report:(fun s ->
+          let cells = s.M.sweep.Matrix.cells in
+          Printf.printf
+            "swept %d write points x %d modes = %d cells (%d init-phase \
+             points)\n"
+            s.M.total_points
+            (List.length F.all_modes)
+            (List.length cells) s.M.init_points;
+          let recovered =
+            List.filter
+              (fun c ->
+                match c.Matrix.outcome with
+                | M.Recovered _ -> true
+                | M.Unrecoverable _ -> false)
+              cells
+          in
+          Printf.printf
+            "recovered: %d cells; pre-first-checkpoint losses: %d\n"
+            (List.length recovered)
+            (List.length cells - List.length recovered);
+          Printf.printf "damage detected during recovery:\n";
+          List.iter
+            (fun (kind, n) -> Printf.printf "  %-20s %d\n" kind n)
+            s.M.fault_counts;
+          print_matrix_verdict "crash matrix" s.M.sweep;
+          s.M.sweep)
+        (fun ~only ~inject:_ ~progress ->
+          print_matrix_header "crash matrix:" config domains;
+          M.run ?pool ?only ~progress config)
     end
   in
   Cmd.v
@@ -877,115 +886,58 @@ let crash_matrix_cmd =
        ~doc:"Crash the durable store (or a primary/replica pair with \
              --replica) at every write point in every corruption mode, \
              recover or promote, and verify against a bit-exact oracle.")
-    Term.(const run $ ops_arg $ seed_arg $ nodes_arg $ group_arg
-          $ ckpt_arg $ only_arg $ replica_arg $ inject_cell_arg
-          $ bundle_arg $ domains_arg)
+    Term.(const run $ matrix_args M.default_config $ only_arg $ replica_arg
+          $ inject_cell_arg $ bundle_arg $ domains_arg)
 
 (* shard-matrix *)
 
 let shard_matrix_cmd =
   let module SM = Ltree_shard.Shard_matrix in
   let module F = Ltree_recovery.Fault in
-  let ops_arg =
-    Arg.(value & opt int SM.default_config.SM.ops & info [ "ops" ]
-           ~docv:"OPS" ~doc:"Length of the seeded global operation script.")
-  in
-  let seed_arg =
-    Arg.(value & opt int SM.default_config.SM.seed & info [ "seed" ]
-           ~docv:"SEED"
-           ~doc:"Seed for the script and every injection choice.")
-  in
-  let nodes_arg =
-    Arg.(value & opt int SM.default_config.SM.doc_nodes & info [ "nodes" ]
-           ~docv:"N" ~doc:"Target size of the base document.")
-  in
   let shards_arg =
     Arg.(value & opt int SM.default_config.SM.shards & info [ "shards" ]
            ~docv:"K" ~doc:"Number of subtree shards.")
-  in
-  let group_arg =
-    Arg.(value & opt int SM.default_config.SM.group_commit
-         & info [ "group-commit" ] ~docv:"G"
-             ~doc:"Journal records batched per fsync, per shard.")
-  in
-  let ckpt_arg =
-    Arg.(value & opt int SM.default_config.SM.checkpoint_every
-         & info [ "checkpoint-every" ] ~docv:"K"
-             ~doc:"Global operations between all-shard snapshot rotations.")
   in
   let only_arg =
     Arg.(value & opt (some string) None & info [ "only" ] ~docv:"CELL"
            ~doc:"Rerun a single cell named as in the failure output, \
                  e.g. $(b,S1/P37/torn).")
   in
-  let run ops seed nodes shards group_commit checkpoint_every only domains =
+  let run matrix shards only domains =
     with_domains domains @@ fun pool ->
-    let only =
-      match only with
-      | None -> None
-      | Some s -> (
-        match SM.parse_cell s with
-        | Some cell -> Some cell
-        | None ->
-          Printf.eprintf "cannot parse --only %S (expected e.g. S1/P37/torn)\n"
-            s;
-          exit 2)
-    in
-    let last = ref 0 in
-    let progress ~done_cells ~total =
-      let decile = done_cells * 10 / total in
-      if decile > !last then begin
-        last := decile;
-        Printf.printf "  ...%d%% (%d/%d cells)\n%!" (decile * 10) done_cells
-          total
-      end
-    in
-    let config =
-      { SM.seed; ops; doc_nodes = nodes; shards; group_commit;
-        checkpoint_every }
-    in
-    Printf.printf
-      "shard crash matrix: %d shards, %d ops, doc ~%d nodes, group commit \
-       %d, checkpoint every %d, seed %d, %d domain(s)\n%!"
-      shards ops nodes group_commit checkpoint_every seed (max 1 domains);
-    let s = SM.run ?pool ?only ~progress config in
-    Array.iteri
-      (fun j total ->
-        Printf.printf "  shard %d: %d write points (%d init-phase)\n" j total
-          s.SM.init_points.(j))
-      s.SM.total_points;
-    Printf.printf "swept %d cells across %d modes\n"
-      (List.length s.SM.cells)
-      (List.length F.all_modes);
-    let recovered, unrecoverable =
-      List.partition
-        (fun c -> match c.SM.outcome with
-           | SM.Recovered _ -> true
-           | SM.Unrecoverable _ -> false)
-        s.SM.cells
-    in
-    Printf.printf "recovered: %d cells; pre-first-checkpoint losses: %d\n"
-      (List.length recovered)
-      (List.length unrecoverable);
-    if s.SM.failed_cells = 0 then
-      Printf.printf "shard matrix clean: all %d cells verified\n"
-        (List.length s.SM.cells)
-    else begin
-      Printf.printf "FAIL: %d cells failed verification\n" s.SM.failed_cells;
-      List.iter
-        (fun c ->
-          match c.SM.failures with
-          | [] -> ()
-          | failures ->
-            Printf.printf "  cell %s:\n" (SM.cell_name c);
-            List.iter (fun f -> Printf.printf "    %s\n" f) failures;
-            Printf.printf
-              "    rerun: ltree shard-matrix --only %s --ops %d --shards %d \
-               --seed %d\n"
-              (SM.cell_name c) ops shards seed)
-        s.SM.cells;
-      exit 1
-    end
+    let config = { SM.matrix; shards } in
+    run_matrix ~parse:SM.parse_cell ~example:"S1/P37/torn" ~name:SM.cell_name
+      ~rerun:(fun cell ->
+        Printf.sprintf "shard-matrix --only %s --shards %d %s" cell shards
+          (matrix_config_args matrix))
+      ?only
+      ~report:(fun s ->
+        let cells = s.SM.sweep.Matrix.cells in
+        Array.iteri
+          (fun j total ->
+            Printf.printf "  shard %d: %d write points (%d init-phase)\n" j
+              total s.SM.init_points.(j))
+          s.SM.total_points;
+        Printf.printf "swept %d cells across %d modes\n" (List.length cells)
+          (List.length F.all_modes);
+        let recovered =
+          List.filter
+            (fun c ->
+              match c.Matrix.outcome with
+              | SM.Recovered _ -> true
+              | SM.Unrecoverable _ -> false)
+            cells
+        in
+        Printf.printf "recovered: %d cells; pre-first-checkpoint losses: %d\n"
+          (List.length recovered)
+          (List.length cells - List.length recovered);
+        print_matrix_verdict "shard matrix" s.SM.sweep;
+        s.SM.sweep)
+      (fun ~only ~inject:_ ~progress ->
+        print_matrix_header
+          (Printf.sprintf "shard crash matrix: %d shards," shards)
+          matrix domains;
+        SM.run ?pool ?only ~progress config)
   in
   Cmd.v
     (Cmd.info "shard-matrix"
@@ -993,8 +945,8 @@ let shard_matrix_cmd =
              write points in every corruption mode, recover that shard \
              alone, and verify the recovered shard, its live siblings and \
              the router against bit-exact oracles.")
-    Term.(const run $ ops_arg $ seed_arg $ nodes_arg $ shards_arg
-          $ group_arg $ ckpt_arg $ only_arg $ domains_arg)
+    Term.(const run $ matrix_args SM.default_config.SM.matrix $ shards_arg
+          $ only_arg $ domains_arg)
 
 (* trace / metrics: the observability front ends.  Both replay the same
    deterministic harness workload `ltree check` uses — it exercises the
@@ -1215,10 +1167,10 @@ let replicate_cmd =
       Ltree_obs.Causal.set_enabled true
     end;
     let config =
-      { M.seed; ops; doc_nodes = nodes; group_commit; checkpoint_every }
+      { Matrix.seed; ops; doc_nodes = nodes; group_commit; checkpoint_every }
     in
     let script = M.generate_script config in
-    let oracle = M.build_oracle config script in
+    let oracle = Matrix.build_oracle (M.base_ldoc config) script in
     let psim = F.create_sim () and rsim = F.create_sim () in
     let plan =
       if noise_every <= 0 then Rp.Channel.ideal
@@ -1311,11 +1263,11 @@ let replicate_cmd =
         exit 1
       | Ok (report, promoted) ->
         let applied = D.last_seq promoted in
-        let got =
-          Array.of_list
-            (List.map snd (Labeled_doc.labeled_events (D.ldoc promoted)))
+        let same =
+          Matrix.int_array_equal
+            (Matrix.observe_labels (D.ldoc promoted))
+            oracle.Matrix.labels.(applied)
         in
-        let same = got = oracle.M.labels.(applied) in
         Printf.printf
           "  failover: promoted at seq %d, epoch %d, %d entries dropped: \
            %s\n"
@@ -1380,42 +1332,34 @@ let bundle_cmd =
       | None ->
         Printf.eprintf "%s: bundle header names no cell to replay\n" path;
         exit 2
-      | Some cell_s -> (
-        match R.parse_cell cell_s with
-        | None ->
-          Printf.eprintf "%s: cannot parse cell %S\n" path cell_s;
-          exit 2
-        | Some cell ->
-          let geti k fallback =
-            match attr k with
-            | None -> fallback
-            | Some v -> (
-              match int_of_string_opt v with
-              | Some n -> n
-              | None -> fallback)
-          in
-          let d = R.default_config in
-          let config =
-            { R.seed = geti "seed" d.R.seed;
-              ops = geti "ops" d.R.ops;
-              doc_nodes = geti "nodes" d.R.doc_nodes;
-              group_commit = geti "group_commit" d.R.group_commit;
-              checkpoint_every =
-                geti "checkpoint_every" d.R.checkpoint_every }
-          in
-          Printf.printf "replaying cell %s (seed %d, ops %d)\n" cell_s
-            config.R.seed config.R.ops;
-          let s = R.run ~only:cell config in
-          Printf.printf "%s\n" (R.describe s);
-          if not (R.ok s) then begin
-            List.iter
-              (fun c ->
-                List.iter
-                  (fun f -> Printf.printf "  %s: %s\n" (R.cell_name c) f)
-                  c.R.failures)
-              s.R.cells;
-            exit 1
-          end))
+      | Some cell ->
+        let geti k fallback =
+          match attr k with
+          | None -> fallback
+          | Some v -> (
+            match int_of_string_opt v with Some n -> n | None -> fallback)
+        in
+        let d = R.default_config in
+        let config =
+          { Matrix.seed = geti "seed" d.Matrix.seed;
+            ops = geti "ops" d.Matrix.ops;
+            doc_nodes = geti "nodes" d.Matrix.doc_nodes;
+            group_commit = geti "group_commit" d.Matrix.group_commit;
+            checkpoint_every =
+              geti "checkpoint_every" d.Matrix.checkpoint_every }
+        in
+        Printf.printf "replaying cell %s (seed %d, ops %d)\n" cell
+          config.Matrix.seed config.Matrix.ops;
+        run_matrix ~parse:R.parse_cell ~example:"primary:P12/torn"
+          ~name:R.cell_name
+          ~rerun:(fun cell ->
+            Printf.sprintf "crash-matrix --replica --only %s %s" cell
+              (matrix_config_args config))
+          ~only:cell
+          ~report:(fun s ->
+            Printf.printf "%s\n" (R.describe s);
+            s.R.sweep)
+          (fun ~only ~inject:_ ~progress:_ -> R.run ?only config))
     | None, None ->
       let params = params_of f s in
       ignore (run_observed_workload ~params ~seed ~ops);

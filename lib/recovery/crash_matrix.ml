@@ -1,10 +1,8 @@
 module Labeled_doc = Ltree_doc.Labeled_doc
 module Journal = Ltree_doc.Journal
 module Dom = Ltree_xml.Dom
-module Serializer = Ltree_xml.Serializer
 module Xml_gen = Ltree_workload.Xml_gen
 module Prng = Ltree_workload.Prng
-module Invariant = Ltree_analysis.Invariant
 module Shredder = Ltree_relstore.Shredder
 module Pager = Ltree_relstore.Pager
 module Query = Ltree_relstore.Query
@@ -16,25 +14,9 @@ let ( <> ) : int -> int -> bool = Stdlib.( <> )
 let ( < ) : int -> int -> bool = Stdlib.( < )
 let ( > ) : int -> int -> bool = Stdlib.( > )
 let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let min : int -> int -> int = Stdlib.min
-
-let int_array_equal a b =
-  Array.length a = Array.length b
-  &&
-  let rec go i = i >= Array.length a || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
-
-type config = {
-  seed : int;
-  ops : int;
-  doc_nodes : int;
-  group_commit : int;
-  checkpoint_every : int;
-}
 
 let default_config =
-  { seed = 42; ops = 200; doc_nodes = 120; group_commit = 4;
+  { Matrix.seed = 42; ops = 200; doc_nodes = 120; group_commit = 4;
     checkpoint_every = 32 }
 
 let store_dir = "store"
@@ -47,14 +29,11 @@ let store_dir = "store"
    always yields the same script, the same write points, and the same
    injected damage — a failing cell replays exactly. *)
 
-let fresh_ldoc config =
-  let doc =
-    Xml_gen.generate ~seed:config.seed
-      (Xml_gen.default_profile ~target_nodes:config.doc_nodes ())
-  in
-  Labeled_doc.of_document doc
+let base_doc (config : Matrix.config) =
+  Xml_gen.generate ~seed:config.seed
+    (Xml_gen.default_profile ~target_nodes:config.doc_nodes ())
 
-let base_ldoc = fresh_ldoc
+let base_ldoc config = Labeled_doc.of_document (base_doc config)
 
 let live_nodes ldoc =
   let doc = Labeled_doc.document ldoc in
@@ -77,8 +56,8 @@ let fragment_xml prng k =
   | 1 -> Printf.sprintf "<patch n=\"%d\"><deep><x/></deep></patch>" k
   | _ -> Printf.sprintf "<note id=\"%d\">n%d<sub/></note>" k k
 
-let generate_script config =
-  let ldoc = fresh_ldoc config in
+let generate_script (config : Matrix.config) =
+  let ldoc = base_ldoc config in
   let prng = Prng.create (config.seed lxor 0x0F1E2D3C) in
   let script = ref [] in
   for k = 1 to config.ops do
@@ -119,89 +98,6 @@ let generate_script config =
     script := entry :: !script
   done;
   List.rev !script
-
-(* {1 The oracle}
-
-   Labels and a content checksum after every prefix of the script,
-   computed on a pristine in-memory replay.  L-Tree label determinism
-   (paper §4.2) is what makes this a bit-exact oracle: recovery replays
-   the same entries through the same code, so the k-op prefix must
-   reproduce [labels.(k)] exactly, not merely isomorphically. *)
-
-type oracle = { labels : int array array; crcs : int array }
-
-let observe_labels ldoc =
-  Array.of_list (List.map snd (Labeled_doc.labeled_events ldoc))
-
-let doc_crc ldoc =
-  Checksum.crc32 (Serializer.to_string (Labeled_doc.document ldoc))
-
-let build_oracle config script =
-  let ldoc = fresh_ldoc config in
-  let labels = Array.make (config.ops + 1) [||] in
-  let crcs = Array.make (config.ops + 1) 0 in
-  let snap k =
-    labels.(k) <- observe_labels ldoc;
-    crcs.(k) <- doc_crc ldoc
-  in
-  snap 0;
-  List.iteri
-    (fun i entry ->
-      Journal.apply_entry ldoc entry;
-      snap (i + 1))
-    script;
-  { labels; crcs }
-
-(* {1 Registry hooks}
-
-   The durability invariants, phrased over a live store so both the
-   crash matrix and the self-check harness can register them. *)
-
-let register_invariants reg ~io ~dir ~expected_labels t =
-  Invariant.register reg ~name:"recovery.journal-checksum-valid"
-    ~depth:Invariant.Cheap (fun () ->
-      let scan = Durable_doc.scan_journal io ~dir in
-      match scan.Durable_doc.scan_fault with
-      | Some f ->
-        Invariant.fail ~name:"recovery.journal-checksum-valid"
-          "journal not clean: %s"
-          (Format.asprintf "%a" Durable_doc.pp_fault f)
-      | None ->
-        if scan.Durable_doc.dropped <> 0 then
-          Invariant.fail ~name:"recovery.journal-checksum-valid"
-            "%d unparsed chunks after the valid prefix"
-            scan.Durable_doc.dropped);
-  Invariant.register reg ~name:"recovery.snapshot-loadable"
-    ~depth:Invariant.Deep (fun () ->
-      match Durable_doc.newest_valid_snapshot io ~dir with
-      | Error faults ->
-        Invariant.fail ~name:"recovery.snapshot-loadable"
-          "no loadable snapshot generation: %s"
-          (String.concat "; "
-             (List.map
-                (fun f -> Format.asprintf "%a" Durable_doc.pp_fault f)
-                faults))
-      | Ok (Durable_doc.Previous, _, _, _, _) ->
-        Invariant.fail ~name:"recovery.snapshot-loadable"
-          "current snapshot unreadable (previous generation would load)"
-      | Ok (Durable_doc.Current, _, _, _, _) -> ());
-  Invariant.register reg ~name:"recovery.store-matches-oracle-prefix"
-    ~depth:Invariant.Deep (fun () ->
-      let got = observe_labels (Durable_doc.ldoc t) in
-      let want = expected_labels () in
-      if not (int_array_equal got want) then
-        Invariant.fail ~name:"recovery.store-matches-oracle-prefix"
-          "labels diverge from oracle: %d slots vs %d expected%s"
-          (Array.length got) (Array.length want)
-          (let limit = min (Array.length got) (Array.length want) in
-           let rec first i =
-             if i >= limit then ""
-             else if got.(i) <> want.(i) then
-               Printf.sprintf " (first diff at slot %d: %d vs %d)" i got.(i)
-                 want.(i)
-             else first (i + 1)
-           in
-           first 0))
 
 (* {1 Query-plan agreement}
 
@@ -251,6 +147,8 @@ let query_starts ldoc ~anc ~desc =
 
 (* {1 The matrix} *)
 
+type id = int * Fault.mode
+
 type outcome =
   | Recovered of {
       durable_seq : int;
@@ -262,59 +160,27 @@ type outcome =
     }
   | Unrecoverable of { fault_kinds : string list }
 
-type cell = {
-  point : int;
-  mode : Fault.mode;
-  outcome : outcome;
-  failures : string list;
-}
-
-(* The stable cell coordinate: write point x damage mode, e.g. "P37/torn".
-   Failure output prints it and [--only] parses it back, so one red cell
-   reruns without sweeping the matrix. *)
-let point_name ~point ~mode = Printf.sprintf "P%d/%s" point (Fault.mode_name mode)
-let cell_name c = point_name ~point:c.point ~mode:c.mode
-
-let parse_cell s =
-  match String.index_opt s '/' with
-  | None -> None
-  | Some slash ->
-    let coord = String.sub s 0 slash in
-    let mode = String.sub s (slash + 1) (String.length s - slash - 1) in
-    if String.length coord < 2 || not (Char.equal coord.[0] 'P') then None
-    else (
-      match
-        ( int_of_string_opt (String.sub coord 1 (String.length coord - 1)),
-          Fault.mode_of_name mode )
-      with
-      | Some point, Some mode when point > 0 -> Some (point, mode)
-      | _ -> None)
+let cell_name (point, mode) = Matrix.coord_name 'P' point mode
+let parse_cell = Matrix.parse_coord 'P'
 
 type summary = {
-  config : config;
+  config : Matrix.config;
   total_points : int;
   init_points : int;
-  only : (int * Fault.mode) option;
-  cells : cell list;
-  failed_cells : int;
   fault_counts : (string * int) list;
+  sweep : (id, outcome) Matrix.sweep;
 }
-
-let ok s =
-  s.failed_cells = 0
-  && List.length s.cells
-     = (match s.only with Some _ -> 1 | None -> 3 * s.total_points)
 
 type progress_state = { mutable attempted : int; mutable synced : int }
 
 (* One workload execution against [sim]; [state] tracks the crash-time
    bounds for the durable prefix: at any instant the durable sequence
    number lies in [synced, attempted]. *)
-let run_workload config script sim state =
+let run_workload (config : Matrix.config) script sim state =
   let io = Fault.sim_io sim in
   let t =
     Durable_doc.initialize ~io ~group_commit:config.group_commit
-      ~dir:store_dir (fresh_ldoc config)
+      ~dir:store_dir (base_ldoc config)
   in
   let init_points = Fault.points sim in
   List.iteri
@@ -347,7 +213,7 @@ let pristine_query config script ~cache_mu query_cache durable =
   match cached with
   | Some v -> v
   | None ->
-    let pristine = fresh_ldoc config in
+    let pristine = base_ldoc config in
     List.iteri
       (fun i entry -> if i < durable then Journal.apply_entry pristine entry)
       script;
@@ -364,91 +230,42 @@ let pristine_query config script ~cache_mu query_cache durable =
     Mutex.unlock cache_mu;
     v
 
-let verify config ~io ~script ~oracle ~cache_mu ~query_cache ~state ~report t =
-  let failures = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-  let durable = report.Durable_doc.durable_seq in
-  if durable < state.synced || durable > state.attempted then
-    fail "durable seq %d outside [synced %d, attempted %d]" durable
-      state.synced state.attempted;
-  if durable < 0 || durable > config.ops then
-    fail "durable seq %d outside the script" durable
-  else begin
-    let ldoc = Durable_doc.ldoc t in
-    if not (int_array_equal (observe_labels ldoc) oracle.labels.(durable))
-    then
-      fail "recovered labels differ from oracle prefix %d" durable;
-    if doc_crc ldoc <> oracle.crcs.(durable) then
-      fail "recovered content checksum differs from oracle prefix %d" durable;
-    (* Full invariant pass over the recovered store. *)
-    let reg = Invariant.create () in
-    register_invariants reg ~io ~dir:store_dir
-      ~expected_labels:(fun () -> oracle.labels.(durable))
-      t;
-    Invariant.register reg ~name:"recovery.doc-consistent"
-      ~depth:Invariant.Deep (fun () -> Labeled_doc.check ldoc);
-    List.iter
-      (fun f -> fail "invariant %s: %s" f.Invariant.name f.Invariant.detail)
-      (Invariant.run_all ~depth:Invariant.Deep reg);
-    (* Query plans over the recovered store agree with a from-scratch
-       shred of the same prefix. *)
-    let anc, desc, want =
-      pristine_query config script ~cache_mu query_cache durable
-    in
-    match (query_starts ldoc ~anc ~desc, want) with
-    | None, _ ->
-      fail "recovered store: indexed and baseline %s//%s plans disagree" anc
-        desc
-    | _, None ->
-      fail "pristine store: indexed and baseline %s//%s plans disagree" anc
-        desc
-    | Some got, Some want ->
-      if not (List.equal Int.equal got want) then
-        fail "%s//%s over recovered store: %d matches vs %d from scratch" anc
-          desc (List.length got) (List.length want)
-  end;
-  List.rev !failures
+(* Query plans over the recovered store agree with a from-scratch shred
+   of the same prefix. *)
+let check_queries config script ~cache_mu ~query_cache ~durable t =
+  let anc, desc, want =
+    pristine_query config script ~cache_mu query_cache durable
+  in
+  match (query_starts (Durable_doc.ldoc t) ~anc ~desc, want) with
+  | None, _ ->
+    [ Printf.sprintf "recovered store: indexed and baseline %s//%s plans \
+                      disagree" anc desc ]
+  | _, None ->
+    [ Printf.sprintf "pristine store: indexed and baseline %s//%s plans \
+                      disagree" anc desc ]
+  | Some got, Some want ->
+    if List.equal Int.equal got want then []
+    else
+      [ Printf.sprintf "%s//%s over recovered store: %d matches vs %d from \
+                        scratch" anc desc (List.length got) (List.length want) ]
 
-let run ?pool ?progress ?only config =
-  if config.ops < 1 then invalid_arg "Crash_matrix.run: ops must be >= 1";
-  (match only with
-   | Some (point, _) when point < 1 ->
-     invalid_arg "Crash_matrix.run: --only point must be >= 1"
-   | Some _ | None -> ());
+let run ?pool ?progress ?only (config : Matrix.config) =
+  Matrix.validate config;
   let script = generate_script config in
-  let oracle = build_oracle config script in
+  let oracle = Matrix.build_oracle (base_ldoc config) script in
   let query_cache = Hashtbl.create 64 in
   let cache_mu = Mutex.create () in
   (* Profile pass: same workload, no plan — learns the matrix width and
      how many write points initialization itself consumes. *)
   let profile_sim = Fault.create_sim () in
   let init_points =
-    run_workload config script profile_sim
-      { attempted = 0; synced = 0 }
+    run_workload config script profile_sim { attempted = 0; synced = 0 }
   in
   let total_points = Fault.points profile_sim in
-  (* Cells are independent — each builds its own fault-sim fs, document
-     and store — so they fan out across the pool.  The only shared
-     mutable pieces are the memoized query cache (mutex above) and the
-     progress counter (mutex below); fault tallies are aggregated from
-     the cell outcomes afterwards. *)
-  let progress_mu = Mutex.create () in
-  let done_cells = ref 0 in
-  let note_progress () =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_mu;
-      incr done_cells;
-      let d = !done_cells in
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock progress_mu)
-        (fun () ->
-          f ~done_cells:d
-            ~total:
-              (match only with Some _ -> 1 | None -> 3 * total_points))
-  in
-  let eval_cell (mode, point) =
+  (* Besides the engine's progress counter, the only state cells share is
+     the memoized query cache, under [cache_mu]; fault tallies are
+     aggregated from the cell outcomes after the sweep. *)
+  let eval (point, mode) =
     let plan = { Fault.crash_point = point; mode; seed = config.seed } in
     let sim = Fault.create_sim ~plan () in
     let state = { attempted = 0; synced = 0 } in
@@ -457,73 +274,56 @@ let run ?pool ?progress ?only config =
       | (_ : int) -> false
       | exception Fault.Crash _ -> true
     in
-    let files = Fault.dump sim in
-    let rsim = Fault.create_sim ~files () in
+    let rsim = Fault.create_sim ~files:(Fault.dump sim) () in
     let io = Fault.sim_io rsim in
-    let outcome, failures =
-      match
-        Durable_doc.recover ~io ~group_commit:config.group_commit
-          ~dir:store_dir ()
-      with
-      | Error faults ->
-        let kinds = List.map Durable_doc.fault_kind faults in
-        ( Unrecoverable { fault_kinds = kinds },
-          (* Losing the whole store is only legitimate before the
-             very first checkpoint ever completed. *)
-          if state.attempted = 0 && point <= init_points then []
-          else
-            [ Printf.sprintf
-                "unrecoverable after %d applied ops (point %d): %s"
-                state.attempted point
-                (String.concat ", " kinds) ] )
-      | Ok (report, t) ->
-        let kinds =
-          List.map Durable_doc.fault_kind report.Durable_doc.faults
-        in
-        let failures =
-          verify config ~io ~script ~oracle ~cache_mu ~query_cache ~state
-            ~report t
-        in
-        let failures =
-          if crashed then failures
-          else "workload did not crash at an in-range point" :: failures
-        in
-        ( Recovered
-            { durable_seq = report.Durable_doc.durable_seq;
-              attempted = state.attempted;
-              synced = state.synced;
-              replayed = report.Durable_doc.entries_replayed;
-              dropped = report.Durable_doc.entries_dropped;
-              fault_kinds = kinds },
-          failures )
-    in
-    note_progress ();
-    { point; mode; outcome; failures }
-  in
-  let descrs =
-    match only with
-    | Some (point, mode) ->
-      if point > total_points then
-        invalid_arg
-          (Printf.sprintf
-             "Crash_matrix.run: --only point %d beyond the matrix (%d \
-              write points)"
-             point total_points);
-      [| (mode, point) |]
-    | None ->
-      Array.of_list
-        (List.concat_map
-           (fun mode -> List.init total_points (fun i -> (mode, i + 1)))
-           Fault.all_modes)
+    match
+      Durable_doc.recover ~io ~group_commit:config.group_commit
+        ~dir:store_dir ()
+    with
+    | Error faults ->
+      let kinds = List.map Durable_doc.fault_kind faults in
+      ( Unrecoverable { fault_kinds = kinds },
+        (* Losing the whole store is only legitimate before the very
+           first checkpoint ever completed. *)
+        if state.attempted = 0 && point <= init_points then []
+        else
+          [ Printf.sprintf "unrecoverable after %d applied ops (point %d): %s"
+              state.attempted point
+              (String.concat ", " kinds) ] )
+    | Ok (report, t) ->
+      let durable = report.Durable_doc.durable_seq in
+      let failures =
+        (if crashed then []
+         else [ "workload did not crash at an in-range point" ])
+        @ (if durable < state.synced || durable > state.attempted then
+             [ Printf.sprintf "durable seq %d outside [synced %d, attempted \
+                               %d]" durable state.synced state.attempted ]
+           else [])
+        @ Matrix.verify_prefix oracle ~io ~dir:store_dir ~seq:durable t
+        @
+        if durable < 0 || durable > config.ops then []
+        else check_queries config script ~cache_mu ~query_cache ~durable t
+      in
+      ( Recovered
+          { durable_seq = durable;
+            attempted = state.attempted;
+            synced = state.synced;
+            replayed = report.Durable_doc.entries_replayed;
+            dropped = report.Durable_doc.entries_dropped;
+            fault_kinds =
+              List.map Durable_doc.fault_kind report.Durable_doc.faults },
+        failures )
   in
   let cells =
-    match pool with
-    | Some pool -> Array.to_list (Ltree_exec.Pool.map ~chunk:1 pool eval_cell descrs)
-    | None -> Array.to_list (Array.map eval_cell descrs)
+    Array.of_list
+      (List.concat_map
+         (fun mode -> List.init total_points (fun i -> (i + 1, mode)))
+         Fault.all_modes)
   in
+  let sweep = Matrix.run ?pool ?progress ?only ~name:cell_name ~eval cells in
   let fault_counts = Hashtbl.create 16 in
   List.iter
-    (fun c ->
+    (fun (c : (id, outcome) Matrix.cell) ->
       let kinds =
         match c.outcome with
         | Recovered r -> r.fault_kinds
@@ -534,17 +334,11 @@ let run ?pool ?progress ?only config =
           Hashtbl.replace fault_counts k
             (1 + Option.value ~default:0 (Hashtbl.find_opt fault_counts k)))
         kinds)
-    cells;
+    sweep.Matrix.cells;
   { config;
     total_points;
     init_points;
-    only;
-    cells;
-    failed_cells =
-      List.length
-        (List.filter
-           (fun c -> match c.failures with [] -> false | _ :: _ -> true)
-           cells);
     fault_counts =
       Hashtbl.fold (fun k n acc -> (k, n) :: acc) fault_counts []
-      |> List.sort (fun (a, _) (b, _) -> String.compare a b) }
+      |> List.sort (fun (a, _) (b, _) -> String.compare a b);
+    sweep }

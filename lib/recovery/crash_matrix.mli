@@ -1,21 +1,17 @@
 (** The deterministic crash matrix: kill the durable store at {e every}
     write point, in every corruption mode, recover, and check the result
-    against a bit-exact in-memory oracle.
+    against a bit-exact in-memory oracle.  An instance of {!Matrix}.
 
     One matrix run is: generate a seeded operation script; replay it
-    pristine to record the oracle (labels + content checksum after every
-    prefix — exact thanks to L-Tree label determinism, paper §4.2); run
-    the workload once uninjected to learn the number of write points
-    [P]; then for each point [1..P] and each {!Fault.mode}, run the
-    workload with that crash scripted, recover from the surviving files,
-    and verify:
+    pristine to record the {!Matrix.oracle}; run the workload once
+    uninjected to learn the number of write points [P]; then for each
+    point [1..P] and each {!Fault.mode}, run the workload with that
+    crash scripted, recover from the surviving files, and verify:
 
-    - the recovered labels are bit-identical to the oracle at the
-      durable prefix, and the serialized content checksum matches;
+    - {!Matrix.verify_prefix} at the durable prefix: bit-identical
+      labels, content checksum, the full invariant registry at [Deep];
     - the durable prefix lies in [[synced, attempted]] — group commit
       may lose unflushed tail operations but never synced ones;
-    - the full invariant registry passes at [Deep], including the
-      durability invariants ({!register_invariants});
     - descendant queries over a re-shredded recovered store agree with
       both their baseline plan and a from-scratch shred of the oracle
       prefix;
@@ -25,53 +21,27 @@
     Everything — script, injection choices, write points — derives from
     [config.seed], so any failing cell replays exactly. *)
 
-type config = {
-  seed : int;
-  ops : int;  (** script length *)
-  doc_nodes : int;  (** target size of the base document *)
-  group_commit : int;
-  checkpoint_every : int;  (** ops between snapshot rotations *)
-}
-
-val default_config : config
+val default_config : Matrix.config
 (** [{seed = 42; ops = 200; doc_nodes = 120; group_commit = 4;
     checkpoint_every = 32}] *)
 
-(** {1 Pieces exposed for the harness and tests} *)
+(** {1 Pieces shared with the replica and shard matrices} *)
 
-(** [base_ldoc config] is the seeded base document every run of the
-    matrix starts from — exposed so harnesses layered on the same
-    script (the replica-level matrix) can seed their stores
-    identically. *)
-val base_ldoc : config -> Ltree_doc.Labeled_doc.t
+(** [base_doc config] is the seeded base document every run of a
+    matrix starts from. *)
+val base_doc : Matrix.config -> Ltree_xml.Dom.document
+
+(** [base_ldoc config] labels a fresh {!base_doc}. *)
+val base_ldoc : Matrix.config -> Ltree_doc.Labeled_doc.t
 
 (** [generate_script config] is the seeded operation list; every entry's
     anchor is valid at its position. *)
-val generate_script : config -> Ltree_doc.Journal.entry list
-
-type oracle = {
-  labels : int array array;
-      (** [labels.(k)]: every slot's label after the [k]-op prefix *)
-  crcs : int array;  (** serialized-content CRC-32 per prefix *)
-}
-
-val build_oracle : config -> Ltree_doc.Journal.entry list -> oracle
-
-(** [register_invariants reg ~io ~dir ~expected_labels t] registers the
-    three durability invariants over a live store:
-    [recovery.journal-checksum-valid] (the on-disk journal scans clean),
-    [recovery.snapshot-loadable] (the current generation loads), and
-    [recovery.store-matches-oracle-prefix] (the document's labels equal
-    [expected_labels ()]). *)
-val register_invariants :
-  Ltree_analysis.Invariant.registry ->
-  io:Fault.io ->
-  dir:string ->
-  expected_labels:(unit -> int array) ->
-  Durable_doc.t ->
-  unit
+val generate_script : Matrix.config -> Ltree_doc.Journal.entry list
 
 (** {1 Results} *)
+
+(** A cell: write point x damage mode. *)
+type id = int * Fault.mode
 
 type outcome =
   | Recovered of {
@@ -84,52 +54,33 @@ type outcome =
     }
   | Unrecoverable of { fault_kinds : string list }
 
-type cell = {
-  point : int;
-  mode : Fault.mode;
-  outcome : outcome;
-  failures : string list;  (** verification failures — empty means pass *)
-}
-
-(** [cell_name c] is the cell's stable coordinate, [P<point>/<mode>]
+(** [cell_name id] is the cell's stable coordinate, [P<point>/<mode>]
     (e.g. ["P37/torn"]) — printed with every failure and accepted back
     by [--only]. *)
-val cell_name : cell -> string
+val cell_name : id -> string
 
-(** [parse_cell s] inverts {!cell_name}: [Some (point, mode)] for
-    ["P37/torn"]-shaped strings, [None] otherwise. *)
-val parse_cell : string -> (int * Fault.mode) option
+(** [parse_cell s] is the exact inverse of {!cell_name}. *)
+val parse_cell : string -> id option
 
 type summary = {
-  config : config;
+  config : Matrix.config;
   total_points : int;  (** write points in one uninjected run *)
   init_points : int;  (** points consumed by store initialization *)
-  only : (int * Fault.mode) option;  (** the single-cell filter, if any *)
-  cells : cell list;  (** [3 * total_points] of them ([1] under [only]) *)
-  failed_cells : int;
   fault_counts : (string * int) list;
       (** {!Durable_doc.fault_kind} tally across all recoveries *)
+  sweep : (id, outcome) Matrix.sweep;
+      (** [3 * total_points] cells ([1] under [only]) *)
 }
 
-(** [ok s]: every cell verified and the sweep was complete — the full
-    matrix, or exactly the one requested cell under [only]. *)
-val ok : summary -> bool
-
-(** [run ?pool ?progress config] executes the full matrix.  With
-    [pool], cells fan out across its domains (each cell already owns
-    its fault-sim fs, document, and store; results are identical to a
-    serial run — cell order is fixed and tallies are aggregated after
-    the sweep).  [progress] is called after each cell, serialized
-    under a mutex, with a monotone [done_cells]; completion order may
-    interleave across modes when parallel (printing is the caller's
-    business).  [only] restricts the sweep to one (point, mode) cell —
-    the profile pass still runs, so the cell replays against the exact
-    same script and write-point numbering as the full matrix.  Raises
-    [Invalid_argument] when the requested point is outside [1,
-    total_points]. *)
+(** [run ?pool ?progress ?only config] executes the matrix through
+    {!Matrix.run}.  [only] restricts the sweep to one cell — the profile
+    pass still runs, so the cell replays against the exact same script
+    and write-point numbering as the full matrix.  Raises
+    [Invalid_argument] for an invalid config or an [only] outside the
+    matrix. *)
 val run :
   ?pool:Ltree_exec.Pool.t ->
   ?progress:(done_cells:int -> total:int -> unit) ->
-  ?only:(int * Fault.mode) ->
-  config ->
+  ?only:id ->
+  Matrix.config ->
   summary

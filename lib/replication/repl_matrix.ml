@@ -1,41 +1,23 @@
 module Fault = Ltree_recovery.Fault
 module Durable_doc = Ltree_recovery.Durable_doc
 module Crash_matrix = Ltree_recovery.Crash_matrix
-module Checksum = Ltree_recovery.Checksum
+module Matrix = Ltree_recovery.Matrix
 module Labeled_doc = Ltree_doc.Labeled_doc
 module Journal = Ltree_doc.Journal
-module Serializer = Ltree_xml.Serializer
-module Invariant = Ltree_analysis.Invariant
 
 let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
 let ( < ) : int -> int -> bool = Stdlib.( < )
 let ( > ) : int -> int -> bool = Stdlib.( > )
 let ( <= ) : int -> int -> bool = Stdlib.( <= )
 let ( >= ) : int -> int -> bool = Stdlib.( >= )
 
-type config = {
-  seed : int;
-  ops : int;
-  doc_nodes : int;
-  group_commit : int;
-  checkpoint_every : int;
-}
-
 let default_config =
-  { seed = 42; ops = 120; doc_nodes = 100; group_commit = 4;
+  { Matrix.seed = 42; ops = 120; doc_nodes = 100; group_commit = 4;
     checkpoint_every = 24 }
-
-let base_config config =
-  { Crash_matrix.seed = config.seed;
-    ops = config.ops;
-    doc_nodes = config.doc_nodes;
-    group_commit = config.group_commit;
-    checkpoint_every = config.checkpoint_every }
 
 (* Pumps allowed for a replica to drain a whole backlog: generous — a
    parked shipper or converged replica exits the loop early anyway. *)
-let quiesce_bound config = 512 + (8 * config.ops)
+let quiesce_bound (config : Matrix.config) = 512 + (8 * config.ops)
 
 type id =
   | Primary_cell of int * Fault.mode
@@ -43,13 +25,10 @@ type id =
   | Channel_cell of int * Fault.mode
   | Divergence_probe
 
-let id_name = function
-  | Primary_cell (p, m) ->
-    Printf.sprintf "primary:P%d/%s" p (Fault.mode_name m)
-  | Replica_cell (p, m) ->
-    Printf.sprintf "replica:P%d/%s" p (Fault.mode_name m)
-  | Channel_cell (n, m) ->
-    Printf.sprintf "channel:C%d/%s" n (Fault.mode_name m)
+let cell_name = function
+  | Primary_cell (p, m) -> "primary:" ^ Matrix.coord_name 'P' p m
+  | Replica_cell (p, m) -> "replica:" ^ Matrix.coord_name 'P' p m
+  | Channel_cell (n, m) -> "channel:" ^ Matrix.coord_name 'C' n m
   | Divergence_probe -> "probe:divergence"
 
 let parse_cell s =
@@ -58,34 +37,13 @@ let parse_cell s =
     match String.index_opt s ':' with
     | None -> None
     | Some i -> (
-      let site = String.sub s 0 i in
       let rest = String.sub s (i + 1) (String.length s - i - 1) in
-      match String.index_opt rest '/' with
-      | None -> None
-      | Some j -> (
-        let coord = String.sub rest 0 j in
-        let mode_s = String.sub rest (j + 1) (String.length rest - j - 1) in
-        let num prefix =
-          if String.length coord < 2 || not (Char.equal coord.[0] prefix)
-          then None
-          else
-            match
-              int_of_string_opt (String.sub coord 1 (String.length coord - 1))
-            with
-            | Some n when n >= 1 -> Some n
-            | _ -> None
-        in
-        match Fault.mode_of_name mode_s with
-        | None -> None
-        | Some mode -> (
-          match site with
-          | "primary" ->
-            Option.map (fun p -> Primary_cell (p, mode)) (num 'P')
-          | "replica" ->
-            Option.map (fun p -> Replica_cell (p, mode)) (num 'P')
-          | "channel" ->
-            Option.map (fun n -> Channel_cell (n, mode)) (num 'C')
-          | _ -> None)))
+      let coord c k = Option.map k (Matrix.parse_coord c rest) in
+      match String.sub s 0 i with
+      | "primary" -> coord 'P' (fun (p, m) -> Primary_cell (p, m))
+      | "replica" -> coord 'P' (fun (p, m) -> Replica_cell (p, m))
+      | "channel" -> coord 'C' (fun (n, m) -> Channel_cell (n, m))
+      | _ -> None)
 
 type outcome =
   | Promoted of { applied : int; attempted : int }
@@ -96,89 +54,29 @@ type outcome =
   | Diverged_detected
   | Incomplete of { detail : string }
 
-type cell = { id : id; outcome : outcome; failures : string list }
-
-let cell_name c = id_name c.id
-
 type summary = {
-  config : config;
+  config : Matrix.config;
   primary_points : int;
   primary_init_points : int;
   replica_points : int;
   replica_init_points : int;
   channel_sends : int;
-  only : id option;
-  cells : cell list;
-  failed_cells : int;
+  sweep : (id, outcome) Matrix.sweep;
 }
-
-let expected_cells s =
-  match s.only with
-  | Some _ -> 1
-  | None ->
-    (3 * (s.primary_points + s.replica_points + s.channel_sends)) + 1
-
-let ok s = s.failed_cells = 0 && List.length s.cells = expected_cells s
 
 let describe s =
   Printf.sprintf
     "replica matrix: %d cells (%d primary pts + %d replica pts + %d \
      channel sends, x%d modes, + divergence probe): %s"
-    (List.length s.cells) s.primary_points s.replica_points s.channel_sends
+    (List.length s.sweep.Matrix.cells) s.primary_points s.replica_points
+    s.channel_sends
     (List.length Fault.all_modes)
-    (if s.failed_cells = 0 then "all verified"
-     else Printf.sprintf "%d FAILED" s.failed_cells)
-
-(* {1 Oracle comparison} *)
-
-let observe_labels ldoc =
-  Array.of_list (List.map snd (Labeled_doc.labeled_events ldoc))
-
-let doc_crc ldoc =
-  Checksum.crc32 (Serializer.to_string (Labeled_doc.document ldoc))
-
-let int_array_equal a b =
-  Array.length a = Array.length b
-  &&
-  let ok = ref true in
-  Array.iteri (fun i x -> if x <> b.(i) then ok := false) a;
-  !ok
-
-(* [verify_store] checks a surviving store against the oracle prefix at
-   [expect_seq]: labels, serialized-content CRC, and the full durability
-   invariant registry (reused from the store-level matrix). *)
-let verify_store config ~io ~dir ~oracle ~expect_seq t =
-  let fails = ref [] in
-  let fail fmt = Printf.ksprintf (fun s -> fails := s :: !fails) fmt in
-  let got = Durable_doc.last_seq t in
-  if got <> expect_seq then
-    fail "store at seq %d, expected oracle prefix %d" got expect_seq;
-  if expect_seq < 0 || expect_seq > config.ops then
-    fail "prefix %d outside the script" expect_seq
-  else begin
-    let ldoc = Durable_doc.ldoc t in
-    if
-      not
-        (int_array_equal (observe_labels ldoc)
-           oracle.Crash_matrix.labels.(expect_seq))
-    then fail "labels differ from oracle prefix %d" expect_seq;
-    if doc_crc ldoc <> oracle.Crash_matrix.crcs.(expect_seq) then
-      fail "content checksum differs from oracle prefix %d" expect_seq;
-    let reg = Invariant.create () in
-    Crash_matrix.register_invariants reg ~io ~dir
-      ~expected_labels:(fun () -> oracle.Crash_matrix.labels.(expect_seq))
-      t;
-    Invariant.register reg ~name:"recovery.doc-consistent"
-      ~depth:Invariant.Deep (fun () -> Labeled_doc.check ldoc);
-    List.iter
-      (fun f -> fail "invariant %s: %s" f.Invariant.name f.Invariant.detail)
-      (Invariant.run_all ~depth:Invariant.Deep reg)
-  end;
-  List.rev !fails
+    (if Matrix.ok s.sweep then "all verified"
+     else Printf.sprintf "%d FAILED" s.sweep.Matrix.failed_cells)
 
 (* {1 The scripted session} *)
 
-let session_config config ~down_plan =
+let session_config (config : Matrix.config) ~down_plan =
   { Session.default_config with
     Session.group_commit = config.group_commit;
     replica_group_commit = config.group_commit;
@@ -194,7 +92,7 @@ type run_result =
 (* One scripted run: create the pair, apply the whole script, quiesce.
    Everything is deterministic, so an armed cell replays the exact clean
    run up to its trigger. *)
-let run_scripted config ~psim ~rsim ~down_plan ?on_created ldoc script =
+let run_scripted (config : Matrix.config) ~psim ~rsim ~down_plan ?on_created ldoc script =
   let primary_io = Fault.sim_io psim and replica_io = Fault.sim_io rsim in
   let sc = session_config config ~down_plan in
   match
@@ -224,7 +122,7 @@ type profile = {
   c_sends : int;
 }
 
-let profile_run config bc script =
+let profile_run (config : Matrix.config) script =
   let psim = Fault.create_sim () and rsim = Fault.create_sim () in
   let p_init = ref 0 and r_init = ref 0 in
   match
@@ -232,7 +130,7 @@ let profile_run config bc script =
       ~on_created:(fun _ ->
         p_init := Fault.points psim;
         r_init := Fault.points rsim)
-      (Crash_matrix.base_ldoc bc) script
+      (Crash_matrix.base_ldoc config) script
   with
   | Completed session ->
     if not (Session.caught_up session) then
@@ -250,7 +148,7 @@ let profile_run config bc script =
 (* Primary crash: kill the primary at write point [p], fail over, and
    check the promoted replica is a bit-exact oracle prefix no longer
    than what the primary ever attempted. *)
-let eval_primary config ~bc ~script ~oracle ~prof (point, mode) =
+let eval_primary (config : Matrix.config) ~script ~oracle ~prof (point, mode) =
   let plan = { Fault.crash_point = point; mode; seed = config.seed } in
   let psim = Fault.create_sim ~plan () in
   let rsim = Fault.create_sim () in
@@ -280,17 +178,14 @@ let eval_primary config ~bc ~script ~oracle ~prof (point, mode) =
                           primary's %d"
             (Durable_doc.epoch promoted) old_epoch
           :: !fails;
-      let vfails =
-        if applied >= 0 && applied <= config.ops then
-          verify_store config ~io:(Fault.sim_io rsim) ~dir:"r" ~oracle
-            ~expect_seq:applied promoted
-        else []
-      in
-      (Promoted { applied; attempted }, List.rev !fails @ vfails)
+      ( Promoted { applied; attempted },
+        List.rev !fails
+        @ Matrix.verify_prefix oracle ~io:(Fault.sim_io rsim) ~dir:"r"
+            ~seq:applied promoted )
   in
   match
     run_scripted config ~psim ~rsim ~down_plan:Channel.ideal
-      (Crash_matrix.base_ldoc bc) script
+      (Crash_matrix.base_ldoc config) script
   with
   | Completed _ ->
     ( Incomplete { detail = "primary did not crash" },
@@ -313,13 +208,13 @@ let eval_primary config ~bc ~script ~oracle ~prof (point, mode) =
    it from its own surviving files, re-attach it to the live session,
    finish the script, and check the replica converges to the full
    oracle. *)
-let eval_replica config ~bc ~script ~oracle ~prof (point, mode) =
+let eval_replica (config : Matrix.config) ~script ~oracle ~prof (point, mode) =
   let plan = { Fault.crash_point = point; mode; seed = config.seed } in
   let psim = Fault.create_sim () in
   let rsim = Fault.create_sim ~plan () in
   match
     run_scripted config ~psim ~rsim ~down_plan:Channel.ideal
-      (Crash_matrix.base_ldoc bc) script
+      (Crash_matrix.base_ldoc config) script
   with
   | Completed _ ->
     ( Incomplete { detail = "replica did not crash" },
@@ -361,8 +256,7 @@ let eval_replica config ~bc ~script ~oracle ~prof (point, mode) =
       in
       let pre_fails =
         bound_fails
-        @ verify_store config ~io:io2 ~dir:"r" ~oracle ~expect_seq:recovered
-            store
+        @ Matrix.verify_prefix oracle ~io:io2 ~dir:"r" ~seq:recovered store
       in
       match session with
       | None ->
@@ -386,8 +280,7 @@ let eval_replica config ~bc ~script ~oracle ~prof (point, mode) =
           | None -> "re-attached replica has no store" :: fails
           | Some t ->
             fails
-            @ verify_store config ~io:io2 ~dir:"r" ~oracle
-                ~expect_seq:config.ops t
+            @ Matrix.verify_prefix oracle ~io:io2 ~dir:"r" ~seq:config.ops t
         in
         (Reattached { recovered_seq = recovered; resumed_from = resume_from },
          fails)))
@@ -395,13 +288,13 @@ let eval_replica config ~bc ~script ~oracle ~prof (point, mode) =
 (* Channel sever: cut the stream at the [n]th chunk (damaged per the
    mode), let the shipper burn its retries, reconnect, and check the
    replica fully resyncs. *)
-let eval_channel config ~bc ~script ~oracle (n, mode) =
+let eval_channel (config : Matrix.config) ~script ~oracle (n, mode) =
   let psim = Fault.create_sim () and rsim = Fault.create_sim () in
   let down_plan =
     { Channel.ideal with Channel.seed = config.seed; sever_at = Some (n, mode) }
   in
   match
-    run_scripted config ~psim ~rsim ~down_plan (Crash_matrix.base_ldoc bc)
+    run_scripted config ~psim ~rsim ~down_plan (Crash_matrix.base_ldoc config)
       script
   with
   | Crashed_in_create _ | Crashed_in_apply _ | Crashed_in_quiesce _ ->
@@ -419,21 +312,21 @@ let eval_channel config ~bc ~script ~oracle (n, mode) =
       match Replica.store (Session.replica session) with
       | None -> [ "replica unbootstrapped after resync" ]
       | Some t ->
-        verify_store config ~io:(Fault.sim_io rsim) ~dir:"r" ~oracle
-          ~expect_seq:config.ops t
+        Matrix.verify_prefix oracle ~io:(Fault.sim_io rsim) ~dir:"r"
+          ~seq:config.ops t
     in
     (Resynced, List.rev !fails @ vfails)
 
 (* Divergence probe: a rogue write sneaks into the replica's store
    outside the stream mid-run; the handshake discipline must detect it,
    and both reads and promotion must refuse. *)
-let eval_probe config ~bc ~script =
+let eval_probe (config : Matrix.config) ~script =
   let psim = Fault.create_sim () and rsim = Fault.create_sim () in
   let sc = session_config config ~down_plan:Channel.ideal in
   let session =
     Session.create ~config:sc ~primary_io:(Fault.sim_io psim)
       ~primary_dir:"p" ~replica_io:(Fault.sim_io rsim) ~replica_dir:"r"
-      (Crash_matrix.base_ldoc bc)
+      (Crash_matrix.base_ldoc config)
   in
   let half = List.length script / 2 in
   let first = List.filteri (fun i _ -> i < half) script in
@@ -476,95 +369,25 @@ let eval_probe config ~bc ~script =
 (* {1 The sweep} *)
 
 let run ?pool ?progress ?only ?inject config =
-  let bc = base_config config in
-  let script = Crash_matrix.generate_script bc in
-  let oracle = Crash_matrix.build_oracle bc script in
-  let prof = profile_run config bc script in
-  (match only with
-   | Some (Primary_cell (p, _)) when p > prof.p_points ->
-     invalid_arg
-       (Printf.sprintf
-          "Repl_matrix.run: --only primary point %d beyond the matrix (%d)"
-          p prof.p_points)
-   | Some (Replica_cell (p, _)) when p > prof.r_points ->
-     invalid_arg
-       (Printf.sprintf
-          "Repl_matrix.run: --only replica point %d beyond the matrix (%d)"
-          p prof.r_points)
-   | Some (Channel_cell (n, _)) when n > prof.c_sends ->
-     invalid_arg
-       (Printf.sprintf
-          "Repl_matrix.run: --only channel send %d beyond the matrix (%d)"
-          n prof.c_sends)
-   | _ -> ());
-  let descrs =
-    match only with
-    | Some id -> [| id |]
-    | None ->
-      Array.of_list
-        (List.concat_map
-           (fun mode ->
-             List.init prof.p_points (fun i -> Primary_cell (i + 1, mode))
-             @ List.init prof.r_points (fun i -> Replica_cell (i + 1, mode))
-             @ List.init prof.c_sends (fun i -> Channel_cell (i + 1, mode)))
-           Fault.all_modes
-        @ [ Divergence_probe ])
-  in
-  let total = Array.length descrs in
-  (* Cells are independent — each owns its fault sims, channels,
-     document, and both stores — so they fan out across the pool.  The
-     only shared mutable piece is the progress counter below. *)
-  let progress_mu = Mutex.create () in
-  let done_cells = ref 0 in
-  let note_progress () =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_mu;
-      incr done_cells;
-      let d = !done_cells in
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock progress_mu)
-        (fun () -> f ~done_cells:d ~total)
-  in
-  let eval_cell id =
-    if Ltree_obs.Recorder.is_enabled () then
-      Ltree_obs.Recorder.note ~kind:"cell"
-        ~attrs:[ ("phase", "start") ]
-        (id_name id);
-    let outcome, failures =
-      match id with
-      | Primary_cell (p, m) ->
-        eval_primary config ~bc ~script ~oracle ~prof (p, m)
-      | Replica_cell (p, m) ->
-        eval_replica config ~bc ~script ~oracle ~prof (p, m)
-      | Channel_cell (n, m) -> eval_channel config ~bc ~script ~oracle (n, m)
-      | Divergence_probe -> eval_probe config ~bc ~script
-    in
-    (* The injection hook forces a named cell to fail so the
-       bundle-on-failure path can be exercised end to end (obs-smoke);
-       it must look exactly like a real verification failure. *)
-    let failures =
-      match inject with
-      | Some inj when String.equal (id_name inj) (id_name id) ->
-        "injected failure (--inject-cell-failure)" :: failures
-      | _ -> failures
-    in
-    (match failures with
-     | [] -> ()
-     | f :: _ ->
-       if Ltree_obs.Recorder.is_enabled () then
-         Ltree_obs.Recorder.note ~kind:"cell"
-           ~attrs:[ ("phase", "failed"); ("failure", f) ]
-           (id_name id));
-    note_progress ();
-    { id; outcome; failures }
-  in
+  Matrix.validate config;
+  let script = Crash_matrix.generate_script config in
+  let oracle = Matrix.build_oracle (Crash_matrix.base_ldoc config) script in
+  let prof = profile_run config script in
   let cells =
-    match pool with
-    | Some pool ->
-      Array.to_list (Ltree_exec.Pool.map ~chunk:1 pool eval_cell descrs)
-    | None -> Array.to_list (Array.map eval_cell descrs)
+    Array.of_list
+      (List.concat_map
+         (fun mode ->
+           List.init prof.p_points (fun i -> Primary_cell (i + 1, mode))
+           @ List.init prof.r_points (fun i -> Replica_cell (i + 1, mode))
+           @ List.init prof.c_sends (fun i -> Channel_cell (i + 1, mode)))
+         Fault.all_modes
+      @ [ Divergence_probe ])
+  in
+  let eval = function
+    | Primary_cell (p, m) -> eval_primary config ~script ~oracle ~prof (p, m)
+    | Replica_cell (p, m) -> eval_replica config ~script ~oracle ~prof (p, m)
+    | Channel_cell (n, m) -> eval_channel config ~script ~oracle (n, m)
+    | Divergence_probe -> eval_probe config ~script
   in
   { config;
     primary_points = prof.p_points;
@@ -572,10 +395,5 @@ let run ?pool ?progress ?only ?inject config =
     replica_points = prof.r_points;
     replica_init_points = prof.r_init;
     channel_sends = prof.c_sends;
-    only;
-    cells;
-    failed_cells =
-      List.length
-        (List.filter
-           (fun c -> match c.failures with [] -> false | _ :: _ -> true)
-           cells) }
+    sweep =
+      Matrix.run ?pool ?progress ?only ?inject ~name:cell_name ~eval cells }

@@ -1,5 +1,6 @@
 (** The replica-level crash matrix: the {!Ltree_recovery.Crash_matrix}
-    discipline lifted to a replicated pair.
+    discipline lifted to a replicated pair, as an instance of
+    {!Ltree_recovery.Matrix}.
 
     One matrix run shares a seeded script and bit-exact oracle with the
     store-level matrix (same generator, same prefix labels and CRCs —
@@ -26,15 +27,7 @@
     Everything derives from [config.seed], so any failing cell replays
     exactly via [--only]. *)
 
-type config = {
-  seed : int;
-  ops : int;  (** script length *)
-  doc_nodes : int;  (** target size of the base document *)
-  group_commit : int;  (** both stores *)
-  checkpoint_every : int;
-}
-
-val default_config : config
+val default_config : Ltree_recovery.Matrix.config
 (** [{seed = 42; ops = 120; doc_nodes = 100; group_commit = 4;
     checkpoint_every = 24}] *)
 
@@ -47,9 +40,13 @@ type id =
       (** 1-based down-channel send *)
   | Divergence_probe
 
-(** [parse_cell s] parses a cell coordinate as printed in failure
-    output: ["primary:P12/torn"], ["replica:P5/clean"],
-    ["channel:C9/flip"], or ["probe:divergence"].  [None] otherwise. *)
+(** [cell_name id] is the cell's stable coordinate —
+    ["primary:P12/torn"], ["replica:P5/clean"], ["channel:C9/flip"] or
+    ["probe:divergence"] — printed with every failure and accepted back
+    by [--only]. *)
+val cell_name : id -> string
+
+(** [parse_cell s] is the exact inverse of {!cell_name}. *)
 val parse_cell : string -> id option
 
 type outcome =
@@ -64,49 +61,32 @@ type outcome =
   | Incomplete of { detail : string }  (** the cell never reached its
                                            verdict — always a failure *)
 
-type cell = { id : id; outcome : outcome; failures : string list }
-
-(** [cell_name c] is the cell's stable coordinate (inverse of
-    {!parse_cell}) — printed with every failure and accepted back by
-    [--only]. *)
-val cell_name : cell -> string
-
 type summary = {
-  config : config;
+  config : Ltree_recovery.Matrix.config;
   primary_points : int;  (** primary write points in one clean run *)
   primary_init_points : int;  (** consumed by session establishment *)
   replica_points : int;
   replica_init_points : int;  (** consumed by the bootstrap install *)
   channel_sends : int;  (** down-channel chunks in one clean run *)
-  only : id option;
-  cells : cell list;
-  failed_cells : int;
+  sweep : (id, outcome) Ltree_recovery.Matrix.sweep;
 }
-
-(** [ok s]: every cell verified and the sweep was complete. *)
-val ok : summary -> bool
 
 (** [describe s] is a one-line human summary of the sweep. *)
 val describe : summary -> string
 
-(** [run ?pool ?progress ?only ?inject config] executes the sweep.
-    Cells are independent (each owns its sims, channels, and both
-    stores) and fan out across [pool] when given; [progress] is
-    serialized under a mutex with a monotone [done_cells].  [only]
-    restricts the sweep to one cell — the profile pass still runs, so
-    the cell replays against the exact write-point and send numbering
-    of the full matrix.  [inject] forces the named cell to report one
-    synthetic verification failure (indistinguishable from a real one
-    downstream) — the hook behind [--inject-cell-failure], used to
-    exercise the flight-recorder bundle path.  Each evaluated cell
-    notes start/failure events (kind ["cell"], name = the exact cell
-    coordinate) into {!Ltree_obs.Recorder} when recording is on.
-    Raises [Invalid_argument] when the requested coordinate is outside
-    the profiled matrix. *)
+(** [run ?pool ?progress ?only ?inject config] executes the sweep
+    through {!Ltree_recovery.Matrix.run}.  Cells are independent (each
+    owns its sims, channels, and both stores).  [only] restricts the
+    sweep to one cell — the profile pass still runs, so the cell
+    replays against the exact write-point and send numbering of the
+    full matrix.  [inject] is the hook behind [--inject-cell-failure],
+    used to exercise the flight-recorder bundle path.  Raises
+    [Invalid_argument] for an invalid config or an [only] outside the
+    profiled matrix. *)
 val run :
   ?pool:Ltree_exec.Pool.t ->
   ?progress:(done_cells:int -> total:int -> unit) ->
   ?only:id ->
   ?inject:id ->
-  config ->
+  Ltree_recovery.Matrix.config ->
   summary

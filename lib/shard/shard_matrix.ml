@@ -1,12 +1,7 @@
-module Labeled_doc = Ltree_doc.Labeled_doc
-module Journal = Ltree_doc.Journal
-module Serializer = Ltree_xml.Serializer
-module Xml_gen = Ltree_workload.Xml_gen
-module Invariant = Ltree_analysis.Invariant
 module Fault = Ltree_recovery.Fault
 module Durable_doc = Ltree_recovery.Durable_doc
 module Crash_matrix = Ltree_recovery.Crash_matrix
-module Checksum = Ltree_recovery.Checksum
+module Matrix = Ltree_recovery.Matrix
 
 (* Monomorphic comparison prelude (lint rule R2). *)
 let ( = ) : int -> int -> bool = Stdlib.( = )
@@ -16,15 +11,14 @@ let ( > ) : int -> int -> bool = Stdlib.( > )
 let ( <= ) : int -> int -> bool = Stdlib.( <= )
 let ( >= ) : int -> int -> bool = Stdlib.( >= )
 
-(* The shard-level crash matrix: run the whole sharded stack, kill
-   exactly {e one} shard's disk at every one of its write points in
-   every damage mode, recover that shard {e alone} from its surviving
-   files, and verify the whole document:
+(* The shard-level crash matrix, an instance of {!Matrix}: run the whole
+   sharded stack, kill exactly {e one} shard's disk at every one of its
+   write points in every damage mode, recover that shard {e alone} from
+   its surviving files, and verify the whole document:
 
-   - the recovered shard's labels and content CRC are bit-identical to
-     its local oracle at the durable prefix, and the durable prefix
-     lies in [[synced_j, attempted_j]] for that shard;
-   - the standard durability invariants pass over the recovered store;
+   - the recovered shard passes {!Matrix.verify_prefix} against its
+     local oracle at the durable prefix, and the durable prefix lies in
+     [[synced_j, attempted_j]] for that shard;
    - every {e other} shard still sits at its full applied local prefix
      (a crash is contained: one shard's disk damage never touches a
      sibling's store);
@@ -32,74 +26,47 @@ let ( >= ) : int -> int -> bool = Stdlib.( >= )
      whose owning-shard commit completed — so recovered shard + live
      siblings + router compose back into the global oracle's document.
 
-   Everything derives from [config.seed]: the same global script as
-   {!Crash_matrix.generate_script} (global anchors route through the
+   Everything derives from [config.matrix.seed]: the same global script
+   as {!Crash_matrix.generate_script} (global anchors route through the
    sharded store unchanged), per-shard local scripts learned from a
    clean profile run, per-shard write points learned from each shard's
    own fault sim. *)
 
-type config = {
-  seed : int;
-  ops : int;  (** global script length *)
-  doc_nodes : int;
-  shards : int;
-  group_commit : int;
-  checkpoint_every : int;  (** global ops between all-shard rotations *)
-}
+type config = { matrix : Matrix.config; shards : int }
 
 let default_config =
-  { seed = 42; ops = 120; doc_nodes = 100; shards = 3; group_commit = 4;
-    checkpoint_every = 24 }
+  { matrix =
+      { Matrix.seed = 42; ops = 120; doc_nodes = 100; group_commit = 4;
+        checkpoint_every = 24 };
+    shards = 3 }
 
 let store_dir = "store"
-
-let crash_config config =
-  { Crash_matrix.seed = config.seed;
-    ops = config.ops;
-    doc_nodes = config.doc_nodes;
-    group_commit = config.group_commit;
-    checkpoint_every = config.checkpoint_every }
-
-let make_doc config =
-  Xml_gen.generate ~seed:config.seed
-    (Xml_gen.default_profile ~target_nodes:config.doc_nodes ())
-
-let generate_script config = Crash_matrix.generate_script (crash_config config)
-
-let observe_labels ldoc =
-  Array.of_list (List.map snd (Labeled_doc.labeled_events ldoc))
-
-let doc_crc ldoc =
-  Checksum.crc32 (Serializer.to_string (Labeled_doc.document ldoc))
-
-let int_array_equal a b =
-  Array.length a = Array.length b
-  &&
-  let rec go i = i >= Array.length a || (a.(i) = b.(i) && go (i + 1)) in
-  go 0
 
 (* {1 Profile pass}
 
    One clean run of the whole sharded workload: learns each shard's
-   local script (via the local-entry hook), each shard's write-point
-   count and how many points its initialization consumed. *)
+   write-point count, how many points its initialization consumed, and
+   its local script (via the local-entry hook).  The local script,
+   replayed on a pristine copy of the shard's initial document, is the
+   shard's oracle. *)
 
 type shard_profile = {
-  locals : Journal.entry array;  (** the shard's local script, in order *)
   init_points : int;
   total_points : int;
+  oracle : Matrix.oracle;  (** over the shard's local script *)
 }
 
 let build_sharded ?sim_for config =
-  Sharded_doc.create ~group_commit:config.group_commit ?sim_for
-    ~shards:config.shards (make_doc config)
+  Sharded_doc.create ~group_commit:config.matrix.Matrix.group_commit ?sim_for
+    ~shards:config.shards
+    (Crash_matrix.base_doc config.matrix)
 
 let drive ?on_op ?on_checkpoint config script sdoc =
   List.iteri
     (fun i entry ->
       Sharded_doc.apply sdoc entry;
       (match on_op with None -> () | Some f -> f (i + 1));
-      if (i + 1) mod config.checkpoint_every = 0 then begin
+      if (i + 1) mod config.matrix.Matrix.checkpoint_every = 0 then begin
         Sharded_doc.checkpoint sdoc;
         match on_checkpoint with None -> () | Some f -> f ()
       end)
@@ -115,41 +82,17 @@ let profile config script =
   Sharded_doc.set_local_entry_hook sdoc
     (Some (fun sid e -> locals.(sid) <- e :: locals.(sid)));
   drive config script sdoc;
-  Array.init config.shards (fun j ->
-      { locals = Array.of_list (List.rev locals.(j));
-        init_points = init_points.(j);
-        total_points = Fault.points (Sharded_doc.shard_sim sdoc j) })
-
-(* {1 Oracles}
-
-   A local oracle per shard — labels + content CRC after every prefix
-   of the shard's local script, replayed on a pristine copy of the
-   shard's initial document — plus the global oracle over the router
-   (shared with the unsharded matrix).  L-Tree label determinism makes
-   both bit-exact. *)
-
-type oracle = { labels : int array array; crcs : int array }
-
-let shard_oracles config profiles =
   let pristine = build_sharded config in
-  Array.mapi
-    (fun j prof ->
-      let ldoc = Sharded_doc.shard_ldoc pristine j in
-      let n = Array.length prof.locals in
-      let labels = Array.make (n + 1) [||] in
-      let crcs = Array.make (n + 1) 0 in
-      labels.(0) <- observe_labels ldoc;
-      crcs.(0) <- doc_crc ldoc;
-      Array.iteri
-        (fun i e ->
-          Journal.apply_entry ldoc e;
-          labels.(i + 1) <- observe_labels ldoc;
-          crcs.(i + 1) <- doc_crc ldoc)
-        prof.locals;
-      { labels; crcs })
-    profiles
+  Array.init config.shards (fun j ->
+      { init_points = init_points.(j);
+        total_points = Fault.points (Sharded_doc.shard_sim sdoc j);
+        oracle =
+          Matrix.build_oracle (Sharded_doc.shard_ldoc pristine j)
+            (List.rev locals.(j)) })
 
 (* {1 Results} *)
+
+type id = int * int * Fault.mode
 
 type outcome =
   | Recovered of {
@@ -160,50 +103,28 @@ type outcome =
     }
   | Unrecoverable of { fault_kinds : string list }
 
-type cell = {
-  shard : int;
-  point : int;
-  mode : Fault.mode;
-  outcome : outcome;
-  failures : string list;
-}
-
-let point_name ~shard ~point ~mode =
-  Printf.sprintf "S%d/P%d/%s" shard point (Fault.mode_name mode)
-
-let cell_name c = point_name ~shard:c.shard ~point:c.point ~mode:c.mode
+let cell_name (shard, point, mode) =
+  Printf.sprintf "S%d/%s" shard (Matrix.coord_name 'P' point mode)
 
 let parse_cell s =
   match String.index_opt s '/' with
   | None -> None
-  | Some slash ->
-    let coord = String.sub s 0 slash in
+  | Some slash when slash >= 1 && Char.equal s.[0] 'S' -> (
     let rest = String.sub s (slash + 1) (String.length s - slash - 1) in
-    if String.length coord < 2 || not (Char.equal coord.[0] 'S') then None
-    else (
-      match
-        ( int_of_string_opt (String.sub coord 1 (String.length coord - 1)),
-          Crash_matrix.parse_cell rest )
-      with
-      | Some shard, Some (point, mode) when shard >= 0 ->
-        Some (shard, point, mode)
-      | _ -> None)
+    match
+      ( Matrix.parse_nat (String.sub s 1 (slash - 1)),
+        Matrix.parse_coord 'P' rest )
+    with
+    | Some shard, Some (point, mode) -> Some (shard, point, mode)
+    | _ -> None)
+  | Some _ -> None
 
 type summary = {
   config : config;
-  total_points : int array;  (** per-shard write points, clean run *)
+  total_points : int array;
   init_points : int array;
-  only : (int * int * Fault.mode) option;
-  cells : cell list;
-  failed_cells : int;
+  sweep : (id, outcome) Matrix.sweep;
 }
-
-let ok s =
-  s.failed_cells = 0
-  && List.length s.cells
-     = (match s.only with
-        | Some _ -> 1
-        | None -> 3 * Array.fold_left ( + ) 0 s.total_points)
 
 (* {1 One cell} *)
 
@@ -214,9 +135,11 @@ type cell_state = {
   per_shard_applied : int array;  (** local ops begun, per sid *)
 }
 
-let eval_cell config script (profiles : shard_profile array) oracles
-    global_oracle (j, point, mode) =
-  let plan = { Fault.crash_point = point; mode; seed = config.seed } in
+let eval_cell config script (profiles : shard_profile array) global_oracle
+    (j, point, mode) =
+  let plan =
+    { Fault.crash_point = point; mode; seed = config.matrix.Matrix.seed }
+  in
   let armed = Fault.create_sim ~plan () in
   let sim_for sid = if sid = j then armed else Fault.create_sim () in
   let state =
@@ -246,62 +169,40 @@ let eval_cell config script (profiles : shard_profile array) oracles
     | () -> false
     | exception Fault.Crash _ -> true
   in
-  let files = Fault.dump armed in
-  let rsim = Fault.create_sim ~files () in
+  let rsim = Fault.create_sim ~files:(Fault.dump armed) () in
   let io = Fault.sim_io rsim in
-  let oracle = oracles.(j) in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   if not crashed then fail "workload did not crash at an in-range point";
   let outcome =
     match
-      Durable_doc.recover ~io ~group_commit:config.group_commit
+      Durable_doc.recover ~io ~group_commit:config.matrix.Matrix.group_commit
         ~dir:store_dir ()
     with
     | Error faults ->
       let kinds = List.map Durable_doc.fault_kind faults in
       (* Losing a whole shard store is legitimate only when the crash
          predates the shard's very first completed checkpoint. *)
-      if
-        not
-          (state.attempted = 0 && point <= profiles.(j).init_points)
-      then
+      if not (state.attempted = 0 && point <= profiles.(j).init_points) then
         fail "shard %d unrecoverable after %d local ops (point %d): %s" j
           state.attempted point
           (String.concat ", " kinds);
       Unrecoverable { fault_kinds = kinds }
     | Ok (report, rt) ->
-      let kinds = List.map Durable_doc.fault_kind report.Durable_doc.faults in
       let durable = report.Durable_doc.durable_seq in
       if durable < state.synced || durable > state.attempted then
         fail "shard %d durable seq %d outside [synced %d, attempted %d]" j
           durable state.synced state.attempted;
-      if durable < 0 || durable > Array.length profiles.(j).locals then
-        fail "shard %d durable seq %d outside its local script" j durable
-      else begin
-        let ldoc = Durable_doc.ldoc rt in
-        if not (int_array_equal (observe_labels ldoc) oracle.labels.(durable))
-        then fail "shard %d labels differ from local oracle prefix %d" j durable;
-        if doc_crc ldoc <> oracle.crcs.(durable) then
-          fail "shard %d content CRC differs from local oracle prefix %d" j
-            durable;
-        let reg = Invariant.create () in
-        Crash_matrix.register_invariants reg ~io ~dir:store_dir
-          ~expected_labels:(fun () -> oracle.labels.(durable))
-          rt;
-        Invariant.register reg ~name:"shard.recovered-doc-consistent"
-          ~depth:Invariant.Deep (fun () -> Labeled_doc.check ldoc);
-        List.iter
-          (fun f ->
-            fail "shard %d invariant %s: %s" j f.Invariant.name
-              f.Invariant.detail)
-          (Invariant.run_all ~depth:Invariant.Deep reg)
-      end;
+      List.iter
+        (fun f -> fail "shard %d: %s" j f)
+        (Matrix.verify_prefix profiles.(j).oracle ~io ~dir:store_dir
+           ~seq:durable rt);
       Recovered
         { durable_seq = durable;
           attempted = state.attempted;
           synced = state.synced;
-          fault_kinds = kinds }
+          fault_kinds =
+            List.map Durable_doc.fault_kind report.Durable_doc.faults }
   in
   (* Containment: the un-armed shards and the router twin must sit at
      exactly the prefixes that completed before the crash — recovered
@@ -315,92 +216,43 @@ let eval_cell config script (profiles : shard_profile array) oracles
      for q = 0 to config.shards - 1 do
        if q <> j then begin
          let applied = state.per_shard_applied.(q) in
-         let got = observe_labels (Sharded_doc.shard_ldoc sdoc q) in
-         if not (int_array_equal got oracles.(q).labels.(applied)) then
-           fail "sibling shard %d not at its applied prefix %d" q applied
+         let got = Matrix.observe_labels (Sharded_doc.shard_ldoc sdoc q) in
+         if
+           not
+             (Matrix.int_array_equal got
+                profiles.(q).oracle.Matrix.labels.(applied))
+         then fail "sibling shard %d not at its applied prefix %d" q applied
        end
      done;
-     let got = observe_labels (Sharded_doc.router sdoc) in
-     let want = global_oracle.Crash_matrix.labels.(state.applied_global) in
-     if not (int_array_equal got want) then
+     let got = Matrix.observe_labels (Sharded_doc.router sdoc) in
+     let want = global_oracle.Matrix.labels.(state.applied_global) in
+     if not (Matrix.int_array_equal got want) then
        fail "router twin not at global prefix %d" state.applied_global);
-  { shard = j; point; mode; outcome; failures = List.rev !failures }
+  (outcome, List.rev !failures)
 
 (* {1 The sweep} *)
 
 let run ?pool ?progress ?only config =
-  if config.ops < 1 then invalid_arg "Shard_matrix.run: ops must be >= 1";
-  if config.shards < 1 then
-    invalid_arg "Shard_matrix.run: shards must be >= 1";
-  (match only with
-   | Some (shard, point, _) ->
-     if shard < 0 || shard >= config.shards then
-       invalid_arg "Shard_matrix.run: --only shard out of range";
-     if point < 1 then invalid_arg "Shard_matrix.run: --only point must be >= 1"
-   | None -> ());
-  let script = generate_script config in
+  Matrix.validate ~extra:[ ("shards", config.shards) ] config.matrix;
+  let script = Crash_matrix.generate_script config.matrix in
   let profiles = profile config script in
-  let oracles = shard_oracles config profiles in
-  let global_oracle = Crash_matrix.build_oracle (crash_config config) script in
-  let total =
-    3 * Array.fold_left (fun a (p : shard_profile) -> a + p.total_points) 0
-          profiles
-  in
-  let progress_mu = Mutex.create () in
-  let done_cells = ref 0 in
-  let note_progress () =
-    match progress with
-    | None -> ()
-    | Some f ->
-      Mutex.lock progress_mu;
-      incr done_cells;
-      let d = !done_cells in
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock progress_mu)
-        (fun () ->
-          f ~done_cells:d
-            ~total:(match only with Some _ -> 1 | None -> total))
-  in
-  let eval descr =
-    let cell =
-      eval_cell config script profiles oracles global_oracle descr
-    in
-    note_progress ();
-    cell
-  in
-  let descrs =
-    match only with
-    | Some (shard, point, mode) ->
-      if point > profiles.(shard).total_points then
-        invalid_arg
-          (Printf.sprintf
-             "Shard_matrix.run: --only point %d beyond shard %d's %d write \
-              points"
-             point shard profiles.(shard).total_points);
-      [| (shard, point, mode) |]
-    | None ->
-      Array.of_list
-        (List.concat_map
-           (fun mode ->
-             List.concat
-               (List.init config.shards (fun j ->
-                    List.init profiles.(j).total_points (fun i ->
-                        (j, i + 1, mode)))))
-           Fault.all_modes)
+  let global_oracle =
+    Matrix.build_oracle (Crash_matrix.base_ldoc config.matrix) script
   in
   let cells =
-    match pool with
-    | Some pool ->
-      Array.to_list (Ltree_exec.Pool.map ~chunk:1 pool eval descrs)
-    | None -> Array.to_list (Array.map eval descrs)
+    Array.of_list
+      (List.concat_map
+         (fun mode ->
+           List.concat
+             (List.init config.shards (fun j ->
+                  List.init profiles.(j).total_points (fun i ->
+                      (j, i + 1, mode)))))
+         Fault.all_modes)
   in
   { config;
     total_points = Array.map (fun (p : shard_profile) -> p.total_points) profiles;
     init_points = Array.map (fun (p : shard_profile) -> p.init_points) profiles;
-    only;
-    cells;
-    failed_cells =
-      List.length
-        (List.filter
-           (fun c -> match c.failures with [] -> false | _ :: _ -> true)
-           cells) }
+    sweep =
+      Matrix.run ?pool ?progress ?only ~name:cell_name
+        ~eval:(eval_cell config script profiles global_oracle)
+        cells }

@@ -4,37 +4,29 @@
     from its surviving files, and verify the whole document — the
     recovered shard against its local oracle at the durable prefix,
     every sibling shard at its full applied prefix, and the router twin
-    at the global prefix of completed operations.  Everything derives
-    from [config.seed]: the global script is byte-identical to
-    {!Ltree_recovery.Crash_matrix.generate_script}'s (global anchors
-    route through the sharded store unchanged); per-shard local scripts
-    and write-point counts are learned from one clean profile run. *)
+    at the global prefix of completed operations.  An instance of
+    {!Ltree_recovery.Matrix}.  Everything derives from the config seed:
+    the global script is {!Ltree_recovery.Crash_matrix.generate_script}'s
+    (global anchors route through the sharded store unchanged);
+    per-shard local scripts and write-point counts are learned from one
+    clean profile run. *)
 
 type config = {
-  seed : int;
-  ops : int;  (** global script length *)
-  doc_nodes : int;
+  matrix : Ltree_recovery.Matrix.config;
+      (** [ops] is the global script length; [checkpoint_every] counts
+          global ops between all-shard rotations; [group_commit] is per
+          shard *)
   shards : int;
-  group_commit : int;
-  checkpoint_every : int;  (** global ops between all-shard rotations *)
 }
 
-(** [{seed = 42; ops = 120; doc_nodes = 100; shards = 3;
-    group_commit = 4; checkpoint_every = 24}] *)
+(** [{matrix = {seed = 42; ops = 120; doc_nodes = 100; group_commit = 4;
+    checkpoint_every = 24}; shards = 3}] *)
 val default_config : config
 
-(** {1 Pieces exposed for the harness and tests} *)
-
-(** The equivalent unsharded matrix config (same seed/ops/doc). *)
-val crash_config : config -> Ltree_recovery.Crash_matrix.config
-
-val make_doc : config -> Ltree_xml.Dom.document
-
-(** The global script — {!Ltree_recovery.Crash_matrix.generate_script}
-    over {!crash_config}. *)
-val generate_script : config -> Ltree_doc.Journal.entry list
-
 (** {1 Results} *)
+
+(** A cell: shard x write point within that shard's own disk x mode. *)
+type id = int * int * Ltree_recovery.Fault.mode
 
 type outcome =
   | Recovered of {
@@ -45,46 +37,30 @@ type outcome =
     }
   | Unrecoverable of { fault_kinds : string list }
 
-type cell = {
-  shard : int;
-  point : int;  (** write point within the armed shard's own disk *)
-  mode : Ltree_recovery.Fault.mode;
-  outcome : outcome;
-  failures : string list;  (** empty iff the cell is green *)
-}
-
-(** [cell_name c] is the cell's stable coordinate,
+(** [cell_name id] is the cell's stable coordinate,
     [S<shard>/P<point>/<mode>] — e.g. [S1/P37/torn]. *)
-val cell_name : cell -> string
+val cell_name : id -> string
 
-(** [parse_cell s] inverts {!cell_name}: [Some (shard, point, mode)]
-    for a well-formed coordinate, [None] otherwise. *)
-val parse_cell : string -> (int * int * Ltree_recovery.Fault.mode) option
+(** [parse_cell s] is the exact inverse of {!cell_name}. *)
+val parse_cell : string -> id option
 
 type summary = {
   config : config;
   total_points : int array;  (** per-shard write points, clean run *)
   init_points : int array;
       (** per-shard points consumed by initialization alone *)
-  only : (int * int * Ltree_recovery.Fault.mode) option;
-  cells : cell list;
-  failed_cells : int;
+  sweep : (id, outcome) Ltree_recovery.Matrix.sweep;
 }
 
-(** Every cell green and the sweep complete (or the one [--only] cell
-    green). *)
-val ok : summary -> bool
-
-(** [run ?pool ?progress ?only config] sweeps shard x point x mode.
-    Cells are independent and fan out over [pool] when given; cell
-    order is deterministic.  [only] restricts the sweep to one
-    [(shard, point, mode)] cell — the profile pass still runs, so the
-    cell replays against the same numbering as the full matrix.  Raises
-    [Invalid_argument] for out-of-range [only] coordinates, [ops < 1]
-    or [shards < 1]. *)
+(** [run ?pool ?progress ?only config] sweeps shard x point x mode
+    through {!Ltree_recovery.Matrix.run}.  [only] restricts the sweep
+    to one cell — the profile pass still runs, so the cell replays
+    against the same numbering as the full matrix.  Raises
+    [Invalid_argument] for an invalid config (any count, [shards]
+    included, below 1) or an [only] outside the matrix. *)
 val run :
   ?pool:Ltree_exec.Pool.t ->
   ?progress:(done_cells:int -> total:int -> unit) ->
-  ?only:(int * int * Ltree_recovery.Fault.mode) ->
+  ?only:id ->
   config ->
   summary

@@ -110,6 +110,14 @@ let allowlist_note () =
     "the allowlisted finding itself is suppressed" false
     (List.mem "R8|Fix_race.record|global-write|Fix_race.table" fps)
 
+let r8_through_matrix_engine () =
+  (* [Matrix.run] spawns a wrapper of its [~eval], so an instance's
+     [~eval] closure is a parallel scope of its own *)
+  Alcotest.(check (list string))
+    "captured-ref write in an ~eval closure is flagged"
+    [ "R8|Fix_matrix.run_instance|captured-write|verified" ]
+    (fingerprints base [ fixture "fix_matrix.ml" "Fix_matrix" ])
+
 (* {1 R9} *)
 
 let r9_seeded () =
@@ -190,6 +198,8 @@ let suite =
     [
       case "seeded R8 fixture violations" `Quick r8_seeded;
       case "R8 reaches writes interprocedurally" `Quick r8_interprocedural;
+      case "R8 sees ~eval closures passed to a matrix engine" `Quick
+        r8_through_matrix_engine;
       case "clean parallel scopes stay silent (Atomic/DLS/local)" `Quick
         r8_clean;
       case "stale race_allow entries raise A1" `Quick allowlist_stale;

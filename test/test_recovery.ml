@@ -361,13 +361,14 @@ let replay_error_typed () =
 
 let quick_crash_matrix () =
   let config =
-    { Crash_matrix.seed = 7; ops = 25; doc_nodes = 40; group_commit = 3;
+    { Matrix.seed = 7; ops = 25; doc_nodes = 40; group_commit = 3;
       checkpoint_every = 8 }
   in
   let s = Crash_matrix.run config in
   Alcotest.(check bool) "matrix exhaustive and green" true
-    (Crash_matrix.ok s);
-  Alcotest.(check int) "every cell verified" 0 s.Crash_matrix.failed_cells;
+    (Matrix.ok s.Crash_matrix.sweep);
+  Alcotest.(check int) "every cell verified" 0
+    s.Crash_matrix.sweep.Matrix.failed_cells;
   Alcotest.(check bool) "matrix is not trivial" true
     (s.Crash_matrix.total_points > 20)
 

@@ -13,6 +13,8 @@ module Pool = Ltree_exec.Pool
 module Fault = Ltree_recovery.Fault
 module Sharded_doc = Ltree_shard.Sharded_doc
 module Shard_matrix = Ltree_shard.Shard_matrix
+module Matrix = Ltree_recovery.Matrix
+module Crash_matrix = Ltree_recovery.Crash_matrix
 module Read_snapshot = Ltree_exec.Read_snapshot
 module Column = Ltree_core.Column
 module Counters = Ltree_metrics.Counters
@@ -177,14 +179,15 @@ let k1_byte_identical () =
 
 let k3_agreement_after_writes () =
   let config =
-    { Shard_matrix.default_config with Shard_matrix.ops = 60; doc_nodes = 80 }
+    { Shard_matrix.default_config.Shard_matrix.matrix with
+      Matrix.ops = 60; doc_nodes = 80 }
   in
-  let sd = Sharded_doc.create ~shards:3 (Shard_matrix.make_doc config) in
+  let sd = Sharded_doc.create ~shards:3 (Crash_matrix.base_doc config) in
   List.iteri
     (fun i entry ->
       Sharded_doc.apply sd entry;
       if (i + 1) mod 20 = 0 then Sharded_doc.checkpoint sd)
-    (Shard_matrix.generate_script config);
+    (Crash_matrix.generate_script config);
   List.iter
     (fun size ->
       Pool.with_pool ~size (fun pool ->
@@ -518,33 +521,35 @@ let maybe_rebalance_triggers () =
 
 let matrix_smoke () =
   let config =
-    { Shard_matrix.seed = 42; ops = 12; doc_nodes = 40; shards = 2;
-      group_commit = 4; checkpoint_every = 6 }
+    { Shard_matrix.matrix =
+        { Matrix.seed = 42; ops = 12; doc_nodes = 40; group_commit = 4;
+          checkpoint_every = 6 };
+      shards = 2 }
   in
   let s = Shard_matrix.run config in
-  Alcotest.(check bool) "matrix clean" true (Shard_matrix.ok s);
-  Alcotest.(check int) "no failed cells" 0 s.Shard_matrix.failed_cells;
+  Alcotest.(check bool) "matrix clean" true (Matrix.ok s.Shard_matrix.sweep);
+  Alcotest.(check int) "no failed cells" 0
+    s.Shard_matrix.sweep.Matrix.failed_cells;
   Alcotest.(check int) "two shards swept" 2
     (Array.length s.Shard_matrix.total_points)
 
 let matrix_only_cell () =
   let config =
-    { Shard_matrix.seed = 42; ops = 12; doc_nodes = 40; shards = 2;
-      group_commit = 4; checkpoint_every = 6 }
+    { Shard_matrix.matrix =
+        { Matrix.seed = 42; ops = 12; doc_nodes = 40; group_commit = 4;
+          checkpoint_every = 6 };
+      shards = 2 }
   in
   let only = (1, 7, Fault.Torn) in
   let s = Shard_matrix.run ~only config in
-  Alcotest.(check int) "one cell" 1 (List.length s.Shard_matrix.cells);
-  Alcotest.(check bool) "cell green" true (Shard_matrix.ok s)
+  Alcotest.(check int) "one cell" 1
+    (List.length s.Shard_matrix.sweep.Matrix.cells);
+  Alcotest.(check bool) "cell green" true (Matrix.ok s.Shard_matrix.sweep)
 
 let parse_cell_roundtrip () =
   List.iter
     (fun (shard, point, mode) ->
-      let c =
-        { Shard_matrix.shard; point; mode;
-          outcome = Shard_matrix.Unrecoverable { fault_kinds = [] };
-          failures = [] }
-      in
+      let c = (shard, point, mode) in
       Alcotest.(check bool)
         (Shard_matrix.cell_name c)
         true

@@ -93,18 +93,13 @@ let default_config =
            buffers (slot index = chunk index, pairwise disjoint), \
            merged after the pool barrier; audited in DESIGN.md \
            section 11" );
-        ( "Ltree_recovery.Crash_matrix.run.*",
-          "matrix cells share the replay cache and progress counter \
-           under cache_mu/progress_mu; audited in DESIGN.md section 9" );
-        ( "Ltree_shard.Shard_matrix.run.*",
-          "shard-matrix cells are fully independent (each arms its own \
-           sim and rebuilds the whole sharded store); the only shared \
-           state is the progress counter under progress_mu; audited in \
-           DESIGN.md section 13" );
-        ( "Ltree_replication.Repl_matrix.run.*",
-          "replica-matrix cells are fully independent (own sims, \
-           channels and stores); the only shared state is the progress \
-           counter under progress_mu; audited in DESIGN.md section 12" );
+        ( "Ltree_recovery.Matrix.run.*",
+          "the matrix engine's only shared state is the progress counter \
+           under progress_mu; each instance's eval owns its sims, \
+           documents and stores; audited in DESIGN.md section 9" );
+        ( "Ltree_recovery.Crash_matrix.run.eval",
+          "store-matrix cells share the memoized query cache under \
+           cache_mu; audited in DESIGN.md section 9" );
         ( "Ltree_obs.Span.*",
           "the process-wide trace ring is the R7-allowlisted global; \
            every access runs under ring_mu; audited in DESIGN.md \

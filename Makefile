@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-query bench-recovery bench-parallel bench-parallel-smoke bench-replication bench-shard bench-shard-smoke examples soak lint analyze analyze-baseline selfcheck selfcheck-quick crash-matrix crash-matrix-quick replica-matrix shard-matrix shard-matrix-quick replicate-smoke trace-smoke obs-smoke ci clean
+.PHONY: all build test bench bench-query bench-recovery bench-parallel bench-parallel-smoke bench-replication bench-shard bench-shard-smoke examples soak lint analyze analyze-baseline selfcheck selfcheck-quick crash-matrix crash-matrix-quick matrix-summaries replica-matrix shard-matrix shard-matrix-quick replicate-smoke trace-smoke obs-smoke ci clean
 
 all: build
 
@@ -81,6 +81,19 @@ replicate-smoke:
 	dune exec bin/ltree_cli.exe -- crash-matrix --replica --ops 96 \
 	  --nodes 40 --group-commit 4 --checkpoint-every 64
 
+# The quick matrices with their shape pinned: crash-matrix-quick,
+# shard-matrix-quick and replicate-smoke must pass, and their summary
+# lines (progress lines dropped) must equal test/matrix_summaries.expected,
+# so a matrix that silently loses write points or cells fails too.
+matrix-summaries:
+	@mkdir -p _build
+	@$(MAKE) -s --no-print-directory crash-matrix-quick shard-matrix-quick \
+	  replicate-smoke > _build/matrix_summaries.log 2>&1 \
+	  || { cat _build/matrix_summaries.log; exit 1; }
+	@grep -v '^  \.\.\.' _build/matrix_summaries.log \
+	  > _build/matrix_summaries.txt
+	diff -u test/matrix_summaries.expected _build/matrix_summaries.txt
+
 # Observability smoke: replay a workload with tracing on, export the
 # trace as JSONL and verify every line parses and the span tree covers
 # the ltree, relstore and recovery layers.
@@ -110,12 +123,10 @@ obs-smoke:
 ci:
 	dune build @all && dune runtest --force && dune build @lint && \
 	$(MAKE) analyze && \
-	$(MAKE) selfcheck-quick && $(MAKE) crash-matrix-quick && \
-	$(MAKE) shard-matrix-quick && \
+	$(MAKE) selfcheck-quick && $(MAKE) matrix-summaries && \
 	$(MAKE) trace-smoke && $(MAKE) obs-smoke && \
 	$(MAKE) bench-parallel-smoke && \
 	$(MAKE) bench-shard-smoke && \
-	$(MAKE) replicate-smoke && \
 	dune exec bench/exp_query.exe -- --n 2000 --queries 100 \
 	  --json _build/BENCH_query.smoke.json
 

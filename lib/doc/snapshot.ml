@@ -5,58 +5,85 @@ exception Corrupt of string
 
 let magic = "ltree-snapshot 1"
 
-(* Decoded lengths of the document's text nodes, in order.  Serializing
-   and reparsing merges adjacent text siblings; the lengths let the
-   loader split them back. *)
-let text_lengths doc =
-  let acc = ref [] in
-  let i = ref 0 in
-  (match (doc : Dom.document).root with
-   | None -> ()
-   | Some root ->
-     Dom.iter_preorder root (fun n ->
-         match Dom.kind n with
-         | Dom.Text s ->
-           if s = "" then
-             invalid_arg
-               (Printf.sprintf
-                  "Snapshot.save: text node #%d (document order, dom id \
-                   %d) is empty — empty text nodes vanish in the \
-                   serialization and cannot be snapshotted"
-                  !i (Dom.id n));
-           incr i;
-           acc := String.length s :: !acc
-         | Dom.Element _ | Dom.Comment _ | Dom.Pi _ -> ()));
-  List.rev !acc
+(* [iter_texts f nodes] visits the text nodes under [nodes] in document
+   order.  Plain recursion, not [Dom.iter_preorder], so no closure is
+   built per node. *)
+let rec iter_texts f = function
+  | [] -> ()
+  | n :: rest ->
+    (match Dom.kind n with
+     | Dom.Text s -> f n s
+     | Dom.Element _ | Dom.Comment _ | Dom.Pi _ ->
+       iter_texts f (Dom.children n));
+    iter_texts f rest
 
+(* The number of text nodes, after checking that none is empty. *)
+let count_texts roots =
+  let count = ref 0 in
+  iter_texts
+    (fun n s ->
+      if s = "" then
+        invalid_arg
+          (Printf.sprintf
+             "Snapshot.save: text node #%d (document order, dom id %d) is \
+              empty — empty text nodes vanish in the serialization and \
+              cannot be snapshotted"
+             !count (Dom.id n));
+      incr count)
+    roots;
+  !count
+
+(* [add_digits scratch n pos] writes the decimal digits of [n >= 0]
+   right to left into [scratch], ending at [pos], and returns the
+   position of the first. *)
+let rec add_digits scratch n pos =
+  Bytes.set scratch pos (Char.chr (Char.code '0' + (n mod 10)));
+  if n < 10 then pos else add_digits scratch (n / 10) (pos - 1)
+
+(* Every integer goes straight into the one buffer: the label line of a
+   large document is the bulk of a checkpoint, so no per-entry string
+   is built. *)
 let save ldoc =
   let tree = Labeled_doc.tree ldoc in
   let params = Ltree.params tree in
-  let labels = Ltree.labels tree in
-  let deleted = ref [] in
-  let i = ref 0 in
-  Ltree.iter_leaves tree (fun l ->
-      if Ltree.is_deleted l then deleted := !i :: !deleted;
-      incr i);
-  let texts = text_lengths (Labeled_doc.document ldoc) in
-  let buf = Buffer.create (4096 + (Array.length labels * 8)) in
+  let doc = Labeled_doc.document ldoc in
+  let roots = Option.to_list doc.Dom.root in
+  let ntexts = count_texts roots in
+  let nslots = Ltree.length tree in
+  let buf = Buffer.create (4096 + (nslots * 8)) in
+  (* Labels, slot indices and text lengths are never negative; 19
+     bytes hold the digits of any of them. *)
+  let scratch = Bytes.create 19 in
+  let add_entry n =
+    if n < 0 then invalid_arg "Snapshot.save: negative entry";
+    let pos = add_digits scratch n 18 in
+    Buffer.add_char buf ' ';
+    Buffer.add_subbytes buf scratch pos (19 - pos)
+  in
   Buffer.add_string buf magic;
   Buffer.add_char buf '\n';
   Buffer.add_string buf
     (Printf.sprintf "params %d %d\n" params.Params.f params.Params.s);
   Buffer.add_string buf (Printf.sprintf "height %d\n" (Ltree.height tree));
-  Buffer.add_string buf (Printf.sprintf "labels %d" (Array.length labels));
-  Array.iter (fun l -> Buffer.add_string buf (" " ^ string_of_int l)) labels;
+  Buffer.add_string buf (Printf.sprintf "labels %d" nslots);
+  let ndeleted = ref 0 in
+  Ltree.iter_leaves tree (fun l ->
+      add_entry (Ltree.label tree l);
+      if Ltree.is_deleted l then incr ndeleted);
   Buffer.add_char buf '\n';
-  let deleted = List.rev !deleted in
-  Buffer.add_string buf (Printf.sprintf "deleted %d" (List.length deleted));
-  List.iter (fun i -> Buffer.add_string buf (" " ^ string_of_int i)) deleted;
+  Buffer.add_string buf (Printf.sprintf "deleted %d" !ndeleted);
+  let i = ref 0 in
+  Ltree.iter_leaves tree (fun l ->
+      if Ltree.is_deleted l then add_entry !i;
+      incr i);
   Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "texts %d" (List.length texts));
-  List.iter (fun l -> Buffer.add_string buf (" " ^ string_of_int l)) texts;
+  (* Reparsing merges adjacent text siblings; their decoded lengths let
+     the loader split them back. *)
+  Buffer.add_string buf (Printf.sprintf "texts %d" ntexts);
+  iter_texts (fun _ s -> add_entry (String.length s)) roots;
   Buffer.add_char buf '\n';
   Buffer.add_string buf "---\n";
-  Buffer.add_string buf (Serializer.to_string (Labeled_doc.document ldoc));
+  Buffer.add_string buf (Serializer.to_string doc);
   Buffer.contents buf
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt

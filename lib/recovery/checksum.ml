@@ -24,9 +24,10 @@ let table =
 let update crc s =
   let table = Lazy.force table in
   let c = ref (crc lxor mask) in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
+  for i = 0 to String.length s - 1 do
+    let byte = Char.code (String.unsafe_get s i) in
+    c := Array.unsafe_get table ((!c lxor byte) land 0xFF) lxor (!c lsr 8)
+  done;
   !c lxor mask land mask
 
 let crc32 s = update 0 s

@@ -45,29 +45,50 @@ type plan = { crash_point : int; mode : mode; seed : int }
    advances the write-point counter; when the counter reaches the
    plan's [crash_point], the primitive misbehaves per [mode] and raises
    {!Crash}, leaving the table holding exactly what "the disk" would
-   after power loss. *)
+   after power loss.
+
+   A file is a flattened prefix plus the chunks appended since it was
+   last flattened (newest first), so an append costs O(data) — what a
+   real disk charges — instead of re-copying everything written before
+   it.  Readers flatten on demand and keep the result, so a file is
+   flattened at most once per append however often it is read. *)
+
+type file = { mutable flat : string; mutable tail : string list }
+
+let file_of_string data = { flat = data; tail = [] }
+
+let contents f =
+  (match f.tail with
+   | [] -> ()
+   | tail ->
+     f.flat <- String.concat "" (f.flat :: List.rev tail);
+     f.tail <- []);
+  f.flat
 
 type sim = {
-  files : (string, string) Hashtbl.t;
+  files : (string, file) Hashtbl.t;
   plan : plan option;
   mutable point : int;
 }
 
 let create_sim ?plan ?(files = []) () =
   let t = { files = Hashtbl.create 8; plan; point = 0 } in
-  List.iter (fun (path, data) -> Hashtbl.replace t.files path data) files;
+  List.iter
+    (fun (path, data) -> Hashtbl.replace t.files path (file_of_string data))
+    files;
   t
 
 let points t = t.point
 
 let dump t =
-  Hashtbl.fold (fun path data acc -> (path, data) :: acc) t.files []
+  Hashtbl.fold (fun path f acc -> (path, contents f) :: acc) t.files []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 let corrupt_file t ~path ~f =
   match Hashtbl.find_opt t.files path with
   | None -> invalid_arg ("Fault.corrupt_file: no such file " ^ path)
-  | Some data -> Hashtbl.replace t.files path (f data)
+  | Some file ->
+    Hashtbl.replace t.files path (file_of_string (f (contents file)))
 
 (* [arm t what] advances the write-point counter and returns the plan
    when this primitive is the one that must fail. *)
@@ -115,21 +136,27 @@ let crash t what =
 
 let sim_write t path data =
   match arm t with
-  | None -> Hashtbl.replace t.files path data
+  | None -> Hashtbl.replace t.files path (file_of_string data)
   | Some p ->
     (match injected_payload p ~point:t.point data with
      | None -> ()
-     | Some partial -> Hashtbl.replace t.files path partial);
+     | Some partial -> Hashtbl.replace t.files path (file_of_string partial));
     crash t ("write " ^ path)
 
+(* Appending to a missing file creates it, even when what lands is
+   empty (a torn append of length 0). *)
+let append_to t path data =
+  match Hashtbl.find_opt t.files path with
+  | Some f -> f.tail <- data :: f.tail
+  | None -> Hashtbl.replace t.files path (file_of_string data)
+
 let sim_append t path data =
-  let prior = Option.value ~default:"" (Hashtbl.find_opt t.files path) in
   match arm t with
-  | None -> Hashtbl.replace t.files path (prior ^ data)
+  | None -> append_to t path data
   | Some p ->
     (match injected_payload p ~point:t.point data with
      | None -> ()
-     | Some partial -> Hashtbl.replace t.files path (prior ^ partial));
+     | Some partial -> append_to t path partial);
     crash t ("append " ^ path)
 
 let sim_rename t ~src ~dst =
@@ -152,7 +179,8 @@ let sim_remove t path =
 
 let sim_io t =
   {
-    read_file = (fun path -> Hashtbl.find_opt t.files path);
+    read_file =
+      (fun path -> Option.map contents (Hashtbl.find_opt t.files path));
     write_file = (fun path data -> sim_write t path data);
     append_file = (fun path data -> sim_append t path data);
     rename_file = (fun ~src ~dst -> sim_rename t ~src ~dst);

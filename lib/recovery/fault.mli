@@ -17,7 +17,15 @@
     is the worst case the recovery protocol must already handle
     (a weaker disk only loses {e more} of the un-synced tail, moving
     the recovered prefix earlier; the crash matrix sweeps those shorter
-    prefixes as earlier crash points). *)
+    prefixes as earlier crash points).
+
+    The simulated disk also charges what a real disk charges, because
+    every crash matrix and benchmark that runs on it reads its costs as
+    the durable layer's: an append costs O(appended bytes), not
+    O(file), and a read flattens a file's appended chunks into one
+    string at most once per append (reads with no append between them
+    share the flattened string).  [write_file], [rename_file] and
+    [remove_file] cost O(1) beyond the payload they are handed. *)
 
 (** Simulated power loss.  [point] is the write-point counter at the
     failing primitive; [what] names it (e.g. ["append store/journal"]). *)

@@ -40,6 +40,37 @@ let crc_update_and_hex () =
   Alcotest.(check (option int)) "non-hex rejected" None
     (Checksum.of_hex "cbf4392x")
 
+(* [update] chains: checksumming a string in two pieces equals
+   checksumming it whole, wherever it is split — including one string
+   long enough that any per-call state would show. *)
+let crc_chaining () =
+  let prng = Prng.create 17 in
+  let random_string n =
+    String.init n (fun _ -> Char.chr (Prng.int prng 256))
+  in
+  for _ = 1 to 200 do
+    let s = random_string (Prng.int prng 300) in
+    let cut = Prng.int prng (String.length s + 1) in
+    let a = String.sub s 0 cut
+    and b = String.sub s cut (String.length s - cut) in
+    Alcotest.(check int) "update (crc32 a) b = crc32 (a ^ b)"
+      (Checksum.crc32 s)
+      (Checksum.update (Checksum.crc32 a) b)
+  done;
+  let big = random_string (1 lsl 20 + 13) in
+  let whole = Checksum.crc32 big in
+  let chained = ref 0 and off = ref 0 in
+  while !off < String.length big do
+    let len = min (1 + Prng.int prng 70_000) (String.length big - !off) in
+    chained := Checksum.update !chained (String.sub big !off len);
+    off := !off + len
+  done;
+  Alcotest.(check int) "1 MiB in random pieces" whole !chained;
+  Alcotest.(check int) "1 MiB split once" whole
+    (Checksum.update
+       (Checksum.crc32 (String.sub big 0 500_000))
+       (String.sub big 500_000 (String.length big - 500_000)))
+
 (* {1 Durable store} *)
 
 let make_ldoc () =
@@ -503,10 +534,244 @@ let fuzz_durable_store () =
         (Printexc.to_string e)
   done
 
+(* {1 The simulated disk against a reference model}
+
+   [Ref_disk] is the simulated disk as it was when a file was one
+   string and an append stored [prior ^ data]: the simplest statement
+   of the semantics.  The chunked [Fault] sim must be indistinguishable
+   from it — same files, same write points, same [Crash] — at every
+   crash point of a script, in every damage mode. *)
+
+module Ref_disk = struct
+  type t = {
+    files : (string, string) Hashtbl.t;
+    plan : Fault.plan option;
+    mutable point : int;
+  }
+
+  let create plan = { files = Hashtbl.create 8; plan; point = 0 }
+
+  let arm t =
+    t.point <- t.point + 1;
+    match t.plan with
+    | Some p when p.Fault.crash_point = t.point -> Some p
+    | Some _ | None -> None
+
+  let flip_bit prng data =
+    let i = Prng.int prng (String.length data) in
+    let bit = Prng.int prng 8 in
+    let b = Bytes.of_string data in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+    Bytes.to_string b
+
+  let injected_payload (p : Fault.plan) ~point data =
+    let len = String.length data in
+    if len = 0 then None
+    else
+      let prng = Prng.create (p.Fault.seed lxor (point * 0x9E3779B9)) in
+      match p.Fault.mode with
+      | Fault.Torn -> Some (String.sub data 0 (Prng.int prng len))
+      | Fault.Flip -> Some (flip_bit prng data)
+      | Fault.Clean | Fault.Short_read | Fault.Delay -> None
+
+  let crash t what = raise (Fault.Crash { point = t.point; what })
+
+  let write t path data =
+    match arm t with
+    | None -> Hashtbl.replace t.files path data
+    | Some p ->
+      (match injected_payload p ~point:t.point data with
+       | None -> ()
+       | Some partial -> Hashtbl.replace t.files path partial);
+      crash t ("write " ^ path)
+
+  let append t path data =
+    let prior = Option.value ~default:"" (Hashtbl.find_opt t.files path) in
+    match arm t with
+    | None -> Hashtbl.replace t.files path (prior ^ data)
+    | Some p ->
+      (match injected_payload p ~point:t.point data with
+       | None -> ()
+       | Some partial -> Hashtbl.replace t.files path (prior ^ partial));
+      crash t ("append " ^ path)
+
+  let rename t ~src ~dst =
+    match arm t with
+    | Some _ -> crash t (Printf.sprintf "rename %s -> %s" src dst)
+    | None -> (
+      match Hashtbl.find_opt t.files src with
+      | None -> invalid_arg ("Fault.rename: no such file " ^ src)
+      | Some data ->
+        Hashtbl.remove t.files src;
+        Hashtbl.replace t.files dst data)
+
+  let fsync t path =
+    match arm t with Some _ -> crash t ("fsync " ^ path) | None -> ()
+
+  let remove t path =
+    match arm t with
+    | Some _ -> crash t ("remove " ^ path)
+    | None -> Hashtbl.remove t.files path
+
+  let corrupt_file t ~path ~f =
+    match Hashtbl.find_opt t.files path with
+    | None -> invalid_arg ("Fault.corrupt_file: no such file " ^ path)
+    | Some data -> Hashtbl.replace t.files path (f data)
+
+  let dump t =
+    Hashtbl.fold (fun path data acc -> (path, data) :: acc) t.files []
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+end
+
+type disk_op =
+  | Write of string * string
+  | Append of string * string
+  | Read of string
+  | Exists of string
+  | Rename of string * string
+  | Fsync of string
+  | Remove of string
+  | Corrupt of string
+
+(* A fixed prologue pins the three cases the chunked representation
+   could get wrong — reads between appends (the flatten cache), an
+   append creating a missing file, and a torn append of length 0 (a
+   1-byte append torn anywhere keeps 0 bytes, creating an empty file)
+   — then a seeded tail mixes every primitive over a few paths. *)
+let disk_script seed =
+  let prologue =
+    [ Append ("j", "head-");
+      Read "j";
+      Append ("j", "one-");
+      Append ("j", "two-");
+      Read "j";
+      Read "j";
+      Append ("j", "");
+      Read "j";
+      Append ("fresh", "z");
+      Read "fresh";
+      Corrupt "j";
+      Append ("j", "after-corrupt");
+      Read "j" ]
+  in
+  let prng = Prng.create seed in
+  let paths = [| "j"; "k"; "snap"; "fresh" |] in
+  let payload () =
+    String.init (Prng.int prng 12) (fun _ ->
+        Char.chr (Char.code 'a' + Prng.int prng 26))
+  in
+  let tail =
+    List.init 70 (fun _ ->
+        let path = Prng.pick prng paths in
+        match Prng.int prng 10 with
+        | 0 -> Write (path, payload ())
+        | 1 | 2 | 3 -> Append (path, payload ())
+        | 4 | 5 -> Read path
+        | 6 -> Exists path
+        | 7 -> Rename (path, Prng.pick prng paths)
+        | 8 -> if Prng.bool prng then Fsync path else Remove path
+        | _ -> Corrupt path)
+  in
+  prologue @ tail
+
+(* Runs a script to its end or its crash, logging every observation a
+   caller can make; a primitive rejecting its arguments is logged too,
+   and the script goes on. *)
+let run_disk_script ~io ~corrupt ops =
+  let log = ref [] in
+  let note s = log := s :: !log in
+  let crashed =
+    try
+      List.iter
+        (fun op ->
+          try
+            match op with
+            | Write (p, d) -> io.Fault.write_file p d
+            | Append (p, d) -> io.Fault.append_file p d
+            | Read p ->
+              note
+                (match io.Fault.read_file p with
+                 | None -> "read " ^ p ^ ": none"
+                 | Some d -> Printf.sprintf "read %s: %S" p d)
+            | Exists p ->
+              note (Printf.sprintf "exists %s: %b" p (io.Fault.file_exists p))
+            | Rename (src, dst) -> io.Fault.rename_file ~src ~dst
+            | Fsync p -> io.Fault.fsync p
+            | Remove p -> io.Fault.remove_file p
+            | Corrupt p -> corrupt p
+          with Invalid_argument m -> note ("rejected: " ^ m))
+        ops;
+      None
+    with Fault.Crash { point; what } -> Some (point, what)
+  in
+  (List.rev !log, crashed)
+
+let sim_disk_matches_reference () =
+  let damage s = "#" ^ String.uppercase_ascii s in
+  let ops = disk_script 23 in
+  let run plan =
+    let sim = Fault.create_sim ?plan () in
+    let got =
+      run_disk_script ~io:(Fault.sim_io sim)
+        ~corrupt:(fun path -> Fault.corrupt_file sim ~path ~f:damage)
+        ops
+    in
+    let r = Ref_disk.create plan in
+    let ref_io =
+      { Fault.read_file = Hashtbl.find_opt r.Ref_disk.files;
+        write_file = Ref_disk.write r;
+        append_file = Ref_disk.append r;
+        rename_file = Ref_disk.rename r;
+        fsync = Ref_disk.fsync r;
+        remove_file = Ref_disk.remove r;
+        file_exists = Hashtbl.mem r.Ref_disk.files }
+    in
+    let want =
+      run_disk_script ~io:ref_io
+        ~corrupt:(fun path -> Ref_disk.corrupt_file r ~path ~f:damage)
+        ops
+    in
+    let cell =
+      match plan with
+      | None -> "uninjected"
+      | Some p ->
+        Printf.sprintf "P%d/%s" p.Fault.crash_point (Fault.mode_name p.mode)
+    in
+    Alcotest.(check (list string)) (cell ^ ": observations") (fst want)
+      (fst got);
+    Alcotest.(check (option (pair int string))) (cell ^ ": crash")
+      (snd want) (snd got);
+    let dump = Fault.dump sim and points = Fault.points sim in
+    Alcotest.(check int) (cell ^ ": points") r.Ref_disk.point points;
+    Alcotest.(check (list (pair string string))) (cell ^ ": dump")
+      (Ref_disk.dump r) dump;
+    (snd got, dump, points)
+  in
+  let _, _, width = run None in
+  Alcotest.(check bool) "script reaches many write points" true (width > 40);
+  let torn_fresh = ref None in
+  List.iter
+    (fun mode ->
+      for crash_point = 1 to width + 1 do
+        match run (Some { Fault.crash_point; mode; seed = 99 }) with
+        | Some (_, "append fresh"), dump, _
+          when mode = Fault.Torn && Option.is_none !torn_fresh ->
+          torn_fresh := Some (List.assoc_opt "fresh" dump)
+        | _ -> ()
+      done)
+    Fault.all_modes;
+  (* The first append to "fresh" creates it; torn, its 1-byte payload
+     keeps 0 bytes, which must still leave an empty file. *)
+  Alcotest.(check (option (option string)))
+    "torn 1-byte append creates an empty file" (Some (Some "")) !torn_fresh
+
 let suite =
   ( "recovery",
     [ case "crc32 vectors" `Quick crc_vectors;
       case "crc32 update and hex forms" `Quick crc_update_and_hex;
+      case "crc32 update chains over any split" `Quick crc_chaining;
+      case "sim disk matches the reference model" `Quick
+        sim_disk_matches_reference;
       case "durable round trip" `Quick durable_roundtrip;
       case "group commit durable prefix" `Quick group_commit_prefix;
       case "rotation falls back to previous snapshot" `Quick

@@ -178,6 +178,119 @@ let empty_text_named () =
   Alcotest.(check (list int)) "round trip after repair" (labels_of ldoc)
     (labels_of restored)
 
+(* The label-line writer must not change a byte of the format.
+   [reference_save] is the formatter as first written — one
+   [" " ^ string_of_int] per entry — and [Snapshot.save] must equal it
+   on documents that cover label 0, tombstoned slots and the large
+   labels of a tall tree with the smallest fan-out. *)
+let reference_save ldoc =
+  let tree = Labeled_doc.tree ldoc in
+  let params = Ltree.params tree in
+  let labels = Ltree.labels tree in
+  let deleted = ref [] in
+  let i = ref 0 in
+  Ltree.iter_leaves tree (fun l ->
+      if Ltree.is_deleted l then deleted := !i :: !deleted;
+      incr i);
+  let texts = ref [] in
+  let doc = Labeled_doc.document ldoc in
+  Option.iter
+    (fun root ->
+      Dom.iter_preorder root (fun n ->
+          match Dom.kind n with
+          | Dom.Text s -> texts := String.length s :: !texts
+          | Dom.Element _ | Dom.Comment _ | Dom.Pi _ -> ()))
+    doc.Dom.root;
+  let texts = List.rev !texts in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "ltree-snapshot 1\n";
+  Buffer.add_string buf
+    (Printf.sprintf "params %d %d\n" params.Params.f params.Params.s);
+  Buffer.add_string buf (Printf.sprintf "height %d\n" (Ltree.height tree));
+  Buffer.add_string buf (Printf.sprintf "labels %d" (Array.length labels));
+  Array.iter (fun l -> Buffer.add_string buf (" " ^ string_of_int l)) labels;
+  Buffer.add_char buf '\n';
+  let deleted = List.rev !deleted in
+  Buffer.add_string buf (Printf.sprintf "deleted %d" (List.length deleted));
+  List.iter (fun i -> Buffer.add_string buf (" " ^ string_of_int i)) deleted;
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf (Printf.sprintf "texts %d" (List.length texts));
+  List.iter (fun l -> Buffer.add_string buf (" " ^ string_of_int l)) texts;
+  Buffer.add_char buf '\n';
+  Buffer.add_string buf "---\n";
+  Buffer.add_string buf (Serializer.to_string doc);
+  Buffer.contents buf
+
+(* A generated document edited at random: inserts concentrated on a few
+   parents grow the tree, deletions leave tombstones. *)
+let edited_doc ~seed ~size ~params ~edits =
+  let doc =
+    Xml_gen.generate ~seed (Xml_gen.default_profile ~target_nodes:size ())
+  in
+  let ldoc = Labeled_doc.of_document ~params doc in
+  let root = Option.get doc.root in
+  let prng = Prng.create seed in
+  for i = 1 to edits do
+    let elements = List.filter Dom.is_element (Dom.descendants root) in
+    let target =
+      List.nth elements (Prng.int prng (min 4 (List.length elements)))
+    in
+    if i mod 7 = 0 then begin
+      let victim = List.nth elements (Prng.int prng (List.length elements)) in
+      if victim != root then Labeled_doc.delete_subtree ldoc victim
+    end
+    else
+      Labeled_doc.insert_subtree ldoc ~parent:target
+        ~index:(Prng.int prng (Dom.child_count target + 1))
+        (Parser.parse_fragment (Printf.sprintf "<e i=\"%d\">t%d</e>" i i))
+  done;
+  ldoc
+
+let save_matches_reference () =
+  let cases =
+    [ ("fig2 plain", 0, 40, Params.fig2, 0);
+      ("fig2 edited", 1, 80, Params.fig2, 60);
+      ("tall tree, f=4", 2, 400, Params.make ~f:4 ~s:2, 3000);
+      ("f=6", 3, 300, Params.make ~f:6 ~s:2, 120);
+      ("f=16", 4, 500, Params.make ~f:16 ~s:4, 200) ]
+  in
+  let max_label = ref 0 and saw_zero = ref false and saw_deleted = ref false in
+  List.iter
+    (fun (name, seed, size, params, edits) ->
+      let ldoc = edited_doc ~seed ~size ~params ~edits in
+      let tree = Labeled_doc.tree ldoc in
+      Array.iter
+        (fun l ->
+          if l = 0 then saw_zero := true;
+          max_label := max !max_label l)
+        (Ltree.labels tree);
+      Ltree.iter_leaves tree (fun l ->
+          if Ltree.is_deleted l then saw_deleted := true);
+      let saved = Snapshot.save ldoc in
+      Alcotest.(check string) (name ^ ": byte-identical") (reference_save ldoc)
+        saved;
+      let restored = Snapshot.load saved in
+      Labeled_doc.check restored;
+      Alcotest.(check (list int)) (name ^ ": round trip") (labels_of ldoc)
+        (labels_of restored))
+    cases;
+  Alcotest.(check bool) "covers label 0" true !saw_zero;
+  Alcotest.(check bool) "covers tombstones" true !saw_deleted;
+  Alcotest.(check bool) "covers six-digit labels" true (!max_label > 500_000)
+
+let save_matches_reference_prop =
+  QCheck.Test.make ~count:40 ~name:"random docs save like the reference"
+    QCheck.(
+      make
+        Gen.(
+          quad (int_bound 100000) (int_range 5 150) (int_range 0 80)
+            (oneofl [ (4, 2); (6, 2); (6, 3); (9, 3); (16, 4) ])))
+    (fun (seed, size, edits, (f, s)) ->
+      let ldoc = edited_doc ~seed ~size ~params:(Params.make ~f ~s) ~edits in
+      let saved = Snapshot.save ldoc in
+      String.equal saved (reference_save ldoc)
+      && labels_of (Snapshot.load saved) = labels_of ldoc)
+
 let suite =
   ( "snapshot",
     [ case "simple round trip" `Quick roundtrip_simple;
@@ -187,4 +300,7 @@ let suite =
       case "file round trip" `Quick file_roundtrip;
       case "corruption rejected" `Quick corrupt_rejected;
       case "empty text node rejected by index" `Quick empty_text_named;
+      case "save is byte-identical to the reference" `Quick
+        save_matches_reference;
+      QCheck_alcotest.to_alcotest save_matches_reference_prop;
       QCheck_alcotest.to_alcotest snapshot_prop ] )

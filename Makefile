@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-query bench-recovery bench-parallel bench-parallel-smoke bench-replication bench-shard bench-shard-smoke examples soak lint analyze analyze-baseline selfcheck selfcheck-quick crash-matrix crash-matrix-quick matrix-summaries replica-matrix shard-matrix shard-matrix-quick replicate-smoke trace-smoke obs-smoke ci clean
+.PHONY: all build test bench bench-query bench-recovery bench-parallel bench-parallel-smoke bench-replication bench-shard bench-shard-smoke examples soak analyze analyze-baseline selfcheck selfcheck-quick crash-matrix crash-matrix-quick matrix-summaries replica-matrix shard-matrix shard-matrix-quick replicate-smoke trace-smoke obs-smoke ci clean
 
 all: build
 
@@ -8,37 +8,37 @@ build:
 test:
 	dune runtest --force
 
-# Static analysis, untyped pass: the Parsetree lint (tools/lint) over
-# lib/ bin/ bench/ examples/ tools/.  Fails on any violation; the rule
-# table is DESIGN.md section 7.
-lint:
-	dune build @lint
-
-# Static analysis, typed pass: the cmt-based interprocedural analyzer
-# (tools/analyze) over lib/ — domain-safety taint (R8), hot-path
-# allocations (R9) and allowlist hygiene (A1/A2).  Findings not in
+# Static analysis: the cmt-based analyzer (tools/analyze) over lib/
+# bin/ bench/ examples/ tools/ — the per-unit rules R1-R7, domain-safety
+# taint (R8), hot-path allocations (R9) and allowlist hygiene (A1/A2);
+# the rule table is DESIGN.md section 7.  `@check` writes a .cmt for
+# every module, executables' main modules included.  Findings not in
 # tools/analyze/baseline.txt fail the build.
 analyze:
-	dune build @all
+	dune build @all @check
 	dune exec tools/analyze/ltree_analyze.exe -- \
-	  --build _build/default --baseline tools/analyze/baseline.txt lib
+	  --build _build/default --baseline tools/analyze/baseline.txt \
+	  lib bin bench examples tools
 
 # Refresh the analyzer baseline (new findings land as UNREVIEWED and
 # still need an audit note citing DESIGN.md before CI accepts them).
 analyze-baseline:
-	dune build @all
+	dune build @all @check
 	dune exec tools/analyze/ltree_analyze.exe -- \
 	  --build _build/default --baseline tools/analyze/baseline.txt \
-	  --write-baseline lib
+	  --write-baseline lib bin bench examples tools
 
-# Dynamic analysis: replay randomized workloads and validate every
-# invariant registered in the Ltree_analysis.Invariant registry.
+# Dynamic analysis: `ltree check` replays a randomized workload and
+# validates every invariant registered in the Ltree_analysis.Invariant
+# registry (cheap ones on a cadence derived from --ops, all of them at
+# each checkpoint), shrinking and dumping the first failure.  One run
+# at f=8 s=2, one at the CLI's default f=4 s=2.
 selfcheck:
-	dune exec bin/ltree_stress.exe -- 2000 1 --selfcheck 50
+	dune exec bin/ltree_cli.exe -- check --ops 2000 --seed 1 -f 8 -s 2
 	dune exec bin/ltree_cli.exe -- check --ops 500 --seed 1
 
 selfcheck-quick:
-	dune exec bin/ltree_stress.exe -- 300 1 --selfcheck 25
+	dune exec bin/ltree_cli.exe -- check --ops 300 --seed 1 -f 8 -s 2
 	dune exec bin/ltree_cli.exe -- check --ops 100 --seed 1
 
 # Crash the durable store at every write point in every corruption mode
@@ -121,7 +121,7 @@ obs-smoke:
 	rm -f _obs_smoke.jsonl
 
 ci:
-	dune build @all && dune runtest --force && dune build @lint && \
+	dune build @all && dune runtest --force && \
 	$(MAKE) analyze && \
 	$(MAKE) selfcheck-quick && $(MAKE) matrix-summaries && \
 	$(MAKE) trace-smoke && $(MAKE) obs-smoke && \

@@ -1,5 +1,6 @@
-(* The shared self-check harness behind `ltree check` and
-   `ltree_stress --selfcheck`.
+(* The self-check harness behind `ltree check`, the one invariant
+   runner (the `trace`, `metrics` and `top` commands replay its workload
+   too).
 
    One harness owns a full stack — labeled document, both XPath engines,
    the synced relational store, journal + snapshot recovery, and a

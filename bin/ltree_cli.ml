@@ -6,7 +6,9 @@
      query      run an XPath over a document (dom or label engine)
      tune       recommend (f, s) for a workload (paper 3.2)
      bench      measure insertion cost for a scheme and pattern
-     check      parse, label and verify every invariant *)
+     check      replay a workload, validating every registered invariant
+                (cheap ones on a cadence, all at each checkpoint); the
+                first failure is shrunk and dumped *)
 
 open Cmdliner
 open Ltree_core
@@ -558,7 +560,7 @@ let check_cmd =
   in
   let ops_arg =
     Arg.(value & opt int 300 & info [ "ops" ] ~docv:"OPS"
-           ~doc:"Random operations to replay before deep validation.")
+           ~doc:"Random operations to replay; sets the validation cadence.")
   in
   let seed_arg =
     Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED"
@@ -597,56 +599,71 @@ let check_cmd =
       | None -> fun () -> Xml_gen.xmark ~seed ~scale:0.3 ()
     in
     let t = Harness.create ~params ?pool ~seed ~make_doc () in
+    let reg = Harness.registry t in
     let prng = Ltree_workload.Prng.create seed in
+    (* on the first failure: report, shrink the op log, dump, exit 1 *)
+    let guard = function
+      | [] -> ()
+      | failure :: _ as failures ->
+        List.iter (fun f -> Format.printf "FAIL %a@." I.pp_failure f)
+          failures;
+        (match bundle with
+         | None -> ()
+         | Some path ->
+           let data =
+             Ltree_obs.Recorder.dump ~reason:"invariant"
+               ~attrs:
+                 [ ("invariant", failure.I.name);
+                   ("seed", string_of_int seed);
+                   ("ops", string_of_int ops) ]
+               ()
+           in
+           write_out (Some path) data;
+           (match Ltree_obs.Recorder.validate data with
+            | Ok n ->
+              Printf.printf "flight bundle (%d lines) written to %s\n" n path
+            | Error e ->
+              Printf.eprintf "flight bundle failed validation: %s\n" e));
+        let c = Harness.minimized_counterexample t ~make_doc failure in
+        I.Counterexample.save ~path:dump c;
+        Format.printf "%a@." I.Counterexample.pp c;
+        Printf.printf "minimized counterexample (%d ops) written to %s\n"
+          (List.length c.I.Counterexample.ops)
+          dump;
+        exit 1
+    in
+    (* cheap invariants about 40 times per run; every invariant at each
+       of the four checkpoints and at the end *)
+    let cheap_every = max 1 (ops / 40)
+    and checkpoint_every = max 1 (ops / 4) in
+    Printf.printf
+      "%s: %d ops, seed %d; %d invariants, cheap ones every %d ops\n%!"
+      (match file with Some f -> f | None -> "generated XMark document")
+      ops seed (I.size reg) cheap_every;
     for i = 1 to ops do
       List.iter (Harness.apply t) (Harness.random_ops prng);
-      if i mod (max 1 (ops / 4)) = 0 then
-        Harness.apply t Harness.checkpoint_op;
       if inject && i = max 1 (ops / 2) then
         Harness.apply t Harness.corrupt_op;
       if storm && i = max 1 (ops / 2) then
-        Harness.apply t Harness.storm_op
+        Harness.apply t Harness.storm_op;
+      if i mod cheap_every = 0 then guard (I.run_all ~depth:I.Cheap reg);
+      if i mod checkpoint_every = 0 then begin
+        guard (I.run_all reg);
+        Harness.apply t Harness.checkpoint_op;
+        Printf.printf "  deep checkpoint at op %d: ok\n%!" i
+      end
     done;
-    let reg = Harness.registry t in
-    match I.run_all reg with
-    | [] ->
-      Printf.printf
-        "%s: %d ops replayed; all %d registered invariants hold\n"
-        (match file with Some f -> f | None -> "generated XMark document")
-        ops (I.size reg);
-      List.iter (fun n -> Printf.printf "  ok %s\n" n) (I.names reg)
-    | failure :: _ as failures ->
-      List.iter (fun f -> Format.printf "FAIL %a@." I.pp_failure f)
-        failures;
-      (match bundle with
-       | None -> ()
-       | Some path ->
-         let data =
-           Ltree_obs.Recorder.dump ~reason:"invariant"
-             ~attrs:
-               [ ("invariant", failure.I.name);
-                 ("seed", string_of_int seed);
-                 ("ops", string_of_int ops) ]
-             ()
-         in
-         write_out (Some path) data;
-         (match Ltree_obs.Recorder.validate data with
-          | Ok n ->
-            Printf.printf "flight bundle (%d lines) written to %s\n" n path
-          | Error e ->
-            Printf.eprintf "flight bundle failed validation: %s\n" e));
-      let c = Harness.minimized_counterexample t ~make_doc failure in
-      I.Counterexample.save ~path:dump c;
-      Format.printf "%a@." I.Counterexample.pp c;
-      Printf.printf "minimized counterexample (%d ops) written to %s\n"
-        (List.length c.I.Counterexample.ops)
-        dump;
-      exit 1
+    guard (I.run_all reg);
+    Printf.printf "%d ops replayed; all %d registered invariants hold\n" ops
+      (I.size reg);
+    List.iter (fun n -> Printf.printf "  ok %s\n" n) (I.names reg)
   in
   Cmd.v
     (Cmd.info "check"
-       ~doc:"Replay a workload and deep-validate every registered \
-             invariant.")
+       ~doc:"Replay a workload, validating cheap invariants about 40 \
+             times per run and every registered invariant at each of \
+             four checkpoints and at the end; the first failure is \
+             shrunk to a minimized counterexample and dumped.")
     Term.(const run $ file_opt $ f_arg $ s_arg $ ops_arg $ seed_arg
           $ inject_arg $ storm_arg $ dump_arg $ bundle_arg $ domains_arg)
 

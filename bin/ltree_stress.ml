@@ -2,8 +2,6 @@
    once, with cross-checks at every checkpoint.
 
      dune exec bin/ltree_stress.exe -- [ops] [seed]
-     dune exec bin/ltree_stress.exe -- [ops] [seed] --selfcheck N \
-       [--inject-corruption OP]
 
    Defaults: 20_000 operations, seed 1.  Each checkpoint verifies
    - L-Tree and virtual L-Tree invariants and label equality,
@@ -12,12 +10,8 @@
    - the synced relational store against DOM truth,
    - a snapshot+journal recovery round trip.
 
-   With --selfcheck N the run goes through the shared [Harness] instead:
-   every registered invariant is validated after every N mutations
-   (cheap checks) and at five deep checkpoints; any failure is shrunk to
-   a minimized counterexample and dumped.  --inject-corruption OP
-   desynchronizes the twin trees at operation OP, as a self-test that
-   the machinery catches and minimizes real corruption. *)
+   The registered-invariant runner with counterexample shrinking is
+   `ltree check` (bin/ltree_cli.ml). *)
 
 open Ltree_xml
 open Ltree_core
@@ -26,52 +20,6 @@ open Ltree_relstore
 module Counters = Ltree_metrics.Counters
 module Prng = Ltree_workload.Prng
 module Xml_gen = Ltree_workload.Xml_gen
-module Invariant = Ltree_analysis.Invariant
-
-let selfcheck ~ops ~seed ~interval ~inject =
-  let make_doc () = Xml_gen.xmark ~seed ~scale:0.3 () in
-  let t = Harness.create ~seed ~make_doc () in
-  let reg = Harness.registry t in
-  Printf.printf
-    "selfcheck: %d ops, seed %d, validating %d invariants every %d \
-     mutations\n\
-     %!"
-    ops seed (Invariant.size reg) interval;
-  let prng = Prng.create seed in
-  let dump failures =
-    List.iter
-      (fun f -> Format.printf "FAIL %a@." Invariant.pp_failure f)
-      failures;
-    let c =
-      Harness.minimized_counterexample t ~make_doc (List.hd failures)
-    in
-    let path = "counterexample-stress.txt" in
-    Invariant.Counterexample.save ~path c;
-    Format.printf "%a@." Invariant.Counterexample.pp c;
-    Printf.printf "minimized counterexample (%d ops) written to %s\n"
-      (List.length c.Invariant.Counterexample.ops)
-      path;
-    exit 1
-  in
-  let guard failures =
-    match failures with [] -> () | _ :: _ -> dump failures
-  in
-  for i = 1 to ops do
-    List.iter (Harness.apply t) (Harness.random_ops prng);
-    (match inject with
-     | Some at when at = i -> Harness.apply t Harness.corrupt_op
-     | Some _ | None -> ());
-    if i mod interval = 0 then
-      guard (Invariant.run_all ~depth:Invariant.Cheap reg);
-    if i mod (max 1 (ops / 5)) = 0 then begin
-      guard (Invariant.run_all reg);
-      Harness.apply t Harness.checkpoint_op;
-      Printf.printf "  deep checkpoint at op %d: ok\n%!" i
-    end
-  done;
-  guard (Invariant.run_all reg);
-  Printf.printf "selfcheck OK: %d ops, every invariant held (%s)\n" ops
-    (String.concat ", " (Invariant.names reg))
 
 let soak ~ops ~seed =
   let prng = Prng.create seed in
@@ -172,36 +120,13 @@ let soak ~ops ~seed =
   Printf.printf "soak OK: %d ops survived every cross-check\n" ops
 
 let () =
-  let ops = ref 20_000
-  and seed = ref 1
-  and interval = ref None
-  and inject = ref None in
   let usage () =
-    Printf.eprintf
-      "usage: ltree_stress [ops] [seed] [--selfcheck N] \
-       [--inject-corruption OP]\n";
+    Printf.eprintf "usage: ltree_stress [ops] [seed]\n";
     exit 2
   in
   let int_of a = match int_of_string_opt a with Some v -> v | None -> usage () in
-  let rec parse pos = function
-    | [] -> ()
-    | "--selfcheck" :: n :: rest ->
-      interval := Some (int_of n);
-      parse pos rest
-    | "--inject-corruption" :: n :: rest ->
-      inject := Some (int_of n);
-      parse pos rest
-    | a :: rest ->
-      (match pos with
-       | 0 -> ops := int_of a
-       | 1 -> seed := int_of a
-       | _ -> usage ());
-      parse (pos + 1) rest
-  in
-  parse 0 (List.tl (Array.to_list Sys.argv));
-  match !interval with
-  | Some interval ->
-    selfcheck ~ops:!ops ~seed:!seed ~interval ~inject:!inject
-  | None ->
-    if Option.is_some !inject then usage ();
-    soak ~ops:!ops ~seed:!seed
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> soak ~ops:20_000 ~seed:1
+  | [ ops ] -> soak ~ops:(int_of ops) ~seed:1
+  | [ ops; seed ] -> soak ~ops:(int_of ops) ~seed:(int_of seed)
+  | _ -> usage ()

@@ -1,10 +1,3 @@
-(* Every comparison in this file is over ints (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-
 type depth = Cheap | Deep
 
 exception Violation of { name : string; detail : string }

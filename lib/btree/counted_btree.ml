@@ -1,16 +1,5 @@
 module Counters = Ltree_metrics.Counters
 
-(* Payloads are ['a]: every comparison below must stay monomorphic on
-   [int] keys (lint rule R2), so the polymorphic operators are shadowed
-   with int-typed ones here.  Comparisons involving payloads go through
-   [Option.is_some]/[Option.is_none]. *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-
 type 'a leaf = {
   keys : int array; (* capacity order + 1; entries in [0, n) *)
   vals : 'a option array;
@@ -59,7 +48,7 @@ let kid i j = match i.kids.(j) with
   | None -> assert false
 
 (* First index in [keys.(0, n)] with [keys.(idx) >= k] (lower bound). *)
-let lower_bound keys n k =
+let lower_bound (keys : int array) n k =
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
@@ -68,7 +57,7 @@ let lower_bound keys n k =
   !lo
 
 (* First index in [seps.(0, n)] with [seps.(idx) > k] (upper bound). *)
-let upper_bound seps n k =
+let upper_bound (seps : int array) n k =
   let lo = ref 0 and hi = ref n in
   while !lo < !hi do
     let mid = (!lo + !hi) / 2 in

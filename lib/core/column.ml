@@ -1,19 +1,6 @@
 module Counters = Ltree_metrics.Counters
 module A = Bigarray.Array1
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let min : int -> int -> int = Stdlib.min
-let max : int -> int -> int = Stdlib.max
-
-let _ = ( <> )
-let _ = min
-
 type buf = (int, Bigarray.int_elt, Bigarray.c_layout) A.t
 
 type t = { mutable buf : buf; mutable len : int }
@@ -21,7 +8,7 @@ type t = { mutable buf : buf; mutable len : int }
 let make_buf cap : buf = A.create Bigarray.int Bigarray.c_layout cap
 
 let create ?(capacity = 16) () =
-  { buf = make_buf (max 1 capacity); len = 0 }
+  { buf = make_buf (Int.max 1 capacity); len = 0 }
 
 let length t = t.len
 let capacity t = A.dim t.buf
@@ -77,7 +64,7 @@ let sub t pos len =
 
 let copy_sub t pos len =
   if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Column.copy_sub";
-  let out = create ~capacity:(max 1 len) () in
+  let out = create ~capacity:(Int.max 1 len) () in
   for i = 0 to len - 1 do
     A.unsafe_set out.buf i (A.unsafe_get t.buf (pos + i))
   done;
@@ -86,7 +73,7 @@ let copy_sub t pos len =
 
 let of_array arr =
   let n = Array.length arr in
-  let out = create ~capacity:(max 1 n) () in
+  let out = create ~capacity:(Int.max 1 n) () in
   for i = 0 to n - 1 do
     A.unsafe_set out.buf i arr.(i)
   done;

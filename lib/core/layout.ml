@@ -4,7 +4,7 @@ let chunk_sizes (params : Params.t) ~height ~count =
   if count >= Params.lmax params ~height then
     invalid_arg "Layout.chunk_sizes: count at or above the leaf limit";
   let span = Params.pow_m params (height - 1) in
-  let q = max 1 (count / span) in
+  let q = Int.max 1 (count / span) in
   let rec build i acc =
     if i = q then List.rev acc
     else if i = q - 1 then List.rev ((count - ((q - 1) * span)) :: acc)

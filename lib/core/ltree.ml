@@ -444,7 +444,9 @@ let rebuild_root t merged =
     else if total < Params.lmax t.params ~height:h then h
     else pick (h + 1)
   in
-  let height = pick (max t.root.height (Params.height_for t.params total)) in
+  let height =
+    pick (Int.max t.root.height (Params.height_for t.params total))
+  in
   let root = build_sub t merged ~lo:0 ~hi:total ~height in
   root.parent <- None;
   t.root <- root;
@@ -597,7 +599,7 @@ let max_label t = match last t with None -> 0 | Some w -> w.num
 let bits_per_label t =
   let v = max_label t in
   let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
-  max 1 (go 0 v)
+  Int.max 1 (go 0 v)
 
 let find_by_label t lab =
   if t.nslots = 0 || lab < 0 then None

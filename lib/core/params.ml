@@ -39,7 +39,7 @@ let lmax t ~height =
 let height_for t n =
   if n < 0 then invalid_arg "Params.height_for: negative size";
   let rec go h p = if p >= n then h else go (h + 1) (p * t.m) in
-  max 1 (go 0 1)
+  Int.max 1 (go 0 1)
 
 let pp ppf t =
   Format.fprintf ppf "(f=%d, s=%d, m=%d, radix=%d)" t.f t.s t.m t.radix

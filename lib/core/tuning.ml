@@ -18,7 +18,7 @@ let evaluate ~n params =
   let bits = Analysis.bits ~params ~n in
   { params; cost; bits }
 
-let best ?max_f ~n ~objective ~feasible () =
+let best ?max_f ~n ~(objective : choice -> float) ~feasible () =
   List.fold_left
     (fun acc params ->
       let c = evaluate ~n params in

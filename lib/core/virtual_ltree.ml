@@ -1,15 +1,6 @@
 module Counters = Ltree_metrics.Counters
 module Btree = Ltree_btree.Counted_btree
 
-(* Handles and labels are ints today, but the B-tree underneath carries
-   ['a] payloads: keep every comparison monomorphic (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let max : int -> int -> int = Stdlib.max
-
 type handle = int
 
 type t = {
@@ -72,7 +63,7 @@ let max_label t =
 let bits_per_label t =
   let v = max_label t in
   let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
-  max 1 (go 0 v)
+  Int.max 1 (go 0 v)
 
 let labels t =
   let out = Array.make (length t) 0 in
@@ -267,7 +258,7 @@ let pick_root_height t total =
     else if total < Params.lmax t.params ~height:h then h
     else pick (h + 1)
   in
-  pick (max t.height (Params.height_for t.params total))
+  pick (Int.max t.height (Params.height_for t.params total))
 
 let rebuild_all t ~insert_at ~fresh total =
   let height = pick_root_height t total in

@@ -35,7 +35,7 @@ let rec preferred n =
     let demand =
       List.fold_left (fun acc c -> acc + preferred c) 0 (Dom.children n)
     in
-    2 + max 2 (2 * demand)
+    2 + Int.max 2 (2 * demand)
   | Dom.Text _ | Dom.Comment _ | Dom.Pi _ -> 1
 
 let write t e ~rel_start ~size =
@@ -109,7 +109,7 @@ let max_coordinate t =
 let bits_per_label t =
   let v = max_coordinate t in
   let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
-  max 1 (go 0 v)
+  Int.max 1 (go 0 v)
 
 (* Current sizes of a parent's children (labeled ones). *)
 let child_sizes t parent =

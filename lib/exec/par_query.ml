@@ -1,14 +1,3 @@
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let max : int -> int -> int = Stdlib.max
-
-let _ = ( > )
-let _ = ( <= )
-
 module Column = Ltree_core.Column
 module Counters = Ltree_metrics.Counters
 module Span = Ltree_obs.Span
@@ -41,7 +30,7 @@ let join_comparisons =
    participant so the tail rebalances, but never so small that the
    claim cursor becomes the bottleneck. *)
 let chunk_for pool len =
-  max 64 ((len + (8 * Pool.size pool) - 1) / (8 * Pool.size pool))
+  Int.max 64 ((len + (8 * Pool.size pool) - 1) / (8 * Pool.size pool))
 
 (* Shared placeholder for the [rids] slot of join-input views that
    never read it (the join walks starts/ends only; emits index the
@@ -62,7 +51,7 @@ let sub_entry (s : Read_snapshot.slice) lo hi =
    distinct per invocation because the pool claims aligned ranges. *)
 let chunked pool len ~chunk body =
   let nchunks = (len + chunk - 1) / chunk in
-  let comps = Array.make (max 1 nchunks) 0 in
+  let comps = Array.make (Int.max 1 nchunks) 0 in
   Pool.parallel_for ~chunk pool ~lo:0 ~hi:len (fun lo hi ->
       let local = Counters.create () in
       body (lo / chunk) lo hi local;
@@ -229,9 +218,9 @@ let step_entry pool (acc : Label_index.entry) (d : Read_snapshot.slice)
     in
     comparisons_acc := !comparisons_acc + comparisons;
     let total = Array.fold_left ( + ) 0 lens in
-    let starts = Column.create ~capacity:(max 1 total) ()
-    and ends = Column.create ~capacity:(max 1 total) ()
-    and rids = Column.create ~capacity:(max 1 total) () in
+    let starts = Column.create ~capacity:(Int.max 1 total) ()
+    and ends = Column.create ~capacity:(Int.max 1 total) ()
+    and rids = Column.create ~capacity:(Int.max 1 total) () in
     (* Fill back-to-front per chunk: each buffer is reversed. *)
     let pos = ref total in
     for ci = nchunks - 1 downto 0 do
@@ -277,7 +266,7 @@ let descendants_batch ?counters pool snap queries =
   Read_snapshot.ensure_fresh snap;
   Span.with_ ~name:"par_query.descendants_batch"
     ~attrs:[ ("queries", string_of_int (Array.length queries)) ] (fun () ->
-      let comps = Array.make (max 1 (Array.length queries)) 0 in
+      let comps = Array.make (Int.max 1 (Array.length queries)) 0 in
       let results =
         Pool.map ~chunk:1 pool
           (fun (i, (anc, desc)) ->

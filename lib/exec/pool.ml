@@ -1,15 +1,3 @@
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let min : int -> int -> int = Stdlib.min
-let max : int -> int -> int = Stdlib.max
-
-let _ = ( < )
-let _ = ( <= )
-
 (* A fixed-size domain pool with a single-slot chunked job queue.
 
    The pool runs one job at a time.  A job is a half-open index range
@@ -76,7 +64,7 @@ let adapt_floor_us = 1000
    and the tail can rebalance across the other participants. *)
 let halve_claim job =
   let cur = Atomic.get job.j_k in
-  if cur > 1 && Atomic.compare_and_set job.j_k cur (max 1 (cur / 2)) then
+  if cur > 1 && Atomic.compare_and_set job.j_k cur (Int.max 1 (cur / 2)) then
     Atomic.incr job.j_adapts
 
 (* [elapsed] µs into a span: does it dominate the completed spans'
@@ -108,14 +96,14 @@ let run_chunks t job ~slot =
     let start = Atomic.fetch_and_add job.j_next claim in
     if start < job.j_hi then begin
       Atomic.incr job.j_claims;
-      let span_stop = min job.j_hi (start + claim) in
+      let span_stop = Int.min job.j_hi (start + claim) in
       let timed = k > 1 in
       let t0 = if timed then Unix.gettimeofday () else 0.0 in
       let halved = ref false in
       let pos = ref start in
       let ran = ref 0 in
       while !pos < span_stop do
-        let stop = min job.j_hi (!pos + job.j_chunk) in
+        let stop = Int.min job.j_hi (!pos + job.j_chunk) in
         (match job.j_failure with
         | Some _ -> ()  (* racy peek; worst case we run a doomed chunk *)
         | None -> (
@@ -296,7 +284,7 @@ let parallel_for ?chunk t ~lo ~hi body =
       | Some c when c > 0 -> c
       | _ ->
         (* about four chunks per participant, so stragglers rebalance *)
-        max 1 ((n + (4 * t.pool_size) - 1) / (4 * t.pool_size))
+        Int.max 1 ((n + (4 * t.pool_size) - 1) / (4 * t.pool_size))
     in
     if t.pool_size = 1 || n <= chunk then serial_run t body lo hi
     else begin
@@ -317,7 +305,7 @@ let parallel_for ?chunk t ~lo ~hi body =
           (* Claim K chunks per atomic bump — enough spans for about
              four claims per participant so the tail still rebalances,
              while big ranges stop hammering the cursor. *)
-          let k = max 1 (nchunks / (4 * t.pool_size)) in
+          let k = Int.max 1 (nchunks / (4 * t.pool_size)) in
           let job =
             { j_id = t.next_job_id;
               j_hi = hi;
@@ -374,7 +362,7 @@ let register_telemetry t =
     ~help:"chunk tasks of the in-flight job not yet finished" (fun () ->
       under_mu (fun () ->
           match t.current with
-          | Some j -> float_of_int (max 0 (Atomic.get j.j_pending))
+          | Some j -> float_of_int (Int.max 0 (Atomic.get j.j_pending))
           | None -> 0.));
   Ltree_obs.Telemetry.register ~name:"exec_pool_claim_ops"
     ~help:"cumulative atomic claim operations on the chunk cursor"
@@ -388,5 +376,5 @@ let default_size () =
   | None -> 1
   | Some s -> (
     match int_of_string_opt (String.trim s) with
-    | Some k when k >= 1 -> min k 64
+    | Some k when k >= 1 -> Int.min k 64
     | Some _ | None -> 1)

@@ -1,12 +1,3 @@
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let max : int -> int -> int = Stdlib.max
-
-let _ = ( < )
-
 module Column = Ltree_core.Column
 module Label_index = Ltree_relstore.Label_index
 module Query = Ltree_relstore.Query
@@ -151,7 +142,7 @@ let of_store ?prev ?ids pager store doc =
          (fun tag _ acc -> tag :: acc)
          store.Shredder.label_by_tag [])
   in
-  let slices = Hashtbl.create (max 16 (List.length tag_list)) in
+  let slices = Hashtbl.create (Int.max 16 (List.length tag_list)) in
   List.iter
     (fun tag ->
       Hashtbl.replace slices tag (freeze_tag ?prev ?ids pager store tag))

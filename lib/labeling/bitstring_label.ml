@@ -48,7 +48,7 @@ let canonical s =
    with carry, and interpret the (width+1)-bit sum one place further
    right. *)
 let midpoint a b =
-  let w = max (String.length a) (String.length b) in
+  let w = Int.max (String.length a) (String.length b) in
   let bit s i = if i < String.length s then Char.code s.[i] - 48 else 0 in
   let out = Bytes.make (w + 1) '0' in
   let carry = ref 0 in
@@ -127,7 +127,7 @@ let bulk_load n =
 let max_bits t =
   let rec go acc = function
     | None -> acc
-    | Some c -> go (max acc (String.length c.lab)) c.next
+    | Some c -> go (Int.max acc (String.length c.lab)) c.next
   in
   go 0 t.first
 

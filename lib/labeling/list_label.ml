@@ -24,7 +24,7 @@ end) : Scheme.S = struct
   let bulk_load ?counters n =
     if n >= universe / 2 then invalid_arg "List_label.bulk_load: too many";
     let t = create ?counters () in
-    let spacing = if n = 0 then universe else max 1 (universe / n) in
+    let spacing = if n = 0 then universe else Int.max 1 (universe / n) in
     let handles = Array.init n (fun i -> Dll.append t.list (i * spacing)) in
     (t, handles)
 
@@ -76,7 +76,7 @@ end) : Scheme.S = struct
     match midpoint lo hi with
     | Some l -> l
     | None ->
-      let anchor = max 0 lo in
+      let anchor = Int.max 0 lo in
       let rec try_level i =
         if i > P.bits then failwith "List_label: universe exhausted";
         let width = 1 lsl i in

@@ -52,4 +52,4 @@ end
 let bits_for_value v =
   if v < 0 then invalid_arg "Scheme.bits_for_value: negative";
   let rec go acc v = if v = 0 then acc else go (acc + 1) (v lsr 1) in
-  max 1 (go 0 v)
+  Int.max 1 (go 0 v)

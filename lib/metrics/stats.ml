@@ -57,7 +57,7 @@ let percentile t p =
     let rank =
       int_of_float (ceil (p /. 100. *. float_of_int t.count)) - 1
     in
-    let rank = Stdlib.max 0 (Stdlib.min (t.count - 1) rank) in
+    let rank = Int.max 0 (Int.min (t.count - 1) rank) in
     sorted.(rank)
   end
 

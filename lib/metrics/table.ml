@@ -26,7 +26,7 @@ let to_string ~title ~header ?align rows =
     List.mapi
       (fun i h ->
         List.fold_left
-          (fun acc row -> max acc (String.length (List.nth row i)))
+          (fun acc row -> Int.max acc (String.length (List.nth row i)))
           (String.length h) rows)
       header
   in

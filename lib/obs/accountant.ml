@@ -1,12 +1,3 @@
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-
-let _ = ( = )
-
 type breach = {
   window_start : int;
   window_len : int;

@@ -1,17 +1,3 @@
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let min : int -> int -> int = Stdlib.min
-let max : int -> int -> int = Stdlib.max
-
-let _ = ( = )
-let _ = ( <= )
-let _ = ( >= )
-let _ = max
-
 type event = {
   at : float;
   tick : int;
@@ -88,7 +74,7 @@ let note ?tick:tk ?(attrs = []) ~kind name =
 
 let events () =
   locked (fun () ->
-      let n = min default.added default.capacity in
+      let n = Int.min default.added default.capacity in
       let first =
         if default.added > default.capacity then
           default.added mod default.capacity
@@ -99,7 +85,7 @@ let events () =
           | Some e -> e
           | None -> assert false))
 
-let dropped () = locked (fun () -> max 0 (default.added - default.capacity))
+let dropped () = locked (fun () -> Int.max 0 (default.added - default.capacity))
 
 (* {1 Bundle dump}
 

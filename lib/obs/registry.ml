@@ -1,11 +1,3 @@
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-
-let _ = ( = )
-let _ = ( > )
-
 (* Monotonic counters are a name plus an atomic cell: increments from
    worker domains need no lock, only registration does. *)
 type counter = { cname : string; chelp : string; cell : int Atomic.t }

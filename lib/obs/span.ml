@@ -1,8 +1,3 @@
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-
-let _ = ( = )
-
 (* Global state: one process-wide ring plus a per-domain stack of open
    span names.  The stack is names only -- a span that is still open
    has no record yet; records are appended on exit, so the trace lists

@@ -1,16 +1,3 @@
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let min : int -> int -> int = Stdlib.min
-let max : int -> int -> int = Stdlib.max
-
-let _ = ( = )
-let _ = ( <= )
-let _ = ( >= )
-
 (* One registered gauge source: a sampling closure plus a bounded ring
    of (tick, value) samples.  Sources are pull-based -- [sample ~now]
    polls every closure -- so subsystems expose state without pushing. *)
@@ -80,7 +67,7 @@ let names ?(t = default) () = List.map (fun s -> s.sname) (sorted_sources t)
 let series_samples t s =
   locked t (fun () ->
       let cap = Array.length s.ticks in
-      let n = min s.added cap in
+      let n = Int.min s.added cap in
       let first = if s.added > cap then s.added mod cap else 0 in
       List.init n (fun i ->
           let j = (first + i) mod cap in
@@ -133,7 +120,7 @@ let sparkline values =
         let i =
           if Float.compare span 0. <= 0 then 0
           else
-            min
+            Int.min
               (Array.length spark_chars - 1)
               (int_of_float ((v -. lo) /. span *. 9.0))
         in
@@ -145,7 +132,7 @@ let top ?(t = default) ?(width = 32) () =
   let buf = Buffer.create 1024 in
   let srcs = sorted_sources t in
   let name_w =
-    List.fold_left (fun acc s -> max acc (String.length s.sname)) 10 srcs
+    List.fold_left (fun acc s -> Int.max acc (String.length s.sname)) 10 srcs
   in
   Buffer.add_string buf
     (Printf.sprintf "%-*s %14s %14s  %s\n" name_w "gauge" "latest" "min..max"

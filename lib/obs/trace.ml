@@ -1,12 +1,3 @@
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let min : int -> int -> int = Stdlib.min
-let max : int -> int -> int = Stdlib.max
-
 type record = {
   name : string;
   path : string;
@@ -42,8 +33,8 @@ let add t r =
   t.slots.(t.added mod t.capacity) <- Some r;
   t.added <- t.added + 1
 
-let length t = min t.added t.capacity
-let dropped t = max 0 (t.added - t.capacity)
+let length t = Int.min t.added t.capacity
+let dropped t = Int.max 0 (t.added - t.capacity)
 
 let clear t =
   Array.fill t.slots 0 t.capacity None;
@@ -330,7 +321,7 @@ let flamegraph records =
   let width =
     List.fold_left
       (fun acc ((_, path), _) ->
-        max acc ((2 * depth path) + String.length (name_of path)))
+        Int.max acc ((2 * depth path) + String.length (name_of path)))
       0 stats
   in
   let domains =

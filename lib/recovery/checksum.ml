@@ -3,12 +3,6 @@
    the 32-bit arithmetic is plain [land]/[lxor]/[lsr] with a final
    mask. *)
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-
 let mask = 0xFFFFFFFF
 
 let table =

@@ -8,13 +8,6 @@ module Pager = Ltree_relstore.Pager
 module Query = Ltree_relstore.Query
 module Counters = Ltree_metrics.Counters
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-
 let default_config =
   { Matrix.seed = 42; ops = 200; doc_nodes = 120; group_commit = 4;
     checkpoint_every = 32 }

@@ -19,15 +19,6 @@ let replayed_entries =
     ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1. ~count:16)
     ()
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let max : int -> int -> int = Stdlib.max
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-
 let wal_magic = "ltree-wal 1"
 let snap_magic = "ltree-durable-snapshot 1"
 
@@ -200,7 +191,7 @@ let scan_records data ~start ~expected ~read_from =
     match String.index_from_opt data !pos '\n' with
     | None ->
       (* The file ends mid-line: the record was torn by the crash. *)
-      fault := Some (Torn_record { seq = max 1 !expected })
+      fault := Some (Torn_record { seq = Int.max 1 !expected })
     | Some nl -> (
       let line = String.sub data !pos (nl - !pos) in
       match parse_record ~expected_seq:!expected line with

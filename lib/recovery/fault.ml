@@ -1,8 +1,5 @@
 module Prng = Ltree_workload.Prng
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-
 exception Crash of { point : int; what : string }
 
 type io = {

@@ -4,14 +4,6 @@ module Serializer = Ltree_xml.Serializer
 module Invariant = Ltree_analysis.Invariant
 module Recorder = Ltree_obs.Recorder
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let min : int -> int -> int = Stdlib.min
-
 type config = {
   seed : int;
   ops : int;
@@ -45,7 +37,7 @@ let observe_labels ldoc =
 let doc_crc ldoc =
   Checksum.crc32 (Serializer.to_string (Labeled_doc.document ldoc))
 
-let int_array_equal a b =
+let int_array_equal (a : int array) b =
   Array.length a = Array.length b
   &&
   let rec go i = i >= Array.length a || (a.(i) = b.(i) && go (i + 1)) in
@@ -110,7 +102,7 @@ let register_invariants reg ~io ~dir ~expected_labels t =
         Invariant.fail ~name:"recovery.store-matches-oracle-prefix"
           "labels diverge from oracle: %d slots vs %d expected%s"
           (Array.length got) (Array.length want)
-          (let limit = min (Array.length got) (Array.length want) in
+          (let limit = Int.min (Array.length got) (Array.length want) in
            let rec first i =
              if i >= limit then ""
              else if got.(i) <> want.(i) then

@@ -9,13 +9,6 @@ let merged_rows_hist =
     ~bounds:(Ltree_obs.Histogram.linear_bounds ~start:0. ~step:8. ~count:16)
     ()
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let max : int -> int -> int = Stdlib.max
-
 type entry = {
   starts : Column.t;
   ends : Column.t;
@@ -120,7 +113,7 @@ let[@ltree.hot] clean t tag =
 let rebuild t counters ~rids_of_tag ~fetch tag =
   Span.event ~attrs:[ ("tag", tag) ] "relstore.index_rebuild";
   let ids = rids_of_tag tag in
-  let cap = max 16 (List.length ids) in
+  let cap = Int.max 16 (List.length ids) in
   let entry =
     { starts = Column.create ~capacity:cap ();
       ends = Column.create ~capacity:cap ();
@@ -159,7 +152,7 @@ let repair t counters ~fetch tag entry touched =
   let s = entry.starts and e = entry.ends and r = entry.rids in
   (* Scatter the touched rids into the reused bitset; the survivor scan
      below then costs one bit test per row. *)
-  let maxrid = Hashtbl.fold (fun rid () m -> max rid m) touched (-1) in
+  let maxrid = Hashtbl.fold (fun rid () m -> Int.max rid m) touched (-1) in
   let words = (maxrid + 32) lsr 5 in
   Column.reserve t.rmark words;
   Column.set_len t.rmark 0;

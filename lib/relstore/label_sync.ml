@@ -3,9 +3,6 @@ module Labeled_doc = Ltree_doc.Labeled_doc
 module Span = Ltree_obs.Span
 open Shredder
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-
 (* Rows written per flush/resync: the effective write batch size the
    relational store sees from the document layer. *)
 let flush_rows =

@@ -1,14 +1,6 @@
 module Counters = Ltree_metrics.Counters
 module Column = Ltree_core.Column
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let max : int -> int -> int = Stdlib.max
-
 (* Residency and dirty bits live in dense per-table columns indexed by
    page number: [clocks.(table)] maps a page to its last-use clock (-1
    when not resident), [dirties.(table)] to its dirty flag.  A hit is
@@ -61,7 +53,7 @@ let counters t = t.counters
 let[@ltree.cold] grow t ~table ~page =
   let n = Array.length t.clocks in
   if table >= n then begin
-    let nn = max (table + 1) (max 4 (2 * n)) in
+    let nn = Int.max (table + 1) (Int.max 4 (2 * n)) in
     t.clocks <-
       Array.init nn (fun i ->
           if i < n then t.clocks.(i) else Column.create ~capacity:16 ());

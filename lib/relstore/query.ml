@@ -15,15 +15,6 @@ let observe_join r =
   Ltree_obs.Histogram.observe_int join_comparisons
     (Ltree_obs.Trace.delta r "comparisons")
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let max : int -> int -> int = Stdlib.max
-
 let ids_of_tag tbl tag = Option.value ~default:[] (Hashtbl.find_opt tbl tag)
 
 (* BFS from a set of node ids: each level is one parent-child self-join
@@ -232,7 +223,7 @@ let[@ltree.hot] array_join counters (a : Label_index.entry)
       (* Stack empty, next ancestor starts at or after ds: no descendant
          before that point has a match — leap over them. *)
       di :=
-        max (!di + 1)
+        Int.max (!di + 1)
           (Label_index.upper_bound counters d (Column.get a.starts !ai))
   done
 
@@ -291,7 +282,7 @@ let[@ltree.hot] descendants_into counters table (a : Label_index.entry)
     else if js.Label_index.js_ai >= a.len then js.Label_index.js_done <- true
     else
       js.Label_index.js_di <-
-        max
+        Int.max
           (js.Label_index.js_di + 1)
           (Label_index.upper_bound counters d
              (Column.get a.starts js.Label_index.js_ai))
@@ -329,7 +320,7 @@ let join_into counters (a : Label_index.entry) (d : Label_index.entry)
   out.len <- Column.length out.starts
 
 let join_to_entry counters (a : Label_index.entry) (d : Label_index.entry) =
-  let cap = max 16 d.len in
+  let cap = Int.max 16 d.len in
   let out =
     { Label_index.starts = Column.create ~capacity:cap ();
       ends = Column.create ~capacity:cap ();

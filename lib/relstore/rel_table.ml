@@ -1,10 +1,3 @@
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let max : int -> int -> int = Stdlib.max
-
 type 'a t = {
   pager : Pager.t;
   table_id : int;
@@ -33,7 +26,7 @@ let length t = t.n
 
 let append t row =
   if t.n = Array.length t.rows then begin
-    let cap = max 16 (2 * t.n) in
+    let cap = Int.max 16 (2 * t.n) in
     let bigger = Array.make cap row in
     Array.blit t.rows 0 bigger 0 t.n;
     t.rows <- bigger

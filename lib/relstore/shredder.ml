@@ -1,9 +1,6 @@
 open Ltree_xml
 module Labeled_doc = Ltree_doc.Labeled_doc
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-
 type edge_row = { e_id : int; e_parent : int; e_tag : string; e_pos : int }
 
 type label_row = {

@@ -1,10 +1,3 @@
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let min : int -> int -> int = Stdlib.min
-
 type policy = {
   base : int;
   factor : int;
@@ -37,7 +30,7 @@ let delay p ~attempt =
     d := !d * p.factor;
     incr i
   done;
-  min !d p.cap
+  Int.min !d p.cap
 
 let check p ~attempt ~waited =
   if waited > p.deadline then

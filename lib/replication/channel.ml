@@ -1,13 +1,6 @@
 module Fault = Ltree_recovery.Fault
 module Prng = Ltree_workload.Prng
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let max : int -> int -> int = Stdlib.max
-
 type plan = {
   seed : int;
   noise_every : int;
@@ -98,7 +91,8 @@ let stats t =
   }
 
 let enqueue t ~deliver_at bytes =
-  let c = { deliver_at = max deliver_at t.floor; order = t.next_order; bytes }
+  let c =
+    { deliver_at = Int.max deliver_at t.floor; order = t.next_order; bytes }
   in
   t.next_order <- t.next_order + 1;
   t.in_flight <- c :: t.in_flight
@@ -141,7 +135,7 @@ let inject t ~now ~mode ~terminal bytes =
     let cut = if len = 0 then 0 else Prng.int t.rng len in
     enqueue t ~deliver_at:now (String.sub bytes 0 cut);
     if not terminal then begin
-      let rem_at = max (now + t.plan.delay_ticks) t.floor in
+      let rem_at = Int.max (now + t.plan.delay_ticks) t.floor in
       enqueue t ~deliver_at:rem_at (String.sub bytes cut (len - cut));
       t.floor <- rem_at
     end
@@ -150,7 +144,7 @@ let inject t ~now ~mode ~terminal bytes =
     else begin
       t.delayed <- t.delayed + 1;
       enqueue t
-        ~deliver_at:(now + 1 + Prng.int t.rng (max 1 t.plan.reorder_window))
+        ~deliver_at:(now + 1 + Prng.int t.rng (Int.max 1 t.plan.reorder_window))
         bytes
     end
 

@@ -1,10 +1,5 @@
 module Checksum = Ltree_recovery.Checksum
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-
 type t =
   | Data of { epoch : int; hwm : int; seq : int; trace : int; payload : string }
   | Snapshot of { epoch : int; base_seq : int; chain : int; data : string }

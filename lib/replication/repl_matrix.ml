@@ -5,12 +5,6 @@ module Matrix = Ltree_recovery.Matrix
 module Labeled_doc = Ltree_doc.Labeled_doc
 module Journal = Ltree_doc.Journal
 
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-
 let default_config =
   { Matrix.seed = 42; ops = 120; doc_nodes = 100; group_commit = 4;
     checkpoint_every = 24 }

@@ -2,15 +2,6 @@ module Fault = Ltree_recovery.Fault
 module Durable_doc = Ltree_recovery.Durable_doc
 module Journal = Ltree_doc.Journal
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let max : int -> int -> int = Stdlib.max
-
 (* How many chain links back from [applied] the memo keeps: late
    handshakes (a [Delay]ed H frame) must still find their link, so this
    comfortably exceeds any channel reorder window. *)
@@ -144,7 +135,7 @@ let applied_seq t =
 let lag t =
   match applied_seq t with
   | None -> None
-  | Some a -> Some (max 0 (t.hwm - a))
+  | Some a -> Some (Int.max 0 (t.hwm - a))
 
 let stats t =
   {
@@ -170,7 +161,7 @@ let read ?max_lag t f =
     match t.store with
     | None -> Error Not_bootstrapped
     | Some s -> (
-      let l = max 0 (t.hwm - Durable_doc.last_seq s) in
+      let l = Int.max 0 (t.hwm - Durable_doc.last_seq s) in
       match max_lag with
       | Some m when l > m -> Error (Stale { lag = l; max_lag = m })
       | _ -> Ok (f (Durable_doc.ldoc s))))
@@ -248,7 +239,7 @@ let rec drain_stash t s ~now =
 (* Returns [true] when the frame advanced or confirmed replica state
    and an ack should go out this pump. *)
 let on_data t ~now ~hwm ~seq ~payload =
-  t.hwm <- max t.hwm hwm;
+  t.hwm <- Int.max t.hwm hwm;
   Ltree_obs.Causal.stamp ~tick:now Ltree_obs.Causal.Deliver ~seq ~payload;
   match t.store with
   | None -> false

@@ -2,15 +2,6 @@ module Fault = Ltree_recovery.Fault
 module Durable_doc = Ltree_recovery.Durable_doc
 module Journal = Ltree_doc.Journal
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let min : int -> int -> int = Stdlib.min
-let max : int -> int -> int = Stdlib.max
-
 (* How far below the ack point payloads and chain links are retained,
    so a replica that recovers (regressing by at most its group-commit
    buffer plus some reordering) resumes on data frames instead of
@@ -228,7 +219,7 @@ let prune t ~acked =
   Hashtbl.filter_map_inplace
     (fun seq v -> if seq < cut then None else Some v)
     t.chains;
-  t.chain_base <- max t.chain_base cut
+  t.chain_base <- Int.max t.chain_base cut
 
 let on_ack t ~now seq =
   t.acks_seen <- t.acks_seen + 1;
@@ -239,12 +230,12 @@ let on_ack t ~now seq =
   let prev = match t.acked with None -> -1 | Some a -> a in
   if seq > prev then begin
     t.acked <- Some seq;
-    t.acked_progress <- t.acked_progress + (seq - max prev 0);
+    t.acked_progress <- t.acked_progress + (seq - Int.max prev 0);
     Hashtbl.iter
       (fun s (fl : inflight) ->
         if s <= seq then begin
           Ltree_obs.Histogram.observe_int (ship_latency_hist ())
-            (max 1 (now - fl.first_sent));
+            (Int.max 1 (now - fl.first_sent));
           Ltree_obs.Histogram.observe_int (send_attempts_hist ()) fl.attempts;
           (* The cumulative ack is the moment the primary knows the
              record is applied and readable on the replica: the end of
@@ -383,7 +374,7 @@ let send_data t ~now ~seq payload =
   t.frames_sent <- t.frames_sent + 1
 
 let step_window t ~now ~acked =
-  let hi = min t.chain_top (acked + t.config.window) in
+  let hi = Int.min t.chain_top (acked + t.config.window) in
   let seq = ref (acked + 1) in
   while Option.is_none t.failed && !seq <= hi do
     (match Hashtbl.find_opt t.retention !seq with

@@ -3,14 +3,6 @@ module Durable_doc = Ltree_recovery.Durable_doc
 module Crash_matrix = Ltree_recovery.Crash_matrix
 module Matrix = Ltree_recovery.Matrix
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-
 (* The shard-level crash matrix, an instance of {!Matrix}: run the whole
    sharded stack, kill exactly {e one} shard's disk at every one of its
    write points in every damage mode, recover that shard {e alone} from

@@ -19,15 +19,6 @@ module Par_query = Ltree_exec.Par_query
 module Registry = Ltree_obs.Registry
 module Histogram = Ltree_obs.Histogram
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let max : int -> int -> int = Stdlib.max
-
 (* A document split into K subtree shards along its L-Tree label
    intervals.
 
@@ -313,7 +304,7 @@ let refresh_routes t =
 (* First routing index whose interval end reaches [target] — the
    leftmost shard a window starting at [target] can intersect.
    Tail-recursive over ints so the hot path allocates nothing (R9). *)
-let[@ltree.hot] rec lower_from ends target l r =
+let[@ltree.hot] rec lower_from (ends : int array) target l r =
   if l >= r then l
   else begin
     let m = (l + r) / 2 in
@@ -323,7 +314,7 @@ let[@ltree.hot] rec lower_from ends target l r =
 
 (* First routing index whose interval start exceeds [target]; one past
    the rightmost shard a window ending at [target] can intersect. *)
-let[@ltree.hot] rec upper_to starts target l r =
+let[@ltree.hot] rec upper_to (starts : int array) target l r =
   if l >= r then l
   else begin
     let m = (l + r) / 2 in
@@ -877,7 +868,7 @@ let maybe_rebalance ?(threshold = 2.0) ?on_phase t =
     Array.map (fun sh -> Labeled_doc.size (Durable_doc.ldoc sh.durable)) t.shards
   in
   let total = Array.fold_left ( + ) 0 sizes in
-  let mean = float_of_int total /. float_of_int (max 1 k) in
+  let mean = float_of_int total /. float_of_int (Int.max 1 k) in
   let rec find p =
     if p >= k then None
     else if

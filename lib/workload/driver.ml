@@ -27,7 +27,7 @@ module Make (S : Ltree_labeling.Scheme.S) = struct
     let pool =
       if n = 0 then [||]
       else begin
-        let pool = Array.make (max 16 (2 * n)) handles.(0) in
+        let pool = Array.make (Int.max 16 (2 * n)) handles.(0) in
         Array.blit handles 0 pool 0 n;
         pool
       end
@@ -48,7 +48,7 @@ module Make (S : Ltree_labeling.Scheme.S) = struct
 
   let push t h =
     if t.size = Array.length t.pool then begin
-      let bigger = Array.make (max 16 (2 * t.size)) h in
+      let bigger = Array.make (Int.max 16 (2 * t.size)) h in
       Array.blit t.pool 0 bigger 0 t.size;
       t.pool <- bigger
     end;

@@ -41,7 +41,7 @@ let generate ?(seed = 42) profile =
   let rec fill parent depth =
     if !budget > 0 && depth < profile.max_depth then begin
       let want = 1 + Prng.int prng (2 * profile.mean_fanout) in
-      let n = min want !budget in
+      let n = Int.min want !budget in
       let last_was_text = ref false in
       for _ = 1 to n do
         if !budget > 0 then begin
@@ -102,11 +102,11 @@ let elem_text name s =
 let xmark ?(seed = 42) ~scale () =
   if scale <= 0. then invalid_arg "Xml_gen.xmark: scale must be positive";
   let prng = Prng.create seed in
-  let n_items = max 2 (int_of_float (60. *. scale)) in
-  let n_people = max 2 (int_of_float (25. *. scale)) in
-  let n_categories = max 2 (int_of_float (10. *. scale)) in
-  let n_open = max 1 (int_of_float (12. *. scale)) in
-  let n_closed = max 1 (int_of_float (8. *. scale)) in
+  let n_items = Int.max 2 (int_of_float (60. *. scale)) in
+  let n_people = Int.max 2 (int_of_float (25. *. scale)) in
+  let n_categories = Int.max 2 (int_of_float (10. *. scale)) in
+  let n_open = Int.max 1 (int_of_float (12. *. scale)) in
+  let n_closed = Int.max 1 (int_of_float (8. *. scale)) in
   let item_id i = Printf.sprintf "item%d" i in
   let person_id i = Printf.sprintf "person%d" i in
   let category_id i = Printf.sprintf "category%d" i in

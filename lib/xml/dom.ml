@@ -182,16 +182,22 @@ let event_count n =
       | Text _ | Comment _ | Pi _ -> incr c);
   !c
 
+(* Attributes compare as an unordered set of (name, value) pairs. *)
+let compare_attr (k1, v1) (k2, v2) =
+  match String.compare k1 k2 with 0 -> String.compare v1 v2 | c -> c
+
+let equal_attr (k1, v1) (k2, v2) = String.equal k1 k2 && String.equal v1 v2
+let sort_attrs attrs = List.sort compare_attr attrs
+
 let rec equal_structure a b =
   match (a.node_kind, b.node_kind) with
   | Element na, Element nb ->
-    na = nb
-    && List.sort compare a.node_attrs = List.sort compare b.node_attrs
+    String.equal na nb
+    && List.equal equal_attr (sort_attrs a.node_attrs) (sort_attrs b.node_attrs)
     && List.length a.node_children = List.length b.node_children
     && List.for_all2 equal_structure a.node_children b.node_children
-  | Text x, Text y -> x = y
-  | Comment x, Comment y -> x = y
-  | Pi (t1, d1), Pi (t2, d2) -> t1 = t2 && d1 = d2
+  | Text x, Text y | Comment x, Comment y -> String.equal x y
+  | Pi (t1, d1), Pi (t2, d2) -> String.equal t1 t2 && String.equal d1 d2
   | (Element _ | Text _ | Comment _ | Pi _), _ -> false
 
 let rec pp ppf n =
@@ -199,12 +205,12 @@ let rec pp ppf n =
   | Element name ->
     Format.fprintf ppf "@[<hv 2><%s" name;
     List.iter (fun (k, v) -> Format.fprintf ppf " %s=%S" k v) n.node_attrs;
-    if n.node_children = [] then Format.fprintf ppf "/>"
-    else begin
-      Format.fprintf ppf ">";
-      List.iter (fun c -> Format.fprintf ppf "@,%a" pp c) n.node_children;
-      Format.fprintf ppf "@;<0 -2></%s>" name
-    end;
+    (match n.node_children with
+     | [] -> Format.fprintf ppf "/>"
+     | children ->
+       Format.fprintf ppf ">";
+       List.iter (fun c -> Format.fprintf ppf "@,%a" pp c) children;
+       Format.fprintf ppf "@;<0 -2></%s>" name);
     Format.fprintf ppf "@]"
   | Text s -> Format.fprintf ppf "%S" s
   | Comment s -> Format.fprintf ppf "<!--%s-->" s

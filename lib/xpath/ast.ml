@@ -1,6 +1,3 @@
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( > ) : int -> int -> bool = Stdlib.( > )
-
 type axis =
   | Child
   | Descendant

@@ -1,10 +1,5 @@
 open Ltree_xml
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-
 let matches_test (test : Ast.test) node =
   match (test, Dom.kind node) with
   | Ast.Name n, Dom.Element name -> String.equal n name

@@ -1,15 +1,6 @@
 open Ltree_xml
 module Labeled_doc = Ltree_doc.Labeled_doc
 
-(* Monomorphic comparison prelude (lint rule R2). *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( > ) : int -> int -> bool = Stdlib.( > )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
-let ( <> ) : int -> int -> bool = Stdlib.( <> )
-let max : int -> int -> int = Stdlib.max
-
 type item = { node : Dom.node; start_pos : int; end_pos : int; level : int }
 
 (* The slots of one node test, in document order.  L-Tree relabels
@@ -78,7 +69,7 @@ let merge_into t vec fresh =
   let a =
     match mine with
     | s :: _ when n > Array.length a ->
-      let b = Array.make (max n (2 * Array.length a)) s in
+      let b = Array.make (Int.max n (2 * Array.length a)) s in
       Array.blit a 0 b 0 !live;
       b
     | _ -> a
@@ -217,7 +208,7 @@ let stack_join (a : item array) (d : item array) visit =
       incr di
     end
     else if !ai >= alen then finished := true
-    else di := max (!di + 1) (upper_bound d a.(!ai).start_pos)
+    else di := Int.max (!di + 1) (upper_bound d a.(!ai).start_pos)
   done
 
 (* Every (ancestor, descendant) pair; each ancestor's group arrives in

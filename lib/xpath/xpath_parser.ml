@@ -1,12 +1,5 @@
 exception Error of string * int
 
-(* Monomorphic comparison prelude (lint rule R2): ints compare via the
-   rebound operators, chars via [chr]/[Char.equal], strings via
-   [String.equal]. *)
-let ( = ) : int -> int -> bool = Stdlib.( = )
-let ( < ) : int -> int -> bool = Stdlib.( < )
-let ( <= ) : int -> int -> bool = Stdlib.( <= )
-let ( >= ) : int -> int -> bool = Stdlib.( >= )
 let chr = Char.equal
 
 type state = { src : string; mutable pos : int }

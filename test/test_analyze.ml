@@ -1,7 +1,11 @@
-(* Coverage for the typed interprocedural analyzer (tools/analyze).
-   Fixture sources under test/analyze_fixtures/ are self-contained
-   (Stdlib only, with a mini [Pool] standing in for Ltree_exec.Pool)
-   and are typechecked in-process — no dune-built .cmt needed. *)
+(* Coverage for the static analyzer (tools/analyze).  Fixture sources
+   under test/analyze_fixtures/ are self-contained (Stdlib only, with a
+   mini [Pool] standing in for Ltree_exec.Pool) and are typechecked
+   in-process — no dune-built .cmt needed.  The [analyze] suite covers
+   the whole-program rules (R8/R9), the baseline and A1/A2 over
+   [race_allow]; the [lint] suite covers the per-unit rules R1-R7 and
+   A1/A2 over [global_allow], with [analyze_fixtures/libroot/] playing
+   the role of [lib/]. *)
 
 let case = Alcotest.test_case
 
@@ -11,32 +15,46 @@ let read_file path =
     ~finally:(fun () -> close_in ic)
     (fun () -> really_input_string ic (in_channel_length ic))
 
+let unit_name_of path =
+  String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
+
+(* [fixture name] typechecks analyze_fixtures/[name]; [~as_path] reports
+   it under another source path, which is what rule scopes look at. *)
 let fixture =
   let memo : (string, Analyze_rules.unit_info) Hashtbl.t =
     Hashtbl.create 8
   in
-  fun name unit_name ->
-    match Hashtbl.find_opt memo name with
+  fun ?as_path name ->
+    let src = Filename.concat "analyze_fixtures" name in
+    let path = Option.value as_path ~default:src in
+    match Hashtbl.find_opt memo path with
     | Some u -> u
     | None ->
-      let path = Filename.concat "analyze_fixtures" name in
       let u =
-        Analyze_rules.typecheck_impl ~unit_name ~path (read_file path)
+        Analyze_rules.typecheck_impl ~unit_name:(unit_name_of path) ~path
+          (read_file src)
       in
-      Hashtbl.replace memo name u;
+      Hashtbl.replace memo path u;
       u
 
-let base = { Analyze_rules.default_config with race_allow = [] }
+(* The R8/R9 fixtures sit at the top of analyze_fixtures/, which plays
+   [lib/] for them; their R6/R7 findings are the lint suite's business. *)
+let base =
+  {
+    Analyze_rules.default_config with
+    lib_prefix = "analyze_fixtures/";
+    race_allow = [];
+    global_allow = [];
+  }
 
-let fingerprints cfg units =
-  List.map
-    (fun f -> f.Analyze_rules.fingerprint)
+let fingerprints ?(rules = [ "R8"; "R9"; "A1"; "A2" ]) cfg units =
+  List.filter_map
+    (fun f ->
+      if List.mem f.Analyze_rules.rule rules then Some f.fingerprint
+      else None)
     (Analyze_rules.analyze cfg units)
 
-let contains ~sub s =
-  let n = String.length s and p = String.length sub in
-  let rec at i = i + p <= n && (String.equal (String.sub s i p) sub || at (i + 1)) in
-  at 0
+let contains = Analyze_rules.contains
 
 (* {1 R8} *)
 
@@ -49,12 +67,12 @@ let r8_seeded () =
       "R8|Fix_race.run_captured_ref|captured-write|acc";
       "R8|Fix_race.run_captured_pass.cell|captured-write|shared";
     ]
-    (fingerprints base [ fixture "fix_race.ml" "Fix_race" ])
+    (fingerprints base [ fixture "fix_race.ml" ])
 
 let r8_interprocedural () =
   (* the acceptance case: an unsynchronized Hashtbl write two project
      calls away from the Pool closure is still attributed *)
-  let fps = fingerprints base [ fixture "fix_race.ml" "Fix_race" ] in
+  let fps = fingerprints base [ fixture "fix_race.ml" ] in
   Alcotest.(check bool)
     "closure -> deep -> record reaches the Hashtbl write" true
     (List.mem "R8|Fix_race.record|global-write|Fix_race.table" fps)
@@ -76,7 +94,7 @@ let r8_clean () =
   in
   Alcotest.(check (list string))
     "clean fixture is silent (incl. Atomic-mediated access)" []
-    (fingerprints cfg [ fixture "fix_race_clean.ml" "Fix_race_clean" ])
+    (fingerprints cfg [ fixture "fix_race_clean.ml" ])
 
 let allowlist_stale () =
   let cfg =
@@ -86,7 +104,7 @@ let allowlist_stale () =
         [ ("Fix_race.gone", "entry for deleted code; DESIGN.md section 7") ];
     }
   in
-  let fps = fingerprints cfg [ fixture "fix_race.ml" "Fix_race" ] in
+  let fps = fingerprints cfg [ fixture "fix_race.ml" ] in
   Alcotest.(check bool)
     "stale race_allow entry raises A1" true
     (List.mem "A1|Fix_race.gone" fps);
@@ -102,7 +120,7 @@ let allowlist_note () =
         [ ("Fix_race.record", "audited, but missing the crossref") ];
     }
   in
-  let fps = fingerprints cfg [ fixture "fix_race.ml" "Fix_race" ] in
+  let fps = fingerprints cfg [ fixture "fix_race.ml" ] in
   Alcotest.(check bool)
     "entry without DESIGN.md crossref raises A2" true
     (List.mem "A2|Fix_race.record" fps);
@@ -116,7 +134,7 @@ let r8_through_matrix_engine () =
   Alcotest.(check (list string))
     "captured-ref write in an ~eval closure is flagged"
     [ "R8|Fix_matrix.run_instance|captured-write|verified" ]
-    (fingerprints base [ fixture "fix_matrix.ml" "Fix_matrix" ])
+    (fingerprints base [ fixture "fix_matrix.ml" ])
 
 (* {1 R9} *)
 
@@ -131,19 +149,23 @@ let r9_seeded () =
       "R9|Fix_hot.bad_float|boxed float from `Stdlib.*.`";
       "R9|Fix_hot.bad_call|calls Fix_hot.grow";
     ]
-    (fingerprints base [ fixture "fix_hot.ml" "Fix_hot" ])
+    (fingerprints base [ fixture "fix_hot.ml" ])
 
 let r9_clean () =
   Alcotest.(check (list string))
     "hot functions honouring the contract are silent" []
-    (fingerprints base [ fixture "fix_hot_clean.ml" "Fix_hot_clean" ])
+    (fingerprints base [ fixture "fix_hot_clean.ml" ])
 
 (* {1 Baseline} *)
 
+(* Only R8/R9 findings are baselinable; fix_race.ml's R6/R7 ones are
+   left out of these round trips. *)
+let race_findings () =
+  List.filter Analyze_rules.baselinable
+    (Analyze_rules.analyze base [ fixture "fix_race.ml" ])
+
 let baseline_diff () =
-  let findings =
-    Analyze_rules.analyze base [ fixture "fix_race.ml" "Fix_race" ]
-  in
+  let findings = race_findings () in
   let first = (List.hd findings).Analyze_rules.fingerprint in
   let gone = "R8|Fix_race.gone|global-write|Fix_race.x" in
   let baseline = [ (first, "audited"); (gone, "stale entry") ] in
@@ -155,9 +177,7 @@ let baseline_diff () =
   Alcotest.(check (list string)) "stale baseline entry reported" [ gone ] stale
 
 let baseline_roundtrip () =
-  let findings =
-    Analyze_rules.analyze base [ fixture "fix_race.ml" "Fix_race" ]
-  in
+  let findings = race_findings () in
   let rendered = Analyze_rules.render_baseline ~existing:[] findings in
   let parsed = Analyze_rules.parse_baseline rendered in
   Alcotest.(check (list string))
@@ -173,25 +193,213 @@ let baseline_roundtrip () =
 
 let rule_registry () =
   Alcotest.(check (list string))
-    "analyzer rules registered"
-    [ "A1"; "A2"; "R8"; "R9" ]
+    "one registry for every rule"
+    [ "A1"; "A2"; "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9" ]
     (List.sort String.compare (List.map fst (Analyze_rules.rule_ids ())))
 
 let default_config_audited () =
+  let cfg = Analyze_rules.default_config in
   List.iter
-    (fun (pat, note) ->
+    (fun (entry, note) ->
       Alcotest.(check bool)
-        (Printf.sprintf "race_allow %s cites DESIGN.md" pat)
+        (Printf.sprintf "%s cites DESIGN.md" entry)
         true
         (contains ~sub:"DESIGN.md" note))
-    Analyze_rules.default_config.Analyze_rules.race_allow;
+    (List.map (fun (p, n) -> ("race_allow " ^ p, n)) cfg.race_allow
+    @ List.map (fun (m, n) -> ("guarded module " ^ m, n)) cfg.guarded_modules
+    @ List.map
+        (fun (p, b, n) -> (Printf.sprintf "global_allow %s:%s" p b, n))
+        cfg.global_allow)
+
+(* {1 Per-unit rules R1-R7} *)
+
+let libroot = "analyze_fixtures/libroot/"
+
+let lint_config =
+  {
+    Analyze_rules.default_config with
+    lib_prefix = libroot;
+    core_prefix = libroot ^ "core/";
+    print_allow = [];
+    arith_allow = [ (libroot ^ "core/bad_arith.ml", "pow_ok") ];
+    race_allow = [];
+    global_allow =
+      [
+        ( libroot ^ "bad_global.ml", "ring",
+          "fixture: stands in for an audited global; DESIGN.md section 7" );
+      ];
+  }
+
+let rec sources dir =
+  List.concat_map
+    (fun entry ->
+      let path = Filename.concat dir entry in
+      if Sys.is_directory path then sources path
+      else if Filename.check_suffix entry ".ml" then [ path ]
+      else [])
+    (List.sort String.compare (Array.to_list (Sys.readdir dir)))
+
+(* Every fixture under libroot/, typechecked once. *)
+let lint_units =
+  let memo =
+    lazy
+      (List.map
+         (fun path ->
+           let prefix = String.length "analyze_fixtures/" in
+           fixture (String.sub path prefix (String.length path - prefix)))
+         (sources "analyze_fixtures/libroot"))
+  in
+  fun () -> Lazy.force memo
+
+(* For a subset of the fixtures: the [ring] entry would be stale. *)
+let solo_config = { lint_config with global_allow = [] }
+
+let render (f : Analyze_rules.finding) =
+  Printf.sprintf "%s:%s:%d" f.file f.rule f.line
+
+let lint cfg units = List.map render (Analyze_rules.analyze cfg units)
+
+let seeded_violations () =
+  let expected =
+    List.map
+      (fun s -> libroot ^ s)
+      [
+        "bad_catchall.ml:R3:2";
+        "bad_catchall.ml:R3:3";
+        "bad_catchall.ml:R3:5";
+        "bad_global.ml:R7:3";
+        "bad_global.ml:R7:4";
+        "bad_global.ml:R7:7";
+        "bad_minmax.ml:R2:4";
+        "bad_minmax.ml:R2:5";
+        "bad_obj.ml:R1:2";
+        "bad_obj.ml:R1:3";
+        "bad_obj.ml:R1:4";
+        "bad_obj.ml:R1:5";
+        "bad_poly.ml:R2:3";
+        "bad_poly.ml:R2:4";
+        "bad_poly.ml:R2:5";
+        "bad_poly.ml:R2:6";
+        "bad_poly.ml:R2:7";
+        "bad_poly.ml:R2:8";
+        "bad_print.ml:R4:2";
+        "bad_print.ml:R4:3";
+        "bad_print.ml:R4:4";
+        "core/bad_arith.ml:R5:3";
+        "core/bad_arith.ml:R5:4";
+        "core/bad_arith.ml:R5:5";
+        "missing_mli.ml:R6:1";
+      ]
+  in
+  Alcotest.(check (list string))
+    "every seeded violation fires, and nothing else" expected
+    (lint lint_config (lint_units ()))
+
+let clean_fixtures_silent () =
   List.iter
-    (fun (m, note) ->
-      Alcotest.(check bool)
-        (Printf.sprintf "guarded module %s cites DESIGN.md" m)
-        true
-        (contains ~sub:"DESIGN.md" note))
-    Analyze_rules.default_config.Analyze_rules.guarded_modules
+    (fun name ->
+      Alcotest.(check (list string))
+        (name ^ " analyzes clean") []
+        (lint solo_config [ fixture ("libroot/" ^ name) ]))
+    [ "clean.ml"; "clean_compare.ml" ]
+
+let mli_presence () =
+  Alcotest.(check (list string))
+    "only the lib module without an .mli fires"
+    [ libroot ^ "missing_mli.ml:R6:1" ]
+    (List.filter_map
+       (fun (f : Analyze_rules.finding) ->
+         if String.equal f.rule "R6" then Some (render f) else None)
+       (Analyze_rules.analyze lint_config
+          [
+            fixture "libroot/missing_mli.ml"; fixture "libroot/clean.ml";
+            (* outside lib_prefix: no interface needed *)
+            fixture "fix_hot.ml";
+          ]))
+
+let hygiene cfg =
+  List.filter_map
+    (fun (f : Analyze_rules.finding) ->
+      if String.equal f.rule "A1" || String.equal f.rule "A2" then begin
+        Alcotest.(check bool)
+          (f.fingerprint ^ " is never baselinable")
+          false (Analyze_rules.baselinable f);
+        Some f.fingerprint
+      end
+      else None)
+    (Analyze_rules.analyze cfg [ fixture "libroot/bad_global.ml" ])
+
+let global_allow_stale () =
+  Alcotest.(check (list string))
+    "a vanished binding and a deleted file both raise A1"
+    [
+      "A1|" ^ libroot ^ "bad_global.ml:vanished";
+      "A1|" ^ libroot ^ "no_such_file.ml:ring";
+    ]
+    (hygiene
+       {
+         lint_config with
+         global_allow =
+           [
+             ( libroot ^ "bad_global.ml", "vanished",
+               "entry for deleted code; DESIGN.md section 7" );
+             ( libroot ^ "no_such_file.ml", "ring",
+               "entry for deleted file; DESIGN.md section 7" );
+           ];
+       })
+
+let global_allow_note () =
+  Alcotest.(check (list string))
+    "a note without a DESIGN.md crossref raises A2"
+    [ "A2|" ^ libroot ^ "bad_global.ml:ring" ]
+    (hygiene
+       {
+         lint_config with
+         global_allow =
+           [
+             ( libroot ^ "bad_global.ml", "ring",
+               "audited, but missing the crossref" );
+           ];
+       })
+
+let r2_minmax_prelude () =
+  Alcotest.(check (list string))
+    "an int prelude does not make max specialized"
+    [ libroot ^ "bad_minmax.ml:R2:4"; libroot ^ "bad_minmax.ml:R2:5" ]
+    (lint solo_config [ fixture "libroot/bad_minmax.ml" ])
+
+let r2_formerly_allowlisted () =
+  (* lib/doc/ was exempt from the untyped R2 *)
+  let u = fixture ~as_path:"lib/doc/record_compare.ml" "record_compare.ml" in
+  Alcotest.(check (list string))
+    "a generic compare on a record in lib/doc/ fires"
+    [ "R2|lib/doc/record_compare.ml:5:27" ]
+    (fingerprints ~rules:[ "R2" ]
+       { Analyze_rules.default_config with race_allow = []; global_allow = [] }
+       [ u ])
+
+let r2_specialized_silent () =
+  Alcotest.(check (list string))
+    "=/compare at int, string, float, bool, a constant variant, an int \
+     alias and against [], Int.max and String.equal stay silent"
+    []
+    (lint solo_config [ fixture "libroot/clean_compare.ml" ])
+
+let lint_suite =
+  ( "lint",
+    [
+      case "seeded fixture violations (R1-R7)" `Quick seeded_violations;
+      case "clean fixtures stay silent" `Quick clean_fixtures_silent;
+      case "interface presence (R6)" `Quick mli_presence;
+      case "stale global_allow entries raise A1" `Quick global_allow_stale;
+      case "global_allow notes must cite DESIGN.md (A2)" `Quick
+        global_allow_note;
+      case "R2 flags min/max under an int prelude" `Quick r2_minmax_prelude;
+      case "R2 flags a record compare in formerly exempt lib/doc" `Quick
+        r2_formerly_allowlisted;
+      case "R2 stays silent on specialized comparisons" `Quick
+        r2_specialized_silent;
+    ] )
 
 let suite =
   ( "analyze",
@@ -210,7 +418,7 @@ let suite =
       case "baseline diff suppresses known, reports stale" `Quick
         baseline_diff;
       case "baseline render/parse round-trip" `Quick baseline_roundtrip;
-      case "rule registry lists R8/R9/A1/A2" `Quick rule_registry;
+      case "rule registry lists R1-R9/A1/A2" `Quick rule_registry;
       case "default config allowlists carry audits" `Quick
         default_config_audited;
     ] )

@@ -32,7 +32,7 @@ let () =
        Test_virtual.suite;
        Test_analysis.suite;
        Test_invariant.suite;
-       Test_lint.suite;
+       Test_analyze.lint_suite;
        Test_analyze.suite;
        Test_bitstring.suite;
        Test_xml.suite;

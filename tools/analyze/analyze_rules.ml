@@ -1,9 +1,28 @@
-(* ltree-analyze: typed interprocedural analysis over .cmt artifacts.
+(* ltree-analyze: the project's static-analysis pass over the Typedtree
+   of every compiled unit (dune's .cmt files, or sources typechecked
+   in-process by the fixture tests).  One config, one finding type and
+   one baseline cover every rule; the rule table is DESIGN.md section 7.
 
-   Where tools/lint works on the untyped Parsetree one file at a time,
-   this pass loads the Typedtree of every compiled unit, builds a call
-   graph with nested-function nodes and parameter-mutation summaries,
-   and runs two rule families:
+   Per-unit rules, each scoped by source path:
+
+   - R1: no [Obj.*] anywhere;
+   - R2 ([lib/]): no comparison that falls back to the generic
+     [caml_compare] family.  Each [=]/[<>]/[<]/[>]/[<=]/[>=]/[compare]
+     is judged by its operand type at the call site, exactly as the
+     compiler specializes it: immediate types, [float], [string],
+     [bytes] and the boxed ints are fine, anything else is flagged.
+     [Stdlib.min]/[Stdlib.max] are flagged at every type (they are
+     never specialized), and so is every use of a local alias of a
+     flagged comparison;
+   - R3: no exception-swallowing [try ... with _ ->];
+   - R4 ([lib/]): no console output;
+   - R5 ([lib/core/]): raw [*]/[lsl] on [radix]/[m] must go through the
+     overflow-checked [Params.pow_*] helpers;
+   - R6 ([lib/]): every module has an interface file;
+   - R7 ([lib/]): no top-level mutable globals outside [global_allow].
+
+   Whole-program rules over the call graph of the [lib/] units
+   (nested-function nodes, parameter-mutation summaries):
 
    - R8 (domain-safety): compute the set of functions reachable from
      parallel entry points (closures or function idents handed to
@@ -23,23 +42,34 @@
      excluded, and [raise]/[failwith]/[invalid_arg]/[assert] subtrees
      are skipped as error paths.
 
-   The analyzer additionally checks its own configuration hygiene:
-   A1 flags [race_allow] entries that no longer suppress anything
-   (stale allowlist) and A2 flags entries whose audit note does not
-   cite DESIGN.md.  A1/A2 are never baselinable. *)
+   Allowlist hygiene is checked by one piece of code for both
+   [race_allow] (R8) and [global_allow] (R7): A1 flags an entry that no
+   longer suppresses any finding, A2 an entry whose audit note does not
+   cite DESIGN.md.  Only R8/R9 findings can be baselined. *)
 
 type finding = {
-  rule : string;  (* "R8" | "R9" | "A1" | "A2" *)
+  rule : string;  (* "R1" .. "R9" | "A1" | "A2" *)
   file : string;
   line : int;  (* 1-based; 0 for config-level findings *)
   col : int;
-  func : string;  (* owning function key, e.g. "Ltree_exec.Pool.map" *)
+  func : string;
+      (* owning function key, e.g. "Ltree_exec.Pool.map"; the binding
+         key for R7, the unit for the other per-unit rules *)
   message : string;
   hint : string;
   fingerprint : string;  (* stable id used by --baseline *)
 }
 
 type config = {
+  lib_prefix : string;  (* R2/R4/R6/R7 scope, e.g. "lib/" *)
+  core_prefix : string;  (* R5 scope, e.g. "lib/core/" *)
+  print_allow : string list;  (* R4: exempt source paths *)
+  arith_allow : (string * string) list;
+      (* R5: (path, top-level binding whose body is exempt); "*" exempts
+         the whole file *)
+  global_allow : (string * string * string) list;
+      (* R7: (path, top-level binding, audit note); "*" allows the whole
+         file.  Checked by A1/A2 like [race_allow]. *)
   parallel_entries : string list;
       (* function names (module-boundary suffixes) whose call sites
          spawn their function arguments onto other domains *)
@@ -66,6 +96,22 @@ type config = {
 
 let default_config =
   {
+    lib_prefix = "lib/";
+    core_prefix = "lib/core/";
+    print_allow = [ "lib/metrics/table.ml" (* the sanctioned table printer *) ];
+    arith_allow =
+      [
+        ("lib/core/params.ml", "*");
+        (* pow_checked and friends are the overflow-checked helpers *)
+        ("lib/core/tuning.ml", "lattice");
+        (* candidate f = s*m products, bounded by max_f: not label math *)
+      ];
+    global_allow =
+      [
+        ( "lib/obs/span.ml", "ring",
+          "the process-wide trace ring: every access goes through the \
+           module's own ring_mu mutex; audited in DESIGN.md section 10" );
+      ];
     parallel_entries = [ "Pool.parallel_for"; "Pool.map"; "Domain.spawn" ];
     sync_prefixes =
       [
@@ -115,6 +161,9 @@ let default_config =
       ];
     hot_attr = "ltree.hot";
     cold_attr = "ltree.cold";
+    (* [Atomic.make], [Mutex.create], [Condition.create] and
+       [Domain.DLS.new_key] are deliberately absent: those are the
+       sanctioned domain-safe constructs. *)
     mutable_ctors =
       [
         "ref"; "Hashtbl.create"; "Queue.create"; "Stack.create";
@@ -200,6 +249,11 @@ let pattern_matches pat key =
     has_prefix ~prefix:(String.sub pat 0 (String.length pat - 1)) key
   else String.equal pat key
 
+let last_segment key =
+  match String.rindex_opt key '.' with
+  | Some i -> String.sub key (i + 1) (String.length key - i - 1)
+  | None -> key
+
 let attr_present name (attrs : Parsetree.attributes) =
   List.exists
     (fun (a : Parsetree.attribute) -> String.equal a.attr_name.txt name)
@@ -211,27 +265,41 @@ type unit_info = {
   u_name : string;  (* normalized module path, e.g. "Ltree_exec.Pool" *)
   u_file : string;  (* source path for reporting *)
   u_str : Typedtree.structure;
+  u_has_mli : bool;  (* R6 *)
+  u_loadpath : string list option;
+      (* .cmi directories to rebuild the environments a .cmt stores as
+         summaries; [None] for in-process units, whose environments are
+         complete *)
 }
 
-let load_cmt path =
+(* A .cmt dune wrote under [build]: its load path is relative to the
+   build root.  Only real [.ml] sources count (dune's generated alias
+   modules are [.ml-gen]); the unit has an interface iff dune wrote a
+   .cmti beside it. *)
+let load_cmt ~build path =
   match Cmt_format.read_cmt path with
   | exception (Sys_error _ | End_of_file | Failure _) -> None
   | exception Cmi_format.Error _ -> None
   | exception Cmt_format.Error _ -> None
   | info -> (
-    match info.Cmt_format.cmt_annots with
-    | Cmt_format.Implementation str ->
-      let file =
-        match info.Cmt_format.cmt_sourcefile with Some f -> f | None -> path
+    match (info.Cmt_format.cmt_annots, info.Cmt_format.cmt_sourcefile) with
+    | Cmt_format.Implementation str, Some file
+      when Filename.check_suffix file ".ml" ->
+      let resolve d =
+        if Filename.is_relative d then Filename.concat build d else d
       in
       Some
         { u_name = normalize_unit info.Cmt_format.cmt_modname;
-          u_file = file; u_str = str }
+          u_file = file; u_str = str;
+          u_has_mli =
+            Sys.file_exists (Filename.remove_extension path ^ ".cmti");
+          u_loadpath = Some (List.map resolve info.Cmt_format.cmt_loadpath) }
     | _ -> None)
 
 (* Typecheck a self-contained source in-process: the hermetic path the
    fixture tests use (no dune build of the fixtures required).  The
-   source may only depend on Stdlib. *)
+   source may only depend on Stdlib; it has an interface iff
+   [path ^ "i"] exists. *)
 let typecheck_impl ~unit_name ~path source =
   ignore (Warnings.parse_options false "-a");
   Clflags.dont_write_files := true;
@@ -241,7 +309,8 @@ let typecheck_impl ~unit_name ~path source =
   Location.init lexbuf path;
   let past = Parse.implementation lexbuf in
   let tstr, _, _, _, _ = Typemod.type_structure env past in
-  { u_name = unit_name; u_file = path; u_str = tstr }
+  { u_name = unit_name; u_file = path; u_str = tstr;
+    u_has_mli = Sys.file_exists (path ^ "i"); u_loadpath = None }
 
 (* {1 Identifier resolution}
 
@@ -280,7 +349,9 @@ type node = {
 
 type global = {
   g_key : string;
-  g_mutable : bool;  (* built by one of [mutable_ctors] *)
+  g_ctor : string option;  (* the [mutable_ctors] entry it applies, if any *)
+  g_file : string;
+  g_loc : Location.t;
 }
 
 type program = {
@@ -303,15 +374,16 @@ let binding_ident (p : Typedtree.pattern) =
 let is_function (e : Typedtree.expression) =
   match e.exp_desc with Typedtree.Texp_function _ -> true | _ -> false
 
-(* The mutable constructor applied by a top-level RHS, if any (same
-   notion as lint's R7, but over the Typedtree). *)
+(* The mutable constructor a top-level RHS applies, if any: what makes
+   the binding a mutable global (R7, and R8's global reads). *)
 let mutable_ctor_of cfg uc (e : Typedtree.expression) =
   match e.exp_desc with
   | Typedtree.Texp_apply
       ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, _ :: _) ->
     let name = strip_stdlib (path_key uc p) in
-    List.exists (String.equal name) cfg.mutable_ctors
-  | _ -> false
+    if List.exists (String.equal name) cfg.mutable_ctors then Some name
+    else None
+  | _ -> None
 
 (* Register every let-bound function in [e] (recursively) as a node
    keyed under [prefix], stamping the binder so references resolve. *)
@@ -370,9 +442,10 @@ let rec register_structure cfg prog uc ~prefix (str : Typedtree.structure) =
             | Some id ->
               let key = prefix ^ "." ^ Ident.name id in
               Hashtbl.replace uc.uc_stamps (Ident.unique_name id) key;
-              Hashtbl.replace prog.globals key
-                { g_key = key;
-                  g_mutable = mutable_ctor_of cfg uc vb.vb_expr }
+              (* [add]: a shadowed binding stays visible to R7 *)
+              Hashtbl.add prog.globals key
+                { g_key = key; g_ctor = mutable_ctor_of cfg uc vb.vb_expr;
+                  g_file = uc.uc_file; g_loc = vb.vb_loc }
             | None -> ())
           vbs;
         register_fns cfg prog uc ~prefix ~hot_inherited:false vbs
@@ -827,7 +900,7 @@ let check_scope cfg prog summaries slots_of ~owner (uc : uctx) (f : facts)
     List.iter
       (fun (k, loc) ->
         match Hashtbl.find_opt prog.globals k with
-        | Some g when g.g_mutable && not (guarded cfg k) ->
+        | Some g when Option.is_some g.g_ctor && not (guarded cfg k) ->
           fin loc "global-read" k
             (Printf.sprintf
                "parallel scope reads mutable global `%s` without \
@@ -990,6 +1063,380 @@ let check_hot prog scans may out =
       end)
     prog.nodes
 
+(* {1 R1-R7 — per-unit rules}
+
+   R1-R6 walk one unit's Typedtree and apply only to units whose source
+   path is in their scope; R7 reads the program model's top-level
+   bindings.  Paths resolve through [path_key] with an empty stamp
+   table, so [Obj.magic] reads "Stdlib.Obj.magic" however it was
+   spelled. *)
+
+let finding_at ~rule ~file ~func ~loc ~message ~hint =
+  let line, col = pos_of loc in
+  {
+    rule; file; line; col; func; message; hint;
+    fingerprint = Printf.sprintf "%s|%s:%d:%d" rule file line col;
+  }
+
+let unit_finding ~rule (u : unit_info) ~loc ~message ~hint =
+  finding_at ~rule ~file:u.u_file ~func:u.u_name ~loc ~message ~hint
+
+let iter_expr f =
+  let expr sub (e : Typedtree.expression) =
+    f e;
+    Tast_iterator.default_iterator.expr sub e
+  in
+  { Tast_iterator.default_iterator with expr }
+
+(* R1 *)
+let check_obj uc u out =
+  let is_obj p =
+    let k = path_key uc p in
+    String.equal k "Stdlib.Obj" || has_prefix ~prefix:"Stdlib.Obj." k
+  in
+  let flag loc p =
+    out :=
+      unit_finding ~rule:"R1" u ~loc
+        ~message:(Printf.sprintf "use of %s" (path_key uc p))
+        ~hint:"Obj defeats the type system; use a typed representation \
+               instead"
+      :: !out
+  in
+  let expr sub (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Typedtree.Texp_ident (p, _, _) when is_obj p -> flag e.exp_loc p
+    | _ -> ());
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let module_expr sub (m : Typedtree.module_expr) =
+    (match m.mod_desc with
+    | Typedtree.Tmod_ident (p, _) when is_obj p -> flag m.mod_loc p
+    | _ -> ());
+    Tast_iterator.default_iterator.module_expr sub m
+  in
+  let typ sub (t : Typedtree.core_type) =
+    (match t.ctyp_desc with
+    | Typedtree.Ttyp_constr (p, _, _) when is_obj p -> flag t.ctyp_loc p
+    | _ -> ());
+    Tast_iterator.default_iterator.typ sub t
+  in
+  let it = { Tast_iterator.default_iterator with expr; module_expr; typ } in
+  it.structure it u.u_str
+
+(* R2.  The comparison primitives the compiler specializes by operand
+   type ([Translprim.specialize_primitive]); anything it cannot
+   specialize runs the generic [caml_compare] family. *)
+let compare_prims =
+  [
+    "%equal"; "%notequal"; "%lessthan"; "%greaterthan"; "%lessequal";
+    "%greaterequal"; "%compare";
+  ]
+
+let never_specialized = [ "Stdlib.min"; "Stdlib.max" ]
+
+let specializing_types =
+  Predef.
+    [
+      path_int; path_char; path_bool; path_unit; path_float; path_string;
+      path_bytes; path_nativeint; path_int32; path_int64;
+    ]
+
+(* Does a comparison whose first operand has type [ty] compile to the
+   generic compare?  Predefined base types answer without an
+   environment; anything else is scraped exactly as the compiler does. *)
+let generic_at env_of env ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, [], _)
+    when List.exists (Path.same p) specializing_types -> false
+  | _ ->
+    let env = env_of env in
+    not
+      (List.exists (Typeopt.is_base_type env ty) specializing_types
+      || Typeopt.maybe_pointer_type env ty = Lambda.Immediate)
+
+let first_param ty =
+  match Types.get_desc ty with
+  | Types.Tarrow (_, p1, _, _) -> Some p1
+  | _ -> None
+
+let is_const_arg (e : Typedtree.expression) =
+  match e.exp_desc with
+  | Typedtree.Texp_construct (_, { cstr_tag = Types.Cstr_constant _; _ }, _)
+  | Typedtree.Texp_variant (_, None) ->
+    true
+  | _ -> false
+
+let r2_hint =
+  "compare at a base type (annotate the operands), or use Int.equal/\
+   Int.compare/String.equal/Float.compare/List.equal; use Int.min/Int.max \
+   instead of min/max"
+
+let check_compare ~env_of uc u out =
+  (* local aliases of comparisons (a prelude's [let ( = ) = ...]): a use
+     runs whatever its definition compiled to *)
+  let aliases : (string, bool) Hashtbl.t = Hashtbl.create 8 in
+  (* [Some generic] for a comparison ident, [None] for anything else *)
+  let verdict ~const_arg (e : Typedtree.expression) =
+    match e.exp_desc with
+    | Typedtree.Texp_ident (p, _, vd) -> (
+      match (p, vd.val_kind) with
+      | _, Types.Val_prim prim
+        when List.mem prim.Primitive.prim_name compare_prims ->
+        let eq =
+          List.mem prim.Primitive.prim_name [ "%equal"; "%notequal" ]
+        in
+        Some
+          ((not (eq && const_arg))
+          &&
+          match first_param e.exp_type with
+          | Some ty -> generic_at env_of e.exp_env ty
+          | None -> true)
+      | Path.Pident id, _ -> Hashtbl.find_opt aliases (Ident.unique_name id)
+      | _ ->
+        if List.mem (path_key uc p) never_specialized then Some true
+        else None)
+    | _ -> None
+  in
+  let collect =
+    let value_binding sub (vb : Typedtree.value_binding) =
+      (match binding_ident vb.vb_pat with
+      | Some id -> (
+        match verdict ~const_arg:false vb.vb_expr with
+        | Some g -> Hashtbl.replace aliases (Ident.unique_name id) g
+        | None -> ())
+      | None -> ());
+      Tast_iterator.default_iterator.value_binding sub vb
+    in
+    { Tast_iterator.default_iterator with value_binding }
+  in
+  collect.structure collect u.u_str;
+  let flag (e : Typedtree.expression) =
+    match e.exp_desc with
+    | Typedtree.Texp_ident (p, _, _) ->
+      let name = strip_stdlib (path_key uc p) in
+      let at =
+        match first_param e.exp_type with
+        | Some ty -> Format.asprintf " at type %a" Printtyp.type_expr ty
+        | None -> ""
+      in
+      out :=
+        unit_finding ~rule:"R2" u ~loc:e.exp_loc
+          ~message:
+            (Printf.sprintf "generic comparison `%s`%s in lib/" name at)
+          ~hint:r2_hint
+        :: !out
+    | _ -> ()
+  in
+  let expr sub (e : Typedtree.expression) =
+    match e.exp_desc with
+    | Typedtree.Texp_apply
+        ( ({ exp_desc = Typedtree.Texp_ident _; _ } as head),
+          [ (_, Some a); (_, Some b) ] ) ->
+      if verdict ~const_arg:(is_const_arg a || is_const_arg b) head
+         = Some true
+      then flag head;
+      sub.Tast_iterator.expr sub a;
+      sub.Tast_iterator.expr sub b
+    | _ ->
+      if verdict ~const_arg:false e = Some true then flag e;
+      Tast_iterator.default_iterator.expr sub e
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.structure it u.u_str
+
+(* R3 *)
+let check_catchall u out =
+  let rec wild : type k. k Typedtree.general_pattern -> bool =
+   fun p ->
+    match p.pat_desc with
+    | Typedtree.Tpat_any -> true
+    | Typedtree.Tpat_or (a, b, _) -> wild a || wild b
+    | Typedtree.Tpat_alias (p, _, _) -> wild p
+    | _ -> false
+  in
+  let it =
+    iter_expr (fun e ->
+        match e.exp_desc with
+        | Typedtree.Texp_try (_, cases) ->
+          List.iter
+            (fun (c : Typedtree.value Typedtree.case) ->
+              if wild c.c_lhs && Option.is_none c.c_guard then
+                out :=
+                  unit_finding ~rule:"R3" u ~loc:c.c_lhs.pat_loc
+                    ~message:"catch-all exception handler swallows failures"
+                    ~hint:
+                      "match the specific exceptions you expect; a \
+                       blanket handler hides invariant violations and \
+                       asynchronous exceptions"
+                  :: !out)
+            cases
+        | _ -> ())
+  in
+  it.structure it u.u_str
+
+(* R4 *)
+let print_calls =
+  [
+    "print_string"; "print_endline"; "print_newline"; "print_int";
+    "print_char"; "print_float"; "print_bytes"; "prerr_string";
+    "prerr_endline"; "prerr_newline"; "prerr_int"; "prerr_char";
+    "prerr_float"; "prerr_bytes"; "Printf.printf"; "Printf.eprintf";
+    "Format.printf"; "Format.eprintf"; "Format.print_string";
+    "Format.print_newline";
+  ]
+
+let check_print uc u out =
+  let it =
+    iter_expr (fun e ->
+        match e.exp_desc with
+        | Typedtree.Texp_ident (p, _, _) ->
+          let name = strip_stdlib (path_key uc p) in
+          if List.mem name print_calls then
+            out :=
+              unit_finding ~rule:"R4" u ~loc:e.exp_loc
+                ~message:(Printf.sprintf "console output (%s) in lib/" name)
+                ~hint:
+                  "library code must not print; return data and let bin/ \
+                   or bench/ render it via Ltree_metrics.Table"
+              :: !out
+        | _ -> ())
+  in
+  it.structure it u.u_str
+
+(* R5.  An identifier or record field named [radix] or [m] is the
+   signature of computing radix^h / m^h by hand. *)
+let mentions_power_base (e : Typedtree.expression) =
+  let found = ref false in
+  let hits s = String.equal s "radix" || String.equal s "m" in
+  let it =
+    iter_expr (fun e ->
+        match e.exp_desc with
+        | Typedtree.Texp_ident (Path.Pident id, _, _) when hits (Ident.name id)
+          ->
+          found := true
+        | Typedtree.Texp_field (_, _, lbl) when hits lbl.lbl_name ->
+          found := true
+        | _ -> ())
+  in
+  it.expr it e;
+  !found
+
+let check_arith cfg uc u out =
+  let exempt =
+    List.filter_map
+      (fun (p, b) -> if String.equal p u.u_file then Some b else None)
+      cfg.arith_allow
+  in
+  let it =
+    iter_expr (fun e ->
+        match e.exp_desc with
+        | Typedtree.Texp_apply
+            ( { exp_desc = Typedtree.Texp_ident (p, _, _); exp_loc; _ },
+              [ (_, Some a); (_, Some b) ] ) ->
+          let op = strip_stdlib (path_key uc p) in
+          if
+            (String.equal op "*" || String.equal op "lsl")
+            && (mentions_power_base a || mentions_power_base b)
+          then
+            out :=
+              unit_finding ~rule:"R5" u ~loc:exp_loc
+                ~message:
+                  (Printf.sprintf
+                     "raw %s involving radix/m in label arithmetic" op)
+                ~hint:
+                  "go through Params.pow_radix / Params.pow_m: they raise \
+                   Label_overflow instead of silently wrapping"
+              :: !out
+        | _ -> ())
+  in
+  let names (vb : Typedtree.value_binding) =
+    List.map Ident.name (Typedtree.pat_bound_idents vb.vb_pat)
+  in
+  if not (List.mem "*" exempt) then
+    List.iter
+      (fun (item : Typedtree.structure_item) ->
+        match item.str_desc with
+        | Typedtree.Tstr_value (_, vbs)
+          when List.exists
+                 (fun vb -> List.exists (fun n -> List.mem n exempt) (names vb))
+                 vbs ->
+          ()  (* the checked helper's own body *)
+        | _ -> it.structure_item it item)
+      u.u_str.str_items
+
+(* R6 *)
+let check_interface u out =
+  if not u.u_has_mli then
+    out :=
+      {
+        rule = "R6"; file = u.u_file; line = 1; col = 0; func = u.u_name;
+        message = "library module has no interface file";
+        hint =
+          "add a .mli: every lib/ module must state its contract (and hide \
+           its internals)";
+        fingerprint = "R6|" ^ u.u_file;
+      }
+      :: !out
+
+(* R7, over the program model: every top-level binding (nested modules
+   included) of a [lib/] unit whose RHS applies a mutable constructor.
+   [global_allow] suppresses audited ones. *)
+let check_globals prog =
+  Hashtbl.fold
+    (fun _ g acc ->
+      match g.g_ctor with
+      | Some ctor ->
+        let name = last_segment g.g_key in
+        finding_at ~rule:"R7" ~file:g.g_file ~func:g.g_key ~loc:g.g_loc
+          ~message:
+            (Printf.sprintf "top-level mutable global `%s` (%s) in lib/" name
+               ctor)
+          ~hint:
+            "shared mutable state breaks domain-safety; make it \
+             per-instance, use Atomic/Mutex-guarded state, or allowlist it \
+             in global_allow after an audit"
+        :: acc
+      | None -> acc)
+    prog.globals []
+
+(* The environment rebuild for one unit's R2 checks.  A .cmt stores its
+   environments as summaries; they are rebuilt against the unit's own
+   load path.  The caches are reset whenever that path changes, since
+   two executables' directories may hold different modules of one name. *)
+let env_rebuilder ~loaded u =
+  match u.u_loadpath with
+  | None -> Fun.id
+  | Some dirs ->
+    if not (List.equal String.equal !loaded dirs) then begin
+      Load_path.init ~auto_include:Load_path.no_auto_include dirs;
+      Env.reset_cache ();
+      Envaux.reset_cache ();
+      loaded := dirs
+    end;
+    fun env ->
+      match Envaux.env_of_only_summary env with
+      | env -> env
+      | exception Envaux.Error _ -> env
+
+(* R1-R6 over one unit, each within its scope ([loaded]: the load path
+   the environment caches currently hold). *)
+let check_unit cfg ~loaded u =
+  let uc =
+    { uc_unit = u.u_name; uc_file = u.u_file; uc_stamps = Hashtbl.create 1 }
+  in
+  let out = ref [] in
+  let under prefix = has_prefix ~prefix u.u_file in
+  let in_lib = under cfg.lib_prefix in
+  check_obj uc u out;
+  check_catchall u out;
+  if in_lib then begin
+    check_compare ~env_of:(env_rebuilder ~loaded u) uc u out;
+    if not (List.mem u.u_file cfg.print_allow) then check_print uc u out;
+    check_interface u out
+  end;
+  if under cfg.core_prefix then check_arith cfg uc u out;
+  !out
+
 (* {1 Driver} *)
 
 let dedup_findings fs =
@@ -1016,8 +1463,100 @@ let sort_findings fs =
           if c <> 0 then c else String.compare a.fingerprint b.fingerprint)
     fs
 
+(* {1 Allowlists and their hygiene}
+
+   [race_allow] (R8) and [global_allow] (R7) are one mechanism: an entry
+   suppresses the findings it matches, A1 flags an entry that suppresses
+   nothing (the code it audited is gone) and A2 one whose audit note
+   does not cite DESIGN.md. *)
+
+type allow = {
+  al_list : string;  (* "race_allow" | "global_allow" *)
+  al_entry : string;
+  al_note : string;
+  al_matches : finding -> bool;
+}
+
+let allowlists cfg =
+  List.map
+    (fun (pat, note) ->
+      {
+        al_list = "race_allow"; al_entry = pat; al_note = note;
+        al_matches =
+          (fun f -> String.equal f.rule "R8" && pattern_matches pat f.func);
+      })
+    cfg.race_allow
+  @ List.map
+      (fun (path, name, note) ->
+        {
+          al_list = "global_allow"; al_entry = path ^ ":" ^ name;
+          al_note = note;
+          al_matches =
+            (fun f ->
+              String.equal f.rule "R7" && String.equal f.file path
+              && (String.equal name "*"
+                 || String.equal name (last_segment f.func)));
+        })
+      cfg.global_allow
+
+let contains ~sub s =
+  let n = String.length s and p = String.length sub in
+  let rec at i =
+    i + p <= n && (String.equal (String.sub s i p) sub || at (i + 1))
+  in
+  at 0
+
+let apply_allowlists allows findings =
+  let used = Hashtbl.create 16 in
+  let kept =
+    List.filter
+      (fun f ->
+        match List.find_opt (fun a -> a.al_matches f) allows with
+        | Some a ->
+          Hashtbl.replace used (a.al_list, a.al_entry) ();
+          false
+        | None -> true)
+      findings
+  in
+  let hygiene a =
+    let finding rule message hint =
+      {
+        rule; file = "(" ^ a.al_list ^ ")"; line = 0; col = 0;
+        func = a.al_entry; message; hint;
+        fingerprint = rule ^ "|" ^ a.al_entry;
+      }
+    in
+    (if Hashtbl.mem used (a.al_list, a.al_entry) then []
+     else
+       [
+         finding "A1"
+           (Printf.sprintf
+              "stale %s entry `%s`: it no longer suppresses any finding"
+              a.al_list a.al_entry)
+           "delete the entry (the code it audited is gone)";
+       ])
+    @
+    if contains ~sub:"DESIGN.md" a.al_note then []
+    else
+      [
+        finding "A2"
+          (Printf.sprintf
+             "%s entry `%s` has no DESIGN.md cross-reference in its audit \
+              note"
+             a.al_list a.al_entry)
+          "cite the DESIGN.md section that audits this entry";
+      ]
+  in
+  (kept, List.concat_map hygiene allows)
+
 let analyze cfg units =
-  let prog = build_program cfg units in
+  (* R8/R9 model the library only: bin/ and bench/ reach the pool through
+     lib/ entry points, and [Pool.with_pool]'s caller-side closure would
+     read as a parallel scope *)
+  let prog =
+    build_program cfg
+      (List.filter (fun u -> has_prefix ~prefix:cfg.lib_prefix u.u_file) units)
+  in
   let facts_tbl : (string, facts) Hashtbl.t = Hashtbl.create 128 in
   let factsof key =
     match Hashtbl.find_opt facts_tbl key with
@@ -1078,70 +1617,13 @@ let analyze cfg units =
   let r9 = ref [] in
   check_hot prog scans may r9;
   let r9 = dedup_findings (sort_findings !r9) in
-  (* race_allow suppression + hygiene *)
-  let uses = Hashtbl.create 16 in
-  List.iter (fun (pat, _) -> Hashtbl.replace uses pat 0) cfg.race_allow;
-  let kept =
-    List.filter
-      (fun f ->
-        match
-          List.find_opt
-            (fun (pat, _) -> pattern_matches pat f.func)
-            cfg.race_allow
-        with
-        | Some (pat, _) ->
-          Hashtbl.replace uses pat (Hashtbl.find uses pat + 1);
-          false
-        | None -> true)
-      r8
+  let units_findings =
+    let loaded = ref [] in
+    List.concat_map (check_unit cfg ~loaded) units
   in
-  let hygiene =
-    List.concat_map
-      (fun (pat, note) ->
-        let a1 =
-          if Hashtbl.find uses pat = 0 then
-            [
-              {
-                rule = "A1"; file = "(race_allow)"; line = 0; col = 0;
-                func = pat;
-                message =
-                  Printf.sprintf
-                    "stale race_allow entry `%s`: it no longer suppresses \
-                     any finding"
-                    pat;
-                hint = "delete the entry (the code it audited is gone)";
-                fingerprint = "A1|" ^ pat;
-              };
-            ]
-          else []
-        in
-        let a2 =
-          let contains_designmd =
-            let n = String.length note and p = String.length "DESIGN.md" in
-            let rec at i =
-              i + p <= n
-              && (String.equal (String.sub note i p) "DESIGN.md" || at (i + 1))
-            in
-            at 0
-          in
-          if contains_designmd then []
-          else
-            [
-              {
-                rule = "A2"; file = "(race_allow)"; line = 0; col = 0;
-                func = pat;
-                message =
-                  Printf.sprintf
-                    "race_allow entry `%s` has no DESIGN.md cross-reference \
-                     in its audit note"
-                    pat;
-                hint = "cite the DESIGN.md section that audits this access";
-                fingerprint = "A2|" ^ pat;
-              };
-            ]
-        in
-        a1 @ a2)
-      cfg.race_allow
+  let kept, hygiene =
+    apply_allowlists (allowlists cfg)
+      (units_findings @ check_globals prog @ r8)
   in
   sort_findings (kept @ r9 @ hygiene)
 
@@ -1212,8 +1694,15 @@ let pp_finding ppf f =
 
 let rule_ids () =
   [
+    ("R1", "no Obj.* anywhere");
+    ("R2", "no comparison in lib/ that falls back to the generic compare");
+    ("R3", "no exception-swallowing try ... with _ ->");
+    ("R4", "no Printf.printf/print_* in lib/");
+    ("R5", "raw * / lsl on radix/m in lib/core must use Params.pow_*");
+    ("R6", "every lib/**/X.ml has a matching X.mli");
+    ("R7", "no top-level ref/Hashtbl/mutable globals in lib/");
     ("R8", "no unmediated mutable-state access in parallel scopes");
     ("R9", "no allocation on [@ltree.hot] fast paths");
-    ("A1", "race_allow entries must still suppress a finding");
-    ("A2", "race_allow entries must cite DESIGN.md");
+    ("A1", "race_allow/global_allow entries must still suppress a finding");
+    ("A2", "race_allow/global_allow entries must cite DESIGN.md");
   ]

@@ -105,20 +105,23 @@ trace-smoke:
 
 # Flight-recorder smoke: force a replica-matrix cell failure, check that
 # the recorder dumped a bundle naming the exact cell, validate the
-# bundle, replay just that cell from the bundle, and round-trip a traced
-# replication run plus the JSON metrics export.
+# bundle, require a copy missing one entry line to be rejected, replay
+# just that cell from the bundle, and round-trip a traced replication
+# run plus the JSON metrics export.
 obs-smoke:
 	! dune exec bin/ltree_cli.exe -- crash-matrix --replica --ops 24 \
 	  --nodes 40 --group-commit 2 --checkpoint-every 8 \
 	  --inject-cell-failure 'primary:P6/torn' \
 	  --bundle _obs_smoke.jsonl > /dev/null 2>&1
 	dune exec bin/ltree_cli.exe -- bundle --validate _obs_smoke.jsonl
+	sed '2d' _obs_smoke.jsonl > _obs_smoke_cut.jsonl
+	! dune exec bin/ltree_cli.exe -- bundle --validate _obs_smoke_cut.jsonl
 	dune exec bin/ltree_cli.exe -- bundle --replay _obs_smoke.jsonl
 	dune exec bin/ltree_cli.exe -- replicate --ops 60 --nodes 60 \
 	  --noise-every 5 --trace > /dev/null
 	dune exec bin/ltree_cli.exe -- metrics --ops 100 --seed 1 --json \
 	  > /dev/null
-	rm -f _obs_smoke.jsonl
+	rm -f _obs_smoke.jsonl _obs_smoke_cut.jsonl
 
 ci:
 	dune build @all && dune runtest --force && \

@@ -463,8 +463,7 @@ let exec t line =
     | "corrupt", _ ->
       (* An unmirrored materialized insert: legal for the tree itself,
          but it desynchronizes the twins, so twin.parity must fail. *)
-      if Ltree_obs.Recorder.is_enabled () then
-        Ltree_obs.Recorder.note ~kind:"fault" "harness_corrupt";
+      Ltree_obs.Recorder.note ~kind:"fault" "harness_corrupt";
       t.mh <- Ltree.insert_after t.mt (pick t.mh 0) :: t.mh
     | "storm", _ ->
       (* A synthetic relabeling storm: one full accounting window of
@@ -472,8 +471,7 @@ let exec t line =
          budget, so obs.amortized-bound must trip.  The twins are left
          untouched — like [corrupt], this op exists to prove the alarm
          fires. *)
-      if Ltree_obs.Recorder.is_enabled () then
-        Ltree_obs.Recorder.note ~kind:"fault" "harness_storm";
+      Ltree_obs.Recorder.note ~kind:"fault" "harness_storm";
       let n = max 2 (Ltree.length t.mt) in
       for _ = 1 to Accountant.window t.acct do
         Accountant.note t.acct ~n ~relabels:100_000

@@ -1388,8 +1388,8 @@ let bundle_cmd =
       in
       (match Ltree_obs.Recorder.validate data with
        | Ok n ->
-         Printf.eprintf "bundle: %d lines, %d events in the ring\n" n
-           (List.length (Ltree_obs.Recorder.events ()))
+         (* header, one line per ring entry, metrics, footer *)
+         Printf.eprintf "bundle: %d lines, %d ring entries\n" n (n - 3)
        | Error e ->
          Printf.eprintf "generated bundle failed validation: %s\n" e;
          exit 1);

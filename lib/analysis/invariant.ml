@@ -24,10 +24,9 @@ type failure = { name : string; detail : string }
 (* Violations feed the flight recorder so a later bundle dump shows
    which invariant tripped and why, alongside the events before it. *)
 let record_failure f =
-  if Ltree_obs.Recorder.is_enabled () then
-    Ltree_obs.Recorder.note ~kind:"invariant"
-      ~attrs:[ ("detail", f.detail) ]
-      f.name
+  Ltree_obs.Recorder.note ~kind:"invariant"
+    ~attrs:[ ("detail", f.detail) ]
+    f.name
 
 let run_entry e =
   let failure =

@@ -186,10 +186,9 @@ let create ~size =
   in
   t.domains <-
     List.init (size - 1) (fun i -> Domain.spawn (fun () -> worker t ~slot:(i + 1)));
-  if Ltree_obs.Recorder.is_enabled () then
-    Ltree_obs.Recorder.note ~kind:"exec"
-      ~attrs:[ ("size", string_of_int size) ]
-      "pool_created";
+  Ltree_obs.Recorder.note ~kind:"exec"
+    ~attrs:[ ("size", string_of_int size) ]
+    "pool_created";
   t
 
 let size t = t.pool_size
@@ -201,10 +200,9 @@ let shutdown t =
   Mutex.unlock t.mu;
   List.iter Domain.join t.domains;
   t.domains <- [];
-  if Ltree_obs.Recorder.is_enabled () then
-    Ltree_obs.Recorder.note ~kind:"exec"
-      ~attrs:[ ("jobs", string_of_int t.jobs) ]
-      "pool_shutdown"
+  Ltree_obs.Recorder.note ~kind:"exec"
+    ~attrs:[ ("jobs", string_of_int t.jobs) ]
+    "pool_shutdown"
 
 let with_pool ~size f =
   let t = create ~size in

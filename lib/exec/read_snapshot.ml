@@ -191,14 +191,13 @@ let[@ltree.cold] refuse t live_v live_g =
       stale_live_version = live_v;
       stale_live_generation = live_g }
   in
-  if Ltree_obs.Recorder.is_enabled () then
-    Ltree_obs.Recorder.note ~kind:"exec"
-      ~attrs:
-        [ ("snap_version", string_of_int s.stale_snap_version);
-          ("snap_generation", string_of_int s.stale_snap_generation);
-          ("live_version", string_of_int s.stale_live_version);
-          ("live_generation", string_of_int s.stale_live_generation) ]
-      "snapshot_stale";
+  Ltree_obs.Recorder.note ~kind:"exec"
+    ~attrs:
+      [ ("snap_version", string_of_int s.stale_snap_version);
+        ("snap_generation", string_of_int s.stale_snap_generation);
+        ("live_version", string_of_int s.stale_live_version);
+        ("live_generation", string_of_int s.stale_live_generation) ]
+    "snapshot_stale";
   raise (Stale s)
 
 let[@ltree.hot] ensure_fresh t =

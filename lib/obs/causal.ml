@@ -86,7 +86,6 @@ let locked f =
   Fun.protect ~finally:(fun () -> Mutex.unlock state.mu) f
 
 let set_now fn = locked (fun () -> state.now_fn <- fn)
-let now () = locked (fun () -> state.now_fn ())
 
 let reset () =
   locked (fun () ->

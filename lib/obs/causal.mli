@@ -35,8 +35,6 @@ val is_enabled : unit -> bool
     is omitted.  Sessions install [fun () -> clock] at creation. *)
 val set_now : (unit -> int) -> unit
 
-val now : unit -> int
-
 (** Drop all stamps and restore the zero clock provider. *)
 val reset : unit -> unit
 

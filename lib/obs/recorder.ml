@@ -1,198 +1,105 @@
-type event = {
-  at : float;
-  tick : int;
-  domain : int;
-  kind : string;
-  name : string;
-  attrs : (string * string) list;
-}
+(* The flight recorder keeps no storage of its own: notes go to the
+   one process-wide event ring that [Span] owns, next to span closes,
+   and a bundle dumps that whole ring. *)
 
-(* One process-wide black box.  The ring is mutex-guarded (events come
-   from every domain); the enabled flag and the current virtual-clock
-   tick are atomics so the disabled fast path in [note] is one load and
-   stamping the tick from the session pump takes no lock. *)
-type t = {
-  mu : Mutex.t;
-  enabled : bool Atomic.t;
-  tick : int Atomic.t;
-  mutable capacity : int;
-  mutable slots : event option array;
-  mutable added : int;
-}
-
-let create ?(capacity = 2048) () =
-  if capacity < 1 then invalid_arg "Recorder.create: capacity must be >= 1";
-  {
-    mu = Mutex.create ();
-    enabled = Atomic.make true;
-    tick = Atomic.make 0;
-    capacity;
-    slots = Array.make capacity None;
-    added = 0;
-  }
-
-let default = create ()
-
-let locked f =
-  Mutex.lock default.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock default.mu) f
-
-let set_enabled b = Atomic.set default.enabled b
-let is_enabled () = Atomic.get default.enabled
-let set_tick n = Atomic.set default.tick n
-let tick () = Atomic.get default.tick
-
-let set_capacity capacity =
-  if capacity < 1 then invalid_arg "Recorder.set_capacity: capacity must be >= 1";
-  locked (fun () ->
-      default.capacity <- capacity;
-      default.slots <- Array.make capacity None;
-      default.added <- 0)
-
-let reset () =
-  locked (fun () ->
-      Array.fill default.slots 0 default.capacity None;
-      default.added <- 0);
-  Atomic.set default.tick 0
-
-let note ?tick:tk ?(attrs = []) ~kind name =
-  if Atomic.get default.enabled then begin
-    let e =
-      {
-        at = Unix.gettimeofday ();
-        tick = (match tk with Some n -> n | None -> Atomic.get default.tick);
-        domain = (Domain.self () :> int);
-        kind;
-        name;
-        attrs;
-      }
-    in
-    locked (fun () ->
-        default.slots.(default.added mod default.capacity) <- Some e;
-        default.added <- default.added + 1)
-  end
-
-let events () =
-  locked (fun () ->
-      let n = Int.min default.added default.capacity in
-      let first =
-        if default.added > default.capacity then
-          default.added mod default.capacity
-        else 0
-      in
-      List.init n (fun i ->
-          match default.slots.((first + i) mod default.capacity) with
-          | Some e -> e
-          | None -> assert false))
-
-let dropped () = locked (fun () -> Int.max 0 (default.added - default.capacity))
+let note = Span.note
+let set_tick = Span.set_tick
 
 (* {1 Bundle dump}
 
    A self-describing JSONL document: a header line naming the dump
    reason (and, for matrix failures, the exact cell to replay with
-   [--only]), one line per recorded event, one line holding the full
-   metrics snapshot, and a footer with the event count so a truncated
-   file is detectable. *)
-
-let esc = Trace.json_escape
-
-let attrs_json buf attrs =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "\"%s\":\"%s\"" (esc k) (esc v)))
-    attrs;
-  Buffer.add_char buf '}'
-
-let event_json e =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"at\":%.6f,\"tick\":%d,\"domain\":%d,\"kind\":\"%s\",\"name\":\"%s\""
-       e.at e.tick e.domain (esc e.kind) (esc e.name));
-  (match e.attrs with
-   | [] -> ()
-   | attrs ->
-     Buffer.add_string buf ",\"attrs\":";
-     attrs_json buf attrs);
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+   [--only]), one entry line per ring entry (the same line [ltree
+   trace] prints), one line holding the full metrics snapshot, and a
+   footer repeating the entry count so a truncated file is detectable. *)
 
 let magic = "ltree-flight"
 
 let dump ?(reason = "manual") ?(attrs = []) () =
-  let evs = events () in
+  let entries = Span.entries () in
+  let n = List.length entries in
   let buf = Buffer.create 8192 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"bundle\":\"%s\",\"version\":1,\"reason\":\"%s\",\"at\":%.6f,\"events\":%d,\"dropped\":%d,\"attrs\":"
-       magic (esc reason) (Unix.gettimeofday ()) (List.length evs) (dropped ()));
-  attrs_json buf attrs;
+  Printf.bprintf buf
+    "{\"bundle\":\"%s\",\"version\":2,\"reason\":\"%s\",\"at\":%.6f,\"events\":%d,\"dropped\":%d,\"attrs\":"
+    magic (Trace.json_escape reason) (Unix.gettimeofday ()) n (Span.dropped ());
+  Trace.add_object buf attrs;
   Buffer.add_string buf "}\n";
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (event_json e);
-      Buffer.add_char buf '\n')
-    evs;
+  Buffer.add_string buf (Trace.to_jsonl entries);
   Buffer.add_string buf "{\"metrics\":";
   Buffer.add_string buf (Registry.expose_json ());
   Buffer.add_string buf "}\n";
-  Buffer.add_string buf
-    (Printf.sprintf "{\"end\":true,\"events\":%d}\n" (List.length evs));
+  Printf.bprintf buf "{\"end\":true,\"events\":%d}\n" n;
   Buffer.contents buf
 
 (* {1 Validation} *)
 
-let has_substring hay needle =
-  let hn = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > hn then false
-    else if String.equal (String.sub hay i nn) needle then true
-    else go (i + 1)
+(* [find_after line pat] is the index just past the first [pat] in
+   [line].  Header and footer are our own emitter's output, so a plain
+   scan for a quoted key is enough. *)
+let find_after line pat =
+  let hn = String.length line and pn = String.length pat in
+  let rec find i =
+    if i + pn > hn then None
+    else if String.equal (String.sub line i pn) pat then Some (i + pn)
+    else find (i + 1)
   in
-  go 0
+  find 0
+
+let int_field line key =
+  match find_after line (Printf.sprintf "\"%s\":" key) with
+  | None -> None
+  | Some start ->
+    let digit i =
+      i < String.length line
+      && Char.compare '0' line.[i] <= 0
+      && Char.compare line.[i] '9' <= 0
+    in
+    let stop = ref start in
+    while digit !stop do incr stop done;
+    int_of_string_opt (String.sub line start (!stop - start))
 
 let nonblank_lines data =
   List.filter
     (fun l -> not (String.equal (String.trim l) ""))
     (String.split_on_char '\n' data)
 
+(* Header, entries, metrics, footer; the header's and the footer's
+   ["events"] must both equal the number of entry lines. *)
 let validate data =
   match Trace.validate_jsonl data with
   | Error e -> Error e
   | Ok n -> (
       match nonblank_lines data with
       | [] -> Error "empty bundle"
-      | header :: rest ->
-        if not (has_substring header (Printf.sprintf "\"bundle\":\"%s\"" magic))
-        then Error "first line is not a bundle header"
-        else if
-          match List.rev rest with
-          | [] -> true
-          | footer :: _ -> not (has_substring footer "\"end\":true")
-        then Error "last line is not a bundle footer"
-        else if n < 3 then Error "bundle too short (header, metrics, footer)"
-        else Ok n)
+      | header :: rest -> (
+        let has line pat = Option.is_some (find_after line pat) in
+        match List.rev rest with
+        | _ when not (has header (Printf.sprintf "\"bundle\":\"%s\"" magic)) ->
+          Error "first line is not a bundle header"
+        | footer :: _ when not (has footer "\"end\":true") ->
+          Error "last line is not a bundle footer"
+        | footer :: metrics :: rev_entries when has metrics "{\"metrics\":" -> (
+          let lines = List.length rev_entries in
+          match (int_field header "events", int_field footer "events") with
+          | Some h, Some f when h = lines && f = lines -> Ok n
+          | Some h, Some f ->
+            Error
+              (Printf.sprintf
+                 "entry count mismatch: header says %d, footer %d, %d entry \
+                  lines present"
+                 h f lines)
+          | _ -> Error "header or footer carries no event count")
+        | _ -> Error "bundle too short (header, metrics, footer)"))
 
 (* [attr_of_bundle data key] pulls a string attribute out of the header
-   line, e.g. the failing cell name for [--only] replay.  The header is
-   our own emitter's output, so a plain scan for the quoted key (and a
-   colon-quote) is enough; escaped quotes inside the value are
-   unescaped. *)
+   line, e.g. the failing cell name for [--only] replay; escaped quotes
+   inside the value are unescaped. *)
 let attr_of_bundle data key =
   match nonblank_lines data with
   | [] -> None
   | header :: _ -> (
-      let pat = Printf.sprintf "\"%s\":\"" key in
-      let hn = String.length header and pn = String.length pat in
-      let rec find i =
-        if i + pn > hn then None
-        else if String.equal (String.sub header i pn) pat then Some (i + pn)
-        else find (i + 1)
-      in
-      match find 0 with
+      let hn = String.length header in
+      match find_after header (Printf.sprintf "\"%s\":\"" key) with
       | None -> None
       | Some start ->
         let buf = Buffer.create 32 in

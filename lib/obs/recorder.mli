@@ -1,71 +1,44 @@
-(** Process-wide flight recorder: a bounded black-box ring of structured
-    events that every subsystem feeds cheaply.
+(** Process-wide flight recorder: structured notes into the one event
+    ring, and self-describing diagnostic bundles of that ring.
 
-    Subsystems call {!note} at interesting moments — span closes, fault
-    injections, channel damage, recovery decisions, matrix cell
-    verdicts.  The ring keeps only the most recent [capacity] events;
-    when something goes wrong (an [Invariant] violation, a
-    crash-/repl-matrix cell failure, or an explicit [ltree bundle]) the
-    caller {!dump}s a self-describing JSONL diagnostic bundle of the
-    events leading up to the failure plus a full metrics snapshot.
+    Subsystems call {!note} at interesting moments — fault injections,
+    channel damage, recovery decisions, matrix cell verdicts.  Notes are
+    always on (a black box that has to be switched on before the crash
+    records nothing) and land in {!Span}'s ring next to span closes, so
+    the ring keeps the most recent entries of every kind.  When
+    something goes wrong (an [Invariant] violation, a crash-/repl-matrix
+    cell failure, or an explicit [ltree bundle]) the caller {!dump}s a
+    JSONL bundle of the entries leading up to the failure plus a full
+    metrics snapshot.  The recorder itself keeps no storage. *)
 
-    Like {!Span}'s trace ring, the recorder is a single process-wide
-    instance: the ring is mutex-guarded, the enabled flag and current
-    virtual-clock tick are atomics, and the disabled fast path of
-    {!note} is one atomic load. *)
-
-type event = {
-  at : float;  (** wall clock at the event *)
-  tick : int;  (** virtual-clock tick (see {!set_tick}); [0] outside sessions *)
-  domain : int;  (** id of the domain that noted the event *)
-  kind : string;  (** event class: ["span"], ["fault"], ["channel"], ["cell"], ["invariant"], ... *)
-  name : string;
-  attrs : (string * string) list;
-}
-
-(** Recording is on by default; disabling makes {!note} a no-op. *)
-val set_enabled : bool -> unit
-
-val is_enabled : unit -> bool
-
-(** [set_tick n] stamps subsequent events with virtual-clock tick [n].
-    Session pumps call this so events line up with the causal trace. *)
-val set_tick : int -> unit
-
-val tick : unit -> int
-
-(** [set_capacity n] replaces the ring with an empty one holding [n]
-    events.  Raises [Invalid_argument] when [n < 1]. *)
-val set_capacity : int -> unit
-
-(** Drop all events and reset the tick to [0]. *)
-val reset : unit -> unit
-
-(** [note ?tick ?attrs ~kind name] appends one event, overwriting the
-    oldest when the ring is full.  [tick] defaults to the last
-    {!set_tick} value. *)
+(** [note ?tick ?attrs ~kind name] appends one entry of [kind]
+    (["fault"], ["channel"], ["cell"], ["invariant"], ...; ["span"] and
+    ["point"] are the span layer's) to the ring, overwriting the oldest
+    when full.  [tick] defaults to the last {!set_tick} value. *)
 val note :
   ?tick:int -> ?attrs:(string * string) list -> kind:string -> string -> unit
 
-(** Recorded events, oldest first. *)
-val events : unit -> event list
-
-(** Events overwritten because the ring was full. *)
-val dropped : unit -> int
+(** [set_tick n] stamps subsequent entries, spans included, with
+    virtual-clock tick [n].  Session pumps call this so entries line up
+    with the causal trace. *)
+val set_tick : int -> unit
 
 (** {1 Diagnostic bundles} *)
 
-(** [dump ?reason ?attrs ()] renders the current ring as a JSONL bundle:
-    a header line carrying [reason] and [attrs] (matrix dumps put the
-    failing cell name and run parameters here, so {!attr_of_bundle} can
-    drive an [--only] replay), one line per event, one line with the
-    full {!Registry} metrics snapshot, and a footer with the event
+(** [dump ?reason ?attrs ()] renders the whole ring as a JSONL bundle:
+    a header line (version 2) carrying [reason], the entry and dropped
+    counts and [attrs] (matrix dumps put the failing cell name and run
+    parameters here, so {!attr_of_bundle} can drive an [--only]
+    replay), one {!Trace.to_jsonl} line per entry, one line with the
+    full {!Registry} metrics snapshot, and a footer with the entry
     count. *)
 val dump : ?reason:string -> ?attrs:(string * string) list -> unit -> string
 
 (** [validate data] checks that [data] is a well-formed bundle: every
-    line parses as JSON, the first line is a bundle header, and the last
-    a footer.  [Ok n] gives the number of lines. *)
+    line parses as JSON, the first line is a bundle header, the last
+    two are the metrics line and a footer, and the header's and the
+    footer's ["events"] counts both equal the number of entry lines in
+    between.  [Ok n] gives the number of lines. *)
 val validate : string -> (int, string) result
 
 (** [attr_of_bundle data key] extracts a string attribute from the

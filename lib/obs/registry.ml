@@ -74,7 +74,6 @@ let counter ?(registry = default) ~name ~help () =
         Hashtbl.replace registry.ctbl name c;
         c)
 
-let counter_name c = c.cname
 let counter_value c = Atomic.get c.cell
 let counter_incr c = ignore (Atomic.fetch_and_add c.cell 1)
 let counter_add c n = if n > 0 then ignore (Atomic.fetch_and_add c.cell n)
@@ -87,20 +86,6 @@ let counters ?(registry = default) () =
         Hashtbl.fold (fun _ c acc -> c :: acc) registry.ctbl [])
   in
   List.sort (fun a b -> String.compare a.cname b.cname) out
-
-let clear ?(registry = default) () =
-  locked registry (fun () ->
-      Hashtbl.reset registry.tbl;
-      Hashtbl.reset registry.ctbl)
-
-let reset_observations ?(registry = default) () =
-  let hs, cs =
-    locked registry (fun () ->
-        ( Hashtbl.fold (fun _ h acc -> h :: acc) registry.tbl [],
-          Hashtbl.fold (fun _ c acc -> c :: acc) registry.ctbl [] ))
-  in
-  List.iter Histogram.reset hs;
-  List.iter (fun c -> Atomic.set c.cell 0) cs
 
 (* Prometheus text exposition.  The "le" label is the bucket's inclusive
    upper bound; the final bucket is "+Inf" and equals [_count]. *)
@@ -185,15 +170,9 @@ let histogram_json buf h =
   (match Histogram.labels h with
   | [] -> ()
   | labels ->
-    Buffer.add_string buf "\"labels\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\":\"%s\"" (Trace.json_escape k)
-             (Trace.json_escape v)))
-      labels;
-    Buffer.add_string buf "},");
+    Buffer.add_string buf "\"labels\":";
+    Trace.add_object buf labels;
+    Buffer.add_char buf ',');
   Buffer.add_string buf
     (Printf.sprintf "\"count\":%d,\"sum\":%.6f,\"buckets\":["
        (Histogram.count h) (Histogram.sum h));

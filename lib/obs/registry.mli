@@ -33,10 +33,6 @@ val histogram :
 val find : ?registry:t -> ?labels:(string * string) list -> string ->
   Histogram.t option
 
-(** All registered histograms, sorted by name then by rendered labels,
-    so every series of one metric is contiguous. *)
-val histograms : ?registry:t -> unit -> Histogram.t list
-
 (** {1 Counters}
 
     Monotonic counters: a registered name plus an atomic cell, so
@@ -48,7 +44,6 @@ type counter
     [name], creating it (at zero) on first call. *)
 val counter : ?registry:t -> name:string -> help:string -> unit -> counter
 
-val counter_name : counter -> string
 val counter_value : counter -> int
 val counter_incr : counter -> unit
 
@@ -57,15 +52,6 @@ val counter_incr : counter -> unit
 val counter_add : counter -> int -> unit
 
 val find_counter : ?registry:t -> string -> counter option
-
-(** All registered counters, sorted by name. *)
-val counters : ?registry:t -> unit -> counter list
-
-(** Remove every histogram and counter. *)
-val clear : ?registry:t -> unit -> unit
-
-(** Keep registrations but zero every histogram and counter. *)
-val reset_observations : ?registry:t -> unit -> unit
 
 (** [expose ()] renders every histogram in Prometheus text exposition
     format — [# HELP]/[# TYPE] headers, cumulative [_bucket{le="..."}]

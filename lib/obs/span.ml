@@ -1,13 +1,17 @@
-(* Global state: one process-wide ring plus a per-domain stack of open
-   span names.  The stack is names only -- a span that is still open
-   has no record yet; records are appended on exit, so the trace lists
-   spans in completion order (children before parents).  The stack
-   lives in domain-local storage so spans opened by worker domains
-   nest among themselves and never interleave with another domain's
-   path; the ring is shared and guarded by a mutex so records from all
-   domains land in one trace. *)
+(* Global state: the process-wide event ring plus a per-domain stack of
+   open span names.  The ring holds every entry -- span closes, point
+   events and flight-recorder notes -- behind one mutex, so records
+   from all domains land in one trace.  The stack is names only -- a
+   span that is still open has no record yet; records are appended on
+   exit, so the trace lists spans in completion order (children before
+   parents).  The stack lives in domain-local storage so spans opened
+   by worker domains nest among themselves and never interleave with
+   another domain's path.  The enabled flag and the virtual-clock tick
+   are atomics: the disabled span fast path and [set_tick] take no
+   lock. *)
 
 let enabled = Atomic.make true
+let tick = Atomic.make 0
 let ring_mu = Mutex.create ()
 let ring = ref (Trace.create ~capacity:4096)
 
@@ -20,15 +24,17 @@ let locked f =
   Mutex.lock ring_mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock ring_mu) f
 
-(* [set_enabled]/[is_enabled] are a single atomic flag: the disabled
-   fast path in [with_]/[event] reads it and nothing else. *)
 let set_enabled b = Atomic.set enabled b
-let is_enabled () = Atomic.get enabled
-
+let set_tick n = Atomic.set tick n
 let set_capacity capacity = locked (fun () -> ring := Trace.create ~capacity)
-let records () = locked (fun () -> Trace.to_list !ring)
+let entries () = locked (fun () -> Trace.to_list !ring)
 let dropped () = locked (fun () -> Trace.dropped !ring)
 let depth () = List.length !(stack ())
+
+let is_span_or_point (r : Trace.record) =
+  String.equal r.kind "span" || String.equal r.kind "point"
+
+let records () = List.filter is_span_or_point (entries ())
 
 let reset () =
   locked (fun () -> Trace.clear !ring);
@@ -36,21 +42,35 @@ let reset () =
 
 let current_path stack name = String.concat "/" (List.rev (name :: !stack))
 
-(* Silently-overwritten records are invisible in the ring by design;
+(* Silently-overwritten entries are invisible in the ring by design;
    the counter makes the loss observable in the exposition, so a scrape
-   can tell "quiet system" from "ring too small". *)
-let dropped_counter () =
-  Registry.counter ~name:"obs_trace_dropped_total"
-    ~help:"Trace records overwritten because the span ring was full" ()
+   can tell "quiet system" from "ring too small".  It is resolved once,
+   on the first overwrite and under [ring_mu] (so no two domains force
+   the lazy at once): notes fire on every shipper ack, and a registry
+   lookup per overwrite would add a mutex and a string hash to each. *)
+let dropped_total =
+  lazy
+    (Registry.counter ~name:"obs_trace_dropped_total"
+       ~help:"Ring entries overwritten because the event ring was full" ())
 
-let add_record r =
-  let overwrote =
-    locked (fun () ->
-        let full = Trace.length !ring = Trace.capacity !ring in
-        Trace.add !ring r;
-        full)
-  in
-  if overwrote then Registry.counter_incr (dropped_counter ())
+let add r =
+  locked (fun () ->
+      let full = Trace.length !ring = Trace.capacity !ring in
+      Trace.add !ring r;
+      if full then Registry.counter_incr (Lazy.force dropped_total))
+
+let note ?tick:tk ?(attrs = []) ~kind name =
+  add
+    { Trace.kind;
+      name;
+      path = name;
+      depth = 0;
+      domain = (Domain.self () :> int);
+      tick = (match tk with Some n -> n | None -> Atomic.get tick);
+      start = Unix.gettimeofday ();
+      duration = 0.;
+      deltas = [];
+      attrs }
 
 let finish ~name ~path ~depth ~start ~before ~attrs ~on_close counters =
   let duration = Unix.gettimeofday () -. start in
@@ -59,13 +79,19 @@ let finish ~name ~path ~depth ~start ~before ~attrs ~on_close counters =
     | Some c, Some b -> Ltree_metrics.Counters.(to_assoc (diff c b))
     | _ -> []
   in
-  let domain = (Domain.self () :> int) in
-  let r = { Trace.name; path; depth; domain; start; duration; deltas; attrs } in
-  add_record r;
-  if Recorder.is_enabled () then
-    Recorder.note ~kind:"span"
-      ~attrs:(("dur_us", Printf.sprintf "%.1f" (duration *. 1e6)) :: attrs)
+  let r =
+    { Trace.kind = "span";
+      name;
       path;
+      depth;
+      domain = (Domain.self () :> int);
+      tick = Atomic.get tick;
+      start;
+      duration;
+      deltas;
+      attrs }
+  in
+  add r;
   (match on_close with Some f -> f r | None -> ())
 
 let with_ ?(attrs = []) ?counters ?on_close ~name fn =
@@ -103,16 +129,15 @@ let with_ ?(attrs = []) ?counters ?on_close ~name fn =
 let event ?(attrs = []) name =
   if Atomic.get enabled then begin
     let stack = stack () in
-    let path = current_path stack name in
-    let r =
-      { Trace.name;
-        path;
+    add
+      { Trace.kind = "point";
+        name;
+        path = current_path stack name;
         depth = List.length !stack;
         domain = (Domain.self () :> int);
+        tick = Atomic.get tick;
         start = Unix.gettimeofday ();
         duration = 0.;
         deltas = [];
         attrs }
-    in
-    add_record r
   end

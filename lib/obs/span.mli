@@ -1,4 +1,5 @@
-(** Nestable, named, timed regions recorded into a process-wide trace.
+(** Nestable, named, timed regions, and the process-wide event ring
+    they are recorded into.
 
     Spans are cheap enough to leave on in production code paths: entering
     one pushes a name onto a stack and reads the clock; leaving it builds
@@ -7,9 +8,15 @@
     beyond one atomic flag read — no clock read, no allocation, no
     domain-local-storage access.
 
+    The ring is the one event store of the process: span closes, point
+    events and flight-recorder notes ({!note}, fed through
+    {!Recorder.note}) share its mutex, its capacity and the
+    [obs_trace_dropped_total] overwrite counter.  Notes are always on;
+    {!set_enabled} gates spans and points only.
+
     Domain safety: the stack of open spans is domain-local, so spans
     opened by a worker domain nest among themselves and never corrupt
-    another domain's path; the shared record ring is mutex-guarded.
+    another domain's path; the shared ring is mutex-guarded.
     {!depth} and the stack-clearing part of {!reset} act on the calling
     domain's stack only. *)
 
@@ -36,20 +43,35 @@ val event : ?attrs:(string * string) list -> string -> unit
 (** Tracing is on by default; disabling makes [with_]/[event] no-ops. *)
 val set_enabled : bool -> unit
 
-val is_enabled : unit -> bool
-
 (** [set_capacity n] replaces the global ring with an empty one holding
-    [n] records. *)
+    [n] entries.  Raises [Invalid_argument] when [n < 1]. *)
 val set_capacity : int -> unit
 
-(** Completed records, oldest first. *)
+(** Completed span and point records, oldest first (notes excluded). *)
 val records : unit -> Trace.record list
 
-(** Records overwritten because the ring was full. *)
+(** Entries overwritten because the ring was full, whatever their kind. *)
 val dropped : unit -> int
 
 (** Current nesting depth on this domain (number of open spans). *)
 val depth : unit -> int
 
-(** Drop all records and force-close any spans open on this domain. *)
+(** Drop every entry and force-close any spans open on this domain. *)
 val reset : unit -> unit
+
+(** {1 Flight-recorder entries}
+
+    The storage behind {!Recorder}; instrumentation calls
+    {!Recorder.note} and {!Recorder.set_tick}. *)
+
+(** [note ?tick ?attrs ~kind name] appends one zero-duration entry of
+    [kind], overwriting the oldest when the ring is full.  [tick]
+    defaults to the last {!set_tick} value. *)
+val note :
+  ?tick:int -> ?attrs:(string * string) list -> kind:string -> string -> unit
+
+(** [set_tick n] stamps subsequent entries with virtual-clock tick [n]. *)
+val set_tick : int -> unit
+
+(** Every entry (spans, points and notes), oldest first. *)
+val entries : unit -> Trace.record list

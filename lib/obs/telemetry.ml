@@ -41,8 +41,6 @@ let register ?(t = default) ~name ~help fn =
       t.sources <-
         s :: List.filter (fun s' -> not (String.equal s'.sname name)) t.sources)
 
-let clear ?(t = default) () = locked t (fun () -> t.sources <- [])
-
 let sample ?(t = default) ~now () =
   (* Sample outside the lock: a source closure may itself take a lock
      (pool stats, registry reads) and must not nest under ours. *)
@@ -61,8 +59,6 @@ let sorted_sources t =
   List.sort
     (fun a b -> String.compare a.sname b.sname)
     (locked t (fun () -> t.sources))
-
-let names ?(t = default) () = List.map (fun s -> s.sname) (sorted_sources t)
 
 let series_samples t s =
   locked t (fun () ->

@@ -22,16 +22,10 @@ val default : t
     drops its samples. *)
 val register : ?t:t -> name:string -> help:string -> (unit -> float) -> unit
 
-(** Remove every source. *)
-val clear : ?t:t -> unit -> unit
-
 (** [sample ~now ()] polls every source once and appends [(now, value)]
     to its ring, overwriting the oldest when full.  Source closures run
     outside the sampler's lock. *)
 val sample : ?t:t -> now:int -> unit -> unit
-
-(** Registered source names, sorted. *)
-val names : ?t:t -> unit -> string list
 
 (** [series name] is the retained samples oldest-first; [[]] for
     unknown sources. *)

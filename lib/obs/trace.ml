@@ -1,8 +1,10 @@
 type record = {
+  kind : string;
   name : string;
   path : string;
   depth : int;
   domain : int;
+  tick : int;
   start : float;
   duration : float;
   deltas : (string * int) list;
@@ -67,45 +69,46 @@ let json_escape s =
     s;
   Buffer.contents buf
 
-let record_to_json r =
-  let buf = Buffer.create 160 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"%s\",\"path\":\"%s\",\"depth\":%d,\"domain\":%d,\"start\":%.6f,\"dur_us\":%.3f"
-       (json_escape r.name) (json_escape r.path) r.depth r.domain r.start
-       (r.duration *. 1e6));
-  (match r.deltas with
-   | [] -> ()
-   | deltas ->
-     Buffer.add_string buf ",\"counters\":{";
-     List.iteri
-       (fun i (k, v) ->
-         if i > 0 then Buffer.add_char buf ',';
-         Buffer.add_string buf
-           (Printf.sprintf "\"%s\":%d" (json_escape k) v))
-       deltas;
-     Buffer.add_char buf '}');
-  (match r.attrs with
-   | [] -> ()
-   | attrs ->
-     Buffer.add_string buf ",\"attrs\":{";
-     List.iteri
-       (fun i (k, v) ->
-         if i > 0 then Buffer.add_char buf ',';
-         Buffer.add_string buf
-           (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
-       attrs;
-     Buffer.add_char buf '}');
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+(* The one object writer: [{"k":v,...}] with escaped keys, [value]
+   printing each value. *)
+let add_fields buf value pairs =
+  Buffer.add_char buf '{';
+  List.iteri
+    (fun i (k, v) ->
+      if i > 0 then Buffer.add_char buf ',';
+      Buffer.add_char buf '"';
+      Buffer.add_string buf (json_escape k);
+      Buffer.add_string buf "\":";
+      value buf v)
+    pairs;
+  Buffer.add_char buf '}'
+
+let add_object buf pairs =
+  add_fields buf
+    (fun buf v ->
+      Buffer.add_char buf '"';
+      Buffer.add_string buf (json_escape v);
+      Buffer.add_char buf '"')
+    pairs
+
+let add_entry buf r =
+  Printf.bprintf buf
+    "{\"kind\":\"%s\",\"name\":\"%s\",\"path\":\"%s\",\"depth\":%d,\"domain\":%d,\"tick\":%d,\"start\":%.6f,\"dur_us\":%.3f"
+    (json_escape r.kind) (json_escape r.name) (json_escape r.path) r.depth
+    r.domain r.tick r.start (r.duration *. 1e6);
+  if not (List.is_empty r.deltas) then begin
+    Buffer.add_string buf ",\"counters\":";
+    add_fields buf (fun buf v -> Buffer.add_string buf (string_of_int v)) r.deltas
+  end;
+  if not (List.is_empty r.attrs) then begin
+    Buffer.add_string buf ",\"attrs\":";
+    add_object buf r.attrs
+  end;
+  Buffer.add_string buf "}\n"
 
 let to_jsonl records =
   let buf = Buffer.create 4096 in
-  List.iter
-    (fun r ->
-      Buffer.add_string buf (record_to_json r);
-      Buffer.add_char buf '\n')
-    records;
+  List.iter (add_entry buf) records;
   Buffer.contents buf
 
 (* {1 JSON validation}

@@ -1,18 +1,23 @@
-(** Ring-buffer trace of recent span records.
+(** Ring-buffer event log: the entry type, the ring, the one JSONL
+    entry-line writer, a JSON validator and the flamegraph.
 
-    The trace is a flight recorder: a fixed-capacity ring of the most
-    recent completed spans (and point events).  Records can be exported
-    as JSONL and rendered as a text flamegraph of self-time by span
-    path. *)
+    The process-wide ring ({!Span} owns it) holds completed spans, point
+    events and flight-recorder notes as one entry type, so a trace
+    export and a diagnostic bundle print the same line for the same
+    entry. *)
 
-(** One completed span (or point event, with zero duration). *)
+(** One ring entry: a completed span, a point event (zero duration) or
+    a flight-recorder note (zero duration, [path = name], [depth = 0]). *)
 type record = {
-  name : string;  (** leaf span name, e.g. ["insert"] *)
+  kind : string;
+      (** ["span"], ["point"], or the note's kind (["fault"], ["cell"], ...) *)
+  name : string;  (** leaf span name, e.g. ["insert"], or the note name *)
   path : string;  (** '/'-joined ancestry, e.g. ["harness/op/insert"] *)
   depth : int;    (** nesting depth at the time the span ran (root = 0) *)
   domain : int;   (** id of the domain that ran the span (main = 0) *)
+  tick : int;     (** virtual-clock tick ({!Span.set_tick}); [0] outside sessions *)
   start : float;  (** [Unix.gettimeofday] at span entry *)
-  duration : float;  (** seconds; [0.] for point events *)
+  duration : float;  (** seconds; [0.] for point events and notes *)
   deltas : (string * int) list;
       (** counter deltas attributed to this span, from [Counters.diff] *)
   attrs : (string * string) list;  (** free-form user attributes *)
@@ -50,7 +55,16 @@ val to_list : t -> record list
     JSON emitter in the library. *)
 val json_escape : string -> string
 
-val record_to_json : record -> string
+(** [add_object buf pairs] appends [{"k":"v",...}] with every key and
+    value escaped: entry attributes, bundle header attributes and
+    histogram labels all print through it. *)
+val add_object : Buffer.t -> (string * string) list -> unit
+
+(** [to_jsonl records] is one entry line per record, newline-terminated:
+    [{"kind","name","path","depth","domain","tick","start","dur_us"}],
+    then ["counters"] and ["attrs"] objects when non-empty.  The one
+    writer of entry lines: [ltree trace] and {!Recorder.dump} both
+    print through it. *)
 val to_jsonl : record list -> string
 
 (** {1 Validation}

@@ -125,10 +125,9 @@ let injected_payload (p : plan) ~point data =
 let crash t what =
   (* Feed the flight recorder before unwinding: the injection is the
      event a later bundle dump most needs to show. *)
-  if Ltree_obs.Recorder.is_enabled () then
-    Ltree_obs.Recorder.note ~kind:"fault"
-      ~attrs:[ ("point", string_of_int t.point) ]
-      what;
+  Ltree_obs.Recorder.note ~kind:"fault"
+    ~attrs:[ ("point", string_of_int t.point) ]
+    what;
   raise (Crash { point = t.point; what })
 
 let sim_write t path data =

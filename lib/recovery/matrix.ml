@@ -210,8 +210,7 @@ let run ?pool ?progress ?only ?inject ~name ~eval cells =
   in
   let eval_cell id =
     let cell = name id in
-    if Recorder.is_enabled () then
-      Recorder.note ~kind:"cell" ~attrs:[ ("phase", "start") ] cell;
+    Recorder.note ~kind:"cell" ~attrs:[ ("phase", "start") ] cell;
     let outcome, failures = eval id in
     let failures =
       match inject with
@@ -220,11 +219,11 @@ let run ?pool ?progress ?only ?inject ~name ~eval cells =
       | _ -> failures
     in
     (match failures with
-     | f :: _ when Recorder.is_enabled () ->
+     | f :: _ ->
        Recorder.note ~kind:"cell"
          ~attrs:[ ("phase", "failed"); ("failure", f) ]
          cell
-     | _ -> ());
+     | [] -> ());
     note_progress ();
     { id; outcome; failures }
   in

@@ -67,10 +67,9 @@ let create ?(plan = ideal) () =
 let severed t = t.severed
 
 let sever t ~now =
-  if Ltree_obs.Recorder.is_enabled () then
-    Ltree_obs.Recorder.note ~tick:now ~kind:"channel"
-      ~attrs:[ ("backlog", string_of_int (List.length t.in_flight)) ]
-      "severed";
+  Ltree_obs.Recorder.note ~tick:now ~kind:"channel"
+    ~attrs:[ ("backlog", string_of_int (List.length t.in_flight)) ]
+    "severed";
   t.severed <- true;
   (* Chunks already due sit in the receiver's buffer and survive; the
      rest of the backlog dies with the connection. *)
@@ -115,12 +114,11 @@ let flip_bit rng bytes =
 (* Deliver one chunk under a damage mode.  [terminal] marks the chunk
    carried by a sever: its delayed remainders/copies never arrive. *)
 let inject t ~now ~mode ~terminal bytes =
-  if Ltree_obs.Recorder.is_enabled () then
-    Ltree_obs.Recorder.note ~tick:now ~kind:"fault"
-      ~attrs:
-        [ ("mode", Fault.mode_name mode);
-          ("bytes", string_of_int (String.length bytes)) ]
-      "channel_inject";
+  Ltree_obs.Recorder.note ~tick:now ~kind:"fault"
+    ~attrs:
+      [ ("mode", Fault.mode_name mode);
+        ("bytes", string_of_int (String.length bytes)) ]
+    "channel_inject";
   match (mode : Fault.mode) with
   | Clean -> t.dropped <- t.dropped + 1
   | Torn ->

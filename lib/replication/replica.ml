@@ -185,10 +185,9 @@ let maybe_checkpoint t s =
 (* Divergence verdicts feed the flight recorder before they park the
    replica: the bundle should show why the stream stopped. *)
 let set_diverged t d =
-  if Ltree_obs.Recorder.is_enabled () then
-    Ltree_obs.Recorder.note ~kind:"recovery"
-      ~attrs:[ ("detail", Format.asprintf "%a" pp_divergence d) ]
-      "diverged";
+  Ltree_obs.Recorder.note ~kind:"recovery"
+    ~attrs:[ ("detail", Format.asprintf "%a" pp_divergence d) ]
+    "diverged";
   t.diverged <- Some d
 
 (* Apply the next-in-order record; caller guarantees [seq = applied + 1]
@@ -293,18 +292,16 @@ let on_snapshot t ~now ~base_seq ~chain ~data =
       Hashtbl.replace t.chains base_seq chain;
       t.applied_since_ckpt <- 0;
       t.snapshots_installed <- t.snapshots_installed + 1;
-      if Ltree_obs.Recorder.is_enabled () then
-        Ltree_obs.Recorder.note ~tick:now ~kind:"recovery"
-          ~attrs:[ ("base_seq", string_of_int base_seq) ]
-          "snapshot_installed";
+      Ltree_obs.Recorder.note ~tick:now ~kind:"recovery"
+        ~attrs:[ ("base_seq", string_of_int base_seq) ]
+        "snapshot_installed";
       drain_stash t s ~now;
       Option.is_none t.diverged
     | Error (_ : Durable_doc.fault list) ->
       t.install_failures <- t.install_failures + 1;
-      if Ltree_obs.Recorder.is_enabled () then
-        Ltree_obs.Recorder.note ~tick:now ~kind:"recovery"
-          ~attrs:[ ("base_seq", string_of_int base_seq) ]
-          "snapshot_install_failed";
+      Ltree_obs.Recorder.note ~tick:now ~kind:"recovery"
+        ~attrs:[ ("base_seq", string_of_int base_seq) ]
+        "snapshot_install_failed";
       false)
 
 let on_handshake t ~now ~seq ~chain:want =

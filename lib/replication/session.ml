@@ -44,8 +44,7 @@ let up t = t.up
 
 let pump t =
   t.clock <- t.clock + 1;
-  if Ltree_obs.Recorder.is_enabled () then
-    Ltree_obs.Recorder.set_tick t.clock;
+  Ltree_obs.Recorder.set_tick t.clock;
   Shipper.pump t.shipper ~now:t.clock;
   Replica.pump t.replica ~now:t.clock
 

@@ -223,10 +223,9 @@ let prune t ~acked =
 
 let on_ack t ~now seq =
   t.acks_seen <- t.acks_seen + 1;
-  if Ltree_obs.Recorder.is_enabled () then
-    Ltree_obs.Recorder.note ~tick:now ~kind:"channel"
-      ~attrs:[ ("seq", string_of_int seq) ]
-      "ack";
+  Ltree_obs.Recorder.note ~tick:now ~kind:"channel"
+    ~attrs:[ ("seq", string_of_int seq) ]
+    "ack";
   let prev = match t.acked with None -> -1 | Some a -> a in
   if seq > prev then begin
     t.acked <- Some seq;
@@ -323,10 +322,9 @@ let send_snapshot_now t ~now =
                 data = bytes }));
       t.frames_sent <- t.frames_sent + 1;
       t.snapshots_sent <- t.snapshots_sent + 1;
-      if Ltree_obs.Recorder.is_enabled () then
-        Ltree_obs.Recorder.note ~tick:now ~kind:"channel"
-          ~attrs:[ ("base_seq", string_of_int base) ]
-          "snapshot_sent";
+      Ltree_obs.Recorder.note ~tick:now ~kind:"channel"
+        ~attrs:[ ("base_seq", string_of_int base) ]
+        "snapshot_sent";
       t.snap_base <- base)
 
 let step_snapshot t ~now =
@@ -354,12 +352,11 @@ let step_snapshot t ~now =
         t.backoff_ticks <- t.backoff_ticks + delay;
         Ltree_obs.Histogram.observe_int (backoff_hist ()) delay
       | Error reason ->
-        if Ltree_obs.Recorder.is_enabled () then
-          Ltree_obs.Recorder.note ~tick:now ~kind:"recovery"
-            ~attrs:
-              [ ("seq", string_of_int t.snap_base);
-                ("reason", Format.asprintf "%a" Backoff.pp_error reason) ]
-            "snapshot_send_failed";
+        Ltree_obs.Recorder.note ~tick:now ~kind:"recovery"
+          ~attrs:
+            [ ("seq", string_of_int t.snap_base);
+              ("reason", Format.asprintf "%a" Backoff.pp_error reason) ]
+          "snapshot_send_failed";
         t.failed <- Some (Send_failed { seq = t.snap_base; reason }))
 
 let send_data t ~now ~seq payload =
@@ -409,12 +406,11 @@ let step_window t ~now ~acked =
                instead of burning the retry budget silently. *)
             t.force_handshake <- true
           | Error reason ->
-            if Ltree_obs.Recorder.is_enabled () then
-              Ltree_obs.Recorder.note ~tick:now ~kind:"recovery"
-                ~attrs:
-                  [ ("seq", string_of_int !seq);
-                    ("reason", Format.asprintf "%a" Backoff.pp_error reason) ]
-                "send_failed";
+            Ltree_obs.Recorder.note ~tick:now ~kind:"recovery"
+              ~attrs:
+                [ ("seq", string_of_int !seq);
+                  ("reason", Format.asprintf "%a" Backoff.pp_error reason) ]
+              "send_failed";
             t.failed <- Some (Send_failed { seq = !seq; reason }))));
     incr seq
   done
@@ -431,10 +427,9 @@ let step_handshake t ~now ~acked =
               chain = Hashtbl.find t.chains acked }));
     t.frames_sent <- t.frames_sent + 1;
     t.handshakes_sent <- t.handshakes_sent + 1;
-    if Ltree_obs.Recorder.is_enabled () then
-      Ltree_obs.Recorder.note ~tick:now ~kind:"channel"
-        ~attrs:[ ("seq", string_of_int acked) ]
-        "handshake_sent";
+    Ltree_obs.Recorder.note ~tick:now ~kind:"channel"
+      ~attrs:[ ("seq", string_of_int acked) ]
+      "handshake_sent";
     t.force_handshake <- false;
     t.acked_progress <- 0
   end

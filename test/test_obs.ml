@@ -89,10 +89,12 @@ let span_counters_and_disabled () =
 let ring_wraparound () =
   let ring = Trace.create ~capacity:3 in
   let mk i =
-    { Trace.name = string_of_int i;
+    { Trace.kind = "point";
+      name = string_of_int i;
       path = string_of_int i;
       depth = 0;
       domain = 0;
+      tick = 0;
       start = 0.;
       duration = 0.;
       deltas = [];
@@ -310,8 +312,9 @@ let instrumented_insert_accounting () =
   Alcotest.(check int) "span deltas account for all relabels"
     (Counters.relabels counters) total_delta
 
-(* Satellite: spans silently overwritten by a full ring must be counted
-   and exposed as a Prometheus counter. *)
+(* Entries silently overwritten by a full ring must be counted and
+   exposed as a Prometheus counter, whichever kind of entry (span or
+   note) caused the overwrite. *)
 let trace_dropped_counter () =
   Span.set_enabled true;
   Span.set_capacity 4;
@@ -324,11 +327,17 @@ let trace_dropped_counter () =
     Span.event (string_of_int i)
   done;
   Alcotest.(check int) "ring reports the overwrites" 6 (Span.dropped ());
-  (match Registry.find_counter "obs_trace_dropped_total" with
-   | None -> Alcotest.fail "obs_trace_dropped_total not registered"
-   | Some c ->
-     Alcotest.(check int) "counter tracks the overwrites" (before + 6)
-       (Registry.counter_value c));
+  let counted () =
+    match Registry.find_counter "obs_trace_dropped_total" with
+    | None -> Alcotest.fail "obs_trace_dropped_total not registered"
+    | Some c -> Registry.counter_value c - before
+  in
+  Alcotest.(check int) "counter tracks the span overwrites" 6 (counted ());
+  for i = 1 to 3 do
+    Recorder.note ~kind:"fault" (string_of_int i)
+  done;
+  Alcotest.(check int) "notes overwrite the same ring" 9 (Span.dropped ());
+  Alcotest.(check int) "counter tracks the note overwrites" 9 (counted ());
   let out = Registry.expose () in
   Alcotest.(check bool) "counter exposed" true
     (contains out "obs_trace_dropped_total");
@@ -341,8 +350,8 @@ let trace_dropped_counter () =
    multi-domain trace gets per-domain sections. *)
 let flamegraph_domain_sections () =
   let r ~domain ~path ~name ~depth ~duration =
-    { Trace.name; path; depth; domain; start = 0.; duration; deltas = [];
-      attrs = [] }
+    { Trace.kind = "span"; name; path; depth; domain; tick = 0; start = 0.;
+      duration; deltas = []; attrs = [] }
   in
   let d0 =
     [ r ~domain:0 ~path:"op" ~name:"op" ~depth:0 ~duration:3e-6;
@@ -391,34 +400,36 @@ let expose_json_golden () =
   | Error e -> Alcotest.failf "exposition is not valid JSON: %s" e
 
 let recorder_ring_and_bundle () =
-  Recorder.set_enabled true;
-  Recorder.set_capacity 4;
+  Span.set_capacity 4;
   Recorder.set_tick 0;
   Recorder.note ~kind:"fault" ~attrs:[ ("mode", "torn") ] "channel_inject";
   Recorder.set_tick 9;
   Recorder.note ~kind:"cell" "primary:P3/torn";
-  (match Recorder.events () with
+  (match Span.entries () with
    | [ a; b ] ->
-     Alcotest.(check string) "kind" "fault" a.Recorder.kind;
-     Alcotest.(check int) "tick before set_tick" 0 a.Recorder.tick;
-     Alcotest.(check int) "tick follows set_tick" 9 b.Recorder.tick;
+     Alcotest.(check string) "kind" "fault" a.Trace.kind;
+     Alcotest.(check int) "tick before set_tick" 0 a.Trace.tick;
+     Alcotest.(check int) "tick follows set_tick" 9 b.Trace.tick;
+     Alcotest.(check (float 0.)) "notes have no duration" 0. a.Trace.duration;
      Alcotest.(check (list (pair string string)))
-       "attrs kept" [ ("mode", "torn") ] a.Recorder.attrs
-   | es -> Alcotest.failf "expected 2 events, got %d" (List.length es));
+       "attrs kept" [ ("mode", "torn") ] a.Trace.attrs
+   | es -> Alcotest.failf "expected 2 entries, got %d" (List.length es));
+  Recorder.set_tick 0;
   for i = 1 to 5 do
-    Recorder.note ~kind:"span" (string_of_int i)
+    Recorder.note ~kind:"exec" (string_of_int i)
   done;
-  Alcotest.(check int) "ring clamps" 4 (List.length (Recorder.events ()));
-  Alcotest.(check int) "overwrites counted" 3 (Recorder.dropped ());
+  Alcotest.(check int) "ring clamps" 4 (List.length (Span.entries ()));
+  Alcotest.(check int) "overwrites counted" 3 (Span.dropped ());
   let data =
     Recorder.dump ~reason:"test"
       ~attrs:[ ("cell", "probe:divergence"); ("seed", "7") ]
       ()
   in
   (match Recorder.validate data with
-   | Ok n ->
-     Alcotest.(check bool) "header + events + metrics + footer" true (n >= 7)
+   | Ok n -> Alcotest.(check int) "header + 4 entries + metrics + footer" 7 n
    | Error e -> Alcotest.failf "bundle invalid: %s" e);
+  Alcotest.(check bool) "header carries the version" true
+    (contains data "\"version\":2");
   Alcotest.(check (option string))
     "cell attr recoverable for --only replay" (Some "probe:divergence")
     (Recorder.attr_of_bundle data "cell");
@@ -429,12 +440,49 @@ let recorder_ring_and_bundle () =
   (match Recorder.validate "not a bundle\n" with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "garbage validated as a bundle");
-  Recorder.set_enabled false;
-  Recorder.note ~kind:"span" "ghost";
-  Recorder.set_enabled true;
-  Alcotest.(check int) "disabled note is a no-op" 4
-    (List.length (Recorder.events ()));
-  Recorder.set_capacity 2048
+  (* A bundle that lost entry lines still parses line by line; only
+     the header/footer count check catches it. *)
+  let truncated =
+    String.concat "\n"
+      (List.filteri
+         (fun i _ -> i < 2 || i > 3)
+         (String.split_on_char '\n' data))
+  in
+  (match Recorder.validate truncated with
+   | Error e ->
+     Alcotest.(check bool) "names the count mismatch" true
+       (contains e "entry count mismatch")
+   | Ok _ -> Alcotest.fail "a bundle missing two entry lines validated");
+  Span.set_capacity 1024
+
+(* The one ring: a span close is one entry next to the notes, the span
+   view leaves the notes out, and a bundle prints the span once, on the
+   same line [ltree trace] prints. *)
+let one_ring_one_line () =
+  fresh_ring ();
+  Recorder.note ~kind:"fault" "before";
+  Span.with_ ~name:"solo" (fun () -> Span.event "dot");
+  Recorder.note ~kind:"cell" "after";
+  let tags rs = List.map (fun r -> r.Trace.kind ^ ":" ^ r.Trace.name) rs in
+  Alcotest.(check (list string)) "one entry per span close"
+    [ "fault:before"; "point:dot"; "span:solo"; "cell:after" ]
+    (tags (Span.entries ()));
+  Alcotest.(check (list string)) "records hold spans and points, no notes"
+    [ "point:dot"; "span:solo" ]
+    (tags (Span.records ()));
+  let span_line =
+    match List.filter (fun r -> String.equal r.Trace.kind "span")
+            (Span.records ()) with
+    | [ r ] -> String.trim (Trace.to_jsonl [ r ])
+    | rs -> Alcotest.failf "expected 1 span, got %d" (List.length rs)
+  in
+  let bundle_lines = String.split_on_char '\n' (Recorder.dump ()) in
+  Alcotest.(check int) "the bundle carries the span once" 1
+    (List.length
+       (List.filter (fun l -> contains l "\"name\":\"solo\"") bundle_lines));
+  Alcotest.(check bool) "trace line = bundle entry line, byte for byte" true
+    (List.mem span_line bundle_lines);
+  Alcotest.(check bool) "numeric dur_us" false (contains span_line "\"dur_us\":\"")
 
 let telemetry_sampler () =
   let t = Telemetry.create ~capacity:4 () in
@@ -571,6 +619,7 @@ let suite =
       case "flamegraph domain sections" `Quick flamegraph_domain_sections;
       case "expose_json golden" `Quick expose_json_golden;
       case "recorder ring + bundle" `Quick recorder_ring_and_bundle;
+      case "one ring, one entry line" `Quick one_ring_one_line;
       case "telemetry sampler" `Quick telemetry_sampler;
       case "causal ids + stamps" `Quick causal_ids_and_stamps;
       case "labeled histogram series" `Quick labeled_histogram_series ] )

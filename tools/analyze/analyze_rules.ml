@@ -109,7 +109,8 @@ let default_config =
     global_allow =
       [
         ( "lib/obs/span.ml", "ring",
-          "the process-wide trace ring: every access goes through the \
+          "the one process-wide event ring (spans, points and \
+           flight-recorder notes): every access goes through the \
            module's own ring_mu mutex; audited in DESIGN.md section 10" );
       ];
     parallel_entries = [ "Pool.parallel_for"; "Pool.map"; "Domain.spawn" ];
@@ -147,13 +148,9 @@ let default_config =
           "store-matrix cells share the memoized query cache under \
            cache_mu; audited in DESIGN.md section 9" );
         ( "Ltree_obs.Span.*",
-          "the process-wide trace ring is the R7-allowlisted global; \
-           every access runs under ring_mu; audited in DESIGN.md \
-           section 10" );
-        ( "Ltree_obs.Recorder.*",
-          "the flight-recorder event ring is the R7-allowlisted \
-           [default] global; every access runs under its [mu] via the \
-           [locked] helper; audited in DESIGN.md section 10" );
+          "the one event ring (spans and Recorder notes) is the \
+           R7-allowlisted global; every access runs under ring_mu; \
+           audited in DESIGN.md section 10" );
         ( "Ltree_obs.Causal.*",
           "the causal-trace table is the R7-allowlisted [state] \
            global; every access runs under [state.mu] via the [locked] \

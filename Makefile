@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-query bench-recovery bench-parallel bench-parallel-smoke bench-replication bench-shard bench-shard-smoke examples soak analyze analyze-baseline selfcheck selfcheck-quick crash-matrix crash-matrix-quick matrix-summaries replica-matrix shard-matrix shard-matrix-quick replicate-smoke trace-smoke obs-smoke ci clean
+.PHONY: all build test bench bench-query bench-recovery bench-parallel bench-parallel-smoke bench-replication bench-shard bench-shard-smoke examples soak analyze analyze-baseline selfcheck selfcheck-quick crash-matrix crash-matrix-quick matrix-summaries replica-matrix shard-matrix shard-matrix-quick replicate-smoke trace-smoke obs-smoke bench-check ci clean
 
 all: build
 
@@ -123,13 +123,21 @@ obs-smoke:
 	  > /dev/null
 	rm -f _obs_smoke.jsonl _obs_smoke_cut.jsonl
 
+# Counter gate: run the four end-to-end workloads at smoke size, traced,
+# seed 1, and require every deterministic counter to equal
+# test/bench_counters.expected.jsonl.  Wall time is printed, not gated.
+# A change that legitimately moves a counter regenerates the file with
+# `python3 tools/bench_check.py --update` and names the moved counters.
+bench-check:
+	python3 tools/bench_check.py
+
 ci:
 	dune build @all && dune runtest --force && \
 	$(MAKE) analyze && \
 	$(MAKE) selfcheck-quick && $(MAKE) matrix-summaries && \
 	$(MAKE) trace-smoke && $(MAKE) obs-smoke && \
 	$(MAKE) bench-parallel-smoke && \
-	$(MAKE) bench-shard-smoke && \
+	$(MAKE) bench-shard-smoke && $(MAKE) bench-check && \
 	dune exec bench/exp_query.exe -- --n 2000 --queries 100 \
 	  --json _build/BENCH_query.smoke.json
 

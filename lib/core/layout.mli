@@ -9,10 +9,15 @@
     the paper's complete [m]-ary tree (§2.2), used by bulk loading and by
     node splits. *)
 
-(** [chunk_sizes params ~height ~count] is the list of leaf counts of the
-    children of a height-[height] node over [count] leaves.
-    Requires [height >= 1] and [1 <= count < s * m^height]. *)
-val chunk_sizes : Params.t -> height:int -> count:int -> int list
+(** [chunk_count params ~height ~count] is the number [q] of children of
+    a height-[height] node over [count] leaves.  Requires [height >= 1]
+    and [1 <= count < s * m^height] (else [Invalid_argument]). *)
+val chunk_count : Params.t -> height:int -> count:int -> int
+
+(** [chunk_size params ~height ~count i] is the leaf count of child [i]
+    ([0 <= i < chunk_count params ~height ~count]) of that node: pure
+    arithmetic, so rebuilds chunk a leaf range without building a list. *)
+val chunk_size : Params.t -> height:int -> count:int -> int -> int
 
 (** [iter_labels params ~base ~height ~count f] calls [f] with the label of
     each of the [count] leaves of a chunked subtree rooted at number [base],

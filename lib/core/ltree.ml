@@ -23,7 +23,7 @@ let observe_insert r =
 type node = {
   id : int; (* unique; 0 for internals and the dummy *)
   mutable num : int;
-  mutable parent : node option;
+  mutable parent : node; (* [dummy] for the root and detached nodes *)
   height : int;
   mutable nleaves : int;
   mutable children : node array;
@@ -39,35 +39,50 @@ type t = {
   mutable root : node;
   mutable nslots : int;
   mutable nlive : int;
-  mutable relabel_hook : (node -> unit) option;
   mutable version : int;
   mutable next_leaf_id : int;
       (* per-tree so leaf ids are reproducible per tree and allocation
          never races across domains building distinct trees *)
+  mutable tracking : bool;
+  mutable marks : Bytes.t;
+      (* the relabel log's membership bitmap: bit [id] is set iff leaf
+         [id] is in [log]; sized for every allocated id while tracking *)
+  log : Column.t; (* relabeled leaf ids, in mark order *)
+  mutable scratch : node array;
+      (* leaf buffer of the region rebuilds; only [dummy] outside one *)
 }
 
-let dummy =
-  { id = 0; num = 0; parent = None; height = 0; nleaves = 0; children = [||];
-    nchildren = 0; deleted = false }
+let rec dummy =
+  { id = 0; num = 0; parent = dummy; height = 0; nleaves = 0;
+    children = [||]; nchildren = 0; deleted = false }
+
+let grow_marks t =
+  let need = (t.next_leaf_id lsr 3) + 1 in
+  if need > Bytes.length t.marks then begin
+    let bigger = Bytes.make (Int.max need (2 * Bytes.length t.marks)) '\000' in
+    Bytes.blit t.marks 0 bigger 0 (Bytes.length t.marks);
+    t.marks <- bigger
+  end
 
 let new_leaf t =
   t.next_leaf_id <- t.next_leaf_id + 1;
-  { id = t.next_leaf_id; num = 0; parent = None; height = 0; nleaves = 1;
+  if t.tracking then grow_marks t;
+  { id = t.next_leaf_id; num = 0; parent = dummy; height = 0; nleaves = 1;
     children = [||]; nchildren = 0; deleted = false }
 
 let new_internal (params : Params.t) ~height ~nleaves =
-  { id = 0; num = 0; parent = None; height; nleaves;
+  { id = 0; num = 0; parent = dummy; height; nleaves;
     children = Array.make (params.f + 1) dummy; nchildren = 0;
     deleted = false }
 
 let create ?(params = Params.fig2) ?(counters = Counters.create ()) () =
   { params; counters; root = new_internal params ~height:1 ~nleaves:0;
-    nslots = 0; nlive = 0; relabel_hook = None; version = 0;
-    next_leaf_id = 0 }
+    nslots = 0; nlive = 0; version = 0; next_leaf_id = 0; tracking = false;
+    marks = Bytes.empty; log = Column.create ~capacity:1 ();
+    scratch = [||] }
 
 let leaf_id w = w.id
 let last_leaf_id t = t.next_leaf_id
-let on_relabel t f = t.relabel_hook <- Some f
 let version t = t.version
 
 let params t = t.params
@@ -76,85 +91,126 @@ let length t = t.nslots
 let live_length t = t.nlive
 let height t = t.root.height
 
+(* {1 The relabel log}
+
+   While tracking, every leaf whose number changes is marked once: a
+   bitmap test, a bit set and a push onto an int column — no closure
+   call, no hashing, no allocation once the column has grown. *)
+
+let drain_relabels t f =
+  for i = 0 to Column.length t.log - 1 do
+    let id = Column.get t.log i in
+    (* every id sharing this byte is in the log too, and this pass
+       reaches it: clearing the whole byte is exact *)
+    Bytes.set t.marks (id lsr 3) '\000';
+    f id
+  done;
+  Column.clear t.log
+
+let track_relabels t =
+  drain_relabels t ignore;
+  t.tracking <- true;
+  grow_marks t
+
+let[@ltree.hot] log_relabel t id =
+  let byte = id lsr 3 and bit = 1 lsl (id land 7) in
+  let bits = Char.code (Bytes.get t.marks byte) in
+  if bits land bit = 0 then begin
+    Bytes.set t.marks byte (Char.unsafe_chr (bits lor bit));
+    Column.push t.log id
+  end
+
 (* {1 Small structural helpers} *)
 
 let index_of parent child =
-  let rec go i =
-    if i >= parent.nchildren then
-      failwith "Ltree: child not found under its parent"
-    else if parent.children.(i) == child then i
-    else go (i + 1)
-  in
-  go 0
+  let i = ref 0 in
+  while !i < parent.nchildren && parent.children.(!i) != child do
+    incr i
+  done;
+  if !i >= parent.nchildren then
+    failwith "Ltree: child not found under its parent";
+  !i
 
 let is_root t v = v == t.root
 
-(* Replace children [at, at + remove) of [p] with [inserted]. *)
-let children_splice p ~at ~remove inserted =
+(* Replace children [at, at + remove) of [p] by [add] slots, shifting the
+   rest; the caller fills the new slots with {!set_child}. *)
+let make_room p ~at ~remove ~add =
   let old_count = p.nchildren in
-  let extra = Array.length inserted - remove in
-  let needed = old_count + extra in
+  let needed = old_count + add - remove in
   if needed > Array.length p.children then begin
     let bigger = Array.make (needed + 4) dummy in
     Array.blit p.children 0 bigger 0 old_count;
     p.children <- bigger
   end;
-  Array.blit p.children (at + remove) p.children
-    (at + Array.length inserted)
+  Array.blit p.children (at + remove) p.children (at + add)
     (old_count - at - remove);
-  Array.blit inserted 0 p.children at (Array.length inserted);
   p.nchildren <- needed;
   (* Clear stale slots so dropped nodes can be collected. *)
   for i = needed to old_count - 1 do
     p.children.(i) <- dummy
-  done;
-  Array.iter (fun c -> c.parent <- Some p) inserted
+  done
+
+let set_child p i c =
+  p.children.(i) <- c;
+  c.parent <- p
+
+(* Write the leaves of [v] into [buf] from [i]; the next free index. *)
+let rec gather buf v i =
+  if v.height = 0 then begin
+    buf.(i) <- v;
+    i + 1
+  end
+  else begin
+    let i = ref i in
+    for j = 0 to v.nchildren - 1 do
+      i := gather buf v.children.(j) !i
+    done;
+    !i
+  end
 
 let collect_leaves node =
   let out = Array.make node.nleaves dummy in
-  let i = ref 0 in
-  let rec dfs v =
-    if v.height = 0 then begin
-      out.(!i) <- v;
-      incr i
-    end
-    else
-      for j = 0 to v.nchildren - 1 do
-        dfs v.children.(j)
-      done
-  in
-  dfs node;
-  assert (!i = node.nleaves);
+  let n = gather out node 0 in
+  assert (n = node.nleaves);
   out
+
+(* The tree's scratch leaf buffer, with room for [n] leaves.  A rebuild
+   fills a prefix, builds from it and hands it back with {!release}. *)
+let scratch t n =
+  if Array.length t.scratch < n then
+    t.scratch <- Array.make (Int.max n (2 * Array.length t.scratch)) dummy;
+  t.scratch
+
+let release t n = Array.fill t.scratch 0 n dummy
 
 (* {1 Labeling} *)
 
-let set_num ?(count = true) t v num =
+let[@ltree.hot] set_num t ~count v num =
   if v.num <> num then begin
     v.num <- num;
     if count then begin
       Counters.add_relabel t.counters 1;
-      if v.height = 0 then
-        match t.relabel_hook with Some f -> f v | None -> ()
+      if v.height = 0 && t.tracking then log_relabel t v.id
     end
   end
 
 (* Assign [num] to [v] and renumber its whole subtree (paper's Relabel). *)
-let rec assign ?count t v num =
-  set_num ?count t v num;
+let[@ltree.hot] rec assign t ~count v num =
+  set_num t ~count v num;
   if v.height > 0 then begin
     let step = Params.pow_radix t.params (v.height - 1) in
     for i = 0 to v.nchildren - 1 do
-      assign ?count t v.children.(i) (num + (i * step))
+      assign t ~count v.children.(i) (num + (i * step))
     done
   end
 
 (* Renumber the children of [p] from index [j] on (and their subtrees). *)
-let relabel_children_from ?count t p j =
+let[@ltree.hot] relabel_children_from t p j =
   if p.nchildren > 0 then begin
     let step = Params.pow_radix t.params (p.height - 1) in
     for i = j to p.nchildren - 1 do
-      assign ?count t p.children.(i) (p.num + (i * step))
+      assign t ~count:true p.children.(i) (p.num + (i * step))
     done
   end
 
@@ -162,7 +218,7 @@ let relabel_children_from ?count t p j =
 
    [build_sub] erects a fresh height-[height] subtree over
    [leaves.(lo, hi)], reusing the existing leaf nodes so external handles
-   survive, and chunking interior nodes per {!Layout.chunk_sizes}.  Numbers
+   survive, and chunking interior nodes per {!Layout.chunk_size}.  Numbers
    are not assigned here; callers relabel afterwards. *)
 
 let rec build_sub t leaves ~lo ~hi ~height =
@@ -174,20 +230,24 @@ let rec build_sub t leaves ~lo ~hi ~height =
     let count = hi - lo in
     let v = new_internal t.params ~height ~nleaves:count in
     Counters.add_node_access t.counters 1;
-    let off = ref lo in
-    List.iter
-      (fun chunk ->
-        let child =
-          build_sub t leaves ~lo:!off ~hi:(!off + chunk) ~height:(height - 1)
-        in
-        child.parent <- Some v;
-        v.children.(v.nchildren) <- child;
-        v.nchildren <- v.nchildren + 1;
-        off := !off + chunk)
-      (Layout.chunk_sizes t.params ~height ~count);
-    assert (!off = hi);
+    build_children t v leaves ~lo ~count ~height;
     v
   end
+
+(* Append to [v] the children of a height-[height] node over
+   [leaves.(lo, lo + count)], chunked per {!Layout}. *)
+and build_children t v leaves ~lo ~count ~height =
+  let off = ref lo in
+  for i = 0 to Layout.chunk_count t.params ~height ~count - 1 do
+    let chunk = Layout.chunk_size t.params ~height ~count i in
+    let child =
+      build_sub t leaves ~lo:!off ~hi:(!off + chunk) ~height:(height - 1)
+    in
+    set_child v v.nchildren child;
+    v.nchildren <- v.nchildren + 1;
+    off := !off + chunk
+  done;
+  assert (!off = lo + count)
 
 (* {1 Bulk loading (§2.2)} *)
 
@@ -198,13 +258,11 @@ let bulk_load ?(params = Params.fig2) ?(counters = Counters.create ()) n =
   else begin
     let height = Params.height_for params n in
     let leaves = Array.init n (fun _ -> new_leaf t) in
-    let root = build_sub t leaves ~lo:0 ~hi:n ~height in
-    root.parent <- None;
-    t.root <- root;
+    t.root <- build_sub t leaves ~lo:0 ~hi:n ~height;
     t.nslots <- n;
     t.nlive <- n;
     (* Initial numbering is construction, not relabeling. *)
-    assign ~count:false t root 0;
+    assign t ~count:false t.root 0;
     (t, leaves)
   end
 
@@ -259,8 +317,7 @@ let of_labels ?(params = Params.fig2) ?(counters = Counters.create ())
           let child =
             build ~lo:!i ~hi:!stop ~h:(h - 1) ~base:(base + (idx * step))
           in
-          child.parent <- Some v;
-          v.children.(v.nchildren) <- child;
+          set_child v v.nchildren child;
           v.nchildren <- v.nchildren + 1;
           i := !stop
         done;
@@ -268,7 +325,6 @@ let of_labels ?(params = Params.fig2) ?(counters = Counters.create ())
       end
     in
     let root = build ~lo:0 ~hi:n ~h:height ~base:0 in
-    root.parent <- None;
     t.root <- root;
     t.nslots <- n;
     t.nlive <- n;
@@ -297,74 +353,82 @@ let of_labels ?(params = Params.fig2) ?(counters = Counters.create ())
 
 (* Bump [nleaves] by [k] along the ancestor chain starting at [v]; return
    the highest node that reaches (or, with [k > 1], would reach) its leaf
-   limit. *)
+   limit, or [dummy]. *)
 let bump_ancestors t v k =
-  let rec go v acc =
-    v.nleaves <- v.nleaves + k;
+  let v = ref v and top = ref dummy in
+  while !v != dummy do
+    let u = !v in
+    u.nleaves <- u.nleaves + k;
     Counters.add_node_access t.counters 1;
-    let acc =
-      if v.nleaves >= Params.lmax t.params ~height:v.height then Some v
-      else acc
-    in
-    match v.parent with None -> acc | Some u -> go u acc
-  in
-  go v None
+    if u.nleaves >= Params.lmax t.params ~height:u.height then top := u;
+    v := u.parent
+  done;
+  !top
+
+(* Replace child [j] of [p] by the [s] complete subtrees over
+   [leaves.(0, s * m^h)], h the child height. *)
+let build_split t p ~at:j leaves ~height:h =
+  let span = Params.pow_m t.params h in
+  for r = 0 to t.params.s - 1 do
+    set_child p (j + r)
+      (build_sub t leaves ~lo:(r * span) ~hi:((r + 1) * span) ~height:h)
+  done
 
 let grow_root t =
   Span.event "ltree.grow_root";
   let old = t.root in
   let h = old.height in
   if h + 1 > t.params.max_height then raise Params.Label_overflow;
-  let all = collect_leaves old in
-  let span = Params.pow_m t.params h in
-  assert (Array.length all = t.params.s * span);
-  let root =
-    new_internal t.params ~height:(h + 1) ~nleaves:(Array.length all)
-  in
-  for r = 0 to t.params.s - 1 do
-    let sub = build_sub t all ~lo:(r * span) ~hi:((r + 1) * span) ~height:h in
-    sub.parent <- Some root;
-    root.children.(r) <- sub;
-    root.nchildren <- root.nchildren + 1
-  done;
+  let n = old.nleaves in
+  assert (n = t.params.s * Params.pow_m t.params h);
+  let buf = scratch t n in
+  ignore (gather buf old 0 : int);
+  let root = new_internal t.params ~height:(h + 1) ~nleaves:n in
+  make_room root ~at:0 ~remove:0 ~add:t.params.s;
+  build_split t root ~at:0 buf ~height:h;
+  release t n;
   t.root <- root;
   Counters.add_split t.counters 1;
   relabel_children_from t root 0
 
 let split t x =
-  Span.event ~attrs:[ ("height", string_of_int x.height) ] "ltree.split";
-  let p = match x.parent with Some p -> p | None -> assert false in
+  if Span.enabled () then
+    Span.event ~attrs:[ ("height", string_of_int x.height) ] "ltree.split";
+  let p = x.parent in
   let j = index_of p x in
-  let ls = collect_leaves x in
-  let h = x.height in
-  let span = Params.pow_m t.params h in
-  assert (Array.length ls = t.params.s * span);
-  let subs =
-    Array.init t.params.s (fun r ->
-        build_sub t ls ~lo:(r * span) ~hi:((r + 1) * span) ~height:h)
-  in
-  children_splice p ~at:j ~remove:1 subs;
+  let n = x.nleaves in
+  assert (n = t.params.s * Params.pow_m t.params x.height);
+  let buf = scratch t n in
+  ignore (gather buf x 0 : int);
+  make_room p ~at:j ~remove:1 ~add:t.params.s;
+  build_split t p ~at:j buf ~height:x.height;
+  release t n;
   Counters.add_split t.counters 1;
   relabel_children_from t p j
 
+let insert_at_raw t p idx =
+  let leaf = new_leaf t in
+  make_room p ~at:idx ~remove:0 ~add:1;
+  set_child p idx leaf;
+  t.nslots <- t.nslots + 1;
+  t.nlive <- t.nlive + 1;
+  t.version <- t.version + 1;
+  let x = bump_ancestors t p 1 in
+  if x == dummy then relabel_children_from t p idx
+  else if is_root t x then grow_root t
+  else split t x;
+  leaf
+
 let insert_at t p idx =
-  Span.with_ ~name:"ltree.insert" ~counters:t.counters
-    ~on_close:observe_insert (fun () ->
-      let leaf = new_leaf t in
-      children_splice p ~at:idx ~remove:0 [| leaf |];
-      t.nslots <- t.nslots + 1;
-      t.nlive <- t.nlive + 1;
-      t.version <- t.version + 1;
-      (match bump_ancestors t p 1 with
-       | None -> relabel_children_from t p idx
-       | Some x when is_root t x -> grow_root t
-       | Some x -> split t x);
-      leaf)
+  if Span.enabled () then
+    Span.with_ ~name:"ltree.insert" ~counters:t.counters
+      ~on_close:observe_insert (fun () -> insert_at_raw t p idx)
+  else insert_at_raw t p idx
 
 let parent_of w =
-  match w.parent with
-  | Some p -> p
-  | None -> failwith "Ltree: leaf has no parent (detached handle?)"
+  if w.parent == dummy then
+    failwith "Ltree: leaf has no parent (detached handle?)";
+  w.parent
 
 let insert_after t w =
   let p = parent_of w in
@@ -392,53 +456,46 @@ let insert_first t =
 (* Leaf-sequence position of the insertion point (p, idx) relative to the
    subtree rooted at [stop]. *)
 let position_within ~stop p idx =
-  let rec go v pos =
-    if v == stop then pos
-    else
-      match v.parent with
-      | None -> failwith "Ltree: stop is not an ancestor"
-      | Some u ->
-        let i = index_of u v in
-        let before = ref 0 in
-        for r = 0 to i - 1 do
-          before := !before + u.children.(r).nleaves
-        done;
-        go u (pos + !before)
-  in
-  go p idx
+  let v = ref p and pos = ref idx in
+  while !v != stop do
+    let u = !v.parent in
+    if u == dummy then failwith "Ltree: stop is not an ancestor";
+    for r = 0 to index_of u !v - 1 do
+      pos := !pos + u.children.(r).nleaves
+    done;
+    v := u
+  done;
+  !pos
 
-(* Splice [fresh] into [base] at [pos]. *)
-let splice_leaves base pos fresh =
-  let n = Array.length base and k = Array.length fresh in
-  let out = Array.make (n + k) dummy in
-  Array.blit base 0 out 0 pos;
-  Array.blit fresh 0 out pos k;
-  Array.blit base pos out (pos + k) (n - pos);
-  out
+(* Open a gap of [Array.length fresh] at [pos] in [buf.(0, n)] and fill
+   it with [fresh]. *)
+let splice_in buf ~n ~pos fresh =
+  let k = Array.length fresh in
+  Array.blit buf pos buf (pos + k) (n - pos);
+  Array.blit fresh 0 buf pos k
 
 (* Highest ancestor (starting at [p]) that would reach its leaf limit if
-   [k] more leaves landed below it.  Does not modify counts. *)
+   [k] more leaves landed below it, or [dummy].  Does not modify
+   counts. *)
 let highest_overflowing t p k =
-  let rec go v acc =
-    let acc =
-      if v.nleaves + k >= Params.lmax t.params ~height:v.height then Some v
-      else acc
-    in
-    match v.parent with None -> acc | Some u -> go u acc
-  in
-  go p None
+  let v = ref p and top = ref dummy in
+  while !v != dummy do
+    let u = !v in
+    if u.nleaves + k >= Params.lmax t.params ~height:u.height then top := u;
+    v := u.parent
+  done;
+  !top
 
 (* Add [k] to the leaf counts of [v] and all its ancestors. *)
 let add_to_counts t v k =
-  let rec go v =
-    v.nleaves <- v.nleaves + k;
+  let v = ref v in
+  while !v != dummy do
+    !v.nleaves <- !v.nleaves + k;
     Counters.add_node_access t.counters 1;
-    match v.parent with None -> () | Some u -> go u
-  in
-  go v
+    v := !v.parent
+  done
 
-let rebuild_root t merged =
-  let total = Array.length merged in
+let rebuild_root t merged ~total =
   let rec pick h =
     if h > t.params.max_height then raise Params.Label_overflow
     else if total < Params.lmax t.params ~height:h then h
@@ -447,71 +504,70 @@ let rebuild_root t merged =
   let height =
     pick (Int.max t.root.height (Params.height_for t.params total))
   in
-  let root = build_sub t merged ~lo:0 ~hi:total ~height in
-  root.parent <- None;
-  t.root <- root;
+  t.root <- build_sub t merged ~lo:0 ~hi:total ~height;
   Counters.add_split t.counters 1;
-  assign t root 0
+  assign t ~count:true t.root 0
 
 let insert_batch_at_raw t p idx k =
-  let fresh = Array.init k (fun _ -> new_leaf t) in
-  (match highest_overflowing t p k with
-   | None ->
-     (* Room everywhere: the new leaves become ordinary children of [p]. *)
-     children_splice p ~at:idx ~remove:0 fresh;
-     add_to_counts t p k;
-     relabel_children_from t p idx
-   | Some x when is_root t x ->
-     let merged =
-       splice_leaves (collect_leaves t.root)
-         (position_within ~stop:t.root p idx)
-         fresh
-     in
-     rebuild_root t merged
-   | Some x ->
-     (* Rebuild the tail [j ..] of x's parent: x plus its right siblings,
-        re-chunked around the k new leaves. *)
-     let bigp = match x.parent with Some u -> u | None -> assert false in
-     let j = index_of bigp x in
-     let region = ref [] in
-     for r = bigp.nchildren - 1 downto j do
-       region := collect_leaves bigp.children.(r) :: !region
-     done;
-     let base = Array.concat !region in
-     let pos =
-       (* Leaves of x's left in-region siblings precede the insertion
-          point; x is the region's first member, so the offset is just the
-          position within x. *)
-       position_within ~stop:x p idx
-     in
-     let merged = splice_leaves base pos fresh in
-     let total = Array.length merged in
-     let h = x.height in
-     let subs =
-       let off = ref 0 in
-       Array.of_list
-         (List.map
-            (fun chunk ->
-              let sub =
-                build_sub t merged ~lo:!off ~hi:(!off + chunk) ~height:h
-              in
-              off := !off + chunk;
-              sub)
-            (Layout.chunk_sizes t.params ~height:(h + 1) ~count:total))
-     in
-     children_splice bigp ~at:j ~remove:(bigp.nchildren - j) subs;
-     add_to_counts t bigp k;
-     Counters.add_split t.counters 1;
-     relabel_children_from t bigp j);
+  let fresh = Array.make k dummy in
+  for i = 0 to k - 1 do
+    fresh.(i) <- new_leaf t
+  done;
+  let x = highest_overflowing t p k in
+  if x == dummy then begin
+    (* Room everywhere: the new leaves become ordinary children of [p]. *)
+    make_room p ~at:idx ~remove:0 ~add:k;
+    for i = 0 to k - 1 do
+      set_child p (idx + i) fresh.(i)
+    done;
+    add_to_counts t p k;
+    relabel_children_from t p idx
+  end
+  else if is_root t x then begin
+    let n = t.root.nleaves in
+    let buf = scratch t (n + k) in
+    ignore (gather buf t.root 0 : int);
+    splice_in buf ~n ~pos:(position_within ~stop:t.root p idx) fresh;
+    rebuild_root t buf ~total:(n + k);
+    release t (n + k)
+  end
+  else begin
+    (* Rebuild the tail [j ..] of x's parent: x plus its right siblings,
+       re-chunked around the k new leaves. *)
+    let bigp = x.parent in
+    let j = index_of bigp x in
+    let n = ref 0 in
+    for r = j to bigp.nchildren - 1 do
+      n := !n + bigp.children.(r).nleaves
+    done;
+    let n = !n in
+    let buf = scratch t (n + k) in
+    let filled = ref 0 in
+    for r = j to bigp.nchildren - 1 do
+      filled := gather buf bigp.children.(r) !filled
+    done;
+    (* Leaves of x's left in-region siblings precede the insertion point;
+       x is the region's first member, so the offset is just the position
+       within x. *)
+    splice_in buf ~n ~pos:(position_within ~stop:x p idx) fresh;
+    make_room bigp ~at:j ~remove:(bigp.nchildren - j) ~add:0;
+    build_children t bigp buf ~lo:0 ~count:(n + k) ~height:(x.height + 1);
+    release t (n + k);
+    add_to_counts t bigp k;
+    Counters.add_split t.counters 1;
+    relabel_children_from t bigp j
+  end;
   t.nslots <- t.nslots + k;
   t.nlive <- t.nlive + k;
   t.version <- t.version + 1;
   fresh
 
 let insert_batch_at t p idx k =
-  Span.with_ ~name:"ltree.insert_batch" ~counters:t.counters
-    ~attrs:[ ("k", string_of_int k) ]
-    ~on_close:observe_insert (fun () -> insert_batch_at_raw t p idx k)
+  if Span.enabled () then
+    Span.with_ ~name:"ltree.insert_batch" ~counters:t.counters
+      ~attrs:[ ("k", string_of_int k) ]
+      ~on_close:observe_insert (fun () -> insert_batch_at_raw t p idx k)
+  else insert_batch_at_raw t p idx k
 
 let insert_batch_after t w k =
   if k < 1 then invalid_arg "Ltree.insert_batch_after: k must be >= 1";
@@ -577,12 +633,10 @@ let compact_raw t =
   end
   else begin
     let height = Params.height_for t.params n in
-    let root = build_sub t live ~lo:0 ~hi:n ~height in
-    root.parent <- None;
-    t.root <- root;
+    t.root <- build_sub t live ~lo:0 ~hi:n ~height;
     t.nslots <- n;
     t.nlive <- n;
-    assign t root 0
+    assign t ~count:true t.root 0
   end
 
 let compact t =
@@ -618,9 +672,9 @@ let find_by_label t lab =
 
 let next _ w =
   let rec up v =
-    match v.parent with
-    | None -> None
-    | Some u ->
+    let u = v.parent in
+    if u == dummy then None
+    else
       let i = index_of u v in
       if i + 1 < u.nchildren then Some (leftmost u.children.(i + 1))
       else up u
@@ -629,9 +683,9 @@ let next _ w =
 
 let prev _ w =
   let rec up v =
-    match v.parent with
-    | None -> None
-    | Some u ->
+    let u = v.parent in
+    if u == dummy then None
+    else
       let i = index_of u v in
       if i > 0 then Some (rightmost u.children.(i - 1)) else up u
   in
@@ -666,9 +720,7 @@ let check t =
       for i = 0 to v.nchildren - 1 do
         let c = v.children.(i) in
         if c.height <> v.height - 1 then fail "child height mismatch";
-        (match c.parent with
-         | Some u when u == v -> ()
-         | Some _ | None -> fail "child parent pointer broken");
+        if c.parent != v then fail "child parent pointer broken";
         if c.num <> v.num + (i * step) then
           fail "num mismatch: child %d of %d has %d, expected %d" i v.num
             c.num
@@ -682,9 +734,7 @@ let check t =
   in
   if t.root.num <> 0 then fail "root num is %d, not 0" t.root.num;
   if t.root.height < 1 then fail "root height %d" t.root.height;
-  (match t.root.parent with
-   | Some _ -> fail "root has a parent"
-   | None -> ());
+  if t.root.parent != dummy then fail "root has a parent";
   go t.root ~root:true;
   if t.root.nleaves <> t.nslots then
     fail "nslots %d but root counts %d" t.nslots t.root.nleaves;
@@ -697,7 +747,8 @@ let check t =
 (* Parent-to-root order. *)
 let ancestor_numbers _ w =
   let rec go acc v =
-    match v.parent with None -> List.rev acc | Some u -> go (u.num :: acc) u
+    let u = v.parent in
+    if u == dummy then List.rev acc else go (u.num :: acc) u
   in
   go [] w
 

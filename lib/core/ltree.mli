@@ -114,11 +114,24 @@ val leaf_id : leaf -> int
     and allocates none. *)
 val last_leaf_id : t -> int
 
-(** [on_relabel t f] registers [f] to run whenever a leaf's number
-    changes (initial numbering at [bulk_load]/[of_labels] excluded).
-    Storage layers use this to know which persisted labels went stale.
-    The previous callback, if any, is replaced. *)
-val on_relabel : t -> (leaf -> unit) -> unit
+(** {2 The relabel log}
+
+    Storage layers need to know which persisted labels went stale.  The
+    tree keeps that record itself: once {!track_relabels} is called,
+    every leaf whose number changes (initial numbering at
+    [bulk_load]/[of_labels] excluded) is appended to a log at most once
+    between drains.  Marking costs a bitmap test, a bit set and an int
+    push — no callback, no hashing, no allocation once the log has
+    grown.  This replaces the former per-relabel callback hook. *)
+
+(** [track_relabels t] starts (or restarts) the relabel log, empty. *)
+val track_relabels : t -> unit
+
+(** [drain_relabels t f] calls [f] with the id ({!leaf_id}) of every leaf
+    relabeled since the last drain or {!track_relabels}, once each, in
+    the order they were first relabeled, and empties the log.  [f] must
+    not mutate [t]. *)
+val drain_relabels : t -> (int -> unit) -> unit
 
 (** [version t] is a monotone stamp bumped by every mutation that can
     change the label sequence (insertions, batch insertions, deletions,

@@ -2,14 +2,16 @@ type t = { f : int; s : int; m : int; radix : int; max_height : int }
 
 exception Label_overflow
 
+(* Top-level, not a local closure over [base]: the relabel path calls
+   this once per internal node and must not allocate. *)
+let rec pow_go base acc i =
+  if i = 0 then acc
+  else if acc > max_int / base then raise Label_overflow
+  else pow_go base (acc * base) (i - 1)
+
 let pow_checked base h =
   if h < 0 then invalid_arg "Params.pow: negative height";
-  let rec go acc i =
-    if i = 0 then acc
-    else if acc > max_int / base then raise Label_overflow
-    else go (acc * base) (i - 1)
-  in
-  go 1 h
+  pow_go base 1 h
 
 let make ~f ~s =
   if s < 2 then invalid_arg "Params.make: s must be >= 2";

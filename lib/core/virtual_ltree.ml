@@ -240,15 +240,13 @@ let insert_first t =
 let chunked_region_labels params ~pbase ~j ~h ~total =
   let step = Params.pow_radix params h in
   let acc = ref [] in
-  let i = ref 0 in
-  List.iter
-    (fun chunk ->
-      Layout.iter_labels params
-        ~base:(pbase + ((j + !i) * step))
-        ~height:h ~count:chunk
-        (fun lab -> acc := lab :: !acc);
-      incr i)
-    (Layout.chunk_sizes params ~height:(h + 1) ~count:total);
+  for i = 0 to Layout.chunk_count params ~height:(h + 1) ~count:total - 1 do
+    Layout.iter_labels params
+      ~base:(pbase + ((j + i) * step))
+      ~height:h
+      ~count:(Layout.chunk_size params ~height:(h + 1) ~count:total i)
+      (fun lab -> acc := lab :: !acc)
+  done;
   List.rev !acc
 
 (* Mirror of [Ltree.rebuild_root]'s height selection. *)

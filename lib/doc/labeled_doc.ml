@@ -10,23 +10,30 @@ let subtree_events =
     ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1. ~count:16)
     ()
 
+module Int_tbl = Ltree_metrics.Int_tbl
+
 type entry = {
   start_leaf : Ltree.leaf;
   end_leaf : Ltree.leaf;
   level : int;
   node : Dom.node;
+  mutable marked : bool; (* queued in [pending] since the last drain *)
 }
 
 type t = {
   doc : Dom.document;
   tree : Ltree.t;
-  table : (int, entry) Hashtbl.t; (* keyed by Dom.id *)
-  node_of_leaf : (int, int) Hashtbl.t; (* Ltree leaf id -> Dom id *)
-  dirty : (int, unit) Hashtbl.t;
-      (* Dom ids whose externally stored labels went stale (relabeled,
-         created or deleted) since the last [drain_dirty]; only filled
-         once a store has bound to the document ([track_dirty]) *)
+  table : entry Int_tbl.t; (* keyed by Dom.id *)
+  mutable owner : entry array;
+      (* Ltree leaf id -> the entry holding the leaf, [none] when there is
+         none (tombstoned, or not bound yet) *)
+  none : entry; (* the sentinel; never marked *)
   mutable tracking : bool;
+  pending : Column.t;
+      (* start-leaf ids of the entries marked stale since the last drain,
+         in mark order; only filled once a store has bound to the
+         document ([track_dirty]) *)
+  mutable dead : int list; (* Dom ids deleted since the last drain *)
 }
 
 type label = { start_pos : int; end_pos : int; level : int }
@@ -36,20 +43,42 @@ let root_exn (doc : Dom.document) =
   | Some r -> r
   | None -> invalid_arg "Labeled_doc: document has no root"
 
+let set_owner t leaf e =
+  let id = Ltree.leaf_id leaf in
+  let n = Array.length t.owner in
+  if id >= n then begin
+    let bigger = Array.make (Int.max (id + 1) (2 * n)) t.none in
+    Array.blit t.owner 0 bigger 0 n;
+    t.owner <- bigger
+  end;
+  t.owner.(id) <- e
+
+let owner t id = if id < Array.length t.owner then t.owner.(id) else t.none
+
+(* Queue [e] for the next drain, once. *)
+let mark t e =
+  if e != t.none && not e.marked then begin
+    e.marked <- true;
+    Column.push t.pending (Ltree.leaf_id e.start_leaf)
+  end
+
 (* Attach leaves to the nodes of [sub], reading them in tag-list order
-   from [leaves] starting at [!i]; register the reverse leaf -> node
-   mapping and, once a store tracks the document, mark the fresh nodes
-   dirty for storage sync. *)
+   from [leaves] starting at [!i]; register each leaf's owner and, once a
+   store tracks the document, queue the fresh nodes in document order (a
+   node's queue position is reserved before its children's). *)
 let assign_leaves t leaves i ~base_level sub =
-  let bind node e =
-    let id = Dom.id node in
-    Hashtbl.replace t.table id e;
-    Hashtbl.replace t.node_of_leaf (Ltree.leaf_id e.start_leaf) id;
-    if e.end_leaf != e.start_leaf then
-      Hashtbl.replace t.node_of_leaf (Ltree.leaf_id e.end_leaf) id;
-    if t.tracking then Hashtbl.replace t.dirty id ()
+  let bind node e ~at =
+    Int_tbl.replace t.table (Dom.id node) e;
+    set_owner t e.start_leaf e;
+    set_owner t e.end_leaf e;
+    if t.tracking then begin
+      e.marked <- true;
+      Column.set t.pending at (Ltree.leaf_id e.start_leaf)
+    end
   in
   let rec go node level =
+    let at = Column.length t.pending in
+    if t.tracking then Column.push t.pending 0;
     match Dom.kind node with
     | Dom.Element _ ->
       let start_leaf = leaves.(!i) in
@@ -57,29 +86,31 @@ let assign_leaves t leaves i ~base_level sub =
       List.iter (fun c -> go c (level + 1)) (Dom.children node);
       let end_leaf = leaves.(!i) in
       incr i;
-      bind node { start_leaf; end_leaf; level; node }
+      bind node { start_leaf; end_leaf; level; node; marked = false } ~at
     | Dom.Text _ | Dom.Comment _ | Dom.Pi _ ->
       let leaf = leaves.(!i) in
       incr i;
-      bind node { start_leaf = leaf; end_leaf = leaf; level; node }
+      bind node
+        { start_leaf = leaf; end_leaf = leaf; level; node; marked = false }
+        ~at
   in
   go sub base_level
 
-(* Wire the relabel hook: any leaf whose number changes marks its node
-   stale. *)
-let install_hook t =
-  Ltree.on_relabel t.tree (fun leaf ->
-      if t.tracking then
-        match Hashtbl.find_opt t.node_of_leaf (Ltree.leaf_id leaf) with
-        | Some dom_id -> Hashtbl.replace t.dirty dom_id ()
-        | None -> ())
-
 let make_t doc tree =
+  let none =
+    match Ltree.first tree with
+    | Some leaf ->
+      { start_leaf = leaf; end_leaf = leaf; level = -1; node = root_exn doc;
+        marked = false }
+    | None -> invalid_arg "Labeled_doc: empty tree"
+  in
   { doc; tree;
-    table = Hashtbl.create 64;
-    node_of_leaf = Hashtbl.create 128;
-    dirty = Hashtbl.create 16;
-    tracking = false }
+    table = Int_tbl.create 64;
+    owner = Array.make (Ltree.last_leaf_id tree + 1) none;
+    none;
+    tracking = false;
+    pending = Column.create ();
+    dead = [] }
 
 let of_document ?(params = Params.fig2) ?counters doc =
   Span.with_ ~name:"doc.of_document" (fun () ->
@@ -90,7 +121,6 @@ let of_document ?(params = Params.fig2) ?counters doc =
       let i = ref 0 in
       assign_leaves t leaves i ~base_level:0 root;
       assert (!i = count);
-      install_hook t;
       t)
 
 let restore_raw ?counters ~params ~height ~labels ~deleted doc =
@@ -118,7 +148,6 @@ let restore_raw ?counters ~params ~height ~labels ~deleted doc =
   let i = ref 0 in
   assign_leaves t live i ~base_level:0 root;
   assert (!i = expected);
-  install_hook t;
   t
 
 let restore ?counters ~params ~height ~labels ~deleted doc =
@@ -131,11 +160,11 @@ let counters t = Ltree.counters t.tree
 let version t = Ltree.version t.tree
 
 let entry t n =
-  match Hashtbl.find_opt t.table (Dom.id n) with
+  match Int_tbl.find_opt t.table (Dom.id n) with
   | Some e -> e
   | None -> raise Not_found
 
-let mem t n = Hashtbl.mem t.table (Dom.id n)
+let mem t n = Int_tbl.mem t.table (Dom.id n)
 
 type slot = entry
 
@@ -149,16 +178,12 @@ let labeled_cursor t = Ltree.last_leaf_id t.tree
 
 (* Leaf ids grow monotonically per tree, so the slots created after
    [cursor] are the start leaves with a larger id.  Deleted nodes have
-   left [node_of_leaf]; end-tag leaves map to a node whose start leaf
-   differs, so each fresh node is seen once. *)
+   left the owner column; end-tag leaves belong to a node
+   whose start leaf differs, so each fresh node is seen once. *)
 let iter_labeled_since t cursor f =
   for id = cursor + 1 to Ltree.last_leaf_id t.tree do
-    match Hashtbl.find_opt t.node_of_leaf id with
-    | None -> ()
-    | Some dom_id -> (
-        match Hashtbl.find_opt t.table dom_id with
-        | Some e when Ltree.leaf_id e.start_leaf = id && slot_live e -> f e
-        | Some _ | None -> ())
+    let e = owner t id in
+    if e != t.none && Ltree.leaf_id e.start_leaf = id && slot_live e then f e
   done
 
 let label t n =
@@ -220,14 +245,15 @@ let delete_subtree t n =
        | Some _ | None -> ());
       Ltree_obs.Histogram.observe_int subtree_events (Dom.event_count n);
       Dom.iter_preorder n (fun x ->
-          match Hashtbl.find_opt t.table (Dom.id x) with
+          let id = Dom.id x in
+          match Int_tbl.find_opt t.table id with
           | Some e ->
             Ltree.delete t.tree e.start_leaf;
             if e.end_leaf != e.start_leaf then Ltree.delete t.tree e.end_leaf;
-            Hashtbl.remove t.table (Dom.id x);
-            Hashtbl.remove t.node_of_leaf (Ltree.leaf_id e.start_leaf);
-            Hashtbl.remove t.node_of_leaf (Ltree.leaf_id e.end_leaf);
-            if t.tracking then Hashtbl.replace t.dirty (Dom.id x) ()
+            Int_tbl.remove t.table id;
+            set_owner t e.start_leaf t.none;
+            set_owner t e.end_leaf t.none;
+            if t.tracking then t.dead <- id :: t.dead
           | None -> ());
       Dom.remove n)
 
@@ -242,40 +268,45 @@ let move_subtree t ~node ~parent ~index =
 
 let compact t = Ltree.compact t.tree
 
+let clear_pending t =
+  for i = 0 to Column.length t.pending - 1 do
+    (owner t (Column.get t.pending i)).marked <- false
+  done;
+  Column.clear t.pending;
+  t.dead <- []
+
 let track_dirty t =
-  Hashtbl.reset t.dirty;
+  clear_pending t;
+  Ltree.track_relabels t.tree;
   t.tracking <- true
 
-let drain_dirty t =
-  let out =
-    Hashtbl.fold
-      (fun dom_id () acc ->
-        let node =
-          match Hashtbl.find_opt t.table dom_id with
-          | Some e -> Some e.node
-          | None -> None
-        in
-        (dom_id, node) :: acc)
-      t.dirty []
-  in
-  Hashtbl.reset t.dirty;
-  out
+let drain_dirty t ~live ~dead =
+  Ltree.drain_relabels t.tree (fun id -> mark t (owner t id));
+  for i = 0 to Column.length t.pending - 1 do
+    (* an entry deleted since it was queued has left the owner column *)
+    let e = owner t (Column.get t.pending i) in
+    if e.marked then begin
+      e.marked <- false;
+      live e
+    end
+  done;
+  Column.clear t.pending;
+  (* a moved node was deleted and labeled again: it counts as live *)
+  let gone = List.sort_uniq Int.compare t.dead in
+  t.dead <- [];
+  List.iter (fun id -> if not (Int_tbl.mem t.table id) then dead id) gone
 
 let node_by_id t dom_id =
-  match Hashtbl.find_opt t.table dom_id with
+  match Int_tbl.find_opt t.table dom_id with
   | Some e -> Some e.node
   | None -> None
 
 let node_by_start_label t lab =
   match Ltree.find_by_label t.tree lab with
   | None -> None
-  | Some leaf -> (
-      match Hashtbl.find_opt t.node_of_leaf (Ltree.leaf_id leaf) with
-      | None -> None
-      | Some dom_id -> (
-          match Hashtbl.find_opt t.table dom_id with
-          | Some e when e.start_leaf == leaf -> Some e.node
-          | Some _ | None -> None))
+  | Some leaf ->
+    let e = owner t (Ltree.leaf_id leaf) in
+    if e != t.none && e.start_leaf == leaf then Some e.node else None
 
 let labeled_events t =
   let root = root_exn t.doc in

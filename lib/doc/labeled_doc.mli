@@ -91,7 +91,7 @@ val labeled_cursor : t -> int
 (** [iter_labeled_since t cursor f] calls [f] once on every live slot
     labeled after [cursor] was taken — the nodes inserted (or moved)
     since then and still in the document — in no particular order.
-    Costs one table probe per leaf allocated since [cursor]. *)
+    Costs one column read per leaf allocated since [cursor]. *)
 val iter_labeled_since : t -> int -> (slot -> unit) -> unit
 
 (** {1 The §1 query predicates} *)
@@ -136,8 +136,12 @@ val compact : t -> unit
     External stores (e.g. the relational label table of
     {!Ltree_relstore}) persist labels; they go stale whenever the L-Tree
     relabels.  The document tracks exactly which nodes' stored labels
-    changed — via the L-Tree's relabel hook — so a store can refresh only
-    those rows. *)
+    changed, so a store can refresh only those rows.  A relabel costs
+    O(1) with no hashing and no allocation: the L-Tree's own relabel log
+    ({!Ltree.track_relabels}) records the leaf, and the leaf-to-node
+    mapping (a leaf-id-indexed column of node slots) is only consulted
+    when the store drains.  Inserted nodes are queued as they are
+    labeled, deleted ones as they are deleted. *)
 
 (** [track_dirty t] starts (or restarts) tracking with an empty set: a
     store calls it when it binds to the document, holding every label as
@@ -145,18 +149,29 @@ val compact : t -> unit
     store reads (replicas, session primaries) keep no dirty set. *)
 val track_dirty : t -> unit
 
-(** [drain_dirty t] returns the nodes whose persisted labels became stale
-    since the last drain or {!track_dirty} (relabeled, newly inserted,
-    or deleted — deleted ones carry [None]), and clears the set.
-    Draining is destructive: a document feeds exactly one synchronized
-    store. *)
-val drain_dirty : t -> (int * Dom.node option) list
+(** [drain_dirty t ~live ~dead] reports every node whose persisted label
+    became stale since the last drain or {!track_dirty}, once each, and
+    clears the set:
+    - [live s] for each node still in the document that was inserted,
+      moved or relabeled: first the nodes labeled since the last drain
+      (inserted or moved), in document order within one insertion and
+      in insertion order across insertions; then the other relabeled
+      nodes, in the order the L-Tree first relabeled one of their
+      leaves;
+    - then [dead id] for each deleted node, by increasing {!Dom.id}.
+    A node deleted and labeled again (a move) is reported once, live.
+    Cost: O(relabeled leaves + queued nodes + deleted nodes), plus a
+    sort of the deleted ids.  Draining is destructive: a document feeds
+    exactly one synchronized store.  The callbacks must not modify
+    [t]. *)
+val drain_dirty : t -> live:(slot -> unit) -> dead:(int -> unit) -> unit
 
 (** [node_by_id t id] finds a labeled node by its {!Dom.id}. *)
 val node_by_id : t -> int -> Dom.node option
 
 (** [node_by_start_label t lab] finds the node whose begin tag currently
-    carries label [lab], in O(height) (digit descent, §4.2).  [None] for
+    carries label [lab], in O(height) (digit descent, §4.2, then one
+    column read).  [None] for
     unused labels, end-tag labels, and tombstoned slots. *)
 val node_by_start_label : t -> int -> Dom.node option
 

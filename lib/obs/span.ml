@@ -10,7 +10,7 @@
    are atomics: the disabled span fast path and [set_tick] take no
    lock. *)
 
-let enabled = Atomic.make true
+let on = Atomic.make true
 let tick = Atomic.make 0
 let ring_mu = Mutex.create ()
 let ring = ref (Trace.create ~capacity:4096)
@@ -24,7 +24,8 @@ let locked f =
   Mutex.lock ring_mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock ring_mu) f
 
-let set_enabled b = Atomic.set enabled b
+let set_enabled b = Atomic.set on b
+let enabled () = Atomic.get on
 let set_tick n = Atomic.set tick n
 let set_capacity capacity = locked (fun () -> ring := Trace.create ~capacity)
 let entries () = locked (fun () -> Trace.to_list !ring)
@@ -97,7 +98,7 @@ let finish ~name ~path ~depth ~start ~before ~attrs ~on_close counters =
 let with_ ?(attrs = []) ?counters ?on_close ~name fn =
   (* Disabled fast path: one atomic flag read, then straight to [fn].
      No clock read, no stack or DLS touch, no allocation. *)
-  if not (Atomic.get enabled) then fn ()
+  if not (Atomic.get on) then fn ()
   else begin
     let stack = stack () in
     let path = current_path stack name in
@@ -127,7 +128,7 @@ let with_ ?(attrs = []) ?counters ?on_close ~name fn =
   end
 
 let event ?(attrs = []) name =
-  if Atomic.get enabled then begin
+  if Atomic.get on then begin
     let stack = stack () in
     add
       { Trace.kind = "point";

@@ -43,6 +43,11 @@ val event : ?attrs:(string * string) list -> string -> unit
 (** Tracing is on by default; disabling makes [with_]/[event] no-ops. *)
 val set_enabled : bool -> unit
 
+(** [enabled ()] reads the flag (one atomic load).  Call sites whose
+    attributes cost a [string_of_int] and a list test it first, so the
+    disabled path builds nothing. *)
+val enabled : unit -> bool
+
 (** [set_capacity n] replaces the global ring with an empty one holding
     [n] entries.  Raises [Invalid_argument] when [n < 1]. *)
 val set_capacity : int -> unit

@@ -44,18 +44,6 @@ let ensure_fresh t what =
           returned by Label_sync.resync"
          what t.store.label_epoch t.epoch)
 
-let row_of_node ldoc node =
-  match Shredder.tag_of node with
-  | None -> None
-  | Some tag ->
-    let l = Labeled_doc.label ldoc node in
-    Some
-      { l_id = Dom.id node; l_tag = tag;
-        l_start = l.Labeled_doc.start_pos;
-        l_end = l.Labeled_doc.end_pos;
-        l_level = l.Labeled_doc.level;
-        l_dead = false }
-
 let row_changed (a : label_row) (b : label_row) =
   a.l_start <> b.l_start || a.l_end <> b.l_end || a.l_level <> b.l_level
   || a.l_id <> b.l_id
@@ -64,45 +52,61 @@ let row_changed (a : label_row) (b : label_row) =
 
 let flush_raw t =
   ensure_fresh t "flush";
+  let ldoc = t.ldoc and store = t.store in
   let updated = ref 0 and inserted = ref 0 and tombstoned = ref 0 in
   (* Each write is reported to the secondary index's dirty log, so the
      next query repairs exactly the touched tags instead of rebuilding
      the world. *)
-  let dirty tag rid = Label_index.note_change t.store.label_index ~tag ~rid in
-  List.iter
-    (fun (dom_id, node) ->
-      match (Hashtbl.find_opt t.store.label_by_node dom_id, node) with
-      | Some rid, Some node -> (
-          match row_of_node t.ldoc node with
-          | Some row ->
-            if row_changed (Rel_table.get t.store.label_table rid) row then begin
-              Rel_table.set t.store.label_table rid row;
-              dirty row.l_tag rid;
-              incr updated
-            end
-          | None -> ())
-      | Some rid, None ->
-        let old = Rel_table.get t.store.label_table rid in
-        if not old.l_dead then begin
-          Rel_table.set t.store.label_table rid { old with l_dead = true };
-          Hashtbl.remove t.store.label_by_node dom_id;
-          dirty old.l_tag rid;
-          incr tombstoned
-        end
-      | None, Some node -> (
-          match row_of_node t.ldoc node with
-          | Some row ->
-            let rid = Rel_table.append t.store.label_table row in
-            Hashtbl.replace t.store.label_by_node dom_id rid;
-            Hashtbl.replace t.store.label_by_tag row.l_tag
-              (rid
-              :: Option.value ~default:[]
-                   (Hashtbl.find_opt t.store.label_by_tag row.l_tag));
-            dirty row.l_tag rid;
-            incr inserted
-          | None -> ())
-      | None, None -> () (* created and deleted between flushes *))
-    (Labeled_doc.drain_dirty t.ldoc);
+  let dirty tag rid = Label_index.note_change store.label_index ~tag ~rid in
+  let live s =
+    let node = Labeled_doc.slot_node s in
+    match Shredder.tag_of node with
+    | None -> ()
+    | Some tag -> (
+        let dom_id = Dom.id node
+        and l_start = Labeled_doc.slot_start ldoc s
+        and l_end = Labeled_doc.slot_end ldoc s
+        and l_level = Labeled_doc.slot_level s in
+        let row () =
+          { l_id = dom_id; l_tag = tag; l_start; l_end; l_level;
+            l_dead = false }
+        in
+        match Hashtbl.find_opt store.label_by_node dom_id with
+        | Some rid ->
+          let old = Rel_table.get store.label_table rid in
+          if
+            old.l_start <> l_start || old.l_end <> l_end
+            || old.l_level <> l_level || old.l_id <> dom_id
+            || (not (String.equal old.l_tag tag))
+            || old.l_dead
+          then begin
+            Rel_table.set store.label_table rid (row ());
+            dirty tag rid;
+            incr updated
+          end
+        | None ->
+          let rid = Rel_table.append store.label_table (row ()) in
+          Hashtbl.replace store.label_by_node dom_id rid;
+          Hashtbl.replace store.label_by_tag tag
+            (rid
+            :: Option.value ~default:[]
+                 (Hashtbl.find_opt store.label_by_tag tag));
+          dirty tag rid;
+          incr inserted)
+  in
+  let dead dom_id =
+    match Hashtbl.find_opt store.label_by_node dom_id with
+    | Some rid ->
+      let old = Rel_table.get store.label_table rid in
+      if not old.l_dead then begin
+        Rel_table.set store.label_table rid { old with l_dead = true };
+        Hashtbl.remove store.label_by_node dom_id;
+        dirty old.l_tag rid;
+        incr tombstoned
+      end
+    | None -> () (* created and deleted between flushes *)
+  in
+  Labeled_doc.drain_dirty ldoc ~live ~dead;
   { rows_updated = !updated;
     rows_inserted = !inserted;
     rows_tombstoned = !tombstoned }

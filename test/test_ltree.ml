@@ -374,6 +374,22 @@ let pow_and_lmax () =
        false
      with Params.Label_overflow -> true)
 
+(* The list the layout chunking used to build, kept as the oracle of the
+   arithmetic [Layout.chunk_count]/[Layout.chunk_size]. *)
+let reference_chunk_sizes (params : Params.t) ~height ~count =
+  let span = Params.pow_m params (height - 1) in
+  let q = Int.max 1 (count / span) in
+  let rec build i acc =
+    if i = q then List.rev acc
+    else if i = q - 1 then List.rev ((count - ((q - 1) * span)) :: acc)
+    else build (i + 1) (span :: acc)
+  in
+  build 0 []
+
+let layout_chunks params ~height ~count =
+  List.init (Layout.chunk_count params ~height ~count) (fun i ->
+      Layout.chunk_size params ~height ~count i)
+
 let layout_props =
   let arb =
     QCheck.make
@@ -384,7 +400,7 @@ let layout_props =
     (fun (height, count) ->
       let params = Params.fig2 in
       QCheck.assume (count < Params.lmax params ~height);
-      let chunks = Layout.chunk_sizes params ~height ~count in
+      let chunks = layout_chunks params ~height ~count in
       let span = Params.pow_m params (height - 1) in
       let sum = List.fold_left ( + ) 0 chunks in
       let sizes_ok =

@@ -1,4 +1,5 @@
 module Counters = Ltree_metrics.Counters
+module Int_tbl = Ltree_metrics.Int_tbl
 module Btree = Ltree_btree.Counted_btree
 
 type handle = int
@@ -7,8 +8,8 @@ type t = {
   params : Params.t;
   counters : Counters.t;
   btree : handle Btree.t; (* label -> handle *)
-  label_of : (handle, int) Hashtbl.t;
-  deleted : (handle, unit) Hashtbl.t;
+  label_of : int Int_tbl.t;
+  deleted : unit Int_tbl.t;
   mutable height : int;
   mutable next_handle : int;
   mutable nlive : int;
@@ -17,8 +18,8 @@ type t = {
 let create ?(params = Params.fig2) ?(counters = Counters.create ()) () =
   { params; counters;
     btree = Btree.create ~counters ();
-    label_of = Hashtbl.create 64;
-    deleted = Hashtbl.create 16;
+    label_of = Int_tbl.create 64;
+    deleted = Int_tbl.create 16;
     height = 1;
     next_handle = 0;
     nlive = 0 }
@@ -37,7 +38,7 @@ let fresh_handle t =
 (* Bind [handle] to [lab] in both directions. *)
 let bind t lab handle =
   Btree.add t.btree lab handle;
-  Hashtbl.replace t.label_of handle lab
+  Int_tbl.replace t.label_of handle lab
 
 let bulk_load ?(params = Params.fig2) ?(counters = Counters.create ()) n =
   if n < 0 then invalid_arg "Virtual_ltree.bulk_load: negative size";
@@ -51,7 +52,7 @@ let bulk_load ?(params = Params.fig2) ?(counters = Counters.create ()) n =
   (t, Array.init n (fun i -> i))
 
 let label t handle =
-  match Hashtbl.find_opt t.label_of handle with
+  match Int_tbl.find_opt t.label_of handle with
   | Some lab -> lab
   | None -> invalid_arg "Virtual_ltree.label: unknown handle"
 
@@ -84,14 +85,14 @@ let last t =
   | Some (_, h) -> Some h
 
 let delete t handle =
-  if not (Hashtbl.mem t.label_of handle) then
+  if not (Int_tbl.mem t.label_of handle) then
     invalid_arg "Virtual_ltree.delete: unknown handle";
-  if not (Hashtbl.mem t.deleted handle) then begin
-    Hashtbl.replace t.deleted handle ();
+  if not (Int_tbl.mem t.deleted handle) then begin
+    Int_tbl.replace t.deleted handle ();
     t.nlive <- t.nlive - 1
   end
 
-let is_deleted t handle = Hashtbl.mem t.deleted handle
+let is_deleted t handle = Int_tbl.mem t.deleted handle
 
 (* The number of the virtual height-[h] ancestor of [lab]: clear the low
    [h] base-(f-1) digits. *)
@@ -125,12 +126,12 @@ let relabel_range t ~lo ~hi ~insert_at ~fresh new_labels =
   List.iter
     (fun (lab, h) ->
       let changed =
-        match Hashtbl.find_opt t.label_of h with
+        match Int_tbl.find_opt t.label_of h with
         | Some old -> old <> lab
         | None -> false (* the incoming handle: first labeling *)
       in
       if changed then Counters.add_relabel t.counters 1;
-      Hashtbl.replace t.label_of h lab)
+      Int_tbl.replace t.label_of h lab)
     entries
 
 (* Insert a new slot whose height-1 parent interval starts at [a1] and
@@ -339,9 +340,9 @@ let insert_batch_first t k =
 let check t =
   Btree.check t.btree;
   let n = length t in
-  if Hashtbl.length t.label_of <> n then
+  if Int_tbl.length t.label_of <> n then
     failwith "Virtual_ltree: handle table out of sync";
-  Hashtbl.iter
+  Int_tbl.iter
     (fun h lab ->
       match Btree.find t.btree lab with
       | Some h' when h' = h -> ()
@@ -356,11 +357,11 @@ let check t =
     let width = Params.pow_radix t.params h in
     let limit = Params.lmax t.params ~height:h in
     let minimum = Params.pow_m t.params h in
-    let seen = Hashtbl.create 16 in
+    let seen = Int_tbl.create 16 in
     Btree.iter t.btree (fun lab _ ->
         let base = lab - (lab mod width) in
-        if not (Hashtbl.mem seen base) then begin
-          Hashtbl.replace seen base ();
+        if not (Int_tbl.mem seen base) then begin
+          Int_tbl.replace seen base ();
           let occ = Btree.count_range t.btree ~lo:base ~hi:(base + width - 1) in
           if occ >= limit then
             failwith

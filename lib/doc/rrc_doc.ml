@@ -1,5 +1,6 @@
 open Ltree_xml
 module Counters = Ltree_metrics.Counters
+module Int_tbl = Ltree_metrics.Int_tbl
 
 (* A node's region: [rel_start, rel_start + size - 1], with [rel_start]
    relative to the parent's region start (the root is absolute).
@@ -10,7 +11,7 @@ type entry = { mutable rel_start : int; mutable size : int }
 type t = {
   doc : Dom.document;
   counters : Counters.t;
-  table : (int, entry) Hashtbl.t; (* keyed by Dom.id *)
+  table : entry Int_tbl.t; (* keyed by Dom.id *)
 }
 
 let root_exn (doc : Dom.document) =
@@ -19,11 +20,11 @@ let root_exn (doc : Dom.document) =
   | None -> invalid_arg "Rrc_doc: document has no root"
 
 let entry t n =
-  match Hashtbl.find_opt t.table (Dom.id n) with
+  match Int_tbl.find_opt t.table (Dom.id n) with
   | Some e -> e
   | None -> raise Not_found
 
-let mem t n = Hashtbl.mem t.table (Dom.id n)
+let mem t n = Int_tbl.mem t.table (Dom.id n)
 let document t = t.doc
 let counters t = t.counters
 
@@ -53,10 +54,10 @@ let fresh_entry t ~rel_start ~size =
    with even gaps inside the parent's inner space).  [n]'s own rel_start
    is the caller's business. *)
 let rec layout t n ~size =
-  (match Hashtbl.find_opt t.table (Dom.id n) with
+  (match Int_tbl.find_opt t.table (Dom.id n) with
    | Some e -> e.size <- size
    | None ->
-     Hashtbl.replace t.table (Dom.id n) (fresh_entry t ~rel_start:0 ~size));
+     Int_tbl.replace t.table (Dom.id n) (fresh_entry t ~rel_start:0 ~size));
   match Dom.kind n with
   | Dom.Text _ | Dom.Comment _ | Dom.Pi _ -> ()
   | Dom.Element _ ->
@@ -80,7 +81,7 @@ let rec layout t n ~size =
 
 let of_document ?(counters = Counters.create ()) doc =
   let root = root_exn doc in
-  let t = { doc; counters; table = Hashtbl.create 256 } in
+  let t = { doc; counters; table = Int_tbl.create 256 } in
   let size = preferred root in
   layout t root ~size;
   (entry t root).rel_start <- 0;
@@ -202,7 +203,7 @@ let delete_subtree t n =
    | Some r when r == n ->
      invalid_arg "Rrc_doc.delete_subtree: cannot delete the root"
    | Some _ | None -> ());
-  Dom.iter_preorder n (fun x -> Hashtbl.remove t.table (Dom.id x));
+  Dom.iter_preorder n (fun x -> Int_tbl.remove t.table (Dom.id x));
   Dom.remove n
 
 let is_ancestor t ~anc ~desc =
@@ -247,5 +248,5 @@ let check t =
     ()
   in
   go root;
-  if Hashtbl.length t.table <> !count then
+  if Int_tbl.length t.table <> !count then
     failwith "Rrc_doc: table size does not match the document"

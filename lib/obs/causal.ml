@@ -1,3 +1,5 @@
+module Int_tbl = Ltree_metrics.Int_tbl
+
 type stage = Append | Ship | Deliver | Apply | Readable
 
 let stage_rank = function
@@ -62,7 +64,7 @@ type entry = {
 
 type state = {
   mu : Mutex.t;
-  tbl : (int, entry) Hashtbl.t;
+  tbl : entry Int_tbl.t;
   mutable order : int list;  (* insertion order of ids, newest first *)
   mutable now_fn : unit -> int;
 }
@@ -70,7 +72,7 @@ type state = {
 let make_state () =
   {
     mu = Mutex.create ();
-    tbl = Hashtbl.create 256;
+    tbl = Int_tbl.create 256;
     order = [];
     now_fn = (fun () -> 0);
   }
@@ -89,7 +91,7 @@ let set_now fn = locked (fun () -> state.now_fn <- fn)
 
 let reset () =
   locked (fun () ->
-      Hashtbl.reset state.tbl;
+      Int_tbl.reset state.tbl;
       state.order <- [];
       state.now_fn <- (fun () -> 0))
 
@@ -100,11 +102,11 @@ let e2e_hist () =
     ()
 
 let entry_of ~id ~seq =
-  match Hashtbl.find_opt state.tbl id with
+  match Int_tbl.find_opt state.tbl id with
   | Some e -> e
   | None ->
     let e = { id; seq; ticks = Array.make 5 (-1); retries = 0 } in
-    Hashtbl.replace state.tbl id e;
+    Int_tbl.replace state.tbl id e;
     state.order <- id :: state.order;
     e
 
@@ -153,7 +155,7 @@ let records () =
     locked (fun () ->
         List.rev_map
           (fun id ->
-            match Hashtbl.find_opt state.tbl id with
+            match Int_tbl.find_opt state.tbl id with
             | Some e ->
               { id = e.id; seq = e.seq; ticks = Array.copy e.ticks;
                 retries = e.retries }

@@ -1,3 +1,4 @@
+module Int_tbl = Ltree_metrics.Int_tbl
 module Labeled_doc = Ltree_doc.Labeled_doc
 module Journal = Ltree_doc.Journal
 module Dom = Ltree_xml.Dom
@@ -199,7 +200,7 @@ let run_workload (config : Matrix.config) script sim state =
 let pristine_query config script ~cache_mu query_cache durable =
   let cached =
     Mutex.lock cache_mu;
-    let v = Hashtbl.find_opt query_cache durable in
+    let v = Int_tbl.find_opt query_cache durable in
     Mutex.unlock cache_mu;
     v
   in
@@ -214,10 +215,10 @@ let pristine_query config script ~cache_mu query_cache durable =
     let v = (anc, desc, query_starts pristine ~anc ~desc) in
     Mutex.lock cache_mu;
     let v =
-      match Hashtbl.find_opt query_cache durable with
+      match Int_tbl.find_opt query_cache durable with
       | Some existing -> existing
       | None ->
-        Hashtbl.replace query_cache durable v;
+        Int_tbl.replace query_cache durable v;
         v
     in
     Mutex.unlock cache_mu;
@@ -246,7 +247,7 @@ let run ?pool ?progress ?only (config : Matrix.config) =
   Matrix.validate config;
   let script = generate_script config in
   let oracle = Matrix.build_oracle (base_ldoc config) script in
-  let query_cache = Hashtbl.create 64 in
+  let query_cache = Int_tbl.create 64 in
   let cache_mu = Mutex.create () in
   (* Profile pass: same workload, no plan — learns the matrix width and
      how many write points initialization itself consumes. *)

@@ -372,9 +372,11 @@ let set_text t ~anchor ~text = apply t (Journal.Set_text { anchor; text })
    sequence number. *)
 
 let checkpoint t =
+  let attrs =
+    if Span.enabled () then [ ("seq", string_of_int t.last_seq) ] else []
+  in
   Span.with_ ~name:"recovery.checkpoint"
-    ~counters:(Labeled_doc.counters t.ldoc)
-    ~attrs:[ ("seq", string_of_int t.last_seq) ]
+    ~counters:(Labeled_doc.counters t.ldoc) ~attrs
     (fun () ->
       flush_pending t;
       let encoded =

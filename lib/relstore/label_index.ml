@@ -1,3 +1,4 @@
+module Int_tbl = Ltree_metrics.Int_tbl
 module Span = Ltree_obs.Span
 module Column = Ltree_core.Column
 
@@ -34,7 +35,7 @@ type stats = { repairs : int; full_rebuilds : int; merged_rows : int }
 
 type t = {
   tags : (string, entry) Hashtbl.t;
-  pending : (string, (int, unit) Hashtbl.t) Hashtbl.t;
+  pending : (string, unit Int_tbl.t) Hashtbl.t;
   mutable generation : int;
   mutable repairs : int;
   mutable full_rebuilds : int;
@@ -84,11 +85,11 @@ let note_change t ~tag ~rid =
       match Hashtbl.find_opt t.pending tag with
       | Some set -> set
       | None ->
-        let set = Hashtbl.create 8 in
+        let set = Int_tbl.create 8 in
         Hashtbl.replace t.pending tag set;
         set
     in
-    Hashtbl.replace set rid ()
+    Int_tbl.replace set rid ()
   end
 
 let invalidate_all t =
@@ -152,14 +153,14 @@ let repair t counters ~fetch tag entry touched =
   let s = entry.starts and e = entry.ends and r = entry.rids in
   (* Scatter the touched rids into the reused bitset; the survivor scan
      below then costs one bit test per row. *)
-  let maxrid = Hashtbl.fold (fun rid () m -> Int.max rid m) touched (-1) in
+  let maxrid = Int_tbl.fold (fun rid () m -> Int.max rid m) touched (-1) in
   let words = (maxrid + 32) lsr 5 in
   Column.reserve t.rmark words;
   Column.set_len t.rmark 0;
   for i = 0 to words - 1 do
     Column.set t.rmark i 0
   done;
-  Hashtbl.iter
+  Int_tbl.iter
     (fun rid () ->
       let w = rid lsr 5 in
       Column.set t.rmark w (Column.get t.rmark w lor (1 lsl (rid land 31))))
@@ -180,7 +181,7 @@ let repair t counters ~fetch tag entry touched =
   Column.clear t.ins_s;
   Column.clear t.ins_e;
   Column.clear t.ins_r;
-  Hashtbl.iter
+  Int_tbl.iter
     (fun rid () ->
       let s', e', dead = fetch rid in
       if not dead then begin
@@ -235,7 +236,7 @@ let entry t counters ~rids_of_tag ~fetch tag =
   | Some entry -> (
       match Hashtbl.find_opt t.pending tag with
       | None -> entry
-      | Some touched when Hashtbl.length touched = 0 ->
+      | Some touched when Int_tbl.length touched = 0 ->
         Hashtbl.remove t.pending tag;
         entry
       | Some touched -> repair t counters ~fetch tag entry touched)

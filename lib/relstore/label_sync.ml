@@ -1,6 +1,7 @@
 open Ltree_xml
 module Labeled_doc = Ltree_doc.Labeled_doc
 module Span = Ltree_obs.Span
+module Int_tbl = Ltree_metrics.Int_tbl
 open Shredder
 
 (* Rows written per flush/resync: the effective write batch size the
@@ -71,7 +72,7 @@ let flush_raw t =
           { l_id = dom_id; l_tag = tag; l_start; l_end; l_level;
             l_dead = false }
         in
-        match Hashtbl.find_opt store.label_by_node dom_id with
+        match Int_tbl.find_opt store.label_by_node dom_id with
         | Some rid ->
           let old = Rel_table.get store.label_table rid in
           if
@@ -86,7 +87,7 @@ let flush_raw t =
           end
         | None ->
           let rid = Rel_table.append store.label_table (row ()) in
-          Hashtbl.replace store.label_by_node dom_id rid;
+          Int_tbl.replace store.label_by_node dom_id rid;
           Hashtbl.replace store.label_by_tag tag
             (rid
             :: Option.value ~default:[]
@@ -95,12 +96,12 @@ let flush_raw t =
           incr inserted)
   in
   let dead dom_id =
-    match Hashtbl.find_opt store.label_by_node dom_id with
+    match Int_tbl.find_opt store.label_by_node dom_id with
     | Some rid ->
       let old = Rel_table.get store.label_table rid in
       if not old.l_dead then begin
         Rel_table.set store.label_table rid { old with l_dead = true };
-        Hashtbl.remove store.label_by_node dom_id;
+        Int_tbl.remove store.label_by_node dom_id;
         dirty old.l_tag rid;
         incr tombstoned
       end
@@ -139,10 +140,10 @@ let resync_raw old ldoc =
   Labeled_doc.track_dirty ldoc;
   let updated = ref 0 and inserted = ref 0 and tombstoned = ref 0 in
   (* Live rows, addressable by their durable start label. *)
-  let by_start = Hashtbl.create 256 in
+  let by_start = Int_tbl.create 256 in
   Rel_table.iter store.label_table (fun rid row ->
-      if not row.l_dead then Hashtbl.replace by_start row.l_start rid);
-  Hashtbl.reset store.label_by_node;
+      if not row.l_dead then Int_tbl.replace by_start row.l_start rid);
+  Int_tbl.reset store.label_by_node;
   (match (Labeled_doc.document ldoc).root with
    | None -> ()
    | Some root ->
@@ -158,24 +159,24 @@ let resync_raw old ldoc =
                  l_level = l.Labeled_doc.level;
                  l_dead = false }
              in
-             match Hashtbl.find_opt by_start fresh.l_start with
+             match Int_tbl.find_opt by_start fresh.l_start with
              | Some rid
                when String.equal
                       (Rel_table.get store.label_table rid).l_tag tag ->
-               Hashtbl.remove by_start fresh.l_start;
+               Int_tbl.remove by_start fresh.l_start;
                if row_changed (Rel_table.get store.label_table rid) fresh
                then begin
                  Rel_table.set store.label_table rid fresh;
                  incr updated
                end;
-               Hashtbl.replace store.label_by_node fresh.l_id rid
+               Int_tbl.replace store.label_by_node fresh.l_id rid
              | Some _ | None ->
                (* No row carries this label (or a row does under a
                   different tag — divergent history); append a fresh
                   one.  The mismatched row, if any, stays in [by_start]
                   and is tombstoned below. *)
                let rid = Rel_table.append store.label_table fresh in
-               Hashtbl.replace store.label_by_node fresh.l_id rid;
+               Int_tbl.replace store.label_by_node fresh.l_id rid;
                Hashtbl.replace store.label_by_tag tag
                  (rid
                  :: Option.value ~default:[]
@@ -183,7 +184,7 @@ let resync_raw old ldoc =
                incr inserted)));
   (* Whatever is left claimed no recovered node: the crash rolled those
      nodes back (or their labels moved beyond recognition). *)
-  Hashtbl.iter
+  Int_tbl.iter
     (fun _ rid ->
       let row = Rel_table.get store.label_table rid in
       Rel_table.set store.label_table rid { row with l_dead = true };
@@ -212,7 +213,7 @@ let check t =
          match Shredder.tag_of node with
          | None -> ()
          | Some _ -> (
-             match Hashtbl.find_opt t.store.label_by_node (Dom.id node) with
+             match Int_tbl.find_opt t.store.label_by_node (Dom.id node) with
              | None -> failwith "Label_sync: labeled node without a row"
              | Some rid ->
                let row = Rel_table.get t.store.label_table rid in

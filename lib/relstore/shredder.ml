@@ -21,7 +21,7 @@ type edge_store = {
 type label_store = {
   label_table : label_row Rel_table.t;
   label_by_tag : (string, int list) Hashtbl.t;
-  label_by_node : (int, int) Hashtbl.t;
+  label_by_node : int Ltree_metrics.Int_tbl.t;
   label_index : Label_index.t;
   mutable label_epoch : int;
 }
@@ -71,7 +71,7 @@ let shred_label pager ?(rows_per_page = 32) ldoc =
   Labeled_doc.track_dirty ldoc;
   let label_table = Rel_table.create pager ~name:"label" ~rows_per_page in
   let label_by_tag = Hashtbl.create 64 in
-  let label_by_node = Hashtbl.create 256 in
+  let label_by_node = Ltree_metrics.Int_tbl.create 256 in
   (match (Labeled_doc.document ldoc).root with
    | None -> ()
    | Some root ->
@@ -90,7 +90,7 @@ let shred_label pager ?(rows_per_page = 32) ldoc =
                l_dead = false }
            in
            let rid = Rel_table.append label_table row in
-           Hashtbl.replace label_by_node (Dom.id node) rid;
+           Ltree_metrics.Int_tbl.replace label_by_node (Dom.id node) rid;
            push label_by_tag tag rid));
   rev_all label_by_tag;
   { label_table; label_by_tag; label_by_node;

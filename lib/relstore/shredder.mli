@@ -38,7 +38,7 @@ type edge_store = {
 type label_store = {
   label_table : label_row Rel_table.t;
   label_by_tag : (string, int list) Hashtbl.t; (* tag -> row ids *)
-  label_by_node : (int, int) Hashtbl.t; (* Dom id -> row id *)
+  label_by_node : int Ltree_metrics.Int_tbl.t; (* Dom id -> row id *)
   label_index : Label_index.t;
       (* per-tag sorted (start, end, row id) arrays — the secondary
          index behind the structural-join plans; built lazily per tag

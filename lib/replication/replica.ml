@@ -1,3 +1,4 @@
+module Int_tbl = Ltree_metrics.Int_tbl
 module Fault = Ltree_recovery.Fault
 module Durable_doc = Ltree_recovery.Durable_doc
 module Journal = Ltree_doc.Journal
@@ -62,8 +63,8 @@ type t = {
   inbox : Channel.t;
   outbox : Channel.t;
   buf : Frame.Assembler.asm;
-  chains : (int, int) Hashtbl.t;
-  stash : (int, string) Hashtbl.t;
+  chains : int Int_tbl.t;
+  stash : string Int_tbl.t;
   stash_cap : int;
   mutable store : Durable_doc.t option;
   mutable primary_epoch : int;
@@ -107,8 +108,8 @@ let create ~io ~dir ?(group_commit = 1) ?(checkpoint_every = 32) ?store
     inbox;
     outbox;
     buf = Frame.Assembler.create ();
-    chains = Hashtbl.create 64;
-    stash = Hashtbl.create 16;
+    chains = Int_tbl.create 64;
+    stash = Int_tbl.create 16;
     stash_cap = 64;
     store;
     primary_epoch = 0;
@@ -167,12 +168,12 @@ let read ?max_lag t f =
       | _ -> Ok (f (Durable_doc.ldoc s))))
 
 let prune_chains t ~applied =
-  Hashtbl.filter_map_inplace
+  Int_tbl.filter_map_inplace
     (fun seq v -> if seq < applied - chain_window then None else Some v)
     t.chains
 
 let prune_stash t ~applied =
-  Hashtbl.filter_map_inplace
+  Int_tbl.filter_map_inplace
     (fun seq p -> if seq <= applied then None else Some p)
     t.stash
 
@@ -193,7 +194,7 @@ let set_diverged t d =
 (* Apply the next-in-order record; caller guarantees [seq = applied + 1]
    and that the chain holds a link at [applied]. *)
 let apply_one t s ~now ~seq ~payload =
-  let prev = Hashtbl.find t.chains (seq - 1) in
+  let prev = Int_tbl.find t.chains (seq - 1) in
   match Journal.entry_of_line payload with
   | exception Journal.Corrupt detail ->
     set_diverged t (Apply_rejected { at_seq = seq; detail })
@@ -207,7 +208,7 @@ let apply_one t s ~now ~seq ~payload =
     with
     | () ->
       Ltree_obs.Causal.stamp ~tick:now Ltree_obs.Causal.Apply ~seq ~payload;
-      Hashtbl.replace t.chains seq (Chain.extend ~prev ~seq ~payload);
+      Int_tbl.replace t.chains seq (Chain.extend ~prev ~seq ~payload);
       prune_chains t ~applied:seq;
       t.applied_frames <- t.applied_frames + 1;
       t.applied_since_ckpt <- t.applied_since_ckpt + 1;
@@ -227,11 +228,11 @@ let rec drain_stash t s ~now =
   | None ->
     let applied = Durable_doc.last_seq s in
     prune_stash t ~applied;
-    if Hashtbl.mem t.chains applied then (
-      match Hashtbl.find_opt t.stash (applied + 1) with
+    if Int_tbl.mem t.chains applied then (
+      match Int_tbl.find_opt t.stash (applied + 1) with
       | None -> ()
       | Some payload ->
-        Hashtbl.remove t.stash (applied + 1);
+        Int_tbl.remove t.stash (applied + 1);
         apply_one t s ~now ~seq:(applied + 1) ~payload;
         drain_stash t s ~now)
 
@@ -248,7 +249,7 @@ let on_data t ~now ~hwm ~seq ~payload =
       t.dup_frames <- t.dup_frames + 1;
       true
     end
-    else if seq = applied + 1 && Hashtbl.mem t.chains applied then begin
+    else if seq = applied + 1 && Int_tbl.mem t.chains applied then begin
       apply_one t s ~now ~seq ~payload;
       (match t.diverged with None -> drain_stash t s ~now | Some _ -> ());
       Option.is_none t.diverged
@@ -259,10 +260,10 @@ let on_data t ~now ~hwm ~seq ~payload =
          for in-order apply, bounded. *)
       if
         seq > applied
-        && Hashtbl.length t.stash < t.stash_cap
-        && not (Hashtbl.mem t.stash seq)
+        && Int_tbl.length t.stash < t.stash_cap
+        && not (Int_tbl.mem t.stash seq)
       then begin
-        Hashtbl.replace t.stash seq payload;
+        Int_tbl.replace t.stash seq payload;
         t.stashed <- t.stashed + 1
       end;
       false
@@ -288,8 +289,8 @@ let on_snapshot t ~now ~base_seq ~chain ~data =
      with
     | Ok (_report, s) ->
       t.store <- Some s;
-      Hashtbl.reset t.chains;
-      Hashtbl.replace t.chains base_seq chain;
+      Int_tbl.reset t.chains;
+      Int_tbl.replace t.chains base_seq chain;
       t.applied_since_ckpt <- 0;
       t.snapshots_installed <- t.snapshots_installed + 1;
       Ltree_obs.Recorder.note ~tick:now ~kind:"recovery"
@@ -310,16 +311,16 @@ let on_handshake t ~now ~seq ~chain:want =
   | None -> ()
   | Some s -> (
     let applied = Durable_doc.last_seq s in
-    match Hashtbl.find_opt t.chains seq with
+    match Int_tbl.find_opt t.chains seq with
     | Some got ->
       if got <> want then
         set_diverged t (Chain_mismatch { at_seq = seq; want; got })
     | None ->
-      if Hashtbl.length t.chains = 0 && seq = applied then begin
+      if Int_tbl.length t.chains = 0 && seq = applied then begin
         (* Anchor adoption: the replica just recovered from its own
            disk and lost the in-memory chain; the primary's link at
            exactly our applied seq re-establishes it. *)
-        Hashtbl.replace t.chains seq want;
+        Int_tbl.replace t.chains seq want;
         match t.store with Some s -> drain_stash t s ~now | None -> ()
       end
       else if seq <= applied && seq >= applied - chain_window then
@@ -402,7 +403,7 @@ let promote t =
     | None -> Error Not_bootstrapped
     | Some s -> (
       t.promoted <- true;
-      Hashtbl.reset t.stash;
+      Int_tbl.reset t.stash;
       Durable_doc.sync s;
       match
         Durable_doc.recover ~io:t.io ~group_commit:t.group_commit ~dir:t.dir

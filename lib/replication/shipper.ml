@@ -1,3 +1,4 @@
+module Int_tbl = Ltree_metrics.Int_tbl
 module Fault = Ltree_recovery.Fault
 module Durable_doc = Ltree_recovery.Durable_doc
 module Journal = Ltree_doc.Journal
@@ -53,9 +54,9 @@ type t = {
   up : Channel.t;
   config : config;
   buf : Frame.Assembler.asm;
-  retention : (int, string) Hashtbl.t;
-  chains : (int, int) Hashtbl.t;
-  inflight : (int, inflight) Hashtbl.t;
+  retention : string Int_tbl.t;
+  chains : int Int_tbl.t;
+  inflight : inflight Int_tbl.t;
   mutable chain_top : int;
   mutable chain_base : int;
   mutable broken : bool;
@@ -110,7 +111,7 @@ let snapshot_path t =
 
 let create ~io ~dir ~store ~down ~up ?(config = default_config) () =
   let base = Durable_doc.last_seq store in
-  let chains = Hashtbl.create 64 in
+  let chains = Int_tbl.create 64 in
   let t =
     {
       io;
@@ -120,9 +121,9 @@ let create ~io ~dir ~store ~down ~up ?(config = default_config) () =
       up;
       config;
       buf = Frame.Assembler.create ();
-      retention = Hashtbl.create 64;
+      retention = Int_tbl.create 64;
       chains;
-      inflight = Hashtbl.create 16;
+      inflight = Int_tbl.create 16;
       chain_top = base;
       chain_base = base;
       broken = false;
@@ -149,7 +150,7 @@ let create ~io ~dir ~store ~down ~up ?(config = default_config) () =
   (match snapshot_path t with
   | Some (path, base_seq) when base_seq = base -> (
     match io.Fault.read_file path with
-    | Some bytes -> Hashtbl.replace chains base (Chain.anchor bytes)
+    | Some bytes -> Int_tbl.replace chains base (Chain.anchor bytes)
     | None -> t.broken <- true)
   | Some _ | None -> t.broken <- true);
   t
@@ -172,7 +173,7 @@ let stats t =
 
 let reset t =
   t.failed <- None;
-  Hashtbl.reset t.inflight;
+  Int_tbl.reset t.inflight;
   t.snap_inflight <- None
 
 (* Fold newly appended journal records into retention + chain.  Scanning
@@ -199,9 +200,9 @@ let ingest t =
       if seq > t.chain_top then
         if seq = t.chain_top + 1 then begin
           let payload = Journal.entry_to_line entry in
-          let prev = Hashtbl.find t.chains t.chain_top in
-          Hashtbl.replace t.chains seq (Chain.extend ~prev ~seq ~payload);
-          Hashtbl.replace t.retention seq payload;
+          let prev = Int_tbl.find t.chains t.chain_top in
+          Int_tbl.replace t.chains seq (Chain.extend ~prev ~seq ~payload);
+          Int_tbl.replace t.retention seq payload;
           t.chain_top <- seq
         end
         else
@@ -213,10 +214,10 @@ let ingest t =
 
 let prune t ~acked =
   let cut = acked - keep_window in
-  Hashtbl.filter_map_inplace
+  Int_tbl.filter_map_inplace
     (fun seq v -> if seq < cut then None else Some v)
     t.retention;
-  Hashtbl.filter_map_inplace
+  Int_tbl.filter_map_inplace
     (fun seq v -> if seq < cut then None else Some v)
     t.chains;
   t.chain_base <- Int.max t.chain_base cut
@@ -230,7 +231,7 @@ let on_ack t ~now seq =
   if seq > prev then begin
     t.acked <- Some seq;
     t.acked_progress <- t.acked_progress + (seq - Int.max prev 0);
-    Hashtbl.iter
+    Int_tbl.iter
       (fun s (fl : inflight) ->
         if s <= seq then begin
           Ltree_obs.Histogram.observe_int (ship_latency_hist ())
@@ -239,14 +240,14 @@ let on_ack t ~now seq =
           (* The cumulative ack is the moment the primary knows the
              record is applied and readable on the replica: the end of
              its causal waterfall. *)
-          match Hashtbl.find_opt t.retention s with
+          match Int_tbl.find_opt t.retention s with
           | Some payload ->
             Ltree_obs.Causal.stamp ~tick:now Ltree_obs.Causal.Readable ~seq:s
               ~payload
           | None -> ()
         end)
       t.inflight;
-    Hashtbl.filter_map_inplace
+    Int_tbl.filter_map_inplace
       (fun s fl -> if s <= seq then None else Some fl)
       t.inflight;
     (match t.snap_inflight with
@@ -261,7 +262,7 @@ let on_hello t seq =
      have regressed (it recovered from its own disk, losing its
      group-commit buffer). *)
   t.acked <- (if seq < 0 then None else Some seq);
-  Hashtbl.reset t.inflight;
+  Int_tbl.reset t.inflight;
   t.snap_inflight <- None;
   t.failed <- None;
   t.acked_progress <- 0;
@@ -306,15 +307,15 @@ let send_snapshot_now t ~now =
     match t.io.Fault.read_file path with
     | None -> t.broken <- true
     | Some bytes ->
-      if t.broken || not (Hashtbl.mem t.chains base) then begin
-        Hashtbl.reset t.chains;
-        Hashtbl.reset t.retention;
-        Hashtbl.replace t.chains base (Chain.anchor bytes);
+      if t.broken || not (Int_tbl.mem t.chains base) then begin
+        Int_tbl.reset t.chains;
+        Int_tbl.reset t.retention;
+        Int_tbl.replace t.chains base (Chain.anchor bytes);
         t.chain_top <- base;
         t.chain_base <- base;
         t.broken <- false
       end;
-      let chain = Hashtbl.find t.chains base in
+      let chain = Int_tbl.find t.chains base in
       Channel.send t.down ~now
         (Frame.encode
            (Snapshot
@@ -374,13 +375,13 @@ let step_window t ~now ~acked =
   let hi = Int.min t.chain_top (acked + t.config.window) in
   let seq = ref (acked + 1) in
   while Option.is_none t.failed && !seq <= hi do
-    (match Hashtbl.find_opt t.retention !seq with
+    (match Int_tbl.find_opt t.retention !seq with
     | None -> seq := hi (* gap: the snapshot path takes over next pump *)
     | Some payload -> (
-      match Hashtbl.find_opt t.inflight !seq with
+      match Int_tbl.find_opt t.inflight !seq with
       | None ->
         send_data t ~now ~seq:!seq payload;
-        Hashtbl.replace t.inflight !seq
+        Int_tbl.replace t.inflight !seq
           {
             attempts = 1;
             first_sent = now;
@@ -418,13 +419,13 @@ let step_window t ~now ~acked =
 let step_handshake t ~now ~acked =
   if
     (t.force_handshake || t.acked_progress >= t.config.handshake_every)
-    && Hashtbl.mem t.chains acked
+    && Int_tbl.mem t.chains acked
   then begin
     Channel.send t.down ~now
       (Frame.encode
          (Frame.Handshake
             { epoch = Durable_doc.epoch t.store; seq = acked;
-              chain = Hashtbl.find t.chains acked }));
+              chain = Int_tbl.find t.chains acked }));
     t.frames_sent <- t.frames_sent + 1;
     t.handshakes_sent <- t.handshakes_sent + 1;
     Ltree_obs.Recorder.note ~tick:now ~kind:"channel"
@@ -441,7 +442,7 @@ let pump t ~now =
     match t.acked with
     | None -> step_snapshot t ~now
     | Some acked ->
-      if acked < t.chain_top && not (Hashtbl.mem t.retention (acked + 1))
+      if acked < t.chain_top && not (Int_tbl.mem t.retention (acked + 1))
       then step_snapshot t ~now
       else begin
         step_handshake t ~now ~acked;

@@ -1,3 +1,4 @@
+module Int_tbl = Ltree_metrics.Int_tbl
 module Dom = Ltree_xml.Dom
 module Labeled_doc = Ltree_doc.Labeled_doc
 module Journal = Ltree_doc.Journal
@@ -78,8 +79,8 @@ type shard = {
   store : Shredder.label_store;
   sync : Label_sync.t;
   mutable snap : Read_snapshot.t option;  (* frozen lazily per query *)
-  g_of_l : (int, int) Hashtbl.t;  (* local Dom id -> router Dom id *)
-  l_of_g : (int, int) Hashtbl.t;  (* router Dom id -> local Dom id *)
+  g_of_l : int Int_tbl.t;  (* local Dom id -> router Dom id *)
+  l_of_g : int Int_tbl.t;  (* router Dom id -> local Dom id *)
   ids : Read_snapshot.id_map;
       (* [g_of_l] cached by label-table row: snapshots freeze router ids *)
   mutable bufs : buffers array;
@@ -103,7 +104,7 @@ type t = {
   mutable cuts : int array;
       (* length [nshards + 1]: shard [p] owns the router root's
          children at positions [cuts.(p) .. cuts.(p+1)) *)
-  top_owner : (int, int) Hashtbl.t;
+  top_owner : int Int_tbl.t;
       (* router top-level subtree root Dom id -> shard array position *)
   mutable layout_gen : int;  (* bumped on every split *)
   (* Routing tables over the non-empty shards, sorted by interval:
@@ -160,8 +161,8 @@ let rec clone_node n =
   | Dom.Pi (target, data) -> Dom.pi ~target ~data
 
 let link_pair sh g l =
-  Hashtbl.replace sh.g_of_l (Dom.id l) (Dom.id g);
-  Hashtbl.replace sh.l_of_g (Dom.id g) (Dom.id l)
+  Int_tbl.replace sh.g_of_l (Dom.id l) (Dom.id g);
+  Int_tbl.replace sh.l_of_g (Dom.id g) (Dom.id l)
 
 (* Structurally identical subtrees enumerate the same shapes in
    preorder, so walking both in lockstep pairs every node. *)
@@ -174,11 +175,11 @@ let link_subtree sh g l =
 let unlink_subtree sh g =
   Dom.iter_preorder g (fun n ->
       let gid = Dom.id n in
-      match Hashtbl.find_opt sh.l_of_g gid with
+      match Int_tbl.find_opt sh.l_of_g gid with
       | None -> ()
       | Some lid ->
-        Hashtbl.remove sh.l_of_g gid;
-        Hashtbl.remove sh.g_of_l lid)
+        Int_tbl.remove sh.l_of_g gid;
+        Int_tbl.remove sh.g_of_l lid)
 
 let root_of ldoc =
   match (Labeled_doc.document ldoc).Dom.root with
@@ -197,12 +198,12 @@ let wire_shard ~sid ~sim ~io durable =
   let pager = Pager.create (Counters.create ()) in
   let store = Shredder.shred_label pager ldoc in
   let sync = Label_sync.create pager store ldoc in
-  let g_of_l = Hashtbl.create 256 in
+  let g_of_l = Int_tbl.create 256 in
   let commit_hist, query_hist, pending_hist = shard_histograms sid in
   { sid; sim; io; durable; pager; store; sync; snap = None;
     g_of_l;
-    l_of_g = Hashtbl.create 256;
-    ids = Read_snapshot.id_map (Hashtbl.find g_of_l);
+    l_of_g = Int_tbl.create 256;
+    ids = Read_snapshot.id_map (Int_tbl.find g_of_l);
     bufs = [| make_buffers () |];
     commit_hist; query_hist; pending_hist }
 
@@ -219,12 +220,12 @@ let make_shard ?params ~group_commit ~sim ~groot gsubs sid =
   sh
 
 let rebuild_top_owner t =
-  Hashtbl.reset t.top_owner;
+  Int_tbl.reset t.top_owner;
   let subs = Array.of_list (Dom.children (root_of t.router)) in
   Array.iteri
     (fun p _ ->
       for i = t.cuts.(p) to t.cuts.(p + 1) - 1 do
-        Hashtbl.replace t.top_owner (Dom.id subs.(i)) p
+        Int_tbl.replace t.top_owner (Dom.id subs.(i)) p
       done)
     t.shards
 
@@ -249,7 +250,7 @@ let create ?params ?(group_commit = 4)
       merge_out = Column.create ();
       merge_mark = Column.create ();
       shards; cuts;
-      top_owner = Hashtbl.create 64;
+      top_owner = Int_tbl.create 64;
       layout_gen = 0;
       route_pos = [||]; route_lo = [||]; route_hi = [||];
       route_version = -1; route_layout = -1;
@@ -630,7 +631,7 @@ let owner_position t gnode =
   let groot_id = Dom.id (root_of t.router) in
   if Dom.id gnode = groot_id then
     invalid_arg "Sharded_doc: the root itself has no single owner"
-  else Hashtbl.find t.top_owner (Dom.id (top_ancestor t gnode))
+  else Int_tbl.find t.top_owner (Dom.id (top_ancestor t gnode))
 
 (* The shard a root-level insert at child position [i] lands in: the
    first shard whose owned range can absorb position [i] (an append to
@@ -645,10 +646,10 @@ let owner_of_anchor t anchor =
   | None -> None
   | Some n ->
     if Dom.id n = Dom.id (root_of t.router) then None
-    else Hashtbl.find_opt t.top_owner (Dom.id (top_ancestor t n))
+    else Int_tbl.find_opt t.top_owner (Dom.id (top_ancestor t n))
 
 let local_node sh t gnode =
-  let lid = Hashtbl.find sh.l_of_g (Dom.id gnode) in
+  let lid = Int_tbl.find sh.l_of_g (Dom.id gnode) in
   match Labeled_doc.node_by_id (Durable_doc.ldoc sh.durable) lid with
   | Some n -> n
   | None ->
@@ -699,7 +700,7 @@ let apply t entry =
        for q = p + 1 to Array.length t.shards do
          t.cuts.(q) <- t.cuts.(q) + 1
        done;
-       Hashtbl.replace t.top_owner (Dom.id gfresh) p
+       Int_tbl.replace t.top_owner (Dom.id gfresh) p
      end
      else begin
        let p = owner_position t gparent in
@@ -721,7 +722,7 @@ let apply t entry =
      Journal.apply_entry t.router entry;
      unlink_subtree sh gnode;
      if top_level then begin
-       Hashtbl.remove t.top_owner (Dom.id gnode);
+       Int_tbl.remove t.top_owner (Dom.id gnode);
        for q = 0 to Array.length t.shards do
          if t.cuts.(q) > child_pos then t.cuts.(q) <- t.cuts.(q) - 1
        done

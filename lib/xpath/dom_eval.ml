@@ -1,3 +1,4 @@
+module Int_tbl = Ltree_metrics.Int_tbl
 open Ltree_xml
 
 let matches_test (test : Ast.test) node =
@@ -47,10 +48,10 @@ let siblings_before node =
 (* Document-order positions over the context's whole tree, for the
    following/preceding axes and for final sorting. *)
 let order_map root =
-  let tbl = Hashtbl.create 256 in
+  let tbl = Int_tbl.create 256 in
   let i = ref 0 in
   Dom.iter_preorder root (fun n ->
-      Hashtbl.replace tbl (Dom.id n) !i;
+      Int_tbl.replace tbl (Dom.id n) !i;
       incr i);
   tbl
 
@@ -70,8 +71,8 @@ let following node =
   let order = order_map root in
   List.sort
     (fun a b ->
-      Int.compare (Hashtbl.find order (Dom.id a))
-        (Hashtbl.find order (Dom.id b)))
+      Int.compare (Int_tbl.find order (Dom.id a))
+        (Int_tbl.find order (Dom.id b)))
     !acc
 
 let preceding node =
@@ -79,12 +80,12 @@ let preceding node =
      proximity order = reverse document order. *)
   let root = top_of node in
   let order = order_map root in
-  let my_order = Hashtbl.find order (Dom.id node) in
+  let my_order = Int_tbl.find order (Dom.id node) in
   let ancs = ancestors node in
   let acc = ref [] in
   Dom.iter_preorder root (fun x ->
       if
-        Hashtbl.find order (Dom.id x) < my_order
+        Int_tbl.find order (Dom.id x) < my_order
         && (not (List.memq x ancs))
         && x != node
       then acc := x :: !acc);
@@ -150,14 +151,14 @@ and eval_step (step : Ast.step) context =
 and eval_rel node steps =
   List.fold_left
     (fun contexts step ->
-      let seen = Hashtbl.create 8 in
+      let seen = Int_tbl.create 8 in
       List.concat_map
         (fun ctx ->
           List.filter
             (fun n ->
-              if Hashtbl.mem seen (Dom.id n) then false
+              if Int_tbl.mem seen (Dom.id n) then false
               else begin
-                Hashtbl.replace seen (Dom.id n) ();
+                Int_tbl.replace seen (Dom.id n) ();
                 true
               end)
             (eval_step step ctx))
@@ -168,14 +169,14 @@ let eval_steps root steps contexts =
   let result =
     List.fold_left
       (fun contexts step ->
-        let seen = Hashtbl.create 16 in
+        let seen = Int_tbl.create 16 in
         List.concat_map
           (fun ctx ->
             List.filter
               (fun n ->
-                if Hashtbl.mem seen (Dom.id n) then false
+                if Int_tbl.mem seen (Dom.id n) then false
                 else begin
-                  Hashtbl.replace seen (Dom.id n) ();
+                  Int_tbl.replace seen (Dom.id n) ();
                   true
                 end)
               (eval_step step ctx))
@@ -184,7 +185,7 @@ let eval_steps root steps contexts =
   in
   let order = order_map root in
   let pos n =
-    match Hashtbl.find_opt order (Dom.id n) with
+    match Int_tbl.find_opt order (Dom.id n) with
     | Some i -> i
     | None -> -1 (* nodes above the evaluation root keep stable order *)
   in

@@ -1,3 +1,4 @@
+module Int_tbl = Ltree_metrics.Int_tbl
 open Ltree_xml
 module Labeled_doc = Ltree_doc.Labeled_doc
 
@@ -304,15 +305,15 @@ let axis_group t (step : Ast.step) cands (c : item) : item list =
                cands)))
 
 let dedup_sorted groups =
-  let seen = Hashtbl.create 16 in
+  let seen = Int_tbl.create 16 in
   let out = ref [] in
   List.iter
     (fun group ->
       List.iter
         (fun it ->
           let k = Dom.id it.node in
-          if not (Hashtbl.mem seen k) then begin
-            Hashtbl.replace seen k ();
+          if not (Int_tbl.mem seen k) then begin
+            Int_tbl.replace seen k ();
             out := it :: !out
           end)
         group)
@@ -369,20 +370,20 @@ and eval_step t (step : Ast.step) contexts =
         if child then List.filter (fun (a, d) -> d.level = a.level + 1) pairs
         else pairs
       in
-      let groups : (int, item list) Hashtbl.t = Hashtbl.create 16 in
+      let groups : item list Int_tbl.t = Int_tbl.create 16 in
       let anchor_order = ref [] in
       List.iter
         (fun (a, d) ->
           let key = Dom.id a.node in
-          (match Hashtbl.find_opt groups key with
+          (match Int_tbl.find_opt groups key with
            | None ->
              anchor_order := key :: !anchor_order;
-             Hashtbl.replace groups key [ d ]
-           | Some ds -> Hashtbl.replace groups key (d :: ds)))
+             Int_tbl.replace groups key [ d ]
+           | Some ds -> Int_tbl.replace groups key (d :: ds)))
         pairs;
       dedup_sorted
         (List.rev_map
-           (fun key -> apply_preds t preds (List.rev (Hashtbl.find groups key)))
+           (fun key -> apply_preds t preds (List.rev (Int_tbl.find groups key)))
            !anchor_order))
   | Ast.Self | Ast.Parent | Ast.Ancestor | Ast.Ancestor_or_self
   | Ast.Following | Ast.Preceding | Ast.Following_sibling

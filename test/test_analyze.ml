@@ -270,6 +270,15 @@ let seeded_violations () =
         "bad_global.ml:R7:3";
         "bad_global.ml:R7:4";
         "bad_global.ml:R7:7";
+        "bad_hashtbl.ml:R2:5";
+        "bad_hashtbl.ml:R2:6";
+        "bad_hashtbl.ml:R2:7";
+        "bad_hashtbl.ml:R2:8";
+        "bad_hashtbl.ml:R2:9";
+        "bad_hashtbl.ml:R2:10";
+        "bad_hashtbl.ml:R2:11";
+        "bad_hashtbl.ml:R2:12";
+        "bad_hashtbl.ml:R2:13";
         "bad_minmax.ml:R2:4";
         "bad_minmax.ml:R2:5";
         "bad_obj.ml:R1:2";
@@ -301,7 +310,7 @@ let clean_fixtures_silent () =
       Alcotest.(check (list string))
         (name ^ " analyzes clean") []
         (lint solo_config [ fixture ("libroot/" ^ name) ]))
-    [ "clean.ml"; "clean_compare.ml" ]
+    [ "clean.ml"; "clean_compare.ml"; "clean_hashtbl.ml" ]
 
 let mli_presence () =
   Alcotest.(check (list string))

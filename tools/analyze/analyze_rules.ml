@@ -13,7 +13,10 @@
      [bytes] and the boxed ints are fine, anything else is flagged.
      [Stdlib.min]/[Stdlib.max] are flagged at every type (they are
      never specialized), and so is every use of a local alias of a
-     flagged comparison;
+     flagged comparison.  The generic keyed lookups
+     [Hashtbl.{find,find_opt,replace,add,mem,remove}] and
+     [List.{assoc,mem_assoc,mem}] are flagged at immediate key types
+     (int, char, bool, constant variants);
    - R3: no exception-swallowing [try ... with _ ->];
    - R4 ([lib/]): no console output;
    - R5 ([lib/core/]): raw [*]/[lsl] on [radix]/[m] must go through the
@@ -165,7 +168,7 @@ let default_config =
       [
         "ref"; "Hashtbl.create"; "Queue.create"; "Stack.create";
         "Buffer.create"; "Array.make"; "Array.create_float";
-        "Bytes.create"; "Bytes.make";
+        "Bytes.create"; "Bytes.make"; "Ltree_metrics.Int_tbl.create";
       ];
     alloc_calls =
       [
@@ -187,6 +190,8 @@ let default_config =
         "Stdlib.Buffer.create"; "Stdlib.Buffer.contents";
         "Stdlib.Hashtbl.create"; "Stdlib.Hashtbl.copy";
         "Stdlib.Hashtbl.fold"; "Stdlib.Hashtbl.find_opt";
+        "Ltree_metrics.Int_tbl.create"; "Ltree_metrics.Int_tbl.copy";
+        "Ltree_metrics.Int_tbl.fold"; "Ltree_metrics.Int_tbl.find_opt";
         "Stdlib.Queue.create"; "Stdlib.Stack.create";
       ];
     alloc_call_prefixes = [ "Stdlib.Printf."; "Stdlib.Format." ];
@@ -568,6 +573,12 @@ let stdlib_mutators =
     ("Stdlib.Hashtbl.remove", [ 0 ]); ("Stdlib.Hashtbl.reset", [ 0 ]);
     ("Stdlib.Hashtbl.clear", [ 0 ]);
     ("Stdlib.Hashtbl.filter_map_inplace", [ 1 ]);
+    ("Ltree_metrics.Int_tbl.add", [ 0 ]);
+    ("Ltree_metrics.Int_tbl.replace", [ 0 ]);
+    ("Ltree_metrics.Int_tbl.remove", [ 0 ]);
+    ("Ltree_metrics.Int_tbl.reset", [ 0 ]);
+    ("Ltree_metrics.Int_tbl.clear", [ 0 ]);
+    ("Ltree_metrics.Int_tbl.filter_map_inplace", [ 1 ]);
     ("Stdlib.Queue.add", [ 1 ]); ("Stdlib.Queue.push", [ 1 ]);
     ("Stdlib.Queue.pop", [ 0 ]); ("Stdlib.Queue.take", [ 0 ]);
     ("Stdlib.Queue.clear", [ 0 ]); ("Stdlib.Queue.transfer", [ 0; 1 ]);
@@ -584,7 +595,7 @@ let stdlib_mutators =
 let deref_heads =
   [
     "Stdlib.!"; "Stdlib.Array.get"; "Stdlib.Array.unsafe_get";
-    "Stdlib.Bytes.get"; "Stdlib.Hashtbl.find";
+    "Stdlib.Bytes.get"; "Stdlib.Hashtbl.find"; "Ltree_metrics.Int_tbl.find";
   ]
 
 let rec nolabel_nth args n =
@@ -1241,6 +1252,64 @@ let check_compare ~env_of uc u out =
   let it = { Tast_iterator.default_iterator with expr } in
   it.structure it u.u_str
 
+(* R2, keyed lookups.  The generic [Hashtbl] and the association-list
+   functions compare keys with the generic [caml_compare] (and hash them
+   with [caml_hash]) whatever the key type; at an immediate key type a
+   specialized table or a dense column does the same job without either. *)
+let keyed_lookups =
+  [
+    "Stdlib.Hashtbl.find"; "Stdlib.Hashtbl.find_opt"; "Stdlib.Hashtbl.replace";
+    "Stdlib.Hashtbl.add"; "Stdlib.Hashtbl.mem"; "Stdlib.Hashtbl.remove";
+    "Stdlib.List.assoc"; "Stdlib.List.mem_assoc"; "Stdlib.List.mem";
+  ]
+
+let immediate_types = Predef.[ path_int; path_char; path_bool; path_unit ]
+
+let keyed_hint =
+  "key int-keyed tables with Ltree_metrics.Int_tbl (same hash, so the same \
+   iteration order), index a column when keys are dense, or scan with \
+   List.exists/List.find_opt and Int.equal"
+
+let check_keyed ~env_of uc u out =
+  let key_type name ty =
+    match first_param ty with
+    | None -> None
+    | Some p ->
+      if has_prefix ~prefix:"Stdlib.Hashtbl." name then
+        match Types.get_desc p with
+        | Types.Tconstr (_, k :: _, _) -> Some k
+        | _ -> None
+      else Some p
+  in
+  let immediate env ty =
+    match Types.get_desc ty with
+    | Types.Tconstr (p, [], _) when List.exists (Path.same p) immediate_types
+      ->
+      true
+    | Types.Tvar _ -> false
+    | _ -> Typeopt.maybe_pointer_type (env_of env) ty = Lambda.Immediate
+  in
+  let it =
+    iter_expr (fun e ->
+        match e.exp_desc with
+        | Typedtree.Texp_ident (p, _, _) -> (
+          let name = path_key uc p in
+          if List.mem name keyed_lookups then
+            match key_type name e.exp_type with
+            | Some k when immediate e.exp_env k ->
+              out :=
+                unit_finding ~rule:"R2" u ~loc:e.exp_loc
+                  ~message:
+                    (Format.asprintf
+                       "generic `%s` at immediate key type %a in lib/"
+                       (strip_stdlib name) Printtyp.type_expr k)
+                  ~hint:keyed_hint
+                :: !out
+            | Some _ | None -> ())
+        | _ -> ())
+  in
+  it.structure it u.u_str
+
 (* R3 *)
 let check_catchall u out =
   let rec wild : type k. k Typedtree.general_pattern -> bool =
@@ -1427,7 +1496,9 @@ let check_unit cfg ~loaded u =
   check_obj uc u out;
   check_catchall u out;
   if in_lib then begin
-    check_compare ~env_of:(env_rebuilder ~loaded u) uc u out;
+    let env_of = env_rebuilder ~loaded u in
+    check_compare ~env_of uc u out;
+    check_keyed ~env_of uc u out;
     if not (List.mem u.u_file cfg.print_allow) then check_print uc u out;
     check_interface u out
   end;

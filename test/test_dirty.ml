@@ -1,0 +1,241 @@
+(* The dirty set against an oracle.  Random insert / delete / move /
+   set_text / compact sequences run on a tracked Labeled_doc, with drains
+   at random points.  Each drain must report exactly:
+   - live: the nodes still in the document whose (start, end, level)
+     changed in some operation since the last drain (found by diffing
+     full label snapshots around every operation), plus the nodes
+     labeled since then (inserted or moved);
+   - dead: the ids deleted since then that are not in the document.
+   The same sequences drive a Label_sync store (check after every
+   flush), and iter_labeled_since / node_by_start_label are compared
+   with brute-force scans. *)
+
+open Ltree_xml
+open Ltree_core
+module Labeled_doc = Ltree_doc.Labeled_doc
+module Label_sync = Ltree_relstore.Label_sync
+module Shredder = Ltree_relstore.Shredder
+module Pager = Ltree_relstore.Pager
+module Counters = Ltree_metrics.Counters
+module Prng = Ltree_workload.Prng
+module Xml_gen = Ltree_workload.Xml_gen
+module IS = Set.Make (Int)
+
+let case = Alcotest.test_case
+
+(* Dom id -> (start, end, level) for every node of the document. *)
+let snapshot ldoc =
+  let tbl = Hashtbl.create 256 in
+  (match (Labeled_doc.document ldoc).root with
+   | None -> ()
+   | Some root ->
+     Dom.iter_preorder root (fun n ->
+         let l = Labeled_doc.label ldoc n in
+         Hashtbl.replace tbl (Dom.id n)
+           (l.Labeled_doc.start_pos, l.Labeled_doc.end_pos, l.Labeled_doc.level)));
+  tbl
+
+let ids_of n =
+  let acc = ref [] in
+  Dom.iter_preorder n (fun x -> acc := Dom.id x :: !acc);
+  !acc
+
+let elements root =
+  let acc = ref [] in
+  Dom.iter_preorder root (fun n -> if Dom.is_element n then acc := n :: !acc);
+  Array.of_list (List.rev !acc)
+
+let texts root =
+  let acc = ref [] in
+  Dom.iter_preorder root (fun n -> if Dom.is_text n then acc := n :: !acc);
+  Array.of_list (List.rev !acc)
+
+let fragment prng =
+  let mail = Dom.element "mail" in
+  for _ = 0 to Prng.int prng 3 do
+    let c = Dom.element (if Prng.bool prng then "from" else "to") in
+    Dom.append_child c (Dom.text "x");
+    Dom.append_child mail c
+  done;
+  mail
+
+let rec inside node p =
+  p == node || match Dom.parent p with None -> false | Some q -> inside node q
+
+(* One random operation; returns the ids it deleted and the nodes it
+   labeled afresh (inserted or moved). *)
+let step prng ldoc ~moved_last =
+  let root = Option.get (Labeled_doc.document ldoc).root in
+  let els = elements root in
+  let pick_nonroot () =
+    let cands = Array.of_list (List.tl (Array.to_list els)) in
+    if Array.length cands = 0 then None else Some (Prng.pick prng cands)
+  in
+  let move n =
+    let targets =
+      Array.of_list
+        (List.filter (fun p -> not (inside n p)) (Array.to_list els))
+    in
+    let parent = Prng.pick prng targets in
+    let deleted = ids_of n in
+    (* the index counts [parent]'s children once [n] has left *)
+    let stays = match Dom.parent n with Some p -> p == parent | None -> false in
+    let slots = Dom.child_count parent - if stays then 0 else -1 in
+    Labeled_doc.move_subtree ldoc ~node:n ~parent ~index:(Prng.int prng slots);
+    (deleted, Dom.descendants n @ [ n ], Some n)
+  in
+  match Prng.int prng 100 with
+  | r when r < 40 ->
+    let parent = Prng.pick prng els in
+    let sub = fragment prng in
+    Labeled_doc.insert_subtree ldoc ~parent
+      ~index:(Prng.int prng (Dom.child_count parent + 1))
+      sub;
+    ([], Dom.descendants sub @ [ sub ], None)
+  | r when r < 60 -> (
+      match pick_nonroot () with
+      | None -> ([], [], None)
+      | Some n ->
+        let deleted = ids_of n in
+        Labeled_doc.delete_subtree ldoc n;
+        (deleted, [], None))
+  | r when r < 75 -> (
+      (* Moving the node moved last time exercises a move done twice
+         between drains. *)
+      match moved_last with
+      | Some n when Dom.parent n <> None && Prng.bool prng -> move n
+      | Some _ | None -> (
+          match pick_nonroot () with None -> ([], [], None) | Some n -> move n))
+  | r when r < 90 ->
+    let ts = texts root in
+    if Array.length ts > 0 then
+      Dom.set_text (Prng.pick prng ts) (string_of_int (Prng.int prng 1000));
+    ([], [], None)
+  | _ ->
+    Labeled_doc.compact ldoc;
+    ([], [], None)
+
+let doc_of_seed seed =
+  Xml_gen.generate ~seed (Xml_gen.default_profile ~target_nodes:120 ())
+
+let drain_matches_oracle params seed () =
+  let prng = Prng.create seed in
+  let ldoc = Labeled_doc.of_document ~params (doc_of_seed seed) in
+  Labeled_doc.track_dirty ldoc;
+  let changed = ref IS.empty and fresh = ref IS.empty in
+  let deleted = ref IS.empty in
+  let moved_last = ref None in
+  let drains = ref 0 in
+  for _ = 1 to 400 do
+    let before = snapshot ldoc in
+    let dels, labeled, moved = step prng ldoc ~moved_last:!moved_last in
+    moved_last := moved;
+    let after = snapshot ldoc in
+    Hashtbl.iter
+      (fun id lab ->
+        match Hashtbl.find_opt before id with
+        | Some old when old <> lab -> changed := IS.add id !changed
+        | Some _ | None -> ())
+      after;
+    List.iter (fun n -> fresh := IS.add (Dom.id n) !fresh) labeled;
+    List.iter (fun id -> deleted := IS.add id !deleted) dels;
+    if Prng.int prng 4 = 0 then begin
+      incr drains;
+      let live = ref [] and dead = ref [] in
+      Labeled_doc.drain_dirty ldoc
+        ~live:(fun s -> live := Dom.id (Labeled_doc.slot_node s) :: !live)
+        ~dead:(fun id -> dead := id :: !dead);
+      let present id = Hashtbl.mem after id in
+      let want_live = IS.filter present (IS.union !changed !fresh) in
+      let want_dead = IS.filter (fun id -> not (present id)) !deleted in
+      let live = List.rev !live and dead = List.rev !dead in
+      Alcotest.(check int) "no node drained twice" (List.length live)
+        (IS.cardinal (IS.of_list live));
+      Alcotest.(check (list int)) "live set equals the oracle"
+        (IS.elements want_live) (IS.elements (IS.of_list live));
+      Alcotest.(check (list int)) "dead ids, ascending, equal the oracle"
+        (IS.elements want_dead) dead;
+      changed := IS.empty;
+      fresh := IS.empty;
+      deleted := IS.empty
+    end
+  done;
+  Labeled_doc.check ldoc;
+  Alcotest.(check bool) "drained at least once" true (!drains > 0)
+
+let sync_holds_after_every_flush params seed () =
+  let prng = Prng.create seed in
+  let ldoc = Labeled_doc.of_document ~params (doc_of_seed seed) in
+  let pager = Pager.create (Counters.create ()) in
+  let store = Shredder.shred_label pager ldoc in
+  let sync = Label_sync.create pager store ldoc in
+  let moved_last = ref None in
+  for _ = 1 to 400 do
+    let _, _, moved = step prng ldoc ~moved_last:!moved_last in
+    moved_last := moved;
+    if Prng.int prng 3 = 0 then begin
+      ignore (Label_sync.flush sync : Label_sync.stats);
+      Label_sync.check sync
+    end
+  done;
+  ignore (Label_sync.flush sync : Label_sync.stats);
+  Label_sync.check sync
+
+(* iter_labeled_since: exactly the nodes labeled after the cursor and
+   still in the document.  node_by_start_label: every slot label resolves
+   to the node whose begin tag carries it, and nothing else. *)
+let lookups_match_scans params seed () =
+  let prng = Prng.create seed in
+  let ldoc = Labeled_doc.of_document ~params (doc_of_seed seed) in
+  let cursor = ref (Labeled_doc.labeled_cursor ldoc) in
+  let since = ref IS.empty in
+  let moved_last = ref None in
+  for i = 1 to 300 do
+    let _, labeled, moved = step prng ldoc ~moved_last:!moved_last in
+    moved_last := moved;
+    List.iter (fun n -> since := IS.add (Dom.id n) !since) labeled;
+    if i mod 7 = 0 then begin
+      let root = Option.get (Labeled_doc.document ldoc).root in
+      let present = IS.of_list (ids_of root) in
+      let got = ref [] in
+      Labeled_doc.iter_labeled_since ldoc !cursor (fun s ->
+          got := Dom.id (Labeled_doc.slot_node s) :: !got);
+      Alcotest.(check (list int)) "iter_labeled_since equals the scan"
+        (IS.elements (IS.inter !since present))
+        (List.sort Int.compare !got);
+      let by_start = Hashtbl.create 256 in
+      Dom.iter_preorder root (fun n ->
+          Hashtbl.replace by_start (Labeled_doc.label ldoc n).start_pos n);
+      Array.iter
+        (fun lab ->
+          let want = Hashtbl.find_opt by_start lab in
+          match (want, Labeled_doc.node_by_start_label ldoc lab) with
+          | None, None -> ()
+          | Some a, Some b when a == b -> ()
+          | _ -> Alcotest.failf "node_by_start_label %d disagrees" lab)
+        (Ltree.labels (Labeled_doc.tree ldoc));
+      if Prng.bool prng then begin
+        cursor := Labeled_doc.labeled_cursor ldoc;
+        since := IS.empty
+      end
+    end
+  done
+
+let configs = [ ("f4s2", Params.fig2); ("f8s2", Params.make ~f:8 ~s:2) ]
+let seeds = [ 1; 2; 3 ]
+
+let suite =
+  ( "dirty-set",
+    List.concat_map
+      (fun (name, params) ->
+        List.concat_map
+          (fun seed ->
+            let tag = Printf.sprintf "%s seed %d" name seed in
+            [ case ("drain equals the oracle, " ^ tag) `Quick
+                (drain_matches_oracle params seed);
+              case ("label sync exact after each flush, " ^ tag) `Quick
+                (sync_holds_after_every_flush params seed);
+              case ("lookups match brute-force scans, " ^ tag) `Quick
+                (lookups_match_scans params seed) ])
+          seeds)
+      configs )

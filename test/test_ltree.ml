@@ -390,6 +390,26 @@ let layout_chunks params ~height ~count =
   List.init (Layout.chunk_count params ~height ~count) (fun i ->
       Layout.chunk_size params ~height ~count i)
 
+(* Every (f, s, height, count) with count below the leaf limit: the
+   arithmetic chunking is exactly the list chunking it replaced. *)
+let chunking_grid () =
+  List.iter
+    (fun (f, s) ->
+      let params = Params.make ~f ~s in
+      for height = 1 to 4 do
+        for count = 1 to Params.lmax params ~height - 1 do
+          if
+            not
+              (List.equal Int.equal
+                 (reference_chunk_sizes params ~height ~count)
+                 (layout_chunks params ~height ~count))
+          then
+            Alcotest.failf "chunking differs at f=%d s=%d h=%d count=%d" f s
+              height count
+        done
+      done)
+    [ (4, 2); (6, 2); (6, 3); (8, 2); (8, 4); (9, 3); (12, 2); (16, 2) ]
+
 let layout_props =
   let arb =
     QCheck.make
@@ -573,4 +593,5 @@ let suite =
       QCheck_alcotest.to_alcotest relabel_locality_prop;
       QCheck_alcotest.to_alcotest random_ops_prop;
       QCheck_alcotest.to_alcotest amortized_bound_prop;
-      QCheck_alcotest.to_alcotest layout_props ] )
+      QCheck_alcotest.to_alcotest layout_props;
+      case "arithmetic chunking equals the list grid" `Quick chunking_grid ] )

@@ -43,6 +43,7 @@ let () =
        Test_xpath.suite;
        Test_relstore.suite;
        Test_label_sync.suite;
+       Test_dirty.suite;
        Test_recovery.suite;
        Test_workload.suite;
        Test_exec.suite;

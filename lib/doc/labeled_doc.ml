@@ -178,8 +178,8 @@ let labeled_cursor t = Ltree.last_leaf_id t.tree
 
 (* Leaf ids grow monotonically per tree, so the slots created after
    [cursor] are the start leaves with a larger id.  Deleted nodes have
-   left the owner column; end-tag leaves belong to a node
-   whose start leaf differs, so each fresh node is seen once. *)
+   left the owner column; end-tag leaves belong to a node whose start
+   leaf differs, so each fresh node is seen once. *)
 let iter_labeled_since t cursor f =
   for id = cursor + 1 to Ltree.last_leaf_id t.tree do
     let e = owner t id in
@@ -268,15 +268,12 @@ let move_subtree t ~node ~parent ~index =
 
 let compact t = Ltree.compact t.tree
 
-let clear_pending t =
+let track_dirty t =
   for i = 0 to Column.length t.pending - 1 do
     (owner t (Column.get t.pending i)).marked <- false
   done;
   Column.clear t.pending;
-  t.dead <- []
-
-let track_dirty t =
-  clear_pending t;
+  t.dead <- [];
   Ltree.track_relabels t.tree;
   t.tracking <- true
 

@@ -139,9 +139,9 @@ val compact : t -> unit
     changed, so a store can refresh only those rows.  A relabel costs
     O(1) with no hashing and no allocation: the L-Tree's own relabel log
     ({!Ltree.track_relabels}) records the leaf, and the leaf-to-node
-    mapping (a leaf-id-indexed column of node slots) is only consulted
-    when the store drains.  Inserted nodes are queued as they are
-    labeled, deleted ones as they are deleted. *)
+    mapping (a leaf-id-indexed column of entries) is only
+    consulted when the store drains.  Inserted nodes are queued as they
+    are labeled, deleted ones as they are deleted. *)
 
 (** [track_dirty t] starts (or restarts) tracking with an empty set: a
     store calls it when it binds to the document, holding every label as
@@ -171,8 +171,8 @@ val node_by_id : t -> int -> Dom.node option
 
 (** [node_by_start_label t lab] finds the node whose begin tag currently
     carries label [lab], in O(height) (digit descent, §4.2, then one
-    column read).  [None] for
-    unused labels, end-tag labels, and tombstoned slots. *)
+    column read).  [None] for unused labels, end-tag labels, and
+    tombstoned slots. *)
 val node_by_start_label : t -> int -> Dom.node option
 
 (** {1 Introspection} *)

@@ -95,11 +95,8 @@ let finish ~name ~path ~depth ~start ~before ~attrs ~on_close counters =
   add r;
   (match on_close with Some f -> f r | None -> ())
 
-let with_ ?(attrs = []) ?counters ?on_close ~name fn =
-  (* Disabled fast path: one atomic flag read, then straight to [fn].
-     No clock read, no stack or DLS touch, no allocation. *)
-  if not (Atomic.get on) then fn ()
-  else begin
+let traced ~attrs ~counters ~on_close ~name fn =
+  begin
     let stack = stack () in
     let path = current_path stack name in
     let depth = List.length !stack in
@@ -126,6 +123,13 @@ let with_ ?(attrs = []) ?counters ?on_close ~name fn =
       finish ~name ~path ~depth ~start ~before ~attrs ~on_close counters;
       raise e
   end
+
+(* Disabled fast path: one atomic flag read, then straight to [fn].  No
+   clock read, no stack or DLS touch, no allocation — and none of the
+   traced path's frame set-up, which lives in [traced]. *)
+let with_ ?(attrs = []) ?counters ?on_close ~name fn =
+  if not (Atomic.get on) then fn ()
+  else traced ~attrs ~counters ~on_close ~name fn
 
 let event ?(attrs = []) name =
   if Atomic.get on then begin

@@ -142,11 +142,26 @@ let vector t (test : Ast.test) =
 
 (* The test's live nodes with their current labels, in document order:
    read straight off the vector, no table lookup and no sort, once per
-   document version. *)
+   document version.  A position whose node and labels did not move
+   keeps its item: most labels survive an update, and allocating every
+   item afresh each version let the items of several versions pile up
+   young between minor collections, which the collection landing in a
+   query then promoted all at once. *)
 let sorted_items t (test : Ast.test) =
   let vec = vector t test in
   if vec.items_version <> t.version then begin
-    vec.items <- Array.init vec.len (fun i -> item_of_slot t vec.slots.(i));
+    let old = vec.items in
+    vec.items <-
+      Array.init vec.len (fun i ->
+          let s = vec.slots.(i) in
+          if
+            i < Array.length old
+            && old.(i).node == Labeled_doc.slot_node s
+            && old.(i).start_pos = start_of t s
+            && old.(i).end_pos = Labeled_doc.slot_end t.ldoc s
+            && old.(i).level = Labeled_doc.slot_level s
+          then old.(i)
+          else item_of_slot t s);
     vec.items_version <- t.version
   end;
   vec.items

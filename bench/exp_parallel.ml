@@ -4,12 +4,13 @@
 
    Per (workload, n): build a site/item document with [n] items inserted
    at pattern-chosen positions, flush, freeze a {!Read_snapshot}, then
-   time a fixed batch of descendant queries through
-   {!Par_query.descendants_batch} at every pool size.  Wall clock is
+   time a fixed batch of descendant queries through the snapshot
+   driver's pooled batch ({!Read_snapshot.run_batch}, one [Pool.map]
+   task per query) at every pool size.  Wall clock is
    [Unix.gettimeofday] — [Sys.time] is CPU time and *sums* across
-   domains, which would hide every speedup.  Every parallel result is
-   checked element-for-element against the serial plans first, so the
-   numbers can't come from a wrong answer.
+   domains, which would hide every speedup.  Every pooled result is
+   checked element-for-element against the sort-on-fetch baseline
+   first, so the numbers can't come from a wrong answer.
 
    The headline speedup assertion (>= 2x at 4 domains for n >= 10k) is
    gated on [Domain.recommended_domain_count () >= 4]: on fewer cores
@@ -31,7 +32,6 @@ module Prng = Ltree_workload.Prng
 module Params = Ltree_core.Params
 module Pool = Ltree_exec.Pool
 module Read_snapshot = Ltree_exec.Read_snapshot
-module Par_query = Ltree_exec.Par_query
 module Span = Ltree_obs.Span
 
 let initial_items = 64
@@ -92,32 +92,36 @@ let query_pairs = [| ("site", "name"); ("site", "item"); ("item", "name") |]
 let run_cell ~pattern ~n ~domains_list ~batchq ~reps =
   let pager, store, ldoc = build_store ~n pattern in
   let snap = Read_snapshot.of_store pager store ldoc in
-  let batch =
+  let pairs =
     Array.init batchq (fun i -> query_pairs.(i mod Array.length query_pairs))
   in
   let serial =
     Array.map
-      (fun (anc, desc) -> Query.label_descendants pager store ~anc ~desc)
-      batch
+      (fun (anc, desc) ->
+        Query.label_descendants_baseline pager store ~anc ~desc)
+      pairs
+  in
+  let batch =
+    Array.map (fun (anc, desc) -> Read_snapshot.Descendants (anc, desc)) pairs
   in
   let serial_wall = ref 0.0 in
   List.map
     (fun domains ->
       Pool.with_pool ~size:domains (fun pool ->
-          let got = Par_query.descendants_batch pool snap batch in
+          let got = Read_snapshot.run_batch pool snap batch in
           Array.iteri
             (fun i expected ->
               if not (List.equal Int.equal expected got.(i)) then
                 failwith
                   (Printf.sprintf
                      "exp_parallel: %s n=%d domains=%d batch[%d] disagrees \
-                      with the serial plan"
+                      with the baseline plan"
                      (Driver.pattern_name pattern) n domains i))
             serial;
           let st0 = Pool.stats pool in
           let t0 = Unix.gettimeofday () in
           for _ = 1 to reps do
-            ignore (Par_query.descendants_batch pool snap batch)
+            ignore (Read_snapshot.run_batch pool snap batch)
           done;
           let wall = Unix.gettimeofday () -. t0 in
           let st1 = Pool.stats pool in

@@ -30,7 +30,6 @@ module Span = Ltree_obs.Span
 module Accountant = Ltree_obs.Accountant
 module Pool = Ltree_exec.Pool
 module Read_snapshot = Ltree_exec.Read_snapshot
-module Par_query = Ltree_exec.Par_query
 module Sharded_doc = Ltree_shard.Sharded_doc
 
 type t = {
@@ -191,11 +190,13 @@ let register_invariants t =
       Label_index.check t.store.Shredder.label_index ~fetch:(fun rid ->
           let row = Rel_table.get t.store.Shredder.label_table rid in
           (row.Shredder.l_start, row.Shredder.l_end, row.Shredder.l_dead)));
-  (* Parallel plans over a frozen snapshot must agree with the serial
-     plans on every tag pair, at whatever pool size the harness was
-     given — the determinism contract of lib/exec.  Also proves the
-     staleness guard: the snapshot is taken after the flush, so it must
-     still be fresh when queried. *)
+  (* The pooled snapshot driver must agree with plans that share none
+     of its join code, on every tag pair, at whatever pool size the
+     harness was given: the sort-on-fetch baseline for both descendant
+     plans, and the edge-table plans (over a fresh edge shredding of the
+     same document) for children and paths.  Also proves the staleness
+     guard: the snapshot is taken after the flush, so it must still be
+     fresh when queried. *)
   (match t.pool with
   | None -> ()
   | Some pool ->
@@ -203,57 +204,57 @@ let register_invariants t =
       ~depth:Invariant.Deep (fun () ->
         ignore (Label_sync.flush t.sync);
         let snap = Read_snapshot.of_store t.pager t.store t.ldoc in
+        let edges =
+          Shredder.shred_edge
+            (Pager.create (Counters.create ()))
+            (Labeled_doc.document t.ldoc)
+        in
         let tags =
           Hashtbl.fold
             (fun tag _ acc -> tag :: acc)
             t.store.Shredder.label_by_tag []
           |> List.sort String.compare
         in
-        let check name got want =
-          if not (List.equal Int.equal got want) then
-            Invariant.fail ~name:"exec.parallel-plans-agree"
-              "%s: parallel plan found %d ids, serial %d (or a different \
-               order)"
-              name (List.length got) (List.length want)
+        let cases =
+          List.concat_map
+            (fun anc ->
+              List.concat_map
+                (fun desc ->
+                  let baseline =
+                    Query.label_descendants_baseline t.pager t.store ~anc
+                      ~desc
+                  in
+                  [ ( Printf.sprintf "%s//%s" anc desc,
+                      Read_snapshot.Descendants (anc, desc),
+                      baseline );
+                    ( Printf.sprintf "%s/%s" anc desc,
+                      Read_snapshot.Children (anc, desc),
+                      Query.edge_children edges ~parent:anc ~child:desc );
+                    ( Printf.sprintf "inl:%s//%s" anc desc,
+                      Read_snapshot.Descendants_inl (anc, desc),
+                      baseline ) ])
+                tags)
+            tags
+          @
+          match tags with
+          | a :: b :: c :: _ ->
+            [ ( Printf.sprintf "%s//%s//%s" a b c,
+                Read_snapshot.Path [ a; b; c ],
+                Query.edge_path edges [ a; b; c ] ) ]
+          | _ -> []
         in
-        List.iter
-          (fun anc ->
-            List.iter
-              (fun desc ->
-                check
-                  (Printf.sprintf "%s//%s" anc desc)
-                  (Par_query.descendants pool snap ~anc ~desc)
-                  (Query.label_descendants t.pager t.store ~anc ~desc);
-                check
-                  (Printf.sprintf "%s/%s" anc desc)
-                  (Par_query.children pool snap ~parent:anc ~child:desc)
-                  (Query.label_children t.pager t.store ~parent:anc
-                     ~child:desc);
-                check
-                  (Printf.sprintf "inl:%s//%s" anc desc)
-                  (Par_query.descendants_inl pool snap ~anc ~desc)
-                  (Query.label_descendants_inl t.pager t.store ~anc ~desc))
-              tags)
-          tags;
-        (match tags with
-        | a :: b :: c :: _ ->
-          check
-            (Printf.sprintf "%s//%s//%s" a b c)
-            (Par_query.path pool snap [ a; b; c ])
-            (Query.label_path t.pager t.store [ a; b; c ])
-        | _ -> ());
-        let batch =
-          Array.of_list
-            (List.concat_map (fun a -> List.map (fun d -> (a, d)) tags) tags)
+        let got =
+          Read_snapshot.run_batch pool snap
+            (Array.of_list (List.map (fun (_, plan, _) -> plan) cases))
         in
-        let got = Par_query.descendants_batch pool snap batch in
-        Array.iteri
-          (fun i (anc, desc) ->
-            check
-              (Printf.sprintf "batch:%s//%s" anc desc)
-              got.(i)
-              (Query.label_descendants t.pager t.store ~anc ~desc))
-          batch));
+        List.iteri
+          (fun i (name, _, want) ->
+            if not (List.equal Int.equal got.(i) want) then
+              Invariant.fail ~name:"exec.parallel-plans-agree"
+                "%s: snapshot driver found %d ids, independent oracle %d \
+                 (or a different order)"
+                name (List.length got.(i)) (List.length want))
+          cases));
   (* Sharded fan-out plans must stay byte-identical to the same plans
      over the router twin's single unsharded store — at the harness's
      pool size, across rebalances (the checkpoint op may split a

@@ -19,8 +19,8 @@ module Xml_gen = Ltree_workload.Xml_gen
 module Driver = Ltree_workload.Driver
 module Pool = Ltree_exec.Pool
 
-(* Shared --domains K flag: pool size for the parallel read path.
-   Defaults to $LTREE_DOMAINS, else 1 (serial). *)
+(* Shared --domains K flag: pool size for the commands that fan work
+   across domains.  Defaults to $LTREE_DOMAINS, else 1 (serial). *)
 let domains_arg =
   Arg.(value & opt int (Pool.default_size ())
        & info [ "domains" ] ~docv:"K"
@@ -160,24 +160,7 @@ let query_cmd =
   let show =
     Arg.(value & flag & info [ "print" ] ~doc:"Print matching subtrees.")
   in
-  (* The parallel read path covers absolute descendant-only name chains
-     ([//a//b//c]): exactly the shape [Par_query.path] shards.  Anything
-     else falls back to the serial engine. *)
-  let parallel_path_tags (ast : Ltree_xpath.Ast.t) =
-    if not ast.Ltree_xpath.Ast.absolute then None
-    else
-      let rec go acc = function
-        | [] -> ( match acc with [] -> None | _ :: _ -> Some (List.rev acc))
-        | { Ltree_xpath.Ast.axis = Ltree_xpath.Ast.Descendant;
-            test = Ltree_xpath.Ast.Name tag;
-            preds = [] }
-          :: rest ->
-          go (tag :: acc) rest
-        | _ :: _ -> None
-      in
-      go [] ast.Ltree_xpath.Ast.steps
-  in
-  let run file path engine show f s domains =
+  let run file path engine show f s =
     let doc = parse_doc file in
     let ast =
       try Ltree_xpath.Xpath_parser.parse path
@@ -185,33 +168,13 @@ let query_cmd =
         Printf.eprintf "bad XPath (offset %d): %s\n" off msg;
         exit 2
     in
-    let serial () =
+    let results =
       match engine with
       | `Dom -> Ltree_xpath.Dom_eval.eval doc ast
       | `Label ->
         let ldoc = Labeled_doc.of_document ~params:(params_of f s) doc in
         let eng = Ltree_xpath.Label_eval.create ldoc in
         Ltree_xpath.Label_eval.eval eng ast
-    in
-    let results =
-      match engine with
-      | `Label when domains > 1 -> (
-        match parallel_path_tags ast with
-        | None ->
-          Printf.eprintf
-            "note: --domains only parallelizes absolute descendant name \
-             chains (//a//b); evaluating serially\n%!";
-          serial ()
-        | Some tags ->
-          with_domains domains @@ fun pool ->
-          let pool = Option.get pool in
-          let ldoc = Labeled_doc.of_document ~params:(params_of f s) doc in
-          let pager = Ltree_relstore.Pager.create (Counters.create ()) in
-          let store = Ltree_relstore.Shredder.shred_label pager ldoc in
-          let snap = Ltree_exec.Read_snapshot.of_store pager store ldoc in
-          let ids = Ltree_exec.Par_query.path pool snap tags in
-          List.filter_map (Labeled_doc.node_by_id ldoc) ids)
-      | _ -> serial ()
     in
     Printf.printf "%d matches\n" (List.length results);
     if show then
@@ -221,8 +184,7 @@ let query_cmd =
   in
   Cmd.v
     (Cmd.info "query" ~doc:"Evaluate an XPath over a document.")
-    Term.(const run $ file_arg $ path_arg $ engine_arg $ show $ f_arg $ s_arg
-          $ domains_arg)
+    Term.(const run $ file_arg $ path_arg $ engine_arg $ show $ f_arg $ s_arg)
 
 (* tune *)
 

@@ -51,6 +51,16 @@ let[@inline] [@ltree.hot] push t v =
   A.unsafe_set t.buf t.len v;
   t.len <- t.len + 1
 
+let unsafe_buf t = t.buf
+
+let[@ltree.hot] gather src ~idx dst =
+  let n = idx.len in
+  if A.dim dst.buf < n then (reserve dst n [@ltree.cold]);
+  for i = 0 to n - 1 do
+    A.unsafe_set dst.buf i (A.unsafe_get src.buf (A.unsafe_get idx.buf i))
+  done;
+  dst.len <- n
+
 let swap a b =
   let buf = a.buf and len = a.len in
   a.buf <- b.buf;
@@ -146,7 +156,7 @@ let rec collect_word w value (out : buf) w_out =
   end
   else collect_word (w lsr 1) (value + 1) out w_out
 
-let rec gather (mark : buf) words wi base (out : buf) w_out =
+let rec collect_words (mark : buf) words wi base (out : buf) w_out =
   if wi >= words then w_out
   else begin
     let w = A.unsafe_get mark wi in
@@ -154,7 +164,7 @@ let rec gather (mark : buf) words wi base (out : buf) w_out =
       if w = 0 then w_out
       else collect_word w (base + (wi lsl 5)) out w_out
     in
-    gather mark words (wi + 1) base out w_out
+    collect_words mark words (wi + 1) base out w_out
   end
 
 (* Sparse values: an LSD radix sort on the unsigned offsets [v - min],
@@ -240,7 +250,7 @@ let[@ltree.hot] sort_dedup t ~mark =
       (reserve mark words [@ltree.cold]);
       zero_words mark.buf 0 words;
       scatter t.buf n 0 mark.buf mn;
-      t.len <- gather mark.buf words 0 mn t.buf 0
+      t.len <- collect_words mark.buf words 0 mn t.buf 0
     end
     else begin
       (* Sparse (or a span past [max_int]): radix sort, then one dedup

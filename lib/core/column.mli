@@ -54,6 +54,19 @@ val push : t -> int -> unit
     [length t] values.  No-op when already large enough. *)
 val reserve : t -> int -> unit
 
+(** The backing buffer type, for kernels that index a column directly. *)
+type buf = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(** [unsafe_buf t] is [t]'s current buffer: [Bigarray.Array1.unsafe_get]
+    on it is an inline load even where the compiler cannot inline
+    {!get} across modules.  Valid until [t] next grows, so a writer
+    {!reserve}s first and finishes with {!set_len}. *)
+val unsafe_buf : t -> buf
+
+(** [gather src ~idx dst] overwrites [dst] with [src]'s values at the
+    positions listed in [idx], in [idx]'s order. *)
+val gather : t -> idx:t -> t -> unit
+
 (** [swap a b] exchanges the buffers and lengths of [a] and [b] in
     O(1) — the reuse primitive for double-buffered rebuilds. *)
 val swap : t -> t -> unit

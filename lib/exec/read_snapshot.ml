@@ -12,14 +12,7 @@ module Shredder = Ltree_relstore.Shredder
    structure, so no query ever touches the pager, the row tables or the
    repairable index columns. *)
 
-type slice = {
-  s_starts : Column.t;
-  s_ends : Column.t;
-  s_ids : Column.t;
-  s_levels : Column.t;
-  s_len : int;
-  s_stamp : int;
-}
+type slice = { s_rows : Label_index.entry; s_levels : Column.t }
 
 (* A translation of the store's Dom ids into another id space (a
    shard's local ids into router ids), memoized per label-table row:
@@ -88,12 +81,8 @@ let staleness_to_string s =
     s.stale_live_generation
 
 let empty_slice =
-  { s_starts = Column.create ~capacity:1 ();
-    s_ends = Column.create ~capacity:1 ();
-    s_ids = Column.create ~capacity:1 ();
-    s_levels = Column.create ~capacity:1 ();
-    s_len = 0;
-    s_stamp = -1 }
+  { s_rows = Label_index.create_entry ~capacity:1 ();
+    s_levels = Column.create ~capacity:1 () }
 
 (* Freeze one tag.  When the previous snapshot holds a slice whose
    stamp matches the entry's (the entry was not rebuilt or repaired in
@@ -109,7 +98,9 @@ let freeze_tag ?prev ?ids pager store tag =
       | None -> None
       | Some p -> (
           match Hashtbl.find_opt p.slices tag with
-          | Some s when s.s_stamp = e.Label_index.stamp && s.s_len = n ->
+          | Some s
+            when s.s_rows.Label_index.stamp = e.Label_index.stamp
+                 && s.s_rows.Label_index.len = n ->
             Some s
           | Some _ | None -> None)
     in
@@ -127,12 +118,13 @@ let freeze_tag ?prev ?ids pager store tag =
            | Some m -> translate m rid row.Shredder.l_id);
         Column.push levels row.Shredder.l_level
       done;
-      { s_starts = Column.copy_sub e.Label_index.starts 0 n;
-        s_ends = Column.copy_sub e.Label_index.ends 0 n;
-        s_ids = out_ids;
-        s_levels = levels;
-        s_len = n;
-        s_stamp = e.Label_index.stamp }
+      { s_rows =
+          { Label_index.starts = Column.copy_sub e.Label_index.starts 0 n;
+            ends = Column.copy_sub e.Label_index.ends 0 n;
+            rids = out_ids;
+            len = n;
+            stamp = e.Label_index.stamp };
+        s_levels = levels }
   end
 
 let of_store ?prev ?ids pager store doc =
@@ -156,8 +148,6 @@ let of_store ?prev ?ids pager store doc =
     src =
       { src_pager = pager; src_store = store; src_doc = doc; src_ids = ids } }
 
-let version t = t.snap_version
-let generation t = t.snap_generation
 
 let tags t =
   List.sort String.compare
@@ -167,16 +157,6 @@ let tags t =
    step and the option would be their only allocation. *)
 let[@ltree.hot] slice t tag =
   try Hashtbl.find t.slices tag with Not_found -> empty_slice
-
-(* An entry view of a slice for the shared array-join code.  The [rids]
-   slot carries Dom ids, not row ids: snapshot joins never go back to
-   the row table.  Callers must treat the entry as immutable. *)
-let entry_of_slice s =
-  { Label_index.starts = s.s_starts;
-    ends = s.s_ends;
-    rids = s.s_ids;
-    len = s.s_len;
-    stamp = s.s_stamp }
 
 let[@ltree.hot] is_fresh t =
   t.snap_version = Ltree_doc.Labeled_doc.version t.src.src_doc
@@ -211,3 +191,67 @@ let refresh t =
   else
     of_store ~prev:t ?ids:t.src.src_ids t.src.src_pager t.src.src_store
       t.src.src_doc
+
+(* {1 The serial snapshot driver}
+
+   One plan over one frozen snapshot, on the caller's workspace: one
+   {!Query} kernel per join, the matched rows' ids read straight out of
+   the slices.  Sharded tasks, the unsharded reference plans and pooled
+   batches all run this. *)
+
+type plan =
+  | Descendants of string * string
+  | Children of string * string
+  | Descendants_inl of string * string
+  | Path of string list
+
+let run counters t (ws : Label_index.workspace) plan =
+  Column.clear ws.w_out;
+  match plan with
+  | Descendants (anc, desc) ->
+    let d = (slice t desc).s_rows in
+    Query.semi_join counters (slice t anc).s_rows d ws;
+    Column.gather d.rids ~idx:ws.w_dpos ws.w_out
+  | Children (parent, child) ->
+    let p = slice t parent and c = slice t child in
+    Query.semi_join counters p.s_rows c.s_rows ws;
+    for i = 0 to Column.length ws.w_dpos - 1 do
+      let dpos = Column.get ws.w_dpos i in
+      if
+        Column.get c.s_levels dpos
+        = Column.get p.s_levels (Column.get ws.w_apos i) + 1
+      then Column.push ws.w_out (Column.get c.s_rows.rids dpos)
+    done
+  | Descendants_inl (anc, desc) ->
+    let d = (slice t desc).s_rows in
+    Query.inl_probe counters (slice t anc).s_rows d ws;
+    Column.gather d.rids ~idx:ws.w_dpos ws.w_out
+  | Path [] -> ()
+  | Path (first :: rest) ->
+    let final =
+      Query.path_rows counters ws (fun tag -> (slice t tag).s_rows) first
+        rest
+    in
+    for i = 0 to final.len - 1 do
+      Column.push ws.w_out (Column.get final.rids i)
+    done
+
+(* One task per plan, each on its own counters and workspace; the
+   comparisons are recorded per plan after the barrier. *)
+let run_batch ?counters pool t plans =
+  ensure_fresh t;
+  let answers =
+    Pool.map ~chunk:1 pool
+      (fun plan ->
+        let local = Ltree_metrics.Counters.create () in
+        let ws = Label_index.create_workspace () in
+        run local t ws plan;
+        Column.sort_dedup ws.w_out ~mark:ws.w_mark;
+        (Ltree_metrics.Counters.comparisons local, Column.to_list ws.w_out))
+      plans
+  in
+  Array.map
+    (fun (comparisons, ids) ->
+      Query.record_comparisons ?counters comparisons;
+      ids)
+    answers

@@ -4,7 +4,7 @@
     per-tag label index ({!Ltree_relstore.Label_index}): for every tag,
     the sorted [(start, end)] interval columns plus each row's Dom id
     and tree level, stored as untagged-int {!Ltree_core.Column}s.
-    Worker domains share it read-only — parallel query plans never
+    Worker domains share it read-only — plans over it ({!run}) never
     touch the pager, the row tables, or the live index.
 
     A snapshot frozen with an {!id_map} stores translated ids instead
@@ -23,17 +23,15 @@
 
 type t
 
-(** One tag's frozen rows, parallel columns over [0 .. s_len):
-    [s_starts] strictly increasing.  [s_stamp] is the index entry's
-    maintenance stamp at freeze time — the reuse key for {!refresh}. *)
+(** One tag's frozen rows.  [s_rows] is an index entry over
+    [0 .. len) with [starts] strictly increasing, whose [rids] column
+    holds Dom ids (translated through the {!id_map}, if any) instead of
+    row ids, and whose [stamp] is the index entry's maintenance stamp
+    at freeze time — the reuse key for {!refresh}.  [s_levels] is each
+    row's tree depth, root = 0.  Treat both as immutable. *)
 type slice = {
-  s_starts : Ltree_core.Column.t;
-  s_ends : Ltree_core.Column.t;
-  s_ids : Ltree_core.Column.t;
-      (** Dom node ids, translated through the {!id_map} if any *)
-  s_levels : Ltree_core.Column.t;  (** tree depth, root = 0 *)
-  s_len : int;
-  s_stamp : int;
+  s_rows : Ltree_relstore.Label_index.entry;
+  s_levels : Ltree_core.Column.t;
 }
 
 (** Why a snapshot was refused: the stamps it froze against both live
@@ -81,23 +79,12 @@ val of_store :
   Ltree_doc.Labeled_doc.t ->
   t
 
-(** Document version the snapshot was frozen at. *)
-val version : t -> int
-
-(** Index generation the snapshot was frozen at. *)
-val generation : t -> int
-
 (** Tags with a (possibly empty) slice, sorted. *)
 val tags : t -> string list
 
 (** [slice t tag] is the tag's frozen slice; an empty slice for tags
     the snapshot has never seen. *)
 val slice : t -> string -> slice
-
-(** An entry view of a slice for {!Ltree_relstore.Query.array_join}.
-    The entry's [rids] field carries the slice's [s_ids], not row ids;
-    treat it as immutable. *)
-val entry_of_slice : slice -> Ltree_relstore.Label_index.entry
 
 val is_fresh : t -> bool
 
@@ -112,3 +99,35 @@ val ensure_fresh : t -> unit
     source store through the same {!id_map} (reusing unchanged tags'
     slices). *)
 val refresh : t -> t
+
+(** {1 The serial snapshot driver} *)
+
+(** A label plan: [anc//desc] by the stack semi-join, [parent/child]
+    (the semi-join kept where the innermost ancestor is one level up),
+    [anc//desc] by the index nested loop, and a descendant path
+    [t1//t2//…//tk] (one semi-join per step). *)
+type plan =
+  | Descendants of string * string
+  | Children of string * string
+  | Descendants_inl of string * string
+  | Path of string list
+
+(** [run counters t ws plan] evaluates [plan] serially over [t] with
+    the {!Ltree_relstore.Query} kernels, writing into [ws] and
+    charging comparisons to [counters].  The matched ids ([s_rows.rids]
+    values) are left in [ws.w_out], unsorted; the index-nested-loop
+    plan may repeat one.  Freshness is the caller's business ({!ensure_fresh}
+    or a snapshot it just froze).  Sharded tasks run it over each
+    shard's snapshot, one workspace per task. *)
+val run :
+  Ltree_metrics.Counters.t ->
+  t -> Ltree_relstore.Label_index.workspace -> plan -> unit
+
+(** [run_batch ?counters pool t plans] checks {!ensure_fresh} once, then
+    fans the plans across [pool] with [Pool.map], one task per plan on
+    its own workspace; per-plan sorted, deduplicated ids, index-aligned
+    with [plans].  Each plan's comparisons are recorded after the
+    barrier ({!Ltree_relstore.Query.record_comparisons}). *)
+val run_batch :
+  ?counters:Ltree_metrics.Counters.t ->
+  Pool.t -> t -> plan array -> int list array

@@ -68,8 +68,6 @@ let pp_fault ppf fault =
 
 type snapshot_source = Current | Previous
 
-let source_name = function Current -> "current" | Previous -> "previous"
-
 type report = {
   source : snapshot_source;
   base_seq : int;
@@ -80,20 +78,6 @@ type report = {
   faults : fault list;
   durable_seq : int;
 }
-
-let pp_report ppf r =
-  Format.fprintf ppf
-    "@[<v>snapshot: %s (base seq %d, epoch %d)@,\
-     journal: %d replayed, %d skipped, %d dropped@,\
-     durable seq: %d@,\
-     faults: %s@]"
-    (source_name r.source) r.base_seq r.epoch r.entries_replayed
-    r.entries_skipped r.entries_dropped r.durable_seq
-    (match r.faults with
-     | [] -> "none"
-     | faults ->
-       String.concat ", "
-         (List.map (fun f -> Format.asprintf "%a" pp_fault f) faults))
 
 type t = {
   io : Fault.io;
@@ -353,9 +337,6 @@ let apply t entry =
       Buffer.add_string t.pending (record_line ~seq:t.last_seq entry);
       t.pending_count <- t.pending_count + 1;
       if t.pending_count >= t.group_commit then flush_pending t)
-
-let insert_xml t ~anchor ~index ~xml =
-  apply t (Journal.Insert { anchor; index; xml })
 
 let delete t ~anchor = apply t (Journal.Delete { anchor })
 let set_text t ~anchor ~text = apply t (Journal.Set_text { anchor; text })

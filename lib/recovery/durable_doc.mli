@@ -61,8 +61,6 @@ val pp_fault : Format.formatter -> fault -> unit
 
 type snapshot_source = Current | Previous
 
-val source_name : snapshot_source -> string
-
 (** What recovery found and did.  [durable_seq] is the highest
     operation sequence number the recovered document reflects —
     the store's durable prefix. *)
@@ -76,8 +74,6 @@ type report = {
   faults : fault list;  (** everything wrong that was found, in order *)
   durable_seq : int;
 }
-
-val pp_report : Format.formatter -> report -> unit
 
 (** {1 The store} *)
 
@@ -132,7 +128,6 @@ val generation : t -> int
     that case. *)
 
 val apply : t -> Ltree_doc.Journal.entry -> unit
-val insert_xml : t -> anchor:int -> index:int -> xml:string -> unit
 val delete : t -> anchor:int -> unit
 val set_text : t -> anchor:int -> text:string -> unit
 

@@ -33,9 +33,6 @@ val validate : ?extra:(string * int) list -> config -> unit
 (** Every slot's label, in document order. *)
 val observe_labels : Ltree_doc.Labeled_doc.t -> int array
 
-(** CRC-32 of the serialized document. *)
-val doc_crc : Ltree_doc.Labeled_doc.t -> int
-
 val int_array_equal : int array -> int array -> bool
 
 type oracle = {

@@ -21,15 +21,41 @@ type entry = {
 type jstate = {
   mutable js_ai : int;
   mutable js_di : int;
+  mutable js_sp : int;
+  mutable js_n : int;
+  mutable js_cmp : int;
   mutable js_done : bool;
 }
 
 type workspace = {
   w_stack : Column.t;
+  w_spos : Column.t;
+  w_dpos : Column.t;
+  w_apos : Column.t;
   w_out : Column.t;
   w_mark : Column.t;
   w_js : jstate;
+  w_steps : entry array;
 }
+
+let create_entry ?(capacity = 16) () =
+  { starts = Column.create ~capacity ();
+    ends = Column.create ~capacity ();
+    rids = Column.create ~capacity ();
+    len = 0;
+    stamp = -1 }
+
+let create_workspace () =
+  { w_stack = Column.create ~capacity:64 ();
+    w_spos = Column.create ~capacity:64 ();
+    w_dpos = Column.create ~capacity:256 ();
+    w_apos = Column.create ~capacity:256 ();
+    w_out = Column.create ~capacity:256 ();
+    w_mark = Column.create ~capacity:256 ();
+    w_js =
+      { js_ai = 0; js_di = 0; js_sp = 0; js_n = 0; js_cmp = 0;
+        js_done = false };
+    w_steps = [| create_entry (); create_entry () |] }
 
 type stats = { repairs : int; full_rebuilds : int; merged_rows : int }
 
@@ -62,11 +88,7 @@ let create () =
     ins_e = Column.create ~capacity:64 ();
     ins_r = Column.create ~capacity:64 ();
     rmark = Column.create ~capacity:64 ();
-    ws =
-      { w_stack = Column.create ~capacity:64 ();
-        w_out = Column.create ~capacity:256 ();
-        w_mark = Column.create ~capacity:256 ();
-        w_js = { js_ai = 0; js_di = 0; js_done = false } } }
+    ws = create_workspace () }
 
 let generation t = t.generation
 let workspace t = t.ws
@@ -115,13 +137,8 @@ let rebuild t counters ~rids_of_tag ~fetch tag =
   Span.event ~attrs:[ ("tag", tag) ] "relstore.index_rebuild";
   let ids = rids_of_tag tag in
   let cap = Int.max 16 (List.length ids) in
-  let entry =
-    { starts = Column.create ~capacity:cap ();
-      ends = Column.create ~capacity:cap ();
-      rids = Column.create ~capacity:cap ();
-      len = 0;
-      stamp = t.generation }
-  in
+  let entry = create_entry ~capacity:cap () in
+  entry.stamp <- t.generation;
   List.iter
     (fun rid ->
       let s, e, dead = fetch rid in

@@ -37,26 +37,45 @@ type entry = {
   mutable stamp : int;
 }
 
-(** Mutable cursor state for the zero-alloc join spine: the join loop in
-    {!Query} keeps its two cursors here instead of in local refs, which
+(** Mutable loop state of the join kernels in {!Query}: the two input
+    cursors, the open-ancestor stack depth, the match count and the
+    comparisons made so far live here instead of in local refs, which
     vanilla OCaml would box. *)
 type jstate = {
   mutable js_ai : int;
   mutable js_di : int;
+  mutable js_sp : int;
+  mutable js_n : int;
+  mutable js_cmp : int;
   mutable js_done : bool;
 }
 
-(** Preallocated query workspace, one per index, reused across queries:
-    [w_stack] holds the open ancestor ends, [w_out] the emitted row ids,
-    [w_mark] is {!Ltree_core.Column.sort_dedup} scratch.  A query's
-    result read from [w_out] is only valid until the next query on the
-    same index. *)
+(** Reusable query workspace: the columns the two join kernels of
+    {!Query} write into, plus what their drivers need.  [w_stack] and
+    [w_spos] hold the open ancestors' interval ends and input
+    positions; each kernel writes one [(w_dpos, w_apos)] pair per
+    match — the descendant's input position and the ancestor's;
+    [w_out] collects a plan's result ids, [w_mark] is
+    {!Ltree_core.Column.sort_dedup} scratch, and a path plan alternates
+    between the two [w_steps] entries.  Results read from a workspace
+    are only valid until its next query. *)
 type workspace = {
   w_stack : Ltree_core.Column.t;
+  w_spos : Ltree_core.Column.t;
+  w_dpos : Ltree_core.Column.t;
+  w_apos : Ltree_core.Column.t;
   w_out : Ltree_core.Column.t;
   w_mark : Ltree_core.Column.t;
   w_js : jstate;
+  w_steps : entry array;
 }
+
+(** [create_entry ()] is an empty entry with fresh columns. *)
+val create_entry : ?capacity:int -> unit -> entry
+
+(** [create_workspace ()] is a fresh workspace, for a caller that joins
+    outside any index (snapshot tasks, the XPath evaluator). *)
+val create_workspace : unit -> workspace
 
 (** Maintenance counters: [repairs] counts dirty-tag merge repairs (each
     one is a full re-sort avoided), [full_rebuilds] counts from-scratch
@@ -67,7 +86,7 @@ type stats = { repairs : int; full_rebuilds : int; merged_rows : int }
 val create : unit -> t
 val stats : t -> stats
 
-(** [workspace t] is [t]'s preallocated query workspace. *)
+(** [workspace t] is [t]'s own query workspace. *)
 val workspace : t -> workspace
 
 (** [generation t] is a monotone stamp bumped by every {!note_change} /

@@ -17,6 +17,10 @@ let observe_join r =
 
 let ids_of_tag tbl tag = Option.value ~default:[] (Hashtbl.find_opt tbl tag)
 
+let children_of (store : edge_store) id =
+  Option.value ~default:[]
+    (Ltree_metrics.Int_tbl.find_opt store.edge_by_parent id)
+
 (* BFS from a set of node ids: each level is one parent-child self-join
    (probe the parent index, fetch every child row to learn its tag). *)
 let edge_descendants_from (store : edge_store) seed desc =
@@ -33,7 +37,7 @@ let edge_descendants_from (store : edge_store) seed desc =
             if String.equal row.e_tag desc then result := row.e_id :: !result;
             if not (String.equal row.e_tag "#text") then
               next := row.e_id :: !next)
-          (ids_of_tag store.edge_by_parent parent_id))
+          (children_of store parent_id))
       !frontier;
     frontier := !next;
     running := (match !next with [] -> false | _ :: _ -> true)
@@ -66,7 +70,7 @@ let edge_children (store : edge_store) ~parent ~child =
         (fun crid ->
           let crow = Rel_table.get store.edge_table crid in
           if String.equal crow.e_tag child then result := crow.e_id :: !result)
-        (ids_of_tag store.edge_by_parent row.e_id))
+        (children_of store row.e_id))
     (ids_of_tag store.edge_by_tag parent);
   List.sort_uniq Int.compare !result
 
@@ -146,199 +150,198 @@ let clean_entry pager (store : label_store) tag =
   | e -> e
   | exception Label_index.Dirty -> tag_entry pager store tag
 
-(* The unified array-cursor structural join: both inputs are sorted
-   (start, end, rid) columns; cursors are int indexes; the run-time
-   stack of open ancestors is a pair of growable int arrays (interval
-   end + input position).  When no ancestor is open and the next one
-   starts far ahead, the descendant cursor leaps there by binary search
-   instead of grinding through unmatched rows (the staircase skip).
-   [emit] gets the input positions of each (ancestor, descendant)
-   containment pair; descendant positions arrive in ascending order,
-   duplicates adjacent. *)
-let[@ltree.hot] array_join counters (a : Label_index.entry)
-    (d : Label_index.entry) ~emit =
-  (* [@ltree.cold]: per-call setup — two 16-slot scratch arrays and the
-     stack helpers' closures are the join's only allocations, paid once
-     per join, never per row.  The per-row path below is checked
-     allocation-free by R9 (ltree-analyze). *)
-  let[@ltree.cold] stack_end = ref (Array.make 16 0) in
-  let[@ltree.cold] stack_pos = ref (Array.make 16 0) in
-  let sp = ref 0 in
-  let[@ltree.cold] push apos aend =
-    (if !sp = Array.length !stack_end then
-       begin
-         (* amortized doubling: off the per-row fast path *)
-         let bigger_end = Array.make (2 * !sp) 0
-         and bigger_pos = Array.make (2 * !sp) 0 in
-         Array.blit !stack_end 0 bigger_end 0 !sp;
-         Array.blit !stack_pos 0 bigger_pos 0 !sp;
-         stack_end := bigger_end;
-         stack_pos := bigger_pos
-       end [@ltree.cold]);
-    !stack_end.(!sp) <- aend;
-    !stack_pos.(!sp) <- apos;
-    incr sp
-  in
-  (* Pop open ancestors whose interval closed before [bound].  Stack
-     ends decrease upward (intervals nest), so stopping at the first
-     survivor is enough. *)
-  let[@ltree.cold] pop_closed bound =
-    let closing = ref true in
-    while !closing && !sp > 0 do
-      Counters.add_comparison counters 1;
-      if !stack_end.(!sp - 1) > bound then closing := false else decr sp
-    done
-  in
-  let ai = ref 0 and di = ref 0 in
-  let finished = ref false in
-  while (not !finished) && !di < d.len do
-    let ds = Column.get d.starts !di in
-    (* Open every ancestor that starts before this descendant. *)
-    let opening = ref true in
-    while !opening && !ai < a.len do
-      Counters.add_comparison counters 1;
-      let astart = Column.get a.starts !ai in
-      if astart < ds then begin
-        pop_closed astart;
-        push !ai (Column.get a.ends !ai);
-        incr ai
-      end
-      else opening := false
-    done;
-    pop_closed ds;
-    if !sp > 0 then begin
-      (* Every stacked ancestor contains the descendant's start, and XML
-         intervals nest or are disjoint, so start containment implies
-         full containment — no per-pair end comparison needed (the
-         baseline plan pays one; this is part of the fast path's win). *)
-      for s = 0 to !sp - 1 do
-        emit !stack_pos.(s) !di
-      done;
-      incr di
-    end
-    else if !ai >= a.len then
-      (* No ancestor is open and none remain: nothing further matches. *)
-      finished := true
-    else
-      (* Stack empty, next ancestor starts at or after ds: no descendant
-         before that point has a match — leap over them. *)
-      di :=
-        Int.max (!di + 1)
-          (Label_index.upper_bound counters d (Column.get a.starts !ai))
-  done
+(* {1 The two join kernels}
 
-(* {2 The zero-alloc descendants spine}
+   Every label plan in the tree runs one of these two loops: the store
+   plans below, the snapshot driver in [lib/exec], the sharded tasks
+   and the XPath evaluator's child and descendant steps.  Both read
+   sorted [(start, end)] entry columns and write one [(w_dpos, w_apos)]
+   pair per match into a borrowed workspace.  The loop state lives in
+   the workspace's [jstate], comparisons are tallied there and charged
+   once per call, and the columns are read and written through their
+   raw buffers — a column call per row costs more than the row's
+   comparisons wherever cross-module inlining is off — so neither
+   kernel allocates once the workspace has grown (R9 checks both).
+   XML intervals nest or are disjoint, so an ancestor whose interval
+   contains a descendant's start contains the whole descendant:
+   neither kernel compares end labels. *)
 
-   The same join, specialized to the [a//b] result shape (the set of
-   matched descendants) and to the index's preallocated workspace: the
-   cursors live in the workspace's [jstate] record, the open-ancestor
-   stack and the result are reused columns, and each matched descendant
-   is emitted once (so the single emit-side row fetch per match is
-   unchanged from [join_to_entry] + [ids_of_entry]).  No refs, no
-   closures, no arrays: R9 checks every call from this spine
-   allocation-free. *)
+module BA = Bigarray.Array1
 
-let[@ltree.hot] rec pop_closed_col counters stack bound =
-  let sp = Column.length stack in
+(* Pop the open ancestors whose interval closed before [bound].  Stack
+   ends decrease upward (intervals nest), so the first survivor stops
+   the scan. *)
+let[@ltree.hot] rec pop_closed (js : Label_index.jstate) (ends : Column.buf)
+    bound =
   if
-    sp > 0
-    && (Counters.add_comparison counters 1;
-        Column.get stack (sp - 1) <= bound)
+    js.js_sp > 0
+    && (js.js_cmp <- js.js_cmp + 1;
+        BA.unsafe_get ends (js.js_sp - 1) <= bound)
   then begin
-    Column.set_len stack (sp - 1);
-    pop_closed_col counters stack bound
+    js.js_sp <- js.js_sp - 1;
+    pop_closed js ends bound
   end
 
-let[@ltree.hot] descendants_into counters table (a : Label_index.entry)
+(* The stack semi-join: each row of [d] that starts inside some row of
+   [a] is matched once, in [d]'s order, paired with the innermost open
+   ancestor (the stack top).  When no ancestor is open and the next one
+   starts further on, the descendant cursor leaps there by binary search
+   (the staircase skip).  A child plan filters the pairs on level: a
+   node's parent, when it is in [a], is its innermost open ancestor.
+   At most [a.len] ancestors are open at once and each descendant
+   matches at most once, so the stack and match columns are reserved
+   once and stay put for the whole loop. *)
+let[@ltree.hot] semi_join counters (a : Label_index.entry)
     (d : Label_index.entry) (ws : Label_index.workspace) =
-  let js = ws.Label_index.w_js in
-  let stack = ws.Label_index.w_stack in
-  let out = ws.Label_index.w_out in
-  Column.clear stack;
-  Column.clear out;
-  js.Label_index.js_ai <- 0;
-  js.Label_index.js_di <- 0;
-  js.Label_index.js_done <- false;
-  while (not js.Label_index.js_done) && js.Label_index.js_di < d.len do
-    let ds = Column.get d.starts js.Label_index.js_di in
+  (Column.reserve ws.w_stack a.len [@ltree.cold]);
+  (Column.reserve ws.w_spos a.len [@ltree.cold]);
+  (Column.reserve ws.w_dpos d.len [@ltree.cold]);
+  (Column.reserve ws.w_apos d.len [@ltree.cold]);
+  let astarts = Column.unsafe_buf a.starts
+  and aends = Column.unsafe_buf a.ends
+  and dstarts = Column.unsafe_buf d.starts
+  and open_end = Column.unsafe_buf ws.w_stack
+  and open_pos = Column.unsafe_buf ws.w_spos
+  and out_d = Column.unsafe_buf ws.w_dpos
+  and out_a = Column.unsafe_buf ws.w_apos in
+  let js = ws.w_js in
+  js.js_ai <- 0;
+  js.js_di <- 0;
+  js.js_sp <- 0;
+  js.js_n <- 0;
+  js.js_cmp <- 0;
+  js.js_done <- false;
+  while (not js.js_done) && js.js_di < d.len do
+    let ds = BA.unsafe_get dstarts js.js_di in
     while
-      js.Label_index.js_ai < a.len
-      && (Counters.add_comparison counters 1;
-          Column.get a.starts js.Label_index.js_ai < ds)
+      js.js_ai < a.len
+      && (js.js_cmp <- js.js_cmp + 1;
+          BA.unsafe_get astarts js.js_ai < ds)
     do
-      pop_closed_col counters stack (Column.get a.starts js.Label_index.js_ai);
-      Column.push stack (Column.get a.ends js.Label_index.js_ai);
-      js.Label_index.js_ai <- js.Label_index.js_ai + 1
+      pop_closed js open_end (BA.unsafe_get astarts js.js_ai);
+      BA.unsafe_set open_end js.js_sp (BA.unsafe_get aends js.js_ai);
+      BA.unsafe_set open_pos js.js_sp js.js_ai;
+      js.js_sp <- js.js_sp + 1;
+      js.js_ai <- js.js_ai + 1
     done;
-    pop_closed_col counters stack ds;
-    if Column.length stack > 0 then begin
-      (* Start containment implies full containment (nesting), and the
-         descendant matches no matter how many ancestors are open — one
-         emit, one row fetch. *)
-      Column.push out
-        (Rel_table.get table (Column.get d.rids js.Label_index.js_di)).l_id;
-      js.Label_index.js_di <- js.Label_index.js_di + 1
+    pop_closed js open_end ds;
+    if js.js_sp > 0 then begin
+      BA.unsafe_set out_d js.js_n js.js_di;
+      BA.unsafe_set out_a js.js_n (BA.unsafe_get open_pos (js.js_sp - 1));
+      js.js_n <- js.js_n + 1;
+      js.js_di <- js.js_di + 1
     end
-    else if js.Label_index.js_ai >= a.len then js.Label_index.js_done <- true
+    else if js.js_ai >= a.len then js.js_done <- true
     else
-      js.Label_index.js_di <-
-        Int.max
-          (js.Label_index.js_di + 1)
+      js.js_di <-
+        Int.max (js.js_di + 1)
           (Label_index.upper_bound counters d
-             (Column.get a.starts js.Label_index.js_ai))
+             (BA.unsafe_get astarts js.js_ai))
+  done;
+  Counters.add_comparison counters js.js_cmp;
+  Column.set_len ws.w_dpos js.js_n;
+  Column.set_len ws.w_apos js.js_n
+
+(* The index-nested-loop probe: for each row of [a] in order, binary
+   search [d] and scan the rows starting inside the ancestor.  Matches
+   come grouped by ancestor, each group in [d]'s order — a descendant
+   under several ancestors is matched once per ancestor, so the match
+   count has no cheap bound and matches are pushed.  Cheap when the
+   anchors are few and selective; the merge wins once they blanket the
+   document (the E8d crossover). *)
+let[@ltree.hot] inl_probe counters (a : Label_index.entry)
+    (d : Label_index.entry) (ws : Label_index.workspace) =
+  let astarts = Column.unsafe_buf a.starts
+  and aends = Column.unsafe_buf a.ends
+  and dstarts = Column.unsafe_buf d.starts in
+  let js = ws.w_js in
+  Column.clear ws.w_dpos;
+  Column.clear ws.w_apos;
+  js.js_ai <- 0;
+  js.js_cmp <- 0;
+  while js.js_ai < a.len do
+    let aend = BA.unsafe_get aends js.js_ai in
+    js.js_di <-
+      Label_index.upper_bound counters d (BA.unsafe_get astarts js.js_ai);
+    js.js_done <- false;
+    while (not js.js_done) && js.js_di < d.len do
+      js.js_cmp <- js.js_cmp + 1;
+      if BA.unsafe_get dstarts js.js_di < aend then begin
+        Column.push ws.w_dpos js.js_di;
+        Column.push ws.w_apos js.js_ai;
+        js.js_di <- js.js_di + 1
+      end
+      else js.js_done <- true
+    done;
+    js.js_ai <- js.js_ai + 1
+  done;
+  Counters.add_comparison counters js.js_cmp
+
+(* Overwrite [out] with the rows of [d] at the matched positions — one
+   location step of a path, ready to be the next step's ancestors.
+   Semi-join matches are distinct and ascending, so [out] stays sorted
+   by start. *)
+let gather (d : Label_index.entry) (ws : Label_index.workspace)
+    (out : Label_index.entry) =
+  Column.gather d.starts ~idx:ws.w_dpos out.starts;
+  Column.gather d.ends ~idx:ws.w_dpos out.ends;
+  Column.gather d.rids ~idx:ws.w_dpos out.rids;
+  out.len <- Column.length ws.w_dpos
+
+(* One semi-join per step of [t1//t2//…//tk]: each step's matches are
+   gathered into one of the workspace's two step entries, alternating
+   so a step never overwrites its own input. *)
+let path_rows counters (ws : Label_index.workspace) rows first rest =
+  let rec step i acc = function
+    | [] -> acc
+    | tag :: rest ->
+      let d = rows tag in
+      let out = ws.w_steps.(i land 1) in
+      semi_join counters acc d ws;
+      gather d ws out;
+      step (i + 1) out rest
+  in
+  step 0 (rows first) rest
+
+let record_comparisons ?counters n =
+  (match counters with
+   | Some c -> Counters.add_comparison c n
+   | None -> ());
+  Ltree_obs.Histogram.observe_int join_comparisons n
+
+(* {1 Store plans}
+
+   Thin drivers over the kernels: each fetches one row per match (the
+   emit-side page reads), collects Dom ids in the index workspace's
+   [w_out] and sorts and deduplicates them in place. *)
+
+(* Push the Dom id of [d]'s row at each matched position into [w_out],
+   fetching the row. *)
+let[@ltree.hot] fetch_matches table (d : Label_index.entry)
+    (ws : Label_index.workspace) =
+  Column.clear ws.w_out;
+  for i = 0 to Column.length ws.w_dpos - 1 do
+    Column.push ws.w_out
+      (Rel_table.get table (Column.get d.rids (Column.get ws.w_dpos i))).l_id
   done
 
-(* The full hot plan: clean-entry lookup, zero-alloc join, in-place
-   sort+dedup of the result column.  The returned column is the index
-   workspace's — borrowed until the next query on the same store. *)
+let sorted_out (ws : Label_index.workspace) =
+  Column.sort_dedup ws.w_out ~mark:ws.w_mark;
+  Column.to_list ws.w_out
+
+(* The full hot plan: clean-entry lookup, zero-alloc join and fetch,
+   in-place sort+dedup of the result column.  The returned column is
+   the index workspace's — borrowed until the next query on the same
+   store. *)
 let label_descendants_hot pager (store : label_store) ~anc ~desc =
   let counters = Pager.counters pager in
   let a = clean_entry pager store anc in
   let d = clean_entry pager store desc in
   let ws = Label_index.workspace store.label_index in
-  descendants_into counters store.label_table a d ws;
-  Column.sort_dedup ws.Label_index.w_out ~mark:ws.Label_index.w_mark;
-  ws.Label_index.w_out
-
-(* Join two entries into an entry of the matched descendants — the
-   pipelined form used between the steps of a path.  Adjacent-duplicate
-   emissions collapse, and the output inherits ascending start order
-   from the descendant cursor, so no re-sort is ever needed. *)
-let join_into counters (a : Label_index.entry) (d : Label_index.entry)
-    (out : Label_index.entry) =
-  Column.clear out.starts;
-  Column.clear out.ends;
-  Column.clear out.rids;
-  let last = ref (-1) in
-  array_join counters a d ~emit:(fun _ dpos ->
-      if dpos <> !last then begin
-        last := dpos;
-        Column.push out.starts (Column.get d.starts dpos);
-        Column.push out.ends (Column.get d.ends dpos);
-        Column.push out.rids (Column.get d.rids dpos)
-      end);
-  out.len <- Column.length out.starts
-
-let join_to_entry counters (a : Label_index.entry) (d : Label_index.entry) =
-  let cap = Int.max 16 d.len in
-  let out =
-    { Label_index.starts = Column.create ~capacity:cap ();
-      ends = Column.create ~capacity:cap ();
-      rids = Column.create ~capacity:cap ();
-      len = 0;
-      stamp = 0 }
-  in
-  join_into counters a d out;
-  out
-
-(* Map an entry's rows to sorted Dom ids, fetching each row once (the
-   emit-side page reads, as in the index-nested-loop plan). *)
-let ids_of_entry (store : label_store) (e : Label_index.entry) =
-  let out = ref [] in
-  for i = 0 to e.len - 1 do
-    out := (Rel_table.get store.label_table (Column.get e.rids i)).l_id :: !out
-  done;
-  List.sort Int.compare !out
+  semi_join counters a d ws;
+  fetch_matches store.label_table d ws;
+  Column.sort_dedup ws.w_out ~mark:ws.w_mark;
+  ws.w_out
 
 let label_descendants pager store ~anc ~desc =
   let counters = Pager.counters pager in
@@ -354,12 +357,21 @@ let label_children pager store ~parent ~child =
     ~on_close:observe_join (fun () ->
       let a = tag_entry pager store parent in
       let d = tag_entry pager store child in
-      let out = ref [] in
-      array_join counters a d ~emit:(fun apos dpos ->
-          let arow = Rel_table.get store.label_table (Column.get a.rids apos) in
-          let drow = Rel_table.get store.label_table (Column.get d.rids dpos) in
-          if drow.l_level = arow.l_level + 1 then out := drow.l_id :: !out);
-      List.sort_uniq Int.compare !out)
+      let ws = Label_index.workspace store.label_index in
+      semi_join counters a d ws;
+      Column.clear ws.w_out;
+      for i = 0 to Column.length ws.w_dpos - 1 do
+        let arow =
+          Rel_table.get store.label_table
+            (Column.get a.rids (Column.get ws.w_apos i))
+        in
+        let drow =
+          Rel_table.get store.label_table
+            (Column.get d.rids (Column.get ws.w_dpos i))
+        in
+        if drow.l_level = arow.l_level + 1 then Column.push ws.w_out drow.l_id
+      done;
+      sorted_out ws)
 
 let label_path pager store = function
   | [] -> []
@@ -368,20 +380,17 @@ let label_path pager store = function
     Span.with_ ~name:"query.path" ~counters
       ~attrs:[ ("steps", string_of_int (1 + List.length rest)) ]
       ~on_close:observe_join (fun () ->
+        let ws = Label_index.workspace store.label_index in
         let final =
-          List.fold_left
-            (fun acc tag ->
-              join_to_entry counters acc (tag_entry pager store tag))
-            (tag_entry pager store first)
-            rest
+          path_rows counters ws (tag_entry pager store) first rest
         in
-        ids_of_entry store final)
+        Column.clear ws.w_out;
+        for i = 0 to final.len - 1 do
+          Column.push ws.w_out
+            (Rel_table.get store.label_table (Column.get final.rids i)).l_id
+        done;
+        sorted_out ws)
 
-(* The index-nested-loop plan over the same incremental index: for each
-   ancestor, binary-search the descendant entry and scan its interval.
-   Cheap when the anchors are few and selective (reads proportional to
-   the matches); the merge join wins once they blanket the document —
-   the E8d crossover. *)
 let label_descendants_inl pager store ~anc ~desc =
   let counters = Pager.counters pager in
   Span.with_ ~name:"query.descendants_inl" ~counters
@@ -389,25 +398,9 @@ let label_descendants_inl pager store ~anc ~desc =
     ~on_close:observe_join (fun () ->
       let a = tag_entry pager store anc in
       let d = tag_entry pager store desc in
-      let out = ref [] in
-      for apos = 0 to a.len - 1 do
-        let astart = Column.get a.starts apos
-        and aend = Column.get a.ends apos in
-        let i = ref (Label_index.upper_bound counters d astart) in
-        let scanning = ref true in
-        while !scanning && !i < d.len do
-          Counters.add_comparison counters 1;
-          if Column.get d.starts !i < aend then begin
-            (* XML intervals nest, so start containment implies full
-               containment. *)
-            out :=
-              (Rel_table.get store.label_table (Column.get d.rids !i)).l_id
-              :: !out;
-            incr i
-          end
-          else scanning := false
-        done
-      done;
-      List.sort_uniq Int.compare !out)
+      let ws = Label_index.workspace store.label_index in
+      inl_probe counters a d ws;
+      fetch_matches store.label_table d ws;
+      sorted_out ws)
 
 let index_stats (store : label_store) = Label_index.stats store.label_index

@@ -32,7 +32,8 @@ type label_row = {
 type edge_store = {
   edge_table : edge_row Rel_table.t;
   edge_by_tag : (string, int list) Hashtbl.t; (* tag -> row ids *)
-  edge_by_parent : (int, int list) Hashtbl.t; (* node id -> child row ids *)
+  edge_by_parent : int list Ltree_metrics.Int_tbl.t;
+      (* node id -> child row ids *)
 }
 
 type label_store = {

@@ -16,7 +16,6 @@ module Shipper = Ltree_replication.Shipper
 module Replica = Ltree_replication.Replica
 module Pool = Ltree_exec.Pool
 module Read_snapshot = Ltree_exec.Read_snapshot
-module Par_query = Ltree_exec.Par_query
 module Registry = Ltree_obs.Registry
 module Histogram = Ltree_obs.Histogram
 
@@ -52,24 +51,6 @@ module Histogram = Ltree_obs.Histogram
    root, the root tag as an ancestor) evaluate per shard without any
    cross-shard label coordination. *)
 
-(* Reused per-shard query buffers: [b_out] collects a plan's router
-   ids, unsorted, and [b_steps] are the two entries a path plan
-   alternates between. *)
-type buffers = {
-  b_out : Column.t;
-  b_steps : Label_index.entry array;
-}
-
-let make_buffers () =
-  let entry () =
-    { Label_index.starts = Column.create ();
-      ends = Column.create ();
-      rids = Column.create ();
-      len = 0;
-      stamp = -1 }
-  in
-  { b_out = Column.create (); b_steps = [| entry (); entry () |] }
-
 type shard = {
   sid : int;  (* stable shard id: names the store dir's sim, metrics *)
   sim : Fault.sim;
@@ -83,9 +64,9 @@ type shard = {
   l_of_g : int Int_tbl.t;  (* router Dom id -> local Dom id *)
   ids : Read_snapshot.id_map;
       (* [g_of_l] cached by label-table row: snapshots freeze router ids *)
-  mutable bufs : buffers array;
-      (* slot [i] is written only by the task answering query [i] of a
-         batch; single plans use slot 0 *)
+  mutable bufs : Label_index.workspace array;
+      (* reused query workspaces: slot [i] is written only by the task
+         answering query [i] of a batch; single plans use slot 0 *)
   commit_hist : Histogram.t;  (* shard_commit_seconds{shard=<sid>} *)
   query_hist : Histogram.t;  (* shard_query_seconds{shard=<sid>} *)
   pending_hist : Histogram.t;  (* shard_journal_pending{shard=<sid>} *)
@@ -204,7 +185,7 @@ let wire_shard ~sid ~sim ~io durable =
     g_of_l;
     l_of_g = Int_tbl.create 256;
     ids = Read_snapshot.id_map (Int_tbl.find g_of_l);
-    bufs = [| make_buffers () |];
+    bufs = [| Label_index.create_workspace () |];
     commit_hist; query_hist; pending_hist }
 
 let make_shard ?params ~group_commit ~sim ~groot gsubs sid =
@@ -396,72 +377,26 @@ let router_snapshot t =
    map to one shared router node (the root), and the caller's single
    sort-and-deduplicate collapses those. *)
 
-type plan =
-  | Descendants of string * string
-  | Children of string * string
-  | Descendants_inl of string * string
-  | Path of string list
-
-(* One task: a shard's frozen snapshot, the buffers it writes and the
-   plan it runs.  Tasks reach their buffers only through this record,
-   so concurrent tasks never share a mutable structure. *)
+(* One task: a shard's frozen snapshot, the workspace it writes and
+   the plan it runs.  Tasks reach their workspace only through this
+   record, so concurrent tasks never share a mutable structure. *)
 type task = {
   k_shard : shard;
   k_snap : Read_snapshot.t;
-  k_buf : buffers;
-  k_plan : plan;
+  k_ws : Label_index.workspace;
+  k_plan : Read_snapshot.plan;
 }
 
 type outcome = { o_comparisons : int; o_seconds : float }
 
-(* One join per location step, alternating between the two step
-   entries so a step never overwrites its own input. *)
-let path_into counters snap buf tags out =
-  let rec fold acc i = function
-    | [] -> acc
-    | tag :: rest ->
-      let dst = buf.b_steps.(i land 1) in
-      Query.join_into counters acc
-        (Read_snapshot.entry_of_slice (Read_snapshot.slice snap tag))
-        dst;
-      fold dst (i + 1) rest
-  in
-  match tags with
-  | [] -> ()
-  | first :: rest ->
-    let final =
-      fold (Read_snapshot.entry_of_slice (Read_snapshot.slice snap first)) 0
-        rest
-    in
-    for i = 0 to final.Label_index.len - 1 do
-      Column.push out (Column.get final.Label_index.rids i)
-    done
-
-(* The body every pool task runs: the serial plan over one frozen
-   snapshot, its router ids pushed unsorted into the task's column.
+(* The body every pool task runs: the serial snapshot driver over one
+   shard, its router ids left unsorted in the task's workspace.
    Comparisons and wall time go back in the outcome; the caller records
    them after the barrier. *)
 let run_task k =
   let t0 = Unix.gettimeofday () in
   let counters = Counters.create () in
-  let out = k.k_buf.b_out in
-  let slice = Read_snapshot.slice k.k_snap in
-  let emit = Column.push out in
-  Column.clear out;
-  (match k.k_plan with
-   | Descendants (anc, desc) ->
-     let desc = slice desc in
-     Par_query.descendants_range counters ~anc:(slice anc) ~desc ~lo:0
-       ~hi:desc.Read_snapshot.s_len ~emit
-   | Children (parent, child) ->
-     let child = slice child in
-     Par_query.children_range counters ~parent:(slice parent) ~child ~lo:0
-       ~hi:child.Read_snapshot.s_len ~emit
-   | Descendants_inl (anc, desc) ->
-     let anc = slice anc in
-     Par_query.inl_range counters ~anc ~desc:(slice desc) ~lo:0
-       ~hi:anc.Read_snapshot.s_len ~emit
-   | Path tags -> path_into counters k.k_snap k.k_buf tags out);
+  Read_snapshot.run counters k.k_snap k.k_ws k.k_plan;
   { o_comparisons = Counters.comparisons counters;
     o_seconds = Unix.gettimeofday () -. t0 }
 
@@ -474,18 +409,18 @@ let fan_out pool tasks =
     outcomes;
   outcomes
 
-(* One query's answer: the tasks' columns appended into the caller's
-   [merge_out], sorted and deduplicated once in place (which also
-   collapses the cloned shard roots), then listed. *)
-let merge t bufs =
+(* One query's answer: the tasks' result columns appended into the
+   caller's [merge_out], sorted and deduplicated once in place (which
+   also collapses the cloned shard roots), then listed. *)
+let merge t (wss : Label_index.workspace array) =
   let out = t.merge_out in
   Column.clear out;
   Array.iter
-    (fun b ->
-      for i = 0 to Column.length b.b_out - 1 do
-        Column.push out (Column.get b.b_out i)
+    (fun (ws : Label_index.workspace) ->
+      for i = 0 to Column.length ws.w_out - 1 do
+        Column.push out (Column.get ws.w_out i)
       done)
-    bufs;
+    wss;
   Column.sort_dedup out ~mark:t.merge_mark;
   Column.to_list out
 
@@ -504,13 +439,14 @@ let restrict ?within t ids =
   | None -> ids
   | Some (lo, hi) -> filter_within t ~lo ~hi ids
 
-(* Shard [sh]'s first [n] buffer slots, grown on demand and reused
+(* Shard [sh]'s first [n] workspace slots, grown on demand and reused
    across queries. *)
 let buffers sh n =
   let have = Array.length sh.bufs in
   if have < n then
     sh.bufs <-
-      Array.append sh.bufs (Array.init (n - have) (fun _ -> make_buffers ()));
+      Array.append sh.bufs
+        (Array.init (n - have) (fun _ -> Label_index.create_workspace ()));
   sh.bufs
 
 let run_plan ?counters ?within t pool plan =
@@ -519,26 +455,26 @@ let run_plan ?counters ?within t pool plan =
       (List.map
          (fun p ->
            let sh = t.shards.(p) in
-           { k_shard = sh; k_snap = frozen sh; k_buf = (buffers sh 1).(0);
+           { k_shard = sh; k_snap = frozen sh; k_ws = (buffers sh 1).(0);
              k_plan = plan })
          (routed ?within t))
   in
   let outcomes = fan_out pool tasks in
-  Par_query.note ?counters
+  Query.record_comparisons ?counters
     (Array.fold_left (fun n o -> n + o.o_comparisons) 0 outcomes);
-  restrict ?within t (merge t (Array.map (fun k -> k.k_buf) tasks))
+  restrict ?within t (merge t (Array.map (fun k -> k.k_ws) tasks))
 
 let descendants ?counters ?within t pool ~anc ~desc =
-  run_plan ?counters ?within t pool (Descendants (anc, desc))
+  run_plan ?counters ?within t pool (Read_snapshot.Descendants (anc, desc))
 
 let children ?counters ?within t pool ~parent ~child =
-  run_plan ?counters ?within t pool (Children (parent, child))
+  run_plan ?counters ?within t pool (Read_snapshot.Children (parent, child))
 
 let descendants_inl ?counters ?within t pool ~anc ~desc =
-  run_plan ?counters ?within t pool (Descendants_inl (anc, desc))
+  run_plan ?counters ?within t pool (Read_snapshot.Descendants_inl (anc, desc))
 
 let path ?counters ?within t pool tags =
-  run_plan ?counters ?within t pool (Path tags)
+  run_plan ?counters ?within t pool (Read_snapshot.Path tags)
 
 (* The batch plan fans {e shard x query} tasks across the pool in one
    [Pool.map], so a hot query no longer serializes on one shard's
@@ -562,8 +498,8 @@ let descendants_batch ?within t pool queries =
               let bufs = buffers sh (Array.length queries) in
               Array.mapi
                 (fun i (anc, desc) ->
-                  { k_shard = sh; k_snap = snap; k_buf = bufs.(i);
-                    k_plan = Descendants (anc, desc) })
+                  { k_shard = sh; k_snap = snap; k_ws = bufs.(i);
+                    k_plan = Read_snapshot.Descendants (anc, desc) })
                 queries)
             snaps))
   in
@@ -575,36 +511,38 @@ let descendants_batch ?within t pool queries =
       for si = 0 to ns - 1 do
         comparisons := !comparisons + outcomes.((si * nq) + qi).o_comparisons
       done;
-      Par_query.note !comparisons;
+      Query.record_comparisons !comparisons;
       restrict ?within t
-        (merge t (Array.init ns (fun si -> tasks.((si * nq) + qi).k_buf))))
+        (merge t (Array.init ns (fun si -> tasks.((si * nq) + qi).k_ws))))
 
 (* {1 Unsharded reference plans}
 
-   The same plans over the router's own store — the K-independent
-   baseline the agreement invariant and the K=1 byte-identity test
-   compare against. *)
+   The same driver over the router's own store, as one pooled task:
+   the K-independent baseline the agreement invariant and the K=1
+   byte-identity test compare against. *)
+
+let unsharded ?counters ?within t pool plan =
+  restrict ?within t
+    (Read_snapshot.run_batch ?counters pool (router_snapshot t) [| plan |]).(0)
 
 let unsharded_descendants ?counters ?within t pool ~anc ~desc =
-  restrict ?within t
-    (Par_query.descendants ?counters pool (router_snapshot t) ~anc ~desc)
+  unsharded ?counters ?within t pool (Read_snapshot.Descendants (anc, desc))
 
 let unsharded_children ?counters ?within t pool ~parent ~child =
-  restrict ?within t
-    (Par_query.children ?counters pool (router_snapshot t) ~parent ~child)
+  unsharded ?counters ?within t pool (Read_snapshot.Children (parent, child))
 
 let unsharded_descendants_inl ?counters ?within t pool ~anc ~desc =
-  restrict ?within t
-    (Par_query.descendants_inl ?counters pool (router_snapshot t) ~anc ~desc)
+  unsharded ?counters ?within t pool
+    (Read_snapshot.Descendants_inl (anc, desc))
 
 let unsharded_path ?counters ?within t pool tags =
-  restrict ?within t (Par_query.path ?counters pool (router_snapshot t) tags)
+  unsharded ?counters ?within t pool (Read_snapshot.Path tags)
 
 let unsharded_descendants_batch ?within t pool queries =
-  let rs =
-    Par_query.descendants_batch pool (router_snapshot t) queries
-  in
-  Array.map (fun ids -> restrict ?within t ids) rs
+  Array.map (restrict ?within t)
+    (Read_snapshot.run_batch pool (router_snapshot t)
+       (Array.map (fun (anc, desc) -> Read_snapshot.Descendants (anc, desc))
+          queries))
 
 (* {1 Writes}
 

@@ -60,8 +60,9 @@ val shard_durable : t -> int -> Ltree_recovery.Durable_doc.t
 val shard_ldoc : t -> int -> Ltree_doc.Labeled_doc.t
 
 (** [shard_snapshot t p] is shard [p]'s read snapshot, flushed and
-    refreshed first if stale.  Its [s_ids] are {e router} Dom ids and
-    its levels are router levels; its label columns are shard-local. *)
+    refreshed first if stale.  Its slices' ids are {e router} Dom ids
+    and its levels are router levels; its label columns are
+    shard-local. *)
 val shard_snapshot : t -> int -> Ltree_exec.Read_snapshot.t
 
 (** [owner_of_anchor t anchor] is the shard position the node at router
@@ -103,9 +104,10 @@ val checkpoint : t -> unit
 (** {1 Query plans}
 
     Every sharded plan runs as one [Pool.map] with one task per routed
-    shard: the task joins serially over that shard's frozen snapshot,
-    which already holds router Dom ids, and pushes them unsorted into
-    the shard's reused result column.  The caller appends the columns
+    shard: the task runs the serial snapshot driver
+    ({!Ltree_exec.Read_snapshot.run}) over that shard's frozen
+    snapshot, which already holds router Dom ids, leaving them unsorted
+    in the shard's reused workspace.  The caller appends the columns
     into one, sorts and deduplicates it once, and lists it — one sorted
     list of router ids.  [?within]
     filters results to a router-label window (applied identically to
@@ -144,9 +146,12 @@ val descendants_batch :
 
 (** {1 Unsharded reference plans}
 
-    The same plans over the router's own single store, run by the
-    chunked {!Ltree_exec.Par_query} plans — an independent baseline
-    the sharded plans must match byte-for-byte. *)
+    The same plans over a snapshot of the router's own single store,
+    run by the same driver as one pooled task
+    ({!Ltree_exec.Read_snapshot.run_batch}) — the one-task, K = 1 case
+    of the fan-out.  The sharded plans must match it byte-for-byte; it
+    shares their kernels, so the harness checks it separately against
+    independent oracles. *)
 
 val unsharded_descendants :
   ?counters:Ltree_metrics.Counters.t ->

@@ -216,6 +216,3 @@ let eval (doc : Dom.document) (path : Ast.t) =
         in
         let contexts0 = apply_preds first.preds base in
         eval_steps root rest contexts0)
-
-let eval_from node (path : Ast.t) =
-  eval_steps (top_of node) path.steps [ node ]

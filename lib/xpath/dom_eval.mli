@@ -9,6 +9,3 @@ open Ltree_xml
     duplicates.  A relative path is evaluated from the document node, like
     an absolute one. *)
 val eval : Dom.document -> Ast.t -> Dom.node list
-
-(** [eval_from node path] evaluates a relative path with context [node]. *)
-val eval_from : Dom.node -> Ast.t -> Dom.node list

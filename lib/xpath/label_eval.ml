@@ -1,27 +1,39 @@
-module Int_tbl = Ltree_metrics.Int_tbl
 open Ltree_xml
+module Column = Ltree_core.Column
+module Counters = Ltree_metrics.Counters
 module Labeled_doc = Ltree_doc.Labeled_doc
+module Label_index = Ltree_relstore.Label_index
+module Query = Ltree_relstore.Query
 
 type item = { node : Dom.node; start_pos : int; end_pos : int; level : int }
 
 (* The slots of one node test, in document order.  L-Tree relabels
    preserve order, so a vector stays sorted through any number of them:
    only inserts and deletes change it, and [refresh] merges those in.
-   [items] snapshots the slots' labels for the evaluator's joins; it is
-   rebuilt (without a sort) when the document version moved. *)
+   [rows] and [levels] hold the slots' current labels and depths as
+   join input — [rows.rids] is the identity, a row's own position —
+   rewritten in place when the document version moved. *)
 type vector = {
   test : Ast.test;
   mutable slots : Labeled_doc.slot array; (* [0, len) live, sorted *)
   mutable len : int;
-  mutable items : item array;
-  mutable items_version : int;
+  rows : Label_index.entry;
+  levels : Column.t;
+  mutable rows_version : int;
 }
+
+(* What one location step hands the next: rows of one vector, in
+   document order; [sel.rids] are positions in [vec]. *)
+type set = { vec : vector; sel : Label_index.entry }
 
 type t = {
   ldoc : Labeled_doc.t;
   vectors : (string, vector) Hashtbl.t; (* keyed by [test_key] *)
   mutable version : int; (* document version the vectors are current at *)
   mutable cursor : int; (* {!Labeled_doc.labeled_cursor} at that version *)
+  ws : Label_index.workspace; (* the kernels' output; two step sets *)
+  one : Label_index.entry; (* a predicate's one-item context *)
+  counters : Counters.t; (* the kernels' comparisons, not reported *)
 }
 
 let matches_test (test : Ast.test) node =
@@ -47,7 +59,10 @@ let item_of t node =
 let create ldoc =
   { ldoc; vectors = Hashtbl.create 16;
     version = Labeled_doc.version ldoc;
-    cursor = Labeled_doc.labeled_cursor ldoc }
+    cursor = Labeled_doc.labeled_cursor ldoc;
+    ws = Label_index.create_workspace ();
+    one = Label_index.create_entry ~capacity:1 ();
+    counters = Counters.create () }
 
 (* Bring [vec] up to date in place: drop its dead slots, then merge in
    the matching ones of [fresh] (sorted by descending start label) from
@@ -120,7 +135,11 @@ let build t (test : Ast.test) =
      Dom.iter_preorder root (fun n ->
          if matches_test test n then acc := Labeled_doc.slot t.ldoc n :: !acc));
   let slots = Array.of_list (List.rev !acc) in
-  { test; slots; len = Array.length slots; items = [||]; items_version = -1 }
+  let len = Array.length slots in
+  { test; slots; len;
+    rows = Label_index.create_entry ~capacity:(Int.max 1 len) ();
+    levels = Column.create ~capacity:(Int.max 1 len) ();
+    rows_version = -1 }
 
 (* ["*"] and ["text()"] are not XML names, so no element name collides
    with them. *)
@@ -130,126 +149,113 @@ let test_key (test : Ast.test) =
   | Ast.Wildcard -> "*"
   | Ast.Text_node -> "text()"
 
+(* Rewrite [vec]'s join columns from its slots, once per document
+   version: no allocation once the columns have grown. *)
+let sync_rows t vec =
+  if vec.rows_version <> t.version then begin
+    let r = vec.rows and n = vec.len in
+    let cols = [ r.starts; r.ends; r.rids; vec.levels ] in
+    List.iter (fun c -> Column.reserve c n) cols;
+    for i = 0 to n - 1 do
+      let s = vec.slots.(i) in
+      Column.set r.starts i (start_of t s);
+      Column.set r.ends i (Labeled_doc.slot_end t.ldoc s);
+      Column.set r.rids i i;
+      Column.set vec.levels i (Labeled_doc.slot_level s)
+    done;
+    List.iter (fun c -> Column.set_len c n) cols;
+    r.len <- n;
+    vec.rows_version <- t.version
+  end
+
+(* The test's vector, current and with its join columns in sync. *)
 let vector t (test : Ast.test) =
   refresh t;
   let key = test_key test in
-  match Hashtbl.find_opt t.vectors key with
-  | Some vec -> vec
-  | None ->
-    let vec = build t test in
-    Hashtbl.replace t.vectors key vec;
-    vec
-
-(* The test's live nodes with their current labels, in document order:
-   read straight off the vector, no table lookup and no sort, once per
-   document version.  A position whose node and labels did not move
-   keeps its item: most labels survive an update, and allocating every
-   item afresh each version let the items of several versions pile up
-   young between minor collections, which the collection landing in a
-   query then promoted all at once. *)
-let sorted_items t (test : Ast.test) =
-  let vec = vector t test in
-  if vec.items_version <> t.version then begin
-    let old = vec.items in
-    vec.items <-
-      Array.init vec.len (fun i ->
-          let s = vec.slots.(i) in
-          if
-            i < Array.length old
-            && old.(i).node == Labeled_doc.slot_node s
-            && old.(i).start_pos = start_of t s
-            && old.(i).end_pos = Labeled_doc.slot_end t.ldoc s
-            && old.(i).level = Labeled_doc.slot_level s
-          then old.(i)
-          else item_of_slot t s);
-    vec.items_version <- t.version
-  end;
-  vec.items
-
-let candidates t test = Array.to_list (sorted_items t test)
-
-(* First position in [arr] with [start_pos > key] (binary search). *)
-let upper_bound (arr : item array) key =
-  let lo = ref 0 and hi = ref (Array.length arr) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if arr.(mid).start_pos <= key then lo := mid + 1 else hi := mid
-  done;
-  !lo
-
-(* Array-cursor structural join, the same shape as the relstore plan:
-   both inputs sorted by start label, int-index cursors, the open
-   ancestors kept on a growable int-array stack (interval end + input
-   position), and a binary-search leap of the descendant cursor whenever
-   the stack runs empty.  [visit stack_pos sp d] sees each descendant
-   [d] that has an open ancestor, in document order, with the open
-   ancestors' positions in [a] at [stack_pos.(0 .. sp-1)], outermost
-   first.  XML intervals either nest or are disjoint, so every stacked
-   ancestor containing the start contains the whole interval. *)
-let stack_join (a : item array) (d : item array) visit =
-  let alen = Array.length a and dlen = Array.length d in
-  let stack_end = ref (Array.make 16 0) in
-  let stack_pos = ref (Array.make 16 0) in
-  let sp = ref 0 in
-  let push apos aend =
-    if !sp = Array.length !stack_end then begin
-      let bigger_end = Array.make (2 * !sp) 0
-      and bigger_pos = Array.make (2 * !sp) 0 in
-      Array.blit !stack_end 0 bigger_end 0 !sp;
-      Array.blit !stack_pos 0 bigger_pos 0 !sp;
-      stack_end := bigger_end;
-      stack_pos := bigger_pos
-    end;
-    !stack_end.(!sp) <- aend;
-    !stack_pos.(!sp) <- apos;
-    incr sp
+  let vec =
+    match Hashtbl.find_opt t.vectors key with
+    | Some vec -> vec
+    | None ->
+      let vec = build t test in
+      Hashtbl.replace t.vectors key vec;
+      vec
   in
-  let pop_closed bound =
-    while !sp > 0 && !stack_end.(!sp - 1) <= bound do
-      decr sp
-    done
-  in
-  let ai = ref 0 and di = ref 0 in
-  let finished = ref false in
-  while (not !finished) && !di < dlen do
-    let ds = d.(!di).start_pos in
-    while !ai < alen && a.(!ai).start_pos < ds do
-      pop_closed a.(!ai).start_pos;
-      push !ai a.(!ai).end_pos;
-      incr ai
-    done;
-    pop_closed ds;
-    if !sp > 0 then begin
-      visit !stack_pos !sp d.(!di);
-      incr di
+  sync_rows t vec;
+  vec
+
+let item_of_row vec p =
+  { node = Labeled_doc.slot_node vec.slots.(p);
+    start_pos = Column.get vec.rows.starts p;
+    end_pos = Column.get vec.rows.ends p;
+    level = Column.get vec.levels p }
+
+let items_of (s : set) =
+  List.init s.sel.len (fun i -> item_of_row s.vec (Column.get s.sel.rids i))
+
+let whole vec = { vec; sel = vec.rows }
+
+(* A step's output entry: whichever of the two step entries is not its
+   input.  Every step reads its input completely before it evaluates a
+   predicate (whose nested steps reuse both entries) and writes its
+   output after, so the two suffice at any nesting depth. *)
+let out_for t (input : Label_index.entry) =
+  let steps = t.ws.w_steps in
+  if input == steps.(0) then steps.(1) else steps.(0)
+
+(* The set of [vec] rows holding [groups]' items, which all pass
+   [vec]'s test: each item's position by binary search on its start
+   label, sorted and deduplicated — document order, no duplicates —
+   then gathered into [out]. *)
+let set_of_items t vec groups out =
+  let ws = t.ws in
+  Column.clear ws.w_dpos;
+  List.iter
+    (List.iter (fun it ->
+         Column.push ws.w_dpos
+           (Column.upper_bound t.counters vec.rows.starts it.start_pos - 1)))
+    groups;
+  Column.sort_dedup ws.w_dpos ~mark:ws.w_mark;
+  Query.gather vec.rows ws out;
+  { vec; sel = out }
+
+let context_level (ctx : set) apos =
+  Column.get ctx.vec.levels (Column.get ctx.sel.rids apos)
+
+(* Keep the kernel's pairs whose candidate sits one level below its
+   context: the child axis. *)
+let keep_children (ctx : set) cands (ws : Label_index.workspace) =
+  let n = ref 0 in
+  for i = 0 to Column.length ws.w_dpos - 1 do
+    let dpos = Column.get ws.w_dpos i and apos = Column.get ws.w_apos i in
+    if Column.get cands.levels dpos = context_level ctx apos + 1 then begin
+      Column.set ws.w_dpos !n dpos;
+      Column.set ws.w_apos !n apos;
+      incr n
     end
-    else if !ai >= alen then finished := true
-    else di := Int.max (!di + 1) (upper_bound d a.(!ai).start_pos)
-  done
+  done;
+  Column.set_len ws.w_dpos !n;
+  Column.set_len ws.w_apos !n
 
-(* Every (ancestor, descendant) pair; each ancestor's group arrives in
-   document order. *)
-let structural_join ancs d =
-  let a = Array.of_list ancs in
-  let pairs = ref [] in
-  stack_join a d (fun stack_pos sp dn ->
-      for s = 0 to sp - 1 do
-        pairs := (a.(stack_pos.(s)), dn) :: !pairs
-      done);
-  List.rev !pairs
-
-(* Semi-join for a step without predicates: each matching candidate
-   once, already in document order, with no pairs to group or dedup.  A
-   descendant matches when any context is open.  A child matches when
-   its parent is a context, and then the parent is the innermost open
-   context: the test is the stack top's level. *)
-let semi_join ~child ancs d =
-  let a = Array.of_list ancs in
-  let out = ref [] in
-  stack_join a d (fun stack_pos sp dn ->
-      if (not child) || a.(stack_pos.(sp - 1)).level = dn.level - 1 then
-        out := dn :: !out);
-  List.rev !out
+(* The INL probe's pairs come grouped by context, each group in
+   document order: one item list per context with at least one match
+   (on the child axis, one level below it). *)
+let inl_groups ~child (ctx : set) cands (ws : Label_index.workspace) =
+  let groups = ref [] and group = ref [] and cur = ref (-1) in
+  let close () =
+    (match !group with [] -> () | g -> groups := g :: !groups);
+    group := []
+  in
+  for i = Column.length ws.w_dpos - 1 downto 0 do
+    let dpos = Column.get ws.w_dpos i and apos = Column.get ws.w_apos i in
+    if apos <> !cur then begin
+      close ();
+      cur := apos
+    end;
+    if (not child) || Column.get cands.levels dpos = context_level ctx apos + 1
+    then group := item_of_row cands dpos :: !group
+  done;
+  close ();
+  !groups
 
 (* Per-context candidate selection for the non-join axes.  Order-based
    axes (following/preceding and the sibling axes) read only label
@@ -319,25 +325,10 @@ let axis_group t (step : Ast.step) cands (c : item) : item list =
                  && d.start_pos > pi.start_pos)
                cands)))
 
-let dedup_sorted groups =
-  let seen = Int_tbl.create 16 in
-  let out = ref [] in
-  List.iter
-    (fun group ->
-      List.iter
-        (fun it ->
-          let k = Dom.id it.node in
-          if not (Int_tbl.mem seen k) then begin
-            Int_tbl.replace seen k ();
-            out := it :: !out
-          end)
-        group)
-    groups;
-  List.sort (fun a b -> Int.compare a.start_pos b.start_pos) !out
-
 (* Predicates, proximity-positional per context group; [Exists] recurses
-   into step evaluation (still via label joins). *)
-let rec eval_pred t ~pos ~size it (pred : Ast.pred) =
+   into step evaluation (still via label joins) from the one-item set
+   of [it], a row of [vec]. *)
+let rec eval_pred t vec ~pos ~size it (pred : Ast.pred) =
   match pred with
   | Ast.Position k -> pos = k
   | Ast.Last -> pos = size
@@ -352,70 +343,64 @@ let rec eval_pred t ~pos ~size it (pred : Ast.pred) =
       | Some x -> not (String.equal x v)
       | None -> false)
   | Ast.And (a, b) ->
-    eval_pred t ~pos ~size it a && eval_pred t ~pos ~size it b
+    eval_pred t vec ~pos ~size it a && eval_pred t vec ~pos ~size it b
   | Ast.Or (a, b) ->
-    eval_pred t ~pos ~size it a || eval_pred t ~pos ~size it b
-  | Ast.Not p -> not (eval_pred t ~pos ~size it p)
-  | Ast.Exists steps -> (
-      match List.fold_left (fun ctx step -> eval_step t step ctx) [ it ] steps with
-      | [] -> false
-      | _ :: _ -> true)
+    eval_pred t vec ~pos ~size it a || eval_pred t vec ~pos ~size it b
+  | Ast.Not p -> not (eval_pred t vec ~pos ~size it p)
+  | Ast.Exists steps ->
+    let ctx = set_of_items t vec [ [ it ] ] t.one in
+    (List.fold_left (fun ctx step -> eval_step t step ctx) ctx steps).sel.len
+    > 0
 
-and apply_preds t preds group =
+and apply_preds t vec preds group =
   List.fold_left
     (fun items (pred : Ast.pred) ->
       let size = List.length items in
-      List.filteri (fun i it -> eval_pred t ~pos:(i + 1) ~size it pred) items)
+      List.filteri
+        (fun i it -> eval_pred t vec ~pos:(i + 1) ~size it pred)
+        items)
     group preds
 
-(* One location step: structural joins for the child/descendant axes
-   (a semi-join without predicates; per-context pair groups with them,
-   since positional predicates count within each context), per-context
-   label filters for the rest; results dedup to document order. *)
-and eval_step t (step : Ast.step) contexts =
+(* One location step.  The child and descendant axes run a {!Query}
+   kernel between the context rows and the test's vector: the stack
+   semi-join without predicates (on the child axis, kept where the
+   innermost context is one level up), the index nested loop with them,
+   since positional predicates count within each context's group.  The
+   other axes filter per context by labels.  Every result is a set in
+   document order. *)
+and eval_step t (step : Ast.step) (ctx : set) =
+  let cands = vector t step.test in
+  let out = out_for t ctx.sel in
   match step.axis with
   | Ast.Child | Ast.Descendant -> (
     let child = match step.axis with Ast.Child -> true | _ -> false in
-    let cands = sorted_items t step.test in
     match step.preds with
-    | [] -> semi_join ~child contexts cands
+    | [] ->
+      Query.semi_join t.counters ctx.sel cands.rows t.ws;
+      if child then keep_children ctx cands t.ws;
+      Query.gather cands.rows t.ws out;
+      { vec = cands; sel = out }
     | preds ->
-      let pairs = structural_join contexts cands in
-      let pairs =
-        if child then List.filter (fun (a, d) -> d.level = a.level + 1) pairs
-        else pairs
-      in
-      let groups : item list Int_tbl.t = Int_tbl.create 16 in
-      let anchor_order = ref [] in
-      List.iter
-        (fun (a, d) ->
-          let key = Dom.id a.node in
-          (match Int_tbl.find_opt groups key with
-           | None ->
-             anchor_order := key :: !anchor_order;
-             Int_tbl.replace groups key [ d ]
-           | Some ds -> Int_tbl.replace groups key (d :: ds)))
-        pairs;
-      dedup_sorted
-        (List.rev_map
-           (fun key -> apply_preds t preds (List.rev (Int_tbl.find groups key)))
-           !anchor_order))
+      Query.inl_probe t.counters ctx.sel cands.rows t.ws;
+      let groups = inl_groups ~child ctx cands t.ws in
+      set_of_items t cands (List.map (apply_preds t cands preds) groups) out)
   | Ast.Self | Ast.Parent | Ast.Ancestor | Ast.Ancestor_or_self
   | Ast.Following | Ast.Preceding | Ast.Following_sibling
   | Ast.Preceding_sibling ->
-    let cands =
+    let items =
       (* The upward axes fetch labels per node; the order axes filter the
          tag index. *)
       match step.axis with
       | Ast.Following | Ast.Preceding | Ast.Following_sibling
       | Ast.Preceding_sibling ->
-        candidates t step.test
+        items_of (whole cands)
       | _ -> []
     in
-    dedup_sorted
+    set_of_items t cands
       (List.map
-         (fun c -> apply_preds t step.preds (axis_group t step cands c))
-         contexts)
+         (fun c -> apply_preds t cands step.preds (axis_group t step items c))
+         (items_of ctx))
+      out
 
 let eval t (path : Ast.t) =
   refresh t;
@@ -425,23 +410,32 @@ let eval t (path : Ast.t) =
       match path.steps with
       | [] -> []
       | first :: rest ->
-        let root_item = item_of t root in
-        let matches_root = matches_test first.test root in
-        let contexts0 =
+        let vec = vector t first.test in
+        let ctx0 =
           match first.axis with
-          | Ast.Child | Ast.Self ->
-            if matches_root then Option.to_list root_item else []
+          | Ast.Child | Ast.Self when matches_test first.test root ->
+            set_of_items t vec [ Option.to_list (item_of t root) ] t.one
           | Ast.Descendant ->
-            (* [candidates] is root-inclusive already. *)
-            candidates t first.test
-          | Ast.Parent | Ast.Ancestor | Ast.Ancestor_or_self | Ast.Following
-          | Ast.Preceding | Ast.Following_sibling | Ast.Preceding_sibling ->
-            []
+            (* The vector is root-inclusive already. *)
+            whole vec
+          | Ast.Child | Ast.Self | Ast.Parent | Ast.Ancestor
+          | Ast.Ancestor_or_self | Ast.Following | Ast.Preceding
+          | Ast.Following_sibling | Ast.Preceding_sibling ->
+            set_of_items t vec [] t.one
         in
-        let contexts0 = apply_preds t first.preds contexts0 in
+        let ctx0 =
+          match first.preds with
+          | [] -> ctx0
+          | preds ->
+            set_of_items t vec
+              [ apply_preds t vec preds (items_of ctx0) ]
+              (out_for t ctx0.sel)
+        in
         let final =
-          List.fold_left (fun ctx step -> eval_step t step ctx) contexts0 rest
+          List.fold_left (fun ctx step -> eval_step t step ctx) ctx0 rest
         in
-        List.map (fun it -> it.node) final)
+        List.init final.sel.len (fun i ->
+            Labeled_doc.slot_node
+              final.vec.slots.(Column.get final.sel.rids i)))
 
 let eval_string t s = eval t (Xpath_parser.parse s)

@@ -1,23 +1,27 @@
 (** Label-based XPath evaluation — the paper's motivating use.
 
-    Each location step is answered by a {e structural join} between the
-    current context set and a tag index, comparing L-Tree label intervals
-    instead of navigating the tree: ancestor/descendant is interval
-    containment ([start_a < start_d && end_d < end_a], §1), parent/child
-    adds a level equality.  The join is the classic stack-based merge over
-    inputs sorted by start label, O(|contexts| + |candidates| + |output|).
-    A child or descendant step without predicates is a {e semi-join}: it
-    emits each candidate with an open context once, already in document
-    order (for the child axis, when the innermost open context is one
-    level up, i.e. is the parent).  Steps with predicates keep
-    per-context groups, because positional predicates count within each
-    context.
+    Each child or descendant location step is answered by a
+    {e structural join} between the current context set and a tag
+    index, comparing L-Tree label intervals instead of navigating the
+    tree: ancestor/descendant is interval containment
+    ([start_a < start_d && end_d < end_a], §1), parent/child adds a
+    level equality.  The joins are the two kernels of
+    {!Ltree_relstore.Query}.  A step without predicates is the stack
+    semi-join ({!Ltree_relstore.Query.semi_join}): each candidate with
+    an open context once, already in document order (for the child
+    axis, when the innermost open context is one level up, i.e. is the
+    parent).  A step with predicates is the index nested loop
+    ({!Ltree_relstore.Query.inl_probe}), because positional predicates
+    count within each context's group, and a context's group is its
+    probe range in the candidate vector.
 
     The tag index is one vector of {!Ltree_doc.Labeled_doc.slot}s per
     node test, in document order, built on first use by one document
-    walk.  L-Tree relabels preserve order, so a vector stays sorted
-    through them: only inserts and deletes change it, and {!refresh}
-    merges those in.
+    walk, with the slots' labels and levels as columns rewritten in
+    place once per document version.  L-Tree relabels preserve order,
+    so a vector stays sorted through them: only inserts and deletes
+    change it, and {!refresh} merges those in.  Steps hand each other
+    index entries over these columns, not node lists.
 
     Results are identical to {!Dom_eval} (property-tested, also under
     random edit schedules) but need no subtree traversal, which is what

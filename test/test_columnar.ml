@@ -283,7 +283,7 @@ let refresh_reuses_slices () =
     [ "a"; "x" ];
   (* ... while the new tag gets a real slice of its own. *)
   Alcotest.(check int) "new tag frozen" 1
-    (Read_snapshot.slice snap2 "p").Read_snapshot.s_len;
+    (Read_snapshot.slice snap2 "p").Read_snapshot.s_rows.Label_index.len;
   (* A second refresh with nothing changed returns the same snapshot. *)
   Alcotest.(check bool) "fresh refresh is identity" true
     (Read_snapshot.refresh snap2 == snap2)

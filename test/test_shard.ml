@@ -21,6 +21,7 @@ module Counters = Ltree_metrics.Counters
 module Pager = Ltree_relstore.Pager
 module Shredder = Ltree_relstore.Shredder
 module Label_sync = Ltree_relstore.Label_sync
+module Label_index = Ltree_relstore.Label_index
 module Prng = Ltree_workload.Prng
 
 let case = Alcotest.test_case
@@ -283,8 +284,9 @@ let check_router_rows what sd =
     List.iter
       (fun tag ->
         let s = Read_snapshot.slice snap tag in
-        for i = 0 to s.Read_snapshot.s_len - 1 do
-          let id = Column.get_checked s.Read_snapshot.s_ids i in
+        let rows = s.Read_snapshot.s_rows in
+        for i = 0 to rows.Label_index.len - 1 do
+          let id = Column.get_checked rows.Label_index.rids i in
           let level = Column.get_checked s.Read_snapshot.s_levels i in
           match Labeled_doc.node_by_id r id with
           | None ->
@@ -342,8 +344,9 @@ let snapshots_hold_router_ids () =
     List.iter
       (fun tag ->
         let s = Read_snapshot.slice snap tag in
-        for i = 0 to s.Read_snapshot.s_len - 1 do
-          let id = Column.get_checked s.Read_snapshot.s_ids i - offset in
+        let rows = s.Read_snapshot.s_rows in
+        for i = 0 to rows.Label_index.len - 1 do
+          let id = Column.get_checked rows.Label_index.rids i - offset in
           match Labeled_doc.node_by_id ldoc id with
           | Some n when Shredder.tag_of n = Some tag -> ()
           | Some _ | None ->

@@ -30,7 +30,7 @@
    - R8 (domain-safety): compute the set of functions reachable from
      parallel entry points (closures or function idents handed to
      [Pool.parallel_for]/[Pool.map]/[Domain.spawn], transitively
-     through project wrappers such as [Par_query.chunked]) and flag
+     through project wrappers that forward a closure to them) and flag
      any access to mutable state that is not local to the spawned
      scope and not mediated by Atomic / a Mutex-guarded module /
      Domain.DLS.  Residual accesses must be allowlisted in
@@ -138,11 +138,6 @@ let default_config =
            each closure writes only its own result/failure slot and the \
            completion barrier publishes them; audited in DESIGN.md \
            section 11" );
-        ( "Ltree_exec.Par_query.*",
-          "parallel plans write per-chunk slots of freshly allocated \
-           buffers (slot index = chunk index, pairwise disjoint), \
-           merged after the pool barrier; audited in DESIGN.md \
-           section 11" );
         ( "Ltree_recovery.Matrix.run.*",
           "the matrix engine's only shared state is the progress counter \
            under progress_mu; each instance's eval owns its sims, \
@@ -219,8 +214,8 @@ let has_suffix ~suffix s =
        (String.length suffix)
      = suffix
 
-(* "Ltree_exec__Par_query" (dune's wrapped-library mangling) ->
-   "Ltree_exec.Par_query". *)
+(* "Ltree_exec__Read_snapshot" (dune's wrapped-library mangling) ->
+   "Ltree_exec.Read_snapshot". *)
 let normalize_unit name =
   let b = Buffer.create (String.length name) in
   let n = String.length name in
@@ -317,7 +312,7 @@ let typecheck_impl ~unit_name ~path source =
 (* {1 Identifier resolution}
 
    Node keys are dot-paths rooted at the unit name:
-   "Ltree_exec.Par_query.chunked", nested functions append their path
+   "Ltree_exec.Read_snapshot.run", nested functions append their path
    ("Ltree_recovery.Crash_matrix.run.eval_cell").  Each unit carries a
    stamp table mapping local idents (functions, local modules, module
    aliases) to keys so that same-unit references resolve to the same

@@ -187,9 +187,15 @@ let register_invariants t =
                   anc desc (List.length inl) (List.length baseline))
             tags)
         tags;
-      Label_index.check t.store.Shredder.label_index ~fetch:(fun rid ->
-          let row = Rel_table.get t.store.Shredder.label_table rid in
-          (row.Shredder.l_start, row.Shredder.l_end, row.Shredder.l_dead)));
+      Label_index.check t.store.Shredder.label_index
+        ~fetch:(fun (store : Shredder.label_store) rid r ->
+          let row = Rel_table.get store.label_table rid in
+          r.Label_index.r_start <- row.Shredder.l_start;
+          r.r_end <- row.l_end;
+          r.r_level <- row.l_level;
+          r.r_dead <- row.l_dead;
+          if not row.l_dead then r.r_id <- store.label_ids row.l_id)
+        t.store);
   (* The pooled snapshot driver must agree with plans that share none
      of its join code, on every tag pair, at whatever pool size the
      harness was given: the sort-on-fetch baseline for both descendant

@@ -75,9 +75,7 @@ let sub t pos len =
 let copy_sub t pos len =
   if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Column.copy_sub";
   let out = create ~capacity:(Int.max 1 len) () in
-  for i = 0 to len - 1 do
-    A.unsafe_set out.buf i (A.unsafe_get t.buf (pos + i))
-  done;
+  if len > 0 then A.blit (A.sub t.buf pos len) (A.sub out.buf 0 len);
   out.len <- len;
   out
 

@@ -1,8 +1,8 @@
 (** Growable untagged-int columns over [Bigarray.Array1].
 
     The columnar backbone of the read structures: label-index entries
-    and snapshot slices store their [(start, end, rid)] triples as three
-    parallel columns.  A column is a [Bigarray] of native ints (no tag
+    and their snapshot copies store their rows as five parallel columns
+    (start, end, row id, level, Dom id).  A column is a [Bigarray] of native ints (no tag
     bit rewriting on read, no boxing, dense cache lines) plus a logical
     length; capacity grows by doubling and the buffer is {e reused}
     across incremental repairs, so a steady-state repair or query
@@ -78,7 +78,7 @@ val swap : t -> t -> unit
 val sub : t -> int -> int -> t
 
 (** [copy_sub t pos len] is a fresh column holding a copy of positions
-    [pos, pos + len). *)
+    [pos, pos + len), made by one block copy. *)
 val copy_sub : t -> int -> int -> t
 
 val of_array : int array -> t

@@ -1,15 +1,17 @@
 (** Immutable read snapshots of the label store.
 
-    A snapshot is a frozen structure-of-arrays copy of the incremental
-    per-tag label index ({!Ltree_relstore.Label_index}): for every tag,
-    the sorted [(start, end)] interval columns plus each row's Dom id
-    and tree level, stored as untagged-int {!Ltree_core.Column}s.
-    Worker domains share it read-only — plans over it ({!run}) never
-    touch the pager, the row tables, or the live index.
+    A snapshot is a frozen copy of the incremental per-tag label index
+    ({!Ltree_relstore.Label_index}): for every tag, a copy of the
+    index's covering entry — the sorted interval columns plus each
+    row's row id, tree level and Dom id.  Freezing a tag is five column
+    copies; no row is read.  Worker domains share it read-only — plans
+    over it ({!run}) never touch the pager, the row tables, or the live
+    index.
 
-    A snapshot frozen with an {!id_map} stores translated ids instead
-    of the store's own Dom ids: a shard's snapshot holds router ids, so
-    plans over it answer in router ids with no per-result lookup.
+    The Dom ids are the ones the store's index holds, i.e. already
+    through the store's [label_ids] translation: a shard's snapshot
+    holds router ids, so plans over it answer in router ids with no
+    per-result lookup.
 
     Freshness contract: a snapshot is stamped with the labeled
     document's version ({!Ltree_doc.Labeled_doc.version}, i.e. the
@@ -17,22 +19,11 @@
     Once either stamp moves — any tree mutation, or any
     {!Ltree_relstore.Label_sync.flush} that notes a change —
     {!ensure_fresh} refuses the snapshot with {!Stale} and {!refresh}
-    rebuilds it from the live store.  A refresh reuses the slice of
+    rebuilds it from the live store.  A refresh reuses the copy of
     every tag whose index entry kept its maintenance stamp, so only the
     tags actually touched since the freeze are re-copied. *)
 
 type t
-
-(** One tag's frozen rows.  [s_rows] is an index entry over
-    [0 .. len) with [starts] strictly increasing, whose [rids] column
-    holds Dom ids (translated through the {!id_map}, if any) instead of
-    row ids, and whose [stamp] is the index entry's maintenance stamp
-    at freeze time — the reuse key for {!refresh}.  [s_levels] is each
-    row's tree depth, root = 0.  Treat both as immutable. *)
-type slice = {
-  s_rows : Ltree_relstore.Label_index.entry;
-  s_levels : Ltree_core.Column.t;
-}
 
 (** Why a snapshot was refused: the stamps it froze against both live
     values at refusal time.  A moved [version] means the tree mutated; a
@@ -51,40 +42,27 @@ exception Stale of staleness
 (** Render a {!staleness} the way the old string payload read. *)
 val staleness_to_string : staleness -> string
 
-(** A translation of the store's Dom ids into another id space, cached
-    per label-table row.  Each cached entry keeps the Dom id it was
-    resolved from: a re-freeze costs one column read per row, and a row
-    whose Dom id changed since (a {!Ltree_relstore.Label_sync.resync}
-    rebinds rows to recovered nodes) is resolved again.  Mutated only
-    by freezes, so confine it to the freezing domain. *)
-type id_map
-
-(** [id_map resolve] is an empty cache over [resolve], which maps a
-    store Dom id to its translation (and may raise for ids it does not
-    know — only live rows are ever resolved). *)
-val id_map : (int -> int) -> id_map
-
-(** [of_store ?prev ?ids pager store doc] freezes every tag currently
-    in the store, translating row ids through [ids] when given.  With
-    [?prev] (frozen from the same store with the same [ids]), slices of
+(** [of_store ?prev pager store doc] freezes every tag currently in the
+    store.  With [?prev] (frozen from the same store), the copies of
     tags whose index entry is unchanged since [prev]'s freeze (same
     maintenance stamp) are reused physically instead of re-copied.
     Must be called from one domain with no concurrent writers (it may
     repair the live index on the way). *)
 val of_store :
   ?prev:t ->
-  ?ids:id_map ->
   Ltree_relstore.Pager.t ->
   Ltree_relstore.Shredder.label_store ->
   Ltree_doc.Labeled_doc.t ->
   t
 
-(** Tags with a (possibly empty) slice, sorted. *)
+(** Tags with a (possibly empty) frozen entry, sorted. *)
 val tags : t -> string list
 
-(** [slice t tag] is the tag's frozen slice; an empty slice for tags
-    the snapshot has never seen. *)
-val slice : t -> string -> slice
+(** [entry t tag] is the tag's frozen entry — its [stamp] is the live
+    entry's maintenance stamp at freeze time, the reuse key for
+    {!refresh}; an empty entry for tags the snapshot has never seen.
+    Treat as immutable. *)
+val entry : t -> string -> Ltree_relstore.Label_index.entry
 
 val is_fresh : t -> bool
 
@@ -96,8 +74,7 @@ val is_fresh : t -> bool
 val ensure_fresh : t -> unit
 
 (** [refresh t] is [t] if still fresh, else a new snapshot of the same
-    source store through the same {!id_map} (reusing unchanged tags'
-    slices). *)
+    source store (reusing unchanged tags' copies). *)
 val refresh : t -> t
 
 (** {1 The serial snapshot driver} *)
@@ -114,10 +91,10 @@ type plan =
 
 (** [run counters t ws plan] evaluates [plan] serially over [t] with
     the {!Ltree_relstore.Query} kernels, writing into [ws] and
-    charging comparisons to [counters].  The matched ids ([s_rows.rids]
-    values) are left in [ws.w_out], unsorted; the index-nested-loop
-    plan may repeat one.  Freshness is the caller's business ({!ensure_fresh}
-    or a snapshot it just froze).  Sharded tasks run it over each
+    charging comparisons to [counters].  The matched Dom ids (the
+    entries' [ids] values) are left in [ws.w_out], unsorted; the
+    index-nested-loop plan may repeat one.  Freshness is the caller's
+    business ({!ensure_fresh} or a snapshot it just froze).  Sharded tasks run it over each
     shard's snapshot, one workspace per task. *)
 val run :
   Ltree_metrics.Counters.t ->

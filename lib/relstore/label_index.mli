@@ -1,15 +1,18 @@
 (** Incremental per-tag secondary index over the stored label relation.
 
-    For each tag, the live rows' [(start, end, row id)] triples as
+    For each tag, the live rows' [(start, end, row id, level, id)] as
     parallel untagged-int columns ({!Ltree_core.Column}) sorted by start
     label — the random-access sorted input the structural-join
-    literature assumes, now in dense cache lines.  Unlike the old
-    memoized index (dropped wholesale by every {!Label_sync.flush}),
-    this one is {e maintained}: the sync layer logs exactly which rows
+    literature assumes, now in dense cache lines.  The entries are
+    {e covering}: the level and (translated) Dom id ride along, so a
+    read snapshot is a copy of the columns and never touches a row.
+    Unlike the old memoized index (dropped wholesale by every
+    {!Label_sync.flush}), this one is {e maintained}: the sync layer logs exactly which rows
     of which tags changed ({!note_change}), and the next access to a
     dirty tag {e repairs} its columns in place — one bitset-guided pass
     dropping the touched and tombstoned rows from the sorted survivors,
-    a small in-place sort of the changed batch, one backward galloping
+    a small in-place sort of the changed batch (comparisons on the start
+    key only, whatever the column count), one backward galloping
     merge through the entry's own (pre-reserved) buffers — instead of
     re-sorting the world.  Steady-state repairs reuse every buffer they
     touch and allocate nothing.  Tombstones are compacted lazily by that
@@ -24,17 +27,35 @@
 
 type t
 
-(** One tag's slice: parallel columns, [starts] strictly increasing on
-    [0 .. len).  [stamp] is the index {!generation} at which the entry
-    was last brought up to date — snapshots compare it to skip
-    re-freezing unchanged tags.  Treat as read-only — the index mutates
-    the columns in place on repair. *)
+(** One tag's rows: parallel columns over [0 .. len), [starts]
+    strictly increasing.  Per row: its start and end labels, its row id
+    in the label table, its tree depth (root = 0) and its Dom id as the
+    fetch reported it (a shard's store reports router ids).  [stamp] is
+    the index {!generation} at which the entry was last brought up to
+    date — snapshots compare it to skip re-freezing unchanged tags.
+    The same type is a read snapshot's frozen copy, a path step's
+    gathered matches and the XPath evaluator's per-test vector (whose
+    rows have no table row: its [rids] and [ids] are positions).  Treat
+    as read-only — the index mutates the columns in place on repair. *)
 type entry = {
   starts : Ltree_core.Column.t;
   ends : Ltree_core.Column.t;
   rids : Ltree_core.Column.t;
+  levels : Ltree_core.Column.t;
+  ids : Ltree_core.Column.t;
   mutable len : int;
   mutable stamp : int;
+}
+
+(** One fetched row, filled in place by a [fetch]: the index keeps one
+    and reuses it for every row it reads, so fetching allocates
+    nothing.  A fetch may leave [r_id] unset for a dead row. *)
+type row = {
+  mutable r_start : int;
+  mutable r_end : int;
+  mutable r_level : int;
+  mutable r_id : int;
+  mutable r_dead : bool;
 }
 
 (** Mutable loop state of the join kernels in {!Query}: the two input
@@ -72,6 +93,15 @@ type workspace = {
 
 (** [create_entry ()] is an empty entry with fresh columns. *)
 val create_entry : ?capacity:int -> unit -> entry
+
+(** [copy e] is a fresh entry holding a copy of [e]'s [len] rows, with
+    [e]'s stamp. *)
+val copy : entry -> entry
+
+(** [set_lens e n] sets the length of [e] and of its five columns to
+    [n] (each [<=] its column's capacity), for a writer that filled the
+    columns by position. *)
+val set_lens : entry -> int -> unit
 
 (** [create_workspace ()] is a fresh workspace, for a caller that joins
     outside any index (snapshot tasks, the XPath evaluator). *)
@@ -113,21 +143,24 @@ exception Dirty
     {!entry}. *)
 val clean : t -> string -> entry
 
-(** [entry t counters ~rids_of_tag ~fetch tag] returns [tag]'s
-    up-to-date slice, rebuilding or repairing first when needed.
-    [rids_of_tag] enumerates the tag's row ids (used only by full
-    rebuilds); [fetch rid] returns [(start, end, dead)] and is expected
-    to charge the page read. *)
+(** [entry t counters ~rids_of_tag ~fetch src tag] returns [tag]'s
+    up-to-date entry, rebuilding or repairing first when needed.
+    [rids_of_tag src tag] enumerates the tag's row ids (used only by
+    full rebuilds); [fetch src rid row] fills [row] with row [rid] of
+    [src] and is expected to charge the page read.  Both are given the
+    row source [src] rather than closing over it, so a call builds no
+    closure. *)
 val entry :
-  t -> Ltree_metrics.Counters.t -> rids_of_tag:(string -> int list) ->
-  fetch:(int -> int * int * bool) -> string -> entry
+  t -> Ltree_metrics.Counters.t ->
+  rids_of_tag:('src -> string -> int list) ->
+  fetch:('src -> int -> row -> unit) -> 'src -> string -> entry
 
 (** [upper_bound counters e key] is the first position in [e] with
     [start > key] (binary search, comparisons charged). *)
 val upper_bound : Ltree_metrics.Counters.t -> entry -> int -> int
 
-(** [check t ~fetch] verifies every clean (non-dirty) materialized tag:
+(** [check t ~fetch src] verifies every clean (non-dirty) materialized tag:
     column lengths in sync, strictly increasing starts, no dead rows,
-    columns agreeing with the backing rows.  Raises [Failure]
-    otherwise. *)
-val check : t -> fetch:(int -> int * int * bool) -> unit
+    all four label and id columns agreeing with what [fetch] reports
+    for the row.  Raises [Failure] otherwise. *)
+val check : t -> fetch:('src -> int -> row -> unit) -> 'src -> unit

@@ -134,17 +134,25 @@ let label_descendants_baseline pager store ~anc ~desc =
 
 (* {1 The incremental-index fast path} *)
 
+(* The index's row fetch: one table read, the live row's Dom id
+   through the store's translation. *)
+let fetch_row (store : label_store) rid (r : Label_index.row) =
+  let row = Rel_table.get store.label_table rid in
+  r.r_start <- row.l_start;
+  r.r_end <- row.l_end;
+  r.r_level <- row.l_level;
+  r.r_dead <- row.l_dead;
+  if not row.l_dead then r.r_id <- store.label_ids row.l_id
+
+let tag_rids (store : label_store) tag = ids_of_tag store.label_by_tag tag
+
 let tag_entry pager (store : label_store) tag =
   Label_index.entry store.label_index (Pager.counters pager)
-    ~rids_of_tag:(ids_of_tag store.label_by_tag)
-    ~fetch:(fun rid ->
-      let row = Rel_table.get store.label_table rid in
-      (row.l_start, row.l_end, row.l_dead))
-    tag
+    ~rids_of_tag:tag_rids ~fetch:fetch_row store tag
 
 (* [clean_entry] is the allocation-free entry lookup: the clean fast
    path builds nothing; only a dirty or unmaterialized tag falls back to
-   the repairing [tag_entry] (whose fetch closures allocate). *)
+   the repairing [tag_entry]. *)
 let clean_entry pager (store : label_store) tag =
   match Label_index.clean store.label_index tag with
   | e -> e
@@ -286,6 +294,8 @@ let gather (d : Label_index.entry) (ws : Label_index.workspace)
   Column.gather d.starts ~idx:ws.w_dpos out.starts;
   Column.gather d.ends ~idx:ws.w_dpos out.ends;
   Column.gather d.rids ~idx:ws.w_dpos out.rids;
+  Column.gather d.levels ~idx:ws.w_dpos out.levels;
+  Column.gather d.ids ~idx:ws.w_dpos out.ids;
   out.len <- Column.length ws.w_dpos
 
 (* One semi-join per step of [t1//t2//…//tk]: each step's matches are

@@ -13,8 +13,8 @@ val edge_descendants :
 
 (** [label_descendants store ~anc ~desc] evaluates [anc//desc] with one
     structural join over the incremental per-tag label index
-    ({!Label_index}): both inputs come back as sorted [(start, end,
-    row id)] arrays — rebuilt on first access, merge-repaired after
+    ({!Label_index}): both inputs come back as sorted covering
+    columns — rebuilt on first access, merge-repaired after
     updates — and are joined by {!semi_join} (interval-containment
     comparisons counted on the pager's counters). *)
 val label_descendants :
@@ -81,9 +81,10 @@ val label_path :
 val index_stats : Shredder.label_store -> Label_index.stats
 
 (** [tag_entry pager store tag] is the tag's live index entry: sorted
-    [(start, end, rid)] arrays, rebuilt or merge-repaired on access.
-    Exposed so read-only execution layers (snapshots in [lib/exec]) can
-    freeze a consistent copy; treat the arrays as immutable. *)
+    covering columns, rebuilt or merge-repaired on access, each row's
+    Dom id through the store's [label_ids].  Exposed so read-only
+    execution layers (snapshots in [lib/exec]) can freeze a consistent
+    copy; treat the columns as immutable. *)
 val tag_entry :
   Pager.t -> Shredder.label_store -> string -> Label_index.entry
 
@@ -93,7 +94,7 @@ val tag_entry :
     snapshot driver ([Ltree_exec.Read_snapshot.run], hence every
     sharded and pooled plan) and the XPath evaluator's child and
     descendant steps.  Both read the sorted [starts]/[ends] columns of
-    their entry inputs (never [rids]), charge comparisons to
+    their entry inputs (no other column), charge comparisons to
     [counters], and write one pair per match into the workspace:
     [w_dpos] the descendant's position in [d], [w_apos] the ancestor's
     position in [a].  Neither allocates once the workspace's columns

@@ -24,6 +24,7 @@ type label_store = {
   label_by_tag : (string, int list) Hashtbl.t;
   label_by_node : int Int_tbl.t;
   label_index : Label_index.t;
+  mutable label_ids : int -> int;
   mutable label_epoch : int;
 }
 
@@ -107,4 +108,5 @@ let shred_label pager ?(rows_per_page = 32) ldoc =
            push_tag label_by_tag tag rid));
   rev_tags label_by_tag;
   { label_table; label_by_tag; label_by_node;
-    label_index = Label_index.create (); label_epoch = 0 }
+    label_index = Label_index.create (); label_ids = Fun.id;
+    label_epoch = 0 }

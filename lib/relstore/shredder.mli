@@ -41,10 +41,17 @@ type label_store = {
   label_by_tag : (string, int list) Hashtbl.t; (* tag -> row ids *)
   label_by_node : int Ltree_metrics.Int_tbl.t; (* Dom id -> row id *)
   label_index : Label_index.t;
-      (* per-tag sorted (start, end, row id) arrays — the secondary
-         index behind the structural-join plans; built lazily per tag
+      (* per-tag covering columns sorted by start — start, end, row id,
+         level and translated Dom id — the secondary index behind the
+         structural-join plans and read snapshots; built lazily per tag
          and incrementally repaired when {!Label_sync.flush} reports
          which rows moved *)
+  mutable label_ids : int -> int;
+      (* the translation the index applies to a live row's Dom id as it
+         fetches the row: identity, except in a shard's store, where it
+         maps local ids to router ids.  Set once, before the first
+         query; a row's id only changes through {!Label_sync}, which
+         re-fetches it *)
   mutable label_epoch : int;
       (* store-level incarnation stamp, bumped by {!Label_sync.resync}
          after a crash recovery replaces the backing document; sync

@@ -62,8 +62,6 @@ type shard = {
   mutable snap : Read_snapshot.t option;  (* frozen lazily per query *)
   g_of_l : int Int_tbl.t;  (* local Dom id -> router Dom id *)
   l_of_g : int Int_tbl.t;  (* router Dom id -> local Dom id *)
-  ids : Read_snapshot.id_map;
-      (* [g_of_l] cached by label-table row: snapshots freeze router ids *)
   mutable bufs : Label_index.workspace array;
       (* reused query workspaces: slot [i] is written only by the task
          answering query [i] of a batch; single plans use slot 0 *)
@@ -173,18 +171,20 @@ let sub_range l lo hi =
 (* {1 Shard construction} *)
 
 (* A shard over a durable store: its own rel-store, label sync, empty
-   identity maps and reused query buffers. *)
+   identity maps and reused query buffers.  The store's index fetches
+   translate through [g_of_l], so the shard's index, and every snapshot
+   copied from it, holds router ids. *)
 let wire_shard ~sid ~sim ~io durable =
   let ldoc = Durable_doc.ldoc durable in
   let pager = Pager.create (Counters.create ()) in
   let store = Shredder.shred_label pager ldoc in
   let sync = Label_sync.create pager store ldoc in
   let g_of_l = Int_tbl.create 256 in
+  store.Shredder.label_ids <- Int_tbl.find g_of_l;
   let commit_hist, query_hist, pending_hist = shard_histograms sid in
   { sid; sim; io; durable; pager; store; sync; snap = None;
     g_of_l;
     l_of_g = Int_tbl.create 256;
-    ids = Read_snapshot.id_map (Int_tbl.find g_of_l);
     bufs = [| Label_index.create_workspace () |];
     commit_hist; query_hist; pending_hist }
 
@@ -252,6 +252,8 @@ let shard_sid t p = t.shards.(p).sid
 let shard_sim t p = t.shards.(p).sim
 let shard_durable t p = t.shards.(p).durable
 let shard_ldoc t p = Durable_doc.ldoc t.shards.(p).durable
+let shard_store t p = t.shards.(p).store
+let router_id t p lid = Int_tbl.find t.shards.(p).g_of_l lid
 let set_local_entry_hook t hook = t.on_local_entry <- hook
 
 (* {1 Routing}
@@ -349,7 +351,7 @@ let up_to_date sync snap ~freeze =
 let frozen sh =
   let s =
     up_to_date sh.sync sh.snap ~freeze:(fun () ->
-        Read_snapshot.of_store ~ids:sh.ids sh.pager sh.store
+        Read_snapshot.of_store sh.pager sh.store
           (Durable_doc.ldoc sh.durable))
   in
   sh.snap <- Some s;

@@ -59,9 +59,17 @@ val shard_sim : t -> int -> Ltree_recovery.Fault.sim
 val shard_durable : t -> int -> Ltree_recovery.Durable_doc.t
 val shard_ldoc : t -> int -> Ltree_doc.Labeled_doc.t
 
+(** [shard_store t p] is shard [p]'s label store.  Its [label_ids]
+    translation is {!router_id}'s, so its index holds router ids. *)
+val shard_store : t -> int -> Ltree_relstore.Shredder.label_store
+
+(** [router_id t p lid] is the router Dom id of shard [p]'s node [lid];
+    raises [Not_found] for an id the shard does not hold. *)
+val router_id : t -> int -> int -> int
+
 (** [shard_snapshot t p] is shard [p]'s read snapshot, flushed and
-    refreshed first if stale.  Its slices' ids are {e router} Dom ids
-    and its levels are router levels; its label columns are
+    refreshed first if stale.  Its entries' ids are {e router} Dom ids
+    and its levels are router levels; its label columns and row ids are
     shard-local. *)
 val shard_snapshot : t -> int -> Ltree_exec.Read_snapshot.t
 

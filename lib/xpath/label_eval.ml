@@ -10,15 +10,16 @@ type item = { node : Dom.node; start_pos : int; end_pos : int; level : int }
 (* The slots of one node test, in document order.  L-Tree relabels
    preserve order, so a vector stays sorted through any number of them:
    only inserts and deletes change it, and [refresh] merges those in.
-   [rows] and [levels] hold the slots' current labels and depths as
-   join input — [rows.rids] is the identity, a row's own position —
-   rewritten in place when the document version moved. *)
+   [rows] holds the slots' current labels and depths as join input —
+   the same entry type the label index and read snapshots use — and is
+   rewritten in place when the document version moved.  A vector row
+   has no table row and answers through its slot, so [rows.rids] and
+   [rows.ids] both hold the row's own position. *)
 type vector = {
   test : Ast.test;
   mutable slots : Labeled_doc.slot array; (* [0, len) live, sorted *)
   mutable len : int;
   rows : Label_index.entry;
-  levels : Column.t;
   mutable rows_version : int;
 }
 
@@ -138,7 +139,6 @@ let build t (test : Ast.test) =
   let len = Array.length slots in
   { test; slots; len;
     rows = Label_index.create_entry ~capacity:(Int.max 1 len) ();
-    levels = Column.create ~capacity:(Int.max 1 len) ();
     rows_version = -1 }
 
 (* ["*"] and ["text()"] are not XML names, so no element name collides
@@ -150,21 +150,28 @@ let test_key (test : Ast.test) =
   | Ast.Text_node -> "text()"
 
 (* Rewrite [vec]'s join columns from its slots, once per document
-   version: no allocation once the columns have grown. *)
+   version: no allocation once the columns have grown.  The position
+   columns hold the identity below [r.len] already, so only the rows
+   past it are written. *)
 let sync_rows t vec =
   if vec.rows_version <> t.version then begin
     let r = vec.rows and n = vec.len in
-    let cols = [ r.starts; r.ends; r.rids; vec.levels ] in
-    List.iter (fun c -> Column.reserve c n) cols;
+    Column.reserve r.starts n;
+    Column.reserve r.ends n;
+    Column.reserve r.rids n;
+    Column.reserve r.levels n;
+    Column.reserve r.ids n;
     for i = 0 to n - 1 do
       let s = vec.slots.(i) in
       Column.set r.starts i (start_of t s);
       Column.set r.ends i (Labeled_doc.slot_end t.ldoc s);
-      Column.set r.rids i i;
-      Column.set vec.levels i (Labeled_doc.slot_level s)
+      Column.set r.levels i (Labeled_doc.slot_level s)
     done;
-    List.iter (fun c -> Column.set_len c n) cols;
-    r.len <- n;
+    for i = r.len to n - 1 do
+      Column.set r.rids i i;
+      Column.set r.ids i i
+    done;
+    Label_index.set_lens r n;
     vec.rows_version <- t.version
   end
 
@@ -187,7 +194,7 @@ let item_of_row vec p =
   { node = Labeled_doc.slot_node vec.slots.(p);
     start_pos = Column.get vec.rows.starts p;
     end_pos = Column.get vec.rows.ends p;
-    level = Column.get vec.levels p }
+    level = Column.get vec.rows.levels p }
 
 let items_of (s : set) =
   List.init s.sel.len (fun i -> item_of_row s.vec (Column.get s.sel.rids i))
@@ -218,16 +225,14 @@ let set_of_items t vec groups out =
   Query.gather vec.rows ws out;
   { vec; sel = out }
 
-let context_level (ctx : set) apos =
-  Column.get ctx.vec.levels (Column.get ctx.sel.rids apos)
-
 (* Keep the kernel's pairs whose candidate sits one level below its
    context: the child axis. *)
 let keep_children (ctx : set) cands (ws : Label_index.workspace) =
   let n = ref 0 in
   for i = 0 to Column.length ws.w_dpos - 1 do
     let dpos = Column.get ws.w_dpos i and apos = Column.get ws.w_apos i in
-    if Column.get cands.levels dpos = context_level ctx apos + 1 then begin
+    if Column.get cands.rows.levels dpos = Column.get ctx.sel.levels apos + 1
+    then begin
       Column.set ws.w_dpos !n dpos;
       Column.set ws.w_apos !n apos;
       incr n
@@ -251,7 +256,9 @@ let inl_groups ~child (ctx : set) cands (ws : Label_index.workspace) =
       close ();
       cur := apos
     end;
-    if (not child) || Column.get cands.levels dpos = context_level ctx apos + 1
+    if
+      (not child)
+      || Column.get cands.rows.levels dpos = Column.get ctx.sel.levels apos + 1
     then group := item_of_row cands dpos :: !group
   done;
   close ();

@@ -190,9 +190,15 @@ let upper_bound_matches_linear () =
 (* {1 Differential property: columnar spine vs. boxed baseline} *)
 
 let index_check store =
-  Label_index.check store.Shredder.label_index ~fetch:(fun rid ->
-      let row = Rel_table.get store.Shredder.label_table rid in
-      (row.Shredder.l_start, row.Shredder.l_end, row.Shredder.l_dead))
+  Label_index.check store.Shredder.label_index
+    ~fetch:(fun (store : Shredder.label_store) rid r ->
+      let row = Rel_table.get store.label_table rid in
+      r.Label_index.r_start <- row.Shredder.l_start;
+      r.r_end <- row.l_end;
+      r.r_level <- row.l_level;
+      r.r_dead <- row.l_dead;
+      if not row.l_dead then r.r_id <- store.label_ids row.l_id)
+    store
 
 (* Random insert/delete/compact schedules; after every flushed batch the
    three columnar plans (indexed, zero-alloc hot, INL) must agree with
@@ -270,20 +276,20 @@ let refresh_reuses_slices () =
   let snap2 = Read_snapshot.refresh snap1 in
   Alcotest.(check bool) "refresh produced a new snapshot" true
     (snap1 != snap2);
-  (* Slices of tags away from the insertion point are reused
+  (* Entries of tags away from the insertion point are reused
      physically, not re-copied.  (Tags near the appended leaf — here
      [b]/[y] — may be relabeled by the L-Tree and legitimately get
-     fresh slices.) *)
+     fresh copies.) *)
   List.iter
     (fun tag ->
       Alcotest.(check bool)
         (Printf.sprintf "slice %S reused" tag)
         true
-        (Read_snapshot.slice snap1 tag == Read_snapshot.slice snap2 tag))
+        (Read_snapshot.entry snap1 tag == Read_snapshot.entry snap2 tag))
     [ "a"; "x" ];
-  (* ... while the new tag gets a real slice of its own. *)
+  (* ... while the new tag gets a real copy of its own. *)
   Alcotest.(check int) "new tag frozen" 1
-    (Read_snapshot.slice snap2 "p").Read_snapshot.s_rows.Label_index.len;
+    (Read_snapshot.entry snap2 "p").Label_index.len;
   (* A second refresh with nothing changed returns the same snapshot. *)
   Alcotest.(check bool) "fresh refresh is identity" true
     (Read_snapshot.refresh snap2 == snap2)

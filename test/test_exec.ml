@@ -114,7 +114,7 @@ let setup_generated ~seed ~nodes =
 let busy_tags snap =
   Read_snapshot.tags snap
   |> List.map (fun t ->
-         (t, (Read_snapshot.slice snap t).Read_snapshot.s_rows.Label_index.len))
+         (t, (Read_snapshot.entry snap t).Label_index.len))
   |> List.filter (fun (_, n) -> n > 0)
   |> List.sort (fun (_, a) (_, b) -> Int.compare b a)
   |> List.map fst

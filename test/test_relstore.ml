@@ -337,9 +337,15 @@ let all_plans_agree pager store doc tags =
     tags
 
 let index_check store =
-  Label_index.check store.Shredder.label_index ~fetch:(fun rid ->
-      let row = Rel_table.get store.Shredder.label_table rid in
-      (row.Shredder.l_start, row.Shredder.l_end, row.Shredder.l_dead))
+  Label_index.check store.Shredder.label_index
+    ~fetch:(fun (store : Shredder.label_store) rid r ->
+      let row = Rel_table.get store.label_table rid in
+      r.Label_index.r_start <- row.Shredder.l_start;
+      r.r_end <- row.l_end;
+      r.r_level <- row.l_level;
+      r.r_dead <- row.l_dead;
+      if not row.l_dead then r.r_id <- store.label_ids row.l_id)
+    store
 
 let index_fresh_random =
   QCheck.Test.make ~count:20

@@ -274,8 +274,8 @@ let plans_agree_matrix () =
 
 (* {1 Router-id snapshots} *)
 
-(* Every row of every shard snapshot slice must name a live router node
-   carrying the slice's tag, at the row's level: shard snapshots freeze
+(* Every row of every shard snapshot entry must name a live router node
+   carrying the entry's tag, at the row's level: shard snapshots freeze
    router ids, not shard-local ones. *)
 let check_router_rows what sd =
   let r = Sharded_doc.router sd in
@@ -283,11 +283,10 @@ let check_router_rows what sd =
     let snap = Sharded_doc.shard_snapshot sd p in
     List.iter
       (fun tag ->
-        let s = Read_snapshot.slice snap tag in
-        let rows = s.Read_snapshot.s_rows in
+        let rows = Read_snapshot.entry snap tag in
         for i = 0 to rows.Label_index.len - 1 do
-          let id = Column.get_checked rows.Label_index.rids i in
-          let level = Column.get_checked s.Read_snapshot.s_levels i in
+          let id = Column.get_checked rows.Label_index.ids i in
+          let level = Column.get_checked rows.Label_index.levels i in
           match Labeled_doc.node_by_id r id with
           | None ->
             Alcotest.failf "%s: shard %d, %s row %d: id %d names no live \
@@ -331,22 +330,22 @@ let snapshots_hold_router_ids () =
     Sharded_doc.apply sd (random_edit rng sd);
     check_router_rows (Printf.sprintf "post-split step %d" step) sd
   done;
-  (* The cache must not trust a row whose Dom id changed: a resync
-     after recovery keeps every row id but rebinds it to a new node. *)
+  (* The index must not keep a translation whose row changed its Dom id:
+     a resync after recovery keeps every row id but rebinds it to a new
+     node. *)
   let offset = 1 lsl 40 in
   let doc = wide_doc 42 in
   let ldoc = Labeled_doc.of_document doc in
   let pager = Pager.create (Counters.create ()) in
   let store = Shredder.shred_label pager ldoc in
   let sync = Label_sync.create pager store ldoc in
-  let ids = Read_snapshot.id_map (fun lid -> lid + offset) in
+  store.Shredder.label_ids <- (fun lid -> lid + offset);
   let check_rebound what ldoc snap =
     List.iter
       (fun tag ->
-        let s = Read_snapshot.slice snap tag in
-        let rows = s.Read_snapshot.s_rows in
+        let rows = Read_snapshot.entry snap tag in
         for i = 0 to rows.Label_index.len - 1 do
-          let id = Column.get_checked rows.Label_index.rids i - offset in
+          let id = Column.get_checked rows.Label_index.ids i - offset in
           match Labeled_doc.node_by_id ldoc id with
           | Some n when Shredder.tag_of n = Some tag -> ()
           | Some _ | None ->
@@ -354,11 +353,88 @@ let snapshots_hold_router_ids () =
         done)
       (Read_snapshot.tags snap)
   in
-  check_rebound "before resync" ldoc (Read_snapshot.of_store ~ids pager store ldoc);
+  check_rebound "before resync" ldoc (Read_snapshot.of_store pager store ldoc);
   let recovered = Ltree_doc.Snapshot.load (Ltree_doc.Snapshot.save ldoc) in
   let _sync, _ = Label_sync.resync sync recovered in
   check_rebound "after resync" recovered
-    (Read_snapshot.of_store ~ids pager store recovered)
+    (Read_snapshot.of_store pager store recovered)
+
+(* Every snapshot id is the translation of its row's {e current} local
+   id: checked row by row against the label table, so an id cached by
+   the index across a change of the row's Dom id cannot hide.  Returns
+   the snapshot's ids by row id. *)
+let check_ids_current what store snap translate =
+  let ids = Ltree_metrics.Int_tbl.create 64 in
+  List.iter
+    (fun tag ->
+      let rows = Read_snapshot.entry snap tag in
+      for i = 0 to rows.Label_index.len - 1 do
+        let rid = Column.get_checked rows.Label_index.rids i in
+        let id = Column.get_checked rows.Label_index.ids i in
+        let lid =
+          (Ltree_relstore.Rel_table.get store.Shredder.label_table rid)
+            .Shredder.l_id
+        in
+        if id <> translate lid then
+          Alcotest.failf "%s: %s row %d (rid %d) holds id %d, its local id \
+                          %d translates to %d" what tag i rid id lid
+            (translate lid);
+        Ltree_metrics.Int_tbl.replace ids rid id
+      done)
+    (Read_snapshot.tags snap);
+  ids
+
+let snapshot_ids_follow_rows () =
+  let sd = Sharded_doc.create ~shards:2 (wide_doc ~subtrees:12 43) in
+  let rng = Prng.create 44 in
+  for _ = 1 to 20 do
+    Sharded_doc.apply sd (random_edit rng sd)
+  done;
+  let check_all what =
+    for p = 0 to Sharded_doc.nshards sd - 1 do
+      ignore
+        (check_ids_current
+           (Printf.sprintf "%s, shard %d" what p)
+           (Sharded_doc.shard_store sd p)
+           (Sharded_doc.shard_snapshot sd p)
+           (Sharded_doc.router_id sd p)
+          : int Ltree_metrics.Int_tbl.t)
+    done
+  in
+  check_all "before split";
+  Sharded_doc.split sd 0;
+  check_all "after split";
+  for _ = 1 to 20 do
+    Sharded_doc.apply sd (random_edit rng sd)
+  done;
+  check_all "after post-split writes";
+  (* A resync rebinds every row to a recovered node with a fresh Dom
+     id: the refreshed snapshot must carry the new ids' translations,
+     so some row's id must differ from before. *)
+  let doc = wide_doc 45 in
+  let ldoc = Labeled_doc.of_document doc in
+  let pager = Pager.create (Counters.create ()) in
+  let store = Shredder.shred_label pager ldoc in
+  let sync = Label_sync.create pager store ldoc in
+  let translate lid = (lid * 3) + 7 in
+  store.Shredder.label_ids <- translate;
+  let snap = Read_snapshot.of_store pager store ldoc in
+  let before = check_ids_current "before resync" store snap translate in
+  let recovered = Ltree_doc.Snapshot.load (Ltree_doc.Snapshot.save ldoc) in
+  let _sync, _ = Label_sync.resync sync recovered in
+  let after =
+    check_ids_current "after resync" store (Read_snapshot.refresh snap)
+      translate
+  in
+  let moved =
+    Ltree_metrics.Int_tbl.fold
+      (fun rid id n ->
+        match Ltree_metrics.Int_tbl.find_opt before rid with
+        | Some old when old <> id -> n + 1
+        | Some _ | None -> n)
+      after 0
+  in
+  Alcotest.(check bool) "the resync rebound some rows" true (moved > 0)
 
 (* {1 Allocation} *)
 
@@ -579,6 +655,8 @@ let suite =
         plans_agree_matrix;
       case "shard snapshots hold live router ids" `Quick
         snapshots_hold_router_ids;
+      case "snapshot ids follow their rows through split and resync"
+        `Quick snapshot_ids_follow_rows;
       case "warm sharded descendants stays within its allocation bound"
         `Quick descendants_allocation_bound;
       case "writes route to the owning shard only" `Quick

@@ -74,17 +74,15 @@ let doc_counters t = Labeled_doc.counters t.ldoc
    label width, population and journal depth move as the workload
    runs. *)
 let register_telemetry t =
-  let reg name help fn = Ltree_obs.Telemetry.register ~name ~help fn in
-  reg "doc_bits_per_label" "bits per label of the live document's L-Tree"
-    (fun () -> float_of_int (Ltree.bits_per_label (Labeled_doc.tree t.ldoc)));
-  reg "doc_live_tags" "live begin/end tags in the document's L-Tree"
-    (fun () -> float_of_int (Ltree.live_length (Labeled_doc.tree t.ldoc)));
-  reg "twin_leaves" "leaves in the materialized twin tree"
-    (fun () -> float_of_int (Ltree.length t.mt));
-  reg "journal_entries" "entries in the in-memory recovery journal"
-    (fun () -> float_of_int (Journal.length t.journal));
-  reg "durable_last_seq" "journal sequence applied by the durable twin"
-    (fun () -> float_of_int (Durable_doc.last_seq t.durable))
+  let reg name fn = Ltree_obs.Telemetry.register ~name fn in
+  reg "doc_bits_per_label" (fun () ->
+      float_of_int (Ltree.bits_per_label (Labeled_doc.tree t.ldoc)));
+  reg "doc_live_tags" (fun () ->
+      float_of_int (Ltree.live_length (Labeled_doc.tree t.ldoc)));
+  reg "twin_leaves" (fun () -> float_of_int (Ltree.length t.mt));
+  reg "journal_entries" (fun () -> float_of_int (Journal.length t.journal));
+  reg "durable_last_seq" (fun () ->
+      float_of_int (Durable_doc.last_seq t.durable))
 
 let queries =
   [ "site//item/name"; "//person[address/city]"; "//patch";

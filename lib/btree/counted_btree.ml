@@ -82,7 +82,6 @@ let rec find_node t node k =
   | Node i -> find_node t (kid i (route i k)) k
 
 let find t k = find_node t t.root k
-let mem t k = Option.is_some (find t k)
 
 (* {1 Insertion} *)
 
@@ -355,25 +354,8 @@ let iter_range t ~lo ~hi f =
 
 let iter t f = iter_range t ~lo:min_int ~hi:max_int f
 
-let fold t ~init ~f =
-  let acc = ref init in
-  iter t (fun k v -> acc := f !acc k v);
-  !acc
-
-let to_list t = List.rev (fold t ~init:[] ~f:(fun acc k v -> (k, v) :: acc))
-
 let min_binding t = if is_empty t then None else Some (select t 0)
 let max_binding t = if is_empty t then None else Some (select t (length t - 1))
-
-let successor t k =
-  if k = max_int then None
-  else
-    let r = rank t (k + 1) in
-    if r >= length t then None else Some (select t r)
-
-let predecessor t k =
-  let r = rank t k in
-  if r = 0 then None else Some (select t (r - 1))
 
 let replace_range t ~lo ~hi entries =
   let rec check_sorted prev = function
@@ -452,8 +434,3 @@ let check t =
   let _ = go t.root ~is_root:true in
   ()
 
-let pp pp_v ppf t =
-  Format.fprintf ppf "@[<v>counted_btree (order %d, %d entries):@," t.order
-    (length t);
-  iter t (fun k v -> Format.fprintf ppf "  %d -> %a@," k pp_v v);
-  Format.fprintf ppf "@]"

@@ -1,6 +1,6 @@
 (** A counted in-memory B+-tree over integer keys.
 
-    Internal nodes additionally maintain subtree sizes, so [rank], [select]
+    Internal nodes additionally maintain subtree sizes, so [rank]
     and [count_range] run in O(log n).  This is the index structure the
     paper's "virtual L-Tree" (§4.2) relies on: "if the leaf labels are
     maintained in a B-tree whose internal nodes also maintain counts, such
@@ -19,23 +19,14 @@ val create :
   ?order:int -> ?counters:Ltree_metrics.Counters.t -> unit -> 'a t
 
 val length : 'a t -> int
-val is_empty : 'a t -> bool
 
 (** [add t k v] binds [k] to [v], replacing any previous binding. *)
 val add : 'a t -> int -> 'a -> unit
 
-(** [remove t k] removes [k]'s binding; no-op when unbound. *)
-val remove : 'a t -> int -> unit
-
 val find : 'a t -> int -> 'a option
-val mem : 'a t -> int -> bool
 
 (** [rank t k] is the number of keys strictly smaller than [k]. *)
 val rank : 'a t -> int -> int
-
-(** [select t i] is the [i]-th smallest binding (0-based).
-    Raises [Invalid_argument] when [i] is out of bounds. *)
-val select : 'a t -> int -> int * 'a
 
 (** [count_range t ~lo ~hi] is the number of keys in the inclusive interval
     [lo, hi]; 0 when [lo > hi]. *)
@@ -46,15 +37,8 @@ val count_range : 'a t -> lo:int -> hi:int -> int
 val iter_range : 'a t -> lo:int -> hi:int -> (int -> 'a -> unit) -> unit
 
 val iter : 'a t -> (int -> 'a -> unit) -> unit
-val fold : 'a t -> init:'b -> f:('b -> int -> 'a -> 'b) -> 'b
-val to_list : 'a t -> (int * 'a) list
 val min_binding : 'a t -> (int * 'a) option
 val max_binding : 'a t -> (int * 'a) option
-
-(** [successor t k] is the smallest binding with key strictly greater than
-    [k]; [predecessor t k] the largest strictly smaller one. *)
-val successor : 'a t -> int -> (int * 'a) option
-val predecessor : 'a t -> int -> (int * 'a) option
 
 (** [replace_range t ~lo ~hi entries] atomically removes every binding with
     key in [lo, hi] and adds [entries] (which must be sorted by key and lie
@@ -68,4 +52,3 @@ val replace_range : 'a t -> lo:int -> hi:int -> (int * 'a) list -> unit
     raises [Failure] with a diagnostic on the first violation. *)
 val check : 'a t -> unit
 
-val pp : (Format.formatter -> 'a -> unit) -> Format.formatter -> 'a t -> unit

@@ -24,11 +24,6 @@ val amortized_cost : params:Params.t -> n:int -> float
 (** [bits ~params ~n] is the §3.1 bound on bits per label. *)
 val bits : params:Params.t -> n:int -> float
 
-(** [batch_h0 ~params ~k] is the height [h0] such that a batch of size [k]
-    immediately fills a height-[h0] ancestor: [floor(log_m (k / (s-1)))],
-    at least 0. *)
-val batch_h0 : params:Params.t -> k:int -> int
-
 (** [batch_amortized_cost ~params ~n ~k] is the §4.1 per-leaf bound for a
     batch of [k] leaves. *)
 val batch_amortized_cost : params:Params.t -> n:int -> k:int -> float

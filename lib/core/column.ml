@@ -11,7 +11,6 @@ let create ?(capacity = 16) () =
   { buf = make_buf (Int.max 1 capacity); len = 0 }
 
 let length t = t.len
-let capacity t = A.dim t.buf
 let clear t = t.len <- 0
 
 let set_len t n =
@@ -24,10 +23,6 @@ let[@inline] set t i v = A.unsafe_set t.buf i v
 let get_checked t i =
   if i < 0 || i >= t.len then invalid_arg "Column.get_checked";
   A.unsafe_get t.buf i
-
-let set_checked t i v =
-  if i < 0 || i >= t.len then invalid_arg "Column.set_checked";
-  A.unsafe_set t.buf i v
 
 (* Doubling growth.  The only allocation a column ever performs: once
    grown, the buffer is reused across clears, repairs and queries, so
@@ -68,27 +63,12 @@ let swap a b =
   b.buf <- buf;
   b.len <- len
 
-let sub t pos len =
-  if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Column.sub";
-  { buf = A.sub t.buf pos len; len }
-
 let copy_sub t pos len =
   if pos < 0 || len < 0 || pos + len > t.len then invalid_arg "Column.copy_sub";
   let out = create ~capacity:(Int.max 1 len) () in
   if len > 0 then A.blit (A.sub t.buf pos len) (A.sub out.buf 0 len);
   out.len <- len;
   out
-
-let of_array arr =
-  let n = Array.length arr in
-  let out = create ~capacity:(Int.max 1 n) () in
-  for i = 0 to n - 1 do
-    A.unsafe_set out.buf i arr.(i)
-  done;
-  out.len <- n;
-  out
-
-let to_array t = Array.init t.len (fun i -> A.unsafe_get t.buf i)
 
 let to_list t =
   let out = ref [] in

@@ -10,8 +10,8 @@
 
     Two access families: {!get}/{!set} are unchecked single-instruction
     accessors for audited [\[@ltree.hot\]] loops (the R9 analyzer keeps
-    those loops allocation-free); {!get_checked}/{!set_checked} are the
-    bounds-checked twins for tests and invariant checks.  Out-of-bounds
+    those loops allocation-free); {!get_checked} is the bounds-checked
+    twin for tests and invariant checks.  Out-of-bounds
     unchecked access into the slack between [length] and [capacity] is
     memory-safe but unspecified; beyond [capacity] it is undefined —
     callers doing raw cursor arithmetic must {!reserve} first. *)
@@ -23,15 +23,14 @@ type t
 val create : ?capacity:int -> unit -> t
 
 val length : t -> int
-val capacity : t -> int
 
 (** [clear t] sets the length to 0.  The buffer is kept — refilling up
     to the old length never reallocates. *)
 val clear : t -> unit
 
-(** [set_len t n] sets the logical length to [n] directly ([0 <= n <=
-    capacity t], or [Invalid_argument]).  For raw-cursor writers that
-    fill [t] via {!set} after a {!reserve}. *)
+(** [set_len t n] sets the logical length to [n] directly ([n] at least
+    0 and within the reserved capacity, or [Invalid_argument]).  For
+    raw-cursor writers that fill [t] via {!set} after a {!reserve}. *)
 val set_len : t -> int -> unit
 
 (** Unchecked read/write of position [i].  Single load/store on the
@@ -43,8 +42,6 @@ val set : t -> int -> int -> unit
 (** Bounds-checked twins of {!get}/{!set} ([0 <= i < length t] or
     [Invalid_argument]). *)
 val get_checked : t -> int -> int
-
-val set_checked : t -> int -> int -> unit
 
 (** [push t v] appends [v], doubling capacity when full (the only
     allocating operation on a column, and only when it grows). *)
@@ -71,18 +68,10 @@ val gather : t -> idx:t -> t -> unit
     O(1) — the reuse primitive for double-buffered rebuilds. *)
 val swap : t -> t -> unit
 
-(** [sub t pos len] is a zero-copy view of positions [pos, pos + len):
-    it shares the backing buffer, so writes through either alias are
-    visible in both.  Used to shard a frozen slice across domains
-    without copying. *)
-val sub : t -> int -> int -> t
-
 (** [copy_sub t pos len] is a fresh column holding a copy of positions
     [pos, pos + len), made by one block copy. *)
 val copy_sub : t -> int -> int -> t
 
-val of_array : int array -> t
-val to_array : t -> int array
 val to_list : t -> int list
 
 (** [upper_bound counters t key] is the first position in [0, length t)

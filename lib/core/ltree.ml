@@ -169,12 +169,6 @@ let rec gather buf v i =
     !i
   end
 
-let collect_leaves node =
-  let out = Array.make node.nleaves dummy in
-  let n = gather out node 0 in
-  assert (n = node.nleaves);
-  out
-
 (* The tree's scratch leaf buffer, with room for [n] leaves.  A rebuild
    fills a prefix, builds from it and hands it back with {!release}. *)
 let scratch t n =
@@ -574,19 +568,6 @@ let insert_batch_after t w k =
   let p = parent_of w in
   insert_batch_at t p (index_of p w + 1) k
 
-let insert_batch_before t w k =
-  if k < 1 then invalid_arg "Ltree.insert_batch_before: k must be >= 1";
-  let p = parent_of w in
-  insert_batch_at t p (index_of p w) k
-
-let insert_batch_first t k =
-  if k < 1 then invalid_arg "Ltree.insert_batch_first: k must be >= 1";
-  match first t with
-  | None -> insert_batch_at t t.root 0 k
-  | Some w ->
-    let p = parent_of w in
-    insert_batch_at t p 0 k
-
 (* {1 Deletion (§2.3) and compaction} *)
 
 let delete t w =
@@ -608,9 +589,6 @@ let iter_leaves t f =
       done
   in
   if t.nslots > 0 then dfs t.root
-
-let leaves t =
-  if t.nslots = 0 then [||] else collect_leaves t.root
 
 let labels t =
   let out = Array.make t.nslots 0 in
@@ -670,27 +648,6 @@ let find_by_label t lab =
     descend t.root
   end
 
-let next _ w =
-  let rec up v =
-    let u = v.parent in
-    if u == dummy then None
-    else
-      let i = index_of u v in
-      if i + 1 < u.nchildren then Some (leftmost u.children.(i + 1))
-      else up u
-  in
-  up w
-
-let prev _ w =
-  let rec up v =
-    let u = v.parent in
-    if u == dummy then None
-    else
-      let i = index_of u v in
-      if i > 0 then Some (rightmost u.children.(i - 1)) else up u
-  in
-  up w
-
 (* {1 Validation} *)
 
 let check t =
@@ -743,14 +700,6 @@ let check t =
   iter_leaves t (fun l ->
       if l.num <= !prev then fail "leaf labels not increasing";
       prev := l.num)
-
-(* Parent-to-root order. *)
-let ancestor_numbers _ w =
-  let rec go acc v =
-    let u = v.parent in
-    if u == dummy then List.rev acc else go (u.num :: acc) u
-  in
-  go [] w
 
 let internal_node_count t =
   let count = ref 0 in

@@ -78,12 +78,8 @@ val insert_first : t -> leaf
 
 (** [insert_batch_after t w k] inserts [k] consecutive leaves right after
     [w] with a single region rebuild (paper §4.1); cheaper per leaf than
-    [k] separate insertions.  [insert_batch_first] is the analogue of
-    {!insert_first}. *)
+    [k] separate insertions. *)
 val insert_batch_after : t -> leaf -> int -> leaf array
-
-val insert_batch_before : t -> leaf -> int -> leaf array
-val insert_batch_first : t -> int -> leaf array
 
 (** [delete t w] tombstones the leaf: no relabeling happens (§2.3), the
     slot keeps its label and still counts toward node occupancy. *)
@@ -152,9 +148,6 @@ val bits_per_label : t -> int
 
 (** {1 Traversal} *)
 
-(** [leaves t] lists all slots in label order (tombstones included). *)
-val leaves : t -> leaf array
-
 val iter_leaves : t -> (leaf -> unit) -> unit
 
 (** [labels t] is the label sequence, in order, tombstones included. *)
@@ -165,13 +158,8 @@ val labels : t -> int array
     digits (§4.2) — no auxiliary index needed. *)
 val find_by_label : t -> int -> leaf option
 
-(** [first t] / [last t] are the outermost slots. *)
+(** [first t] is the leftmost slot. *)
 val first : t -> leaf option
-
-val last : t -> leaf option
-
-val next : t -> leaf -> leaf option
-val prev : t -> leaf -> leaf option
 
 (** {1 Validation and debugging} *)
 
@@ -187,8 +175,3 @@ val pp : Format.formatter -> t -> unit
     space-vs-time comparison). *)
 val internal_node_count : t -> int
 
-(** [ancestor_numbers t w] is the chain of internal-node numbers above
-    [w], from its parent up to the root.  By the §4.2 digit property this
-    equals [Label.ancestors params ~height:(height t) (label t w)]
-    (property-tested). *)
-val ancestor_numbers : t -> leaf -> int list

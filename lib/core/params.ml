@@ -46,4 +46,3 @@ let height_for t n =
 let pp ppf t =
   Format.fprintf ppf "(f=%d, s=%d, m=%d, radix=%d)" t.f t.s t.m t.radix
 
-let equal a b = a.f = b.f && a.s = b.s

@@ -48,4 +48,3 @@ val lmax : t -> height:int -> int
 val height_for : t -> int -> int
 
 val pp : Format.formatter -> t -> unit
-val equal : t -> t -> bool

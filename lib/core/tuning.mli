@@ -42,6 +42,3 @@ val minimize_overall :
   ?max_f:int -> ?word_bits:int -> n:int -> query_weight:float ->
   update_weight:float -> unit -> choice
 
-(** [lattice ?max_f ()] enumerates every valid [(f, s)] pair with
-    [f <= max_f] — exposed for the benchmark sweeps. *)
-val lattice : ?max_f:int -> unit -> Params.t list

@@ -24,11 +24,7 @@ let create ?(params = Params.fig2) ?(counters = Counters.create ()) () =
     next_handle = 0;
     nlive = 0 }
 
-let params t = t.params
-let counters t = t.counters
 let length t = Btree.length t.btree
-let live_length t = t.nlive
-let height t = t.height
 
 let fresh_handle t =
   let h = t.next_handle in
@@ -74,16 +70,6 @@ let labels t =
       incr i);
   out
 
-let first t =
-  match Btree.min_binding t.btree with
-  | None -> None
-  | Some (_, h) -> Some h
-
-let last t =
-  match Btree.max_binding t.btree with
-  | None -> None
-  | Some (_, h) -> Some h
-
 let delete t handle =
   if not (Int_tbl.mem t.label_of handle) then
     invalid_arg "Virtual_ltree.delete: unknown handle";
@@ -91,8 +77,6 @@ let delete t handle =
     Int_tbl.replace t.deleted handle ();
     t.nlive <- t.nlive - 1
   end
-
-let is_deleted t handle = Int_tbl.mem t.deleted handle
 
 (* The number of the virtual height-[h] ancestor of [lab]: clear the low
    [h] base-(f-1) digits. *)
@@ -308,34 +292,6 @@ let insert_batch_after t h k =
   let w = label t h in
   let a1 = ancestor_base t w 1 in
   insert_batch_slot t ~anchor:w ~a1 ~idx:(w - a1 + 1) k
-
-let insert_batch_before t h k =
-  if k < 1 then
-    invalid_arg "Virtual_ltree.insert_batch_before: k must be >= 1";
-  let w = label t h in
-  let a1 = ancestor_base t w 1 in
-  insert_batch_slot t ~anchor:w ~a1 ~idx:(w - a1) k
-
-let insert_batch_first t k =
-  if k < 1 then invalid_arg "Virtual_ltree.insert_batch_first: k must be >= 1";
-  match Btree.min_binding t.btree with
-  | Some (w, _) ->
-    let a1 = ancestor_base t w 1 in
-    insert_batch_slot t ~anchor:w ~a1 ~idx:0 k
-  | None ->
-    (* Empty tree: mirror the materialized batch-into-empty path. *)
-    let fresh = List.init k (fun _ -> fresh_handle t) in
-    if k < Params.lmax t.params ~height:1 then
-      List.iteri (fun i h -> bind t i h) fresh
-    else begin
-      let height = pick_root_height t k in
-      let labels = Layout.labels t.params ~base:0 ~height ~count:k in
-      List.iteri (fun i h -> bind t labels.(i) h) fresh;
-      t.height <- height;
-      Counters.add_split t.counters 1
-    end;
-    t.nlive <- t.nlive + k;
-    Array.of_list fresh
 
 let check t =
   Btree.check t.btree;

@@ -23,13 +23,7 @@ val create : ?params:Params.t -> ?counters:Ltree_metrics.Counters.t ->
 val bulk_load : ?params:Params.t -> ?counters:Ltree_metrics.Counters.t ->
   int -> t * handle array
 
-val params : t -> Params.t
-val counters : t -> Ltree_metrics.Counters.t
 val length : t -> int
-val live_length : t -> int
-
-(** [height t] is the height of the implied L-Tree. *)
-val height : t -> int
 
 val insert_after : t -> handle -> handle
 val insert_before : t -> handle -> handle
@@ -38,29 +32,20 @@ val insert_first : t -> handle
 (** [insert_batch_after t w k] inserts [k] consecutive slots right after
     [w] with a single region relabeling — the virtual counterpart of
     {!Ltree.insert_batch_after} (§4.1), emitting bit-identical labels
-    (property-tested). [insert_batch_first] prepends the batch. *)
+    (property-tested). *)
 val insert_batch_after : t -> handle -> int -> handle array
-
-val insert_batch_before : t -> handle -> int -> handle array
-val insert_batch_first : t -> int -> handle array
 
 (** [delete t h] tombstones the slot, exactly like {!Ltree.delete}. *)
 val delete : t -> handle -> unit
-
-val is_deleted : t -> handle -> bool
 
 (** [label t h] is the current label: O(1) (hash lookup). *)
 val label : t -> handle -> int
 
 val compare : t -> handle -> handle -> int
-val max_label : t -> int
 val bits_per_label : t -> int
 
 (** [labels t] is the ordered label sequence (tombstones included). *)
 val labels : t -> int array
-
-val first : t -> handle option
-val last : t -> handle option
 
 (** [check t] validates the implied L-Tree invariants: every virtual node's
     occupancy is inside the paper's window, labels are inside the root

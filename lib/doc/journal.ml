@@ -14,8 +14,6 @@ let create () = { entries = [] }
 let length t = List.length t.entries
 let clear t = t.entries <- []
 
-let magic = "ltree-journal 1"
-
 (* One-line-safe encoding: XML entities plus numeric escapes for the
    line breaks; decoded with the lexer's entity decoder. *)
 let encode s =
@@ -96,29 +94,6 @@ let entry_of_line line =
         Set_text { anchor; text = decode (String.concat " " text_parts) }
       | None -> raise (Corrupt ("bad set_text entry: " ^ line)))
   | _ -> raise (Corrupt ("bad journal entry: " ^ line))
-
-let to_string t =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf magic;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun entry ->
-      Buffer.add_string buf (entry_to_line entry);
-      Buffer.add_char buf '\n')
-    (List.rev t.entries);
-  Buffer.contents buf
-
-let of_string s =
-  let lines = String.split_on_char '\n' s in
-  match lines with
-  | first :: rest when first = magic ->
-    let entries =
-      List.filter_map
-        (fun line -> if line = "" then None else Some (entry_of_line line))
-        rest
-    in
-    { entries = List.rev entries }
-  | _ -> raise (Corrupt "bad journal magic")
 
 let resolve ldoc anchor what =
   match Labeled_doc.node_by_start_label ldoc anchor with

@@ -62,21 +62,15 @@ val entry_of_line : string -> entry
     journal tail from a logic bug. *)
 val apply_entry : Labeled_doc.t -> entry -> unit
 
-(** {1 Persistence and replay} *)
+(** {1 Replay} *)
 
-(** [to_string j] serializes the journal (one entry per line; fragments
-    are XML-escaped). *)
-val to_string : t -> string
-
+(** A journal line that does not parse. *)
 exception Corrupt of string
 
 (** An entry whose anchor label resolves to no live node: the journal
     does not belong to the snapshot it is being replayed on.  [what]
     names the operation kind (["insert"], ["delete"], ["set_text"]). *)
 exception Replay_error of { what : string; anchor : int }
-
-(** [of_string s] parses a serialized journal.  Raises {!Corrupt}. *)
-val of_string : string -> t
 
 (** [replay j ldoc] applies the journal to a document restored from the
     snapshot taken when the journal was started.  Raises {!Replay_error}

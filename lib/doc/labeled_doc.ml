@@ -196,12 +196,6 @@ let is_ancestor t ~anc ~desc =
   let a = label t anc and d = label t desc in
   a.start_pos < d.start_pos && d.end_pos < a.end_pos
 
-let is_parent t ~parent ~child =
-  is_ancestor t ~anc:parent ~desc:child
-  && (label t child).level = (label t parent).level + 1
-
-let precedes t a b = (label t a).start_pos < (label t b).start_pos
-
 let insert_subtree t ~parent ~index sub =
   Span.with_ ~name:"doc.insert_subtree" ~counters:(counters t) (fun () ->
       (match Dom.parent sub with
@@ -224,17 +218,6 @@ let insert_subtree t ~parent ~index sub =
       assign_leaves t fresh i ~base_level:(pe.level + 1) sub;
       assert (!i = k))
 
-let insert_subtree_before t ~anchor sub =
-  match Dom.parent anchor with
-  | None -> invalid_arg "Labeled_doc.insert_subtree_before: detached anchor"
-  | Some p -> insert_subtree t ~parent:p ~index:(Dom.index_in_parent anchor) sub
-
-let insert_subtree_after t ~anchor sub =
-  match Dom.parent anchor with
-  | None -> invalid_arg "Labeled_doc.insert_subtree_after: detached anchor"
-  | Some p ->
-    insert_subtree t ~parent:p ~index:(Dom.index_in_parent anchor + 1) sub
-
 let delete_subtree t n =
   Span.with_ ~name:"doc.delete_subtree" ~counters:(counters t) (fun () ->
       if not (mem t n) then
@@ -256,15 +239,6 @@ let delete_subtree t n =
             if t.tracking then t.dead <- id :: t.dead
           | None -> ());
       Dom.remove n)
-
-let move_subtree t ~node ~parent ~index =
-  let rec inside p =
-    p == node || match Dom.parent p with None -> false | Some q -> inside q
-  in
-  if inside parent then
-    invalid_arg "Labeled_doc.move_subtree: target inside the moved subtree";
-  delete_subtree t node;
-  insert_subtree t ~parent ~index node
 
 let compact t = Ltree.compact t.tree
 

@@ -100,12 +100,6 @@ val iter_labeled_since : t -> int -> (slot -> unit) -> unit
     [start(anc) < start(desc) && end(desc) < end(anc)]. *)
 val is_ancestor : t -> anc:Dom.node -> desc:Dom.node -> bool
 
-(** [is_parent t ~parent ~child] adds the level test. *)
-val is_parent : t -> parent:Dom.node -> child:Dom.node -> bool
-
-(** [precedes t a b]: [a]'s begin tag is before [b]'s in document order. *)
-val precedes : t -> Dom.node -> Dom.node -> bool
-
 (** {1 Updates} *)
 
 (** [insert_subtree t ~parent ~index sub] attaches the detached DOM
@@ -114,19 +108,9 @@ val precedes : t -> Dom.node -> Dom.node -> bool
     is attached or [parent] is not a labeled element. *)
 val insert_subtree : t -> parent:Dom.node -> index:int -> Dom.node -> unit
 
-val insert_subtree_before : t -> anchor:Dom.node -> Dom.node -> unit
-val insert_subtree_after : t -> anchor:Dom.node -> Dom.node -> unit
-
 (** [delete_subtree t n] detaches [n] and tombstones its leaves — no
     relabeling, per §2.3. *)
 val delete_subtree : t -> Dom.node -> unit
-
-(** [move_subtree t ~node ~parent ~index] relocates a labeled subtree:
-    tombstone the old slots, batch-insert fresh ones at the target.
-    Raises [Invalid_argument] when [parent] lies inside [node]'s subtree
-    (the move would create a cycle), when [node] is the root, or when
-    [index] is out of range. *)
-val move_subtree : t -> node:Dom.node -> parent:Dom.node -> index:int -> unit
 
 (** [compact t] rebuilds the L-Tree without tombstones (extension). *)
 val compact : t -> unit

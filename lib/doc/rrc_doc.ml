@@ -25,8 +25,6 @@ let entry t n =
   | None -> raise Not_found
 
 let mem t n = Int_tbl.mem t.table (Dom.id n)
-let document t = t.doc
-let counters t = t.counters
 
 (* Preferred region size: twice the children's demand, compounding — the
    slack that keeps renumbering local. *)
@@ -196,31 +194,10 @@ let insert_subtree t ~parent ~index sub =
   Dom.insert_child parent ~index sub;
   place_child t parent index sub
 
-let delete_subtree t n =
-  if not (mem t n) then
-    invalid_arg "Rrc_doc.delete_subtree: node is not labeled";
-  (match t.doc.root with
-   | Some r when r == n ->
-     invalid_arg "Rrc_doc.delete_subtree: cannot delete the root"
-   | Some _ | None -> ());
-  Dom.iter_preorder n (fun x -> Int_tbl.remove t.table (Dom.id x));
-  Dom.remove n
-
 let is_ancestor t ~anc ~desc =
   let a1, a2 = absolute_interval t anc in
   let d1, d2 = absolute_interval t desc in
   a1 < d1 && d2 < a2
-
-let is_parent t ~parent ~child =
-  (match Dom.parent child with
-   | Some p -> p == parent
-   | None -> false)
-  && is_ancestor t ~anc:parent ~desc:child
-
-let precedes t a b =
-  let a1, _ = absolute_interval t a in
-  let b1, _ = absolute_interval t b in
-  a1 < b1
 
 let check t =
   let root = root_exn t.doc in

@@ -27,33 +27,16 @@ type t
     [node_access] per parent-chain hop during queries. *)
 val of_document : ?counters:Ltree_metrics.Counters.t -> Dom.document -> t
 
-val document : t -> Dom.document
-val counters : t -> Ltree_metrics.Counters.t
-val mem : t -> Dom.node -> bool
-
-(** [absolute_interval t n] is the node's absolute region, computed by
-    summing relative starts up the parent chain (O(depth), counted). *)
-val absolute_interval : t -> Dom.node -> int * int
-
-(** [is_ancestor], [is_parent] and [precedes] match
-    {!Labeled_doc}'s semantics. *)
+(** [is_ancestor] matches {!Labeled_doc.is_ancestor}'s semantics. *)
 val is_ancestor : t -> anc:Dom.node -> desc:Dom.node -> bool
-
-val is_parent : t -> parent:Dom.node -> child:Dom.node -> bool
-val precedes : t -> Dom.node -> Dom.node -> bool
 
 (** [insert_subtree t ~parent ~index sub] attaches and lays out a
     detached subtree; renumbering stays local to one sibling list unless
     the parent's region must grow (which recurses upward). *)
 val insert_subtree : t -> parent:Dom.node -> index:int -> Dom.node -> unit
 
-(** [delete_subtree t n] detaches [n]; no coordinates change. *)
-val delete_subtree : t -> Dom.node -> unit
-
-(** [max_coordinate t] is the largest absolute coordinate (for label-size
-    comparisons); [bits_per_label t] its width. *)
-val max_coordinate : t -> int
-
+(** [bits_per_label t] is the width of the largest absolute coordinate
+    (for label-size comparisons). *)
 val bits_per_label : t -> int
 
 (** [check t] verifies region nesting, ordering and table consistency. *)

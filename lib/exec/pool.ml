@@ -191,8 +191,6 @@ let create ~size =
     "pool_created";
   t
 
-let size t = t.pool_size
-
 let shutdown t =
   Mutex.lock t.mu;
   t.stopping <- true;
@@ -356,17 +354,16 @@ let register_telemetry t =
     Mutex.unlock t.mu;
     v
   in
-  Ltree_obs.Telemetry.register ~name:"exec_pool_pending_chunks"
-    ~help:"chunk tasks of the in-flight job not yet finished" (fun () ->
+  (* chunk tasks of the in-flight job not yet finished *)
+  Ltree_obs.Telemetry.register ~name:"exec_pool_pending_chunks" (fun () ->
       under_mu (fun () ->
           match t.current with
           | Some j -> float_of_int (Int.max 0 (Atomic.get j.j_pending))
           | None -> 0.));
-  Ltree_obs.Telemetry.register ~name:"exec_pool_claim_ops"
-    ~help:"cumulative atomic claim operations on the chunk cursor"
-    (fun () -> under_mu (fun () -> float_of_int t.claims));
-  Ltree_obs.Telemetry.register ~name:"exec_pool_chunk_tasks"
-    ~help:"cumulative chunk tasks run" (fun () ->
+  (* cumulative atomic claim operations on the chunk cursor *)
+  Ltree_obs.Telemetry.register ~name:"exec_pool_claim_ops" (fun () ->
+      under_mu (fun () -> float_of_int t.claims));
+  Ltree_obs.Telemetry.register ~name:"exec_pool_chunk_tasks" (fun () ->
       under_mu (fun () -> float_of_int t.tasks))
 
 let default_size () =

@@ -8,7 +8,7 @@
     to a plain serial loop with no synchronisation beyond two mutex
     acquisitions.
 
-    The pool runs one job at a time.  A [parallel_for] issued from
+    The pool runs one job at a time.  A {!map} issued from
     inside a running task (re-entrant use) is executed inline in the
     calling domain instead of deadlocking on the job slot.
 
@@ -47,8 +47,6 @@ val create : size:int -> t
     [Invalid_argument]).  The caller counts as the remaining
     participant. *)
 
-val size : t -> int
-
 val shutdown : t -> unit
 (** Stop and join all worker domains.  Idempotent.  Call before the
     process exits: un-joined domains keep the runtime alive. *)
@@ -57,18 +55,14 @@ val with_pool : size:int -> (t -> 'a) -> 'a
 (** [with_pool ~size f] runs [f] over a fresh pool and guarantees
     {!shutdown}, even if [f] raises. *)
 
-val parallel_for : ?chunk:int -> t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
-(** [parallel_for t ~lo ~hi body] runs [body l h] over disjoint
-    sub-ranges covering [\[lo, hi)].  [chunk] is the sub-range length
-    (default: about a quarter of an even split per participant, so
-    stragglers rebalance).  Falls back to one serial [body lo hi] call
-    when the pool has size 1 or the range fits in a single chunk.
-    If any body raises, the first exception (in completion order) is
-    re-raised in the caller after all chunks finish. *)
-
 val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 (** [map t f arr] is [Array.map f arr] with elements computed in
-    parallel.  Result order matches input order. *)
+    parallel over disjoint chunks of [chunk] elements (default: about a
+    quarter of an even split per participant, so stragglers rebalance).
+    Result order matches input order.  Runs serially when the pool has
+    size 1 or the array fits in a single chunk.  If any [f] raises, the
+    first exception (in completion order) is re-raised in the caller
+    after all chunks finish. *)
 
 val stats : t -> stats
 

@@ -37,13 +37,6 @@ type staleness = {
 
 exception Stale of staleness
 
-let staleness_to_string s =
-  Printf.sprintf
-    "snapshot stamped version=%d generation=%d but live is version=%d \
-     generation=%d"
-    s.stale_snap_version s.stale_snap_generation s.stale_live_version
-    s.stale_live_generation
-
 let empty = Label_index.create_entry ~capacity:1 ()
 
 (* Freeze one tag: a copy of each covering column.  When the previous

@@ -18,7 +18,7 @@
     L-Tree mutation stamp) and the index generation at freeze time.
     Once either stamp moves — any tree mutation, or any
     {!Ltree_relstore.Label_sync.flush} that notes a change —
-    {!ensure_fresh} refuses the snapshot with {!Stale} and {!refresh}
+    {!run_batch} refuses the snapshot with {!Stale} and {!refresh}
     rebuilds it from the live store.  A refresh reuses the copy of
     every tag whose index entry kept its maintenance stamp, so only the
     tags actually touched since the freeze are re-copied. *)
@@ -38,9 +38,6 @@ type staleness = {
 }
 
 exception Stale of staleness
-
-(** Render a {!staleness} the way the old string payload read. *)
-val staleness_to_string : staleness -> string
 
 (** [of_store ?prev pager store doc] freezes every tag currently in the
     store.  With [?prev] (frozen from the same store), the copies of
@@ -66,13 +63,6 @@ val entry : t -> string -> Ltree_relstore.Label_index.entry
 
 val is_fresh : t -> bool
 
-(** [ensure_fresh t] raises {!Stale} — carrying both frozen and live
-    stamps — if the live document version or index generation moved
-    since the freeze.  When the flight recorder is enabled, the refusal
-    is also noted as an [exec]/[snapshot_stale] event with the same
-    four stamps. *)
-val ensure_fresh : t -> unit
-
 (** [refresh t] is [t] if still fresh, else a new snapshot of the same
     source store (reusing unchanged tags' copies). *)
 val refresh : t -> t
@@ -94,13 +84,16 @@ type plan =
     charging comparisons to [counters].  The matched Dom ids (the
     entries' [ids] values) are left in [ws.w_out], unsorted; the
     index-nested-loop plan may repeat one.  Freshness is the caller's
-    business ({!ensure_fresh} or a snapshot it just froze).  Sharded tasks run it over each
-    shard's snapshot, one workspace per task. *)
+    business ({!is_fresh} or a snapshot it just froze).  Sharded tasks
+    run it over each shard's snapshot, one workspace per task. *)
 val run :
   Ltree_metrics.Counters.t ->
   t -> Ltree_relstore.Label_index.workspace -> plan -> unit
 
-(** [run_batch ?counters pool t plans] checks {!ensure_fresh} once, then
+(** [run_batch ?counters pool t plans] first raises {!Stale} —
+    carrying both frozen and live stamps — if the live document version
+    or index generation moved since the freeze (noted as an
+    [exec]/[snapshot_stale] recorder event when the recorder is on); then it
     fans the plans across [pool] with [Pool.map], one task per plan on
     its own workspace; per-plan sorted, deduplicated ids, index-aligned
     with [plans].  Each plan's comparisons are recorded after the

@@ -7,7 +7,6 @@ type label = string (* over '0'/'1'; b1 is the 2^-1 bit *)
 
 type cell = {
   lab : label;
-  mutable prev : cell option;
   mutable next : cell option;
 }
 
@@ -20,9 +19,6 @@ type t = {
 }
 
 let create () = { first = None; last = None; n = 0 }
-let length t = t.n
-let label _ h = h.lab
-let bits lab = String.length lab
 
 (* Compare as fractions: lexicographic with implicit 0-padding; canonical
    form (no trailing zeros) makes prefix-equal imply shorter < longer. *)
@@ -60,44 +56,25 @@ let midpoint a b =
   Bytes.set out 0 (Char.chr (48 + !carry));
   canonical (Bytes.to_string out)
 
-(* Virtual bounds: 0 is the empty string, 1 is handled by midpoint with
-   an explicit "1" whose value as a label would be 1/2 — so instead
-   (a + 1) / 2 is "1" followed by a shifted one position right. *)
+(* The virtual upper bound 1 is handled without an explicit "1" (whose
+   value as a label would be 1/2): (a + 1) / 2 is "1" followed by [a]
+   shifted one position right. *)
 let midpoint_with_one a = canonical ("1" ^ a)
 
-let fresh_between lo hi =
-  match (lo, hi) with
-  | None, None -> "1" (* 1/2 *)
-  | Some a, None -> midpoint_with_one a.lab
-  | None, Some b -> midpoint "" b.lab
-  | Some a, Some b -> midpoint a.lab b.lab
-
 let link t ~prev ~next lab =
-  let cell = { lab; prev; next } in
+  let cell = { lab; next } in
   (match prev with Some p -> p.next <- Some cell | None -> t.first <- Some cell);
-  (match next with Some x -> x.prev <- Some cell | None -> t.last <- Some cell);
+  if Option.is_none next then t.last <- Some cell;
   t.n <- t.n + 1;
   cell
 
-let insert_first t =
-  let next = t.first in
-  let lab = fresh_between None next in
-  link t ~prev:None ~next lab
-
 let insert_after t h =
-  let lab = fresh_between (Some h) h.next in
+  let lab =
+    match h.next with
+    | None -> midpoint_with_one h.lab
+    | Some b -> midpoint h.lab b.lab
+  in
   link t ~prev:(Some h) ~next:h.next lab
-
-let insert_before t h =
-  let lab = fresh_between h.prev (Some h) in
-  link t ~prev:h.prev ~next:(Some h) lab
-
-let delete t h =
-  (match h.prev with Some p -> p.next <- h.next | None -> t.first <- h.next);
-  (match h.next with Some x -> x.prev <- h.prev | None -> t.last <- h.prev);
-  h.prev <- None;
-  h.next <- None;
-  t.n <- t.n - 1
 
 let bulk_load n =
   let t = create () in
@@ -130,8 +107,6 @@ let max_bits t =
     | Some c -> go (Int.max acc (String.length c.lab)) c.next
   in
   go 0 t.first
-
-let label_to_string lab = "0." ^ lab
 
 let check t =
   let count = ref 0 in

@@ -21,35 +21,13 @@
 type t
 type handle
 
-(** A label: the bit string b₁b₂…b_k denotes Σ bᵢ·2⁻ⁱ. *)
-type label
-
-val create : unit -> t
-
 (** [bulk_load n] spreads [n] labels evenly (⌈log₂ n⌉ + 1 bits each). *)
 val bulk_load : int -> t * handle array
 
-val insert_first : t -> handle
 val insert_after : t -> handle -> handle
-val insert_before : t -> handle -> handle
-
-(** [delete t h] unlinks the item; its label is never reused. *)
-val delete : t -> handle -> unit
-
-val length : t -> int
-val label : t -> handle -> label
-
-(** [compare_labels a b] orders labels as fractions; distinct items never
-    share a label. *)
-val compare_labels : label -> label -> int
-
-(** [bits label] is the stored length of the bit string. *)
-val bits : label -> int
 
 (** [max_bits t] is the widest label currently live. *)
 val max_bits : t -> int
-
-val label_to_string : label -> string
 
 (** [check t] verifies that list order and label order agree. *)
 val check : t -> unit

@@ -68,11 +68,6 @@ let iter t f =
   in
   go t.first
 
-let to_labels t =
-  let acc = ref [] in
-  iter t (fun c -> acc := c.label :: !acc);
-  List.rev !acc
-
 let check t =
   let count = ref 0 in
   let rec go prev = function

@@ -35,8 +35,6 @@ val remove : t -> cell -> unit
 (** [iter t f] visits cells in list order. *)
 val iter : t -> (cell -> unit) -> unit
 
-val to_labels : t -> int list
-
 (** [check t] validates link symmetry and that labels strictly increase;
     raises [Failure] otherwise. *)
 val check : t -> unit

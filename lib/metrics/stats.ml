@@ -1,7 +1,6 @@
 type t = {
   mutable count : int;
   mutable mean : float;
-  mutable m2 : float;
   mutable min : float;
   mutable max : float;
   mutable sum : float;
@@ -12,7 +11,6 @@ type t = {
 let create () =
   { count = 0;
     mean = 0.;
-    m2 = 0.;
     min = infinity;
     max = neg_infinity;
     sum = 0.;
@@ -27,20 +25,13 @@ let add t x =
   t.samples.(t.count) <- x;
   t.count <- t.count + 1;
   t.sum <- t.sum +. x;
-  let delta = x -. t.mean in
-  t.mean <- t.mean +. (delta /. float_of_int t.count);
-  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
+  t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.count);
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x
 
 let count t = t.count
 let mean t = t.mean
 
-let variance t =
-  if t.count < 2 then 0. else t.m2 /. float_of_int (t.count - 1)
-
-let stddev t = sqrt (variance t)
-let min t = t.min
 let max t = t.max
 let sum t = t.sum
 
@@ -61,11 +52,3 @@ let percentile t p =
     sorted.(rank)
   end
 
-let of_list xs =
-  let t = create () in
-  List.iter (add t) xs;
-  t
-
-let pp ppf t =
-  Format.fprintf ppf "@[<h>n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f@]"
-    t.count t.mean (stddev t) t.min t.max

@@ -1,4 +1,4 @@
-(** Running statistics over float samples (Welford's online algorithm) and
+(** Running statistics over float samples (an incremental mean) and
     exact percentiles over retained samples. *)
 
 type t
@@ -7,9 +7,6 @@ val create : unit -> t
 val add : t -> float -> unit
 val count : t -> int
 val mean : t -> float
-val variance : t -> float
-val stddev : t -> float
-val min : t -> float
 val max : t -> float
 val sum : t -> float
 
@@ -20,7 +17,3 @@ val sum : t -> float
     of range. *)
 val percentile : t -> float -> float
 
-(** [of_list xs] accumulates all of [xs]. *)
-val of_list : float list -> t
-
-val pp : Format.formatter -> t -> unit

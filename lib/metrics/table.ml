@@ -56,8 +56,6 @@ let to_string ~title ~header ?align rows =
 let print ~title ~header ?align rows =
   print_string (to_string ~title ~header ?align rows)
 
-let fint = string_of_int
-
 let ffloat ?(decimals = 2) x =
   if Float.is_integer x && Float.abs x < 1e15 && decimals = 0 then
     Printf.sprintf "%.0f" x

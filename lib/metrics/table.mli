@@ -10,14 +10,8 @@ val print :
   title:string -> header:string list -> ?align:align list ->
   string list list -> unit
 
-(** [to_string] is [print] rendered to a string. *)
-val to_string :
-  title:string -> header:string list -> ?align:align list ->
-  string list list -> string
-
 (** Formatting helpers for cells. *)
 
-val fint : int -> string
 val ffloat : ?decimals:int -> float -> string
 
 (** [fratio a b] renders [a /. b] or ["-"] when [b = 0]. *)

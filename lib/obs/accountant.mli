@@ -50,12 +50,6 @@ val note : t -> n:int -> relabels:int -> unit
     together performed [relabels] relabelings (a batch insert). *)
 val note_batch : t -> n:int -> count:int -> relabels:int -> unit
 
-(** Close the current partial window: judged against the bound when it
-    holds at least half a window's insertions, discarded unjudged
-    otherwise (the bound is amortized; a fragment dominated by one
-    legitimately expensive insertion would breach spuriously). *)
-val flush : t -> unit
-
 (** All breaches so far, oldest first (flushes the partial window). *)
 val breaches : t -> breach list
 

@@ -40,13 +40,6 @@ let id_of ~seq ~payload =
 
 let id_to_hex id = Printf.sprintf "%08x" (id land mask32)
 
-let id_of_hex s =
-  if not (String.length s = 8) then None
-  else
-    match int_of_string_opt ("0x" ^ s) with
-    | Some v when v >= 0 && v <= mask32 -> Some v
-    | _ -> None
-
 (* {1 Stamp table}
 
    One entry per record id.  [ticks] is indexed by stage rank; [-1]

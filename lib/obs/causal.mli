@@ -21,11 +21,6 @@ val stage_name : stage -> string
 (** [id_of ~seq ~payload] is the 32-bit FNV-1a trace id of a record. *)
 val id_of : seq:int -> payload:string -> int
 
-val id_to_hex : int -> string
-
-(** [id_of_hex s] parses an 8-hex-digit id; [None] on anything else. *)
-val id_of_hex : string -> int option
-
 (** {1 Stamping} *)
 
 val set_enabled : bool -> unit

@@ -44,7 +44,6 @@ let name t = t.name
 let help t = t.help
 let labels t = t.labels
 let bounds t = Array.copy t.bounds
-let stats t = t.stats
 
 (* Index of the first bound >= x, or [Array.length bounds] for +Inf.
    Buckets are cumulative in exposition but stored disjoint here. *)
@@ -66,9 +65,6 @@ let observe t x =
 let observe_int t v = observe t (float_of_int v)
 let count t = locked t (fun () -> Stats.count t.stats)
 let sum t = locked t (fun () -> Stats.sum t.stats)
-
-(* Disjoint per-bucket counts, +Inf last. *)
-let counts t = locked t (fun () -> Array.copy t.counts)
 
 (* Cumulative count of observations <= bounds.(i), Prometheus-style. *)
 let cumulative t =

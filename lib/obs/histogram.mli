@@ -28,18 +28,11 @@ val labels : t -> (string * string) list
 
 val bounds : t -> float array
 
-(** The exact-stats layer under the buckets. *)
-val stats : t -> Ltree_metrics.Stats.t
-
 val observe : t -> float -> unit
 val observe_int : t -> int -> unit
 
 val count : t -> int
 val sum : t -> float
-
-(** Disjoint per-bucket counts; the extra final slot is the +Inf
-    bucket. *)
-val counts : t -> int array
 
 (** Cumulative counts as exposed in Prometheus [_bucket{le=...}] lines:
     entry [i] counts observations at or below bound [i]; the final entry

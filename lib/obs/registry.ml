@@ -10,14 +10,13 @@ type t = {
   mu : Mutex.t;
 }
 
-let create () =
+(* The one process-wide registry. *)
+let default =
   { tbl = Hashtbl.create 32; ctbl = Hashtbl.create 16; mu = Mutex.create () }
 
-let default = create ()
-
-let locked registry f =
-  Mutex.lock registry.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock registry.mu) f
+let locked f =
+  Mutex.lock default.mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock default.mu) f
 
 (* Labels rendered Prometheus-style, sorted by key — also the registry
    key suffix, so the same (name, labels) pair always resolves to the
@@ -32,28 +31,28 @@ let render_labels labels =
 let series_key name labels =
   match labels with [] -> name | _ -> name ^ "{" ^ render_labels labels ^ "}"
 
-let histogram ?(registry = default) ~name ~help ?(labels = []) ~bounds () =
+let histogram ~name ~help ?(labels = []) ~bounds () =
   let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
   let key = series_key name labels in
-  locked registry (fun () ->
-      match Hashtbl.find_opt registry.tbl key with
+  locked (fun () ->
+      match Hashtbl.find_opt default.tbl key with
       | Some h -> h
       | None ->
         let h = Histogram.create ~name ~help ~labels ~bounds () in
-        Hashtbl.replace registry.tbl key h;
+        Hashtbl.replace default.tbl key h;
         h)
 
-let find ?(registry = default) ?(labels = []) name =
+let find ?(labels = []) name =
   let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
-  locked registry (fun () ->
-      Hashtbl.find_opt registry.tbl (series_key name labels))
+  locked (fun () ->
+      Hashtbl.find_opt default.tbl (series_key name labels))
 
 (* Sort by name first so every series of one metric is contiguous (the
    expositions emit HELP/TYPE once per metric), then by labels. *)
-let histograms ?(registry = default) () =
+let histograms () =
   let out =
-    locked registry (fun () ->
-        Hashtbl.fold (fun _ h acc -> h :: acc) registry.tbl [])
+    locked (fun () ->
+        Hashtbl.fold (fun _ h acc -> h :: acc) default.tbl [])
   in
   List.sort
     (fun a b ->
@@ -65,25 +64,23 @@ let histograms ?(registry = default) () =
       else c)
     out
 
-let counter ?(registry = default) ~name ~help () =
-  locked registry (fun () ->
-      match Hashtbl.find_opt registry.ctbl name with
+let counter ~name ~help () =
+  locked (fun () ->
+      match Hashtbl.find_opt default.ctbl name with
       | Some c -> c
       | None ->
         let c = { cname = name; chelp = help; cell = Atomic.make 0 } in
-        Hashtbl.replace registry.ctbl name c;
+        Hashtbl.replace default.ctbl name c;
         c)
 
 let counter_value c = Atomic.get c.cell
 let counter_incr c = ignore (Atomic.fetch_and_add c.cell 1)
 let counter_add c n = if n > 0 then ignore (Atomic.fetch_and_add c.cell n)
-let find_counter ?(registry = default) name =
-  locked registry (fun () -> Hashtbl.find_opt registry.ctbl name)
 
-let counters ?(registry = default) () =
+let counters () =
   let out =
-    locked registry (fun () ->
-        Hashtbl.fold (fun _ c acc -> c :: acc) registry.ctbl [])
+    locked (fun () ->
+        Hashtbl.fold (fun _ c acc -> c :: acc) default.ctbl [])
   in
   List.sort (fun a b -> String.compare a.cname b.cname) out
 
@@ -137,7 +134,7 @@ let expose_counters buf ~prefix counters =
         (Printf.sprintf "# TYPE %s counter\n%s %d\n" name name v))
     (Ltree_metrics.Counters.to_assoc counters)
 
-let expose ?(registry = default) () =
+let expose () =
   let buf = Buffer.create 4096 in
   (* [histograms] sorts by (name, labels), so every series of a labeled
      metric is contiguous: emit the HELP/TYPE header on the first series
@@ -148,8 +145,8 @@ let expose ?(registry = default) () =
       let header = not (String.equal !prev (Histogram.name h)) in
       prev := Histogram.name h;
       expose_histogram ~header buf h)
-    (histograms ~registry ());
-  List.iter (fun c -> expose_counter buf c) (counters ~registry ());
+    (histograms ());
+  List.iter (fun c -> expose_counter buf c) (counters ());
   Buffer.contents buf
 
 (* {1 JSON exposition}
@@ -196,20 +193,20 @@ let counter_json buf c =
        (Trace.json_escape c.cname) (Trace.json_escape c.chelp)
        (counter_value c))
 
-let expose_json ?(registry = default) ?(extra = []) () =
+let expose_json ?(extra = []) () =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"histograms\":[";
   List.iteri
     (fun i h ->
       if i > 0 then Buffer.add_char buf ',';
       histogram_json buf h)
-    (histograms ~registry ());
+    (histograms ());
   Buffer.add_string buf "],\"counters\":[";
   List.iteri
     (fun i c ->
       if i > 0 then Buffer.add_char buf ',';
       counter_json buf c)
-    (counters ~registry ());
+    (counters ());
   Buffer.add_char buf ']';
   List.iter
     (fun (k, v) ->

@@ -2,15 +2,8 @@
 
     Instrumented modules call {!histogram} or {!counter} at first use;
     the same name always yields the same instance, so instrumentation
-    sites need no plumbing.  A process-wide {!default} registry backs
-    the [ltree metrics] subcommand and bench reports. *)
-
-type t
-
-val create : unit -> t
-
-(** The process-wide registry used when [?registry] is omitted. *)
-val default : t
+    sites need no plumbing.  The registry is process-wide; it backs the
+    [ltree metrics] subcommand and bench reports. *)
 
 (** [histogram ~name ~help ?labels ~bounds ()] returns the histogram
     registered under [name] with exactly [labels] (order-insensitive;
@@ -20,7 +13,6 @@ val default : t
     [~labels:[("shard", "2")]] for per-shard latency — and exposition
     groups them under a single HELP/TYPE header. *)
 val histogram :
-  ?registry:t ->
   name:string ->
   help:string ->
   ?labels:(string * string) list ->
@@ -30,8 +22,7 @@ val histogram :
 
 (** [find ?labels name] is the series registered under [name] with
     exactly [labels] (default: the unlabeled series). *)
-val find : ?registry:t -> ?labels:(string * string) list -> string ->
-  Histogram.t option
+val find : ?labels:(string * string) list -> string -> Histogram.t option
 
 (** {1 Counters}
 
@@ -42,29 +33,26 @@ type counter
 
 (** [counter ~name ~help ()] returns the counter registered under
     [name], creating it (at zero) on first call. *)
-val counter : ?registry:t -> name:string -> help:string -> unit -> counter
+val counter : name:string -> help:string -> unit -> counter
 
-val counter_value : counter -> int
 val counter_incr : counter -> unit
 
 (** [counter_add c n] adds [n] when positive; negative deltas are
     ignored (counters are monotonic). *)
 val counter_add : counter -> int -> unit
 
-val find_counter : ?registry:t -> string -> counter option
-
 (** [expose ()] renders every histogram in Prometheus text exposition
     format — [# HELP]/[# TYPE] headers, cumulative [_bucket{le="..."}]
     lines ending in [+Inf], then [_sum] and [_count] — followed by every
     registered counter as a [counter]-typed metric. *)
-val expose : ?registry:t -> unit -> string
+val expose : unit -> string
 
 (** [expose_json ?extra ()] is the same registry content as {!expose}
     as one JSON object: [{"histograms":[...],"counters":[...]}], bucket
     labels matching the text format.  Each [(key, json)] pair in
     [extra] is appended verbatim as an extra top-level field — [json]
     must already be valid JSON. *)
-val expose_json : ?registry:t -> ?extra:(string * string) list -> unit -> string
+val expose_json : ?extra:(string * string) list -> unit -> string
 
 (** [expose_counters buf ~prefix c] appends one [counter]-typed metric
     per {!Ltree_metrics.Counters} field, named

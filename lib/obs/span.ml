@@ -30,7 +30,6 @@ let set_tick n = Atomic.set tick n
 let set_capacity capacity = locked (fun () -> ring := Trace.create ~capacity)
 let entries () = locked (fun () -> Trace.to_list !ring)
 let dropped () = locked (fun () -> Trace.dropped !ring)
-let depth () = List.length !(stack ())
 
 let is_span_or_point (r : Trace.record) =
   String.equal r.kind "span" || String.equal r.kind "point"

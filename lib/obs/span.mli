@@ -17,8 +17,8 @@
     Domain safety: the stack of open spans is domain-local, so spans
     opened by a worker domain nest among themselves and never corrupt
     another domain's path; the shared ring is mutex-guarded.
-    {!depth} and the stack-clearing part of {!reset} act on the calling
-    domain's stack only. *)
+    The stack-clearing part of {!reset} acts on the calling domain's
+    stack only. *)
 
 (** [with_ ?attrs ?counters ?on_close ~name fn] runs [fn ()] inside a
     span called [name], nested under any spans already open on this
@@ -57,9 +57,6 @@ val records : unit -> Trace.record list
 
 (** Entries overwritten because the ring was full, whatever their kind. *)
 val dropped : unit -> int
-
-(** Current nesting depth on this domain (number of open spans). *)
-val depth : unit -> int
 
 (** Drop every entry and force-close any spans open on this domain. *)
 val reset : unit -> unit

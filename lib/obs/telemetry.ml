@@ -3,7 +3,6 @@
    polls every closure -- so subsystems expose state without pushing. *)
 type series = {
   sname : string;
-  shelp : string;
   fn : unit -> float;
   ticks : int array;
   values : float array;
@@ -12,36 +11,35 @@ type series = {
 
 type t = {
   mu : Mutex.t;
-  capacity : int;
   mutable sources : series list;  (* registration order, newest first *)
 }
 
-let create ?(capacity = 256) () =
-  if capacity < 1 then invalid_arg "Telemetry.create: capacity must be >= 1";
-  { mu = Mutex.create (); capacity; sources = [] }
+(* Samples each source's ring holds. *)
+let capacity = 256
 
-let default = create ()
+let default = { mu = Mutex.create (); sources = [] }
 
 let locked t f =
   Mutex.lock t.mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
-let register ?(t = default) ~name ~help fn =
+let register ~name fn =
+  let t = default in
   locked t (fun () ->
       let s =
         {
           sname = name;
-          shelp = help;
           fn;
-          ticks = Array.make t.capacity 0;
-          values = Array.make t.capacity 0.;
+          ticks = Array.make capacity 0;
+          values = Array.make capacity 0.;
           added = 0;
         }
       in
       t.sources <-
         s :: List.filter (fun s' -> not (String.equal s'.sname name)) t.sources)
 
-let sample ?(t = default) ~now () =
+let sample ~now () =
+  let t = default in
   (* Sample outside the lock: a source closure may itself take a lock
      (pool stats, registry reads) and must not nest under ours. *)
   let sources = locked t (fun () -> t.sources) in
@@ -69,36 +67,6 @@ let series_samples t s =
           let j = (first + i) mod cap in
           (s.ticks.(j), s.values.(j))))
 
-let find t name =
-  List.find_opt (fun s -> String.equal s.sname name)
-    (locked t (fun () -> t.sources))
-
-let series ?(t = default) name =
-  match find t name with None -> [] | Some s -> series_samples t s
-
-let latest ?(t = default) name =
-  match series ~t name with
-  | [] -> None
-  | samples -> Some (List.nth samples (List.length samples - 1))
-
-(* {1 Prometheus gauges}
-
-   Each source exposes its most recent sample as one gauge line. *)
-
-let expose ?(t = default) () =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun s ->
-      match series_samples t s with
-      | [] -> ()
-      | samples ->
-        let _, v = List.nth samples (List.length samples - 1) in
-        Buffer.add_string buf
-          (Printf.sprintf "# HELP %s %s\n# TYPE %s gauge\n%s %.6f\n" s.sname
-             s.shelp s.sname s.sname v))
-    (sorted_sources t);
-  Buffer.contents buf
-
 (* {1 Text dashboard} *)
 
 let spark_chars = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#'; '%'; '@' |]
@@ -124,7 +92,8 @@ let sparkline values =
       values;
     Buffer.contents buf
 
-let top ?(t = default) ?(width = 32) () =
+let top ?(width = 32) () =
+  let t = default in
   let buf = Buffer.create 1024 in
   let srcs = sorted_sources t in
   let name_w =
@@ -157,13 +126,10 @@ let top ?(t = default) ?(width = 32) () =
 
 (* {1 Built-in sources} *)
 
-let register_gc ?(t = default) () =
-  register ~t ~name:"telemetry_gc_minor_words"
-    ~help:"Cumulative minor-heap allocation in words" (fun () ->
+let register_gc () =
+  register ~name:"telemetry_gc_minor_words" (fun () ->
       (Gc.quick_stat ()).Gc.minor_words);
-  register ~t ~name:"telemetry_gc_major_collections"
-    ~help:"Cumulative major GC cycles" (fun () ->
+  register ~name:"telemetry_gc_major_collections" (fun () ->
       float_of_int (Gc.quick_stat ()).Gc.major_collections);
-  register ~t ~name:"telemetry_gc_heap_words"
-    ~help:"Major heap size in words" (fun () ->
+  register ~name:"telemetry_gc_heap_words" (fun () ->
       float_of_int (Gc.quick_stat ()).Gc.heap_words)

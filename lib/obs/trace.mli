@@ -73,10 +73,6 @@ val to_jsonl : record list -> string
     --verify] to assert that exported lines are well-formed, without
     pulling in a JSON library. *)
 
-(** [validate_json_line s] is [Ok ()] when [s] is one well-formed JSON
-    object, or [Error detail]. *)
-val validate_json_line : string -> (unit, string) result
-
 (** [validate_jsonl data] checks every non-blank line; [Ok n] gives the
     number of lines validated. *)
 val validate_jsonl : string -> (int, string) result

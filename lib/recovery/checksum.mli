@@ -13,10 +13,6 @@
 (** [crc32 s] is the CRC-32 of [s], in [0, 0xFFFFFFFF]. *)
 val crc32 : string -> int
 
-(** [update crc s] extends a running checksum: [update (crc32 a) b =
-    crc32 (a ^ b)]. *)
-val update : int -> string -> int
-
 (** [to_hex c] is the fixed-width (8 lowercase hex digits) form used in
     durable file headers and records. *)
 val to_hex : int -> string

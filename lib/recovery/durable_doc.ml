@@ -339,7 +339,6 @@ let apply t entry =
       if t.pending_count >= t.group_commit then flush_pending t)
 
 let delete t ~anchor = apply t (Journal.Delete { anchor })
-let set_text t ~anchor ~text = apply t (Journal.Set_text { anchor; text })
 
 (* {1 Rotation}
 

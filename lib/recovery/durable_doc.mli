@@ -129,7 +129,6 @@ val generation : t -> int
 
 val apply : t -> Ltree_doc.Journal.entry -> unit
 val delete : t -> anchor:int -> unit
-val set_text : t -> anchor:int -> text:string -> unit
 
 (** [sync t] forces the group-commit buffer out: appends and fsyncs all
     pending records.  After [sync], [last_seq t] is durable. *)

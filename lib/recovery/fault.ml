@@ -81,12 +81,6 @@ let dump t =
   Hashtbl.fold (fun path f acc -> (path, contents f) :: acc) t.files []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
-let corrupt_file t ~path ~f =
-  match Hashtbl.find_opt t.files path with
-  | None -> invalid_arg ("Fault.corrupt_file: no such file " ^ path)
-  | Some file ->
-    Hashtbl.replace t.files path (file_of_string (f (contents file)))
-
 (* [arm t what] advances the write-point counter and returns the plan
    when this primitive is the one that must fail. *)
 let arm t =

@@ -98,11 +98,6 @@ val points : sim -> int
     a restarted process would find. *)
 val dump : sim -> (string * string) list
 
-(** [corrupt_file t ~path ~f] replaces a file's contents with [f
-    contents]: external damage (fuzzing) as opposed to crash damage.
-    Raises [Invalid_argument] when the file does not exist. *)
-val corrupt_file : sim -> path:string -> f:(string -> string) -> unit
-
 (** {1 Real disk}
 
     The same surface over the actual filesystem, with [fsync] backed by

@@ -144,11 +144,6 @@ let note_change t ~tag ~rid =
     Int_tbl.replace set rid ()
   end
 
-let invalidate_all t =
-  t.generation <- t.generation + 1;
-  Hashtbl.reset t.tags;
-  Hashtbl.reset t.pending
-
 exception Dirty
 
 (* The allocation-free lookup the zero-alloc query spine rides: a clean

@@ -109,7 +109,7 @@ val create_workspace : unit -> workspace
 
 (** Maintenance counters: [repairs] counts dirty-tag merge repairs (each
     one is a full re-sort avoided), [full_rebuilds] counts from-scratch
-    column builds (first access to a tag, or after {!invalidate_all}),
+    column builds (first access to a tag),
     [merged_rows] the changed rows merged across all repairs. *)
 type stats = { repairs : int; full_rebuilds : int; merged_rows : int }
 
@@ -119,19 +119,14 @@ val stats : t -> stats
 (** [workspace t] is [t]'s own query workspace. *)
 val workspace : t -> workspace
 
-(** [generation t] is a monotone stamp bumped by every {!note_change} /
-    {!invalidate_all}; equal stamps mean the index saw no change. *)
+(** [generation t] is a monotone stamp bumped by every {!note_change};
+    equal stamps mean the index saw no change. *)
 val generation : t -> int
 
 (** [note_change t ~tag ~rid] logs that row [rid] of [tag] was updated,
     inserted or tombstoned — called by {!Label_sync.flush} per written
     row.  O(1); the repair happens lazily at the tag's next access. *)
 val note_change : t -> tag:string -> rid:int -> unit
-
-(** [invalidate_all t] drops every materialized tag (full rebuild on
-    next access).  For wholesale events the sync layer cannot
-    enumerate, e.g. restoring a store against a compacted document. *)
-val invalidate_all : t -> unit
 
 (** Raised by {!clean} when the tag is unmaterialized or has pending
     changes. *)

@@ -15,9 +15,6 @@ let flush_rows =
 type t = {
   store : label_store;
   ldoc : Labeled_doc.t;
-  epoch : int;
-      (* the store incarnation this handle was created against; see
-         [ensure_fresh] *)
 }
 
 type stats = {
@@ -29,30 +26,9 @@ type stats = {
 (* The pager argument is kept for interface stability: the store's own
    tables carry their pager, so the sync layer never touches it. *)
 let create (_ : Pager.t) store ldoc =
-  { store; ldoc; epoch = store.label_epoch }
-
-let epoch t = t.epoch
-
-(* A handle bound to a document that a recovery has since replaced must
-   not touch the store: its dirty-set bookkeeping describes nodes that
-   no longer exist.  [resync] is the only way forward. *)
-let ensure_fresh t what =
-  if t.epoch <> t.store.label_epoch then
-    failwith
-      (Printf.sprintf
-         "Label_sync.%s: stale handle (store epoch %d, handle epoch %d) \
-          — the store was resynced after a recovery; use the handle \
-          returned by Label_sync.resync"
-         what t.store.label_epoch t.epoch)
-
-let row_changed (a : label_row) (b : label_row) =
-  a.l_start <> b.l_start || a.l_end <> b.l_end || a.l_level <> b.l_level
-  || a.l_id <> b.l_id
-  || (not (String.equal a.l_tag b.l_tag))
-  || not (Bool.equal a.l_dead b.l_dead)
+  { store; ldoc }
 
 let flush_raw t =
-  ensure_fresh t "flush";
   let ldoc = t.ldoc and store = t.store in
   let updated = ref 0 and inserted = ref 0 and tombstoned = ref 0 in
   (* Each write is reported to the secondary index's dirty log, so the
@@ -123,87 +99,7 @@ let flush t =
       observe_rows st;
       st)
 
-(* Rebind a store to the document that recovery reconstructed.  Node
-   identity (Dom ids) did not survive the restart, but labels did — the
-   §4.2 determinism this whole layer is built on — so rows are matched
-   to recovered nodes by their durable start label.  The reconciliation
-   is dirty-all: every row is recomputed, rows whose label claims no
-   recovered node are tombstoned, recovered nodes without a row get one.
-   The per-tag index is dropped wholesale ({!Label_index.invalidate_all})
-   and the store epoch is bumped so pre-recovery handles go stale. *)
-let resync_raw old ldoc =
-  let store = old.store in
-  store.label_epoch <- store.label_epoch + 1;
-  Label_index.invalidate_all store.label_index;
-  (* This handle rewrites every row from scratch: track the recovered
-     document's changes from a clean slate. *)
-  Labeled_doc.track_dirty ldoc;
-  let updated = ref 0 and inserted = ref 0 and tombstoned = ref 0 in
-  (* Live rows, addressable by their durable start label. *)
-  let by_start = Int_tbl.create 256 in
-  Rel_table.iter store.label_table (fun rid row ->
-      if not row.l_dead then Int_tbl.replace by_start row.l_start rid);
-  Int_tbl.reset store.label_by_node;
-  (match (Labeled_doc.document ldoc).root with
-   | None -> ()
-   | Some root ->
-     Dom.iter_preorder root (fun node ->
-         match Shredder.tag_of node with
-         | None -> ()
-         | Some tag -> (
-             let l = Labeled_doc.label ldoc node in
-             let fresh =
-               { l_id = Dom.id node; l_tag = tag;
-                 l_start = l.Labeled_doc.start_pos;
-                 l_end = l.Labeled_doc.end_pos;
-                 l_level = l.Labeled_doc.level;
-                 l_dead = false }
-             in
-             match Int_tbl.find_opt by_start fresh.l_start with
-             | Some rid
-               when String.equal
-                      (Rel_table.get store.label_table rid).l_tag tag ->
-               Int_tbl.remove by_start fresh.l_start;
-               if row_changed (Rel_table.get store.label_table rid) fresh
-               then begin
-                 Rel_table.set store.label_table rid fresh;
-                 incr updated
-               end;
-               Int_tbl.replace store.label_by_node fresh.l_id rid
-             | Some _ | None ->
-               (* No row carries this label (or a row does under a
-                  different tag — divergent history); append a fresh
-                  one.  The mismatched row, if any, stays in [by_start]
-                  and is tombstoned below. *)
-               let rid = Rel_table.append store.label_table fresh in
-               Int_tbl.replace store.label_by_node fresh.l_id rid;
-               Hashtbl.replace store.label_by_tag tag
-                 (rid
-                 :: Option.value ~default:[]
-                      (Hashtbl.find_opt store.label_by_tag tag));
-               incr inserted)));
-  (* Whatever is left claimed no recovered node: the crash rolled those
-     nodes back (or their labels moved beyond recognition). *)
-  Int_tbl.iter
-    (fun _ rid ->
-      let row = Rel_table.get store.label_table rid in
-      Rel_table.set store.label_table rid { row with l_dead = true };
-      incr tombstoned)
-    by_start;
-  ( { store; ldoc; epoch = store.label_epoch },
-    { rows_updated = !updated;
-      rows_inserted = !inserted;
-      rows_tombstoned = !tombstoned } )
-
-let resync old ldoc =
-  Span.with_ ~name:"relstore.resync"
-    ~counters:(Labeled_doc.counters ldoc) (fun () ->
-      let handle, st = resync_raw old ldoc in
-      observe_rows st;
-      (handle, st))
-
 let check t =
-  ensure_fresh t "check";
   (* Every labeled node must have an exact live row; every live row must
      describe a labeled node. *)
   (match (Labeled_doc.document t.ldoc).root with

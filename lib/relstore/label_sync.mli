@@ -24,34 +24,10 @@ type stats = {
 
 (** [flush t] applies all pending label changes to the relation and
     returns what it wrote.  Queries over the store are exact again after
-    a flush.  Raises [Failure] when the handle is stale (see
-    {!resync}). *)
+    a flush. *)
 val flush : t -> stats
 
 (** [check t] verifies that the relation agrees with the document's
-    current labels (call after [flush]); raises [Failure] otherwise, and
-    also when the handle is stale. *)
+    current labels (call after [flush]); raises [Failure] otherwise. *)
 val check : t -> unit
 
-(** {1 Crash recovery}
-
-    After a restart the store's backing document is {e replaced} by the
-    one {!Ltree_recovery.Durable_doc} reconstructs: same labels (§4.2
-    determinism), fresh node identities, and possibly fewer operations
-    than the store last saw (the crash may have rolled back a
-    non-durable tail).  A pre-crash sync handle must therefore never
-    write again. *)
-
-(** [epoch t] is the store incarnation this handle is bound to; valid
-    while it equals the store's [label_epoch]. *)
-val epoch : t -> int
-
-(** [resync t ldoc] rebinds [t]'s store to the recovered document
-    [ldoc]: bumps the store epoch (staling every existing handle),
-    drops the per-tag index wholesale, and reconciles every row against
-    [ldoc] by durable start label — rows recomputed in place, rows whose
-    label claims no recovered node tombstoned, unmatched recovered nodes
-    appended.  Returns the replacement handle and what the
-    reconciliation wrote.  Queries over the store are exact immediately
-    afterwards. *)
-val resync : t -> Ltree_doc.Labeled_doc.t -> t * stats

@@ -186,10 +186,6 @@ let flush t =
   Column.clear t.slot_page;
   Column.clear t.heap
 
-let dirty t = t.dirty_count
-
-let slot_capacity t = Column.capacity t.heap
-
 let fresh_table_id t =
   let id = t.next_table in
   t.next_table <- id + 1;

@@ -52,15 +52,9 @@ val flush_dirty : t -> int
     not recount them. *)
 val flush : t -> unit
 
-(** Number of dirty (written, not yet written-back) pages. *)
-val dirty : t -> int
-
 (** [fresh_table_id t] allocates a table namespace. *)
 val fresh_table_id : t -> int
 
 (** Number of resident pages. *)
 val resident : t -> int
 
-(** Residency slots currently allocated.  It grows by doubling with the
-    number of resident pages, not with [capacity]. *)
-val slot_capacity : t -> int

@@ -1,7 +1,6 @@
 type 'a t = {
   pager : Pager.t;
   table_id : int;
-  name : string;
   rows_per_page : int;
   page_shift : int;  (* log2 rows_per_page when a power of two, else -1 *)
   mutable rows : 'a array;
@@ -15,13 +14,12 @@ let shift_of v =
   let rec go s p = if p = v then s else if p > v then -1 else go (s + 1) (p * 2) in
   go 0 1
 
-let create pager ~name ~rows_per_page =
+let create pager ~rows_per_page =
   if rows_per_page < 1 then
     invalid_arg "Rel_table.create: rows_per_page must be >= 1";
-  { pager; table_id = Pager.fresh_table_id pager; name; rows_per_page;
+  { pager; table_id = Pager.fresh_table_id pager; rows_per_page;
     page_shift = shift_of rows_per_page; rows = [||]; n = 0 }
 
-let name t = t.name
 let length t = t.n
 
 let append t row =

@@ -3,8 +3,7 @@
 
 type 'a t
 
-val create : Pager.t -> name:string -> rows_per_page:int -> 'a t
-val name : 'a t -> string
+val create : Pager.t -> rows_per_page:int -> 'a t
 val length : 'a t -> int
 
 (** [append t row] returns the new row id (dense, from 0). *)

@@ -25,7 +25,6 @@ type label_store = {
   label_by_node : int Int_tbl.t;
   label_index : Label_index.t;
   mutable label_ids : int -> int;
-  mutable label_epoch : int;
 }
 
 let tag_of node =
@@ -52,7 +51,7 @@ let rev_children tbl =
   Int_tbl.iter (fun k v -> Int_tbl.replace tbl k (List.rev v)) tbl
 
 let shred_edge pager ?(rows_per_page = 32) (doc : Dom.document) =
-  let edge_table = Rel_table.create pager ~name:"edge" ~rows_per_page in
+  let edge_table = Rel_table.create pager ~rows_per_page in
   let edge_by_tag = Hashtbl.create 64 in
   let edge_by_parent = Int_tbl.create 256 in
   (match doc.root with
@@ -83,7 +82,7 @@ let shred_edge pager ?(rows_per_page = 32) (doc : Dom.document) =
 
 let shred_label pager ?(rows_per_page = 32) ldoc =
   Labeled_doc.track_dirty ldoc;
-  let label_table = Rel_table.create pager ~name:"label" ~rows_per_page in
+  let label_table = Rel_table.create pager ~rows_per_page in
   let label_by_tag = Hashtbl.create 64 in
   let label_by_node = Int_tbl.create 256 in
   (match (Labeled_doc.document ldoc).root with
@@ -108,5 +107,4 @@ let shred_label pager ?(rows_per_page = 32) ldoc =
            push_tag label_by_tag tag rid));
   rev_tags label_by_tag;
   { label_table; label_by_tag; label_by_node;
-    label_index = Label_index.create (); label_ids = Fun.id;
-    label_epoch = 0 }
+    label_index = Label_index.create (); label_ids = Fun.id }

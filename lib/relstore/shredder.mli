@@ -52,11 +52,6 @@ type label_store = {
          maps local ids to router ids.  Set once, before the first
          query; a row's id only changes through {!Label_sync}, which
          re-fetches it *)
-  mutable label_epoch : int;
-      (* store-level incarnation stamp, bumped by {!Label_sync.resync}
-         after a crash recovery replaces the backing document; sync
-         handles created against an older epoch refuse to write, so a
-         restarted store can never be fed through a stale handle *)
 }
 
 (** [tag_of n] is the relational tag of a node: its element name,

@@ -180,4 +180,3 @@ let drain t ~now =
   t.delivered <- t.delivered + List.length due;
   List.map (fun c -> c.bytes) due
 
-let pending t = List.length t.in_flight

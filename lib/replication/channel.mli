@@ -53,9 +53,6 @@ val sever : t -> now:int -> unit
 val severed : t -> bool
 val reconnect : t -> unit
 
-(** [pending t] is the number of chunks in flight (sent, not yet due). *)
-val pending : t -> int
-
 type stats = {
   sent : int;  (** chunks accepted by [send] on a live channel *)
   delivered : int;  (** chunks handed out by [drain] *)

@@ -57,9 +57,3 @@ module Assembler : sig
       buffered. *)
   val feed : asm -> string list -> string list
 end
-
-(**/**)
-
-(* Exposed for tests. *)
-val escape : string -> string
-val unescape : string -> (string, error) result

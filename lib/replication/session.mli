@@ -1,8 +1,9 @@
 (** One primary + one replica wired over injectable channels, driven by
     a shared virtual clock.
 
-    The session owns the tick counter: every {!pump} advances it once
-    and runs one shipper round then one replica round, so an entire
+    The session owns the tick counter: every pump ({!apply} pumps once,
+    {!quiesce} until caught up) advances it once and runs one shipper
+    round then one replica round, so an entire
     replication scenario — including channel noise, retries, backoff
     delays, and failover — is a deterministic function of the
     configuration and fault plans.  One subtlety it owns: before a
@@ -41,9 +42,6 @@ val create :
 (** [apply t entry] applies one operation to the primary and pumps the
     session one tick. *)
 val apply : t -> Ltree_doc.Journal.entry -> unit
-
-(** [pump t] advances the clock one tick and runs both endpoints. *)
-val pump : t -> unit
 
 (** [quiesce ?max_pumps t] syncs the primary and pumps until the
     replica has applied everything (true) or the bound is hit / the

@@ -156,7 +156,6 @@ let create ~io ~dir ~store ~down ~up ?(config = default_config) () =
   t
 
 let failed t = t.failed
-let acked t = t.acked
 
 let stats t =
   {

@@ -64,10 +64,6 @@ val failed : t -> error option
     starts the window fresh.  Call after reconnecting the channels. *)
 val reset : t -> unit
 
-(** [acked t] is the cumulative ack point ([None] before the replica
-    bootstraps). *)
-val acked : t -> int option
-
 type stats = {
   frames_sent : int;
   retries : int;

@@ -246,14 +246,9 @@ let create ?params ?(group_commit = 4)
 
 let nshards t = Array.length t.shards
 let router t = t.router
-let cuts t = Array.copy t.cuts
-let rebalances t = t.rebalances
-let shard_sid t p = t.shards.(p).sid
 let shard_sim t p = t.shards.(p).sim
 let shard_durable t p = t.shards.(p).durable
 let shard_ldoc t p = Durable_doc.ldoc t.shards.(p).durable
-let shard_store t p = t.shards.(p).store
-let router_id t p lid = Int_tbl.find t.shards.(p).g_of_l lid
 let set_local_entry_hook t hook = t.on_local_entry <- hook
 
 (* {1 Routing}
@@ -356,8 +351,6 @@ let frozen sh =
   in
   sh.snap <- Some s;
   s
-
-let shard_snapshot t p = frozen t.shards.(p)
 
 let router_snapshot t =
   let s =
@@ -580,13 +573,6 @@ let root_insert_position t i =
   let k = Array.length t.shards in
   let rec go p = if p >= k - 1 || i <= t.cuts.(p + 1) then p else go (p + 1) in
   go 0
-
-let owner_of_anchor t anchor =
-  match Labeled_doc.node_by_start_label t.router anchor with
-  | None -> None
-  | Some n ->
-    if Dom.id n = Dom.id (root_of t.router) then None
-    else Int_tbl.find_opt t.top_owner (Dom.id (top_ancestor t n))
 
 let local_node sh t gnode =
   let lid = Int_tbl.find sh.l_of_g (Dom.id gnode) in
@@ -823,3 +809,47 @@ let maybe_rebalance ?(threshold = 2.0) ?on_phase t =
   | Some p ->
     split ?on_phase t p;
     true
+
+(* {1 Invariants} *)
+
+let check t =
+  Array.iteri
+    (fun p sh ->
+      let snap = frozen sh in
+      let fail tag i fmt =
+        Printf.ksprintf
+          (fun m ->
+            failwith
+              (Printf.sprintf "Sharded_doc: shard %d, %s row %d: %s" p tag i m))
+          fmt
+      in
+      List.iter
+        (fun tag ->
+          let rows = Read_snapshot.entry snap tag in
+          for i = 0 to rows.Label_index.len - 1 do
+            let rid = Column.get_checked rows.Label_index.rids i in
+            let id = Column.get_checked rows.Label_index.ids i in
+            let level = Column.get_checked rows.Label_index.levels i in
+            let lid =
+              (Ltree_relstore.Rel_table.get sh.store.Shredder.label_table rid)
+                .Shredder.l_id
+            in
+            (match Int_tbl.find_opt sh.g_of_l lid with
+             | Some g when g = id -> ()
+             | Some _ | None ->
+               fail tag i "id %d is not the translation of local id %d" id lid);
+            match Labeled_doc.node_by_id t.router id with
+            | None -> fail tag i "id %d names no live router node" id
+            | Some n ->
+              let same_tag =
+                match Shredder.tag_of n with
+                | Some tg -> String.equal tg tag
+                | None -> false
+              in
+              if
+                (not same_tag)
+                || (Labeled_doc.label t.router n).Labeled_doc.level <> level
+              then fail tag i "router node %d has another tag or level" id
+          done)
+        (Read_snapshot.tags snap))
+    t.shards

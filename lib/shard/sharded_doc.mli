@@ -47,36 +47,9 @@ val nshards : t -> int
 (** The router twin — the whole document, globally labeled. *)
 val router : t -> Ltree_doc.Labeled_doc.t
 
-(** Shard [p]'s boundary positions among the root's children:
-    [cuts.(p) .. cuts.(p+1)) ] (a copy; length [nshards + 1]). *)
-val cuts : t -> int array
-
-(** Splits performed by {!split}/{!maybe_rebalance} so far. *)
-val rebalances : t -> int
-
-val shard_sid : t -> int -> int
 val shard_sim : t -> int -> Ltree_recovery.Fault.sim
 val shard_durable : t -> int -> Ltree_recovery.Durable_doc.t
 val shard_ldoc : t -> int -> Ltree_doc.Labeled_doc.t
-
-(** [shard_store t p] is shard [p]'s label store.  Its [label_ids]
-    translation is {!router_id}'s, so its index holds router ids. *)
-val shard_store : t -> int -> Ltree_relstore.Shredder.label_store
-
-(** [router_id t p lid] is the router Dom id of shard [p]'s node [lid];
-    raises [Not_found] for an id the shard does not hold. *)
-val router_id : t -> int -> int -> int
-
-(** [shard_snapshot t p] is shard [p]'s read snapshot, flushed and
-    refreshed first if stale.  Its entries' ids are {e router} Dom ids
-    and its levels are router levels; its label columns and row ids are
-    shard-local. *)
-val shard_snapshot : t -> int -> Ltree_exec.Read_snapshot.t
-
-(** [owner_of_anchor t anchor] is the shard position the node at router
-    label [anchor] lives in; [None] for unused labels and for the root
-    (which is cloned into every shard). *)
-val owner_of_anchor : t -> int -> int option
 
 (** [routed ?within t] is the shard positions a query window (router
     labels, inclusive; default the whole document) routes to, via the
@@ -187,19 +160,26 @@ val unsharded_descendants_batch :
 
 (** {1 Rebalance} *)
 
-(** [split ?on_phase t p] splits shard [p] (which must own at least two
-    top-level subtrees) at a node-count-balanced point: the shard's
-    store is shipped over ideal replication channels to a fresh
-    replica, the replica is promoted, and each side journals deletes
-    of the subtrees the other keeps.  Routing state mutates only at
-    the final commit; [on_phase] is called with ["ship"] and ["trim"]
-    while queries still see the intact pre-split layout, and with
-    ["commit"] once the new layout is fully committed — plans agree at
-    every phase. *)
-val split : ?on_phase:(string -> unit) -> t -> int -> unit
+(** [maybe_rebalance ?threshold ?on_phase t] splits the first shard
+    whose live slot count exceeds [threshold] (default 2.0) times the
+    mean and that owns at least two top-level subtrees.  Returns
+    whether a split ran; each split is also counted in the
+    [shard_rebalances] registry counter.
 
-(** [maybe_rebalance ?threshold t] splits the first shard whose live
-    slot count exceeds [threshold] (default 2.0) times the mean and
-    that owns at least two subtrees.  Returns whether a split ran.
-    Also counted in the [shard_rebalances] registry counter. *)
+    The split cuts the shard at a node-count-balanced point: its store
+    is shipped over ideal replication channels to a fresh replica, the
+    replica is promoted, and each side journals deletes of the subtrees
+    the other keeps.  Routing state mutates only at the final commit;
+    [on_phase] is called with ["ship"] and ["trim"] while queries still
+    see the intact pre-split layout, and with ["commit"] once the new
+    layout is fully committed — plans agree at every phase. *)
 val maybe_rebalance : ?threshold:float -> ?on_phase:(string -> unit) -> t -> bool
+
+(** {1 Invariants} *)
+
+(** [check t] verifies every shard's read snapshot (flushed and
+    refreshed first if stale) against the live state: each row's id is
+    the router translation of its label row's {e current} local id, and
+    names a live router node carrying the entry's tag at the row's
+    level.  Raises [Failure] on the first violation. *)
+val check : t -> unit

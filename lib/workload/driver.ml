@@ -11,10 +11,6 @@ let all_patterns = [ Uniform; Hotspot; Append; Prepend ]
 module Make (S : Ltree_labeling.Scheme.S) = struct
   type t = {
     scheme : S.t;
-    counters : Ltree_metrics.Counters.t option;
-        (* retained so the accountant can read per-insertion relabel
-           deltas off the same counters the scheme bumps *)
-    mutable acct : Ltree_obs.Accountant.t option;
     mutable pool : S.handle array; (* live handles, arbitrary order *)
     mutable size : int;
     mutable hot : S.handle option;
@@ -33,8 +29,6 @@ module Make (S : Ltree_labeling.Scheme.S) = struct
       end
     in
     { scheme;
-      counters;
-      acct = None;
       pool;
       size = n;
       hot = (if n = 0 then None else Some handles.(n / 2));
@@ -43,8 +37,6 @@ module Make (S : Ltree_labeling.Scheme.S) = struct
 
   let scheme t = t.scheme
   let size t = t.size
-  let attach_accountant t acct = t.acct <- Some acct
-  let accountant t = t.acct
 
   let push t h =
     if t.size = Array.length t.pool then begin
@@ -56,11 +48,6 @@ module Make (S : Ltree_labeling.Scheme.S) = struct
     t.size <- t.size + 1
 
   let insert t prng pattern =
-    let relabels_before =
-      match (t.acct, t.counters) with
-      | Some _, Some c -> Ltree_metrics.Counters.relabels c
-      | _ -> 0
-    in
     let h =
       if t.size = 0 then S.insert_first t.scheme
       else
@@ -94,12 +81,7 @@ module Make (S : Ltree_labeling.Scheme.S) = struct
     if t.hot = None then t.hot <- Some h;
     if t.last = None then t.last <- Some h;
     if t.first = None then t.first <- Some h;
-    push t h;
-    match (t.acct, t.counters) with
-    | Some acct, Some c ->
-      Ltree_obs.Accountant.note acct ~n:t.size
-        ~relabels:(Ltree_metrics.Counters.relabels c - relabels_before)
-    | _ -> ()
+    push t h
 
   let run t prng pattern ~ops =
     for _ = 1 to ops do

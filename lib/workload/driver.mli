@@ -25,14 +25,6 @@ module Make (S : Ltree_labeling.Scheme.S) : sig
   val scheme : t -> S.t
   val size : t -> int
 
-  (** [attach_accountant t acct] makes every subsequent [insert] report
-      its relabel delta to [acct] (requires [init ~counters] -- without
-      retained counters there is no delta to read, and insertions are
-      not accounted). *)
-  val attach_accountant : t -> Ltree_obs.Accountant.t -> unit
-
-  val accountant : t -> Ltree_obs.Accountant.t option
-
   (** [insert t prng pattern] applies one insertion. *)
   val insert : t -> Prng.t -> pattern -> unit
 

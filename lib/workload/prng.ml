@@ -26,8 +26,6 @@ let float t =
 
 let bool t = Int64.logand (next t) 1L = 1L
 
-let split t = { state = next t }
-
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
   arr.(int t (Array.length arr))

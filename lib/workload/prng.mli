@@ -15,9 +15,6 @@ val float : t -> float
 
 val bool : t -> bool
 
-(** [split t] derives an independent generator. *)
-val split : t -> t
-
 (** [pick t arr] is a uniformly random element; requires a non-empty
     array. *)
 val pick : t -> 'a array -> 'a

@@ -278,10 +278,3 @@ let fig1 () =
   Dom.append_child book (Dom.element "title");
   Dom.document book
 
-let fig2 () =
-  let a = Dom.element "A" in
-  let b = Dom.element "B" in
-  Dom.append_child b (Dom.element "C");
-  Dom.append_child a b;
-  Dom.append_child a (Dom.element "D");
-  Dom.document a

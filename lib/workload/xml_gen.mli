@@ -36,6 +36,3 @@ val xmark : ?seed:int -> scale:float -> unit -> Dom.document
     [title]. *)
 val fig1 : unit -> Dom.document
 
-(** [fig2 ()] is the paper's Figure 2 document:
-    [<A><B><C/></B><D/></A>]. *)
-val fig2 : unit -> Dom.document

@@ -27,4 +27,3 @@ let sample t prng =
   done;
   !lo
 
-let n t = Array.length t.cdf

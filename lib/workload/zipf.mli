@@ -10,4 +10,3 @@ val create : n:int -> alpha:float -> t
 (** [sample t prng] draws a rank in [0, n). *)
 val sample : t -> Prng.t -> int
 
-val n : t -> int

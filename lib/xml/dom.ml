@@ -53,9 +53,6 @@ let name n =
 let attrs n = n.node_attrs
 let attr n k = List.assoc_opt k n.node_attrs
 
-let set_attr n k v =
-  n.node_attrs <- (k, v) :: List.remove_assoc k n.node_attrs
-
 let set_text n s =
   match n.node_kind with
   | Text _ -> n.node_kind <- Text s
@@ -112,11 +109,6 @@ let index_in_parent n =
     in
     go 0 p.node_children
 
-let insert_before ~anchor c =
-  match anchor.node_parent with
-  | None -> invalid_arg "Dom.insert_before: anchor is detached"
-  | Some p -> insert_child p ~index:(index_in_parent anchor) c
-
 let insert_after ~anchor c =
   match anchor.node_parent with
   | None -> invalid_arg "Dom.insert_after: anchor is detached"
@@ -150,14 +142,6 @@ let size n =
   let c = ref 0 in
   iter_preorder n (fun _ -> incr c);
   !c
-
-let text_content n =
-  let buf = Buffer.create 32 in
-  iter_preorder n (fun x ->
-      match x.node_kind with
-      | Text s -> Buffer.add_string buf s
-      | Element _ | Comment _ | Pi _ -> ());
-  Buffer.contents buf
 
 type event = E_start of node | E_end of node | E_atom of node
 
@@ -200,18 +184,3 @@ let rec equal_structure a b =
   | Pi (t1, d1), Pi (t2, d2) -> String.equal t1 t2 && String.equal d1 d2
   | (Element _ | Text _ | Comment _ | Pi _), _ -> false
 
-let rec pp ppf n =
-  match n.node_kind with
-  | Element name ->
-    Format.fprintf ppf "@[<hv 2><%s" name;
-    List.iter (fun (k, v) -> Format.fprintf ppf " %s=%S" k v) n.node_attrs;
-    (match n.node_children with
-     | [] -> Format.fprintf ppf "/>"
-     | children ->
-       Format.fprintf ppf ">";
-       List.iter (fun c -> Format.fprintf ppf "@,%a" pp c) children;
-       Format.fprintf ppf "@;<0 -2></%s>" name);
-    Format.fprintf ppf "@]"
-  | Text s -> Format.fprintf ppf "%S" s
-  | Comment s -> Format.fprintf ppf "<!--%s-->" s
-  | Pi (t, d) -> Format.fprintf ppf "<?%s %s?>" t d

@@ -49,7 +49,6 @@ val name : node -> string
 
 val attrs : node -> (string * string) list
 val attr : node -> string -> string option
-val set_attr : node -> string -> string -> unit
 
 (** [set_text n s] replaces the content of a text node.  Raises
     [Invalid_argument] on non-text nodes.  (Under an L-Tree labeling
@@ -61,9 +60,6 @@ val child_count : node -> int
 val is_element : node -> bool
 val is_text : node -> bool
 
-(** [text_content n] concatenates the text descendants of [n]. *)
-val text_content : node -> string
-
 (** {1 Mutation} *)
 
 val append_child : node -> node -> unit
@@ -72,10 +68,8 @@ val append_child : node -> node -> unit
 
 val insert_child : node -> index:int -> node -> unit
 
-(** [insert_before ~anchor n] / [insert_after ~anchor n] splice [n] next
-    to a sibling [anchor]. *)
-val insert_before : anchor:node -> node -> unit
-
+(** [insert_after ~anchor n] splices [n] right after the sibling
+    [anchor]. *)
 val insert_after : anchor:node -> node -> unit
 
 (** [remove n] detaches [n] from its parent. *)
@@ -116,4 +110,3 @@ val event_count : node -> int
     attributes, text, order). *)
 val equal_structure : node -> node -> bool
 
-val pp : Format.formatter -> node -> unit

@@ -43,11 +43,6 @@ let is_name_char c =
   is_name_start c
   || match c with '0' .. '9' | '-' | '.' -> true | _ -> false
 
-let is_name s =
-  String.length s > 0
-  && is_name_start s.[0]
-  && String.for_all is_name_char s
-
 let skip_spaces st =
   while (not (eof st)) && is_space (peek st) do
     advance st

@@ -18,5 +18,3 @@ val tokenize : string -> Token.spanned list
     unterminated or unknown reference. *)
 val decode_entities : string -> string
 
-(** [is_name s] says whether [s] is a valid XML name. *)
-val is_name : string -> bool

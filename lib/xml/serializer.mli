@@ -1,14 +1,10 @@
 (** DOM → XML text. *)
 
-(** [escape_text s] escapes [& < >]; [escape_attr s] additionally escapes
-    the double quote. *)
-val escape_text : string -> string
-
-val escape_attr : string -> string
-
-(** [node_to_string ?indent n] serializes a subtree.  With [indent] (a
-    number of spaces), children are pretty-printed on their own lines —
-    only safe for data-centric documents, since it inserts whitespace. *)
+(** [node_to_string ?indent n] serializes a subtree, escaping [& < >] in
+    text and additionally the double quote in attribute values.  With
+    [indent] (a number of spaces), children are pretty-printed on their
+    own lines — only safe for data-centric documents, since it inserts
+    whitespace. *)
 val node_to_string : ?indent:int -> Dom.node -> string
 
 (** [to_string ?indent doc] serializes the whole document, including the

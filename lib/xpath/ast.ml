@@ -27,11 +27,6 @@ and step = { axis : axis; test : test; preds : pred list }
 
 type t = { absolute : bool; steps : step list }
 
-let is_reverse_axis = function
-  | Parent | Ancestor | Ancestor_or_self | Preceding | Preceding_sibling ->
-    true
-  | Child | Descendant | Self | Following | Following_sibling -> false
-
 let axis_name = function
   | Child -> "child"
   | Descendant -> "descendant"

@@ -43,10 +43,5 @@ type t = {
   steps : step list;
 }
 
-(** [is_reverse_axis a] says whether positions on [a] count backwards. *)
-val is_reverse_axis : axis -> bool
-
-val axis_name : axis -> string
-val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 val equal : t -> t -> bool

@@ -30,11 +30,14 @@ let cost_monotone_in_n () =
 
 let batch_h0_inverse () =
   let params = Params.fig2 in
-  (* k = (s-1) m^h0 -> h0. *)
-  Alcotest.(check int) "k=1" 0 (Analysis.batch_h0 ~params ~k:1);
-  Alcotest.(check int) "k=2" 1 (Analysis.batch_h0 ~params ~k:2);
-  Alcotest.(check int) "k=4" 2 (Analysis.batch_h0 ~params ~k:4);
-  Alcotest.(check int) "k=16" 4 (Analysis.batch_h0 ~params ~k:16)
+  (* A batch of k = (s-1) m^h0 fills a height-h0 ancestor at once; at
+     n = 1024 (h = 10, f = 4, s = 2) the per-leaf bound is
+     14/k + 8 (10 - h0 + 1). *)
+  let cost ~k = Analysis.batch_amortized_cost ~params ~n:1024 ~k in
+  approx "k=1, h0=0" 102. (cost ~k:1);
+  approx "k=2, h0=1" 87. (cost ~k:2);
+  approx "k=4, h0=2" 75.5 (cost ~k:4);
+  approx "k=16, h0=4" 56.875 (cost ~k:16)
 
 let batch_cost_decreases () =
   let params = Params.fig2 in
@@ -56,30 +59,30 @@ let query_cost_model () =
   let c = Analysis.query_cost ~params ~n:1_000_000 ~word_bits:8 in
   Alcotest.(check bool) "software comparison costs more" true (c > 1.)
 
-let lattice_valid () =
-  let lattice = Tuning.lattice ~max_f:64 () in
-  Alcotest.(check bool) "non-empty" true (lattice <> []);
-  List.iter
-    (fun (p : Params.t) ->
-      Alcotest.(check bool) "constraints" true
-        (p.s >= 2 && p.m >= 2 && p.f = p.s * p.m && p.f <= 64))
-    lattice;
-  (* No duplicates. *)
-  let tags = List.map (fun (p : Params.t) -> (p.f, p.s)) lattice in
-  Alcotest.(check int) "distinct" (List.length tags)
-    (List.length (List.sort_uniq compare tags))
+(* Every valid (f, s) with f <= max_f: s >= 2, m >= 2, f = s * m. *)
+let lattice ~max_f =
+  List.concat_map
+    (fun s ->
+      List.filter_map
+        (fun m ->
+          if s * m <= max_f then Some (Params.make ~f:(s * m) ~s) else None)
+        (List.init (max_f / 2) (fun i -> i + 2)))
+    (List.init (max_f / 2) (fun i -> i + 2))
 
 let optimum_beats_lattice () =
   List.iter
     (fun n ->
       let best = Tuning.minimize_cost ~max_f:128 ~n () in
+      let p = best.params in
+      Alcotest.(check bool) "optimum is a valid lattice point" true
+        (p.s >= 2 && p.m >= 2 && p.f = p.s * p.m && p.f <= 128);
       List.iter
         (fun params ->
           let c = Analysis.amortized_cost ~params ~n in
           if c < best.cost -. 1e-9 then
             Alcotest.failf "n=%d: lattice point beats optimum (%f < %f)" n c
               best.cost)
-        (Tuning.lattice ~max_f:128 ()))
+        (lattice ~max_f:128))
     [ 100; 10_000; 1_000_000 ]
 
 let bounded_bits () =
@@ -117,7 +120,6 @@ let suite =
       case "batch h0 inverse" `Quick batch_h0_inverse;
       case "batch cost decreases in k" `Quick batch_cost_decreases;
       case "query cost model" `Quick query_cost_model;
-      case "tuning lattice validity" `Quick lattice_valid;
       case "optimum beats every lattice point" `Quick optimum_beats_lattice;
       case "bit-budget constrained tuning" `Quick bounded_bits;
       case "overall query/update mix" `Quick overall_mix ] )

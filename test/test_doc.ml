@@ -30,12 +30,14 @@ let fig1_containment () =
     (Labeled_doc.is_ancestor ldoc ~anc:chapter ~desc:title2);
   Alcotest.(check bool) "not reflexive" false
     (Labeled_doc.is_ancestor ldoc ~anc:root ~desc:root);
-  Alcotest.(check bool) "parent test" true
-    (Labeled_doc.is_parent ldoc ~parent:chapter ~child:title1);
-  Alcotest.(check bool) "grandparent is not parent" false
-    (Labeled_doc.is_parent ldoc ~parent:root ~child:title1);
+  let level n = (Labeled_doc.label ldoc n).Labeled_doc.level in
+  Alcotest.(check int) "parent is one level up" (level chapter + 1)
+    (level title1);
+  Alcotest.(check int) "grandparent is two levels up" (level root + 2)
+    (level title1);
   Alcotest.(check bool) "doc order" true
-    (Labeled_doc.precedes ldoc title1 title2);
+    ((Labeled_doc.label ldoc title1).Labeled_doc.start_pos
+    < (Labeled_doc.label ldoc title2).Labeled_doc.start_pos);
   let l = Labeled_doc.label ldoc root in
   Alcotest.(check int) "root level" 0 l.Labeled_doc.level;
   Alcotest.(check bool) "root spans all" true
@@ -47,7 +49,7 @@ let insert_subtree_basic () =
   let root = Option.get doc.root in
   let b = List.nth (Dom.children root) 0 in
   let sub = Parser.parse_fragment "<d><e>x</e></d>" in
-  Labeled_doc.insert_subtree_after ldoc ~anchor:b sub;
+  Labeled_doc.insert_subtree ldoc ~parent:root ~index:1 sub;
   Labeled_doc.check ldoc;
   Alcotest.(check (list string)) "DOM order"
     [ "b"; "d"; "c" ]
@@ -58,7 +60,9 @@ let insert_subtree_basic () =
     (Labeled_doc.is_ancestor ldoc ~anc:sub ~desc:e);
   Alcotest.(check bool) "root anc d" true
     (Labeled_doc.is_ancestor ldoc ~anc:root ~desc:sub);
-  Alcotest.(check bool) "b precedes d" true (Labeled_doc.precedes ldoc b sub);
+  Alcotest.(check bool) "b precedes d" true
+    ((Labeled_doc.label ldoc b).Labeled_doc.start_pos
+    < (Labeled_doc.label ldoc sub).Labeled_doc.start_pos);
   Alcotest.(check int) "levels" 2 (Labeled_doc.label ldoc e).Labeled_doc.level
 
 let insert_positions () =
@@ -72,7 +76,8 @@ let insert_positions () =
   Labeled_doc.insert_subtree ldoc ~parent:root
     ~index:(Dom.child_count root) last;
   let mid = Parser.parse_fragment "<mid/>" in
-  Labeled_doc.insert_subtree_before ldoc ~anchor:b mid;
+  Labeled_doc.insert_subtree ldoc ~parent:root ~index:(Dom.index_in_parent b)
+    mid;
   Labeled_doc.check ldoc;
   Alcotest.(check (list string)) "order"
     [ "first"; "mid"; "b"; "last" ]
@@ -157,34 +162,6 @@ let random_edits_prop =
       done;
       true)
 
-let move_subtree () =
-  let doc = Parser.parse_string "<a><b><c/></b><d/></a>" in
-  let ldoc = Labeled_doc.of_document doc in
-  let root = Option.get doc.root in
-  let b = List.nth (Dom.children root) 0 in
-  let c = List.hd (Dom.children b) in
-  let d = List.nth (Dom.children root) 1 in
-  (* Move <b> under <d>. *)
-  Labeled_doc.move_subtree ldoc ~node:b ~parent:d ~index:0;
-  Labeled_doc.check ldoc;
-  Alcotest.(check (list string)) "DOM shape" [ "d" ]
-    (List.map Dom.name (Dom.children root));
-  Alcotest.(check bool) "d anc c now" true
-    (Labeled_doc.is_ancestor ldoc ~anc:d ~desc:c);
-  Alcotest.(check bool) "b still anc c" true
-    (Labeled_doc.is_ancestor ldoc ~anc:b ~desc:c);
-  (* Moving a node under its own descendant must fail. *)
-  Alcotest.(check bool) "cycle rejected" true
-    (try
-       Labeled_doc.move_subtree ldoc ~node:d ~parent:c ~index:0;
-       false
-     with Invalid_argument _ -> true);
-  Alcotest.(check bool) "self rejected" true
-    (try
-       Labeled_doc.move_subtree ldoc ~node:d ~parent:d ~index:0;
-       false
-     with Invalid_argument _ -> true)
-
 (* The labeled-since cursor yields exactly the nodes inserted after it
    was taken and still in the document: relabels and compaction add
    nothing, a moved node shows up once, an inserted-then-deleted node
@@ -217,7 +194,8 @@ let labeled_since_cursor () =
   let fresh =
     List.init 40 (fun _ ->
         let n = Parser.parse_fragment "<f/>" in
-        Labeled_doc.insert_subtree_before ldoc ~anchor:b n;
+        Labeled_doc.insert_subtree ldoc ~parent:root
+          ~index:(Dom.index_in_parent b) n;
         n)
   in
   Alcotest.(check (list int)) "relabeled nodes do not appear" (ids fresh)
@@ -229,7 +207,9 @@ let labeled_since_cursor () =
     (Labeled_doc.labeled_cursor ldoc);
   Alcotest.(check (list int)) "nothing after delete + compact" [] (since c2);
   let old_slot = Labeled_doc.slot ldoc d in
-  Labeled_doc.move_subtree ldoc ~node:d ~parent:b ~index:0;
+  (* a move: tombstone the subtree, label it again *)
+  Labeled_doc.delete_subtree ldoc d;
+  Labeled_doc.insert_subtree ldoc ~parent:b ~index:0 d;
   Alcotest.(check bool) "moved node's old slot is dead" false
     (Labeled_doc.slot_live old_slot);
   Alcotest.(check (list int)) "a moved subtree appears once"
@@ -258,7 +238,6 @@ let suite =
       case "insert subtree" `Quick insert_subtree_basic;
       case "insert positions" `Quick insert_positions;
       case "delete subtree + compact" `Quick delete_subtree;
-      case "move subtree" `Quick move_subtree;
       case "labeled-since cursor" `Quick labeled_since_cursor;
       case "labeled events view" `Quick labeled_events_view;
       QCheck_alcotest.to_alcotest random_edits_prop ] )

@@ -26,7 +26,7 @@ let basic_roundtrip () =
   Alcotest.(check int) "three entries" 3 (Journal.length j);
   (* Crash: reload the snapshot and replay the journal. *)
   let recovered = Snapshot.load snap in
-  Journal.replay (Journal.of_string (Journal.to_string j)) recovered;
+  Journal.replay j recovered;
   Labeled_doc.check recovered;
   Alcotest.(check (list int)) "labels identical" (labels_of ldoc)
     (labels_of recovered);
@@ -49,27 +49,43 @@ let special_characters () =
   Journal.insert_subtree j ldoc ~parent:root ~index:1
     (Parser.parse_fragment "<note lang=\"fr\">d&#233;j&#224; vu\nencore</note>");
   let recovered = Snapshot.load snap in
-  Journal.replay (Journal.of_string (Journal.to_string j)) recovered;
+  Journal.replay j recovered;
   Labeled_doc.check recovered;
   (match ((Labeled_doc.document recovered).root, doc.root) with
    | Some a, Some b ->
      Alcotest.(check bool) "specials survive" true (Dom.equal_structure a b)
-   | _ -> Alcotest.fail "missing root")
+   | _ -> Alcotest.fail "missing root");
+  (* The one-line codec durability layers frame records with. *)
+  List.iter
+    (fun e ->
+      let line = Journal.entry_to_line e in
+      Alcotest.(check bool) "one line" false (String.contains line '\n');
+      Alcotest.(check bool) "line codec round trip" true
+        (Journal.entry_of_line line = e))
+    [
+      Journal.Set_text
+        { anchor = 3; text = "multi\nline & <specials> \"quoted\"" };
+      Journal.Insert
+        {
+          anchor = 0;
+          index = 1;
+          xml = "<note lang=\"fr\">d\195\169j\195\160 vu\nencore</note>";
+        };
+      Journal.Delete { anchor = 7 };
+    ]
 
 let corrupt_rejected () =
   let rejects s =
     Alcotest.(check bool) ("rejects " ^ s) true
       (try
-         ignore (Journal.of_string s);
+         ignore (Journal.entry_of_line s);
          false
        with Journal.Corrupt _ -> true)
   in
   rejects "";
-  rejects "nonsense\nI 1 2 <x/>";
-  rejects "ltree-journal 1\nI notanint 2 x";
-  rejects "ltree-journal 1\nZ 1";
-  Alcotest.(check int) "empty journal parses" 0
-    (Journal.length (Journal.of_string "ltree-journal 1\n"))
+  rejects "nonsense";
+  rejects "I notanint 2 x";
+  rejects "Z 1"
 
 let replay_prop =
   QCheck.Test.make ~count:25
@@ -106,7 +122,7 @@ let replay_prop =
                (Printf.sprintf "<patch n=\"%d\"><x/>y</patch>" i))
       done;
       let recovered = Snapshot.load snap in
-      Journal.replay (Journal.of_string (Journal.to_string j)) recovered;
+      Journal.replay j recovered;
       Labeled_doc.check recovered;
       labels_of ldoc = labels_of recovered
       && Dom.equal_structure (Option.get doc.root)

@@ -131,55 +131,10 @@ let random_edits_stay_exact =
         [ ("site", "patch"); ("item", "name"); ("patch", "inner");
           ("site", "inner") ])
 
-(* After a crash recovery the document object is a different instance:
-   node identities did not survive, labels did.  [resync] must rebind
-   the stored rows to the recovered document by start label, bump the
-   store epoch, and leave old handles refusing to run. *)
-let resync_after_restart () =
-  let doc, ldoc, pager, store, sync, _ =
-    setup "<a><b><c/></b><d>t</d></a>"
-  in
-  let root = Option.get doc.root in
-  Labeled_doc.insert_subtree ldoc ~parent:root ~index:1
-    (Parser.parse_fragment "<e><f/></e>");
-  ignore (Label_sync.flush sync);
-  Label_sync.check sync;
-  (* Restart: rebuild the document from its snapshot — same labels,
-     entirely new nodes. *)
-  let recovered = Ltree_doc.Snapshot.load (Ltree_doc.Snapshot.save ldoc) in
-  let sync2, stats = Label_sync.resync sync recovered in
-  Label_sync.check sync2;
-  Alcotest.(check bool) "epoch bumped" true
-    (Label_sync.epoch sync2 > Label_sync.epoch sync);
-  (* The old handle must refuse, loudly, rather than corrupt the rows. *)
-  (match Label_sync.flush sync with
-   | (_ : Label_sync.stats) ->
-     Alcotest.fail "stale handle must be refused"
-   | exception Failure _ -> ());
-  (match Label_sync.check sync with
-   | () -> Alcotest.fail "stale handle must be refused"
-   | exception Failure _ -> ());
-  (* The resynced store answers queries about the recovered document. *)
-  let rroot = Option.get (Labeled_doc.document recovered).Dom.root in
-  let e = List.nth (Dom.children rroot) 1 in
-  let f = List.hd (Dom.children e) in
-  Alcotest.(check (list int)) "rows rebound to recovered nodes"
-    [ Dom.id f ]
-    (Query.label_descendants pager store ~anc:"e" ~desc:"f");
-  (* And stays in sync through further edits via the new handle. *)
-  Labeled_doc.delete_subtree recovered f;
-  ignore (Label_sync.flush sync2);
-  Label_sync.check sync2;
-  Alcotest.(check (list int)) "deletion visible" []
-    (Query.label_descendants pager store ~anc:"e" ~desc:"f");
-  Alcotest.(check bool) "stats counted the walk" true
-    (stats.Label_sync.rows_updated + stats.Label_sync.rows_inserted >= 0)
-
 let suite =
   ( "label_sync",
     [ case "insert then query" `Quick insert_then_query;
       case "delete then query" `Quick delete_then_query;
       case "idempotent flush" `Quick idempotent_flush;
       case "writes are local" `Quick writes_are_local;
-      case "resync after restart" `Quick resync_after_restart;
       QCheck_alcotest.to_alcotest random_edits_stay_exact ] )

@@ -10,6 +10,12 @@ let case = Alcotest.test_case
 
 let labels_list t = Array.to_list (Ltree.labels t)
 
+(* Every slot in label order, tombstones included. *)
+let all_leaves t =
+  let acc = ref [] in
+  Ltree.iter_leaves t (fun l -> acc := l :: !acc);
+  Array.of_list (List.rev !acc)
+
 (* Figure 2(a): bulk loading 8 tags at f=4, s=2 produces the complete
    binary L-Tree with leaf numbers 0,1,3,4,9,10,12,13. *)
 let fig2_bulk () =
@@ -71,21 +77,6 @@ let bulk_sizes () =
         n (Array.length leaves))
     [ 0; 1; 2; 3; 4; 5; 7; 8; 9; 15; 16; 17; 31; 64; 100; 1000 ]
 
-let navigation () =
-  let t, leaves = Ltree.bulk_load ~params:Params.fig2 10 in
-  let collect dir start =
-    let rec go acc = function
-      | None -> List.rev acc
-      | Some l -> go (Ltree.label t l :: acc) (dir t l)
-    in
-    go [] (Some start)
-  in
-  let fwd = collect Ltree.next leaves.(0) in
-  Alcotest.(check (list int)) "forward walk" (labels_list t) fwd;
-  let bwd = collect Ltree.prev leaves.(9) in
-  Alcotest.(check (list int)) "backward walk"
-    (List.rev (labels_list t)) bwd
-
 let monotone_growth () =
   (* Pure appends: labels keep increasing, invariants hold, height grows
      logarithmically. *)
@@ -143,7 +134,7 @@ let relabel_locality_prop =
       let prng = Ltree_workload.Prng.create seed in
       let ok = ref true in
       for _ = 1 to 60 do
-        let before_leaves = Ltree.leaves t in
+        let before_leaves = all_leaves t in
         let before_labels =
           Array.map (fun l -> Ltree.label t l) before_leaves
         in
@@ -256,25 +247,6 @@ let batch_insert_order () =
   Alcotest.(check bool) "batch sits before old successor" true
     (!prev < next_label)
 
-let batch_before () =
-  let t, leaves = Ltree.bulk_load ~params:Params.fig2 20 in
-  let anchor = leaves.(7) in
-  let fresh = Ltree.insert_batch_before t anchor 30 in
-  Ltree.check t;
-  Alcotest.(check int) "50 slots" 50 (Ltree.length t);
-  let before = Ltree.label t leaves.(6) in
-  let after = Ltree.label t anchor in
-  Array.iter
-    (fun l ->
-      let v = Ltree.label t l in
-      Alcotest.(check bool) "between neighbours" true (before < v && v < after))
-    fresh;
-  (* Batch-before the very first leaf prepends. *)
-  let fresh2 = Ltree.insert_batch_before t leaves.(0) 5 in
-  Ltree.check t;
-  Alcotest.(check bool) "prepended" true
-    (Ltree.label t fresh2.(0) < Ltree.label t leaves.(0))
-
 let insert_after_tombstone () =
   (* Tombstoned slots remain valid anchors. *)
   let t, leaves = Ltree.bulk_load ~params:Params.fig2 16 in
@@ -285,13 +257,6 @@ let insert_after_tombstone () =
     (Ltree.label t leaves.(5) < Ltree.label t fresh
     && Ltree.label t fresh < Ltree.label t leaves.(6));
   Alcotest.(check bool) "fresh slot is live" false (Ltree.is_deleted fresh)
-
-let batch_into_empty () =
-  let t = Ltree.create ~params:Params.fig2 () in
-  let fresh = Ltree.insert_batch_first t 100 in
-  Ltree.check t;
-  Alcotest.(check int) "100 slots" 100 (Ltree.length t);
-  Alcotest.(check int) "handles" 100 (Array.length fresh)
 
 let batch_cheaper_than_singles () =
   (* §4.1's point: one batch of k relabels fewer nodes than k singles. *)
@@ -443,26 +408,6 @@ let layout_props =
       && labels.(0) = 0
       && labels.(count - 1) < Params.pow_radix params height)
 
-(* §4.2: the base-(f-1) digits of a leaf label encode its ancestors. *)
-let digit_ancestors_prop =
-  QCheck.Test.make ~count:50 ~name:"label digits encode the ancestor chain"
-    QCheck.(make Gen.(pair (int_range 1 200) (int_bound 10000)))
-    (fun (n0, seed) ->
-      let params = Params.fig2 in
-      let t, leaves = Ltree.bulk_load ~params n0 in
-      let prng = Ltree_workload.Prng.create seed in
-      for _ = 1 to 100 do
-        ignore (Ltree.insert_after t leaves.(Ltree_workload.Prng.int prng n0))
-      done;
-      let height = Ltree.height t in
-      let ok = ref true in
-      Ltree.iter_leaves t (fun l ->
-          let from_digits =
-            Label.ancestors params ~height (Ltree.label t l)
-          in
-          if from_digits <> Ltree.ancestor_numbers t l then ok := false);
-      !ok)
-
 (* §4.2: the tree reconstructed from bare labels is indistinguishable
    from the original — including under further updates. *)
 let of_labels_prop =
@@ -487,7 +432,7 @@ let of_labels_prop =
         QCheck.Test.fail_reportf "reconstructed labels differ";
       (* Continue with identical operations on both trees: they must stay
          label-identical. *)
-      let all1 = Ltree.leaves t and all2 = leaves2 in
+      let all1 = all_leaves t and all2 = leaves2 in
       for _ = 1 to 60 do
         let i = Ltree_workload.Prng.int prng (Array.length all1) in
         let side = Ltree_workload.Prng.bool prng in
@@ -547,44 +492,19 @@ let find_by_label_prop =
        | None -> ());
       !ok)
 
-let label_helpers () =
-  let p = Params.fig2 in
-  (* Leaf 13 in the Figure-2 tree: digits (1,1,1), root 0. *)
-  Alcotest.(check (list int)) "digits of 13" [ 1; 1; 1 ]
-    (Label.digits p ~height:3 13);
-  Alcotest.(check (list int)) "ancestors of 13" [ 12; 9; 0 ]
-    (Label.ancestors p ~height:3 13);
-  Alcotest.(check (list int)) "digits of 10" [ 1; 0; 1 ]
-    (Label.digits p ~height:3 10);
-  Alcotest.(check int) "height-2 ancestor of 10" 9
-    (Label.ancestor_num p ~at:2 10);
-  Alcotest.(check (pair int int)) "interval of node 9 at height 2" (9, 17)
-    (Label.interval p ~at:2 10);
-  Alcotest.(check int) "sibling index" 1 (Label.sibling_index p ~at:2 10);
-  Alcotest.(check bool) "oversized label rejected" true
-    (try
-       ignore (Label.digits p ~height:2 13);
-       false
-     with Invalid_argument _ -> true)
-
 let suite =
   ( "ltree",
     [ case "figure 2(a): bulk load" `Quick fig2_bulk;
-      case "label digit helpers" `Quick label_helpers;
       case "of_labels validation" `Quick of_labels_rejects;
-      QCheck_alcotest.to_alcotest digit_ancestors_prop;
       QCheck_alcotest.to_alcotest of_labels_prop;
       QCheck_alcotest.to_alcotest find_by_label_prop;
       case "figure 2(c): insert D" `Quick fig2_insert_d;
       case "figure 2(d): insert /D splits" `Quick fig2_insert_d_end;
       case "empty tree" `Quick empty_tree;
       case "bulk load sizes" `Quick bulk_sizes;
-      case "next/prev navigation" `Quick navigation;
       case "monotone growth" `Quick monotone_growth;
       case "batch insert keeps order" `Quick batch_insert_order;
-      case "batch insert before" `Quick batch_before;
       case "insert after a tombstone" `Quick insert_after_tombstone;
-      case "batch into empty tree" `Quick batch_into_empty;
       case "batch cheaper than singles" `Quick batch_cheaper_than_singles;
       case "delete and compact" `Quick delete_and_compact;
       case "params validation" `Quick params_validation;

@@ -6,6 +6,11 @@ module Table = Ltree_metrics.Table
 
 let case = Alcotest.test_case
 
+let stats_of xs =
+  let s = Stats.create () in
+  List.iter (Stats.add s) xs;
+  s
+
 let counters_basics () =
   let c = Counters.create () in
   Counters.add_relabel c 3;
@@ -22,13 +27,12 @@ let counters_basics () =
   Alcotest.(check int) "reset" 0 (Counters.total_maintenance c)
 
 let stats_moments () =
-  let s = Stats.of_list [ 1.; 2.; 3.; 4.; 5. ] in
+  let s = stats_of [ 1.; 2.; 3.; 4.; 5. ] in
   Alcotest.(check int) "count" 5 (Stats.count s);
   Alcotest.(check (float 1e-9)) "mean" 3. (Stats.mean s);
-  Alcotest.(check (float 1e-9)) "min" 1. (Stats.min s);
+  Alcotest.(check (float 1e-9)) "min" 1. (Stats.percentile s 0.);
   Alcotest.(check (float 1e-9)) "max" 5. (Stats.max s);
   Alcotest.(check (float 1e-9)) "sum" 15. (Stats.sum s);
-  Alcotest.(check (float 1e-9)) "variance" 2.5 (Stats.variance s);
   Alcotest.(check (float 1e-9)) "p50" 3. (Stats.percentile s 50.);
   Alcotest.(check (float 1e-9)) "p100" 5. (Stats.percentile s 100.);
   Alcotest.(check bool) "empty percentile rejected" true
@@ -36,19 +40,6 @@ let stats_moments () =
        ignore (Stats.percentile (Stats.create ()) 50.);
        false
      with Invalid_argument _ -> true)
-
-let stats_welford_matches_naive =
-  QCheck.Test.make ~count:100 ~name:"welford variance matches naive"
-    QCheck.(list_of_size Gen.(int_range 2 50) (float_range (-1000.) 1000.))
-    (fun xs ->
-      let s = Stats.of_list xs in
-      let n = float_of_int (List.length xs) in
-      let mean = List.fold_left ( +. ) 0. xs /. n in
-      let var =
-        List.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.)) 0. xs
-        /. (n -. 1.)
-      in
-      Float.abs (Stats.variance s -. var) < 1e-6 *. (1. +. var))
 
 (* Nearest-rank percentile semantics, pinned: p = 0 is the minimum, p =
    100 the maximum, and in between the result is the smallest sample
@@ -60,7 +51,7 @@ let percentile_spec =
         (list_of_size Gen.(int_range 1 40) (float_range (-100.) 100.))
         (float_range 0. 100.))
     (fun (xs, p) ->
-      let s = Stats.of_list xs in
+      let s = stats_of xs in
       let sorted = Array.of_list xs in
       Array.sort Float.compare sorted;
       let n = Array.length sorted in
@@ -81,16 +72,16 @@ let percentile_endpoints_and_monotone =
         (list_of_size Gen.(int_range 1 40) (float_range (-100.) 100.))
         (pair (float_range 0. 100.) (float_range 0. 100.)))
     (fun (xs, (p1, p2)) ->
-      let s = Stats.of_list xs in
+      let s = stats_of xs in
       let lo = Float.min p1 p2 and hi = Float.max p1 p2 in
-      Float.equal (Stats.percentile s 0.) (Stats.min s)
+      Float.equal (Stats.percentile s 0.) (List.fold_left Float.min infinity xs)
       && Float.equal (Stats.percentile s 100.) (Stats.max s)
       && Float.compare (Stats.percentile s lo) (Stats.percentile s hi) <= 0)
 
 let percentile_zero_singleton () =
   (* The p = 0 regression pinned directly: before the fix, ceil rounding
      sent p = 0 to rank -1 (clamped to 0 only by accident of layout). *)
-  let s = Stats.of_list [ 5.; 1.; 9. ] in
+  let s = stats_of [ 5.; 1.; 9. ] in
   Alcotest.(check (float 0.)) "p0 is min" 1. (Stats.percentile s 0.);
   Alcotest.(check (float 0.)) "p eps stays smallest" 1.
     (Stats.percentile s 0.001);
@@ -123,23 +114,11 @@ let counters_assoc_and_pp () =
     assoc
 
 let table_render () =
-  let contains hay needle =
-    let n = String.length needle and h = String.length hay in
-    let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-    go 0
-  in
-  let out =
-    Table.to_string ~title:"demo" ~header:[ "a"; "bb" ]
-      [ [ "1"; "2" ]; [ "333"; "4" ] ]
-  in
-  Alcotest.(check bool) "title" true (contains out "== demo ==");
-  Alcotest.(check bool) "cell" true (contains out "333");
   Alcotest.(check bool) "arity checked" true
     (try
-       ignore (Table.to_string ~title:"x" ~header:[ "a" ] [ [ "1"; "2" ] ]);
+       Table.print ~title:"x" ~header:[ "a" ] [ [ "1"; "2" ] ];
        false
      with Invalid_argument _ -> true);
-  Alcotest.(check string) "fint" "42" (Table.fint 42);
   Alcotest.(check string) "ffloat" "3.14" (Table.ffloat ~decimals:2 3.14159);
   Alcotest.(check string) "fratio" "2.00" (Table.fratio 4. 2.);
   Alcotest.(check string) "fratio zero" "-" (Table.fratio 4. 0.)
@@ -150,7 +129,6 @@ let suite =
       case "counters to_assoc + pp" `Quick counters_assoc_and_pp;
       case "stats moments" `Quick stats_moments;
       case "percentile p=0" `Quick percentile_zero_singleton;
-      case "table rendering" `Quick table_render;
-      QCheck_alcotest.to_alcotest stats_welford_matches_naive;
+      case "table arity and cell formatting" `Quick table_render;
       QCheck_alcotest.to_alcotest percentile_spec;
       QCheck_alcotest.to_alcotest percentile_endpoints_and_monotone ] )

@@ -14,6 +14,16 @@ module Invariant = Ltree_analysis.Invariant
 
 let case = Alcotest.test_case
 
+(* External damage (fuzzing), as opposed to crash damage: a fresh sim
+   over [sim]'s files with [path]'s contents replaced by [f contents]. *)
+let damaged sim ~path ~f =
+  Fault.create_sim
+    ~files:
+      (List.map
+         (fun (p, d) -> if String.equal p path then (p, f d) else (p, d))
+         (Fault.dump sim))
+    ()
+
 let labels_of ldoc = List.map snd (Labeled_doc.labeled_events ldoc)
 
 (* {1 Checksums} *)
@@ -26,11 +36,7 @@ let crc_vectors () =
   Alcotest.(check int) "single byte" 0xE8B7BE43 (Checksum.crc32 "a");
   Alcotest.(check int) "abc" 0x352441C2 (Checksum.crc32 "abc")
 
-let crc_update_and_hex () =
-  let a = "ltree-wal 1\n" and b = "E deadbeef 1 D 42" in
-  Alcotest.(check int) "update composes"
-    (Checksum.crc32 (a ^ b))
-    (Checksum.update (Checksum.crc32 a) b);
+let crc_hex () =
   let c = Checksum.crc32 "123456789" in
   Alcotest.(check string) "hex form" "cbf43926" (Checksum.to_hex c);
   Alcotest.(check (option int)) "hex round trip" (Some c)
@@ -39,37 +45,6 @@ let crc_update_and_hex () =
     (Checksum.of_hex "cbf4392");
   Alcotest.(check (option int)) "non-hex rejected" None
     (Checksum.of_hex "cbf4392x")
-
-(* [update] chains: checksumming a string in two pieces equals
-   checksumming it whole, wherever it is split — including one string
-   long enough that any per-call state would show. *)
-let crc_chaining () =
-  let prng = Prng.create 17 in
-  let random_string n =
-    String.init n (fun _ -> Char.chr (Prng.int prng 256))
-  in
-  for _ = 1 to 200 do
-    let s = random_string (Prng.int prng 300) in
-    let cut = Prng.int prng (String.length s + 1) in
-    let a = String.sub s 0 cut
-    and b = String.sub s cut (String.length s - cut) in
-    Alcotest.(check int) "update (crc32 a) b = crc32 (a ^ b)"
-      (Checksum.crc32 s)
-      (Checksum.update (Checksum.crc32 a) b)
-  done;
-  let big = random_string (1 lsl 20 + 13) in
-  let whole = Checksum.crc32 big in
-  let chained = ref 0 and off = ref 0 in
-  while !off < String.length big do
-    let len = min (1 + Prng.int prng 70_000) (String.length big - !off) in
-    chained := Checksum.update !chained (String.sub big !off len);
-    off := !off + len
-  done;
-  Alcotest.(check int) "1 MiB in random pieces" whole !chained;
-  Alcotest.(check int) "1 MiB split once" whole
-    (Checksum.update
-       (Checksum.crc32 (String.sub big 0 500_000))
-       (String.sub big 500_000 (String.length big - 500_000)))
 
 (* {1 Durable store} *)
 
@@ -172,9 +147,10 @@ let rotation_prev_fallback () =
      report it — typed, not fatal.  The journal was truncated at the
      second checkpoint, so its records cannot bridge from the older
      snapshot: ops 5-10 are lost and the sequence gap says so. *)
-  Fault.corrupt_file sim ~path:"store/snapshot" ~f:(fun s ->
-      String.map (fun c -> if Char.equal c '4' then '5' else c) s);
-  let rsim = Fault.create_sim ~files:(Fault.dump sim) () in
+  let rsim =
+    damaged sim ~path:"store/snapshot" ~f:(fun s ->
+        String.map (fun c -> if Char.equal c '4' then '5' else c) s)
+  in
   match Durable_doc.recover ~io:(Fault.sim_io rsim) ~dir:"store" () with
   | Error _ -> Alcotest.fail "previous generation must load"
   | Ok (report, t') ->
@@ -211,9 +187,10 @@ let torn_tail_truncated () =
   List.iter (Durable_doc.apply t) ops;
   Durable_doc.sync t;
   (* Tear the last record mid-line, as a crash during append would. *)
-  Fault.corrupt_file sim ~path:"store/journal" ~f:(fun s ->
-      String.sub s 0 (String.length s - 7));
-  let rsim = Fault.create_sim ~files:(Fault.dump sim) () in
+  let rsim =
+    damaged sim ~path:"store/journal" ~f:(fun s ->
+        String.sub s 0 (String.length s - 7))
+  in
   (match Durable_doc.recover ~io:(Fault.sim_io rsim) ~dir:"store" () with
    | Error _ -> Alcotest.fail "store must recover"
    | Ok (report, _) ->
@@ -238,8 +215,7 @@ let empty_journal_recovers_clean () =
   let io = Fault.sim_io sim in
   let t = Durable_doc.initialize ~io ~dir:"store" (make_ldoc ()) in
   let snapshot_labels = labels_of (Durable_doc.ldoc t) in
-  Fault.corrupt_file sim ~path:"store/journal" ~f:(fun _ -> "");
-  let rsim = Fault.create_sim ~files:(Fault.dump sim) () in
+  let rsim = damaged sim ~path:"store/journal" ~f:(fun _ -> "") in
   let rio = Fault.sim_io rsim in
   (match Durable_doc.recover ~io:rio ~dir:"store" () with
    | Error _ -> Alcotest.fail "snapshot alone must recover"
@@ -283,8 +259,7 @@ let bitflip_detected () =
   Durable_doc.sync t;
   (* Flip one content bit inside the third record's payload: the CRC
      must catch it and condemn the tail. *)
-  Fault.corrupt_file sim ~path:"store/journal" ~f:(flip_payload_bit ~line:3);
-  let rsim = Fault.create_sim ~files:(Fault.dump sim) () in
+  let rsim = damaged sim ~path:"store/journal" ~f:(flip_payload_bit ~line:3) in
   match Durable_doc.recover ~io:(Fault.sim_io rsim) ~dir:"store" () with
   | Error _ -> Alcotest.fail "store must recover"
   | Ok (report, _) ->
@@ -308,8 +283,7 @@ let resumed_scan_is_suffix () =
         (make_ldoc ()) in
     List.iter (Durable_doc.apply t) (script_against (make_ldoc ()) 8);
     Durable_doc.sync t;
-    Fault.corrupt_file sim ~path:"store/journal" ~f:damage;
-    Fault.sim_io sim
+    Fault.sim_io (damaged sim ~path:"store/journal" ~f:damage)
   in
   let tails =
     [ ("clean", Fun.id);
@@ -445,21 +419,20 @@ let mutate prng s =
       ^ String.sub s (i + n) (len - i - n)
 
 let fuzz_journal_codec () =
-  let ldoc = make_ldoc () in
-  let j = Journal.create () in
-  let root = Option.get (Labeled_doc.document ldoc).Dom.root in
-  Journal.insert_subtree j ldoc ~parent:root ~index:0
-    (Parser.parse_fragment "<x a=\"1\">t&amp;x<y/></x>");
-  Journal.delete_subtree j ldoc (List.nth (Dom.children root) 1);
-  Journal.set_text j ldoc
-    (List.hd (Dom.children (List.nth (Dom.children root) 0)))
-    "new text";
-  let pristine = Journal.to_string j in
+  let lines =
+    Array.map Journal.entry_to_line
+      [|
+        Journal.Insert
+          { anchor = 0; index = 0; xml = "<x a=\"1\">t&amp;x<y/></x>" };
+        Journal.Delete { anchor = 5 };
+        Journal.Set_text { anchor = 2; text = "new text" };
+      |]
+  in
   let prng = Prng.create 101 in
   for i = 1 to 300 do
-    let s = mutate prng pristine in
-    match Journal.of_string s with
-    | (_ : Journal.t) -> () (* mutation landed somewhere harmless *)
+    let s = mutate prng lines.(i mod Array.length lines) in
+    match Journal.entry_of_line s with
+    | (_ : Journal.entry) -> () (* mutation landed somewhere harmless *)
     | exception Journal.Corrupt _ -> ()
     | exception e ->
       Alcotest.failf "mutation %d: journal codec leaked %s" i
@@ -503,12 +476,14 @@ let fuzz_durable_store () =
   let paths = Array.of_list (List.map fst pristine) in
   let prng = Prng.create 303 in
   for i = 1 to 200 do
-    let fsim = Fault.create_sim ~files:pristine () in
+    let fsim = ref (Fault.create_sim ~files:pristine ()) in
     (* Damage one or two files. *)
     for _ = 0 to Prng.int prng 2 do
-      Fault.corrupt_file fsim ~path:(Prng.pick prng paths)
-        ~f:(fun s -> mutate prng s)
+      fsim :=
+        damaged !fsim ~path:(Prng.pick prng paths)
+          ~f:(fun s -> mutate prng s)
     done;
+    let fsim = !fsim in
     match
       Durable_doc.recover ~io:(Fault.sim_io fsim) ~dir:"store" ()
     with
@@ -613,11 +588,6 @@ module Ref_disk = struct
     | Some _ -> crash t ("remove " ^ path)
     | None -> Hashtbl.remove t.files path
 
-  let corrupt_file t ~path ~f =
-    match Hashtbl.find_opt t.files path with
-    | None -> invalid_arg ("Fault.corrupt_file: no such file " ^ path)
-    | Some data -> Hashtbl.replace t.files path (f data)
-
   let dump t =
     Hashtbl.fold (fun path data acc -> (path, data) :: acc) t.files []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
@@ -631,7 +601,6 @@ type disk_op =
   | Rename of string * string
   | Fsync of string
   | Remove of string
-  | Corrupt of string
 
 (* A fixed prologue pins the three cases the chunked representation
    could get wrong — reads between appends (the flatten cache), an
@@ -649,10 +618,7 @@ let disk_script seed =
       Append ("j", "");
       Read "j";
       Append ("fresh", "z");
-      Read "fresh";
-      Corrupt "j";
-      Append ("j", "after-corrupt");
-      Read "j" ]
+      Read "fresh" ]
   in
   let prng = Prng.create seed in
   let paths = [| "j"; "k"; "snap"; "fresh" |] in
@@ -663,21 +629,20 @@ let disk_script seed =
   let tail =
     List.init 70 (fun _ ->
         let path = Prng.pick prng paths in
-        match Prng.int prng 10 with
+        match Prng.int prng 9 with
         | 0 -> Write (path, payload ())
         | 1 | 2 | 3 -> Append (path, payload ())
         | 4 | 5 -> Read path
         | 6 -> Exists path
         | 7 -> Rename (path, Prng.pick prng paths)
-        | 8 -> if Prng.bool prng then Fsync path else Remove path
-        | _ -> Corrupt path)
+        | _ -> if Prng.bool prng then Fsync path else Remove path)
   in
   prologue @ tail
 
 (* Runs a script to its end or its crash, logging every observation a
    caller can make; a primitive rejecting its arguments is logged too,
    and the script goes on. *)
-let run_disk_script ~io ~corrupt ops =
+let run_disk_script ~io ops =
   let log = ref [] in
   let note s = log := s :: !log in
   let crashed =
@@ -698,7 +663,6 @@ let run_disk_script ~io ~corrupt ops =
             | Rename (src, dst) -> io.Fault.rename_file ~src ~dst
             | Fsync p -> io.Fault.fsync p
             | Remove p -> io.Fault.remove_file p
-            | Corrupt p -> corrupt p
           with Invalid_argument m -> note ("rejected: " ^ m))
         ops;
       None
@@ -707,14 +671,11 @@ let run_disk_script ~io ~corrupt ops =
   (List.rev !log, crashed)
 
 let sim_disk_matches_reference () =
-  let damage s = "#" ^ String.uppercase_ascii s in
   let ops = disk_script 23 in
   let run plan =
     let sim = Fault.create_sim ?plan () in
     let got =
-      run_disk_script ~io:(Fault.sim_io sim)
-        ~corrupt:(fun path -> Fault.corrupt_file sim ~path ~f:damage)
-        ops
+      run_disk_script ~io:(Fault.sim_io sim) ops
     in
     let r = Ref_disk.create plan in
     let ref_io =
@@ -727,9 +688,7 @@ let sim_disk_matches_reference () =
         file_exists = Hashtbl.mem r.Ref_disk.files }
     in
     let want =
-      run_disk_script ~io:ref_io
-        ~corrupt:(fun path -> Ref_disk.corrupt_file r ~path ~f:damage)
-        ops
+      run_disk_script ~io:ref_io ops
     in
     let cell =
       match plan with
@@ -768,8 +727,7 @@ let sim_disk_matches_reference () =
 let suite =
   ( "recovery",
     [ case "crc32 vectors" `Quick crc_vectors;
-      case "crc32 update and hex forms" `Quick crc_update_and_hex;
-      case "crc32 update chains over any split" `Quick crc_chaining;
+      case "crc32 hex forms" `Quick crc_hex;
       case "sim disk matches the reference model" `Quick
         sim_disk_matches_reference;
       case "durable round trip" `Quick durable_roundtrip;

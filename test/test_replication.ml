@@ -92,11 +92,13 @@ let frame_rejects_damage () =
 
 let snapshot_escaping () =
   let data = "a\nb\\n literal \\\\ and \\ trailing\n" in
-  Alcotest.(check (result string string))
-    "unescape inverts escape" (Ok data)
-    (Result.map_error
-       (Format.asprintf "%a" Frame.pp_error)
-       (Frame.unescape (Frame.escape data)))
+  let f = Frame.Snapshot { epoch = 1; base_seq = 3; chain = 7; data } in
+  let line = Frame.encode f in
+  Alcotest.(check int) "one line on the wire" 1
+    (List.length (String.split_on_char '\n' line) - 1);
+  match Frame.decode (String.sub line 0 (String.length line - 1)) with
+  | Ok g -> Alcotest.(check bool) "snapshot data survives escaping" true (f = g)
+  | Error e -> Alcotest.failf "decode failed: %a" Frame.pp_error e
 
 let assembler_reassembles () =
   let asm = Frame.Assembler.create () in

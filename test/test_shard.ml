@@ -114,11 +114,36 @@ let check_all_plans_agree ?within name sd pool =
 
 (* {1 Routing} *)
 
-(* Router-label interval of shard [p]: its owned top-level subtrees'
-   label span. *)
+(* [create]'s layout: shard [p] of [k] owns the root's children
+   [p * n / k, (p + 1) * n / k). *)
+let initial_cuts sd =
+  let n = Dom.child_count (root_of (Sharded_doc.router sd)) in
+  let k = Sharded_doc.nshards sd in
+  Array.init (k + 1) (fun i -> i * n / k)
+
+(* The shards each top-level subtree routes to: a window over exactly
+   its label interval. *)
+let owners sd =
+  let r = Sharded_doc.router sd in
+  List.map
+    (fun n ->
+      let l = Labeled_doc.label r n in
+      Sharded_doc.routed
+        ~within:(l.Labeled_doc.start_pos, l.Labeled_doc.end_pos)
+        sd)
+    (Dom.children (root_of r))
+
+(* Split the first shard that owns at least two subtrees: a threshold
+   of 0 makes every shard a candidate. *)
+let split_first ?on_phase sd =
+  Alcotest.(check bool) "a split ran" true
+    (Sharded_doc.maybe_rebalance ~threshold:0. ?on_phase sd)
+
+(* Router-label interval of shard [p] of a fresh document: its owned
+   top-level subtrees' label span. *)
 let shard_interval sd p =
   let r = Sharded_doc.router sd in
-  let cuts = Sharded_doc.cuts sd in
+  let cuts = initial_cuts sd in
   let subs = Array.of_list (Dom.children (root_of r)) in
   let lab n = Labeled_doc.label r n in
   let lo = (lab subs.(cuts.(p))).Labeled_doc.start_pos in
@@ -268,48 +293,23 @@ let plans_agree_matrix () =
         Sharded_doc.apply sd (random_edit rng sd)
       done;
       check_matrix (Printf.sprintf "K=%d after writes" k) sd;
-      Sharded_doc.split sd 0;
+      split_first sd;
       check_matrix (Printf.sprintf "K=%d after split" k) sd)
     [ 1; 2; 4 ]
 
 (* {1 Router-id snapshots} *)
 
 (* Every row of every shard snapshot entry must name a live router node
-   carrying the entry's tag, at the row's level: shard snapshots freeze
-   router ids, not shard-local ones. *)
-let check_router_rows what sd =
-  let r = Sharded_doc.router sd in
-  for p = 0 to Sharded_doc.nshards sd - 1 do
-    let snap = Sharded_doc.shard_snapshot sd p in
-    List.iter
-      (fun tag ->
-        let rows = Read_snapshot.entry snap tag in
-        for i = 0 to rows.Label_index.len - 1 do
-          let id = Column.get_checked rows.Label_index.ids i in
-          let level = Column.get_checked rows.Label_index.levels i in
-          match Labeled_doc.node_by_id r id with
-          | None ->
-            Alcotest.failf "%s: shard %d, %s row %d: id %d names no live \
-                            router node" what p tag i id
-          | Some n ->
-            if
-              Shredder.tag_of n <> Some tag
-              || (Labeled_doc.label r n).Labeled_doc.level <> level
-            then
-              Alcotest.failf
-                "%s: shard %d, %s row %d: router node %d has another tag \
-                 or level" what p tag i id
-        done)
-      (Read_snapshot.tags snap)
-  done
-
+   carrying the entry's tag, at the row's level — shard snapshots freeze
+   router ids, not shard-local ones — through tombstones, re-inserts
+   and a split ([Sharded_doc.check]). *)
 let snapshots_hold_router_ids () =
   let sd = Sharded_doc.create ~shards:4 (wide_doc ~subtrees:16 40) in
   let rng = Prng.create 41 in
-  check_router_rows "fresh" sd;
-  for step = 1 to 60 do
+  Sharded_doc.check sd;
+  for _ = 1 to 60 do
     Sharded_doc.apply sd (random_edit rng sd);
-    check_router_rows (Printf.sprintf "step %d" step) sd
+    Sharded_doc.check sd
   done;
   (* Tombstone every row of a top-level subtree, then re-insert its
      tags into the same shard: the dead rows stay in the table, the new
@@ -320,121 +320,34 @@ let snapshots_hold_router_ids () =
   let again = Ltree_xml.Serializer.node_to_string first in
   Sharded_doc.apply sd
     (Journal.Delete { anchor = (Labeled_doc.label r first).Labeled_doc.start_pos });
-  check_router_rows "after tombstoning a subtree" sd;
+  Sharded_doc.check sd;
   Sharded_doc.apply sd
     (Journal.Insert { anchor = root_anchor; index = 0; xml = again });
-  check_router_rows "after re-inserting its tags" sd;
-  Sharded_doc.split sd 0;
-  check_router_rows "after split" sd;
-  for step = 1 to 20 do
+  Sharded_doc.check sd;
+  split_first sd;
+  Sharded_doc.check sd;
+  for _ = 1 to 20 do
     Sharded_doc.apply sd (random_edit rng sd);
-    check_router_rows (Printf.sprintf "post-split step %d" step) sd
-  done;
-  (* The index must not keep a translation whose row changed its Dom id:
-     a resync after recovery keeps every row id but rebinds it to a new
-     node. *)
-  let offset = 1 lsl 40 in
-  let doc = wide_doc 42 in
-  let ldoc = Labeled_doc.of_document doc in
-  let pager = Pager.create (Counters.create ()) in
-  let store = Shredder.shred_label pager ldoc in
-  let sync = Label_sync.create pager store ldoc in
-  store.Shredder.label_ids <- (fun lid -> lid + offset);
-  let check_rebound what ldoc snap =
-    List.iter
-      (fun tag ->
-        let rows = Read_snapshot.entry snap tag in
-        for i = 0 to rows.Label_index.len - 1 do
-          let id = Column.get_checked rows.Label_index.ids i - offset in
-          match Labeled_doc.node_by_id ldoc id with
-          | Some n when Shredder.tag_of n = Some tag -> ()
-          | Some _ | None ->
-            Alcotest.failf "%s: %s row %d maps to no live node" what tag i
-        done)
-      (Read_snapshot.tags snap)
-  in
-  check_rebound "before resync" ldoc (Read_snapshot.of_store pager store ldoc);
-  let recovered = Ltree_doc.Snapshot.load (Ltree_doc.Snapshot.save ldoc) in
-  let _sync, _ = Label_sync.resync sync recovered in
-  check_rebound "after resync" recovered
-    (Read_snapshot.of_store pager store recovered)
+    Sharded_doc.check sd
+  done
 
 (* Every snapshot id is the translation of its row's {e current} local
-   id: checked row by row against the label table, so an id cached by
-   the index across a change of the row's Dom id cannot hide.  Returns
-   the snapshot's ids by row id. *)
-let check_ids_current what store snap translate =
-  let ids = Ltree_metrics.Int_tbl.create 64 in
-  List.iter
-    (fun tag ->
-      let rows = Read_snapshot.entry snap tag in
-      for i = 0 to rows.Label_index.len - 1 do
-        let rid = Column.get_checked rows.Label_index.rids i in
-        let id = Column.get_checked rows.Label_index.ids i in
-        let lid =
-          (Ltree_relstore.Rel_table.get store.Shredder.label_table rid)
-            .Shredder.l_id
-        in
-        if id <> translate lid then
-          Alcotest.failf "%s: %s row %d (rid %d) holds id %d, its local id \
-                          %d translates to %d" what tag i rid id lid
-            (translate lid);
-        Ltree_metrics.Int_tbl.replace ids rid id
-      done)
-    (Read_snapshot.tags snap);
-  ids
-
+   id, checked row by row against the label table by [Sharded_doc.check],
+   so an id cached by the index across a change of the row's Dom id
+   cannot hide. *)
 let snapshot_ids_follow_rows () =
   let sd = Sharded_doc.create ~shards:2 (wide_doc ~subtrees:12 43) in
   let rng = Prng.create 44 in
   for _ = 1 to 20 do
     Sharded_doc.apply sd (random_edit rng sd)
   done;
-  let check_all what =
-    for p = 0 to Sharded_doc.nshards sd - 1 do
-      ignore
-        (check_ids_current
-           (Printf.sprintf "%s, shard %d" what p)
-           (Sharded_doc.shard_store sd p)
-           (Sharded_doc.shard_snapshot sd p)
-           (Sharded_doc.router_id sd p)
-          : int Ltree_metrics.Int_tbl.t)
-    done
-  in
-  check_all "before split";
-  Sharded_doc.split sd 0;
-  check_all "after split";
+  Sharded_doc.check sd;
+  split_first sd;
+  Sharded_doc.check sd;
   for _ = 1 to 20 do
     Sharded_doc.apply sd (random_edit rng sd)
   done;
-  check_all "after post-split writes";
-  (* A resync rebinds every row to a recovered node with a fresh Dom
-     id: the refreshed snapshot must carry the new ids' translations,
-     so some row's id must differ from before. *)
-  let doc = wide_doc 45 in
-  let ldoc = Labeled_doc.of_document doc in
-  let pager = Pager.create (Counters.create ()) in
-  let store = Shredder.shred_label pager ldoc in
-  let sync = Label_sync.create pager store ldoc in
-  let translate lid = (lid * 3) + 7 in
-  store.Shredder.label_ids <- translate;
-  let snap = Read_snapshot.of_store pager store ldoc in
-  let before = check_ids_current "before resync" store snap translate in
-  let recovered = Ltree_doc.Snapshot.load (Ltree_doc.Snapshot.save ldoc) in
-  let _sync, _ = Label_sync.resync sync recovered in
-  let after =
-    check_ids_current "after resync" store (Read_snapshot.refresh snap)
-      translate
-  in
-  let moved =
-    Ltree_metrics.Int_tbl.fold
-      (fun rid id n ->
-        match Ltree_metrics.Int_tbl.find_opt before rid with
-        | Some old when old <> id -> n + 1
-        | Some _ | None -> n)
-      after 0
-  in
-  Alcotest.(check bool) "the resync rebound some rows" true (moved > 0)
+  Sharded_doc.check sd
 
 (* {1 Allocation} *)
 
@@ -481,12 +394,12 @@ let descendants_allocation_bound () =
 
 let writes_route_to_owner () =
   let sd = Sharded_doc.create ~shards:3 (wide_doc 14) in
-  let before = Array.map Fun.id (Sharded_doc.cuts sd) in
+  let before = owners sd in
   let r = Sharded_doc.router sd in
   let subs = Array.of_list (Dom.children (root_of r)) in
   (* Insert a subtree under shard 1's first top-level subtree: only
      shard 1's journal advances. *)
-  let target = subs.(before.(1)) in
+  let target = subs.((initial_cuts sd).(1)) in
   let anchor = (Labeled_doc.label r target).Labeled_doc.start_pos in
   let seq_before =
     Array.init 3 (fun j ->
@@ -504,36 +417,30 @@ let writes_route_to_owner () =
         (if j = 1 then seq + 1 else seq)
         now)
     seq_before;
-  Alcotest.(check (option int))
-    "owner lookup" (Some 1)
-    (Sharded_doc.owner_of_anchor sd anchor);
-  (* Deep insert does not move any cut. *)
   Alcotest.(check (list int))
-    "cuts unchanged" (Array.to_list before)
-    (Array.to_list (Sharded_doc.cuts sd));
+    "owner lookup" [ 1 ]
+    (Sharded_doc.routed ~within:(anchor, anchor) sd);
+  (* Deep insert does not move any cut. *)
+  Alcotest.(check (list (list int))) "cuts unchanged" before (owners sd);
   (* A root-level insert at the front shifts every later cut. *)
   let root_anchor =
     (Labeled_doc.label r (root_of r)).Labeled_doc.start_pos
   in
   Sharded_doc.apply sd
     (Journal.Insert { anchor = root_anchor; index = 0; xml = "<patch>q</patch>" });
-  Alcotest.(check (list int))
-    "front insert shifts cuts"
-    [ before.(0); before.(1) + 1; before.(2) + 1; before.(3) + 1 ]
-    (Array.to_list (Sharded_doc.cuts sd))
+  Alcotest.(check (list (list int)))
+    "front insert shifts cuts" ([ 0 ] :: before) (owners sd)
 
 let empty_shard_skipped () =
   let sd = Sharded_doc.create ~shards:3 (wide_doc 15) in
   let r = Sharded_doc.router sd in
-  let cuts = Sharded_doc.cuts sd in
   (* Delete every top-level subtree shard 1 owns. *)
   let owned () =
-    let subs = Array.of_list (Dom.children (root_of r)) in
-    let cuts = Sharded_doc.cuts sd in
-    Array.to_list (Array.sub subs cuts.(1) (cuts.(2) - cuts.(1)))
+    List.filteri
+      (fun i _ -> List.nth (owners sd) i = [ 1 ])
+      (Dom.children (root_of r))
   in
-  Alcotest.(check bool) "shard 1 starts non-empty" true
-    (cuts.(2) - cuts.(1) > 0);
+  Alcotest.(check bool) "shard 1 starts non-empty" true (owned () <> []);
   let rec drain () =
     match owned () with
     | [] -> ()
@@ -544,8 +451,8 @@ let empty_shard_skipped () =
       drain ()
   in
   drain ();
-  let cuts = Sharded_doc.cuts sd in
-  Alcotest.(check int) "shard 1 emptied" cuts.(1) cuts.(2);
+  Alcotest.(check bool) "shard 1 emptied" true
+    (List.for_all (fun o -> o <> [ 1 ]) (owners sd));
   Alcotest.(check (list int))
     "routing skips the empty shard" [ 0; 2 ]
     (Sharded_doc.routed sd);
@@ -562,7 +469,7 @@ let split_preserves_plans () =
          store, trimming both sides, and the routing commit — must
          still agree: the router twin and the old shard stay live until
          the final layout swap. *)
-      Sharded_doc.split sd 0 ~on_phase:(fun phase ->
+      split_first sd ~on_phase:(fun phase ->
           phases := phase :: !phases;
           check_all_plans_agree
             (Printf.sprintf "during split (%s)" phase)
@@ -571,7 +478,6 @@ let split_preserves_plans () =
         "phases seen" [ "ship"; "trim"; "commit" ]
         (List.rev !phases);
       Alcotest.(check int) "now three shards" 3 (Sharded_doc.nshards sd);
-      Alcotest.(check int) "one rebalance" 1 (Sharded_doc.rebalances sd);
       check_all_plans_agree "after split" sd pool;
       (* The split shards still take writes. *)
       let r = Sharded_doc.router sd in

@@ -77,8 +77,8 @@ let adjacent_text_regression () =
     (labels_of restored);
   let r_root = Option.get (Labeled_doc.document restored).root in
   Alcotest.(check int) "two text nodes" 2 (Dom.child_count r_root);
-  Alcotest.(check string) "content intact" "leftright"
-    (Dom.text_content r_root);
+  Alcotest.(check string) "content intact" "<a>leftright</a>"
+    (Serializer.node_to_string r_root);
   (* Empty text nodes are rejected up front. *)
   let doc2 = Parser.parse_string "<a><b/></a>" in
   let ldoc2 = Labeled_doc.of_document doc2 in

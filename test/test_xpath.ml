@@ -265,8 +265,10 @@ let engines_agree_under_edits_prop =
                 | Some p when p == parent -> 1
                 | Some _ | None -> 0
             in
-            Labeled_doc.move_subtree ldoc ~node ~parent
-              ~index:(Prng.int prng (slots + 1))
+            (* a move: tombstone the subtree, label it again *)
+            Labeled_doc.delete_subtree ldoc node;
+            Labeled_doc.insert_subtree ldoc ~parent
+              ~index:(Prng.int prng (slots + 1)) node
           end
         | 3 -> Labeled_doc.compact ldoc
         | _ ->
@@ -337,7 +339,8 @@ let engines_agree_after_updates () =
   let root = Option.get doc.root in
   let chapter = List.nth (Dom.children root) 0 in
   let sub = Parser.parse_fragment "<chapter><title>Three</title></chapter>" in
-  Labeled_doc.insert_subtree_after ldoc ~anchor:chapter sub;
+  Labeled_doc.insert_subtree ldoc ~parent:root
+    ~index:(Dom.index_in_parent chapter + 1) sub;
   Label_eval.refresh engine;
   let count path = List.length (Label_eval.eval_string engine path) in
   Alcotest.(check int) "new chapter visible" 3 (count "//chapter");

@@ -45,13 +45,19 @@
      excluded, and [raise]/[failwith]/[invalid_arg]/[assert] subtrees
      are skipped as error paths.
 
+   - R11 (unused exports): a top-level [val] of a [lib/] interface that
+     no other unit references, counting references from every unit
+     passed as users ([test/] ones included).  Exports referenced only
+     from [test/] are reported apart and never fail.
+
    Allowlist hygiene is checked by one piece of code for both
    [race_allow] (R8) and [global_allow] (R7): A1 flags an entry that no
    longer suppresses any finding, A2 an entry whose audit note does not
-   cite DESIGN.md.  Only R8/R9 findings can be baselined. *)
+   cite DESIGN.md.  Only R8/R9 findings can be baselined.  R10 is
+   reserved. *)
 
 type finding = {
-  rule : string;  (* "R1" .. "R9" | "A1" | "A2" *)
+  rule : string;  (* "R1" .. "R9" | "R11" | "A1" | "A2" *)
   file : string;
   line : int;  (* 1-based; 0 for config-level findings *)
   col : int;
@@ -262,52 +268,89 @@ type unit_info = {
   u_name : string;  (* normalized module path, e.g. "Ltree_exec.Pool" *)
   u_file : string;  (* source path for reporting *)
   u_str : Typedtree.structure;
-  u_has_mli : bool;  (* R6 *)
+  u_sig : Typedtree.signature option;  (* the interface: R6, R11 *)
   u_loadpath : string list option;
       (* .cmi directories to rebuild the environments a .cmt stores as
          summaries; [None] for in-process units, whose environments are
          complete *)
 }
 
-(* A .cmt dune wrote under [build]: its load path is relative to the
-   build root.  Only real [.ml] sources count (dune's generated alias
-   modules are [.ml-gen]); the unit has an interface iff dune wrote a
-   .cmti beside it. *)
-let load_cmt ~build path =
+let read_annots path =
   match Cmt_format.read_cmt path with
   | exception (Sys_error _ | End_of_file | Failure _) -> None
   | exception Cmi_format.Error _ -> None
   | exception Cmt_format.Error _ -> None
-  | info -> (
+  | info -> Some info
+
+(* A .cmt dune wrote under [build]: its load path is relative to the
+   build root.  Only real [.ml] sources count (dune's generated alias
+   modules are [.ml-gen]); the unit's interface is the .cmti dune wrote
+   beside it, if any. *)
+let load_cmt ~build path =
+  match read_annots path with
+  | None -> None
+  | Some info -> (
     match (info.Cmt_format.cmt_annots, info.Cmt_format.cmt_sourcefile) with
     | Cmt_format.Implementation str, Some file
       when Filename.check_suffix file ".ml" ->
       let resolve d =
         if Filename.is_relative d then Filename.concat build d else d
       in
+      let u_sig =
+        match read_annots (Filename.remove_extension path ^ ".cmti") with
+        | Some { Cmt_format.cmt_annots = Cmt_format.Interface sg; _ } ->
+          Some sg
+        | _ -> None
+      in
       Some
         { u_name = normalize_unit info.Cmt_format.cmt_modname;
-          u_file = file; u_str = str;
-          u_has_mli =
-            Sys.file_exists (Filename.remove_extension path ^ ".cmti");
+          u_file = file; u_str = str; u_sig;
           u_loadpath = Some (List.map resolve info.Cmt_format.cmt_loadpath) }
     | _ -> None)
 
 (* Typecheck a self-contained source in-process: the hermetic path the
    fixture tests use (no dune build of the fixtures required).  The
-   source may only depend on Stdlib; it has an interface iff
-   [path ^ "i"] exists. *)
-let typecheck_impl ~unit_name ~path source =
+   source may depend on Stdlib and on the interfaces of [deps]; its own
+   interface is [path ^ "i"], if that exists. *)
+let typecheck_impl ?(deps = []) ~unit_name ~path source =
   ignore (Warnings.parse_options false "-a");
   Clflags.dont_write_files := true;
   Compmisc.init_path ();
-  let env = Compmisc.initial_env () in
-  let lexbuf = Lexing.from_string source in
-  Location.init lexbuf path;
-  let past = Parse.implementation lexbuf in
-  let tstr, _, _, _, _ = Typemod.type_structure env past in
-  { u_name = unit_name; u_file = path; u_str = tstr;
-    u_has_mli = Sys.file_exists (path ^ "i"); u_loadpath = None }
+  let parse path source =
+    let lexbuf = Lexing.from_string source in
+    Location.init lexbuf path;
+    lexbuf
+  in
+  let env =
+    List.fold_left
+      (fun env d ->
+        match d.u_sig with
+        | Some sg ->
+          Env.add_module
+            (Ident.create_persistent d.u_name)
+            Types.Mp_present (Types.Mty_signature sg.Typedtree.sig_type) env
+        | None -> env)
+      (Compmisc.initial_env ()) deps
+  in
+  let tstr, _, _, _, _ =
+    Typemod.type_structure env (Parse.implementation (parse path source))
+  in
+  let mli = path ^ "i" in
+  let u_sig =
+    if Sys.file_exists mli then
+      let ic = open_in_bin mli in
+      let src =
+        Fun.protect
+          ~finally:(fun () -> close_in ic)
+          (fun () -> really_input_string ic (in_channel_length ic))
+      in
+      Some
+        (Typemod.type_interface (Compmisc.initial_env ())
+           (Parse.interface (parse mli src)))
+    else None
+  in
+  { u_name = unit_name; u_file = path; u_str = tstr; u_sig;
+    u_loadpath = None }
 
 (* {1 Identifier resolution}
 
@@ -1427,7 +1470,7 @@ let check_arith cfg uc u out =
 
 (* R6 *)
 let check_interface u out =
-  if not u.u_has_mli then
+  if Option.is_none u.u_sig then
     out :=
       {
         rule = "R6"; file = u.u_file; line = 1; col = 0; func = u.u_name;
@@ -1526,6 +1569,120 @@ let sort_findings fs =
           if c <> 0 then c else String.compare a.fingerprint b.fingerprint)
     fs
 
+(* R11, over the whole program: a value a [lib/] interface declares that
+   no other unit references.  References are every [Texp_ident] of every
+   unit passed as [users], resolved through [path_key] after the unit's
+   own top-level bindings and module aliases (local ones included) are
+   stamped, so [Accountant.note] under [module Accountant =
+   Ltree_obs.Accountant] reads "Ltree_obs.Accountant.note".  Only the
+   interface's own top-level [val]s are exports: items an [include S]
+   brings in, and values inside functor results, are not checked. *)
+
+let test_prefix = "test/"
+
+let unit_refs cfg u =
+  let uc =
+    { uc_unit = u.u_name; uc_file = u.u_file; uc_stamps = Hashtbl.create 64 }
+  in
+  register_structure cfg
+    { nodes = Hashtbl.create 64; globals = Hashtbl.create 16 }
+    uc ~prefix:u.u_name u.u_str;
+  let refs : (string, unit) Hashtbl.t = Hashtbl.create 256 in
+  let rec alias id (m : Typedtree.module_expr) =
+    match m.mod_desc with
+    | Typedtree.Tmod_constraint (m, _, _, _) -> alias id m
+    | Typedtree.Tmod_ident (p, _) ->
+      Hashtbl.replace uc.uc_stamps (Ident.unique_name id) (path_key uc p)
+    | _ -> ()
+  in
+  let expr sub (e : Typedtree.expression) =
+    (match e.exp_desc with
+    | Typedtree.Texp_ident (p, _, _) -> Hashtbl.replace refs (path_key uc p) ()
+    | Typedtree.Texp_letmodule (Some id, _, _, m, _) -> alias id m
+    | _ -> ());
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let module_binding sub (mb : Typedtree.module_binding) =
+    Option.iter (fun id -> alias id mb.mb_expr) mb.mb_id;
+    Tast_iterator.default_iterator.module_binding sub mb
+  in
+  let it = { Tast_iterator.default_iterator with expr; module_binding } in
+  it.structure it u.u_str;
+  refs
+
+(* The top-level [val]s of the [lib/] interfaces among [units]. *)
+let exports cfg units =
+  List.concat_map
+    (fun u ->
+      match u.u_sig with
+      | Some sg when has_prefix ~prefix:cfg.lib_prefix u.u_file ->
+        List.filter_map
+          (fun (item : Typedtree.signature_item) ->
+            match item.sig_desc with
+            | Typedtree.Tsig_value vd -> Some (u, vd)
+            | _ -> None)
+          sg.sig_items
+      | _ -> [])
+    units
+
+(* [(dead, test_only)]: R11 findings, and the exports referenced from
+   [test/] units alone (reported, never failing). *)
+let unused_exports ?users cfg units =
+  let refs =
+    List.map (fun u -> (u, unit_refs cfg u)) (Option.value users ~default:units)
+  in
+  let classify (u, (vd : Typedtree.value_description)) =
+    let key = u.u_name ^ "." ^ Ident.name vd.val_id in
+    let users =
+      List.filter_map
+        (fun (v, r) -> if Hashtbl.mem r key then Some v else None)
+        refs
+    in
+    let others =
+      List.filter (fun v -> not (String.equal v.u_name u.u_name)) users
+    in
+    let finding message hint =
+      let line, col = pos_of vd.val_loc in
+      {
+        rule = "R11"; file = Filename.remove_extension u.u_file ^ ".mli"; line;
+        col; func = key; message; hint; fingerprint = "R11|" ^ key;
+      }
+    in
+    match others with
+    | [] when users = [] ->
+      Some
+        (Either.Left
+           (finding
+              (Printf.sprintf "`%s` is exported but used nowhere" key)
+              "delete it: the val, its doc comment and its body"))
+    | [] ->
+      Some
+        (Either.Left
+           (finding
+              (Printf.sprintf
+                 "`%s` is exported but used only inside its own unit" key)
+              "delete the val and its doc comment from the .mli"))
+    | _
+      when List.for_all
+             (fun v -> has_prefix ~prefix:test_prefix v.u_file)
+             others ->
+      let files =
+        List.sort_uniq String.compare (List.map (fun v -> v.u_file) others)
+      in
+      Some
+        (Either.Right
+           (finding
+              (Printf.sprintf "`%s` is used only from %s" key
+                 (String.concat ", " files))
+              "keep it only if it is an invariant check, an oracle or a test \
+               printer; otherwise delete it with its tests"))
+    | _ -> None
+  in
+  let dead, test_only =
+    List.partition_map Fun.id (List.filter_map classify (exports cfg units))
+  in
+  (sort_findings dead, sort_findings test_only)
+
 (* {1 Allowlists and their hygiene}
 
    [race_allow] (R8) and [global_allow] (R7) are one mechanism: an entry
@@ -1612,7 +1769,9 @@ let apply_allowlists allows findings =
   in
   (kept, List.concat_map hygiene allows)
 
-let analyze cfg units =
+(* Every failing finding over [units]; R11 counts references from
+   [users] (default: [units] themselves). *)
+let analyze ?users cfg units =
   (* R8/R9 model the library only: bin/ and bench/ reach the pool through
      lib/ entry points, and [Pool.with_pool]'s caller-side closure would
      read as a parallel scope *)
@@ -1688,7 +1847,8 @@ let analyze cfg units =
     apply_allowlists (allowlists cfg)
       (units_findings @ check_globals prog @ r8)
   in
-  sort_findings (kept @ r9 @ hygiene)
+  let r11, _ = unused_exports ?users cfg units in
+  sort_findings (kept @ r9 @ hygiene @ r11)
 
 (* {1 Baseline} *)
 
@@ -1766,6 +1926,7 @@ let rule_ids () =
     ("R7", "no top-level ref/Hashtbl/mutable globals in lib/");
     ("R8", "no unmediated mutable-state access in parallel scopes");
     ("R9", "no allocation on [@ltree.hot] fast paths");
+    ("R11", "every val a lib/ .mli declares is used by another unit");
     ("A1", "race_allow/global_allow entries must still suppress a finding");
     ("A2", "race_allow/global_allow entries must cite DESIGN.md");
   ]

@@ -1,16 +1,17 @@
-(* ltree-analyze: the project's static analysis (rules R1-R9, allowlist
-   hygiene A1/A2; DESIGN.md section 7) over the .cmt artifacts dune
-   leaves in _build.  `dune build @check` writes a .cmt for every module,
-   executables' main modules included.
+(* ltree-analyze: the project's static analysis (rules R1-R9 and R11,
+   allowlist hygiene A1/A2; DESIGN.md section 7) over the .cmt artifacts
+   dune leaves in _build.  `dune build @check` writes a .cmt for every
+   module, executables' main modules included.
 
      ltree_analyze [--build DIR] [--baseline FILE] [--write-baseline]
                    [--list-rules] [SCOPE ...]
 
    SCOPE entries (default: lib bin bench examples tools) filter units by
    source path prefix; each rule further restricts itself to its own
-   scope (R2, R4 and R6-R9 to lib/, R5 to lib/core/).  Exit codes: 0 clean,
-   1 findings (or new-vs-baseline findings), 2 usage/environment
-   error. *)
+   scope (R2, R4, R6-R9 and R11 to lib/, R5 to lib/core/).  R11 counts
+   uses from every .cmt under the build directory, whatever the scopes.
+   Exit codes: 0 clean, 1 findings (or new-vs-baseline findings), 2
+   usage/environment error, including a scope that matches no unit. *)
 
 let usage () =
   prerr_endline
@@ -72,37 +73,37 @@ let () =
       !build;
     exit 2
   end;
-  let in_scope file =
-    List.exists
-      (fun s ->
-        let s = if Filename.check_suffix s "/" then s else s ^ "/" in
-        String.length file >= String.length s
-        && String.sub file 0 (String.length s) = s)
-      scopes
+  let under s (u : Analyze_rules.unit_info) =
+    let s = if Filename.check_suffix s "/" then s else s ^ "/" in
+    String.length u.u_file >= String.length s
+    && String.sub u.u_file 0 (String.length s) = s
   in
+  (* every unit is a potential user of a lib/ export (R11); the scopes
+     pick the units whose own findings are reported *)
   let seen = Hashtbl.create 64 in
-  let units =
+  let all =
     List.filter_map
       (fun path ->
         match Analyze_rules.load_cmt ~build:!build path with
-        | Some u
-          when in_scope u.Analyze_rules.u_file
-               && not (Hashtbl.mem seen u.Analyze_rules.u_file) ->
+        | Some u when not (Hashtbl.mem seen u.Analyze_rules.u_file) ->
           Hashtbl.replace seen u.Analyze_rules.u_file ();
           Some u
         | _ -> None)
       (List.sort String.compare (collect_cmts [] !build))
   in
-  if units = [] then begin
+  (match List.filter (fun s -> not (List.exists (under s) all)) scopes with
+  | [] -> ()
+  | missing ->
     Printf.eprintf
-      "ltree-analyze: no .cmt units under %s match scope %s (run `dune \
-       build` first)\n"
-      !build (String.concat " " scopes);
-    exit 2
-  end;
-  let findings =
-    Analyze_rules.analyze Analyze_rules.default_config units
+      "ltree-analyze: no .cmt units under %s match scope %s (a typo, or \
+       run `dune build @all @check` first)\n"
+      !build (String.concat " " missing);
+    exit 2);
+  let units =
+    List.filter (fun u -> List.exists (fun s -> under s u) scopes) all
   in
+  let cfg = Analyze_rules.default_config in
+  let findings = Analyze_rules.analyze ~users:all cfg units in
   let existing =
     match !baseline_file with
     | Some file when Sys.file_exists file ->
@@ -153,6 +154,17 @@ let () =
   List.iter
     (fun v -> Format.printf "@[<v>%a@]@." Analyze_rules.pp_finding v)
     fresh;
+  (match snd (Analyze_rules.unused_exports ~users:all cfg units) with
+  | [] -> ()
+  | test_only ->
+    Printf.printf
+      "ltree-analyze: %d test-only export(s), not failing (each must be an \
+       invariant check, an oracle or a test printer):\n"
+      (List.length test_only);
+    List.iter
+      (fun (f : Analyze_rules.finding) ->
+        Printf.printf "  %s:%d: %s\n" f.file f.line f.message)
+      test_only);
   match fresh with
   | [] ->
     Printf.printf "ltree-analyze: %d unit(s) in %s clean (%d rules%s)\n"

@@ -69,13 +69,38 @@ let lattice ~max_f =
         (List.init (max_f / 2) (fun i -> i + 2)))
     (List.init (max_f / 2) (fun i -> i + 2))
 
+(* Every optimizer answers with a point of the lattice it scans, for
+   every bound: the smallest (f = 4 has one point) and larger ones. *)
+let lattice_valid () =
+  let check_point ~max_f what (p : Params.t) =
+    Alcotest.(check bool)
+      (Printf.sprintf "%s at max_f=%d is a lattice point" what max_f)
+      true
+      (p.s >= 2 && p.m >= 2 && p.f = p.s * p.m && p.f <= max_f)
+  in
+  List.iter
+    (fun max_f ->
+      List.iter
+        (fun n ->
+          check_point ~max_f "minimize_cost"
+            (Tuning.minimize_cost ~max_f ~n ()).params;
+          (match Tuning.minimize_cost_bounded ~max_f ~n ~max_bits:64. () with
+           | Some c -> check_point ~max_f "minimize_cost_bounded" c.params
+           | None -> Alcotest.fail "a 64-bit budget should be feasible");
+          check_point ~max_f "minimize_overall"
+            (Tuning.minimize_overall ~max_f ~n ~query_weight:1.
+               ~update_weight:1. ())
+              .params)
+        [ 10; 10_000; 1_000_000 ])
+    [ 4; 6; 17; 64 ];
+  Alcotest.(check bool) "max_f = 4 leaves only (4, 2)" true
+    (let p = (Tuning.minimize_cost ~max_f:4 ~n:1000 ()).params in
+     p.f = 4 && p.s = 2)
+
 let optimum_beats_lattice () =
   List.iter
     (fun n ->
       let best = Tuning.minimize_cost ~max_f:128 ~n () in
-      let p = best.params in
-      Alcotest.(check bool) "optimum is a valid lattice point" true
-        (p.s >= 2 && p.m >= 2 && p.f = p.s * p.m && p.f <= 128);
       List.iter
         (fun params ->
           let c = Analysis.amortized_cost ~params ~n in
@@ -120,6 +145,7 @@ let suite =
       case "batch h0 inverse" `Quick batch_h0_inverse;
       case "batch cost decreases in k" `Quick batch_cost_decreases;
       case "query cost model" `Quick query_cost_model;
+      case "tuning lattice validity" `Quick lattice_valid;
       case "optimum beats every lattice point" `Quick optimum_beats_lattice;
       case "bit-budget constrained tuning" `Quick bounded_bits;
       case "overall query/update mix" `Quick overall_mix ] )

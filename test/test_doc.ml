@@ -162,6 +162,34 @@ let random_edits_prop =
       done;
       true)
 
+(* A move is a delete (the subtree's slots become tombstones) followed
+   by a re-insert of the same nodes under the new parent. *)
+let move_subtree () =
+  let doc = Parser.parse_string "<a><b><c/></b><d/></a>" in
+  let ldoc = Labeled_doc.of_document doc in
+  let root = Option.get doc.root in
+  let b = List.nth (Dom.children root) 0 in
+  let c = List.hd (Dom.children b) in
+  let d = List.nth (Dom.children root) 1 in
+  (* Move <b> under <d>. *)
+  Labeled_doc.delete_subtree ldoc b;
+  Labeled_doc.insert_subtree ldoc ~parent:d ~index:0 b;
+  Labeled_doc.check ldoc;
+  Alcotest.(check (list string)) "DOM shape" [ "d" ]
+    (List.map Dom.name (Dom.children root));
+  Alcotest.(check bool) "d anc c now" true
+    (Labeled_doc.is_ancestor ldoc ~anc:d ~desc:c);
+  Alcotest.(check bool) "b still anc c" true
+    (Labeled_doc.is_ancestor ldoc ~anc:b ~desc:c);
+  Alcotest.(check int) "c one level deeper" 3
+    (Labeled_doc.label ldoc c).Labeled_doc.level;
+  (* A moved node cannot be inserted again while it is attached. *)
+  Alcotest.(check bool) "attached subtree rejected" true
+    (try
+       Labeled_doc.insert_subtree ldoc ~parent:root ~index:0 b;
+       false
+     with Invalid_argument _ -> true)
+
 (* The labeled-since cursor yields exactly the nodes inserted after it
    was taken and still in the document: relabels and compaction add
    nothing, a moved node shows up once, an inserted-then-deleted node
@@ -238,6 +266,7 @@ let suite =
       case "insert subtree" `Quick insert_subtree_basic;
       case "insert positions" `Quick insert_positions;
       case "delete subtree + compact" `Quick delete_subtree;
+      case "move subtree" `Quick move_subtree;
       case "labeled-since cursor" `Quick labeled_since_cursor;
       case "labeled events view" `Quick labeled_events_view;
       QCheck_alcotest.to_alcotest random_edits_prop ] )

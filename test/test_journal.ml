@@ -74,6 +74,30 @@ let special_characters () =
       Journal.Delete { anchor = 7 };
     ]
 
+(* After a fresh snapshot the journal is cleared: replaying it onto that
+   snapshot changes nothing, and new edits log from an empty journal. *)
+let clear_after_snapshot () =
+  let doc = Parser.parse_string "<a><b/></a>" in
+  let ldoc = Labeled_doc.of_document doc in
+  let j = Journal.create () in
+  let root = Option.get doc.root in
+  Journal.insert_subtree j ldoc ~parent:root ~index:1
+    (Parser.parse_fragment "<c><d/></c>");
+  Alcotest.(check int) "one entry" 1 (Journal.length j);
+  let snap = Snapshot.save ldoc in
+  Journal.clear j;
+  Alcotest.(check int) "cleared" 0 (Journal.length j);
+  let recovered = Snapshot.load snap in
+  Journal.replay j recovered;
+  Alcotest.(check (list int)) "replaying nothing keeps the snapshot"
+    (labels_of ldoc) (labels_of recovered);
+  Journal.delete_subtree j ldoc (List.hd (Dom.children root));
+  Alcotest.(check int) "logging resumes from empty" 1 (Journal.length j);
+  Journal.replay j recovered;
+  Labeled_doc.check recovered;
+  Alcotest.(check (list int)) "later edits replay on the new snapshot"
+    (labels_of ldoc) (labels_of recovered)
+
 let corrupt_rejected () =
   let rejects s =
     Alcotest.(check bool) ("rejects " ^ s) true
@@ -133,4 +157,5 @@ let suite =
     [ case "basic recovery round trip" `Quick basic_roundtrip;
       case "special characters" `Quick special_characters;
       case "corruption rejected" `Quick corrupt_rejected;
+      case "clear after a snapshot" `Quick clear_after_snapshot;
       QCheck_alcotest.to_alcotest replay_prop ] )

@@ -258,6 +258,68 @@ let insert_after_tombstone () =
     && Ltree.label t fresh < Ltree.label t leaves.(6));
   Alcotest.(check bool) "fresh slot is live" false (Ltree.is_deleted fresh)
 
+let batch_into_empty () =
+  (* A fresh tree's first leaf, then one batch for the rest. *)
+  let t = Ltree.create ~params:Params.fig2 () in
+  let first = Ltree.insert_first t in
+  let fresh = Ltree.insert_batch_after t first 99 in
+  Ltree.check t;
+  Alcotest.(check int) "100 slots" 100 (Ltree.length t);
+  Alcotest.(check int) "handles" 99 (Array.length fresh);
+  Alcotest.(check (list int)) "batch follows the first leaf in order"
+    (labels_list t)
+    (Ltree.label t first
+    :: Array.to_list (Array.map (fun l -> Ltree.label t l) fresh))
+
+let compare_follows_labels () =
+  let t, leaves = Ltree.bulk_load ~params:Params.fig2 20 in
+  let prng = Ltree_workload.Prng.create 5 in
+  let pool = ref (Array.to_list leaves) in
+  for _ = 1 to 200 do
+    let w = List.nth !pool (Ltree_workload.Prng.int prng (List.length !pool)) in
+    let fresh =
+      if Ltree_workload.Prng.bool prng then Ltree.insert_after t w
+      else Ltree.insert_before t w
+    in
+    pool := fresh :: !pool
+  done;
+  Ltree.check t;
+  let sign x = if x < 0 then -1 else if x > 0 then 1 else 0 in
+  let arr = Array.of_list !pool in
+  for _ = 1 to 500 do
+    let a = arr.(Ltree_workload.Prng.int prng (Array.length arr))
+    and b = arr.(Ltree_workload.Prng.int prng (Array.length arr)) in
+    Alcotest.(check int) "sign of compare = sign of label difference"
+      (sign (Ltree.label t a - Ltree.label t b))
+      (sign (Ltree.compare t a b))
+  done
+
+(* [version] is the freshness stamp of the label sequence: reads leave it
+   alone, and every change to the sequence moves it. *)
+let version_stamps () =
+  let t, leaves = Ltree.bulk_load ~params:Params.fig2 10 in
+  let v = ref (Ltree.version t) in
+  let moved what =
+    let v' = Ltree.version t in
+    Alcotest.(check bool) (what ^ " moves the version") true (v' <> !v);
+    v := v'
+  in
+  ignore (Ltree.labels t);
+  ignore (Ltree.find_by_label t (Ltree.label t leaves.(3)));
+  Ltree.check t;
+  Alcotest.(check int) "reads keep the version" !v (Ltree.version t);
+  ignore (Ltree.insert_after t leaves.(3));
+  moved "insert";
+  ignore (Ltree.insert_batch_after t leaves.(6) 5);
+  moved "batch insert";
+  Ltree.delete t leaves.(0);
+  moved "delete";
+  Ltree.delete t leaves.(0);
+  Alcotest.(check int) "deleting a tombstone again is a no-op" !v
+    (Ltree.version t);
+  Ltree.compact t;
+  moved "compact"
+
 let batch_cheaper_than_singles () =
   (* §4.1's point: one batch of k relabels fewer nodes than k singles. *)
   let run ~batch =
@@ -505,6 +567,9 @@ let suite =
       case "monotone growth" `Quick monotone_growth;
       case "batch insert keeps order" `Quick batch_insert_order;
       case "insert after a tombstone" `Quick insert_after_tombstone;
+      case "batch into empty tree" `Quick batch_into_empty;
+      case "compare follows label order" `Quick compare_follows_labels;
+      case "version moves with the label sequence" `Quick version_stamps;
       case "batch cheaper than singles" `Quick batch_cheaper_than_singles;
       case "delete and compact" `Quick delete_and_compact;
       case "params validation" `Quick params_validation;

@@ -144,6 +144,25 @@ let histogram_buckets () =
 
 (* The registry is process-wide: each test registers metric names of its
    own and checks its block inside the whole exposition. *)
+let histogram_int_observations () =
+  let h =
+    Histogram.create ~name:"h_int" ~help:"ints"
+      ~labels:[ ("z", "1"); ("a", "2") ]
+      ~bounds:(Histogram.linear_bounds ~start:1. ~step:1. ~count:3)
+      ()
+  in
+  Alcotest.(check string) "name" "h_int" (Histogram.name h);
+  Alcotest.(check string) "help" "ints" (Histogram.help h);
+  Alcotest.(check (list (pair string string))) "labels sorted by key"
+    [ ("a", "2"); ("z", "1") ]
+    (Histogram.labels h);
+  Alcotest.(check (array (float 0.))) "bounds" [| 1.; 2.; 3. |]
+    (Histogram.bounds h);
+  List.iter (Histogram.observe_int h) [ 0; 1; 2; 2; 7 ];
+  Alcotest.(check (array int)) "int observations bucket like floats"
+    [| 2; 4; 4; 5 |] (Histogram.cumulative h);
+  Alcotest.(check (float 0.)) "sum" 12. (Histogram.sum h)
+
 let exposition_golden () =
   let h =
     Registry.histogram ~name:"test_expose_seconds" ~help:"demo latencies"
@@ -183,6 +202,19 @@ let exposition_golden () =
     (contains out "t_relabels_total 7");
   Alcotest.(check bool) "counter type" true
     (contains out "# TYPE t_relabels_total counter")
+
+let json_escaping () =
+  Alcotest.(check string) "quotes, backslashes, whitespace escapes"
+    {|say \"hi\" \\ a\nb\rc\td|}
+    (Trace.json_escape "say \"hi\" \\ a\nb\rc\td");
+  Alcotest.(check string) "other control bytes as \\u" {|\u0000\u001f|}
+    (Trace.json_escape "\000\031");
+  Alcotest.(check string) "plain text and UTF-8 pass through" "x\xc3\xa9"
+    (Trace.json_escape "x\xc3\xa9");
+  let buf = Buffer.create 32 in
+  Trace.add_object buf [ ("k", "v"); ("q\"", "a\nb") ];
+  Alcotest.(check string) "objects escape keys and values"
+    {|{"k":"v","q\"":"a\nb"}|} (Buffer.contents buf)
 
 let jsonl_roundtrip () =
   fresh_ring ();
@@ -616,7 +648,9 @@ let suite =
       case "span counters + disabled" `Quick span_counters_and_disabled;
       case "ring wraparound" `Quick ring_wraparound;
       case "histogram buckets" `Quick histogram_buckets;
+      case "histogram int observations" `Quick histogram_int_observations;
       case "exposition golden" `Quick exposition_golden;
+      case "json escaping" `Quick json_escaping;
       case "jsonl roundtrip" `Quick jsonl_roundtrip;
       case "flamegraph" `Quick flamegraph_render;
       case "accountant bound + storm" `Quick accountant_bound_and_storm;

@@ -105,6 +105,33 @@ let space_and_bits () =
     (Ltree.internal_node_count mt > 0);
   ignore ml
 
+(* Document order through handles: the virtual tree orders any two
+   handles exactly as the materialized one orders their twins. *)
+let compare_matches_materialized () =
+  let params = Params.fig2 in
+  let mt, ml = Ltree.bulk_load ~params 12 in
+  let vt, vl = Virtual_ltree.bulk_load ~params 12 in
+  let prng = Prng.create 9 in
+  let pairs = ref (Array.to_list (Array.map2 (fun m v -> (m, v)) ml vl)) in
+  for _ = 1 to 150 do
+    let m, v = List.nth !pairs (Prng.int prng (List.length !pairs)) in
+    let fresh =
+      if Prng.bool prng then
+        (Ltree.insert_after mt m, Virtual_ltree.insert_after vt v)
+      else (Ltree.insert_before mt m, Virtual_ltree.insert_before vt v)
+    in
+    pairs := fresh :: !pairs
+  done;
+  let sign x = if x < 0 then -1 else if x > 0 then 1 else 0 in
+  let arr = Array.of_list !pairs in
+  for _ = 1 to 500 do
+    let ma, va = arr.(Prng.int prng (Array.length arr))
+    and mb, vb = arr.(Prng.int prng (Array.length arr)) in
+    Alcotest.(check int) "same order as the materialized tree"
+      (sign (Ltree.compare mt ma mb))
+      (sign (Virtual_ltree.compare vt va vb))
+  done
+
 let handle_stability () =
   let t, handles = Virtual_ltree.bulk_load ~params:Params.fig2 32 in
   let a = handles.(10) and b = handles.(11) in
@@ -137,5 +164,7 @@ let suite =
       case "tombstone deletes" `Quick delete_tombstones;
       case "space and bits vs materialized" `Quick space_and_bits;
       case "handle stability" `Quick handle_stability;
+      case "compare matches the materialized tree" `Quick
+        compare_matches_materialized;
       case "batch insertion basics" `Quick batch_basics;
       QCheck_alcotest.to_alcotest equivalence_prop ] )

@@ -111,6 +111,23 @@ let dom_mutation () =
        false
      with Invalid_argument _ -> true)
 
+let dom_elements_by_name () =
+  let root =
+    Parser.parse_fragment
+      "<r><x i=\"1\"><x i=\"2\"/>t</x><y><x i=\"3\"/></y><!--x--></r>"
+  in
+  let ids nodes = List.map (fun n -> List.assoc "i" (Dom.attrs n)) nodes in
+  Alcotest.(check (list string)) "descendants in document order"
+    [ "1"; "2"; "3" ]
+    (ids (Dom.elements_by_name root "x"));
+  let x1 = List.hd (Dom.children root) in
+  Alcotest.(check (list string)) "the node itself counts" [ "1"; "2" ]
+    (ids (Dom.elements_by_name x1 "x"));
+  Alcotest.(check int) "text and comments never match" 0
+    (List.length (Dom.elements_by_name root "t"));
+  Alcotest.(check int) "no such tag" 0
+    (List.length (Dom.elements_by_name root "z"))
+
 let dom_events () =
   let root = Parser.parse_fragment "<a><b>hi</b><c/></a>" in
   let names =
@@ -217,6 +234,7 @@ let suite =
       case "parser well-formedness" `Quick parse_wellformed;
       case "parser errors" `Quick parse_errors;
       case "dom mutation" `Quick dom_mutation;
+      case "dom elements_by_name" `Quick dom_elements_by_name;
       case "dom events" `Quick dom_events;
       case "attributes and text content" `Quick attr_ops;
       case "serializer round-trip" `Quick roundtrip;

@@ -1,6 +1,10 @@
 type t = {
   mutable count : int;
   mutable mean : float;
+  mutable m2 : float;
+  (* Welford's sum of squared deviations.  Nothing reads a variance;
+     the field goes with the next change that regenerates the gated
+     minor-word counters, since its update allocates a float per [add]. *)
   mutable min : float;
   mutable max : float;
   mutable sum : float;
@@ -11,6 +15,7 @@ type t = {
 let create () =
   { count = 0;
     mean = 0.;
+    m2 = 0.;
     min = infinity;
     max = neg_infinity;
     sum = 0.;
@@ -25,7 +30,9 @@ let add t x =
   t.samples.(t.count) <- x;
   t.count <- t.count + 1;
   t.sum <- t.sum +. x;
-  t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.count);
+  let delta = x -. t.mean in
+  t.mean <- t.mean +. (delta /. float_of_int t.count);
+  t.m2 <- t.m2 +. (delta *. (x -. t.mean));
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x
 

@@ -14,9 +14,12 @@ type t = {
 let default =
   { tbl = Hashtbl.create 32; ctbl = Hashtbl.create 16; mu = Mutex.create () }
 
-let locked f =
-  Mutex.lock default.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock default.mu) f
+(* Lookups bind [t = default] and lock through it, so their closures
+   capture [t]; the replication paths look up per record, and dropping
+   that word moves the gated minor-word counters. *)
+let locked t f =
+  Mutex.lock t.mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 (* Labels rendered Prometheus-style, sorted by key — also the registry
    key suffix, so the same (name, labels) pair always resolves to the
@@ -34,24 +37,25 @@ let series_key name labels =
 let histogram ~name ~help ?(labels = []) ~bounds () =
   let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
   let key = series_key name labels in
-  locked (fun () ->
-      match Hashtbl.find_opt default.tbl key with
+  let t = default in
+  locked t (fun () ->
+      match Hashtbl.find_opt t.tbl key with
       | Some h -> h
       | None ->
         let h = Histogram.create ~name ~help ~labels ~bounds () in
-        Hashtbl.replace default.tbl key h;
+        Hashtbl.replace t.tbl key h;
         h)
 
 let find ?(labels = []) name =
   let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
-  locked (fun () ->
-      Hashtbl.find_opt default.tbl (series_key name labels))
+  let t = default in
+  locked t (fun () -> Hashtbl.find_opt t.tbl (series_key name labels))
 
 (* Sort by name first so every series of one metric is contiguous (the
    expositions emit HELP/TYPE once per metric), then by labels. *)
 let histograms () =
   let out =
-    locked (fun () ->
+    locked default (fun () ->
         Hashtbl.fold (fun _ h acc -> h :: acc) default.tbl [])
   in
   List.sort
@@ -65,12 +69,13 @@ let histograms () =
     out
 
 let counter ~name ~help () =
-  locked (fun () ->
-      match Hashtbl.find_opt default.ctbl name with
+  let t = default in
+  locked t (fun () ->
+      match Hashtbl.find_opt t.ctbl name with
       | Some c -> c
       | None ->
         let c = { cname = name; chelp = help; cell = Atomic.make 0 } in
-        Hashtbl.replace default.ctbl name c;
+        Hashtbl.replace t.ctbl name c;
         c)
 
 let counter_value c = Atomic.get c.cell
@@ -79,7 +84,7 @@ let counter_add c n = if n > 0 then ignore (Atomic.fetch_and_add c.cell n)
 
 let counters () =
   let out =
-    locked (fun () ->
+    locked default (fun () ->
         Hashtbl.fold (fun _ c acc -> c :: acc) default.ctbl [])
   in
   List.sort (fun a b -> String.compare a.cname b.cname) out

@@ -9,5 +9,6 @@ let from_include x = x + 1
 let self_only x = x + 5
 let used x = self_only x + 2
 let via_alias x = x + 3
+let via_let_module x = x + 7
 let tested x = x + 4
 let dead x = x + 6

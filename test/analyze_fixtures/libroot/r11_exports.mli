@@ -8,6 +8,7 @@ include S
 
 val used : int -> int
 val via_alias : int -> int
+val via_let_module : int -> int
 val tested : int -> int
 val self_only : int -> int
 val dead : int -> int

@@ -48,12 +48,15 @@ let base =
     global_allow = [];
   }
 
+(* The failing findings; R11's test-only list is checked on its own. *)
+let analyze cfg units = fst (Analyze_rules.analyze cfg units)
+
 let fingerprints ?(rules = [ "R8"; "R9"; "A1"; "A2" ]) cfg units =
   List.filter_map
     (fun f ->
       if List.mem f.Analyze_rules.rule rules then Some f.fingerprint
       else None)
-    (Analyze_rules.analyze cfg units)
+    (analyze cfg units)
 
 let contains = Analyze_rules.contains
 
@@ -163,7 +166,7 @@ let r9_clean () =
    left out of these round trips. *)
 let race_findings () =
   List.filter Analyze_rules.baselinable
-    (Analyze_rules.analyze base [ fixture "fix_race.ml" ])
+    (analyze base [ fixture "fix_race.ml" ])
 
 let baseline_diff () =
   let findings = race_findings () in
@@ -267,7 +270,7 @@ let lint cfg units =
   List.filter_map
     (fun (f : Analyze_rules.finding) ->
       if String.equal f.rule "R11" then None else Some (render f))
-    (Analyze_rules.analyze cfg units)
+    (analyze cfg units)
 
 let seeded_violations () =
   let expected =
@@ -329,7 +332,7 @@ let mli_presence () =
     (List.filter_map
        (fun (f : Analyze_rules.finding) ->
          if String.equal f.rule "R6" then Some (render f) else None)
-       (Analyze_rules.analyze lint_config
+       (analyze lint_config
           [
             fixture "libroot/missing_mli.ml"; fixture "libroot/clean.ml";
             (* outside lib_prefix: no interface needed *)
@@ -346,7 +349,7 @@ let hygiene cfg =
         Some f.fingerprint
       end
       else None)
-    (Analyze_rules.analyze cfg [ fixture "libroot/bad_global.ml" ])
+    (analyze cfg [ fixture "libroot/bad_global.ml" ])
 
 let global_allow_stale () =
   Alcotest.(check (list string))
@@ -421,17 +424,22 @@ let r11_findings () =
     Analyze_rules.unused_exports lint_config (r11_units ())
   in
   Alcotest.(check (list string))
-    "the dead and the self-only export fire; used, aliased and included \
-     ones do not"
+    "the dead and the self-only export fire; used, aliased, \
+     let-module-aliased and included ones do not"
     [ "R11_exports.self_only"; "R11_exports.dead" ]
     (List.map r11_key dead);
+  Alcotest.(check bool)
+    "a use through a local let-module alias counts" false
+    (List.exists
+       (fun f -> String.equal (r11_key f) "R11_exports.via_let_module")
+       (dead @ test_only));
   Alcotest.(check (list string))
     "an export used only from test/ is reported apart"
     [ "R11_exports.tested" ]
     (List.map r11_key test_only);
   Alcotest.(check (list string))
     "each finding points at its val in the .mli"
-    [ libroot ^ "r11_exports.mli:R11:12"; libroot ^ "r11_exports.mli:R11:13" ]
+    [ libroot ^ "r11_exports.mli:R11:13"; libroot ^ "r11_exports.mli:R11:14" ]
     (List.map render dead);
   Alcotest.(check (list bool))
     "the self-only finding says so" [ true; false ]
@@ -441,6 +449,10 @@ let r11_findings () =
        dead)
 
 let r11_fails_test_only_does_not () =
+  let failing, test_only = Analyze_rules.analyze lint_config (r11_units ()) in
+  Alcotest.(check (list string))
+    "analyze returns the test-only exports apart" [ "R11_exports.tested" ]
+    (List.map r11_key test_only);
   let fired =
     List.filter_map
       (fun (f : Analyze_rules.finding) ->
@@ -451,7 +463,7 @@ let r11_fails_test_only_does_not () =
           Some f.func
         end
         else None)
-      (Analyze_rules.analyze lint_config (r11_units ()))
+      failing
   in
   Alcotest.(check (list string))
     "analyze fails on R11 findings, not on test-only exports"

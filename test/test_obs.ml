@@ -410,6 +410,33 @@ let flamegraph_domain_sections () =
   Alcotest.(check bool) "per-domain self time" true
     (contains multi "2.0" && contains multi "3.0")
 
+(* The top-level members of one JSON object or array, as raw text:
+   commas inside strings or nested values do not split. *)
+let json_members s =
+  let items = ref [] and depth = ref 0 and start = ref 1 in
+  let in_str = ref false and escaped = ref false in
+  String.iteri
+    (fun i ch ->
+      if !in_str then begin
+        if !escaped then escaped := false
+        else if Char.equal ch '\\' then escaped := true
+        else if Char.equal ch '"' then in_str := false
+      end
+      else
+        match ch with
+        | '"' -> in_str := true
+        | '{' | '[' -> incr depth
+        | '}' | ']' ->
+          decr depth;
+          if !depth = 0 && i > !start then
+            items := String.sub s !start (i - !start) :: !items
+        | ',' when !depth = 1 ->
+          items := String.sub s !start (i - !start) :: !items;
+          start := i + 1
+        | _ -> ())
+    s;
+  List.rev !items
+
 let expose_json_golden () =
   let h =
     Registry.histogram ~name:"test_json_seconds" ~help:"demo latencies"
@@ -419,25 +446,47 @@ let expose_json_golden () =
   let c = Registry.counter ~name:"test_json_total" ~help:"demo events" () in
   Registry.counter_add c 7;
   let got = Registry.expose_json ~extra:[ ("node", "\"a\"") ] () in
-  List.iter
-    (fun (what, expected) ->
-      Alcotest.(check bool) what true (contains got expected))
+  (match Trace.validate_jsonl got with
+   | Ok 1 -> ()
+   | Ok n -> Alcotest.failf "exposition spans %d lines" n
+   | Error e -> Alcotest.failf "exposition is not valid JSON: %s" e);
+  let members = json_members got in
+  Alcotest.(check string) "the object is its members and nothing else" got
+    ("{" ^ String.concat "," members ^ "}");
+  let fields =
+    List.map
+      (fun m ->
+        match String.index_opt m ':' with
+        | Some i ->
+          (String.sub m 0 i, String.sub m (i + 1) (String.length m - i - 1))
+        | None -> Alcotest.failf "member without a key: %s" m)
+      members
+  in
+  Alcotest.(check (list string)) "top-level keys, in order"
+    [ "\"histograms\""; "\"counters\""; "\"node\"" ]
+    (List.map fst fields);
+  (* The registry is process-wide: keep only this test's objects. *)
+  let ours key =
+    let arr = List.assoc key fields in
+    let objs = json_members arr in
+    Alcotest.(check string) (key ^ " is an array of its objects") arr
+      ("[" ^ String.concat "," objs ^ "]");
+    List.filter (String.starts_with ~prefix:"{\"name\":\"test_json_") objs
+  in
+  Alcotest.(check (list string)) "histogram objects"
     [
-      ("json opens with the histograms", "{\"histograms\":[");
-      ( "histogram object golden",
-        "{\"name\":\"test_json_seconds\",\"help\":\"demo \
-         latencies\",\"count\":3,\"sum\":11.000000,\"buckets\":[{\"le\":\"1\",\
-         \"count\":1},{\"le\":\"2\",\"count\":2},{\"le\":\"+Inf\",\"count\":3}]\
-         }" );
-      ( "counter object golden",
-        "{\"name\":\"test_json_total\",\"help\":\"demo \
-         events\",\"value\":7}" );
-      ("extra field closes the object", "],\"node\":\"a\"}");
-    ];
-  match Trace.validate_jsonl got with
-  | Ok 1 -> ()
-  | Ok n -> Alcotest.failf "exposition spans %d lines" n
-  | Error e -> Alcotest.failf "exposition is not valid JSON: %s" e
+      "{\"name\":\"test_json_seconds\",\"help\":\"demo \
+       latencies\",\"count\":3,\"sum\":11.000000,\"buckets\":[{\"le\":\"1\",\
+       \"count\":1},{\"le\":\"2\",\"count\":2},{\"le\":\"+Inf\",\"count\":3}]\
+       }";
+    ]
+    (ours "\"histograms\"");
+  Alcotest.(check (list string)) "counter objects"
+    [ "{\"name\":\"test_json_total\",\"help\":\"demo events\",\"value\":7}";
+    ]
+    (ours "\"counters\"");
+  Alcotest.(check string) "extra field verbatim" "\"a\""
+    (List.assoc "\"node\"" fields)
 
 let recorder_ring_and_bundle () =
   Span.set_capacity 4;
@@ -547,6 +596,18 @@ let telemetry_sampler () =
      Alcotest.(check bool) ("range column: " ^ row) true
        (contains row "3.00..8.00")
    | None -> Alcotest.fail "no dashboard row");
+  (* Two samples past the ring's 256 evict the two oldest (3 and 4). *)
+  for i = 7 to 258 do
+    v := float_of_int (i + 2);
+    Telemetry.sample ~now:i ()
+  done;
+  (match top_row "test_gauge" with
+   | Some row ->
+     Alcotest.(check bool) ("latest after wrap: " ^ row) true
+       (contains row " 260.00 ");
+     Alcotest.(check bool) ("oldest samples evicted: " ^ row) true
+       (contains row " 5.00..260.00")
+   | None -> Alcotest.fail "no dashboard row after wrap");
   Telemetry.register ~name:"test_gauge" (fun () -> 0.);
   match top_row "test_gauge" with
   | Some row ->

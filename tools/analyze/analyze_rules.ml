@@ -1769,7 +1769,8 @@ let apply_allowlists allows findings =
   in
   (kept, List.concat_map hygiene allows)
 
-(* Every failing finding over [units]; R11 counts references from
+(* [(failing, test_only)]: every failing finding over [units], and
+   R11's non-failing test-only exports; R11 counts references from
    [users] (default: [units] themselves). *)
 let analyze ?users cfg units =
   (* R8/R9 model the library only: bin/ and bench/ reach the pool through
@@ -1847,8 +1848,8 @@ let analyze ?users cfg units =
     apply_allowlists (allowlists cfg)
       (units_findings @ check_globals prog @ r8)
   in
-  let r11, _ = unused_exports ?users cfg units in
-  sort_findings (kept @ r9 @ hygiene @ r11)
+  let r11, test_only = unused_exports ?users cfg units in
+  (sort_findings (kept @ r9 @ hygiene @ r11), test_only)
 
 (* {1 Baseline} *)
 

@@ -139,7 +139,11 @@ ci:
 	$(MAKE) bench-parallel-smoke && \
 	$(MAKE) bench-shard-smoke && $(MAKE) bench-check && \
 	dune exec bench/exp_query.exe -- --n 2000 --queries 100 \
-	  --json _build/BENCH_query.smoke.json
+	  --json _build/BENCH_query.smoke.json && \
+	dune exec bench/exp_recovery.exe -- --ops 200 \
+	  --json _build/BENCH_recovery.smoke.json > /dev/null && \
+	dune exec bench/exp_replication.exe -- --ops 50 \
+	  --json _build/BENCH_replication.smoke.json > /dev/null
 
 bench:
 	dune exec bench/main.exe
@@ -164,10 +168,12 @@ bench-parallel:
 	dune exec bench/exp_parallel.exe -- --json BENCH_parallel.json
 
 # Tiny run wired into `make ci`: exercises the pool, the determinism
-# cross-check and the span fast-path bound without the full sweep.
+# cross-check, the span fast-path bound and the record writer without
+# the full sweep.
 bench-parallel-smoke:
 	dune exec bench/exp_parallel.exe -- \
-	  --sizes 500 --domains-list 1,2 --reps 2 --batch 16 > /dev/null
+	  --sizes 500 --domains-list 1,2 --reps 2 --batch 16 \
+	  --json _build/BENCH_parallel.smoke.json > /dev/null
 
 # Sharded fan-out: batched joins over K subtree shards at K in 1/2/4
 # and 1/2/4 domains, hotspot and uniform documents; emits QPS, p99 and
@@ -177,11 +183,13 @@ bench-parallel-smoke:
 bench-shard:
 	dune exec bench/exp_shard.exe -- --json BENCH_shard.json
 
-# Tiny run wired into `make ci`: exercises the sharded fan-out path and
-# the sharded-vs-unsharded byte-identity cross-check without the sweep.
+# Tiny run wired into `make ci`: exercises the sharded fan-out path, the
+# sharded-vs-unsharded byte-identity cross-check and the record writer
+# without the sweep.
 bench-shard-smoke:
 	dune exec bench/exp_shard.exe -- --n 400 --shards-list 1,2 \
-	  --domains-list 1,2 --reps 2 --batch 12 > /dev/null
+	  --domains-list 1,2 --reps 2 --batch 12 \
+	  --json _build/BENCH_shard.smoke.json > /dev/null
 
 # Journal-shipping cost: steady-state lag vs. group commit, cold-replica
 # catch-up throughput, and failover time; emits BENCH_replication.json.

@@ -217,21 +217,16 @@ let print_rows rows =
            Printf.sprintf "%.1f" r.claims_per_job ])
        rows)
 
-let json_of ~cores ~span_ns ~raw_ns ~factor rows =
-  let row_json r =
-    Printf.sprintf
-      "    {\"workload\": \"%s\", \"n\": %d, \"domains\": %d, \"batch\": %d, \
-       \"reps\": %d, \"wall_ms\": %.3f, \"queries_per_s\": %.1f, \
-       \"speedup\": %.3f, \"claims_per_job\": %.2f}"
-      r.workload r.n r.domains r.batch r.reps r.wall_ms r.queries_per_s
-      r.speedup r.claims_per_job
-  in
-  Printf.sprintf
-    "{\n  \"cores\": %d,\n  \"span_overhead_ns\": %.3f,\n  \
-     \"span_overhead_raw_ns\": %.3f,\n  \"host_factor\": %.3f,\n  \
-     \"rows\": [\n%s\n  ]\n}\n"
-    cores span_ns raw_ns factor
-    (String.concat ",\n" (List.map row_json rows))
+let record_row r =
+  let open Bench_record in
+  row
+    ~case:
+      [ ("section", str "join"); ("workload", str r.workload); ("n", int r.n);
+        ("domains", int r.domains); ("batch", int r.batch);
+        ("reps", int r.reps) ]
+    ~metrics:
+      [ ("wall_ms", num r.wall_ms); ("queries_per_s", num r.queries_per_s);
+        ("speedup", num r.speedup); ("claims_per_job", num r.claims_per_job) ]
 
 let speedup_check ~cores ~domains_list rows =
   (* The headline acceptance (>= 2x at 4 domains, n >= 10k) only binds
@@ -305,11 +300,14 @@ let () =
   in
   print_rows rows;
   speedup_check ~cores ~domains_list:!domains_list rows;
-  if String.length !json > 0 then begin
-    let oc = open_out !json in
-    output_string oc (json_of ~cores ~span_ns ~raw_ns ~factor rows);
-    close_out oc;
-    Printf.printf "wrote %s\n" !json
-  end;
+  Bench_record.write ~bench:"parallel" !json
+    (Bench_record.(
+       row
+         ~case:[ ("section", str "span_overhead") ]
+         ~metrics:
+           [ ("span_overhead_ns", num span_ns);
+             ("span_overhead_raw_ns", num raw_ns);
+             ("host_factor", num factor) ])
+    :: List.map record_row rows);
   print_newline ();
   print_string (Ltree_obs.Registry.expose ())

@@ -223,18 +223,19 @@ let print_rows rows =
            string_of_int r.index_repairs ])
        rows)
 
-let json_of_rows rows =
-  let row_json r =
-    Printf.sprintf
-      "  {\"workload\": \"%s\", \"plan\": \"%s\", \"n\": %d, \"queries\": \
-       %d, \"ns_per_op\": %.1f, \"comparisons\": %.1f, \"minor_words\": \
-       %.1f, \"major_words\": %.1f, \"index_repairs\": %d, \
-       \"full_rebuilds\": %d}"
-      r.workload r.plan r.n r.queries r.ns_per_op r.comparisons_per_query
-      r.minor_words_per_query r.major_words_per_query r.index_repairs
-      r.full_rebuilds
-  in
-  "[\n" ^ String.concat ",\n" (List.map row_json rows) ^ "\n]\n"
+let record_row r =
+  let open Bench_record in
+  row
+    ~case:
+      [ ("workload", str r.workload); ("plan", str r.plan); ("n", int r.n);
+        ("queries", int r.queries) ]
+    ~metrics:
+      [ ("ns_per_op", num r.ns_per_op);
+        ("comparisons", num r.comparisons_per_query);
+        ("minor_words", num r.minor_words_per_query);
+        ("major_words", num r.major_words_per_query);
+        ("index_repairs", int r.index_repairs);
+        ("full_rebuilds", int r.full_rebuilds) ]
 
 let speedup_check ~n rows =
   (* The headline acceptance: on every workload the indexed plan does at
@@ -284,11 +285,6 @@ let () =
   in
   print_rows rows;
   speedup_check ~n:!n rows;
-  if String.length !json > 0 then begin
-    let oc = open_out !json in
-    output_string oc (json_of_rows rows);
-    close_out oc;
-    Printf.printf "wrote %s\n" !json
-  end;
+  Bench_record.write ~bench:"query" !json (List.map record_row rows);
   print_newline ();
   print_string (Ltree_obs.Registry.expose ())

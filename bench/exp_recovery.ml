@@ -158,20 +158,23 @@ let print_rows rows =
          | Append _ -> None)
        rows)
 
-let json_of_rows rows =
-  let row_json = function
-    | Append a ->
-      Printf.sprintf
-        "  {\"section\": \"append\", \"group_commit\": %d, \"ops\": %d, \
-         \"ns_per_op\": %.1f, \"fsyncs\": %d, \"journal_bytes\": %d}"
-        a.group_commit a.ops a.ns_per_op a.fsyncs a.journal_bytes
-    | Recover r ->
-      Printf.sprintf
-        "  {\"section\": \"recover\", \"journal_len\": %d, \"ms\": %.3f, \
-         \"replayed\": %d, \"durable_seq\": %d}"
-        r.journal_len r.ms r.replayed r.durable_seq
-  in
-  "[\n" ^ String.concat ",\n" (List.map row_json rows) ^ "\n]\n"
+let record_row x =
+  let open Bench_record in
+  match x with
+  | Append a ->
+    row
+      ~case:
+        [ ("section", str "append"); ("group_commit", int a.group_commit);
+          ("ops", int a.ops) ]
+      ~metrics:
+        [ ("ns_per_op", num a.ns_per_op); ("fsyncs", int a.fsyncs);
+          ("journal_bytes", int a.journal_bytes) ]
+  | Recover r ->
+    row
+      ~case:[ ("section", str "recover"); ("journal_len", int r.journal_len) ]
+      ~metrics:
+        [ ("ms", num r.ms); ("replayed", int r.replayed);
+          ("durable_seq", int r.durable_seq) ]
 
 let () =
   let ops = ref 2_000 and json = ref "" in
@@ -202,11 +205,6 @@ let () =
      if g64.fsyncs * 8 > g1.fsyncs then
        failwith "exp_recovery: group commit failed to amortize fsyncs"
    | _ -> assert false);
-  if !json <> "" then begin
-    let oc = open_out !json in
-    output_string oc (json_of_rows rows);
-    close_out oc;
-    Printf.printf "wrote %s\n" !json
-  end;
+  Bench_record.write ~bench:"recovery" !json (List.map record_row rows);
   print_newline ();
   print_string (Ltree_obs.Registry.expose ())

@@ -282,36 +282,36 @@ let print_rows rows =
          | Steady _ | Catchup _ | Failover _ -> None)
        rows)
 
-let json_of_rows rows =
-  let row_json = function
-    | Steady s ->
-      Printf.sprintf
-        "  {\"section\": \"steady\", \"group_commit\": %d, \"ops\": %d, \
-         \"ns_per_op\": %.1f, \"peak_lag\": %d, \"mean_lag\": %.3f, \
-         \"ticks\": %d, \"frames\": %d}"
-        s.group_commit s.ops s.ns_per_op s.peak_lag s.mean_lag s.ticks
-        s.frames
-    | Catchup c ->
-      Printf.sprintf
-        "  {\"section\": \"catchup\", \"group_commit\": %d, \"ops\": %d, \
-         \"ms\": %.3f, \"records_per_sec\": %.0f, \"ticks\": %d}"
-        c.group_commit c.ops c.ms c.records_per_sec c.ticks
-    | Failover f ->
-      Printf.sprintf
-        "  {\"section\": \"failover\", \"group_commit\": %d, \"ops\": %d, \
-         \"ms\": %.3f, \"promoted_seq\": %d, \"dropped\": %d}"
-        f.group_commit f.ops f.ms f.promoted_seq f.dropped
-    | Waterfall w ->
-      Printf.sprintf
-        "  {\"section\": \"waterfall\", \"group_commit\": %d, \"ops\": %d, \
-         \"records\": %d, \"mean_ship_ticks\": %.3f, \
-         \"mean_deliver_ticks\": %.3f, \"mean_apply_ticks\": %.3f, \
-         \"mean_readable_ticks\": %.3f, \"mean_e2e_ticks\": %.3f, \
-         \"retries\": %d}"
-        w.group_commit w.ops w.records w.mean_ship w.mean_deliver
-        w.mean_apply w.mean_readable w.mean_e2e w.retries
+let record_row x =
+  let open Bench_record in
+  let case section g ops =
+    [ ("section", str section); ("group_commit", int g); ("ops", int ops) ]
   in
-  "[\n" ^ String.concat ",\n" (List.map row_json rows) ^ "\n]\n"
+  match x with
+  | Steady s ->
+    row ~case:(case "steady" s.group_commit s.ops)
+      ~metrics:
+        [ ("ns_per_op", num s.ns_per_op); ("peak_lag", int s.peak_lag);
+          ("mean_lag", num s.mean_lag); ("ticks", int s.ticks);
+          ("frames", int s.frames) ]
+  | Catchup c ->
+    row ~case:(case "catchup" c.group_commit c.ops)
+      ~metrics:
+        [ ("ms", num c.ms); ("records_per_sec", num c.records_per_sec);
+          ("ticks", int c.ticks) ]
+  | Failover f ->
+    row ~case:(case "failover" f.group_commit f.ops)
+      ~metrics:
+        [ ("ms", num f.ms); ("promoted_seq", int f.promoted_seq);
+          ("dropped", int f.dropped) ]
+  | Waterfall w ->
+    row ~case:(case "waterfall" w.group_commit w.ops)
+      ~metrics:
+        [ ("records", int w.records); ("mean_ship_ticks", num w.mean_ship);
+          ("mean_deliver_ticks", num w.mean_deliver);
+          ("mean_apply_ticks", num w.mean_apply);
+          ("mean_readable_ticks", num w.mean_readable);
+          ("mean_e2e_ticks", num w.mean_e2e); ("retries", int w.retries) ]
 
 let () =
   let ops = ref 1_000 and json = ref "" in
@@ -334,11 +334,6 @@ let () =
     @ List.map (run_waterfall ~ops:!ops) groups
   in
   print_rows rows;
-  if !json <> "" then begin
-    let oc = open_out !json in
-    output_string oc (json_of_rows rows);
-    close_out oc;
-    Printf.printf "wrote %s\n" !json
-  end;
+  Bench_record.write ~bench:"replication" !json (List.map record_row rows);
   print_newline ();
   print_string (Ltree_obs.Registry.expose ())

@@ -167,18 +167,17 @@ let print_rows rows =
            Printf.sprintf "%.2fx" r.speedup ])
        rows)
 
-let json_of ~cores rows =
-  let row_json r =
-    Printf.sprintf
-      "    {\"pattern\": \"%s\", \"n\": %d, \"shards\": %d, \"domains\": %d, \
-       \"batch\": %d, \"reps\": %d, \"wall_ms\": %.3f, \
-       \"queries_per_s\": %.1f, \"best_queries_per_s\": %.1f, \
-       \"p99_batch_ms\": %.3f, \"speedup\": %.3f}"
-      r.pattern r.n r.shards r.domains r.batch r.reps r.wall_ms
-      r.queries_per_s r.best_queries_per_s r.p99_batch_ms r.speedup
-  in
-  Printf.sprintf "{\n  \"cores\": %d,\n  \"rows\": [\n%s\n  ]\n}\n" cores
-    (String.concat ",\n" (List.map row_json rows))
+let record_row r =
+  let open Bench_record in
+  row
+    ~case:
+      [ ("pattern", str r.pattern); ("n", int r.n); ("shards", int r.shards);
+        ("domains", int r.domains); ("batch", int r.batch);
+        ("reps", int r.reps) ]
+    ~metrics:
+      [ ("wall_ms", num r.wall_ms); ("queries_per_s", num r.queries_per_s);
+        ("best_queries_per_s", num r.best_queries_per_s);
+        ("p99_batch_ms", num r.p99_batch_ms); ("speedup", num r.speedup) ]
 
 let speedup_check ~cores rows =
   let binding = cores >= 4 in
@@ -254,11 +253,6 @@ let () =
   in
   print_rows rows;
   speedup_check ~cores rows;
-  if String.length !json > 0 then begin
-    let oc = open_out !json in
-    output_string oc (json_of ~cores rows);
-    close_out oc;
-    Printf.printf "wrote %s\n" !json
-  end;
+  Bench_record.write ~bench:"shard" !json (List.map record_row rows);
   print_newline ();
   print_string (Ltree_obs.Registry.expose ())

@@ -993,10 +993,11 @@ let trace_cmd =
       write_out out jsonl;
       if verify then begin
         (match Ltree_obs.Trace.validate_jsonl jsonl with
-         | Ok 0 ->
+         | Ok [] ->
            Printf.eprintf "trace is empty\n";
            exit 1
-         | Ok n -> Printf.eprintf "%d trace lines parse as JSON\n" n
+         | Ok lines ->
+           Printf.eprintf "%d trace lines parse as JSON\n" (List.length lines)
          | Error detail ->
            Printf.eprintf "invalid JSONL: %s\n" detail;
            exit 1);
@@ -1051,18 +1052,19 @@ let metrics_cmd =
     let t = run_observed_workload ~params ~seed ~ops in
     let acct = Harness.accountant t in
     if json then
+      let module A = Ltree_obs.Accountant in
+      let module Json = Ltree_obs.Json in
+      let int i = Json.Num (float_of_int i) in
       let extra =
         [ ( "amortized_bound",
-            Printf.sprintf
-              "{\"ok\":%b,\"insertions\":%d,\"c\":%.2f,\"window\":%d,\
-               \"breaches\":%d}"
-              (Ltree_obs.Accountant.ok acct)
-              (Ltree_obs.Accountant.insertions acct)
-              (Ltree_obs.Accountant.c acct)
-              (Ltree_obs.Accountant.window acct)
-              (List.length (Ltree_obs.Accountant.breaches acct)) ) ]
+            Json.Obj
+              [ ("ok", Json.Bool (A.ok acct));
+                ("insertions", int (A.insertions acct));
+                ("c", Json.Num (A.c acct)); ("window", int (A.window acct));
+                ("breaches", int (List.length (A.breaches acct))) ] ) ]
       in
-      write_out out (Ltree_obs.Registry.expose_json ~extra () ^ "\n")
+      write_out out
+        (Json.to_string (Ltree_obs.Registry.expose_json ~extra ()) ^ "\n")
     else begin
       let buf = Buffer.create 4096 in
       Buffer.add_string buf (Ltree_obs.Registry.expose ());

@@ -14,12 +14,9 @@ type t = {
 let default =
   { tbl = Hashtbl.create 32; ctbl = Hashtbl.create 16; mu = Mutex.create () }
 
-(* Lookups bind [t = default] and lock through it, so their closures
-   capture [t]; the replication paths look up per record, and dropping
-   that word moves the gated minor-word counters. *)
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
+let locked f =
+  Mutex.lock default.mu;
+  Fun.protect ~finally:(fun () -> Mutex.unlock default.mu) f
 
 (* Labels rendered Prometheus-style, sorted by key — also the registry
    key suffix, so the same (name, labels) pair always resolves to the
@@ -37,26 +34,23 @@ let series_key name labels =
 let histogram ~name ~help ?(labels = []) ~bounds () =
   let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
   let key = series_key name labels in
-  let t = default in
-  locked t (fun () ->
-      match Hashtbl.find_opt t.tbl key with
+  locked (fun () ->
+      match Hashtbl.find_opt default.tbl key with
       | Some h -> h
       | None ->
         let h = Histogram.create ~name ~help ~labels ~bounds () in
-        Hashtbl.replace t.tbl key h;
+        Hashtbl.replace default.tbl key h;
         h)
 
 let find ?(labels = []) name =
   let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
-  let t = default in
-  locked t (fun () -> Hashtbl.find_opt t.tbl (series_key name labels))
+  locked (fun () -> Hashtbl.find_opt default.tbl (series_key name labels))
 
 (* Sort by name first so every series of one metric is contiguous (the
    expositions emit HELP/TYPE once per metric), then by labels. *)
 let histograms () =
   let out =
-    locked default (fun () ->
-        Hashtbl.fold (fun _ h acc -> h :: acc) default.tbl [])
+    locked (fun () -> Hashtbl.fold (fun _ h acc -> h :: acc) default.tbl [])
   in
   List.sort
     (fun a b ->
@@ -69,13 +63,12 @@ let histograms () =
     out
 
 let counter ~name ~help () =
-  let t = default in
-  locked t (fun () ->
-      match Hashtbl.find_opt t.ctbl name with
+  locked (fun () ->
+      match Hashtbl.find_opt default.ctbl name with
       | Some c -> c
       | None ->
         let c = { cname = name; chelp = help; cell = Atomic.make 0 } in
-        Hashtbl.replace t.ctbl name c;
+        Hashtbl.replace default.ctbl name c;
         c)
 
 let counter_value c = Atomic.get c.cell
@@ -84,8 +77,7 @@ let counter_add c n = if n > 0 then ignore (Atomic.fetch_and_add c.cell n)
 
 let counters () =
   let out =
-    locked default (fun () ->
-        Hashtbl.fold (fun _ c acc -> c :: acc) default.ctbl [])
+    locked (fun () -> Hashtbl.fold (fun _ c acc -> c :: acc) default.ctbl [])
   in
   List.sort (fun a b -> String.compare a.cname b.cname) out
 
@@ -161,62 +153,35 @@ let expose () =
    (["le"] is the same string, ending in ["+Inf"]), so scrapers can
    treat the two as views of one model. *)
 
-let histogram_json buf h =
-  let name = Histogram.name h in
-  Buffer.add_string buf
-    (Printf.sprintf "{\"name\":\"%s\",\"help\":\"%s\","
-       (Trace.json_escape name)
-       (Trace.json_escape (Histogram.help h)));
-  (* Unlabeled histograms keep the seed's exact JSON shape; a labeled
-     series adds one "labels" object. *)
-  (match Histogram.labels h with
-  | [] -> ()
-  | labels ->
-    Buffer.add_string buf "\"labels\":";
-    Trace.add_object buf labels;
-    Buffer.add_char buf ',');
-  Buffer.add_string buf
-    (Printf.sprintf "\"count\":%d,\"sum\":%.6f,\"buckets\":["
-       (Histogram.count h) (Histogram.sum h));
+let histogram_json h =
+  let int i = Json.Num (float_of_int i) in
   let bounds = Histogram.bounds h in
   let cumulative = Histogram.cumulative h in
-  Array.iteri
-    (fun i b ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf
-        (Printf.sprintf "{\"le\":\"%s\",\"count\":%d}" (le_label b)
-           cumulative.(i)))
-    bounds;
-  if Array.length bounds > 0 then Buffer.add_char buf ',';
-  Buffer.add_string buf
-    (Printf.sprintf "{\"le\":\"+Inf\",\"count\":%d}]}"
-       cumulative.(Array.length bounds))
+  let nb = Array.length bounds in
+  let bucket i =
+    Json.Obj
+      [ ("le", Json.Str (if i < nb then le_label bounds.(i) else "+Inf"));
+        ("count", int cumulative.(i)) ]
+  in
+  Json.Obj
+    ([ ("name", Json.Str (Histogram.name h));
+       ("help", Json.Str (Histogram.help h)) ]
+    (* A labeled series adds one "labels" object. *)
+    @ (match Histogram.labels h with
+      | [] -> []
+      | labels ->
+        [ ( "labels",
+            Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) labels) ) ])
+    @ [ ("count", int (Histogram.count h)); ("sum", Json.Num (Histogram.sum h));
+        ("buckets", Json.Arr (List.init (nb + 1) bucket)) ])
 
-let counter_json buf c =
-  Buffer.add_string buf
-    (Printf.sprintf "{\"name\":\"%s\",\"help\":\"%s\",\"value\":%d}"
-       (Trace.json_escape c.cname) (Trace.json_escape c.chelp)
-       (counter_value c))
+let counter_json c =
+  Json.Obj
+    [ ("name", Json.Str c.cname); ("help", Json.Str c.chelp);
+      ("value", Json.Num (float_of_int (counter_value c))) ]
 
 let expose_json ?(extra = []) () =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"histograms\":[";
-  List.iteri
-    (fun i h ->
-      if i > 0 then Buffer.add_char buf ',';
-      histogram_json buf h)
-    (histograms ());
-  Buffer.add_string buf "],\"counters\":[";
-  List.iteri
-    (fun i c ->
-      if i > 0 then Buffer.add_char buf ',';
-      counter_json buf c)
-    (counters ());
-  Buffer.add_char buf ']';
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_string buf
-        (Printf.sprintf ",\"%s\":%s" (Trace.json_escape k) v))
-    extra;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  Json.Obj
+    ([ ("histograms", Json.Arr (List.map histogram_json (histograms ())));
+       ("counters", Json.Arr (List.map counter_json (counters ()))) ]
+    @ extra)

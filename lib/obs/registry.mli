@@ -48,11 +48,9 @@ val counter_add : counter -> int -> unit
 val expose : unit -> string
 
 (** [expose_json ?extra ()] is the same registry content as {!expose}
-    as one JSON object: [{"histograms":[...],"counters":[...]}], bucket
-    labels matching the text format.  Each [(key, json)] pair in
-    [extra] is appended verbatim as an extra top-level field — [json]
-    must already be valid JSON. *)
-val expose_json : ?extra:(string * string) list -> unit -> string
+    as one JSON object: [{"histograms": [...], "counters": [...]}],
+    bucket labels matching the text format, then each [extra] field. *)
+val expose_json : ?extra:(string * Json.t) list -> unit -> Json.t
 
 (** [expose_counters buf ~prefix c] appends one [counter]-typed metric
     per {!Ltree_metrics.Counters} field, named

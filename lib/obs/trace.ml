@@ -53,191 +53,32 @@ let to_list t =
 
 (* {1 JSONL export} *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+let json_escape = Json.escape
 
-(* The one object writer: [{"k":v,...}] with escaped keys, [value]
-   printing each value. *)
-let add_fields buf value pairs =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (json_escape k);
-      Buffer.add_string buf "\":";
-      value buf v)
-    pairs;
-  Buffer.add_char buf '}'
-
-let add_object buf pairs =
-  add_fields buf
-    (fun buf v ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (json_escape v);
-      Buffer.add_char buf '"')
-    pairs
-
-let add_entry buf r =
-  Printf.bprintf buf
-    "{\"kind\":\"%s\",\"name\":\"%s\",\"path\":\"%s\",\"depth\":%d,\"domain\":%d,\"tick\":%d,\"start\":%.6f,\"dur_us\":%.3f"
-    (json_escape r.kind) (json_escape r.name) (json_escape r.path) r.depth
-    r.domain r.tick r.start (r.duration *. 1e6);
-  if not (List.is_empty r.deltas) then begin
-    Buffer.add_string buf ",\"counters\":";
-    add_fields buf (fun buf v -> Buffer.add_string buf (string_of_int v)) r.deltas
-  end;
-  if not (List.is_empty r.attrs) then begin
-    Buffer.add_string buf ",\"attrs\":";
-    add_object buf r.attrs
-  end;
-  Buffer.add_string buf "}\n"
+let entry_json r =
+  let int i = Json.Num (float_of_int i) in
+  let unless_empty key field = function
+    | [] -> []
+    | kv -> [ (key, Json.Obj (List.map field kv)) ]
+  in
+  Json.Obj
+    ([ ("kind", Json.Str r.kind); ("name", Json.Str r.name);
+       ("path", Json.Str r.path); ("depth", int r.depth);
+       ("domain", int r.domain); ("tick", int r.tick);
+       ("start", Json.Num r.start); ("dur_us", Json.Num (r.duration *. 1e6)) ]
+    @ unless_empty "counters" (fun (k, v) -> (k, int v)) r.deltas
+    @ unless_empty "attrs" (fun (k, v) -> (k, Json.Str v)) r.attrs)
 
 let to_jsonl records =
   let buf = Buffer.create 4096 in
-  List.iter (add_entry buf) records;
+  List.iter
+    (fun r ->
+      Json.to_buffer buf (entry_json r);
+      Buffer.add_char buf '\n')
+    records;
   Buffer.contents buf
 
-(* {1 JSON validation}
-
-   A minimal recursive-descent JSON parser, enough to assert that the
-   exporter above (and nothing downstream of it) emits well-formed
-   lines.  It validates syntax only; no value tree is built. *)
-
-exception Bad of string
-
-let validate_json_line line =
-  let len = String.length line in
-  let pos = ref 0 in
-  let fail detail = raise (Bad (Printf.sprintf "at %d: %s" !pos detail)) in
-  let peek () = if !pos >= len then '\000' else line.[!pos] in
-  let advance () = pos := !pos + 1 in
-  let skip_ws () =
-    while
-      !pos < len
-      && (match line.[!pos] with ' ' | '\t' -> true | _ -> false)
-    do
-      advance ()
-    done
-  in
-  let expect c =
-    if Char.equal (peek ()) c then advance ()
-    else fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word =
-    String.iter (fun c -> expect c) word
-  in
-  let is_digit c = Char.compare '0' c <= 0 && Char.compare c '9' <= 0 in
-  let number () =
-    if Char.equal (peek ()) '-' then advance ();
-    if not (is_digit (peek ())) then fail "expected a digit";
-    while is_digit (peek ()) do advance () done;
-    if Char.equal (peek ()) '.' then begin
-      advance ();
-      if not (is_digit (peek ())) then fail "expected a fraction digit";
-      while is_digit (peek ()) do advance () done
-    end;
-    if Char.equal (peek ()) 'e' || Char.equal (peek ()) 'E' then begin
-      advance ();
-      if Char.equal (peek ()) '+' || Char.equal (peek ()) '-' then advance ();
-      if not (is_digit (peek ())) then fail "expected an exponent digit";
-      while is_digit (peek ()) do advance () done
-    end
-  in
-  let string_lit () =
-    expect '"';
-    let closed = ref false in
-    while not !closed do
-      if !pos >= len then fail "unterminated string";
-      let c = line.[!pos] in
-      advance ();
-      if Char.equal c '"' then closed := true
-      else if Char.equal c '\\' then begin
-        if !pos >= len then fail "unterminated escape";
-        let e = line.[!pos] in
-        advance ();
-        match e with
-        | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' -> ()
-        | 'u' ->
-          for _ = 1 to 4 do
-            let h = peek () in
-            if
-              not
-                (is_digit h
-                || (Char.compare 'a' h <= 0 && Char.compare h 'f' <= 0)
-                || (Char.compare 'A' h <= 0 && Char.compare h 'F' <= 0))
-            then fail "bad \\u escape";
-            advance ()
-          done
-        | _ -> fail "bad escape character"
-      end
-      else if Char.code c < 0x20 then fail "raw control character in string"
-    done
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | '{' -> obj ()
-    | '[' -> arr ()
-    | '"' -> string_lit ()
-    | 't' -> literal "true"
-    | 'f' -> literal "false"
-    | 'n' -> literal "null"
-    | _ -> number ()
-  and obj () =
-    expect '{';
-    skip_ws ();
-    if Char.equal (peek ()) '}' then advance ()
-    else begin
-      let more = ref true in
-      while !more do
-        skip_ws ();
-        string_lit ();
-        skip_ws ();
-        expect ':';
-        value ();
-        skip_ws ();
-        if Char.equal (peek ()) ',' then advance () else more := false
-      done;
-      expect '}'
-    end
-  and arr () =
-    expect '[';
-    skip_ws ();
-    if Char.equal (peek ()) ']' then advance ()
-    else begin
-      let more = ref true in
-      while !more do
-        value ();
-        skip_ws ();
-        if Char.equal (peek ()) ',' then advance () else more := false
-      done;
-      expect ']'
-    end
-  in
-  match
-    skip_ws ();
-    if len = 0 || !pos >= len then fail "empty line";
-    if not (Char.equal (peek ()) '{') then fail "expected an object";
-    value ();
-    skip_ws ();
-    if !pos < len then fail "trailing garbage"
-  with
-  | () -> Ok ()
-  | exception Bad detail -> Error detail
+(* {1 Reading JSONL back} *)
 
 let validate_jsonl data =
   let lines =
@@ -245,15 +86,15 @@ let validate_jsonl data =
       (fun l -> not (String.equal (String.trim l) ""))
       (String.split_on_char '\n' data)
   in
-  let rec go i = function
-    | [] -> Ok i
+  let rec go i acc = function
+    | [] -> Ok (List.rev acc)
     | line :: rest -> (
-        match validate_json_line line with
-        | Ok () -> go (i + 1) rest
-        | Error detail ->
-          Error (Printf.sprintf "line %d: %s" (i + 1) detail))
+        match Json.parse line with
+        | Ok (Json.Obj _ as v) -> go (i + 1) (v :: acc) rest
+        | Ok _ -> Error (Printf.sprintf "line %d: not an object" (i + 1))
+        | Error detail -> Error (Printf.sprintf "line %d: %s" (i + 1) detail))
   in
-  go 0 lines
+  go 0 [] lines
 
 (* {1 Flamegraph}
 

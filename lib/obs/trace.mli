@@ -1,5 +1,5 @@
 (** Ring-buffer event log: the entry type, the ring, the one JSONL
-    entry-line writer, a JSON validator and the flamegraph.
+    entry-line writer, its reader and the flamegraph.
 
     The process-wide ring ({!Span} owns it) holds completed spans, point
     events and flight-recorder notes as one entry type, so a trace
@@ -50,32 +50,23 @@ val to_list : t -> record list
 
 (** {1 JSONL export} *)
 
-(** [json_escape s] escapes quotes, backslashes and control characters
-    so [s] can be embedded in a JSON string literal.  Shared by every
-    JSON emitter in the library. *)
+(** [json_escape] is {!Json.escape}, kept under this name for
+    [bench/e2e/json.ml]. *)
 val json_escape : string -> string
 
-(** [add_object buf pairs] appends [{"k":"v",...}] with every key and
-    value escaped: entry attributes, bundle header attributes and
-    histogram labels all print through it. *)
-val add_object : Buffer.t -> (string * string) list -> unit
-
 (** [to_jsonl records] is one entry line per record, newline-terminated:
-    [{"kind","name","path","depth","domain","tick","start","dur_us"}],
-    then ["counters"] and ["attrs"] objects when non-empty.  The one
-    writer of entry lines: [ltree trace] and {!Recorder.dump} both
-    print through it. *)
+    a {!Json} object with ["kind"], ["name"], ["path"], ["depth"],
+    ["domain"], ["tick"], ["start"] and ["dur_us"], then ["counters"]
+    and ["attrs"] objects when non-empty.  The one writer of entry
+    lines: [ltree trace] and {!Recorder.dump} both print through it. *)
 val to_jsonl : record list -> string
 
-(** {1 Validation}
+(** {1 Reading JSONL back} *)
 
-    A minimal JSON syntax checker used by tests and [ltree trace
-    --verify] to assert that exported lines are well-formed, without
-    pulling in a JSON library. *)
-
-(** [validate_jsonl data] checks every non-blank line; [Ok n] gives the
-    number of lines validated. *)
-val validate_jsonl : string -> (int, string) result
+(** [validate_jsonl data] parses every non-blank line of [data] with
+    {!Json.parse}, requires each to be an object and returns them in
+    order; [Error] names the first bad line. *)
+val validate_jsonl : string -> (Json.t list, string) result
 
 (** {1 Flamegraph} *)
 

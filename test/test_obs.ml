@@ -10,8 +10,19 @@ module Accountant = Ltree_obs.Accountant
 module Recorder = Ltree_obs.Recorder
 module Causal = Ltree_obs.Causal
 module Telemetry = Ltree_obs.Telemetry
+module Json = Ltree_obs.Json
 
 let case = Alcotest.test_case
+
+let json =
+  Alcotest.testable
+    (fun ppf v -> Format.pp_print_string ppf (Json.to_string v))
+    ( = )
+
+let parse_ok text =
+  match Json.parse text with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "not JSON (%s): %s" e text
 
 let contains hay needle =
   let n = String.length needle and h = String.length hay in
@@ -206,15 +217,52 @@ let exposition_golden () =
 let json_escaping () =
   Alcotest.(check string) "quotes, backslashes, whitespace escapes"
     {|say \"hi\" \\ a\nb\rc\td|}
-    (Trace.json_escape "say \"hi\" \\ a\nb\rc\td");
+    (Json.escape "say \"hi\" \\ a\nb\rc\td");
   Alcotest.(check string) "other control bytes as \\u" {|\u0000\u001f|}
-    (Trace.json_escape "\000\031");
+    (Json.escape "\000\031");
   Alcotest.(check string) "plain text and UTF-8 pass through" "x\xc3\xa9"
-    (Trace.json_escape "x\xc3\xa9");
-  let buf = Buffer.create 32 in
-  Trace.add_object buf [ ("k", "v"); ("q\"", "a\nb") ];
+    (Json.escape "x\xc3\xa9");
   Alcotest.(check string) "objects escape keys and values"
-    {|{"k":"v","q\"":"a\nb"}|} (Buffer.contents buf)
+    {|{"k": "v", "q\"": "a\nb"}|}
+    (Json.to_string
+       (Json.Obj [ ("k", Json.Str "v"); ("q\"", Json.Str "a\nb") ]))
+
+(* The printer's number rule and separators are those of
+   bench/e2e/json.ml; the parser inverts the printer and decodes
+   [\uXXXX]. *)
+let json_print_parse () =
+  Alcotest.(check string) "number rule"
+    "[3, -2, 0.5, 0.10000000000000001, 1e+17, 0, null, true, []]"
+    (Json.to_string
+       (Json.Arr
+          [ Json.Num 3.; Json.Num (-2.); Json.Num 0.5; Json.Num 0.1;
+            Json.Num 1e17; Json.Num Float.nan; Json.Null; Json.Bool true;
+            Json.Arr [] ]));
+  let v =
+    Json.Obj
+      [ ("a", Json.Arr [ Json.Obj [ ("b", Json.Num 1.) ]; Json.Obj [] ]);
+        ("s", Json.Str "q\"\\\001\xc3\xa9") ]
+  in
+  Alcotest.(check string) "break_depth 2 puts depth-0 and depth-1 elements \
+                           on lines"
+    "{\n  \"a\": [\n    {\"b\": 1},\n    {}\n  ],\n  \"s\": \
+     \"q\\\"\\\\\\u0001\xc3\xa9\"\n}"
+    (Json.to_string ~break_depth:2 v);
+  Alcotest.(check json) "one-line text parses back" v
+    (parse_ok (Json.to_string v));
+  Alcotest.(check json) "broken text parses back" v
+    (parse_ok (Json.to_string ~break_depth:2 v));
+  Alcotest.(check json) "\\u escapes decode to UTF-8"
+    (Json.Str "\xc3\xa9/\xe2\x82\xac\xf0\x9f\x98\x80")
+    (parse_ok {|"\u00e9\/\u20AC\ud83d\ude00"|});
+  Alcotest.(check (option json)) "member" (Some (Json.Num 1.))
+    (Json.member "b" (parse_ok {| { "a" : null , "b" : 1e0 } |}));
+  List.iter
+    (fun bad ->
+      Alcotest.(check bool) ("rejects " ^ bad) true
+        (Result.is_error (Json.parse bad)))
+    [ ""; "[1,]"; "[1 2]"; "01x"; "1."; ".5"; "0x10"; "\"\001\""; "\"\\x\"";
+      "\"\\u12\""; "nul"; "{\"a\" 1}"; "{1:2}"; "[] []" ]
 
 let jsonl_roundtrip () =
   fresh_ring ();
@@ -226,7 +274,15 @@ let jsonl_roundtrip () =
   Span.with_ ~name:"counted" ~counters:c (fun () -> Counters.add_split c 1);
   let jsonl = Trace.to_jsonl (Span.records ()) in
   (match Trace.validate_jsonl jsonl with
-   | Ok n -> Alcotest.(check int) "all lines valid" 3 n
+   | Ok ([ _; tricky; _ ] as lines) ->
+     Alcotest.(check (list (option json))) "names in completion order"
+       [ Some (Json.Str "sub"); Some (Json.Str "tricky");
+         Some (Json.Str "counted") ]
+       (List.map (Json.member "name") lines);
+     Alcotest.(check (option json)) "attr parses back exactly"
+       (Some (Json.Str "say \"hi\"\\\nthere\ttab"))
+       (Option.bind (Json.member "attrs" tricky) (Json.member "msg"))
+   | Ok lines -> Alcotest.failf "expected 3 lines, got %d" (List.length lines)
    | Error e -> Alcotest.failf "invalid JSONL: %s" e);
   Alcotest.(check bool) "escaped quote survives" true
     (contains jsonl "say \\\"hi\\\"");
@@ -410,32 +466,18 @@ let flamegraph_domain_sections () =
   Alcotest.(check bool) "per-domain self time" true
     (contains multi "2.0" && contains multi "3.0")
 
-(* The top-level members of one JSON object or array, as raw text:
-   commas inside strings or nested values do not split. *)
-let json_members s =
-  let items = ref [] and depth = ref 0 and start = ref 1 in
-  let in_str = ref false and escaped = ref false in
-  String.iteri
-    (fun i ch ->
-      if !in_str then begin
-        if !escaped then escaped := false
-        else if Char.equal ch '\\' then escaped := true
-        else if Char.equal ch '"' then in_str := false
-      end
-      else
-        match ch with
-        | '"' -> in_str := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-          decr depth;
-          if !depth = 0 && i > !start then
-            items := String.sub s !start (i - !start) :: !items
-        | ',' when !depth = 1 ->
-          items := String.sub s !start (i - !start) :: !items;
-          start := i + 1
-        | _ -> ())
-    s;
-  List.rev !items
+(* The objects of [key]'s array whose "name" starts with [prefix]: the
+   registry is process-wide, so a test keeps only its own series. *)
+let named_objects prefix key v =
+  match Json.member key v with
+  | Some (Json.Arr objs) ->
+    List.filter
+      (fun o ->
+        match Json.member "name" o with
+        | Some (Json.Str n) -> String.starts_with ~prefix n
+        | _ -> false)
+      objs
+  | _ -> Alcotest.failf "no %s array" key
 
 let expose_json_golden () =
   let h =
@@ -445,48 +487,33 @@ let expose_json_golden () =
   List.iter (Histogram.observe h) [ 0.5; 1.5; 9. ];
   let c = Registry.counter ~name:"test_json_total" ~help:"demo events" () in
   Registry.counter_add c 7;
-  let got = Registry.expose_json ~extra:[ ("node", "\"a\"") ] () in
-  (match Trace.validate_jsonl got with
-   | Ok 1 -> ()
-   | Ok n -> Alcotest.failf "exposition spans %d lines" n
-   | Error e -> Alcotest.failf "exposition is not valid JSON: %s" e);
-  let members = json_members got in
-  Alcotest.(check string) "the object is its members and nothing else" got
-    ("{" ^ String.concat "," members ^ "}");
-  let fields =
-    List.map
-      (fun m ->
-        match String.index_opt m ':' with
-        | Some i ->
-          (String.sub m 0 i, String.sub m (i + 1) (String.length m - i - 1))
-        | None -> Alcotest.failf "member without a key: %s" m)
-      members
-  in
+  let got = Registry.expose_json ~extra:[ ("node", Json.Str "a") ] () in
+  let text = Json.to_string got in
+  Alcotest.(check bool) "one line" false (String.contains text '\n');
+  Alcotest.(check json) "the printed exposition parses back to itself" got
+    (parse_ok text);
   Alcotest.(check (list string)) "top-level keys, in order"
-    [ "\"histograms\""; "\"counters\""; "\"node\"" ]
-    (List.map fst fields);
-  (* The registry is process-wide: keep only this test's objects. *)
-  let ours key =
-    let arr = List.assoc key fields in
-    let objs = json_members arr in
-    Alcotest.(check string) (key ^ " is an array of its objects") arr
-      ("[" ^ String.concat "," objs ^ "]");
-    List.filter (String.starts_with ~prefix:"{\"name\":\"test_json_") objs
+    [ "histograms"; "counters"; "node" ]
+    (match got with
+     | Json.Obj fields -> List.map fst fields
+     | _ -> Alcotest.fail "exposition is not an object");
+  let bucket le count =
+    Json.Obj [ ("le", Json.Str le); ("count", Json.Num count) ]
   in
-  Alcotest.(check (list string)) "histogram objects"
-    [
-      "{\"name\":\"test_json_seconds\",\"help\":\"demo \
-       latencies\",\"count\":3,\"sum\":11.000000,\"buckets\":[{\"le\":\"1\",\
-       \"count\":1},{\"le\":\"2\",\"count\":2},{\"le\":\"+Inf\",\"count\":3}]\
-       }";
-    ]
-    (ours "\"histograms\"");
-  Alcotest.(check (list string)) "counter objects"
-    [ "{\"name\":\"test_json_total\",\"help\":\"demo events\",\"value\":7}";
-    ]
-    (ours "\"counters\"");
-  Alcotest.(check string) "extra field verbatim" "\"a\""
-    (List.assoc "\"node\"" fields)
+  Alcotest.(check (list json)) "histogram objects"
+    [ Json.Obj
+        [ ("name", Json.Str "test_json_seconds");
+          ("help", Json.Str "demo latencies"); ("count", Json.Num 3.);
+          ("sum", Json.Num 11.);
+          ( "buckets",
+            Json.Arr [ bucket "1" 1.; bucket "2" 2.; bucket "+Inf" 3. ] )
+        ] ]
+    (named_objects "test_json_" "histograms" got);
+  Alcotest.(check (list string)) "counter objects, as printed"
+    [ {|{"name": "test_json_total", "help": "demo events", "value": 7}|} ]
+    (List.map Json.to_string (named_objects "test_json_" "counters" got));
+  Alcotest.(check (option json)) "extra field" (Some (Json.Str "a"))
+    (Json.member "node" got)
 
 let recorder_ring_and_bundle () =
   Span.set_capacity 4;
@@ -517,8 +544,11 @@ let recorder_ring_and_bundle () =
   (match Recorder.validate data with
    | Ok n -> Alcotest.(check int) "header + 4 entries + metrics + footer" 7 n
    | Error e -> Alcotest.failf "bundle invalid: %s" e);
-  Alcotest.(check bool) "header carries the version" true
-    (contains data "\"version\":2");
+  (match Trace.validate_jsonl data with
+   | Ok (header :: _) ->
+     Alcotest.(check (option json)) "header carries the version"
+       (Some (Json.Num 2.)) (Json.member "version" header)
+   | _ -> Alcotest.fail "bundle does not parse");
   Alcotest.(check (option string))
     "cell attr recoverable for --only replay" (Some "probe:divergence")
     (Recorder.attr_of_bundle data "cell");
@@ -544,6 +574,23 @@ let recorder_ring_and_bundle () =
    | Ok _ -> Alcotest.fail "a bundle missing two entry lines validated");
   Span.set_capacity 1024
 
+(* Header attributes come back from a bundle byte for byte: control
+   bytes, quotes, backslashes and UTF-8 included. *)
+let bundle_attrs_roundtrip () =
+  let attrs =
+    [ ("ctl", "a\001b"); ("quote", "say \"hi\""); ("backslash", "a\\b\\");
+      ("utf8", "x\xc3\xa9"); ("space", "a\nb\tc\r") ]
+  in
+  let data = Recorder.dump ~reason:"attrs" ~attrs () in
+  (match Recorder.validate data with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "bundle invalid: %s" e);
+  List.iter
+    (fun (k, v) ->
+      Alcotest.(check (option string)) k (Some v)
+        (Recorder.attr_of_bundle data k))
+    attrs
+
 (* The one ring: a span close is one entry next to the notes, the span
    view leaves the notes out, and a bundle prints the span once, on the
    same line [ltree trace] prints. *)
@@ -568,10 +615,55 @@ let one_ring_one_line () =
   let bundle_lines = String.split_on_char '\n' (Recorder.dump ()) in
   Alcotest.(check int) "the bundle carries the span once" 1
     (List.length
-       (List.filter (fun l -> contains l "\"name\":\"solo\"") bundle_lines));
+       (List.filter (fun l -> contains l {|"name": "solo"|}) bundle_lines));
   Alcotest.(check bool) "trace line = bundle entry line, byte for byte" true
     (List.mem span_line bundle_lines);
-  Alcotest.(check bool) "numeric dur_us" false (contains span_line "\"dur_us\":\"")
+  Alcotest.(check bool) "numeric dur_us" true
+    (match Json.member "dur_us" (parse_ok span_line) with
+     | Some (Json.Num _) -> true
+     | _ -> false)
+
+(* Every committed BENCH_<name>.json parses as one record of the shape
+   {"bench": <name>, "cores", "rows": [{"case": {...}, "metrics": {...}}]}
+   with string or number parameters and numeric metrics. *)
+let bench_records_shape () =
+  let fields what = function
+    | Some (Json.Obj (_ :: _ as kv)) -> kv
+    | _ -> Alcotest.failf "%s is not a non-empty object" what
+  in
+  List.iter
+    (fun name ->
+      let file = Printf.sprintf "../BENCH_%s.json" name in
+      let v = parse_ok (In_channel.with_open_bin file In_channel.input_all) in
+      Alcotest.(check (list string)) (file ^ " top-level keys")
+        [ "bench"; "cores"; "rows" ]
+        (List.map fst (fields file (Some v)));
+      Alcotest.(check (option json)) (file ^ " names its bench")
+        (Some (Json.Str name)) (Json.member "bench" v);
+      (match Json.member "cores" v with
+       | Some (Json.Num c) when Float.is_integer c && c >= 1. -> ()
+       | _ -> Alcotest.failf "%s: cores is not a positive integer" file);
+      match Json.member "rows" v with
+      | Some (Json.Arr (_ :: _ as rows)) ->
+        List.iteri
+          (fun i row ->
+            let what part = Printf.sprintf "%s row %d %s" file i part in
+            Alcotest.(check (list string)) (what "keys") [ "case"; "metrics" ]
+              (List.map fst (fields (what "") (Some row)));
+            List.iter
+              (function
+                | _, (Json.Str _ | Json.Num _) -> ()
+                | k, _ -> Alcotest.failf "%s: %s" (what "case") k)
+              (fields (what "case") (Json.member "case" row));
+            List.iter
+              (function
+                | _, Json.Num _ -> ()
+                | k, _ ->
+                  Alcotest.failf "%s: %s is not a number" (what "metrics") k)
+              (fields (what "metrics") (Json.member "metrics" row)))
+          rows
+      | _ -> Alcotest.failf "%s: rows is not a non-empty array" file)
+    [ "parallel"; "query"; "recovery"; "replication"; "shard" ]
 
 (* The dashboard row of [name] in [ltree top]'s output. *)
 let top_row name =
@@ -696,11 +788,18 @@ let labeled_histogram_series () =
     go 0 0
   in
   Alcotest.(check int) "one HELP header" 1 help_count;
-  let json = Registry.expose_json () in
-  Alcotest.(check bool) "json carries the labels object" true
-    (contains json
-       "{\"name\":\"test_labeled_seconds\",\"help\":\"per-shard commit \
-        latency\",\"labels\":{\"shard\":\"1\"}")
+  let series =
+    named_objects "test_labeled_seconds" "histograms" (Registry.expose_json ())
+  in
+  Alcotest.(check (list string)) "labels sit between help and count"
+    [ "name"; "help"; "labels"; "count"; "sum"; "buckets" ]
+    (match series with
+     | Json.Obj fields :: _ -> List.map fst fields
+     | _ -> Alcotest.fail "no labeled series");
+  Alcotest.(check (list (option json))) "json carries the labels objects"
+    [ Some (Json.Obj [ ("shard", Json.Str "1") ]);
+      Some (Json.Obj [ ("shard", Json.Str "2") ]) ]
+    (List.map (Json.member "labels") series)
 
 let suite =
   ( "obs",
@@ -712,6 +811,7 @@ let suite =
       case "histogram int observations" `Quick histogram_int_observations;
       case "exposition golden" `Quick exposition_golden;
       case "json escaping" `Quick json_escaping;
+      case "json print + parse" `Quick json_print_parse;
       case "jsonl roundtrip" `Quick jsonl_roundtrip;
       case "flamegraph" `Quick flamegraph_render;
       case "accountant bound + storm" `Quick accountant_bound_and_storm;
@@ -722,7 +822,9 @@ let suite =
       case "flamegraph domain sections" `Quick flamegraph_domain_sections;
       case "expose_json golden" `Quick expose_json_golden;
       case "recorder ring + bundle" `Quick recorder_ring_and_bundle;
+      case "bundle attrs round-trip" `Quick bundle_attrs_roundtrip;
       case "one ring, one entry line" `Quick one_ring_one_line;
+      case "BENCH_*.json share one record shape" `Quick bench_records_shape;
       case "telemetry sampler" `Quick telemetry_sampler;
       case "causal ids + stamps" `Quick causal_ids_and_stamps;
       case "labeled histogram series" `Quick labeled_histogram_series ] )

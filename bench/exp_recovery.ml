@@ -13,9 +13,16 @@
    disk; recovery replays every journaled entry through the normal
    update path, so time should grow linearly in journal length.
 
+   Part 3 — the snapshot image (E4, E15): for the documents the
+   end-to-end workloads load, at their (8,2), the bits per label of the
+   image's delta-coded label section next to the §3.1 formula
+   h·log2(f-1) and the fixed-width label, the image size, and the best
+   of ten [Durable_doc.checkpoint]s on the simulated disk.
+
    Rows land in BENCH_recovery.json. *)
 
 open Ltree_recovery
+open Ltree_core
 module Labeled_doc = Ltree_doc.Labeled_doc
 module Journal = Ltree_doc.Journal
 module Dom = Ltree_xml.Dom
@@ -91,6 +98,15 @@ type row =
       replayed : int;
       durable_seq : int;
     }
+  | Image of {
+      doc : string;
+      slots : int;
+      label_bytes : int;
+      formula_bits : float;
+      fixed_bits : int;
+      image_bytes : int;
+      checkpoint_ms : float;
+    }
 
 let run_append ~ops group_commit =
   reset_dir ();
@@ -133,6 +149,60 @@ let run_recover journal_len =
         replayed = report.Durable_doc.entries_replayed;
         durable_seq = report.Durable_doc.durable_seq }
 
+(* The documents of bench/e2e/workload.ml: xmark seed 7 at scale 4
+   (edit_hotspot and replicated_edit) and 16 (query_cold), and the
+   sharded_mix corpus of 64 scale-0.25 sites, here as one L-Tree rather
+   than four shards. *)
+let image_docs =
+  [ ("xmark-4", fun () -> Xml_gen.xmark ~seed:7 ~scale:4. ());
+    ("xmark-16", fun () -> Xml_gen.xmark ~seed:7 ~scale:16. ());
+    ( "corpus-64x0.25",
+      fun () ->
+        let root = Dom.element "corpus" in
+        for i = 0 to 63 do
+          Dom.append_child root
+            (Option.get (Xml_gen.xmark ~seed:i ~scale:0.25 ()).Dom.root)
+        done;
+        Dom.document root ) ]
+
+let rec varint_bytes n = if n < 0x80 then 1 else 1 + varint_bytes (n lsr 7)
+
+let run_image (doc, make) =
+  let params = Params.make ~f:8 ~s:2 in
+  let ldoc = Labeled_doc.of_document ~params (make ()) in
+  let tree = Labeled_doc.tree ldoc in
+  (* The label section's size, gap by gap, as [Snapshot.add_image]
+     writes it: one varint of [gap lsl 1 lor deleted] per slot. *)
+  let label_bytes = ref 0 and prev = ref 0 in
+  Ltree.iter_leaves tree (fun l ->
+      let label = Ltree.label tree l in
+      label_bytes :=
+        !label_bytes
+        + varint_bytes
+            (((label - !prev) lsl 1) lor Bool.to_int (Ltree.is_deleted l));
+      prev := label);
+  let t =
+    Durable_doc.initialize ~io:(Fault.sim_io (Fault.create_sim ()))
+      ~dir:"image" ldoc
+  in
+  let best = ref infinity in
+  for _ = 1 to 10 do
+    let t0 = Unix.gettimeofday () in
+    Durable_doc.checkpoint t;
+    best := Float.min !best (Unix.gettimeofday () -. t0)
+  done;
+  Image
+    { doc;
+      slots = Ltree.length tree;
+      label_bytes = !label_bytes;
+      formula_bits = Analysis.bits ~params ~n:(Ltree.length tree);
+      fixed_bits = Ltree.bits_per_label tree;
+      image_bytes = String.length (Ltree_doc.Snapshot.save ldoc);
+      checkpoint_ms = !best *. 1e3 }
+
+let bits_per_label ~label_bytes ~slots =
+  float_of_int (8 * label_bytes) /. float_of_int slots
+
 let print_rows rows =
   Table.print ~title:"journal append cost vs. group commit"
     ~header:[ "group"; "ops"; "ns/op"; "fsyncs"; "journal bytes" ]
@@ -144,7 +214,7 @@ let print_rows rows =
              [ string_of_int a.group_commit; string_of_int a.ops;
                Printf.sprintf "%.0f" a.ns_per_op; string_of_int a.fsyncs;
                string_of_int a.journal_bytes ]
-         | Recover _ -> None)
+         | Recover _ | Image _ -> None)
        rows);
   Table.print ~title:"recovery time vs. journal length"
     ~header:[ "journal len"; "ms"; "replayed" ]
@@ -155,7 +225,27 @@ let print_rows rows =
            Some
              [ string_of_int r.journal_len; Printf.sprintf "%.2f" r.ms;
                string_of_int r.replayed ]
-         | Append _ -> None)
+         | Append _ | Image _ -> None)
+       rows);
+  Table.print
+    ~title:"snapshot image at (8,2): delta-coded label bits vs. h*log2(f-1)"
+    ~header:
+      [ "document"; "slots"; "label bytes"; "bits/label"; "formula";
+        "fixed"; "image bytes"; "checkpoint ms" ]
+    ~align:
+      [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
+        Table.Right; Table.Right; Table.Right ]
+    (List.filter_map
+       (function
+         | Image i ->
+           Some
+             [ i.doc; string_of_int i.slots; string_of_int i.label_bytes;
+               Printf.sprintf "%.2f"
+                 (bits_per_label ~label_bytes:i.label_bytes ~slots:i.slots);
+               Printf.sprintf "%.2f" i.formula_bits;
+               string_of_int i.fixed_bits; string_of_int i.image_bytes;
+               Printf.sprintf "%.2f" i.checkpoint_ms ]
+         | Append _ | Recover _ -> None)
        rows)
 
 let record_row x =
@@ -175,6 +265,17 @@ let record_row x =
       ~metrics:
         [ ("ms", num r.ms); ("replayed", int r.replayed);
           ("durable_seq", int r.durable_seq) ]
+  | Image i ->
+    row
+      ~case:[ ("section", str "image"); ("doc", str i.doc) ]
+      ~metrics:
+        [ ("slots", int i.slots); ("label_bytes", int i.label_bytes);
+          ( "bits_per_label",
+            num (bits_per_label ~label_bytes:i.label_bytes ~slots:i.slots) );
+          ("formula_bits", num i.formula_bits);
+          ("fixed_bits", int i.fixed_bits);
+          ("image_bytes", int i.image_bytes);
+          ("checkpoint_ms", num i.checkpoint_ms) ]
 
 let () =
   let ops = ref 2_000 and json = ref "" in
@@ -197,7 +298,7 @@ let () =
       (List.filter (fun l -> l <= max 100 !ops) [ 100; 500; 1000; 2000 ])
   in
   remove_dir ();
-  let rows = append_rows @ recover_rows in
+  let rows = append_rows @ recover_rows @ List.map run_image image_docs in
   print_rows rows;
   (* Sanity: group commit must actually reduce fsyncs. *)
   (match (List.hd append_rows, List.nth append_rows 3) with

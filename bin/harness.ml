@@ -574,11 +574,15 @@ let fails_after ~params ~seed ~make_doc ops =
 
 (* Shrink the failing log by replaying candidate subsequences from
    scratch, then rebuild the minimized end state so the dump carries its
-   leaf labels. *)
+   leaf labels.  The flag is [true] when the shrink stopped at
+   [Invariant.shrink_budget]. *)
 let minimized_counterexample t ~make_doc (failure : Invariant.failure) =
   let fails ops = fails_after ~params:t.params ~seed:t.seed ~make_doc ops in
-  let ops = log t in
-  let ops = if fails ops then Invariant.minimize ~fails ops else ops in
+  let { Invariant.log = ops; at_budget } =
+    let ops = log t in
+    if fails ops then Invariant.minimize ~fails ops
+    else { Invariant.log = ops; at_budget = false }
+  in
   let t' = replay ~params:t.params ~seed:t.seed ~make_doc ops in
   (* Re-observe the failure on the minimized replay, so the dumped
      detail describes the state the dump reproduces. *)
@@ -595,4 +599,5 @@ let minimized_counterexample t ~make_doc (failure : Invariant.failure) =
     detail = failure.Invariant.detail;
     ops;
     labels = labels t';
-  }
+  },
+  at_budget

@@ -586,7 +586,14 @@ let check_cmd =
               Printf.printf "flight bundle (%d lines) written to %s\n" n path
             | Error e ->
               Printf.eprintf "flight bundle failed validation: %s\n" e));
-        let c = Harness.minimized_counterexample t ~make_doc failure in
+        let c, at_budget =
+          Harness.minimized_counterexample t ~make_doc failure
+        in
+        if at_budget then
+          Printf.printf
+            "shrink stopped at the budget of %d replays; the dump holds the \
+             smallest failing log found\n"
+            I.shrink_budget;
         I.Counterexample.save ~path:dump c;
         Format.printf "%a@." I.Counterexample.pp c;
         Printf.printf "minimized counterexample (%d ops) written to %s\n"

@@ -167,52 +167,67 @@ module Counterexample = struct
       (fun () -> output_string oc (to_string c))
 end
 
+let shrink_budget = 100
+
+type 'a shrunk = { log : 'a list; at_budget : bool }
+
+exception Out_of_budget
+
 let minimize ?(max_greedy = 64) ~fails ops =
   if not (fails ops) then
     invalid_arg "Invariant.minimize: the operation log does not fail";
-  let arr = Array.of_list ops in
-  let n = Array.length arr in
-  let prefix k = Array.to_list (Array.sub arr 0 k) in
-  (* Smallest failing prefix.  The loop keeps the invariant that
-     [prefix !hi] fails, so the result fails even when failure is not
-     monotone in the prefix length. *)
-  let lo = ref 1 and hi = ref n in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if fails (prefix mid) then hi := mid else lo := mid + 1
-  done;
-  let base = prefix !hi in
-  (* ddmin-style complement reduction: sweep the log trying to drop
-     contiguous chunks, halving the chunk size down to pairs.  When a
-     drop keeps the log failing, stay at the same start (the next chunk
-     slides into place); otherwise move past the chunk. *)
-  let rec sweep size start lst =
-    if start >= List.length lst then lst
-    else begin
-      let candidate =
-        List.filteri (fun j _ -> j < start || j >= start + size) lst
-      in
-      match candidate with
-      | [] -> sweep size (start + size) lst
-      | _ :: _ ->
-        if fails candidate then sweep size start candidate
-        else sweep size (start + size) lst
+  (* Every [fails] call after the first is charged to the budget, and
+     every log that fails is smaller than the last one that did, so
+     [best] is always the smallest failing log found so far. *)
+  let calls = ref 1 in
+  let best = ref (Array.of_list ops) in
+  let fails_arr a =
+    Array.length a > 0
+    && begin
+      if !calls >= shrink_budget then raise Out_of_budget;
+      incr calls;
+      fails (Array.to_list a)
+    end
+    && begin
+      best := a;
+      true
     end
   in
-  let rec reduce size lst =
-    if size < 2 then lst else reduce (size / 2) (sweep size 0 lst)
+  let without a start stop =
+    Array.append (Array.sub a 0 start)
+      (Array.sub a stop (Array.length a - stop))
   in
-  let base = reduce (List.length base / 2) base in
-  if List.length base > max_greedy then base
-  else begin
-    (* Greedily drop single ops while the remainder still fails. *)
-    let cur = ref base in
-    let i = ref 0 in
-    while !i < List.length !cur do
-      let candidate = List.filteri (fun j _ -> j <> !i) !cur in
-      match candidate with
-      | [] -> incr i
-      | _ :: _ -> if fails candidate then cur := candidate else incr i
+  let run () =
+    (* Smallest failing prefix.  The loop keeps the invariant that
+       [prefix !hi] fails, so the result fails even when failure is not
+       monotone in the prefix length. *)
+    let all = !best in
+    let lo = ref 1 and hi = ref (Array.length all) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if fails_arr (Array.sub all 0 mid) then hi := mid else lo := mid + 1
     done;
-    !cur
-  end
+    (* ddmin-style complement reduction: sweep the log trying to drop
+       contiguous chunks, halving the chunk size down to pairs.  When a
+       drop keeps the log failing, stay at the same start (the next
+       chunk slides into place); otherwise move past the chunk. *)
+    let sweep size =
+      let start = ref 0 in
+      while !start < Array.length !best do
+        let cur = !best in
+        let stop = Int.min (Array.length cur) (!start + size) in
+        if not (fails_arr (without cur !start stop)) then
+          start := !start + size
+      done
+    in
+    let size = ref (Array.length !best / 2) in
+    while !size >= 2 do
+      sweep !size;
+      size := !size / 2
+    done;
+    (* Greedily drop single ops while the remainder still fails. *)
+    if Array.length !best <= max_greedy then sweep 1
+  in
+  match run () with
+  | () -> { log = Array.to_list !best; at_budget = false }
+  | exception Out_of_budget -> { log = Array.to_list !best; at_budget = true }

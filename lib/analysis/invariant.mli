@@ -83,11 +83,21 @@ module Counterexample : sig
   val save : path:string -> t -> unit
 end
 
+(** The most [fails] calls one {!minimize} makes, the first included. *)
+val shrink_budget : int
+
+(** A shrunk log: [at_budget] is [true] when {!shrink_budget} ran out
+    before the shrink finished, and [log] is then the smallest failing
+    log found by that point. *)
+type 'a shrunk = { log : 'a list; at_budget : bool }
+
 (** [minimize ~fails ops] shrinks a failing operation log: [fails ops]
     must be [true]; the result still satisfies [fails].  Strategy: binary
     search for a minimal failing prefix, then ddmin-style removal of
     contiguous chunks (halving the chunk size down to pairs), then — for
     results of at most [max_greedy] ops (default 64) — greedy removal of
     single operations.  [fails] is called O(k) times in the worst case
-    (k the prefix length), plus O(k^2) for the final greedy pass. *)
-val minimize : ?max_greedy:int -> fails:('a list -> bool) -> 'a list -> 'a list
+    (k the prefix length), plus O(k^2) for the final greedy pass, and
+    never more than {!shrink_budget} times. *)
+val minimize :
+  ?max_greedy:int -> fails:('a list -> bool) -> 'a list -> 'a shrunk

@@ -266,6 +266,9 @@ let of_labels ?(params = Params.fig2) ?(counters = Counters.create ())
     ~height labels =
   let fail fmt = Ltree_analysis.Invariant.fail ~name:"ltree.of_labels" fmt in
   if height < 1 then fail "Ltree.of_labels: height must be >= 1";
+  if height > params.Params.max_height then
+    fail "Ltree.of_labels: height %d exceeds the largest, %d" height
+      params.Params.max_height;
   let n = Array.length labels in
   let top = Params.pow_radix params height in
   Array.iteri

@@ -1,9 +1,9 @@
 open Ltree_xml
 open Ltree_core
 
-exception Corrupt of string
+exception Corrupt = Varint.Corrupt
 
-let magic = "ltree-snapshot 1"
+let magic = "ltree-snapshot 2\n"
 
 (* [iter_texts f nodes] visits the text nodes under [nodes] in document
    order.  Plain recursion, not [Dom.iter_preorder], so no closure is
@@ -33,113 +33,59 @@ let count_texts roots =
     roots;
   !count
 
-(* [add_digits scratch n pos] writes the decimal digits of [n >= 0]
-   right to left into [scratch], ending at [pos], and returns the
-   position of the first. *)
-let rec add_digits scratch n pos =
-  Bytes.set scratch pos (Char.chr (Char.code '0' + (n mod 10)));
-  if n < 10 then pos else add_digits scratch (n / 10) (pos - 1)
-
-(* Every integer goes straight into the one buffer: the label line of a
-   large document is the bulk of a checkpoint, so no per-entry string
-   is built. *)
-let save ldoc =
+(* One pass over the leaves writes each label as the varint of its
+   gap to the previous one, shifted left once with the tombstone flag in
+   bit 0.  Labels increase strictly in document order, so the gaps are
+   non-negative and small; the first gap is from 0. *)
+let add_image buf ldoc =
   let tree = Labeled_doc.tree ldoc in
   let params = Ltree.params tree in
   let doc = Labeled_doc.document ldoc in
   let roots = Option.to_list doc.Dom.root in
   let ntexts = count_texts roots in
-  let nslots = Ltree.length tree in
-  let buf = Buffer.create (4096 + (nslots * 8)) in
-  (* Labels, slot indices and text lengths are never negative; 19
-     bytes hold the digits of any of them. *)
-  let scratch = Bytes.create 19 in
-  let add_entry n =
-    if n < 0 then invalid_arg "Snapshot.save: negative entry";
-    let pos = add_digits scratch n 18 in
-    Buffer.add_char buf ' ';
-    Buffer.add_subbytes buf scratch pos (19 - pos)
-  in
   Buffer.add_string buf magic;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf
-    (Printf.sprintf "params %d %d\n" params.Params.f params.Params.s);
-  Buffer.add_string buf (Printf.sprintf "height %d\n" (Ltree.height tree));
-  Buffer.add_string buf (Printf.sprintf "labels %d" nslots);
-  let ndeleted = ref 0 in
+  Varint.add buf params.Params.f;
+  Varint.add buf params.Params.s;
+  Varint.add buf (Ltree.height tree);
+  Varint.add buf (Ltree.length tree);
+  let prev = ref 0 in
   Ltree.iter_leaves tree (fun l ->
-      add_entry (Ltree.label tree l);
-      if Ltree.is_deleted l then incr ndeleted);
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "deleted %d" !ndeleted);
-  let i = ref 0 in
-  Ltree.iter_leaves tree (fun l ->
-      if Ltree.is_deleted l then add_entry !i;
-      incr i);
-  Buffer.add_char buf '\n';
+      let label = Ltree.label tree l in
+      let gap = label - !prev in
+      if gap < 0 || gap > max_int lsr 1 then
+        invalid_arg "Snapshot.save: leaf label gap out of range";
+      Varint.add buf ((gap lsl 1) lor Bool.to_int (Ltree.is_deleted l));
+      prev := label);
   (* Reparsing merges adjacent text siblings; their decoded lengths let
      the loader split them back. *)
-  Buffer.add_string buf (Printf.sprintf "texts %d" ntexts);
-  iter_texts (fun _ s -> add_entry (String.length s)) roots;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf "---\n";
-  Buffer.add_string buf (Serializer.to_string doc);
+  Varint.add buf ntexts;
+  iter_texts (fun _ s -> Varint.add buf (String.length s)) roots;
+  Serializer.add_document buf doc
+
+let save ldoc =
+  let nslots = Ltree.length (Labeled_doc.tree ldoc) in
+  let buf = Buffer.create (4096 + (nslots * 16)) in
+  add_image buf ldoc;
   Buffer.contents buf
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Corrupt m)) fmt
-
-let split_line s =
-  match String.index_opt s '\n' with
-  | None -> corrupt "unexpected end of snapshot"
-  | Some i ->
-    (String.sub s 0 i, String.sub s (i + 1) (String.length s - i - 1))
-
-let ints_of_line line expected_tag =
-  match String.split_on_char ' ' line with
-  | tag :: count :: rest when tag = expected_tag -> (
-      match int_of_string_opt count with
-      | None -> corrupt "bad %s count" expected_tag
-      | Some n ->
-        let values =
-          List.map
-            (fun s ->
-              match int_of_string_opt s with
-              | Some v -> v
-              | None -> corrupt "bad %s entry %S" expected_tag s)
-            (List.filter (fun s -> s <> "") rest)
-        in
-        if List.length values <> n then
-          corrupt "%s count mismatch" expected_tag;
-        values)
-  | _ -> corrupt "expected a %s line" expected_tag
 
 (* Undo the text merging the reparse performed: walk the parsed text
    nodes in document order and split any whose length spans several
    recorded lengths. *)
 let resplit_texts (doc : Dom.document) expected =
-  let remaining = ref expected in
+  let next = ref 0 in
   let take () =
-    match !remaining with
-    | [] -> corrupt "more text content than recorded"
-    | l :: rest ->
-      remaining := rest;
-      l
+    if !next >= Array.length expected then
+      corrupt "more text content than recorded";
+    incr next;
+    expected.(!next - 1)
   in
-  let text_nodes = ref [] in
-  (match doc.root with
-   | None -> ()
-   | Some root ->
-     Dom.iter_preorder root (fun n ->
-         match Dom.kind n with
-         | Dom.Text _ -> text_nodes := n :: !text_nodes
-         | Dom.Element _ | Dom.Comment _ | Dom.Pi _ -> ()));
+  let parsed = ref [] in
+  iter_texts (fun n s -> parsed := (n, s) :: !parsed)
+    (Option.to_list doc.root);
   List.iter
-    (fun node ->
-      let s =
-        match Dom.kind node with
-        | Dom.Text s -> s
-        | Dom.Element _ | Dom.Comment _ | Dom.Pi _ -> assert false
-      in
+    (fun (node, s) ->
       let len = String.length s in
       let first = take () in
       if first = len then ()
@@ -158,42 +104,39 @@ let resplit_texts (doc : Dom.document) expected =
           off := !off + next_len
         done
       end)
-    (List.rev !text_nodes);
-  if !remaining <> [] then corrupt "fewer text nodes than recorded"
+    (List.rev !parsed);
+  if !next <> Array.length expected then
+    corrupt "fewer text nodes than recorded"
 
-let load ?counters s =
-  let line, s = split_line s in
-  if line <> magic then corrupt "bad magic %S" line;
-  let params_line, s = split_line s in
+let read ?counters c =
+  Varint.expect c magic;
+  let f = Varint.uint c in
+  let s = Varint.uint c in
   let params =
-    match String.split_on_char ' ' params_line with
-    | [ "params"; f; s ] -> (
-        match (int_of_string_opt f, int_of_string_opt s) with
-        | Some f, Some s -> (
-            try Params.make ~f ~s
-            with Invalid_argument m -> corrupt "bad params: %s" m)
-        | _ -> corrupt "bad params line")
-    | _ -> corrupt "expected a params line"
+    try Params.make ~f ~s with Invalid_argument m -> corrupt "bad params: %s" m
   in
-  let height_line, s = split_line s in
-  let height =
-    match String.split_on_char ' ' height_line with
-    | [ "height"; h ] -> (
-        match int_of_string_opt h with
-        | Some h when h >= 1 -> h
-        | Some _ | None -> corrupt "bad height")
-    | _ -> corrupt "expected a height line"
-  in
-  let labels_line, s = split_line s in
-  let labels = Array.of_list (ints_of_line labels_line "labels") in
-  let deleted_line, s = split_line s in
-  let deleted = ints_of_line deleted_line "deleted" in
-  let texts_line, s = split_line s in
-  let texts = ints_of_line texts_line "texts" in
-  let sep, xml = split_line s in
-  if sep <> "---" then corrupt "expected the --- separator";
+  let height = Varint.uint c in
+  if height < 1 then corrupt "bad height %d" height;
+  let labels = Array.make (Varint.count c "label") 0 in
+  let deleted = ref [] in
+  let prev = ref 0 in
+  for i = 0 to Array.length labels - 1 do
+    let v = Varint.uint c in
+    let label = !prev + (v lsr 1) in
+    if label < !prev then corrupt "label %d: delta overflows" i;
+    labels.(i) <- label;
+    if v land 1 = 1 then deleted := i :: !deleted;
+    prev := label
+  done;
+  let texts = Array.make (Varint.count c "text") 0 in
+  for i = 0 to Array.length texts - 1 do
+    (* [save] refuses empty text nodes, so a zero length is damage. *)
+    let len = Varint.uint c in
+    if len = 0 then corrupt "text %d: empty" i;
+    texts.(i) <- len
+  done;
   let doc =
-    try Parser.parse_string xml with
+    try Parser.parse_string (Varint.rest c) with
     | Parser.Error (msg, pos) ->
       corrupt "embedded document: %s at %s" msg
         (Format.asprintf "%a" Token.pp_position pos)
@@ -204,10 +147,15 @@ let load ?counters s =
   resplit_texts doc texts;
   (* Restoration validates the label state; damage it rejects is still
      a corrupt snapshot, so surface it as such, typed. *)
-  try Labeled_doc.restore ?counters ~params ~height ~labels ~deleted doc with
+  try
+    Labeled_doc.restore ?counters ~params ~height ~labels
+      ~deleted:(List.rev !deleted) doc
+  with
   | Invalid_argument m -> corrupt "label state rejected: %s" m
   | Ltree_analysis.Invariant.Violation { name; detail } ->
     corrupt "label state rejected: %s: %s" name detail
+
+let load ?counters s = read ?counters (Varint.cursor s)
 
 let save_file ldoc path =
   let oc = open_out_bin path in

@@ -1,7 +1,7 @@
 module Labeled_doc = Ltree_doc.Labeled_doc
 module Snapshot = Ltree_doc.Snapshot
 module Journal = Ltree_doc.Journal
-module Invariant = Ltree_analysis.Invariant
+module Varint = Ltree_doc.Varint
 module Span = Ltree_obs.Span
 
 (* Append latency covers journaling plus any group-commit fsync, so the
@@ -20,7 +20,7 @@ let replayed_entries =
     ()
 
 let wal_magic = "ltree-wal 1"
-let snap_magic = "ltree-durable-snapshot 1"
+let snap_magic = "ltree-durable-snapshot 2\n"
 
 type fault =
   | Missing_file of string
@@ -85,6 +85,7 @@ type t = {
   ldoc : Labeled_doc.t;
   group_commit : int;
   pending : Buffer.t;  (* encoded, not yet appended records *)
+  image : Buffer.t;  (* the last checkpoint's snapshot image, reused *)
   mutable pending_count : int;
   mutable last_seq : int;  (* last sequence number assigned *)
   epoch : int;
@@ -112,10 +113,8 @@ let generation t = t.generation
 let record_body ~seq payload = string_of_int seq ^ " " ^ payload
 
 let record_line ~seq entry =
-  let payload = Journal.entry_to_line entry in
-  Printf.sprintf "E %s %s\n"
-    (Checksum.to_hex (Checksum.crc32 (record_body ~seq payload)))
-    (record_body ~seq payload)
+  let body = record_body ~seq (Journal.entry_to_line entry) in
+  Printf.sprintf "E %s %s\n" (Checksum.to_hex (Checksum.crc32 body)) body
 
 (* {1 Journal scanning} *)
 
@@ -229,73 +228,66 @@ let scan_journal ?from io ~dir =
 
 (* {1 Snapshot files} *)
 
-let encode_snapshot ~seq ~epoch payload =
-  Printf.sprintf "%s\nseq %d\nepoch %d\ncrc %s\nlen %d\n%s" snap_magic seq
-    epoch
-    (Checksum.to_hex (Checksum.crc32 payload))
-    (String.length payload) payload
+(* The file is [snap_magic], varints [seq], [epoch] and the payload
+   length, a CRC-32 as four little-endian bytes, then the
+   {!Snapshot.add_image} payload.  The CRC covers the three header
+   varints and the payload, so no flipped bit outside the magic goes
+   unnoticed.  [image] is built in place and copied once, into the
+   file's bytes. *)
+let magic_len = String.length snap_magic
 
-(* Split [data] into header lines and payload without trusting any of
-   it: every step that can fail returns a typed fault. *)
+let snapshot_crc data ~fields_end ~payload_at =
+  Checksum.update_sub
+    (Checksum.update_sub 0 data ~pos:magic_len ~len:(fields_end - magic_len))
+    data ~pos:payload_at
+    ~len:(String.length data - payload_at)
+
+let encode_snapshot ~seq ~epoch image =
+  let header = Buffer.create 48 in
+  Buffer.add_string header snap_magic;
+  Varint.add header seq;
+  Varint.add header epoch;
+  Varint.add header (Buffer.length image);
+  let hlen = Buffer.length header in
+  let out = Bytes.create (hlen + 4 + Buffer.length image) in
+  Buffer.blit header 0 out 0 hlen;
+  Buffer.blit image 0 out (hlen + 4) (Buffer.length image);
+  (* A read-only view for the CRC; [out] is written once more, at
+     bytes the CRC does not cover, before it becomes the string. *)
+  let crc =
+    snapshot_crc (Bytes.unsafe_to_string out) ~fields_end:hlen
+      ~payload_at:(hlen + 4)
+  in
+  Bytes.set_int32_le out hlen (Int32.of_int crc);
+  Bytes.unsafe_to_string out
+
+(* Read the header and then the payload through one cursor without
+   trusting any of it: every failure is a typed fault. *)
 let load_snapshot_file io path =
   match io.Fault.read_file path with
   | None -> Error (Missing_file path)
-  | Some data ->
-    let fail detail = Error (Snapshot_corrupt { file = path; detail }) in
-    let next_line pos =
-      match String.index_from_opt data pos '\n' with
-      | None -> None
-      | Some nl -> Some (String.sub data pos (nl - pos), nl + 1)
-    in
-    (match next_line 0 with
-     | Some (m, p0) when String.equal m snap_magic -> (
-         match next_line p0 with
-         | Some (seq_line, p1) -> (
-             match next_line p1 with
-             | Some (epoch_line, p2) -> (
-                 match next_line p2 with
-                 | Some (crc_line, p3) -> (
-                     match next_line p3 with
-                     | Some (len_line, p4) -> (
-                         let field prefix line =
-                           let pl = String.length prefix in
-                           if
-                             String.length line > pl
-                             && String.equal (String.sub line 0 pl) prefix
-                           then
-                             String.sub line pl (String.length line - pl)
-                           else ""
-                         in
-                         match
-                           ( int_of_string_opt (field "seq " seq_line),
-                             int_of_string_opt (field "epoch " epoch_line),
-                             Checksum.of_hex (field "crc " crc_line),
-                             int_of_string_opt (field "len " len_line) )
-                         with
-                         | Some seq, Some epoch, Some crc, Some len ->
-                           if len < 0 || String.length data - p4 <> len
-                           then fail "payload length mismatch"
-                           else
-                             let payload = String.sub data p4 len in
-                             if Checksum.crc32 payload <> crc then
-                               fail "payload checksum mismatch"
-                             else (
-                               match Snapshot.load payload with
-                               | ldoc -> Ok (ldoc, seq, epoch)
-                               | exception Snapshot.Corrupt detail ->
-                                 fail detail
-                               | exception Invalid_argument detail ->
-                                 fail detail
-                               | exception
-                                   Invariant.Violation { name; detail } ->
-                                 fail (name ^ ": " ^ detail))
-                         | _ -> fail "bad header field")
-                     | None -> fail "truncated header")
-                 | None -> fail "truncated header")
-             | None -> fail "truncated header")
-         | None -> fail "truncated header")
-     | Some _ -> Bad_header { file = path; detail = "bad magic" } |> Result.error
-     | None -> Bad_header { file = path; detail = "empty file" } |> Result.error)
+  | Some "" -> Error (Bad_header { file = path; detail = "empty file" })
+  | Some data -> (
+    let c = Varint.cursor data in
+    match Varint.expect c snap_magic with
+    | exception Varint.Corrupt _ ->
+      Error (Bad_header { file = path; detail = "bad magic" })
+    | () -> (
+      let fail detail = Error (Snapshot_corrupt { file = path; detail }) in
+      match
+        let seq = Varint.uint c in
+        let epoch = Varint.uint c in
+        let len = Varint.uint c in
+        let fields_end = Varint.pos c in
+        let crc = Varint.uint32_le c in
+        if len <> Varint.remaining c then fail "payload length mismatch"
+        else if
+          snapshot_crc data ~fields_end ~payload_at:(Varint.pos c) <> crc
+        then fail "checksum mismatch"
+        else Ok (Snapshot.read c, seq, epoch)
+      with
+      | result -> result
+      | exception Varint.Corrupt detail -> fail detail))
 
 let newest_valid_snapshot io ~dir =
   let current = Filename.concat dir "snapshot" in
@@ -359,9 +351,9 @@ let checkpoint t =
     ~counters:(Labeled_doc.counters t.ldoc) ~attrs
     (fun () ->
       flush_pending t;
-      let encoded =
-        encode_snapshot ~seq:t.last_seq ~epoch:t.epoch (Snapshot.save t.ldoc)
-      in
+      Buffer.clear t.image;
+      Snapshot.add_image t.image t.ldoc;
+      let encoded = encode_snapshot ~seq:t.last_seq ~epoch:t.epoch t.image in
       let tmp = snapshot_tmp_path t in
       t.io.Fault.write_file tmp encoded;
       t.io.Fault.fsync tmp;
@@ -380,7 +372,8 @@ let initialize ~io ?(group_commit = 1) ~dir ldoc =
     invalid_arg "Durable_doc.initialize: group_commit must be >= 1";
   let t =
     { io; dir; ldoc; group_commit; pending = Buffer.create 256;
-      pending_count = 0; last_seq = 0; epoch = 0; generation = 0 }
+      image = Buffer.create 4096; pending_count = 0; last_seq = 0; epoch = 0;
+      generation = 0 }
   in
   checkpoint t;
   t
@@ -457,8 +450,8 @@ let recover_raw ~io ~group_commit ~dir () =
      | Current -> ());
     let t =
       { io; dir; ldoc; group_commit; pending = Buffer.create 256;
-        pending_count = 0; last_seq = !applied_to; epoch = old_epoch + 1;
-        generation = 0 }
+        image = Buffer.create 4096; pending_count = 0;
+        last_seq = !applied_to; epoch = old_epoch + 1; generation = 0 }
     in
     Ok
       ( { source; base_seq; epoch = t.epoch; entries_skipped = !skipped;

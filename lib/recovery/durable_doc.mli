@@ -13,10 +13,13 @@
       {!Ltree_doc.Journal.entry_to_line} output and [crc] is the CRC-32
       of ["<seq> <payload>"] (covering the sequence number, so a record
       cannot be accepted at the wrong position).
-    - [snapshot] / [snapshot.prev] — header ([ltree-durable-snapshot 1],
-      [seq], [epoch], [crc], [len] lines) followed by a raw
-      {!Ltree_doc.Snapshot.save} payload.  [snapshot.prev] is the
-      demoted previous generation, kept as the fallback while the
+    - [snapshot] / [snapshot.prev] — a binary header (the line
+      [ltree-durable-snapshot 2], then varints [seq], [epoch] and the
+      payload length, then a CRC-32 of those three fields and the
+      payload as four little-endian bytes) followed by a
+      {!Ltree_doc.Snapshot.add_image} payload, both read through one
+      {!Ltree_doc.Varint} cursor.  [snapshot.prev] is the demoted
+      previous generation, kept as the fallback while the
       current one could still be mid-write.
 
     {b Checkpoint rotation} is crash-atomic: flush the journal tail,

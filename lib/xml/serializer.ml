@@ -1,45 +1,49 @@
-let escape_common buf s escape_quote =
-  String.iter
-    (fun c ->
-      match c with
-      | '&' -> Buffer.add_string buf "&amp;"
-      | '<' -> Buffer.add_string buf "&lt;"
-      | '>' -> Buffer.add_string buf "&gt;"
-      | '"' when escape_quote -> Buffer.add_string buf "&quot;"
-      | c -> Buffer.add_char buf c)
-    s
+(* [flush buf s run i entity] appends the unescaped run [s.[run..i-1]]
+   and the entity replacing [s.[i]], and returns where the next run
+   starts. *)
+let flush buf s run i entity =
+  Buffer.add_substring buf s run (i - run);
+  Buffer.add_string buf entity;
+  i + 1
 
-let escape_text s =
-  let buf = Buffer.create (String.length s) in
-  escape_common buf s false;
-  Buffer.contents buf
+(* Append [s] escaped: the runs between escapable characters go in
+   with one [add_substring] each, so no per-string buffer is built. *)
+let add_escaped buf s ~quote =
+  let run = ref 0 in
+  for i = 0 to String.length s - 1 do
+    match String.unsafe_get s i with
+    | '&' -> run := flush buf s !run i "&amp;"
+    | '<' -> run := flush buf s !run i "&lt;"
+    | '>' -> run := flush buf s !run i "&gt;"
+    | '"' when quote -> run := flush buf s !run i "&quot;"
+    | _ -> ()
+  done;
+  Buffer.add_substring buf s !run (String.length s - !run)
 
-let escape_attr s =
-  let buf = Buffer.create (String.length s) in
-  escape_common buf s true;
-  Buffer.contents buf
+let rec add_attrs buf = function
+  | [] -> ()
+  | (k, v) :: rest ->
+    Buffer.add_char buf ' ';
+    Buffer.add_string buf k;
+    Buffer.add_string buf "=\"";
+    add_escaped buf v ~quote:true;
+    Buffer.add_char buf '"';
+    add_attrs buf rest
 
-let add_attrs buf attrs =
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char buf ' ';
-      Buffer.add_string buf k;
-      Buffer.add_string buf "=\"";
-      Buffer.add_string buf (escape_attr v);
-      Buffer.add_char buf '"')
-    attrs
+(* With [indent], each node starts on its own line at [depth] levels. *)
+let pad buf ~indent ~depth =
+  match indent with
+  | Some k ->
+    if Buffer.length buf > 0 then Buffer.add_char buf '\n';
+    Buffer.add_string buf (String.make (depth * k) ' ')
+  | None -> ()
 
+(* Plain recursion rather than closures passed to [List.iter], so the
+   unindented writer a checkpoint runs allocates nothing per node. *)
 let rec add_node buf ~indent ~depth n =
-  let pad () =
-    match indent with
-    | Some k ->
-      if Buffer.length buf > 0 then Buffer.add_char buf '\n';
-      Buffer.add_string buf (String.make (depth * k) ' ')
-    | None -> ()
-  in
   match Dom.kind n with
   | Dom.Element name ->
-    pad ();
+    pad buf ~indent ~depth;
     Buffer.add_char buf '<';
     Buffer.add_string buf name;
     add_attrs buf (Dom.attrs n);
@@ -47,31 +51,27 @@ let rec add_node buf ~indent ~depth n =
     if children = [] then Buffer.add_string buf "/>"
     else begin
       Buffer.add_char buf '>';
-      let only_text =
-        List.for_all Dom.is_text children && List.length children = 1
-      in
-      if only_text || indent = None then
-        List.iter (fun c -> add_node buf ~indent:None ~depth:(depth + 1) c)
-          children
-      else begin
-        List.iter (fun c -> add_node buf ~indent ~depth:(depth + 1) c)
-          children;
-        pad ()
-      end;
+      (match (indent, children) with
+       | None, _ -> add_children buf ~indent:None ~depth:(depth + 1) children
+       | Some _, [ only ] when Dom.is_text only ->
+         add_node buf ~indent:None ~depth:(depth + 1) only
+       | Some _, _ ->
+         add_children buf ~indent ~depth:(depth + 1) children;
+         pad buf ~indent ~depth);
       Buffer.add_string buf "</";
       Buffer.add_string buf name;
       Buffer.add_char buf '>'
     end
   | Dom.Text s ->
-    (match indent with Some _ -> pad () | None -> ());
-    Buffer.add_string buf (escape_text s)
+    pad buf ~indent ~depth;
+    add_escaped buf s ~quote:false
   | Dom.Comment s ->
-    pad ();
+    pad buf ~indent ~depth;
     Buffer.add_string buf "<!--";
     Buffer.add_string buf s;
     Buffer.add_string buf "-->"
   | Dom.Pi (target, data) ->
-    pad ();
+    pad buf ~indent ~depth;
     Buffer.add_string buf "<?";
     Buffer.add_string buf target;
     if data <> "" then begin
@@ -80,13 +80,18 @@ let rec add_node buf ~indent ~depth n =
     end;
     Buffer.add_string buf "?>"
 
+and add_children buf ~indent ~depth = function
+  | [] -> ()
+  | c :: rest ->
+    add_node buf ~indent ~depth c;
+    add_children buf ~indent ~depth rest
+
 let node_to_string ?indent n =
   let buf = Buffer.create 256 in
   add_node buf ~indent ~depth:0 n;
   Buffer.contents buf
 
-let to_string ?indent (doc : Dom.document) =
-  let buf = Buffer.create 512 in
+let add_doc buf ~indent (doc : Dom.document) =
   (match doc.xml_decl with
    | Some attrs ->
      Buffer.add_string buf "<?xml";
@@ -106,5 +111,11 @@ let to_string ?indent (doc : Dom.document) =
     doc.prolog_misc;
   (match doc.root with
    | Some root -> add_node buf ~indent ~depth:0 root
-   | None -> ());
+   | None -> ())
+
+let add_document buf doc = add_doc buf ~indent:None doc
+
+let to_string ?indent doc =
+  let buf = Buffer.create 512 in
+  add_doc buf ~indent doc;
   Buffer.contents buf

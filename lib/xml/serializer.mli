@@ -10,3 +10,8 @@ val node_to_string : ?indent:int -> Dom.node -> string
 (** [to_string ?indent doc] serializes the whole document, including the
     XML declaration, DOCTYPE and prolog comments when present. *)
 val to_string : ?indent:int -> Dom.document -> string
+
+(** [add_document buf doc] appends exactly the bytes of [to_string doc]
+    (no indentation) to [buf], with no intermediate string: the
+    snapshot image writes its XML section this way. *)
+val add_document : Buffer.t -> Dom.document -> unit

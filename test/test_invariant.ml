@@ -91,14 +91,14 @@ let minimize_to_culprit () =
   let fails l = List.exists (fun x -> Int.equal x 42) l in
   Alcotest.(check (list int))
     "exactly the culprit op" [ 42 ]
-    (Invariant.minimize ~fails ops);
+    (Invariant.minimize ~fails ops).Invariant.log;
   (* A culprit buried deep in a log much longer than [max_greedy] is
      still isolated, via the chunk sweep. *)
   let ops = List.init 1000 (fun i -> i) in
   let fails l = List.exists (fun x -> Int.equal x 777) l in
   Alcotest.(check (list int))
     "deep culprit isolated" [ 777 ]
-    (Invariant.minimize ~fails ops)
+    (Invariant.minimize ~fails ops).Invariant.log
 
 let minimize_keeps_dependent_ops () =
   let ops = List.init 64 (fun i -> i) in
@@ -108,7 +108,7 @@ let minimize_keeps_dependent_ops () =
   in
   Alcotest.(check (list int))
     "both ops kept, order preserved" [ 10; 42 ]
-    (Invariant.minimize ~fails ops)
+    (Invariant.minimize ~fails ops).Invariant.log
 
 let minimize_incompressible_log () =
   (* When no op can be dropped (failure needs >= 150 ops), the chunk
@@ -116,7 +116,42 @@ let minimize_incompressible_log () =
   let ops = List.init 200 (fun i -> i) in
   let fails l = List.length l >= 150 in
   Alcotest.(check int) "minimal failing prefix" 150
-    (List.length (Invariant.minimize ~fails ops))
+    (List.length (Invariant.minimize ~fails ops).Invariant.log)
+
+(* [fails] counting its calls, so a test can hold [minimize] to
+   [Invariant.shrink_budget]. *)
+let counted fails =
+  let calls = ref 0 in
+  ((fun l -> incr calls; fails l), calls)
+
+let minimize_within_budget () =
+  (* Two ops 3,883 apart in a 4,000-op log: the shrink finds exactly
+     that pair, well inside the budget. *)
+  let ops = List.init 4000 (fun i -> i) in
+  let fails, calls =
+    counted (fun l ->
+        List.exists (fun x -> Int.equal x 17) l
+        && List.exists (fun x -> Int.equal x 3900) l)
+  in
+  let r = Invariant.minimize ~fails ops in
+  Alcotest.(check (list int)) "exactly the two ops" [ 17; 3900 ]
+    r.Invariant.log;
+  Alcotest.(check bool) "finished before the budget" false
+    r.Invariant.at_budget;
+  Alcotest.(check bool) "within the budget" true
+    (!calls <= Invariant.shrink_budget)
+
+let minimize_stops_at_budget () =
+  (* Failure needs 3,000 of 4,000 ops, so the pair sweep alone would
+     replay ~1,500 candidates: the shrink stops at the budget and hands
+     back the smallest failing log it has. *)
+  let ops = List.init 4000 (fun i -> i) in
+  let fails, calls = counted (fun l -> List.length l >= 3000) in
+  let r = Invariant.minimize ~fails ops in
+  Alcotest.(check bool) "stopped at the budget" true r.Invariant.at_budget;
+  Alcotest.(check int) "every call charged" Invariant.shrink_budget !calls;
+  Alcotest.(check int) "smallest failing log found" 3000
+    (List.length r.Invariant.log)
 
 let minimize_requires_failing_log () =
   match Invariant.minimize ~fails:(fun _ -> false) [ 1; 2; 3 ] with
@@ -159,6 +194,7 @@ let of_labels_rejections_roundtrip () =
       ("negative", 3, [| -1 |]);
       ("non-contiguous children", 1, [| 0; 2 |]);
       ("under-occupied", 2, [| 0; 1; 3 |]);
+      ("taller than an int holds", 200, [| 0 |]);
     ]
 
 let suite =
@@ -173,6 +209,9 @@ let suite =
       case "minimize keeps dependent ops" `Quick minimize_keeps_dependent_ops;
       case "minimize incompressible logs" `Quick
         minimize_incompressible_log;
+      case "minimize: 4,000-op log within the budget" `Quick
+        minimize_within_budget;
+      case "minimize stops at the budget" `Quick minimize_stops_at_budget;
       case "minimize requires a failing log" `Quick
         minimize_requires_failing_log;
       case "of_labels rejections round-trip" `Quick

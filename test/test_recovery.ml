@@ -36,6 +36,45 @@ let crc_vectors () =
   Alcotest.(check int) "single byte" 0xE8B7BE43 (Checksum.crc32 "a");
   Alcotest.(check int) "abc" 0x352441C2 (Checksum.crc32 "abc")
 
+(* Bit-at-a-time CRC-32, the definition itself: no table, no slicing. *)
+let crc_reference s =
+  let c = ref 0xFFFFFFFF in
+  String.iter
+    (fun ch ->
+      c := !c lxor Char.code ch;
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done)
+    s;
+  !c lxor 0xFFFFFFFF
+
+let crc_slicing () =
+  (* Slicing-by-8 takes eight bytes per step and finishes byte by byte:
+     every length 0-64 at every start offset 0-7 exercises each mix of
+     whole words and tail, on both [crc32] and [update_sub]. *)
+  let data = String.init 80 (fun i -> Char.chr ((i * 73 + 29) land 0xFF)) in
+  for off = 0 to 7 do
+    for len = 0 to 64 do
+      let s = String.sub data off len in
+      let name = Printf.sprintf "offset %d length %d" off len in
+      Alcotest.(check int) name (crc_reference s) (Checksum.crc32 s);
+      Alcotest.(check int) (name ^ " in place") (crc_reference s)
+        (Checksum.update_sub 0 data ~pos:off ~len)
+    done
+  done;
+  (* Chaining: continuing a CRC over [b] is the CRC of [a ^ b]. *)
+  List.iter
+    (fun (a, b) ->
+      Alcotest.(check int) (Printf.sprintf "update %S %S" a b)
+        (Checksum.crc32 (a ^ b))
+        (Checksum.update_sub (Checksum.crc32 a) b ~pos:0
+           ~len:(String.length b)))
+    [ ("", ""); ("", "abc"); ("abc", ""); ("1234", "56789");
+      ("x", String.sub data 0 64); (String.sub data 3 29, "tail") ];
+  Alcotest.check_raises "range past the end"
+    (Invalid_argument "Checksum.update_sub") (fun () ->
+      ignore (Checksum.update_sub 0 "abc" ~pos:2 ~len:2))
+
 let crc_hex () =
   let c = Checksum.crc32 "123456789" in
   Alcotest.(check string) "hex form" "cbf43926" (Checksum.to_hex c);
@@ -509,6 +548,52 @@ let fuzz_durable_store () =
         (Printexc.to_string e)
   done
 
+(* Every truncation and every single-bit flip of a durable [snapshot]
+   file, with no [snapshot.prev] to fall back on, is a typed snapshot
+   fault: the CRC covers the header fields and the payload, and the
+   magic is checked apart. *)
+let durable_snapshot_sweep () =
+  let sim = Fault.create_sim () in
+  let ldoc = make_ldoc () in
+  ignore (script_against ldoc 12);
+  let root = Option.get (Labeled_doc.document ldoc).Dom.root in
+  Labeled_doc.delete_subtree ldoc (List.hd (Dom.children root));
+  ignore (Durable_doc.initialize ~io:(Fault.sim_io sim) ~dir:"store" ldoc);
+  let pristine =
+    Option.get ((Fault.sim_io sim).Fault.read_file "store/snapshot")
+  in
+  let typed name data =
+    let fsim = damaged sim ~path:"store/snapshot" ~f:(fun _ -> data) in
+    match Durable_doc.recover ~io:(Fault.sim_io fsim) ~dir:"store" () with
+    | Error
+        ((Durable_doc.Bad_header _ | Durable_doc.Snapshot_corrupt _)
+        :: [ Durable_doc.Missing_file _ ]) -> ()
+    | Error faults ->
+      Alcotest.failf "%s: unexpected faults %s" name
+        (String.concat "; "
+           (List.map (Format.asprintf "%a" Durable_doc.pp_fault) faults))
+    | Ok _ -> Alcotest.failf "%s: damaged snapshot accepted" name
+    | exception e ->
+      Alcotest.failf "%s: recovery leaked %s" name (Printexc.to_string e)
+  in
+  for len = 0 to String.length pristine - 1 do
+    typed (Printf.sprintf "truncated to %d" len) (String.sub pristine 0 len)
+  done;
+  for byte = 0 to String.length pristine - 1 do
+    for bit = 0 to 7 do
+      let b = Bytes.of_string pristine in
+      Bytes.set b byte
+        (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl bit)));
+      typed (Printf.sprintf "bit %d of byte %d" bit byte) (Bytes.to_string b)
+    done
+  done;
+  (* The undamaged file still recovers. *)
+  match Durable_doc.recover ~io:(Fault.sim_io sim) ~dir:"store" () with
+  | Ok (_, t) ->
+    Alcotest.(check (list int)) "pristine file recovers" (labels_of ldoc)
+      (labels_of (Durable_doc.ldoc t))
+  | Error _ -> Alcotest.fail "pristine snapshot rejected"
+
 (* {1 The simulated disk against a reference model}
 
    [Ref_disk] is the simulated disk as it was when a file was one
@@ -727,6 +812,7 @@ let sim_disk_matches_reference () =
 let suite =
   ( "recovery",
     [ case "crc32 vectors" `Quick crc_vectors;
+      case "crc32 slicing-by-8 = bitwise reference" `Quick crc_slicing;
       case "crc32 hex forms" `Quick crc_hex;
       case "sim disk matches the reference model" `Quick
         sim_disk_matches_reference;
@@ -746,4 +832,6 @@ let suite =
       case "fuzz: snapshot codec (300 mutations)" `Quick
         fuzz_snapshot_codec;
       case "fuzz: durable store files (200 mutations)" `Quick
-        fuzz_durable_store ] )
+        fuzz_durable_store;
+      case "every damaged snapshot file is a typed fault" `Quick
+        durable_snapshot_sweep ] )

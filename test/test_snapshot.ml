@@ -104,6 +104,60 @@ let file_roundtrip () =
       Alcotest.(check (list int)) "file round trip" (labels_of ldoc)
         (labels_of restored))
 
+(* A plain image encoder, written apart from [Snapshot]: one LEB128
+   varint per entry, labels from [Ltree.labels] and tombstones from a
+   separate pass.  Returns the image and the offsets where its label
+   section and its XML start (the text lengths lie in between). *)
+let add_leb128 buf n =
+  let rec go n =
+    if n < 0x80 then Buffer.add_char buf (Char.chr n)
+    else begin
+      Buffer.add_char buf (Char.chr ((n land 0x7F) + 0x80));
+      go (n lsr 7)
+    end
+  in
+  go n
+
+let reference_image ldoc =
+  let tree = Labeled_doc.tree ldoc in
+  let params = Ltree.params tree in
+  let labels = Ltree.labels tree in
+  let deleted = Array.make (Array.length labels) false in
+  let i = ref 0 in
+  Ltree.iter_leaves tree (fun l ->
+      deleted.(!i) <- Ltree.is_deleted l;
+      incr i);
+  let texts = ref [] in
+  let doc = Labeled_doc.document ldoc in
+  Option.iter
+    (fun root ->
+      Dom.iter_preorder root (fun n ->
+          match Dom.kind n with
+          | Dom.Text s -> texts := String.length s :: !texts
+          | Dom.Element _ | Dom.Comment _ | Dom.Pi _ -> ()))
+    doc.Dom.root;
+  let texts = List.rev !texts in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "ltree-snapshot 2\n";
+  List.iter (add_leb128 buf)
+    [ params.Params.f; params.Params.s; Ltree.height tree;
+      Array.length labels ];
+  let labels_at = Buffer.length buf in
+  Array.iteri
+    (fun i l ->
+      let prev = if i = 0 then 0 else labels.(i - 1) in
+      add_leb128 buf ((2 * (l - prev)) + if deleted.(i) then 1 else 0))
+    labels;
+  add_leb128 buf (List.length texts);
+  List.iter (add_leb128 buf) texts;
+  let xml_at = Buffer.length buf in
+  Buffer.add_string buf (Serializer.to_string doc);
+  (Buffer.contents buf, labels_at, xml_at)
+
+let reference_save ldoc =
+  let image, _, _ = reference_image ldoc in
+  image
+
 let corrupt_rejected () =
   let doc = Parser.parse_string "<a/>" in
   let ldoc = Labeled_doc.of_document doc in
@@ -113,26 +167,39 @@ let corrupt_rejected () =
       (try
          ignore (Snapshot.load s);
          false
-       with
-       | Snapshot.Corrupt _ | Invalid_argument _ -> true
-       | Ltree_analysis.Invariant.Violation _ -> true)
+       with Snapshot.Corrupt _ -> true)
   in
-  let replace hay needle sub =
-    let n = String.length needle and h = String.length hay in
-    let rec find i =
-      if i + n > h then None
-      else if String.sub hay i n = needle then Some i
-      else find (i + 1)
-    in
-    match find 0 with
-    | None -> Alcotest.failf "snapshot does not contain %S" needle
-    | Some i ->
-      String.sub hay 0 i ^ sub ^ String.sub hay (i + n) (h - i - n)
+  let _, labels_at, _ = reference_image ldoc in
+  (* The two slots of <a/> hold labels 0 and 1: gaps 0 and 1, doubled. *)
+  Alcotest.(check string) "label section" "\000\002"
+    (String.sub good labels_at 2);
+  let with_labels gaps =
+    String.sub good 0 labels_at ^ gaps
+    ^ String.sub good (labels_at + 2) (String.length good - labels_at - 2)
   in
   rejects "empty" "";
   rejects "bad magic" ("nonsense\n" ^ good);
+  rejects "version 1 magic"
+    ("ltree-snapshot 1\n" ^ String.sub good 17 (String.length good - 17));
   rejects "truncated" (String.sub good 0 (String.length good / 2));
-  rejects "label tampering" (replace good "labels 2 0 1" "labels 2 1 0")
+  rejects "label tampering" (with_labels "\002\000");
+  rejects "truncated varint" (String.sub good 0 labels_at ^ "\x80");
+  rejects "non-minimal varint" (with_labels "\x80\000");
+  rejects "overlong varint"
+    (with_labels "\xff\xff\xff\xff\xff\xff\xff\xff\x7f");
+  rejects "count past the end"
+    (String.sub good 0 (labels_at - 1) ^ "\x7f"
+     ^ String.sub good labels_at (String.length good - labels_at));
+  (* Three slots, each gap 2^61 - 1: the third label passes max_int. *)
+  let widest = "\xfe\xff\xff\xff\xff\xff\xff\xff\x3f" in
+  match
+    Snapshot.load
+      (String.sub good 0 (labels_at - 1) ^ "\003" ^ widest ^ widest ^ widest
+      ^ String.sub good (labels_at + 2) (String.length good - labels_at - 2))
+  with
+  | _ -> Alcotest.fail "overflowing gap accepted"
+  | exception Snapshot.Corrupt m ->
+    Alcotest.(check string) "delta overflow" "label 2: delta overflows" m
 
 let snapshot_prop =
   QCheck.Test.make ~count:30 ~name:"snapshot round trip on generated docs"
@@ -178,49 +245,9 @@ let empty_text_named () =
   Alcotest.(check (list int)) "round trip after repair" (labels_of ldoc)
     (labels_of restored)
 
-(* The label-line writer must not change a byte of the format.
-   [reference_save] is the formatter as first written — one
-   [" " ^ string_of_int] per entry — and [Snapshot.save] must equal it
-   on documents that cover label 0, tombstoned slots and the large
-   labels of a tall tree with the smallest fan-out. *)
-let reference_save ldoc =
-  let tree = Labeled_doc.tree ldoc in
-  let params = Ltree.params tree in
-  let labels = Ltree.labels tree in
-  let deleted = ref [] in
-  let i = ref 0 in
-  Ltree.iter_leaves tree (fun l ->
-      if Ltree.is_deleted l then deleted := !i :: !deleted;
-      incr i);
-  let texts = ref [] in
-  let doc = Labeled_doc.document ldoc in
-  Option.iter
-    (fun root ->
-      Dom.iter_preorder root (fun n ->
-          match Dom.kind n with
-          | Dom.Text s -> texts := String.length s :: !texts
-          | Dom.Element _ | Dom.Comment _ | Dom.Pi _ -> ()))
-    doc.Dom.root;
-  let texts = List.rev !texts in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "ltree-snapshot 1\n";
-  Buffer.add_string buf
-    (Printf.sprintf "params %d %d\n" params.Params.f params.Params.s);
-  Buffer.add_string buf (Printf.sprintf "height %d\n" (Ltree.height tree));
-  Buffer.add_string buf (Printf.sprintf "labels %d" (Array.length labels));
-  Array.iter (fun l -> Buffer.add_string buf (" " ^ string_of_int l)) labels;
-  Buffer.add_char buf '\n';
-  let deleted = List.rev !deleted in
-  Buffer.add_string buf (Printf.sprintf "deleted %d" (List.length deleted));
-  List.iter (fun i -> Buffer.add_string buf (" " ^ string_of_int i)) deleted;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf (Printf.sprintf "texts %d" (List.length texts));
-  List.iter (fun l -> Buffer.add_string buf (" " ^ string_of_int l)) texts;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf "---\n";
-  Buffer.add_string buf (Serializer.to_string doc);
-  Buffer.contents buf
-
+(* [Snapshot.save] must equal [reference_save] byte for byte on
+   documents that cover label 0, tombstoned slots and the large labels
+   of a tall tree with the smallest fan-out. *)
 (* A generated document edited at random: inserts concentrated on a few
    parents grow the tree, deletions leave tombstones. *)
 let edited_doc ~seed ~size ~params ~edits =
@@ -291,6 +318,59 @@ let save_matches_reference_prop =
       String.equal saved (reference_save ldoc)
       && labels_of (Snapshot.load saved) = labels_of ldoc)
 
+(* Every damaged image either raises [Snapshot.Corrupt] or restores a
+   document that passes [Labeled_doc.check]: any other exception is a
+   leak.  [name] says which damage. *)
+let typed_or_valid name s =
+  match Snapshot.load s with
+  | restored -> (
+      try Labeled_doc.check restored
+      with e ->
+        Alcotest.failf "%s: accepted image fails check: %s" name
+          (Printexc.to_string e))
+  | exception Snapshot.Corrupt _ -> ()
+  | exception e ->
+    Alcotest.failf "%s: decoder leaked %s" name (Printexc.to_string e)
+
+let small_edited_doc () =
+  let ldoc = edited_doc ~seed:5 ~size:40 ~params:Params.fig2 ~edits:30 in
+  let tombstones = ref 0 in
+  Ltree.iter_leaves (Labeled_doc.tree ldoc) (fun l ->
+      if Ltree.is_deleted l then incr tombstones);
+  Alcotest.(check bool) "the document has tombstones" true (!tombstones > 0);
+  ldoc
+
+let every_truncation () =
+  let image = Snapshot.save (small_edited_doc ()) in
+  for len = 0 to String.length image - 1 do
+    typed_or_valid
+      (Printf.sprintf "truncated to %d bytes" len)
+      (String.sub image 0 len)
+  done
+
+(* Every bit before the XML: the magic and the header varints as well
+   as the label and text-length sections (a height too tall for an
+   [int] label must be a typed rejection, not [Params.Label_overflow]). *)
+let every_bit_flip () =
+  let ldoc = small_edited_doc () in
+  let image, _, xml_at = reference_image ldoc in
+  Alcotest.(check string) "image is the reference" image (Snapshot.save ldoc);
+  let corrupt = ref 0 in
+  for byte = 0 to xml_at - 1 do
+    for bit = 0 to 7 do
+      let b = Bytes.of_string image in
+      Bytes.set b byte
+        (Char.chr (Char.code (Bytes.get b byte) lxor (1 lsl bit)));
+      let s = Bytes.to_string b in
+      typed_or_valid (Printf.sprintf "bit %d of byte %d flipped" bit byte) s;
+      match Snapshot.load s with
+      | _ -> ()
+      | exception Snapshot.Corrupt _ -> incr corrupt
+    done
+  done;
+  Alcotest.(check bool) "most flips are caught" true
+    (!corrupt * 2 > xml_at * 8)
+
 let suite =
   ( "snapshot",
     [ case "simple round trip" `Quick roundtrip_simple;
@@ -302,5 +382,7 @@ let suite =
       case "empty text node rejected by index" `Quick empty_text_named;
       case "save is byte-identical to the reference" `Quick
         save_matches_reference;
+      case "every truncation is typed" `Quick every_truncation;
+      case "every header/label/text bit flip is typed" `Quick every_bit_flip;
       QCheck_alcotest.to_alcotest save_matches_reference_prop;
       QCheck_alcotest.to_alcotest snapshot_prop ] )

@@ -165,22 +165,24 @@ let image_docs =
         done;
         Dom.document root ) ]
 
-let rec varint_bytes n = if n < 0x80 then 1 else 1 + varint_bytes (n lsr 7)
+(* The label section's size, read off the real image: past the magic
+   and the f, s and height varints comes the slot count, then one varint
+   per slot.  A new image version fails the [expect]. *)
+let label_section_bytes image =
+  let module Varint = Ltree_doc.Varint in
+  let c = Varint.cursor image in
+  Varint.expect c "ltree-snapshot 2\n";
+  for _ = 1 to 3 do ignore (Varint.uint c : int) done;
+  let slots = Varint.count c "label" in
+  let start = Varint.pos c in
+  for _ = 1 to slots do ignore (Varint.uint c : int) done;
+  Varint.pos c - start
 
 let run_image (doc, make) =
   let params = Params.make ~f:8 ~s:2 in
   let ldoc = Labeled_doc.of_document ~params (make ()) in
   let tree = Labeled_doc.tree ldoc in
-  (* The label section's size, gap by gap, as [Snapshot.add_image]
-     writes it: one varint of [gap lsl 1 lor deleted] per slot. *)
-  let label_bytes = ref 0 and prev = ref 0 in
-  Ltree.iter_leaves tree (fun l ->
-      let label = Ltree.label tree l in
-      label_bytes :=
-        !label_bytes
-        + varint_bytes
-            (((label - !prev) lsl 1) lor Bool.to_int (Ltree.is_deleted l));
-      prev := label);
+  let image = Ltree_doc.Snapshot.save ldoc in
   let t =
     Durable_doc.initialize ~io:(Fault.sim_io (Fault.create_sim ()))
       ~dir:"image" ldoc
@@ -194,10 +196,10 @@ let run_image (doc, make) =
   Image
     { doc;
       slots = Ltree.length tree;
-      label_bytes = !label_bytes;
+      label_bytes = label_section_bytes image;
       formula_bits = Analysis.bits ~params ~n:(Ltree.length tree);
       fixed_bits = Ltree.bits_per_label tree;
-      image_bytes = String.length (Ltree_doc.Snapshot.save ldoc);
+      image_bytes = String.length image;
       checkpoint_ms = !best *. 1e3 }
 
 let bits_per_label ~label_bytes ~slots =

@@ -580,8 +580,10 @@ let minimized_counterexample t ~make_doc (failure : Invariant.failure) =
   let fails ops = fails_after ~params:t.params ~seed:t.seed ~make_doc ops in
   let { Invariant.log = ops; at_budget } =
     let ops = log t in
-    if fails ops then Invariant.minimize ~fails ops
-    else { Invariant.log = ops; at_budget = false }
+    (* [minimize] replays the whole log first and rejects one that does
+       not fail; the unshrunk log is then the dump. *)
+    try Invariant.minimize ~fails ops
+    with Invalid_argument _ -> { Invariant.log = ops; at_budget = false }
   in
   let t' = replay ~params:t.params ~seed:t.seed ~make_doc ops in
   (* Re-observe the failure on the minimized replay, so the dumped

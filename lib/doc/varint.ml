@@ -12,7 +12,7 @@ let rec add buf n =
 
 type cursor = { data : string; mutable pos : int }
 
-let cursor ?(pos = 0) data = { data; pos }
+let cursor data = { data; pos = 0 }
 let pos c = c.pos
 let remaining c = String.length c.data - c.pos
 

@@ -18,8 +18,8 @@ val add : Buffer.t -> int -> unit
 (** A read position in a string. *)
 type cursor
 
-(** [cursor ?pos data] starts reading [data] at [pos] (default 0). *)
-val cursor : ?pos:int -> string -> cursor
+(** [cursor data] starts reading [data] at its first byte. *)
+val cursor : string -> cursor
 
 val pos : cursor -> int
 

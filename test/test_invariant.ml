@@ -86,19 +86,25 @@ let counterexample_rejects_garbage () =
       Invariant.Counterexample.to_string sample ^ "trailing garbage\n";
     ]
 
+(* [minimize] run to completion: the shrunk log, after checking that
+   the budget did not cut the shrink short. *)
+let finished ~fails ops =
+  let r = Invariant.minimize ~fails ops in
+  Alcotest.(check bool) "finished before the budget" false
+    r.Invariant.at_budget;
+  r.Invariant.log
+
 let minimize_to_culprit () =
   let ops = List.init 100 (fun i -> i) in
   let fails l = List.exists (fun x -> Int.equal x 42) l in
-  Alcotest.(check (list int))
-    "exactly the culprit op" [ 42 ]
-    (Invariant.minimize ~fails ops).Invariant.log;
+  Alcotest.(check (list int)) "exactly the culprit op" [ 42 ]
+    (finished ~fails ops);
   (* A culprit buried deep in a log much longer than [max_greedy] is
      still isolated, via the chunk sweep. *)
   let ops = List.init 1000 (fun i -> i) in
   let fails l = List.exists (fun x -> Int.equal x 777) l in
-  Alcotest.(check (list int))
-    "deep culprit isolated" [ 777 ]
-    (Invariant.minimize ~fails ops).Invariant.log
+  Alcotest.(check (list int)) "deep culprit isolated" [ 777 ]
+    (finished ~fails ops)
 
 let minimize_keeps_dependent_ops () =
   let ops = List.init 64 (fun i -> i) in
@@ -106,17 +112,26 @@ let minimize_keeps_dependent_ops () =
     List.exists (fun x -> Int.equal x 10) l
     && List.exists (fun x -> Int.equal x 42) l
   in
-  Alcotest.(check (list int))
-    "both ops kept, order preserved" [ 10; 42 ]
-    (Invariant.minimize ~fails ops).Invariant.log
+  Alcotest.(check (list int)) "both ops kept, order preserved" [ 10; 42 ]
+    (finished ~fails ops)
 
 let minimize_incompressible_log () =
-  (* When no op can be dropped (failure needs >= 150 ops), the chunk
-     sweep removes nothing and the minimal failing prefix survives. *)
+  (* When no op can be dropped (failure needs >= 30 ops), the chunk
+     sweep and the greedy pass remove nothing and the minimal failing
+     prefix survives. *)
+  let ops = List.init 40 (fun i -> i) in
+  let fails l = List.length l >= 30 in
+  Alcotest.(check int) "minimal failing prefix" 30
+    (List.length (finished ~fails ops));
+  (* With 150 ops needed, the sweeps down to pairs alone would replay
+     about 146 candidates, so the budget ends the shrink; the prefix
+     search ran first, so the dump is still the minimal prefix. *)
   let ops = List.init 200 (fun i -> i) in
   let fails l = List.length l >= 150 in
+  let r = Invariant.minimize ~fails ops in
+  Alcotest.(check bool) "stopped at the budget" true r.Invariant.at_budget;
   Alcotest.(check int) "minimal failing prefix" 150
-    (List.length (Invariant.minimize ~fails ops).Invariant.log)
+    (List.length r.Invariant.log)
 
 (* [fails] counting its calls, so a test can hold [minimize] to
    [Invariant.shrink_budget]. *)
@@ -133,11 +148,8 @@ let minimize_within_budget () =
         List.exists (fun x -> Int.equal x 17) l
         && List.exists (fun x -> Int.equal x 3900) l)
   in
-  let r = Invariant.minimize ~fails ops in
   Alcotest.(check (list int)) "exactly the two ops" [ 17; 3900 ]
-    r.Invariant.log;
-  Alcotest.(check bool) "finished before the budget" false
-    r.Invariant.at_budget;
+    (finished ~fails ops);
   Alcotest.(check bool) "within the budget" true
     (!calls <= Invariant.shrink_budget)
 

@@ -572,34 +572,47 @@ let fails_after ~params ~seed ~make_doc ops =
   | [] -> false
   | _ :: _ -> true
 
+(* How a shrink ended: done, stopped at [Invariant.shrink_budget], or
+   never started because a from-scratch replay of the whole log passes
+   (the live failure is not a function of the log alone). *)
+type shrink = Shrunk | At_budget | Not_reproduced
+
 (* Shrink the failing log by replaying candidate subsequences from
    scratch, then rebuild the minimized end state so the dump carries its
-   leaf labels.  The flag is [true] when the shrink stopped at
-   [Invariant.shrink_budget]. *)
+   leaf labels.  A log that does not fail on replay is dumped whole, and
+   its detail says that it does not reproduce rather than repeat the
+   live failure's. *)
 let minimized_counterexample t ~make_doc (failure : Invariant.failure) =
   let fails ops = fails_after ~params:t.params ~seed:t.seed ~make_doc ops in
-  let { Invariant.log = ops; at_budget } =
+  let ops, outcome =
     let ops = log t in
     (* [minimize] replays the whole log first and rejects one that does
-       not fail; the unshrunk log is then the dump. *)
-    try Invariant.minimize ~fails ops
-    with Invalid_argument _ -> { Invariant.log = ops; at_budget = false }
+       not fail. *)
+    match Invariant.minimize ~fails ops with
+    | { Invariant.log; at_budget } ->
+      (log, if at_budget then At_budget else Shrunk)
+    | exception Invalid_argument _ -> (ops, Not_reproduced)
   in
   let t' = replay ~params:t.params ~seed:t.seed ~make_doc ops in
-  (* Re-observe the failure on the minimized replay, so the dumped
-     detail describes the state the dump reproduces. *)
-  let failure =
-    match Invariant.run_all (registry t') with
-    | f :: _ -> f
-    | [] -> failure
+  let detail =
+    match (outcome, Invariant.run_all (registry t')) with
+    | (Shrunk | At_budget), f :: _ ->
+      (* Re-observed on the minimized replay, so the detail describes
+         the state the dump reproduces. *)
+      f.Invariant.detail
+    | Not_reproduced, _ | (Shrunk | At_budget), [] ->
+      Printf.sprintf
+        "not reproduced: a replay of the %d-op log passes every \
+         invariant; the live run reported: %s"
+        (List.length ops) failure.Invariant.detail
   in
-  {
-    Invariant.Counterexample.f = t.params.Params.f;
-    s = t.params.Params.s;
-    seed = t.seed;
-    failing = failure.Invariant.name;
-    detail = failure.Invariant.detail;
-    ops;
-    labels = labels t';
-  },
-  at_budget
+  ( {
+      Invariant.Counterexample.f = t.params.Params.f;
+      s = t.params.Params.s;
+      seed = t.seed;
+      failing = failure.Invariant.name;
+      detail;
+      ops;
+      labels = labels t';
+    },
+    outcome )

@@ -586,17 +586,26 @@ let check_cmd =
               Printf.printf "flight bundle (%d lines) written to %s\n" n path
             | Error e ->
               Printf.eprintf "flight bundle failed validation: %s\n" e));
-        let c, at_budget =
+        let c, outcome =
           Harness.minimized_counterexample t ~make_doc failure
         in
-        if at_budget then
-          Printf.printf
-            "shrink stopped at the budget of %d replays; the dump holds the \
-             smallest failing log found\n"
-            I.shrink_budget;
+        (match outcome with
+         | Harness.Shrunk -> ()
+         | Harness.At_budget ->
+           Printf.printf
+             "shrink stopped at the budget of %d replays; the dump holds \
+              the smallest failing log found\n"
+             I.shrink_budget
+         | Harness.Not_reproduced ->
+           Printf.printf
+             "the failure did not reproduce: a replay of the whole log \
+              passes every invariant, so it was not shrunk\n");
         I.Counterexample.save ~path:dump c;
         Format.printf "%a@." I.Counterexample.pp c;
-        Printf.printf "minimized counterexample (%d ops) written to %s\n"
+        Printf.printf "%s (%d ops) written to %s\n"
+          (match outcome with
+           | Harness.Not_reproduced -> "unreproduced failure log"
+           | Harness.Shrunk | Harness.At_budget -> "minimized counterexample")
           (List.length c.I.Counterexample.ops)
           dump;
         exit 1

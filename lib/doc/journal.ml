@@ -1,6 +1,6 @@
 open Ltree_xml
 
-exception Corrupt of string
+exception Corrupt = Varint.Corrupt
 exception Replay_error of { what : string; anchor : int }
 
 type entry =
@@ -14,9 +14,9 @@ let create () = { entries = [] }
 let length t = List.length t.entries
 let clear t = t.entries <- []
 
-(* One-line-safe encoding: XML entities plus numeric escapes for the
-   line breaks; decoded with the lexer's entity decoder. *)
-let encode s =
+(* One-line-safe text: XML entities plus numeric escapes for the line
+   breaks.  Only {!entry_to_line} prints it; nothing parses it back. *)
+let escape s =
   let buf = Buffer.create (String.length s) in
   String.iter
     (fun c ->
@@ -29,10 +29,6 @@ let encode s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
-
-let decode s =
-  try Lexer.decode_entities s
-  with Lexer.Error (msg, _) -> raise (Corrupt ("bad escape: " ^ msg))
 
 let start_label_of ldoc node =
   (Labeled_doc.label ldoc node).Labeled_doc.start_pos
@@ -72,28 +68,48 @@ let set_text t ldoc node s =
 let entry_to_line entry =
   match entry with
   | Insert { anchor; index; xml } ->
-    Printf.sprintf "I %d %d %s" anchor index (encode xml)
+    Printf.sprintf "I %d %d %s" anchor index (escape xml)
   | Delete { anchor } -> Printf.sprintf "D %d" anchor
   | Set_text { anchor; text } ->
-    Printf.sprintf "T %d %s" anchor (encode text)
+    Printf.sprintf "T %d %s" anchor (escape text)
 
-let entry_of_line line =
-  match String.split_on_char ' ' line with
-  | "I" :: anchor :: index :: xml_parts -> (
-      match (int_of_string_opt anchor, int_of_string_opt index) with
-      | Some anchor, Some index ->
-        Insert { anchor; index; xml = decode (String.concat " " xml_parts) }
-      | _ -> raise (Corrupt ("bad insert entry: " ^ line)))
-  | [ "D"; anchor ] -> (
-      match int_of_string_opt anchor with
-      | Some anchor -> Delete { anchor }
-      | None -> raise (Corrupt ("bad delete entry: " ^ line)))
-  | "T" :: anchor :: text_parts -> (
-      match int_of_string_opt anchor with
-      | Some anchor ->
-        Set_text { anchor; text = decode (String.concat " " text_parts) }
-      | None -> raise (Corrupt ("bad set_text entry: " ^ line)))
-  | _ -> raise (Corrupt ("bad journal entry: " ^ line))
+(* The binary entry: a kind byte, the anchor varint, then an insert's
+   index varint and fragment or a set_text's text, as length-prefixed
+   raw bytes. *)
+let encode_entry entry =
+  let b = Buffer.create 64 in
+  (match entry with
+   | Insert { anchor; index; xml } ->
+     Buffer.add_char b 'I';
+     Varint.add b anchor;
+     Varint.add b index;
+     Varint.add b (String.length xml);
+     Buffer.add_string b xml
+   | Delete { anchor } ->
+     Buffer.add_char b 'D';
+     Varint.add b anchor
+   | Set_text { anchor; text } ->
+     Buffer.add_char b 'T';
+     Varint.add b anchor;
+     Varint.add b (String.length text);
+     Buffer.add_string b text);
+  Buffer.contents b
+
+let decode_entry s =
+  let c = Varint.cursor s in
+  let kind = Varint.byte c in
+  let anchor = Varint.uint c in
+  let entry =
+    match kind with
+    | 'I' ->
+      let index = Varint.uint c in
+      Insert { anchor; index; xml = Varint.string c "fragment" }
+    | 'D' -> Delete { anchor }
+    | 'T' -> Set_text { anchor; text = Varint.string c "text" }
+    | k -> raise (Corrupt (Printf.sprintf "unknown entry kind %C" k))
+  in
+  if Varint.remaining c > 0 then raise (Corrupt "bytes after the entry");
+  entry
 
 let resolve ldoc anchor what =
   match Labeled_doc.node_by_start_label ldoc anchor with

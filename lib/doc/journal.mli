@@ -48,12 +48,19 @@ type entry =
   | Delete of { anchor : int }
   | Set_text of { anchor : int; text : string }
 
-(** [entry_to_line e] is the one-line textual form of an entry (no
-    newline; fragments and text are XML-escaped). *)
+(** [entry_to_line e] is the one-line textual form of an entry, for
+    printing (no newline; fragments and text are XML-escaped). *)
 val entry_to_line : entry -> string
 
-(** [entry_of_line s] parses one entry line.  Raises {!Corrupt}. *)
-val entry_of_line : string -> entry
+(** [encode_entry e] is the bytes a journal record and a data frame
+    carry: a kind byte ([I], [D], [T]), the anchor varint, then an
+    insert's index varint and fragment or a set_text's text, each
+    string a varint length and its raw bytes (no escaping). *)
+val encode_entry : entry -> string
+
+(** [decode_entry s] reads the entry that fills [s], or raises
+    {!Corrupt}.  If it returns [e], [encode_entry e = s]. *)
+val decode_entry : string -> entry
 
 (** [apply_entry ldoc e] applies one entry to a document.  Raises
     {!Replay_error} when the anchor label does not resolve
@@ -64,7 +71,7 @@ val apply_entry : Labeled_doc.t -> entry -> unit
 
 (** {1 Replay} *)
 
-(** A journal line that does not parse. *)
+(** An undecodable entry or unparsable fragment; {!Varint.Corrupt}. *)
 exception Corrupt of string
 
 (** An entry whose anchor label resolves to no live node: the journal

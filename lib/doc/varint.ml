@@ -12,7 +12,9 @@ let rec add buf n =
 
 type cursor = { data : string; mutable pos : int }
 
-let cursor data = { data; pos = 0 }
+let cursor ?(pos = 0) data =
+  if pos < 0 || pos > String.length data then invalid_arg "Varint.cursor";
+  { data; pos }
 let pos c = c.pos
 let remaining c = String.length c.data - c.pos
 
@@ -45,6 +47,17 @@ let count c what =
   if n > remaining c then
     corrupt "%s count %d exceeds the %d bytes left" what n (remaining c);
   n
+
+let byte c =
+  if remaining c < 1 then corrupt "truncated byte at %d" c.pos;
+  c.pos <- c.pos + 1;
+  String.unsafe_get c.data (c.pos - 1)
+
+let string c what =
+  let n = count c what in
+  let s = String.sub c.data c.pos n in
+  c.pos <- c.pos + n;
+  s
 
 let expect c lit =
   let n = String.length lit in

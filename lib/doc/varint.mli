@@ -1,6 +1,5 @@
-(** Unsigned LEB128 varints and the one decoding cursor of the binary
-    snapshot image ({!Snapshot}) and the durable snapshot file header
-    ([Ltree_recovery.Durable_doc]).
+(** Unsigned LEB128 varints and the one decoding cursor of every binary
+    format: snapshot images, journal records and wire frames.
 
     A value is written seven bits per byte, low group first, the high
     bit of each byte set while more follow: [0..127] takes one byte,
@@ -18,8 +17,8 @@ val add : Buffer.t -> int -> unit
 (** A read position in a string. *)
 type cursor
 
-(** [cursor data] starts reading [data] at its first byte. *)
-val cursor : string -> cursor
+(** [cursor ?pos data] starts reading [data] at byte [pos] (default 0). *)
+val cursor : ?pos:int -> string -> cursor
 
 val pos : cursor -> int
 
@@ -36,6 +35,13 @@ val uint : cursor -> int
     byte each, and raises {!Corrupt} (naming [what]) when it exceeds the
     bytes left — so a damaged count can never size an allocation. *)
 val count : cursor -> string -> int
+
+(** [byte c] reads one raw byte, such as a kind tag. *)
+val byte : cursor -> char
+
+(** [string c what] reads a varint length, then that many raw bytes
+    (see {!count}). *)
+val string : cursor -> string -> string
 
 (** [expect c lit] consumes the literal [lit] or raises {!Corrupt}. *)
 val expect : cursor -> string -> unit

@@ -4,3 +4,6 @@ include Hashtbl.Make (struct
   let equal = Int.equal
   let hash = Hashtbl.hash
 end)
+
+let drop_below t cut =
+  filter_map_inplace (fun k v -> if k < cut then None else Some v) t

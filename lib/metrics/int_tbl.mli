@@ -9,3 +9,6 @@
     library because every other library already links that one. *)
 
 include Hashtbl.S with type key = int
+
+(** [drop_below t cut] removes every binding whose key is below [cut]. *)
+val drop_below : 'a t -> int -> unit

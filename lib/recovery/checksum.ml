@@ -61,10 +61,3 @@ let update_sub crc s ~pos ~len =
 let crc32 s = update_sub 0 s ~pos:0 ~len:(String.length s)
 
 let to_hex c = Printf.sprintf "%08x" (c land mask)
-
-let of_hex s =
-  if String.length s <> 8 then None
-  else
-    match int_of_string_opt ("0x" ^ s) with
-    | Some v when v >= 0 && v <= mask -> Some v
-    | Some _ | None -> None

@@ -19,7 +19,7 @@ let replayed_entries =
     ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1. ~count:16)
     ()
 
-let wal_magic = "ltree-wal 1"
+let wal_magic = "ltree-wal 2\n"
 let snap_magic = "ltree-durable-snapshot 2\n"
 
 type fault =
@@ -103,67 +103,60 @@ let pending t = t.pending_count
 let epoch t = t.epoch
 let generation t = t.generation
 
-(* {1 Record framing}
+(* {1 Journal records}
 
-   One record per line: [E <seq> <crc> <payload>] where [payload] is
-   {!Journal.entry_to_line} (already newline-free) and [crc] is the
-   CRC-32 of ["<seq> <payload>"] — covering the sequence number, so a
-   record cannot be replayed under the wrong position either. *)
+   After the header, one {!Record} per operation whose body is the
+   varint [seq] and the {!Journal.encode_entry} bytes.  The record CRC
+   covers the sequence number too, so a record cannot be accepted at
+   the wrong position. *)
 
-let record_body ~seq payload = string_of_int seq ^ " " ^ payload
-
-let record_line ~seq entry =
-  let body = record_body ~seq (Journal.entry_to_line entry) in
-  Printf.sprintf "E %s %s\n" (Checksum.to_hex (Checksum.crc32 body)) body
+let add_record buf ~seq bytes =
+  Record.add buf (fun body ->
+      Varint.add body seq;
+      Buffer.add_string body bytes)
 
 (* {1 Journal scanning} *)
 
+type record = { seq : int; entry : Journal.entry; bytes : string }
+
 type scan = {
-  records : (int * Journal.entry) list;  (* oldest first, contiguous *)
+  records : record list;  (* oldest first, contiguous *)
   scan_fault : fault option;  (* why the scan stopped, if it did *)
-  dropped : int;  (* line-shaped chunks after the fault *)
+  dropped : int;  (* length-delimited chunks from the fault on *)
   valid_bytes : int;  (* prefix length holding header + valid records *)
   next_seq : int;  (* seq the next record must carry; 0 = any *)
   scanned_bytes : int;  (* file bytes read past the scan's start *)
 }
 
-(* Parse ["E <crc> <seq> <payload>"].  Any deviation is a typed fault;
-   the caller stops at the first one (a journal is only trusted up to
-   its first bad byte). *)
-let parse_record ~expected_seq line =
-  match String.split_on_char ' ' line with
-  | "E" :: crc :: seq :: rest -> (
-      match (Checksum.of_hex crc, int_of_string_opt seq) with
-      | None, _ -> Error (Bad_record { seq = expected_seq; detail = "bad crc field" })
-      | _, None -> Error (Bad_record { seq = expected_seq; detail = "bad seq field" })
-      | Some crc, Some seq ->
-        let payload = String.concat " " rest in
-        if Checksum.crc32 (record_body ~seq payload) <> crc then
-          Error (Checksum_mismatch { seq = expected_seq })
-        else if expected_seq <> 0 && seq <> expected_seq then
-          Error (Sequence_gap { expected = expected_seq; got = seq })
-        else (
-          match Journal.entry_of_line payload with
-          | entry -> Ok (seq, entry)
-          | exception Journal.Corrupt detail ->
-            Error (Bad_record { seq; detail })))
-  | _ -> Error (Bad_record { seq = expected_seq; detail = "unrecognized line" })
+let header_len = String.length wal_magic
 
-(* Count how many line-shaped chunks follow offset [from] — the size of
-   the tail a fault condemns. *)
-let count_tail_lines data from =
-  let len = String.length data in
-  let n = ref 0 in
-  for i = from to len - 1 do
-    if Char.equal data.[i] '\n' then incr n
-  done;
-  if len > from && not (Char.equal data.[len - 1] '\n') then incr n;
-  !n
+(* The record at [pos], which must carry [expected] (0 = any).  Any
+   deviation is a typed fault; the caller stops at the first one (a
+   journal is only trusted up to its first bad byte). *)
+let read_record data ~pos ~expected =
+  match Record.read data ~pos with
+  | Error Record.Truncated ->
+    (* The file ends mid-record: the record was torn by the crash. *)
+    Error (Torn_record { seq = Int.max 1 expected })
+  | Error (Record.Checksum_mismatch _) ->
+    Error (Checksum_mismatch { seq = expected })
+  | Error (Record.Malformed detail) ->
+    Error (Bad_record { seq = expected; detail })
+  | Ok (body, next) -> (
+    let c = Varint.cursor body in
+    match Varint.uint c with
+    | exception Varint.Corrupt detail ->
+      Error (Bad_record { seq = expected; detail })
+    | seq when expected <> 0 && seq <> expected ->
+      Error (Sequence_gap { expected; got = seq })
+    | seq -> (
+      let bytes = Varint.rest c in
+      match Journal.decode_entry bytes with
+      | entry -> Ok ({ seq; entry; bytes }, next)
+      | exception Journal.Corrupt detail -> Error (Bad_record { seq; detail })))
 
-let header_len = String.length wal_magic + 1
-
-(* The one record loop: parse from byte [start], where the next record
-   must carry [expected] (0 = any), up to the end or the first fault. *)
+(* The one record loop: from byte [start], where the next record must
+   carry [expected], up to the end or the first fault. *)
 let scan_records data ~start ~expected ~read_from =
   let len = String.length data in
   let records = ref [] in
@@ -171,22 +164,16 @@ let scan_records data ~start ~expected ~read_from =
   let pos = ref start in
   let expected = ref expected in
   while Option.is_none !fault && !pos < len do
-    match String.index_from_opt data !pos '\n' with
-    | None ->
-      (* The file ends mid-line: the record was torn by the crash. *)
-      fault := Some (Torn_record { seq = Int.max 1 !expected })
-    | Some nl -> (
-      let line = String.sub data !pos (nl - !pos) in
-      match parse_record ~expected_seq:!expected line with
-      | Ok (seq, entry) ->
-        records := (seq, entry) :: !records;
-        expected := seq + 1;
-        pos := nl + 1
-      | Error f -> fault := Some f)
+    match read_record data ~pos:!pos ~expected:!expected with
+    | Ok (r, next) ->
+      records := r :: !records;
+      expected := r.seq + 1;
+      pos := next
+    | Error f -> fault := Some f
   done;
   { records = List.rev !records;
     scan_fault = !fault;
-    dropped = count_tail_lines data !pos;
+    dropped = Record.count_chunks data ~pos:!pos;
     valid_bytes = !pos;
     next_seq = !expected;
     scanned_bytes = len - read_from }
@@ -216,14 +203,14 @@ let scan_journal ?from io ~dir =
            a zero drop count: recovery re-homes the header and proceeds
            from the snapshot alone. *)
         header_fault (Empty_journal path) ~dropped:0 ~scanned_bytes:0
-      else if
-        len < header_len
-        || not (String.equal (String.sub data 0 (header_len - 1)) wal_magic)
-        || not (Char.equal data.[header_len - 1] '\n')
-      then
+      else if not (String.starts_with ~prefix:wal_magic data) then
+        (* The header is one condemned chunk, the records after it the
+           rest. *)
         header_fault
           (Bad_header { file = path; detail = "bad magic" })
-          ~dropped:(count_tail_lines data 0) ~scanned_bytes:len
+          ~dropped:
+            (1 + Record.count_chunks data ~pos:(Int.min len header_len))
+          ~scanned_bytes:len
       else scan_records data ~start:header_len ~expected:0 ~read_from:0)
 
 (* {1 Snapshot files} *)
@@ -323,10 +310,11 @@ let apply t entry =
          (seq, payload), so this stamp and the replica's recomputation
          agree without shipping the id.  First-wins keeps the primary's
          append tick when a replica re-applies the same record. *)
+      let bytes = Journal.encode_entry entry in
       if Ltree_obs.Causal.is_enabled () then
         Ltree_obs.Causal.stamp Ltree_obs.Causal.Append ~seq:t.last_seq
-          ~payload:(Journal.entry_to_line entry);
-      Buffer.add_string t.pending (record_line ~seq:t.last_seq entry);
+          ~payload:bytes;
+      add_record t.pending ~seq:t.last_seq bytes;
       t.pending_count <- t.pending_count + 1;
       if t.pending_count >= t.group_commit then flush_pending t)
 
@@ -364,7 +352,7 @@ let checkpoint t =
       (* Bumped before the rewrite, so even a crashed one invalidates
          byte offsets taken in the old journal. *)
       t.generation <- t.generation + 1;
-      t.io.Fault.write_file (journal_path t) (wal_magic ^ "\n");
+      t.io.Fault.write_file (journal_path t) wal_magic;
       t.io.Fault.fsync (journal_path t))
 
 let initialize ~io ?(group_commit = 1) ~dir ldoc =
@@ -395,40 +383,38 @@ let recover_raw ~io ~group_commit ~dir () =
     let dropped = ref scan.dropped in
     let applied_to = ref base_seq in
     let keep = Buffer.create 1024 in
-    Buffer.add_string keep (wal_magic ^ "\n");
+    Buffer.add_string keep wal_magic;
+    (* [f] condemns this record and every later one. *)
+    let stop f rest =
+      faults := f :: !faults;
+      dropped := !dropped + 1 + List.length rest
+    in
     let rec replay = function
       | [] -> ()
-      | (seq, entry) :: rest ->
+      | { seq; entry; bytes } :: rest ->
         if seq <= base_seq then begin
           (* Written before the snapshot was taken — already inside it. *)
           incr skipped;
-          Buffer.add_string keep (record_line ~seq entry);
+          add_record keep ~seq bytes;
           replay rest
         end
-        else if seq <> !applied_to + 1 then begin
+        else if seq <> !applied_to + 1 then
           (* The journal starts after the snapshot's horizon: it cannot
              bridge the gap, so nothing further is trustworthy. *)
-          faults :=
-            Sequence_gap { expected = !applied_to + 1; got = seq }
-            :: !faults;
-          dropped := !dropped + 1 + List.length rest
-        end
+          stop (Sequence_gap { expected = !applied_to + 1; got = seq }) rest
         else (
           match Journal.apply_entry ldoc entry with
           | () ->
             incr replayed;
             applied_to := seq;
-            Buffer.add_string keep (record_line ~seq entry);
+            add_record keep ~seq bytes;
             replay rest
           | exception Journal.Replay_error { anchor; _ } ->
-            faults := Unresolvable_anchor { seq; anchor } :: !faults;
-            dropped := !dropped + 1 + List.length rest
+            stop (Unresolvable_anchor { seq; anchor }) rest
           | exception Journal.Corrupt detail ->
-            faults := Bad_record { seq; detail } :: !faults;
-            dropped := !dropped + 1 + List.length rest
+            stop (Bad_record { seq; detail }) rest
           | exception Invalid_argument detail ->
-            faults := Apply_failed { seq; detail } :: !faults;
-            dropped := !dropped + 1 + List.length rest)
+            stop (Apply_failed { seq; detail }) rest)
     in
     replay scan.records;
     let faults = List.rev !faults in

@@ -8,11 +8,10 @@
 
     {b On disk} (all under one directory, via a {!Fault.io}):
 
-    - [journal] — header line [ltree-wal 1], then one record per line:
-      [E <crc> <seq> <payload>] where [payload] is
-      {!Ltree_doc.Journal.entry_to_line} output and [crc] is the CRC-32
-      of ["<seq> <payload>"] (covering the sequence number, so a record
-      cannot be accepted at the wrong position).
+    - [journal] — the line [ltree-wal 2], then one {!Record} per
+      operation: varint [seq], then {!Ltree_doc.Journal.encode_entry}
+      bytes.  The CRC covers [seq], so a record cannot be accepted at
+      the wrong position.
     - [snapshot] / [snapshot.prev] — a binary header (the line
       [ltree-durable-snapshot 2], then varints [seq], [epoch] and the
       payload length, then a CRC-32 of those three fields and the
@@ -143,11 +142,14 @@ val checkpoint : t -> unit
 
 (** {1 Inspection} *)
 
+(** [bytes] is [entry] as stored: what the shipper sends and the causal
+    ids and replication chain hash. *)
+type record = { seq : int; entry : Ltree_doc.Journal.entry; bytes : string }
+
 type scan = {
-  records : (int * Ltree_doc.Journal.entry) list;
-      (** valid contiguous prefix, oldest first *)
+  records : record list;  (** valid contiguous prefix, oldest first *)
   scan_fault : fault option;  (** why scanning stopped, if it did *)
-  dropped : int;  (** line-shaped chunks after the fault *)
+  dropped : int;  (** {!Record.count_chunks} from the fault on *)
   valid_bytes : int;  (** length of the trustworthy file prefix *)
   next_seq : int;
       (** the sequence number the record after the valid prefix must

@@ -9,7 +9,8 @@
     divergence anywhere in the prefix. *)
 
 (** [extend ~prev ~seq ~payload] is the next chain value after applying
-    record [seq] with the given journal-line payload. *)
+    record [seq] whose entry bytes ({!Ltree_doc.Journal.encode_entry}) are
+    [payload]. *)
 val extend : prev:int -> seq:int -> payload:string -> int
 
 (** [anchor data] starts a chain at a shipped snapshot: the CRC of its

@@ -1,4 +1,5 @@
-module Checksum = Ltree_recovery.Checksum
+module Record = Ltree_recovery.Record
+module Varint = Ltree_doc.Varint
 
 type t =
   | Data of { epoch : int; hwm : int; seq : int; trace : int; payload : string }
@@ -7,131 +8,93 @@ type t =
   | Ack of { epoch : int; seq : int }
   | Hello of { epoch : int; seq : int }
 
-type error = Bad_crc of { want : int; got : int } | Malformed of string
+type error = Record.error
 
 let pp_error ppf = function
-  | Bad_crc { want; got } ->
-    Format.fprintf ppf "frame crc mismatch (want %s, got %s)"
-      (Checksum.to_hex want) (Checksum.to_hex got)
-  | Malformed detail -> Format.fprintf ppf "malformed frame: %s" detail
+  | Record.Truncated -> Format.fprintf ppf "truncated frame"
+  | Record.Checksum_mismatch { want; got } ->
+    Format.fprintf ppf "frame crc mismatch (want %08x, got %08x)" want got
+  | Record.Malformed detail -> Format.fprintf ppf "malformed frame: %s" detail
 
-(* Snapshot payloads are whole files — newlines included — while the
-   wire protocol is one frame per line, so the payload is escaped:
-   backslash and newline only, everything else verbatim. *)
-let escape s =
-  if not (String.exists (fun c -> Char.equal c '\n' || Char.equal c '\\') s)
-  then s
-  else begin
-    let b = Buffer.create (String.length s + 16) in
-    String.iter
-      (fun c ->
-        match c with
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\\' -> Buffer.add_string b "\\\\"
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.contents b
-  end
+(* One record whose body is a kind byte, the varint fields, then for
+   [D] and [S] the payload bytes to the end, with backslash and newline
+   escaped so the line holds any byte.  [Hello]'s [seq] is [-1] before
+   the replica holds anything, so it travels as [seq + 1]. *)
+let encode f =
+  let record = Buffer.create 64 in
+  Record.add record (fun b ->
+      let fields kind ints =
+        Buffer.add_char b kind;
+        List.iter (Varint.add b) ints
+      in
+      match f with
+      | Data { epoch; hwm; seq; trace; payload } ->
+        (* The trace id rides inside the CRC-covered body: damage to it
+           surfaces as a bad CRC, never as a wrong causal parent. *)
+        fields 'D' [ epoch; hwm; seq; trace ];
+        Buffer.add_string b payload
+      | Snapshot { epoch; base_seq; chain; data } ->
+        fields 'S' [ epoch; base_seq; chain ];
+        Buffer.add_string b data
+      | Handshake { epoch; seq; chain } -> fields 'H' [ epoch; seq; chain ]
+      | Ack { epoch; seq } -> fields 'A' [ epoch; seq ]
+      | Hello { epoch; seq } -> fields 'R' [ epoch; seq + 1 ]);
+  let line = Buffer.create (Buffer.length record + 8) in
+  String.iter
+    (function
+      | '\n' -> Buffer.add_string line "\\n"
+      | '\\' -> Buffer.add_string line "\\\\"
+      | c -> Buffer.add_char line c)
+    (Buffer.contents record);
+  Buffer.add_char line '\n';
+  Buffer.contents line
 
+(* The inverse of the escape, and only of it: a raw newline or any other
+   escape is malformed, so a decoded line re-encodes to itself. *)
 let unescape s =
   let n = String.length s in
   let b = Buffer.create n in
   let rec go i =
     if i >= n then Ok (Buffer.contents b)
-    else if Char.equal s.[i] '\\' then
-      if i + 1 >= n then Error (Malformed "dangling escape")
-      else (
-        match s.[i + 1] with
-        | 'n' ->
-          Buffer.add_char b '\n';
-          go (i + 2)
-        | '\\' ->
-          Buffer.add_char b '\\';
-          go (i + 2)
-        | c -> Error (Malformed (Printf.sprintf "bad escape \\%c" c)))
-    else begin
-      Buffer.add_char b s.[i];
-      go (i + 1)
-    end
+    else
+      match (s.[i], if i + 1 < n then s.[i + 1] else ' ') with
+      | '\\', 'n' -> Buffer.add_char b '\n'; go (i + 2)
+      | '\\', '\\' -> Buffer.add_char b '\\'; go (i + 2)
+      | ('\\' | '\n'), _ -> Error (Record.Malformed "bad escape")
+      | c, _ -> Buffer.add_char b c; go (i + 1)
   in
   go 0
 
-let body = function
-  | Data { epoch; hwm; seq; trace; payload } ->
-    (* The trace id rides inside the CRC-covered body: damage to it
-       surfaces as Bad_crc, never as a wrong causal parent. *)
-    Printf.sprintf "D %d %d %d %s %s" epoch hwm seq (Checksum.to_hex trace)
-      payload
-  | Snapshot { epoch; base_seq; chain; data } ->
-    Printf.sprintf "S %d %d %s %s" epoch base_seq (Checksum.to_hex chain)
-      (escape data)
-  | Handshake { epoch; seq; chain } ->
-    Printf.sprintf "H %d %d %s" epoch seq (Checksum.to_hex chain)
-  | Ack { epoch; seq } -> Printf.sprintf "A %d %d" epoch seq
-  | Hello { epoch; seq } -> Printf.sprintf "R %d %d" epoch seq
-
-let encode f =
-  let body = body f in
-  Printf.sprintf "F %s %s\n" (Checksum.to_hex (Checksum.crc32 body)) body
-
-(* Cursor over the space-separated fields of a body; the final field of
-   Data/Snapshot is "the rest of the line", so splitting eagerly would
-   mangle payloads holding runs of spaces. *)
-let next_field s pos =
-  match String.index_from_opt s pos ' ' with
-  | None -> (String.sub s pos (String.length s - pos), String.length s)
-  | Some sp -> (String.sub s pos (sp - pos), sp + 1)
-
-let rest s pos = String.sub s pos (String.length s - pos)
-
-let int_field name s pos =
-  let field, pos' = next_field s pos in
-  match int_of_string_opt field with
-  | Some v -> Ok (v, pos')
-  | None -> Error (Malformed (Printf.sprintf "bad %s field %S" name field))
-
-let crc_field name s pos =
-  let field, pos' = next_field s pos in
-  match Checksum.of_hex field with
-  | Some v -> Ok (v, pos')
-  | None -> Error (Malformed (Printf.sprintf "bad %s field %S" name field))
-
-let ( let* ) = Result.bind
-
-let decode_body b =
-  if String.length b < 2 then Error (Malformed "truncated body")
-  else
-    let kind = b.[0] in
-    if not (Char.equal b.[1] ' ') then Error (Malformed "bad kind separator")
-    else
-      let pos = 2 in
-      match kind with
-      | 'D' ->
-        let* epoch, pos = int_field "epoch" b pos in
-        let* hwm, pos = int_field "hwm" b pos in
-        let* seq, pos = int_field "seq" b pos in
-        let* trace, pos = crc_field "trace" b pos in
-        Ok (Data { epoch; hwm; seq; trace; payload = rest b pos })
-      | 'S' ->
-        let* epoch, pos = int_field "epoch" b pos in
-        let* base_seq, pos = int_field "base_seq" b pos in
-        let* chain, pos = crc_field "chain" b pos in
-        let* data = unescape (rest b pos) in
-        Ok (Snapshot { epoch; base_seq; chain; data })
-      | 'H' ->
-        let* epoch, pos = int_field "epoch" b pos in
-        let* seq, pos = int_field "seq" b pos in
-        let* chain, (_ : int) = crc_field "chain" b pos in
-        Ok (Handshake { epoch; seq; chain })
-      | 'A' ->
-        let* epoch, pos = int_field "epoch" b pos in
-        let* seq, (_ : int) = int_field "seq" b pos in
-        Ok (Ack { epoch; seq })
-      | 'R' ->
-        let* epoch, pos = int_field "epoch" b pos in
-        let* seq, (_ : int) = int_field "seq" b pos in
-        Ok (Hello { epoch; seq })
-      | c -> Error (Malformed (Printf.sprintf "unknown frame kind %C" c))
+let decode_body body =
+  let c = Varint.cursor body in
+  let u () = Varint.uint c in
+  let frame =
+    match Varint.byte c with
+    | 'D' ->
+      let epoch = u () in
+      let hwm = u () in
+      let seq = u () in
+      let trace = u () in
+      Data { epoch; hwm; seq; trace; payload = Varint.rest c }
+    | 'S' ->
+      let epoch = u () in
+      let base_seq = u () in
+      let chain = u () in
+      Snapshot { epoch; base_seq; chain; data = Varint.rest c }
+    | 'H' ->
+      let epoch = u () in
+      let seq = u () in
+      Handshake { epoch; seq; chain = u () }
+    | 'A' ->
+      let epoch = u () in
+      Ack { epoch; seq = u () }
+    | 'R' ->
+      let epoch = u () in
+      Hello { epoch; seq = u () - 1 }
+    | k -> raise (Varint.Corrupt (Printf.sprintf "unknown frame kind %C" k))
+  in
+  if Varint.remaining c > 0 then raise (Varint.Corrupt "bytes after the frame");
+  frame
 
 module Assembler = struct
   type asm = Buffer.t
@@ -159,17 +122,11 @@ module Assembler = struct
 end
 
 let decode line =
-  (* "F <crc8> <body>" — fixed positions, so payload bytes are exact. *)
-  if String.length line < 11 then Error (Malformed "line too short")
-  else if not (Char.equal line.[0] 'F' && Char.equal line.[1] ' ') then
-    Error (Malformed "bad magic")
-  else if not (Char.equal line.[10] ' ') then
-    Error (Malformed "bad crc separator")
+  let ( let* ) = Result.bind in
+  let* record = unescape line in
+  let* body, next = Record.read record ~pos:0 in
+  if next <> String.length record then
+    Error (Record.Malformed "bytes after the record")
   else
-    match Checksum.of_hex (String.sub line 2 8) with
-    | None -> Error (Malformed "bad crc field")
-    | Some want ->
-      let body = rest line 11 in
-      let got = Checksum.crc32 body in
-      if want <> got then Error (Bad_crc { want; got })
-      else decode_body body
+    try Ok (decode_body body)
+    with Varint.Corrupt detail -> Error (Record.Malformed detail)

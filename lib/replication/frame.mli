@@ -1,28 +1,30 @@
-(** The replication wire format: one CRC-framed record per line.
+(** The replication wire format: one {!Ltree_recovery.Record} per
+    line, the journal's record layout, with backslash and newline
+    escaped ([\\\\], [\\n]).  A frame damaged in transit (torn,
+    bit-flipped, short-read reassembled wrong) fails the escape, the
+    layout or the CRC and is dropped by the receiver, to be recovered
+    by the shipper's retransmit machinery.  The body is a kind byte,
+    varint fields, and for [D] and [S] the payload to its end:
 
-    Every frame is [F <crc32-hex> <body>\n] where the checksum covers
-    the body exactly — a frame damaged in transit (torn, bit-flipped,
-    short-read reassembled wrong) fails the CRC and is dropped by the
-    receiver, to be recovered by the shipper's retransmit machinery.
-    Body kinds:
-
-    - [D <epoch> <hwm> <seq> <trace-hex> <payload>] — one journal
-      record.  [hwm] is the primary's last durable seq at send time, so
-      the replica can report its lag without a second round-trip.
-      [trace-hex] is the record's content-derived causal trace id
-      ({!Ltree_obs.Causal.id_of}); it sits inside the CRC-covered body,
-      so transit damage surfaces as [Bad_crc] — never as a wrong causal
-      parent — and the replica additionally verifies it against its own
+    - [D epoch hwm seq trace payload] — one journal record, [payload]
+      being its stored entry bytes.  [hwm] is the primary's last
+      durable seq at send time, so the replica can report its lag
+      without a second round-trip.  [trace] is the record's
+      content-derived causal trace id ({!Ltree_obs.Causal.id_of}),
+      CRC-covered, so transit damage surfaces as a bad CRC — never as a
+      wrong causal parent; the replica also checks it against its own
       recomputation from [(seq, payload)].
-    - [S <epoch> <base_seq> <chain-hex> <escaped-data>] — a full
-      snapshot file for bootstrap/catch-up when the needed journal
-      suffix is no longer retained.  [chain-hex] anchors the prefix-CRC
-      chain at [base_seq].
-    - [H <epoch> <seq> <chain-hex>] — divergence handshake: "my chain
-      CRC at [seq] is [chain]"; the replica compares against its own.
-    - [A <epoch> <seq>] — cumulative ack: everything [<= seq] applied.
-    - [R <epoch> <seq>] — hello/re-attach: the replica (re)announces its
-      applied position; overrides any previous ack. *)
+    - [S epoch base_seq chain data] — a full snapshot file for
+      bootstrap/catch-up; [chain] anchors the prefix-CRC chain at
+      [base_seq].
+    - [H epoch seq chain] — divergence handshake: "my chain CRC at
+      [seq] is [chain]"; the replica compares against its own.
+    - [A epoch seq] — cumulative ack: everything [<= seq] applied.
+    - [R epoch seq+1] — hello/re-attach: the replica (re)announces its
+      applied position ([-1] before it has one); overrides any ack.
+
+    A frame has one encoding: if [decode line] is [Ok f], [encode f] is
+    [line ^ "\n"]. *)
 
 type t =
   | Data of { epoch : int; hwm : int; seq : int; trace : int; payload : string }
@@ -31,16 +33,15 @@ type t =
   | Ack of { epoch : int; seq : int }
   | Hello of { epoch : int; seq : int }
 
-type error = Bad_crc of { want : int; got : int } | Malformed of string
+type error = Ltree_recovery.Record.error
 
 val pp_error : Format.formatter -> error -> unit
 
 (** [encode f] is the full wire line, trailing newline included. *)
 val encode : t -> string
 
-(** [decode line] parses one line ({e without} its trailing newline).
-    Payload bytes survive exactly: snapshot data is unescaped, journal
-    payloads are taken verbatim to end-of-line. *)
+(** [decode line] decodes one line ({e without} its trailing newline);
+    payload bytes survive exactly. *)
 val decode : string -> (t, error) result
 
 (** Reassembles the byte-chunk stream a {!Channel} delivers back into

@@ -167,16 +167,6 @@ let read ?max_lag t f =
       | Some m when l > m -> Error (Stale { lag = l; max_lag = m })
       | _ -> Ok (f (Durable_doc.ldoc s))))
 
-let prune_chains t ~applied =
-  Int_tbl.filter_map_inplace
-    (fun seq v -> if seq < applied - chain_window then None else Some v)
-    t.chains
-
-let prune_stash t ~applied =
-  Int_tbl.filter_map_inplace
-    (fun seq p -> if seq <= applied then None else Some p)
-    t.stash
-
 let maybe_checkpoint t s =
   if t.applied_since_ckpt >= t.checkpoint_every then begin
     Durable_doc.checkpoint s;
@@ -192,42 +182,38 @@ let set_diverged t d =
   t.diverged <- Some d
 
 (* Apply the next-in-order record; caller guarantees [seq = applied + 1]
-   and that the chain holds a link at [applied]. *)
+   and that the chain holds a link at [applied].  An entry that does not
+   decode, or whose fragment does not parse, is rejected like one whose
+   anchor does not resolve. *)
 let apply_one t s ~now ~seq ~payload =
   let prev = Int_tbl.find t.chains (seq - 1) in
-  match Journal.entry_of_line payload with
-  | exception Journal.Corrupt detail ->
+  let reject detail =
     set_diverged t (Apply_rejected { at_seq = seq; detail })
-  | entry -> (
-    match
-      Ltree_obs.Span.with_ ~name:"repl.apply"
-        ~on_close:(fun r ->
-          Ltree_obs.Histogram.observe (apply_latency_hist ())
-            r.Ltree_obs.Trace.duration)
-        (fun () -> Durable_doc.apply s entry)
-    with
-    | () ->
-      Ltree_obs.Causal.stamp ~tick:now Ltree_obs.Causal.Apply ~seq ~payload;
-      Int_tbl.replace t.chains seq (Chain.extend ~prev ~seq ~payload);
-      prune_chains t ~applied:seq;
-      t.applied_frames <- t.applied_frames + 1;
-      t.applied_since_ckpt <- t.applied_since_ckpt + 1;
-      maybe_checkpoint t s
-    | exception Journal.Replay_error { what; anchor } ->
-      set_diverged t
-        (Apply_rejected
-           {
-             at_seq = seq;
-             detail =
-               Printf.sprintf "%s anchor %d does not resolve" what anchor;
-           }))
+  in
+  match
+    Ltree_obs.Span.with_ ~name:"repl.apply"
+      ~on_close:(fun r ->
+        Ltree_obs.Histogram.observe (apply_latency_hist ())
+          r.Ltree_obs.Trace.duration)
+      (fun () -> Durable_doc.apply s (Journal.decode_entry payload))
+  with
+  | () ->
+    Ltree_obs.Causal.stamp ~tick:now Ltree_obs.Causal.Apply ~seq ~payload;
+    Int_tbl.replace t.chains seq (Chain.extend ~prev ~seq ~payload);
+    Int_tbl.drop_below t.chains (seq - chain_window);
+    t.applied_frames <- t.applied_frames + 1;
+    t.applied_since_ckpt <- t.applied_since_ckpt + 1;
+    maybe_checkpoint t s
+  | exception Journal.Corrupt detail -> reject detail
+  | exception Journal.Replay_error { what; anchor } ->
+    reject (Printf.sprintf "%s anchor %d does not resolve" what anchor)
 
 let rec drain_stash t s ~now =
   match t.diverged with
   | Some _ -> ()
   | None ->
     let applied = Durable_doc.last_seq s in
-    prune_stash t ~applied;
+    Int_tbl.drop_below t.stash (applied + 1);
     if Int_tbl.mem t.chains applied then (
       match Int_tbl.find_opt t.stash (applied + 1) with
       | None -> ()
@@ -328,6 +314,18 @@ let on_handshake t ~now ~seq ~chain:want =
            some write bypassed the stream. *)
         set_diverged t (Missing_chain { at_seq = seq }))
 
+(* A frame from an older primary epoch is stale; a newer epoch is
+   adopted. *)
+let current_epoch t epoch =
+  if epoch < t.primary_epoch then begin
+    t.stale_frames <- t.stale_frames + 1;
+    false
+  end
+  else begin
+    t.primary_epoch <- Int.max t.primary_epoch epoch;
+    true
+  end
+
 let on_frame t ~now frame =
   match (frame : Frame.t) with
   | Data { epoch; hwm; seq; trace; payload } ->
@@ -339,33 +337,12 @@ let on_frame t ~now frame =
       t.bad_frames <- t.bad_frames + 1;
       false
     end
-    else if epoch < t.primary_epoch then begin
-      t.stale_frames <- t.stale_frames + 1;
-      false
-    end
-    else begin
-      if epoch > t.primary_epoch then t.primary_epoch <- epoch;
-      on_data t ~now ~hwm ~seq ~payload
-    end
+    else current_epoch t epoch && on_data t ~now ~hwm ~seq ~payload
   | Snapshot { epoch; base_seq; chain; data } ->
-    if epoch < t.primary_epoch then begin
-      t.stale_frames <- t.stale_frames + 1;
-      false
-    end
-    else begin
-      if epoch > t.primary_epoch then t.primary_epoch <- epoch;
-      on_snapshot t ~now ~base_seq ~chain ~data
-    end
+    current_epoch t epoch && on_snapshot t ~now ~base_seq ~chain ~data
   | Handshake { epoch; seq; chain } ->
-    if epoch < t.primary_epoch then begin
-      t.stale_frames <- t.stale_frames + 1;
-      false
-    end
-    else begin
-      if epoch > t.primary_epoch then t.primary_epoch <- epoch;
-      on_handshake t ~now ~seq ~chain;
-      false
-    end
+    if current_epoch t epoch then on_handshake t ~now ~seq ~chain;
+    false
   | Ack _ | Hello _ ->
     (* Upstream-direction frames have no business on the inbox. *)
     t.bad_frames <- t.bad_frames + 1;

@@ -1,7 +1,6 @@
 module Int_tbl = Ltree_metrics.Int_tbl
 module Fault = Ltree_recovery.Fault
 module Durable_doc = Ltree_recovery.Durable_doc
-module Journal = Ltree_doc.Journal
 
 (* How far below the ack point payloads and chain links are retained,
    so a replica that recovers (regressing by at most its group-commit
@@ -195,10 +194,9 @@ let ingest t =
         offset = scan.Durable_doc.valid_bytes;
         next_seq = scan.Durable_doc.next_seq };
   List.iter
-    (fun (seq, entry) ->
+    (fun { Durable_doc.seq; bytes = payload; entry = _ } ->
       if seq > t.chain_top then
         if seq = t.chain_top + 1 then begin
-          let payload = Journal.entry_to_line entry in
           let prev = Int_tbl.find t.chains t.chain_top in
           Int_tbl.replace t.chains seq (Chain.extend ~prev ~seq ~payload);
           Int_tbl.replace t.retention seq payload;
@@ -213,12 +211,8 @@ let ingest t =
 
 let prune t ~acked =
   let cut = acked - keep_window in
-  Int_tbl.filter_map_inplace
-    (fun seq v -> if seq < cut then None else Some v)
-    t.retention;
-  Int_tbl.filter_map_inplace
-    (fun seq v -> if seq < cut then None else Some v)
-    t.chains;
+  Int_tbl.drop_below t.retention cut;
+  Int_tbl.drop_below t.chains cut;
   t.chain_base <- Int.max t.chain_base cut
 
 let on_ack t ~now seq =
@@ -246,9 +240,7 @@ let on_ack t ~now seq =
           | None -> ()
         end)
       t.inflight;
-    Int_tbl.filter_map_inplace
-      (fun s fl -> if s <= seq then None else Some fl)
-      t.inflight;
+    Int_tbl.drop_below t.inflight (seq + 1);
     (match t.snap_inflight with
     | Some _ when seq >= t.snap_base -> t.snap_inflight <- None
     | _ -> ());
@@ -277,6 +269,10 @@ let process_up t ~now =
       | Ok (Frame.Data _ | Frame.Snapshot _ | Frame.Handshake _) ->
         t.bad_frames <- t.bad_frames + 1)
     (Frame.Assembler.feed t.buf (Channel.drain t.up ~now))
+
+let send t ~now frame =
+  Channel.send t.down ~now (Frame.encode frame);
+  t.frames_sent <- t.frames_sent + 1
 
 (* Ship the current snapshot as the catch-up base.  When the snapshot
    file lags the store (records applied since the last rotation), force
@@ -314,61 +310,61 @@ let send_snapshot_now t ~now =
         t.chain_base <- base;
         t.broken <- false
       end;
-      let chain = Int_tbl.find t.chains base in
-      Channel.send t.down ~now
-        (Frame.encode
-           (Snapshot
-              { epoch = Durable_doc.epoch t.store; base_seq = base; chain;
-                data = bytes }));
-      t.frames_sent <- t.frames_sent + 1;
+      send t ~now
+        (Snapshot
+           { epoch = Durable_doc.epoch t.store; base_seq = base;
+             chain = Int_tbl.find t.chains base; data = bytes });
       t.snapshots_sent <- t.snapshots_sent + 1;
       Ltree_obs.Recorder.note ~tick:now ~kind:"channel"
         ~attrs:[ ("base_seq", string_of_int base) ]
         "snapshot_sent";
       t.snap_base <- base)
 
+let first_send t ~now =
+  { attempts = 1; first_sent = now;
+    next_due = now + Backoff.delay t.config.policy ~attempt:1 }
+
+(* The retry decision for an in-flight send that has come due: resend
+   and back off further, or give up with a typed failure, noted to the
+   flight recorder as [event]. *)
+let retry_due t ~now (fl : inflight) ~seq ~event resend =
+  if now >= fl.next_due then
+    match
+      Backoff.check t.config.policy ~attempt:fl.attempts
+        ~waited:(now - fl.first_sent)
+    with
+    | Ok delay ->
+      resend ();
+      fl.attempts <- fl.attempts + 1;
+      fl.next_due <- now + delay;
+      t.retries <- t.retries + 1;
+      t.backoff_ticks <- t.backoff_ticks + delay;
+      Ltree_obs.Histogram.observe_int (backoff_hist ()) delay
+    | Error reason ->
+      Ltree_obs.Recorder.note ~tick:now ~kind:"recovery"
+        ~attrs:
+          [ ("seq", string_of_int seq);
+            ("reason", Format.asprintf "%a" Backoff.pp_error reason) ]
+        event;
+      t.failed <- Some (Send_failed { seq; reason })
+
 let step_snapshot t ~now =
   match t.snap_inflight with
   | None ->
     send_snapshot_now t ~now;
-    t.snap_inflight <-
-      Some
-        {
-          attempts = 1;
-          first_sent = now;
-          next_due = now + Backoff.delay t.config.policy ~attempt:1;
-        }
+    t.snap_inflight <- Some (first_send t ~now)
   | Some fl ->
-    if now >= fl.next_due then (
-      match
-        Backoff.check t.config.policy ~attempt:fl.attempts
-          ~waited:(now - fl.first_sent)
-      with
-      | Ok delay ->
-        send_snapshot_now t ~now;
-        fl.attempts <- fl.attempts + 1;
-        fl.next_due <- now + delay;
-        t.retries <- t.retries + 1;
-        t.backoff_ticks <- t.backoff_ticks + delay;
-        Ltree_obs.Histogram.observe_int (backoff_hist ()) delay
-      | Error reason ->
-        Ltree_obs.Recorder.note ~tick:now ~kind:"recovery"
-          ~attrs:
-            [ ("seq", string_of_int t.snap_base);
-              ("reason", Format.asprintf "%a" Backoff.pp_error reason) ]
-          "snapshot_send_failed";
-        t.failed <- Some (Send_failed { seq = t.snap_base; reason }))
+    retry_due t ~now fl ~seq:t.snap_base ~event:"snapshot_send_failed"
+      (fun () -> send_snapshot_now t ~now)
 
 let send_data t ~now ~seq payload =
-  Channel.send t.down ~now
-    (Frame.encode
-       (Frame.Data
-          { epoch = Durable_doc.epoch t.store; hwm = t.chain_top; seq;
-            trace = Ltree_obs.Causal.id_of ~seq ~payload; payload }));
+  send t ~now
+    (Frame.Data
+       { epoch = Durable_doc.epoch t.store; hwm = t.chain_top; seq;
+         trace = Ltree_obs.Causal.id_of ~seq ~payload; payload });
   (* First-wins stamping keeps the first send's tick on retransmits;
      retries are attributed separately via [note_retry]. *)
-  Ltree_obs.Causal.stamp ~tick:now Ltree_obs.Causal.Ship ~seq ~payload;
-  t.frames_sent <- t.frames_sent + 1
+  Ltree_obs.Causal.stamp ~tick:now Ltree_obs.Causal.Ship ~seq ~payload
 
 let step_window t ~now ~acked =
   let hi = Int.min t.chain_top (acked + t.config.window) in
@@ -377,41 +373,20 @@ let step_window t ~now ~acked =
     (match Int_tbl.find_opt t.retention !seq with
     | None -> seq := hi (* gap: the snapshot path takes over next pump *)
     | Some payload -> (
-      match Int_tbl.find_opt t.inflight !seq with
+      let seq = !seq in
+      match Int_tbl.find_opt t.inflight seq with
       | None ->
-        send_data t ~now ~seq:!seq payload;
-        Int_tbl.replace t.inflight !seq
-          {
-            attempts = 1;
-            first_sent = now;
-            next_due = now + Backoff.delay t.config.policy ~attempt:1;
-          }
+        send_data t ~now ~seq payload;
+        Int_tbl.replace t.inflight seq (first_send t ~now)
       | Some fl ->
-        if now >= fl.next_due then (
-          match
-            Backoff.check t.config.policy ~attempt:fl.attempts
-              ~waited:(now - fl.first_sent)
-          with
-          | Ok delay ->
-            send_data t ~now ~seq:!seq payload;
-            Ltree_obs.Causal.note_retry ~seq:!seq ~payload;
-            fl.attempts <- fl.attempts + 1;
-            fl.next_due <- now + delay;
-            t.retries <- t.retries + 1;
-            t.backoff_ticks <- t.backoff_ticks + delay;
-            Ltree_obs.Histogram.observe_int (backoff_hist ()) delay;
+        retry_due t ~now fl ~seq ~event:"send_failed" (fun () ->
+            send_data t ~now ~seq payload;
+            Ltree_obs.Causal.note_retry ~seq ~payload;
             (* A stalled record is how an out-of-band replica write
                shows up from this side (the replica re-acks but never
                applies): probe the prefix so divergence surfaces
                instead of burning the retry budget silently. *)
-            t.force_handshake <- true
-          | Error reason ->
-            Ltree_obs.Recorder.note ~tick:now ~kind:"recovery"
-              ~attrs:
-                [ ("seq", string_of_int !seq);
-                  ("reason", Format.asprintf "%a" Backoff.pp_error reason) ]
-              "send_failed";
-            t.failed <- Some (Send_failed { seq = !seq; reason }))));
+            t.force_handshake <- true)));
     incr seq
   done
 
@@ -420,12 +395,10 @@ let step_handshake t ~now ~acked =
     (t.force_handshake || t.acked_progress >= t.config.handshake_every)
     && Int_tbl.mem t.chains acked
   then begin
-    Channel.send t.down ~now
-      (Frame.encode
-         (Frame.Handshake
-            { epoch = Durable_doc.epoch t.store; seq = acked;
-              chain = Int_tbl.find t.chains acked }));
-    t.frames_sent <- t.frames_sent + 1;
+    send t ~now
+      (Frame.Handshake
+         { epoch = Durable_doc.epoch t.store; seq = acked;
+           chain = Int_tbl.find t.chains acked });
     t.handshakes_sent <- t.handshakes_sent + 1;
     Ltree_obs.Recorder.note ~tick:now ~kind:"channel"
       ~attrs:[ ("seq", string_of_int acked) ]

@@ -125,9 +125,6 @@ let decode_entities_from st s =
   in
   go 0
 
-let decode_entities s =
-  decode_entities_from { src = s; pos = 0; line = 1; bol = 0 } s
-
 let read_attr_value st =
   let quote = peek st in
   if quote <> '"' && quote <> '\'' then

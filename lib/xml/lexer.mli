@@ -12,9 +12,3 @@ exception Error of string * Token.position
 (** [tokenize s] is the token stream of [s], with positions.
     Raises {!Error} on malformed input. *)
 val tokenize : string -> Token.spanned list
-
-(** [decode_entities s] expands [&lt; &gt; &amp; &apos; &quot;] and
-    numeric character references in [s].  Raises {!Error} on an
-    unterminated or unknown reference. *)
-val decode_entities : string -> string
-

@@ -55,13 +55,15 @@ let special_characters () =
    | Some a, Some b ->
      Alcotest.(check bool) "specials survive" true (Dom.equal_structure a b)
    | _ -> Alcotest.fail "missing root");
-  (* The one-line codec durability layers frame records with. *)
+  (* The binary codec durability layers frame records with: raw bytes,
+     no escaping; the printed line stays on one line. *)
   List.iter
     (fun e ->
-      let line = Journal.entry_to_line e in
-      Alcotest.(check bool) "one line" false (String.contains line '\n');
-      Alcotest.(check bool) "line codec round trip" true
-        (Journal.entry_of_line line = e))
+      Alcotest.(check bool) "one line" false
+        (String.contains (Journal.entry_to_line e) '\n');
+      let bytes = Journal.encode_entry e in
+      Alcotest.(check bool) "binary codec round trip" true
+        (Journal.decode_entry bytes = e))
     [
       Journal.Set_text
         { anchor = 3; text = "multi\nline & <specials> \"quoted\"" };
@@ -99,17 +101,63 @@ let clear_after_snapshot () =
     (labels_of ldoc) (labels_of recovered)
 
 let corrupt_rejected () =
-  let rejects s =
-    Alcotest.(check bool) ("rejects " ^ s) true
+  let rejects what s =
+    Alcotest.(check bool) ("rejects " ^ what) true
       (try
-         ignore (Journal.entry_of_line s);
+         ignore (Journal.decode_entry s);
          false
        with Journal.Corrupt _ -> true)
   in
-  rejects "";
-  rejects "nonsense";
-  rejects "I notanint 2 x";
-  rejects "Z 1"
+  let insert =
+    Journal.encode_entry
+      (Journal.Insert { anchor = 300; index = 2; xml = "<x/>" })
+  in
+  rejects "empty" "";
+  rejects "unknown kind" "Z\001";
+  rejects "truncated insert" (String.sub insert 0 (String.length insert - 1));
+  rejects "trailing byte" (insert ^ "\000");
+  (* 300 as a padded three-byte varint: every value has one encoding. *)
+  rejects "non-minimal anchor" "D\172\130\000";
+  rejects "string past the end" "T\001\009abc"
+
+(* Causal ids and replication chain links hash the stored bytes, and a
+   replica re-encodes what it decodes: the decoder may accept only the
+   encoder's own output.  Arbitrary byte strings, plus mutations of
+   valid entries so the accepting cases are not rare. *)
+let canonical_prop =
+  let entry_gen =
+    QCheck.Gen.(
+      let str = string_size ~gen:char (int_bound 20) in
+      oneof
+        [ map3
+            (fun anchor index xml -> Journal.Insert { anchor; index; xml })
+            (int_bound 100_000) (int_bound 300) str;
+          map (fun anchor -> Journal.Delete { anchor }) (int_bound 100_000);
+          map2
+            (fun anchor text -> Journal.Set_text { anchor; text })
+            (int_bound 100_000) str ])
+  in
+  let bytes_gen =
+    QCheck.Gen.(
+      oneof
+        [ string_size ~gen:char (int_bound 12);
+          map3
+            (fun e i c ->
+              let b = Bytes.of_string (Journal.encode_entry e) in
+              let i = i mod Bytes.length b in
+              let flipped = Char.code (Bytes.get b i) lxor (1 lsl c) in
+              Bytes.set b i (Char.chr flipped);
+              Bytes.to_string b)
+            entry_gen nat (int_bound 7);
+          map (fun e -> Journal.encode_entry e) entry_gen ])
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"accepted entry bytes re-encode to themselves"
+    (QCheck.make ~print:String.escaped bytes_gen)
+    (fun b ->
+      match Journal.decode_entry b with
+      | e -> String.equal (Journal.encode_entry e) b
+      | exception Journal.Corrupt _ -> true)
 
 let replay_prop =
   QCheck.Test.make ~count:25
@@ -157,5 +205,6 @@ let suite =
     [ case "basic recovery round trip" `Quick basic_roundtrip;
       case "special characters" `Quick special_characters;
       case "corruption rejected" `Quick corrupt_rejected;
+      QCheck_alcotest.to_alcotest canonical_prop;
       case "clear after a snapshot" `Quick clear_after_snapshot;
       QCheck_alcotest.to_alcotest replay_prop ] )

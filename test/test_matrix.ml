@@ -47,8 +47,8 @@ let crash_characterized () =
   Alcotest.(check int) "total_points" 43 s.Crash_matrix.total_points;
   Alcotest.(check int) "init_points" 5 s.Crash_matrix.init_points;
   Alcotest.check counts "fault_counts"
-    [ ("bad-header", 8); ("bad-record", 3); ("checksum-mismatch", 7);
-      ("missing-file", 28); ("torn-record", 10) ]
+    [ ("bad-header", 8); ("checksum-mismatch", 10); ("missing-file", 28);
+      ("torn-record", 10) ]
     s.Crash_matrix.fault_counts;
   let p = with_pool2 (fun pool -> Crash_matrix.run ~pool crash_config) in
   Alcotest.(check bool) "pool of 2 = serial" true

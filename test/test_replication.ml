@@ -67,28 +67,115 @@ let frame_roundtrip () =
       | Error e -> Alcotest.failf "decode failed: %a" Frame.pp_error e)
     frames
 
-let frame_rejects_damage () =
-  let line =
-    Frame.encode
-      (Frame.Data
-         { epoch = 1; hwm = 2; seq = 2;
-           trace = Causal.id_of ~seq:2 ~payload:"D 5"; payload = "D 5" })
+(* One of each kind, with payload bytes that need escaping. *)
+let sample_frames =
+  let payload =
+    Journal.encode_entry
+      (Journal.Insert { anchor = 12; index = 0; xml = "<a>\\\n</a>" })
   in
-  let line = String.sub line 0 (String.length line - 1) in
-  (* Flip one payload bit: CRC must catch it. *)
+  [ Frame.Data
+      { epoch = 1; hwm = 9; seq = 4;
+        trace = Causal.id_of ~seq:4 ~payload; payload };
+    Frame.Snapshot
+      { epoch = 2; base_seq = 7; chain = 0xDEADBEEF;
+        data = "line1\nline2\\with\\slashes\n" };
+    Frame.Handshake { epoch = 1; seq = 300; chain = 0xFFFFFFFF };
+    Frame.Ack { epoch = 1; seq = 42 };
+    Frame.Hello { epoch = 0; seq = -1 } ]
+
+let line_of f =
+  let line = Frame.encode f in
+  String.sub line 0 (String.length line - 1)
+
+(* Every truncation and every bit flip of each kind's line decodes to an
+   error, never to a different frame. *)
+let frame_rejects_damage () =
+  List.iter
+    (fun f ->
+      let line = line_of f in
+      let rejects what damaged =
+        match Frame.decode damaged with
+        | Error (_ : Frame.error) -> ()
+        | Ok g ->
+          Alcotest.failf "%s of %S decoded (%s)" what line
+            (if f = g then "to the same frame" else "to another frame")
+      in
+      for cut = 0 to String.length line - 1 do
+        rejects (Printf.sprintf "cut at %d" cut) (String.sub line 0 cut)
+      done;
+      for i = 0 to String.length line - 1 do
+        for bit = 0 to 7 do
+          let b = Bytes.of_string line in
+          Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
+          rejects (Printf.sprintf "bit %d of byte %d" bit i) (Bytes.to_string b)
+        done
+      done)
+    sample_frames;
+  (* A flipped payload bit keeps the layout: the CRC names it. *)
+  let line = line_of (List.hd sample_frames) in
+  let i = ref (String.length line - 4) in
+  while not (String.equal (String.sub line !i 4) "</a>") do decr i done;
   let b = Bytes.of_string line in
-  Bytes.set b (Bytes.length b - 1)
-    (Char.chr (Char.code (Bytes.get b (Bytes.length b - 1)) lxor 1));
+  Bytes.set b !i (Char.chr (Char.code (Bytes.get b !i) lxor 1));
   (match Frame.decode (Bytes.to_string b) with
-  | Error (Frame.Bad_crc _) -> ()
-  | Ok _ | Error _ -> Alcotest.fail "bit flip not caught by frame CRC");
-  (* A torn prefix is malformed or fails CRC — never Ok. *)
-  (match Frame.decode (String.sub line 0 (String.length line / 2)) with
+   | Error (Record.Checksum_mismatch _) -> ()
+   | Ok _ | Error _ -> Alcotest.fail "payload bit flip not caught by the CRC");
+  (* An escaped newline written raw decodes to the same record, but the
+     line is not the encoder's: rejected. *)
+  let line = line_of (List.nth sample_frames 1) in
+  let i = ref 0 in
+  while not (String.equal (String.sub line !i 2) "\\n") do incr i done;
+  let raw =
+    String.sub line 0 !i ^ "\n"
+    ^ String.sub line (!i + 2) (String.length line - !i - 2)
+  in
+  (match Frame.decode raw with
+   | Error _ -> ()
+   | Ok _ -> Alcotest.fail "raw newline accepted");
+  (* A CRC-valid record whose body runs past an ack's last field. *)
+  let record = Buffer.create 16 in
+  Record.add record (fun b -> Buffer.add_string b "A\001\042\000");
+  let escaped = Buffer.create 16 in
+  String.iter
+    (function
+      | '\n' -> Buffer.add_string escaped "\\n"
+      | '\\' -> Buffer.add_string escaped "\\\\"
+      | c -> Buffer.add_char escaped c)
+    (Buffer.contents record);
+  (match Frame.decode (Buffer.contents escaped) with
+   | Error (Record.Malformed _) -> ()
+   | Ok _ | Error _ -> Alcotest.fail "trailing body byte accepted");
+  (* The text protocol's lines are not frames. *)
+  match Frame.decode "F deadbeef A 1 2" with
   | Error _ -> ()
-  | Ok _ -> Alcotest.fail "torn frame accepted");
-  match Frame.decode "F deadbeef Z 1 2" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "bad crc field accepted"
+  | Ok _ -> Alcotest.fail "text frame accepted"
+
+(* Whenever [decode] accepts a line, [encode] gives back exactly that
+   line: chain links and causal ids hash what was shipped, so a frame
+   has one encoding.  Damaged lines make the accepting cases rare, so
+   the intact ones are drawn too. *)
+let frame_canonical_prop =
+  let lines = Array.of_list (List.map line_of sample_frames) in
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [ map (fun i -> lines.(i)) (int_bound (Array.length lines - 1));
+          map3
+            (fun i k c ->
+              let b = Bytes.of_string lines.(i) in
+              let k = k mod Bytes.length b in
+              Bytes.set b k (Char.chr c);
+              Bytes.to_string b)
+            (int_bound (Array.length lines - 1)) nat (int_bound 255);
+          string_size ~gen:char (int_bound 16) ])
+  in
+  QCheck.Test.make ~count:2000
+    ~name:"accepted frame lines re-encode to themselves"
+    (QCheck.make ~print:String.escaped gen)
+    (fun line ->
+      match Frame.decode line with
+      | Ok f -> String.equal (Frame.encode f) (line ^ "\n")
+      | Error _ -> true)
 
 let snapshot_escaping () =
   let data = "a\nb\\n literal \\\\ and \\ trailing\n" in
@@ -271,7 +358,7 @@ let stale_read_refused () =
   let snapshot_bytes = Option.get (io.Fault.read_file "p/snapshot") in
   let anchor = Chain.anchor snapshot_bytes in
   let ops, _oracle = script 2 in
-  let payloads = List.map Journal.entry_to_line ops in
+  let payloads = List.map Journal.encode_entry ops in
   let p1 = List.nth payloads 0 and p2 = List.nth payloads 1 in
   ignore store;
   let rsim = Fault.create_sim () in
@@ -515,7 +602,7 @@ let expected_chain o seq =
   for s = o.anchor_base + 1 to seq do
     c :=
       Chain.extend ~prev:!c ~seq:s
-        ~payload:(Journal.entry_to_line o.entries.(s - 1))
+        ~payload:(Journal.encode_entry o.entries.(s - 1))
   done;
   !c
 
@@ -527,7 +614,7 @@ let oracle_receive o ~down ~up ~now =
       | Ok (Frame.Data { seq; payload; _ }) ->
         Alcotest.(check string)
           (Printf.sprintf "data frame %d" seq)
-          (Journal.entry_to_line o.entries.(seq - 1))
+          (Journal.encode_entry o.entries.(seq - 1))
           payload;
         o.data_frames <- o.data_frames + 1;
         if o.applied = Some (seq - 1) then o.applied <- Some seq
@@ -741,7 +828,7 @@ let wrong_trace_id_rejected () =
   let snapshot_bytes = Option.get (io.Fault.read_file "p/snapshot") in
   let anchor = Chain.anchor snapshot_bytes in
   let ops, _ = script 1 in
-  let p1 = Journal.entry_to_line (List.hd ops) in
+  let p1 = Journal.encode_entry (List.hd ops) in
   let rsim = Fault.create_sim () in
   let down = Channel.create () and up = Channel.create () in
   let replica =
@@ -840,6 +927,7 @@ let suite =
   ( "replication",
     [ case "frame round trip" `Quick frame_roundtrip;
       case "frame rejects damage" `Quick frame_rejects_damage;
+      QCheck_alcotest.to_alcotest frame_canonical_prop;
       case "snapshot escaping" `Quick snapshot_escaping;
       case "assembler reassembles chunks" `Quick assembler_reassembles;
       case "backoff monotone and capped" `Quick backoff_monotone_capped;

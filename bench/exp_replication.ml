@@ -19,11 +19,12 @@
    {!Ltree_replication.Session.failover} (condemn + sync + recover).
 
    Part 4 — causal waterfall: the steady workload re-runs with
-   {!Ltree_obs.Causal} tracing on, and the per-record stage stamps
-   (append → ship → deliver → apply → readable, in virtual-clock ticks)
-   are aggregated into mean per-stage latencies.  Group commit should
-   show up entirely in the append→ship stage: records wait in the
-   journal for the batch to fill while the downstream stages stay flat.
+   {!Ltree_obs.Causal} tracing on, and the per-record stage stamps in
+   the event ring (append → ship → deliver → apply → readable, in
+   virtual-clock ticks) are aggregated into mean per-stage latencies.
+   Group commit should show up entirely in the append→ship stage:
+   records wait in the journal for the batch to fill while the
+   downstream stages stay flat.
 
    Rows land in BENCH_replication.json. *)
 
@@ -177,26 +178,18 @@ let run_failover ~ops group_commit =
 
 let run_waterfall ~ops group_commit =
   let module Causal = Ltree_obs.Causal in
-  Causal.reset ();
-  (* The e2e histogram lives in the process-wide registry; start each
-     traced run from zero so check_waterfall compares like with like. *)
-  (match Ltree_obs.Registry.find "repl_e2e_lag_ticks" with
-   | Some h -> Ltree_obs.Histogram.reset h
-   | None -> ());
+  (* The stamps live in the event ring: size it so the run overwrites
+     nothing, or the means would be over a partial waterfall. *)
+  Ltree_obs.Span.set_capacity (Session.traced_ring_capacity ~ops);
   Causal.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Causal.set_enabled false;
-      Causal.reset ())
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Causal.set_enabled false) @@ fun () ->
   let session = make_session ~group_commit () in
   List.iter (Session.apply session) (script (fresh_ldoc ()) ops);
   if not (Session.quiesce ~max_pumps:(1024 + (16 * ops)) session) then
     failwith "exp_replication: traced run failed to catch up";
-  (match Causal.check_waterfall () with
-   | Ok _ -> ()
-   | Error e -> failwith ("exp_replication: waterfall check failed: " ^ e));
-  let records = Causal.records () in
+  if Ltree_obs.Span.dropped () > 0 then
+    failwith "exp_replication: the event ring dropped causal stamps";
+  let records = Causal.records (Ltree_obs.Span.entries ()) in
   let mean stage_a stage_b =
     let sum = ref 0 and n = ref 0 in
     List.iter

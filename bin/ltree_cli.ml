@@ -1151,16 +1151,17 @@ let replicate_cmd =
   in
   let trace_arg =
     Arg.(value & flag & info [ "trace" ]
-           ~doc:"Stamp every journal record with a content-derived trace \
-                 id and print the per-record waterfall \
+           ~doc:"Stamp every journal record into the event ring as it \
+                 passes each stage and print the per-record waterfall \
                  (append → ship → deliver → apply → readable, in \
-                 virtual-clock ticks) plus the cross-check against the \
-                 end-to-end lag histogram.")
+                 virtual-clock ticks) folded from the ring.  The ring \
+                 is sized from $(b,--ops); a run that overwrites any \
+                 entry exits 1 without printing a partial waterfall.")
   in
   let run ops seed nodes group_commit checkpoint_every noise_every failover
       metrics trace =
     if trace then begin
-      Ltree_obs.Causal.reset ();
+      Ltree_obs.Span.set_capacity (Rp.Session.traced_ring_capacity ~ops);
       Ltree_obs.Causal.set_enabled true
     end;
     let config =
@@ -1243,12 +1244,23 @@ let replicate_cmd =
       exit 1
     end;
     if trace then begin
-      print_string (Ltree_obs.Causal.waterfall ());
-      match Ltree_obs.Causal.check_waterfall () with
-      | Ok summary -> Printf.printf "  %s\n" summary
-      | Error e ->
-        Printf.eprintf "waterfall/histogram mismatch: %s\n" e;
+      let module C = Ltree_obs.Causal in
+      (* The waterfall is a view over the ring: it is whole only when
+         the ring kept every entry. *)
+      let dropped = Ltree_obs.Span.dropped () in
+      if dropped > 0 then begin
+        Printf.eprintf
+          "the event ring overwrote %d entries: the waterfall would be \
+           partial\n"
+          dropped;
         exit 1
+      end;
+      let trs = C.records (Ltree_obs.Span.entries ()) in
+      print_string (C.waterfall trs);
+      let e2e = List.filter_map C.e2e trs in
+      Printf.printf "  %d records, %d complete, %d e2e ticks in total\n"
+        (List.length trs) (List.length e2e)
+        (List.fold_left ( + ) 0 e2e)
     end;
     if failover then begin
       let now = Rp.Session.clock session in

@@ -8,7 +8,7 @@ type t = {
          [name] — the registry keys instances by name + labels *)
   bounds : float array;  (* strictly increasing upper bounds *)
   counts : int array;    (* length bounds + 1; last slot is +Inf *)
-  mutable stats : Stats.t;
+  stats : Stats.t;
       (* exact stats layered under the buckets, so exposition can carry
          mean/percentiles that bucketing alone would lose *)
   mu : Mutex.t;
@@ -77,11 +77,6 @@ let cumulative t =
           out.(i) <- !acc)
         t.counts;
       out)
-
-let reset t =
-  locked t (fun () ->
-      Array.fill t.counts 0 (Array.length t.counts) 0;
-      t.stats <- Stats.create ())
 
 (* {1 Bucket layouts} *)
 

@@ -39,7 +39,6 @@ val sum : t -> float
     equals [count]. *)
 val cumulative : t -> int array
 
-val reset : t -> unit
 
 (** {1 Bucket layouts} *)
 

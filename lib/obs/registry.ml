@@ -42,10 +42,6 @@ let histogram ~name ~help ?(labels = []) ~bounds () =
         Hashtbl.replace default.tbl key h;
         h)
 
-let find ?(labels = []) name =
-  let labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels in
-  locked (fun () -> Hashtbl.find_opt default.tbl (series_key name labels))
-
 (* Sort by name first so every series of one metric is contiguous (the
    expositions emit HELP/TYPE once per metric), then by labels. *)
 let histograms () =

@@ -20,9 +20,6 @@ val histogram :
   unit ->
   Histogram.t
 
-(** [find ?labels name] is the series registered under [name] with
-    exactly [labels] (default: the unlabeled series). *)
-val find : ?labels:(string * string) list -> string -> Histogram.t option
 
 (** {1 Counters}
 

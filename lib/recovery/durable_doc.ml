@@ -306,14 +306,12 @@ let apply t entry =
     (fun () ->
       Journal.apply_entry t.ldoc entry;
       t.last_seq <- t.last_seq + 1;
-      (* Causal tracing: the record's trace id is content-derived from
-         (seq, payload), so this stamp and the replica's recomputation
-         agree without shipping the id.  First-wins keeps the primary's
-         append tick when a replica re-applies the same record. *)
+      (* Causal tracing: the stamp's id is content-derived from (seq,
+         payload), so a replica re-applying the record stamps the same
+         id, and the first-wins view keeps the primary's append tick. *)
       let bytes = Journal.encode_entry entry in
-      if Ltree_obs.Causal.is_enabled () then
-        Ltree_obs.Causal.stamp Ltree_obs.Causal.Append ~seq:t.last_seq
-          ~payload:bytes;
+      Ltree_obs.Causal.stamp Ltree_obs.Causal.Append ~seq:t.last_seq
+        ~payload:bytes;
       add_record t.pending ~seq:t.last_seq bytes;
       t.pending_count <- t.pending_count + 1;
       if t.pending_count >= t.group_commit then flush_pending t)

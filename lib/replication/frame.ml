@@ -2,7 +2,7 @@ module Record = Ltree_recovery.Record
 module Varint = Ltree_doc.Varint
 
 type t =
-  | Data of { epoch : int; hwm : int; seq : int; trace : int; payload : string }
+  | Data of { epoch : int; hwm : int; seq : int; payload : string }
   | Snapshot of { epoch : int; base_seq : int; chain : int; data : string }
   | Handshake of { epoch : int; seq : int; chain : int }
   | Ack of { epoch : int; seq : int }
@@ -28,10 +28,8 @@ let encode f =
         List.iter (Varint.add b) ints
       in
       match f with
-      | Data { epoch; hwm; seq; trace; payload } ->
-        (* The trace id rides inside the CRC-covered body: damage to it
-           surfaces as a bad CRC, never as a wrong causal parent. *)
-        fields 'D' [ epoch; hwm; seq; trace ];
+      | Data { epoch; hwm; seq; payload } ->
+        fields 'D' [ epoch; hwm; seq ];
         Buffer.add_string b payload
       | Snapshot { epoch; base_seq; chain; data } ->
         fields 'S' [ epoch; base_seq; chain ];
@@ -74,8 +72,7 @@ let decode_body body =
       let epoch = u () in
       let hwm = u () in
       let seq = u () in
-      let trace = u () in
-      Data { epoch; hwm; seq; trace; payload = Varint.rest c }
+      Data { epoch; hwm; seq; payload = Varint.rest c }
     | 'S' ->
       let epoch = u () in
       let base_seq = u () in

@@ -6,14 +6,10 @@
     by the shipper's retransmit machinery.  The body is a kind byte,
     varint fields, and for [D] and [S] the payload to its end:
 
-    - [D epoch hwm seq trace payload] — one journal record, [payload]
-      being its stored entry bytes.  [hwm] is the primary's last
-      durable seq at send time, so the replica can report its lag
-      without a second round-trip.  [trace] is the record's
-      content-derived causal trace id ({!Ltree_obs.Causal.id_of}),
-      CRC-covered, so transit damage surfaces as a bad CRC — never as a
-      wrong causal parent; the replica also checks it against its own
-      recomputation from [(seq, payload)].
+    - [D epoch hwm seq payload] — one journal record, [payload] being
+      its stored entry bytes.  [hwm] is the primary's last durable seq
+      at send time, so the replica can report its lag without a second
+      round-trip.
     - [S epoch base_seq chain data] — a full snapshot file for
       bootstrap/catch-up; [chain] anchors the prefix-CRC chain at
       [base_seq].
@@ -27,7 +23,7 @@
     [line ^ "\n"]. *)
 
 type t =
-  | Data of { epoch : int; hwm : int; seq : int; trace : int; payload : string }
+  | Data of { epoch : int; hwm : int; seq : int; payload : string }
   | Snapshot of { epoch : int; base_seq : int; chain : int; data : string }
   | Handshake of { epoch : int; seq : int; chain : int }
   | Ack of { epoch : int; seq : int }

@@ -328,16 +328,8 @@ let current_epoch t epoch =
 
 let on_frame t ~now frame =
   match (frame : Frame.t) with
-  | Data { epoch; hwm; seq; trace; payload } ->
-    if not (trace = Ltree_obs.Causal.id_of ~seq ~payload) then begin
-      (* CRC-valid but the trace id disagrees with our recomputation
-         from (seq, payload): the sender is confused or we hit a CRC
-         collision.  Either way the frame must not enter the causal
-         record, let alone the store. *)
-      t.bad_frames <- t.bad_frames + 1;
-      false
-    end
-    else current_epoch t epoch && on_data t ~now ~hwm ~seq ~payload
+  | Data { epoch; hwm; seq; payload } ->
+    current_epoch t epoch && on_data t ~now ~hwm ~seq ~payload
   | Snapshot { epoch; base_seq; chain; data } ->
     current_epoch t epoch && on_snapshot t ~now ~base_seq ~chain ~data
   | Handshake { epoch; seq; chain } ->

@@ -42,9 +42,15 @@ let clock t = t.clock
 let down t = t.down
 let up t = t.up
 
+(* The session clock is the event ring's virtual clock: every move of
+   one moves the other, so ring entries stamped without an explicit
+   tick (the primary's causal appends) read the session clock. *)
+let set_clock t n =
+  t.clock <- n;
+  Ltree_obs.Recorder.set_tick n
+
 let pump t =
-  t.clock <- t.clock + 1;
-  Ltree_obs.Recorder.set_tick t.clock;
+  set_clock t (t.clock + 1);
   Shipper.pump t.shipper ~now:t.clock;
   Replica.pump t.replica ~now:t.clock
 
@@ -84,12 +90,7 @@ let create ?(config = default_config) ~primary_io ~primary_dir ~replica_io
       ops = 0;
     }
   in
-  (* Causal stamps taken outside explicit [~tick] sites (the primary's
-     appends) read the session clock.  Installed only when tracing is
-     on: pool-parallel matrix cells run with tracing off and must not
-     race over the provider. *)
-  if Ltree_obs.Causal.is_enabled () then
-    Ltree_obs.Causal.set_now (fun () -> t.clock);
+  set_clock t 0;
   Replica.hello replica ~now:0;
   (* Bounded attach: let the bootstrap snapshot round-trip. *)
   let pumps = ref 0 in
@@ -131,7 +132,7 @@ let reconnect t =
   Channel.reconnect t.down;
   Channel.reconnect t.up;
   Shipper.reset t.shipper;
-  t.clock <- t.clock + 1;
+  set_clock t (t.clock + 1);
   Replica.hello t.replica ~now:t.clock
 
 let replace_replica ?io ?store t =
@@ -143,6 +144,8 @@ let replace_replica ?io ?store t =
       ~outbox:t.up ()
   in
   t.replica <- r;
-  t.clock <- t.clock + 1;
+  set_clock t (t.clock + 1);
   Replica.hello r ~now:t.clock;
   r
+
+let traced_ring_capacity ~ops = 4096 + (64 * ops)

@@ -6,7 +6,9 @@
     round then one replica round, so an entire
     replication scenario — including channel noise, retries, backoff
     delays, and failover — is a deterministic function of the
-    configuration and fault plans.  One subtlety it owns: before a
+    configuration and fault plans.  The counter is also the event
+    ring's tick ({!Ltree_obs.Recorder.set_tick}): notes and causal
+    stamps taken without an explicit tick read it.  One subtlety it owns: before a
     primary checkpoint it syncs and pumps the shipper, so the rotation's
     journal truncation never eats records the shipper has not chained
     yet. *)
@@ -78,3 +80,12 @@ val clock : t -> int
 val down : t -> Channel.t
 val up : t -> Channel.t
 val caught_up : t -> bool
+
+(** [traced_ring_capacity ~ops] is an event-ring capacity
+    ({!Ltree_obs.Span.set_capacity}) that holds every entry of a session
+    driven through [ops] operations with causal tracing on: spans,
+    notes and stamps come to under 35 entries per operation plus a few
+    hundred, even when every second chunk is damaged.  A waterfall is
+    only complete when the ring dropped nothing, so traced runs size
+    the ring with this and check {!Ltree_obs.Span.dropped}. *)
+val traced_ring_capacity : ops:int -> int

@@ -360,8 +360,7 @@ let step_snapshot t ~now =
 let send_data t ~now ~seq payload =
   send t ~now
     (Frame.Data
-       { epoch = Durable_doc.epoch t.store; hwm = t.chain_top; seq;
-         trace = Ltree_obs.Causal.id_of ~seq ~payload; payload });
+       { epoch = Durable_doc.epoch t.store; hwm = t.chain_top; seq; payload });
   (* First-wins stamping keeps the first send's tick on retransmits;
      retries are attributed separately via [note_retry]. *)
   Ltree_obs.Causal.stamp ~tick:now Ltree_obs.Causal.Ship ~seq ~payload

@@ -11,9 +11,7 @@ module Label_sync = Ltree_relstore.Label_sync
 module Counters = Ltree_metrics.Counters
 module Fault = Ltree_recovery.Fault
 module Durable_doc = Ltree_recovery.Durable_doc
-module Channel = Ltree_replication.Channel
-module Shipper = Ltree_replication.Shipper
-module Replica = Ltree_replication.Replica
+module Snapshot = Ltree_doc.Snapshot
 module Pool = Ltree_exec.Pool
 module Read_snapshot = Ltree_exec.Read_snapshot
 module Registry = Ltree_obs.Registry
@@ -54,7 +52,6 @@ module Histogram = Ltree_obs.Histogram
 type shard = {
   sid : int;  (* stable shard id: names the store dir's sim, metrics *)
   sim : Fault.sim;
-  io : Fault.io;
   durable : Durable_doc.t;  (* owns the shard's live Labeled_doc *)
   pager : Pager.t;
   store : Shredder.label_store;
@@ -174,7 +171,7 @@ let sub_range l lo hi =
    identity maps and reused query buffers.  The store's index fetches
    translate through [g_of_l], so the shard's index, and every snapshot
    copied from it, holds router ids. *)
-let wire_shard ~sid ~sim ~io durable =
+let wire_shard ~sid ~sim durable =
   let ldoc = Durable_doc.ldoc durable in
   let pager = Pager.create (Counters.create ()) in
   let store = Shredder.shred_label pager ldoc in
@@ -182,7 +179,7 @@ let wire_shard ~sid ~sim ~io durable =
   let g_of_l = Int_tbl.create 256 in
   store.Shredder.label_ids <- Int_tbl.find g_of_l;
   let commit_hist, query_hist, pending_hist = shard_histograms sid in
-  { sid; sim; io; durable; pager; store; sync; snap = None;
+  { sid; sim; durable; pager; store; sync; snap = None;
     g_of_l;
     l_of_g = Int_tbl.create 256;
     bufs = [| Label_index.create_workspace () |];
@@ -193,9 +190,11 @@ let make_shard ?params ~group_commit ~sim ~groot gsubs sid =
   let clones = List.map clone_node gsubs in
   List.iter (fun c -> Dom.append_child sroot c) clones;
   let ldoc = Labeled_doc.of_document ?params (Dom.document sroot) in
-  let io = Fault.sim_io sim in
-  let durable = Durable_doc.initialize ~io ~group_commit ~dir:shard_dir ldoc in
-  let sh = wire_shard ~sid ~sim ~io durable in
+  let durable =
+    Durable_doc.initialize ~io:(Fault.sim_io sim) ~group_commit ~dir:shard_dir
+      ldoc
+  in
+  let sh = wire_shard ~sid ~sim durable in
   link_pair sh groot sroot;
   List.iter2 (fun g l -> link_subtree sh g l) gsubs clones;
   sh
@@ -669,47 +668,23 @@ let checkpoint t =
 
 (* {1 Rebalance}
 
-   Splitting a dense shard reuses the journal-shipping machinery: the
-   shard's store is streamed over ideal channels to a fresh replica
-   (snapshot catch-up ships the whole store), the replica is promoted
-   into a byte-identical second store, and then each side deletes —
-   through its own journal, so the trim is itself crash-durable — the
-   top-level subtrees the other side keeps.  Shard state (cuts,
-   identity maps, routing tables) only changes at the final commit, so
-   concurrent readers between phases still see the old layout. *)
+   Splitting a dense shard copies its store: the journal is flushed, a
+   clone of the shard's document through the snapshot image (which
+   carries the section 4.2 labels, so the copy's anchors equal the
+   original's) seeds a fresh store on the new shard's disk, and then
+   each side deletes -- through its own journal, so the trim is itself
+   crash-durable -- the top-level subtrees the other side keeps.  Shard
+   state (cuts, identity maps, routing tables) only changes at the
+   final commit, so concurrent readers between phases still see the
+   old layout. *)
 
-let migrate_store t sh =
+let copy_store t sh =
   Durable_doc.sync sh.durable;
-  let down = Channel.create () and up = Channel.create () in
-  let shipper =
-    Shipper.create ~io:sh.io ~dir:shard_dir ~store:sh.durable ~down ~up ()
-  in
   let sim = t.sim_for (Array.length t.shards + t.rebalances) in
-  let replica =
-    Replica.create ~io:(Fault.sim_io sim) ~dir:shard_dir
-      ~group_commit:t.group_commit ~inbox:down ~outbox:up ()
-  in
-  Replica.hello replica ~now:0;
-  let caught_up () =
-    match Replica.applied_seq replica with
-    | Some a -> a = Durable_doc.last_seq sh.durable
-    | None -> false
-  in
-  let clock = ref 0 in
-  while
-    (not (caught_up ()))
-    && !clock < 1024
-    && Option.is_none (Shipper.failed shipper)
-  do
-    incr clock;
-    Shipper.pump shipper ~now:!clock;
-    Replica.pump replica ~now:!clock
-  done;
-  if not (caught_up ()) then
-    failwith "Sharded_doc.split: journal migration did not catch up";
-  match Replica.promote replica with
-  | Ok (_report, durable) -> (sim, durable)
-  | Error _ -> failwith "Sharded_doc.split: replica promotion failed"
+  let clone = Snapshot.load (Snapshot.save (Durable_doc.ldoc sh.durable)) in
+  ( sim,
+    Durable_doc.initialize ~io:(Fault.sim_io sim) ~group_commit:t.group_commit
+      ~dir:shard_dir clone )
 
 (* Split point balancing the two halves by node count. *)
 let split_index subs lo hi =
@@ -740,8 +715,8 @@ let split ?(on_phase = fun (_ : string) -> ()) t p =
   let groot = root_of t.router in
   let subs = Array.of_list (Dom.children groot) in
   let m = split_index subs t.cuts.(p) t.cuts.(p + 1) in
-  on_phase "ship";
-  let nsim, ndurable = migrate_store t sh in
+  on_phase "copy";
+  let nsim, ndurable = copy_store t sh in
   on_phase "trim";
   let old_ldoc = Durable_doc.ldoc sh.durable in
   let new_ldoc = Durable_doc.ldoc ndurable in
@@ -755,11 +730,11 @@ let split ?(on_phase = fun (_ : string) -> ()) t p =
   List.iter (fun anchor -> Durable_doc.delete ndurable ~anchor) kept_anchors;
   Durable_doc.checkpoint sh.durable;
   Durable_doc.checkpoint ndurable;
-  (* Wire the trimmed replica up as a full shard. *)
+  (* Wire the trimmed copy up as a full shard. *)
   let nsh =
     wire_shard
       ~sid:(Array.length t.shards + t.rebalances)
-      ~sim:nsim ~io:(Fault.sim_io nsim) ndurable
+      ~sim:nsim ndurable
   in
   link_pair nsh groot (root_of new_ldoc);
   let gmoved =

@@ -20,8 +20,8 @@
     pool size — the harness invariant [shard.plans-agree].
 
     A rebalance pass ({!maybe_rebalance}) splits a shard whose live
-    size crosses a density threshold, migrating its journal to the new
-    shard over the {!Ltree_replication} shipping machinery. *)
+    size crosses a density threshold, seeding the new shard's store
+    with a snapshot copy of the dense one. *)
 
 type t
 
@@ -166,11 +166,12 @@ val unsharded_descendants_batch :
     whether a split ran; each split is also counted in the
     [shard_rebalances] registry counter.
 
-    The split cuts the shard at a node-count-balanced point: its store
-    is shipped over ideal replication channels to a fresh replica, the
-    replica is promoted, and each side journals deletes of the subtrees
-    the other keeps.  Routing state mutates only at the final commit;
-    [on_phase] is called with ["ship"] and ["trim"] while queries still
+    The split cuts the shard at a node-count-balanced point: its
+    journal is flushed, a fresh store on the new shard's disk is
+    initialized from a snapshot copy of its document (labels
+    included), and each side journals deletes of the subtrees the
+    other keeps.  Routing state mutates only at the final commit;
+    [on_phase] is called with ["copy"] and ["trim"] while queries still
     see the intact pre-split layout, and with ["commit"] once the new
     layout is fully committed — plans agree at every phase. *)
 val maybe_rebalance : ?threshold:float -> ?on_phase:(string -> unit) -> t -> bool

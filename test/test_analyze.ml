@@ -2,7 +2,7 @@
    under test/analyze_fixtures/ are self-contained (Stdlib only, with a
    mini [Pool] standing in for Ltree_exec.Pool) and are typechecked
    in-process — no dune-built .cmt needed.  The [analyze] suite covers
-   the whole-program rules (R8/R9), the baseline and A1/A2 over
+   the whole-program rules (R8/R9) and A1/A2 over
    [race_allow]; the [lint] suite covers the per-unit rules R1-R7,
    A1/A2 over [global_allow] and the unused-export rule R11, with
    [analyze_fixtures/libroot/] playing the role of [lib/]. *)
@@ -162,37 +162,6 @@ let r9_clean () =
 
 (* {1 Baseline} *)
 
-(* Only R8/R9 findings are baselinable; fix_race.ml's R6/R7 ones are
-   left out of these round trips. *)
-let race_findings () =
-  List.filter Analyze_rules.baselinable
-    (analyze base [ fixture "fix_race.ml" ])
-
-let baseline_diff () =
-  let findings = race_findings () in
-  let first = (List.hd findings).Analyze_rules.fingerprint in
-  let gone = "R8|Fix_race.gone|global-write|Fix_race.x" in
-  let baseline = [ (first, "audited"); (gone, "stale entry") ] in
-  let fresh, stale = Analyze_rules.diff_baseline ~baseline findings in
-  Alcotest.(check int)
-    "baselined finding suppressed"
-    (List.length findings - 1)
-    (List.length fresh);
-  Alcotest.(check (list string)) "stale baseline entry reported" [ gone ] stale
-
-let baseline_roundtrip () =
-  let findings = race_findings () in
-  let rendered = Analyze_rules.render_baseline ~existing:[] findings in
-  let parsed = Analyze_rules.parse_baseline rendered in
-  Alcotest.(check (list string))
-    "render/parse round-trips every fingerprint"
-    (List.map (fun f -> f.Analyze_rules.fingerprint) findings)
-    (List.map fst parsed);
-  let fresh, stale = Analyze_rules.diff_baseline ~baseline:parsed findings in
-  Alcotest.(check int) "round-tripped baseline suppresses all" 0
-    (List.length fresh);
-  Alcotest.(check (list string)) "and nothing is stale" [] stale
-
 (* {1 Configuration hygiene} *)
 
 let rule_registry () =
@@ -342,12 +311,8 @@ let mli_presence () =
 let hygiene cfg =
   List.filter_map
     (fun (f : Analyze_rules.finding) ->
-      if String.equal f.rule "A1" || String.equal f.rule "A2" then begin
-        Alcotest.(check bool)
-          (f.fingerprint ^ " is never baselinable")
-          false (Analyze_rules.baselinable f);
+      if String.equal f.rule "A1" || String.equal f.rule "A2" then
         Some f.fingerprint
-      end
       else None)
     (analyze cfg [ fixture "libroot/bad_global.ml" ])
 
@@ -456,13 +421,7 @@ let r11_fails_test_only_does_not () =
   let fired =
     List.filter_map
       (fun (f : Analyze_rules.finding) ->
-        if String.equal f.rule "R11" then begin
-          Alcotest.(check bool)
-            (f.fingerprint ^ " is never baselinable")
-            false (Analyze_rules.baselinable f);
-          Some f.func
-        end
-        else None)
+        if String.equal f.rule "R11" then Some f.func else None)
       failing
   in
   Alcotest.(check (list string))
@@ -515,9 +474,6 @@ let suite =
         allowlist_note;
       case "seeded R9 fixture allocations" `Quick r9_seeded;
       case "clean hot functions stay silent" `Quick r9_clean;
-      case "baseline diff suppresses known, reports stale" `Quick
-        baseline_diff;
-      case "baseline render/parse round-trip" `Quick baseline_roundtrip;
       case "rule registry lists R1-R9/R11/A1/A2" `Quick rule_registry;
       case "default config allowlists carry audits" `Quick
         default_config_audited;

@@ -139,10 +139,6 @@ let histogram_buckets () =
     (Histogram.cumulative h);
   Alcotest.(check int) "count" 6 (Histogram.count h);
   Alcotest.(check (float 1e-9)) "sum" 14.0 (Histogram.sum h);
-  Histogram.reset h;
-  Alcotest.(check int) "reset" 0 (Histogram.count h);
-  Alcotest.(check (array int)) "reset counts" [| 0; 0; 0; 0 |]
-    (Histogram.cumulative h);
   Alcotest.(check bool) "non-increasing bounds rejected" true
     (try
        ignore (Histogram.create ~name:"bad" ~help:"" ~bounds:[| 2.; 2. |] ());
@@ -193,17 +189,13 @@ let exposition_golden () =
   in
   Alcotest.(check bool) "prometheus text format" true
     (contains (Registry.expose ()) expected);
-  (* Same name returns the same histogram; find sees it. *)
+  (* Same name returns the same histogram. *)
   let h' =
     Registry.histogram ~name:"test_expose_seconds" ~help:"ignored"
       ~bounds:[| 99. |] ()
   in
   Alcotest.(check int) "get-or-create returns existing" 3
     (Histogram.count h');
-  Alcotest.(check bool) "find" true
-    (match Registry.find "test_expose_seconds" with
-     | Some _ -> true
-     | None -> false);
   let buf = Buffer.create 64 in
   let c = Counters.create () in
   Counters.add_relabel c 7;
@@ -707,24 +699,38 @@ let telemetry_sampler () =
       (contains row "..")
   | None -> Alcotest.fail "re-registered source has no row"
 
+(* The waterfall's one arithmetic claim: on every complete row (an e2e
+   column that is not "-") the [+n] stage cells sum to the e2e column.
+   Shared with the replication suite's end-to-end runs. *)
+let waterfall_rows_telescope wf =
+  match String.split_on_char '\n' wf with
+  | [] -> Alcotest.fail "empty waterfall"
+  | _header :: rows ->
+    List.iter
+      (fun row ->
+        match List.filter (fun w -> w <> "") (String.split_on_char ' ' row) with
+        | [] -> ()
+        | [ seq; _id; _append; ship; deliver; apply; readable; _retries; e2e ]
+          ->
+          if e2e <> "-" then
+            let delta c =
+              if String.length c > 1 && c.[0] = '+' then
+                int_of_string (String.sub c 1 (String.length c - 1))
+              else 0
+            in
+            Alcotest.(check int)
+              ("row " ^ seq ^ ": stage deltas sum to e2e")
+              (int_of_string e2e)
+              (List.fold_left (fun acc c -> acc + delta c) 0
+                 [ ship; deliver; apply; readable ])
+        | _ -> Alcotest.failf "malformed waterfall row: %s" row)
+      rows
+
 let causal_ids_and_stamps () =
-  Causal.reset ();
-  (match Registry.find "repl_e2e_lag_ticks" with
-   | Some h -> Histogram.reset h
-   | None -> ());
+  fresh_ring ();
   Causal.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Causal.set_enabled false;
-      Causal.reset ())
-  @@ fun () ->
+  Fun.protect ~finally:(fun () -> Causal.set_enabled false) @@ fun () ->
   let payload = "I 12 0 <patch n=\"1\">p1</patch>" in
-  let id = Causal.id_of ~seq:3 ~payload in
-  Alcotest.(check bool) "id fits 32 bits" true (id >= 0 && id <= 0xffffffff);
-  Alcotest.(check bool) "payload-sensitive" true
-    (id <> Causal.id_of ~seq:3 ~payload:(payload ^ "x"));
-  Alcotest.(check bool) "seq-sensitive" true
-    (id <> Causal.id_of ~seq:4 ~payload);
   Causal.stamp ~tick:2 Causal.Append ~seq:3 ~payload;
   Causal.stamp ~tick:4 Causal.Ship ~seq:3 ~payload;
   Causal.stamp ~tick:9 Causal.Ship ~seq:3 ~payload;
@@ -732,23 +738,41 @@ let causal_ids_and_stamps () =
   Causal.stamp ~tick:5 Causal.Deliver ~seq:3 ~payload;
   Causal.stamp ~tick:6 Causal.Apply ~seq:3 ~payload;
   Causal.stamp ~tick:7 Causal.Readable ~seq:3 ~payload;
-  (match Causal.records () with
-   | [ tr ] ->
-     Alcotest.(check int) "trace id" id tr.Causal.trace_id;
+  (* Same seq with another payload, same payload at another seq. *)
+  Causal.stamp ~tick:1 Causal.Append ~seq:3 ~payload:(payload ^ "x");
+  Causal.stamp ~tick:1 Causal.Append ~seq:4 ~payload;
+  Causal.set_enabled false;
+  Causal.stamp ~tick:8 Causal.Apply ~seq:4 ~payload;
+  let causal =
+    List.filter (fun r -> r.Trace.kind = "causal") (Span.entries ())
+  in
+  Alcotest.(check int) "one ring entry per enabled stamp" 9
+    (List.length causal);
+  let trs = Causal.records (Span.entries ()) in
+  (match trs with
+   | [ tr; other_payload; other_seq ] ->
+     Alcotest.(check bool) "id fits 32 bits" true
+       (tr.Causal.trace_id >= 0 && tr.Causal.trace_id <= 0xffffffff);
+     Alcotest.(check bool) "payload-sensitive" true
+       (tr.Causal.trace_id <> other_payload.Causal.trace_id);
+     Alcotest.(check bool) "seq-sensitive" true
+       (tr.Causal.trace_id <> other_seq.Causal.trace_id);
      Alcotest.(check int) "seq" 3 tr.Causal.trace_seq;
      Alcotest.(check int) "retry attributed" 1 tr.Causal.retries;
      Alcotest.(check (option int)) "retransmit keeps the first ship tick"
        (Some 4)
        (Causal.stage_tick tr Causal.Ship);
      Alcotest.(check (option int)) "readable tick" (Some 7)
-       (Causal.stage_tick tr Causal.Readable)
-   | rs -> Alcotest.failf "expected 1 trace, got %d" (List.length rs));
-  let wf = Causal.waterfall () in
-  Alcotest.(check bool) "waterfall row carries the id" true
-    (contains wf (Printf.sprintf "%08x" id));
-  match Causal.check_waterfall () with
-  | Ok _ -> ()
-  | Error e -> Alcotest.fail e
+       (Causal.stage_tick tr Causal.Readable);
+     Alcotest.(check (option int)) "e2e" (Some 5) (Causal.e2e tr);
+     Alcotest.(check (option int)) "disabled stamp is not recorded" None
+       (Causal.stage_tick other_seq Causal.Apply);
+     let wf = Causal.waterfall trs in
+     Alcotest.(check bool) "waterfall row carries the id" true
+       (contains wf (Printf.sprintf "%08x" tr.Causal.trace_id));
+     waterfall_rows_telescope wf
+   | trs -> Alcotest.failf "expected 3 traces, got %d" (List.length trs));
+  Span.set_capacity 1024
 
 (* {1 Labeled histogram series} *)
 
@@ -764,11 +788,6 @@ let labeled_histogram_series () =
     (h1 != h2);
   Alcotest.(check bool) "same labels return the same series" true
     (mk "1" == h1);
-  Alcotest.(check (option bool)) "find by labels" (Some true)
-    (Option.map
-       (fun h -> h == h2)
-       (Registry.find ~labels:[ ("shard", "2") ]
-          "test_labeled_seconds"));
   Histogram.observe h1 0.05;
   Histogram.observe h2 5.0;
   let text = Registry.expose () in

@@ -45,9 +45,7 @@ let script n =
 let frame_roundtrip () =
   let frames =
     [ Frame.Data
-        { epoch = 1; hwm = 9; seq = 4;
-          trace = Causal.id_of ~seq:4 ~payload:"I 12 0 <a b=\"c d\"/>";
-          payload = "I 12 0 <a b=\"c d\"/>" };
+        { epoch = 1; hwm = 9; seq = 4; payload = "I 12 0 <a b=\"c d\"/>" };
       Frame.Snapshot
         { epoch = 2; base_seq = 7; chain = 0xDEADBEEF;
           data = "line1\nline2\\with\\slashes\n" };
@@ -73,9 +71,7 @@ let sample_frames =
     Journal.encode_entry
       (Journal.Insert { anchor = 12; index = 0; xml = "<a>\\\n</a>" })
   in
-  [ Frame.Data
-      { epoch = 1; hwm = 9; seq = 4;
-        trace = Causal.id_of ~seq:4 ~payload; payload };
+  [ Frame.Data { epoch = 1; hwm = 9; seq = 4; payload };
     Frame.Snapshot
       { epoch = 2; base_seq = 7; chain = 0xDEADBEEF;
         data = "line1\nline2\\with\\slashes\n" };
@@ -375,9 +371,7 @@ let stale_read_refused () =
     (Replica.applied_seq replica);
   Channel.send down ~now:2
     (Frame.encode
-       (Frame.Data
-          { epoch = 1; hwm = 2; seq = 2;
-            trace = Causal.id_of ~seq:2 ~payload:p2; payload = p2 }));
+       (Frame.Data { epoch = 1; hwm = 2; seq = 2; payload = p2 }));
   Replica.pump replica ~now:2;
   (match Replica.read ~max_lag:0 replica labels_of with
   | Error (Replica.Stale { lag; max_lag }) ->
@@ -392,9 +386,7 @@ let stale_read_refused () =
   (* The missing record arrives; the stash drains; lag closes. *)
   Channel.send down ~now:3
     (Frame.encode
-       (Frame.Data
-          { epoch = 1; hwm = 2; seq = 1;
-            trace = Causal.id_of ~seq:1 ~payload:p1; payload = p1 }));
+       (Frame.Data { epoch = 1; hwm = 2; seq = 1; payload = p1 }));
   Replica.pump replica ~now:3;
   Alcotest.(check (option int)) "caught up" (Some 2)
     (Replica.applied_seq replica);
@@ -764,116 +756,16 @@ let cursor_matches_recomputation () =
 
 (* {1 Causal tracing} *)
 
-(* Satellite: the trace id must round-trip through Frame under every
-   channel fault mode — damage surfaces as a typed frame error or an
-   intact frame, never as a decoded Data frame whose trace id disagrees
-   with its own (seq, payload).  A wrong causal parent is therefore
-   impossible at the decode layer. *)
-let trace_id_survives_channel_damage () =
-  let payload = "I 7 0 <patch n=\"1\">p1</patch>" in
-  let seq = 7 in
-  let trace = Causal.id_of ~seq ~payload in
-  let line = Frame.encode (Frame.Data { epoch = 1; hwm = 9; seq; trace; payload }) in
-  let body = String.sub line 0 (String.length line - 1) in
-  let rejected = ref 0 in
-  let check_never_wrong what r =
-    match r with
-    | Ok (Frame.Data d) ->
-      Alcotest.(check bool)
-        (what ^ ": decoded trace consistent with content") true
-        (d.trace = Causal.id_of ~seq:d.seq ~payload:d.payload)
-    | Ok _ -> ()
-    | Error _ -> incr rejected
-  in
-  List.iter
-    (fun (mode : Fault.mode) ->
-      match mode with
-      | Fault.Clean ->
-        (* the channel drops the chunk whole; nothing reaches the
-           decoder *)
-        ()
-      | Fault.Torn | Fault.Short_read ->
-        (* every possible prefix: a torn chunk, or a short read whose
-           remainder never arrives *)
-        for cut = 0 to String.length body - 1 do
-          check_never_wrong (Fault.mode_name mode)
-            (Frame.decode (String.sub body 0 cut))
-        done
-      | Fault.Flip ->
-        for i = 0 to String.length body - 1 do
-          for bit = 0 to 7 do
-            let b = Bytes.of_string body in
-            Bytes.set b i
-              (Char.chr (Char.code (Bytes.get b i) lxor (1 lsl bit)));
-            check_never_wrong "flip" (Frame.decode (Bytes.to_string b))
-          done
-        done
-      | Fault.Delay ->
-        (* delivered late but intact: decodes to the exact frame *)
-        (match Frame.decode body with
-         | Ok (Frame.Data d) ->
-           Alcotest.(check int) "delayed frame keeps its id" trace d.trace
-         | Ok _ | Error _ -> Alcotest.fail "intact frame failed to decode"))
-    Fault.channel_modes;
-  Alcotest.(check bool) "damage was actually rejected somewhere" true
-    (!rejected > 0)
-
-(* A frame whose CRC is valid but whose trace id disagrees with its
-   (seq, payload) — a shipper bug or forgery, not line noise — must be
-   dropped as a bad frame, never applied. *)
-let wrong_trace_id_rejected () =
-  let sim = Fault.create_sim () in
-  let io = Fault.sim_io sim in
-  ignore (Durable_doc.initialize ~io ~dir:"p" (make_ldoc ()));
-  let snapshot_bytes = Option.get (io.Fault.read_file "p/snapshot") in
-  let anchor = Chain.anchor snapshot_bytes in
-  let ops, _ = script 1 in
-  let p1 = Journal.encode_entry (List.hd ops) in
-  let rsim = Fault.create_sim () in
-  let down = Channel.create () and up = Channel.create () in
-  let replica =
-    Replica.create ~io:(Fault.sim_io rsim) ~dir:"r" ~inbox:down ~outbox:up ()
-  in
-  Channel.send down ~now:1
-    (Frame.encode
-       (Frame.Snapshot
-          { epoch = 1; base_seq = 0; chain = anchor; data = snapshot_bytes }));
-  Replica.pump replica ~now:1;
-  let bad_before = (Replica.stats replica).Replica.bad_frames in
-  Channel.send down ~now:2
-    (Frame.encode
-       (Frame.Data
-          { epoch = 1; hwm = 1; seq = 1;
-            trace = Causal.id_of ~seq:1 ~payload:p1 lxor 1; payload = p1 }));
-  Replica.pump replica ~now:2;
-  Alcotest.(check (option int)) "forged frame not applied" (Some 0)
-    (Replica.applied_seq replica);
-  Alcotest.(check int) "counted as a bad frame" (bad_before + 1)
-    (Replica.stats replica).Replica.bad_frames;
-  (* The honest retransmit applies cleanly. *)
-  Channel.send down ~now:3
-    (Frame.encode
-       (Frame.Data
-          { epoch = 1; hwm = 1; seq = 1;
-            trace = Causal.id_of ~seq:1 ~payload:p1; payload = p1 }));
-  Replica.pump replica ~now:3;
-  Alcotest.(check (option int)) "honest frame applied" (Some 1)
-    (Replica.applied_seq replica)
-
-(* Tentpole acceptance: drive a noisy session with tracing on; the
-   per-record waterfall's stage durations must telescope to exactly the
-   end-to-end lag histogram (within one virtual-clock tick), and retries
-   must be attributed to records. *)
-let causal_waterfall_e2e () =
-  Causal.reset ();
-  (match Ltree_obs.Registry.find "repl_e2e_lag_ticks" with
-   | Some h -> Ltree_obs.Histogram.reset h
-   | None -> ());
+(* A noisy session of [n_ops] operations with causal tracing on, on a
+   ring sized so it drops nothing; [f] sees the caught-up session and
+   its oracle. *)
+let with_traced_session n_ops f =
+  Ltree_obs.Span.set_capacity (Session.traced_ring_capacity ~ops:n_ops);
   Causal.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
       Causal.set_enabled false;
-      Causal.reset ())
+      Ltree_obs.Span.set_capacity 4096)
   @@ fun () ->
   let noisy seed =
     { Channel.ideal with
@@ -887,14 +779,24 @@ let causal_waterfall_e2e () =
       up_plan = noisy 12;
       attach_pumps = 128 }
   in
-  let session, oracle, _, _ = session_over ~config 20 in
+  let session, oracle, _, _ = session_over ~config n_ops in
   Alcotest.(check bool) "caught up under noise" true
     (Session.quiesce ~max_pumps:2048 session);
+  Alcotest.(check int) "the ring dropped nothing" 0
+    (Ltree_obs.Span.dropped ());
+  f session oracle
+
+(* Tentpole acceptance: drive a noisy session with tracing on; the
+   waterfall folded from the ring has a row per record, stages in
+   pipeline order, retries attributed to records, and complete rows
+   whose stage deltas sum to their e2e column. *)
+let causal_waterfall_e2e () =
+  with_traced_session 20 @@ fun session oracle ->
   (match Replica.read (Session.replica session) labels_of with
    | Ok labels ->
      Alcotest.(check (list int)) "bit-identical" (labels_of oracle) labels
    | Error e -> Alcotest.failf "read refused: %a" Replica.pp_error e);
-  let records = Causal.records () in
+  let records = Causal.records (Ltree_obs.Span.entries ()) in
   Alcotest.(check bool) "every scripted record traced" true
     (List.length records >= 20);
   List.iter
@@ -916,12 +818,53 @@ let causal_waterfall_e2e () =
     records;
   Alcotest.(check bool) "noise attributed retries to records" true
     (List.exists (fun tr -> tr.Causal.retries > 0) records);
-  (match Causal.check_waterfall () with
+  let wf = Causal.waterfall records in
+  Alcotest.(check int) "waterfall renders a row per record"
+    (List.length records + 2)
+    (List.length (String.split_on_char '\n' wf));
+  Test_obs.waterfall_rows_telescope wf
+
+(* The stamps are ring entries, so a flight-recorder bundle carries
+   them: the dumped bundle validates, and its [causal] entry lines,
+   read back, fold into exactly the waterfall of the live ring. *)
+let causal_stamps_in_bundle () =
+  with_traced_session 20 @@ fun _ _ ->
+  let bundle = Ltree_obs.Recorder.dump ~reason:"test" () in
+  (match Ltree_obs.Recorder.validate bundle with
    | Ok _ -> ()
-   | Error e -> Alcotest.fail e);
-  let wf = Causal.waterfall () in
-  Alcotest.(check bool) "waterfall renders a row per record" true
-    (List.length (String.split_on_char '\n' wf) > 20)
+   | Error e -> Alcotest.failf "bundle rejected: %s" e);
+  let module Json = Ltree_obs.Json in
+  let str k v =
+    match Json.member k v with Some (Json.Str s) -> Some s | _ -> None
+  in
+  let entry line =
+    match Json.parse line with
+    | Error _ -> None
+    | Ok v -> (
+      match (str "kind" v, str "name" v, Json.member "tick" v) with
+      | Some "causal", Some name, Some (Json.Num tick) ->
+        let attrs =
+          match Json.member "attrs" v with
+          | Some (Json.Obj kv) ->
+            List.filter_map
+              (function k, Json.Str s -> Some (k, s) | _ -> None)
+              kv
+          | _ -> []
+        in
+        Some
+          { Ltree_obs.Trace.kind = "causal"; name; path = name; depth = 0;
+            domain = 0; tick = int_of_float tick; start = 0.;
+            duration = 0.; deltas = []; attrs }
+      | _ -> None)
+  in
+  let from_bundle =
+    Causal.records (List.filter_map entry (String.split_on_char '\n' bundle))
+  in
+  let live = Causal.records (Ltree_obs.Span.entries ()) in
+  Alcotest.(check bool) "the bundle holds every record" true
+    (List.length from_bundle >= 20);
+  Alcotest.(check string) "bundle rows = live waterfall rows"
+    (Causal.waterfall live) (Causal.waterfall from_bundle)
 
 let suite =
   ( "replication",
@@ -949,8 +892,7 @@ let suite =
         ingest_scans_linear;
       case "tailed frames match recomputed values" `Quick
         cursor_matches_recomputation;
-      case "trace id survives channel damage" `Quick
-        trace_id_survives_channel_damage;
-      case "wrong trace id rejected" `Quick wrong_trace_id_rejected;
-      case "causal waterfall end-to-end" `Quick causal_waterfall_e2e
+      case "causal waterfall end-to-end" `Quick causal_waterfall_e2e;
+      case "traced session bundles its causal stamps" `Quick
+        causal_stamps_in_bundle
     ] )

@@ -465,7 +465,7 @@ let split_preserves_plans () =
   let sd = Sharded_doc.create ~shards:2 (wide_doc 16) in
   Pool.with_pool ~size:2 (fun pool ->
       let phases = ref [] in
-      (* Queries issued from inside the split — between shipping the
+      (* Queries issued from inside the split — between copying the
          store, trimming both sides, and the routing commit — must
          still agree: the router twin and the old shard stay live until
          the final layout swap. *)
@@ -475,7 +475,7 @@ let split_preserves_plans () =
             (Printf.sprintf "during split (%s)" phase)
             sd pool);
       Alcotest.(check (list string))
-        "phases seen" [ "ship"; "trim"; "commit" ]
+        "phases seen" [ "copy"; "trim"; "commit" ]
         (List.rev !phases);
       Alcotest.(check int) "now three shards" 3 (Sharded_doc.nshards sd);
       check_all_plans_agree "after split" sd pool;

@@ -1,7 +1,7 @@
 (* ltree-analyze: the project's static-analysis pass over the Typedtree
    of every compiled unit (dune's .cmt files, or sources typechecked
-   in-process by the fixture tests).  One config, one finding type and
-   one baseline cover every rule; the rule table is DESIGN.md section 7.
+   in-process by the fixture tests).  One config and one finding type
+   cover every rule; the rule table is DESIGN.md section 7.
 
    Per-unit rules, each scoped by source path:
 
@@ -53,8 +53,9 @@
    Allowlist hygiene is checked by one piece of code for both
    [race_allow] (R8) and [global_allow] (R7): A1 flags an entry that no
    longer suppresses any finding, A2 an entry whose audit note does not
-   cite DESIGN.md.  Only R8/R9 findings can be baselined.  R10 is
-   reserved. *)
+   cite DESIGN.md.  There is no baseline: a finding is accepted only
+   by an audited allowlist entry (or, for R9, an [@ltree.cold]
+   region).  R10 is reserved. *)
 
 type finding = {
   rule : string;  (* "R1" .. "R9" | "R11" | "A1" | "A2" *)
@@ -66,7 +67,7 @@ type finding = {
          key for R7, the unit for the other per-unit rules *)
   message : string;
   hint : string;
-  fingerprint : string;  (* stable id used by --baseline *)
+  fingerprint : string;  (* stable id: dedup, report order, tests *)
 }
 
 type config = {
@@ -155,10 +156,6 @@ let default_config =
           "the one event ring (spans and Recorder notes) is the \
            R7-allowlisted global; every access runs under ring_mu; \
            audited in DESIGN.md section 10" );
-        ( "Ltree_obs.Causal.*",
-          "the causal-trace table is the R7-allowlisted [state] \
-           global; every access runs under [state.mu] via the [locked] \
-           helper; audited in DESIGN.md section 10" );
       ];
     hot_attr = "ltree.hot";
     cold_attr = "ltree.cold";
@@ -1850,65 +1847,6 @@ let analyze ?users cfg units =
   in
   let r11, test_only = unused_exports ?users cfg units in
   (sort_findings (kept @ r9 @ hygiene @ r11), test_only)
-
-(* {1 Baseline} *)
-
-let baselinable f = String.equal f.rule "R8" || String.equal f.rule "R9"
-
-let parse_baseline contents =
-  let lines = String.split_on_char '\n' contents in
-  List.filter_map
-    (fun line ->
-      let line = String.trim line in
-      if String.length line = 0 || line.[0] = '#' then None
-      else
-        match String.index_opt line '#' with
-        | Some i ->
-          Some
-            ( String.trim (String.sub line 0 i),
-              String.trim
-                (String.sub line (i + 1) (String.length line - i - 1)) )
-        | None -> Some (line, ""))
-    lines
-
-(* New findings (fail CI) and stale baseline entries (warn). *)
-let diff_baseline ~baseline findings =
-  let fresh =
-    List.filter
-      (fun f ->
-        (not (baselinable f))
-        || not (List.mem_assoc f.fingerprint baseline))
-      findings
-  in
-  let stale =
-    List.filter_map
-      (fun (fp, _) ->
-        if List.exists (fun f -> String.equal f.fingerprint fp) findings
-        then None
-        else Some fp)
-      baseline
-  in
-  (fresh, stale)
-
-let render_baseline ~existing findings =
-  let b = Buffer.create 256 in
-  Buffer.add_string b
-    "# ltree-analyze baseline: one audited fingerprint per line,\n\
-     # `fingerprint  # audit note`.  Regenerate with --write-baseline.\n";
-  List.iter
-    (fun f ->
-      if baselinable f then begin
-        Buffer.add_string b f.fingerprint;
-        let note =
-          match List.assoc_opt f.fingerprint existing with
-          | Some n when String.length n > 0 -> n
-          | _ -> "UNREVIEWED: add an audit note citing DESIGN.md"
-        in
-        Buffer.add_string b ("  # " ^ note);
-        Buffer.add_char b '\n'
-      end)
-    findings;
-  Buffer.contents b
 
 (* {1 Reporting} *)
 

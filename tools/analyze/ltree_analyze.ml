@@ -3,20 +3,20 @@
    dune leaves in _build.  `dune build @check` writes a .cmt for every
    module, executables' main modules included.
 
-     ltree_analyze [--build DIR] [--baseline FILE] [--write-baseline]
-                   [--list-rules] [SCOPE ...]
+     ltree_analyze [--build DIR] [--list-rules] [SCOPE ...]
 
    SCOPE entries (default: lib bin bench examples tools) filter units by
    source path prefix; each rule further restricts itself to its own
    scope (R2, R4, R6-R9 and R11 to lib/, R5 to lib/core/).  R11 counts
    uses from every .cmt under the build directory, whatever the scopes.
-   Exit codes: 0 clean, 1 findings (or new-vs-baseline findings), 2
-   usage/environment error, including a scope that matches no unit. *)
+   Exit codes: 0 clean, 1 any finding, 2 usage/environment error,
+   including a scope that matches no unit.  There is no baseline: a
+   finding is accepted only by an audited allowlist entry in
+   analyze_rules.ml. *)
 
 let usage () =
   prerr_endline
-    "usage: ltree_analyze [--build DIR] [--baseline FILE] \
-     [--write-baseline] [--list-rules] [SCOPE ...]";
+    "usage: ltree_analyze [--build DIR] [--list-rules] [SCOPE ...]";
   exit 2
 
 let rec collect_cmts acc dir =
@@ -40,21 +40,13 @@ let () =
     exit 0
   end;
   let build = ref "_build/default" in
-  let baseline_file = ref None in
-  let write_baseline = ref false in
   let scopes = ref [] in
   let rec parse = function
     | [] -> ()
     | "--build" :: dir :: rest ->
       build := dir;
       parse rest
-    | "--baseline" :: file :: rest ->
-      baseline_file := Some file;
-      parse rest
-    | "--write-baseline" :: rest ->
-      write_baseline := true;
-      parse rest
-    | ("--build" | "--baseline") :: [] -> usage ()
+    | "--build" :: [] -> usage ()
     | arg :: _ when String.length arg > 1 && arg.[0] = '-' -> usage ()
     | scope :: rest ->
       scopes := scope :: !scopes;
@@ -104,56 +96,9 @@ let () =
   in
   let cfg = Analyze_rules.default_config in
   let findings, test_only = Analyze_rules.analyze ~users:all cfg units in
-  let existing =
-    match !baseline_file with
-    | Some file when Sys.file_exists file ->
-      let ic = open_in_bin file in
-      let contents =
-        Fun.protect
-          ~finally:(fun () -> close_in ic)
-          (fun () -> really_input_string ic (in_channel_length ic))
-      in
-      Analyze_rules.parse_baseline contents
-    | _ -> []
-  in
-  if !write_baseline then begin
-    match !baseline_file with
-    | None ->
-      prerr_endline "ltree-analyze: --write-baseline needs --baseline FILE";
-      exit 2
-    | Some file ->
-      let oc = open_out file in
-      Fun.protect
-        ~finally:(fun () -> close_out oc)
-        (fun () ->
-          output_string oc
-            (Analyze_rules.render_baseline ~existing findings));
-      Printf.printf "ltree-analyze: baseline written to %s (%d entries)\n"
-        file
-        (List.length (List.filter Analyze_rules.baselinable findings));
-      (* only R8/R9 findings are baselinable: still fail on the rest *)
-      let unbaselinable =
-        List.filter (fun f -> not (Analyze_rules.baselinable f)) findings
-      in
-      List.iter
-        (fun v ->
-          Format.printf "@[<v>%a@]@." Analyze_rules.pp_finding v)
-        unbaselinable;
-      exit (if unbaselinable = [] then 0 else 1)
-  end;
-  let fresh, stale =
-    Analyze_rules.diff_baseline ~baseline:existing findings
-  in
-  List.iter
-    (fun fp ->
-      Printf.printf
-        "ltree-analyze: warning: stale baseline entry %s (finding is \
-         gone; regenerate with --write-baseline)\n"
-        fp)
-    stale;
   List.iter
     (fun v -> Format.printf "@[<v>%a@]@." Analyze_rules.pp_finding v)
-    fresh;
+    findings;
   (match test_only with
   | [] -> ()
   | _ ->
@@ -165,15 +110,13 @@ let () =
       (fun (f : Analyze_rules.finding) ->
         Printf.printf "  %s:%d: %s\n" f.file f.line f.message)
       test_only);
-  match fresh with
+  match findings with
   | [] ->
-    Printf.printf "ltree-analyze: %d unit(s) in %s clean (%d rules%s)\n"
+    Printf.printf "ltree-analyze: %d unit(s) in %s clean (%d rules)\n"
       (List.length units)
       (String.concat " " scopes)
-      (List.length (Analyze_rules.rule_ids ()))
-      (if existing = [] then ""
-       else Printf.sprintf ", %d baselined" (List.length existing));
+      (List.length (Analyze_rules.rule_ids ()));
     exit 0
   | vs ->
-    Printf.eprintf "ltree-analyze: %d new finding(s)\n" (List.length vs);
+    Printf.eprintf "ltree-analyze: %d finding(s)\n" (List.length vs);
     exit 1

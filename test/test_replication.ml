@@ -786,10 +786,10 @@ let with_traced_session n_ops f =
     (Ltree_obs.Span.dropped ());
   f session oracle
 
-(* Tentpole acceptance: drive a noisy session with tracing on; the
-   waterfall folded from the ring has a row per record, stages in
-   pipeline order, retries attributed to records, and complete rows
-   whose stage deltas sum to their e2e column. *)
+(* Drive a noisy session with tracing on; the waterfall folded from
+   the ring has a row per record, stages in pipeline order, retries
+   attributed to records, and complete rows whose stage deltas sum to
+   their e2e column. *)
 let causal_waterfall_e2e () =
   with_traced_session 20 @@ fun session oracle ->
   (match Replica.read (Session.replica session) labels_of with

@@ -774,6 +774,37 @@ let causal_ids_and_stamps () =
    | trs -> Alcotest.failf "expected 3 traces, got %d" (List.length trs));
   Span.set_capacity 1024
 
+(* A stamp without an explicit tick takes the ring's virtual-clock
+   tick, and the fold reads causal entries only: spans and notes of
+   other kinds interleaved in the ring, and a causal entry whose
+   attributes do not parse, leave the row unchanged. *)
+let causal_stamps_take_ring_tick () =
+  fresh_ring ();
+  Causal.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Causal.set_enabled false;
+      Recorder.set_tick 0)
+  @@ fun () ->
+  let payload = "I 3 0 <a/>" in
+  Recorder.set_tick 10;
+  Causal.stamp Causal.Append ~seq:1 ~payload;
+  Span.with_ ~name:"between" (fun () -> Recorder.note ~kind:"channel" "ship");
+  Recorder.note ~kind:"causal" ~attrs:[ ("seq", "1"); ("id", "zz") ] "ship";
+  Recorder.set_tick 13;
+  Causal.stamp Causal.Readable ~seq:1 ~payload;
+  (match Causal.records (Span.entries ()) with
+   | [ tr ] ->
+     Alcotest.(check (option int)) "append at the ring tick" (Some 10)
+       (Causal.stage_tick tr Causal.Append);
+     Alcotest.(check (option int)) "readable at the moved tick" (Some 13)
+       (Causal.stage_tick tr Causal.Readable);
+     Alcotest.(check (option int)) "unparseable causal entry skipped" None
+       (Causal.stage_tick tr Causal.Ship);
+     Alcotest.(check (option int)) "e2e" (Some 3) (Causal.e2e tr)
+   | trs -> Alcotest.failf "expected 1 trace, got %d" (List.length trs));
+  Span.set_capacity 1024
+
 (* {1 Labeled histogram series} *)
 
 let labeled_histogram_series () =
@@ -846,4 +877,6 @@ let suite =
       case "BENCH_*.json share one record shape" `Quick bench_records_shape;
       case "telemetry sampler" `Quick telemetry_sampler;
       case "causal ids + stamps" `Quick causal_ids_and_stamps;
+      case "causal stamps take the ring tick" `Quick
+        causal_stamps_take_ring_tick;
       case "labeled histogram series" `Quick labeled_histogram_series ] )

@@ -866,6 +866,94 @@ let causal_stamps_in_bundle () =
   Alcotest.(check string) "bundle rows = live waterfall rows"
     (Causal.waterfall live) (Causal.waterfall from_bundle)
 
+(* No id travels on the wire: the replica recomputes each record's id
+   from the (seq, payload) it received.  Under channel damage every
+   causal entry of a seq still carries one id, so each record folds
+   into one row holding both the primary's stamps (append, ship) and
+   the replica's (deliver, apply). *)
+let causal_ids_agree_across_ends () =
+  with_traced_session 20 @@ fun _ _ ->
+  let module Int_tbl = Ltree_metrics.Int_tbl in
+  let ids = Int_tbl.create 64 in
+  List.iter
+    (fun (r : Ltree_obs.Trace.record) ->
+      if r.kind = "causal" then
+        match (List.assoc_opt "seq" r.attrs, List.assoc_opt "id" r.attrs) with
+        | Some seq, Some id -> (
+          let seq = int_of_string seq in
+          match Int_tbl.find_opt ids seq with
+          | None -> Int_tbl.replace ids seq id
+          | Some first ->
+            Alcotest.(check string)
+              (Printf.sprintf "seq %d: %s stamp's id" seq r.name)
+              first id)
+        | _ -> Alcotest.failf "causal entry without seq/id: %s" r.name)
+    (Ltree_obs.Span.entries ());
+  let records = Causal.records (Ltree_obs.Span.entries ()) in
+  Alcotest.(check int) "one row per seq" (Int_tbl.length ids)
+    (List.length records);
+  List.iter
+    (fun tr ->
+      List.iter
+        (fun s ->
+          Alcotest.(check bool)
+            (Printf.sprintf "seq %d stamped at %s" tr.Causal.trace_seq
+               (Causal.stage_name s))
+            true
+            (Option.is_some (Causal.stage_tick tr s)))
+        [ Causal.Append; Causal.Ship; Causal.Deliver; Causal.Apply ])
+    records
+
+(* A traced run's ring is sized from its op count.  A ring too small
+   for the run overwrites its oldest stamps and counts the drops, which
+   is why traced runs refuse a waterfall when [Span.dropped () > 0];
+   the sized ring keeps every stamp of a noisy 200-op run. *)
+let traced_ring_sized_from_ops () =
+  let n_ops = 200 in
+  let run () =
+    Causal.set_enabled true;
+    Fun.protect ~finally:(fun () -> Causal.set_enabled false) @@ fun () ->
+    let noisy seed =
+      { Channel.ideal with
+        seed;
+        noise_every = 5;
+        noise_modes = Fault.channel_modes }
+    in
+    let config =
+      { Session.default_config with
+        down_plan = noisy 11;
+        up_plan = noisy 12;
+        attach_pumps = 128 }
+    in
+    let session, _, _, _ = session_over ~config n_ops in
+    Alcotest.(check bool) "caught up under noise" true
+      (Session.quiesce ~max_pumps:4096 session)
+  in
+  Fun.protect ~finally:(fun () -> Ltree_obs.Span.set_capacity 4096)
+  @@ fun () ->
+  Ltree_obs.Span.set_capacity 128;
+  run ();
+  Alcotest.(check bool) "an undersized ring counts its drops" true
+    (Ltree_obs.Span.dropped () > 0);
+  Alcotest.(check bool) "the oldest records' stamps are gone" false
+    (List.exists
+       (fun tr -> tr.Causal.trace_seq = 1)
+       (Causal.records (Ltree_obs.Span.entries ())));
+  Ltree_obs.Span.set_capacity (Session.traced_ring_capacity ~ops:n_ops);
+  run ();
+  Alcotest.(check int) "the sized ring dropped nothing" 0
+    (Ltree_obs.Span.dropped ());
+  let records = Causal.records (Ltree_obs.Span.entries ()) in
+  Alcotest.(check bool) "every scripted record traced" true
+    (List.length records >= n_ops);
+  List.iter
+    (fun tr ->
+      Alcotest.(check bool)
+        (Printf.sprintf "seq %d kept its append stamp" tr.Causal.trace_seq)
+        true
+        (Option.is_some (Causal.stage_tick tr Causal.Append)))
+    records
+
 let suite =
   ( "replication",
     [ case "frame round trip" `Quick frame_roundtrip;
@@ -894,5 +982,9 @@ let suite =
         cursor_matches_recomputation;
       case "causal waterfall end-to-end" `Quick causal_waterfall_e2e;
       case "traced session bundles its causal stamps" `Quick
-        causal_stamps_in_bundle
+        causal_stamps_in_bundle;
+      case "both ends agree on each record's id" `Quick
+        causal_ids_agree_across_ends;
+      case "traced ring sized from the op count" `Quick
+        traced_ring_sized_from_ops
     ] )

@@ -99,8 +99,9 @@ trace-smoke:
 # Flight-recorder smoke: force a replica-matrix cell failure, check that
 # the recorder dumped a bundle naming the exact cell, validate the
 # bundle, require a copy missing one entry line to be rejected, replay
-# just that cell from the bundle, and round-trip a traced replication
-# run plus the JSON metrics export.
+# just that cell from the bundle, round-trip a traced replication run
+# plus the JSON metrics export, and fold a gauge dashboard from a ring
+# that must not drop an entry.
 obs-smoke:
 	! dune exec bin/ltree_cli.exe -- crash-matrix --replica --ops 24 \
 	  --nodes 40 --group-commit 2 --checkpoint-every 8 \
@@ -114,6 +115,7 @@ obs-smoke:
 	  --noise-every 5 --trace > /dev/null
 	dune exec bin/ltree_cli.exe -- metrics --ops 100 --seed 1 --json \
 	  > /dev/null
+	dune exec bin/ltree_cli.exe -- top --ops 200 > /dev/null
 	rm -f _obs_smoke.jsonl _obs_smoke_cut.jsonl
 
 # Counter gate: run the four end-to-end workloads at smoke size, traced,

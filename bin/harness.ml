@@ -69,12 +69,14 @@ let labels t = Ltree.labels t.mt
 let accountant t = t.acct
 let doc_counters t = Labeled_doc.counters t.ldoc
 
-(* Telemetry gauge sources over the live stack, for `ltree top`: the
-   sampler polls these closures on its clock, so the dashboard shows how
-   label width, population and journal depth move as the workload
-   runs. *)
+(* Gauge sources over the live stack, plus the GC ones: each
+   [Telemetry.sample] writes their readings into the event ring, so
+   `ltree top` shows how label width, population and journal depth move
+   as the workload runs, and a failure bundle shows where they stood
+   when an invariant broke. *)
 let register_telemetry t =
   let reg name fn = Ltree_obs.Telemetry.register ~name fn in
+  Ltree_obs.Telemetry.register_gc ();
   reg "doc_bits_per_label" (fun () ->
       float_of_int (Ltree.bits_per_label (Labeled_doc.tree t.ldoc)));
   reg "doc_live_tags" (fun () ->
@@ -468,7 +470,7 @@ let exec t line =
     | "corrupt", _ ->
       (* An unmirrored materialized insert: legal for the tree itself,
          but it desynchronizes the twins, so twin.parity must fail. *)
-      Ltree_obs.Recorder.note ~kind:"fault" "harness_corrupt";
+      Ltree_obs.Span.note ~kind:"fault" "harness_corrupt";
       t.mh <- Ltree.insert_after t.mt (pick t.mh 0) :: t.mh
     | "storm", _ ->
       (* A synthetic relabeling storm: one full accounting window of
@@ -476,7 +478,7 @@ let exec t line =
          budget, so obs.amortized-bound must trip.  The twins are left
          untouched — like [corrupt], this op exists to prove the alarm
          fires. *)
-      Ltree_obs.Recorder.note ~kind:"fault" "harness_storm";
+      Ltree_obs.Span.note ~kind:"fault" "harness_storm";
       let n = max 2 (Ltree.length t.mt) in
       for _ = 1 to Accountant.window t.acct do
         Accountant.note t.acct ~n ~relabels:100_000

@@ -563,8 +563,10 @@ let check_cmd =
     let t = Harness.create ~params ?pool ~seed ~make_doc () in
     let reg = Harness.registry t in
     let prng = Ltree_workload.Prng.create seed in
-    (* on the first failure: report, shrink the op log, dump, exit 1 *)
-    let guard = function
+    Harness.register_telemetry t;
+    (* on the first failure (at op [i]): report, shrink the op log, dump,
+       exit 1 *)
+    let guard i = function
       | [] -> ()
       | failure :: _ as failures ->
         List.iter (fun f -> Format.printf "FAIL %a@." I.pp_failure f)
@@ -572,6 +574,7 @@ let check_cmd =
         (match bundle with
          | None -> ()
          | Some path ->
+           Ltree_obs.Telemetry.sample ~now:i ();
            let data =
              Ltree_obs.Recorder.dump ~reason:"invariant"
                ~attrs:
@@ -610,8 +613,8 @@ let check_cmd =
           dump;
         exit 1
     in
-    (* cheap invariants about 40 times per run; every invariant at each
-       of the four checkpoints and at the end *)
+    (* cheap invariants (and a gauge sample) about 40 times per run;
+       every invariant at each of the four checkpoints and at the end *)
     let cheap_every = max 1 (ops / 40)
     and checkpoint_every = max 1 (ops / 4) in
     Printf.printf
@@ -624,14 +627,17 @@ let check_cmd =
         Harness.apply t Harness.corrupt_op;
       if storm && i = max 1 (ops / 2) then
         Harness.apply t Harness.storm_op;
-      if i mod cheap_every = 0 then guard (I.run_all ~depth:I.Cheap reg);
+      if i mod cheap_every = 0 then begin
+        Ltree_obs.Telemetry.sample ~now:i ();
+        guard i (I.run_all ~depth:I.Cheap reg)
+      end;
       if i mod checkpoint_every = 0 then begin
-        guard (I.run_all reg);
+        guard i (I.run_all reg);
         Harness.apply t Harness.checkpoint_op;
         Printf.printf "  deep checkpoint at op %d: ok\n%!" i
       end
     done;
-    guard (I.run_all reg);
+    guard ops (I.run_all reg);
     Printf.printf "%d ops replayed; all %d registered invariants hold\n" ops
       (I.size reg);
     List.iter (fun n -> Printf.printf "  ok %s\n" n) (I.names reg)
@@ -949,24 +955,34 @@ let shard_matrix_cmd =
    the durable recovery twin, so the resulting trace spans every
    layer. *)
 
-let run_observed_workload ~params ~seed ~ops =
-  let make_doc () = Xml_gen.xmark ~seed ~scale:0.3 () in
-  let t = Harness.create ~params ~seed ~make_doc () in
+let observed_harness ~params ~seed =
+  Harness.create ~params ~seed
+    ~make_doc:(fun () -> Xml_gen.xmark ~seed ~scale:0.3 ())
+    ()
+
+(* Replay [ops] random operations on [t], checkpointing every quarter of
+   the run, then validate every invariant unless [~validate:false].
+   With [~sample_every:n] the registered gauges are sampled every [n]
+   operations and once more at the very end, after the validation. *)
+let run_observed_workload ?sample_every ?(validate = true) t ~seed ~ops =
   let prng = Ltree_workload.Prng.create seed in
+  let sample now = Ltree_obs.Telemetry.sample ~now () in
   for i = 1 to ops do
     List.iter (Harness.apply t) (Harness.random_ops prng);
     if i mod (max 1 (ops / 4)) = 0 then
-      Harness.apply t Harness.checkpoint_op
+      Harness.apply t Harness.checkpoint_op;
+    match sample_every with Some n when i mod n = 0 -> sample i | _ -> ()
   done;
   (* Deep validation flushes the store, runs every structural join and
      replays recovery — the relstore and query spans come from here. *)
-  (match Ltree_analysis.Invariant.run_all (Harness.registry t) with
-   | [] -> ()
-   | failure :: _ ->
-     Format.eprintf "invariant failed during workload: %a@."
-       Ltree_analysis.Invariant.pp_failure failure;
-     exit 1);
-  t
+  (if validate then
+     match Ltree_analysis.Invariant.run_all (Harness.registry t) with
+     | [] -> ()
+     | failure :: _ ->
+       Format.eprintf "invariant failed during workload: %a@."
+         Ltree_analysis.Invariant.pp_failure failure;
+       exit 1);
+  if Option.is_some sample_every then sample (ops + 1)
 
 let ops_workload_arg =
   Arg.(value & opt int 1000 & info [ "ops" ] ~docv:"OPS"
@@ -1001,7 +1017,7 @@ let trace_cmd =
   let run f s ops seed out flame verify capacity =
     let params = params_of f s in
     Ltree_obs.Span.set_capacity capacity;
-    ignore (run_observed_workload ~params ~seed ~ops);
+    run_observed_workload (observed_harness ~params ~seed) ~seed ~ops;
     let records = Ltree_obs.Span.records () in
     if flame then write_out out (Ltree_obs.Trace.flamegraph records)
     else begin
@@ -1065,7 +1081,8 @@ let metrics_cmd =
   in
   let run f s ops seed out json =
     let params = params_of f s in
-    let t = run_observed_workload ~params ~seed ~ops in
+    let t = observed_harness ~params ~seed in
+    run_observed_workload t ~seed ~ops;
     let acct = Harness.accountant t in
     if json then
       let module A = Ltree_obs.Accountant in
@@ -1370,8 +1387,10 @@ let bundle_cmd =
             s.R.sweep)
           (fun ~only ~inject:_ ~progress:_ -> R.run ?only config))
     | None, None ->
-      let params = params_of f s in
-      ignore (run_observed_workload ~params ~seed ~ops);
+      let t = observed_harness ~params:(params_of f s) ~seed in
+      Harness.register_telemetry t;
+      (* about 40 gauge samples, at check's cheap-invariant cadence *)
+      run_observed_workload ~sample_every:(max 1 (ops / 40)) t ~seed ~ops;
       let data =
         Ltree_obs.Recorder.dump ~reason:"explicit"
           ~attrs:
@@ -1394,7 +1413,13 @@ let bundle_cmd =
     Term.(const run $ f_arg $ s_arg $ ops_workload_arg $ seed_workload_arg
           $ out $ validate_arg $ replay_arg)
 
-(* top: gauge telemetry sampled over the observed workload *)
+(* top: gauge telemetry sampled over the observed workload, folded
+   back out of the event ring.  The ring holds the whole run -- under 64
+   span and point entries per operation, as for a traced replication
+   session, plus one entry per source per sample -- and a run that
+   overwrote any entry exits 1 instead of printing partial trends.  The
+   dashboard reads only gauges, so the closing deep validation is
+   skipped. *)
 
 let top_cmd =
   let width_arg =
@@ -1405,32 +1430,28 @@ let top_cmd =
     Arg.(value & opt int 10 & info [ "every" ] ~docv:"N"
            ~doc:"Sample the gauges every $(docv) operations.")
   in
-  let run f s ops seed width every domains =
-    with_domains domains @@ fun pool ->
-    let params = params_of f s in
-    let make_doc () = Xml_gen.xmark ~seed ~scale:0.3 () in
-    let t = Harness.create ~params ?pool ~seed ~make_doc () in
-    Ltree_obs.Telemetry.register_gc ();
-    Harness.register_telemetry t;
-    (match pool with Some p -> Pool.register_telemetry p | None -> ());
-    let prng = Ltree_workload.Prng.create seed in
+  let run f s ops seed width every =
     let every = max 1 every in
-    for i = 1 to ops do
-      List.iter (Harness.apply t) (Harness.random_ops prng);
-      if i mod (max 1 (ops / 4)) = 0 then
-        Harness.apply t Harness.checkpoint_op;
-      if i mod every = 0 then Ltree_obs.Telemetry.sample ~now:i ()
-    done;
-    Ltree_obs.Telemetry.sample ~now:(ops + 1) ();
-    print_string (Ltree_obs.Telemetry.top ~width ())
+    let t = observed_harness ~params:(params_of f s) ~seed in
+    Harness.register_telemetry t;
+    Ltree_obs.Span.set_capacity
+      (4096 + (64 * ops)
+       + ((ops / every) + 1) * Ltree_obs.Telemetry.source_count ());
+    run_observed_workload ~sample_every:every ~validate:false t ~seed ~ops;
+    match Ltree_obs.Telemetry.top ~width () with
+    | Ok dashboard -> print_string dashboard
+    | Error e ->
+      Printf.eprintf "top: %s\n" e;
+      exit 1
   in
   Cmd.v
     (Cmd.info "top"
        ~doc:"Replay a workload while sampling gauge telemetry (GC, label \
-             width, journal depth, pool queue) and print the sparkline \
-             dashboard.")
+             width, journal depth) into the event ring and print the \
+             sparkline dashboard folded from it.  Exits 1 if the ring \
+             overwrote any entry.")
     Term.(const run $ f_arg $ s_arg $ ops_workload_arg $ seed_workload_arg
-          $ width_arg $ every_arg $ domains_arg)
+          $ width_arg $ every_arg)
 
 let () =
   let doc = "L-Tree: dynamic order-preserving labels for XML documents" in

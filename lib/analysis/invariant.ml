@@ -24,7 +24,7 @@ type failure = { name : string; detail : string }
 (* Violations feed the flight recorder so a later bundle dump shows
    which invariant tripped and why, alongside the events before it. *)
 let record_failure f =
-  Ltree_obs.Recorder.note ~kind:"invariant"
+  Ltree_obs.Span.note ~kind:"invariant"
     ~attrs:[ ("detail", f.detail) ]
     f.name
 

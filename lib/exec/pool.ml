@@ -186,7 +186,7 @@ let create ~size =
   in
   t.domains <-
     List.init (size - 1) (fun i -> Domain.spawn (fun () -> worker t ~slot:(i + 1)));
-  Ltree_obs.Recorder.note ~kind:"exec"
+  Ltree_obs.Span.note ~kind:"exec"
     ~attrs:[ ("size", string_of_int size) ]
     "pool_created";
   t
@@ -198,7 +198,7 @@ let shutdown t =
   Mutex.unlock t.mu;
   List.iter Domain.join t.domains;
   t.domains <- [];
-  Ltree_obs.Recorder.note ~kind:"exec"
+  Ltree_obs.Span.note ~kind:"exec"
     ~attrs:[ ("jobs", string_of_int t.jobs) ]
     "pool_shutdown"
 
@@ -343,28 +343,6 @@ let map ?chunk t f arr =
         out.(i) <- Some (f arr.(i))
       done);
   Array.map (function Some v -> v | None -> assert false) out
-
-(* Pull-based gauges over the pool's live state for the periodic
-   sampler ([ltree top]).  The closures run at sample time, outside the
-   sampler's lock, and take the pool mutex themselves. *)
-let register_telemetry t =
-  let under_mu f =
-    Mutex.lock t.mu;
-    let v = f () in
-    Mutex.unlock t.mu;
-    v
-  in
-  (* chunk tasks of the in-flight job not yet finished *)
-  Ltree_obs.Telemetry.register ~name:"exec_pool_pending_chunks" (fun () ->
-      under_mu (fun () ->
-          match t.current with
-          | Some j -> float_of_int (Int.max 0 (Atomic.get j.j_pending))
-          | None -> 0.));
-  (* cumulative atomic claim operations on the chunk cursor *)
-  Ltree_obs.Telemetry.register ~name:"exec_pool_claim_ops" (fun () ->
-      under_mu (fun () -> float_of_int t.claims));
-  Ltree_obs.Telemetry.register ~name:"exec_pool_chunk_tasks" (fun () ->
-      under_mu (fun () -> float_of_int t.tasks))
 
 let default_size () =
   match Sys.getenv_opt "LTREE_DOMAINS" with

@@ -66,13 +66,6 @@ val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
 
 val stats : t -> stats
 
-val register_telemetry : t -> unit
-(** Register pull-based gauges over this pool's live state
-    ([exec_pool_pending_chunks], [exec_pool_claim_ops],
-    [exec_pool_chunk_tasks]) with the default {!Ltree_obs.Telemetry}
-    sampler, for [ltree top].  The closures take the pool mutex at
-    sample time; keep the pool alive for as long as the sampler runs. *)
-
 val default_size : unit -> int
 (** Pool size from the [LTREE_DOMAINS] environment variable (clamped
     to [1, 64]); 1 — serial — when unset or unparseable. *)

@@ -99,7 +99,7 @@ let[@ltree.cold] refuse t live_v live_g =
       stale_live_version = live_v;
       stale_live_generation = live_g }
   in
-  Ltree_obs.Recorder.note ~kind:"exec"
+  Ltree_obs.Span.note ~kind:"exec"
     ~attrs:
       [ ("snap_version", string_of_int s.stale_snap_version);
         ("snap_generation", string_of_int s.stale_snap_generation);

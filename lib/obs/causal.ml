@@ -49,7 +49,7 @@ let enabled = Atomic.make false
 let set_enabled b = Atomic.set enabled b
 
 let note ?tick name ~seq ~payload =
-  Recorder.note ?tick ~kind
+  Span.note ?tick ~kind
     ~attrs:
       [ ("seq", string_of_int seq);
         ("id", Printf.sprintf "%08x" (id_of ~seq ~payload)) ]

@@ -5,7 +5,7 @@
     its sequence number and payload — so every stage computes the same
     id from [(seq, payload)] without shipping it.  Pipeline stages
     {!stamp} the record as it passes (append → ship → deliver → apply →
-    readable): each stamp is one [causal] {!Recorder.note} in the ring
+    readable): each stamp is one [causal] {!Span.note} in the ring
     {!Span} owns, named after the stage, with the seq and the id as
     attributes and the ring's virtual-clock tick.  {!records} folds
     any list of ring entries ([Span.entries ()], or the entry lines of
@@ -26,7 +26,7 @@ val stage_name : stage -> string
 val set_enabled : bool -> unit
 
 (** [stamp ?tick stage ~seq ~payload] notes that the record reached
-    [stage] at [tick] (default: the ring's tick, {!Recorder.set_tick}).
+    [stage] at [tick] (default: the ring's tick, {!Span.set_tick}).
     A record may be stamped at a stage more than once (a retransmit, a
     replica re-appending the record it applies); {!records} keeps the
     first.  No-op while disabled. *)

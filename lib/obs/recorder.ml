@@ -1,11 +1,8 @@
-(* The flight recorder keeps no storage of its own: notes go to the
-   one process-wide event ring that [Span] owns, next to span closes,
-   and a bundle dumps that whole ring. *)
-
-let note = Span.note
-let set_tick = Span.set_tick
-
 (* {1 Bundle dump}
+
+   The flight recorder keeps no storage of its own: notes go to the one
+   process-wide event ring that [Span] owns, next to span closes, and a
+   bundle dumps that whole ring.
 
    A self-describing JSONL document: a header line naming the dump
    reason (and, for matrix failures, the exact cell to replay with

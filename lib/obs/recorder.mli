@@ -1,29 +1,16 @@
-(** Process-wide flight recorder: structured notes into the one event
-    ring, and self-describing diagnostic bundles of that ring.
+(** Process-wide flight recorder: self-describing diagnostic bundles of
+    the one event ring.
 
-    Subsystems call {!note} at interesting moments — fault injections,
-    channel damage, recovery decisions, matrix cell verdicts.  Notes are
-    always on (a black box that has to be switched on before the crash
-    records nothing) and land in {!Span}'s ring next to span closes, so
-    the ring keeps the most recent entries of every kind.  When
-    something goes wrong (an [Invariant] violation, a crash-/repl-matrix
-    cell failure, or an explicit [ltree bundle]) the caller {!dump}s a
-    JSONL bundle of the entries leading up to the failure plus a full
-    metrics snapshot.  The recorder itself keeps no storage. *)
-
-(** [note ?tick ?attrs ~kind name] appends one entry of [kind]
-    (["fault"], ["channel"], ["cell"], ["invariant"], ...; ["span"] and
-    ["point"] are the span layer's) to the ring, overwriting the oldest
-    when full.  [tick] defaults to the last {!set_tick} value. *)
-val note :
-  ?tick:int -> ?attrs:(string * string) list -> kind:string -> string -> unit
-
-(** [set_tick n] stamps subsequent entries, spans included, with
-    virtual-clock tick [n].  Session pumps call this so entries line up
-    with the causal trace. *)
-val set_tick : int -> unit
-
-(** {1 Diagnostic bundles} *)
+    Subsystems write notes at interesting moments — fault injections,
+    channel damage, recovery decisions, matrix cell verdicts — with
+    {!Span.note} into {!Span}'s ring, next to span closes, so the ring
+    keeps the most recent entries of every kind.  Notes are always on
+    (a black box that has to be switched on before the crash records
+    nothing).  When something goes wrong (an [Invariant] violation, a
+    crash-/repl-matrix cell failure, or an explicit [ltree bundle]) the
+    caller {!dump}s a JSONL bundle of the entries leading up to the
+    failure plus a full metrics snapshot.  The recorder itself keeps no
+    storage. *)
 
 (** [dump ?reason ?attrs ()] renders the whole ring as a JSONL bundle:
     a header line (version 2) carrying [reason], the entry and dropped

@@ -94,7 +94,7 @@ let finish ~name ~path ~depth ~start ~before ~attrs ~on_close counters =
   add r;
   (match on_close with Some f -> f r | None -> ())
 
-let traced ~attrs ~counters ~on_close ~name fn =
+let[@ltree.cold] traced ?(attrs = []) ~counters ~on_close ~name fn =
   begin
     let stack = stack () in
     let path = current_path stack name in
@@ -125,23 +125,27 @@ let traced ~attrs ~counters ~on_close ~name fn =
 
 (* Disabled fast path: one atomic flag read, then straight to [fn].  No
    clock read, no stack or DLS touch, no allocation — and none of the
-   traced path's frame set-up, which lives in [traced]. *)
-let with_ ?(attrs = []) ?counters ?on_close ~name fn =
+   traced path's frame set-up, which lives in [traced].  R9 holds
+   [with_] and [event] to that; [?attrs] is passed on undefaulted, since
+   a defaulted optional argument makes the rest of the function a
+   closure. *)
+let[@ltree.hot] with_ ?attrs ?counters ?on_close ~name fn =
   if not (Atomic.get on) then fn ()
-  else traced ~attrs ~counters ~on_close ~name fn
+  else (traced ?attrs ~counters ~on_close ~name fn [@ltree.cold])
 
-let event ?(attrs = []) name =
-  if Atomic.get on then begin
-    let stack = stack () in
-    add
-      { Trace.kind = "point";
-        name;
-        path = current_path stack name;
-        depth = List.length !stack;
-        domain = (Domain.self () :> int);
-        tick = Atomic.get tick;
-        start = Unix.gettimeofday ();
-        duration = 0.;
-        deltas = [];
-        attrs }
-  end
+let[@ltree.cold] point ?(attrs = []) name =
+  let stack = stack () in
+  add
+    { Trace.kind = "point";
+      name;
+      path = current_path stack name;
+      depth = List.length !stack;
+      domain = (Domain.self () :> int);
+      tick = Atomic.get tick;
+      start = Unix.gettimeofday ();
+      duration = 0.;
+      deltas = [];
+      attrs }
+
+let[@ltree.hot] event ?attrs name =
+  if Atomic.get on then (point ?attrs name [@ltree.cold])

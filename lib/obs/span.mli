@@ -9,8 +9,8 @@
     domain-local-storage access.
 
     The ring is the one event store of the process: span closes, point
-    events and flight-recorder notes ({!note}, fed through
-    {!Recorder.note}) share its mutex, its capacity and the
+    events and notes ({!note}: flight-recorder entries, causal stamps,
+    gauge readings) share its mutex, its capacity and the
     [obs_trace_dropped_total] overwrite counter.  Notes are always on;
     {!set_enabled} gates spans and points only.
 
@@ -61,18 +61,22 @@ val dropped : unit -> int
 (** Drop every entry and force-close any spans open on this domain. *)
 val reset : unit -> unit
 
-(** {1 Flight-recorder entries}
+(** {1 Notes}
 
-    The storage behind {!Recorder}; instrumentation calls
-    {!Recorder.note} and {!Recorder.set_tick}. *)
+    The one way to write a ring entry that is not a span or a point;
+    {!Recorder} dumps the ring as a bundle. *)
 
 (** [note ?tick ?attrs ~kind name] appends one zero-duration entry of
-    [kind], overwriting the oldest when the ring is full.  [tick]
+    [kind] (["fault"], ["channel"], ["cell"], ["invariant"],
+    ["causal"], ["gauge"], ...; ["span"] and ["point"] are the span
+    layer's), overwriting the oldest when the ring is full.  [tick]
     defaults to the last {!set_tick} value. *)
 val note :
   ?tick:int -> ?attrs:(string * string) list -> kind:string -> string -> unit
 
-(** [set_tick n] stamps subsequent entries with virtual-clock tick [n]. *)
+(** [set_tick n] stamps subsequent entries, spans included, with
+    virtual-clock tick [n].  Session pumps call this so entries line up
+    with the causal trace. *)
 val set_tick : int -> unit
 
 (** Every entry (spans, points and notes), oldest first. *)

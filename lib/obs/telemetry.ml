@@ -1,73 +1,46 @@
-(* One registered gauge source: a sampling closure plus a bounded ring
-   of (tick, value) samples.  Sources are pull-based -- [sample ~now]
-   polls every closure -- so subsystems expose state without pushing. *)
-type series = {
-  sname : string;
-  fn : unit -> float;
-  ticks : int array;
-  values : float array;
-  mutable added : int;
-}
+(* Gauge sources are pull-based closures -- [sample ~now] polls every
+   one -- so subsystems expose state without pushing.  A reading is one
+   [gauge] note in the ring [Span] owns; the module keeps no samples of
+   its own, and [top] folds them back out of the ring. *)
 
-type t = {
-  mu : Mutex.t;
-  mutable sources : series list;  (* registration order, newest first *)
-}
+let kind = "gauge"
 
-(* Samples each source's ring holds. *)
-let capacity = 256
+(* (name, closure), newest registration first *)
+let sources : (string * (unit -> float)) list Atomic.t = Atomic.make []
 
-let default = { mu = Mutex.create (); sources = [] }
+let rec register ~name fn =
+  let old = Atomic.get sources in
+  let fresh =
+    (name, fn) :: List.filter (fun (n, _) -> not (String.equal n name)) old
+  in
+  if not (Atomic.compare_and_set sources old fresh) then register ~name fn
 
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
-
-let register ~name fn =
-  let t = default in
-  locked t (fun () ->
-      let s =
-        {
-          sname = name;
-          fn;
-          ticks = Array.make capacity 0;
-          values = Array.make capacity 0.;
-          added = 0;
-        }
-      in
-      t.sources <-
-        s :: List.filter (fun s' -> not (String.equal s'.sname name)) t.sources)
+let source_count () = List.length (Atomic.get sources)
 
 let sample ~now () =
-  let t = default in
-  (* Sample outside the lock: a source closure may itself take a lock
-     (pool stats, registry reads) and must not nest under ours. *)
-  let sources = locked t (fun () -> t.sources) in
-  let readings = List.map (fun s -> (s, s.fn ())) sources in
-  locked t (fun () ->
-      List.iter
-        (fun (s, v) ->
-          let i = s.added mod Array.length s.ticks in
-          s.ticks.(i) <- now;
-          s.values.(i) <- v;
-          s.added <- s.added + 1)
-        readings)
-
-let sorted_sources t =
-  List.sort
-    (fun a b -> String.compare a.sname b.sname)
-    (locked t (fun () -> t.sources))
-
-let series_samples t s =
-  locked t (fun () ->
-      let cap = Array.length s.ticks in
-      let n = Int.min s.added cap in
-      let first = if s.added > cap then s.added mod cap else 0 in
-      List.init n (fun i ->
-          let j = (first + i) mod cap in
-          (s.ticks.(j), s.values.(j))))
+  List.iter
+    (fun (name, fn) ->
+      Span.note ~tick:now ~kind
+        ~attrs:[ ("value", Json.to_string (Json.Num (fn ()))) ]
+        name)
+    (Atomic.get sources)
 
 (* {1 Text dashboard} *)
+
+module Smap = Map.Make (String)
+
+(* Each gauge's readings, oldest first, keyed by name. *)
+let series entries =
+  List.fold_left
+    (fun m (r : Trace.record) ->
+      if not (String.equal r.kind kind) then m
+      else
+        let value = List.assoc_opt "value" r.attrs in
+        match Option.bind value float_of_string_opt with
+        | Some v -> Smap.add_to_list r.name v m
+        | None -> m)
+    Smap.empty entries
+  |> Smap.map List.rev
 
 let spark_chars = [| ' '; '.'; ':'; '-'; '='; '+'; '*'; '#'; '%'; '@' |]
 
@@ -93,36 +66,33 @@ let sparkline values =
     Buffer.contents buf
 
 let top ?(width = 32) () =
-  let t = default in
-  let buf = Buffer.create 1024 in
-  let srcs = sorted_sources t in
-  let name_w =
-    List.fold_left (fun acc s -> Int.max acc (String.length s.sname)) 10 srcs
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "%-*s %14s %14s  %s\n" name_w "gauge" "latest" "min..max"
-       "trend");
-  List.iter
-    (fun s ->
-      match series_samples t s with
-      | [] ->
-        Buffer.add_string buf
-          (Printf.sprintf "%-*s %14s %14s  %s\n" name_w s.sname "-" "-" "")
-      | samples ->
-        let values = List.map snd samples in
-        let tail =
-          let n = List.length values in
-          if n > width then List.filteri (fun i _ -> i >= n - width) values
-          else values
-        in
-        let latest = List.nth values (List.length values - 1) in
+  match Span.dropped () with
+  | n when n > 0 ->
+    Error
+      (Printf.sprintf
+         "the event ring dropped %d entries, so the trends would be partial"
+         n)
+  | _ ->
+    let rows = Smap.bindings (series (Span.entries ())) in
+    let buf = Buffer.create 1024 in
+    let name_w =
+      List.fold_left (fun acc (n, _) -> Int.max acc (String.length n)) 10 rows
+    in
+    Buffer.add_string buf
+      (Printf.sprintf "%-*s %14s %14s  %s\n" name_w "gauge" "latest"
+         "min..max" "trend");
+    List.iter
+      (fun (name, values) ->
+        let n = List.length values in
+        let tail = List.filteri (fun i _ -> i >= n - width) values in
         let lo = List.fold_left Float.min (List.hd values) values in
         let hi = List.fold_left Float.max (List.hd values) values in
         Buffer.add_string buf
-          (Printf.sprintf "%-*s %14.2f %7.2f..%-7.2f [%s]\n" name_w s.sname
-             latest lo hi (sparkline tail)))
-    srcs;
-  Buffer.contents buf
+          (Printf.sprintf "%-*s %14.2f %7.2f..%-7.2f [%s]\n" name_w name
+             (List.nth values (n - 1))
+             lo hi (sparkline tail)))
+      rows;
+    Ok (Buffer.contents buf)
 
 (* {1 Built-in sources} *)
 

@@ -119,7 +119,7 @@ let injected_payload (p : plan) ~point data =
 let crash t what =
   (* Feed the flight recorder before unwinding: the injection is the
      event a later bundle dump most needs to show. *)
-  Ltree_obs.Recorder.note ~kind:"fault"
+  Ltree_obs.Span.note ~kind:"fault"
     ~attrs:[ ("point", string_of_int t.point) ]
     what;
   raise (Crash { point = t.point; what })

@@ -2,7 +2,7 @@ module Labeled_doc = Ltree_doc.Labeled_doc
 module Journal = Ltree_doc.Journal
 module Serializer = Ltree_xml.Serializer
 module Invariant = Ltree_analysis.Invariant
-module Recorder = Ltree_obs.Recorder
+module Span = Ltree_obs.Span
 
 type config = {
   seed : int;
@@ -210,7 +210,7 @@ let run ?pool ?progress ?only ?inject ~name ~eval cells =
   in
   let eval_cell id =
     let cell = name id in
-    Recorder.note ~kind:"cell" ~attrs:[ ("phase", "start") ] cell;
+    Span.note ~kind:"cell" ~attrs:[ ("phase", "start") ] cell;
     let outcome, failures = eval id in
     let failures =
       match inject with
@@ -220,7 +220,7 @@ let run ?pool ?progress ?only ?inject ~name ~eval cells =
     in
     (match failures with
      | f :: _ ->
-       Recorder.note ~kind:"cell"
+       Span.note ~kind:"cell"
          ~attrs:[ ("phase", "failed"); ("failure", f) ]
          cell
      | [] -> ());

@@ -67,7 +67,7 @@ let create ?(plan = ideal) () =
 let severed t = t.severed
 
 let sever t ~now =
-  Ltree_obs.Recorder.note ~tick:now ~kind:"channel"
+  Ltree_obs.Span.note ~tick:now ~kind:"channel"
     ~attrs:[ ("backlog", string_of_int (List.length t.in_flight)) ]
     "severed";
   t.severed <- true;
@@ -114,7 +114,7 @@ let flip_bit rng bytes =
 (* Deliver one chunk under a damage mode.  [terminal] marks the chunk
    carried by a sever: its delayed remainders/copies never arrive. *)
 let inject t ~now ~mode ~terminal bytes =
-  Ltree_obs.Recorder.note ~tick:now ~kind:"fault"
+  Ltree_obs.Span.note ~tick:now ~kind:"fault"
     ~attrs:
       [ ("mode", Fault.mode_name mode);
         ("bytes", string_of_int (String.length bytes)) ]

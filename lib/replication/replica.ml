@@ -176,7 +176,7 @@ let maybe_checkpoint t s =
 (* Divergence verdicts feed the flight recorder before they park the
    replica: the bundle should show why the stream stopped. *)
 let set_diverged t d =
-  Ltree_obs.Recorder.note ~kind:"recovery"
+  Ltree_obs.Span.note ~kind:"recovery"
     ~attrs:[ ("detail", Format.asprintf "%a" pp_divergence d) ]
     "diverged";
   t.diverged <- Some d
@@ -279,14 +279,14 @@ let on_snapshot t ~now ~base_seq ~chain ~data =
       Int_tbl.replace t.chains base_seq chain;
       t.applied_since_ckpt <- 0;
       t.snapshots_installed <- t.snapshots_installed + 1;
-      Ltree_obs.Recorder.note ~tick:now ~kind:"recovery"
+      Ltree_obs.Span.note ~tick:now ~kind:"recovery"
         ~attrs:[ ("base_seq", string_of_int base_seq) ]
         "snapshot_installed";
       drain_stash t s ~now;
       Option.is_none t.diverged
     | Error (_ : Durable_doc.fault list) ->
       t.install_failures <- t.install_failures + 1;
-      Ltree_obs.Recorder.note ~tick:now ~kind:"recovery"
+      Ltree_obs.Span.note ~tick:now ~kind:"recovery"
         ~attrs:[ ("base_seq", string_of_int base_seq) ]
         "snapshot_install_failed";
       false)

@@ -47,7 +47,7 @@ let up t = t.up
    tick (the primary's causal appends) read the session clock. *)
 let set_clock t n =
   t.clock <- n;
-  Ltree_obs.Recorder.set_tick n
+  Ltree_obs.Span.set_tick n
 
 let pump t =
   set_clock t (t.clock + 1);

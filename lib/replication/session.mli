@@ -7,7 +7,7 @@
     replication scenario — including channel noise, retries, backoff
     delays, and failover — is a deterministic function of the
     configuration and fault plans.  The counter is also the event
-    ring's tick ({!Ltree_obs.Recorder.set_tick}): notes and causal
+    ring's tick ({!Ltree_obs.Span.set_tick}): notes and causal
     stamps taken without an explicit tick read it.  One subtlety it owns: before a
     primary checkpoint it syncs and pumps the shipper, so the rotation's
     journal truncation never eats records the shipper has not chained

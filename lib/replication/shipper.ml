@@ -217,7 +217,7 @@ let prune t ~acked =
 
 let on_ack t ~now seq =
   t.acks_seen <- t.acks_seen + 1;
-  Ltree_obs.Recorder.note ~tick:now ~kind:"channel"
+  Ltree_obs.Span.note ~tick:now ~kind:"channel"
     ~attrs:[ ("seq", string_of_int seq) ]
     "ack";
   let prev = match t.acked with None -> -1 | Some a -> a in
@@ -315,7 +315,7 @@ let send_snapshot_now t ~now =
            { epoch = Durable_doc.epoch t.store; base_seq = base;
              chain = Int_tbl.find t.chains base; data = bytes });
       t.snapshots_sent <- t.snapshots_sent + 1;
-      Ltree_obs.Recorder.note ~tick:now ~kind:"channel"
+      Ltree_obs.Span.note ~tick:now ~kind:"channel"
         ~attrs:[ ("base_seq", string_of_int base) ]
         "snapshot_sent";
       t.snap_base <- base)
@@ -341,7 +341,7 @@ let retry_due t ~now (fl : inflight) ~seq ~event resend =
       t.backoff_ticks <- t.backoff_ticks + delay;
       Ltree_obs.Histogram.observe_int (backoff_hist ()) delay
     | Error reason ->
-      Ltree_obs.Recorder.note ~tick:now ~kind:"recovery"
+      Ltree_obs.Span.note ~tick:now ~kind:"recovery"
         ~attrs:
           [ ("seq", string_of_int seq);
             ("reason", Format.asprintf "%a" Backoff.pp_error reason) ]
@@ -399,7 +399,7 @@ let step_handshake t ~now ~acked =
          { epoch = Durable_doc.epoch t.store; seq = acked;
            chain = Int_tbl.find t.chains acked });
     t.handshakes_sent <- t.handshakes_sent + 1;
-    Ltree_obs.Recorder.note ~tick:now ~kind:"channel"
+    Ltree_obs.Span.note ~tick:now ~kind:"channel"
       ~attrs:[ ("seq", string_of_int acked) ]
       "handshake_sent";
     t.force_handshake <- false;

@@ -99,6 +99,32 @@ let span_counters_and_disabled () =
   Alcotest.(check int) "disabled records nothing" 1
     (List.length (Span.records ()))
 
+(* The disabled fast paths allocate nothing: with tracing and causal
+   stamping off, each call below allocates 0.0 minor words, averaged
+   over 100k calls (the two [Gc.minor_words] readings vanish in the
+   average; one word per call would read 1.0). *)
+let disabled_paths_allocate_nothing () =
+  let calls = 100_000 in
+  let thunk () = () in
+  let payload = "I 1 0 <a/>" in
+  let per_call name f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do
+      f ()
+    done;
+    let words = (Gc.minor_words () -. w0) /. float_of_int calls in
+    Alcotest.(check (float 0.05)) (name ^ ": minor words per call") 0. words
+  in
+  Span.set_enabled false;
+  Causal.set_enabled false;
+  Fun.protect ~finally:(fun () -> Span.set_enabled true) @@ fun () ->
+  per_call "Span.with_" (fun () -> Span.with_ ~name:"off" thunk);
+  per_call "Span.event" (fun () -> Span.event "off");
+  per_call "Causal.stamp" (fun () ->
+      Causal.stamp Causal.Apply ~seq:1 ~payload);
+  per_call "Causal.note_retry" (fun () -> Causal.note_retry ~seq:1 ~payload)
+
 let ring_wraparound () =
   let ring = Trace.create ~capacity:3 in
   let mk i =
@@ -418,7 +444,7 @@ let trace_dropped_counter () =
   in
   Alcotest.(check int) "counter tracks the span overwrites" 6 (counted ());
   for i = 1 to 3 do
-    Recorder.note ~kind:"fault" (string_of_int i)
+    Span.note ~kind:"fault" (string_of_int i)
   done;
   Alcotest.(check int) "notes overwrite the same ring" 9 (Span.dropped ());
   Alcotest.(check int) "counter tracks the note overwrites" 9 (counted ());
@@ -509,10 +535,10 @@ let expose_json_golden () =
 
 let recorder_ring_and_bundle () =
   Span.set_capacity 4;
-  Recorder.set_tick 0;
-  Recorder.note ~kind:"fault" ~attrs:[ ("mode", "torn") ] "channel_inject";
-  Recorder.set_tick 9;
-  Recorder.note ~kind:"cell" "primary:P3/torn";
+  Span.set_tick 0;
+  Span.note ~kind:"fault" ~attrs:[ ("mode", "torn") ] "channel_inject";
+  Span.set_tick 9;
+  Span.note ~kind:"cell" "primary:P3/torn";
   (match Span.entries () with
    | [ a; b ] ->
      Alcotest.(check string) "kind" "fault" a.Trace.kind;
@@ -522,9 +548,9 @@ let recorder_ring_and_bundle () =
      Alcotest.(check (list (pair string string)))
        "attrs kept" [ ("mode", "torn") ] a.Trace.attrs
    | es -> Alcotest.failf "expected 2 entries, got %d" (List.length es));
-  Recorder.set_tick 0;
+  Span.set_tick 0;
   for i = 1 to 5 do
-    Recorder.note ~kind:"exec" (string_of_int i)
+    Span.note ~kind:"exec" (string_of_int i)
   done;
   Alcotest.(check int) "ring clamps" 4 (List.length (Span.entries ()));
   Alcotest.(check int) "overwrites counted" 3 (Span.dropped ());
@@ -588,9 +614,9 @@ let bundle_attrs_roundtrip () =
    same line [ltree trace] prints. *)
 let one_ring_one_line () =
   fresh_ring ();
-  Recorder.note ~kind:"fault" "before";
+  Span.note ~kind:"fault" "before";
   Span.with_ ~name:"solo" (fun () -> Span.event "dot");
-  Recorder.note ~kind:"cell" "after";
+  Span.note ~kind:"cell" "after";
   let tags rs = List.map (fun r -> r.Trace.kind ^ ":" ^ r.Trace.name) rs in
   Alcotest.(check (list string)) "one entry per span close"
     [ "fault:before"; "point:dot"; "span:solo"; "cell:after" ]
@@ -659,45 +685,87 @@ let bench_records_shape () =
 
 (* The dashboard row of [name] in [ltree top]'s output. *)
 let top_row name =
-  List.find_opt
-    (fun line ->
-      match String.split_on_char ' ' line with
-      | first :: _ -> String.equal first name
-      | [] -> false)
-    (String.split_on_char '\n' (Telemetry.top ()))
+  match Telemetry.top () with
+  | Error e -> Alcotest.failf "top refused: %s" e
+  | Ok out ->
+    List.find_opt
+      (fun line ->
+        match String.split_on_char ' ' line with
+        | first :: _ -> String.equal first name
+        | [] -> false)
+      (String.split_on_char '\n' out)
 
+(* Gauges are notes in the one ring: each sample is a [gauge] entry at
+   the sampling tick carrying an exact value, [top] folds the entries
+   back per name, a ring that dropped entries makes [top] refuse, and a
+   bundle dumped after sampling carries the gauge lines. *)
 let telemetry_sampler () =
+  fresh_ring ();
   let v = ref 0. in
   Telemetry.register ~name:"test_gauge" (fun () -> !v);
   for i = 1 to 6 do
     v := float_of_int (i + 2);
     Telemetry.sample ~now:i ()
   done;
+  let gauges () =
+    List.filter
+      (fun r -> r.Trace.kind = "gauge" && r.Trace.name = "test_gauge")
+      (Span.entries ())
+  in
+  Alcotest.(check (list int)) "one gauge entry per sample, at its tick"
+    [ 1; 2; 3; 4; 5; 6 ]
+    (List.map (fun r -> r.Trace.tick) (gauges ()));
+  Alcotest.(check (list (option string))) "readings as value attributes"
+    (List.map (fun s -> Some s) [ "3"; "4"; "5"; "6"; "7"; "8" ])
+    (List.map (fun r -> List.assoc_opt "value" r.Trace.attrs) (gauges ()));
   (match top_row "test_gauge" with
    | Some row ->
      Alcotest.(check bool) ("latest value: " ^ row) true
        (contains row " 8.00 ");
      Alcotest.(check bool) ("range column: " ^ row) true
-       (contains row "3.00..8.00")
+       (contains row "3.00..8.00");
+     Alcotest.(check bool) ("trend over the readings: " ^ row) true
+       (contains row "[ .-+#@]")
    | None -> Alcotest.fail "no dashboard row");
-  (* Two samples past the ring's 256 evict the two oldest (3 and 4). *)
-  for i = 7 to 258 do
-    v := float_of_int (i + 2);
-    Telemetry.sample ~now:i ()
-  done;
+  (* A fraction reads back bit for bit; a re-registered name is polled
+     through its new closure, next to the readings already in the ring. *)
+  v := 1. /. 3.;
+  Telemetry.sample ~now:7 ();
+  Telemetry.register ~name:"test_gauge" (fun () -> 42.);
+  Telemetry.sample ~now:8 ();
+  (match List.rev (gauges ()) with
+   | last :: third :: _ ->
+     Alcotest.(check (option string)) "new closure polled" (Some "42")
+       (List.assoc_opt "value" last.Trace.attrs);
+     Alcotest.(check bool) "a third reads back exactly" true
+       (Option.map float_of_string (List.assoc_opt "value" third.Trace.attrs)
+       = Some (1. /. 3.))
+   | _ -> Alcotest.fail "samples 7 and 8 missing");
   (match top_row "test_gauge" with
    | Some row ->
-     Alcotest.(check bool) ("latest after wrap: " ^ row) true
-       (contains row " 260.00 ");
-     Alcotest.(check bool) ("oldest samples evicted: " ^ row) true
-       (contains row " 5.00..260.00")
-   | None -> Alcotest.fail "no dashboard row after wrap");
-  Telemetry.register ~name:"test_gauge" (fun () -> 0.);
-  match top_row "test_gauge" with
-  | Some row ->
-    Alcotest.(check bool) ("re-register drops old samples: " ^ row) false
-      (contains row "..")
-  | None -> Alcotest.fail "re-registered source has no row"
+     Alcotest.(check bool) ("range spans the whole ring: " ^ row) true
+       (contains row "0.33..42.00")
+   | None -> Alcotest.fail "no dashboard row after re-register");
+  let data = Recorder.dump ~reason:"test" () in
+  (match Recorder.validate data with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "bundle invalid: %s" e);
+  Alcotest.(check int) "the bundle carries every gauge line" 8
+    (List.length
+       (List.filter
+          (fun l -> contains l {|"kind": "gauge"|})
+          (String.split_on_char '\n' data)));
+  (* A ring too small for the run: [top] fails instead of printing the
+     tail as if it were the whole run. *)
+  Span.set_capacity 4;
+  for i = 1 to 5 do
+    Telemetry.sample ~now:i ()
+  done;
+  (match Telemetry.top () with
+   | Error e ->
+     Alcotest.(check bool) ("names the drop: " ^ e) true (contains e "dropped")
+   | Ok out -> Alcotest.failf "top printed a partial run:\n%s" out);
+  Span.set_capacity 1024
 
 (* The waterfall's one arithmetic claim: on every complete row (an e2e
    column that is not "-") the [+n] stage cells sum to the e2e column.
@@ -784,14 +852,14 @@ let causal_stamps_take_ring_tick () =
   Fun.protect
     ~finally:(fun () ->
       Causal.set_enabled false;
-      Recorder.set_tick 0)
+      Span.set_tick 0)
   @@ fun () ->
   let payload = "I 3 0 <a/>" in
-  Recorder.set_tick 10;
+  Span.set_tick 10;
   Causal.stamp Causal.Append ~seq:1 ~payload;
-  Span.with_ ~name:"between" (fun () -> Recorder.note ~kind:"channel" "ship");
-  Recorder.note ~kind:"causal" ~attrs:[ ("seq", "1"); ("id", "zz") ] "ship";
-  Recorder.set_tick 13;
+  Span.with_ ~name:"between" (fun () -> Span.note ~kind:"channel" "ship");
+  Span.note ~kind:"causal" ~attrs:[ ("seq", "1"); ("id", "zz") ] "ship";
+  Span.set_tick 13;
   Causal.stamp Causal.Readable ~seq:1 ~payload;
   (match Causal.records (Span.entries ()) with
    | [ tr ] ->
@@ -856,6 +924,8 @@ let suite =
     [ case "span nesting" `Quick span_nesting;
       case "span unwind on exception" `Quick span_exception_unwind;
       case "span counters + disabled" `Quick span_counters_and_disabled;
+      case "disabled paths allocate nothing" `Quick
+        disabled_paths_allocate_nothing;
       case "ring wraparound" `Quick ring_wraparound;
       case "histogram buckets" `Quick histogram_buckets;
       case "histogram int observations" `Quick histogram_int_observations;

@@ -153,7 +153,7 @@ let default_config =
           "store-matrix cells share the memoized query cache under \
            cache_mu; audited in DESIGN.md section 9" );
         ( "Ltree_obs.Span.*",
-          "the one event ring (spans and Recorder notes) is the \
+          "the one event ring (spans and notes) is the \
            R7-allowlisted global; every access runs under ring_mu; \
            audited in DESIGN.md section 10" );
       ];

@@ -36,7 +36,9 @@ selfcheck-quick:
 
 # Crash the durable store at every write point in every corruption mode
 # (clean / torn / bit-flip), recover, and verify the result against a
-# bit-exact in-memory oracle plus the full invariant registry.
+# bit-exact in-memory oracle plus the full invariant registry.  The
+# shard and replica matrices below are the same `crash-matrix` command
+# with --shards K or --replica.
 crash-matrix:
 	dune exec bin/ltree_cli.exe -- crash-matrix --ops 200
 
@@ -49,11 +51,12 @@ crash-matrix-quick:
 # sibling shards and the router untouched, sharded plans still equal to
 # the unsharded reference.
 shard-matrix:
-	dune exec bin/ltree_cli.exe -- shard-matrix --ops 120
+	dune exec bin/ltree_cli.exe -- crash-matrix --shards 3 --ops 120 \
+	  --nodes 100 --checkpoint-every 24
 
 shard-matrix-quick:
-	dune exec bin/ltree_cli.exe -- shard-matrix --ops 40 --nodes 60 \
-	  --shards 3 --checkpoint-every 12 --domains 2
+	dune exec bin/ltree_cli.exe -- crash-matrix --shards 3 --ops 40 \
+	  --nodes 60 --checkpoint-every 12 --domains 2
 
 # The replica-level matrix: kill the primary mid-commit, the replica
 # mid-apply, or sever the channel mid-record, in every damage mode;
@@ -96,21 +99,33 @@ trace-smoke:
 	dune exec bin/ltree_cli.exe -- metrics --ops 200 --seed 1 > /dev/null
 	rm -f _trace_smoke.jsonl
 
-# Flight-recorder smoke: force a replica-matrix cell failure, check that
-# the recorder dumped a bundle naming the exact cell, validate the
-# bundle, require a copy missing one entry line to be rejected, replay
-# just that cell from the bundle, round-trip a traced replication run
-# plus the JSON metrics export, and fold a gauge dashboard from a ring
-# that must not drop an entry.
-obs-smoke:
-	! dune exec bin/ltree_cli.exe -- crash-matrix --replica --ops 24 \
-	  --nodes 40 --group-commit 2 --checkpoint-every 8 \
-	  --inject-cell-failure 'primary:P6/torn' \
-	  --bundle _obs_smoke.jsonl > /dev/null 2>&1
+# Flight-recorder smoke: for one cell of each matrix (store, shard,
+# replica) at the quick sizes, force the cell to fail, check that the
+# recorder dumped a bundle, validate the bundle, require a copy missing
+# one entry line to be rejected, and replay just that cell from the
+# bundle's recorded rerun command.  Then round-trip a traced
+# replication run plus the JSON metrics export, and fold a gauge
+# dashboard from a ring that must not drop an entry.
+# $(call obs_smoke_cell,CELL,MATRIX FLAGS): the injected run must exit
+# exactly 1 (a usage error exits 2 and dumps nothing).
+define obs_smoke_cell
+	rm -f _obs_smoke.jsonl
+	dune exec bin/ltree_cli.exe -- crash-matrix $(2) \
+	  --inject-cell-failure '$(1)' --bundle _obs_smoke.jsonl \
+	  > /dev/null 2>&1; test $$? -eq 1
 	dune exec bin/ltree_cli.exe -- bundle --validate _obs_smoke.jsonl
 	sed '2d' _obs_smoke.jsonl > _obs_smoke_cut.jsonl
 	! dune exec bin/ltree_cli.exe -- bundle --validate _obs_smoke_cut.jsonl
-	dune exec bin/ltree_cli.exe -- bundle --replay _obs_smoke.jsonl
+	dune exec bin/ltree_cli.exe -- bundle --replay _obs_smoke.jsonl \
+	  > /dev/null
+endef
+
+obs-smoke:
+	$(call obs_smoke_cell,P6/torn,--ops 60 --nodes 60 --checkpoint-every 16)
+	$(call obs_smoke_cell,S1/P7/torn,--shards 3 --ops 40 --nodes 60 \
+	  --checkpoint-every 12)
+	$(call obs_smoke_cell,primary:P6/torn,--replica --ops 24 --nodes 40 \
+	  --group-commit 2 --checkpoint-every 8)
 	dune exec bin/ltree_cli.exe -- replicate --ops 60 --nodes 60 \
 	  --noise-every 5 --trace > /dev/null
 	dune exec bin/ltree_cli.exe -- metrics --ops 100 --seed 1 --json \

@@ -180,7 +180,7 @@ let run_waterfall ~ops group_commit =
   let module Causal = Ltree_obs.Causal in
   (* The stamps live in the event ring: size it so the run overwrites
      nothing, or the means would be over a partial waterfall. *)
-  Ltree_obs.Span.set_capacity (Session.traced_ring_capacity ~ops);
+  Ltree_obs.Span.set_capacity_for ~ops;
   Causal.set_enabled true;
   Fun.protect ~finally:(fun () -> Causal.set_enabled false) @@ fun () ->
   let session = make_session ~group_commit () in

@@ -651,15 +651,33 @@ let check_cmd =
     Term.(const run $ file_opt $ f_arg $ s_arg $ ops_arg $ seed_arg
           $ inject_arg $ storm_arg $ dump_arg $ bundle_arg $ domains_arg)
 
-(* The front end the crash matrices share.  [run_matrix] parses
-   --only (and --inject-cell-failure) with the instance's [parse],
-   prints decile progress, turns the engine's Invalid_argument (a
-   config count below 1, an --only naming no cell) into a usage error,
-   prints the instance's [report], and when a cell failed lists it with
-   a command that reruns just that cell, calls [on_failure] and exits
-   1. *)
+(* The crash matrices' one front door.  An instance is a library matrix
+   plus what the command line needs of it: the flags that select it, its
+   header, its cell parser and printer, its sweep and its report.
+   [run_matrix] does everything else for every instance alike: parses
+   --only and --inject-cell-failure with the instance's [parse], prints
+   decile progress, turns the engine's Invalid_argument (a config count
+   below 1, a cell naming nothing) into a usage error, prints the
+   report, and when a cell failed lists it with the command that reruns
+   just that cell, dumps the --bundle and exits 1. *)
 
 module Matrix = Ltree_recovery.Matrix
+
+type ('id, 'outcome, 'summary) matrix_instance = {
+  select : string list;  (** crash-matrix flags that pick this instance *)
+  header : string;
+  parse : string -> 'id option;
+  example : string;
+  name : 'id -> string;
+  run :
+    ?pool:Pool.t ->
+    ?progress:(done_cells:int -> total:int -> unit) ->
+    ?only:'id ->
+    ?inject:'id ->
+    Matrix.config ->
+    'summary;
+  report : 'summary -> ('id, 'outcome) Matrix.sweep;
+}
 
 let matrix_config_args (c : Matrix.config) =
   Printf.sprintf "--ops %d --seed %d --nodes %d --group-commit %d \
@@ -667,15 +685,37 @@ let matrix_config_args (c : Matrix.config) =
     c.Matrix.ops c.Matrix.seed c.Matrix.doc_nodes c.Matrix.group_commit
     c.Matrix.checkpoint_every
 
-let run_matrix ~parse ~example ~name ~rerun ?only ?inject
-    ?(on_failure = ignore) ~report run =
+let print_matrix_header what (c : Matrix.config) domains =
+  Printf.printf
+    "%s %d ops, doc ~%d nodes, group commit %d, checkpoint every %d, seed \
+     %d, %d domain(s)\n%!"
+    what c.Matrix.ops c.Matrix.doc_nodes c.Matrix.group_commit
+    c.Matrix.checkpoint_every c.Matrix.seed (max 1 domains)
+
+(* The bundle of a failed sweep names its first failed cell and carries
+   that cell's rerun command, which is all `bundle --replay` needs. *)
+let write_matrix_bundle path ~cell ~failure ~rerun =
+  let data =
+    Ltree_obs.Recorder.dump ~reason:"matrix-cell"
+      ~attrs:
+        [ ("cell", cell); ("failure", failure); ("rerun", rerun) ]
+      ()
+  in
+  write_out (Some path) data;
+  match Ltree_obs.Recorder.validate data with
+  | Ok n ->
+    Printf.printf "flight bundle (%d lines, cell %s) written to %s\n" n cell
+      path
+  | Error e -> Printf.eprintf "flight bundle failed validation: %s\n" e
+
+let run_matrix inst config ~only ~inject ~bundle ~domains =
   let cell flag =
     Option.map (fun s ->
-        match parse s with
+        match inst.parse s with
         | Some c -> c
         | None ->
           Printf.eprintf "cannot parse %s %S (expected e.g. %s)\n" flag s
-            example;
+            inst.example;
           exit 2)
   in
   let only = cell "--only" only in
@@ -690,28 +730,43 @@ let run_matrix ~parse ~example ~name ~rerun ?only ?inject
     end
   in
   let summary =
-    try run ~only ~inject ~progress
+    try
+      with_domains domains @@ fun pool ->
+      print_matrix_header inst.header config domains;
+      inst.run ?pool ~progress ?only ?inject config
     with Invalid_argument msg ->
       Printf.eprintf "%s\n" msg;
       exit 2
   in
-  let sweep = report summary in
-  if not (Matrix.ok sweep) then begin
-    List.iter
-      (fun c ->
-        match c.Matrix.failures with
-        | [] -> ()
-        | failures ->
-          let cell = name c.Matrix.id in
-          Printf.printf "  cell %s:\n" cell;
-          List.iter (fun f -> Printf.printf "    %s\n" f) failures;
-          Printf.printf "    rerun: ltree %s\n" (rerun cell))
-      sweep.Matrix.cells;
-    on_failure sweep;
+  let sweep = inst.report summary in
+  let failed =
+    List.filter
+      (fun c -> match c.Matrix.failures with [] -> false | _ -> true)
+      sweep.Matrix.cells
+  in
+  let rerun c =
+    String.concat " "
+      (("crash-matrix" :: inst.select)
+       @ [ "--only"; inst.name c.Matrix.id; matrix_config_args config ])
+  in
+  List.iter
+    (fun c ->
+      Printf.printf "  cell %s:\n" (inst.name c.Matrix.id);
+      List.iter (fun f -> Printf.printf "    %s\n" f) c.Matrix.failures;
+      Printf.printf "    rerun: ltree %s\n" (rerun c))
+    failed;
+  match failed with
+  | [] -> ()
+  | first :: _ ->
+    Option.iter
+      (fun path ->
+        write_matrix_bundle path ~cell:(inst.name first.Matrix.id)
+          ~failure:(String.concat "; " first.Matrix.failures)
+          ~rerun:(rerun first))
+      bundle;
     exit 1
-  end
 
-(* Options every crash matrix takes, defaulting to [d]. *)
+(* The five Matrix.config options, defaulting to [d]. *)
 let matrix_args (d : Matrix.config) =
   let ops =
     Arg.(value & opt int d.Matrix.ops & info [ "ops" ] ~docv:"OPS"
@@ -740,13 +795,6 @@ let matrix_args (d : Matrix.config) =
         { Matrix.seed; ops; doc_nodes; group_commit; checkpoint_every })
     $ seed $ ops $ nodes $ group_commit $ checkpoint_every)
 
-let print_matrix_header what (c : Matrix.config) domains =
-  Printf.printf
-    "%s %d ops, doc ~%d nodes, group commit %d, checkpoint every %d, seed \
-     %d, %d domain(s)\n%!"
-    what c.Matrix.ops c.Matrix.doc_nodes c.Matrix.group_commit
-    c.Matrix.checkpoint_every c.Matrix.seed (max 1 domains)
-
 let print_matrix_verdict what (sweep : (_, _) Matrix.sweep) =
   if Matrix.ok sweep then
     Printf.printf "%s clean: all %d cells verified\n" what
@@ -755,18 +803,89 @@ let print_matrix_verdict what (sweep : (_, _) Matrix.sweep) =
     Printf.printf "FAIL: %d cells failed verification\n"
       sweep.Matrix.failed_cells
 
-(* crash-matrix *)
+(* crash-matrix: the store matrix, or the replica or shard one *)
 
 let crash_matrix_cmd =
   let module M = Ltree_recovery.Crash_matrix in
   let module R = Ltree_replication.Repl_matrix in
+  let module SM = Ltree_shard.Shard_matrix in
   let module F = Ltree_recovery.Fault in
+  let recovered_line cells ~recovered =
+    let n = List.length (List.filter recovered cells) in
+    Printf.printf "recovered: %d cells; pre-first-checkpoint losses: %d\n" n
+      (List.length cells - n)
+  in
+  let store_matrix =
+    { select = [];
+      header = "crash matrix:";
+      parse = M.parse_cell;
+      example = "P37/torn";
+      name = M.cell_name;
+      run = M.run;
+      report =
+        (fun s ->
+          let cells = s.M.sweep.Matrix.cells in
+          Printf.printf
+            "swept %d write points x %d modes = %d cells (%d init-phase \
+             points)\n"
+            s.M.total_points
+            (List.length F.all_modes)
+            (List.length cells) s.M.init_points;
+          recovered_line cells ~recovered:(fun c ->
+              match c.Matrix.outcome with
+              | M.Recovered _ -> true
+              | M.Unrecoverable _ -> false);
+          Printf.printf "damage detected during recovery:\n";
+          List.iter
+            (fun (kind, n) -> Printf.printf "  %-20s %d\n" kind n)
+            s.M.fault_counts;
+          print_matrix_verdict "crash matrix" s.M.sweep;
+          s.M.sweep) }
+  in
+  let replica_matrix =
+    { select = [ "--replica" ];
+      header = "replica crash matrix:";
+      parse = R.parse_cell;
+      example = "primary:P12/torn, replica:P5/clean or channel:C9/flip";
+      name = R.cell_name;
+      run = R.run;
+      report =
+        (fun s ->
+          Printf.printf "%s\n" (R.describe s);
+          s.R.sweep) }
+  in
+  let shard_matrix shards =
+    { select = [ "--shards"; string_of_int shards ];
+      header = Printf.sprintf "shard crash matrix: %d shards," shards;
+      parse = SM.parse_cell;
+      example = "S1/P37/torn";
+      name = SM.cell_name;
+      run =
+        (fun ?pool ?progress ?only ?inject matrix ->
+          SM.run ?pool ?progress ?only ?inject { SM.matrix; shards });
+      report =
+        (fun s ->
+          let cells = s.SM.sweep.Matrix.cells in
+          Array.iteri
+            (fun j total ->
+              Printf.printf "  shard %d: %d write points (%d init-phase)\n" j
+                total s.SM.init_points.(j))
+            s.SM.total_points;
+          Printf.printf "swept %d cells across %d modes\n" (List.length cells)
+            (List.length F.all_modes);
+          recovered_line cells ~recovered:(fun c ->
+              match c.Matrix.outcome with
+              | SM.Recovered _ -> true
+              | SM.Unrecoverable _ -> false);
+          print_matrix_verdict "shard matrix" s.SM.sweep;
+          s.SM.sweep) }
+  in
   let only_arg =
     Arg.(value & opt (some string) None & info [ "only" ] ~docv:"CELL"
            ~doc:"Rerun a single cell named as in the failure output \
-                 (store cells: $(b,P37/torn); replica cells: \
-                 $(b,primary:P12/flip), $(b,replica:P5/clean), \
-                 $(b,channel:C9/torn)).")
+                 (store cells: $(b,P37/torn); shard cells: \
+                 $(b,S1/P37/torn); replica cells: $(b,primary:P12/flip), \
+                 $(b,replica:P5/clean), $(b,channel:C9/torn)).")
   in
   let replica_arg =
     Arg.(value & flag & info [ "replica" ]
@@ -775,179 +894,47 @@ let crash_matrix_cmd =
                  mid-record; recover or promote; verify the survivor \
                  against the oracle prefix.")
   in
+  let shards_arg =
+    Arg.(value & opt (some int) None & info [ "shards" ] ~docv:"K"
+           ~doc:"Run the shard-level matrix over $(docv) subtree shards \
+                 instead: crash one shard's store at every one of its \
+                 write points, recover that shard alone, and verify it, \
+                 its live siblings and the router against bit-exact \
+                 oracles.")
+  in
   let inject_cell_arg =
     Arg.(value & opt (some string) None
          & info [ "inject-cell-failure" ] ~docv:"CELL"
-             ~doc:"Force the named replica-matrix cell to report a \
-                   synthetic verification failure — a self-test of the \
-                   failure path and (with $(b,--bundle)) of the \
-                   flight-recorder dump.  Requires $(b,--replica).")
+             ~doc:"Force the named cell to report a synthetic \
+                   verification failure — a self-test of the failure \
+                   path and (with $(b,--bundle)) of the flight-recorder \
+                   dump.")
   in
   let bundle_arg =
     Arg.(value & opt (some string) None & info [ "bundle" ] ~docv:"PATH"
            ~doc:"When any cell fails, dump the flight-recorder ring as a \
                  JSONL bundle to $(docv); the header names the failing \
-                 cell and run parameters, so $(b,ltree bundle --replay) \
-                 can re-run exactly that cell.  Requires $(b,--replica).")
+                 cell and its rerun command, so $(b,ltree bundle \
+                 --replay) can re-run exactly that cell.")
   in
-  let run config only replica inject bundle domains =
-    if (Option.is_some inject || Option.is_some bundle) && not replica
-    then begin
-      Printf.eprintf
-        "--inject-cell-failure and --bundle apply to the replica matrix: \
-         add --replica\n";
+  let run config only replica shards inject bundle domains =
+    let front inst = run_matrix inst config ~only ~inject ~bundle ~domains in
+    match (replica, shards) with
+    | true, Some _ ->
+      Printf.eprintf "--replica and --shards select different matrices\n";
       exit 2
-    end;
-    with_domains domains @@ fun pool ->
-    if replica then begin
-      let write_bundle path (sweep : (R.id, R.outcome) Matrix.sweep) =
-        let cell, failure =
-          match
-            List.find_opt
-              (fun c -> match c.Matrix.failures with [] -> false | _ -> true)
-              sweep.Matrix.cells
-          with
-          | Some c ->
-            (R.cell_name c.Matrix.id, String.concat "; " c.Matrix.failures)
-          | None -> ("?", "sweep incomplete")
-        in
-        let data =
-          Ltree_obs.Recorder.dump ~reason:"repl-matrix-cell"
-            ~attrs:
-              [ ("cell", cell); ("failure", failure);
-                ("seed", string_of_int config.Matrix.seed);
-                ("ops", string_of_int config.Matrix.ops);
-                ("nodes", string_of_int config.Matrix.doc_nodes);
-                ("group_commit", string_of_int config.Matrix.group_commit);
-                ("checkpoint_every",
-                 string_of_int config.Matrix.checkpoint_every) ]
-            ()
-        in
-        write_out (Some path) data;
-        match Ltree_obs.Recorder.validate data with
-        | Ok n ->
-          Printf.printf "flight bundle (%d lines, cell %s) written to %s\n" n
-            cell path
-        | Error e -> Printf.eprintf "flight bundle failed validation: %s\n" e
-      in
-      run_matrix ~parse:R.parse_cell
-        ~example:"primary:P12/torn, replica:P5/clean or channel:C9/flip"
-        ~name:R.cell_name
-        ~rerun:(fun cell ->
-          Printf.sprintf "crash-matrix --replica --only %s %s" cell
-            (matrix_config_args config))
-        ?only ?inject
-        ?on_failure:(Option.map write_bundle bundle)
-        ~report:(fun s ->
-          Printf.printf "%s\n" (R.describe s);
-          s.R.sweep)
-        (fun ~only ~inject ~progress ->
-          print_matrix_header "replica crash matrix:" config domains;
-          R.run ?pool ?only ?inject ~progress config)
-    end
-    else begin
-      run_matrix ~parse:M.parse_cell ~example:"P37/torn" ~name:M.cell_name
-        ~rerun:(fun cell ->
-          Printf.sprintf "crash-matrix --only %s %s" cell
-            (matrix_config_args config))
-        ?only
-        ~report:(fun s ->
-          let cells = s.M.sweep.Matrix.cells in
-          Printf.printf
-            "swept %d write points x %d modes = %d cells (%d init-phase \
-             points)\n"
-            s.M.total_points
-            (List.length F.all_modes)
-            (List.length cells) s.M.init_points;
-          let recovered =
-            List.filter
-              (fun c ->
-                match c.Matrix.outcome with
-                | M.Recovered _ -> true
-                | M.Unrecoverable _ -> false)
-              cells
-          in
-          Printf.printf
-            "recovered: %d cells; pre-first-checkpoint losses: %d\n"
-            (List.length recovered)
-            (List.length cells - List.length recovered);
-          Printf.printf "damage detected during recovery:\n";
-          List.iter
-            (fun (kind, n) -> Printf.printf "  %-20s %d\n" kind n)
-            s.M.fault_counts;
-          print_matrix_verdict "crash matrix" s.M.sweep;
-          s.M.sweep)
-        (fun ~only ~inject:_ ~progress ->
-          print_matrix_header "crash matrix:" config domains;
-          M.run ?pool ?only ~progress config)
-    end
+    | true, None -> front replica_matrix
+    | false, Some k -> front (shard_matrix k)
+    | false, None -> front store_matrix
   in
   Cmd.v
     (Cmd.info "crash-matrix"
-       ~doc:"Crash the durable store (or a primary/replica pair with \
-             --replica) at every write point in every corruption mode, \
-             recover or promote, and verify against a bit-exact oracle.")
+       ~doc:"Crash the durable store (a primary/replica pair with \
+             --replica, one of K subtree shards with --shards K) at every \
+             write point in every corruption mode, recover or promote, \
+             and verify against a bit-exact oracle.")
     Term.(const run $ matrix_args M.default_config $ only_arg $ replica_arg
-          $ inject_cell_arg $ bundle_arg $ domains_arg)
-
-(* shard-matrix *)
-
-let shard_matrix_cmd =
-  let module SM = Ltree_shard.Shard_matrix in
-  let module F = Ltree_recovery.Fault in
-  let shards_arg =
-    Arg.(value & opt int SM.default_config.SM.shards & info [ "shards" ]
-           ~docv:"K" ~doc:"Number of subtree shards.")
-  in
-  let only_arg =
-    Arg.(value & opt (some string) None & info [ "only" ] ~docv:"CELL"
-           ~doc:"Rerun a single cell named as in the failure output, \
-                 e.g. $(b,S1/P37/torn).")
-  in
-  let run matrix shards only domains =
-    with_domains domains @@ fun pool ->
-    let config = { SM.matrix; shards } in
-    run_matrix ~parse:SM.parse_cell ~example:"S1/P37/torn" ~name:SM.cell_name
-      ~rerun:(fun cell ->
-        Printf.sprintf "shard-matrix --only %s --shards %d %s" cell shards
-          (matrix_config_args matrix))
-      ?only
-      ~report:(fun s ->
-        let cells = s.SM.sweep.Matrix.cells in
-        Array.iteri
-          (fun j total ->
-            Printf.printf "  shard %d: %d write points (%d init-phase)\n" j
-              total s.SM.init_points.(j))
-          s.SM.total_points;
-        Printf.printf "swept %d cells across %d modes\n" (List.length cells)
-          (List.length F.all_modes);
-        let recovered =
-          List.filter
-            (fun c ->
-              match c.Matrix.outcome with
-              | SM.Recovered _ -> true
-              | SM.Unrecoverable _ -> false)
-            cells
-        in
-        Printf.printf "recovered: %d cells; pre-first-checkpoint losses: %d\n"
-          (List.length recovered)
-          (List.length cells - List.length recovered);
-        print_matrix_verdict "shard matrix" s.SM.sweep;
-        s.SM.sweep)
-      (fun ~only ~inject:_ ~progress ->
-        print_matrix_header
-          (Printf.sprintf "shard crash matrix: %d shards," shards)
-          matrix domains;
-        SM.run ?pool ?only ~progress config)
-  in
-  Cmd.v
-    (Cmd.info "shard-matrix"
-       ~doc:"Crash exactly one subtree shard's store at every one of its \
-             write points in every corruption mode, recover that shard \
-             alone, and verify the recovered shard, its live siblings and \
-             the router against bit-exact oracles.")
-    Term.(const run $ matrix_args SM.default_config.SM.matrix $ shards_arg
-          $ only_arg $ domains_arg)
+          $ shards_arg $ inject_cell_arg $ bundle_arg $ domains_arg)
 
 (* trace / metrics: the observability front ends.  Both replay the same
    deterministic harness workload `ltree check` uses — it exercises the
@@ -984,6 +971,16 @@ let run_observed_workload ?sample_every ?(validate = true) t ~seed ~ops =
        exit 1);
   if Option.is_some sample_every then sample (ops + 1)
 
+(* A view folded from the event ring -- a trace, a bundle, a waterfall
+   -- is whole only when the ring kept every entry; exit 1 otherwise. *)
+let require_whole_ring what =
+  let dropped = Ltree_obs.Span.dropped () in
+  if dropped > 0 then begin
+    Printf.eprintf "the event ring overwrote %d entries: %s would be partial\n"
+      dropped what;
+    exit 1
+  end
+
 let ops_workload_arg =
   Arg.(value & opt int 1000 & info [ "ops" ] ~docv:"OPS"
          ~doc:"Workload operations to replay.")
@@ -1009,15 +1006,11 @@ let trace_cmd =
                  tree covers the ltree, relstore and recovery layers; \
                  exit non-zero otherwise.")
   in
-  let capacity_arg =
-    Arg.(value & opt int 262_144 & info [ "capacity" ] ~docv:"N"
-           ~doc:"Ring-buffer capacity: only the most recent N spans are \
-                 kept.")
-  in
-  let run f s ops seed out flame verify capacity =
+  let run f s ops seed out flame verify =
     let params = params_of f s in
-    Ltree_obs.Span.set_capacity capacity;
+    Ltree_obs.Span.set_capacity_for ~ops;
     run_observed_workload (observed_harness ~params ~seed) ~seed ~ops;
+    require_whole_ring "the trace";
     let records = Ltree_obs.Span.records () in
     if flame then write_out out (Ltree_obs.Trace.flamegraph records)
     else begin
@@ -1052,21 +1045,16 @@ let trace_cmd =
           [ "ltree"; "relstore"; "recovery" ];
         Printf.eprintf
           "span tree covers the ltree, relstore and recovery layers\n"
-      end;
-      let dropped = Ltree_obs.Span.dropped () in
-      if dropped > 0 then
-        Printf.eprintf
-          "note: ring wrapped, %d oldest spans overwritten (raise \
-           --capacity to keep them)\n"
-          dropped
+      end
     end
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Replay a workload and dump the span trace as JSONL (or a \
-             text flamegraph).")
+             text flamegraph).  The ring is sized from $(b,--ops); a run \
+             that overwrites any entry exits 1.")
     Term.(const run $ f_arg $ s_arg $ ops_workload_arg $ seed_workload_arg
-          $ out $ flame_arg $ verify_arg $ capacity_arg)
+          $ out $ flame_arg $ verify_arg)
 
 let metrics_cmd =
   let out =
@@ -1129,26 +1117,6 @@ let replicate_cmd =
   let module F = Ltree_recovery.Fault in
   let module D = Ltree_recovery.Durable_doc in
   let module Rp = Ltree_replication in
-  let ops_arg =
-    Arg.(value & opt int 200 & info [ "ops" ] ~docv:"OPS"
-           ~doc:"Length of the seeded operation script.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED"
-           ~doc:"Seed for the script and every injection choice.")
-  in
-  let nodes_arg =
-    Arg.(value & opt int 120 & info [ "nodes" ] ~docv:"N"
-           ~doc:"Target size of the base document.")
-  in
-  let group_arg =
-    Arg.(value & opt int 4 & info [ "group-commit" ] ~docv:"G"
-           ~doc:"Journal records batched per fsync, both stores.")
-  in
-  let ckpt_arg =
-    Arg.(value & opt int 32 & info [ "checkpoint-every" ] ~docv:"K"
-           ~doc:"Operations between snapshot rotations.")
-  in
   let noise_arg =
     Arg.(value & opt int 0 & info [ "noise-every" ] ~docv:"N"
            ~doc:"Damage every $(docv)th chunk on both channels with a \
@@ -1175,15 +1143,15 @@ let replicate_cmd =
                  is sized from $(b,--ops); a run that overwrites any \
                  entry exits 1 without printing a partial waterfall.")
   in
-  let run ops seed nodes group_commit checkpoint_every noise_every failover
-      metrics trace =
+  let run (config : Matrix.config) noise_every failover metrics trace =
+    let { Matrix.seed; ops; doc_nodes = nodes; group_commit; checkpoint_every }
+        =
+      config
+    in
     if trace then begin
-      Ltree_obs.Span.set_capacity (Rp.Session.traced_ring_capacity ~ops);
+      Ltree_obs.Span.set_capacity_for ~ops;
       Ltree_obs.Causal.set_enabled true
     end;
-    let config =
-      { Matrix.seed; ops; doc_nodes = nodes; group_commit; checkpoint_every }
-    in
     let script = M.generate_script config in
     let oracle = Matrix.build_oracle (M.base_ldoc config) script in
     let psim = F.create_sim () and rsim = F.create_sim () in
@@ -1262,16 +1230,7 @@ let replicate_cmd =
     end;
     if trace then begin
       let module C = Ltree_obs.Causal in
-      (* The waterfall is a view over the ring: it is whole only when
-         the ring kept every entry. *)
-      let dropped = Ltree_obs.Span.dropped () in
-      if dropped > 0 then begin
-        Printf.eprintf
-          "the event ring overwrote %d entries: the waterfall would be \
-           partial\n"
-          dropped;
-        exit 1
-      end;
+      require_whole_ring "the waterfall";
       let trs = C.records (Ltree_obs.Span.entries ()) in
       print_string (C.waterfall trs);
       let e2e = List.filter_map C.e2e trs in
@@ -1312,17 +1271,17 @@ let replicate_cmd =
        ~doc:"Drive a primary/replica pair over injectable channels: \
              catch-up, lag, retries, optional failover, and the \
              replication histograms.")
-    Term.(const run $ ops_arg $ seed_arg $ nodes_arg $ group_arg
-          $ ckpt_arg $ noise_arg $ failover_arg $ metrics_arg $ trace_arg)
+    Term.(const run $ matrix_args M.default_config $ noise_arg $ failover_arg
+          $ metrics_arg $ trace_arg)
 
 (* bundle: the flight recorder's front door.  With no mode flag it
    replays the observed workload and dumps the ring; --validate checks
-   an existing bundle file; --replay re-runs the replica-matrix cell
-   named in a bundle's header (the loop a failing CI matrix closes:
-   the failure dumps a bundle, the bundle replays the cell). *)
+   an existing bundle file; --replay runs the rerun command a matrix
+   bundle's header records (the loop a failing CI matrix closes: the
+   failure dumps a bundle, the bundle replays the cell).  [eval] runs
+   one command line through the CLI's own command group. *)
 
-let bundle_cmd =
-  let module R = Ltree_replication.Repl_matrix in
+let bundle_cmd ~eval =
   let out =
     Arg.(value & opt (some string) None & info [ "o"; "output" ]
            ~docv:"PATH" ~doc:"Write the bundle here (stdout by default).")
@@ -1333,64 +1292,41 @@ let bundle_cmd =
   in
   let replay_arg =
     Arg.(value & opt (some file) None & info [ "replay" ] ~docv:"BUNDLE"
-           ~doc:"Re-run the replica-matrix cell named in the bundle \
-                 header, with the bundle's own seed and run parameters \
-                 (an $(b,--only) replay driven by the dump).")
+           ~doc:"Validate a matrix bundle and run the rerun command its \
+                 header records: the failed cell alone, at the run's own \
+                 seed and parameters.")
   in
   let run f s ops seed out validate replay =
-    match (validate, replay) with
-    | Some path, _ -> (
+    let valid path =
       let data = read_file path in
       match Ltree_obs.Recorder.validate data with
-      | Ok n -> Printf.printf "%s: valid bundle (%d lines)\n" path n
+      | Ok n -> (data, n)
       | Error e ->
         Printf.eprintf "%s: invalid bundle: %s\n" path e;
-        exit 1)
+        exit 1
+    in
+    match (validate, replay) with
+    | Some path, _ ->
+      let _, n = valid path in
+      Printf.printf "%s: valid bundle (%d lines)\n" path n
     | None, Some path -> (
-      let data = read_file path in
-      (match Ltree_obs.Recorder.validate data with
-       | Ok _ -> ()
-       | Error e ->
-         Printf.eprintf "%s: invalid bundle: %s\n" path e;
-         exit 1);
-      let attr k = Ltree_obs.Recorder.attr_of_bundle data k in
-      match attr "cell" with
+      let data, _ = valid path in
+      match Ltree_obs.Recorder.attr_of_bundle data "rerun" with
       | None ->
-        Printf.eprintf "%s: bundle header names no cell to replay\n" path;
+        Printf.eprintf "%s: bundle header records no rerun command\n" path;
         exit 2
-      | Some cell ->
-        let geti k fallback =
-          match attr k with
-          | None -> fallback
-          | Some v -> (
-            match int_of_string_opt v with Some n -> n | None -> fallback)
-        in
-        let d = R.default_config in
-        let config =
-          { Matrix.seed = geti "seed" d.Matrix.seed;
-            ops = geti "ops" d.Matrix.ops;
-            doc_nodes = geti "nodes" d.Matrix.doc_nodes;
-            group_commit = geti "group_commit" d.Matrix.group_commit;
-            checkpoint_every =
-              geti "checkpoint_every" d.Matrix.checkpoint_every }
-        in
-        Printf.printf "replaying cell %s (seed %d, ops %d)\n" cell
-          config.Matrix.seed config.Matrix.ops;
-        run_matrix ~parse:R.parse_cell ~example:"primary:P12/torn"
-          ~name:R.cell_name
-          ~rerun:(fun cell ->
-            Printf.sprintf "crash-matrix --replica --only %s %s" cell
-              (matrix_config_args config))
-          ~only:cell
-          ~report:(fun s ->
-            Printf.printf "%s\n" (R.describe s);
-            s.R.sweep)
-          (fun ~only ~inject:_ ~progress:_ -> R.run ?only config))
+      | Some line -> (
+        Printf.printf "replaying: ltree %s\n%!" line;
+        match eval (String.split_on_char ' ' line) with
+        | 0 -> ()
+        | code -> exit code))
     | None, None ->
       let t = observed_harness ~params:(params_of f s) ~seed in
       Harness.register_telemetry t;
+      Ltree_obs.Span.set_capacity_for ~ops;
       (* about 40 gauge samples, at check's cheap-invariant cadence *)
       run_observed_workload ~sample_every:(max 1 (ops / 40)) t ~seed ~ops;
+      require_whole_ring "the bundle";
       let data =
         Ltree_obs.Recorder.dump ~reason:"explicit"
           ~attrs:
@@ -1409,16 +1345,15 @@ let bundle_cmd =
   Cmd.v
     (Cmd.info "bundle"
        ~doc:"Dump, validate or replay a flight-recorder diagnostic \
-             bundle.")
+             bundle.  A dump sizes the ring from $(b,--ops) and exits 1 \
+             if the run overwrote any entry.")
     Term.(const run $ f_arg $ s_arg $ ops_workload_arg $ seed_workload_arg
           $ out $ validate_arg $ replay_arg)
 
 (* top: gauge telemetry sampled over the observed workload, folded
-   back out of the event ring.  The ring holds the whole run -- under 64
-   span and point entries per operation, as for a traced replication
-   session, plus one entry per source per sample -- and a run that
-   overwrote any entry exits 1 instead of printing partial trends.  The
-   dashboard reads only gauges, so the closing deep validation is
+   back out of the event ring.  The ring is sized from --ops, and a run
+   that overwrote any entry exits 1 instead of printing partial trends.
+   The dashboard reads only gauges, so the closing deep validation is
    skipped. *)
 
 let top_cmd =
@@ -1434,9 +1369,7 @@ let top_cmd =
     let every = max 1 every in
     let t = observed_harness ~params:(params_of f s) ~seed in
     Harness.register_telemetry t;
-    Ltree_obs.Span.set_capacity
-      (4096 + (64 * ops)
-       + ((ops / every) + 1) * Ltree_obs.Telemetry.source_count ());
+    Ltree_obs.Span.set_capacity_for ~ops;
     run_observed_workload ~sample_every:every ~validate:false t ~seed ~ops;
     match Ltree_obs.Telemetry.top ~width () with
     | Ok dashboard -> print_string dashboard
@@ -1456,11 +1389,14 @@ let top_cmd =
 let () =
   let doc = "L-Tree: dynamic order-preserving labels for XML documents" in
   let info = Cmd.info "ltree" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [ generate_cmd; label_cmd; query_cmd; compare_cmd; tune_cmd;
-            bench_cmd; snapshot_cmd; restore_cmd; check_cmd;
-            crash_matrix_cmd; shard_matrix_cmd; replicate_cmd; shell_cmd;
-            trace_cmd;
-            metrics_cmd; bundle_cmd; top_cmd ]))
+  let rec ltree =
+    lazy
+      (Cmd.group info
+         [ generate_cmd; label_cmd; query_cmd; compare_cmd; tune_cmd;
+           bench_cmd; snapshot_cmd; restore_cmd; check_cmd;
+           crash_matrix_cmd; replicate_cmd; shell_cmd; trace_cmd;
+           metrics_cmd; bundle_cmd ~eval; top_cmd ])
+  and eval args =
+    Cmd.eval ~argv:(Array.of_list ("ltree" :: args)) (Lazy.force ltree)
+  in
+  exit (Cmd.eval (Lazy.force ltree))

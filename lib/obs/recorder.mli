@@ -7,18 +7,22 @@
     keeps the most recent entries of every kind.  Notes are always on
     (a black box that has to be switched on before the crash records
     nothing).  When something goes wrong (an [Invariant] violation, a
-    crash-/repl-matrix cell failure, or an explicit [ltree bundle]) the
+    failed cell of any crash matrix, or an explicit [ltree bundle]) the
     caller {!dump}s a JSONL bundle of the entries leading up to the
     failure plus a full metrics snapshot.  The recorder itself keeps no
     storage. *)
 
 (** [dump ?reason ?attrs ()] renders the whole ring as a JSONL bundle:
     a header line (version 2) carrying [reason], the entry and dropped
-    counts and [attrs] (matrix dumps put the failing cell name and run
-    parameters here, so {!attr_of_bundle} can drive an [--only]
-    replay), one {!Trace.to_jsonl} line per entry, one line with the
-    full {!Registry} metrics snapshot, and a footer with the entry
-    count. *)
+    counts and [attrs], one {!Trace.to_jsonl} line per entry, one line
+    with the full {!Registry} metrics snapshot, and a footer with the
+    entry count.  A matrix dump's [attrs] are [cell] (the failed cell's
+    coordinate), [failure] (its failures, joined by ["; "]) and
+    [rerun] (the space-separated [ltree] arguments that rerun exactly
+    that cell at the run's seed and config, without
+    [--inject-cell-failure], [--bundle] or [--domains]);
+    [ltree bundle --replay] reads [rerun] back through
+    {!attr_of_bundle} and runs it. *)
 val dump : ?reason:string -> ?attrs:(string * string) list -> unit -> string
 
 (** [validate data] checks that [data] is a well-formed bundle: every
@@ -29,6 +33,6 @@ val dump : ?reason:string -> ?attrs:(string * string) list -> unit -> string
 val validate : string -> (int, string) result
 
 (** [attr_of_bundle data key] extracts a string attribute from the
-    bundle header, e.g. [attr_of_bundle data "cell"] for the failing
-    cell to replay. *)
+    bundle header, e.g. [attr_of_bundle data "rerun"] for the command
+    that replays a failed matrix cell. *)
 val attr_of_bundle : string -> string -> string option

@@ -28,6 +28,7 @@ let set_enabled b = Atomic.set on b
 let enabled () = Atomic.get on
 let set_tick n = Atomic.set tick n
 let set_capacity capacity = locked (fun () -> ring := Trace.create ~capacity)
+let set_capacity_for ~ops = set_capacity (8192 + (64 * ops))
 let entries () = locked (fun () -> Trace.to_list !ring)
 let dropped () = locked (fun () -> Trace.dropped !ring)
 

@@ -52,6 +52,17 @@ val enabled : unit -> bool
     [n] entries.  Raises [Invalid_argument] when [n < 1]. *)
 val set_capacity : int -> unit
 
+(** [set_capacity_for ~ops] sizes the ring to keep every entry of a run
+    of [ops] operations: 8192 plus 64 per operation.  Measured needs
+    sit well inside that: an observed workload writes 20 to 30 entries
+    per operation plus about 5,100 from its closing validation, a
+    causally traced replication session under 35 per operation plus a
+    few hundred, even when every second chunk is damaged.  A view
+    folded from the ring (a waterfall, a dashboard, a trace or a
+    bundle) is whole only when {!dropped} stays 0, so its callers check
+    that afterwards. *)
+val set_capacity_for : ops:int -> unit
+
 (** Completed span and point records, oldest first (notes excluded). *)
 val records : unit -> Trace.record list
 

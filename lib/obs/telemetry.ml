@@ -15,8 +15,6 @@ let rec register ~name fn =
   in
   if not (Atomic.compare_and_set sources old fresh) then register ~name fn
 
-let source_count () = List.length (Atomic.get sources)
-
 let sample ~now () =
   List.iter
     (fun (name, fn) ->

@@ -14,9 +14,6 @@
     {!sample}.  Registering a name again replaces its closure. *)
 val register : name:string -> (unit -> float) -> unit
 
-(** Number of registered sources: the entries one {!sample} writes. *)
-val source_count : unit -> int
-
 (** [sample ~now ()] polls every source once and writes one [gauge]
     note per source, named after it, stamped with tick [now] and
     carrying the reading as its ["value"] attribute, printed by

@@ -243,7 +243,7 @@ let check_queries config script ~cache_mu ~query_cache ~durable t =
       [ Printf.sprintf "%s//%s over recovered store: %d matches vs %d from \
                         scratch" anc desc (List.length got) (List.length want) ]
 
-let run ?pool ?progress ?only (config : Matrix.config) =
+let run ?pool ?progress ?only ?inject (config : Matrix.config) =
   Matrix.validate config;
   let script = generate_script config in
   let oracle = Matrix.build_oracle (base_ldoc config) script in
@@ -314,7 +314,9 @@ let run ?pool ?progress ?only (config : Matrix.config) =
          (fun mode -> List.init total_points (fun i -> (i + 1, mode)))
          Fault.all_modes)
   in
-  let sweep = Matrix.run ?pool ?progress ?only ~name:cell_name ~eval cells in
+  let sweep =
+    Matrix.run ?pool ?progress ?only ?inject ~name:cell_name ~eval cells
+  in
   let fault_counts = Hashtbl.create 16 in
   List.iter
     (fun (c : (id, outcome) Matrix.cell) ->

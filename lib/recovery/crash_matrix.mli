@@ -72,15 +72,17 @@ type summary = {
       (** [3 * total_points] cells ([1] under [only]) *)
 }
 
-(** [run ?pool ?progress ?only config] executes the matrix through
-    {!Matrix.run}.  [only] restricts the sweep to one cell — the profile
-    pass still runs, so the cell replays against the exact same script
-    and write-point numbering as the full matrix.  Raises
-    [Invalid_argument] for an invalid config or an [only] outside the
+(** [run ?pool ?progress ?only ?inject config] executes the matrix
+    through {!Matrix.run}.  [only] restricts the sweep to one cell — the
+    profile pass still runs, so the cell replays against the exact same
+    script and write-point numbering as the full matrix.  [inject] is
+    the hook behind [--inject-cell-failure].  Raises [Invalid_argument]
+    for an invalid config, or an [only] or [inject] outside the
     matrix. *)
 val run :
   ?pool:Ltree_exec.Pool.t ->
   ?progress:(done_cells:int -> total:int -> unit) ->
   ?only:id ->
+  ?inject:id ->
   Matrix.config ->
   summary

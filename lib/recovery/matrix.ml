@@ -179,19 +179,23 @@ type ('id, 'outcome) sweep = {
 let ok s = s.failed_cells = 0
 
 let run ?pool ?progress ?only ?inject ~name ~eval cells =
+  let member flag id =
+    let want = name id in
+    if not (Array.exists (fun c -> String.equal (name c) want) cells) then
+      invalid_arg
+        (Printf.sprintf "%s %s names no cell of this matrix (%d cells)" flag
+           want (Array.length cells));
+    want
+  in
+  let inject = Option.map (member "--inject-cell-failure") inject in
   let cells =
     match only with
     | None -> cells
     | Some id ->
-      let want = name id in
-      if not (Array.exists (fun c -> String.equal (name c) want) cells) then
-        invalid_arg
-          (Printf.sprintf "--only %s names no cell of this matrix (%d cells)"
-             want (Array.length cells));
+      ignore (member "--only" id : string);
       [| id |]
   in
   let total = Array.length cells in
-  let inject = Option.map name inject in
   (* Cells are independent — each [eval] owns its sims, documents and
      stores — so they fan out across the pool.  The engine's only shared
      mutable state is the progress counter, under [progress_mu]. *)

@@ -116,7 +116,8 @@ val ok : (_, _) sweep -> bool
     - When {!Ltree_obs.Recorder} is on, each cell notes a [cell] event
       (name = its coordinate) at start and another when it fails.
 
-    Raises [Invalid_argument] when [only] names no cell of [cells]. *)
+    Raises [Invalid_argument] when [only] or [inject] names no cell of
+    [cells]. *)
 val run :
   ?pool:Ltree_exec.Pool.t ->
   ?progress:(done_cells:int -> total:int -> unit) ->

@@ -5,10 +5,6 @@ module Matrix = Ltree_recovery.Matrix
 module Labeled_doc = Ltree_doc.Labeled_doc
 module Journal = Ltree_doc.Journal
 
-let default_config =
-  { Matrix.seed = 42; ops = 120; doc_nodes = 100; group_commit = 4;
-    checkpoint_every = 24 }
-
 (* Pumps allowed for a replica to drain a whole backlog: generous — a
    parked shipper or converged replica exits the loop early anyway. *)
 let quiesce_bound (config : Matrix.config) = 512 + (8 * config.ops)

@@ -27,10 +27,6 @@
     Everything derives from [config.seed], so any failing cell replays
     exactly via [--only]. *)
 
-val default_config : Ltree_recovery.Matrix.config
-(** [{seed = 42; ops = 120; doc_nodes = 100; group_commit = 4;
-    checkpoint_every = 24}] *)
-
 type id =
   | Primary_cell of int * Ltree_recovery.Fault.mode
       (** primary write point *)

@@ -147,5 +147,3 @@ let replace_replica ?io ?store t =
   set_clock t (t.clock + 1);
   Replica.hello r ~now:t.clock;
   r
-
-let traced_ring_capacity ~ops = 4096 + (64 * ops)

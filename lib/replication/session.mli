@@ -80,12 +80,3 @@ val clock : t -> int
 val down : t -> Channel.t
 val up : t -> Channel.t
 val caught_up : t -> bool
-
-(** [traced_ring_capacity ~ops] is an event-ring capacity
-    ({!Ltree_obs.Span.set_capacity}) that holds every entry of a session
-    driven through [ops] operations with causal tracing on: spans,
-    notes and stamps come to under 35 entries per operation plus a few
-    hundred, even when every second chunk is damaged.  A waterfall is
-    only complete when the ring dropped nothing, so traced runs size
-    the ring with this and check {!Ltree_obs.Span.dropped}. *)
-val traced_ring_capacity : ops:int -> int

@@ -26,12 +26,6 @@ module Matrix = Ltree_recovery.Matrix
 
 type config = { matrix : Matrix.config; shards : int }
 
-let default_config =
-  { matrix =
-      { Matrix.seed = 42; ops = 120; doc_nodes = 100; group_commit = 4;
-        checkpoint_every = 24 };
-    shards = 3 }
-
 let store_dir = "store"
 
 (* {1 Profile pass}
@@ -224,7 +218,7 @@ let eval_cell config script (profiles : shard_profile array) global_oracle
 
 (* {1 The sweep} *)
 
-let run ?pool ?progress ?only config =
+let run ?pool ?progress ?only ?inject config =
   Matrix.validate ~extra:[ ("shards", config.shards) ] config.matrix;
   let script = Crash_matrix.generate_script config.matrix in
   let profiles = profile config script in
@@ -245,6 +239,6 @@ let run ?pool ?progress ?only config =
     total_points = Array.map (fun (p : shard_profile) -> p.total_points) profiles;
     init_points = Array.map (fun (p : shard_profile) -> p.init_points) profiles;
     sweep =
-      Matrix.run ?pool ?progress ?only ~name:cell_name
+      Matrix.run ?pool ?progress ?only ?inject ~name:cell_name
         ~eval:(eval_cell config script profiles global_oracle)
         cells }

@@ -19,10 +19,6 @@ type config = {
   shards : int;
 }
 
-(** [{matrix = {seed = 42; ops = 120; doc_nodes = 100; group_commit = 4;
-    checkpoint_every = 24}; shards = 3}] *)
-val default_config : config
-
 (** {1 Results} *)
 
 (** A cell: shard x write point within that shard's own disk x mode. *)
@@ -52,15 +48,17 @@ type summary = {
   sweep : (id, outcome) Ltree_recovery.Matrix.sweep;
 }
 
-(** [run ?pool ?progress ?only config] sweeps shard x point x mode
-    through {!Ltree_recovery.Matrix.run}.  [only] restricts the sweep
-    to one cell — the profile pass still runs, so the cell replays
-    against the same numbering as the full matrix.  Raises
-    [Invalid_argument] for an invalid config (any count, [shards]
-    included, below 1) or an [only] outside the matrix. *)
+(** [run ?pool ?progress ?only ?inject config] sweeps shard x point x
+    mode through {!Ltree_recovery.Matrix.run}.  [only] restricts the
+    sweep to one cell — the profile pass still runs, so the cell replays
+    against the same numbering as the full matrix.  [inject] is the hook
+    behind [--inject-cell-failure].  Raises [Invalid_argument] for an
+    invalid config (any count, [shards] included, below 1), or an
+    [only] or [inject] outside the matrix. *)
 val run :
   ?pool:Ltree_exec.Pool.t ->
   ?progress:(done_cells:int -> total:int -> unit) ->
   ?only:id ->
+  ?inject:id ->
   config ->
   summary

@@ -156,7 +156,7 @@ let coordinates_roundtrip () =
         "replica:P+5/clean"; "replica:P05/clean"; "primary:C12/torn";
         "channel:P9/flip"; "probe:divergence2"; "P12/torn"; "" ]
 
-(* {1 Config validation and --only membership} *)
+(* {1 Config validation, --only and --inject-cell-failure membership} *)
 
 let raises_invalid what f =
   match f () with
@@ -205,6 +205,14 @@ let only_must_be_a_cell () =
            ~only:(Repl_matrix.Channel_cell (999, Fault.Flip))
            repl_config)
           .Repl_matrix.sweep);
+  raises_invalid "store inject P9999/torn" (fun () ->
+      cells_of
+        (Crash_matrix.run ~inject:(9999, Fault.Torn) crash_config)
+          .Crash_matrix.sweep);
+  let cell = (1, 3, Fault.Torn) in
+  let s = Shard_matrix.run ~only:cell ~inject:cell shard_config in
+  Alcotest.(check int) "an injected shard cell fails" 1
+    s.Shard_matrix.sweep.Matrix.failed_cells;
   let s = Crash_matrix.run ~only:(43, Fault.Flip) crash_config in
   Alcotest.(check (list string)) "the last cell is a member" [ "P43/flip" ]
     (List.map

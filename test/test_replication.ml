@@ -760,7 +760,7 @@ let cursor_matches_recomputation () =
    ring sized so it drops nothing; [f] sees the caught-up session and
    its oracle. *)
 let with_traced_session n_ops f =
-  Ltree_obs.Span.set_capacity (Session.traced_ring_capacity ~ops:n_ops);
+  Ltree_obs.Span.set_capacity_for ~ops:n_ops;
   Causal.set_enabled true;
   Fun.protect
     ~finally:(fun () ->
@@ -939,7 +939,7 @@ let traced_ring_sized_from_ops () =
     (List.exists
        (fun tr -> tr.Causal.trace_seq = 1)
        (Causal.records (Ltree_obs.Span.entries ())));
-  Ltree_obs.Span.set_capacity (Session.traced_ring_capacity ~ops:n_ops);
+  Ltree_obs.Span.set_capacity_for ~ops:n_ops;
   run ();
   Alcotest.(check int) "the sized ring dropped nothing" 0
     (Ltree_obs.Span.dropped ());

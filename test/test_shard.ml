@@ -205,8 +205,7 @@ let k1_byte_identical () =
 
 let k3_agreement_after_writes () =
   let config =
-    { Shard_matrix.default_config.Shard_matrix.matrix with
-      Matrix.ops = 60; doc_nodes = 80 }
+    { Crash_matrix.default_config with Matrix.ops = 60; doc_nodes = 80 }
   in
   let sd = Sharded_doc.create ~shards:3 (Crash_matrix.base_doc config) in
   List.iteri

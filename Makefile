@@ -101,7 +101,8 @@ trace-smoke:
 
 # Flight-recorder smoke: for one cell of each matrix (store, shard,
 # replica) at the quick sizes, force the cell to fail, check that the
-# recorder dumped a bundle, validate the bundle, require a copy missing
+# recorder dumped a bundle, validate the bundle, require it to hold
+# that cell's own "failed" verdict note, require a copy missing
 # one entry line to be rejected, and replay just that cell from the
 # bundle's recorded rerun command.  Then round-trip a traced
 # replication run plus the JSON metrics export, and fold a gauge
@@ -114,6 +115,8 @@ define obs_smoke_cell
 	  --inject-cell-failure '$(1)' --bundle _obs_smoke.jsonl \
 	  > /dev/null 2>&1; test $$? -eq 1
 	dune exec bin/ltree_cli.exe -- bundle --validate _obs_smoke.jsonl
+	grep -q '"kind": "cell", "name": "$(1)", .*"phase": "failed"' \
+	  _obs_smoke.jsonl
 	sed '2d' _obs_smoke.jsonl > _obs_smoke_cut.jsonl
 	! dune exec bin/ltree_cli.exe -- bundle --validate _obs_smoke_cut.jsonl
 	dune exec bin/ltree_cli.exe -- bundle --replay _obs_smoke.jsonl \

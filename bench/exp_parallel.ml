@@ -106,7 +106,7 @@ let run_cell ~pattern ~n ~domains_list ~batchq ~reps =
       pairs
   in
   let batch =
-    Array.map (fun (anc, desc) -> Read_snapshot.Descendants (anc, desc)) pairs
+    Array.map (fun (anc, desc) -> Query.Descendants (anc, desc)) pairs
   in
   let serial_wall = ref 0.0 in
   List.map

@@ -104,14 +104,14 @@ let crossover () =
         let store = Shredder.shred_label pager ~rows_per_page:16 ldoc in
         (* Warm the secondary index so both plans are measured on their
            probe phase (indexes are memory-resident in this model). *)
-        ignore (Query.label_descendants_inl pager store ~anc:"anchor" ~desc:"target");
+        ignore (Query.label_plan pager store (Query.Descendants_inl ("anchor", "target")));
         Pager.flush pager;
         Counters.reset counters;
         let r1 = Query.label_descendants pager store ~anc:"anchor" ~desc:"target" in
         let merge_reads = Counters.page_reads counters in
         Pager.flush pager;
         Counters.reset counters;
-        let r2 = Query.label_descendants_inl pager store ~anc:"anchor" ~desc:"target" in
+        let r2 = Query.label_plan pager store (Query.Descendants_inl ("anchor", "target")) in
         let inl_reads = Counters.page_reads counters in
         assert (r1 = r2);
         [ string_of_int anchors;

@@ -6,7 +6,7 @@
    at pattern-chosen positions (hotspot concentrates the mass in the
    middle top-level subtrees, which is exactly the skew the rebalancer
    exists for), shard it with {!Sharded_doc.create}, then time a fixed
-   batch of descendant queries through [Sharded_doc.descendants_batch]
+   batch of descendant queries through [Sharded_doc.batch]
    at every pool size.  Every sharded result is first checked
    element-for-element against the unsharded reference plans over the
    router's own store, so the numbers can't come from a wrong answer.
@@ -32,6 +32,7 @@ module Prng = Ltree_workload.Prng
 module Params = Ltree_core.Params
 module Pool = Ltree_exec.Pool
 module Sharded_doc = Ltree_shard.Sharded_doc
+module Query = Ltree_relstore.Query
 
 let initial_items = 64
 
@@ -95,13 +96,15 @@ let percentile q sorted =
 let run_cell ~pattern ~n ~shards ~domains_list ~batchq ~reps =
   let sd = Sharded_doc.create ~params:Params.fig2 ~shards (build_doc ~n pattern) in
   let batch =
-    Array.init batchq (fun i -> query_pairs.(i mod Array.length query_pairs))
+    Array.init batchq (fun i ->
+        let anc, desc = query_pairs.(i mod Array.length query_pairs) in
+        Query.Descendants (anc, desc))
   in
   List.map
     (fun domains ->
       Pool.with_pool ~size:domains (fun pool ->
-          let expected = Sharded_doc.unsharded_descendants_batch sd pool batch in
-          let got = Sharded_doc.descendants_batch sd pool batch in
+          let expected = Sharded_doc.unsharded_batch sd pool batch in
+          let got = Sharded_doc.batch sd pool batch in
           Array.iteri
             (fun i e ->
               if not (List.equal Int.equal e got.(i)) then
@@ -114,7 +117,7 @@ let run_cell ~pattern ~n ~shards ~domains_list ~batchq ~reps =
           let times = Array.make reps 0.0 in
           for r = 0 to reps - 1 do
             let t0 = Unix.gettimeofday () in
-            ignore (Sharded_doc.descendants_batch sd pool batch);
+            ignore (Sharded_doc.batch sd pool batch);
             times.(r) <- Unix.gettimeofday () -. t0
           done;
           let wall = Array.fold_left ( +. ) 0.0 times in

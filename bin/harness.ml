@@ -90,6 +90,66 @@ let queries =
   [ "site//item/name"; "//person[address/city]"; "//patch";
     "//open_auction[bidder]/itemref"; "//item/following-sibling::item" ]
 
+(* {1 Query plans}
+
+   The one plan list the three query invariants build their cases
+   from: the three pair plans over every tag pair, and one three-step
+   path. *)
+
+let store_tags t =
+  Hashtbl.fold (fun tag _ acc -> tag :: acc) t.store.Shredder.label_by_tag []
+  |> List.sort String.compare
+
+let plan_cases tags =
+  List.concat_map
+    (fun a ->
+      List.concat_map
+        (fun d ->
+          [ (Printf.sprintf "%s//%s" a d, Query.Descendants (a, d));
+            (Printf.sprintf "%s/%s" a d, Query.Children (a, d));
+            (Printf.sprintf "inl:%s//%s" a d, Query.Descendants_inl (a, d)) ])
+        tags)
+    tags
+  @
+  match tags with
+  | a :: b :: c :: _ ->
+    [ (Printf.sprintf "%s//%s//%s" a b c, Query.Path [ a; b; c ]) ]
+  | _ -> []
+
+(* Each case with the answer of a plan that shares none of the driver's
+   join code: the sort-on-fetch baseline for both descendant plans, the
+   edge-table plans over a fresh edge shredding of the same document
+   for children and paths. *)
+let with_oracles t cases =
+  let edges =
+    Shredder.shred_edge
+      (Pager.create (Counters.create ()))
+      (Labeled_doc.document t.ldoc)
+  in
+  (* Both descendant plans of a pair share one baseline run. *)
+  let below = Hashtbl.create 64 in
+  let baseline anc desc =
+    let key = anc ^ "//" ^ desc in
+    match Hashtbl.find_opt below key with
+    | Some ids -> ids
+    | None ->
+      let ids = Query.label_descendants_baseline t.pager t.store ~anc ~desc in
+      Hashtbl.replace below key ids;
+      ids
+  in
+  List.map
+    (fun (name, plan) ->
+      let want =
+        match plan with
+        | Query.Descendants (anc, desc) | Query.Descendants_inl (anc, desc) ->
+          baseline anc desc
+        | Query.Children (parent, child) ->
+          Query.edge_children edges ~parent ~child
+        | Query.Path tags -> Query.edge_path edges tags
+      in
+      (name, plan, want))
+    cases
+
 (* {1 Invariants} *)
 
 let register_invariants t =
@@ -149,44 +209,21 @@ let register_invariants t =
       ignore (Label_sync.flush t.sync);
       Label_sync.check t.sync);
   (* The incremental per-tag index must stay equivalent to sorting the
-     rows from scratch: after a flush, the indexed merge join, the INL
-     probe, and the sort-on-fetch baseline agree on every tag pair, and
-     every clean index entry matches its backing rows (sorted, no
-     tombstones). *)
+     rows from scratch: after a flush, every store plan agrees with its
+     independent oracle on every tag pair, and every clean index entry
+     matches its backing rows (sorted, no tombstones). *)
   Invariant.register reg ~name:"store.index-fresh" ~depth:Invariant.Deep
     (fun () ->
       ignore (Label_sync.flush t.sync);
-      let tags =
-        Hashtbl.fold
-          (fun tag _ acc -> tag :: acc)
-          t.store.Shredder.label_by_tag []
-        |> List.sort String.compare
-      in
       List.iter
-        (fun anc ->
-          List.iter
-            (fun desc ->
-              let baseline =
-                Query.label_descendants_baseline t.pager t.store ~anc ~desc
-              in
-              let indexed =
-                Query.label_descendants t.pager t.store ~anc ~desc
-              in
-              let inl =
-                Query.label_descendants_inl t.pager t.store ~anc ~desc
-              in
-              if not (List.equal Int.equal baseline indexed) then
-                Invariant.fail ~name:"store.index-fresh"
-                  "%s//%s: indexed join found %d ids, from-scratch \
-                   baseline %d"
-                  anc desc (List.length indexed) (List.length baseline);
-              if not (List.equal Int.equal baseline inl) then
-                Invariant.fail ~name:"store.index-fresh"
-                  "%s//%s: INL probe found %d ids, from-scratch baseline \
-                   %d"
-                  anc desc (List.length inl) (List.length baseline))
-            tags)
-        tags;
+        (fun (name, plan, want) ->
+          let got = Query.label_plan t.pager t.store plan in
+          if not (List.equal Int.equal got want) then
+            Invariant.fail ~name:"store.index-fresh"
+              "%s: indexed store plan found %d ids, independent oracle %d \
+               (or a different order)"
+              name (List.length got) (List.length want))
+        (with_oracles t (plan_cases (store_tags t)));
       Label_index.check t.store.Shredder.label_index
         ~fetch:(fun (store : Shredder.label_store) rid r ->
           let row = Rel_table.get store.label_table rid in
@@ -196,13 +233,10 @@ let register_invariants t =
           r.r_dead <- row.l_dead;
           if not row.l_dead then r.r_id <- store.label_ids row.l_id)
         t.store);
-  (* The pooled snapshot driver must agree with plans that share none
-     of its join code, on every tag pair, at whatever pool size the
-     harness was given: the sort-on-fetch baseline for both descendant
-     plans, and the edge-table plans (over a fresh edge shredding of the
-     same document) for children and paths.  Also proves the staleness
-     guard: the snapshot is taken after the flush, so it must still be
-     fresh when queried. *)
+  (* The pooled snapshot driver must agree with the same independent
+     oracles, at whatever pool size the harness was given.  Also proves
+     the staleness guard: the snapshot is taken after the flush, so it
+     must still be fresh when queried. *)
   (match t.pool with
   | None -> ()
   | Some pool ->
@@ -210,45 +244,7 @@ let register_invariants t =
       ~depth:Invariant.Deep (fun () ->
         ignore (Label_sync.flush t.sync);
         let snap = Read_snapshot.of_store t.pager t.store t.ldoc in
-        let edges =
-          Shredder.shred_edge
-            (Pager.create (Counters.create ()))
-            (Labeled_doc.document t.ldoc)
-        in
-        let tags =
-          Hashtbl.fold
-            (fun tag _ acc -> tag :: acc)
-            t.store.Shredder.label_by_tag []
-          |> List.sort String.compare
-        in
-        let cases =
-          List.concat_map
-            (fun anc ->
-              List.concat_map
-                (fun desc ->
-                  let baseline =
-                    Query.label_descendants_baseline t.pager t.store ~anc
-                      ~desc
-                  in
-                  [ ( Printf.sprintf "%s//%s" anc desc,
-                      Read_snapshot.Descendants (anc, desc),
-                      baseline );
-                    ( Printf.sprintf "%s/%s" anc desc,
-                      Read_snapshot.Children (anc, desc),
-                      Query.edge_children edges ~parent:anc ~child:desc );
-                    ( Printf.sprintf "inl:%s//%s" anc desc,
-                      Read_snapshot.Descendants_inl (anc, desc),
-                      baseline ) ])
-                tags)
-            tags
-          @
-          match tags with
-          | a :: b :: c :: _ ->
-            [ ( Printf.sprintf "%s//%s//%s" a b c,
-                Read_snapshot.Path [ a; b; c ],
-                Query.edge_path edges [ a; b; c ] ) ]
-          | _ -> []
-        in
+        let cases = with_oracles t (plan_cases (store_tags t)) in
         let got =
           Read_snapshot.run_batch pool snap
             (Array.of_list (List.map (fun (_, plan, _) -> plan) cases))
@@ -262,22 +258,18 @@ let register_invariants t =
                 name (List.length got.(i)) (List.length want))
           cases));
   (* Sharded fan-out plans must stay byte-identical to the same plans
-     over the router twin's single unsharded store — at the harness's
-     pool size, across rebalances (the checkpoint op may split a
-     shard), and under label-window restriction (windows are chosen to
-     straddle shard boundaries). *)
+     over the router twin's single unsharded store — one by one and as
+     one batch, at the harness's pool size, across rebalances (the
+     checkpoint op may split a shard), and under label-window
+     restriction (windows are chosen to straddle shard boundaries). *)
   (match t.pool with
   | None -> ()
   | Some pool ->
     Invariant.register reg ~name:"shard.plans-agree" ~depth:Invariant.Deep
       (fun () ->
         let sd = t.sharded in
-        let tags =
-          Hashtbl.fold
-            (fun tag _ acc -> tag :: acc)
-            t.store.Shredder.label_by_tag []
-          |> List.sort String.compare
-        in
+        let tags = store_tags t in
+        let cases = plan_cases tags in
         let check name got want =
           if not (List.equal Int.equal got want) then
             Invariant.fail ~name:"shard.plans-agree"
@@ -297,25 +289,11 @@ let register_invariants t =
             [ None; Some (lo, mid); Some (mid + 1, hi) ]
         in
         List.iter
-          (fun anc ->
-            List.iter
-              (fun desc ->
-                check
-                  (Printf.sprintf "shard:%s//%s" anc desc)
-                  (Sharded_doc.descendants sd pool ~anc ~desc)
-                  (Sharded_doc.unsharded_descendants sd pool ~anc ~desc);
-                check
-                  (Printf.sprintf "shard:%s/%s" anc desc)
-                  (Sharded_doc.children sd pool ~parent:anc ~child:desc)
-                  (Sharded_doc.unsharded_children sd pool ~parent:anc
-                     ~child:desc);
-                check
-                  (Printf.sprintf "shard-inl:%s//%s" anc desc)
-                  (Sharded_doc.descendants_inl sd pool ~anc ~desc)
-                  (Sharded_doc.unsharded_descendants_inl sd pool ~anc
-                     ~desc))
-              tags)
-          tags;
+          (fun (name, plan) ->
+            check ("shard:" ^ name)
+              (Sharded_doc.run sd pool plan)
+              (Sharded_doc.unsharded_run sd pool plan))
+          cases;
         (* Windowed plans on a few tag pairs: the windows straddle
            shard boundaries, so routing must both prune shards and
            keep boundary-crossing answers exact. *)
@@ -335,25 +313,28 @@ let register_invariants t =
                    ~desc:b))
             windows
         | _ -> ());
-        (match tags with
-        | a :: b :: c :: _ ->
-          check
-            (Printf.sprintf "shard:%s//%s//%s" a b c)
-            (Sharded_doc.path sd pool [ a; b; c ])
-            (Sharded_doc.unsharded_path sd pool [ a; b; c ])
-        | _ -> ());
-        let batch =
-          Array.of_list
-            (List.concat_map (fun a -> List.map (fun d -> (a, d)) tags) tags)
+        (* Mixed batches of one plan per tag pair: a shard keeps one
+           workspace per batch slot for later batches, so a batch of
+           the whole list would triple what the shards hold. *)
+        let cases = Array.of_list cases in
+        let size = Int.max 1 (List.length tags * List.length tags) in
+        let rec batches first =
+          if first < Array.length cases then begin
+            let chunk =
+              Array.sub cases first
+                (Int.min size (Array.length cases - first))
+            in
+            let plans = Array.map snd chunk in
+            let got = Sharded_doc.batch sd pool plans in
+            let want = Sharded_doc.unsharded_batch sd pool plans in
+            Array.iteri
+              (fun i (name, _) ->
+                check ("shard-batch:" ^ name) got.(i) want.(i))
+              chunk;
+            batches (first + size)
+          end
         in
-        let got = Sharded_doc.descendants_batch sd pool batch in
-        let want = Sharded_doc.unsharded_descendants_batch sd pool batch in
-        Array.iteri
-          (fun i (anc, desc) ->
-            check
-              (Printf.sprintf "shard-batch:%s//%s" anc desc)
-              got.(i) want.(i))
-          batch));
+        batches 0));
   Invariant.register reg ~name:"recovery.roundtrip" ~depth:Invariant.Deep
     (fun () ->
       let recovered = Snapshot.load t.snapshot in

@@ -760,6 +760,12 @@ let run_matrix inst config ~only ~inject ~bundle ~domains =
   | first :: _ ->
     Option.iter
       (fun path ->
+        (* After a sweep the ring holds whichever cells ran last.  Cells
+           are deterministic, so rerun just the first failed one,
+           serially, on an empty ring sized to keep all of it. *)
+        Ltree_obs.Span.reset ();
+        Ltree_obs.Span.set_capacity_for ~ops:config.Matrix.ops;
+        ignore (inst.run ~only:first.Matrix.id ?inject config);
         write_matrix_bundle path ~cell:(inst.name first.Matrix.id)
           ~failure:(String.concat "; " first.Matrix.failures)
           ~rerun:(rerun first))

@@ -121,44 +121,16 @@ let refresh t =
 
 (* {1 The serial snapshot driver}
 
-   One plan over one frozen snapshot, on the caller's workspace: one
-   {!Query} kernel per join, the matched rows' ids read straight out of
-   the frozen [ids] columns.  Sharded tasks, the unsharded reference
-   plans and pooled batches all run this. *)
+   The snapshot's instance of {!Query.run}: entries from the frozen
+   table, the matched rows' ids read straight out of the covering [ids]
+   columns.  Sharded tasks, the unsharded reference plans and pooled
+   batches all run this. *)
 
-type plan =
-  | Descendants of string * string
-  | Children of string * string
-  | Descendants_inl of string * string
-  | Path of string list
+let frozen_entry _counters t tag = entry t tag
 
-let run counters t (ws : Label_index.workspace) plan =
-  Column.clear ws.w_out;
-  match plan with
-  | Descendants (anc, desc) ->
-    let d = entry t desc in
-    Query.semi_join counters (entry t anc) d ws;
-    Column.gather d.ids ~idx:ws.w_dpos ws.w_out
-  | Children (parent, child) ->
-    let p = entry t parent and c = entry t child in
-    Query.semi_join counters p c ws;
-    for i = 0 to Column.length ws.w_dpos - 1 do
-      let dpos = Column.get ws.w_dpos i in
-      if
-        Column.get c.levels dpos
-        = Column.get p.levels (Column.get ws.w_apos i) + 1
-      then Column.push ws.w_out (Column.get c.ids dpos)
-    done
-  | Descendants_inl (anc, desc) ->
-    let d = entry t desc in
-    Query.inl_probe counters (entry t anc) d ws;
-    Column.gather d.ids ~idx:ws.w_dpos ws.w_out
-  | Path [] -> ()
-  | Path (first :: rest) ->
-    let final = Query.path_rows counters ws (entry t) first rest in
-    for i = 0 to final.len - 1 do
-      Column.push ws.w_out (Column.get final.ids i)
-    done
+let[@ltree.hot] run counters t (ws : Label_index.workspace) plan =
+  let d = Query.run counters frozen_entry t ws plan in
+  Column.gather d.ids ~idx:ws.w_dpos ws.w_out
 
 (* One task per plan, each on its own counters and workspace; the
    comparisons are recorded per plan after the barrier. *)

@@ -69,18 +69,8 @@ val refresh : t -> t
 
 (** {1 The serial snapshot driver} *)
 
-(** A label plan: [anc//desc] by the stack semi-join, [parent/child]
-    (the semi-join kept where the innermost ancestor is one level up),
-    [anc//desc] by the index nested loop, and a descendant path
-    [t1//t2//…//tk] (one semi-join per step). *)
-type plan =
-  | Descendants of string * string
-  | Children of string * string
-  | Descendants_inl of string * string
-  | Path of string list
-
 (** [run counters t ws plan] evaluates [plan] serially over [t] with
-    the {!Ltree_relstore.Query} kernels, writing into [ws] and
+    the plan driver {!Ltree_relstore.Query.run}, writing into [ws] and
     charging comparisons to [counters].  The matched Dom ids (the
     entries' [ids] values) are left in [ws.w_out], unsorted; the
     index-nested-loop plan may repeat one.  Freshness is the caller's
@@ -88,7 +78,8 @@ type plan =
     run it over each shard's snapshot, one workspace per task. *)
 val run :
   Ltree_metrics.Counters.t ->
-  t -> Ltree_relstore.Label_index.workspace -> plan -> unit
+  t -> Ltree_relstore.Label_index.workspace -> Ltree_relstore.Query.plan ->
+  unit
 
 (** [run_batch ?counters pool t plans] first raises {!Stale} —
     carrying both frozen and live stamps — if the live document version
@@ -100,4 +91,4 @@ val run :
     barrier ({!Ltree_relstore.Query.record_comparisons}). *)
 val run_batch :
   ?counters:Ltree_metrics.Counters.t ->
-  Pool.t -> t -> plan array -> int list array
+  Pool.t -> t -> Ltree_relstore.Query.plan array -> int list array

@@ -150,13 +150,15 @@ let tag_entry pager (store : label_store) tag =
   Label_index.entry store.label_index (Pager.counters pager)
     ~rids_of_tag:tag_rids ~fetch:fetch_row store tag
 
-(* [clean_entry] is the allocation-free entry lookup: the clean fast
-   path builds nothing; only a dirty or unmaterialized tag falls back to
-   the repairing [tag_entry]. *)
-let clean_entry pager (store : label_store) tag =
+(* The store's entry lookup, in the driver's shape: the clean fast
+   path builds nothing; only a dirty or unmaterialized tag falls back
+   to the repairing [Label_index.entry]. *)
+let store_entry counters (store : label_store) tag =
   match Label_index.clean store.label_index tag with
   | e -> e
-  | exception Label_index.Dirty -> tag_entry pager store tag
+  | exception Label_index.Dirty ->
+    Label_index.entry store.label_index counters ~rids_of_tag:tag_rids
+      ~fetch:fetch_row store tag
 
 (* {1 The two join kernels}
 
@@ -289,7 +291,7 @@ let[@ltree.hot] inl_probe counters (a : Label_index.entry)
    location step of a path, ready to be the next step's ancestors.
    Semi-join matches are distinct and ascending, so [out] stays sorted
    by start. *)
-let gather (d : Label_index.entry) (ws : Label_index.workspace)
+let[@ltree.hot] gather (d : Label_index.entry) (ws : Label_index.workspace)
     (out : Label_index.entry) =
   Column.gather d.starts ~idx:ws.w_dpos out.starts;
   Column.gather d.ends ~idx:ws.w_dpos out.ends;
@@ -298,20 +300,93 @@ let gather (d : Label_index.entry) (ws : Label_index.workspace)
   Column.gather d.ids ~idx:ws.w_dpos out.ids;
   out.len <- Column.length ws.w_dpos
 
-(* One semi-join per step of [t1//t2//…//tk]: each step's matches are
-   gathered into one of the workspace's two step entries, alternating
-   so a step never overwrites its own input. *)
-let path_rows counters (ws : Label_index.workspace) rows first rest =
-  let rec step i acc = function
-    | [] -> acc
-    | tag :: rest ->
-      let d = rows tag in
-      let out = ws.w_steps.(i land 1) in
-      semi_join counters acc d ws;
-      gather d ws out;
-      step (i + 1) out rest
-  in
-  step 0 (rows first) rest
+(* {1 The plan driver}
+
+   Every label plan is a chain of kernel steps: a semi-join or an INL
+   probe, then (on the child axis) one shared level filter, with a
+   gather between steps.  The driver leaves the last step's matches in
+   the workspace; each family then turns a match into an id its own way
+   — the store fetches the row, a snapshot reads the covering [ids]
+   column, the XPath evaluator gathers slot positions.  Entries come
+   from [entry counters src tag], a function of the caller's source
+   rather than a closure over it, so running a plan builds nothing. *)
+
+type plan =
+  | Descendants of string * string
+  | Children of string * string
+  | Descendants_inl of string * string
+  | Path of string list
+
+(* Keep the pairs whose descendant sits one level below its ancestor,
+   compacting them in place (order kept): the child axis.  A node's
+   parent, when it is in [a], is its innermost container. *)
+let[@ltree.hot] keep_children (a : Label_index.entry) (d : Label_index.entry)
+    (ws : Label_index.workspace) =
+  let dpos = Column.unsafe_buf ws.w_dpos
+  and apos = Column.unsafe_buf ws.w_apos
+  and dlev = Column.unsafe_buf d.levels
+  and alev = Column.unsafe_buf a.levels in
+  let js = ws.w_js in
+  js.js_n <- 0;
+  for i = 0 to Column.length ws.w_dpos - 1 do
+    let dp = BA.unsafe_get dpos i and ap = BA.unsafe_get apos i in
+    if BA.unsafe_get dlev dp = BA.unsafe_get alev ap + 1 then begin
+      BA.unsafe_set dpos js.js_n dp;
+      BA.unsafe_set apos js.js_n ap;
+      js.js_n <- js.js_n + 1
+    end
+  done;
+  Column.set_len ws.w_dpos js.js_n;
+  Column.set_len ws.w_apos js.js_n
+
+let[@ltree.hot] step counters ~inl ~child a d ws =
+  if inl then inl_probe counters a d ws else semi_join counters a d ws;
+  if child then keep_children a d ws
+
+(* [Path [t]] joins nothing: every row of [t] is a match. *)
+let[@ltree.hot] all_rows (d : Label_index.entry) (ws : Label_index.workspace) =
+  Column.clear ws.w_dpos;
+  for i = 0 to d.len - 1 do
+    Column.push ws.w_dpos i
+  done
+
+(* One semi-join per remaining step; every step but the last gathers
+   its matches into one of the workspace's two step entries,
+   alternating so a step never overwrites its own input. *)
+let[@ltree.hot] rec path_steps counters entry src (ws : Label_index.workspace)
+    i a tag rest =
+  let d = entry counters src tag in
+  semi_join counters a d ws;
+  match rest with
+  | [] -> d
+  | next :: rest ->
+    let out = ws.w_steps.(i land 1) in
+    gather d ws out;
+    path_steps counters entry src ws (i + 1) out next rest
+
+let[@ltree.hot] pair counters entry src ws ~inl ~child anc desc =
+  let a = entry counters src anc in
+  let d = entry counters src desc in
+  step counters ~inl ~child a d ws;
+  d
+
+let[@ltree.hot] run counters entry src (ws : Label_index.workspace) plan =
+  match plan with
+  | Descendants (anc, desc) ->
+    pair counters entry src ws ~inl:false ~child:false anc desc
+  | Children (parent, child) ->
+    pair counters entry src ws ~inl:false ~child:true parent child
+  | Descendants_inl (anc, desc) ->
+    pair counters entry src ws ~inl:true ~child:false anc desc
+  | Path [] ->
+    Column.clear ws.w_dpos;
+    ws.w_steps.(0)
+  | Path [ tag ] ->
+    let d = entry counters src tag in
+    all_rows d ws;
+    d
+  | Path (first :: next :: rest) ->
+    path_steps counters entry src ws 0 (entry counters src first) next rest
 
 let record_comparisons ?counters n =
   (match counters with
@@ -321,9 +396,10 @@ let record_comparisons ?counters n =
 
 (* {1 Store plans}
 
-   Thin drivers over the kernels: each fetches one row per match (the
-   emit-side page reads), collects Dom ids in the index workspace's
-   [w_out] and sorts and deduplicates them in place. *)
+   The store's instance of the driver: entries through the clean-entry
+   lookup, one row fetch per match (the emit-side page reads), the Dom
+   ids collected in the index workspace's [w_out] and sorted and
+   deduplicated in place. *)
 
 (* Push the Dom id of [d]'s row at each matched position into [w_out],
    fetching the row. *)
@@ -335,82 +411,42 @@ let[@ltree.hot] fetch_matches table (d : Label_index.entry)
       (Rel_table.get table (Column.get d.rids (Column.get ws.w_dpos i))).l_id
   done
 
-let sorted_out (ws : Label_index.workspace) =
-  Column.sort_dedup ws.w_out ~mark:ws.w_mark;
-  Column.to_list ws.w_out
-
-(* The full hot plan: clean-entry lookup, zero-alloc join and fetch,
-   in-place sort+dedup of the result column.  The returned column is
-   the index workspace's — borrowed until the next query on the same
-   store. *)
-let label_descendants_hot pager (store : label_store) ~anc ~desc =
-  let counters = Pager.counters pager in
-  let a = clean_entry pager store anc in
-  let d = clean_entry pager store desc in
+let[@ltree.hot] label_plan_hot pager (store : label_store) plan =
   let ws = Label_index.workspace store.label_index in
-  semi_join counters a d ws;
+  let d = run (Pager.counters pager) store_entry store ws plan in
   fetch_matches store.label_table d ws;
   Column.sort_dedup ws.w_out ~mark:ws.w_mark;
   ws.w_out
 
+(* Hoisted so a traced plan does not box its [on_close] per call. *)
+let on_close = Some observe_join
+
+let traced pager store plan name attrs =
+  Span.with_ ~name ~counters:(Pager.counters pager) ~attrs ?on_close
+    (fun () -> Column.to_list (label_plan_hot pager store plan))
+
+let label_plan pager store plan =
+  match plan with
+  | Descendants (anc, desc) ->
+    traced pager store plan "query.descendants"
+      [ ("anc", anc); ("desc", desc) ]
+  | Children (parent, child) ->
+    traced pager store plan "query.children"
+      [ ("parent", parent); ("child", child) ]
+  | Descendants_inl (anc, desc) ->
+    traced pager store plan "query.descendants_inl"
+      [ ("anc", anc); ("desc", desc) ]
+  | Path [] -> []
+  | Path tags ->
+    traced pager store plan "query.path"
+      [ ("steps", string_of_int (List.length tags)) ]
+
 let label_descendants pager store ~anc ~desc =
-  let counters = Pager.counters pager in
-  Span.with_ ~name:"query.descendants" ~counters
-    ~attrs:[ ("anc", anc); ("desc", desc) ]
-    ~on_close:observe_join (fun () ->
-      Column.to_list (label_descendants_hot pager store ~anc ~desc))
+  label_plan pager store (Descendants (anc, desc))
 
 let label_children pager store ~parent ~child =
-  let counters = Pager.counters pager in
-  Span.with_ ~name:"query.children" ~counters
-    ~attrs:[ ("parent", parent); ("child", child) ]
-    ~on_close:observe_join (fun () ->
-      let a = tag_entry pager store parent in
-      let d = tag_entry pager store child in
-      let ws = Label_index.workspace store.label_index in
-      semi_join counters a d ws;
-      Column.clear ws.w_out;
-      for i = 0 to Column.length ws.w_dpos - 1 do
-        let arow =
-          Rel_table.get store.label_table
-            (Column.get a.rids (Column.get ws.w_apos i))
-        in
-        let drow =
-          Rel_table.get store.label_table
-            (Column.get d.rids (Column.get ws.w_dpos i))
-        in
-        if drow.l_level = arow.l_level + 1 then Column.push ws.w_out drow.l_id
-      done;
-      sorted_out ws)
+  label_plan pager store (Children (parent, child))
 
-let label_path pager store = function
-  | [] -> []
-  | first :: rest ->
-    let counters = Pager.counters pager in
-    Span.with_ ~name:"query.path" ~counters
-      ~attrs:[ ("steps", string_of_int (1 + List.length rest)) ]
-      ~on_close:observe_join (fun () ->
-        let ws = Label_index.workspace store.label_index in
-        let final =
-          path_rows counters ws (tag_entry pager store) first rest
-        in
-        Column.clear ws.w_out;
-        for i = 0 to final.len - 1 do
-          Column.push ws.w_out
-            (Rel_table.get store.label_table (Column.get final.rids i)).l_id
-        done;
-        sorted_out ws)
-
-let label_descendants_inl pager store ~anc ~desc =
-  let counters = Pager.counters pager in
-  Span.with_ ~name:"query.descendants_inl" ~counters
-    ~attrs:[ ("anc", anc); ("desc", desc) ]
-    ~on_close:observe_join (fun () ->
-      let a = tag_entry pager store anc in
-      let d = tag_entry pager store desc in
-      let ws = Label_index.workspace store.label_index in
-      inl_probe counters a d ws;
-      fetch_matches store.label_table d ws;
-      sorted_out ws)
+let label_path pager store tags = label_plan pager store (Path tags)
 
 let index_stats (store : label_store) = Label_index.stats store.label_index

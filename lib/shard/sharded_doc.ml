@@ -378,7 +378,7 @@ type task = {
   k_shard : shard;
   k_snap : Read_snapshot.t;
   k_ws : Label_index.workspace;
-  k_plan : Read_snapshot.plan;
+  k_plan : Query.plan;
 }
 
 type outcome = { o_comparisons : int; o_seconds : float }
@@ -443,7 +443,7 @@ let buffers sh n =
         (Array.init (n - have) (fun _ -> Label_index.create_workspace ()));
   sh.bufs
 
-let run_plan ?counters ?within t pool plan =
+let run ?counters ?within t pool plan =
   let tasks =
     Array.of_list
       (List.map
@@ -459,23 +459,20 @@ let run_plan ?counters ?within t pool plan =
   restrict ?within t (merge t (Array.map (fun k -> k.k_ws) tasks))
 
 let descendants ?counters ?within t pool ~anc ~desc =
-  run_plan ?counters ?within t pool (Read_snapshot.Descendants (anc, desc))
+  run ?counters ?within t pool (Query.Descendants (anc, desc))
 
 let children ?counters ?within t pool ~parent ~child =
-  run_plan ?counters ?within t pool (Read_snapshot.Children (parent, child))
-
-let descendants_inl ?counters ?within t pool ~anc ~desc =
-  run_plan ?counters ?within t pool (Read_snapshot.Descendants_inl (anc, desc))
+  run ?counters ?within t pool (Query.Children (parent, child))
 
 let path ?counters ?within t pool tags =
-  run_plan ?counters ?within t pool (Read_snapshot.Path tags)
+  run ?counters ?within t pool (Query.Path tags)
 
-(* The batch plan fans {e shard x query} tasks across the pool in one
+(* The batch fans {e shard x plan} tasks across the pool in one
    [Pool.map], so a hot query no longer serializes on one shard's
-   index.  Several tasks share a shard here, so query [i]'s task
-   writes the shard's buffer slot [i]; task [si * nq + qi] answers
-   query [qi] on routed shard [si]. *)
-let descendants_batch ?within t pool queries =
+   index.  Several tasks share a shard here, so plan [i]'s task writes
+   the shard's buffer slot [i]; task [si * nq + qi] answers plan [qi]
+   on routed shard [si]. *)
+let batch ?within t pool plans =
   let snaps =
     Array.of_list
       (List.map
@@ -489,16 +486,16 @@ let descendants_batch ?within t pool queries =
       (Array.to_list
          (Array.map
             (fun (sh, snap) ->
-              let bufs = buffers sh (Array.length queries) in
+              let bufs = buffers sh (Array.length plans) in
               Array.mapi
-                (fun i (anc, desc) ->
+                (fun i plan ->
                   { k_shard = sh; k_snap = snap; k_ws = bufs.(i);
-                    k_plan = Read_snapshot.Descendants (anc, desc) })
-                queries)
+                    k_plan = plan })
+                plans)
             snaps))
   in
   let outcomes = fan_out pool tasks in
-  let nq = Array.length queries in
+  let nq = Array.length plans in
   let ns = Array.length snaps in
   Array.init nq (fun qi ->
       let comparisons = ref 0 in
@@ -511,32 +508,26 @@ let descendants_batch ?within t pool queries =
 
 (* {1 Unsharded reference plans}
 
-   The same driver over the router's own store, as one pooled task:
-   the K-independent baseline the agreement invariant and the K=1
+   The same driver over the router's own store, as pooled tasks: the
+   K-independent baseline the agreement invariant and the K=1
    byte-identity test compare against. *)
 
-let unsharded ?counters ?within t pool plan =
+let unsharded_batch ?within t pool plans =
+  Array.map (restrict ?within t)
+    (Read_snapshot.run_batch pool (router_snapshot t) plans)
+
+let unsharded_run ?counters ?within t pool plan =
   restrict ?within t
     (Read_snapshot.run_batch ?counters pool (router_snapshot t) [| plan |]).(0)
 
 let unsharded_descendants ?counters ?within t pool ~anc ~desc =
-  unsharded ?counters ?within t pool (Read_snapshot.Descendants (anc, desc))
+  unsharded_run ?counters ?within t pool (Query.Descendants (anc, desc))
 
 let unsharded_children ?counters ?within t pool ~parent ~child =
-  unsharded ?counters ?within t pool (Read_snapshot.Children (parent, child))
-
-let unsharded_descendants_inl ?counters ?within t pool ~anc ~desc =
-  unsharded ?counters ?within t pool
-    (Read_snapshot.Descendants_inl (anc, desc))
+  unsharded_run ?counters ?within t pool (Query.Children (parent, child))
 
 let unsharded_path ?counters ?within t pool tags =
-  unsharded ?counters ?within t pool (Read_snapshot.Path tags)
-
-let unsharded_descendants_batch ?within t pool queries =
-  Array.map (restrict ?within t)
-    (Read_snapshot.run_batch pool (router_snapshot t)
-       (Array.map (fun (anc, desc) -> Read_snapshot.Descendants (anc, desc))
-          queries))
+  unsharded_run ?counters ?within t pool (Query.Path tags)
 
 (* {1 Writes}
 

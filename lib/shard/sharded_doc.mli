@@ -90,10 +90,20 @@ val checkpoint : t -> unit
     snapshot, which already holds router Dom ids, leaving them unsorted
     in the shard's reused workspace.  The caller appends the columns
     into one, sorts and deduplicates it once, and lists it — one sorted
-    list of router ids.  [?within]
-    filters results to a router-label window (applied identically to
-    the unsharded reference plans, so the two stay byte-identical). *)
+    list of router ids.  [?within] filters results to a router-label
+    window (applied identically to the unsharded reference plans, so
+    the two stay byte-identical). *)
 
+(** [run ?counters ?within t pool plan] answers any
+    {!Ltree_relstore.Query.plan}; its comparisons, summed over the
+    shards, are recorded once. *)
+val run :
+  ?counters:Ltree_metrics.Counters.t ->
+  ?within:int * int ->
+  t -> Ltree_exec.Pool.t -> Ltree_relstore.Query.plan -> int list
+
+(** [descendants], [children] and [path] are {!run} on the
+    [Descendants], [Children] and [Path] plans. *)
 val descendants :
   ?counters:Ltree_metrics.Counters.t ->
   ?within:int * int ->
@@ -104,35 +114,36 @@ val children :
   ?within:int * int ->
   t -> Ltree_exec.Pool.t -> parent:string -> child:string -> int list
 
-val descendants_inl :
-  ?counters:Ltree_metrics.Counters.t ->
-  ?within:int * int ->
-  t -> Ltree_exec.Pool.t -> anc:string -> desc:string -> int list
-
 val path :
   ?counters:Ltree_metrics.Counters.t ->
   ?within:int * int ->
   t -> Ltree_exec.Pool.t -> string list -> int list
 
-(** [descendants_batch t pool queries] fans {e shard x query} tasks
-    across the pool in one [Pool.map] — tasks on different shards join
-    over disjoint frozen snapshots, so a hot tag no longer serializes
-    on one shared index.  Query [i]'s task writes its shard's buffer
-    slot [i], kept for later batches.  Per-query sorted router ids,
-    index-aligned with [queries]; each query's comparisons are recorded
-    once, summed over its shards. *)
-val descendants_batch :
+(** [batch ?within t pool plans] fans {e shard x plan} tasks across the
+    pool in one [Pool.map] — tasks on different shards join over
+    disjoint frozen snapshots, so a hot tag no longer serializes on one
+    shared index.  Plan [i]'s task writes its shard's buffer slot [i],
+    kept for later batches.  Per-plan sorted router ids, index-aligned
+    with [plans]; each plan's comparisons are recorded once, summed
+    over its shards. *)
+val batch :
   ?within:int * int ->
-  t -> Ltree_exec.Pool.t -> (string * string) array -> int list array
+  t -> Ltree_exec.Pool.t -> Ltree_relstore.Query.plan array ->
+  int list array
 
 (** {1 Unsharded reference plans}
 
     The same plans over a snapshot of the router's own single store,
-    run by the same driver as one pooled task
-    ({!Ltree_exec.Read_snapshot.run_batch}) — the one-task, K = 1 case
-    of the fan-out.  The sharded plans must match it byte-for-byte; it
-    shares their kernels, so the harness checks it separately against
+    run by the same driver as pooled tasks
+    ({!Ltree_exec.Read_snapshot.run_batch}) — the K = 1 case of the
+    fan-out.  The sharded plans must match them byte-for-byte; they
+    share their kernels, so the harness checks them separately against
     independent oracles. *)
+
+val unsharded_run :
+  ?counters:Ltree_metrics.Counters.t ->
+  ?within:int * int ->
+  t -> Ltree_exec.Pool.t -> Ltree_relstore.Query.plan -> int list
 
 val unsharded_descendants :
   ?counters:Ltree_metrics.Counters.t ->
@@ -144,19 +155,15 @@ val unsharded_children :
   ?within:int * int ->
   t -> Ltree_exec.Pool.t -> parent:string -> child:string -> int list
 
-val unsharded_descendants_inl :
-  ?counters:Ltree_metrics.Counters.t ->
-  ?within:int * int ->
-  t -> Ltree_exec.Pool.t -> anc:string -> desc:string -> int list
-
 val unsharded_path :
   ?counters:Ltree_metrics.Counters.t ->
   ?within:int * int ->
   t -> Ltree_exec.Pool.t -> string list -> int list
 
-val unsharded_descendants_batch :
+val unsharded_batch :
   ?within:int * int ->
-  t -> Ltree_exec.Pool.t -> (string * string) array -> int list array
+  t -> Ltree_exec.Pool.t -> Ltree_relstore.Query.plan array ->
+  int list array
 
 (** {1 Rebalance} *)
 

@@ -225,26 +225,9 @@ let set_of_items t vec groups out =
   Query.gather vec.rows ws out;
   { vec; sel = out }
 
-(* Keep the kernel's pairs whose candidate sits one level below its
-   context: the child axis. *)
-let keep_children (ctx : set) cands (ws : Label_index.workspace) =
-  let n = ref 0 in
-  for i = 0 to Column.length ws.w_dpos - 1 do
-    let dpos = Column.get ws.w_dpos i and apos = Column.get ws.w_apos i in
-    if Column.get cands.rows.levels dpos = Column.get ctx.sel.levels apos + 1
-    then begin
-      Column.set ws.w_dpos !n dpos;
-      Column.set ws.w_apos !n apos;
-      incr n
-    end
-  done;
-  Column.set_len ws.w_dpos !n;
-  Column.set_len ws.w_apos !n
-
-(* The INL probe's pairs come grouped by context, each group in
-   document order: one item list per context with at least one match
-   (on the child axis, one level below it). *)
-let inl_groups ~child (ctx : set) cands (ws : Label_index.workspace) =
+(* The INL step's pairs come grouped by context, each group in
+   document order: one item list per context with at least one match. *)
+let inl_groups cands (ws : Label_index.workspace) =
   let groups = ref [] and group = ref [] and cur = ref (-1) in
   let close () =
     (match !group with [] -> () | g -> groups := g :: !groups);
@@ -256,10 +239,7 @@ let inl_groups ~child (ctx : set) cands (ws : Label_index.workspace) =
       close ();
       cur := apos
     end;
-    if
-      (not child)
-      || Column.get cands.rows.levels dpos = Column.get ctx.sel.levels apos + 1
-    then group := item_of_row cands dpos :: !group
+    group := item_of_row cands dpos :: !group
   done;
   close ();
   !groups
@@ -368,13 +348,13 @@ and apply_preds t vec preds group =
         items)
     group preds
 
-(* One location step.  The child and descendant axes run a {!Query}
-   kernel between the context rows and the test's vector: the stack
-   semi-join without predicates (on the child axis, kept where the
-   innermost context is one level up), the index nested loop with them,
-   since positional predicates count within each context's group.  The
-   other axes filter per context by labels.  Every result is a set in
-   document order. *)
+(* One location step.  The child and descendant axes run one
+   {!Query.step} between the context rows and the test's vector: the
+   stack semi-join without predicates, the index nested loop with them,
+   since positional predicates count within each context's group (on
+   the child axis, either keeps the pairs one level apart).  The other
+   axes filter per context by labels.  Every result is a set in document
+   order. *)
 and eval_step t (step : Ast.step) (ctx : set) =
   let cands = vector t step.test in
   let out = out_for t ctx.sel in
@@ -383,13 +363,12 @@ and eval_step t (step : Ast.step) (ctx : set) =
     let child = match step.axis with Ast.Child -> true | _ -> false in
     match step.preds with
     | [] ->
-      Query.semi_join t.counters ctx.sel cands.rows t.ws;
-      if child then keep_children ctx cands t.ws;
+      Query.step t.counters ~inl:false ~child ctx.sel cands.rows t.ws;
       Query.gather cands.rows t.ws out;
       { vec = cands; sel = out }
     | preds ->
-      Query.inl_probe t.counters ctx.sel cands.rows t.ws;
-      let groups = inl_groups ~child ctx cands t.ws in
+      Query.step t.counters ~inl:true ~child ctx.sel cands.rows t.ws;
+      let groups = inl_groups cands t.ws in
       set_of_items t cands (List.map (apply_preds t cands preds) groups) out)
   | Ast.Self | Ast.Parent | Ast.Ancestor | Ast.Ancestor_or_self
   | Ast.Following | Ast.Preceding | Ast.Following_sibling

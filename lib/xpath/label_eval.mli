@@ -5,15 +5,15 @@
     index, comparing L-Tree label intervals instead of navigating the
     tree: ancestor/descendant is interval containment
     ([start_a < start_d && end_d < end_a], §1), parent/child adds a
-    level equality.  The joins are the two kernels of
-    {!Ltree_relstore.Query}.  A step without predicates is the stack
-    semi-join ({!Ltree_relstore.Query.semi_join}): each candidate with
-    an open context once, already in document order (for the child
-    axis, when the innermost open context is one level up, i.e. is the
-    parent).  A step with predicates is the index nested loop
-    ({!Ltree_relstore.Query.inl_probe}), because positional predicates
-    count within each context's group, and a context's group is its
-    probe range in the candidate vector.
+    level equality.  Each join is one step of the label plan driver
+    ({!Ltree_relstore.Query.step}), and its matches are gathered as slot
+    positions.  A step without predicates is the stack semi-join: each
+    candidate with an open context once, already in document order (for
+    the child axis, when the innermost open context is one level up,
+    i.e. is the parent).  A step with predicates is the index nested
+    loop, because positional predicates count within each context's
+    group, and a context's group is its probe range in the candidate
+    vector.
 
     The tag index is one vector of {!Ltree_doc.Labeled_doc.slot}s per
     node test, in document order, built on first use by one document

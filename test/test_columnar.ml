@@ -15,6 +15,10 @@ module Prng = Ltree_workload.Prng
 
 let case = Alcotest.test_case
 
+(* The store's INL plan for [anc//desc]. *)
+let label_descendants_inl pager store ~anc ~desc =
+  Query.label_plan pager store (Query.Descendants_inl (anc, desc))
+
 (* The current buffer's length: a refill that reuses the buffer leaves it
    unchanged. *)
 let capacity c = Bigarray.Array1.dim (Column.unsafe_buf c)
@@ -231,9 +235,10 @@ let columnar_matches_baseline =
             let idx = Query.label_descendants pager store ~anc ~desc in
             let hot =
               Column.to_list
-                (Query.label_descendants_hot pager store ~anc ~desc)
+                (Query.label_plan_hot pager store
+                   (Query.Descendants (anc, desc)))
             in
-            let inl = Query.label_descendants_inl pager store ~anc ~desc in
+            let inl = label_descendants_inl pager store ~anc ~desc in
             base = idx && base = hot && base = inl)
           pairs
       in

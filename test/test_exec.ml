@@ -18,8 +18,13 @@ module Sharded_doc = Ltree_shard.Sharded_doc
 module Label_eval = Ltree_xpath.Label_eval
 module Dom_eval = Ltree_xpath.Dom_eval
 module Xpath_parser = Ltree_xpath.Xpath_parser
+module Column = Ltree_core.Column
 
 let case = Alcotest.test_case
+
+(* The store's INL plan for [anc//desc]. *)
+let label_descendants_inl pager store ~anc ~desc =
+  Query.label_plan pager store (Query.Descendants_inl (anc, desc))
 
 (* {1 Pool mechanics} *)
 
@@ -215,7 +220,7 @@ let check_main what ~pools ldoc pager store sync ev =
       check_same (name "store %s//%s" anc desc) (desc_oracle q)
         (Query.label_descendants pager store ~anc ~desc);
       check_same (name "store inl %s//%s" anc desc) (desc_oracle q)
-        (Query.label_descendants_inl pager store ~anc ~desc);
+        (label_descendants_inl pager store ~anc ~desc);
       check_same (name "store %s/%s" anc desc) (child_oracle q)
         (Query.label_children pager store ~parent:anc ~child:desc))
     pairs;
@@ -228,12 +233,12 @@ let check_main what ~pools ldoc pager store sync ev =
   let cases =
     List.concat_map
       (fun ((anc, desc) as q) ->
-        [ (Read_snapshot.Descendants (anc, desc), desc_oracle q);
-          (Read_snapshot.Children (anc, desc), child_oracle q);
-          (Read_snapshot.Descendants_inl (anc, desc), desc_oracle q) ])
+        [ (Query.Descendants (anc, desc), desc_oracle q);
+          (Query.Children (anc, desc), child_oracle q);
+          (Query.Descendants_inl (anc, desc), desc_oracle q) ])
       pairs
     @ List.map
-        (fun path -> (Read_snapshot.Path path, Query.edge_path edges path))
+        (fun path -> (Query.Path path, Query.edge_path edges path))
         triples
   in
   List.iter
@@ -270,7 +275,7 @@ let check_sharded what pool sd =
       check_same (name "%s//%s" anc desc) desc_want
         (Sharded_doc.descendants sd pool ~anc ~desc);
       check_same (name "inl %s//%s" anc desc) desc_want
-        (Sharded_doc.descendants_inl sd pool ~anc ~desc);
+        (Sharded_doc.run sd pool (Query.Descendants_inl (anc, desc)));
       check_same (name "%s/%s" anc desc) child_want
         (Sharded_doc.children sd pool ~parent:anc ~child:desc);
       check_same (name "unsharded %s//%s" anc desc) desc_want
@@ -331,6 +336,45 @@ let every_driver_agrees () =
               done)
             [ 0; 1; 2; 3 ]))
 
+(* {1 The driver allocates nothing}
+
+   Each plan kind through the driver on a warmed workspace, over a
+   frozen snapshot and over a clean live store: 0.0 minor words per
+   plan, averaged over 10k runs (the two [Gc.minor_words] readings
+   vanish in the average; one word per plan would read 1.0). *)
+
+let driver_allocates_nothing () =
+  let runs = 10_000 in
+  let per_plan name f =
+    f ();
+    let w0 = Gc.minor_words () in
+    for _ = 1 to runs do
+      f ()
+    done;
+    let words = (Gc.minor_words () -. w0) /. float_of_int runs in
+    Alcotest.(check (float 0.05)) (name ^ ": minor words per plan") 0. words
+  in
+  let ldoc =
+    Labeled_doc.of_document
+      (Parser.parse_string
+         "<a><b><a><b><c/></b><c/></a></b><b><c/><a><c/></a></b></a>")
+  in
+  let pager = Pager.create (Counters.create ()) in
+  let store = Shredder.shred_label pager ldoc in
+  let snap = Read_snapshot.of_store pager store ldoc in
+  let counters = Counters.create () in
+  let ws = Label_index.create_workspace () in
+  List.iter
+    (fun (kind, plan) ->
+      per_plan ("snapshot " ^ kind) (fun () ->
+          Read_snapshot.run counters snap ws plan);
+      per_plan ("store " ^ kind) (fun () ->
+          ignore (Query.label_plan_hot pager store plan : Column.t)))
+    [ ("Descendants", Query.Descendants ("a", "c"));
+      ("Children", Query.Children ("b", "c"));
+      ("Descendants_inl", Query.Descendants_inl ("a", "c"));
+      ("Path", Query.Path [ "a"; "b"; "c" ]) ]
+
 (* {1 Snapshot freshness} *)
 
 let staleness_detected () =
@@ -348,7 +392,7 @@ let staleness_detected () =
   Alcotest.(check bool) "stale after mutation" false
     (Read_snapshot.is_fresh snap);
   Pool.with_pool ~size:2 (fun pool ->
-      let bc = [| Read_snapshot.Descendants ("b", "c") |] in
+      let bc = [| Query.Descendants ("b", "c") |] in
       (match Read_snapshot.run_batch pool snap bc with
       | _ -> Alcotest.fail "stale snapshot answered a query"
       | exception Read_snapshot.Stale _ -> ());
@@ -379,7 +423,7 @@ let mutate_refresh_stress () =
             (Printf.sprintf "round %d: %s//%s" round anc desc)
             (Query.label_descendants_baseline pager store ~anc ~desc)
             (Read_snapshot.run_batch pool !snap
-               [| Read_snapshot.Descendants (anc, desc) |]).(0)
+               [| Query.Descendants (anc, desc) |]).(0)
         in
         check ("probe", "leaf");
         match busy_tags !snap with
@@ -428,7 +472,7 @@ let stale_payload_carries_stamps () =
   match
     Pool.with_pool ~size:1 (fun pool ->
         Read_snapshot.run_batch pool snap
-          [| Read_snapshot.Descendants ("probe", "leaf") |])
+          [| Query.Descendants ("probe", "leaf") |])
   with
   | _ -> Alcotest.fail "stale snapshot accepted"
   | exception Read_snapshot.Stale st ->
@@ -453,6 +497,7 @@ let suite =
         stats_account_for_work;
       case "every driver agrees with independent oracles under edits" `Quick
         every_driver_agrees;
+      case "the driver allocates nothing" `Quick driver_allocates_nothing;
       case "stale snapshots refuse, refresh rebuilds" `Quick
         staleness_detected;
       case "2-domain mutate/flush/refresh stress" `Slow mutate_refresh_stress;

@@ -9,6 +9,10 @@ module Xml_gen = Ltree_workload.Xml_gen
 
 let case = Alcotest.test_case
 
+(* The store's INL plan for [anc//desc]. *)
+let label_descendants_inl pager store ~anc ~desc =
+  Query.label_plan pager store (Query.Descendants_inl (anc, desc))
+
 let pager_counts () =
   let counters = Counters.create () in
   let pager = Pager.create ~capacity:2 counters in
@@ -254,7 +258,7 @@ let inl_plan_agrees () =
       Alcotest.(check (list int))
         (Printf.sprintf "inl %s//%s" anc desc)
         (dom_descendants doc ~anc ~desc)
-        (Query.label_descendants_inl pager label ~anc ~desc))
+        (label_descendants_inl pager label ~anc ~desc))
     [ ("library", "title"); ("shelf", "title"); ("book", "title");
       ("shelf", "book"); ("book", "shelf"); ("library", "nosuch") ]
 
@@ -272,7 +276,7 @@ let inl_plan_random =
         (fun anc ->
           List.for_all
             (fun desc ->
-              Query.label_descendants_inl pager label ~anc ~desc
+              label_descendants_inl pager label ~anc ~desc
               = dom_descendants doc ~anc ~desc)
             tags)
         tags)
@@ -285,7 +289,7 @@ let inl_index_invalidation () =
   let label = Shredder.shred_label pager ldoc in
   let sync = Label_sync.create pager label ldoc in
   (* Warm the index. *)
-  ignore (Query.label_descendants_inl pager label ~anc:"library" ~desc:"title");
+  ignore (label_descendants_inl pager label ~anc:"library" ~desc:"title");
   let root = Option.get doc.root in
   let shelf = List.nth (Dom.children root) 1 in
   Labeled_doc.insert_subtree ldoc ~parent:shelf ~index:0
@@ -294,7 +298,7 @@ let inl_index_invalidation () =
   Label_sync.check sync;
   Alcotest.(check int) "new title visible via inl" 5
     (List.length
-       (Query.label_descendants_inl pager label ~anc:"library" ~desc:"title"))
+       (label_descendants_inl pager label ~anc:"library" ~desc:"title"))
 
 let random_docs_agree =
   QCheck.Test.make ~count:30 ~name:"plans agree on generated documents"
@@ -332,7 +336,7 @@ let all_plans_agree pager store doc tags =
           let truth = dom_descendants doc ~anc ~desc in
           Query.label_descendants_baseline pager store ~anc ~desc = truth
           && Query.label_descendants pager store ~anc ~desc = truth
-          && Query.label_descendants_inl pager store ~anc ~desc = truth)
+          && label_descendants_inl pager store ~anc ~desc = truth)
         tags)
     tags
 

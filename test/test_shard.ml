@@ -22,6 +22,7 @@ module Pager = Ltree_relstore.Pager
 module Shredder = Ltree_relstore.Shredder
 module Label_sync = Ltree_relstore.Label_sync
 module Label_index = Ltree_relstore.Label_index
+module Query = Ltree_relstore.Query
 module Prng = Ltree_workload.Prng
 
 let case = Alcotest.test_case
@@ -89,9 +90,10 @@ let check_all_plans_agree ?within name sd pool =
                ~child:desc);
           check
             (Printf.sprintf "inl %s//%s" anc desc)
-            (Sharded_doc.descendants_inl ?within sd pool ~anc ~desc)
-            (Sharded_doc.unsharded_descendants_inl ?within sd pool ~anc
-               ~desc))
+            (Sharded_doc.run ?within sd pool
+               (Query.Descendants_inl (anc, desc)))
+            (Sharded_doc.unsharded_run ?within sd pool
+               (Query.Descendants_inl (anc, desc))))
         tags)
     tags;
   (match tags with
@@ -101,16 +103,16 @@ let check_all_plans_agree ?within name sd pool =
       (Sharded_doc.path ?within sd pool [ a; b; c ])
       (Sharded_doc.unsharded_path ?within sd pool [ a; b; c ])
   | _ -> ());
+  let pairs = List.concat_map (fun a -> List.map (fun d -> (a, d)) tags) tags in
   let batch =
-    Array.of_list
-      (List.concat_map (fun a -> List.map (fun d -> (a, d)) tags) tags)
+    Array.of_list (List.map (fun (a, d) -> Query.Descendants (a, d)) pairs)
   in
-  let got = Sharded_doc.descendants_batch ?within sd pool batch in
-  let want = Sharded_doc.unsharded_descendants_batch ?within sd pool batch in
-  Array.iteri
+  let got = Sharded_doc.batch ?within sd pool batch in
+  let want = Sharded_doc.unsharded_batch ?within sd pool batch in
+  List.iteri
     (fun i (anc, desc) ->
       check (Printf.sprintf "batch %s//%s" anc desc) got.(i) want.(i))
-    batch
+    pairs
 
 (* {1 Routing} *)
 
@@ -220,6 +222,42 @@ let k3_agreement_after_writes () =
             (Printf.sprintf "K=3 after writes pool=%d" size)
             sd pool))
     [ 1; 2; 4 ]
+
+(* {1 Plan-generic batches} *)
+
+(* One batch mixing child, path and INL plans — a root-anchored child
+   step, one- and zero-step paths and a pair with no match among them —
+   answers every plan exactly as the unsharded batch does, at K = 1, 2
+   and 3. *)
+let mixed_batch_agrees () =
+  let batch =
+    [| Query.Children ("item", "name");
+       Query.Path [ "site"; "item"; "name" ];
+       Query.Descendants_inl ("item", "name");
+       Query.Children ("site", "item");
+       Query.Path [ "name"; "item"; "name" ];
+       Query.Descendants_inl ("site", "city");
+       Query.Path [ "auction" ];
+       Query.Children ("name", "item");
+       Query.Path [] |]
+  in
+  List.iter
+    (fun k ->
+      let sd = Sharded_doc.create ~shards:k (wide_doc 5) in
+      Pool.with_pool ~size:2 (fun pool ->
+          let got = Sharded_doc.batch sd pool batch in
+          let want = Sharded_doc.unsharded_batch sd pool batch in
+          Array.iteri
+            (fun i w ->
+              Alcotest.(check (list int))
+                (Printf.sprintf "K=%d plan %d" k i)
+                w got.(i))
+            want;
+          Alcotest.(check bool)
+            (Printf.sprintf "K=%d: the first three plans match something" k)
+            true
+            (List.for_all (fun i -> want.(i) <> []) [ 0; 1; 2 ])))
+    [ 1; 2; 3 ]
 
 (* Query windows over the router's label range, as the harness picks
    them: the whole document, then its lower and upper halves (each
@@ -556,6 +594,8 @@ let suite =
       case "K=1 plans byte-identical to unsharded" `Quick k1_byte_identical;
       case "K=3 plans agree after a write workload" `Quick
         k3_agreement_after_writes;
+      case "a mixed-plan batch matches the unsharded batch" `Quick
+        mixed_batch_agrees;
       case "plans agree across K, pool size, window and split" `Quick
         plans_agree_matrix;
       case "shard snapshots hold live router ids" `Quick

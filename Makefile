@@ -105,8 +105,10 @@ trace-smoke:
 # that cell's own "failed" verdict note, require a copy missing
 # one entry line to be rejected, and replay just that cell from the
 # bundle's recorded rerun command.  Then round-trip a traced
-# replication run plus the JSON metrics export, and fold a gauge
-# dashboard from a ring that must not drop an entry.
+# replication run plus the JSON metrics export, fold the histograms of
+# `ltree metrics` and `replicate --metrics` out of the ring (each must
+# print a ported series), and fold a gauge dashboard from a ring that
+# must not drop an entry.
 # $(call obs_smoke_cell,CELL,MATRIX FLAGS): the injected run must exit
 # exactly 1 (a usage error exits 2 and dumps nothing).
 define obs_smoke_cell
@@ -133,6 +135,10 @@ obs-smoke:
 	  --noise-every 5 --trace > /dev/null
 	dune exec bin/ltree_cli.exe -- metrics --ops 100 --seed 1 --json \
 	  > /dev/null
+	dune exec bin/ltree_cli.exe -- metrics --ops 200 --seed 1 \
+	  | grep -q '^query_join_comparisons_bucket'
+	dune exec bin/ltree_cli.exe -- replicate --ops 60 --nodes 60 \
+	  --metrics - | grep -q '^repl_send_attempts_bucket'
 	dune exec bin/ltree_cli.exe -- top --ops 200 > /dev/null
 	rm -f _obs_smoke.jsonl _obs_smoke_cut.jsonl
 

@@ -13,13 +13,6 @@ let section title =
 let print_counters ?(label = "counters") counters =
   Format.printf "%s: %a@." label Counters.pp counters
 
-(* Every bench run ends with the process-wide histogram registry in
-   Prometheus text exposition, so instrumented hot paths report for free
-   under any experiment. *)
-let emit_metrics () =
-  section "metrics (Prometheus text exposition)";
-  print_string (Ltree_obs.Registry.expose ())
-
 (* Run [ops] insertions with [pattern] against scheme [S] starting from
    [n] bulk-loaded items; returns (relabels/op, accesses/op, bits). *)
 let measure_scheme (type s h)

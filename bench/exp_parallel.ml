@@ -309,5 +309,3 @@ let () =
              ("span_overhead_raw_ns", num raw_ns);
              ("host_factor", num factor) ])
     :: List.map record_row rows);
-  print_newline ();
-  print_string (Ltree_obs.Registry.expose ())

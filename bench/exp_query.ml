@@ -286,5 +286,3 @@ let () =
   print_rows rows;
   speedup_check ~n:!n rows;
   Bench_record.write ~bench:"query" !json (List.map record_row rows);
-  print_newline ();
-  print_string (Ltree_obs.Registry.expose ())

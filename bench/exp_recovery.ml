@@ -309,5 +309,3 @@ let () =
        failwith "exp_recovery: group commit failed to amortize fsyncs"
    | _ -> assert false);
   Bench_record.write ~bench:"recovery" !json (List.map record_row rows);
-  print_newline ();
-  print_string (Ltree_obs.Registry.expose ())

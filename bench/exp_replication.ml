@@ -328,5 +328,3 @@ let () =
   in
   print_rows rows;
   Bench_record.write ~bench:"replication" !json (List.map record_row rows);
-  print_newline ();
-  print_string (Ltree_obs.Registry.expose ())

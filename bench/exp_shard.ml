@@ -257,5 +257,3 @@ let () =
   print_rows rows;
   speedup_check ~cores rows;
   Bench_record.write ~bench:"shard" !json (List.map record_row rows);
-  print_newline ();
-  print_string (Ltree_obs.Registry.expose ())

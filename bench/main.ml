@@ -163,5 +163,4 @@ let () =
   let want_bechamel = List.mem "--bechamel" args in
   let both = (not want_tables) && not want_bechamel in
   if want_tables || both then tables ();
-  if want_bechamel || both then run_bechamel ();
-  Bench_util.emit_metrics ()
+  if want_bechamel || both then run_bechamel ()

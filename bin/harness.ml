@@ -313,9 +313,9 @@ let register_invariants t =
                    ~desc:b))
             windows
         | _ -> ());
-        (* Mixed batches of one plan per tag pair: a shard keeps one
-           workspace per batch slot for later batches, so a batch of
-           the whole list would triple what the shards hold. *)
+        (* Mixed batches of one plan per tag pair: a batch holds one
+           workspace per plan and routed shard while it runs, so a
+           batch of the whole list would triple its peak. *)
         let cases = Array.of_list cases in
         let size = Int.max 1 (List.length tags * List.length tags) in
         let rec batches first =

@@ -987,6 +987,16 @@ let require_whole_ring what =
     exit 1
   end
 
+(* The ring's entries for a fold that must be whole, such as a metrics
+   exposition: [cmd] prints the error and exits 1 when the ring
+   overwrote any entry. *)
+let ring_entries cmd =
+  match Ltree_obs.Exposition.of_ring () with
+  | Ok entries -> entries
+  | Error e ->
+    Printf.eprintf "%s: %s\n" cmd e;
+    exit 1
+
 let ops_workload_arg =
   Arg.(value & opt int 1000 & info [ "ops" ] ~docv:"OPS"
          ~doc:"Workload operations to replay.")
@@ -1075,8 +1085,11 @@ let metrics_cmd =
   in
   let run f s ops seed out json =
     let params = params_of f s in
+    Ltree_obs.Span.set_enabled true;
+    Ltree_obs.Span.set_capacity_for ~ops;
     let t = observed_harness ~params ~seed in
     run_observed_workload t ~seed ~ops;
+    let entries = ring_entries "metrics" in
     let acct = Harness.accountant t in
     if json then
       let module A = Ltree_obs.Accountant in
@@ -1091,11 +1104,12 @@ let metrics_cmd =
                 ("breaches", int (List.length (A.breaches acct))) ] ) ]
       in
       write_out out
-        (Json.to_string (Ltree_obs.Registry.expose_json ~extra ()) ^ "\n")
+        (Json.to_string (Ltree_obs.Exposition.expose_json ~extra entries)
+        ^ "\n")
     else begin
       let buf = Buffer.create 4096 in
-      Buffer.add_string buf (Ltree_obs.Registry.expose ());
-      Ltree_obs.Registry.expose_counters buf ~prefix:"ltree_doc"
+      Buffer.add_string buf (Ltree_obs.Exposition.expose entries);
+      Ltree_obs.Exposition.expose_counters buf ~prefix:"ltree_doc"
         (Harness.doc_counters t);
       Buffer.add_string buf
         (Printf.sprintf
@@ -1111,8 +1125,10 @@ let metrics_cmd =
   in
   Cmd.v
     (Cmd.info "metrics"
-       ~doc:"Replay a workload and print every histogram in Prometheus \
-             text exposition format (or one JSON object with --json).")
+       ~doc:"Replay a workload with tracing on and print the histograms \
+             folded from the event ring in Prometheus text exposition \
+             format (or one JSON object with --json).  The ring is sized \
+             from $(b,--ops); a run that overwrites any entry exits 1.")
     Term.(const run $ f_arg $ s_arg $ ops_workload_arg $ seed_workload_arg
           $ out $ json_arg)
 
@@ -1154,10 +1170,11 @@ let replicate_cmd =
         =
       config
     in
-    if trace then begin
-      Ltree_obs.Span.set_capacity_for ~ops;
-      Ltree_obs.Causal.set_enabled true
+    if trace || Option.is_some metrics then begin
+      Ltree_obs.Span.set_enabled true;
+      Ltree_obs.Span.set_capacity_for ~ops
     end;
+    if trace then Ltree_obs.Causal.set_enabled true;
     let script = M.generate_script config in
     let oracle = Matrix.build_oracle (M.base_ldoc config) script in
     let psim = F.create_sim () and rsim = F.create_sim () in
@@ -1269,8 +1286,11 @@ let replicate_cmd =
     end;
     match metrics with
     | None -> ()
-    | Some "-" -> write_out None (Ltree_obs.Registry.expose ())
-    | Some p -> write_out (Some p) (Ltree_obs.Registry.expose ())
+    | Some p ->
+      let entries = ring_entries "replicate" in
+      write_out
+        (if String.equal p "-" then None else Some p)
+        (Ltree_obs.Exposition.expose entries)
   in
   Cmd.v
     (Cmd.info "replicate"

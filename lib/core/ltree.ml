@@ -1,24 +1,5 @@
 module Counters = Ltree_metrics.Counters
 module Span = Ltree_obs.Span
-module Histogram = Ltree_obs.Histogram
-
-(* Histograms are registered once at module init; the registry hands the
-   same instance back to [ltree metrics] and the benches for exposition. *)
-let insert_seconds =
-  Ltree_obs.Registry.histogram ~name:"ltree_insert_seconds"
-    ~help:"Latency of L-Tree insertions in seconds (single and batch)"
-    ~bounds:(Histogram.log2_bounds ~start:1e-7 ~count:20)
-    ()
-
-let insert_relabels =
-  Ltree_obs.Registry.histogram ~name:"ltree_insert_relabels"
-    ~help:"Relabelings performed by one L-Tree insertion"
-    ~bounds:(Histogram.linear_bounds ~start:0. ~step:8. ~count:20)
-    ()
-
-let observe_insert r =
-  Histogram.observe insert_seconds r.Ltree_obs.Trace.duration;
-  Histogram.observe_int insert_relabels (Ltree_obs.Trace.delta r "relabels")
 
 type node = {
   id : int; (* unique; 0 for internals and the dummy *)
@@ -418,8 +399,8 @@ let insert_at_raw t p idx =
 
 let insert_at t p idx =
   if Span.enabled () then
-    Span.with_ ~name:"ltree.insert" ~counters:t.counters
-      ~on_close:observe_insert (fun () -> insert_at_raw t p idx)
+    Span.with_ ~name:"ltree.insert" ~counters:t.counters (fun () ->
+        insert_at_raw t p idx)
   else insert_at_raw t p idx
 
 let parent_of w =
@@ -563,7 +544,7 @@ let insert_batch_at t p idx k =
   if Span.enabled () then
     Span.with_ ~name:"ltree.insert_batch" ~counters:t.counters
       ~attrs:[ ("k", string_of_int k) ]
-      ~on_close:observe_insert (fun () -> insert_batch_at_raw t p idx k)
+      (fun () -> insert_batch_at_raw t p idx k)
   else insert_batch_at_raw t p idx k
 
 let insert_batch_after t w k =

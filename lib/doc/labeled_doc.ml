@@ -2,14 +2,6 @@ open Ltree_xml
 open Ltree_core
 module Span = Ltree_obs.Span
 
-(* Events (start/end tags) moved per subtree operation: how big the
-   edits hitting the labeled document actually are. *)
-let subtree_events =
-  Ltree_obs.Registry.histogram ~name:"doc_subtree_events"
-    ~help:"Start/end tag events per Labeled_doc subtree insert or delete"
-    ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1. ~count:16)
-    ()
-
 module Int_tbl = Ltree_metrics.Int_tbl
 
 type entry = {
@@ -211,7 +203,6 @@ let insert_subtree t ~parent ~index sub =
         else (entry t (List.nth children (index - 1))).end_leaf
       in
       let k = Dom.event_count sub in
-      Ltree_obs.Histogram.observe_int subtree_events k;
       let fresh = Ltree.insert_batch_after t.tree anchor k in
       Dom.insert_child parent ~index sub;
       let i = ref 0 in
@@ -226,7 +217,6 @@ let delete_subtree t n =
        | Some r when r == n ->
          invalid_arg "Labeled_doc.delete_subtree: cannot delete the root"
        | Some _ | None -> ());
-      Ltree_obs.Histogram.observe_int subtree_events (Dom.event_count n);
       Dom.iter_preorder n (fun x ->
           let id = Dom.id x in
           match Int_tbl.find_opt t.table id with

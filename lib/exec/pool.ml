@@ -220,51 +220,19 @@ let stats t =
   Mutex.unlock t.mu;
   s
 
-(* Pool health as Prometheus histograms in the shared registry.  Only
-   the submitting domain observes, once per parallel job. *)
-let tasks_hist () =
-  Ltree_obs.Registry.histogram ~name:"exec_pool_tasks_per_job"
-    ~help:"chunk tasks per parallel job"
-    ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1. ~count:12)
-    ()
-
-let stolen_hist () =
-  Ltree_obs.Registry.histogram ~name:"exec_pool_stolen_per_job"
-    ~help:"chunk tasks claimed by worker domains (not the submitter) per job"
-    ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1. ~count:12)
-    ()
-
-let share_hist () =
-  Ltree_obs.Registry.histogram ~name:"exec_pool_worker_share"
-    ~help:"fraction of a job's chunk tasks run by worker domains"
-    ~bounds:(Ltree_obs.Histogram.linear_bounds ~start:0.1 ~step:0.1 ~count:10)
-    ()
-
-let claims_hist () =
-  Ltree_obs.Registry.histogram ~name:"exec_pool_claims_per_job"
-    ~help:"atomic claim operations on the chunk cursor per parallel job"
-    ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1. ~count:12)
-    ()
-
-let adapts_counter () =
-  Ltree_obs.Registry.counter ~name:"exec_pool_claim_adaptations"
-    ~help:"claim-size halvings triggered by a wall-time-dominating span"
-    ()
-
-let note_job t ~nchunks ~caller_chunks ~claims ~adapts =
+let note_job t ~nchunks ~claims ~adapts =
   Mutex.lock t.mu;
   t.jobs <- t.jobs + 1;
   t.tasks <- t.tasks + nchunks;
   t.claims <- t.claims + claims;
   t.adapts <- t.adapts + adapts;
   Mutex.unlock t.mu;
-  let stolen = nchunks - caller_chunks in
-  Ltree_obs.Histogram.observe_int (tasks_hist ()) nchunks;
-  Ltree_obs.Histogram.observe_int (stolen_hist ()) stolen;
-  Ltree_obs.Histogram.observe (share_hist ())
-    (float_of_int stolen /. float_of_int nchunks);
-  Ltree_obs.Histogram.observe_int (claims_hist ()) claims;
-  Ltree_obs.Registry.counter_add (adapts_counter ()) adapts
+  (* The job's claims, for [exec_pool_claims_per_job]: a traced-only
+     point written by the submitting domain. *)
+  if Ltree_obs.Span.enabled () then
+    Ltree_obs.Span.event
+      ~attrs:[ ("claims", string_of_int claims) ]
+      "pool.job"
 
 let serial_run t body lo hi =
   Mutex.lock t.mu;
@@ -320,16 +288,13 @@ let parallel_for ?chunk t ~lo ~hi body =
           t.current <- Some job;
           Condition.broadcast t.work;
           Mutex.unlock t.mu;
-          let caller_before = t.worker_tasks.(0) in
           run_chunks t job ~slot:0;
           Mutex.lock t.mu;
           while Atomic.get job.j_pending > 0 do
             Condition.wait t.finished t.mu
           done;
           Mutex.unlock t.mu;
-          note_job t ~nchunks
-            ~caller_chunks:(t.worker_tasks.(0) - caller_before)
-            ~claims:(Atomic.get job.j_claims)
+          note_job t ~nchunks ~claims:(Atomic.get job.j_claims)
             ~adapts:(Atomic.get job.j_adapts);
           (match job.j_failure with Some e -> raise e | None -> ())
     end

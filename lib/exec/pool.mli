@@ -19,9 +19,7 @@ type t
 
 (** Aggregate pool counters since {!create}.  [per_worker.(0)] counts
     chunks run by the submitting domain, slot [k >= 1] by worker [k];
-    their imbalance is the "steal" signal also exposed through the
-    Prometheus registry as [exec_pool_stolen_per_job] and
-    [exec_pool_worker_share]. *)
+    their imbalance is the "steal" signal. *)
 type stats = {
   size : int;
   parallel_jobs : int;  (** jobs fanned out across domains *)
@@ -31,14 +29,14 @@ type stats = {
       (** atomic cursor claims issued by parallel jobs.  Each claim
           grabs a span of K chunks (K adaptive on range size), so
           [claim_ops] over [parallel_jobs] — also the
-          [exec_pool_claims_per_job] histogram — measures how well the
-          batching amortizes cursor contention. *)
+          [exec_pool_claims_per_job] histogram, folded from a traced
+          run's ["pool.job"] points — measures how well the batching
+          amortizes cursor contention. *)
   claim_adaptations : int;
       (** claim-size halvings triggered by skew detection: a span whose
           wall time dominates the job's running mean (and exceeds an
           absolute floor) halves the job's chunks-per-claim so the
-          remaining hot chunks rebalance across workers.  Also exposed
-          as the [exec_pool_claim_adaptations] counter. *)
+          remaining hot chunks rebalance across workers. *)
   per_worker : int array;
 }
 

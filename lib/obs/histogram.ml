@@ -1,24 +1,14 @@
-module Stats = Ltree_metrics.Stats
-
 type t = {
   name : string;
   help : string;
   labels : (string * string) list;
       (* sorted by key; a labeled histogram is one series of the metric
-         [name] — the registry keys instances by name + labels *)
+         [name] *)
   bounds : float array;  (* strictly increasing upper bounds *)
   counts : int array;    (* length bounds + 1; last slot is +Inf *)
-  stats : Stats.t;
-      (* exact stats layered under the buckets, so exposition can carry
-         mean/percentiles that bucketing alone would lose *)
-  mu : Mutex.t;
-      (* guards [counts] and [stats]: histograms are shared process-wide
-         through the registry, so worker domains may observe concurrently *)
+  mutable count : int;
+  mutable sum : float;
 }
-
-let locked t f =
-  Mutex.lock t.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mu) f
 
 let create ~name ~help ?(labels = []) ~bounds () =
   let n = Array.length bounds in
@@ -37,8 +27,8 @@ let create ~name ~help ?(labels = []) ~bounds () =
     labels = List.sort (fun (a, _) (b, _) -> String.compare a b) labels;
     bounds = Array.copy bounds;
     counts = Array.make (n + 1) 0;
-    stats = Stats.create ();
-    mu = Mutex.create () }
+    count = 0;
+    sum = 0. }
 
 let name t = t.name
 let help t = t.help
@@ -56,27 +46,25 @@ let bucket_index t x =
   done;
   !lo
 
-let observe t x =
+let add t x =
   let i = bucket_index t x in
-  locked t (fun () ->
-      t.counts.(i) <- t.counts.(i) + 1;
-      Stats.add t.stats x)
+  t.counts.(i) <- t.counts.(i) + 1;
+  t.count <- t.count + 1;
+  t.sum <- t.sum +. x
 
-let observe_int t v = observe t (float_of_int v)
-let count t = locked t (fun () -> Stats.count t.stats)
-let sum t = locked t (fun () -> Stats.sum t.stats)
+let count t = t.count
+let sum t = t.sum
 
 (* Cumulative count of observations <= bounds.(i), Prometheus-style. *)
 let cumulative t =
-  locked t (fun () ->
-      let out = Array.make (Array.length t.counts) 0 in
-      let acc = ref 0 in
-      Array.iteri
-        (fun i c ->
-          acc := !acc + c;
-          out.(i) <- !acc)
-        t.counts;
-      out)
+  let out = Array.make (Array.length t.counts) 0 in
+  let acc = ref 0 in
+  Array.iteri
+    (fun i c ->
+      acc := !acc + c;
+      out.(i) <- !acc)
+    t.counts;
+  out
 
 (* {1 Bucket layouts} *)
 

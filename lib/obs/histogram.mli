@@ -1,9 +1,10 @@
-(** Fixed-bucket histograms layered on exact {!Ltree_metrics.Stats}.
+(** Fixed-bucket histograms: bucket counts, [count] and [sum].
 
     Buckets are defined by a strictly increasing array of upper bounds
     plus an implicit final +Inf bucket, matching the Prometheus
-    histogram model.  Every observation also feeds a [Stats.t], so exact
-    mean/percentiles remain available alongside the bucketed counts. *)
+    histogram model.  A histogram is a local value: {!Exposition} builds
+    one per series while it folds the event ring, so it takes no lock
+    and keeps no observation beyond its bucket counts. *)
 
 type t
 
@@ -28,8 +29,9 @@ val labels : t -> (string * string) list
 
 val bounds : t -> float array
 
-val observe : t -> float -> unit
-val observe_int : t -> int -> unit
+(** [add t x] counts one observation [x] into its bucket, [count] and
+    [sum]. *)
+val add : t -> float -> unit
 
 val count : t -> int
 val sum : t -> float

@@ -7,8 +7,9 @@
    A self-describing JSONL document: a header line naming the dump
    reason (and, for matrix failures, the exact cell to replay with
    [--only]), one entry line per ring entry (the same line [ltree
-   trace] prints), one line holding the full metrics snapshot, and a
-   footer repeating the entry count so a truncated file is detectable. *)
+   trace] prints), and a footer repeating the entry count so a
+   truncated file is detectable.  A reader that wants histograms folds
+   the bundle's own entries ([Exposition]). *)
 
 let magic = "ltree-flight"
 
@@ -19,14 +20,13 @@ let dump ?(reason = "manual") ?(attrs = []) () =
   String.concat ""
     [ line
         (Json.Obj
-           [ ("bundle", Json.Str magic); ("version", Json.Num 2.);
+           [ ("bundle", Json.Str magic); ("version", Json.Num 3.);
              ("reason", Json.Str reason);
              ("at", Json.Num (Unix.gettimeofday ())); ("events", n);
              ("dropped", Json.Num (float_of_int (Span.dropped ())));
              ( "attrs",
                Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) attrs) ) ]);
       Trace.to_jsonl entries;
-      line (Json.Obj [ ("metrics", Registry.expose_json ()) ]);
       line (Json.Obj [ ("end", Json.Bool true); ("events", n) ]) ]
 
 (* {1 Validation} *)
@@ -44,8 +44,8 @@ let events v =
   | Some (Json.Num f) when Float.is_integer f -> Some (int_of_float f)
   | _ -> None
 
-(* Header, entries, metrics, footer; the header's and the footer's
-   ["events"] must both equal the number of entry lines. *)
+(* Header, entries, footer; the header's and the footer's ["events"]
+   must both equal the number of entry lines. *)
 let validate data =
   match Trace.validate_jsonl data with
   | Error e -> Error e
@@ -56,8 +56,7 @@ let validate data =
         Error "first line is not a bundle header"
       | footer :: _ when not (is_end footer) ->
         Error "last line is not a bundle footer"
-      | footer :: metrics :: rev_entries
-        when Option.is_some (Json.member "metrics" metrics) -> (
+      | footer :: rev_entries -> (
           let count = List.length rev_entries in
           match (events header, events footer) with
           | Some h, Some f when h = count && f = count -> Ok (List.length lines)
@@ -68,7 +67,7 @@ let validate data =
                   lines present"
                  h f count)
           | _ -> Error "header or footer carries no event count")
-      | _ -> Error "bundle too short (header, metrics, footer)")
+      | [] -> Error "bundle too short (header, footer)")
 
 (* [attr_of_bundle data key] is string attribute [key] of the header
    line, e.g. the failing cell name for [--only] replay. *)

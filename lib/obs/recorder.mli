@@ -9,15 +9,14 @@
     nothing).  When something goes wrong (an [Invariant] violation, a
     failed cell of any crash matrix, or an explicit [ltree bundle]) the
     caller {!dump}s a JSONL bundle of the entries leading up to the
-    failure plus a full metrics snapshot.  The recorder itself keeps no
-    storage. *)
+    failure.  The recorder itself keeps no storage; histograms are a
+    fold over the bundle's own entries ({!Exposition}). *)
 
 (** [dump ?reason ?attrs ()] renders the whole ring as a JSONL bundle:
-    a header line (version 2) carrying [reason], the entry and dropped
-    counts and [attrs], one {!Trace.to_jsonl} line per entry, one line
-    with the full {!Registry} metrics snapshot, and a footer with the
-    entry count.  A matrix dump's [attrs] are [cell] (the failed cell's
-    coordinate), [failure] (its failures, joined by ["; "]) and
+    a header line (version 3) carrying [reason], the entry and dropped
+    counts and [attrs], one {!Trace.to_jsonl} line per entry, and a
+    footer with the entry count.  A matrix dump's [attrs] are [cell]
+    (the failed cell's coordinate), [failure] (its failures, joined by ["; "]) and
     [rerun] (the space-separated [ltree] arguments that rerun exactly
     that cell at the run's seed and config, without
     [--inject-cell-failure], [--bundle] or [--domains]);
@@ -26,10 +25,10 @@
 val dump : ?reason:string -> ?attrs:(string * string) list -> unit -> string
 
 (** [validate data] checks that [data] is a well-formed bundle: every
-    line parses as JSON, the first line is a bundle header, the last
-    two are the metrics line and a footer, and the header's and the
-    footer's ["events"] counts both equal the number of entry lines in
-    between.  [Ok n] gives the number of lines. *)
+    line parses as JSON, the first line is a bundle header, the last is
+    a footer, and the header's and the footer's ["events"] counts both
+    equal the number of entry lines in between.  [Ok n] gives the
+    number of lines. *)
 val validate : string -> (int, string) result
 
 (** [attr_of_bundle data key] extracts a string attribute from the

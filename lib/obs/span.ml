@@ -43,22 +43,9 @@ let reset () =
 
 let current_path stack name = String.concat "/" (List.rev (name :: !stack))
 
-(* Silently-overwritten entries are invisible in the ring by design;
-   the counter makes the loss observable in the exposition, so a scrape
-   can tell "quiet system" from "ring too small".  It is resolved once,
-   on the first overwrite and under [ring_mu] (so no two domains force
-   the lazy at once): notes fire on every shipper ack, and a registry
-   lookup per overwrite would add a mutex and a string hash to each. *)
-let dropped_total =
-  lazy
-    (Registry.counter ~name:"obs_trace_dropped_total"
-       ~help:"Ring entries overwritten because the event ring was full" ())
-
-let add r =
-  locked (fun () ->
-      let full = Trace.length !ring = Trace.capacity !ring in
-      Trace.add !ring r;
-      if full then Registry.counter_incr (Lazy.force dropped_total))
+(* An overwrite is counted by the ring itself ([Trace.dropped]); the
+   exposition prints it as [obs_trace_dropped_total]. *)
+let add r = locked (fun () -> Trace.add !ring r)
 
 let note ?tick:tk ?(attrs = []) ~kind name =
   add
@@ -73,7 +60,7 @@ let note ?tick:tk ?(attrs = []) ~kind name =
       deltas = [];
       attrs }
 
-let finish ~name ~path ~depth ~start ~before ~attrs ~on_close counters =
+let finish ~name ~path ~depth ~start ~before ~attrs counters =
   let duration = Unix.gettimeofday () -. start in
   let deltas =
     match (counters, before) with
@@ -92,10 +79,9 @@ let finish ~name ~path ~depth ~start ~before ~attrs ~on_close counters =
       deltas;
       attrs }
   in
-  add r;
-  (match on_close with Some f -> f r | None -> ())
+  add r
 
-let[@ltree.cold] traced ?(attrs = []) ~counters ~on_close ~name fn =
+let[@ltree.cold] traced ?(attrs = []) ~counters ~name fn =
   begin
     let stack = stack () in
     let path = current_path stack name in
@@ -115,12 +101,12 @@ let[@ltree.cold] traced ?(attrs = []) ~counters ~on_close ~name fn =
     match fn () with
     | v ->
       pop ();
-      finish ~name ~path ~depth ~start ~before ~attrs ~on_close counters;
+      finish ~name ~path ~depth ~start ~before ~attrs counters;
       v
     | exception e ->
       pop ();
       let attrs = ("error", Printexc.to_string e) :: attrs in
-      finish ~name ~path ~depth ~start ~before ~attrs ~on_close counters;
+      finish ~name ~path ~depth ~start ~before ~attrs counters;
       raise e
   end
 
@@ -130,9 +116,9 @@ let[@ltree.cold] traced ?(attrs = []) ~counters ~on_close ~name fn =
    [with_] and [event] to that; [?attrs] is passed on undefaulted, since
    a defaulted optional argument makes the rest of the function a
    closure. *)
-let[@ltree.hot] with_ ?attrs ?counters ?on_close ~name fn =
+let[@ltree.hot] with_ ?attrs ?counters ~name fn =
   if not (Atomic.get on) then fn ()
-  else (traced ?attrs ~counters ~on_close ~name fn [@ltree.cold])
+  else (traced ?attrs ~counters ~name fn [@ltree.cold])
 
 let[@ltree.cold] point ?(attrs = []) name =
   let stack = stack () in

@@ -10,8 +10,9 @@
 
     The ring is the one event store of the process: span closes, point
     events and notes ({!note}: flight-recorder entries, causal stamps,
-    gauge readings) share its mutex, its capacity and the
-    [obs_trace_dropped_total] overwrite counter.  Notes are always on;
+    gauge readings) share its mutex, its capacity and its count of
+    overwritten entries ({!dropped}; exposed as
+    [obs_trace_dropped_total]).  Notes are always on;
     {!set_enabled} gates spans and points only.
 
     Domain safety: the stack of open spans is domain-local, so spans
@@ -20,18 +21,16 @@
     The stack-clearing part of {!reset} acts on the calling domain's
     stack only. *)
 
-(** [with_ ?attrs ?counters ?on_close ~name fn] runs [fn ()] inside a
-    span called [name], nested under any spans already open on this
-    domain's stack.  When [counters] is given, the span's record carries the
+(** [with_ ?attrs ?counters ~name fn] runs [fn ()] inside a span
+    called [name], nested under any spans already open on this domain's
+    stack.  When [counters] is given, the span's record carries the
     counter deltas accumulated while it ran ([Counters.diff] of after
-    vs. entry snapshot).  [on_close] receives the completed record --
-    instrumented modules use it to feed histograms.  If [fn] raises, the
-    span is still closed (with an ["error"] attribute) and the exception
-    is re-raised. *)
+    vs. entry snapshot); {!Exposition} folds histograms out of those
+    records.  If [fn] raises, the span is still closed (with an
+    ["error"] attribute) and the exception is re-raised. *)
 val with_ :
   ?attrs:(string * string) list ->
   ?counters:Ltree_metrics.Counters.t ->
-  ?on_close:(Trace.record -> unit) ->
   name:string ->
   (unit -> 'a) ->
   'a
@@ -58,9 +57,9 @@ val set_capacity : int -> unit
     per operation plus about 5,100 from its closing validation, a
     causally traced replication session under 35 per operation plus a
     few hundred, even when every second chunk is damaged.  A view
-    folded from the ring (a waterfall, a dashboard, a trace or a
-    bundle) is whole only when {!dropped} stays 0, so its callers check
-    that afterwards. *)
+    folded from the ring (a waterfall, a dashboard, a trace, a bundle
+    or a metrics exposition) is whole only when {!dropped} stays 0, so
+    its callers check that afterwards. *)
 val set_capacity_for : ops:int -> unit
 
 (** Completed span and point records, oldest first (notes excluded). *)

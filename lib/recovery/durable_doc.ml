@@ -4,21 +4,6 @@ module Journal = Ltree_doc.Journal
 module Varint = Ltree_doc.Varint
 module Span = Ltree_obs.Span
 
-(* Append latency covers journaling plus any group-commit fsync, so the
-   log-bucketed histogram separates buffered appends (sub-microsecond)
-   from synced ones. *)
-let append_seconds =
-  Ltree_obs.Registry.histogram ~name:"recovery_append_seconds"
-    ~help:"Latency of Durable_doc journaled operations in seconds"
-    ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1e-7 ~count:20)
-    ()
-
-let replayed_entries =
-  Ltree_obs.Registry.histogram ~name:"recovery_replayed_entries"
-    ~help:"Journal entries replayed per recovery"
-    ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1. ~count:16)
-    ()
-
 let wal_magic = "ltree-wal 2\n"
 let snap_magic = "ltree-durable-snapshot 2\n"
 
@@ -301,8 +286,6 @@ let sync t = flush_pending t
 let apply t entry =
   Span.with_ ~name:"recovery.append"
     ~counters:(Labeled_doc.counters t.ldoc)
-    ~on_close:(fun r ->
-      Ltree_obs.Histogram.observe append_seconds r.Ltree_obs.Trace.duration)
     (fun () ->
       Journal.apply_entry t.ldoc entry;
       t.last_seq <- t.last_seq + 1;
@@ -445,10 +428,4 @@ let recover_raw ~io ~group_commit ~dir () =
 
 let recover ~io ?(group_commit = 1) ~dir () =
   Span.with_ ~name:"recovery.recover" (fun () ->
-      let result = recover_raw ~io ~group_commit ~dir () in
-      (match result with
-       | Ok (report, _) ->
-         Ltree_obs.Histogram.observe_int replayed_entries
-           report.entries_replayed
-       | Error _ -> ());
-      result)
+      recover_raw ~io ~group_commit ~dir ())

@@ -3,14 +3,6 @@ module Span = Ltree_obs.Span
 module Column = Ltree_core.Column
 module BA = Bigarray.Array1
 
-(* Incremental repairs are the index's whole point: this histogram shows
-   how small the merged batches stay relative to full rebuilds. *)
-let merged_rows_hist =
-  Ltree_obs.Registry.histogram ~name:"relstore_index_merged_rows"
-    ~help:"Rows merged into a per-tag label index per incremental repair"
-    ~bounds:(Ltree_obs.Histogram.linear_bounds ~start:0. ~step:8. ~count:16)
-    ()
-
 type entry = {
   starts : Column.t;
   ends : Column.t;
@@ -326,7 +318,6 @@ let repair t counters ~fetch src tag entry touched =
   t.repairs <- t.repairs + 1;
   t.merged_rows <- t.merged_rows + ni;
   Span.event ~attrs:[ ("tag", tag) ] "relstore.index_repair";
-  Ltree_obs.Histogram.observe_int merged_rows_hist ni;
   entry
 
 let entry t counters ~rids_of_tag ~fetch src tag =

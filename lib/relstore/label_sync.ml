@@ -4,14 +4,6 @@ module Span = Ltree_obs.Span
 module Int_tbl = Ltree_metrics.Int_tbl
 open Shredder
 
-(* Rows written per flush/resync: the effective write batch size the
-   relational store sees from the document layer. *)
-let flush_rows =
-  Ltree_obs.Registry.histogram ~name:"relstore_flush_rows"
-    ~help:"Label rows updated, inserted or tombstoned per sync pass"
-    ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1. ~count:16)
-    ()
-
 type t = {
   store : label_store;
   ldoc : Labeled_doc.t;
@@ -88,16 +80,9 @@ let flush_raw t =
     rows_inserted = !inserted;
     rows_tombstoned = !tombstoned }
 
-let observe_rows st =
-  Ltree_obs.Histogram.observe_int flush_rows
-    (st.rows_updated + st.rows_inserted + st.rows_tombstoned)
-
 let flush t =
   Span.with_ ~name:"relstore.flush"
-    ~counters:(Labeled_doc.counters t.ldoc) (fun () ->
-      let st = flush_raw t in
-      observe_rows st;
-      st)
+    ~counters:(Labeled_doc.counters t.ldoc) (fun () -> flush_raw t)
 
 let check t =
   (* Every labeled node must have an exact live row; every live row must

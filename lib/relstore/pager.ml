@@ -159,12 +159,6 @@ let resident t = Column.length t.heap
 (* Every write-back — eviction or flush — goes through [write_back], so
    a page's dirty bit is consumed exactly once and the page_write count
    is the same whether the page left the pool by eviction or by flush. *)
-let flush_pages =
-  Ltree_obs.Registry.histogram ~name:"pager_flush_pages"
-    ~help:"Dirty pages written back per pager flush"
-    ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1. ~count:12)
-    ()
-
 let flush_dirty t =
   Ltree_obs.Span.with_ ~name:"pager.flush" ~counters:t.counters (fun () ->
       let before = t.dirty_count in
@@ -172,9 +166,7 @@ let flush_dirty t =
         write_back t ~table:(Column.get t.slot_table s)
           ~page:(Column.get t.slot_page s)
       done;
-      let written = before - t.dirty_count in
-      Ltree_obs.Histogram.observe_int flush_pages written;
-      written)
+      before - t.dirty_count)
 
 let flush t =
   ignore (flush_dirty t);

@@ -3,18 +3,6 @@ module Span = Ltree_obs.Span
 module Column = Ltree_core.Column
 open Shredder
 
-(* Comparisons per structural join, straight off the counter delta the
-   join span accumulates -- the paper's query-cost metric. *)
-let join_comparisons =
-  Ltree_obs.Registry.histogram ~name:"query_join_comparisons"
-    ~help:"Label comparisons per structural join query"
-    ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1. ~count:24)
-    ()
-
-let observe_join r =
-  Ltree_obs.Histogram.observe_int join_comparisons
-    (Ltree_obs.Trace.delta r "comparisons")
-
 let ids_of_tag tbl tag = Option.value ~default:[] (Hashtbl.find_opt tbl tag)
 
 let children_of (store : edge_store) id =
@@ -388,11 +376,15 @@ let[@ltree.hot] run counters entry src (ws : Label_index.workspace) plan =
   | Path (first :: next :: rest) ->
     path_steps counters entry src ws 0 (entry counters src first) next rest
 
+(* A plan run outside a store span carries its comparisons on a
+   traced-only "query.join" point, which [query_join_comparisons] folds
+   next to the store plans' span deltas. *)
 let record_comparisons ?counters n =
   (match counters with
    | Some c -> Counters.add_comparison c n
    | None -> ());
-  Ltree_obs.Histogram.observe_int join_comparisons n
+  if Span.enabled () then
+    Span.event ~attrs:[ ("comparisons", string_of_int n) ] "query.join"
 
 (* {1 Store plans}
 
@@ -418,12 +410,9 @@ let[@ltree.hot] label_plan_hot pager (store : label_store) plan =
   Column.sort_dedup ws.w_out ~mark:ws.w_mark;
   ws.w_out
 
-(* Hoisted so a traced plan does not box its [on_close] per call. *)
-let on_close = Some observe_join
-
 let traced pager store plan name attrs =
-  Span.with_ ~name ~counters:(Pager.counters pager) ~attrs ?on_close
-    (fun () -> Column.to_list (label_plan_hot pager store plan))
+  Span.with_ ~name ~counters:(Pager.counters pager) ~attrs (fun () ->
+      Column.to_list (label_plan_hot pager store plan))
 
 let label_plan pager store plan =
   match plan with

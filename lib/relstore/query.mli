@@ -140,6 +140,7 @@ val label_children :
 val label_path : Pager.t -> Shredder.label_store -> string list -> int list
 
 (** [record_comparisons ?counters n] records one join query's [n]
-    comparisons: into [counters] when given, and into the
-    [query_join_comparisons] histogram. *)
+    comparisons: into [counters] when given, and, when tracing is on,
+    as a ["query.join"] point carrying a ["comparisons"] attribute that
+    the [query_join_comparisons] series folds. *)
 val record_comparisons : ?counters:Ltree_metrics.Counters.t -> int -> unit

@@ -82,19 +82,6 @@ type t = {
   mutable install_failures : int;
 }
 
-let apply_latency_hist () =
-  Ltree_obs.Registry.histogram ~name:"repl_apply_latency_seconds"
-    ~help:"wall time to apply one shipped record on the replica"
-    ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1e-6 ~count:16)
-    ()
-
-let lag_hist () =
-  Ltree_obs.Registry.histogram ~name:"repl_lag_records"
-    ~help:"replica lag (primary high-water mark minus applied seq), \
-           sampled once per pump"
-    ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1. ~count:12)
-    ()
-
 let create ~io ~dir ?(group_commit = 1) ?(checkpoint_every = 32) ?store
     ~inbox ~outbox () =
   if group_commit < 1 then invalid_arg "Replica.create: group_commit < 1";
@@ -191,11 +178,8 @@ let apply_one t s ~now ~seq ~payload =
     set_diverged t (Apply_rejected { at_seq = seq; detail })
   in
   match
-    Ltree_obs.Span.with_ ~name:"repl.apply"
-      ~on_close:(fun r ->
-        Ltree_obs.Histogram.observe (apply_latency_hist ())
-          r.Ltree_obs.Trace.duration)
-      (fun () -> Durable_doc.apply s (Journal.decode_entry payload))
+    Ltree_obs.Span.with_ ~name:"repl.apply" (fun () ->
+        Durable_doc.apply s (Journal.decode_entry payload))
   with
   | () ->
     Ltree_obs.Causal.stamp ~tick:now Ltree_obs.Causal.Apply ~seq ~payload;
@@ -353,9 +337,13 @@ let pump t ~now =
           | Error (_ : Frame.error) -> t.bad_frames <- t.bad_frames + 1
           | Ok frame -> if on_frame t ~now frame then ack_due := true))
       lines;
-    (match lag t with
-    | Some l -> Ltree_obs.Histogram.observe_int (lag_hist ()) l
-    | None -> ());
+    (* The lag sample, for [repl_lag_records]: a traced-only point. *)
+    (if Ltree_obs.Span.enabled () then
+       match lag t with
+       | Some l ->
+         Ltree_obs.Span.event ~attrs:[ ("records", string_of_int l) ]
+           "repl.lag"
+       | None -> ());
     if !ack_due then
       match applied_seq t with
       | Some seq ->

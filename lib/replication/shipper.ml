@@ -77,26 +77,6 @@ type t = {
   mutable scanned_bytes : int;
 }
 
-let ship_latency_hist () =
-  Ltree_obs.Registry.histogram ~name:"repl_ship_latency_ticks"
-    ~help:"virtual ticks between a record's first send and its ack"
-    ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1. ~count:12)
-    ()
-
-let send_attempts_hist () =
-  Ltree_obs.Registry.histogram ~name:"repl_send_attempts"
-    ~help:"sends of one record before it was acked (1 = no retry); \
-           _count doubles as the acked-record counter"
-    ~bounds:(Ltree_obs.Histogram.linear_bounds ~start:1. ~step:1. ~count:10)
-    ()
-
-let backoff_hist () =
-  Ltree_obs.Registry.histogram ~name:"repl_backoff_ticks"
-    ~help:"backoff delay chosen per retry; _count doubles as the retry \
-           counter, _sum as total ticks spent backing off"
-    ~bounds:(Ltree_obs.Histogram.log2_bounds ~start:1. ~count:8)
-    ()
-
 let snapshot_path t =
   match Durable_doc.newest_valid_snapshot t.io ~dir:t.dir with
   | Ok (source, _ldoc, base_seq, _epoch, _faults) ->
@@ -227,9 +207,14 @@ let on_ack t ~now seq =
     Int_tbl.iter
       (fun s (fl : inflight) ->
         if s <= seq then begin
-          Ltree_obs.Histogram.observe_int (ship_latency_hist ())
-            (Int.max 1 (now - fl.first_sent));
-          Ltree_obs.Histogram.observe_int (send_attempts_hist ()) fl.attempts;
+          (* Ship latency and send attempts, for [repl_ship_latency_ticks]
+             and [repl_send_attempts]: a traced-only point. *)
+          if Ltree_obs.Span.enabled () then
+            Ltree_obs.Span.event
+              ~attrs:
+                [ ("ticks", string_of_int (Int.max 1 (now - fl.first_sent)));
+                  ("attempts", string_of_int fl.attempts) ]
+              "repl.acked";
           (* The cumulative ack is the moment the primary knows the
              record is applied and readable on the replica: the end of
              its causal waterfall. *)
@@ -339,7 +324,9 @@ let retry_due t ~now (fl : inflight) ~seq ~event resend =
       fl.next_due <- now + delay;
       t.retries <- t.retries + 1;
       t.backoff_ticks <- t.backoff_ticks + delay;
-      Ltree_obs.Histogram.observe_int (backoff_hist ()) delay
+      if Ltree_obs.Span.enabled () then
+        Ltree_obs.Span.event ~attrs:[ ("delay", string_of_int delay) ]
+          "repl.retry"
     | Error reason ->
       Ltree_obs.Span.note ~tick:now ~kind:"recovery"
         ~attrs:

@@ -14,8 +14,7 @@ module Durable_doc = Ltree_recovery.Durable_doc
 module Snapshot = Ltree_doc.Snapshot
 module Pool = Ltree_exec.Pool
 module Read_snapshot = Ltree_exec.Read_snapshot
-module Registry = Ltree_obs.Registry
-module Histogram = Ltree_obs.Histogram
+module Span = Ltree_obs.Span
 
 (* A document split into K subtree shards along its L-Tree label
    intervals.
@@ -59,12 +58,9 @@ type shard = {
   mutable snap : Read_snapshot.t option;  (* frozen lazily per query *)
   g_of_l : int Int_tbl.t;  (* local Dom id -> router Dom id *)
   l_of_g : int Int_tbl.t;  (* router Dom id -> local Dom id *)
-  mutable bufs : Label_index.workspace array;
-      (* reused query workspaces: slot [i] is written only by the task
-         answering query [i] of a batch; single plans use slot 0 *)
-  commit_hist : Histogram.t;  (* shard_commit_seconds{shard=<sid>} *)
-  query_hist : Histogram.t;  (* shard_query_seconds{shard=<sid>} *)
-  pending_hist : Histogram.t;  (* shard_journal_pending{shard=<sid>} *)
+  buf : Label_index.workspace;
+      (* the reused workspace of single plans and of a batch's first
+         plan; a batch's other plans take workspaces of their own *)
 }
 
 type t = {
@@ -97,32 +93,6 @@ type t = {
 }
 
 let shard_dir = "store"
-
-(* {1 Per-shard metrics}
-
-   One labeled series per shard under three fixed metric names, so
-   [ltree metrics] exposes per-shard commit latency, query latency and
-   journal lag without any shard-count-dependent metric names. *)
-
-let seconds_bounds = Histogram.log2_bounds ~start:1e-6 ~count:22
-let pending_bounds = Histogram.linear_bounds ~start:0. ~step:1. ~count:16
-
-let shard_histograms sid =
-  let labels = [ ("shard", string_of_int sid) ] in
-  ( Registry.histogram ~name:"shard_commit_seconds"
-      ~help:"wall time of one journaled operation on the owning shard"
-      ~labels ~bounds:seconds_bounds (),
-    Registry.histogram ~name:"shard_query_seconds"
-      ~help:"wall time of one shard-local join task (snapshot refresh \
-             excluded)" ~labels
-      ~bounds:seconds_bounds (),
-    Registry.histogram ~name:"shard_journal_pending"
-      ~help:"group-commit records buffered (not yet durable) after an op"
-      ~labels ~bounds:pending_bounds () )
-
-let rebalance_counter () =
-  Registry.counter ~name:"shard_rebalances"
-    ~help:"shard splits performed by the rebalance pass" ()
 
 (* {1 Cloning and identity maps} *)
 
@@ -178,12 +148,10 @@ let wire_shard ~sid ~sim durable =
   let sync = Label_sync.create pager store ldoc in
   let g_of_l = Int_tbl.create 256 in
   store.Shredder.label_ids <- Int_tbl.find g_of_l;
-  let commit_hist, query_hist, pending_hist = shard_histograms sid in
   { sid; sim; durable; pager; store; sync; snap = None;
     g_of_l;
     l_of_g = Int_tbl.create 256;
-    bufs = [| Label_index.create_workspace () |];
-    commit_hist; query_hist; pending_hist }
+    buf = Label_index.create_workspace () }
 
 let make_shard ?params ~group_commit ~sim ~groot gsubs sid =
   let sroot = Dom.element ~attrs:(Dom.attrs groot) (Dom.name groot) in
@@ -381,27 +349,21 @@ type task = {
   k_plan : Query.plan;
 }
 
-type outcome = { o_comparisons : int; o_seconds : float }
-
 (* The body every pool task runs: the serial snapshot driver over one
-   shard, its router ids left unsorted in the task's workspace.
-   Comparisons and wall time go back in the outcome; the caller records
-   them after the barrier. *)
+   shard, its router ids left unsorted in the task's workspace.  The
+   task's comparisons go back to the caller, which records them after
+   the barrier.  A traced run wraps the task in a "shard.query" span,
+   which [shard_query_seconds] folds per shard. *)
 let run_task k =
-  let t0 = Unix.gettimeofday () in
   let counters = Counters.create () in
-  Read_snapshot.run counters k.k_snap k.k_ws k.k_plan;
-  { o_comparisons = Counters.comparisons counters;
-    o_seconds = Unix.gettimeofday () -. t0 }
+  (if Span.enabled () then
+     Span.with_ ~name:"shard.query"
+       ~attrs:[ ("shard", string_of_int k.k_shard.sid) ]
+       (fun () -> Read_snapshot.run counters k.k_snap k.k_ws k.k_plan)
+   else Read_snapshot.run counters k.k_snap k.k_ws k.k_plan);
+  Counters.comparisons counters
 
-(* Run the tasks and record each one's wall time on its shard's
-   histogram; the caller totals comparisons per query. *)
-let fan_out pool tasks =
-  let outcomes = Pool.map ~chunk:1 pool run_task tasks in
-  Array.iteri
-    (fun i o -> Histogram.observe tasks.(i).k_shard.query_hist o.o_seconds)
-    outcomes;
-  outcomes
+let fan_out pool tasks = Pool.map ~chunk:1 pool run_task tasks
 
 (* One query's answer: the tasks' result columns appended into the
    caller's [merge_out], sorted and deduplicated once in place (which
@@ -433,29 +395,17 @@ let restrict ?within t ids =
   | None -> ids
   | Some (lo, hi) -> filter_within t ~lo ~hi ids
 
-(* Shard [sh]'s first [n] workspace slots, grown on demand and reused
-   across queries. *)
-let buffers sh n =
-  let have = Array.length sh.bufs in
-  if have < n then
-    sh.bufs <-
-      Array.append sh.bufs
-        (Array.init (n - have) (fun _ -> Label_index.create_workspace ()));
-  sh.bufs
-
 let run ?counters ?within t pool plan =
   let tasks =
     Array.of_list
       (List.map
          (fun p ->
            let sh = t.shards.(p) in
-           { k_shard = sh; k_snap = frozen sh; k_ws = (buffers sh 1).(0);
-             k_plan = plan })
+           { k_shard = sh; k_snap = frozen sh; k_ws = sh.buf; k_plan = plan })
          (routed ?within t))
   in
-  let outcomes = fan_out pool tasks in
   Query.record_comparisons ?counters
-    (Array.fold_left (fun n o -> n + o.o_comparisons) 0 outcomes);
+    (Array.fold_left ( + ) 0 (fan_out pool tasks));
   restrict ?within t (merge t (Array.map (fun k -> k.k_ws) tasks))
 
 let descendants ?counters ?within t pool ~anc ~desc =
@@ -470,7 +420,9 @@ let path ?counters ?within t pool tags =
 (* The batch fans {e shard x plan} tasks across the pool in one
    [Pool.map], so a hot query no longer serializes on one shard's
    index.  Several tasks share a shard here, so plan [i]'s task writes
-   the shard's buffer slot [i]; task [si * nq + qi] answers plan [qi]
+   a workspace of its own: the shard's [buf] for plan 0, a fresh one
+   for every other plan, dropped when the batch returns so a large
+   batch leaves nothing behind; task [si * nq + qi] answers plan [qi]
    on routed shard [si]. *)
 let batch ?within t pool plans =
   let snaps =
@@ -486,11 +438,12 @@ let batch ?within t pool plans =
       (Array.to_list
          (Array.map
             (fun (sh, snap) ->
-              let bufs = buffers sh (Array.length plans) in
               Array.mapi
                 (fun i plan ->
-                  { k_shard = sh; k_snap = snap; k_ws = bufs.(i);
-                    k_plan = plan })
+                  let k_ws =
+                    if i = 0 then sh.buf else Label_index.create_workspace ()
+                  in
+                  { k_shard = sh; k_snap = snap; k_ws; k_plan = plan })
                 plans)
             snaps))
   in
@@ -500,7 +453,7 @@ let batch ?within t pool plans =
   Array.init nq (fun qi ->
       let comparisons = ref 0 in
       for si = 0 to ns - 1 do
-        comparisons := !comparisons + outcomes.((si * nq) + qi).o_comparisons
+        comparisons := !comparisons + outcomes.((si * nq) + qi)
       done;
       Query.record_comparisons !comparisons;
       restrict ?within t
@@ -582,10 +535,20 @@ let shard_apply t sh entry =
   (match t.on_local_entry with
    | None -> ()
    | Some hook -> hook sh.sid entry);
-  let t0 = Unix.gettimeofday () in
-  Durable_doc.apply sh.durable entry;
-  Histogram.observe sh.commit_hist (Unix.gettimeofday () -. t0);
-  Histogram.observe_int sh.pending_hist (Durable_doc.pending sh.durable)
+  (* A traced run times the commit in a "shard.commit" span and notes
+     the records left pending after it in a "shard.pending" point:
+     [shard_commit_seconds] and [shard_journal_pending] fold them per
+     shard. *)
+  if Span.enabled () then begin
+    let shard = ("shard", string_of_int sh.sid) in
+    Span.with_ ~name:"shard.commit" ~attrs:[ shard ] (fun () ->
+        Durable_doc.apply sh.durable entry);
+    Span.event
+      ~attrs:
+        [ shard; ("pending", string_of_int (Durable_doc.pending sh.durable)) ]
+      "shard.pending"
+  end
+  else Durable_doc.apply sh.durable entry
 
 let apply t entry =
   let groot = root_of t.router in
@@ -752,7 +715,6 @@ let split ?(on_phase = fun (_ : string) -> ()) t p =
   t.layout_gen <- t.layout_gen + 1;
   rebuild_top_owner t;
   t.rebalances <- t.rebalances + 1;
-  Registry.counter_incr (rebalance_counter ());
   on_phase "commit"
 
 let maybe_rebalance ?(threshold = 2.0) ?on_phase t =

@@ -182,7 +182,6 @@ let default_config_audited () =
         true
         (contains ~sub:"DESIGN.md" note))
     (List.map (fun (p, n) -> ("race_allow " ^ p, n)) cfg.race_allow
-    @ List.map (fun (m, n) -> ("guarded module " ^ m, n)) cfg.guarded_modules
     @ List.map
         (fun (p, b, n) -> (Printf.sprintf "global_allow %s:%s" p b, n))
         cfg.global_allow)

@@ -5,7 +5,7 @@ module Counters = Ltree_metrics.Counters
 module Trace = Ltree_obs.Trace
 module Span = Ltree_obs.Span
 module Histogram = Ltree_obs.Histogram
-module Registry = Ltree_obs.Registry
+module Exposition = Ltree_obs.Exposition
 module Accountant = Ltree_obs.Accountant
 module Recorder = Ltree_obs.Recorder
 module Causal = Ltree_obs.Causal
@@ -160,7 +160,7 @@ let histogram_buckets () =
     Histogram.create ~name:"h" ~help:"test" ~bounds:[| 1.; 2.; 4. |] ()
   in
   (* Boundary values land in their own le bucket (le is inclusive). *)
-  List.iter (Histogram.observe h) [ 0.5; 1.0; 1.5; 2.0; 4.0; 5.0 ];
+  List.iter (Histogram.add h) [ 0.5; 1.0; 1.5; 2.0; 4.0; 5.0 ];
   Alcotest.(check (array int)) "cumulative" [| 2; 4; 5; 6 |]
     (Histogram.cumulative h);
   Alcotest.(check int) "count" 6 (Histogram.count h);
@@ -175,8 +175,6 @@ let histogram_buckets () =
   Alcotest.(check (array (float 1e-9))) "linear layout" [| 0.; 8.; 16. |]
     (Histogram.linear_bounds ~start:0. ~step:8. ~count:3)
 
-(* The registry is process-wide: each test registers metric names of its
-   own and checks its block inside the whole exposition. *)
 let histogram_int_observations () =
   let h =
     Histogram.create ~name:"h_int" ~help:"ints"
@@ -191,41 +189,76 @@ let histogram_int_observations () =
     (Histogram.labels h);
   Alcotest.(check (array (float 0.))) "bounds" [| 1.; 2.; 3. |]
     (Histogram.bounds h);
-  List.iter (Histogram.observe_int h) [ 0; 1; 2; 2; 7 ];
+  List.iter (fun v -> Histogram.add h (float_of_int v)) [ 0; 1; 2; 2; 7 ];
   Alcotest.(check (array int)) "int observations bucket like floats"
     [| 2; 4; 4; 5 |] (Histogram.cumulative h);
   Alcotest.(check (float 0.)) "sum" 12. (Histogram.sum h)
 
+(* Hand-built ring entries and series for the exposition tests: the
+   fold reads only the list it is given. *)
+let entry ?(kind = "span") ?(duration = 0.) ?(deltas = []) ?(attrs = []) name
+    =
+  { Trace.kind; name; path = name; depth = 0; domain = 0; tick = 0;
+    start = 0.; duration; deltas; attrs }
+
+let test_series ?label ?(help = "demo latencies") name reads bounds =
+  { Exposition.name; help; reads; bounds; label }
+
 let exposition_golden () =
-  let h =
-    Registry.histogram ~name:"test_expose_seconds" ~help:"demo latencies"
-      ~bounds:[| 1.; 2. |] ()
+  let series =
+    [ test_series "test_expose_seconds"
+        [ ("probe", Exposition.Duration) ]
+        [| 1.; 2. |];
+      test_series ~help:"demo costs" "test_expose_cost"
+        [ ("probe", Exposition.Delta "relabels");
+          ("dot", Exposition.Attr "n") ]
+        [| 4. |];
+      test_series ~help:"never observed" "test_expose_idle"
+        [ ("absent", Exposition.Duration) ]
+        [| 1. |] ]
   in
-  List.iter (Histogram.observe h) [ 0.5; 1.5; 9. ];
+  let entries =
+    [ entry ~duration:0.5 ~deltas:[ ("relabels", 3) ] "probe";
+      entry ~duration:1.5 "probe";
+      entry ~duration:9. ~deltas:[ ("relabels", 5) ] "probe";
+      (* a point feeds its attribute; one without it is skipped *)
+      entry ~kind:"point" ~attrs:[ ("n", "2") ] "dot";
+      entry ~kind:"point" "dot";
+      entry ~duration:7. "unrelated" ]
+  in
   let expected =
     String.concat "\n"
-      [ "# HELP test_expose_seconds demo latencies";
+      [ "# HELP test_expose_cost demo costs";
+        "# TYPE test_expose_cost histogram";
+        "test_expose_cost_bucket{le=\"4\"} 3";
+        "test_expose_cost_bucket{le=\"+Inf\"} 4";
+        "test_expose_cost_sum 10.000000";
+        "test_expose_cost_count 4";
+        "# HELP test_expose_idle never observed";
+        "# TYPE test_expose_idle histogram";
+        "test_expose_idle_bucket{le=\"1\"} 0";
+        "test_expose_idle_bucket{le=\"+Inf\"} 0";
+        "test_expose_idle_sum 0.000000";
+        "test_expose_idle_count 0";
+        "# HELP test_expose_seconds demo latencies";
         "# TYPE test_expose_seconds histogram";
         "test_expose_seconds_bucket{le=\"1\"} 1";
         "test_expose_seconds_bucket{le=\"2\"} 2";
         "test_expose_seconds_bucket{le=\"+Inf\"} 3";
         "test_expose_seconds_sum 11.000000";
         "test_expose_seconds_count 3";
+        "# HELP obs_trace_dropped_total Ring entries overwritten because \
+         the event ring was full";
+        "# TYPE obs_trace_dropped_total counter";
+        "obs_trace_dropped_total 0";
         "" ]
   in
-  Alcotest.(check bool) "prometheus text format" true
-    (contains (Registry.expose ()) expected);
-  (* Same name returns the same histogram. *)
-  let h' =
-    Registry.histogram ~name:"test_expose_seconds" ~help:"ignored"
-      ~bounds:[| 99. |] ()
-  in
-  Alcotest.(check int) "get-or-create returns existing" 3
-    (Histogram.count h');
+  Alcotest.(check string) "prometheus text format" expected
+    (Exposition.expose ~series entries);
   let buf = Buffer.create 64 in
   let c = Counters.create () in
   Counters.add_relabel c 7;
-  Registry.expose_counters buf ~prefix:"t" c;
+  Exposition.expose_counters buf ~prefix:"t" c;
   let out = Buffer.contents buf in
   Alcotest.(check bool) "counter line" true
     (contains out "t_relabels_total 7");
@@ -430,29 +463,44 @@ let trace_dropped_counter () =
         match String.split_on_char ' ' line with
         | [ "obs_trace_dropped_total"; v ] -> int_of_string_opt v
         | _ -> None)
-      (String.split_on_char '\n' (Registry.expose ()))
+      (String.split_on_char '\n'
+         (Exposition.expose ~dropped:(Span.dropped ()) (Span.entries ())))
   in
-  let before = Option.value (exposed ()) ~default:0 in
   for i = 1 to 10 do
     Span.event (string_of_int i)
   done;
   Alcotest.(check int) "ring reports the overwrites" 6 (Span.dropped ());
-  let counted () =
-    match exposed () with
-    | None -> Alcotest.fail "obs_trace_dropped_total not exposed"
-    | Some v -> v - before
-  in
-  Alcotest.(check int) "counter tracks the span overwrites" 6 (counted ());
+  Alcotest.(check (option int)) "counter tracks the span overwrites"
+    (Some 6) (exposed ());
   for i = 1 to 3 do
     Span.note ~kind:"fault" (string_of_int i)
   done;
   Alcotest.(check int) "notes overwrite the same ring" 9 (Span.dropped ());
-  Alcotest.(check int) "counter tracks the note overwrites" 9 (counted ());
-  let out = Registry.expose () in
-  Alcotest.(check bool) "counter exposed" true
-    (contains out "obs_trace_dropped_total");
+  Alcotest.(check (option int)) "counter tracks the note overwrites"
+    (Some 9) (exposed ());
+  let out = Exposition.expose ~dropped:9 [] in
   Alcotest.(check bool) "typed as counter" true
     (contains out "# TYPE obs_trace_dropped_total counter");
+  Span.set_capacity 1024
+
+(* A fold over a ring that overwrote entries would cover only the tail
+   of the run, so [of_ring] refuses it, as [Telemetry.top] does. *)
+let fold_refuses_partial_ring () =
+  Span.set_enabled true;
+  Span.set_capacity 4;
+  Span.with_ ~name:"query.path" (fun () -> ());
+  (match Exposition.of_ring () with
+   | Ok [ r ] -> Alcotest.(check string) "whole ring folds" "query.path" r.name
+   | Ok rs -> Alcotest.failf "expected 1 entry, got %d" (List.length rs)
+   | Error e -> Alcotest.failf "whole ring refused: %s" e);
+  for i = 1 to 4 do
+    Span.event (string_of_int i)
+  done;
+  (match Exposition.of_ring () with
+   | Error e ->
+     Alcotest.(check bool) "names the drop count" true
+       (contains e "dropped 1 entries")
+   | Ok _ -> Alcotest.fail "a ring that dropped an entry was folded");
   Span.set_capacity 1024
 
 (* Satellite: records from different domains must not interleave in the
@@ -484,8 +532,7 @@ let flamegraph_domain_sections () =
   Alcotest.(check bool) "per-domain self time" true
     (contains multi "2.0" && contains multi "3.0")
 
-(* The objects of [key]'s array whose "name" starts with [prefix]: the
-   registry is process-wide, so a test keeps only its own series. *)
+(* The objects of [key]'s array whose "name" starts with [prefix]. *)
 let named_objects prefix key v =
   match Json.member key v with
   | Some (Json.Arr objs) ->
@@ -498,14 +545,18 @@ let named_objects prefix key v =
   | _ -> Alcotest.failf "no %s array" key
 
 let expose_json_golden () =
-  let h =
-    Registry.histogram ~name:"test_json_seconds" ~help:"demo latencies"
-      ~bounds:[| 1.; 2. |] ()
+  let series =
+    [ test_series "test_json_seconds" [ ("probe", Exposition.Duration) ]
+        [| 1.; 2. |] ]
   in
-  List.iter (Histogram.observe h) [ 0.5; 1.5; 9. ];
-  let c = Registry.counter ~name:"test_json_total" ~help:"demo events" () in
-  Registry.counter_add c 7;
-  let got = Registry.expose_json ~extra:[ ("node", Json.Str "a") ] () in
+  let entries =
+    List.map (fun duration -> entry ~duration "probe") [ 0.5; 1.5; 9. ]
+  in
+  let got =
+    Exposition.expose_json ~series ~dropped:7
+      ~extra:[ ("node", Json.Str "a") ]
+      entries
+  in
   let text = Json.to_string got in
   Alcotest.(check bool) "one line" false (String.contains text '\n');
   Alcotest.(check json) "the printed exposition parses back to itself" got
@@ -528,8 +579,9 @@ let expose_json_golden () =
         ] ]
     (named_objects "test_json_" "histograms" got);
   Alcotest.(check (list string)) "counter objects, as printed"
-    [ {|{"name": "test_json_total", "help": "demo events", "value": 7}|} ]
-    (List.map Json.to_string (named_objects "test_json_" "counters" got));
+    [ {|{"name": "obs_trace_dropped_total", "help": "Ring entries overwritten because the event ring was full", "value": 7}|}
+    ]
+    (List.map Json.to_string (named_objects "obs_" "counters" got));
   Alcotest.(check (option json)) "extra field" (Some (Json.Str "a"))
     (Json.member "node" got)
 
@@ -560,12 +612,12 @@ let recorder_ring_and_bundle () =
       ()
   in
   (match Recorder.validate data with
-   | Ok n -> Alcotest.(check int) "header + 4 entries + metrics + footer" 7 n
+   | Ok n -> Alcotest.(check int) "header + 4 entries + footer" 6 n
    | Error e -> Alcotest.failf "bundle invalid: %s" e);
   (match Trace.validate_jsonl data with
    | Ok (header :: _) ->
      Alcotest.(check (option json)) "header carries the version"
-       (Some (Json.Num 2.)) (Json.member "version" header)
+       (Some (Json.Num 3.)) (Json.member "version" header)
    | _ -> Alcotest.fail "bundle does not parse");
   Alcotest.(check (option string))
     "cell attr recoverable for --only replay" (Some "probe:divergence")
@@ -876,20 +928,17 @@ let causal_stamps_take_ring_tick () =
 (* {1 Labeled histogram series} *)
 
 let labeled_histogram_series () =
-  let mk shard =
-    Registry.histogram ~name:"test_labeled_seconds"
-      ~help:"per-shard commit latency"
-      ~labels:[ ("shard", shard) ]
-      ~bounds:[| 0.1; 1.0 |] ()
+  let series =
+    [ test_series ~label:"shard" ~help:"per-shard commit latency"
+        "test_labeled_seconds"
+        [ ("shard.commit", Exposition.Duration) ]
+        [| 0.1; 1.0 |] ]
   in
-  let h1 = mk "1" and h2 = mk "2" in
-  Alcotest.(check bool) "distinct label sets are distinct series" true
-    (h1 != h2);
-  Alcotest.(check bool) "same labels return the same series" true
-    (mk "1" == h1);
-  Histogram.observe h1 0.05;
-  Histogram.observe h2 5.0;
-  let text = Registry.expose () in
+  let commit shard duration =
+    entry ~duration ~attrs:[ ("shard", shard) ] "shard.commit"
+  in
+  let entries = [ commit "2" 5.0; commit "1" 0.05 ] in
+  let text = Exposition.expose ~series entries in
   Alcotest.(check bool) "series 1 bucket line" true
     (contains text "test_labeled_seconds_bucket{shard=\"1\",le=\"0.1\"} 1");
   Alcotest.(check bool) "series 2 sum line" true
@@ -907,7 +956,8 @@ let labeled_histogram_series () =
   in
   Alcotest.(check int) "one HELP header" 1 help_count;
   let series =
-    named_objects "test_labeled_seconds" "histograms" (Registry.expose_json ())
+    named_objects "test_labeled_seconds" "histograms"
+      (Exposition.expose_json ~series entries)
   in
   Alcotest.(check (list string)) "labels sit between help and count"
     [ "name"; "help"; "labels"; "count"; "sum"; "buckets" ]
@@ -939,6 +989,7 @@ let suite =
       case "instrumented insert accounting" `Quick
         instrumented_insert_accounting;
       case "trace dropped counter" `Quick trace_dropped_counter;
+      case "fold refuses a partial ring" `Quick fold_refuses_partial_ring;
       case "flamegraph domain sections" `Quick flamegraph_domain_sections;
       case "expose_json golden" `Quick expose_json_golden;
       case "recorder ring + bundle" `Quick recorder_ring_and_bundle;

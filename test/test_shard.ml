@@ -24,6 +24,8 @@ module Label_sync = Ltree_relstore.Label_sync
 module Label_index = Ltree_relstore.Label_index
 module Query = Ltree_relstore.Query
 module Prng = Ltree_workload.Prng
+module Span = Ltree_obs.Span
+module Exposition = Ltree_obs.Exposition
 
 let case = Alcotest.test_case
 
@@ -223,6 +225,58 @@ let k3_agreement_after_writes () =
             sd pool))
     [ 1; 2; 4 ]
 
+(* A traced run writes what the histogram fold reads: a "shard.commit"
+   span and a "shard.pending" point per routed write, a "shard.query"
+   span per shard task, one "query.join" point per sharded plan with
+   its comparisons, and a "pool.job" point per parallel job. *)
+let traced_plans_feed_the_fold () =
+  let config =
+    { Crash_matrix.default_config with Matrix.ops = 20; doc_nodes = 80 }
+  in
+  let sd = Sharded_doc.create ~shards:3 (Crash_matrix.base_doc config) in
+  let script = Crash_matrix.generate_script config in
+  Span.set_enabled true;
+  Span.set_capacity 65536;
+  List.iter (Sharded_doc.apply sd) script;
+  let counters = Counters.create () in
+  let tags = some_tags sd in
+  Pool.with_pool ~size:2 (fun pool ->
+      ignore
+        (Sharded_doc.descendants ~counters sd pool ~anc:(List.hd tags)
+           ~desc:(List.nth tags 1)));
+  let text = Exposition.expose (Span.entries ()) in
+  (* the values of the lines starting with [prefix], summed *)
+  let total prefix =
+    List.fold_left
+      (fun acc line ->
+        if String.starts_with ~prefix line then
+          match String.rindex_opt line ' ' with
+          | Some i ->
+            acc
+            +. float_of_string
+                 (String.sub line (i + 1) (String.length line - i - 1))
+          | None -> acc
+        else acc)
+      0. (String.split_on_char '\n' text)
+  in
+  let writes = float_of_int (List.length script) in
+  Alcotest.(check (float 0.)) "one commit per routed write" writes
+    (total "shard_commit_seconds_count{");
+  Alcotest.(check (float 0.)) "one pending sample per routed write" writes
+    (total "shard_journal_pending_count{");
+  Alcotest.(check bool) "shard tasks timed per shard" true
+    (total "shard_query_seconds_count{" >= 1.);
+  Alcotest.(check (float 0.)) "one join observation" 1.
+    (total "query_join_comparisons_count");
+  Alcotest.(check bool) "the plan compared labels" true
+    (Counters.comparisons counters > 0);
+  Alcotest.(check (float 0.)) "carrying the plan's comparisons"
+    (float_of_int (Counters.comparisons counters))
+    (total "query_join_comparisons_sum");
+  Alcotest.(check bool) "pool jobs counted" true
+    (total "exec_pool_claims_per_job_count" >= 1.);
+  Span.set_capacity 1024
+
 (* {1 Plan-generic batches} *)
 
 (* One batch mixing child, path and INL plans — a root-anchored child
@@ -258,6 +312,35 @@ let mixed_batch_agrees () =
             true
             (List.for_all (fun i -> want.(i) <> []) [ 0; 1; 2 ])))
     [ 1; 2; 3 ]
+
+(* A batch's workspaces past the first belong to that batch: after one
+   batch of n^2 plans the document holds no more than it did before,
+   instead of one workspace per plan and routed shard for its whole
+   life.  Measured as the words reachable from the document: OCaml 5.1's
+   [Gc.compact] returns no memory, so [heap_words] keeps the batch's
+   transient peak either way. *)
+let batch_releases_workspaces () =
+  let sd = Sharded_doc.create ~shards:3 (wide_doc 5) in
+  let tags = Array.of_list (some_tags sd) in
+  let n = 24 in
+  let batch =
+    Array.init (n * n) (fun i ->
+        let tag j = tags.(j mod Array.length tags) in
+        Query.Descendants (tag (i / n), tag (i mod n)))
+  in
+  let held () = Obj.reachable_words (Obj.repr sd) in
+  Pool.with_pool ~size:2 (fun pool ->
+      (* warm: snapshots frozen, every tag's entry touched, slot 0 grown *)
+      Array.iter
+        (fun plan -> ignore (Sharded_doc.run sd pool plan))
+        (Array.sub batch 0 n);
+      let before = held () in
+      ignore (Sharded_doc.batch sd pool batch);
+      let after = held () in
+      Alcotest.(check bool)
+        (Printf.sprintf "words held %d -> %d" before after)
+        true
+        (after - before < 1024))
 
 (* Query windows over the router's label range, as the harness picks
    them: the whole document, then its lower and upper halves (each
@@ -594,6 +677,9 @@ let suite =
       case "K=1 plans byte-identical to unsharded" `Quick k1_byte_identical;
       case "K=3 plans agree after a write workload" `Quick
         k3_agreement_after_writes;
+      case "a batch releases its workspaces" `Quick batch_releases_workspaces;
+      case "traced plans feed the histogram fold" `Quick
+        traced_plans_feed_the_fold;
       case "a mixed-plan batch matches the unsharded batch" `Quick
         mixed_batch_agrees;
       case "plans agree across K, pool size, window and split" `Quick

@@ -32,8 +32,7 @@
      [Pool.parallel_for]/[Pool.map]/[Domain.spawn], transitively
      through project wrappers that forward a closure to them) and flag
      any access to mutable state that is not local to the spawned
-     scope and not mediated by Atomic / a Mutex-guarded module /
-     Domain.DLS.  Residual accesses must be allowlisted in
+     scope and not mediated by Atomic / Mutex / Domain.DLS.  Residual accesses must be allowlisted in
      [race_allow] with an audit note citing DESIGN.md.
 
    - R9 (hot-path allocation): functions carrying [@ltree.hot] must
@@ -86,9 +85,6 @@ type config = {
   sync_prefixes : string list;
       (* fully-qualified prefixes of the sanctioned synchronisation
          primitives; calls into these are never flagged *)
-  guarded_modules : (string * string) list;
-      (* (module key, audit note): modules whose entry points lock
-         internally — passing shared state INTO them is mediated *)
   race_allow : (string * string) list;
       (* (owner-function pattern, audit note).  A pattern is an exact
          function key or a prefix ending in ".*".  Every entry must
@@ -128,15 +124,6 @@ let default_config =
       [
         "Stdlib.Atomic."; "Stdlib.Mutex."; "Stdlib.Condition.";
         "Stdlib.Semaphore."; "Stdlib.Domain.DLS.";
-      ];
-    guarded_modules =
-      [
-        ( "Ltree_obs.Histogram",
-          "observe/observe_int/snapshot lock the histogram's own mutex \
-           (DESIGN.md section 10)" );
-        ( "Ltree_obs.Registry",
-          "every registry operation runs under the registry mutex \
-           (DESIGN.md section 10)" );
       ];
     race_allow =
       [
@@ -873,9 +860,6 @@ let compute_tainted cfg prog factsof spawning =
 
 let under_module m key = has_prefix ~prefix:(m ^ ".") key
 
-let guarded cfg key =
-  List.exists (fun (m, _) -> under_module m key) cfg.guarded_modules
-
 let sync_call cfg head =
   List.exists (fun p -> has_prefix ~prefix:p head) cfg.sync_prefixes
 
@@ -894,63 +878,59 @@ let classify uc (locals : (string, unit) Hashtbl.t) e =
   | None -> Unknown
 
 let r8_hint =
-  "mediate the access with Atomic / a Mutex-guarded module / \
-   Domain.DLS, make the state local to the spawned scope, or add a \
-   race_allow entry with an audit note citing DESIGN.md"
+  "mediate the access with Atomic / Mutex / Domain.DLS, make the state \
+   local to the spawned scope, or add a race_allow entry with an audit \
+   note citing DESIGN.md"
 
 let check_scope cfg prog summaries slots_of ~owner (uc : uctx) (f : facts)
     out =
-  if guarded cfg owner then ()
-  else begin
-    let fin loc kind target message =
-      let line, col = pos_of loc in
-      out :=
-        {
-          rule = "R8"; file = uc.uc_file; line; col; func = owner; message;
-          hint = r8_hint;
-          fingerprint =
-            String.concat "|" [ "R8"; owner; kind; target ];
-        }
-        :: !out
-    in
-    let flag_target loc ~via tgt =
-      match classify uc f.f_locals tgt with
-      | Local | Unknown -> ()
-      | Captured name ->
-        fin loc "captured-write" name
+  let fin loc kind target message =
+    let line, col = pos_of loc in
+    out :=
+      {
+        rule = "R8"; file = uc.uc_file; line; col; func = owner; message;
+        hint = r8_hint;
+        fingerprint =
+          String.concat "|" [ "R8"; owner; kind; target ];
+      }
+      :: !out
+  in
+  let flag_target loc ~via tgt =
+    match classify uc f.f_locals tgt with
+    | Local | Unknown -> ()
+    | Captured name ->
+      fin loc "captured-write" name
+        (Printf.sprintf
+           "parallel scope mutates captured `%s`%s" name via)
+    | Global key ->
+      fin loc "global-write" key
+        (Printf.sprintf "parallel scope mutates global `%s`%s" key via)
+  in
+  List.iter
+    (fun (tgt, lbl, loc) ->
+      flag_target loc ~via:(Printf.sprintf " (field `%s`)" lbl) tgt)
+    f.f_setfields;
+  List.iter
+    (fun (a : app) ->
+      if sync_call cfg a.a_head then ()
+      else
+        List.iter
+          (fun arg ->
+            flag_target a.a_loc
+              ~via:(Printf.sprintf " (passed to mutating `%s`)" a.a_head)
+              arg)
+          (mutated_args summaries prog a slots_of))
+    f.f_apps;
+  List.iter
+    (fun (k, loc) ->
+      match Hashtbl.find_opt prog.globals k with
+      | Some g when Option.is_some g.g_ctor ->
+        fin loc "global-read" k
           (Printf.sprintf
-             "parallel scope mutates captured `%s`%s" name via)
-      | Global key ->
-        if not (guarded cfg key) then
-          fin loc "global-write" key
-            (Printf.sprintf "parallel scope mutates global `%s`%s" key via)
-    in
-    List.iter
-      (fun (tgt, lbl, loc) ->
-        flag_target loc ~via:(Printf.sprintf " (field `%s`)" lbl) tgt)
-      f.f_setfields;
-    List.iter
-      (fun (a : app) ->
-        if sync_call cfg a.a_head || guarded cfg a.a_head then ()
-        else
-          List.iter
-            (fun arg ->
-              flag_target a.a_loc
-                ~via:(Printf.sprintf " (passed to mutating `%s`)" a.a_head)
-                arg)
-            (mutated_args summaries prog a slots_of))
-      f.f_apps;
-    List.iter
-      (fun (k, loc) ->
-        match Hashtbl.find_opt prog.globals k with
-        | Some g when Option.is_some g.g_ctor && not (guarded cfg k) ->
-          fin loc "global-read" k
-            (Printf.sprintf
-               "parallel scope reads mutable global `%s` without \
-                synchronisation" k)
-        | _ -> ())
-      f.f_refs
-  end
+             "parallel scope reads mutable global `%s` without \
+              synchronisation" k)
+      | _ -> ())
+    f.f_refs
 
 (* {1 R9 — hot-path allocation} *)
 

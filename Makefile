@@ -25,13 +25,15 @@ analyze:
 # validates every invariant registered in the Ltree_analysis.Invariant
 # registry (cheap ones on a cadence derived from --ops, all of them at
 # each checkpoint), shrinking and dumping the first failure.  One run
-# at f=8 s=2, one at the CLI's default f=4 s=2.
+# at f=8 s=2, one at the CLI's default f=4 s=2; the quick f=8 run uses
+# a 2-domain pool, so the pooled-plan invariants (exec.parallel-plans-
+# agree, shard.plans-agree) run in `make ci` too.
 selfcheck:
 	dune exec bin/ltree_cli.exe -- check --ops 2000 --seed 1 -f 8 -s 2
 	dune exec bin/ltree_cli.exe -- check --ops 500 --seed 1
 
 selfcheck-quick:
-	dune exec bin/ltree_cli.exe -- check --ops 300 --seed 1 -f 8 -s 2
+	dune exec bin/ltree_cli.exe -- check --ops 300 --seed 1 -f 8 -s 2 --domains 2
 	dune exec bin/ltree_cli.exe -- check --ops 100 --seed 1
 
 # Crash the durable store at every write point in every corruption mode

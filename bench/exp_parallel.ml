@@ -49,10 +49,6 @@ type row = {
   wall_ms : float;  (* total wall time across reps *)
   queries_per_s : float;
   speedup : float;  (* vs the 1-domain row of the same (workload, n) *)
-  claims_per_job : float;
-      (* atomic cursor claims per fanned-out job: with batched chunk
-         claiming this sits well below the chunk count (0 when every
-         job ran serially) *)
 }
 
 let item () =
@@ -122,15 +118,11 @@ let run_cell ~pattern ~n ~domains_list ~batchq ~reps =
                       with the baseline plan"
                      (Driver.pattern_name pattern) n domains i))
             serial;
-          let st0 = Pool.stats pool in
           let t0 = Unix.gettimeofday () in
           for _ = 1 to reps do
             ignore (Read_snapshot.run_batch pool snap batch)
           done;
           let wall = Unix.gettimeofday () -. t0 in
-          let st1 = Pool.stats pool in
-          let jobs = st1.Pool.parallel_jobs - st0.Pool.parallel_jobs in
-          let claims = st1.Pool.claim_ops - st0.Pool.claim_ops in
           if domains = 1 then serial_wall := wall;
           { workload = Driver.pattern_name pattern;
             n;
@@ -139,10 +131,7 @@ let run_cell ~pattern ~n ~domains_list ~batchq ~reps =
             reps;
             wall_ms = wall *. 1e3;
             queries_per_s = float_of_int (batchq * reps) /. Float.max 1e-9 wall;
-            speedup = !serial_wall /. Float.max 1e-9 wall;
-            claims_per_job =
-              (if jobs = 0 then 0.0
-               else float_of_int claims /. float_of_int jobs) }))
+            speedup = !serial_wall /. Float.max 1e-9 wall }))
     domains_list
 
 (* {1 Disabled-span fast path} *)
@@ -202,19 +191,17 @@ let print_rows rows =
   Table.print
     ~title:"parallel batched structural joins: domain-pool speedup"
     ~header:
-      [ "workload"; "n"; "domains"; "batch"; "wall ms"; "q/s"; "speedup";
-        "claims/job" ]
+      [ "workload"; "n"; "domains"; "batch"; "wall ms"; "q/s"; "speedup" ]
     ~align:
       [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-        Table.Right; Table.Right; Table.Right ]
+        Table.Right; Table.Right ]
     (List.map
        (fun r ->
          [ r.workload; string_of_int r.n; string_of_int r.domains;
            string_of_int r.batch;
            Printf.sprintf "%.1f" r.wall_ms;
            Printf.sprintf "%.0f" r.queries_per_s;
-           Printf.sprintf "%.2fx" r.speedup;
-           Printf.sprintf "%.1f" r.claims_per_job ])
+           Printf.sprintf "%.2fx" r.speedup ])
        rows)
 
 let record_row r =
@@ -226,7 +213,7 @@ let record_row r =
         ("reps", int r.reps) ]
     ~metrics:
       [ ("wall_ms", num r.wall_ms); ("queries_per_s", num r.queries_per_s);
-        ("speedup", num r.speedup); ("claims_per_job", num r.claims_per_job) ]
+        ("speedup", num r.speedup) ]
 
 let speedup_check ~cores ~domains_list rows =
   (* The headline acceptance (>= 2x at 4 domains, n >= 10k) only binds

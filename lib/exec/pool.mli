@@ -1,43 +1,37 @@
-(** A fixed-size pool of worker domains with a chunked task queue.
+(** A fixed-size pool of worker domains with a task queue.
 
     Domains are spawned once at {!create} and live until {!shutdown}.
-    Work is submitted as a half-open index range cut into chunks; the
-    submitting domain participates alongside the workers, claiming
-    chunks off a shared atomic cursor, so a pool of [size] runs at
-    most [size] chunks concurrently and a pool of size 1 degenerates
-    to a plain serial loop with no synchronisation beyond two mutex
-    acquisitions.
+    Work is submitted as an array of tasks; the submitting domain
+    participates alongside the workers, each participant claiming one
+    task index per [Atomic.fetch_and_add] on a shared cursor, so a pool
+    of [size] runs at most [size] tasks concurrently and a pool of size
+    1 degenerates to a plain serial loop with no synchronisation beyond
+    one mutex acquisition.
 
     The pool runs one job at a time.  A {!map} issued from
-    inside a running task (re-entrant use) is executed inline in the
-    calling domain instead of deadlocking on the job slot.
+    inside a running task (re-entrant use) or after {!shutdown} is
+    executed inline in the calling domain instead of deadlocking on the
+    job slot.
 
     Bodies must not touch shared mutable state unless that state is
     itself domain-safe; see DESIGN.md §11 for the threading model. *)
 
 type t
 
-(** Aggregate pool counters since {!create}.  [per_worker.(0)] counts
-    chunks run by the submitting domain, slot [k >= 1] by worker [k];
-    their imbalance is the "steal" signal. *)
+(** Aggregate pool counters since {!create}. *)
 type stats = {
   size : int;
   parallel_jobs : int;  (** jobs fanned out across domains *)
-  serial_jobs : int;  (** jobs run inline: size 1, tiny range, or re-entrant *)
-  chunk_tasks : int;  (** chunk tasks executed by parallel jobs *)
+  serial_jobs : int;  (** jobs run inline: size 1, one task, or re-entrant *)
   claim_ops : int;
-      (** atomic cursor claims issued by parallel jobs.  Each claim
-          grabs a span of K chunks (K adaptive on range size), so
-          [claim_ops] over [parallel_jobs] — also the
+      (** atomic cursor claims issued by parallel jobs: one per task,
+          so [claim_ops] over [parallel_jobs] — also the
           [exec_pool_claims_per_job] histogram, folded from a traced
-          run's ["pool.job"] points — measures how well the batching
-          amortizes cursor contention. *)
+          run's ["pool.job"] points — is the mean tasks per job. *)
   claim_adaptations : int;
-      (** claim-size halvings triggered by skew detection: a span whose
-          wall time dominates the job's running mean (and exceeds an
-          absolute floor) halves the job's chunks-per-claim so the
-          remaining hot chunks rebalance across workers. *)
-  per_worker : int array;
+      (** always 0: the pool never resizes its claims.  Kept only
+          because the end-to-end benchmark (bench/e2e/workload.ml)
+          reads it. *)
 }
 
 val create : size:int -> t
@@ -53,14 +47,12 @@ val with_pool : size:int -> (t -> 'a) -> 'a
 (** [with_pool ~size f] runs [f] over a fresh pool and guarantees
     {!shutdown}, even if [f] raises. *)
 
-val map : ?chunk:int -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** [map t f arr] is [Array.map f arr] with elements computed in
-    parallel over disjoint chunks of [chunk] elements (default: about a
-    quarter of an even split per participant, so stragglers rebalance).
-    Result order matches input order.  Runs serially when the pool has
-    size 1 or the array fits in a single chunk.  If any [f] raises, the
-    first exception (in completion order) is re-raised in the caller
-    after all chunks finish. *)
+val map : t -> ('a -> 'b) -> 'a array -> 'b array
+(** [map t f arr] is [Array.map f arr] with each element one task,
+    computed in parallel.  Result order matches input order.  Runs
+    serially when the pool has size 1 or the array has one element.
+    If any [f] raises, the first exception (in completion order) is
+    re-raised in the caller after every task has finished. *)
 
 val stats : t -> stats
 

@@ -137,7 +137,7 @@ let[@ltree.hot] run counters t (ws : Label_index.workspace) plan =
 let run_batch ?counters pool t plans =
   ensure_fresh t;
   let answers =
-    Pool.map ~chunk:1 pool
+    Pool.map pool
       (fun plan ->
         let local = Ltree_metrics.Counters.create () in
         let ws = Label_index.create_workspace () in

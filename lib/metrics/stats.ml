@@ -3,7 +3,6 @@ type t = {
   mutable mean : float;
   mutable min : float;
   mutable max : float;
-  mutable sum : float;
   mutable samples : float array;
   (* [samples.(0 .. count-1)] retains every observation for percentiles. *)
 }
@@ -13,7 +12,6 @@ let create () =
     mean = 0.;
     min = infinity;
     max = neg_infinity;
-    sum = 0.;
     samples = Array.make 16 0. }
 
 let add t x =
@@ -24,16 +22,12 @@ let add t x =
   end;
   t.samples.(t.count) <- x;
   t.count <- t.count + 1;
-  t.sum <- t.sum +. x;
   t.mean <- t.mean +. ((x -. t.mean) /. float_of_int t.count);
   if x < t.min then t.min <- x;
   if x > t.max then t.max <- x
 
-let count t = t.count
 let mean t = t.mean
-
 let max t = t.max
-let sum t = t.sum
 
 let percentile t p =
   if t.count = 0 then invalid_arg "Stats.percentile: empty";

@@ -5,10 +5,8 @@ type t
 
 val create : unit -> t
 val add : t -> float -> unit
-val count : t -> int
 val mean : t -> float
 val max : t -> float
-val sum : t -> float
 
 (** [percentile t p] with [p] in [0,100]; exact over all retained samples
     (nearest-rank: the smallest sample with at least p% of samples at or

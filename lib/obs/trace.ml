@@ -30,12 +30,10 @@ let create ~capacity =
   if capacity < 1 then invalid_arg "Trace.create: capacity must be >= 1";
   { capacity; slots = Array.make capacity None; added = 0 }
 
-let capacity t = t.capacity
 let add t r =
   t.slots.(t.added mod t.capacity) <- Some r;
   t.added <- t.added + 1
 
-let length t = Int.min t.added t.capacity
 let dropped t = Int.max 0 (t.added - t.capacity)
 
 let clear t =
@@ -44,7 +42,7 @@ let clear t =
 
 (* Oldest first. *)
 let to_list t =
-  let n = length t in
+  let n = Int.min t.added t.capacity in
   let first = if t.added > t.capacity then t.added mod t.capacity else 0 in
   List.init n (fun i ->
       match t.slots.((first + i) mod t.capacity) with

@@ -32,13 +32,8 @@ type t
     records.  Raises [Invalid_argument] when [capacity < 1]. *)
 val create : capacity:int -> t
 
-val capacity : t -> int
-
 (** [add t r] appends [r], overwriting the oldest record when full. *)
 val add : t -> record -> unit
-
-(** Number of records currently held (at most [capacity]). *)
-val length : t -> int
 
 (** Number of records overwritten because the ring was full. *)
 val dropped : t -> int

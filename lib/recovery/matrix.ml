@@ -234,7 +234,7 @@ let run ?pool ?progress ?only ?inject ~name ~eval cells =
   let cells =
     Array.to_list
       (match pool with
-       | Some pool -> Ltree_exec.Pool.map ~chunk:1 pool eval_cell cells
+       | Some pool -> Ltree_exec.Pool.map pool eval_cell cells
        | None -> Array.map eval_cell cells)
   in
   { cells;

@@ -57,7 +57,6 @@ type t = {
   chains : int Int_tbl.t;
   inflight : inflight Int_tbl.t;
   mutable chain_top : int;
-  mutable chain_base : int;
   mutable broken : bool;
   mutable acked : int option;
   mutable snap_inflight : inflight option;
@@ -104,7 +103,6 @@ let create ~io ~dir ~store ~down ~up ?(config = default_config) () =
       chains;
       inflight = Int_tbl.create 16;
       chain_top = base;
-      chain_base = base;
       broken = false;
       acked = None;
       snap_inflight = None;
@@ -192,8 +190,7 @@ let ingest t =
 let prune t ~acked =
   let cut = acked - keep_window in
   Int_tbl.drop_below t.retention cut;
-  Int_tbl.drop_below t.chains cut;
-  t.chain_base <- Int.max t.chain_base cut
+  Int_tbl.drop_below t.chains cut
 
 let on_ack t ~now seq =
   t.acks_seen <- t.acks_seen + 1;
@@ -292,7 +289,6 @@ let send_snapshot_now t ~now =
         Int_tbl.reset t.retention;
         Int_tbl.replace t.chains base (Chain.anchor bytes);
         t.chain_top <- base;
-        t.chain_base <- base;
         t.broken <- false
       end;
       send t ~now

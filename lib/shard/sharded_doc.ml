@@ -363,8 +363,6 @@ let run_task k =
    else Read_snapshot.run counters k.k_snap k.k_ws k.k_plan);
   Counters.comparisons counters
 
-let fan_out pool tasks = Pool.map ~chunk:1 pool run_task tasks
-
 (* One query's answer: the tasks' result columns appended into the
    caller's [merge_out], sorted and deduplicated once in place (which
    also collapses the cloned shard roots), then listed. *)
@@ -405,7 +403,7 @@ let run ?counters ?within t pool plan =
          (routed ?within t))
   in
   Query.record_comparisons ?counters
-    (Array.fold_left ( + ) 0 (fan_out pool tasks));
+    (Array.fold_left ( + ) 0 (Pool.map pool run_task tasks));
   restrict ?within t (merge t (Array.map (fun k -> k.k_ws) tasks))
 
 let descendants ?counters ?within t pool ~anc ~desc =
@@ -447,7 +445,7 @@ let batch ?within t pool plans =
                 plans)
             snaps))
   in
-  let outcomes = fan_out pool tasks in
+  let outcomes = Pool.map pool run_task tasks in
   let nq = Array.length plans in
   let ns = Array.length snaps in
   Array.init nq (fun qi ->

@@ -3,8 +3,7 @@
    analyzer matches parallel entries by module-boundary suffix). *)
 
 module Pool = struct
-  let parallel_for ~lo ~hi (body : int -> int -> unit) = body lo hi
-  let map (f : int -> int) (xs : int array) = Array.map f xs
+  let map (f : int -> 'b) (xs : int array) = Array.map f xs
 end
 
 (* Unsynchronized global Hashtbl, reached from a parallel closure
@@ -13,16 +12,16 @@ let table : (int, int) Hashtbl.t = Hashtbl.create 16
 
 let record i = Hashtbl.replace table i i
 let deep i = record i
-let run_interprocedural () = Pool.parallel_for ~lo:0 ~hi:4 (fun lo _hi -> deep lo)
+let run_interprocedural () = Pool.map (fun i -> deep i) [| 0; 1; 2; 3 |]
 
 (* Direct global array write from the spawned closure. *)
 let totals = Array.make 8 0
-let run_global_array () = Pool.parallel_for ~lo:0 ~hi:8 (fun lo _hi -> totals.(lo) <- lo)
+let run_global_array () = Pool.map (fun i -> totals.(i) <- i) [| 0; 1; 2 |]
 
 (* Captured ref mutated across domains. *)
 let run_captured_ref () =
   let acc = ref 0 in
-  Pool.parallel_for ~lo:0 ~hi:4 (fun lo _hi -> acc := !acc + lo);
+  ignore (Pool.map (fun i -> acc := !acc + i) [| 0; 1; 2; 3 |]);
   !acc
 
 (* Named local function handed to the pool: it mutates state captured

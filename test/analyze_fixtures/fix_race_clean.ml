@@ -5,36 +5,38 @@
    allowlist use-count). *)
 
 module Pool = struct
-  let parallel_for ~lo ~hi (body : int -> int -> unit) = body lo hi
-  let map (f : int -> int) (xs : int array) = Array.map f xs
+  let map (f : int -> 'b) (xs : int array) = Array.map f xs
 end
 
 (* Atomic-mediated global: must NOT fire. *)
 let hits = Atomic.make 0
 
 let run_atomic () =
-  Pool.parallel_for ~lo:0 ~hi:4 (fun lo _hi ->
-      ignore (Atomic.fetch_and_add hits lo))
+  Pool.map (fun i -> ignore (Atomic.fetch_and_add hits i)) [| 0; 1; 2; 3 |]
 
 (* Scratch state created inside the spawned closure is domain-private. *)
 let run_closure_local () =
-  Pool.parallel_for ~lo:0 ~hi:4 (fun lo hi ->
+  Pool.map
+    (fun i ->
       let scratch : (int, int) Hashtbl.t = Hashtbl.create 8 in
-      Hashtbl.replace scratch lo hi)
+      Hashtbl.replace scratch i i)
+    [| 0; 1; 2; 3 |]
 
 (* Domain-local storage is the sanctioned per-domain mutable cell. *)
 let slot = Domain.DLS.new_key (fun () -> 0)
 
 let run_dls () =
-  Pool.parallel_for ~lo:0 ~hi:4 (fun lo _hi ->
-      Domain.DLS.set slot (Domain.DLS.get slot + lo))
+  Pool.map
+    (fun i -> Domain.DLS.set slot (Domain.DLS.get slot + i))
+    [| 0; 1; 2; 3 |]
 
 (* Captured state that is only read is safe. *)
 let run_read_only () =
   let data = Array.make 16 1 in
   let sum = Atomic.make 0 in
-  Pool.parallel_for ~lo:0 ~hi:16 (fun lo _hi ->
-      ignore (Atomic.fetch_and_add sum data.(lo)))
+  Pool.map
+    (fun i -> ignore (Atomic.fetch_and_add sum data.(i)))
+    (Array.init 16 Fun.id)
 
 (* Mutex-guarded global write: fires by design, allowlisted in the
    test's race_allow with an audit note. *)
@@ -42,7 +44,9 @@ let guarded : (int, int) Hashtbl.t = Hashtbl.create 8
 let mu = Mutex.create ()
 
 let run_locked () =
-  Pool.parallel_for ~lo:0 ~hi:4 (fun lo _hi ->
+  Pool.map
+    (fun i ->
       Mutex.lock mu;
-      Hashtbl.replace guarded lo lo;
+      Hashtbl.replace guarded i i;
       Mutex.unlock mu)
+    [| 0; 1; 2; 3 |]

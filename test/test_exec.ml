@@ -19,6 +19,8 @@ module Label_eval = Ltree_xpath.Label_eval
 module Dom_eval = Ltree_xpath.Dom_eval
 module Xpath_parser = Ltree_xpath.Xpath_parser
 module Column = Ltree_core.Column
+module Span = Ltree_obs.Span
+module Trace = Ltree_obs.Trace
 
 let case = Alcotest.test_case
 
@@ -34,10 +36,11 @@ let covers_range_once () =
       Pool.with_pool ~size (fun pool ->
           let n = 10_000 in
           let hits = Array.make n 0 in
-          (* Disjoint chunks: no two participants share a slot, so the
-             unsynchronised increments are race-free by construction. *)
+          (* One task per slot: no two participants share a slot, so
+             the unsynchronised increments are race-free by
+             construction. *)
           ignore
-            (Pool.map ~chunk:64 pool
+            (Pool.map pool
                (fun i -> hits.(i) <- hits.(i) + 1)
                (Array.init n Fun.id));
           Alcotest.(check bool)
@@ -51,7 +54,7 @@ let map_preserves_order () =
     (fun size ->
       Pool.with_pool ~size (fun pool ->
           let input = Array.init 1_000 (fun i -> i) in
-          let out = Pool.map ~chunk:7 pool (fun i -> i * i) input in
+          let out = Pool.map pool (fun i -> i * i) input in
           Alcotest.(check bool)
             (Printf.sprintf "size %d: map order" size)
             true
@@ -63,17 +66,17 @@ let exceptions_propagate () =
       let raised =
         try
           ignore
-            (Pool.map ~chunk:8 pool
-               (fun i -> if i >= 496 then failwith "chunk boom")
+            (Pool.map pool
+               (fun i -> if i >= 496 then failwith "task boom")
                (Array.init 1_000 Fun.id));
           false
-        with Failure m -> String.equal m "chunk boom"
+        with Failure m -> String.equal m "task boom"
       in
       Alcotest.(check bool) "body failure reaches the caller" true raised;
       (* The pool survives a failed job. *)
       let total = Atomic.make 0 in
       ignore
-        (Pool.map ~chunk:16 pool
+        (Pool.map pool
            (fun _ -> Atomic.incr total)
            (Array.make 100 ()));
       Alcotest.(check int) "pool usable after failure" 100 (Atomic.get total))
@@ -82,31 +85,52 @@ let reentrant_runs_inline () =
   Pool.with_pool ~size:2 (fun pool ->
       let inner_total = Atomic.make 0 in
       ignore
-        (Pool.map ~chunk:16 pool
+        (Pool.map pool
            (fun () ->
              (* A nested submission must not deadlock on the job slot. *)
              ignore
-               (Pool.map ~chunk:4 pool
+               (Pool.map pool
                   (fun () -> Atomic.incr inner_total)
                   (Array.make 8 ())))
            (Array.make 64 ()));
       Alcotest.(check bool) "nested map completed" true
         (Atomic.get inner_total > 0))
 
-let stats_account_for_work () =
-  Pool.with_pool ~size:2 (fun pool ->
-      ignore (Pool.map ~chunk:10 pool Fun.id (Array.make 1_000 ()));
-      ignore (Pool.map ~chunk:8 pool Fun.id (Array.make 3 ()));
-      let s = Pool.stats pool in
-      Alcotest.(check int) "size" 2 s.Pool.size;
-      Alcotest.(check int) "one parallel job" 1 s.Pool.parallel_jobs;
-      Alcotest.(check int) "tiny range ran serial" 1 s.Pool.serial_jobs;
-      Alcotest.(check int) "100 chunks accounted" 100 s.Pool.chunk_tasks;
-      Alcotest.(check int) "per-worker tallies sum to the chunk count"
-        100
-        (Array.fold_left ( + ) 0 s.Pool.per_worker));
+(* One claim per task: every parallel job issues exactly as many cursor
+   claims as it has tasks and leaves one [pool.job] point saying so; a
+   one-task job runs serially. *)
+let stats_count_one_claim_per_task () =
+  List.iter
+    (fun size ->
+      Pool.with_pool ~size (fun pool ->
+          Span.reset ();
+          let tasks = [ 64; 3; 17 ] in
+          List.iter
+            (fun n ->
+              let before = (Pool.stats pool).Pool.claim_ops in
+              ignore (Pool.map pool Fun.id (Array.make n ()));
+              Alcotest.(check int)
+                (Printf.sprintf "size %d: claims for %d tasks" size n)
+                n
+                ((Pool.stats pool).Pool.claim_ops - before))
+            tasks;
+          ignore (Pool.map pool Fun.id [| () |]);
+          let s = Pool.stats pool in
+          Alcotest.(check int) "size" size s.Pool.size;
+          Alcotest.(check int) "parallel jobs" 3 s.Pool.parallel_jobs;
+          Alcotest.(check int) "one-task job ran serial" 1 s.Pool.serial_jobs;
+          Alcotest.(check (list string))
+            (Printf.sprintf "size %d: one pool.job point per parallel job" size)
+            (List.map string_of_int tasks)
+            (List.filter_map
+               (fun r ->
+                 if String.equal r.Trace.name "pool.job" then
+                   List.assoc_opt "claims" r.Trace.attrs
+                 else None)
+               (Span.records ()))))
+    [ 2; 4 ];
   Pool.with_pool ~size:1 (fun pool ->
-      ignore (Pool.map ~chunk:10 pool Fun.id (Array.make 1_000 ()));
+      ignore (Pool.map pool Fun.id (Array.make 1_000 ()));
       let s = Pool.stats pool in
       Alcotest.(check int) "size-1 pools only run serial jobs" 0
         s.Pool.parallel_jobs;
@@ -431,31 +455,6 @@ let mutate_refresh_stress () =
         | _ -> ()
       done)
 
-(* {1 Satellite: adaptive claim halving} *)
-
-(* One hot tail: chunks past the midpoint each burn ~3ms while the
-   head chunks are free, so some claimed span's wall time dominates
-   the job's running mean and the claim size must halve at least
-   once. *)
-let adaptive_claims_rebalance () =
-  let spin_ms ms =
-    let deadline = Unix.gettimeofday () +. (float_of_int ms /. 1000.) in
-    while Unix.gettimeofday () < deadline do
-      ignore (Sys.opaque_identity 0)
-    done
-  in
-  Pool.with_pool ~size:2 (fun pool ->
-      ignore
-        (Pool.map ~chunk:1 pool
-           (fun i -> if i >= 32 then spin_ms 3)
-           (Array.init 64 Fun.id));
-      let s = Pool.stats pool in
-      Alcotest.(check bool)
-        (Printf.sprintf "claim halvings recorded (got %d)"
-           s.Pool.claim_adaptations)
-        true
-        (s.Pool.claim_adaptations >= 1))
-
 (* {1 Satellite: staleness payload} *)
 
 let stale_payload_carries_stamps () =
@@ -493,16 +492,14 @@ let suite =
       case "map preserves order" `Quick map_preserves_order;
       case "body exceptions reach the caller" `Quick exceptions_propagate;
       case "re-entrant map runs inline" `Quick reentrant_runs_inline;
-      case "stats account for chunks and workers" `Quick
-        stats_account_for_work;
+      case "stats count one claim per task" `Quick
+        stats_count_one_claim_per_task;
       case "every driver agrees with independent oracles under edits" `Quick
         every_driver_agrees;
       case "the driver allocates nothing" `Quick driver_allocates_nothing;
       case "stale snapshots refuse, refresh rebuilds" `Quick
         staleness_detected;
       case "2-domain mutate/flush/refresh stress" `Slow mutate_refresh_stress;
-      case "skewed chunk halves the claim size" `Quick
-        adaptive_claims_rebalance;
       case "Stale carries version + generation stamps" `Quick
         stale_payload_carries_stamps;
     ] )

@@ -29,11 +29,11 @@
 
    - R8 (domain-safety): compute the set of functions reachable from
      parallel entry points (closures or function idents handed to
-     [Pool.parallel_for]/[Pool.map]/[Domain.spawn], transitively
-     through project wrappers that forward a closure to them) and flag
-     any access to mutable state that is not local to the spawned
-     scope and not mediated by Atomic / Mutex / Domain.DLS.  Residual accesses must be allowlisted in
-     [race_allow] with an audit note citing DESIGN.md.
+     [Pool.map]/[Domain.spawn], transitively through project wrappers
+     that forward a closure to them) and flag any access to mutable
+     state that is not local to the spawned scope and not mediated by
+     Atomic / Mutex / Domain.DLS.  Residual accesses must be
+     allowlisted in [race_allow] with an audit note citing DESIGN.md.
 
    - R9 (hot-path allocation): functions carrying [@ltree.hot] must
      not allocate on their fast path.  Closures, tuples, non-constant
@@ -119,7 +119,7 @@ let default_config =
            flight-recorder notes): every access goes through the \
            module's own ring_mu mutex; audited in DESIGN.md section 10" );
       ];
-    parallel_entries = [ "Pool.parallel_for"; "Pool.map"; "Domain.spawn" ];
+    parallel_entries = [ "Pool.map"; "Domain.spawn" ];
     sync_prefixes =
       [
         "Stdlib.Atomic."; "Stdlib.Mutex."; "Stdlib.Condition.";
@@ -127,11 +127,6 @@ let default_config =
       ];
     race_allow =
       [
-        ( "Ltree_exec.Pool.*",
-          "pool internals: chunk claims go through an Atomic cursor, \
-           each closure writes only its own result/failure slot and the \
-           completion barrier publishes them; audited in DESIGN.md \
-           section 11" );
         ( "Ltree_recovery.Matrix.run.*",
           "the matrix engine's only shared state is the progress counter \
            under progress_mu; each instance's eval owns its sims, \

@@ -96,6 +96,20 @@ let reentrant_runs_inline () =
       Alcotest.(check bool) "nested map completed" true
         (Atomic.get inner_total > 0))
 
+(* After [shutdown] the job slot has no workers behind it: a map runs
+   inline in the caller, still in input order, and issues no claims. *)
+let map_after_shutdown_runs_inline () =
+  let pool = Pool.create ~size:2 in
+  Pool.shutdown pool;
+  Pool.shutdown pool;
+  let out = Pool.map pool (fun i -> i * 3) (Array.init 100 Fun.id) in
+  Alcotest.(check bool) "results in input order" true
+    (Array.for_all (fun i -> out.(i) = i * 3) (Array.init 100 Fun.id));
+  let s = Pool.stats pool in
+  Alcotest.(check int) "no parallel job" 0 s.Pool.parallel_jobs;
+  Alcotest.(check int) "ran as one serial job" 1 s.Pool.serial_jobs;
+  Alcotest.(check int) "no cursor claims" 0 s.Pool.claim_ops
+
 (* One claim per task: every parallel job issues exactly as many cursor
    claims as it has tasks and leaves one [pool.job] point saying so; a
    one-task job runs serially. *)
@@ -492,6 +506,8 @@ let suite =
       case "map preserves order" `Quick map_preserves_order;
       case "body exceptions reach the caller" `Quick exceptions_propagate;
       case "re-entrant map runs inline" `Quick reentrant_runs_inline;
+      case "map after shutdown runs inline" `Quick
+        map_after_shutdown_runs_inline;
       case "stats count one claim per task" `Quick
         stats_count_one_claim_per_task;
       case "every driver agrees with independent oracles under edits" `Quick

@@ -816,8 +816,16 @@ let crash_matrix_cmd =
   let module R = Ltree_replication.Repl_matrix in
   let module SM = Ltree_shard.Shard_matrix in
   let module F = Ltree_recovery.Fault in
-  let recovered_line cells ~recovered =
-    let n = List.length (List.filter recovered cells) in
+  let recovered_line cells =
+    let n =
+      List.length
+        (List.filter
+           (fun c ->
+             match c.Matrix.outcome with
+             | Matrix.Recovered _ -> true
+             | Matrix.Unrecoverable _ -> false)
+           cells)
+    in
     Printf.printf "recovered: %d cells; pre-first-checkpoint losses: %d\n" n
       (List.length cells - n)
   in
@@ -837,10 +845,7 @@ let crash_matrix_cmd =
             s.M.total_points
             (List.length F.all_modes)
             (List.length cells) s.M.init_points;
-          recovered_line cells ~recovered:(fun c ->
-              match c.Matrix.outcome with
-              | M.Recovered _ -> true
-              | M.Unrecoverable _ -> false);
+          recovered_line cells;
           Printf.printf "damage detected during recovery:\n";
           List.iter
             (fun (kind, n) -> Printf.printf "  %-20s %d\n" kind n)
@@ -879,10 +884,7 @@ let crash_matrix_cmd =
             s.SM.total_points;
           Printf.printf "swept %d cells across %d modes\n" (List.length cells)
             (List.length F.all_modes);
-          recovered_line cells ~recovered:(fun c ->
-              match c.Matrix.outcome with
-              | SM.Recovered _ -> true
-              | SM.Unrecoverable _ -> false);
+          recovered_line cells;
           print_matrix_verdict "shard matrix" s.SM.sweep;
           s.SM.sweep) }
   in
@@ -1270,18 +1272,19 @@ let replicate_cmd =
         Format.printf "failover refused: %a@." Rp.Replica.pp_error e;
         exit 1
       | Ok (report, promoted) ->
-        let applied = D.last_seq promoted in
-        let same =
-          Matrix.int_array_equal
-            (Matrix.observe_labels (D.ldoc promoted))
-            oracle.Matrix.labels.(applied)
+        (* Caught up, so the survivor must hold every operation. *)
+        let failures =
+          Matrix.check_survivor oracle ~io:(F.sim_io rsim) ~dir:"r"
+            ~synced:ops ~attempted:ops promoted
         in
+        let same = List.is_empty failures in
         Printf.printf
           "  failover: promoted at seq %d, epoch %d, %d entries dropped: \
            %s\n"
-          applied (D.epoch promoted) report.D.entries_dropped
+          (D.last_seq promoted) (D.epoch promoted) report.D.entries_dropped
           (if same then "survivor verified against oracle"
            else "SURVIVOR DIVERGES FROM ORACLE");
+        List.iter (Printf.eprintf "  %s\n") failures;
         if not same then exit 1
     end;
     match metrics with

@@ -1,4 +1,3 @@
-module Int_tbl = Ltree_metrics.Int_tbl
 module Labeled_doc = Ltree_doc.Labeled_doc
 module Journal = Ltree_doc.Journal
 module Dom = Ltree_xml.Dom
@@ -143,17 +142,6 @@ let query_starts ldoc ~anc ~desc =
 
 type id = int * Fault.mode
 
-type outcome =
-  | Recovered of {
-      durable_seq : int;
-      attempted : int;
-      synced : int;
-      replayed : int;
-      dropped : int;
-      fault_kinds : string list;
-    }
-  | Unrecoverable of { fault_kinds : string list }
-
 let cell_name (point, mode) = Matrix.coord_name 'P' point mode
 let parse_cell = Matrix.parse_coord 'P'
 
@@ -162,7 +150,7 @@ type summary = {
   total_points : int;
   init_points : int;
   fault_counts : (string * int) list;
-  sweep : (id, outcome) Matrix.sweep;
+  sweep : (id, Matrix.recovery) Matrix.sweep;
 }
 
 type progress_state = { mutable attempted : int; mutable synced : int }
@@ -191,64 +179,49 @@ let run_workload (config : Matrix.config) script sim state =
   state.synced <- Durable_doc.last_seq t;
   init_points
 
-(* From-scratch query answers for the [durable]-op prefix, memoized:
-   many matrix cells land on the same durable prefix.  The cache is
-   shared across cells, which may evaluate on different domains, so
-   lookups and publication go through [cache_mu]; the (deterministic)
-   computation itself runs outside the lock, and the first published
-   value wins. *)
-let pristine_query config script ~cache_mu query_cache durable =
-  let cached =
-    Mutex.lock cache_mu;
-    let v = Int_tbl.find_opt query_cache durable in
-    Mutex.unlock cache_mu;
-    v
+(* From-scratch query answers for every prefix of the script, from one
+   replay: [answers.(k)] is the [k]-entry prefix's top tag pair and its
+   sorted descendant starts. *)
+let query_answers config script =
+  let ldoc = base_ldoc config in
+  let answer () =
+    let anc, desc = top_tags ldoc in
+    (anc, desc, query_starts ldoc ~anc ~desc)
   in
-  match cached with
-  | Some v -> v
-  | None ->
-    let pristine = base_ldoc config in
-    List.iteri
-      (fun i entry -> if i < durable then Journal.apply_entry pristine entry)
-      script;
-    let anc, desc = top_tags pristine in
-    let v = (anc, desc, query_starts pristine ~anc ~desc) in
-    Mutex.lock cache_mu;
-    let v =
-      match Int_tbl.find_opt query_cache durable with
-      | Some existing -> existing
-      | None ->
-        Int_tbl.replace query_cache durable v;
-        v
-    in
-    Mutex.unlock cache_mu;
-    v
+  let answers = Array.make (List.length script + 1) (answer ()) in
+  List.iteri
+    (fun i entry ->
+      Journal.apply_entry ldoc entry;
+      answers.(i + 1) <- answer ())
+    script;
+  answers
 
 (* Query plans over the recovered store agree with a from-scratch shred
    of the same prefix. *)
-let check_queries config script ~cache_mu ~query_cache ~durable t =
-  let anc, desc, want =
-    pristine_query config script ~cache_mu query_cache durable
-  in
-  match (query_starts (Durable_doc.ldoc t) ~anc ~desc, want) with
-  | None, _ ->
-    [ Printf.sprintf "recovered store: indexed and baseline %s//%s plans \
-                      disagree" anc desc ]
-  | _, None ->
-    [ Printf.sprintf "pristine store: indexed and baseline %s//%s plans \
-                      disagree" anc desc ]
-  | Some got, Some want ->
-    if List.equal Int.equal got want then []
-    else
-      [ Printf.sprintf "%s//%s over recovered store: %d matches vs %d from \
-                        scratch" anc desc (List.length got) (List.length want) ]
+let check_queries answers t =
+  let durable = Durable_doc.last_seq t in
+  if durable < 0 || durable >= Array.length answers then []
+  else
+    let anc, desc, want = answers.(durable) in
+    match (query_starts (Durable_doc.ldoc t) ~anc ~desc, want) with
+    | None, _ ->
+      [ Printf.sprintf "recovered store: indexed and baseline %s//%s plans \
+                        disagree" anc desc ]
+    | _, None ->
+      [ Printf.sprintf "pristine store: indexed and baseline %s//%s plans \
+                        disagree" anc desc ]
+    | Some got, Some want ->
+      if List.equal Int.equal got want then []
+      else
+        [ Printf.sprintf "%s//%s over recovered store: %d matches vs %d \
+                          from scratch" anc desc (List.length got)
+            (List.length want) ]
 
 let run ?pool ?progress ?only ?inject (config : Matrix.config) =
   Matrix.validate config;
   let script = generate_script config in
   let oracle = Matrix.build_oracle (base_ldoc config) script in
-  let query_cache = Int_tbl.create 64 in
-  let cache_mu = Mutex.create () in
+  let answers = query_answers config script in
   (* Profile pass: same workload, no plan — learns the matrix width and
      how many write points initialization itself consumes. *)
   let profile_sim = Fault.create_sim () in
@@ -256,9 +229,9 @@ let run ?pool ?progress ?only ?inject (config : Matrix.config) =
     run_workload config script profile_sim { attempted = 0; synced = 0 }
   in
   let total_points = Fault.points profile_sim in
-  (* Besides the engine's progress counter, the only state cells share is
-     the memoized query cache, under [cache_mu]; fault tallies are
-     aggregated from the cell outcomes after the sweep. *)
+  (* Cells share only read-only state (the script, the oracle and the
+     query answers); fault tallies are aggregated from the cell outcomes
+     after the sweep. *)
   let eval (point, mode) =
     let plan = { Fault.crash_point = point; mode; seed = config.seed } in
     let sim = Fault.create_sim ~plan () in
@@ -268,45 +241,16 @@ let run ?pool ?progress ?only ?inject (config : Matrix.config) =
       | (_ : int) -> false
       | exception Fault.Crash _ -> true
     in
-    let rsim = Fault.create_sim ~files:(Fault.dump sim) () in
-    let io = Fault.sim_io rsim in
-    match
-      Durable_doc.recover ~io ~group_commit:config.group_commit
-        ~dir:store_dir ()
-    with
-    | Error faults ->
-      let kinds = List.map Durable_doc.fault_kind faults in
-      ( Unrecoverable { fault_kinds = kinds },
-        (* Losing the whole store is only legitimate before the very
-           first checkpoint ever completed. *)
-        if state.attempted = 0 && point <= init_points then []
-        else
-          [ Printf.sprintf "unrecoverable after %d applied ops (point %d): %s"
-              state.attempted point
-              (String.concat ", " kinds) ] )
-    | Ok (report, t) ->
-      let durable = report.Durable_doc.durable_seq in
-      let failures =
-        (if crashed then []
-         else [ "workload did not crash at an in-range point" ])
-        @ (if durable < state.synced || durable > state.attempted then
-             [ Printf.sprintf "durable seq %d outside [synced %d, attempted \
-                               %d]" durable state.synced state.attempted ]
-           else [])
-        @ Matrix.verify_prefix oracle ~io ~dir:store_dir ~seq:durable t
-        @
-        if durable < 0 || durable > config.ops then []
-        else check_queries config script ~cache_mu ~query_cache ~durable t
-      in
-      ( Recovered
-          { durable_seq = durable;
-            attempted = state.attempted;
-            synced = state.synced;
-            replayed = report.Durable_doc.entries_replayed;
-            dropped = report.Durable_doc.entries_dropped;
-            fault_kinds =
-              List.map Durable_doc.fault_kind report.Durable_doc.faults },
-        failures )
+    let recovery, failures =
+      Matrix.recover_crashed oracle ~group_commit:config.group_commit
+        ~dir:store_dir ~point ~init_points ~synced:state.synced
+        ~attempted:state.attempted
+        ~then_check:(fun ~io:_ t -> check_queries answers t)
+        sim
+    in
+    ( recovery,
+      if crashed then failures
+      else "workload did not crash at an in-range point" :: failures )
   in
   let cells =
     Array.of_list
@@ -319,11 +263,11 @@ let run ?pool ?progress ?only ?inject (config : Matrix.config) =
   in
   let fault_counts = Hashtbl.create 16 in
   List.iter
-    (fun (c : (id, outcome) Matrix.cell) ->
+    (fun (c : (id, Matrix.recovery) Matrix.cell) ->
       let kinds =
         match c.outcome with
-        | Recovered r -> r.fault_kinds
-        | Unrecoverable u -> u.fault_kinds
+        | Matrix.Recovered r -> r.fault_kinds
+        | Matrix.Unrecoverable u -> u.fault_kinds
       in
       List.iter
         (fun k ->

@@ -6,17 +6,18 @@
     pristine to record the {!Matrix.oracle}; run the workload once
     uninjected to learn the number of write points [P]; then for each
     point [1..P] and each {!Fault.mode}, run the workload with that
-    crash scripted, recover from the surviving files, and verify:
+    crash scripted, and judge the surviving files with
+    {!Matrix.recover_crashed}:
 
-    - {!Matrix.verify_prefix} at the durable prefix: bit-identical
-      labels, content checksum, the full invariant registry at [Deep];
     - the durable prefix lies in [[synced, attempted]] — group commit
-      may lose unflushed tail operations but never synced ones;
-    - descendant queries over a re-shredded recovered store agree with
-      both their baseline plan and a from-scratch shred of the oracle
-      prefix;
+      may lose unflushed tail operations but never synced ones — and
+      passes {!Matrix.verify_prefix}: bit-identical labels, content
+      checksum, the full invariant registry at [Deep];
     - total loss of the store is accepted only for crashes before the
-      very first checkpoint completed.
+      very first checkpoint completed;
+    - and, this instance's own check, descendant queries over a
+      re-shredded recovered store agree with both their baseline plan
+      and a from-scratch shred of the oracle prefix.
 
     Everything — script, injection choices, write points — derives from
     [config.seed], so any failing cell replays exactly. *)
@@ -43,17 +44,6 @@ val generate_script : Matrix.config -> Ltree_doc.Journal.entry list
 (** A cell: write point x damage mode. *)
 type id = int * Fault.mode
 
-type outcome =
-  | Recovered of {
-      durable_seq : int;
-      attempted : int;  (** ops started before the crash *)
-      synced : int;  (** last known-durable seq before the crash *)
-      replayed : int;
-      dropped : int;
-      fault_kinds : string list;  (** damage recovery detected *)
-    }
-  | Unrecoverable of { fault_kinds : string list }
-
 (** [cell_name id] is the cell's stable coordinate, [P<point>/<mode>]
     (e.g. ["P37/torn"]) — printed with every failure and accepted back
     by [--only]. *)
@@ -68,7 +58,7 @@ type summary = {
   init_points : int;  (** points consumed by store initialization *)
   fault_counts : (string * int) list;
       (** {!Durable_doc.fault_kind} tally across all recoveries *)
-  sweep : (id, outcome) Matrix.sweep;
+  sweep : (id, Matrix.recovery) Matrix.sweep;
       (** [3 * total_points] cells ([1] under [only]) *)
 }
 

@@ -137,6 +137,52 @@ let verify_prefix oracle ~io ~dir ~seq t =
   end;
   List.rev !failures
 
+(* {1 The crashed-store verdict} *)
+
+type recovery =
+  | Recovered of {
+      durable_seq : int;
+      attempted : int;
+      synced : int;
+      replayed : int;
+      dropped : int;
+      fault_kinds : string list;
+    }
+  | Unrecoverable of { fault_kinds : string list }
+
+let check_survivor oracle ~io ~dir ~synced ~attempted t =
+  let seq = Durable_doc.last_seq t in
+  (if seq < synced || seq > attempted then
+     [ Printf.sprintf "store at seq %d outside [synced %d, attempted %d]" seq
+         synced attempted ]
+   else [])
+  @ verify_prefix oracle ~io ~dir ~seq t
+
+let recover_crashed ?(then_check = fun ~io:_ _ -> []) oracle ~group_commit
+    ~dir ~point ~init_points ~synced ~attempted sim =
+  let io = Fault.sim_io (Fault.create_sim ~files:(Fault.dump sim) ()) in
+  match Durable_doc.recover ~io ~group_commit ~dir () with
+  | Error faults ->
+    let fault_kinds = List.map Durable_doc.fault_kind faults in
+    ( Unrecoverable { fault_kinds },
+      if attempted = 0 && point <= init_points then []
+      else
+        [ Printf.sprintf "unrecoverable after %d applied ops (point %d): %s"
+            attempted point
+            (String.concat ", " fault_kinds) ] )
+  | Ok (report, t) ->
+    (* Judge the store as recovered, before [then_check] may move it. *)
+    let failures = check_survivor oracle ~io ~dir ~synced ~attempted t in
+    ( Recovered
+        { durable_seq = report.Durable_doc.durable_seq;
+          attempted;
+          synced;
+          replayed = report.Durable_doc.entries_replayed;
+          dropped = report.Durable_doc.entries_dropped;
+          fault_kinds =
+            List.map Durable_doc.fault_kind report.Durable_doc.faults },
+      failures @ then_check ~io t )
+
 (* {1 Cell coordinates}
 
    A coordinate is printed with every failure and parsed back by

@@ -1,8 +1,8 @@
 (** The crash-matrix engine.  The store ({!Crash_matrix}), replica
     ([Ltree_replication.Repl_matrix]) and shard
     ([Ltree_shard.Shard_matrix]) matrices are thin instances of it: each
-    keeps its profile pass, its cell enumeration, its per-cell [eval]
-    and its outcome type; the engine owns everything they share.
+    keeps its profile pass, its cell enumeration and its per-cell
+    [eval]; the engine owns everything they share.
 
     - the five-field config and its validation;
     - the prefix oracle: labels and a content CRC after every prefix of
@@ -10,6 +10,9 @@
       §4.2);
     - {!verify_prefix}, the check of a recovered store against that
       oracle;
+    - the crashed-store verdict: {!recover_crashed} recovers a crashed
+      disk and judges it, {!check_survivor} judges any surviving store,
+      and {!recovery} is the store and shard instances' outcome;
     - the [P<n>/<mode>] coordinate printer and its exact-inverse parser;
     - {!run}, the sweep: [--only] membership, the flight-recorder cell
       events, failure injection, the progress counter, the pool fan-out
@@ -69,6 +72,51 @@ val register_invariants :
 val verify_prefix :
   oracle -> io:Fault.io -> dir:string -> seq:int -> Durable_doc.t ->
   string list
+
+(** {1 The crashed-store verdict} *)
+
+type recovery =
+  | Recovered of {
+      durable_seq : int;
+      attempted : int;  (** ops started before the crash *)
+      synced : int;  (** last known-durable seq before the crash *)
+      replayed : int;
+      dropped : int;
+      fault_kinds : string list;  (** damage recovery detected *)
+    }
+  | Unrecoverable of { fault_kinds : string list }
+
+(** [check_survivor oracle ~io ~dir ~synced ~attempted t] judges a store
+    that survived a crash (recovered or promoted): its seq lies in
+    [[synced, attempted]] — a crash may lose unsynced operations but
+    never synced ones, and never invents any — and {!verify_prefix}
+    passes at that seq.  Returns the failures; empty means verified. *)
+val check_survivor :
+  oracle -> io:Fault.io -> dir:string -> synced:int -> attempted:int ->
+  Durable_doc.t -> string list
+
+(** [recover_crashed oracle ~group_commit ~dir ~point ~init_points
+    ~synced ~attempted sim] recovers the store under [dir] from the
+    files [sim] holds after a crash at write point [point], on a fresh
+    sim, and judges it:
+
+    - a store recovery cannot load is a failure unless the crash hit
+      initialization (point [<= init_points]) before any operation was
+      attempted, i.e. before the first checkpoint ever completed;
+    - a recovered store must pass {!check_survivor} as recovered; then
+      [then_check] receives the fresh sim's io and the store, which it
+      may move on (a replica re-attaches and catches up). *)
+val recover_crashed :
+  ?then_check:(io:Fault.io -> Durable_doc.t -> string list) ->
+  oracle ->
+  group_commit:int ->
+  dir:string ->
+  point:int ->
+  init_points:int ->
+  synced:int ->
+  attempted:int ->
+  Fault.sim ->
+  recovery * string list
 
 (** {1 Cell coordinates} *)
 

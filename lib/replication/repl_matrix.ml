@@ -156,22 +156,17 @@ let eval_primary (config : Matrix.config) ~script ~oracle ~prof (point, mode) =
       ( Incomplete { detail },
         [ Printf.sprintf "failover refused: %s" detail ] )
     | Ok (_report, promoted) ->
-      let applied = Durable_doc.last_seq promoted in
-      let fails = ref [] in
-      if applied < 0 || applied > attempted then
-        fails :=
-          [ Printf.sprintf "promoted store at seq %d, outside [0, \
-                            attempted %d]" applied attempted ];
-      if Durable_doc.epoch promoted <= old_epoch then
-        fails :=
-          Printf.sprintf "promoted epoch %d not above the dead \
-                          primary's %d"
-            (Durable_doc.epoch promoted) old_epoch
-          :: !fails;
-      ( Promoted { applied; attempted },
-        List.rev !fails
-        @ Matrix.verify_prefix oracle ~io:(Fault.sim_io rsim) ~dir:"r"
-            ~seq:applied promoted )
+      let epoch_fails =
+        if Durable_doc.epoch promoted > old_epoch then []
+        else
+          [ Printf.sprintf "promoted epoch %d not above the dead primary's \
+                            %d"
+              (Durable_doc.epoch promoted) old_epoch ]
+      in
+      ( Promoted { applied = Durable_doc.last_seq promoted; attempted },
+        Matrix.check_survivor oracle ~io:(Fault.sim_io rsim) ~dir:"r"
+          ~synced:0 ~attempted promoted
+        @ epoch_fails )
   in
   match
     run_scripted config ~psim ~rsim ~down_plan:Channel.ideal
@@ -210,70 +205,45 @@ let eval_replica (config : Matrix.config) ~script ~oracle ~prof (point, mode) =
     ( Incomplete { detail = "replica did not crash" },
       [ Printf.sprintf "replica did not crash at in-range point %d" point ] )
   | crashed -> (
-    let session, resume_from, attempted =
+    (* [attempted] ops reached the primary; the re-attached replica
+       resumes the script right after them. *)
+    let session, attempted =
       match crashed with
-      | Crashed_in_create _ -> (None, 0, 0)
-      | Crashed_in_apply { session; index } ->
-        (Some session, index + 1, index + 1)
-      | Crashed_in_quiesce { session } -> (Some session, config.ops, config.ops)
+      | Crashed_in_create _ -> (None, 0)
+      | Crashed_in_apply { session; index } -> (Some session, index + 1)
+      | Crashed_in_quiesce { session } -> (Some session, config.ops)
       | Completed _ -> assert false
     in
-    let files = Fault.dump rsim in
-    let rsim2 = Fault.create_sim ~files () in
-    let io2 = Fault.sim_io rsim2 in
-    match
-      Durable_doc.recover ~io:io2 ~group_commit:config.group_commit ~dir:"r"
-        ()
-    with
-    | Error faults ->
-      let kinds = List.map Durable_doc.fault_kind faults in
-      ( Lost { fault_kinds = kinds },
-        (* A replica may lose everything only before its bootstrap
-           snapshot ever landed. *)
-        if point <= prof.r_init && attempted = 0 then []
-        else
-          [ Printf.sprintf
-              "replica unrecoverable at point %d after %d applied ops: %s"
-              point attempted
-              (String.concat ", " kinds) ] )
-    | Ok (report, store) -> (
-      let recovered = report.Durable_doc.durable_seq in
-      let bound_fails =
-        if recovered < 0 || recovered > attempted then
-          [ Printf.sprintf "recovered replica at seq %d, outside [0, \
-                            attempted %d]" recovered attempted ]
-        else []
-      in
-      let pre_fails =
-        bound_fails
-        @ Matrix.verify_prefix oracle ~io:io2 ~dir:"r" ~seq:recovered store
-      in
+    (* Once re-attached, the replica finishes the script and must
+       converge to the full oracle.  A crash during establishment leaves
+       no session to re-attach to; the recovered prefix itself must
+       still verify. *)
+    let reattach ~io store =
       match session with
-      | None ->
-        (* Crash during establishment: no session survives to re-attach
-           to; the recovered prefix itself must still verify. *)
-        (Reattached { recovered_seq = recovered; resumed_from = 0 }, pre_fails)
+      | None -> []
       | Some session ->
-        let (_ : Replica.t) =
-          Session.replace_replica ~io:io2 ~store session
-        in
-        let rest = List.filteri (fun i _ -> i >= resume_from) script in
+        let (_ : Replica.t) = Session.replace_replica ~io ~store session in
+        let rest = List.filteri (fun i _ -> i >= attempted) script in
         List.iter (fun e -> Session.apply session e) rest;
         let caught = Session.quiesce ~max_pumps:(quiesce_bound config) session in
-        let fails =
-          (if caught then []
-           else [ "replica failed to catch up after re-attach" ])
-          @ pre_fails
-        in
-        let fails =
-          match Replica.store (Session.replica session) with
-          | None -> "re-attached replica has no store" :: fails
-          | Some t ->
-            fails
-            @ Matrix.verify_prefix oracle ~io:io2 ~dir:"r" ~seq:config.ops t
-        in
-        (Reattached { recovered_seq = recovered; resumed_from = resume_from },
-         fails)))
+        (if caught then []
+         else [ "replica failed to catch up after re-attach" ])
+        @
+        match Replica.store (Session.replica session) with
+        | None -> [ "re-attached replica has no store" ]
+        | Some t ->
+          Matrix.verify_prefix oracle ~io ~dir:"r" ~seq:config.ops t
+    in
+    match
+      Matrix.recover_crashed oracle ~group_commit:config.group_commit
+        ~dir:"r" ~point ~init_points:prof.r_init ~synced:0 ~attempted
+        ~then_check:reattach rsim
+    with
+    | Matrix.Unrecoverable { fault_kinds }, fails ->
+      (Lost { fault_kinds }, fails)
+    | Matrix.Recovered r, fails ->
+      (Reattached { recovered_seq = r.durable_seq; resumed_from = attempted },
+       fails))
 
 (* Channel sever: cut the stream at the [n]th chunk (damaged per the
    mode), let the shipper burn its retries, reconnect, and check the

@@ -8,9 +8,10 @@ module Matrix = Ltree_recovery.Matrix
    write points in every damage mode, recover that shard {e alone} from
    its surviving files, and verify the whole document:
 
-   - the recovered shard passes {!Matrix.verify_prefix} against its
-     local oracle at the durable prefix, and the durable prefix lies in
-     [[synced_j, attempted_j]] for that shard;
+   - the crashed shard passes {!Matrix.recover_crashed} against its
+     local oracle: its durable prefix lies in [[synced_j, attempted_j]]
+     and verifies bit for bit, and it is lost only before its first
+     checkpoint;
    - every {e other} shard still sits at its full applied local prefix
      (a crash is contained: one shard's disk damage never touches a
      sibling's store);
@@ -80,15 +81,6 @@ let profile config script =
 
 type id = int * int * Fault.mode
 
-type outcome =
-  | Recovered of {
-      durable_seq : int;
-      attempted : int;  (** local ops the shard started before the crash *)
-      synced : int;  (** last known-durable local seq before the crash *)
-      fault_kinds : string list;
-    }
-  | Unrecoverable of { fault_kinds : string list }
-
 let cell_name (shard, point, mode) =
   Printf.sprintf "S%d/%s" shard (Matrix.coord_name 'P' point mode)
 
@@ -109,7 +101,7 @@ type summary = {
   config : config;
   total_points : int array;
   init_points : int array;
-  sweep : (id, outcome) Matrix.sweep;
+  sweep : (id, Matrix.recovery) Matrix.sweep;
 }
 
 (* {1 One cell} *)
@@ -155,41 +147,16 @@ let eval_cell config script (profiles : shard_profile array) global_oracle
     | () -> false
     | exception Fault.Crash _ -> true
   in
-  let rsim = Fault.create_sim ~files:(Fault.dump armed) () in
-  let io = Fault.sim_io rsim in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   if not crashed then fail "workload did not crash at an in-range point";
-  let outcome =
-    match
-      Durable_doc.recover ~io ~group_commit:config.matrix.Matrix.group_commit
-        ~dir:store_dir ()
-    with
-    | Error faults ->
-      let kinds = List.map Durable_doc.fault_kind faults in
-      (* Losing a whole shard store is legitimate only when the crash
-         predates the shard's very first completed checkpoint. *)
-      if not (state.attempted = 0 && point <= profiles.(j).init_points) then
-        fail "shard %d unrecoverable after %d local ops (point %d): %s" j
-          state.attempted point
-          (String.concat ", " kinds);
-      Unrecoverable { fault_kinds = kinds }
-    | Ok (report, rt) ->
-      let durable = report.Durable_doc.durable_seq in
-      if durable < state.synced || durable > state.attempted then
-        fail "shard %d durable seq %d outside [synced %d, attempted %d]" j
-          durable state.synced state.attempted;
-      List.iter
-        (fun f -> fail "shard %d: %s" j f)
-        (Matrix.verify_prefix profiles.(j).oracle ~io ~dir:store_dir
-           ~seq:durable rt);
-      Recovered
-        { durable_seq = durable;
-          attempted = state.attempted;
-          synced = state.synced;
-          fault_kinds =
-            List.map Durable_doc.fault_kind report.Durable_doc.faults }
+  let outcome, shard_failures =
+    Matrix.recover_crashed profiles.(j).oracle
+      ~group_commit:config.matrix.Matrix.group_commit ~dir:store_dir ~point
+      ~init_points:profiles.(j).init_points ~synced:state.synced
+      ~attempted:state.attempted armed
   in
+  List.iter (fail "shard %d: %s" j) shard_failures;
   (* Containment: the un-armed shards and the router twin must sit at
      exactly the prefixes that completed before the crash — recovered
      shard + live siblings + router re-compose the global oracle's

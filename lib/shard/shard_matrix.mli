@@ -24,15 +24,6 @@ type config = {
 (** A cell: shard x write point within that shard's own disk x mode. *)
 type id = int * int * Ltree_recovery.Fault.mode
 
-type outcome =
-  | Recovered of {
-      durable_seq : int;
-      attempted : int;  (** local ops the shard started before the crash *)
-      synced : int;  (** last known-durable local seq before the crash *)
-      fault_kinds : string list;
-    }
-  | Unrecoverable of { fault_kinds : string list }
-
 (** [cell_name id] is the cell's stable coordinate,
     [S<shard>/P<point>/<mode>] — e.g. [S1/P37/torn]. *)
 val cell_name : id -> string
@@ -45,7 +36,7 @@ type summary = {
   total_points : int array;  (** per-shard write points, clean run *)
   init_points : int array;
       (** per-shard points consumed by initialization alone *)
-  sweep : (id, outcome) Ltree_recovery.Matrix.sweep;
+  sweep : (id, Ltree_recovery.Matrix.recovery) Ltree_recovery.Matrix.sweep;
 }
 
 (** [run ?pool ?progress ?only ?inject config] sweeps shard x point x

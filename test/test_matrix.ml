@@ -10,6 +10,7 @@ module Repl_matrix = Ltree_replication.Repl_matrix
 module Shard_matrix = Ltree_shard.Shard_matrix
 module Checksum = Ltree_recovery.Checksum
 module Fault = Ltree_recovery.Fault
+module Durable_doc = Ltree_recovery.Durable_doc
 module Pool = Ltree_exec.Pool
 
 let case = Alcotest.test_case
@@ -26,15 +27,17 @@ let counts = Alcotest.(list (pair string int))
 
 let with_pool2 f = Pool.with_pool ~size:2 (fun pool -> f pool)
 
+(* The store and shard instances' outcome is the engine's verdict. *)
+let recovery_tag = function
+  | Matrix.Recovered _ -> "Recovered"
+  | Matrix.Unrecoverable _ -> "Unrecoverable"
+
 (* {1 Store matrix} *)
 
 let crash_config =
   { Matrix.seed = 7; ops = 25; doc_nodes = 40; group_commit = 3;
     checkpoint_every = 8 }
 
-let crash_tag = function
-  | Crash_matrix.Recovered _ -> "Recovered"
-  | Crash_matrix.Unrecoverable _ -> "Unrecoverable"
 
 let crash_characterized () =
   let s = Crash_matrix.run crash_config in
@@ -43,7 +46,7 @@ let crash_characterized () =
     (names_crc (List.map (fun c -> Crash_matrix.cell_name c.Matrix.id) cells));
   Alcotest.check counts "outcomes"
     [ ("Recovered", 120); ("Unrecoverable", 9) ]
-    (tally (List.map (fun c -> crash_tag c.Matrix.outcome) cells));
+    (tally (List.map (fun c -> recovery_tag c.Matrix.outcome) cells));
   Alcotest.(check int) "total_points" 43 s.Crash_matrix.total_points;
   Alcotest.(check int) "init_points" 5 s.Crash_matrix.init_points;
   Alcotest.check counts "fault_counts"
@@ -95,10 +98,6 @@ let shard_config =
         checkpoint_every = 6 };
     shards = 2 }
 
-let shard_tag = function
-  | Shard_matrix.Recovered _ -> "Recovered"
-  | Shard_matrix.Unrecoverable _ -> "Unrecoverable"
-
 let shard_characterized () =
   let s = Shard_matrix.run shard_config in
   let cells = s.Shard_matrix.sweep.Matrix.cells in
@@ -106,7 +105,7 @@ let shard_characterized () =
     (names_crc (List.map (fun c -> Shard_matrix.cell_name c.Matrix.id) cells));
   Alcotest.check counts "outcomes"
     [ ("Recovered", 114); ("Unrecoverable", 18) ]
-    (tally (List.map (fun c -> shard_tag c.Matrix.outcome) cells));
+    (tally (List.map (fun c -> recovery_tag c.Matrix.outcome) cells));
   Alcotest.(check (array int)) "total_points per shard" [| 19; 25 |]
     s.Shard_matrix.total_points;
   Alcotest.(check (array int)) "init_points per shard" [| 5; 5 |]
@@ -219,6 +218,65 @@ let only_must_be_a_cell () =
        (fun c -> Crash_matrix.cell_name c.Matrix.id)
        s.Crash_matrix.sweep.Matrix.cells)
 
+(* {1 The crashed-store verdict}
+
+   [Matrix.recover_crashed] on hand-made crashes: total loss passes only
+   at an init point with nothing attempted, and a recovered store must
+   sit in [[synced, attempted]]. *)
+
+let verdict_on_hand_made_crashes () =
+  let config = crash_config in
+  let script = Crash_matrix.generate_script config in
+  let oracle = Matrix.build_oracle (Crash_matrix.base_ldoc config) script in
+  let initialize sim =
+    Durable_doc.initialize ~io:(Fault.sim_io sim)
+      ~group_commit:config.Matrix.group_commit ~dir:"store"
+      (Crash_matrix.base_ldoc config)
+  in
+  let init_points =
+    let sim = Fault.create_sim () in
+    ignore (initialize sim : Durable_doc.t);
+    Fault.points sim
+  in
+  let judge ~point ~synced ~attempted sim =
+    Matrix.recover_crashed oracle ~group_commit:config.Matrix.group_commit
+      ~dir:"store" ~point ~init_points ~synced ~attempted sim
+  in
+  let crashed =
+    Fault.create_sim
+      ~plan:{ Fault.crash_point = 1; mode = Fault.Clean; seed = config.seed }
+      ()
+  in
+  (match initialize crashed with
+   | (_ : Durable_doc.t) -> Alcotest.fail "initialization did not crash"
+   | exception Fault.Crash _ -> ());
+  (match judge ~point:1 ~synced:0 ~attempted:0 crashed with
+   | Matrix.Unrecoverable _, [] -> ()
+   | Matrix.Unrecoverable _, f :: _ ->
+     Alcotest.failf "init-point loss reported %S" f
+   | Matrix.Recovered _, _ -> Alcotest.fail "init-point crash recovered");
+  (match judge ~point:1 ~synced:0 ~attempted:1 crashed with
+   | Matrix.Unrecoverable _, _ :: _ -> ()
+   | Matrix.Unrecoverable _, [] ->
+     Alcotest.fail "loss after an attempted op passed"
+   | Matrix.Recovered _, _ -> Alcotest.fail "init-point crash recovered");
+  let synced = Fault.create_sim () in
+  let t = initialize synced in
+  List.iteri (fun i e -> if i < 4 then Durable_doc.apply t e) script;
+  Durable_doc.sync t;
+  let point = Fault.points synced in
+  (match judge ~point ~synced:4 ~attempted:4 synced with
+   | Matrix.Recovered { durable_seq = 4; _ }, [] -> ()
+   | _, f :: _ -> Alcotest.failf "a store at seq 4 in [4, 4] failed: %s" f
+   | _, [] -> Alcotest.fail "a synced store at seq 4 was not recovered at 4");
+  List.iter
+    (fun (synced_at, attempted) ->
+      match judge ~point ~synced:synced_at ~attempted synced with
+      | Matrix.Recovered _, _ :: _ -> ()
+      | _ ->
+        Alcotest.failf "seq 4 outside [%d, %d] passed" synced_at attempted)
+    [ (5, 8); (0, 3) ]
+
 let suite =
   ( "matrix",
     [ case "store matrix characterized; pool = serial" `Quick
@@ -231,4 +289,6 @@ let suite =
         coordinates_roundtrip;
       case "every count in the config must be >= 1" `Quick config_validated;
       case "--only must name a cell of the matrix" `Quick
-        only_must_be_a_cell ] )
+        only_must_be_a_cell;
+      case "the crashed-store verdict on hand-made crashes" `Quick
+        verdict_on_hand_made_crashes ] )

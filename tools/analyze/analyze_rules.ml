@@ -131,9 +131,6 @@ let default_config =
           "the matrix engine's only shared state is the progress counter \
            under progress_mu; each instance's eval owns its sims, \
            documents and stores; audited in DESIGN.md section 9" );
-        ( "Ltree_recovery.Crash_matrix.run.eval",
-          "store-matrix cells share the memoized query cache under \
-           cache_mu; audited in DESIGN.md section 9" );
         ( "Ltree_obs.Span.*",
           "the one event ring (spans and notes) is the \
            R7-allowlisted global; every access runs under ring_mu; \

@@ -9,8 +9,8 @@
    task per query) at every pool size.  Wall clock is
    [Unix.gettimeofday] — [Sys.time] is CPU time and *sums* across
    domains, which would hide every speedup.  Every pooled result is
-   checked element-for-element against the sort-on-fetch baseline
-   first, so the numbers can't come from a wrong answer.
+   checked first — the sort-on-fetch baseline's ids, listed in document
+   order — so the numbers can't come from a wrong answer.
 
    The headline speedup assertion (>= 2x at 4 domains for n >= 10k) is
    gated on [Domain.recommended_domain_count () >= 4]: on fewer cores
@@ -111,7 +111,12 @@ let run_cell ~pattern ~n ~domains_list ~batchq ~reps =
           let got = Read_snapshot.run_batch pool snap batch in
           Array.iteri
             (fun i expected ->
-              if not (List.equal Int.equal expected got.(i)) then
+              if
+                not
+                  (List.equal Int.equal expected
+                     (List.sort Int.compare got.(i))
+                  && Labeled_doc.in_document_order ldoc got.(i))
+              then
                 failwith
                   (Printf.sprintf
                      "exp_parallel: %s n=%d domains=%d batch[%d] disagrees \

@@ -33,7 +33,9 @@ let measure doc pairs title =
         Counters.reset counters;
         let r_label = Query.label_descendants pager label ~anc ~desc in
         let label_reads = Counters.page_reads counters in
-        assert (r_edge = r_label);
+        assert (
+          r_edge = List.sort Int.compare r_label
+          && Labeled_doc.in_document_order ldoc r_label);
         [ Printf.sprintf "%s//%s" anc desc;
           string_of_int (List.length r_label);
           string_of_int edge_reads;
@@ -65,7 +67,9 @@ let measure_paths doc paths title =
         Counters.reset counters;
         let r_label = Query.label_path pager label tags in
         let label_reads = Counters.page_reads counters in
-        assert (r_edge = r_label);
+        assert (
+          r_edge = List.sort Int.compare r_label
+          && Labeled_doc.in_document_order ldoc r_label);
         [ String.concat "//" tags;
           string_of_int (List.length r_label);
           string_of_int edge_reads;

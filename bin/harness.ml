@@ -150,6 +150,12 @@ let with_oracles t cases =
       (name, plan, want))
     cases
 
+(* A plan's answer against an id-sorted oracle: the same set, listed
+   in document order. *)
+let agrees ldoc got want =
+  List.equal Int.equal (List.sort Int.compare got) want
+  && Labeled_doc.in_document_order ldoc got
+
 (* {1 Invariants} *)
 
 let register_invariants t =
@@ -218,10 +224,10 @@ let register_invariants t =
       List.iter
         (fun (name, plan, want) ->
           let got = Query.label_plan t.pager t.store plan in
-          if not (List.equal Int.equal got want) then
+          if not (agrees t.ldoc got want) then
             Invariant.fail ~name:"store.index-fresh"
               "%s: indexed store plan found %d ids, independent oracle %d \
-               (or a different order)"
+               (or another set, or not in document order)"
               name (List.length got) (List.length want))
         (with_oracles t (plan_cases (store_tags t)));
       Label_index.check t.store.Shredder.label_index
@@ -251,17 +257,18 @@ let register_invariants t =
         in
         List.iteri
           (fun i (name, _, want) ->
-            if not (List.equal Int.equal got.(i) want) then
+            if not (agrees t.ldoc got.(i) want) then
               Invariant.fail ~name:"exec.parallel-plans-agree"
                 "%s: snapshot driver found %d ids, independent oracle %d \
-                 (or a different order)"
+                 (or another set, or not in document order)"
                 name (List.length got.(i)) (List.length want))
           cases));
   (* Sharded fan-out plans must stay byte-identical to the same plans
-     over the router twin's single unsharded store — one by one and as
-     one batch, at the harness's pool size, across rebalances (the
-     checkpoint op may split a shard), and under label-window
-     restriction (windows are chosen to straddle shard boundaries). *)
+     over the router twin's single unsharded store, and list their
+     answers in document order — one by one and as one batch, at the
+     harness's pool size, across rebalances (the checkpoint op may
+     split a shard), and under label-window restriction (windows are
+     chosen to straddle shard boundaries). *)
   (match t.pool with
   | None -> ()
   | Some pool ->
@@ -271,10 +278,14 @@ let register_invariants t =
         let tags = store_tags t in
         let cases = plan_cases tags in
         let check name got want =
-          if not (List.equal Int.equal got want) then
+          if
+            not
+              (List.equal Int.equal got want
+              && Labeled_doc.in_document_order (Sharded_doc.router sd) got)
+          then
             Invariant.fail ~name:"shard.plans-agree"
               "%s: sharded plan found %d ids, unsharded %d (or a \
-               different order)"
+               different order, or not document order)"
               name (List.length got) (List.length want)
         in
         let windows =
@@ -306,11 +317,11 @@ let register_invariants t =
                 | None -> "full"
                 | Some (lo, hi) -> Printf.sprintf "[%d,%d]" lo hi
               in
+              let plan = Query.Descendants (a, b) in
               check
                 (Printf.sprintf "shard:%s//%s within %s" a b wname)
-                (Sharded_doc.descendants ?within sd pool ~anc:a ~desc:b)
-                (Sharded_doc.unsharded_descendants ?within sd pool ~anc:a
-                   ~desc:b))
+                (Sharded_doc.run ?within sd pool plan)
+                (Sharded_doc.unsharded_run ?within sd pool plan))
             windows
         | _ -> ());
         (* Mixed batches of one plan per tag pair: a batch holds one

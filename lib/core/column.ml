@@ -95,6 +95,8 @@ let[@ltree.hot] upper_bound counters t key = ub_rec counters t.buf key 0 t.len
 
 (* {1 sort_dedup: in-place, allocation-free}
 
+   The values are scattered into a bitset over [min, max] and collected
+   back in order, deduplicated, in one sweep: O(n + (max - min) / 32).
    All loop state rides in tail-call arguments; every helper is
    top-level so nothing captures an environment. *)
 
@@ -145,99 +147,16 @@ let rec collect_words (mark : buf) words wi base (out : buf) w_out =
     collect_words mark words (wi + 1) base out w_out
   end
 
-(* Sparse values: an LSD radix sort on the unsigned offsets [v - min],
-   8 bits a pass, stable, so [ceil (bits (max - min) / 8)] passes sort
-   any int range.  [mark] holds the 256 bucket cursors at
-   [0, radix_off) and the ping-pong copy of the values at
-   [radix_off, radix_off + n). *)
-
-let radix_bits = 8
-let radix_mask = 255
-let radix_off = 256
-
-let rec count_digits (src : buf) soff n i base shift (cnt : buf) =
-  if i < n then begin
-    let d = ((A.unsafe_get src (soff + i) - base) lsr shift) land radix_mask in
-    A.unsafe_set cnt d (A.unsafe_get cnt d + 1);
-    count_digits src soff n (i + 1) base shift cnt
-  end
-
-(* Bucket counts -> exclusive start positions. *)
-let rec prefix_sums (cnt : buf) d acc =
-  if d <= radix_mask then begin
-    let c = A.unsafe_get cnt d in
-    A.unsafe_set cnt d acc;
-    prefix_sums cnt (d + 1) (acc + c)
-  end
-
-let rec place (src : buf) soff n i base shift (cnt : buf) (dst : buf) doff =
-  if i < n then begin
-    let v = A.unsafe_get src (soff + i) in
-    let d = ((v - base) lsr shift) land radix_mask in
-    let p = A.unsafe_get cnt d in
-    A.unsafe_set cnt d (p + 1);
-    A.unsafe_set dst (doff + p) v;
-    place src soff n (i + 1) base shift cnt dst doff
-  end
-
-let radix_pass (src : buf) soff (dst : buf) doff (cnt : buf) n base shift =
-  zero_words cnt 0 (radix_mask + 1);
-  count_digits src soff n 0 base shift cnt;
-  prefix_sums cnt 0 0;
-  place src soff n 0 base shift cnt dst doff
-
-(* One pass per digit of [span] still set at [shift], alternating
-   between [buf] and [mark]'s copy; true when the sorted values ended
-   in [mark]. *)
-let rec radix_passes (buf : buf) (mark : buf) n base span shift in_mark =
-  if shift >= Sys.int_size || span lsr shift = 0 then in_mark
-  else begin
-    if in_mark then radix_pass mark radix_off buf 0 mark n base shift
-    else radix_pass buf 0 mark radix_off mark n base shift;
-    radix_passes buf mark n base span (shift + radix_bits) (not in_mark)
-  end
-
-let rec copy_from (src : buf) soff (dst : buf) n i =
-  if i < n then begin
-    A.unsafe_set dst i (A.unsafe_get src (soff + i));
-    copy_from src soff dst n (i + 1)
-  end
-
-let rec dedup_from (buf : buf) n r w last =
-  if r >= n then w
-  else begin
-    let v = A.unsafe_get buf r in
-    if v = last then dedup_from buf n (r + 1) w last
-    else begin
-      A.unsafe_set buf w v;
-      dedup_from buf n (r + 1) (w + 1) v
-    end
-  end
-
 let[@ltree.hot] sort_dedup t ~mark =
   let n = t.len in
   if n > 1 then begin
     let first = A.unsafe_get t.buf 0 in
     let mn = col_min t.buf n 1 first in
-    let mx = col_max t.buf n 1 first in
-    let range = mx - mn + 1 in
-    if range > 0 && range <= (8 * n) + 256 then begin
-      (* Dense: scatter into the reused bitset, collect back sorted and
-         deduplicated in one sweep.  O(n + range / 32). *)
-      let words = (range + 31) lsr 5 in
-      (reserve mark words [@ltree.cold]);
-      zero_words mark.buf 0 words;
-      scatter t.buf n 0 mark.buf mn;
-      t.len <- collect_words mark.buf words 0 mn t.buf 0
-    end
-    else begin
-      (* Sparse (or a span past [max_int]): radix sort, then one dedup
-         pass.  O(n * passes + 256 * passes). *)
-      (reserve mark (radix_off + n) [@ltree.cold]);
-      if radix_passes t.buf mark.buf n mn (mx - mn) 0 false then
-        copy_from mark.buf radix_off t.buf n 0;
-      t.len <- dedup_from t.buf n 1 1 (A.unsafe_get t.buf 0)
-    end
+    let words = ((col_max t.buf n 1 first - mn) lsr 5) + 1 in
+    (reserve mark words [@ltree.cold]);
+    zero_words mark.buf 0 words;
+    scatter t.buf n 0 mark.buf mn;
+    t.len <- collect_words mark.buf words 0 mn t.buf 0
   end
 
 (* {1 sort3: co-sort three parallel columns by the first} *)

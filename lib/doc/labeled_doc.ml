@@ -262,6 +262,18 @@ let node_by_id t dom_id =
   | Some e -> Some e.node
   | None -> None
 
+let in_document_order t ids =
+  let rec from prev = function
+    | [] -> true
+    | id :: rest -> (
+        match Int_tbl.find_opt t.table id with
+        | None -> false
+        | Some e ->
+          let s = Ltree.label t.tree e.start_leaf in
+          s > prev && from s rest)
+  in
+  from Int.min_int ids
+
 let node_by_start_label t lab =
   match Ltree.find_by_label t.tree lab with
   | None -> None

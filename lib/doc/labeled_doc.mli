@@ -153,6 +153,11 @@ val drain_dirty : t -> live:(slot -> unit) -> dead:(int -> unit) -> unit
 (** [node_by_id t id] finds a labeled node by its {!Dom.id}. *)
 val node_by_id : t -> int -> Dom.node option
 
+(** [in_document_order t ids] holds when every id names a labeled node
+    and their start labels strictly increase: document order, each node
+    once — the order every label plan answers in. *)
+val in_document_order : t -> int list -> bool
+
 (** [node_by_start_label t lab] finds the node whose begin tag currently
     carries label [lab], in O(height) (digit descent, §4.2, then one
     column read).  [None] for unused labels, end-tag labels, and

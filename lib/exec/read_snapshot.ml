@@ -142,7 +142,6 @@ let run_batch ?counters pool t plans =
         let local = Ltree_metrics.Counters.create () in
         let ws = Label_index.create_workspace () in
         run local t ws plan;
-        Column.sort_dedup ws.w_out ~mark:ws.w_mark;
         (Ltree_metrics.Counters.comparisons local, Column.to_list ws.w_out))
       plans
   in

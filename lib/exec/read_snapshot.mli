@@ -72,8 +72,8 @@ val refresh : t -> t
 (** [run counters t ws plan] evaluates [plan] serially over [t] with
     the plan driver {!Ltree_relstore.Query.run}, writing into [ws] and
     charging comparisons to [counters].  The matched Dom ids (the
-    entries' [ids] values) are left in [ws.w_out], unsorted; the
-    index-nested-loop plan may repeat one.  Freshness is the caller's
+    entries' [ids] values) are left in [ws.w_out] in the driver's
+    document order, each match once.  Freshness is the caller's
     business ({!is_fresh} or a snapshot it just froze).  Sharded tasks
     run it over each shard's snapshot, one workspace per task. *)
 val run :
@@ -86,7 +86,7 @@ val run :
     or index generation moved since the freeze (noted as an
     [exec]/[snapshot_stale] recorder event when the recorder is on); then it
     fans the plans across [pool] with [Pool.map], one task per plan on
-    its own workspace; per-plan sorted, deduplicated ids, index-aligned
+    its own workspace; per-plan ids in document order, index-aligned
     with [plans].  Each plan's comparisons are recorded after the
     barrier ({!Ltree_relstore.Query.record_comparisons}). *)
 val run_batch :

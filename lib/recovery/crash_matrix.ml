@@ -121,22 +121,26 @@ let top_tags ldoc =
   | [ (a, _) ] -> (a, a)
   | [] -> ("missing", "missing")
 
-let sorted_result_starts ldoc ids =
+let result_starts ldoc ids =
   List.filter_map
     (fun id ->
       Option.map
         (fun n -> (Labeled_doc.label ldoc n).Labeled_doc.start_pos)
         (Labeled_doc.node_by_id ldoc id))
     ids
-  |> List.sort Int.compare
 
+(* The indexed plan must find the id-sorted baseline's set, in
+   document order. *)
 let query_starts ldoc ~anc ~desc =
   let pager = Pager.create (Counters.create ()) in
   let store = Shredder.shred_label pager ldoc in
   let indexed = Query.label_descendants pager store ~anc ~desc in
   let baseline = Query.label_descendants_baseline pager store ~anc ~desc in
-  if not (List.equal Int.equal indexed baseline) then None
-  else Some (sorted_result_starts ldoc indexed)
+  if
+    List.equal Int.equal (List.sort Int.compare indexed) baseline
+    && Labeled_doc.in_document_order ldoc indexed
+  then Some (result_starts ldoc indexed)
+  else None
 
 (* {1 The matrix} *)
 

@@ -293,7 +293,8 @@ let[@ltree.hot] gather (d : Label_index.entry) (ws : Label_index.workspace)
    Every label plan is a chain of kernel steps: a semi-join or an INL
    probe, then (on the child axis) one shared level filter, with a
    gather between steps.  The driver leaves the last step's matches in
-   the workspace; each family then turns a match into an id its own way
+   the workspace as ascending positions — document order, each match
+   once; each family then turns a match into an id its own way
    — the store fetches the row, a snapshot reads the covering [ids]
    column, the XPath evaluator gathers slot positions.  Entries come
    from [entry counters src tag], a function of the caller's source
@@ -365,7 +366,11 @@ let[@ltree.hot] run counters entry src (ws : Label_index.workspace) plan =
   | Children (parent, child) ->
     pair counters entry src ws ~inl:false ~child:true parent child
   | Descendants_inl (anc, desc) ->
-    pair counters entry src ws ~inl:true ~child:false anc desc
+    (* The probe matches a row once per containing anchor, grouped by
+       anchor: back to document order, each row once. *)
+    let d = pair counters entry src ws ~inl:true ~child:false anc desc in
+    Column.sort_dedup ws.w_dpos ~mark:ws.w_mark;
+    d
   | Path [] ->
     Column.clear ws.w_dpos;
     ws.w_steps.(0)
@@ -390,8 +395,7 @@ let record_comparisons ?counters n =
 
    The store's instance of the driver: entries through the clean-entry
    lookup, one row fetch per match (the emit-side page reads), the Dom
-   ids collected in the index workspace's [w_out] and sorted and
-   deduplicated in place. *)
+   ids collected in the index workspace's [w_out] in match order. *)
 
 (* Push the Dom id of [d]'s row at each matched position into [w_out],
    fetching the row. *)
@@ -407,7 +411,6 @@ let[@ltree.hot] label_plan_hot pager (store : label_store) plan =
   let ws = Label_index.workspace store.label_index in
   let d = run (Pager.counters pager) store_entry store ws plan in
   fetch_matches store.label_table d ws;
-  Column.sort_dedup ws.w_out ~mark:ws.w_mark;
   ws.w_out
 
 let traced pager store plan name attrs =

@@ -2,8 +2,10 @@
     (paper §1: "to answer descendant-axis '//' ... many self-joins are
     needed" vs. "exactly one self-join with label comparisons").
 
-    Both return the Dom ids of matching [b] nodes, sorted; both charge
-    row fetches to the shared pager, so [page_reads] are comparable. *)
+    Both return the Dom ids of matching [b] nodes — the edge plans and
+    the baseline sorted by id, as independent oracles; the indexed
+    label plans in document order, each match once.  Both charge row
+    fetches to the shared pager, so [page_reads] are comparable. *)
 
 (** [edge_descendants store ~anc ~desc] evaluates [anc//desc] by iterated
     parent-child self-joins (BFS from the [anc] rows through the
@@ -14,8 +16,9 @@ val edge_descendants :
 (** [label_descendants_baseline pager store ~anc ~desc] is the
     pre-index control plan: fetch and re-sort both tags' rows on every
     call (sort comparisons charged), then run the list-based stack
-    join.  Kept for the old-vs-new comparison in [exp_query] and as the
-    independent oracle of the agreement tests and invariants. *)
+    join; ids sorted.  Kept for the old-vs-new comparison in
+    [exp_query] and as the independent oracle of the agreement tests
+    and invariants. *)
 val label_descendants_baseline :
   Pager.t -> Shredder.label_store -> anc:string -> desc:string -> int list
 
@@ -93,9 +96,12 @@ val gather :
     each path step's matches into one of the two [ws.w_steps] entries
     (alternately, so a step never overwrites its own input).  It
     returns the last step's [d] entry and leaves the matches in
-    [ws.w_dpos] (positions in that entry; [w_apos] too, for a pair
-    plan); the caller turns them into ids.  [Path [t]] matches every
-    row of [t]; [Path []] matches nothing. *)
+    [ws.w_dpos] as strictly ascending positions in that entry — the
+    one result order of every plan kind: document order, each match
+    once ([Descendants_inl] sorts and deduplicates the probe's
+    per-anchor groups to get there, so only the semi-join pair plans
+    leave [w_apos] aligned).  The caller turns the positions into ids.
+    [Path [t]] matches every row of [t]; [Path []] matches nothing. *)
 val run :
   Ltree_metrics.Counters.t ->
   (Ltree_metrics.Counters.t -> 'src -> string -> Label_index.entry) ->
@@ -107,7 +113,7 @@ val run :
     lookup (repairing only a dirty tag, over the incremental per-tag
     index {!Label_index}), one row fetch per match — the emit-side page
     reads that [exp_rdbms] compares with the edge table — and the Dom
-    ids sorted and deduplicated in place.  Comparisons and page reads
+    ids in the driver's document order.  Comparisons and page reads
     are charged to the pager's counters. *)
 
 (** [label_plan_hot pager store plan] is the store plan stripped to its

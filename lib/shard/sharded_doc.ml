@@ -70,8 +70,6 @@ type t = {
   r_store : Shredder.label_store;
   r_sync : Label_sync.t;
   mutable r_snap : Read_snapshot.t option;
-  merge_out : Column.t;  (* the caller's union of the tasks' columns *)
-  merge_mark : Column.t;  (* [Column.sort_dedup] scratch for [merge_out] *)
   mutable shards : shard array;
   mutable cuts : int array;
       (* length [nshards + 1]: shard [p] owns the router root's
@@ -195,8 +193,6 @@ let create ?params ?(group_commit = 4)
   let r_sync = Label_sync.create r_pager r_store router in
   let t =
     { group_commit; router; r_pager; r_store; r_sync; r_snap = None;
-      merge_out = Column.create ();
-      merge_mark = Column.create ();
       shards; cuts;
       top_owner = Int_tbl.create 64;
       layout_gen = 0;
@@ -334,10 +330,12 @@ let router_snapshot t =
    the plan over the router's own (unsharded) store.  The union is
    exact because cuts fall on top-level subtree boundaries: every
    containment pair is intra-shard, and pairs through the global root
-   are covered by each shard's stand-in root.  Shard snapshots already
-   hold router ids, so no result is translated; only the shard roots
-   map to one shared router node (the root), and the caller's single
-   sort-and-deduplicate collapses those. *)
+   are covered by each shard's stand-in root.  Each shard answers in
+   its own document order and the routed shards are disjoint label
+   intervals in route order, so the union is their concatenation.
+   Shard snapshots already hold router ids, so no result is
+   translated; only the shard roots map to one shared router node
+   (the root), and the merge keeps the first shard's. *)
 
 (* One task: a shard's frozen snapshot, the workspace it writes and
    the plan it runs.  Tasks reach their workspace only through this
@@ -363,20 +361,22 @@ let run_task k =
    else Read_snapshot.run counters k.k_snap k.k_ws k.k_plan);
   Counters.comparisons counters
 
-(* One query's answer: the tasks' result columns appended into the
-   caller's [merge_out], sorted and deduplicated once in place (which
-   also collapses the cloned shard roots), then listed. *)
+(* One query's answer: the tasks' result columns concatenated in route
+   order.  A shard's stand-in root starts before all of its other
+   rows, so it can only be a shard's first match; every shard after
+   the first drops it. *)
 let merge t (wss : Label_index.workspace array) =
-  let out = t.merge_out in
-  Column.clear out;
-  Array.iter
-    (fun (ws : Label_index.workspace) ->
-      for i = 0 to Column.length ws.w_out - 1 do
-        Column.push out (Column.get ws.w_out i)
-      done)
-    wss;
-  Column.sort_dedup out ~mark:t.merge_mark;
-  Column.to_list out
+  let root = Dom.id (root_of t.router) in
+  let out = ref [] in
+  for s = Array.length wss - 1 downto 0 do
+    let col = wss.(s).Label_index.w_out in
+    let n = Column.length col in
+    let first = if s > 0 && n > 0 && Column.get col 0 = root then 1 else 0 in
+    for i = n - 1 downto first do
+      out := Column.get col i :: !out
+    done
+  done;
+  !out
 
 let filter_within t ~lo ~hi ids =
   List.filter
@@ -461,7 +461,9 @@ let batch ?within t pool plans =
 
    The same driver over the router's own store, as pooled tasks: the
    K-independent baseline the agreement invariant and the K=1
-   byte-identity test compare against. *)
+   byte-identity test compare against.  The three list wrappers sort
+   their ids: the frozen [sharded_mix] bench compares them unsorted
+   with its sorted copy of the sharded answer. *)
 
 let unsharded_batch ?within t pool plans =
   Array.map (restrict ?within t)
@@ -471,14 +473,17 @@ let unsharded_run ?counters ?within t pool plan =
   restrict ?within t
     (Read_snapshot.run_batch ?counters pool (router_snapshot t) [| plan |]).(0)
 
+let unsharded_sorted ?counters ?within t pool plan =
+  List.sort Int.compare (unsharded_run ?counters ?within t pool plan)
+
 let unsharded_descendants ?counters ?within t pool ~anc ~desc =
-  unsharded_run ?counters ?within t pool (Query.Descendants (anc, desc))
+  unsharded_sorted ?counters ?within t pool (Query.Descendants (anc, desc))
 
 let unsharded_children ?counters ?within t pool ~parent ~child =
-  unsharded_run ?counters ?within t pool (Query.Children (parent, child))
+  unsharded_sorted ?counters ?within t pool (Query.Children (parent, child))
 
 let unsharded_path ?counters ?within t pool tags =
-  unsharded_run ?counters ?within t pool (Query.Path tags)
+  unsharded_sorted ?counters ?within t pool (Query.Path tags)
 
 (* {1 Writes}
 

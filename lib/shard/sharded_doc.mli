@@ -87,10 +87,11 @@ val checkpoint : t -> unit
     Every sharded plan runs as one [Pool.map] with one task per routed
     shard: the task runs the serial snapshot driver
     ({!Ltree_exec.Read_snapshot.run}) over that shard's frozen
-    snapshot, which already holds router Dom ids, leaving them unsorted
-    in the shard's reused workspace.  The caller appends the columns
-    into one, sorts and deduplicates it once, and lists it — one sorted
-    list of router ids.  [?within] filters results to a router-label
+    snapshot, which already holds router Dom ids, leaving them in
+    document order in the shard's reused workspace.  The shards are
+    disjoint label intervals, so the caller concatenates the columns in
+    route order, keeping the cloned root once — one list of router ids
+    in document order.  [?within] filters results to a router-label
     window (applied identically to the unsharded reference plans, so
     the two stay byte-identical). *)
 
@@ -123,8 +124,8 @@ val path :
     pool in one [Pool.map] — tasks on different shards join over
     disjoint frozen snapshots, so a hot tag no longer serializes on one
     shared index.  Plan [i]'s task writes its shard's buffer slot [i],
-    kept for later batches.  Per-plan sorted router ids, index-aligned
-    with [plans]; each plan's comparisons are recorded once, summed
+    kept for later batches.  Per-plan router ids in document order,
+    index-aligned with [plans]; each plan's comparisons are recorded once, summed
     over its shards. *)
 val batch :
   ?within:int * int ->
@@ -136,8 +137,9 @@ val batch :
     The same plans over a snapshot of the router's own single store,
     run by the same driver as pooled tasks
     ({!Ltree_exec.Read_snapshot.run_batch}) — the K = 1 case of the
-    fan-out.  The sharded plans must match them byte-for-byte; they
-    share their kernels, so the harness checks them separately against
+    fan-out.  The sharded plans must match {!unsharded_run} and
+    {!unsharded_batch} byte-for-byte, in document order; they share
+    their kernels, so the harness checks them separately against
     independent oracles. *)
 
 val unsharded_run :
@@ -145,6 +147,10 @@ val unsharded_run :
   ?within:int * int ->
   t -> Ltree_exec.Pool.t -> Ltree_relstore.Query.plan -> int list
 
+(** [unsharded_descendants], [unsharded_children] and [unsharded_path]
+    are {!unsharded_run} on one plan with the ids sorted: the frozen
+    [sharded_mix] bench compares their lists unsorted with its sorted
+    copy of the sharded answer (until ROADMAP item 2). *)
 val unsharded_descendants :
   ?counters:Ltree_metrics.Counters.t ->
   ?within:int * int ->

@@ -255,16 +255,16 @@ let check_main what ~pools ldoc pager store sync ev =
   let name fmt = Printf.sprintf ("%s: " ^^ fmt) what in
   List.iter
     (fun ((anc, desc) as q) ->
-      check_same (name "store %s//%s" anc desc) (desc_oracle q)
+      Doc_order.check (name "store %s//%s" anc desc) ldoc (desc_oracle q)
         (Query.label_descendants pager store ~anc ~desc);
-      check_same (name "store inl %s//%s" anc desc) (desc_oracle q)
+      Doc_order.check (name "store inl %s//%s" anc desc) ldoc (desc_oracle q)
         (label_descendants_inl pager store ~anc ~desc);
-      check_same (name "store %s/%s" anc desc) (child_oracle q)
+      Doc_order.check (name "store %s/%s" anc desc) ldoc (child_oracle q)
         (Query.label_children pager store ~parent:anc ~child:desc))
     pairs;
   List.iter
     (fun path ->
-      check_same (name "store path %s" (String.concat "//" path))
+      Doc_order.check (name "store path %s" (String.concat "//" path)) ldoc
         (Query.edge_path edges path) (Query.label_path pager store path))
     triples;
   let snap = Read_snapshot.of_store pager store ldoc in
@@ -286,9 +286,9 @@ let check_main what ~pools ldoc pager store sync ev =
       in
       List.iteri
         (fun i (_, want) ->
-          check_same
+          Doc_order.check
             (name "pool %d, snapshot plan %d" (Pool.stats pool).Pool.size i)
-            want got.(i))
+            ldoc want got.(i))
         cases)
     pools;
   List.iter
@@ -302,19 +302,21 @@ let check_main what ~pools ldoc pager store sync ev =
        "//b/following-sibling::a[1]" ])
 
 (* The sharded fan-out and its one-task unsharded reference, against
-   the DOM evaluator over the router twin. *)
+   the DOM evaluator over the router twin.  The unsharded list wrappers
+   answer sorted by id. *)
 let check_sharded what pool sd =
-  let doc = Labeled_doc.document (Sharded_doc.router sd) in
+  let router = Sharded_doc.router sd in
+  let doc = Labeled_doc.document router in
   let name fmt = Printf.sprintf ("%s: " ^^ fmt) what in
   List.iter
     (fun (anc, desc) ->
       let desc_want = dom_ids doc (Printf.sprintf "//%s//%s" anc desc) in
       let child_want = dom_ids doc (Printf.sprintf "//%s/%s" anc desc) in
-      check_same (name "%s//%s" anc desc) desc_want
+      Doc_order.check (name "%s//%s" anc desc) router desc_want
         (Sharded_doc.descendants sd pool ~anc ~desc);
-      check_same (name "inl %s//%s" anc desc) desc_want
+      Doc_order.check (name "inl %s//%s" anc desc) router desc_want
         (Sharded_doc.run sd pool (Query.Descendants_inl (anc, desc)));
-      check_same (name "%s/%s" anc desc) child_want
+      Doc_order.check (name "%s/%s" anc desc) router child_want
         (Sharded_doc.children sd pool ~parent:anc ~child:desc);
       check_same (name "unsharded %s//%s" anc desc) desc_want
         (Sharded_doc.unsharded_descendants sd pool ~anc ~desc);
@@ -324,7 +326,7 @@ let check_sharded what pool sd =
   List.iter
     (fun path ->
       let want = dom_ids doc ("//" ^ String.concat "//" path) in
-      check_same (name "path %s" (String.concat "//" path)) want
+      Doc_order.check (name "path %s" (String.concat "//" path)) router want
         (Sharded_doc.path sd pool path);
       check_same (name "unsharded path %s" (String.concat "//" path)) want
         (Sharded_doc.unsharded_path sd pool path))
@@ -373,6 +375,99 @@ let every_driver_agrees () =
                 done
               done)
             [ 0; 1; 2; 3 ]))
+
+(* {1 One result order}
+
+   Inserts near the front give nodes early in document order later Dom
+   ids, so id order and document order differ.  Every plan kind —
+   through the store, the pooled snapshot driver and the sharded
+   fan-out at K = 1, 2 and 4, single plans and one batch, over the
+   whole document and two windows — must then equal the DOM
+   evaluator's answer element for element: document order, each match
+   once.  [Path ["site"]] matches the root, which every shard clones. *)
+
+let order_plans =
+  [ (Query.Descendants ("site", "name"), "//site//name");
+    (Query.Children ("item", "name"), "//item/name");
+    (Query.Descendants_inl ("item", "name"), "//item//name");
+    (Query.Path [ "site"; "item"; "name" ], "//site//item//name");
+    (Query.Path [ "site" ], "//site") ]
+
+let order_xml =
+  "<site><a><item><item><name/></item><name/></item></a>\
+   <b><item><name/></item></b><c><item><name/></item></c>\
+   <d><item><name/></item></d><e><item><name/></item></e></site>"
+
+(* Prepend a nested fragment to the root, then an item to the root's
+   fourth child, each through [apply] with anchors read from [ldoc]. *)
+let reorder ldoc apply =
+  let root () = Option.get (Labeled_doc.document ldoc).Dom.root in
+  let anchor n = (Labeled_doc.label ldoc n).Labeled_doc.start_pos in
+  apply
+    (Journal.Insert
+       { anchor = anchor (root ()); index = 0;
+         xml = "<f><item><name/><item><name/></item></item></f>" });
+  apply
+    (Journal.Insert
+       { anchor = anchor (List.nth (Dom.children (root ())) 3); index = 0;
+         xml = "<item><name/></item>" })
+
+(* The DOM evaluator's answer, restricted to start labels in [within]. *)
+let dom_answer ?within ldoc xpath =
+  List.filter_map
+    (fun n ->
+      let s = (Labeled_doc.label ldoc n).Labeled_doc.start_pos in
+      match within with
+      | Some (lo, hi) when s < lo || s > hi -> None
+      | Some _ | None -> Some (Dom.id n))
+    (Dom_eval.eval (Labeled_doc.document ldoc) (Xpath_parser.parse xpath))
+
+let one_result_order () =
+  let check ?within what ldoc xpath got =
+    check_same what (dom_answer ?within ldoc xpath) got
+  in
+  let plans = Array.of_list (List.map fst order_plans) in
+  let ldoc = Labeled_doc.of_document (Parser.parse_string order_xml) in
+  let pager = Pager.create (Counters.create ()) in
+  let store = Shredder.shred_label pager ldoc in
+  let sync = Label_sync.create pager store ldoc in
+  reorder ldoc (Journal.apply_entry ldoc);
+  ignore (Label_sync.flush sync);
+  let snap = Read_snapshot.of_store pager store ldoc in
+  Pool.with_pool ~size:2 (fun pool ->
+      let batch = Read_snapshot.run_batch pool snap plans in
+      List.iteri
+        (fun i (plan, xpath) ->
+          check ("store " ^ xpath) ldoc xpath
+            (Query.label_plan pager store plan);
+          check ("snapshot " ^ xpath) ldoc xpath batch.(i))
+        order_plans;
+      List.iter
+        (fun k ->
+          let sd =
+            Sharded_doc.create ~shards:k (Parser.parse_string order_xml)
+          in
+          let router = Sharded_doc.router sd in
+          reorder router (Sharded_doc.apply sd);
+          let labels = List.map snd (Labeled_doc.labeled_events router) in
+          let mid = List.nth labels (List.length labels / 2) in
+          List.iter
+            (fun within ->
+              let name what xpath =
+                match within with
+                | None -> Printf.sprintf "K=%d %s %s" k what xpath
+                | Some (lo, hi) ->
+                  Printf.sprintf "K=%d [%d,%d] %s %s" k lo hi what xpath
+              in
+              let batch = Sharded_doc.batch ?within sd pool plans in
+              List.iteri
+                (fun i (plan, xpath) ->
+                  check ?within (name "run" xpath) router xpath
+                    (Sharded_doc.run ?within sd pool plan);
+                  check ?within (name "batch" xpath) router xpath batch.(i))
+                order_plans)
+            [ None; Some (Int.min_int, mid); Some (mid + 1, Int.max_int) ])
+        [ 1; 2; 4 ])
 
 (* {1 The driver allocates nothing}
 
@@ -438,7 +533,7 @@ let staleness_detected () =
       let snap' = Read_snapshot.refresh snap in
       Alcotest.(check bool) "refresh rebuilds" true
         (Read_snapshot.is_fresh snap');
-      check_same "refreshed snapshot sees the insert"
+      Doc_order.check "refreshed snapshot sees the insert" ldoc
         (Query.label_descendants_baseline pager store ~anc:"b" ~desc:"c")
         (Read_snapshot.run_batch pool snap' bc).(0))
 
@@ -457,8 +552,9 @@ let mutate_refresh_stress () =
         ignore (Label_sync.flush sync);
         snap := Read_snapshot.refresh !snap;
         let check (anc, desc) =
-          check_same
+          Doc_order.check
             (Printf.sprintf "round %d: %s//%s" round anc desc)
+            ldoc
             (Query.label_descendants_baseline pager store ~anc ~desc)
             (Read_snapshot.run_batch pool !snap
                [| Query.Descendants (anc, desc) |]).(0)
@@ -512,6 +608,7 @@ let suite =
         stats_count_one_claim_per_task;
       case "every driver agrees with independent oracles under edits" `Quick
         every_driver_agrees;
+      case "every plan answers in document order" `Quick one_result_order;
       case "the driver allocates nothing" `Quick driver_allocates_nothing;
       case "stale snapshots refuse, refresh rebuilds" `Quick
         staleness_detected;

@@ -115,7 +115,8 @@ let random_edits_stay_exact =
         ignore (Label_sync.flush sync);
         Label_sync.check sync
       done;
-      (* Queries against the synced store match DOM truth. *)
+      (* Queries against the synced store match DOM truth, in document
+         order. *)
       let dom_truth anc desc =
         let result = ref [] in
         Dom.iter_preorder root (fun a ->
@@ -127,7 +128,9 @@ let random_edits_stay_exact =
       in
       List.for_all
         (fun (anc, desc) ->
-          Query.label_descendants pager store ~anc ~desc = dom_truth anc desc)
+          Doc_order.agrees ldoc
+            (Query.label_descendants pager store ~anc ~desc)
+            (dom_truth anc desc))
         [ ("site", "patch"); ("item", "name"); ("patch", "inner");
           ("site", "inner") ])
 

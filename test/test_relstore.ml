@@ -328,15 +328,18 @@ let random_docs_agree =
    with DOM ground truth — the index is repaired, never rebuilt, so this
    is the test that the repair path is exact. *)
 
-let all_plans_agree pager store doc tags =
+let all_plans_agree pager store ldoc tags =
+  let doc = Labeled_doc.document ldoc in
   List.for_all
     (fun anc ->
       List.for_all
         (fun desc ->
           let truth = dom_descendants doc ~anc ~desc in
           Query.label_descendants_baseline pager store ~anc ~desc = truth
-          && Query.label_descendants pager store ~anc ~desc = truth
-          && label_descendants_inl pager store ~anc ~desc = truth)
+          && Doc_order.agrees ldoc
+               (Query.label_descendants pager store ~anc ~desc) truth
+          && Doc_order.agrees ldoc
+               (label_descendants_inl pager store ~anc ~desc) truth)
         tags)
     tags
 
@@ -366,7 +369,7 @@ let index_fresh_random =
       let tags = [ "site"; "item"; "name"; "listitem" ] in
       (* Materialize the entries first so every later round exercises
          the repair path, not the first-touch rebuild. *)
-      let ok = ref (all_plans_agree pager store doc tags) in
+      let ok = ref (all_plans_agree pager store ldoc tags) in
       for _round = 1 to 8 do
         for _op = 1 to 3 do
           let elems =
@@ -394,7 +397,7 @@ let index_fresh_random =
         done;
         ignore (Label_sync.flush sync);
         Label_sync.check sync;
-        ok := !ok && all_plans_agree pager store doc tags;
+        ok := !ok && all_plans_agree pager store ldoc tags;
         index_check store
       done;
       !ok)

@@ -209,7 +209,9 @@ let register_invariants t =
               "query %S: dom navigation found %d nodes, label joins %d \
                (or a different order)"
               q (List.length a) (List.length b))
-        queries);
+        queries;
+      (* clean entries must match their slots, not only answer right *)
+      Ltree_xpath.Label_eval.check t.engine);
   Invariant.register reg ~name:"store.sync" ~depth:Invariant.Deep
     (fun () ->
       ignore (Label_sync.flush t.sync);

@@ -25,10 +25,7 @@ type t = {
       (* per-tree so leaf ids are reproducible per tree and allocation
          never races across domains building distinct trees *)
   mutable tracking : bool;
-  mutable marks : Bytes.t;
-      (* the relabel log's membership bitmap: bit [id] is set iff leaf
-         [id] is in [log]; sized for every allocated id while tracking *)
-  log : Column.t; (* relabeled leaf ids, in mark order *)
+  log : Id_log.t; (* relabeled leaves; room for every id while tracking *)
   mutable scratch : node array;
       (* leaf buffer of the region rebuilds; only [dummy] outside one *)
 }
@@ -37,17 +34,9 @@ let rec dummy =
   { id = 0; num = 0; parent = dummy; height = 0; nleaves = 0;
     children = [||]; nchildren = 0; deleted = false }
 
-let grow_marks t =
-  let need = (t.next_leaf_id lsr 3) + 1 in
-  if need > Bytes.length t.marks then begin
-    let bigger = Bytes.make (Int.max need (2 * Bytes.length t.marks)) '\000' in
-    Bytes.blit t.marks 0 bigger 0 (Bytes.length t.marks);
-    t.marks <- bigger
-  end
-
 let new_leaf t =
   t.next_leaf_id <- t.next_leaf_id + 1;
-  if t.tracking then grow_marks t;
+  if t.tracking then Id_log.reserve t.log t.next_leaf_id;
   { id = t.next_leaf_id; num = 0; parent = dummy; height = 0; nleaves = 1;
     children = [||]; nchildren = 0; deleted = false }
 
@@ -59,8 +48,7 @@ let new_internal (params : Params.t) ~height ~nleaves =
 let create ?(params = Params.fig2) ?(counters = Counters.create ()) () =
   { params; counters; root = new_internal params ~height:1 ~nleaves:0;
     nslots = 0; nlive = 0; version = 0; next_leaf_id = 0; tracking = false;
-    marks = Bytes.empty; log = Column.create ~capacity:1 ();
-    scratch = [||] }
+    log = Id_log.create (); scratch = [||] }
 
 let leaf_id w = w.id
 let last_leaf_id t = t.next_leaf_id
@@ -72,34 +60,16 @@ let length t = t.nslots
 let live_length t = t.nlive
 let height t = t.root.height
 
-(* {1 The relabel log}
+(* {1 The relabel log}: while tracking, every leaf whose number changes
+   is logged once, with no hashing and no allocation. *)
 
-   While tracking, every leaf whose number changes is marked once: a
-   bitmap test, a bit set and a push onto an int column — no closure
-   call, no hashing, no allocation once the column has grown. *)
-
-let drain_relabels t f =
-  for i = 0 to Column.length t.log - 1 do
-    let id = Column.get t.log i in
-    (* every id sharing this byte is in the log too, and this pass
-       reaches it: clearing the whole byte is exact *)
-    Bytes.set t.marks (id lsr 3) '\000';
-    f id
-  done;
-  Column.clear t.log
+let drain_relabels t f = Id_log.drain t.log f
+let relabels_logged t = Id_log.length t.log
 
 let track_relabels t =
   drain_relabels t ignore;
   t.tracking <- true;
-  grow_marks t
-
-let[@ltree.hot] log_relabel t id =
-  let byte = id lsr 3 and bit = 1 lsl (id land 7) in
-  let bits = Char.code (Bytes.get t.marks byte) in
-  if bits land bit = 0 then begin
-    Bytes.set t.marks byte (Char.unsafe_chr (bits lor bit));
-    Column.push t.log id
-  end
+  Id_log.reserve t.log t.next_leaf_id
 
 (* {1 Small structural helpers} *)
 
@@ -166,7 +136,7 @@ let[@ltree.hot] set_num t ~count v num =
     v.num <- num;
     if count then begin
       Counters.add_relabel t.counters 1;
-      if v.height = 0 && t.tracking then log_relabel t v.id
+      if v.height = 0 && t.tracking then Id_log.add t.log v.id
     end
   end
 

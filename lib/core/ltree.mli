@@ -129,10 +129,14 @@ val track_relabels : t -> unit
     not mutate [t]. *)
 val drain_relabels : t -> (int -> unit) -> unit
 
+(** [relabels_logged t] is the number of leaves in the relabel log: how
+    many the next {!drain_relabels} reports. *)
+val relabels_logged : t -> int
+
 (** [version t] is a monotone stamp bumped by every mutation that can
     change the label sequence (insertions, batch insertions, deletions,
-    compaction).  Caches keyed on it — e.g. the per-tag sorted item
-    arrays of the XPath label engine — are exactly as fresh as the
+    compaction).  Caches keyed on it — e.g. the XPath label engine's tag
+    index — are exactly as fresh as the
     labels: equal stamps guarantee no label moved, appeared or died
     since the cache was filled. *)
 val version : t -> int

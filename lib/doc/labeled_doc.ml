@@ -9,7 +9,6 @@ type entry = {
   end_leaf : Ltree.leaf;
   level : int;
   node : Dom.node;
-  mutable marked : bool; (* queued in [pending] since the last drain *)
 }
 
 type t = {
@@ -19,13 +18,15 @@ type t = {
   mutable owner : entry array;
       (* Ltree leaf id -> the entry holding the leaf, [none] when there is
          none (tombstoned, or not bound yet) *)
-  none : entry; (* the sentinel; never marked *)
-  mutable tracking : bool;
-  pending : Column.t;
-      (* start-leaf ids of the entries marked stale since the last drain,
-         in mark order; only filled once a store has bound to the
-         document ([track_dirty]) *)
-  mutable dead : int list; (* Dom ids deleted since the last drain *)
+  none : entry; (* the sentinel *)
+  mutable feeds : feed list; (* every consumer's dirty set *)
+}
+
+(* One consumer's dirty set since its last drain. *)
+and feed = {
+  src : t;
+  queue : Id_log.t; (* start-leaf ids of the queued nodes *)
+  mutable dead : Dom.node list; (* nodes deleted *)
 }
 
 type label = { start_pos : int; end_pos : int; level : int }
@@ -47,44 +48,46 @@ let set_owner t leaf e =
 
 let owner t id = if id < Array.length t.owner then t.owner.(id) else t.none
 
-(* Queue [e] for the next drain, once. *)
-let mark t e =
-  if e != t.none && not e.marked then begin
-    e.marked <- true;
-    Column.push t.pending (Ltree.leaf_id e.start_leaf)
-  end
+(* Queue the node whose begin tag is leaf [id] in every feed but
+   [except]. *)
+let rec mark_all ?except feeds id =
+  match (feeds, except) with
+  | [], _ -> ()
+  | f :: rest, Some g when f == g -> mark_all ?except rest id
+  | f :: rest, _ ->
+    Id_log.reserve f.queue id;
+    Id_log.add f.queue id;
+    mark_all ?except rest id
+
+let rec bury_all feeds n =
+  match feeds with
+  | [] -> ()
+  | f :: rest ->
+    f.dead <- n :: f.dead;
+    bury_all rest n
 
 (* Attach leaves to the nodes of [sub], reading them in tag-list order
-   from [leaves] starting at [!i]; register each leaf's owner and, once a
-   store tracks the document, queue the fresh nodes in document order (a
-   node's queue position is reserved before its children's). *)
+   from [leaves] starting at [!i]; register each leaf's owner and queue
+   the fresh nodes in every feed, in document order (a node is queued
+   when its begin tag is read, before its children). *)
 let assign_leaves t leaves i ~base_level sub =
-  let bind node e ~at =
+  let bind node e =
     Int_tbl.replace t.table (Dom.id node) e;
     set_owner t e.start_leaf e;
-    set_owner t e.end_leaf e;
-    if t.tracking then begin
-      e.marked <- true;
-      Column.set t.pending at (Ltree.leaf_id e.start_leaf)
-    end
+    set_owner t e.end_leaf e
   in
   let rec go node level =
-    let at = Column.length t.pending in
-    if t.tracking then Column.push t.pending 0;
+    let start_leaf = leaves.(!i) in
+    incr i;
+    mark_all t.feeds (Ltree.leaf_id start_leaf);
     match Dom.kind node with
     | Dom.Element _ ->
-      let start_leaf = leaves.(!i) in
-      incr i;
       List.iter (fun c -> go c (level + 1)) (Dom.children node);
       let end_leaf = leaves.(!i) in
       incr i;
-      bind node { start_leaf; end_leaf; level; node; marked = false } ~at
+      bind node { start_leaf; end_leaf; level; node }
     | Dom.Text _ | Dom.Comment _ | Dom.Pi _ ->
-      let leaf = leaves.(!i) in
-      incr i;
-      bind node
-        { start_leaf = leaf; end_leaf = leaf; level; node; marked = false }
-        ~at
+      bind node { start_leaf; end_leaf = start_leaf; level; node }
   in
   go sub base_level
 
@@ -92,17 +95,14 @@ let make_t doc tree =
   let none =
     match Ltree.first tree with
     | Some leaf ->
-      { start_leaf = leaf; end_leaf = leaf; level = -1; node = root_exn doc;
-        marked = false }
+      { start_leaf = leaf; end_leaf = leaf; level = -1; node = root_exn doc }
     | None -> invalid_arg "Labeled_doc: empty tree"
   in
   { doc; tree;
     table = Int_tbl.create 64;
     owner = Array.make (Ltree.last_leaf_id tree + 1) none;
     none;
-    tracking = false;
-    pending = Column.create ();
-    dead = [] }
+    feeds = [] }
 
 let of_document ?(params = Params.fig2) ?counters doc =
   Span.with_ ~name:"doc.of_document" (fun () ->
@@ -151,32 +151,17 @@ let tree t = t.tree
 let counters t = Ltree.counters t.tree
 let version t = Ltree.version t.tree
 
-let entry t n =
-  match Int_tbl.find_opt t.table (Dom.id n) with
-  | Some e -> e
-  | None -> raise Not_found
-
+let entry t n = Int_tbl.find t.table (Dom.id n)
 let mem t n = Int_tbl.mem t.table (Dom.id n)
 
 type slot = entry
 
 let slot = entry
+let slot_by_id t id = Int_tbl.find t.table id
 let slot_node (s : slot) = s.node
 let slot_start t (s : slot) = Ltree.label t.tree s.start_leaf
 let slot_end t (s : slot) = Ltree.label t.tree s.end_leaf
 let slot_level (s : slot) = s.level
-let slot_live (s : slot) = not (Ltree.is_deleted s.start_leaf)
-let labeled_cursor t = Ltree.last_leaf_id t.tree
-
-(* Leaf ids grow monotonically per tree, so the slots created after
-   [cursor] are the start leaves with a larger id.  Deleted nodes have
-   left the owner column; end-tag leaves belong to a node whose start
-   leaf differs, so each fresh node is seen once. *)
-let iter_labeled_since t cursor f =
-  for id = cursor + 1 to Ltree.last_leaf_id t.tree do
-    let e = owner t id in
-    if e != t.none && Ltree.leaf_id e.start_leaf = id && slot_live e then f e
-  done
 
 let label t n =
   let e = entry t n in
@@ -188,74 +173,93 @@ let is_ancestor t ~anc ~desc =
   let a = label t anc and d = label t desc in
   a.start_pos < d.start_pos && d.end_pos < a.end_pos
 
+let insert_subtree_raw t ~parent ~index sub =
+  (match Dom.parent sub with
+   | Some _ -> invalid_arg "Labeled_doc.insert_subtree: subtree is attached"
+   | None -> ());
+  let pe = entry t parent in
+  let children = Dom.children parent in
+  if index < 0 || index > List.length children then
+    invalid_arg "Labeled_doc.insert_subtree: bad index";
+  let anchor =
+    if index = 0 then pe.start_leaf
+    else (entry t (List.nth children (index - 1))).end_leaf
+  in
+  let k = Dom.event_count sub in
+  let fresh = Ltree.insert_batch_after t.tree anchor k in
+  Dom.insert_child parent ~index sub;
+  let i = ref 0 in
+  assign_leaves t fresh i ~base_level:(pe.level + 1) sub;
+  assert (!i = k)
+
 let insert_subtree t ~parent ~index sub =
-  Span.with_ ~name:"doc.insert_subtree" ~counters:(counters t) (fun () ->
-      (match Dom.parent sub with
-       | Some _ ->
-         invalid_arg "Labeled_doc.insert_subtree: subtree is attached"
-       | None -> ());
-      let pe = entry t parent in
-      let children = Dom.children parent in
-      if index < 0 || index > List.length children then
-        invalid_arg "Labeled_doc.insert_subtree: bad index";
-      let anchor =
-        if index = 0 then pe.start_leaf
-        else (entry t (List.nth children (index - 1))).end_leaf
-      in
-      let k = Dom.event_count sub in
-      let fresh = Ltree.insert_batch_after t.tree anchor k in
-      Dom.insert_child parent ~index sub;
-      let i = ref 0 in
-      assign_leaves t fresh i ~base_level:(pe.level + 1) sub;
-      assert (!i = k))
+  if Span.enabled () then
+    Span.with_ ~name:"doc.insert_subtree" ~counters:(counters t) (fun () ->
+        insert_subtree_raw t ~parent ~index sub)
+  else insert_subtree_raw t ~parent ~index sub
+
+let delete_subtree_raw t n =
+  if not (mem t n) then
+    invalid_arg "Labeled_doc.delete_subtree: node is not labeled";
+  (match t.doc.root with
+   | Some r when r == n ->
+     invalid_arg "Labeled_doc.delete_subtree: cannot delete the root"
+   | Some _ | None -> ());
+  Dom.iter_preorder n (fun x ->
+      let id = Dom.id x in
+      match Int_tbl.find_opt t.table id with
+      | Some e ->
+        Ltree.delete t.tree e.start_leaf;
+        if e.end_leaf != e.start_leaf then Ltree.delete t.tree e.end_leaf;
+        Int_tbl.remove t.table id;
+        set_owner t e.start_leaf t.none;
+        set_owner t e.end_leaf t.none;
+        bury_all t.feeds x
+      | None -> ());
+  Dom.remove n
 
 let delete_subtree t n =
-  Span.with_ ~name:"doc.delete_subtree" ~counters:(counters t) (fun () ->
-      if not (mem t n) then
-        invalid_arg "Labeled_doc.delete_subtree: node is not labeled";
-      (match t.doc.root with
-       | Some r when r == n ->
-         invalid_arg "Labeled_doc.delete_subtree: cannot delete the root"
-       | Some _ | None -> ());
-      Dom.iter_preorder n (fun x ->
-          let id = Dom.id x in
-          match Int_tbl.find_opt t.table id with
-          | Some e ->
-            Ltree.delete t.tree e.start_leaf;
-            if e.end_leaf != e.start_leaf then Ltree.delete t.tree e.end_leaf;
-            Int_tbl.remove t.table id;
-            set_owner t e.start_leaf t.none;
-            set_owner t e.end_leaf t.none;
-            if t.tracking then t.dead <- id :: t.dead
-          | None -> ());
-      Dom.remove n)
+  if Span.enabled () then
+    Span.with_ ~name:"doc.delete_subtree" ~counters:(counters t) (fun () ->
+        delete_subtree_raw t n)
+  else delete_subtree_raw t n
 
 let compact t = Ltree.compact t.tree
 
-let track_dirty t =
-  for i = 0 to Column.length t.pending - 1 do
-    (owner t (Column.get t.pending i)).marked <- false
-  done;
-  Column.clear t.pending;
-  t.dead <- [];
-  Ltree.track_relabels t.tree;
-  t.tracking <- true
+(* Hand the L-Tree's relabel log to every feed but [except]: a
+   relabeled leaf queues the node that owns it. *)
+let collect_relabels ?except t =
+  match (t.feeds, except) with
+  | [ f ], Some g when f == g -> Ltree.drain_relabels t.tree ignore
+  | feeds, _ ->
+    Ltree.drain_relabels t.tree (fun id ->
+        let e = owner t id in
+        if e != t.none then mark_all ?except feeds (Ltree.leaf_id e.start_leaf))
 
-let drain_dirty t ~live ~dead =
-  Ltree.drain_relabels t.tree (fun id -> mark t (owner t id));
-  for i = 0 to Column.length t.pending - 1 do
-    (* an entry deleted since it was queued has left the owner column *)
-    let e = owner t (Column.get t.pending i) in
-    if e.marked then begin
-      e.marked <- false;
-      live e
-    end
-  done;
-  Column.clear t.pending;
+let track_dirty t =
+  (match t.feeds with
+   | [] -> Ltree.track_relabels t.tree
+   | _ :: _ -> collect_relabels t);
+  let queue = Id_log.create () in
+  (* room for every leaf so far, so only growth past it reallocates *)
+  Id_log.reserve queue (Ltree.last_leaf_id t.tree + 512);
+  let f = { src = t; queue; dead = [] } in
+  t.feeds <- f :: t.feeds;
+  f
+
+let drain_dirty ?(relabels = true) f ~live ~dead =
+  let t = f.src in
+  if relabels then collect_relabels t else collect_relabels ~except:f t;
+  Id_log.drain f.queue (fun id ->
+      (* an entry deleted since it was queued has left the owner column *)
+      let e = owner t id in
+      if e != t.none then live e);
   (* a moved node was deleted and labeled again: it counts as live *)
-  let gone = List.sort_uniq Int.compare t.dead in
-  t.dead <- [];
-  List.iter (fun id -> if not (Int_tbl.mem t.table id) then dead id) gone
+  let gone =
+    List.sort_uniq (fun a b -> Int.compare (Dom.id a) (Dom.id b)) f.dead
+  in
+  f.dead <- [];
+  List.iter (fun n -> if not (Int_tbl.mem t.table (Dom.id n)) then dead n) gone
 
 let node_by_id t dom_id =
   match Int_tbl.find_opt t.table dom_id with

@@ -59,15 +59,17 @@ val mem : t -> Dom.node -> bool
 (** {1 Slots}
 
     A slot is a labeled node's own record: its begin/end leaves and its
-    level.  Reading a slot's label, level or liveness is a few field
-    loads, with no table lookup — the query layer keeps vectors of
-    slots and reads fresh labels through them. *)
+    level.  Reading a slot's label or level is a few field loads, with
+    no table lookup. *)
 
 type slot
 
 (** [slot t n] is [n]'s current slot.  Raises [Not_found] for nodes
     outside the document. *)
 val slot : t -> Dom.node -> slot
+
+(** [slot_by_id t id] is {!slot} by {!Dom.id}, without allocating. *)
+val slot_by_id : t -> int -> slot
 
 val slot_node : slot -> Dom.node
 
@@ -77,22 +79,6 @@ val slot_start : t -> slot -> int
 
 val slot_end : t -> slot -> int
 val slot_level : slot -> int
-
-(** [slot_live s] is false once the slot's node was deleted, or moved
-    (a move tombstones the old slot and labels a fresh one).  A dead
-    slot never comes back to life. *)
-val slot_live : slot -> bool
-
-(** [labeled_cursor t] marks the current moment for
-    {!iter_labeled_since}: the last L-Tree leaf id allocated
-    ({!Ltree.last_leaf_id}).  Relabels and [compact] do not move it. *)
-val labeled_cursor : t -> int
-
-(** [iter_labeled_since t cursor f] calls [f] once on every live slot
-    labeled after [cursor] was taken — the nodes inserted (or moved)
-    since then and still in the document — in no particular order.
-    Costs one column read per leaf allocated since [cursor]. *)
-val iter_labeled_since : t -> int -> (slot -> unit) -> unit
 
 (** {1 The §1 query predicates} *)
 
@@ -117,38 +103,42 @@ val compact : t -> unit
 
 (** {1 Storage synchronization}
 
-    External stores (e.g. the relational label table of
-    {!Ltree_relstore}) persist labels; they go stale whenever the L-Tree
-    relabels.  The document tracks exactly which nodes' stored labels
-    changed, so a store can refresh only those rows.  A relabel costs
-    O(1) with no hashing and no allocation: the L-Tree's own relabel log
-    ({!Ltree.track_relabels}) records the leaf, and the leaf-to-node
-    mapping (a leaf-id-indexed column of entries) is only
-    consulted when the store drains.  Inserted nodes are queued as they
-    are labeled, deleted ones as they are deleted. *)
+    Consumers that keep labels outside the document (the label table of
+    {!Ltree_relstore}, the XPath evaluator's tag index) go stale
+    whenever the L-Tree relabels.  Each consumer holds its own {!feed}
+    of the nodes whose labels changed, so draining one feed leaves the
+    others intact.  A relabel costs O(1) with no hashing and no
+    allocation: the L-Tree's relabel log ({!Ltree.track_relabels})
+    records the leaf, and a drain of any feed hands that log to every
+    feed through the leaf-to-node column.  Inserted nodes are queued in
+    every feed as they are labeled, deleted ones as they are deleted. *)
 
-(** [track_dirty t] starts (or restarts) tracking with an empty set: a
-    store calls it when it binds to the document, holding every label as
-    of now.  Until the first call nothing is tracked, so documents no
-    store reads (replicas, session primaries) keep no dirty set. *)
-val track_dirty : t -> unit
+type feed
 
-(** [drain_dirty t ~live ~dead] reports every node whose persisted label
-    became stale since the last drain or {!track_dirty}, once each, and
-    clears the set:
+(** [track_dirty t] registers a new, empty feed.  Until the first call
+    nothing is tracked.  A feed lives as long as the document and grows
+    until it is drained. *)
+val track_dirty : t -> feed
+
+(** [drain_dirty f ~live ~dead] reports every node whose label changed
+    since [f]'s last drain or registration, once each, and clears [f]'s
+    set:
     - [live s] for each node still in the document that was inserted,
-      moved or relabeled: first the nodes labeled since the last drain
-      (inserted or moved), in document order within one insertion and
-      in insertion order across insertions; then the other relabeled
-      nodes, in the order the L-Tree first relabeled one of their
-      leaves;
-    - then [dead id] for each deleted node, by increasing {!Dom.id}.
+      moved or relabeled, in queue order: a node is queued when it is
+      labeled (an inserted or moved subtree's nodes in document order),
+      and a relabeled node when a drain of any feed on the document
+      collects the relabel log;
+    - then [dead n] for each deleted node, by increasing {!Dom.id}: the
+      detached node itself, so a consumer can still read its kind.
     A node deleted and labeled again (a move) is reported once, live.
     Cost: O(relabeled leaves + queued nodes + deleted nodes), plus a
-    sort of the deleted ids.  Draining is destructive: a document feeds
-    exactly one synchronized store.  The callbacks must not modify
-    [t]. *)
-val drain_dirty : t -> live:(slot -> unit) -> dead:(int -> unit) -> unit
+    sort of the deleted ids.  With [~relabels:false] the relabel log
+    ({!Ltree.relabels_logged}) skips [f], for a consumer that re-reads
+    what it holds more cheaply than it hears of that many nodes.  The
+    callbacks must not modify the document. *)
+val drain_dirty :
+  ?relabels:bool ->
+  feed -> live:(slot -> unit) -> dead:(Dom.node -> unit) -> unit
 
 (** [node_by_id t id] finds a labeled node by its {!Dom.id}. *)
 val node_by_id : t -> int -> Dom.node option

@@ -80,6 +80,7 @@ type stats = { repairs : int; full_rebuilds : int; merged_rows : int }
 type t = {
   tags : (string, entry) Hashtbl.t;
   pending : (string, unit Int_tbl.t) Hashtbl.t;
+  reread : (string, unit) Hashtbl.t; (* pending tags to re-read whole *)
   mutable generation : int;
   mutable repairs : int;
   mutable full_rebuilds : int;
@@ -93,7 +94,7 @@ type t = {
   perm : Column.t;
   tmp : Column.t;
   (* Touched-rid bitset for the survivor pass (one bit test per row
-     instead of one hash probe). *)
+     instead of one hash probe); all zero between repairs. *)
   rmark : Column.t;
   ws : workspace;
 }
@@ -101,6 +102,7 @@ type t = {
 let create () =
   { tags = Hashtbl.create 64;
     pending = Hashtbl.create 16;
+    reread = Hashtbl.create 16;
     generation = 0;
     repairs = 0;
     full_rebuilds = 0;
@@ -124,17 +126,25 @@ let note_change t ~tag ~rid =
   t.generation <- t.generation + 1;
   (* Tags never materialized need no repair log: their first access does
      a full build from the row ids anyway. *)
-  if Hashtbl.mem t.tags tag then begin
-    let set =
-      match Hashtbl.find_opt t.pending tag with
-      | Some set -> set
-      | None ->
-        let set = Int_tbl.create 8 in
-        Hashtbl.replace t.pending tag set;
-        set
-    in
-    Int_tbl.replace set rid ()
-  end
+  if Hashtbl.mem t.tags tag then
+    match Hashtbl.find t.pending tag with
+    | set -> Int_tbl.replace set rid ()
+    | exception Not_found ->
+      (let set = Int_tbl.create 8 in
+       Int_tbl.replace set rid ();
+       Hashtbl.replace t.pending tag set)
+      [@ltree.cold]
+
+let note_relabeled t =
+  t.generation <- t.generation + 1;
+  Hashtbl.iter
+    (fun tag _ ->
+      Hashtbl.replace t.reread tag ();
+      if not (Hashtbl.mem t.pending tag) then
+        Hashtbl.replace t.pending tag (Int_tbl.create 1))
+    t.tags
+
+let rows t = Hashtbl.fold (fun _ e n -> n + e.len) t.tags 0
 
 exception Dirty
 
@@ -194,7 +204,8 @@ let sort_rows t counters e n =
    preorder for a bulk shred, so the already-sorted check in
    {!Column.sort3} keeps bulk builds linear. *)
 let rebuild t counters ~rids_of_tag ~fetch src tag =
-  Span.event ~attrs:[ ("tag", tag) ] "relstore.index_rebuild";
+  if Span.enabled () then
+    Span.event ~attrs:[ ("tag", tag) ] "relstore.index_rebuild";
   let ids = rids_of_tag src tag in
   let cap = Int.max 16 (List.length ids) in
   let entry = create_entry ~capacity:cap () in
@@ -209,6 +220,7 @@ let rebuild t counters ~rids_of_tag ~fetch src tag =
   entry.len <- live;
   Hashtbl.replace t.tags tag entry;
   Hashtbl.remove t.pending tag;
+  Hashtbl.remove t.reread tag;
   t.full_rebuilds <- t.full_rebuilds + 1;
   entry
 
@@ -225,15 +237,31 @@ let[@inline] touched_bit (mark : Column.buf) maxrid rid =
    do: a column call per value costs more than the move it makes. *)
 let repair t counters ~fetch src tag entry touched =
   let n = entry.len in
+  (* A re-read tag's rows take their current labels in place (their
+     order holds); its dead rows join the touched ones. *)
+  if Hashtbl.mem t.reread tag then begin
+    Hashtbl.remove t.reread tag;
+    for i = 0 to n - 1 do
+      let rid = Column.get entry.rids i in
+      fetch src rid t.row;
+      if t.row.r_dead then Int_tbl.replace touched rid ()
+      else begin
+        Column.set entry.starts i t.row.r_start;
+        Column.set entry.ends i t.row.r_end;
+        Column.set entry.levels i t.row.r_level;
+        Column.set entry.ids i t.row.r_id
+      end
+    done
+  end;
   (* Scatter the touched rids into the reused bitset; the survivor scan
-     below then costs one bit test per row. *)
+     below then costs one bit test per row.  The re-fetch clears only
+     the touched words, so a large rid costs nothing per repair. *)
   let maxrid = Int_tbl.fold (fun rid () m -> Int.max rid m) touched (-1) in
   let words = (maxrid + 32) lsr 5 in
-  Column.reserve t.rmark words;
-  let mark = Column.unsafe_buf t.rmark in
-  for i = 0 to words - 1 do
-    BA.unsafe_set mark i 0
+  while Column.length t.rmark < words do
+    Column.push t.rmark 0
   done;
+  let mark = Column.unsafe_buf t.rmark in
   Int_tbl.iter
     (fun rid () ->
       let w = rid lsr 5 in
@@ -264,6 +292,7 @@ let repair t counters ~fetch src tag entry touched =
   set_lens b 0;
   Int_tbl.iter
     (fun rid () ->
+      BA.unsafe_set mark (rid lsr 5) 0;
       fetch src rid t.row;
       if not t.row.r_dead then push_row b rid t.row)
     touched;
@@ -317,7 +346,8 @@ let repair t counters ~fetch src tag entry touched =
   Hashtbl.remove t.pending tag;
   t.repairs <- t.repairs + 1;
   t.merged_rows <- t.merged_rows + ni;
-  Span.event ~attrs:[ ("tag", tag) ] "relstore.index_repair";
+  if Span.enabled () then
+    Span.event ~attrs:[ ("tag", tag) ] "relstore.index_repair";
   entry
 
 let entry t counters ~rids_of_tag ~fetch src tag =
@@ -326,7 +356,8 @@ let entry t counters ~rids_of_tag ~fetch src tag =
   | Some entry -> (
       match Hashtbl.find_opt t.pending tag with
       | None -> entry
-      | Some touched when Int_tbl.length touched = 0 ->
+      | Some touched
+        when Int_tbl.length touched = 0 && not (Hashtbl.mem t.reread tag) ->
         Hashtbl.remove t.pending tag;
         entry
       | Some touched -> repair t counters ~fetch src tag entry touched)

@@ -23,7 +23,11 @@
     [fetch], which charges page reads to the shared pager.  Sort and
     merge comparisons are charged to the given counters, so the
     comparison totals of E-table experiments account for index
-    maintenance honestly. *)
+    maintenance honestly.
+
+    Two instances: the store's, over label-table rows, and the XPath
+    evaluator's ([Ltree_xpath.Label_eval]), keyed by node test, whose
+    row ids are Dom ids read from the document's slots. *)
 
 type t
 
@@ -33,10 +37,10 @@ type t
     fetch reported it (a shard's store reports router ids).  [stamp] is
     the index {!generation} at which the entry was last brought up to
     date — snapshots compare it to skip re-freezing unchanged tags.
-    The same type is a read snapshot's frozen copy, a path step's
-    gathered matches and the XPath evaluator's per-test vector (whose
-    rows have no table row: its [rids] and [ids] are positions).  Treat
-    as read-only — the index mutates the columns in place on repair. *)
+    The same type is a read snapshot's frozen copy and a path step's
+    gathered matches; in the XPath evaluator's index, whose rows are
+    document nodes, [rids] and [ids] both hold Dom ids.  Treat as
+    read-only — the index mutates the columns in place on repair. *)
 type entry = {
   starts : Ltree_core.Column.t;
   ends : Ltree_core.Column.t;
@@ -98,13 +102,8 @@ val create_entry : ?capacity:int -> unit -> entry
     [e]'s stamp. *)
 val copy : entry -> entry
 
-(** [set_lens e n] sets the length of [e] and of its five columns to
-    [n] (each [<=] its column's capacity), for a writer that filled the
-    columns by position. *)
-val set_lens : entry -> int -> unit
-
 (** [create_workspace ()] is a fresh workspace, for a caller that joins
-    outside any index (snapshot tasks, the XPath evaluator). *)
+    outside any index (snapshot and shard tasks). *)
 val create_workspace : unit -> workspace
 
 (** Maintenance counters: [repairs] counts dirty-tag merge repairs (each
@@ -127,6 +126,14 @@ val generation : t -> int
     inserted or tombstoned — called by {!Label_sync.flush} per written
     row.  O(1); the repair happens lazily at the tag's next access. *)
 val note_change : t -> tag:string -> rid:int -> unit
+
+(** [note_relabeled t] logs that any row of any materialized tag may
+    carry new labels in the same order (an L-Tree relabel burst): each
+    tag's next repair re-reads its rows in place. *)
+val note_relabeled : t -> unit
+
+(** [rows t] is the number of rows of all materialized tags. *)
+val rows : t -> int
 
 (** Raised by {!clean} when the tag is unmaterialized or has pending
     changes. *)

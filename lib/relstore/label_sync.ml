@@ -63,7 +63,8 @@ let flush_raw t =
           dirty tag rid;
           incr inserted)
   in
-  let dead dom_id =
+  let dead node =
+    let dom_id = Dom.id node in
     match Int_tbl.find_opt store.label_by_node dom_id with
     | Some rid ->
       let old = Rel_table.get store.label_table rid in
@@ -75,7 +76,7 @@ let flush_raw t =
       end
     | None -> () (* created and deleted between flushes *)
   in
-  Labeled_doc.drain_dirty ldoc ~live ~dead;
+  Labeled_doc.drain_dirty store.label_feed ~live ~dead;
   { rows_updated = !updated;
     rows_inserted = !inserted;
     rows_tombstoned = !tombstoned }

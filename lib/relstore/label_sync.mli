@@ -3,9 +3,9 @@
     An RDBMS that stores L-Tree labels (the label table of E8) must
     rewrite a row whenever the L-Tree relabels that node — this is where
     the paper's amortized relabeling bound turns into real write I/O.
-    The labeled document reports exactly which nodes went stale
-    ({!Ltree_doc.Labeled_doc.drain_dirty}, fed by the L-Tree's relabel
-    hook); [flush] rewrites only those rows, appends rows for new nodes
+    The labeled document reports exactly which nodes went stale through
+    the store's feed ({!Ltree_doc.Labeled_doc.drain_dirty}, fed by the
+    L-Tree's relabel hook); [flush] rewrites only those rows, appends rows for new nodes
     and tombstones rows of deleted ones.  Page-write counts accumulate on
     the shared pager (experiment E13). *)
 

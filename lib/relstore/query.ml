@@ -296,7 +296,8 @@ let[@ltree.hot] gather (d : Label_index.entry) (ws : Label_index.workspace)
    the workspace as ascending positions — document order, each match
    once; each family then turns a match into an id its own way
    — the store fetches the row, a snapshot reads the covering [ids]
-   column, the XPath evaluator gathers slot positions.  Entries come
+   column, the XPath evaluator gathers the rows and reads their Dom
+   ids.  Entries come
    from [entry counters src tag], a function of the caller's source
    rather than a closure over it, so running a plan builds nothing. *)
 

@@ -24,6 +24,7 @@ type label_store = {
   label_by_tag : (string, int list) Hashtbl.t;
   label_by_node : int Int_tbl.t;
   label_index : Label_index.t;
+  label_feed : Labeled_doc.feed;
   mutable label_ids : int -> int;
 }
 
@@ -81,7 +82,7 @@ let shred_edge pager ?(rows_per_page = 32) (doc : Dom.document) =
   { edge_table; edge_by_tag; edge_by_parent }
 
 let shred_label pager ?(rows_per_page = 32) ldoc =
-  Labeled_doc.track_dirty ldoc;
+  let label_feed = Labeled_doc.track_dirty ldoc in
   let label_table = Rel_table.create pager ~rows_per_page in
   let label_by_tag = Hashtbl.create 64 in
   let label_by_node = Int_tbl.create 256 in
@@ -107,4 +108,4 @@ let shred_label pager ?(rows_per_page = 32) ldoc =
            push_tag label_by_tag tag rid));
   rev_tags label_by_tag;
   { label_table; label_by_tag; label_by_node;
-    label_index = Label_index.create (); label_ids = Fun.id }
+    label_index = Label_index.create (); label_feed; label_ids = Fun.id }

@@ -46,6 +46,9 @@ type label_store = {
          structural-join plans and read snapshots; built lazily per tag
          and incrementally repaired when {!Label_sync.flush} reports
          which rows moved *)
+  label_feed : Ltree_doc.Labeled_doc.feed;
+      (* the document's changes since the last {!Label_sync.flush}:
+         registered by the shred, drained by the flush *)
   mutable label_ids : int -> int;
       (* the translation the index applies to a live row's Dom id as it
          fetches the row: identity, except in a shard's store, where it
@@ -64,7 +67,7 @@ val shred_edge :
   Pager.t -> ?rows_per_page:int -> Dom.document -> edge_store
 
 (** [shred_label pager ?rows_per_page ldoc] builds the label relation from
-    a labeled document and starts the document's dirty tracking
+    a labeled document and registers the store's feed on it
     ({!Ltree_doc.Labeled_doc.track_dirty}), so a {!Label_sync} over the
     result sees every later change. *)
 val shred_label :

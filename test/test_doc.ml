@@ -190,65 +190,57 @@ let move_subtree () =
        false
      with Invalid_argument _ -> true)
 
-(* The labeled-since cursor yields exactly the nodes inserted after it
-   was taken and still in the document: relabels and compaction add
-   nothing, a moved node shows up once, an inserted-then-deleted node
-   not at all. *)
-let labeled_since_cursor () =
+(* A feed reports from its registration on: an inserted subtree's nodes
+   first, in document order; a moved subtree once each, live; an
+   inserted then deleted node as dead only.  Registering and draining a
+   second feed leaves the first one's set intact. *)
+let feeds_report_since_registration () =
   let doc = Parser.parse_string "<a><b/><c>x</c></a>" in
   let ldoc = Labeled_doc.of_document doc in
   let root = Option.get doc.root in
   let b = List.nth (Dom.children root) 0 in
-  let since c =
-    let acc = ref [] in
-    Labeled_doc.iter_labeled_since ldoc c (fun s ->
-        Alcotest.(check bool) "yielded slots are live" true
-          (Labeled_doc.slot_live s);
-        acc := Dom.id (Labeled_doc.slot_node s) :: !acc);
-    List.sort compare !acc
-  in
-  let ids nodes = List.sort compare (List.map Dom.id nodes) in
-  let c0 = Labeled_doc.labeled_cursor ldoc in
-  Alcotest.(check (list int)) "nothing since now" [] (since c0);
-  Alcotest.(check (list int)) "cursor 0 yields every node"
-    (ids (Dom.descendants root)) (since 0);
   let d = Parser.parse_fragment "<d><e/>t</d>" in
   Labeled_doc.insert_subtree ldoc ~parent:root ~index:1 d;
-  Alcotest.(check (list int)) "exactly the inserted subtree"
-    (ids (Dom.descendants d)) (since c0);
-  (* Many inserts before [b] relabel it and its neighbours; only the new
-     nodes appear. *)
-  let c1 = Labeled_doc.labeled_cursor ldoc in
-  let fresh =
-    List.init 40 (fun _ ->
-        let n = Parser.parse_fragment "<f/>" in
-        Labeled_doc.insert_subtree ldoc ~parent:root
-          ~index:(Dom.index_in_parent b) n;
-        n)
+  let f = Labeled_doc.track_dirty ldoc in
+  let drain f =
+    let live = ref [] and dead = ref [] in
+    Labeled_doc.drain_dirty f
+      ~live:(fun s -> live := Dom.id (Labeled_doc.slot_node s) :: !live)
+      ~dead:(fun n -> dead := Dom.id n :: !dead);
+    (List.rev !live, List.rev !dead)
   in
-  Alcotest.(check (list int)) "relabeled nodes do not appear" (ids fresh)
-    (since c1);
-  let c2 = Labeled_doc.labeled_cursor ldoc in
-  List.iter (Labeled_doc.delete_subtree ldoc) fresh;
-  Labeled_doc.compact ldoc;
-  Alcotest.(check int) "delete and compact allocate no leaf" c2
-    (Labeled_doc.labeled_cursor ldoc);
-  Alcotest.(check (list int)) "nothing after delete + compact" [] (since c2);
-  let old_slot = Labeled_doc.slot ldoc d in
+  let preorder n =
+    let acc = ref [] in
+    Dom.iter_preorder n (fun x -> acc := Dom.id x :: !acc);
+    List.rev !acc
+  in
+  let drained = Alcotest.(pair (list int) (list int)) in
+  Alcotest.check drained "nothing since registration" ([], []) (drain f);
+  let g = Parser.parse_fragment "<g><h/>u</g>" in
+  Labeled_doc.insert_subtree ldoc ~parent:b ~index:0 g;
+  let live, dead = drain f in
+  Alcotest.(check (list int)) "the inserted subtree first, in document order"
+    (preorder g)
+    (List.filteri (fun i _ -> i < List.length (preorder g)) live);
+  Alcotest.(check (list int)) "no deletion" [] dead;
+  let f2 = Labeled_doc.track_dirty ldoc in
   (* a move: tombstone the subtree, label it again *)
   Labeled_doc.delete_subtree ldoc d;
   Labeled_doc.insert_subtree ldoc ~parent:b ~index:0 d;
-  Alcotest.(check bool) "moved node's old slot is dead" false
-    (Labeled_doc.slot_live old_slot);
-  Alcotest.(check (list int)) "a moved subtree appears once"
-    (ids (Dom.descendants d)) (since c2);
-  let c3 = Labeled_doc.labeled_cursor ldoc in
-  let g = Parser.parse_fragment "<g/>" and h = Parser.parse_fragment "<h/>" in
-  Labeled_doc.insert_subtree ldoc ~parent:root ~index:0 g;
+  let h = Parser.parse_fragment "<h/>" in
   Labeled_doc.insert_subtree ldoc ~parent:root ~index:0 h;
-  Labeled_doc.delete_subtree ldoc g;
-  Alcotest.(check (list int)) "inserted then deleted is absent" [ Dom.id h ]
-    (since c3);
+  Labeled_doc.delete_subtree ldoc h;
+  let live, dead = drain f2 in
+  Alcotest.(check (list int)) "a moved subtree appears once, live"
+    (List.sort Int.compare (preorder d))
+    (List.sort Int.compare
+       (List.filter (fun id -> List.mem id (preorder d)) live));
+  Alcotest.(check (list int)) "inserted then deleted is dead only"
+    [ Dom.id h ] dead;
+  Alcotest.check drained "draining one feed leaves the other's set intact"
+    (live, dead) (drain f);
+  Alcotest.check drained "both feeds are empty after their drains"
+    ([], []) (drain f2);
   Labeled_doc.check ldoc
 
 let labeled_events_view () =
@@ -267,6 +259,7 @@ let suite =
       case "insert positions" `Quick insert_positions;
       case "delete subtree + compact" `Quick delete_subtree;
       case "move subtree" `Quick move_subtree;
-      case "labeled-since cursor" `Quick labeled_since_cursor;
+      case "feeds report since registration" `Quick
+        feeds_report_since_registration;
       case "labeled events view" `Quick labeled_events_view;
       QCheck_alcotest.to_alcotest random_edits_prop ] )

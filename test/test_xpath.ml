@@ -222,10 +222,12 @@ let engines_agree_prop =
       !ok)
 
 (* One long-lived engine over random insert/delete/move/compact
-   schedules: after every batch both engines must agree on random paths
-   and the labeled document must pass its own check.  Half the schedules
-   call [refresh] after each edit, half leave it to [eval].  Paths run
-   before the first edit too, so vectors exist to be kept current. *)
+   schedules: after every batch both engines must agree on random paths,
+   the label engine's tag index must pass its check (before the queries
+   repair it and after) and the labeled document must pass its own
+   check.  Half the schedules call [refresh] after each edit, half
+   leave it to [eval].  Paths run before the first edit too, so index
+   entries exist to be kept current. *)
 let engines_agree_under_edits_prop =
   QCheck.Test.make ~count:60 ~name:"dom and label engines agree under edits"
     QCheck.(make Gen.(triple (int_bound 100_000) (int_range 30 200) bool))
@@ -301,7 +303,9 @@ let engines_agree_under_edits_prop =
           edit ();
           if explicit_refresh then Label_eval.refresh engine
         done;
+        Label_eval.check engine;
         agree ();
+        Label_eval.check engine;
         Labeled_doc.check ldoc
       done;
       !ok)

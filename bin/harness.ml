@@ -88,7 +88,9 @@ let register_telemetry t =
 
 let queries =
   [ "site//item/name"; "//person[address/city]"; "//patch";
-    "//open_auction[bidder]/itemref"; "//item/following-sibling::item" ]
+    "//open_auction[bidder]/itemref"; "//item/following-sibling::item";
+    "//bidder/preceding-sibling::bidder[1]"; "//city/ancestor::*[2]";
+    "//open_auction/following::bidder[2]" ]
 
 (* {1 Query plans}
 

@@ -91,8 +91,6 @@ let[@ltree.hot] rec ub_rec counters (buf : buf) key lo hi =
 let[@ltree.hot] upper_bound_sub counters t ~hi key =
   ub_rec counters t.buf key 0 hi
 
-let[@ltree.hot] upper_bound counters t key = ub_rec counters t.buf key 0 t.len
-
 (* {1 sort_dedup: in-place, allocation-free}
 
    The values are scattered into a bitset over [min, max] and collected

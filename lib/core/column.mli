@@ -74,12 +74,9 @@ val copy_sub : t -> int -> int -> t
 
 val to_list : t -> int list
 
-(** [upper_bound counters t key] is the first position in [0, length t)
-    holding a value [> key] — binary search over a sorted column, one
-    comparison charged per probe.  {!upper_bound_sub} searches only
-    [0, hi). *)
-val upper_bound : Ltree_metrics.Counters.t -> t -> int -> int
-
+(** [upper_bound_sub counters t ~hi key] is the first position in
+    [0, hi) holding a value [> key], or [hi] — binary search over a
+    sorted column, one comparison charged per probe. *)
 val upper_bound_sub : Ltree_metrics.Counters.t -> t -> hi:int -> int -> int
 
 (** [sort_dedup t ~mark] sorts [t] ascending and drops duplicates, in

@@ -132,15 +132,21 @@ let[@ltree.hot] run counters t (ws : Label_index.workspace) plan =
   let d = Query.run counters frozen_entry t ws plan in
   Column.gather d.ids ~idx:ws.w_dpos ws.w_out
 
-(* One task per plan, each on its own counters and workspace; the
-   comparisons are recorded per plan after the barrier. *)
+(* Each domain's workspace, borrowed in turn by the pooled tasks that
+   run on it: a task copies its ids out before it returns. *)
+let domain_ws = Domain.DLS.new_key Label_index.create_workspace
+let domain_workspace () = Domain.DLS.get domain_ws
+
+(* One task per plan, each on its own counters and its domain's
+   workspace; the comparisons are recorded per plan after the
+   barrier. *)
 let run_batch ?counters pool t plans =
   ensure_fresh t;
   let answers =
     Pool.map pool
       (fun plan ->
         let local = Ltree_metrics.Counters.create () in
-        let ws = Label_index.create_workspace () in
+        let ws = domain_workspace () in
         run local t ws plan;
         (Ltree_metrics.Counters.comparisons local, Column.to_list ws.w_out))
       plans

@@ -75,18 +75,23 @@ val refresh : t -> t
     entries' [ids] values) are left in [ws.w_out] in the driver's
     document order, each match once.  Freshness is the caller's
     business ({!is_fresh} or a snapshot it just froze).  Sharded tasks
-    run it over each shard's snapshot, one workspace per task. *)
+    run it over each shard's snapshot. *)
 val run :
   Ltree_metrics.Counters.t ->
   t -> Ltree_relstore.Label_index.workspace -> Ltree_relstore.Query.plan ->
   unit
+
+(** [domain_workspace ()] is the calling domain's own workspace.  A
+    pooled task borrows it for one plan and copies its result ids out
+    before it returns, so a batch allocates no workspace per plan. *)
+val domain_workspace : unit -> Ltree_relstore.Label_index.workspace
 
 (** [run_batch ?counters pool t plans] first raises {!Stale} —
     carrying both frozen and live stamps — if the live document version
     or index generation moved since the freeze (noted as an
     [exec]/[snapshot_stale] recorder event when the recorder is on); then it
     fans the plans across [pool] with [Pool.map], one task per plan on
-    its own workspace; per-plan ids in document order, index-aligned
+    its domain's workspace; per-plan ids in document order, index-aligned
     with [plans].  Each plan's comparisons are recorded after the
     barrier ({!Ltree_relstore.Query.record_comparisons}). *)
 val run_batch :

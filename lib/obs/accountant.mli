@@ -50,7 +50,9 @@ val note : t -> n:int -> relabels:int -> unit
     together performed [relabels] relabelings (a batch insert). *)
 val note_batch : t -> n:int -> count:int -> relabels:int -> unit
 
-(** All breaches so far, oldest first (flushes the partial window). *)
+(** All breaches of the windows closed so far, oldest first.  Unlike
+    {!check} and {!ok} it does not flush: a partial window is not
+    judged. *)
 val breaches : t -> breach list
 
 (** [check t] flushes and raises [Budget_exceeded] with the most recent

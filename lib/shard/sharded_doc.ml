@@ -58,9 +58,6 @@ type shard = {
   mutable snap : Read_snapshot.t option;  (* frozen lazily per query *)
   g_of_l : int Int_tbl.t;  (* local Dom id -> router Dom id *)
   l_of_g : int Int_tbl.t;  (* router Dom id -> local Dom id *)
-  buf : Label_index.workspace;
-      (* the reused workspace of single plans and of a batch's first
-         plan; a batch's other plans take workspaces of their own *)
 }
 
 type t = {
@@ -135,8 +132,8 @@ let sub_range l lo hi =
 
 (* {1 Shard construction} *)
 
-(* A shard over a durable store: its own rel-store, label sync, empty
-   identity maps and reused query buffers.  The store's index fetches
+(* A shard over a durable store: its own rel-store, label sync and
+   empty identity maps.  The store's index fetches
    translate through [g_of_l], so the shard's index, and every snapshot
    copied from it, holds router ids. *)
 let wire_shard ~sid ~sim durable =
@@ -148,8 +145,7 @@ let wire_shard ~sid ~sim durable =
   store.Shredder.label_ids <- Int_tbl.find g_of_l;
   { sid; sim; durable; pager; store; sync; snap = None;
     g_of_l;
-    l_of_g = Int_tbl.create 256;
-    buf = Label_index.create_workspace () }
+    l_of_g = Int_tbl.create 256 }
 
 let make_shard ?params ~group_commit ~sim ~groot gsubs sid =
   let sroot = Dom.element ~attrs:(Dom.attrs groot) (Dom.name groot) in
@@ -294,7 +290,9 @@ let routed ?within t =
    A snapshot whose stamps still match needs no flush: every edit that
    dirties a row moves the document version, so a fresh snapshot means
    an empty dirty set.  Otherwise flush, then refresh (reusing the
-   untouched tags' slices) or freeze for the first time. *)
+   untouched tags' slices) or freeze for the first time.  This is the
+   only flush of the router's reference store: writes leave it stale
+   until the next unsharded plan reads it. *)
 
 let up_to_date sync snap ~freeze =
   match snap with
@@ -337,39 +335,32 @@ let router_snapshot t =
    translated; only the shard roots map to one shared router node
    (the root), and the merge keeps the first shard's. *)
 
-(* One task: a shard's frozen snapshot, the workspace it writes and
-   the plan it runs.  Tasks reach their workspace only through this
-   record, so concurrent tasks never share a mutable structure. *)
-type task = {
-  k_shard : shard;
-  k_snap : Read_snapshot.t;
-  k_ws : Label_index.workspace;
-  k_plan : Query.plan;
-}
+(* One task: a shard's frozen snapshot and the plan it runs. *)
+type task = { k_shard : shard; k_snap : Read_snapshot.t; k_plan : Query.plan }
 
 (* The body every pool task runs: the serial snapshot driver over one
-   shard, its router ids left unsorted in the task's workspace.  The
+   shard, its router ids left unsorted in [ws]'s result column.  The
    task's comparisons go back to the caller, which records them after
    the barrier.  A traced run wraps the task in a "shard.query" span,
    which [shard_query_seconds] folds per shard. *)
-let run_task k =
+let run_task ws k =
   let counters = Counters.create () in
   (if Span.enabled () then
      Span.with_ ~name:"shard.query"
        ~attrs:[ ("shard", string_of_int k.k_shard.sid) ]
-       (fun () -> Read_snapshot.run counters k.k_snap k.k_ws k.k_plan)
-   else Read_snapshot.run counters k.k_snap k.k_ws k.k_plan);
+       (fun () -> Read_snapshot.run counters k.k_snap ws k.k_plan)
+   else Read_snapshot.run counters k.k_snap ws k.k_plan);
   Counters.comparisons counters
 
 (* One query's answer: the tasks' result columns concatenated in route
    order.  A shard's stand-in root starts before all of its other
    rows, so it can only be a shard's first match; every shard after
    the first drops it. *)
-let merge t (wss : Label_index.workspace array) =
+let merge t (cols : Column.t array) =
   let root = Dom.id (root_of t.router) in
   let out = ref [] in
-  for s = Array.length wss - 1 downto 0 do
-    let col = wss.(s).Label_index.w_out in
+  for s = Array.length cols - 1 downto 0 do
+    let col = cols.(s) in
     let n = Column.length col in
     let first = if s > 0 && n > 0 && Column.get col 0 = root then 1 else 0 in
     for i = n - 1 downto first do
@@ -393,18 +384,25 @@ let restrict ?within t ids =
   | None -> ids
   | Some (lo, hi) -> filter_within t ~lo ~hi ids
 
+(* A single plan runs one task per routed shard, each in its shard
+   index's own workspace (nothing else on a shard uses it), and merges
+   straight out of those workspaces. *)
+let shard_ws sh = Label_index.workspace sh.store.Shredder.label_index
+
 let run ?counters ?within t pool plan =
   let tasks =
     Array.of_list
       (List.map
          (fun p ->
            let sh = t.shards.(p) in
-           { k_shard = sh; k_snap = frozen sh; k_ws = sh.buf; k_plan = plan })
+           { k_shard = sh; k_snap = frozen sh; k_plan = plan })
          (routed ?within t))
   in
   Query.record_comparisons ?counters
-    (Array.fold_left ( + ) 0 (Pool.map pool run_task tasks));
-  restrict ?within t (merge t (Array.map (fun k -> k.k_ws) tasks))
+    (Array.fold_left ( + ) 0
+       (Pool.map pool (fun k -> run_task (shard_ws k.k_shard) k) tasks));
+  restrict ?within t
+    (merge t (Array.map (fun k -> (shard_ws k.k_shard).w_out) tasks))
 
 let descendants ?counters ?within t pool ~anc ~desc =
   run ?counters ?within t pool (Query.Descendants (anc, desc))
@@ -417,11 +415,9 @@ let path ?counters ?within t pool tags =
 
 (* The batch fans {e shard x plan} tasks across the pool in one
    [Pool.map], so a hot query no longer serializes on one shard's
-   index.  Several tasks share a shard here, so plan [i]'s task writes
-   a workspace of its own: the shard's [buf] for plan 0, a fresh one
-   for every other plan, dropped when the batch returns so a large
-   batch leaves nothing behind; task [si * nq + qi] answers plan [qi]
-   on routed shard [si]. *)
+   index.  Several tasks share a shard here, so each borrows its
+   domain's workspace and copies its ids out before it returns; task
+   [si * nq + qi] answers plan [qi] on routed shard [si]. *)
 let batch ?within t pool plans =
   let snaps =
     Array.of_list
@@ -436,26 +432,29 @@ let batch ?within t pool plans =
       (Array.to_list
          (Array.map
             (fun (sh, snap) ->
-              Array.mapi
-                (fun i plan ->
-                  let k_ws =
-                    if i = 0 then sh.buf else Label_index.create_workspace ()
-                  in
-                  { k_shard = sh; k_snap = snap; k_ws; k_plan = plan })
+              Array.map
+                (fun plan -> { k_shard = sh; k_snap = snap; k_plan = plan })
                 plans)
             snaps))
   in
-  let outcomes = Pool.map pool run_task tasks in
+  let outcomes =
+    Pool.map pool
+      (fun k ->
+        let ws = Read_snapshot.domain_workspace () in
+        let comparisons = run_task ws k in
+        (comparisons, Column.copy_sub ws.w_out 0 (Column.length ws.w_out)))
+      tasks
+  in
   let nq = Array.length plans in
   let ns = Array.length snaps in
   Array.init nq (fun qi ->
       let comparisons = ref 0 in
       for si = 0 to ns - 1 do
-        comparisons := !comparisons + outcomes.((si * nq) + qi)
+        comparisons := !comparisons + fst outcomes.((si * nq) + qi)
       done;
       Query.record_comparisons !comparisons;
       restrict ?within t
-        (merge t (Array.init ns (fun si -> tasks.((si * nq) + qi).k_ws))))
+        (merge t (Array.init ns (fun si -> snd outcomes.((si * nq) + qi)))))
 
 (* {1 Unsharded reference plans}
 
@@ -615,8 +614,7 @@ let apply t entry =
      let sh = t.shards.(p) in
      shard_apply t sh
        (Journal.Set_text { anchor = local_anchor sh t gnode; text });
-     Journal.apply_entry t.router entry);
-  ignore (Label_sync.flush t.r_sync : Label_sync.stats)
+     Journal.apply_entry t.router entry)
 
 let sync t = Array.iter (fun sh -> Durable_doc.sync sh.durable) t.shards
 

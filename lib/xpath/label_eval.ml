@@ -5,8 +5,6 @@ module Labeled_doc = Ltree_doc.Labeled_doc
 module Label_index = Ltree_relstore.Label_index
 module Query = Ltree_relstore.Query
 
-type item = { node : Dom.node; start_pos : int; end_pos : int; level : int }
-
 (* One {!Label_index} entry per node test, keyed by [test_key]: the
    matching nodes in document order, the Dom id as row id and id.
    Steps hand each other entries: a test's whole entry, or the matches
@@ -16,16 +14,9 @@ type t = {
   feed : Labeled_doc.feed;
   index : Label_index.t;
   mutable version : int; (* document version [feed] was drained at *)
-  one : Label_index.entry; (* a predicate's one-item context *)
+  one : Label_index.entry; (* a predicate's one-row context *)
   counters : Counters.t; (* the kernels' comparisons, not reported *)
 }
-
-let matches_test (test : Ast.test) node =
-  match (test, Dom.kind node) with
-  | Ast.Name n, Dom.Element name -> String.equal n name
-  | Ast.Wildcard, Dom.Element _ -> true
-  | Ast.Text_node, Dom.Text _ -> true
-  | (Ast.Name _ | Ast.Wildcard | Ast.Text_node), _ -> false
 
 (* ["*"] and ["text()"] are not XML names, so no element name collides
    with them. *)
@@ -114,168 +105,146 @@ let entry t (test : Ast.test) =
 
 let node_of t id = Labeled_doc.slot_node (Labeled_doc.slot_by_id t.ldoc id)
 
-let item_of t node =
-  match Labeled_doc.slot t.ldoc node with
-  | s ->
-    Some
-      { node;
-        start_pos = Labeled_doc.slot_start t.ldoc s;
-        end_pos = Labeled_doc.slot_end t.ldoc s;
-        level = Labeled_doc.slot_level s }
-  | exception Not_found -> None
+(* Node sets are positions into a test's entry [e].  A node passes the
+   test exactly when its start label is in [e]: [pos_of_start] is that
+   row's position, or -1. *)
+let pos_of_start t (e : Label_index.entry) start =
+  let p = Label_index.upper_bound t.counters e start - 1 in
+  if p >= 0 && Column.get e.starts p = start then p else -1
 
-let item_of_row t (e : Label_index.entry) p =
-  { node = node_of t (Column.get e.ids p);
-    start_pos = Column.get e.starts p;
-    end_pos = Column.get e.ends p;
-    level = Column.get e.levels p }
+let pos_of_node t e node =
+  let s = Labeled_doc.slot t.ldoc node in
+  pos_of_start t e (Labeled_doc.slot_start t.ldoc s)
 
-let items_of t (e : Label_index.entry) = List.init e.len (item_of_row t e)
+let singleton p = if p < 0 then [] else [ p ]
+
+(* The positions in [lo, hi) that [keep] accepts, in document order, or
+   nearest-first (reversed) with [~rev]. *)
+let positions ?(rev = false) lo hi keep =
+  let cons p acc = if keep p then p :: acc else acc in
+  let rec fwd p acc = if p < lo then acc else fwd (p - 1) (cons p acc) in
+  let rec bwd p acc = if p >= hi then acc else bwd (p + 1) (cons p acc) in
+  if rev then bwd lo [] else fwd (hi - 1) []
 
 (* A step's output entry: whichever of the two step entries is not its
    input.  Every step reads its input completely before it evaluates a
-   predicate (whose nested steps reuse both entries) and writes its
-   output after, so the two suffice at any nesting depth. *)
+   predicate (whose nested steps reuse both entries and the workspace)
+   and writes its output after, so the two suffice at any nesting
+   depth. *)
 let out_for t (input : Label_index.entry) =
   let steps = (Label_index.workspace t.index).w_steps in
   if input == steps.(0) then steps.(1) else steps.(0)
 
-(* The rows of [cands] holding [groups]' items, which all pass
-   [cands]' test: each item's position by binary search on its start
-   label, sorted and deduplicated — document order, no duplicates —
-   then gathered into [out]. *)
-let set_of_items t (cands : Label_index.entry) groups out =
+(* The rows of [cands] at the positions in [groups], gathered into [out]
+   in document order without duplicates. *)
+let gather_groups t (cands : Label_index.entry) groups out =
   let ws = Label_index.workspace t.index in
   Column.clear ws.w_dpos;
-  List.iter
-    (List.iter (fun it ->
-         Column.push ws.w_dpos
-           (Column.upper_bound t.counters cands.starts it.start_pos - 1)))
-    groups;
+  List.iter (List.iter (Column.push ws.w_dpos)) groups;
   Column.sort_dedup ws.w_dpos ~mark:ws.w_mark;
   Query.gather cands ws out;
   out
 
 (* The INL step's pairs come grouped by context, each group in
-   document order: one item list per context with at least one match. *)
-let inl_groups t cands (ws : Label_index.workspace) =
-  let groups = ref [] and group = ref [] and cur = ref (-1) in
-  let close () =
-    (match !group with [] -> () | g -> groups := g :: !groups);
-    group := []
+   document order: one position list per context with a match. *)
+let inl_groups (ws : Label_index.workspace) =
+  let close group groups = if group = [] then groups else group :: groups in
+  let rec go i cur group groups =
+    if i < 0 then close group groups
+    else
+      let apos = Column.get ws.w_apos i and dpos = Column.get ws.w_dpos i in
+      if apos = cur then go (i - 1) cur (dpos :: group) groups
+      else go (i - 1) apos [ dpos ] (close group groups)
   in
-  for i = Column.length ws.w_dpos - 1 downto 0 do
-    let dpos = Column.get ws.w_dpos i and apos = Column.get ws.w_apos i in
-    if apos <> !cur then begin
-      close ();
-      cur := apos
-    end;
-    group := item_of_row t cands dpos :: !group
-  done;
-  close ();
-  !groups
+  go (Column.length ws.w_dpos - 1) (-1) [] []
 
-(* Per-context candidate selection for the non-join axes.  Order-based
-   axes (following/preceding and the sibling axes) read only label
-   comparisons; the upward axes read the DOM's parent pointers and the
-   labels for ordering, mirroring how an RDBMS would combine a parent-id
-   column with the label index.  Groups are in proximity order (reverse
-   axes nearest-first) for positional predicates. *)
-let axis_group t (step : Ast.step) cands (c : item) : item list =
+(* The candidates of the non-join axes for context row [i] of [ctx], as
+   positions into [cands] in proximity order (reverse axes
+   nearest-first) for positional predicates.  The order axes read a
+   label range of [cands]: following starts after the context's end,
+   preceding ends before its start (so excludes its ancestors), and a
+   sibling sits at the context's level inside its parent's interval.
+   The upward axes walk the DOM's parent pointers and find each parent
+   by its start label, as an RDBMS would combine a parent-id column
+   with the label index. *)
+let axis_group t (step : Ast.step) (cands : Label_index.entry)
+    (ctx : Label_index.entry) i =
+  let start = Column.get ctx.starts i and end_ = Column.get ctx.ends i in
+  let level = Column.get ctx.levels i in
+  let node () = node_of t (Column.get ctx.ids i) in
+  let ub key = Label_index.upper_bound t.counters cands key in
+  let at_level p = Column.get cands.levels p = level in
+  let parent_slot () =
+    Option.map (Labeled_doc.slot t.ldoc) (Dom.parent (node ()))
+  in
+  let rec ancestors n =
+    match Dom.parent n with
+    | None -> []
+    | Some p -> singleton (pos_of_node t cands p) @ ancestors p
+  in
   match step.axis with
   | Ast.Child | Ast.Descendant -> assert false (* handled by the join *)
-  | Ast.Self -> if matches_test step.test c.node then [ c ] else []
+  | Ast.Self -> singleton (pos_of_start t cands start)
   | Ast.Parent ->
-    (match Dom.parent c.node with
-     | Some p when matches_test step.test p ->
-       Option.to_list (item_of t p)
-     | Some _ | None -> [])
-  | Ast.Ancestor | Ast.Ancestor_or_self ->
-    let rec up acc n =
-      match Dom.parent n with
-      | None -> List.rev acc (* built nearest-first, keep proximity *)
-      | Some p ->
-        let acc =
-          if matches_test step.test p then
-            match item_of t p with Some it -> it :: acc | None -> acc
-          else acc
-        in
-        up acc p
-    in
-    let self =
-      match step.axis with
-      | Ast.Ancestor_or_self when matches_test step.test c.node -> [ c ]
-      | _ -> []
-    in
-    self @ up [] c.node
-  | Ast.Following ->
-    (* Pure label comparison: start after the context's end tag. *)
-    List.filter (fun d -> d.start_pos > c.end_pos) cands
+    Option.fold ~none:[] ~some:(fun p -> singleton (pos_of_node t cands p))
+      (Dom.parent (node ()))
+  | Ast.Ancestor -> ancestors (node ())
+  | Ast.Ancestor_or_self ->
+    singleton (pos_of_start t cands start) @ ancestors (node ())
+  | Ast.Following -> positions (ub end_) cands.len (fun _ -> true)
   | Ast.Preceding ->
-    (* End before the context's begin tag — ancestors are excluded
-       automatically (their end is after).  Proximity = reverse order. *)
-    List.rev (List.filter (fun d -> d.end_pos < c.start_pos) cands)
-  | Ast.Following_sibling ->
-    (match Dom.parent c.node with
-     | None -> []
-     | Some p ->
-       (match item_of t p with
-        | None -> []
-        | Some pi ->
-          List.filter
-            (fun d ->
-              d.level = c.level
-              && d.start_pos > c.end_pos
-              && d.end_pos < pi.end_pos)
-            cands))
-  | Ast.Preceding_sibling ->
-    (match Dom.parent c.node with
-     | None -> []
-     | Some p ->
-       (match item_of t p with
-        | None -> []
-        | Some pi ->
-          List.rev
-            (List.filter
-               (fun d ->
-                 d.level = c.level
-                 && d.end_pos < c.start_pos
-                 && d.start_pos > pi.start_pos)
-               cands)))
+    positions ~rev:true 0 (ub start) (fun p ->
+        Column.get cands.ends p < start)
+  | Ast.Following_sibling -> (
+      match parent_slot () with
+      | None -> []
+      | Some s ->
+        positions (ub end_) (ub (Labeled_doc.slot_end t.ldoc s)) at_level)
+  | Ast.Preceding_sibling -> (
+      match parent_slot () with
+      | None -> []
+      | Some s ->
+        (* starts strictly between the parent's and the context's *)
+        positions ~rev:true
+          (ub (Labeled_doc.slot_start t.ldoc s))
+          (ub (start - 1)) at_level)
 
-(* Predicates, proximity-positional per context group; [Exists] recurses
-   into step evaluation (still via label joins) from the one-item set
-   of [it], a row of [cands]. *)
-let rec eval_pred t cands ~pos ~size it (pred : Ast.pred) =
+let attr t (cands : Label_index.entry) p a =
+  let node = node_of t (Column.get cands.ids p) in
+  if Dom.is_element node then Dom.attr node a else None
+
+(* Predicates, proximity-positional per context group, on position [p]
+   of [cands]; [Exists] runs its steps (still label joins) from [p]'s
+   row gathered into the one-row entry. *)
+let rec eval_pred t cands ~pos ~size p (pred : Ast.pred) =
   match pred with
   | Ast.Position k -> pos = k
   | Ast.Last -> pos = size
-  | Ast.Has_attr a ->
-    Dom.is_element it.node && Option.is_some (Dom.attr it.node a)
+  | Ast.Has_attr a -> Option.is_some (attr t cands p a)
   | Ast.Attr_eq (a, v) -> (
-      match if Dom.is_element it.node then Dom.attr it.node a else None with
+      match attr t cands p a with
       | Some x -> String.equal x v
       | None -> false)
   | Ast.Attr_neq (a, v) -> (
-      match if Dom.is_element it.node then Dom.attr it.node a else None with
+      match attr t cands p a with
       | Some x -> not (String.equal x v)
       | None -> false)
   | Ast.And (a, b) ->
-    eval_pred t cands ~pos ~size it a && eval_pred t cands ~pos ~size it b
+    eval_pred t cands ~pos ~size p a && eval_pred t cands ~pos ~size p b
   | Ast.Or (a, b) ->
-    eval_pred t cands ~pos ~size it a || eval_pred t cands ~pos ~size it b
-  | Ast.Not p -> not (eval_pred t cands ~pos ~size it p)
+    eval_pred t cands ~pos ~size p a || eval_pred t cands ~pos ~size p b
+  | Ast.Not q -> not (eval_pred t cands ~pos ~size p q)
   | Ast.Exists steps ->
-    let ctx = set_of_items t cands [ [ it ] ] t.one in
+    let ctx = gather_groups t cands [ [ p ] ] t.one in
     (List.fold_left (fun ctx step -> eval_step t step ctx) ctx steps).len > 0
 
 and apply_preds t cands preds group =
   List.fold_left
-    (fun items (pred : Ast.pred) ->
-      let size = List.length items in
+    (fun group (pred : Ast.pred) ->
+      let size = List.length group in
       List.filteri
-        (fun i it -> eval_pred t cands ~pos:(i + 1) ~size it pred)
-        items)
+        (fun i p -> eval_pred t cands ~pos:(i + 1) ~size p pred)
+        group)
     group preds
 
 (* One location step.  The child and descendant axes run one
@@ -283,74 +252,57 @@ and apply_preds t cands preds group =
    stack semi-join without predicates, the index nested loop with them,
    since positional predicates count within each context's group (on
    the child axis, either keeps the pairs one level apart).  The other
-   axes filter per context by labels.  Every result is an entry in
+   axes read one group per context from the test's entry.  All groups
+   are read before any predicate runs.  Every result is an entry in
    document order. *)
 and eval_step t (step : Ast.step) (ctx : Label_index.entry) =
   let cands = entry t step.test in
   let ws = Label_index.workspace t.index in
   let out = out_for t ctx in
-  match step.axis with
-  | Ast.Child | Ast.Descendant -> (
-    let child = match step.axis with Ast.Child -> true | _ -> false in
-    match step.preds with
-    | [] ->
-      Query.step t.counters ~inl:false ~child ctx cands ws;
-      Query.gather cands ws out;
-      out
-    | preds ->
-      Query.step t.counters ~inl:true ~child ctx cands ws;
-      let groups = inl_groups t cands ws in
-      set_of_items t cands (List.map (apply_preds t cands preds) groups) out)
-  | Ast.Self | Ast.Parent | Ast.Ancestor | Ast.Ancestor_or_self
-  | Ast.Following | Ast.Preceding | Ast.Following_sibling
-  | Ast.Preceding_sibling ->
-    let items =
-      (* The upward axes fetch labels per node; the order axes filter the
-         test's entry. *)
+  let child = match step.axis with Ast.Child -> true | _ -> false in
+  match (step.axis, step.preds) with
+  | (Ast.Child | Ast.Descendant), [] ->
+    Query.step t.counters ~inl:false ~child ctx cands ws;
+    Query.gather cands ws out;
+    out
+  | _, preds ->
+    let groups =
       match step.axis with
-      | Ast.Following | Ast.Preceding | Ast.Following_sibling
-      | Ast.Preceding_sibling ->
-        items_of t cands
-      | _ -> []
+      | Ast.Child | Ast.Descendant ->
+        Query.step t.counters ~inl:true ~child ctx cands ws;
+        inl_groups ws
+      | _ -> List.init ctx.len (axis_group t step cands ctx)
     in
-    set_of_items t cands
-      (List.map
-         (fun c -> apply_preds t cands step.preds (axis_group t step items c))
-         (items_of t ctx))
-      out
+    gather_groups t cands (List.map (apply_preds t cands preds) groups) out
 
+(* The document node is the virtual parent of the root element: a
+   leading child or self step tests the root, a leading descendant step
+   starts from the root-inclusive entry, and the other leading axes are
+   empty. *)
 let eval t (path : Ast.t) =
   refresh t;
-  match (Labeled_doc.document t.ldoc).root with
-  | None -> []
-  | Some root -> (
-      match path.steps with
-      | [] -> []
-      | first :: rest ->
-        let cands = entry t first.test in
-        let ctx0 =
-          match first.axis with
-          | Ast.Child | Ast.Self when matches_test first.test root ->
-            set_of_items t cands [ Option.to_list (item_of t root) ] t.one
-          | Ast.Descendant ->
-            (* The entry is root-inclusive already. *)
-            cands
-          | Ast.Child | Ast.Self | Ast.Parent | Ast.Ancestor
-          | Ast.Ancestor_or_self | Ast.Following | Ast.Preceding
-          | Ast.Following_sibling | Ast.Preceding_sibling ->
-            set_of_items t cands [] t.one
+  match ((Labeled_doc.document t.ldoc).root, path.steps) with
+  | None, _ | _, [] -> []
+  | Some root, first :: rest ->
+    let cands = entry t first.test in
+    let ctx0 =
+      match (first.axis, first.preds) with
+      | Ast.Descendant, [] -> cands
+      | axis, preds ->
+        let group =
+          match axis with
+          | Ast.Child | Ast.Self -> singleton (pos_of_node t cands root)
+          | Ast.Descendant -> List.init cands.len Fun.id
+          | Ast.Parent | Ast.Ancestor | Ast.Ancestor_or_self | Ast.Following
+          | Ast.Preceding | Ast.Following_sibling | Ast.Preceding_sibling ->
+            []
         in
-        let ctx0 =
-          match first.preds with
-          | [] -> ctx0
-          | preds ->
-            set_of_items t cands
-              [ apply_preds t cands preds (items_of t ctx0) ]
-              (out_for t ctx0)
-        in
-        let final =
-          List.fold_left (fun ctx step -> eval_step t step ctx) ctx0 rest
-        in
-        List.init final.len (fun i -> node_of t (Column.get final.ids i)))
+        gather_groups t cands [ apply_preds t cands preds group ]
+          (out_for t cands)
+    in
+    let final =
+      List.fold_left (fun ctx step -> eval_step t step ctx) ctx0 rest
+    in
+    List.init final.len (fun i -> node_of t (Column.get final.ids i))
 
 let eval_string t s = eval t (Xpath_parser.parse s)

@@ -13,7 +13,10 @@
     is one level up, i.e. is the parent).  A step with predicates is
     the index nested loop, because positional predicates count within
     each context's group, and a context's group is its probe range in
-    the candidate entry.
+    the candidate entry.  The other axes read, per context, a label
+    range of the candidate entry (the order axes) or each DOM parent's
+    row found by its start label (the upward axes); within a step,
+    node sets are positions into the candidate entry.
 
     The tag index is an instance of the store's per-tag index
     ({!Ltree_relstore.Label_index}): one entry per node test ([name],

@@ -163,9 +163,9 @@ let upper_bound_matches_linear () =
   for _ = 1 to 500 do
     let key = Prng.int prng 1_100 - 50 in
     Alcotest.(check int)
-      (Printf.sprintf "upper_bound %d" key)
+      (Printf.sprintf "upper_bound_sub %d hi=n" key)
       (linear n key)
-      (Column.upper_bound counters c key);
+      (Column.upper_bound_sub counters c ~hi:n key);
     let hi = Prng.int prng (n + 1) in
     Alcotest.(check int)
       (Printf.sprintf "upper_bound_sub %d hi=%d" key hi)

@@ -336,6 +336,78 @@ let leading_step_corners () =
   Alcotest.(check int) "// then ancestor" 2
     (both "//title/ancestor::chapter")
 
+(* The evaluator's label ranges at their edges, reverse-axis proximity,
+   and predicates whose nested steps reuse the workspace while the
+   enclosing step still has context groups to read. *)
+let range_doc_src =
+  "<r><a><b><c/><c>x</c></b><b><c/><c><d/></c></b><e/></a>\
+   <a><b><c><d/></c></b><b/><b><c/><c><d/></c></b></a><a><f/></a></r>"
+
+let range_edges () =
+  let doc = Parser.parse_string range_doc_src in
+  let engine = Label_eval.create (Labeled_doc.of_document doc) in
+  let both path want =
+    let ast = Xpath_parser.parse path in
+    let d = List.map Dom.id (Dom_eval.eval doc ast) in
+    let l = List.map Dom.id (Label_eval.eval engine ast) in
+    Alcotest.(check (list int)) ("engines agree on " ^ path) d l;
+    Alcotest.(check int) ("answer size of " ^ path) want (List.length d)
+  in
+  (* first and last child *)
+  both "/r/a[1]/b[1]/following-sibling::*" 2;
+  both "/r/a[1]/b[1]/preceding-sibling::*" 0;
+  both "/r/a[1]/e/following-sibling::*" 0;
+  both "/r/a[1]/e/preceding-sibling::*" 2;
+  both "/r/a[1]/b[1]/c[1]/preceding::*" 0;
+  both "/r/a[3]/f/following::*" 0;
+  (* the root as context *)
+  both "/r/following-sibling::*" 0;
+  both "/r/preceding-sibling::*" 0;
+  both "/r/following::*" 0;
+  both "/r/preceding::*" 0;
+  both "/r/parent::*" 0;
+  both "/r/ancestor::*" 0;
+  both "/r/ancestor-or-self::r" 1;
+  both "/r/self::r" 1;
+  (* a parent with one child *)
+  both "/r/a[3]/f/following-sibling::*" 0;
+  both "/r/a[3]/f/preceding-sibling::*" 0;
+  both "/r/a[3]/f/parent::a" 1;
+  both "//f/preceding::a" 2;
+  (* empty results *)
+  both "//a/b[4]" 0;
+  both "//d/following-sibling::*" 0;
+  both "//f/following::b" 0;
+  both "//c/following::text()" 1;
+  both "//d/preceding::text()" 1;
+  (* reverse-axis proximity *)
+  both "//d/preceding::*[1]" 3;
+  both "//c/preceding-sibling::*[2]" 0;
+  both "//b/preceding-sibling::*[2]" 1;
+  both "//e/preceding-sibling::*[2]" 1;
+  both "//d/ancestor::*[last()]" 1;
+  both "//d/ancestor::*[2]" 3;
+  both "//c/preceding::*[last()]" 3;
+  both "//b/following-sibling::*[1]" 4;
+  both "//c/following::*[2]" 7;
+  (* Nested predicates, with positions at both levels.  Their steps
+     reuse the workspace and both step entries, so the enclosing step
+     must have read all its groups first: its INL pairs in
+     [//a/b[c[2]/d[1]]], its context rows in [//a/b/self::*[c/d[1]]]. *)
+  both "//a[b[2]/c[1]]" 1;
+  both "//a[b[3]/c[2]/d[1]]" 1;
+  both "//a/b[c[2]/d[1]]" 2;
+  both "//a/b[c[1]][2]" 2;
+  both "/r/a/b[c[2]][1]" 2;
+  both "//a[b[c[2]][2]]" 1;
+  both "//b[following-sibling::*[1]/c[2]]" 2;
+  both "//a/b/following-sibling::*[c[2]/d[1]]" 2;
+  both "//a/b/following-sibling::*[c/d]" 2;
+  both "//a/b/preceding-sibling::*[c/d][1]" 1;
+  both "//c/parent::*[c/d]" 3;
+  both "//a/b/ancestor::*[b/c][1]" 2;
+  both "//a/b/self::*[c/d[1]]" 3
+
 let engines_agree_after_updates () =
   let doc = Parser.parse_string doc_src in
   let ldoc = Labeled_doc.of_document doc in
@@ -363,6 +435,7 @@ let suite =
       case "label eval reference answers" `Quick label_eval_known;
       case "all axes: engines agree on known answers" `Quick axes_known;
       case "leading-step corners" `Quick leading_step_corners;
+      case "label ranges at their edges" `Quick range_edges;
       case "engines agree after updates" `Quick engines_agree_after_updates;
       QCheck_alcotest.to_alcotest engines_agree_prop;
       QCheck_alcotest.to_alcotest engines_agree_under_edits_prop ] )

@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-query bench-recovery bench-parallel bench-parallel-smoke bench-replication bench-shard bench-shard-smoke examples soak analyze selfcheck selfcheck-quick crash-matrix crash-matrix-quick matrix-summaries replica-matrix shard-matrix shard-matrix-quick replicate-smoke trace-smoke obs-smoke bench-check ci clean
+.PHONY: all build test bench bench-query bench-recovery bench-parallel bench-replication bench-shard examples soak analyze selfcheck selfcheck-quick crash-matrix crash-matrix-quick matrix-summaries replica-matrix shard-matrix shard-matrix-quick replicate-smoke trace-smoke obs-smoke bench-check ci clean
 
 all: build
 
@@ -149,8 +149,14 @@ obs-smoke:
 
 # Counter gate: run the four end-to-end workloads at smoke size, traced,
 # seed 1, and require every deterministic counter to equal
-# test/bench_counters.expected.jsonl.  Wall time is printed, not gated.
-# A change that legitimately moves a counter regenerates the file with
+# test/bench_counters.expected.jsonl; then run the five layer benches
+# (exp_query, exp_recovery, exp_replication, exp_parallel, exp_shard) at
+# smoke size into _build/BENCH_*.smoke.json, require each to exit 0 (the
+# parallel bench's disabled-span bound, the shard bench's K=4 one-domain
+# floor and every answer cross-check bind here), and require their
+# deterministic columns to equal test/layer_bench_counters.expected.jsonl.
+# Wall time is printed, not gated.  A change that legitimately moves a
+# counter regenerates both files with
 # `python3 tools/bench_check.py --update` and names the moved counters.
 bench-check:
 	python3 tools/bench_check.py
@@ -159,15 +165,7 @@ ci:
 	dune build @all && dune runtest --force && \
 	$(MAKE) analyze && \
 	$(MAKE) selfcheck-quick && $(MAKE) matrix-summaries && \
-	$(MAKE) trace-smoke && $(MAKE) obs-smoke && \
-	$(MAKE) bench-parallel-smoke && \
-	$(MAKE) bench-shard-smoke && $(MAKE) bench-check && \
-	dune exec bench/exp_query.exe -- --n 2000 --queries 100 \
-	  --json _build/BENCH_query.smoke.json && \
-	dune exec bench/exp_recovery.exe -- --ops 200 \
-	  --json _build/BENCH_recovery.smoke.json > /dev/null && \
-	dune exec bench/exp_replication.exe -- --ops 50 \
-	  --json _build/BENCH_replication.smoke.json > /dev/null
+	$(MAKE) trace-smoke && $(MAKE) obs-smoke && $(MAKE) bench-check
 
 bench:
 	dune exec bench/main.exe
@@ -191,14 +189,6 @@ bench-recovery:
 bench-parallel:
 	dune exec bench/exp_parallel.exe -- --json BENCH_parallel.json
 
-# Tiny run wired into `make ci`: exercises the pool, the determinism
-# cross-check, the span fast-path bound and the record writer without
-# the full sweep.
-bench-parallel-smoke:
-	dune exec bench/exp_parallel.exe -- \
-	  --sizes 500 --domains-list 1,2 --reps 2 --batch 16 \
-	  --json _build/BENCH_parallel.smoke.json > /dev/null
-
 # Sharded fan-out: batched joins over K subtree shards at K in 1/2/4
 # and 1/2/4 domains, hotspot and uniform documents; emits QPS, p99 and
 # speedup rows to BENCH_shard.json.  The >= 2x @ K>=4 assertion binds
@@ -206,17 +196,6 @@ bench-parallel-smoke:
 # (>= 1.0x on one domain).
 bench-shard:
 	dune exec bench/exp_shard.exe -- --json BENCH_shard.json
-
-# Tiny run wired into `make ci`: exercises the sharded fan-out path
-# (the route-order merge across up to four shards), the
-# sharded-vs-unsharded byte-identity cross-check and the record writer
-# without the sweep.  n=2000 is the smallest size tried at which the
-# one-domain K=4 floor holds; at n=400 four tasks cost more than the
-# join they split.
-bench-shard-smoke:
-	dune exec bench/exp_shard.exe -- --n 2000 --shards-list 1,2,4 \
-	  --domains-list 1,2 --reps 2 --batch 12 \
-	  --json _build/BENCH_shard.smoke.json > /dev/null
 
 # Journal-shipping cost: steady-state lag vs. group commit, cold-replica
 # catch-up throughput, and failover time; emits BENCH_replication.json.

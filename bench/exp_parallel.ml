@@ -49,6 +49,8 @@ type row = {
   wall_ms : float;  (* total wall time across reps *)
   queries_per_s : float;
   speedup : float;  (* vs the 1-domain row of the same (workload, n) *)
+  comparisons_per_query : float;
+  minor_words_per_query : float option;  (* on a 1-domain pool only *)
 }
 
 let item () =
@@ -128,6 +130,16 @@ let run_cell ~pattern ~n ~domains_list ~batchq ~reps =
             ignore (Read_snapshot.run_batch pool snap batch)
           done;
           let wall = Unix.gettimeofday () -. t0 in
+          (* The deterministic columns, from one more untimed batch
+             after the timed reps (so it warms nothing they time):
+             comparisons per query at any pool size, and minor-heap
+             words per query on a 1-domain pool, where every task runs
+             on this domain. *)
+          let counters = Counters.create () in
+          let w0 = Gc.minor_words () in
+          ignore (Read_snapshot.run_batch ~counters pool snap batch);
+          let words = Gc.minor_words () -. w0 in
+          let per_query x = x /. float_of_int batchq in
           if domains = 1 then serial_wall := wall;
           { workload = Driver.pattern_name pattern;
             n;
@@ -136,7 +148,11 @@ let run_cell ~pattern ~n ~domains_list ~batchq ~reps =
             reps;
             wall_ms = wall *. 1e3;
             queries_per_s = float_of_int (batchq * reps) /. Float.max 1e-9 wall;
-            speedup = !serial_wall /. Float.max 1e-9 wall }))
+            speedup = !serial_wall /. Float.max 1e-9 wall;
+            comparisons_per_query =
+              per_query (float_of_int (Counters.comparisons counters));
+            minor_words_per_query =
+              (if domains = 1 then Some (per_query words) else None) }))
     domains_list
 
 (* {1 Disabled-span fast path} *)
@@ -196,17 +212,22 @@ let print_rows rows =
   Table.print
     ~title:"parallel batched structural joins: domain-pool speedup"
     ~header:
-      [ "workload"; "n"; "domains"; "batch"; "wall ms"; "q/s"; "speedup" ]
+      [ "workload"; "n"; "domains"; "batch"; "wall ms"; "q/s"; "speedup";
+        "cmp/q"; "words/q" ]
     ~align:
       [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-        Table.Right; Table.Right ]
+        Table.Right; Table.Right; Table.Right; Table.Right ]
     (List.map
        (fun r ->
          [ r.workload; string_of_int r.n; string_of_int r.domains;
            string_of_int r.batch;
            Printf.sprintf "%.1f" r.wall_ms;
            Printf.sprintf "%.0f" r.queries_per_s;
-           Printf.sprintf "%.2fx" r.speedup ])
+           Printf.sprintf "%.2fx" r.speedup;
+           Printf.sprintf "%.1f" r.comparisons_per_query;
+           (match r.minor_words_per_query with
+            | Some w -> Printf.sprintf "%.1f" w
+            | None -> "-") ])
        rows)
 
 let record_row r =
@@ -217,8 +238,13 @@ let record_row r =
         ("domains", int r.domains); ("batch", int r.batch);
         ("reps", int r.reps) ]
     ~metrics:
-      [ ("wall_ms", num r.wall_ms); ("queries_per_s", num r.queries_per_s);
-        ("speedup", num r.speedup) ]
+      ([ ("wall_ms", num r.wall_ms); ("queries_per_s", num r.queries_per_s);
+         ("speedup", num r.speedup);
+         ("comparisons_per_query", num r.comparisons_per_query) ]
+      @
+      match r.minor_words_per_query with
+      | Some w -> [ ("minor_words_per_query", num w) ]
+      | None -> [])
 
 let speedup_check ~cores ~domains_list rows =
   (* The headline acceptance (>= 2x at 4 domains, n >= 10k) only binds

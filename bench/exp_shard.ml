@@ -51,6 +51,8 @@ type row = {
   speedup : float;
       (* best-of-reps throughput vs the mean throughput of the
          (shards=1, domains=1) row of the same pattern *)
+  comparisons_per_query : float;
+  minor_words_per_query : float option;  (* on a 1-domain pool only *)
 }
 
 let item () =
@@ -127,6 +129,16 @@ let run_cell ~pattern ~n ~shards ~domains_list ~batchq ~reps =
             times.(r) <- Unix.gettimeofday () -. t0
           done;
           let wall = Array.fold_left ( +. ) 0.0 times in
+          (* The deterministic columns, from one more untimed batch
+             after the timed reps (so it warms nothing they time):
+             comparisons per query at any pool size, and minor-heap
+             words per query on a 1-domain pool, where every task runs
+             on this domain. *)
+          let counters = Ltree_metrics.Counters.create () in
+          let w0 = Gc.minor_words () in
+          ignore (Sharded_doc.batch ~counters sd pool batch);
+          let words = Gc.minor_words () -. w0 in
+          let per_query x = x /. float_of_int batchq in
           let best = Array.fold_left Float.min infinity times in
           Array.sort Float.compare times;
           { pattern = Driver.pattern_name pattern;
@@ -140,7 +152,12 @@ let run_cell ~pattern ~n ~shards ~domains_list ~batchq ~reps =
             best_queries_per_s =
               float_of_int batchq /. Float.max 1e-9 best;
             p99_batch_ms = percentile 0.99 times *. 1e3;
-            speedup = 0.0 (* filled in once the baseline row is known *) }))
+            speedup = 0.0 (* filled in once the baseline row is known *);
+            comparisons_per_query =
+              per_query
+                (float_of_int (Ltree_metrics.Counters.comparisons counters));
+            minor_words_per_query =
+              (if domains = 1 then Some (per_query words) else None) }))
     domains_list
 
 let with_speedups rows =
@@ -162,10 +179,11 @@ let print_rows rows =
   Table.print ~title:"sharded fan-out: throughput and tail vs K and pool size"
     ~header:
       [ "pattern"; "n"; "K"; "domains"; "batch"; "q/s"; "best q/s";
-        "p99 batch ms"; "speedup" ]
+        "p99 batch ms"; "speedup"; "cmp/q"; "words/q" ]
     ~align:
       [ Table.Left; Table.Right; Table.Right; Table.Right; Table.Right;
-        Table.Right; Table.Right; Table.Right; Table.Right ]
+        Table.Right; Table.Right; Table.Right; Table.Right; Table.Right;
+        Table.Right ]
     (List.map
        (fun r ->
          [ r.pattern; string_of_int r.n; string_of_int r.shards;
@@ -173,7 +191,11 @@ let print_rows rows =
            Printf.sprintf "%.0f" r.queries_per_s;
            Printf.sprintf "%.0f" r.best_queries_per_s;
            Printf.sprintf "%.2f" r.p99_batch_ms;
-           Printf.sprintf "%.2fx" r.speedup ])
+           Printf.sprintf "%.2fx" r.speedup;
+           Printf.sprintf "%.1f" r.comparisons_per_query;
+           (match r.minor_words_per_query with
+            | Some w -> Printf.sprintf "%.1f" w
+            | None -> "-") ])
        rows)
 
 let record_row r =
@@ -184,9 +206,14 @@ let record_row r =
         ("domains", int r.domains); ("batch", int r.batch);
         ("reps", int r.reps) ]
     ~metrics:
-      [ ("wall_ms", num r.wall_ms); ("queries_per_s", num r.queries_per_s);
+      ([ ("wall_ms", num r.wall_ms); ("queries_per_s", num r.queries_per_s);
         ("best_queries_per_s", num r.best_queries_per_s);
-        ("p99_batch_ms", num r.p99_batch_ms); ("speedup", num r.speedup) ]
+        ("p99_batch_ms", num r.p99_batch_ms); ("speedup", num r.speedup);
+        ("comparisons_per_query", num r.comparisons_per_query) ]
+      @
+      match r.minor_words_per_query with
+      | Some w -> [ ("minor_words_per_query", num w) ]
+      | None -> [])
 
 let speedup_check ~cores rows =
   let binding = cores >= 4 in

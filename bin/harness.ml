@@ -3,16 +3,16 @@
    too).
 
    One harness owns a full stack — labeled document, both XPath engines,
-   the synced relational store, journal + snapshot recovery, and a
-   materialized/virtual twin pair — and registers every invariant the
-   stack defines into a single [Ltree_analysis.Invariant] registry, so
-   validation always means "run them all", not whichever subset a
-   harness remembered.
+   the synced relational store, a durable and a sharded twin of the
+   document, and a materialized/virtual twin pair — and registers every
+   invariant the stack defines into a single [Ltree_analysis.Invariant]
+   registry, so validation always means "run them all", not whichever
+   subset a harness remembered.
 
-   Mutations go through a self-describing operation log (one printable
-   line per op; indices are reduced modulo the current population, so
-   any subsequence of a log stays applicable).  A failing run therefore
-   replays from (params, seed, log), which is what lets
+   Mutations go through a typed operation log ([op], printed one line
+   per op by [op_to_string]; indices are reduced modulo the current
+   population, so any subsequence of a log stays applicable).  A failing
+   run therefore replays from (params, seed, log), which is what lets
    [minimized_counterexample] delta-debug the log down and dump a
    reproducible [Invariant.Counterexample]. *)
 
@@ -32,6 +32,33 @@ module Pool = Ltree_exec.Pool
 module Read_snapshot = Ltree_exec.Read_snapshot
 module Sharded_doc = Ltree_shard.Sharded_doc
 
+(* One harness operation.  The twin ops insert into the materialized/
+   virtual pair after the leaf their index picks; the document ops pick
+   their target among the live elements or texts by index, so they stay
+   applicable on any subsequence of a log (an anchor label might not
+   resolve there).  [Corrupt] and [Storm] exist to prove that an alarm
+   fires. *)
+type op =
+  | Ins of int
+  | Batch of int * int  (* after leaf [j], insert [k] leaves *)
+  | Doc_del of int
+  | Doc_text of int
+  | Doc_ins of int * int  (* under element [i], patch [c] *)
+  | Checkpoint
+  | Corrupt
+  | Storm
+
+(* The one printer: one line per op, as counterexample dumps hold them. *)
+let op_to_string = function
+  | Ins j -> Printf.sprintf "ins %d" j
+  | Batch (j, k) -> Printf.sprintf "batch %d %d" j k
+  | Doc_del i -> Printf.sprintf "doc-del %d" i
+  | Doc_text i -> Printf.sprintf "doc-text %d" i
+  | Doc_ins (i, c) -> Printf.sprintf "doc-ins %d %d" i c
+  | Checkpoint -> "checkpoint"
+  | Corrupt -> "corrupt"
+  | Storm -> "storm"
+
 type t = {
   params : Params.t;
   seed : int;
@@ -42,8 +69,6 @@ type t = {
   pager : Pager.t;
   store : Shredder.label_store;
   sync : Label_sync.t;
-  journal : Journal.t;
-  mutable snapshot : string;
   sim : Fault.sim;  (* the durable twin's simulated disk *)
   durable : Durable_doc.t;  (* crash-safe replica fed the same entries *)
   sharded : Sharded_doc.t;
@@ -60,7 +85,7 @@ type t = {
       (* when present, exec.parallel-plans-agree reruns every query
          plan over a frozen snapshot on this pool *)
   registry : Invariant.registry;
-  mutable log : string list;  (* newest first *)
+  mutable log : op list;  (* newest first *)
 }
 
 let registry t = t.registry
@@ -71,9 +96,9 @@ let doc_counters t = Labeled_doc.counters t.ldoc
 
 (* Gauge sources over the live stack, plus the GC ones: each
    [Telemetry.sample] writes their readings into the event ring, so
-   `ltree top` shows how label width, population and journal depth move
-   as the workload runs, and a failure bundle shows where they stood
-   when an invariant broke. *)
+   `ltree top` shows how label width, population and the durable twin's
+   sequence number move as the workload runs, and a failure bundle shows
+   where they stood when an invariant broke. *)
 let register_telemetry t =
   let reg name fn = Ltree_obs.Telemetry.register ~name fn in
   Ltree_obs.Telemetry.register_gc ();
@@ -82,7 +107,6 @@ let register_telemetry t =
   reg "doc_live_tags" (fun () ->
       float_of_int (Ltree.live_length (Labeled_doc.tree t.ldoc)));
   reg "twin_leaves" (fun () -> float_of_int (Ltree.length t.mt));
-  reg "journal_entries" (fun () -> float_of_int (Journal.length t.journal));
   reg "durable_last_seq" (fun () ->
       float_of_int (Durable_doc.last_seq t.durable))
 
@@ -350,15 +374,32 @@ let register_invariants t =
           end
         in
         batches 0));
+  (* Recover a copy of the durable twin's files, as a crash right now
+     would: nothing was lost, so recovery must find no fault and the
+     recovered document must be label-identical to the live one — every
+     entry the twin journaled replays to the edit the live document
+     made. *)
   Invariant.register reg ~name:"recovery.roundtrip" ~depth:Invariant.Deep
     (fun () ->
-      let recovered = Snapshot.load t.snapshot in
-      Journal.replay t.journal recovered;
-      Labeled_doc.check recovered;
-      let labels d = List.map snd (Labeled_doc.labeled_events d) in
-      if not (List.equal Int.equal (labels t.ldoc) (labels recovered)) then
+      let io = Fault.sim_io (Fault.create_sim ~files:(Fault.dump t.sim) ()) in
+      let faults fs = String.concat ", " (List.map Durable_doc.fault_kind fs) in
+      match Durable_doc.recover ~io ~dir:"store" () with
+      | Error fs ->
         Invariant.fail ~name:"recovery.roundtrip"
-          "snapshot + journal replay diverges from the live document");
+          "the durable twin's files do not recover: %s" (faults fs)
+      | Ok ({ Durable_doc.faults = _ :: _ as fs; _ }, _) ->
+        Invariant.fail ~name:"recovery.roundtrip"
+          "recovering the durable twin's files reports faults: %s"
+          (faults fs)
+      | Ok (_, recovered) ->
+        let recovered = Durable_doc.ldoc recovered in
+        Labeled_doc.check recovered;
+        let labels d = List.map snd (Labeled_doc.labeled_events d) in
+        if not (List.equal Int.equal (labels t.ldoc) (labels recovered))
+        then
+          Invariant.fail ~name:"recovery.roundtrip"
+            "recovering the durable twin's files diverges from the live \
+             document");
   (* The durable twin's on-disk state must stay scannable/loadable, and
      its document label-identical to the live one (it is fed the same
      entries, and labels are deterministic).  These are the same
@@ -368,7 +409,7 @@ let register_invariants t =
     ~expected_labels:(fun () ->
       Array.of_list (List.map snd (Labeled_doc.labeled_events t.ldoc)))
     t.durable;
-  (* §3.2: the observed per-insertion relabel cost must stay within the
+  (* §3.1: the observed per-insertion relabel cost must stay within the
      closed-form amortized budget.  Budget_exceeded is the accountant's
      own exception — [Invariant.run_entry] only understands Violation,
      so convert inside the closure. *)
@@ -394,7 +435,6 @@ let create ?(params = Params.make ~f:8 ~s:2) ?pool ~seed ~make_doc () =
   let pager = Pager.create (Counters.create ()) in
   let store = Shredder.shred_label pager ldoc in
   let sync = Label_sync.create pager store ldoc in
-  let journal = Journal.create () in
   let sim = Fault.create_sim () in
   (* The durable twin labels its own replica of the same document
      ([make_doc] is deterministic), so anchors — begin-tag labels —
@@ -410,10 +450,8 @@ let create ?(params = Params.make ~f:8 ~s:2) ?pool ~seed ~make_doc () =
   let vt, vl = Virtual_ltree.bulk_load ~params 64 in
   let t =
     {
-      params; seed; doc; root; ldoc; engine; pager; store; sync; journal;
-      sim; durable; sharded;
-      snapshot = Snapshot.save ldoc;
-      mt; vt;
+      params; seed; doc; root; ldoc; engine; pager; store; sync; sim;
+      durable; sharded; mt; vt;
       mh = Array.to_list ml;
       vh = Array.to_list vl;
       acct =
@@ -431,7 +469,6 @@ let create ?(params = Params.make ~f:8 ~s:2) ?pool ~seed ~make_doc () =
 (* {1 Operations} *)
 
 let pick l j = List.nth l (abs j mod List.length l)
-let int_arg s = match int_of_string_opt s with Some v -> v | None -> 0
 
 let live_elements t =
   List.filter
@@ -439,122 +476,111 @@ let live_elements t =
     (Dom.descendants t.root)
 
 let live_texts t = List.filter Dom.is_text (Dom.descendants t.root)
+let start_label t node = (Labeled_doc.label t.ldoc node).Labeled_doc.start_pos
 
-let exec t line =
-  match String.split_on_char ' ' line with
-  | [] -> ()
-  | cmd :: args -> (
-    match (cmd, args) with
-    | "#", _ | "", _ -> ()
-    | "ins", [ j ] ->
-      let j = int_arg j in
-      let m = pick t.mh j and v = pick t.vh j in
-      let before = Counters.relabels (Ltree.counters t.mt) in
-      t.mh <- Ltree.insert_after t.mt m :: t.mh;
-      Accountant.note t.acct ~n:(Ltree.length t.mt)
-        ~relabels:(Counters.relabels (Ltree.counters t.mt) - before);
-      t.vh <- Virtual_ltree.insert_after t.vt v :: t.vh
-    | "batch", [ j; k ] ->
-      let j = int_arg j and k = max 1 (int_arg k) in
-      let m = pick t.mh j and v = pick t.vh j in
-      let before = Counters.relabels (Ltree.counters t.mt) in
-      t.mh <- Array.to_list (Ltree.insert_batch_after t.mt m k) @ t.mh;
-      Accountant.note_batch t.acct ~n:(Ltree.length t.mt) ~count:k
-        ~relabels:(Counters.relabels (Ltree.counters t.mt) - before);
-      t.vh <-
-        Array.to_list (Virtual_ltree.insert_batch_after t.vt v k) @ t.vh
-    | "corrupt", _ ->
-      (* An unmirrored materialized insert: legal for the tree itself,
-         but it desynchronizes the twins, so twin.parity must fail. *)
-      Ltree_obs.Span.note ~kind:"fault" "harness_corrupt";
-      t.mh <- Ltree.insert_after t.mt (pick t.mh 0) :: t.mh
-    | "storm", _ ->
-      (* A synthetic relabeling storm: one full accounting window of
-         insertions each claiming relabel costs far past any c*log2 n
-         budget, so obs.amortized-bound must trip.  The twins are left
-         untouched — like [corrupt], this op exists to prove the alarm
-         fires. *)
-      Ltree_obs.Span.note ~kind:"fault" "harness_storm";
-      let n = max 2 (Ltree.length t.mt) in
-      for _ = 1 to Accountant.window t.acct do
-        Accountant.note t.acct ~n ~relabels:100_000
-      done
-    | "doc-del", [ i ] -> (
-      match live_elements t with
-      | [] -> ()
-      | es ->
-        let node = pick es (int_arg i) in
-        let anchor = (Labeled_doc.label t.ldoc node).Labeled_doc.start_pos in
-        Journal.delete_subtree t.journal t.ldoc node;
-        Durable_doc.apply t.durable (Journal.Delete { anchor });
-        Sharded_doc.apply t.sharded (Journal.Delete { anchor }))
-    | "doc-text", [ i ] -> (
-      match live_texts t with
-      | [] -> ()
-      | ts ->
-        let node = pick ts (int_arg i) in
-        let anchor = (Labeled_doc.label t.ldoc node).Labeled_doc.start_pos in
-        Journal.set_text t.journal t.ldoc node "selfcheck edit";
-        Durable_doc.apply t.durable
-          (Journal.Set_text { anchor; text = "selfcheck edit" });
-        Sharded_doc.apply t.sharded
-          (Journal.Set_text { anchor; text = "selfcheck edit" }))
-    | "doc-ins", [ i; c ] -> (
-      match live_elements t with
-      | [] -> ()
-      | es ->
-        let parent = pick es (int_arg i) in
-        let anchor =
-          (Labeled_doc.label t.ldoc parent).Labeled_doc.start_pos
-        in
-        let index = abs (int_arg c) mod (Dom.child_count parent + 1) in
-        let xml =
-          Printf.sprintf "<patch n=\"%d\">p<deep><x/></deep></patch>"
-            (int_arg c)
-        in
-        Journal.insert_subtree t.journal t.ldoc ~parent ~index
-          (Parser.parse_fragment xml);
-        Durable_doc.apply t.durable (Journal.Insert { anchor; index; xml });
-        Sharded_doc.apply t.sharded (Journal.Insert { anchor; index; xml }))
-    | "checkpoint", _ ->
-      t.snapshot <- Snapshot.save t.ldoc;
-      Journal.clear t.journal;
-      Durable_doc.checkpoint t.durable;
-      Sharded_doc.checkpoint t.sharded;
-      (* Density may have drifted; a split here proves the plans stay
-         exact across a live rebalance. *)
-      ignore (Sharded_doc.maybe_rebalance t.sharded : bool)
-    | _, _ -> ())
+(* The one write path of a document op: its entry, resolved against the
+   live document, is applied to it and to both twins alike. *)
+let edit t entry =
+  Journal.apply_entry t.ldoc entry;
+  Durable_doc.apply t.durable entry;
+  Sharded_doc.apply t.sharded entry
 
-let apply t line =
-  (match String.split_on_char ' ' line with
-   | cmd :: _ when not (String.equal cmd "") ->
-     Span.with_ ~name:("op." ^ cmd)
-       ~counters:(Labeled_doc.counters t.ldoc) (fun () -> exec t line)
-   | _ -> exec t line);
-  t.log <- line :: t.log
+let exec t = function
+  | Ins j ->
+    let m = pick t.mh j and v = pick t.vh j in
+    let before = Counters.relabels (Ltree.counters t.mt) in
+    t.mh <- Ltree.insert_after t.mt m :: t.mh;
+    Accountant.note t.acct ~n:(Ltree.length t.mt)
+      ~relabels:(Counters.relabels (Ltree.counters t.mt) - before);
+    t.vh <- Virtual_ltree.insert_after t.vt v :: t.vh
+  | Batch (j, k) ->
+    let m = pick t.mh j and v = pick t.vh j in
+    let before = Counters.relabels (Ltree.counters t.mt) in
+    t.mh <- Array.to_list (Ltree.insert_batch_after t.mt m k) @ t.mh;
+    Accountant.note_batch t.acct ~n:(Ltree.length t.mt) ~count:k
+      ~relabels:(Counters.relabels (Ltree.counters t.mt) - before);
+    t.vh <- Array.to_list (Virtual_ltree.insert_batch_after t.vt v k) @ t.vh
+  | Corrupt ->
+    (* An unmirrored materialized insert: legal for the tree itself, but
+       it desynchronizes the twins, so twin.parity must fail. *)
+    Ltree_obs.Span.note ~kind:"fault" "harness_corrupt";
+    t.mh <- Ltree.insert_after t.mt (pick t.mh 0) :: t.mh
+  | Storm ->
+    (* A synthetic relabeling storm: one full accounting window of
+       insertions each claiming relabel costs far past any c*log2 n
+       budget, so obs.amortized-bound must trip.  The twins are left
+       untouched — like [Corrupt], this op exists to prove the alarm
+       fires. *)
+    Ltree_obs.Span.note ~kind:"fault" "harness_storm";
+    let n = max 2 (Ltree.length t.mt) in
+    for _ = 1 to Accountant.window t.acct do
+      Accountant.note t.acct ~n ~relabels:100_000
+    done
+  | Doc_del i -> (
+    match live_elements t with
+    | [] -> ()
+    | es -> edit t (Journal.Delete { anchor = start_label t (pick es i) }))
+  | Doc_text i -> (
+    match live_texts t with
+    | [] -> ()
+    | ts ->
+      edit t
+        (Journal.Set_text
+           { anchor = start_label t (pick ts i); text = "selfcheck edit" }))
+  | Doc_ins (i, c) -> (
+    match live_elements t with
+    | [] -> ()
+    | es ->
+      let parent = pick es i in
+      edit t
+        (Journal.Insert
+           { anchor = start_label t parent;
+             index = c mod (Dom.child_count parent + 1);
+             xml =
+               Printf.sprintf "<patch n=\"%d\">p<deep><x/></deep></patch>" c
+           }))
+  | Checkpoint ->
+    Durable_doc.checkpoint t.durable;
+    Sharded_doc.checkpoint t.sharded;
+    (* Density may have drifted; a split here proves the plans stay
+       exact across a live rebalance. *)
+    ignore (Sharded_doc.maybe_rebalance t.sharded : bool)
 
-let corrupt_op = "corrupt"
-let checkpoint_op = "checkpoint"
-let storm_op = "storm"
+let span_name = function
+  | Ins _ -> "op.ins"
+  | Batch _ -> "op.batch"
+  | Doc_del _ -> "op.doc-del"
+  | Doc_text _ -> "op.doc-text"
+  | Doc_ins _ -> "op.doc-ins"
+  | Checkpoint -> "op.checkpoint"
+  | Corrupt -> "op.corrupt"
+  | Storm -> "op.storm"
+
+let apply t op =
+  Span.with_ ~name:(span_name op) ~counters:(Labeled_doc.counters t.ldoc)
+    (fun () -> exec t op);
+  t.log <- op :: t.log
 
 (* One simulation step: a twin-tree insertion plus a document edit.
-   Indices are drawn large and reduced at [exec] time, so the lines stay
-   meaningful on any replayed subsequence. *)
+   Indices are drawn large and reduced at [exec] time, so the ops stay
+   meaningful on any replayed subsequence.  The draw order is part of
+   every seeded workload: a batch draws its size before its leaf, a
+   patch insert its number before its element. *)
 let random_ops prng =
+  let draw n = Prng.int prng n in
   let twin =
-    if Prng.int prng 10 = 0 then
-      Printf.sprintf "batch %d %d" (Prng.int prng 1_000_000)
-        (1 + Prng.int prng 8)
-    else Printf.sprintf "ins %d" (Prng.int prng 1_000_000)
+    if draw 10 = 0 then
+      let k = 1 + draw 8 in
+      Batch (draw 1_000_000, k)
+    else Ins (draw 1_000_000)
   in
   let doc =
-    match Prng.int prng 6 with
-    | 0 -> Printf.sprintf "doc-del %d" (Prng.int prng 1_000_000)
-    | 1 -> Printf.sprintf "doc-text %d" (Prng.int prng 1_000_000)
+    match draw 6 with
+    | 0 -> Doc_del (draw 1_000_000)
+    | 1 -> Doc_text (draw 1_000_000)
     | _ ->
-      Printf.sprintf "doc-ins %d %d" (Prng.int prng 1_000_000)
-        (Prng.int prng 8)
+      let c = draw 8 in
+      Doc_ins (draw 1_000_000, c)
   in
   [ twin; doc ]
 
@@ -610,7 +636,7 @@ let minimized_counterexample t ~make_doc (failure : Invariant.failure) =
       seed = t.seed;
       failing = failure.Invariant.name;
       detail;
-      ops;
+      ops = List.map op_to_string ops;
       labels = labels t';
     },
     outcome )

@@ -624,16 +624,16 @@ let check_cmd =
     for i = 1 to ops do
       List.iter (Harness.apply t) (Harness.random_ops prng);
       if inject && i = max 1 (ops / 2) then
-        Harness.apply t Harness.corrupt_op;
+        Harness.apply t Harness.Corrupt;
       if storm && i = max 1 (ops / 2) then
-        Harness.apply t Harness.storm_op;
+        Harness.apply t Harness.Storm;
       if i mod cheap_every = 0 then begin
         Ltree_obs.Telemetry.sample ~now:i ();
         guard i (I.run_all ~depth:I.Cheap reg)
       end;
       if i mod checkpoint_every = 0 then begin
         guard i (I.run_all reg);
-        Harness.apply t Harness.checkpoint_op;
+        Harness.apply t Harness.Checkpoint;
         Printf.printf "  deep checkpoint at op %d: ok\n%!" i
       end
     done;
@@ -965,7 +965,7 @@ let run_observed_workload ?sample_every ?(validate = true) t ~seed ~ops =
   for i = 1 to ops do
     List.iter (Harness.apply t) (Harness.random_ops prng);
     if i mod (max 1 (ops / 4)) = 0 then
-      Harness.apply t Harness.checkpoint_op;
+      Harness.apply t Harness.Checkpoint;
     match sample_every with Some n when i mod n = 0 -> sample i | _ -> ()
   done;
   (* Deep validation flushes the store, runs every structural join and

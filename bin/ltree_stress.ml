@@ -8,7 +8,8 @@
    - labeled-document consistency (tag list == live leaves),
    - query parity between the DOM and label XPath engines,
    - the synced relational store against DOM truth,
-   - a snapshot+journal recovery round trip.
+   - a recovery round trip: the last checkpoint's snapshot plus the
+     journal entries applied since.
 
    The registered-invariant runner with counterexample shrinking is
    `ltree check` (bin/ltree_cli.ml). *)
@@ -33,18 +34,21 @@ let soak ~ops ~seed =
   let pager = Pager.create (Counters.create ()) in
   let store = Shredder.shred_label pager ldoc in
   let sync = Label_sync.create pager store ldoc in
-  let journal = Journal.create () in
+  (* Every document edit is one journal entry, applied to the live
+     document and kept (newest first) until the next checkpoint. *)
   let snapshot = ref (Snapshot.save ldoc) in
+  let entries = ref [] in
+  let edit entry =
+    Journal.apply_entry ldoc entry;
+    entries := entry :: !entries
+  in
+  let anchor node = (Labeled_doc.label ldoc node).Labeled_doc.start_pos in
 
   (* A twin pair of raw trees for materialized/virtual equivalence. *)
   let mt, ml = Ltree.bulk_load ~params:Params.fig2 64 in
   let vt, vl = Virtual_ltree.bulk_load ~params:Params.fig2 64 in
   let mh = ref (Array.to_list ml) and vh = ref (Array.to_list vl) in
 
-  let queries =
-    [ "site//item/name"; "//person[address/city]"; "//patch";
-      "//open_auction[bidder]/itemref"; "//item/following-sibling::item" ]
-  in
   let checkpoint i =
     Ltree.check mt;
     Virtual_ltree.check vt;
@@ -59,12 +63,12 @@ let soak ~ops ~seed =
           List.map Dom.id (Ltree_xpath.Label_eval.eval engine path)
         in
         if a <> b then failwith ("query divergence on " ^ q))
-      queries;
+      Harness.queries;
     ignore (Label_sync.flush sync);
     Label_sync.check sync;
     (* Recovery drill: snapshot + journal tail == live state. *)
     let recovered = Snapshot.load !snapshot in
-    Journal.replay journal recovered;
+    List.iter (Journal.apply_entry recovered) (List.rev !entries);
     Labeled_doc.check recovered;
     if
       List.map snd (Labeled_doc.labeled_events ldoc)
@@ -72,7 +76,7 @@ let soak ~ops ~seed =
     then failwith "recovery divergence";
     (* Fresh checkpoint: new snapshot, truncate the journal. *)
     snapshot := Snapshot.save ldoc;
-    Journal.clear journal;
+    entries := [];
     Printf.printf "  checkpoint at op %d: ok (%d slots, height %d)\n%!" i
       (Ltree.length (Labeled_doc.tree ldoc))
       (Ltree.height (Labeled_doc.tree ldoc))
@@ -100,20 +104,25 @@ let soak ~ops ~seed =
      | 0 ->
        let es = Lazy.force elements in
        let target = List.nth es (Prng.int prng (List.length es)) in
-       if target != root then Journal.delete_subtree journal ldoc target
+       if target != root then edit (Journal.Delete { anchor = anchor target })
      | 1 ->
        let texts = List.filter Dom.is_text (Dom.descendants root) in
        if texts <> [] then
-         Journal.set_text journal ldoc
-           (List.nth texts (Prng.int prng (List.length texts)))
-           (Printf.sprintf "soak %d" i)
+         edit
+           (Journal.Set_text
+              { anchor =
+                  anchor (List.nth texts (Prng.int prng (List.length texts)));
+                text = Printf.sprintf "soak %d" i })
      | _ ->
        let es = Lazy.force elements in
        let target = List.nth es (Prng.int prng (List.length es)) in
-       Journal.insert_subtree journal ldoc ~parent:target
-         ~index:(Prng.int prng (Dom.child_count target + 1))
-         (Parser.parse_fragment
-            (Printf.sprintf "<patch n=\"%d\">p<deep><x/></deep></patch>" i)));
+       edit
+         (Journal.Insert
+            { anchor = anchor target;
+              index = Prng.int prng (Dom.child_count target + 1);
+              xml =
+                Printf.sprintf "<patch n=\"%d\">p<deep><x/></deep></patch>" i
+            }));
     if i mod (max 1 (ops / 10)) = 0 then checkpoint i
   done;
   checkpoint ops;

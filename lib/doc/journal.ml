@@ -8,12 +8,6 @@ type entry =
   | Delete of { anchor : int }
   | Set_text of { anchor : int; text : string }
 
-type t = { mutable entries : entry list (* newest first *) }
-
-let create () = { entries = [] }
-let length t = List.length t.entries
-let clear t = t.entries <- []
-
 (* One-line-safe text: XML entities plus numeric escapes for the line
    breaks.  Only {!entry_to_line} prints it; nothing parses it back. *)
 let escape s =
@@ -29,41 +23,6 @@ let escape s =
       | c -> Buffer.add_char buf c)
     s;
   Buffer.contents buf
-
-let start_label_of ldoc node =
-  (Labeled_doc.label ldoc node).Labeled_doc.start_pos
-
-(* A fragment is journal-safe when serializing and reparsing it yields
-   the same tag list (no adjacent/empty text nodes). *)
-let serialize_fragment sub =
-  let xml = Serializer.node_to_string sub in
-  (match Parser.parse_fragment xml with
-   | reparsed ->
-     if not (Dom.equal_structure sub reparsed) then
-       invalid_arg
-         "Journal: fragment does not survive serialization (adjacent or \
-          empty text nodes?)"
-   | exception Parser.Error (msg, _) ->
-     invalid_arg ("Journal: fragment not serializable: " ^ msg));
-  xml
-
-let insert_subtree t ldoc ~parent ~index sub =
-  let xml = serialize_fragment sub in
-  let anchor = start_label_of ldoc parent in
-  Labeled_doc.insert_subtree ldoc ~parent ~index sub;
-  t.entries <- Insert { anchor; index; xml } :: t.entries
-
-let delete_subtree t ldoc node =
-  let anchor = start_label_of ldoc node in
-  Labeled_doc.delete_subtree ldoc node;
-  t.entries <- Delete { anchor } :: t.entries
-
-let set_text t ldoc node s =
-  if not (Labeled_doc.mem ldoc node) then
-    invalid_arg "Journal.set_text: node is not labeled";
-  let anchor = start_label_of ldoc node in
-  Dom.set_text node s;
-  t.entries <- Set_text { anchor; text = s } :: t.entries
 
 let entry_to_line entry =
   match entry with
@@ -132,5 +91,3 @@ let apply_entry ldoc entry =
     Labeled_doc.delete_subtree ldoc (resolve ldoc anchor "delete")
   | Set_text { anchor; text } ->
     Dom.set_text (resolve ldoc anchor "set_text") text
-
-let replay t ldoc = List.iter (apply_entry ldoc) (List.rev t.entries)

@@ -14,7 +14,7 @@ let breach_to_string b =
      #%d averaged %.2f relabels/insertion, bound %.2f (c*log2 n at n=%d)"
     b.window_len b.window_start b.mean_relabels b.bound b.n
 
-(* The paper's Section 3.2 closed form gives the amortized update cost
+(* The paper's Section 3.1 closed form gives the amortized update cost
    per insertion as h*(1 + 2f/(s-1)) + f with h = log_m n and m = f/s.
    Rewriting against log2 n and folding the +f constant (log2 n >= 1 for
    n >= 2) yields a per-insertion relabel budget of c * log2 n with

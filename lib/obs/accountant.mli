@@ -1,6 +1,6 @@
 (** Amortized-cost accountant for relabelings per insertion.
 
-    The paper (Section 3.2) bounds the amortized update cost of an
+    The paper (Section 3.1) bounds the amortized update cost of an
     insertion by h*(1 + 2f/(s-1)) + f with h = log_m n, i.e. O(log n)
     relabelings amortized.  The accountant tracks observed per-insertion
     relabel counts in fixed-size windows and flags any window whose mean
@@ -20,7 +20,7 @@ exception Budget_exceeded of breach
 val breach_to_string : breach -> string
 
 (** [default_c ~f ~s] derives the budget constant from the tree
-    parameters via the Section 3.2 closed form:
+    parameters via the Section 3.1 closed form:
     [(1 + 2f/(s-1)) / log2 (f/s) + f].  Raises [Invalid_argument]
     unless [s > 1] and [f/s >= 2]. *)
 val default_c : f:int -> s:int -> float

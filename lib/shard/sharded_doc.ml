@@ -418,7 +418,7 @@ let path ?counters ?within t pool tags =
    index.  Several tasks share a shard here, so each borrows its
    domain's workspace and copies its ids out before it returns; task
    [si * nq + qi] answers plan [qi] on routed shard [si]. *)
-let batch ?within t pool plans =
+let batch ?counters ?within t pool plans =
   let snaps =
     Array.of_list
       (List.map
@@ -452,7 +452,7 @@ let batch ?within t pool plans =
       for si = 0 to ns - 1 do
         comparisons := !comparisons + fst outcomes.((si * nq) + qi)
       done;
-      Query.record_comparisons !comparisons;
+      Query.record_comparisons ?counters !comparisons;
       restrict ?within t
         (merge t (Array.init ns (fun si -> snd outcomes.((si * nq) + qi)))))
 

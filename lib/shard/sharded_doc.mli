@@ -120,7 +120,7 @@ val path :
   ?within:int * int ->
   t -> Ltree_exec.Pool.t -> string list -> int list
 
-(** [batch ?within t pool plans] fans {e shard x plan} tasks across the
+(** [batch ?counters ?within t pool plans] fans {e shard x plan} tasks across the
     pool in one [Pool.map] — tasks on different shards join over
     disjoint frozen snapshots, so a hot tag no longer serializes on one
     shared index.  Plan [i]'s task writes its shard's buffer slot [i],
@@ -128,6 +128,7 @@ val path :
     index-aligned with [plans]; each plan's comparisons are recorded once, summed
     over its shards. *)
 val batch :
+  ?counters:Ltree_metrics.Counters.t ->
   ?within:int * int ->
   t -> Ltree_exec.Pool.t -> Ltree_relstore.Query.plan array ->
   int list array

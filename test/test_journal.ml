@@ -9,25 +9,41 @@ module Prng = Ltree_workload.Prng
 let case = Alcotest.test_case
 
 let labels_of ldoc = List.map snd (Labeled_doc.labeled_events ldoc)
+let anchor ldoc node = (Labeled_doc.label ldoc node).Labeled_doc.start_pos
+
+(* [live ldoc e] applies [e] to the live document and returns it, so a
+   test collects the entries it will replay. *)
+let live ldoc e =
+  Journal.apply_entry ldoc e;
+  e
+
+(* A crash: reload [snap] and apply [entries] to it in order. *)
+let recover snap entries =
+  let recovered = Snapshot.load snap in
+  List.iter (Journal.apply_entry recovered) entries;
+  Labeled_doc.check recovered;
+  recovered
 
 let basic_roundtrip () =
   let doc = Parser.parse_string "<a><b>x</b><c/></a>" in
   let ldoc = Labeled_doc.of_document doc in
   let snap = Snapshot.save ldoc in
-  let j = Journal.create () in
   let root = Option.get doc.root in
-  Journal.insert_subtree j ldoc ~parent:root ~index:1
-    (Parser.parse_fragment "<d><e/></d>");
+  let e1 =
+    live ldoc
+      (Journal.Insert
+         { anchor = anchor ldoc root; index = 1; xml = "<d><e/></d>" })
+  in
   let b = List.nth (Dom.children root) 0 in
-  Journal.set_text j ldoc (List.hd (Dom.children b)) "updated";
+  let e2 =
+    live ldoc
+      (Journal.Set_text
+         { anchor = anchor ldoc (List.hd (Dom.children b)); text = "updated" })
+  in
   (* children are now [b; d; c]. *)
   let c = List.nth (Dom.children root) 2 in
-  Journal.delete_subtree j ldoc c;
-  Alcotest.(check int) "three entries" 3 (Journal.length j);
-  (* Crash: reload the snapshot and replay the journal. *)
-  let recovered = Snapshot.load snap in
-  Journal.replay j recovered;
-  Labeled_doc.check recovered;
+  let e3 = live ldoc (Journal.Delete { anchor = anchor ldoc c }) in
+  let recovered = recover snap [ e1; e2; e3 ] in
   Alcotest.(check (list int)) "labels identical" (labels_of ldoc)
     (labels_of recovered);
   (match ((Labeled_doc.document recovered).root, doc.root) with
@@ -40,17 +56,22 @@ let special_characters () =
   let doc = Parser.parse_string "<a><t>old</t></a>" in
   let ldoc = Labeled_doc.of_document doc in
   let snap = Snapshot.save ldoc in
-  let j = Journal.create () in
   let root = Option.get doc.root in
   let t_node = List.hd (Dom.children root) in
-  Journal.set_text j ldoc
-    (List.hd (Dom.children t_node))
-    "multi\nline & <specials> \"quoted\"";
-  Journal.insert_subtree j ldoc ~parent:root ~index:1
-    (Parser.parse_fragment "<note lang=\"fr\">d&#233;j&#224; vu\nencore</note>");
-  let recovered = Snapshot.load snap in
-  Journal.replay j recovered;
-  Labeled_doc.check recovered;
+  let text = "multi\nline & <specials> \"quoted\"" in
+  let e1 =
+    live ldoc
+      (Journal.Set_text
+         { anchor = anchor ldoc (List.hd (Dom.children t_node)); text })
+  in
+  let e2 =
+    live ldoc
+      (Journal.Insert
+         { anchor = anchor ldoc root;
+           index = 1;
+           xml = "<note lang=\"fr\">d&#233;j&#224; vu\nencore</note>" })
+  in
+  let recovered = recover snap [ e1; e2 ] in
   (match ((Labeled_doc.document recovered).root, doc.root) with
    | Some a, Some b ->
      Alcotest.(check bool) "specials survive" true (Dom.equal_structure a b)
@@ -64,41 +85,34 @@ let special_characters () =
       let bytes = Journal.encode_entry e in
       Alcotest.(check bool) "binary codec round trip" true
         (Journal.decode_entry bytes = e))
-    [
-      Journal.Set_text
-        { anchor = 3; text = "multi\nline & <specials> \"quoted\"" };
+    [ e1;
+      e2;
       Journal.Insert
-        {
-          anchor = 0;
+        { anchor = 0;
           index = 1;
-          xml = "<note lang=\"fr\">d\195\169j\195\160 vu\nencore</note>";
-        };
-      Journal.Delete { anchor = 7 };
-    ]
+          xml = "<note lang=\"fr\">d\195\169j\195\160 vu\nencore</note>" };
+      Journal.Delete { anchor = 7 } ]
 
-(* After a fresh snapshot the journal is cleared: replaying it onto that
-   snapshot changes nothing, and new edits log from an empty journal. *)
-let clear_after_snapshot () =
+(* Entries recorded after a fresh snapshot replay on that snapshot:
+   replaying none of them changes nothing, and the later edits resolve
+   their anchors in it and reproduce the live labels. *)
+let after_fresh_snapshot () =
   let doc = Parser.parse_string "<a><b/></a>" in
   let ldoc = Labeled_doc.of_document doc in
-  let j = Journal.create () in
   let root = Option.get doc.root in
-  Journal.insert_subtree j ldoc ~parent:root ~index:1
-    (Parser.parse_fragment "<c><d/></c>");
-  Alcotest.(check int) "one entry" 1 (Journal.length j);
+  ignore
+    (live ldoc
+       (Journal.Insert
+          { anchor = anchor ldoc root; index = 1; xml = "<c><d/></c>" }));
   let snap = Snapshot.save ldoc in
-  Journal.clear j;
-  Alcotest.(check int) "cleared" 0 (Journal.length j);
-  let recovered = Snapshot.load snap in
-  Journal.replay j recovered;
   Alcotest.(check (list int)) "replaying nothing keeps the snapshot"
-    (labels_of ldoc) (labels_of recovered);
-  Journal.delete_subtree j ldoc (List.hd (Dom.children root));
-  Alcotest.(check int) "logging resumes from empty" 1 (Journal.length j);
-  Journal.replay j recovered;
-  Labeled_doc.check recovered;
+    (labels_of ldoc) (labels_of (recover snap []));
+  let e =
+    live ldoc
+      (Journal.Delete { anchor = anchor ldoc (List.hd (Dom.children root)) })
+  in
   Alcotest.(check (list int)) "later edits replay on the new snapshot"
-    (labels_of ldoc) (labels_of recovered)
+    (labels_of ldoc) (labels_of (recover snap [ e ]))
 
 let corrupt_rejected () =
   let rejects what s =
@@ -170,32 +184,36 @@ let replay_prop =
       in
       let ldoc = Labeled_doc.of_document doc in
       let snap = Snapshot.save ldoc in
-      let j = Journal.create () in
       let root = Option.get doc.root in
+      let entries = ref [] in
+      let edit e = entries := live ldoc e :: !entries in
       for i = 1 to 30 do
         let elements = List.filter Dom.is_element (Dom.descendants root) in
         let target =
           List.nth elements (Prng.int prng (List.length elements))
         in
         match Prng.int prng 4 with
-        | 0 when target != root -> Journal.delete_subtree j ldoc target
+        | 0 when target != root ->
+          edit (Journal.Delete { anchor = anchor ldoc target })
         | 1 ->
           let texts =
             List.filter Dom.is_text (Dom.descendants root)
           in
           if texts <> [] then
-            Journal.set_text j ldoc
-              (List.nth texts (Prng.int prng (List.length texts)))
-              (Printf.sprintf "edit %d" i)
+            edit
+              (Journal.Set_text
+                 { anchor =
+                     anchor ldoc
+                       (List.nth texts (Prng.int prng (List.length texts)));
+                   text = Printf.sprintf "edit %d" i })
         | _ ->
-          Journal.insert_subtree j ldoc ~parent:target
-            ~index:(Prng.int prng (Dom.child_count target + 1))
-            (Parser.parse_fragment
-               (Printf.sprintf "<patch n=\"%d\"><x/>y</patch>" i))
+          edit
+            (Journal.Insert
+               { anchor = anchor ldoc target;
+                 index = Prng.int prng (Dom.child_count target + 1);
+                 xml = Printf.sprintf "<patch n=\"%d\"><x/>y</patch>" i })
       done;
-      let recovered = Snapshot.load snap in
-      Journal.replay j recovered;
-      Labeled_doc.check recovered;
+      let recovered = recover snap (List.rev !entries) in
       labels_of ldoc = labels_of recovered
       && Dom.equal_structure (Option.get doc.root)
            (Option.get (Labeled_doc.document recovered).root))
@@ -206,5 +224,5 @@ let suite =
       case "special characters" `Quick special_characters;
       case "corruption rejected" `Quick corrupt_rejected;
       QCheck_alcotest.to_alcotest canonical_prop;
-      case "clear after a snapshot" `Quick clear_after_snapshot;
+      case "entries after a fresh snapshot" `Quick after_fresh_snapshot;
       QCheck_alcotest.to_alcotest replay_prop ] )

@@ -8,9 +8,9 @@
    exists for), shard it with {!Sharded_doc.create}, then time a fixed
    batch of descendant queries through [Sharded_doc.batch]
    at every pool size.  Every sharded result is first checked
-   element-for-element against the unsharded reference plans over the
-   router's own store, and for document order, so the numbers can't
-   come from a wrong answer.
+   element-for-element against the DOM evaluator over the router twin,
+   which answers in document order and shares no code with the plans,
+   so the numbers can't come from a wrong answer.
 
    Reported per row: throughput (queries/s over all reps), p99 of the
    per-batch wall time, and speedup.  Speedup is best-of-reps sharded
@@ -34,6 +34,8 @@ module Params = Ltree_core.Params
 module Pool = Ltree_exec.Pool
 module Sharded_doc = Ltree_shard.Sharded_doc
 module Query = Ltree_relstore.Query
+module Dom_eval = Ltree_xpath.Dom_eval
+module Xpath_parser = Ltree_xpath.Xpath_parser
 
 let initial_items = 64
 
@@ -94,8 +96,10 @@ let percentile q sorted =
   let len = Array.length sorted in
   sorted.(int_of_float (q *. float_of_int (len - 1)))
 
-(* One (pattern, K) cell: correctness against the unsharded reference
-   plans once per pool size, then the timed reps. *)
+(* One (pattern, K) cell: correctness against the DOM evaluator once
+   per pool size, then the timed reps.  The reference answers, one per
+   query pair in document order, are computed once per cell, before
+   any pool exists. *)
 let run_cell ~pattern ~n ~shards ~domains_list ~batchq ~reps =
   let sd = Sharded_doc.create ~params:Params.fig2 ~shards (build_doc ~n pattern) in
   let batch =
@@ -103,25 +107,29 @@ let run_cell ~pattern ~n ~shards ~domains_list ~batchq ~reps =
         let anc, desc = query_pairs.(i mod Array.length query_pairs) in
         Query.Descendants (anc, desc))
   in
+  let reference =
+    let doc = Labeled_doc.document (Sharded_doc.router sd) in
+    Array.map
+      (fun (anc, desc) ->
+        List.map Dom.id
+          (Dom_eval.eval doc
+             (Xpath_parser.parse (Printf.sprintf "//%s//%s" anc desc))))
+      query_pairs
+  in
   List.map
     (fun domains ->
       Pool.with_pool ~size:domains (fun pool ->
-          let expected = Sharded_doc.unsharded_batch sd pool batch in
           let got = Sharded_doc.batch sd pool batch in
           Array.iteri
-            (fun i e ->
-              if
-                not
-                  (List.equal Int.equal e got.(i)
-                  && Labeled_doc.in_document_order (Sharded_doc.router sd)
-                       got.(i))
-              then
+            (fun i ids ->
+              let want = reference.(i mod Array.length query_pairs) in
+              if not (List.equal Int.equal want ids) then
                 failwith
                   (Printf.sprintf
                      "exp_shard: %s n=%d shards=%d domains=%d batch[%d] \
-                      disagrees with the unsharded plan"
+                      disagrees with the DOM evaluator"
                      (Driver.pattern_name pattern) n shards domains i))
-            expected;
+            got;
           let times = Array.make reps 0.0 in
           for r = 0 to reps - 1 do
             let t0 = Unix.gettimeofday () in

@@ -72,8 +72,10 @@ type t = {
   sim : Fault.sim;  (* the durable twin's simulated disk *)
   durable : Durable_doc.t;  (* crash-safe replica fed the same entries *)
   sharded : Sharded_doc.t;
-      (* K-shard twin fed the same entries; shard.plans-agree compares
-         its fan-out plans against its own unsharded reference store *)
+      (* K-shard twin fed the same entries; its router is
+         label-identical to [ldoc] (§4.2), so shard.plans-agree compares
+         its fan-out plans, as start labels, with the independent
+         oracles over [ldoc] *)
   mt : Ltree.t;
   vt : Virtual_ltree.t;
   mutable mh : Ltree.leaf list;  (* newest first *)
@@ -291,66 +293,77 @@ let register_invariants t =
                  (or another set, or not in document order)"
                 name (List.length got.(i)) (List.length want))
           cases));
-  (* Sharded fan-out plans must stay byte-identical to the same plans
-     over the router twin's single unsharded store, and list their
-     answers in document order — one by one and as one batch, at the
-     harness's pool size, across rebalances (the checkpoint op may
-     split a shard), and under label-window restriction (windows are
-     chosen to straddle shard boundaries). *)
+  (* The sharded twin's fan-out plans must answer what the independent
+     oracles answer over the live document, in document order — one by
+     one and as one batch, at the harness's pool size, across
+     rebalances (the checkpoint op may split a shard), and under
+     label-window restriction (windows are chosen to straddle shard
+     boundaries).  The twin's router and the live document start from
+     the same document and parameters and take the same entries, so by
+     §4.2 their labels are identical: both answers compare as start
+     labels, and a window filters the oracle's by label. *)
   (match t.pool with
   | None -> ()
   | Some pool ->
     Invariant.register reg ~name:"shard.plans-agree" ~depth:Invariant.Deep
       (fun () ->
+        ignore (Label_sync.flush t.sync);
         let sd = t.sharded in
         let tags = store_tags t in
-        let cases = plan_cases tags in
+        (* An id naming no live node maps to [min_int], which no start
+           label equals. *)
+        let starts ldoc ids =
+          List.map
+            (fun id ->
+              match Labeled_doc.node_by_id ldoc id with
+              | Some n -> (Labeled_doc.label ldoc n).Labeled_doc.start_pos
+              | None -> Stdlib.min_int)
+            ids
+        in
+        (* Plus a one-step path per tag: the root's tag is the only
+           plan that answers the root, which every shard holds a clone
+           of and the merge must keep once. *)
+        let cases =
+          List.map
+            (fun (name, plan, want) ->
+              (name, plan, List.sort Int.compare (starts t.ldoc want)))
+            (with_oracles t
+               (plan_cases tags
+               @ List.map (fun tag -> ("//" ^ tag, Query.Path [ tag ])) tags))
+        in
+        (* [want] ascends strictly, so equal lists also mean the sharded
+           answer is in document order. *)
         let check name got want =
-          if
-            not
-              (List.equal Int.equal got want
-              && Labeled_doc.in_document_order (Sharded_doc.router sd) got)
-          then
+          let got = starts (Sharded_doc.router sd) got in
+          if not (List.equal Int.equal got want) then
             Invariant.fail ~name:"shard.plans-agree"
-              "%s: sharded plan found %d ids, unsharded %d (or a \
-               different order, or not document order)"
+              "%s: sharded plan found %d nodes, independent oracle %d (or \
+               other start labels, or not in document order)"
               name (List.length got) (List.length want)
         in
-        let windows =
-          match
-            List.map snd (Labeled_doc.labeled_events (Sharded_doc.router sd))
-          with
-          | [] -> [ None ]
-          | labels ->
-            let lo = List.hd labels
-            and hi = List.nth labels (List.length labels - 1)
-            and mid = List.nth labels (List.length labels / 2) in
-            [ None; Some (lo, mid); Some (mid + 1, hi) ]
-        in
         List.iter
-          (fun (name, plan) ->
-            check ("shard:" ^ name)
-              (Sharded_doc.run sd pool plan)
-              (Sharded_doc.unsharded_run sd pool plan))
+          (fun (name, plan, want) ->
+            check ("shard:" ^ name) (Sharded_doc.run sd pool plan) want)
           cases;
-        (* Windowed plans on a few tag pairs: the windows straddle
-           shard boundaries, so routing must both prune shards and
-           keep boundary-crossing answers exact. *)
-        (match tags with
-        | a :: b :: _ ->
+        (* One tag pair over the document's lower and upper halves (the
+           whole document is the plain case above): the windows straddle
+           shard boundaries, so routing must both prune shards and keep
+           boundary-crossing answers exact. *)
+        (match (tags, List.map snd (Labeled_doc.labeled_events t.ldoc)) with
+        | a :: b :: _, (lo :: _ as labels) ->
+          let name = Printf.sprintf "%s//%s" a b in
+          let _, plan, want =
+            List.find (fun (n, _, _) -> String.equal n name) cases
+          in
+          let hi = List.nth labels (List.length labels - 1)
+          and mid = List.nth labels (List.length labels / 2) in
           List.iter
-            (fun within ->
-              let wname =
-                match within with
-                | None -> "full"
-                | Some (lo, hi) -> Printf.sprintf "[%d,%d]" lo hi
-              in
-              let plan = Query.Descendants (a, b) in
+            (fun (lo, hi) ->
               check
-                (Printf.sprintf "shard:%s//%s within %s" a b wname)
-                (Sharded_doc.run ?within sd pool plan)
-                (Sharded_doc.unsharded_run ?within sd pool plan))
-            windows
+                (Printf.sprintf "shard:%s within [%d,%d]" name lo hi)
+                (Sharded_doc.run ~within:(lo, hi) sd pool plan)
+                (List.filter (fun l -> lo <= l && l <= hi) want))
+            [ (lo, mid); (mid + 1, hi) ]
         | _ -> ());
         (* Mixed batches of one plan per tag pair: a batch holds one
            workspace per plan and routed shard while it runs, so a
@@ -363,12 +376,13 @@ let register_invariants t =
               Array.sub cases first
                 (Int.min size (Array.length cases - first))
             in
-            let plans = Array.map snd chunk in
-            let got = Sharded_doc.batch sd pool plans in
-            let want = Sharded_doc.unsharded_batch sd pool plans in
+            let got =
+              Sharded_doc.batch sd pool
+                (Array.map (fun (_, plan, _) -> plan) chunk)
+            in
             Array.iteri
-              (fun i (name, _) ->
-                check ("shard-batch:" ^ name) got.(i) want.(i))
+              (fun i (name, _, want) ->
+                check ("shard-batch:" ^ name) got.(i) want)
               chunk;
             batches (first + size)
           end
@@ -586,13 +600,17 @@ let random_ops prng =
 
 (* {1 Counterexamples} *)
 
-let replay ~params ~seed ~make_doc ops =
-  let t = create ~params ~seed ~make_doc () in
+(* A replay runs on the live run's pool, so the pooled invariants are
+   registered on it too and their failures reproduce. *)
+let replay ?pool ~params ~seed ~make_doc ops =
+  let t = create ~params ?pool ~seed ~make_doc () in
   List.iter (apply t) ops;
   t
 
-let fails_after ~params ~seed ~make_doc ops =
-  match Invariant.run_all (registry (replay ~params ~seed ~make_doc ops)) with
+let fails_after ?pool ~params ~seed ~make_doc ops =
+  match
+    Invariant.run_all (registry (replay ?pool ~params ~seed ~make_doc ops))
+  with
   | [] -> false
   | _ :: _ -> true
 
@@ -607,7 +625,9 @@ type shrink = Shrunk | At_budget | Not_reproduced
    its detail says that it does not reproduce rather than repeat the
    live failure's. *)
 let minimized_counterexample t ~make_doc (failure : Invariant.failure) =
-  let fails ops = fails_after ~params:t.params ~seed:t.seed ~make_doc ops in
+  let fails ops =
+    fails_after ?pool:t.pool ~params:t.params ~seed:t.seed ~make_doc ops
+  in
   let ops, outcome =
     let ops = log t in
     (* [minimize] replays the whole log first and rejects one that does
@@ -617,7 +637,7 @@ let minimized_counterexample t ~make_doc (failure : Invariant.failure) =
       (log, if at_budget then At_budget else Shrunk)
     | exception Invalid_argument _ -> (ops, Not_reproduced)
   in
-  let t' = replay ~params:t.params ~seed:t.seed ~make_doc ops in
+  let t' = replay ?pool:t.pool ~params:t.params ~seed:t.seed ~make_doc ops in
   let detail =
     match (outcome, Invariant.run_all (registry t')) with
     | (Shrunk | At_budget), f :: _ ->

@@ -123,8 +123,7 @@ let refresh t =
 
    The snapshot's instance of {!Query.run}: entries from the frozen
    table, the matched rows' ids read straight out of the covering [ids]
-   columns.  Sharded tasks, the unsharded reference plans and pooled
-   batches all run this. *)
+   columns.  Sharded tasks and pooled batches both run this. *)
 
 let frozen_entry _counters t tag = entry t tag
 

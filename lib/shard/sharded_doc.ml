@@ -36,7 +36,9 @@ module Span = Ltree_obs.Span
    intervals the routing tables are built from.  Shard documents are
    structural clones of router subtrees; the [g_of_l]/[l_of_g] maps
    translate node identity between the two worlds and are maintained
-   in lockstep with every update.
+   in lockstep with every update.  The router is a labeled document
+   only, with no store, index or snapshot of its own: a checker that
+   needs reference answers builds them outside (DESIGN.md §13).
 
    Why clones instead of label slices: an L-Tree labeling is only
    valid over a contiguous leaf sequence starting at position 0
@@ -63,10 +65,6 @@ type shard = {
 type t = {
   group_commit : int;
   router : Labeled_doc.t;
-  r_pager : Pager.t;
-  r_store : Shredder.label_store;
-  r_sync : Label_sync.t;
-  mutable r_snap : Read_snapshot.t option;
   mutable shards : shard array;
   mutable cuts : int array;
       (* length [nshards + 1]: shard [p] owns the router root's
@@ -184,12 +182,8 @@ let create ?params ?(group_commit = 4)
         let gsubs = sub_range subs cuts.(p) cuts.(p + 1) in
         make_shard ?params ~group_commit ~sim:(sim_for p) ~groot gsubs p)
   in
-  let r_pager = Pager.create (Counters.create ()) in
-  let r_store = Shredder.shred_label r_pager router in
-  let r_sync = Label_sync.create r_pager r_store router in
   let t =
-    { group_commit; router; r_pager; r_store; r_sync; r_snap = None;
-      shards; cuts;
+    { group_commit; router; shards; cuts;
       top_owner = Int_tbl.create 64;
       layout_gen = 0;
       route_pos = [||]; route_lo = [||]; route_hi = [||];
@@ -287,45 +281,30 @@ let routed ?within t =
 
 (* {1 Snapshots}
 
-   A snapshot whose stamps still match needs no flush: every edit that
-   dirties a row moves the document version, so a fresh snapshot means
-   an empty dirty set.  Otherwise flush, then refresh (reusing the
-   untouched tags' slices) or freeze for the first time.  This is the
-   only flush of the router's reference store: writes leave it stale
-   until the next unsharded plan reads it. *)
-
-let up_to_date sync snap ~freeze =
-  match snap with
-  | Some s when Read_snapshot.is_fresh s -> s
-  | Some s ->
-    ignore (Label_sync.flush sync : Label_sync.stats);
-    Read_snapshot.refresh s
-  | None ->
-    ignore (Label_sync.flush sync : Label_sync.stats);
-    freeze ()
+   A shard snapshot whose stamps still match needs no flush: every edit
+   that dirties a row moves the document version, so a fresh snapshot
+   means an empty dirty set.  Otherwise flush, then refresh (reusing
+   the untouched tags' slices) or freeze for the first time. *)
 
 let frozen sh =
   let s =
-    up_to_date sh.sync sh.snap ~freeze:(fun () ->
-        Read_snapshot.of_store sh.pager sh.store
-          (Durable_doc.ldoc sh.durable))
+    match sh.snap with
+    | Some s when Read_snapshot.is_fresh s -> s
+    | Some s ->
+      ignore (Label_sync.flush sh.sync : Label_sync.stats);
+      Read_snapshot.refresh s
+    | None ->
+      ignore (Label_sync.flush sh.sync : Label_sync.stats);
+      Read_snapshot.of_store sh.pager sh.store (Durable_doc.ldoc sh.durable)
   in
   sh.snap <- Some s;
-  s
-
-let router_snapshot t =
-  let s =
-    up_to_date t.r_sync t.r_snap ~freeze:(fun () ->
-        Read_snapshot.of_store t.r_pager t.r_store t.router)
-  in
-  t.r_snap <- Some s;
   s
 
 (* {1 Query plans}
 
    Every sharded plan is the union of the same plan run serially over
-   each routed shard's frozen snapshot — results are byte-identical to
-   the plan over the router's own (unsharded) store.  The union is
+   each routed shard's frozen snapshot — the answer the plan would give
+   over one store of the whole router document.  The union is
    exact because cuts fall on top-level subtree boundaries: every
    containment pair is intra-shard, and pairs through the global root
    are covered by each shard's stand-in root.  Each shard answers in
@@ -456,33 +435,51 @@ let batch ?counters ?within t pool plans =
       restrict ?within t
         (merge t (Array.init ns (fun si -> snd outcomes.((si * nq) + qi)))))
 
-(* {1 Unsharded reference plans}
+(* {1 Bench-only reference answers}
 
-   The same driver over the router's own store, as pooled tasks: the
-   K-independent baseline the agreement invariant and the K=1
-   byte-identity test compare against.  The three list wrappers sort
-   their ids: the frozen [sharded_mix] bench compares them unsorted
-   with its sorted copy of the sharded answer. *)
+   The frozen [sharded_mix] bench checks each sharded answer against
+   these, sorted by router id.  They walk the router's Dom in preorder
+   carrying the tags of the node's proper ancestors, nearest first, so
+   they read no store and share no join kernel with the plans they
+   check.  ROADMAP item 2 moves the bench's oracle out of the library
+   and deletes them. *)
 
-let unsharded_batch ?within t pool plans =
-  Array.map (restrict ?within t)
-    (Read_snapshot.run_batch pool (router_snapshot t) plans)
+let walk_ids t matches =
+  let out = ref [] in
+  let rec walk above n =
+    match Shredder.tag_of n with
+    | None -> ()
+    | Some tag ->
+      if matches tag above then out := Dom.id n :: !out;
+      List.iter (walk (tag :: above)) (Dom.children n)
+  in
+  walk [] (root_of t.router);
+  List.sort Int.compare !out
 
-let unsharded_run ?counters ?within t pool plan =
-  restrict ?within t
-    (Read_snapshot.run_batch ?counters pool (router_snapshot t) [| plan |]).(0)
+let unsharded_descendants t (_ : Pool.t) ~anc ~desc =
+  walk_ids t (fun tag above ->
+      String.equal tag desc && List.exists (String.equal anc) above)
 
-let unsharded_sorted ?counters ?within t pool plan =
-  List.sort Int.compare (unsharded_run ?counters ?within t pool plan)
+let unsharded_children t (_ : Pool.t) ~parent ~child =
+  walk_ids t (fun tag above ->
+      String.equal tag child
+      && match above with p :: _ -> String.equal p parent | [] -> false)
 
-let unsharded_descendants ?counters ?within t pool ~anc ~desc =
-  unsharded_sorted ?counters ?within t pool (Query.Descendants (anc, desc))
-
-let unsharded_children ?counters ?within t pool ~parent ~child =
-  unsharded_sorted ?counters ?within t pool (Query.Children (parent, child))
-
-let unsharded_path ?counters ?within t pool tags =
-  unsharded_sorted ?counters ?within t pool (Query.Path tags)
+(* The steps above the last, matched greedily upward: the nearest
+   ancestor carrying a step's tag leaves the most room for the steps
+   above it. *)
+let unsharded_path t (_ : Pool.t) tags =
+  let rec climbs steps above =
+    match (steps, above) with
+    | [], _ -> true
+    | _ :: _, [] -> false
+    | s :: up, a :: above ->
+      climbs (if String.equal s a then up else steps) above
+  in
+  match List.rev tags with
+  | [] -> []
+  | last :: steps ->
+    walk_ids t (fun tag above -> String.equal tag last && climbs steps above)
 
 (* {1 Writes}
 
@@ -519,16 +516,14 @@ let root_insert_position t i =
   let rec go p = if p >= k - 1 || i <= t.cuts.(p + 1) then p else go (p + 1) in
   go 0
 
-let local_node sh t gnode =
+let local_node sh gnode =
   let lid = Int_tbl.find sh.l_of_g (Dom.id gnode) in
   match Labeled_doc.node_by_id (Durable_doc.ldoc sh.durable) lid with
   | Some n -> n
-  | None ->
-    ignore t;
-    invalid_arg "Sharded_doc: identity maps out of sync with shard"
+  | None -> invalid_arg "Sharded_doc: identity maps out of sync with shard"
 
-let local_anchor sh t gnode =
-  (Labeled_doc.label (Durable_doc.ldoc sh.durable) (local_node sh t gnode))
+let local_anchor sh gnode =
+  (Labeled_doc.label (Durable_doc.ldoc sh.durable) (local_node sh gnode))
     .Labeled_doc.start_pos
 
 let nth_child n i = List.nth (Dom.children n) i
@@ -571,12 +566,10 @@ let apply t entry =
        let local_index = index - t.cuts.(p) in
        shard_apply t sh
          (Journal.Insert
-            { anchor = local_anchor sh t groot; index = local_index; xml });
+            { anchor = local_anchor sh groot; index = local_index; xml });
        Journal.apply_entry t.router entry;
        let gfresh = nth_child groot index in
-       let lfresh =
-         nth_child (local_node sh t groot) local_index
-       in
+       let lfresh = nth_child (local_node sh groot) local_index in
        link_subtree sh gfresh lfresh;
        for q = p + 1 to Array.length t.shards do
          t.cuts.(q) <- t.cuts.(q) + 1
@@ -586,9 +579,9 @@ let apply t entry =
      else begin
        let p = owner_position t gparent in
        let sh = t.shards.(p) in
-       let lparent = local_node sh t gparent in
+       let lparent = local_node sh gparent in
        shard_apply t sh
-         (Journal.Insert { anchor = local_anchor sh t gparent; index; xml });
+         (Journal.Insert { anchor = local_anchor sh gparent; index; xml });
        Journal.apply_entry t.router entry;
        link_subtree sh (nth_child gparent index) (nth_child lparent index)
      end
@@ -599,7 +592,7 @@ let apply t entry =
      let top_level = Dom.id (top_ancestor t gnode) = Dom.id gnode in
      let child_pos = if top_level then Dom.index_in_parent gnode else -1 in
      shard_apply t sh
-       (Journal.Delete { anchor = local_anchor sh t gnode });
+       (Journal.Delete { anchor = local_anchor sh gnode });
      Journal.apply_entry t.router entry;
      unlink_subtree sh gnode;
      if top_level then begin
@@ -613,7 +606,7 @@ let apply t entry =
      let p = owner_position t gnode in
      let sh = t.shards.(p) in
      shard_apply t sh
-       (Journal.Set_text { anchor = local_anchor sh t gnode; text });
+       (Journal.Set_text { anchor = local_anchor sh gnode; text });
      Journal.apply_entry t.router entry)
 
 let sync t = Array.iter (fun sh -> Durable_doc.sync sh.durable) t.shards

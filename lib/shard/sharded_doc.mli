@@ -14,10 +14,14 @@
     A {e router} twin of the whole document is the authority for global
     coordinates: journal entries address nodes by router label, query
     results are reported as router Dom ids, and per-shard label
-    intervals drive an O(log S) routing lookup.  Sharded query plans
-    are {e byte-identical} to the same plans over the router's own
-    unsharded store (the [unsharded_*] functions), at every K and every
-    pool size — the harness invariant [shard.plans-agree].
+    intervals drive an O(log S) routing lookup.  The router is a
+    labeled document only; it keeps no store of its own.  Sharded query
+    plans answer exactly as the same plans over one store of the whole
+    document, at every K and every pool size.  By section 4.2 the router
+    is label-identical to a plain {!Ltree_doc.Labeled_doc} of the same
+    document and parameters fed the same entries, so checkers compare
+    sharded answers, as router start labels, with independent oracles
+    over such a document — the harness invariant [shard.plans-agree].
 
     A rebalance pass ({!maybe_rebalance}) splits a shard whose live
     size crosses a density threshold, seeding the new shard's store
@@ -91,9 +95,8 @@ val checkpoint : t -> unit
     document order in the shard's reused workspace.  The shards are
     disjoint label intervals, so the caller concatenates the columns in
     route order, keeping the cloned root once — one list of router ids
-    in document order.  [?within] filters results to a router-label
-    window (applied identically to the unsharded reference plans, so
-    the two stay byte-identical). *)
+    in document order.  [?within] keeps the results whose router start
+    label lies in a window (inclusive). *)
 
 (** [run ?counters ?within t pool plan] answers any
     {!Ltree_relstore.Query.plan}; its comparisons, summed over the
@@ -133,44 +136,22 @@ val batch :
   t -> Ltree_exec.Pool.t -> Ltree_relstore.Query.plan array ->
   int list array
 
-(** {1 Unsharded reference plans}
+(** {1 Bench-only reference answers}
 
-    The same plans over a snapshot of the router's own single store,
-    run by the same driver as pooled tasks
-    ({!Ltree_exec.Read_snapshot.run_batch}) — the K = 1 case of the
-    fan-out.  The sharded plans must match {!unsharded_run} and
-    {!unsharded_batch} byte-for-byte, in document order; they share
-    their kernels, so the harness checks them separately against
-    independent oracles. *)
+    [unsharded_descendants], [unsharded_children] and [unsharded_path]
+    answer the [Descendants], [Children] and [Path] plans by a preorder
+    walk of the router's Dom, sorted by router id.  They read no store
+    and share no join kernel with the sharded plans, and the pool
+    argument is unused.  Only the frozen [sharded_mix] bench calls them;
+    ROADMAP item 2 moves its oracle out of the library and deletes them. *)
 
-val unsharded_run :
-  ?counters:Ltree_metrics.Counters.t ->
-  ?within:int * int ->
-  t -> Ltree_exec.Pool.t -> Ltree_relstore.Query.plan -> int list
-
-(** [unsharded_descendants], [unsharded_children] and [unsharded_path]
-    are {!unsharded_run} on one plan with the ids sorted: the frozen
-    [sharded_mix] bench compares their lists unsorted with its sorted
-    copy of the sharded answer (until ROADMAP item 2). *)
 val unsharded_descendants :
-  ?counters:Ltree_metrics.Counters.t ->
-  ?within:int * int ->
   t -> Ltree_exec.Pool.t -> anc:string -> desc:string -> int list
 
 val unsharded_children :
-  ?counters:Ltree_metrics.Counters.t ->
-  ?within:int * int ->
   t -> Ltree_exec.Pool.t -> parent:string -> child:string -> int list
 
-val unsharded_path :
-  ?counters:Ltree_metrics.Counters.t ->
-  ?within:int * int ->
-  t -> Ltree_exec.Pool.t -> string list -> int list
-
-val unsharded_batch :
-  ?within:int * int ->
-  t -> Ltree_exec.Pool.t -> Ltree_relstore.Query.plan array ->
-  int list array
+val unsharded_path : t -> Ltree_exec.Pool.t -> string list -> int list
 
 (** {1 Rebalance} *)
 

@@ -301,8 +301,8 @@ let check_main what ~pools ldoc pager store sync ev =
        "//a/b[2]"; "//a//c[1]"; "//a[b]//c"; "//a/*[last()]";
        "//b/following-sibling::a[1]" ])
 
-(* The sharded fan-out and its one-task unsharded reference, against
-   the DOM evaluator over the router twin.  The unsharded list wrappers
+(* The sharded fan-out and the bench-only unsharded walks of the router
+   Dom, against the DOM evaluator over the router twin.  The walks
    answer sorted by id. *)
 let check_sharded what pool sd =
   let router = Sharded_doc.router sd in
